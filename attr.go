@@ -93,10 +93,8 @@ func AttachAttributes(ix Index, points []PointAttrs) error {
 // payloads, not a store).
 func attachStore(ix Index, st *attr.Store) error {
 	switch t := ix.(type) {
-	case *BallTree:
-		return t.tree.AttachAttrs(st)
-	case *BCTree:
-		return t.tree.AttachAttrs(st)
+	case arenaBacked:
+		return t.arena().AttachAttrs(st)
 	case *Sharded:
 		return t.index.AttachAttrs(st)
 	case *KDTree:
@@ -126,10 +124,8 @@ func attachStore(ix Index, st *attr.Store) error {
 // so a restore round-trips the column exactly.
 func storeOf(ix Index) (*attr.Store, error) {
 	switch t := ix.(type) {
-	case *BallTree:
-		return t.tree.Attrs(), nil
-	case *BCTree:
-		return t.tree.Attrs(), nil
+	case arenaBacked:
+		return t.arena().Attrs(), nil
 	case *Sharded:
 		return t.index.Attrs(), nil
 	case *KDTree:

@@ -49,18 +49,6 @@ func checkQueryBatch(queries *Matrix, d int) *Matrix {
 	return out
 }
 
-// SearchBatch implements BatchIndex: one shared Ball-Tree traversal for the
-// whole batch.
-func (t *BallTree) SearchBatch(queries *Matrix, opts SearchOptions) ([][]Result, []Stats) {
-	return t.tree.SearchBatch(checkQueryBatch(queries, t.raw), opts)
-}
-
-// SearchBatch implements BatchIndex: one shared BC-Tree traversal for the
-// whole batch.
-func (t *BCTree) SearchBatch(queries *Matrix, opts SearchOptions) ([][]Result, []Stats) {
-	return t.tree.SearchBatch(checkQueryBatch(queries, t.raw), opts)
-}
-
 // SearchBatch implements BatchIndex: every shard serves the whole batch
 // through its shared traversal and the per-shard answers merge exactly per
 // query. Shard fan-out uses at most ShardedOptions.Workers goroutines.

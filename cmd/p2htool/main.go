@@ -17,8 +17,7 @@
 // Index selection goes through the p2h registry: -index names any registered
 // kind (p2h.Kinds) and -spec carries the full declarative p2h.Spec as JSON.
 // Saved files are self-describing containers, so info/search/eval need only
-// -load — no kind flag; files written by older releases' bare tree formats
-// load the same way.
+// -load — no kind flag.
 //
 // Data files use the fvecs layout (per vector: int32 dimension then float32
 // components). Query files hold one (normal; offset) row per hyperplane.
@@ -274,8 +273,7 @@ func runInspect(args []string, stdout, stderr io.Writer) error {
 	if info.N >= 0 {
 		points = strconv.Itoa(info.N)
 	}
-	fmt.Fprintf(stdout, "kind=%s dim=%s points=%s legacy=%v\nspec=%s\n",
-		info.Kind, dim, points, info.Legacy, specJSON)
+	fmt.Fprintf(stdout, "kind=%s dim=%s points=%s\nspec=%s\n", info.Kind, dim, points, specJSON)
 	if info.HasAttrs {
 		fmt.Fprintf(stdout, "attrs=present tags=[%s] fields=[%s]\n",
 			strings.Join(info.AttrTags, ","), strings.Join(info.AttrFields, ","))

@@ -218,7 +218,7 @@ func TestInspectSubcommand(t *testing.T) {
 	// Positional form.
 	out := runOK(t, "inspect", index)
 	for _, want := range []string{
-		"kind=sharded", "dim=128", "points=400", "legacy=false",
+		"kind=sharded", "dim=128", "points=400",
 		`"kind":"sharded"`, `"shards":3`, `"leaf_size":40`,
 	} {
 		if !strings.Contains(out, want) {

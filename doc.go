@@ -45,8 +45,7 @@
 //	_ = p2h.SaveFile("index.p2h", index)
 //	loaded, err := p2h.Open("index.p2h") // any persistable kind
 //
-// Malformed input returns errors wrapping ErrFormat. Files written by the
-// older kind-specific Save methods load through the same entry points.
+// Malformed input returns errors wrapping ErrFormat.
 //
 // # Serving
 //

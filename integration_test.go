@@ -102,25 +102,21 @@ func TestIntegrationSerializedTreesAgree(t *testing.T) {
 		data := Dedup(GenerateDataset(name, 500, 5))
 		queries := GenerateQueries(data, 5, 6)
 
+		reload := func(ix Index) Index {
+			var buf bytes.Buffer
+			if err := Save(&buf, ix); err != nil {
+				t.Fatal(err)
+			}
+			out, err := Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
 		ball := NewBallTree(data, BallTreeOptions{LeafSize: 30, Seed: 7})
-		var bb bytes.Buffer
-		if err := ball.Save(&bb); err != nil {
-			t.Fatal(err)
-		}
-		ball2, err := LoadBallTree(&bb)
-		if err != nil {
-			t.Fatal(err)
-		}
-
+		ball2 := reload(ball)
 		bc := NewBCTree(data, BCTreeOptions{LeafSize: 30, Seed: 7})
-		var cb bytes.Buffer
-		if err := bc.Save(&cb); err != nil {
-			t.Fatal(err)
-		}
-		bc2, err := LoadBCTree(&cb)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bc2 := reload(bc)
 
 		for qi := 0; qi < queries.N; qi++ {
 			q := queries.Row(qi)

@@ -14,7 +14,11 @@ import (
 // repeated exact and budgeted searches must not allocate at all. Guarded
 // from -race builds, where the runtime's instrumentation allocates.
 func TestSearcherZeroAllocs(t *testing.T) {
-	tree, queries := batchSetup(t, 2000, 8, 21)
+	forKinds(t, testSearcherZeroAllocs)
+}
+
+func testSearcherZeroAllocs(t *testing.T, kind Kind) {
+	tree, queries := batchSetup(t, kind, 2000, 8, 21)
 	for _, tc := range []struct {
 		name string
 		opts core.SearchOptions
@@ -45,38 +49,42 @@ func TestSearcherZeroAllocs(t *testing.T) {
 // steady-state allocations: the fitted filter's weight slice and the
 // survivor scratch grow once during warmup and are reused ever after.
 func TestQuantSearcherZeroAllocs(t *testing.T) {
-	_, quantized, queries := quantPair(t, 2000, 8, 23)
-	s := quantized.NewSearcher()
-	opts := core.SearchOptions{K: 10}
-	var dst []core.Result
-	for qi := 0; qi < queries.N; qi++ {
-		dst, _ = s.Search(queries.Row(qi), opts, dst[:0])
-	}
-	qi := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		dst, _ = s.Search(queries.Row(qi%queries.N), opts, dst[:0])
-		qi++
+	forKinds(t, func(t *testing.T, kind Kind) {
+		_, quantized, queries := quantPair(t, kind, 2000, 8, 23)
+		s := quantized.NewSearcher()
+		opts := core.SearchOptions{K: 10}
+		var dst []core.Result
+		for qi := 0; qi < queries.N; qi++ {
+			dst, _ = s.Search(queries.Row(qi), opts, dst[:0])
+		}
+		qi := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			dst, _ = s.Search(queries.Row(qi%queries.N), opts, dst[:0])
+			qi++
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state quantized Search allocated %.1f times per op, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state quantized Search allocated %.1f times per op, want 0", allocs)
-	}
 }
 
 // TestTreeSearchSteadyStateAllocs pins Tree.Search (which must allocate the
 // returned results slice, but nothing else) at exactly one allocation per
 // call in steady state.
 func TestTreeSearchSteadyStateAllocs(t *testing.T) {
-	tree, queries := batchSetup(t, 2000, 8, 22)
-	opts := core.SearchOptions{K: 10}
-	for qi := 0; qi < queries.N; qi++ {
-		tree.Search(queries.Row(qi), opts)
-	}
-	qi := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		tree.Search(queries.Row(qi%queries.N), opts)
-		qi++
+	forKinds(t, func(t *testing.T, kind Kind) {
+		tree, queries := batchSetup(t, kind, 2000, 8, 22)
+		opts := core.SearchOptions{K: 10}
+		for qi := 0; qi < queries.N; qi++ {
+			tree.Search(queries.Row(qi), opts)
+		}
+		qi := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			tree.Search(queries.Row(qi%queries.N), opts)
+			qi++
+		})
+		if allocs > 1 {
+			t.Fatalf("steady-state Tree.Search allocated %.1f times per op, want <= 1 (the results slice)", allocs)
+		}
 	})
-	if allocs > 1 {
-		t.Fatalf("steady-state Tree.Search allocated %.1f times per op, want <= 1 (the results slice)", allocs)
-	}
 }

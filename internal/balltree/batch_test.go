@@ -8,14 +8,22 @@ import (
 	"p2h/internal/vec"
 )
 
-func batchSetup(t *testing.T, n, nq int, seed int64) (*Tree, *vec.Matrix) {
+// forKinds runs f once per kind: every behaviour after Build is one code
+// path, so every test of it is a row over {Ball, BC}.
+func forKinds(t *testing.T, f func(t *testing.T, kind Kind)) {
+	for _, kind := range []Kind{Ball, BC} {
+		t.Run(kind.String(), func(t *testing.T) { f(t, kind) })
+	}
+}
+
+func batchSetup(t *testing.T, kind Kind, n, nq int, seed int64) (*Tree, *vec.Matrix) {
 	t.Helper()
 	raw := dataset.Dedup(dataset.Generate(dataset.Spec{
 		Name: "t", Family: dataset.FamilyClustered, RawDim: 24, Clusters: 8,
 	}, n, seed))
 	queries := dataset.GenerateQueries(raw, nq, seed+1)
 	normalizeRows(queries)
-	return Build(raw.AppendOnes(), Config{LeafSize: 32, Seed: seed}), queries
+	return Build(raw.AppendOnes(), kind, Config{LeafSize: 32, Seed: seed}), queries
 }
 
 // normalizeRows rescales every query to a unit normal, the contract of the
@@ -42,7 +50,11 @@ func requireSameResults(t *testing.T, label string, got, want []core.Result) {
 }
 
 func TestSearchBatchMatchesSequential(t *testing.T) {
-	tree, queries := batchSetup(t, 1500, 40, 1)
+	forKinds(t, testSearchBatchMatchesSequential)
+}
+
+func testSearchBatchMatchesSequential(t *testing.T, kind Kind) {
+	tree, queries := batchSetup(t, kind, 1500, 40, 1)
 	for _, tc := range []struct {
 		name string
 		opts core.SearchOptions
@@ -53,6 +65,9 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 		{"budget", core.SearchOptions{K: 10, Budget: 100}},
 		{"filtered", core.SearchOptions{K: 10, Filter: func(id int32) bool { return id%3 != 0 }}},
 		{"lowerbound-pref", core.SearchOptions{K: 10, Preference: core.PrefLowerBound}},
+		{"wo-ball", core.SearchOptions{K: 10, DisablePointBall: true}},
+		{"wo-cone", core.SearchOptions{K: 10, DisablePointCone: true}},
+		{"wo-collab", core.SearchOptions{K: 10, DisableCollabIP: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			batch, _ := tree.SearchBatch(queries, tc.opts)
@@ -65,20 +80,22 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 }
 
 func TestSearchBatchEmptyAndSingle(t *testing.T) {
-	tree, queries := batchSetup(t, 400, 3, 2)
-	empty := &vec.Matrix{Data: nil, N: 0, D: queries.D}
-	out, stats := tree.SearchBatch(empty, core.SearchOptions{K: 5})
-	if len(out) != 0 || len(stats) != 0 {
-		t.Fatalf("empty batch: %d results, %d stats", len(out), len(stats))
-	}
-	one := &vec.Matrix{Data: queries.Row(0), N: 1, D: queries.D}
-	out, _ = tree.SearchBatch(one, core.SearchOptions{K: 5})
-	want, _ := tree.Search(queries.Row(0), core.SearchOptions{K: 5})
-	requireSameResults(t, "single", out[0], want)
+	forKinds(t, func(t *testing.T, kind Kind) {
+		tree, queries := batchSetup(t, kind, 400, 3, 2)
+		empty := &vec.Matrix{Data: nil, N: 0, D: queries.D}
+		out, stats := tree.SearchBatch(empty, core.SearchOptions{K: 5})
+		if len(out) != 0 || len(stats) != 0 {
+			t.Fatalf("empty batch: %d results, %d stats", len(out), len(stats))
+		}
+		one := &vec.Matrix{Data: queries.Row(0), N: 1, D: queries.D}
+		out, _ = tree.SearchBatch(one, core.SearchOptions{K: 5})
+		want, _ := tree.Search(queries.Row(0), core.SearchOptions{K: 5})
+		requireSameResults(t, "single", out[0], want)
+	})
 }
 
 func TestSearchBatchPanicsOnDimMismatch(t *testing.T) {
-	tree, _ := batchSetup(t, 300, 2, 3)
+	tree, _ := batchSetup(t, BC, 300, 2, 3)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -91,14 +108,33 @@ func TestSearchBatchPanicsOnDimMismatch(t *testing.T) {
 // traversal stay plausible: every query visits the root, and work counters
 // are positive.
 func TestSearchBatchStatsAccounted(t *testing.T) {
-	tree, queries := batchSetup(t, 800, 8, 4)
-	_, stats := tree.SearchBatch(queries, core.SearchOptions{K: 5})
-	for qi, st := range stats {
-		if st.NodesVisited < 1 {
-			t.Fatalf("query %d: no nodes visited", qi)
+	forKinds(t, func(t *testing.T, kind Kind) {
+		tree, queries := batchSetup(t, kind, 800, 8, 4)
+		_, stats := tree.SearchBatch(queries, core.SearchOptions{K: 5})
+		for qi, st := range stats {
+			if st.NodesVisited < 1 {
+				t.Fatalf("query %d: no nodes visited", qi)
+			}
+			if st.Candidates <= 0 || st.IPCount <= 0 {
+				t.Fatalf("query %d: empty work counters %+v", qi, st)
+			}
 		}
-		if st.Candidates <= 0 || st.IPCount <= 0 {
-			t.Fatalf("query %d: empty work counters %+v", qi, st)
-		}
+	})
+}
+
+// TestSearchBatchBallPruningActive checks the shared traversal still applies
+// the point-level ball bound on a BC tree: across a clustered workload some
+// points must be pruned, and disabling the bound must not change results.
+func TestSearchBatchBallPruningActive(t *testing.T) {
+	tree, queries := batchSetup(t, BC, 1200, 10, 5)
+	resOn, statsOn := tree.SearchBatch(queries, core.SearchOptions{K: 5})
+	resOff, _ := tree.SearchBatch(queries, core.SearchOptions{K: 5, DisablePointBall: true})
+	var pruned int64
+	for qi := range resOn {
+		requireSameResults(t, "ball ablation", resOn[qi], resOff[qi])
+		pruned += statsOn[qi].PrunedPoints
+	}
+	if pruned == 0 {
+		t.Fatal("expected the batched ball bound to prune at least one point")
 	}
 }

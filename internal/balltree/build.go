@@ -1,27 +1,43 @@
 package balltree
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 
 	"p2h/internal/partition"
 	"p2h/internal/quant"
 	"p2h/internal/vec"
 )
 
-// Build constructs a Ball-Tree over the lifted data matrix (rows x = (p; 1))
-// with Algorithm 1's recursive seed-grow construction. The input matrix is
-// not modified; the tree keeps a reordered copy so every leaf occupies a
-// contiguous range of rows. Nodes are appended to the flat arena in preorder,
-// so the root is index 0 and both children of a node sit at larger indices.
-func Build(data *vec.Matrix, cfg Config) *Tree {
+// Build constructs a tree of the given kind over the lifted data matrix
+// (rows x = (p; 1)). Both kinds share the seed-grow splitting rule
+// (Algorithm 2) and the preorder arena: the root is index 0 and both
+// children of a node sit at larger indices.
+//
+// Ball follows Algorithm 1: every node's center is the centroid of its
+// points and its radius the maximum distance from it. BC follows Algorithm 4:
+// leaves get the same ball plus the point-level ball and cone structures and
+// are sorted by descending r_x for batch pruning; internal-node centers are
+// assembled from the children via Lemma 1 in O(d) instead of O(d|N|).
+//
+// The input matrix is not modified; the tree keeps a reordered copy so every
+// leaf occupies a contiguous range of rows.
+func Build(data *vec.Matrix, kind Kind, cfg Config) *Tree {
 	if data == nil || data.N == 0 {
 		panic("balltree: empty data")
 	}
 	cfg = cfg.normalized()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	t := &Tree{
+		kind:     kind,
 		ids:      make([]int32, data.N),
 		leafSize: cfg.LeafSize,
+	}
+	if kind == BC {
+		t.rx = make([]float64, data.N)
+		t.xcos = make([]float64, data.N)
+		t.xsin = make([]float64, data.N)
 	}
 	for i := range t.ids {
 		t.ids[i] = int32(i)
@@ -29,7 +45,6 @@ func Build(data *vec.Matrix, cfg Config) *Tree {
 	b := &builder{data: data, rng: rng, tree: t}
 	b.build(t.ids, 0)
 	t.centers = &vec.Matrix{Data: b.centers, N: len(t.nodes), D: data.D}
-	// Materialize the reordered copy so leaves scan sequentially.
 	t.points = data.SubsetRows(t.ids)
 	if cfg.Quantize {
 		t.qz = quant.NewQuantizer(t.points)
@@ -45,25 +60,34 @@ type builder struct {
 	centers []float32 // packed centers, row ni = center of arena node ni
 }
 
-// build recursively constructs the subtree over ids[0:], which occupies
-// positions [offset, offset+len(ids)) of the final reordered storage.
-// It partitions ids in place (Algorithm 1) and returns the arena index of
-// the subtree root.
+// build recursively constructs the subtree over ids, which occupies positions
+// [offset, offset+len(ids)) of the final reordered storage. It partitions
+// (and, in BC leaves, sorts) ids in place and returns the arena index of the
+// subtree root. Nodes are appended before their children (preorder); a BC
+// internal node's center is filled in afterwards via Lemma 1.
 func (b *builder) build(ids []int32, offset int32) int32 {
-	ni := int32(len(b.tree.nodes))
-	b.tree.nodes = append(b.tree.nodes, nodeRec{
+	t := b.tree
+	d := b.data.D
+	ni := int32(len(t.nodes))
+	t.nodes = append(t.nodes, nodeRec{
 		start: offset,
 		end:   offset + int32(len(ids)),
 		left:  noChild,
 		right: noChild,
 	})
-	d := b.data.D
-	b.centers = append(b.centers, b.data.Centroid(ids)...)
-	_, maxDist := b.data.MaxDistFrom(ids, b.centers[int(ni)*d:(int(ni)+1)*d])
-	b.tree.nodes[ni].radius = maxDist * (1 + radiusSlack)
-
-	if len(ids) <= b.tree.leafSize {
-		b.tree.leaves++
+	leaf := len(ids) <= t.leafSize
+	switch {
+	case t.kind == Ball:
+		b.centers = append(b.centers, b.data.Centroid(ids)...)
+		_, maxDist := b.data.MaxDistFrom(ids, b.centers[int(ni)*d:(int(ni)+1)*d])
+		t.nodes[ni].radius = maxDist * (1 + radiusSlack)
+	case leaf:
+		b.fillLeaf(ni, ids, offset)
+	default:
+		b.centers = append(b.centers, make([]float32, d)...) // filled below
+	}
+	if leaf {
+		t.leaves++
 		return ni
 	}
 
@@ -71,7 +95,81 @@ func (b *builder) build(ids []int32, offset int32) int32 {
 	left := b.build(ids[:nl], offset)
 	right := b.build(ids[nl:], offset+int32(nl))
 	// Re-index after the recursive appends: the arena may have been regrown.
-	b.tree.nodes[ni].left = left
-	b.tree.nodes[ni].right = right
+	t.nodes[ni].left = left
+	t.nodes[ni].right = right
+	if t.kind == BC {
+		// Lemma 1: N.c * |N| = N.lc.c * |N.lc| + N.rc.c * |N.rc|, so the
+		// center of an internal node costs O(d) once its children are built.
+		center := b.centers[int(ni)*d : (int(ni)+1)*d]
+		combineCenters(center, &t.nodes[ni], t, b.centers)
+		t.nodes[ni].centerNorm = vec.Norm(center)
+		_, maxDist := b.data.MaxDistFrom(ids, center)
+		t.nodes[ni].radius = maxDist * (1 + radiusSlack)
+	}
 	return ni
+}
+
+// combineCenters applies Lemma 1 to derive a parent's center from its
+// children's centers and counts, writing into dst.
+func combineCenters(dst []float32, n *nodeRec, t *Tree, centers []float32) {
+	d := len(dst)
+	lc := centers[int(n.left)*d : (int(n.left)+1)*d]
+	rc := centers[int(n.right)*d : (int(n.right)+1)*d]
+	cl := float64(t.nodes[n.left].count())
+	cr := float64(t.nodes[n.right].count())
+	inv := 1 / (cl + cr)
+	for i := range dst {
+		dst[i] = float32((cl*float64(lc[i]) + cr*float64(rc[i])) * inv)
+	}
+}
+
+// fillLeaf computes a BC leaf's ball (center, radius, r_x) and cone
+// (||x||cos phi_x, ||x||sin phi_x) structures — Algorithm 4 lines 3-9 — and
+// sorts the leaf's ids in descending order of r_x so the point-level ball
+// bound prunes in a batch. The structures land in the tree's
+// position-indexed arrays at [offset, offset+len(ids)).
+func (b *builder) fillLeaf(ni int32, ids []int32, offset int32) {
+	t := b.tree
+	center := b.data.Centroid(ids)
+	b.centers = append(b.centers, center...)
+	centerNorm := vec.Norm(center)
+	t.nodes[ni].centerNorm = centerNorm
+
+	radii := make([]float64, len(ids))
+	for i, id := range ids {
+		radii[i] = vec.Dist(b.data.Row(int(id)), center)
+	}
+	order := make([]int, len(ids))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, c int) bool { return radii[order[a]] > radii[order[c]] })
+
+	sortedIDs := make([]int32, len(ids))
+	for pos, idx := range order {
+		id := ids[idx]
+		sortedIDs[pos] = id
+		gpos := int(offset) + pos
+		r := radii[idx]
+		t.rx[gpos] = r * (1 + radiusSlack)
+		x := b.data.Row(int(id))
+		xnorm := vec.Norm(x)
+		var xcos float64
+		if centerNorm > 0 {
+			xcos = vec.Dot(x, center) / centerNorm
+		}
+		// Clamp |cos phi_x| <= 1 scaled by ||x||, then derive the rejection;
+		// rounding can push the projection a hair past the norm.
+		if xcos > xnorm {
+			xcos = xnorm
+		} else if xcos < -xnorm {
+			xcos = -xnorm
+		}
+		t.xcos[gpos] = xcos
+		t.xsin[gpos] = math.Sqrt(math.Max(0, xnorm*xnorm-xcos*xcos))
+	}
+	copy(ids, sortedIDs)
+	if len(ids) > 0 {
+		t.nodes[ni].radius = t.rx[offset] // already slack-inflated, rx descending
+	}
 }

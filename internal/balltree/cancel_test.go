@@ -10,11 +10,13 @@ import (
 // TestSearchCancelImmediate pins the cooperative-cancellation contract: a
 // Cancel that fires before the first node visit stops the traversal at once,
 // returning whatever (possibly nothing) the collector holds, without panic.
-func TestSearchCancelImmediate(t *testing.T) {
+func TestSearchCancelImmediate(t *testing.T) { forKinds(t, testSearchCancelImmediate) }
+
+func testSearchCancelImmediate(t *testing.T, kind Kind) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 12, Clusters: 8}, 800, 4)
 	data := raw.AppendOnes()
 	queries := dataset.GenerateQueries(raw, 3, 5)
-	tree := Build(data, Config{LeafSize: 25, Seed: 2})
+	tree := Build(data, kind, Config{LeafSize: 25, Seed: 2})
 	for i := 0; i < queries.N; i++ {
 		res, st := tree.Search(queries.Row(i), core.SearchOptions{
 			K:      5,
@@ -31,11 +33,13 @@ func TestSearchCancelImmediate(t *testing.T) {
 
 // TestSearchCancelMidway cancels after a fixed number of polls and checks the
 // search stops early yet returns valid (sorted, deduplicated) partial results.
-func TestSearchCancelMidway(t *testing.T) {
+func TestSearchCancelMidway(t *testing.T) { forKinds(t, testSearchCancelMidway) }
+
+func testSearchCancelMidway(t *testing.T, kind Kind) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 12, Clusters: 8}, 3000, 4)
 	data := raw.AppendOnes()
 	queries := dataset.GenerateQueries(raw, 3, 5)
-	tree := Build(data, Config{LeafSize: 25, Seed: 2})
+	tree := Build(data, kind, Config{LeafSize: 25, Seed: 2})
 	for i := 0; i < queries.N; i++ {
 		q := queries.Row(i)
 		_, full := tree.Search(q, core.SearchOptions{K: 5})

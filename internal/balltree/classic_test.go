@@ -38,7 +38,7 @@ func classicSetup(t *testing.T, seed int64) (*Tree, *vec.Matrix, *vec.Matrix) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 16, Clusters: 8}, 800, seed)
 	data := raw.AppendOnes()
 	queries := dataset.GenerateQueries(raw, 8, seed+1)
-	return Build(data, Config{LeafSize: 25, Seed: seed}), data, queries
+	return Build(data, Ball, Config{LeafSize: 25, Seed: seed}), data, queries
 }
 
 func distsEqual(a, b []core.Result) bool {
@@ -102,7 +102,7 @@ func TestSearchMIPExact(t *testing.T) {
 func TestClassicSearchesPrune(t *testing.T) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 12, Clusters: 16}, 5000, 4)
 	data := raw.AppendOnes()
-	tree := Build(data, Config{LeafSize: 50, Seed: 4})
+	tree := Build(data, Ball, Config{LeafSize: 50, Seed: 4})
 	q := data.Row(17) // a data point: NN/MIP pruning should be strong
 	_, nn := tree.SearchNN(q, 1)
 	_, mip := tree.SearchMIP(q, 1)
@@ -139,7 +139,7 @@ func TestQuickClassicBoundsSound(t *testing.T) {
 		raw := dataset.Generate(dataset.Spec{Name: "q", Family: dataset.FamilyUniform, RawDim: d}, n, seed)
 		data := raw.AppendOnes()
 		queries := dataset.GenerateQueries(raw, 2, seed+1)
-		tree := Build(data, Config{LeafSize: 12, Seed: seed})
+		tree := Build(data, Ball, Config{LeafSize: 12, Seed: seed})
 		for qi := 0; qi < queries.N; qi++ {
 			q := queries.Row(qi)
 			ok := true

@@ -1,0 +1,33 @@
+// Package balltree implements both of the paper's indexes as one tree.
+//
+// Section III — Ball-Tree: the classical ball hierarchy revisited for
+// point-to-hyperplane nearest neighbor search with a node-level ball bound
+// (Theorem 2) and a branch-and-bound search scheme (Algorithm 3). The tree
+// indexes lifted data points x = (p; 1); each node covers a contiguous range
+// of a reordered copy of the data, so leaf verification is a sequential scan.
+//
+// Section IV — BC-Tree: a Ball-Tree whose leaf nodes additionally maintain
+// Ball and Cone structures per data point. They enable two O(1) point-level
+// lower bounds — the point-level ball bound (Corollary 1) and the tighter
+// point-level cone bound (Theorem 3) — which prune individual candidates
+// inside a leaf before the O(d) verification, and a collaborative inner
+// product computing strategy (Lemma 2) that nearly halves the node-level
+// bound cost (Theorem 5).
+//
+// The two differ in what Build leaves in the arena (Kind), not in how they
+// are searched: a Ball kind tree carries no per-point arrays and zero
+// centerNorms, and its searches run with the three Figure 8 ablation
+// switches (DisablePointBall, DisablePointCone, DisableCollabIP) forced on,
+// which is exactly Algorithm 3. Traversal, leaf scans, the batched engine,
+// the codec and attribute pushdown exist once.
+//
+// Storage is a flat arena: all nodes live in one []nodeRec slice with
+// children addressed by index, all node centers are packed into one
+// contiguous centers matrix (row i = center of node i), and the per-point
+// ball/cone structures are three position-indexed arrays of length n — each
+// storage position belongs to exactly one leaf, so a leaf's slice of those
+// arrays is contiguous and its radii stay descending within the slice. Leaf
+// verification runs as fused bound kernels plus one blocked inner-product
+// call over sequential memory (vec.BallCutoff / vec.ConeSelect /
+// vec.DotBlock).
+package balltree

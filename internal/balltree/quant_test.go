@@ -9,7 +9,7 @@ import (
 	"p2h/internal/vec"
 )
 
-func quantPair(t *testing.T, n, nq int, seed int64) (plain, quantized *Tree, queries *vec.Matrix) {
+func quantPair(t *testing.T, kind Kind, n, nq int, seed int64) (plain, quantized *Tree, queries *vec.Matrix) {
 	t.Helper()
 	raw := dataset.Dedup(dataset.Generate(dataset.Spec{
 		Name: "t", Family: dataset.FamilyClustered, RawDim: 24, Clusters: 8,
@@ -17,16 +17,19 @@ func quantPair(t *testing.T, n, nq int, seed int64) (plain, quantized *Tree, que
 	queries = dataset.GenerateQueries(raw, nq, seed+1)
 	normalizeRows(queries)
 	data := raw.AppendOnes()
-	plain = Build(data, Config{LeafSize: 32, Seed: seed})
-	quantized = Build(data, Config{LeafSize: 32, Seed: seed, Quantize: true})
+	plain = Build(data, kind, Config{LeafSize: 32, Seed: seed})
+	quantized = Build(data, kind, Config{LeafSize: 32, Seed: seed, Quantize: true})
 	return plain, quantized, queries
 }
 
-// TestQuantSearchMatchesFloat: a quantized tree must return bitwise-identical
-// results to the same tree without the mirror, across every option shape —
-// the filter is exact, so it may only remove work, never answers.
-func TestQuantSearchMatchesFloat(t *testing.T) {
-	plain, quantized, queries := quantPair(t, 1500, 40, 31)
+// TestQuantSearchMatchesFloat: a quantized tree must return
+// bitwise-identical results to the same tree without the mirror, across every
+// option shape — the code filter composes with the ball and cone bounds and
+// may only remove work, never answers.
+func TestQuantSearchMatchesFloat(t *testing.T) { forKinds(t, testQuantSearchMatchesFloat) }
+
+func testQuantSearchMatchesFloat(t *testing.T, kind Kind) {
+	plain, quantized, queries := quantPair(t, kind, 1500, 40, 31+10*int64(kind))
 	for _, tc := range []struct {
 		name string
 		opts core.SearchOptions
@@ -37,6 +40,10 @@ func TestQuantSearchMatchesFloat(t *testing.T) {
 		{"budget", core.SearchOptions{K: 10, Budget: 100}},
 		{"filtered", core.SearchOptions{K: 10, Filter: func(id int32) bool { return id%3 != 0 }}},
 		{"lowerbound-pref", core.SearchOptions{K: 10, Preference: core.PrefLowerBound}},
+		{"no-point-ball", core.SearchOptions{K: 10, DisablePointBall: true}},
+		{"no-point-cone", core.SearchOptions{K: 10, DisablePointCone: true}},
+		{"no-point-bounds", core.SearchOptions{K: 10, DisablePointBall: true, DisablePointCone: true}},
+		{"no-collab-ip", core.SearchOptions{K: 10, DisableCollabIP: true}},
 		{"ablated", core.SearchOptions{K: 10, DisableQuantFilter: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,8 +59,10 @@ func TestQuantSearchMatchesFloat(t *testing.T) {
 
 // TestQuantBatchMatchesSequential: the batched quantized traversal must match
 // per-query quantized search result-for-result.
-func TestQuantBatchMatchesSequential(t *testing.T) {
-	_, quantized, queries := quantPair(t, 1500, 40, 33)
+func TestQuantBatchMatchesSequential(t *testing.T) { forKinds(t, testQuantBatchMatchesSequential) }
+
+func testQuantBatchMatchesSequential(t *testing.T, kind Kind) {
+	_, quantized, queries := quantPair(t, kind, 1500, 40, 33+10*int64(kind))
 	for _, tc := range []struct {
 		name string
 		opts core.SearchOptions
@@ -61,6 +70,7 @@ func TestQuantBatchMatchesSequential(t *testing.T) {
 		{"exact-k1", core.SearchOptions{K: 1}},
 		{"exact-k10", core.SearchOptions{K: 10}},
 		{"exact-kBig", core.SearchOptions{K: quantized.N() + 5}},
+		{"no-point-ball", core.SearchOptions{K: 10, DisablePointBall: true}},
 		{"ablated", core.SearchOptions{K: 10, DisableQuantFilter: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -74,21 +84,20 @@ func TestQuantBatchMatchesSequential(t *testing.T) {
 }
 
 // TestQuantFilterActuallyPrunes guards against the filter silently degrading
-// to a no-op: on clustered data the quantized exact search must prune rows
-// and verify strictly fewer candidates than the float scan.
-func TestQuantFilterActuallyPrunes(t *testing.T) {
-	plain, quantized, queries := quantPair(t, 3000, 20, 35)
-	var floatCand, quantCand, pruned int64
+// to a no-op: even after the ball and cone bounds (BC kind) have done their
+// work, the quantized exact search must verify strictly fewer candidates than
+// the float scan on clustered data.
+func TestQuantFilterActuallyPrunes(t *testing.T) { forKinds(t, testQuantFilterActuallyPrunes) }
+
+func testQuantFilterActuallyPrunes(t *testing.T, kind Kind) {
+	plain, quantized, queries := quantPair(t, kind, 3000, 20, 35+10*int64(kind))
+	var floatCand, quantCand int64
 	for qi := 0; qi < queries.N; qi++ {
 		q := queries.Row(qi)
 		_, sf := plain.Search(q, core.SearchOptions{K: 10})
 		_, sq := quantized.Search(q, core.SearchOptions{K: 10})
 		floatCand += sf.Candidates
 		quantCand += sq.Candidates
-		pruned += sq.PrunedPoints
-	}
-	if pruned == 0 {
-		t.Fatal("quantized filter pruned nothing")
 	}
 	if quantCand >= floatCand {
 		t.Fatalf("quantized path verified %d candidates, float path %d — no savings", quantCand, floatCand)
@@ -99,14 +108,16 @@ func TestQuantFilterActuallyPrunes(t *testing.T) {
 // trees answer identically (results and stats), and the quantization section
 // is validated — a tampered code byte must fail the load rather than load a
 // mirror that could silently prune true neighbors.
-func TestQuantSaveLoadRoundTrip(t *testing.T) {
-	_, quantized, queries := quantPair(t, 900, 10, 37)
+func TestQuantSaveLoadRoundTrip(t *testing.T) { forKinds(t, testQuantSaveLoadRoundTrip) }
+
+func testQuantSaveLoadRoundTrip(t *testing.T, kind Kind) {
+	_, quantized, queries := quantPair(t, kind, 900, 10, 37+10*int64(kind))
 	var buf bytes.Buffer
 	if err := quantized.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	restored, err := Load(bytes.NewReader(raw))
+	restored, err := Load(bytes.NewReader(raw), kind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +138,12 @@ func TestQuantSaveLoadRoundTrip(t *testing.T) {
 	// is the final section): Load must reject it.
 	tampered := append([]byte(nil), raw...)
 	tampered[len(tampered)-10] ^= 0x80
-	if _, err := Load(bytes.NewReader(tampered)); err == nil {
+	if _, err := Load(bytes.NewReader(tampered), kind); err == nil {
 		t.Fatal("tampered quantization section must fail to load")
 	}
 
 	// Truncating the quantization section must fail too.
-	if _, err := Load(bytes.NewReader(raw[:len(raw)-5])); err == nil {
+	if _, err := Load(bytes.NewReader(raw[:len(raw)-5]), kind); err == nil {
 		t.Fatal("truncated quantization section must fail to load")
 	}
 }

@@ -10,17 +10,29 @@ import (
 	"p2h/internal/vec"
 )
 
-// Search answers a top-k P2HNNS query with Algorithm 3: depth-first
+// Search answers a top-k P2HNNS query with Algorithm 5: depth-first
 // branch-and-bound over the ball hierarchy, pruning any node whose
 // node-level ball bound (Theorem 2)
 //
 //	lb = max(|<q, N.c>| - ||q|| * N.r, 0)
 //
-// is strictly above the current k-th best distance q.λ. The inner product of
-// the query with a node center is computed once per visited node and handed
-// to the recursion, so a visited internal node costs exactly two O(d) inner
-// products (one per child) — the cost Lemma 2 halves for BC-Tree. Leaf
-// verification is one vec.DotBlock call over the leaf's contiguous rows.
+// is strictly above the current k-th best distance q.λ, augmented with
+//
+//   - collaborative inner product computing (Lemma 2): a visited internal
+//     node computes the O(d) inner product for its left child only; the right
+//     child's follows in O(1) from the node's own inner product, cutting the
+//     node-level bound cost almost in half (Theorem 5);
+//   - point-level pruning in the leaves (ScanWithPruning): the point-level
+//     ball bound (Corollary 1) prunes the tail of the radius-sorted leaf in a
+//     batch (vec.BallCutoff finds the cut by binary search), and the
+//     point-level cone bound (Theorem 3) prunes single points it misses via
+//     the fused vec.ConeSelect kernel; survivors are verified by one blocked
+//     vec.DotBlock call when the whole prefix survives.
+//
+// The ablation switches in opts reproduce the paper's Figure 8 variants. A
+// Ball kind tree runs with all three forced on (see normalize), which is
+// Algorithm 3: two O(d) inner products per visited internal node and one
+// vec.DotBlock call over each visited leaf's contiguous rows.
 //
 // Search runs on a pooled Searcher, so a steady-state call's only allocation
 // is the returned results slice; use a Searcher directly to eliminate that
@@ -38,18 +50,19 @@ func (t *Tree) Search(q []float32, opts core.SearchOptions) ([]core.Result, core
 // not safe for concurrent use; acquire one per goroutine (Tree.Search pools
 // them automatically).
 type Searcher struct {
-	tree  *Tree
-	q     []float32
-	qnorm float64
-	tk    core.TopK
-	st    core.Stats
-	opts  core.SearchOptions
-	buf   []float64 // per-leaf scratch for blocked inner products
+	tree    *Tree
+	q       []float32
+	qnorm   float64
+	sqQnorm float64
+	tk      core.TopK
+	st      core.Stats
+	opts    core.SearchOptions
+	buf     []float64 // per-leaf scratch for blocked inner products
+	sel     []int32   // per-leaf scratch for cone-bound survivors
 
 	// Quantized-filter state, live only while useQuant is set: qf is the
-	// query's fitted integer filter, sel the per-leaf survivor scratch.
+	// query's fitted integer filter (see quant.CodeFilter).
 	qf       quant.CodeFilter
-	sel      []int32
 	useQuant bool
 
 	// Predicate state, live only while opts.Pred is set on a tree with an
@@ -70,13 +83,27 @@ func (t *Tree) acquireSearcher() *Searcher {
 
 func (t *Tree) releaseSearcher(s *Searcher) { t.searchers.Put(s) }
 
+// normalize applies the option defaults and, for the Ball kind, forces the
+// three ablation switches: a Ball-Tree is the BC-Tree search with no
+// point-level ball bound, no point-level cone bound and no collaborative
+// inner products (the tree has no arrays to evaluate them on). This is the
+// only place a search learns the kind.
+func (t *Tree) normalize(opts core.SearchOptions) core.SearchOptions {
+	opts = opts.Normalized()
+	if t.kind == Ball {
+		opts.DisablePointBall, opts.DisablePointCone, opts.DisableCollabIP = true, true, true
+	}
+	return opts
+}
+
 // Search answers one query, appending the top-k results (ascending
 // (Dist, ID)) to dst. Passing a recycled dst makes the call allocation-free
 // in steady state.
 func (s *Searcher) Search(q []float32, opts core.SearchOptions, dst []core.Result) ([]core.Result, core.Stats) {
-	opts = opts.Normalized()
+	opts = s.tree.normalize(opts)
 	s.q = q
 	s.qnorm = vec.Norm(q)
+	s.sqQnorm = s.qnorm * s.qnorm
 	s.opts = opts
 	s.st = core.Stats{}
 	s.tk.Init(opts.K)
@@ -145,11 +172,13 @@ func (s *Searcher) scratch(m int) []float64 {
 	return s.buf[:m]
 }
 
-// visit implements SubBallTreeSearch. ip is <q, center(ni)>, already computed
-// by the caller. Pruning is strict (lb > λ): a subtree tied with the current
-// k-th best distance still reaches the collector, whose canonical (Dist, ID)
-// order then decides — the invariant that makes exact results independent of
-// traversal order (see internal/exec).
+// visit implements SubBCTreeSearch (SubBallTreeSearch under the Ball kind's
+// forced switches). ip is <q, center(ni)>, already known to
+// the caller: computed directly for the root and for left children, derived
+// via Lemma 2 for right children. Pruning is strict (lb > λ): candidates
+// tied with the k-th best distance reach the collector, whose canonical
+// (Dist, ID) order decides — the invariant that makes exact results
+// independent of traversal order (see internal/exec).
 func (s *Searcher) visit(ni int32, ip float64) {
 	if !s.opts.BudgetLeft(s.st.Candidates) {
 		return
@@ -176,7 +205,7 @@ func (s *Searcher) visit(ni int32, ip float64) {
 		return
 	}
 	if n.isLeaf() {
-		s.scanLeaf(n)
+		s.scanWithPruning(n, ip)
 		return
 	}
 
@@ -185,8 +214,19 @@ func (s *Searcher) visit(ni int32, ip float64) {
 		start = time.Now()
 	}
 	ipl := vec.Dot(s.q, s.tree.center(n.left))
-	ipr := vec.Dot(s.q, s.tree.center(n.right))
-	s.st.IPCount += 2
+	s.st.IPCount++
+	var ipr float64
+	if s.opts.DisableCollabIP {
+		ipr = vec.Dot(s.q, s.tree.center(n.right))
+		s.st.IPCount++
+	} else {
+		// Lemma 2: <q, rc.c> = (|N| <q, N.c> - |lc| <q, lc.c>) / |rc|.
+		cn := float64(n.count())
+		cl := float64(s.tree.nodes[n.left].count())
+		cr := float64(s.tree.nodes[n.right].count())
+		ipr = (cn*ip - cl*ipl) / cr
+		s.st.CollabIPs++
+	}
 	if s.opts.Profile != nil {
 		s.opts.Profile.Add(core.PhaseBound, time.Since(start))
 	}
@@ -201,7 +241,7 @@ func (s *Searcher) visit(ni int32, ip float64) {
 	s.visit(second, ips)
 }
 
-// preferRight decides the branch order of Algorithm 3 lines 11-16.
+// preferRight decides the branch order (Algorithm 5 lines 12-17).
 func (s *Searcher) preferRight(n *nodeRec, ipl, ipr float64) bool {
 	if s.opts.Preference == core.PrefLowerBound {
 		lbl := math.Abs(ipl) - s.qnorm*s.tree.nodes[n.left].radius
@@ -217,166 +257,267 @@ func (s *Searcher) preferRight(n *nodeRec, ipl, ipr float64) bool {
 	return math.Abs(ipr) < math.Abs(ipl)
 }
 
-// scanLeaf is ExhaustiveScan (Algorithm 3 lines 17-20) over the contiguous
-// storage of the leaf, respecting the candidate budget. Without a filter the
-// whole (budget-capped) block is verified by one blocked kernel call.
-func (s *Searcher) scanLeaf(n *nodeRec) {
+// scanWithPruning implements Algorithm 5 lines 18-26 over the contiguous,
+// radius-sorted storage of the leaf, blocked: the ball bound cuts the tail of
+// the leaf in one binary search, the fused cone kernel selects survivors in
+// the remaining prefix, and the survivors are verified either by one
+// DotBlock call (when the whole prefix survives, the common case on hard
+// leaves) or point by point (when the cone bound thinned them out). Bounds
+// are evaluated against the λ at leaf entry; λ only shrinks during the scan,
+// so the snapshot prunes conservatively and results stay exact.
+func (s *Searcher) scanWithPruning(n *nodeRec, ip float64) {
 	s.st.LeavesVisited++
-	// The quantized filter needs a finite lambda to prune against; until the
-	// heap fills, leaves scan on the float path.
-	if s.useQuant && s.tk.Full() {
-		if s.pred != nil {
-			s.scanLeafQuantPred(n)
-		} else {
-			s.scanLeafQuant(n)
-		}
-		return
-	}
-	var start time.Time
-	if s.opts.Profile != nil {
-		start = time.Now()
+	var leafStart time.Time
+	var verifyDur time.Duration
+	profiling := s.opts.Profile != nil
+	if profiling {
+		leafStart = time.Now()
 	}
 
 	if s.opts.Filter != nil || s.pred != nil {
-		s.scanLeafFiltered(n)
-	} else {
-		m := int(n.count())
-		if s.opts.Budget > 0 {
-			if left := int(int64(s.opts.Budget) - s.st.Candidates); left < m {
-				m = left
-			}
+		// Predicate searches with the quantized mirror keep the code kernel:
+		// rows are predicate-filtered first, then code-selected (useQuant
+		// already implies Filter == nil and no budget).
+		if s.pred != nil && s.useQuant && s.tk.Full() {
+			verifyDur = s.scanPredQuant(n, ip)
+		} else {
+			verifyDur = s.scanFiltered(n, ip)
 		}
-		if m > 0 {
-			d := s.tree.points.D
-			rows := s.tree.points.Data[int(n.start)*d : (int(n.start)+m)*d]
-			dists := s.scratch(m)
-			vec.DotBlock(s.q, rows, dists)
-			s.st.IPCount += int64(m)
-			s.st.Candidates += int64(m)
-			for i := 0; i < m; i++ {
-				s.tk.Push(s.tree.ids[int(n.start)+i], math.Abs(dists[i]))
-			}
+		if profiling {
+			s.opts.Profile.Add(core.PhaseVerify, verifyDur)
+			s.opts.Profile.Add(core.PhaseBound, time.Since(leafStart)-verifyDur)
 		}
-	}
-
-	if s.opts.Profile != nil {
-		s.opts.Profile.Add(core.PhaseVerify, time.Since(start))
-	}
-}
-
-// scanLeafQuant is the quantized leaf scan: one integer-kernel pass over the
-// leaf's code block (vec.CodeSelect) removes every row whose error-bounded
-// approximate score provably cannot beat the current k-th best, and only the
-// survivors are verified against the float rows. When nothing is pruned the
-// whole block goes through the same vec.DotBlock call as the float path, so
-// verified distances are bitwise identical to an unquantized search.
-func (s *Searcher) scanLeafQuant(n *nodeRec) {
-	m := int(n.count())
-	if m == 0 {
 		return
 	}
-	d := s.tree.points.D
-	start64 := int(n.start) * d
-	var t0 time.Time
-	if s.opts.Profile != nil {
-		t0 = time.Now()
-	}
-	codes := s.tree.codes[start64 : start64+m*d]
-	s.sel = vec.CodeSelect(codes, d, s.qf.W, s.qf.Base, s.qf.InvS, s.qf.Eps,
-		s.tk.Lambda(), s.sel[:0])
-	s.st.PrunedPoints += int64(m - len(s.sel))
-	if s.opts.Profile != nil {
-		s.opts.Profile.Add(core.PhaseBound, time.Since(t0))
-		t0 = time.Now()
+
+	start := int(n.start)
+	count := int(n.count())
+	lambda := s.tk.Lambda()
+	absIP := math.Abs(ip)
+
+	// Corollary 1: r_x is descending, so the ball bound ascends along the
+	// leaf; everything past the cutoff is pruned in a batch.
+	m := count
+	if !s.opts.DisablePointBall {
+		m = vec.BallCutoff(absIP, s.qnorm, lambda, s.tree.rx[start:start+count])
+		s.st.PrunedPoints += int64(count - m)
 	}
 
-	if len(s.sel) == m {
-		rows := s.tree.points.Data[start64 : start64+m*d]
-		dists := s.scratch(m)
-		vec.DotBlock(s.q, rows, dists)
-		for i := 0; i < m; i++ {
-			s.tk.Push(s.tree.ids[int(n.start)+i], math.Abs(dists[i]))
-		}
-	} else {
-		for _, i := range s.sel {
-			pos := int(n.start) + int(i)
-			dist := math.Abs(vec.Dot(s.q, s.tree.points.Row(pos)))
-			s.tk.Push(s.tree.ids[pos], dist)
+	// Theorem 3 via the fused kernel: select the survivors of the prefix.
+	useCone := !s.opts.DisablePointCone && n.centerNorm > 0
+	var sel []int32
+	dense := true // all of [0, m) survived; allows one blocked verification
+	if useCone && m > 0 {
+		// ||q|| cos theta = <q, N.c> / ||N.c||; the rejection follows from
+		// Pythagoras. Rounding can push the projection a hair past ||q||.
+		qcos := ip / n.centerNorm
+		qsin := math.Sqrt(math.Max(0, s.sqQnorm-qcos*qcos))
+		sel = vec.ConeSelect(qcos, qsin, lambda, boundSlack,
+			s.tree.xcos[start:start+m], s.tree.xsin[start:start+m], s.sel[:0])
+		s.sel = sel // keep the grown capacity for the next leaf
+		s.st.PrunedPoints += int64(m - len(sel))
+		dense = len(sel) == m
+	}
+
+	// Quantized filter: one integer-kernel pass over what the geometric
+	// bounds left standing (the whole prefix, or the cone survivors). Like
+	// them it prunes against the λ snapshot and needs a finite λ to act.
+	if s.useQuant && m > 0 && s.tk.Full() {
+		d := s.tree.points.D
+		if dense {
+			sel = vec.CodeSelect(s.tree.codes[start*d:(start+m)*d], d,
+				s.qf.W, s.qf.Base, s.qf.InvS, s.qf.Eps, lambda, s.sel[:0])
+			s.sel = sel
+			s.st.PrunedPoints += int64(m - len(sel))
+			dense = len(sel) == m
+		} else if len(sel) > 0 {
+			before := len(sel)
+			sel = vec.CodeSelectIdx(s.tree.codes[start*d:(start+m)*d], d,
+				s.qf.W, s.qf.Base, s.qf.InvS, s.qf.Eps, lambda, sel)
+			s.sel = sel
+			s.st.PrunedPoints += int64(before - len(sel))
 		}
 	}
-	s.st.IPCount += int64(len(s.sel))
-	s.st.Candidates += int64(len(s.sel))
-	if s.opts.Profile != nil {
-		s.opts.Profile.Add(core.PhaseVerify, time.Since(t0))
+
+	// Cap verification work by the remaining candidate budget.
+	verify := m
+	if !dense {
+		verify = len(sel)
+	}
+	if s.opts.Budget > 0 {
+		if left := int(int64(s.opts.Budget) - s.st.Candidates); left < verify {
+			verify = left
+		}
+	}
+	if verify <= 0 {
+		if profiling {
+			s.opts.Profile.Add(core.PhaseBound, time.Since(leafStart))
+		}
+		return
+	}
+
+	var t0 time.Time
+	if profiling {
+		t0 = time.Now()
+	}
+	d := s.tree.points.D
+	if dense {
+		rows := s.tree.points.Data[start*d : (start+verify)*d]
+		dists := s.scratch(verify)
+		vec.DotBlock(s.q, rows, dists)
+		for i := 0; i < verify; i++ {
+			s.tk.Push(s.tree.ids[start+i], math.Abs(dists[i]))
+		}
+	} else {
+		for _, i := range sel[:verify] {
+			pos := start + int(i)
+			v := math.Abs(vec.Dot(s.q, s.tree.points.Row(pos)))
+			s.tk.Push(s.tree.ids[pos], v)
+		}
+	}
+	s.st.IPCount += int64(verify)
+	s.st.Candidates += int64(verify)
+	if profiling {
+		verifyDur = time.Since(t0)
+		s.opts.Profile.Add(core.PhaseVerify, verifyDur)
+		s.opts.Profile.Add(core.PhaseBound, time.Since(leafStart)-verifyDur)
 	}
 }
 
-// scanLeafFiltered is the point-at-a-time path for filtered queries (a
-// Filter closure, a compiled predicate, or both): rejected ids must not cost
-// an inner product nor count against the budget.
-func (s *Searcher) scanLeafFiltered(n *nodeRec) {
-	for pos := n.start; pos < n.end; pos++ {
+// scanFiltered is the point-at-a-time path for filtered queries (a Filter
+// closure, a compiled predicate, or both): rejected ids must not cost an
+// inner product nor count against the budget, so the bounds are evaluated per
+// point with the evolving λ, as in Algorithm 5. It returns the time spent on
+// verification for the profile's phase split.
+func (s *Searcher) scanFiltered(n *nodeRec, ip float64) time.Duration {
+	profiling := s.opts.Profile != nil
+	var verifyDur time.Duration
+	start := int(n.start)
+	count := int(n.count())
+	absIP := math.Abs(ip)
+	useBall := !s.opts.DisablePointBall
+	useCone := !s.opts.DisablePointCone && n.centerNorm > 0
+	var qcos, qsin float64
+	if useCone {
+		qcos = ip / n.centerNorm
+		qsin = math.Sqrt(math.Max(0, s.sqQnorm-qcos*qcos))
+	}
+	for i := 0; i < count; i++ {
 		if !s.opts.BudgetLeft(s.st.Candidates) {
 			break
 		}
-		id := s.tree.ids[pos]
+		if useBall {
+			if lbBall := absIP - s.qnorm*s.tree.rx[start+i]; lbBall > s.tk.Lambda() {
+				s.st.PrunedPoints += int64(count - i)
+				break
+			}
+		}
+		if useCone {
+			sumA := qcos*s.tree.xcos[start+i] - qsin*s.tree.xsin[start+i]
+			sumB := qcos*s.tree.xcos[start+i] + qsin*s.tree.xsin[start+i]
+			var lbCone float64
+			if sumA > 0 && qcos > 0 && s.tree.xcos[start+i] > 0 {
+				lbCone = sumA
+			} else if sumB < 0 {
+				lbCone = -sumB
+			}
+			if lbCone*(1-boundSlack) > s.tk.Lambda() {
+				s.st.PrunedPoints++
+				continue
+			}
+		}
+		id := s.tree.ids[start+i]
 		if !s.accept(id) {
 			continue
 		}
-		d := math.Abs(vec.Dot(s.q, s.tree.points.Row(int(pos))))
+		var t0 time.Time
+		if profiling {
+			t0 = time.Now()
+		}
+		v := math.Abs(vec.Dot(s.q, s.tree.points.Row(start+i)))
 		s.st.IPCount++
 		s.st.Candidates++
-		s.tk.Push(id, d)
+		s.tk.Push(id, v)
+		if profiling {
+			verifyDur += time.Since(t0)
+		}
 	}
+	return verifyDur
 }
 
-// scanLeafQuantPred is the quantized leaf scan for predicate searches: the
-// leaf's rows are filtered by the compiled predicate first, the survivors go
-// through the integer code kernel (vec.CodeSelectIdx) which removes rows the
-// error-bounded approximate score proves cannot beat the current k-th best,
-// and the remainder is verified in float. Exactness is unchanged — the code
-// filter is conservative and predicate searches here are unbudgeted — so
-// results stay bitwise equal to the unquantized filtered scan.
-func (s *Searcher) scanLeafQuantPred(n *nodeRec) {
-	m := int(n.count())
-	if m == 0 {
-		return
+// scanPredQuant is the quantized leaf scan for predicate searches: the ball
+// cutoff trims the radius-sorted tail, the remaining rows are filtered by the
+// compiled predicate, the cone bound prunes single survivors, and the integer
+// code kernel (vec.CodeSelectIdx) removes rows whose error-bounded approximate
+// score provably cannot beat the current k-th best, leaving only the remainder
+// for float verification. All bounds prune against the λ snapshot at leaf
+// entry — conservative, as in scanWithPruning — and predicate-with-quant
+// searches are unbudgeted, so results stay bitwise equal to the unquantized
+// filtered scan. Returns the verification time for the profile's phase split.
+func (s *Searcher) scanPredQuant(n *nodeRec, ip float64) time.Duration {
+	var verifyDur time.Duration
+	start := int(n.start)
+	count := int(n.count())
+	lambda := s.tk.Lambda()
+	absIP := math.Abs(ip)
+
+	m := count
+	if !s.opts.DisablePointBall {
+		m = vec.BallCutoff(absIP, s.qnorm, lambda, s.tree.rx[start:start+count])
+		s.st.PrunedPoints += int64(count - m)
 	}
-	d := s.tree.points.D
-	start64 := int(n.start) * d
-	var t0 time.Time
-	if s.opts.Profile != nil {
-		t0 = time.Now()
+	useCone := !s.opts.DisablePointCone && n.centerNorm > 0
+	var qcos, qsin float64
+	if useCone {
+		qcos = ip / n.centerNorm
+		qsin = math.Sqrt(math.Max(0, s.sqQnorm-qcos*qcos))
 	}
 	if cap(s.sel) < m {
 		s.sel = make([]int32, 0, m)
 	}
 	sel := s.sel[:0]
 	for i := 0; i < m; i++ {
-		if s.pred.Match(s.tree.ids[int(n.start)+i]) {
-			sel = append(sel, int32(i))
+		if !s.pred.Match(s.tree.ids[start+i]) {
+			continue
 		}
+		if useCone {
+			sumA := qcos*s.tree.xcos[start+i] - qsin*s.tree.xsin[start+i]
+			sumB := qcos*s.tree.xcos[start+i] + qsin*s.tree.xsin[start+i]
+			var lbCone float64
+			if sumA > 0 && qcos > 0 && s.tree.xcos[start+i] > 0 {
+				lbCone = sumA
+			} else if sumB < 0 {
+				lbCone = -sumB
+			}
+			if lbCone*(1-boundSlack) > lambda {
+				s.st.PrunedPoints++
+				continue
+			}
+		}
+		sel = append(sel, int32(i))
 	}
 	if len(sel) > 0 {
-		codes := s.tree.codes[start64 : start64+m*d]
+		d := s.tree.points.D
+		codes := s.tree.codes[start*d : (start+m)*d]
 		before := len(sel)
 		sel = vec.CodeSelectIdx(codes, d, s.qf.W, s.qf.Base, s.qf.InvS, s.qf.Eps,
-			s.tk.Lambda(), sel)
+			lambda, sel)
 		s.st.PrunedPoints += int64(before - len(sel))
 	}
 	s.sel = sel
+	var t0 time.Time
 	if s.opts.Profile != nil {
-		s.opts.Profile.Add(core.PhaseBound, time.Since(t0))
 		t0 = time.Now()
 	}
 	for _, i := range sel {
-		pos := int(n.start) + int(i)
-		dist := math.Abs(vec.Dot(s.q, s.tree.points.Row(pos)))
-		s.tk.Push(s.tree.ids[pos], dist)
+		pos := start + int(i)
+		v := math.Abs(vec.Dot(s.q, s.tree.points.Row(pos)))
+		s.tk.Push(s.tree.ids[pos], v)
 	}
 	s.st.IPCount += int64(len(sel))
 	s.st.Candidates += int64(len(sel))
 	if s.opts.Profile != nil {
-		s.opts.Profile.Add(core.PhaseVerify, time.Since(t0))
+		verifyDur = time.Since(t0)
 	}
+	return verifyDur
 }

@@ -11,12 +11,18 @@ import (
 
 // SearchBatch answers one top-k query per row of queries (lifted, unit
 // normals — the same contract as Search) in a single shared traversal: the
-// arena is walked once for the whole group, each node's bound is evaluated
-// per query against that query's own λ, and a leaf's contiguous rows are
-// verified for every query that reaches it by one vec.DotBlockMulti call —
-// the leaf block streams from memory once per batch instead of once per
-// query. Results and their ordering are bitwise identical to per-query
-// Search calls (exact results are canonical; see internal/exec).
+// arena is walked once for the whole group, collaborative inner products
+// (Lemma 2) apply per query, the point-level ball bound cuts each query's
+// verified prefix of the radius-sorted leaf, and the union of those prefixes
+// is verified for all active queries by one vec.DotBlockMulti call — the
+// leaf block streams from memory once per batch instead of once per query.
+// The point-level cone bound is skipped in batch mode: it selects per-query
+// survivor subsets that would break the dense multi-query verification, and
+// with the shared row loads the dense scan is the cheaper trade. Under the
+// Ball kind's forced switches every prefix is the whole leaf and both child
+// inner products are computed directly. Results and their ordering are
+// bitwise identical to per-query Search calls (exact results are canonical;
+// see internal/exec).
 //
 // Batches that are not exec.Eligible (budgeted, filtered, or profiled)
 // fall back to the per-query path on one pooled Searcher, preserving
@@ -25,7 +31,7 @@ func (t *Tree) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]co
 	if queries.D != t.points.D {
 		panic(fmt.Sprintf("balltree: batch queries have dimension %d, want %d", queries.D, t.points.D))
 	}
-	opts = opts.Normalized()
+	opts = t.normalize(opts)
 	out := make([][]core.Result, queries.N)
 	stats := make([]core.Stats, queries.N)
 	if queries.N == 0 {
@@ -90,9 +96,11 @@ func (b *batchSearcher) run(queries *vec.Matrix, opts core.SearchOptions, out []
 // visit walks one node for the whole group: the node-level ball bound
 // filters the active set per query (strictly, as in Searcher.visit), leaves
 // are verified for all survivors at once, and internal nodes recurse with
-// per-child segments carved from the scratch arena. The branch order is the
-// group's center-preference vote — order affects only pruning work, never
-// results, which are canonical.
+// per-child segments carved from the scratch arena. The left child's inner
+// product costs O(d) per active query; the right child's follows from
+// Lemma 2 in O(1) unless the ablation switch disables it. The branch order
+// is the group's center-preference vote — order affects only pruning work,
+// never results, which are canonical.
 func (b *batchSearcher) visit(ni int32, act []int32, ips []float64) {
 	t := b.tree
 	scr := &b.scr
@@ -114,7 +122,7 @@ func (b *batchSearcher) visit(ni int32, act []int32, ips []float64) {
 	}
 	act, ips = act[:live], ips[:live]
 	if n.isLeaf() {
-		b.scanLeaf(n, act)
+		b.scanLeaf(n, act, ips)
 		return
 	}
 
@@ -125,13 +133,27 @@ func (b *batchSearcher) visit(ni int32, act []int32, ips []float64) {
 	copy(actR, act)
 	d := b.queries.D
 	cl64 := scr.Center64(0, t.center(n.left))
-	cr64 := scr.Center64(1, t.center(n.right))
+	var cr64 []float64
+	if b.opts.DisableCollabIP {
+		cr64 = scr.Center64(1, t.center(n.right))
+	}
+	cn := float64(n.count())
+	cl := float64(t.nodes[n.left].count())
+	cr := float64(t.nodes[n.right].count())
 	var sumL, sumR float64
 	for j, qi := range act {
 		q64 := scr.Q64[int(qi)*d : (int(qi)+1)*d]
 		ipl := vec.Dot64(q64, cl64)
-		ipr := vec.Dot64(q64, cr64)
-		b.stats[qi].IPCount += 2
+		b.stats[qi].IPCount++
+		var ipr float64
+		if b.opts.DisableCollabIP {
+			ipr = vec.Dot64(q64, cr64)
+			b.stats[qi].IPCount++
+		} else {
+			// Lemma 2: <q, rc.c> = (|N| <q, N.c> - |lc| <q, lc.c>) / |rc|.
+			ipr = (cn*ips[j] - cl*ipl) / cr
+			b.stats[qi].CollabIPs++
+		}
 		ipsL[j], ipsR[j] = ipl, ipr
 		sumL += math.Abs(ipl)
 		sumR += math.Abs(ipr)
@@ -146,12 +168,15 @@ func (b *batchSearcher) visit(ni int32, act []int32, ips []float64) {
 	scr.Release(mark)
 }
 
-// scanLeaf verifies the leaf's contiguous rows for every active query with
-// one multi-query kernel call over widened (conversion-free) operands;
-// per-query results follow from the row-major distance block.
-func (b *batchSearcher) scanLeaf(n *nodeRec, act []int32) {
+// scanLeaf verifies the leaf for every active query: the point-level ball
+// bound (Corollary 1, strict) cuts each query's prefix of the
+// radius-sorted leaf by binary search, then one multi-query kernel call
+// computes the distance block over the union prefix and each query keeps
+// its own share. A query whose prefix is empty costs nothing beyond its
+// pruning bookkeeping.
+func (b *batchSearcher) scanLeaf(n *nodeRec, act []int32, ips []float64) {
 	if b.quant {
-		b.scanLeafQuant(n, act)
+		b.scanLeafQuant(n, act, ips)
 		return
 	}
 	t := b.tree
@@ -160,36 +185,59 @@ func (b *batchSearcher) scanLeaf(n *nodeRec, act []int32) {
 		return
 	}
 	start := int(n.start)
-	d := t.points.D
-	rows := t.points.Data[start*d : (start+m)*d]
 	nact := len(act)
-	limits := b.scr.Prefix(nact)
-	for j := range limits {
-		limits[j] = int32(m) // Ball-Tree has no point-level bounds: full leaf
-	}
-	dists := b.scr.Dists(m * nact)
-	vec.DotBlockMultiIdx(b.scr.Q64, d, act, limits, rows, b.scr.Row64(d), dists)
+	prefix := b.scr.Prefix(nact)
+	maxM := 0
 	for j, qi := range act {
 		st := &b.stats[qi]
 		st.LeavesVisited++
-		st.IPCount += int64(m)
-		st.Candidates += int64(m)
+		mj := m
+		if !b.opts.DisablePointBall {
+			mj = vec.BallCutoff(math.Abs(ips[j]), b.scr.QNorms[qi],
+				b.scr.Heaps[qi].Lambda(), t.rx[start:start+m])
+			st.PrunedPoints += int64(m - mj)
+		}
+		prefix[j] = int32(mj)
+		if mj > maxM {
+			maxM = mj
+		}
+	}
+	if maxM == 0 {
+		return
+	}
+
+	// Sort the active set by prefix length (descending) so the kernel can
+	// stop each query's products exactly at its own pruning cut.
+	exec.SortByLimitDesc(act, prefix)
+	d := t.points.D
+	rows := t.points.Data[start*d : (start+maxM)*d]
+	dists := b.scr.Dists(maxM * nact)
+	vec.DotBlockMultiIdx(b.scr.Q64, d, act, prefix, rows, b.scr.Row64(d), dists)
+	for j, qi := range act {
+		mj := int(prefix[j])
+		if mj == 0 {
+			continue
+		}
+		st := &b.stats[qi]
+		st.IPCount += int64(mj)
+		st.Candidates += int64(mj)
 		tk := &b.scr.Heaps[qi]
-		for r := 0; r < m; r++ {
+		for r := 0; r < mj; r++ {
 			tk.Push(t.ids[start+r], math.Abs(dists[r*nact+j]))
 		}
 	}
 }
 
-// scanLeafQuant is the batched quantized leaf scan. Unlike the float path's
-// shared multi-query kernel, each active query filters the (4x smaller,
-// cache-resident) code block independently and verifies only its own
-// survivors — the filter typically removes most rows, so sharing the float
-// row stream would widen rows no survivor needs. Queries whose heap is not
-// yet full fall back to this query's dense float scan, exactly like the
-// single-query path. Verified distances go through the same float kernels,
-// so batched results stay bitwise identical to per-query Search.
-func (b *batchSearcher) scanLeafQuant(n *nodeRec, act []int32) {
+// scanLeafQuant is the batched quantized leaf scan. The point-level ball
+// bound still cuts each query's prefix of the radius-sorted leaf first; the
+// code filter then runs over that prefix of the (4x smaller, cache-resident)
+// code block, and only its survivors are verified. Each query filters and
+// verifies independently instead of sharing a multi-query kernel — the filter removes most rows, so widening the float
+// stream for all queries would do work no survivor needs. Queries whose heap
+// is not yet full fall back to a dense float scan of their prefix, exactly
+// like the single-query path. Results stay bitwise identical to per-query
+// Search (canonical exact results; see internal/exec).
+func (b *batchSearcher) scanLeafQuant(n *nodeRec, act []int32, ips []float64) {
 	t := b.tree
 	m := int(n.count())
 	if m == 0 {
@@ -197,32 +245,41 @@ func (b *batchSearcher) scanLeafQuant(n *nodeRec, act []int32) {
 	}
 	start := int(n.start)
 	d := t.points.D
-	rows := t.points.Data[start*d : (start+m)*d]
-	codes := t.codes[start*d : (start+m)*d]
-	for _, qi := range act {
+	for j, qi := range act {
 		st := &b.stats[qi]
 		st.LeavesVisited++
 		tk := &b.scr.Heaps[qi]
+		mj := m
+		if !b.opts.DisablePointBall {
+			mj = vec.BallCutoff(math.Abs(ips[j]), b.scr.QNorms[qi],
+				tk.Lambda(), t.rx[start:start+m])
+			st.PrunedPoints += int64(m - mj)
+		}
+		if mj == 0 {
+			continue
+		}
+		rows := t.points.Data[start*d : (start+mj)*d]
 		q := b.queries.Row(int(qi))
 		if !tk.Full() {
-			dists := b.scr.Dists(m)
+			dists := b.scr.Dists(mj)
 			vec.DotBlock(q, rows, dists)
-			st.IPCount += int64(m)
-			st.Candidates += int64(m)
-			for r := 0; r < m; r++ {
+			st.IPCount += int64(mj)
+			st.Candidates += int64(mj)
+			for r := 0; r < mj; r++ {
 				tk.Push(t.ids[start+r], math.Abs(dists[r]))
 			}
 			continue
 		}
 		w, base, invS, eps := b.scr.QuantFilter(int(qi), d)
-		sel := vec.CodeSelect(codes, d, w, base, invS, eps, tk.Lambda(), b.scr.Sel(m))
-		st.PrunedPoints += int64(m - len(sel))
+		sel := vec.CodeSelect(t.codes[start*d:(start+mj)*d], d,
+			w, base, invS, eps, tk.Lambda(), b.scr.Sel(mj))
+		st.PrunedPoints += int64(mj - len(sel))
 		st.IPCount += int64(len(sel))
 		st.Candidates += int64(len(sel))
-		if len(sel) == m {
-			dists := b.scr.Dists(m)
+		if len(sel) == mj {
+			dists := b.scr.Dists(mj)
 			vec.DotBlock(q, rows, dists)
-			for r := 0; r < m; r++ {
+			for r := 0; r < mj; r++ {
 				tk.Push(t.ids[start+r], math.Abs(dists[r]))
 			}
 		} else {

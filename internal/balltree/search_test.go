@@ -1,6 +1,7 @@
 package balltree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,49 +31,80 @@ func sameDists(a, b []core.Result) bool {
 	return true
 }
 
-func TestSearchExactMatchesLinearScan(t *testing.T) {
+// allVariants enumerates the Figure 8 ablation combinations plus the
+// collaborative-IP switch; with an unlimited budget all must be exact.
+func allVariants() []core.SearchOptions {
+	var out []core.SearchOptions
+	for _, noBall := range []bool{false, true} {
+		for _, noCone := range []bool{false, true} {
+			for _, noCollab := range []bool{false, true} {
+				out = append(out, core.SearchOptions{
+					DisablePointBall: noBall,
+					DisablePointCone: noCone,
+					DisableCollabIP:  noCollab,
+				})
+			}
+		}
+	}
+	return out
+}
+
+func TestSearchExactMatchesLinearScanAllVariants(t *testing.T) {
+	forKinds(t, testSearchExactMatchesLinearScanAllVariants)
+}
+
+func testSearchExactMatchesLinearScanAllVariants(t *testing.T, kind Kind) {
 	for _, family := range []dataset.Family{dataset.FamilyClustered, dataset.FamilyUniform, dataset.FamilyHeavyTail, dataset.FamilyLowRank, dataset.FamilySparse} {
 		raw := dataset.Generate(dataset.Spec{Name: "t", Family: family, RawDim: 20, Clusters: 8}, 600, 1)
 		raw = dataset.Dedup(raw)
 		data := raw.AppendOnes()
-		queries := dataset.GenerateQueries(raw, 15, 2)
-		tree := Build(data, Config{LeafSize: 25, Seed: 3})
+		queries := dataset.GenerateQueries(raw, 10, 2)
+		tree := Build(data, kind, Config{LeafSize: 25, Seed: 3})
 		scan := linearscan.New(data)
-		for k := range []int{1, 5, 10} {
-			kk := []int{1, 5, 10}[k]
+		for _, k := range []int{1, 5, 10} {
 			for i := 0; i < queries.N; i++ {
 				q := queries.Row(i)
-				got, _ := tree.Search(q, core.SearchOptions{K: kk})
-				want, _ := scan.Search(q, core.SearchOptions{K: kk})
-				if !sameDists(got, want) {
-					t.Fatalf("%v k=%d query %d: tree=%v scan=%v", family, kk, i, got, want)
+				want, _ := scan.Search(q, core.SearchOptions{K: k})
+				for _, variant := range allVariants() {
+					variant.K = k
+					got, _ := tree.Search(q, variant)
+					if !sameDists(got, want) {
+						t.Fatalf("%v k=%d query %d variant %+v: tree=%v scan=%v",
+							family, k, i, variant, got, want)
+					}
 				}
 			}
 		}
 	}
 }
 
-func TestSearchLowerBoundPreferenceAlsoExact(t *testing.T) {
+func TestSearchBothPreferencesExact(t *testing.T) { forKinds(t, testSearchBothPreferencesExact) }
+
+func testSearchBothPreferencesExact(t *testing.T, kind Kind) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 16, Clusters: 6}, 400, 5)
 	data := raw.AppendOnes()
 	queries := dataset.GenerateQueries(raw, 10, 6)
-	tree := Build(data, Config{LeafSize: 20, Seed: 7})
+	tree := Build(data, kind, Config{LeafSize: 20, Seed: 7})
 	scan := linearscan.New(data)
 	for i := 0; i < queries.N; i++ {
 		q := queries.Row(i)
-		got, _ := tree.Search(q, core.SearchOptions{K: 3, Preference: core.PrefLowerBound})
 		want, _ := scan.Search(q, core.SearchOptions{K: 3})
-		if !sameDists(got, want) {
-			t.Fatalf("query %d: lb-pref tree=%v scan=%v", i, got, want)
+		for _, pref := range []core.Preference{core.PrefCenter, core.PrefLowerBound} {
+			got, _ := tree.Search(q, core.SearchOptions{K: 3, Preference: pref})
+			if !sameDists(got, want) {
+				t.Fatalf("query %d pref %v: tree=%v scan=%v", i, pref, got, want)
+			}
 		}
 	}
 }
 
-func TestSearchPrunesNodes(t *testing.T) {
+func TestSearchPrunesNodes(t *testing.T) { forKinds(t, testSearchPrunesNodes) }
+
+func testSearchPrunesNodes(t *testing.T, kind Kind) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 12, Clusters: 16}, 4000, 8)
 	data := raw.AppendOnes()
 	queries := dataset.GenerateQueries(raw, 5, 9)
-	tree := Build(data, Config{LeafSize: 50, Seed: 1})
+	tree := Build(data, kind, Config{LeafSize: 50, Seed: 1})
 	var st core.Stats
 	for i := 0; i < queries.N; i++ {
 		_, s := tree.Search(queries.Row(i), core.SearchOptions{K: 1})
@@ -90,11 +122,62 @@ func TestSearchPrunesNodes(t *testing.T) {
 	}
 }
 
-func TestSearchBudgetRespected(t *testing.T) {
+// TestPointPruningReducesCandidates checks the point of Section IV-B: with
+// the point-level bounds on, fewer candidates are verified than without.
+func TestPointPruningReducesCandidates(t *testing.T) {
+	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 24, Clusters: 16}, 5000, 8)
+	data := raw.AppendOnes()
+	queries := dataset.GenerateQueries(raw, 10, 9)
+	tree := Build(data, BC, Config{LeafSize: 100, Seed: 1})
+	var with, without core.Stats
+	for i := 0; i < queries.N; i++ {
+		_, s1 := tree.Search(queries.Row(i), core.SearchOptions{K: 10})
+		with.Add(s1)
+		_, s2 := tree.Search(queries.Row(i), core.SearchOptions{K: 10, DisablePointBall: true, DisablePointCone: true})
+		without.Add(s2)
+	}
+	if with.Candidates >= without.Candidates {
+		t.Fatalf("point-level pruning did not reduce verification: %d >= %d", with.Candidates, without.Candidates)
+	}
+	if with.PrunedPoints == 0 {
+		t.Fatal("expected pruned points on clustered data")
+	}
+}
+
+// TestCollabIPHalvesInnerProducts checks Theorem 5: with Lemma 2 on, the
+// number of O(d) center inner products is (about) half of the variant that
+// computes both children directly.
+func TestCollabIPHalvesInnerProducts(t *testing.T) {
+	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 16, Clusters: 8}, 3000, 10)
+	data := raw.AppendOnes()
+	queries := dataset.GenerateQueries(raw, 10, 11)
+	tree := Build(data, BC, Config{LeafSize: 50, Seed: 2})
+	for i := 0; i < queries.N; i++ {
+		q := queries.Row(i)
+		_, on := tree.Search(q, core.SearchOptions{K: 1})
+		_, off := tree.Search(q, core.SearchOptions{K: 1, DisableCollabIP: true})
+		// Center IPs only: subtract the verification IPs (= Candidates).
+		onIP := on.IPCount - on.Candidates
+		offIP := off.IPCount - off.Candidates
+		if on.CollabIPs == 0 {
+			t.Fatal("collaborative IPs never used")
+		}
+		// Theorem 5: C_N -> (C_N+1)/2 over the same traversal. The traversals
+		// coincide here because the derived inner products are exact.
+		want := (offIP + 1) / 2
+		if onIP != want {
+			t.Fatalf("query %d: collab IP count %d, want (C_N+1)/2 = %d (C_N=%d)", i, onIP, want, offIP)
+		}
+	}
+}
+
+func TestSearchBudgetRespected(t *testing.T) { forKinds(t, testSearchBudgetRespected) }
+
+func testSearchBudgetRespected(t *testing.T, kind Kind) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyUniform, RawDim: 10}, 1000, 10)
 	data := raw.AppendOnes()
 	queries := dataset.GenerateQueries(raw, 5, 11)
-	tree := Build(data, Config{LeafSize: 40, Seed: 2})
+	tree := Build(data, kind, Config{LeafSize: 40, Seed: 2})
 	for _, budget := range []int{1, 10, 100, 999} {
 		for i := 0; i < queries.N; i++ {
 			res, st := tree.Search(queries.Row(i), core.SearchOptions{K: 5, Budget: budget})
@@ -108,11 +191,13 @@ func TestSearchBudgetRespected(t *testing.T) {
 	}
 }
 
-func TestSearchBudgetRecallImproves(t *testing.T) {
+func TestSearchBudgetRecallImproves(t *testing.T) { forKinds(t, testSearchBudgetRecallImproves) }
+
+func testSearchBudgetRecallImproves(t *testing.T, kind Kind) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 16, Clusters: 8}, 3000, 12)
 	data := raw.AppendOnes()
 	queries := dataset.GenerateQueries(raw, 20, 13)
-	tree := Build(data, Config{LeafSize: 50, Seed: 3})
+	tree := Build(data, kind, Config{LeafSize: 50, Seed: 3})
 	gt := linearscan.GroundTruth(data, queries, 10)
 	recallAt := func(budget int) float64 {
 		hit, total := 0, 0
@@ -152,20 +237,13 @@ func overlap(res, gt []core.Result) int {
 	return hits
 }
 
-func TestSearchKLargerThanN(t *testing.T) {
-	data := vec.FromRows([][]float32{{0}, {1}, {2}}).AppendOnes()
-	tree := Build(data, Config{LeafSize: 2, Seed: 1})
-	res, _ := tree.Search([]float32{1, -1}, core.SearchOptions{K: 10})
-	if len(res) != 3 {
-		t.Fatalf("k>n should return all %d points, got %d", 3, len(res))
-	}
-}
+func TestSearchProfileRecordsPhases(t *testing.T) { forKinds(t, testSearchProfileRecordsPhases) }
 
-func TestSearchProfileRecordsPhases(t *testing.T) {
+func testSearchProfileRecordsPhases(t *testing.T, kind Kind) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 12, Clusters: 4}, 800, 14)
 	data := raw.AppendOnes()
 	queries := dataset.GenerateQueries(raw, 3, 15)
-	tree := Build(data, Config{LeafSize: 30, Seed: 4})
+	tree := Build(data, kind, Config{LeafSize: 30, Seed: 4})
 	prof := &core.Profile{}
 	for i := 0; i < queries.N; i++ {
 		tree.Search(queries.Row(i), core.SearchOptions{K: 5, Profile: prof})
@@ -178,9 +256,50 @@ func TestSearchProfileRecordsPhases(t *testing.T) {
 	}
 }
 
+// TestSearchFilteredProfileRecordsPhases pins the phase split on the
+// filtered (point-at-a-time) leaf path: verification inner products must be
+// charged to PhaseVerify, not lumped into PhaseBound.
+func TestSearchFilteredProfileRecordsPhases(t *testing.T) {
+	forKinds(t, testSearchFilteredProfileRecordsPhases)
+}
+
+func testSearchFilteredProfileRecordsPhases(t *testing.T, kind Kind) {
+	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 12, Clusters: 4}, 800, 14)
+	data := raw.AppendOnes()
+	queries := dataset.GenerateQueries(raw, 3, 15)
+	tree := Build(data, kind, Config{LeafSize: 30, Seed: 4})
+	prof := &core.Profile{}
+	for i := 0; i < queries.N; i++ {
+		tree.Search(queries.Row(i), core.SearchOptions{
+			K:       5,
+			Profile: prof,
+			Filter:  func(id int32) bool { return id%2 == 0 },
+		})
+	}
+	if prof.Get(core.PhaseVerify) <= 0 {
+		t.Fatal("filtered profile must record verification time")
+	}
+	if prof.Get(core.PhaseBound) <= 0 {
+		t.Fatal("filtered profile must record bound time")
+	}
+}
+
+func TestSearchKLargerThanN(t *testing.T) {
+	forKinds(t, func(t *testing.T, kind Kind) {
+		data := vec.FromRows([][]float32{{0}, {1}, {2}}).AppendOnes()
+		tree := Build(data, kind, Config{LeafSize: 2, Seed: 1})
+		res, _ := tree.Search([]float32{1, -1}, core.SearchOptions{K: 10})
+		if len(res) != 3 {
+			t.Fatalf("k>n should return all 3 points, got %d", len(res))
+		}
+	})
+}
+
 // Property: the node-level ball bound never exceeds the true minimum
 // |<x,q>| within the node (Theorem 2 soundness).
-func TestQuickNodeBallBoundSound(t *testing.T) {
+func TestQuickNodeBallBoundSound(t *testing.T) { forKinds(t, testQuickNodeBallBoundSound) }
+
+func testQuickNodeBallBoundSound(t *testing.T, kind Kind) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(150) + 20
@@ -188,7 +307,7 @@ func TestQuickNodeBallBoundSound(t *testing.T) {
 		raw := dataset.Generate(dataset.Spec{Name: "q", Family: dataset.FamilyClustered, RawDim: d, Clusters: 4}, n, seed)
 		data := raw.AppendOnes()
 		queries := dataset.GenerateQueries(raw, 3, seed+1)
-		tree := Build(data, Config{LeafSize: 10, Seed: seed})
+		tree := Build(data, kind, Config{LeafSize: 10, Seed: seed})
 		for qi := 0; qi < queries.N; qi++ {
 			q := queries.Row(qi)
 			qnorm := vec.Norm(q)
@@ -227,11 +346,135 @@ func TestQuickNodeBallBoundSound(t *testing.T) {
 	}
 }
 
-// Property: exact search result is invariant to leaf size and preference.
-func TestQuickExactInvariantToParams(t *testing.T) {
+// coneBound evaluates the RHS of Inequality 10 for one leaf point, mirroring
+// the production code paths for use in bound-soundness properties.
+func coneBound(qcos, qsin, xcos, xsin float64) float64 {
+	sumA := qcos*xcos - qsin*xsin
+	sumB := qcos*xcos + qsin*xsin
+	if sumA > 0 && qcos > 0 && xcos > 0 {
+		return sumA
+	}
+	if sumB < 0 {
+		return -sumB
+	}
+	return 0
+}
+
+// TestQuickPointBoundsSound checks, over random data and queries, the chain
+// of Theorems 2-4: for every leaf point,
+//
+//	point-ball bound <= point-cone bound <= |<x,q>|  (up to rounding slack).
+func TestQuickPointBoundsSound(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(300) + 50
+		n := rng.Intn(200) + 20
+		d := rng.Intn(14) + 2
+		family := []dataset.Family{dataset.FamilyClustered, dataset.FamilyUniform, dataset.FamilyHeavyTail}[rng.Intn(3)]
+		raw := dataset.Generate(dataset.Spec{Name: "q", Family: family, RawDim: d, Clusters: 4}, n, seed)
+		data := raw.AppendOnes()
+		queries := dataset.GenerateQueries(raw, 3, seed+1)
+		tree := Build(data, BC, Config{LeafSize: 16, Seed: seed})
+		for qi := 0; qi < queries.N; qi++ {
+			q := queries.Row(qi)
+			qnorm := vec.Norm(q)
+			ok := true
+			var walk func(ni int32)
+			walk = func(ni int32) {
+				nd := &tree.nodes[ni]
+				if !nd.isLeaf() {
+					walk(nd.left)
+					walk(nd.right)
+					return
+				}
+				ip := vec.Dot(q, tree.center(ni))
+				absIP := math.Abs(ip)
+				qcos := 0.0
+				if nd.centerNorm > 0 {
+					qcos = ip / nd.centerNorm
+				}
+				qsin := math.Sqrt(math.Max(0, qnorm*qnorm-qcos*qcos))
+				for pos := int(nd.start); pos < int(nd.end); pos++ {
+					truth := math.Abs(vec.Dot(q, tree.points.Row(pos)))
+					ball := math.Max(0, absIP-qnorm*tree.rx[pos])
+					cone := coneBound(qcos, qsin, tree.xcos[pos], tree.xsin[pos])
+					tol := 1e-6 * (1 + truth + qnorm)
+					if ball > truth+tol {
+						ok = false // ball bound unsound
+					}
+					if cone > truth+tol {
+						ok = false // cone bound unsound
+					}
+					if cone < ball-tol {
+						ok = false // Theorem 4: cone must dominate ball
+					}
+				}
+			}
+			walk(0)
+			if !ok {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickCollabIPIdentity checks Lemma 2 directly on built trees: the
+// derived right-child inner product matches the direct computation.
+func TestQuickCollabIPIdentity(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(300) + 40
+		d := rng.Intn(10) + 2
+		raw := dataset.Generate(dataset.Spec{Name: "q", Family: dataset.FamilyHeavyTail, RawDim: d}, n, seed)
+		data := raw.AppendOnes()
+		queries := dataset.GenerateQueries(raw, 2, seed+1)
+		tree := Build(data, BC, Config{LeafSize: 10, Seed: seed})
+		for qi := 0; qi < queries.N; qi++ {
+			q := queries.Row(qi)
+			ok := true
+			var walk func(ni int32)
+			walk = func(ni int32) {
+				nd := &tree.nodes[ni]
+				if nd.isLeaf() {
+					return
+				}
+				l, r := &tree.nodes[nd.left], &tree.nodes[nd.right]
+				ip := vec.Dot(q, tree.center(ni))
+				ipl := vec.Dot(q, tree.center(nd.left))
+				ipr := vec.Dot(q, tree.center(nd.right))
+				cn, cl, cr := float64(nd.count()), float64(l.count()), float64(r.count())
+				derived := (cn*ip - cl*ipl) / cr
+				scale := math.Max(1, math.Abs(ipr))
+				// float32 center storage dominates the error budget here.
+				if math.Abs(derived-ipr) > 1e-3*scale {
+					ok = false
+				}
+				walk(nd.left)
+				walk(nd.right)
+			}
+			walk(0)
+			if !ok {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickExactInvariantToParams: exact results do not depend on leaf size,
+// preference, or ablation switches.
+func TestQuickExactInvariantToParams(t *testing.T) { forKinds(t, testQuickExactInvariantToParams) }
+
+func testQuickExactInvariantToParams(t *testing.T, kind Kind) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(250) + 50
 		raw := dataset.Generate(dataset.Spec{Name: "q", Family: dataset.FamilyUniform, RawDim: 8}, n, seed)
 		data := raw.AppendOnes()
 		queries := dataset.GenerateQueries(raw, 2, seed+1)
@@ -240,18 +483,57 @@ func TestQuickExactInvariantToParams(t *testing.T) {
 			q := queries.Row(qi)
 			want, _ := ref.Search(q, core.SearchOptions{K: 4})
 			for _, leaf := range []int{5, 37, 1000} {
-				tree := Build(data, Config{LeafSize: leaf, Seed: seed})
-				for _, pref := range []core.Preference{core.PrefCenter, core.PrefLowerBound} {
-					got, _ := tree.Search(q, core.SearchOptions{K: 4, Preference: pref})
-					if !sameDists(got, want) {
-						return false
+				tree := Build(data, kind, Config{LeafSize: leaf, Seed: seed})
+				for _, variant := range allVariants() {
+					for _, pref := range []core.Preference{core.PrefCenter, core.PrefLowerBound} {
+						variant.K, variant.Preference = 4, pref
+						got, _ := tree.Search(q, variant)
+						if !sameDists(got, want) {
+							return false
+						}
 					}
 				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBallIsAblatedBC pins the paper's Figure 8 reading as an invariant, and
+// guards that the fold-in of the switches (Tree.normalize) is complete: over
+// the same data, seed and leaf size, a Ball tree and a BC tree searched with
+// all three Disable* switches return identical results and identical
+// core.Stats on exact unbudgeted queries — sequential and (results only;
+// batched stats depend on which queries share a chunk) batched, quantized
+// and not. Algorithm 1's direct centroids and Algorithm 4's Lemma 1 centres
+// can differ in the last ulp, which could flip a bound comparison on some
+// input, so this is pinned on fixed seeds rather than claimed for all data.
+func TestBallIsAblatedBC(t *testing.T) {
+	ablated := core.SearchOptions{K: 10, DisablePointBall: true, DisablePointCone: true, DisableCollabIP: true}
+	for _, family := range []dataset.Family{dataset.FamilyClustered, dataset.FamilyHeavyTail, dataset.FamilyUniform} {
+		raw := dataset.Dedup(dataset.Generate(dataset.Spec{Name: "t", Family: family, RawDim: 24, Clusters: 8}, 3000, 7))
+		queries := dataset.GenerateQueries(raw, 40, 8)
+		normalizeRows(queries)
+		for _, quantize := range []bool{false, true} {
+			cfg := Config{LeafSize: 40, Seed: 5, Quantize: quantize}
+			ball := Build(raw.AppendOnes(), Ball, cfg)
+			bc := Build(raw.AppendOnes(), BC, cfg)
+			ballBatch, _ := ball.SearchBatch(queries, core.SearchOptions{K: 10})
+			bcBatch, _ := bc.SearchBatch(queries, ablated)
+			for qi := 0; qi < queries.N; qi++ {
+				label := fmt.Sprintf("%v quantize=%v query %d", family, quantize, qi)
+				want, wantStats := ball.Search(queries.Row(qi), core.SearchOptions{K: 10})
+				got, gotStats := bc.Search(queries.Row(qi), ablated)
+				requireSameResults(t, label, got, want)
+				if gotStats != wantStats {
+					t.Fatalf("%s: ablated BC stats %+v, Ball stats %+v", label, gotStats, wantStats)
+				}
+				requireSameResults(t, label+" batched", bcBatch[qi], ballBatch[qi])
+				requireSameResults(t, label+" batched vs sequential", ballBatch[qi], want)
+			}
+		}
 	}
 }

@@ -1,39 +1,45 @@
 package balltree
 
 import (
-	"bytes"
 	"io"
-	"os"
+	"math"
 
 	"p2h/internal/binio"
 	"p2h/internal/quant"
 	"p2h/internal/vec"
 )
 
-// Serialization formats. Version 2 mirrors the in-memory flat arena: columnar
-// node arrays instead of a recursive record stream. Version 3 is version 2
-// plus a trailing quantization section (grid tables and the 8-bit code
-// mirror). Version 1 (the pointer tree era) is still accepted by Load and
-// converted to the arena on the fly; Save writes version 2, or version 3 when
-// the tree is quantized, so unquantized files stay readable by older code.
-var (
-	magicV1 = []byte("P2HBT001")
-	magicV2 = []byte("P2HBT002")
-	magicV3 = []byte("P2HBT003")
-)
+// Payload formats, one codec. The layout mirrors the in-memory flat arena:
+// header, position->id map, reordered points, packed centers, columnar node
+// arrays. The magic records the kind and whether a quantization section
+// follows:
+//
+//	P2HBT002  Ball kind: nodes carry radius only, no trailing arrays
+//	P2HBT003  P2HBT002 plus the quantization section
+//	P2HBC002  BC kind: nodes carry radius and centerNorm, then rx/xcos/xsin
+//	P2HBC003  P2HBC002 plus the quantization section
+//
+// The quantization section (grid tables and the 8-bit code mirror) is the
+// same for both kinds. Save writes version 3 only when the tree is quantized,
+// so unquantized files stay readable by older code.
+var magics = [2][2]string{
+	Ball: {"P2HBT002", "P2HBT003"},
+	BC:   {"P2HBC002", "P2HBC003"},
+}
 
 // maxSerialDim guards against corrupt headers allocating absurd buffers.
 const maxSerialDim = 1 << 20
 
-// Save writes the tree to w in the version 2 flat format, self-contained so
-// Load can restore it without the original data matrix.
+// Save writes the tree to w, self-contained so Load can restore it without
+// the original data matrix. A BC tree's point-level ball and cone arrays ride
+// along so restored trees prune identically.
 func (t *Tree) Save(w io.Writer) error {
 	bw := binio.NewWriter(w)
+	m := magics[t.kind][0]
 	if t.qz != nil {
-		bw.Bytes(magicV3)
-	} else {
-		bw.Bytes(magicV2)
+		m = magics[t.kind][1]
 	}
+	bw.Bytes([]byte(m))
 	bw.I32(int32(t.leafSize))
 	bw.I32(int32(t.points.N))
 	bw.I32(int32(t.points.D))
@@ -44,6 +50,9 @@ func (t *Tree) Save(w io.Writer) error {
 	bw.F32s(t.centers.Data)
 	for i := range t.nodes {
 		bw.F64(t.nodes[i].radius)
+		if t.kind == BC {
+			bw.F64(t.nodes[i].centerNorm)
+		}
 	}
 	for i := range t.nodes {
 		n := &t.nodes[i]
@@ -52,25 +61,29 @@ func (t *Tree) Save(w io.Writer) error {
 		bw.I32(n.left)
 		bw.I32(n.right)
 	}
+	if t.kind == BC {
+		bw.F64s(t.rx)
+		bw.F64s(t.xcos)
+		bw.F64s(t.xsin)
+	}
 	if t.qz != nil {
 		quant.WriteSection(bw, t.qz, t.codes)
 	}
 	return bw.Flush()
 }
 
-// Load restores a tree written by Save (version 2) or by the version 1
-// format of earlier releases. The stream is validated structurally; corrupt
-// input yields an error wrapping binio.ErrCorrupt.
-func Load(r io.Reader) (*Tree, error) {
+// Load restores a tree of the given kind written by Save. The stream is
+// validated structurally; corrupt input — including a payload of the other
+// kind — yields an error wrapping binio.ErrCorrupt.
+func Load(r io.Reader, kind Kind) (*Tree, error) {
 	br := binio.NewReader(r)
-	magic := br.Raw(len(magicV2))
+	magic := string(br.Raw(len(magics[kind][0])))
 	if err := br.Err(); err != nil {
 		return nil, err
 	}
-	v3 := bytes.Equal(magic, magicV3)
-	v2 := v3 || bytes.Equal(magic, magicV2)
-	if !v2 && !bytes.Equal(magic, magicV1) {
-		br.Fail("bad magic %q", magic)
+	v3 := magic == magics[kind][1]
+	if !v3 && magic != magics[kind][0] {
+		br.Fail("bad %s magic %q", kind, magic)
 		return nil, br.Err()
 	}
 
@@ -90,7 +103,7 @@ func Load(r io.Reader) (*Tree, error) {
 		br.Fail("bad node counts: nodes=%d leaves=%d n=%d", nodes, leaves, n)
 		return nil, br.Err()
 	}
-	t := &Tree{leafSize: leafSize, leaves: leaves}
+	t := &Tree{kind: kind, leafSize: leafSize, leaves: leaves}
 	t.ids = br.I32s(n)
 	if br.Err() == nil {
 		for _, id := range t.ids {
@@ -101,15 +114,30 @@ func Load(r io.Reader) (*Tree, error) {
 		}
 	}
 	data := br.F32s(n * d)
+	centers := br.F32s(nodes * d)
 	if err := br.Err(); err != nil {
 		return nil, err
 	}
 	t.points = &vec.Matrix{Data: data, N: n, D: d}
-
-	if v2 {
-		loadFlat(br, t, nodes, d)
-	} else {
-		loadLegacy(br, t, nodes, d)
+	t.centers = &vec.Matrix{Data: centers, N: nodes, D: d}
+	t.nodes = make([]nodeRec, nodes)
+	for i := range t.nodes {
+		t.nodes[i].radius = br.F64()
+		if kind == BC {
+			t.nodes[i].centerNorm = br.F64()
+		}
+	}
+	for i := range t.nodes {
+		nd := &t.nodes[i]
+		nd.start = br.I32()
+		nd.end = br.I32()
+		nd.left = br.I32()
+		nd.right = br.I32()
+	}
+	if kind == BC {
+		t.rx = br.F64s(n)
+		t.xcos = br.F64s(n)
+		t.xsin = br.F64s(n)
 	}
 	if v3 && br.Err() == nil {
 		t.qz, t.codes = quant.ReadSection(br, t.points)
@@ -123,75 +151,19 @@ func Load(r io.Reader) (*Tree, error) {
 	return t, nil
 }
 
-// loadFlat reads the version 2 columnar node arrays.
-func loadFlat(br *binio.Reader, t *Tree, nodes, d int) {
-	centers := br.F32s(nodes * d)
-	if br.Err() != nil {
-		return
-	}
-	t.centers = &vec.Matrix{Data: centers, N: nodes, D: d}
-	t.nodes = make([]nodeRec, nodes)
-	for i := range t.nodes {
-		t.nodes[i].radius = br.F64()
-	}
-	for i := range t.nodes {
-		n := &t.nodes[i]
-		n.start = br.I32()
-		n.end = br.I32()
-		n.left = br.I32()
-		n.right = br.I32()
-	}
-}
+// finite reports whether v is an ordinary number. Comparisons against NaN are
+// all false, so a NaN radius would slip through range checks written as
+// "reject if v < 0" and then poison the bound comparisons and
+// vec.BallCutoff's binary search — every loaded float a bound reads is
+// checked explicitly.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// loadLegacy reads the version 1 recursive record stream (leaf flag, range,
-// radius, center, then children), appending nodes to the arena in the file's
-// preorder so arena indices equal record order.
-func loadLegacy(br *binio.Reader, t *Tree, nodes, d int) {
-	t.centers = &vec.Matrix{Data: make([]float32, 0, nodes*d), N: 0, D: d}
-	ld := &legacyLoader{br: br, t: t, budget: nodes}
-	ld.load()
-	if br.Err() == nil && ld.budget != 0 {
-		br.Fail("node count mismatch: %d unread", ld.budget)
-	}
-	t.centers.N = len(t.nodes)
-}
-
-type legacyLoader struct {
-	br     *binio.Reader
-	t      *Tree
-	budget int // remaining nodes allowed; bounds recursion on corrupt input
-}
-
-func (ld *legacyLoader) load() int32 {
-	if ld.budget <= 0 {
-		ld.br.Fail("more nodes than declared")
-		return noChild
-	}
-	ld.budget--
-	ni := int32(len(ld.t.nodes))
-	leaf := ld.br.U8()
-	ld.t.nodes = append(ld.t.nodes, nodeRec{
-		start: ld.br.I32(),
-		end:   ld.br.I32(),
-		left:  noChild,
-		right: noChild,
-	})
-	ld.t.nodes[ni].radius = ld.br.F64()
-	ld.t.centers.Data = append(ld.t.centers.Data, ld.br.F32s(ld.t.centers.D)...)
-	if ld.br.Err() != nil || leaf == 1 {
-		return ni
-	}
-	left := ld.load()
-	right := ld.load()
-	ld.t.nodes[ni].left = left
-	ld.t.nodes[ni].right = right
-	return ni
-}
-
-// validateArena checks the structural invariants shared by both formats:
-// in-range node fields, the root covering [0, n), children partitioning
-// their parent at strictly larger arena indices, and every node reachable
-// from the root exactly once with the declared leaf count.
+// validateArena checks the structural invariants of a loaded arena:
+// in-range node fields with finite non-negative radii and norms, the root
+// covering [0, n), children partitioning their parent at strictly larger
+// arena indices, every node reachable from the root exactly once with the
+// declared leaf count, and — BC kind — finite point-level arrays with
+// descending radii within each leaf's slice.
 func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 	nodes := int32(len(t.nodes))
 	n := int32(t.points.N)
@@ -201,8 +173,8 @@ func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 			br.Fail("node %d range [%d,%d) invalid for n=%d", i, nd.start, nd.end, n)
 			return br.Err()
 		}
-		if nd.radius < 0 {
-			br.Fail("node %d negative radius %v", i, nd.radius)
+		if !finite(nd.radius) || !finite(nd.centerNorm) || nd.radius < 0 || nd.centerNorm < 0 {
+			br.Fail("node %d radius %v or norm %v negative or not finite", i, nd.radius, nd.centerNorm)
 			return br.Err()
 		}
 		if (nd.left == noChild) != (nd.right == noChild) {
@@ -220,6 +192,12 @@ func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 		br.Fail("root range [%d,%d) != [0,%d)", t.nodes[0].start, t.nodes[0].end, n)
 		return br.Err()
 	}
+	for p := range t.rx {
+		if !finite(t.rx[p]) || !finite(t.xcos[p]) || !finite(t.xsin[p]) {
+			br.Fail("point-level structures at position %d not finite", p)
+			return br.Err()
+		}
+	}
 	visited := make([]bool, nodes)
 	leafCount := 0
 	var walk func(ni int32)
@@ -235,6 +213,14 @@ func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 		nd := &t.nodes[ni]
 		if nd.isLeaf() {
 			leafCount++
+			if t.kind == BC {
+				for p := nd.start + 1; p < nd.end; p++ {
+					if !(t.rx[p] <= t.rx[p-1]) {
+						br.Fail("leaf %d radii not descending at position %d", ni, p)
+						return
+					}
+				}
+			}
 			return
 		}
 		l, r := &t.nodes[nd.left], &t.nodes[nd.right]
@@ -260,27 +246,4 @@ func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 		return br.Err()
 	}
 	return nil
-}
-
-// SaveFile writes the tree to the named file.
-func (t *Tree) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile restores a tree from the named file.
-func LoadFile(path string) (*Tree, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }

@@ -2,96 +2,130 @@ package balltree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
-	"path/filepath"
+	"math"
 	"testing"
 
 	"p2h/internal/binio"
-	"p2h/internal/core"
 	"p2h/internal/dataset"
 )
 
-func TestSaveLoadRoundTrip(t *testing.T) {
+func TestSaveLoadRoundTrip(t *testing.T) { forKinds(t, testSaveLoadRoundTrip) }
+
+func testSaveLoadRoundTrip(t *testing.T, kind Kind) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 14, Clusters: 6}, 700, 1)
 	data := raw.AppendOnes()
 	queries := dataset.GenerateQueries(raw, 10, 2)
-	orig := Build(data, Config{LeafSize: 30, Seed: 3})
+	orig := Build(data, kind, Config{LeafSize: 30, Seed: 3})
 
 	var buf bytes.Buffer
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(&buf)
+	restored, err := Load(&buf, kind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.N() != orig.N() || restored.Dim() != orig.Dim() ||
+	if restored.N() != orig.N() || restored.Dim() != orig.Dim() || restored.kind != kind ||
 		restored.Nodes() != orig.Nodes() || restored.Leaves() != orig.Leaves() ||
 		restored.LeafSize() != orig.LeafSize() {
 		t.Fatalf("metadata mismatch: %s vs %s", restored, orig)
 	}
+	checkTreeInvariants(t, restored)
+	// Restored trees must search identically, including pruning stats, and
+	// across ablation variants (the leaf arrays must survive the trip).
 	for i := 0; i < queries.N; i++ {
 		q := queries.Row(i)
-		a, sa := orig.Search(q, core.SearchOptions{K: 7})
-		b, sb := restored.Search(q, core.SearchOptions{K: 7})
-		if len(a) != len(b) {
-			t.Fatalf("query %d: result counts differ", i)
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("query %d rank %d: %v != %v", i, j, a[j], b[j])
+		for _, variant := range allVariants() {
+			variant.K = 7
+			a, sa := orig.Search(q, variant)
+			b, sb := restored.Search(q, variant)
+			requireSameResults(t, "restored", b, a)
+			if sa != sb {
+				t.Fatalf("query %d: stats differ: %+v != %+v", i, sa, sb)
 			}
 		}
-		if sa != sb {
-			t.Fatalf("query %d: stats differ: %+v != %+v", i, sa, sb)
-		}
 	}
 }
 
-func TestSaveLoadFile(t *testing.T) {
-	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyUniform, RawDim: 6}, 100, 4)
-	data := raw.AppendOnes()
-	orig := Build(data, Config{LeafSize: 10, Seed: 5})
-	path := filepath.Join(t.TempDir(), "tree.p2hbt")
-	if err := orig.SaveFile(path); err != nil {
-		t.Fatal(err)
+// payloadOffsets locates the float64 sections of a saved unquantized payload
+// so corruption tests can patch single values: the node radius column (stride
+// 8 for Ball, 16 with centerNorm for BC) and, BC only, the rx/xcos/xsin
+// arrays.
+func payloadOffsets(t *Tree) (radius, rx, xcos, xsin int) {
+	n, d, nodes := t.N(), t.Dim(), t.Nodes()
+	radius = 8 + 5*4 + 4*n + 4*n*d + 4*nodes*d
+	stride := 8
+	if t.kind == BC {
+		stride = 16
 	}
-	restored, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Nodes() != orig.Nodes() {
-		t.Fatalf("nodes %d != %d", restored.Nodes(), orig.Nodes())
-	}
+	rx = radius + nodes*stride + nodes*16
+	return radius, rx, rx + 8*n, rx + 16*n
 }
 
-func TestLoadRejectsCorruptInput(t *testing.T) {
+func patchF64(good []byte, off int, v float64) []byte {
+	bad := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(bad[off:], math.Float64bits(v))
+	return bad
+}
+
+func TestLoadRejectsCorruptInput(t *testing.T) { forKinds(t, testLoadRejectsCorruptInput) }
+
+func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyUniform, RawDim: 5}, 80, 6)
-	data := raw.AppendOnes()
-	orig := Build(data, Config{LeafSize: 10, Seed: 7})
+	orig := Build(raw.AppendOnes(), kind, Config{LeafSize: 10, Seed: 7})
 	var buf bytes.Buffer
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
-
-	cases := map[string][]byte{
-		"empty":       {},
-		"bad magic":   append([]byte("XXXXXXXX"), good[8:]...),
-		"truncated":   good[:len(good)/2],
-		"short magic": good[:4],
+	if _, err := Load(bytes.NewReader(good), kind); err != nil {
+		t.Fatalf("pristine payload: %v", err)
 	}
-	for name, payload := range cases {
-		if _, err := Load(bytes.NewReader(payload)); !errors.Is(err, binio.ErrCorrupt) {
-			t.Fatalf("%s: want ErrCorrupt, got %v", name, err)
-		}
-	}
+	radius, rx, xcos, xsin := payloadOffsets(orig)
 
 	// Flip the node-count header field (offset: 8 magic + 4 leafSize + 4 n + 4 d).
-	bad := append([]byte(nil), good...)
-	bad[8+12] = 0xFF
-	bad[8+13] = 0xFF
-	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, binio.ErrCorrupt) {
-		t.Fatalf("corrupt node count: want ErrCorrupt, got %v", err)
+	badNodes := append([]byte(nil), good...)
+	badNodes[8+12], badNodes[8+13] = 0xFF, 0xFF
+
+	cases := map[string][]byte{
+		"empty":              {},
+		"short magic":        good[:4],
+		"bad magic":          append([]byte("XXXXXXXX"), good[8:]...),
+		"other kind's magic": append([]byte(magics[1-kind][0]), good[8:]...),
+		// The pointer-tree era's version 1 payloads are no longer read.
+		"v1 magic":           append([]byte(magics[kind][0][:7]+"1"), good[8:]...),
+		"truncated half":     good[:len(good)/2],
+		"truncated tail":     good[:len(good)-9],
+		"corrupt node count": badNodes,
+		"negative radius":    patchF64(good, radius, -1),
+		// NaN fails every ordered comparison, so range checks written as
+		// "reject if v < 0" used to wave it through into the bound math.
+		"NaN radius": patchF64(good, radius, math.NaN()),
+		"Inf radius": patchF64(good, radius, math.Inf(1)),
+	}
+	if kind == BC {
+		// A leaf with at least three points, to corrupt r_x past its head.
+		var leaf *nodeRec
+		for i := range orig.nodes {
+			if n := &orig.nodes[i]; n.isLeaf() && n.count() >= 3 {
+				leaf = n
+				break
+			}
+		}
+		p := int(leaf.start) + 1
+		cases["NaN centerNorm"] = patchF64(good, radius+8, math.NaN())
+		// The shape that broke exactness: radii [.., NaN, big] load, then
+		// vec.BallCutoff's binary search skips the big-radius point.
+		cases["NaN rx mid-leaf"] = patchF64(good, rx+8*p, math.NaN())
+		cases["ascending rx"] = patchF64(good, rx+8*p, orig.rx[p-1]*2+1)
+		cases["NaN xcos"] = patchF64(good, xcos+8*p, math.NaN())
+		cases["Inf xsin"] = patchF64(good, xsin+8*p, math.Inf(-1))
+	}
+	for name, payload := range cases {
+		if _, err := Load(bytes.NewReader(payload), kind); !errors.Is(err, binio.ErrCorrupt) {
+			t.Fatalf("%s: want ErrCorrupt, got %v", name, err)
+		}
 	}
 }

@@ -1,18 +1,3 @@
-// Package balltree implements the paper's Section III: the classical
-// Ball-Tree index revisited for point-to-hyperplane nearest neighbor search
-// with a novel node-level ball bound (Theorem 2) and a branch-and-bound
-// search scheme (Algorithm 3).
-//
-// The tree indexes lifted data points x = (p; 1). Each node covers a
-// contiguous range of a reordered copy of the data, so leaf verification is
-// a sequential scan, matching the paper's storage layout discussion.
-//
-// Storage is a flat arena: all nodes live in one []nodeRec slice with
-// children addressed by index, all node centers are packed into one
-// contiguous centers matrix (row i = center of node i), and each leaf's
-// points occupy a contiguous row-major block of the reordered data. A
-// visited node therefore costs no pointer chasing, and leaf verification is
-// one blocked kernel call over sequential memory (vec.DotBlock).
 package balltree
 
 import (
@@ -27,12 +12,38 @@ import (
 // DefaultLeafSize is the paper's default maximum leaf size N0.
 const DefaultLeafSize = 100
 
-// radiusSlack inflates stored radii by a relative epsilon so that pruning
-// stays conservative under floating-point rounding.
+// radiusSlack inflates stored radii by a relative epsilon so pruning stays
+// conservative under floating-point rounding.
 const radiusSlack = 1e-9
+
+// boundSlack deflates computed point-level bounds by a relative epsilon, for
+// the same reason. Accumulated float64 rounding across the collaborative
+// inner product chain stays orders of magnitude below this.
+const boundSlack = 1e-9
 
 // noChild marks a leaf's child slots in the flat arena.
 const noChild = int32(-1)
+
+// Kind is which of the paper's two indexes Build constructed. It is a
+// build-time fact of the tree: it decides the build algorithm, the payload
+// magic and what IndexBytes counts, and nothing about how a search runs
+// beyond forcing the ablation switches for Ball (see Tree.normalize).
+type Kind uint8
+
+const (
+	// Ball is Section III's Ball-Tree: centroid balls only.
+	Ball Kind = iota
+	// BC is Section IV's BC-Tree: Ball plus the per-point leaf arrays.
+	BC
+)
+
+// String returns the kind's payload-format name.
+func (k Kind) String() string {
+	if k == Ball {
+		return "balltree"
+	}
+	return "bctree"
+}
 
 // Config parameterizes tree construction.
 type Config struct {
@@ -43,9 +54,10 @@ type Config struct {
 	// (Algorithm 2); builds are deterministic given a seed.
 	Seed int64
 	// Quantize stores an 8-bit quantized mirror of the reordered points and
-	// filters leaf rows through its exact error bound before float
-	// verification. Results are unchanged (the filter is conservative);
-	// exact unfiltered searches get cheaper leaf scans for +25% memory.
+	// filters leaf rows through its exact error bound after the ball and
+	// cone bounds (BC kind), before float verification. Results are unchanged (the
+	// filter is conservative); exact unfiltered searches get cheaper leaf
+	// scans for +25% memory.
 	Quantize bool
 }
 
@@ -58,11 +70,12 @@ func (c Config) normalized() Config {
 
 // nodeRec is one ball of the tree in the flat arena. Leaf nodes have
 // left == right == noChild and cover positions [start, end) of the reordered
-// point storage. The node's center is row i of the tree's centers matrix,
-// where i is the node's arena index. Children always sit at larger arena
-// indices than their parent (preorder construction).
+// storage; their point-level structures are the [start, end) slices of the
+// tree's rx/xcos/xsin arrays, ordered by descending r_x. Children always sit
+// at larger arena indices than their parent (preorder construction).
 type nodeRec struct {
 	radius      float64
+	centerNorm  float64 // ||center||, precomputed for the cone bound; 0 for Ball
 	start, end  int32
 	left, right int32 // arena indices of children, noChild for leaves
 }
@@ -70,12 +83,21 @@ type nodeRec struct {
 func (n *nodeRec) count() int32 { return n.end - n.start }
 func (n *nodeRec) isLeaf() bool { return n.left == noChild }
 
-// Tree is a Ball-Tree over lifted data points.
+// Tree is a Ball-Tree or BC-Tree over lifted data points x = (p; 1).
 type Tree struct {
-	points   *vec.Matrix // reordered copy: leaf ranges are contiguous rows
-	ids      []int32     // position -> original data id
-	nodes    []nodeRec   // flat arena, root at index 0, preorder
-	centers  *vec.Matrix // nodes x d: packed node centers
+	kind    Kind
+	points  *vec.Matrix // reordered copy: leaf ranges are contiguous rows
+	ids     []int32     // position -> original data id
+	nodes   []nodeRec   // flat arena, root at index 0, preorder
+	centers *vec.Matrix // nodes x d: packed node centers
+
+	// Position-indexed point-level structures (Algorithm 4 lines 5-9),
+	// length n; within each leaf's [start, end) slice rx is descending. All
+	// three are nil for the Ball kind.
+	rx   []float64 // ball radii r_x = ||x - center||
+	xcos []float64 // ||x|| cos(phi_x), the projection of x onto center
+	xsin []float64 // ||x|| sin(phi_x), the rejection of x from center
+
 	leafSize int
 	leaves   int
 
@@ -87,9 +109,9 @@ type Tree struct {
 	codes []uint8
 
 	// Attribute store and its per-node summaries (AttachAttrs): attrs rows
-	// are original data ids, so predicate evaluation speaks the same id
-	// space as results; attrSums lets visit() skip subtrees a predicate
-	// provably cannot match. Both nil when no attributes are attached.
+	// are shard-local/original data ids (the id space of results), and
+	// attrSums lets visit() skip subtrees a predicate provably cannot
+	// match. Both nil when no attributes are attached.
 	attrs    *attr.Store
 	attrSums *attr.Summaries
 
@@ -136,10 +158,11 @@ func (t *Tree) height(ni int32) int {
 // Quantized reports whether the tree carries the 8-bit leaf mirror.
 func (t *Tree) Quantized() bool { return t.qz != nil }
 
-// AttachAttrs binds a per-point attribute store (row i = data id i) to the
-// tree and builds the per-node summaries predicate pushdown skips subtrees
-// with. Summaries are derived state: cheap to rebuild, never serialized.
-// Passing nil detaches. The caller must not mutate the store afterwards.
+// AttachAttrs binds a per-point attribute store (row i = the id the tree
+// reports as result i) and builds the per-node summaries predicate pushdown
+// skips subtrees with. Summaries are derived state: cheap to rebuild, never
+// serialized. Passing nil detaches. The caller must not mutate the store
+// afterwards.
 func (t *Tree) AttachAttrs(st *attr.Store) error {
 	if st == nil {
 		t.attrs, t.attrSums = nil, nil
@@ -161,14 +184,19 @@ func (t *Tree) AttachAttrs(st *attr.Store) error {
 // Attrs returns the attached attribute store, nil when none.
 func (t *Tree) Attrs() *attr.Store { return t.attrs }
 
-// IndexBytes estimates the memory footprint of the index structure itself:
-// the packed centers matrix, the node records (radius, range, child indices),
-// the position->id map, and the quantized mirror when present. The reordered
-// copy of the data is reported separately by DataBytes, mirroring how the
-// paper's Table III separates index size from data size.
+// IndexBytes estimates the memory footprint of the index structure: the
+// packed centers matrix, the node records (radius, range, child indices),
+// the position->id map, the quantized mirror when present, and — BC kind
+// only — the per-node centerNorm plus the three Θ(n)-size point-level arrays
+// that BC-Tree adds over Ball-Tree (Theorem 6). The reordered copy of the
+// data is reported separately by DataBytes, mirroring how the paper's Table
+// III separates index size from data size.
 func (t *Tree) IndexBytes() int64 {
 	const perNode = 8 /*radius*/ + 2*4 /*range*/ + 2*4 /*children*/
 	b := t.centers.Bytes() + int64(len(t.nodes))*perNode + int64(len(t.ids))*4
+	if t.kind == BC {
+		b += int64(len(t.nodes))*8 /*centerNorm*/ + int64(t.points.N)*3*8
+	}
 	if t.qz != nil {
 		b += int64(len(t.codes)) + int64(t.points.D)*(4+4+8)
 	}
@@ -183,6 +211,6 @@ func (t *Tree) DataBytes() int64 { return t.points.Bytes() }
 
 // String summarizes the tree for logs.
 func (t *Tree) String() string {
-	return fmt.Sprintf("balltree{n=%d d=%d leafsize=%d nodes=%d leaves=%d height=%d}",
-		t.N(), t.Dim(), t.leafSize, t.Nodes(), t.leaves, t.Height())
+	return fmt.Sprintf("%s{n=%d d=%d leafsize=%d nodes=%d leaves=%d height=%d}",
+		t.kind, t.N(), t.Dim(), t.leafSize, t.Nodes(), t.leaves, t.Height())
 }

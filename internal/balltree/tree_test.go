@@ -21,24 +21,27 @@ func TestBuildPanicsOnEmpty(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Build(vec.NewMatrix(0, 4), Config{})
+	Build(vec.NewMatrix(0, 4), BC, Config{})
 }
 
 func TestBuildBasicInvariants(t *testing.T) {
-	data, _ := buildTestData(t, dataset.FamilyClustered, 500, 16, 1)
-	tree := Build(data, Config{LeafSize: 20, Seed: 1})
-	if tree.N() != 500 || tree.Dim() != 17 {
-		t.Fatalf("tree %s", tree)
-	}
-	if tree.LeafSize() != 20 {
-		t.Fatalf("leaf size %d", tree.LeafSize())
-	}
-	checkTreeInvariants(t, tree)
+	forKinds(t, func(t *testing.T, kind Kind) {
+		data, _ := buildTestData(t, dataset.FamilyClustered, 500, 16, 1)
+		tree := Build(data, kind, Config{LeafSize: 20, Seed: 1})
+		if tree.N() != 500 || tree.Dim() != 17 || tree.LeafSize() != 20 || tree.kind != kind {
+			t.Fatalf("tree %s", tree)
+		}
+		checkTreeInvariants(t, tree)
+	})
 }
 
-// checkTreeInvariants verifies the structural properties of Section III-B:
-// child partition (Eqs. 4-5 via contiguous ranges), leaf size <= N0, and
-// ball containment (Eq. 7): every point within its node's radius.
+// checkTreeInvariants verifies the structural properties both builds share
+// (Section III-B): child partition (Eqs. 4-5 via contiguous ranges), leaf
+// size <= N0, preorder arena, and ball containment (Eq. 7). For the BC kind
+// it adds Algorithm 4's leaf structures: r_x descending, the ball identity
+// r_x=||x-c||, and the cone identity xcos^2 + xsin^2 = ||x||^2 together with
+// the Figure 4 relation (||x||sin phi)^2 + (||c|| - ||x||cos phi)^2 = r_x^2.
+// A Ball tree must carry none of them.
 func checkTreeInvariants(t *testing.T, tree *Tree) {
 	t.Helper()
 	seen := make([]bool, tree.N())
@@ -48,27 +51,43 @@ func checkTreeInvariants(t *testing.T, tree *Tree) {
 		}
 		seen[id] = true
 	}
+	want := 0
+	if tree.kind == BC {
+		want = tree.N()
+	}
+	if len(tree.rx) != want || len(tree.xcos) != want || len(tree.xsin) != want {
+		t.Fatalf("%s point-level arrays sized %d/%d/%d, want %d",
+			tree.kind, len(tree.rx), len(tree.xcos), len(tree.xsin), want)
+	}
+	var nodes, leaves int
 	var walk func(ni int32)
-	var leaves, nodes int
 	walk = func(ni int32) {
 		n := &tree.nodes[ni]
+		center := tree.center(ni)
 		nodes++
 		if n.count() <= 0 {
 			t.Fatal("empty node")
 		}
+		wantNorm := 0.0
+		if tree.kind == BC {
+			wantNorm = vec.Norm(center)
+		}
+		if math.Abs(wantNorm-n.centerNorm) > 1e-9*(1+wantNorm) {
+			t.Fatalf("%s centerNorm %v, want %v", tree.kind, n.centerNorm, wantNorm)
+		}
 		for pos := n.start; pos < n.end; pos++ {
-			d := vec.Dist(tree.points.Row(int(pos)), tree.center(ni))
+			d := vec.Dist(tree.points.Row(int(pos)), center)
 			if d > n.radius {
 				t.Fatalf("point at pos %d outside ball: %v > %v", pos, d, n.radius)
 			}
 		}
 		if n.isLeaf() {
 			leaves++
-			// Leaf size: leaves created by normal splits obey N0; degenerate
-			// duplicate-heavy data may exceed it, but the test data is deduped
-			// noise.
 			if int(n.count()) > tree.leafSize {
 				t.Fatalf("leaf size %d > N0=%d", n.count(), tree.leafSize)
+			}
+			if tree.kind == BC {
+				checkLeafStructures(t, tree, n, center)
 			}
 			return
 		}
@@ -89,68 +108,140 @@ func checkTreeInvariants(t *testing.T, tree *Tree) {
 	}
 }
 
-func TestBuildDefaultLeafSize(t *testing.T) {
-	data, _ := buildTestData(t, dataset.FamilyUniform, 300, 8, 2)
-	tree := Build(data, Config{})
-	if tree.LeafSize() != DefaultLeafSize {
-		t.Fatalf("default leaf size %d", tree.LeafSize())
-	}
-}
-
-func TestBuildDeterministic(t *testing.T) {
-	data, _ := buildTestData(t, dataset.FamilyClustered, 400, 12, 3)
-	a := Build(data, Config{LeafSize: 25, Seed: 9})
-	b := Build(data, Config{LeafSize: 25, Seed: 9})
-	if a.Nodes() != b.Nodes() || a.Height() != b.Height() {
-		t.Fatal("same seed must build identical trees")
-	}
-	for i := range a.ids {
-		if a.ids[i] != b.ids[i] {
-			t.Fatal("same seed must produce identical reordering")
+func checkLeafStructures(t *testing.T, tree *Tree, n *nodeRec, center []float32) {
+	t.Helper()
+	for pos := int(n.start); pos < int(n.end); pos++ {
+		i := pos - int(n.start)
+		if i > 0 && tree.rx[pos] > tree.rx[pos-1]+1e-12 {
+			t.Fatalf("rx not descending at %d: %v > %v", i, tree.rx[pos], tree.rx[pos-1])
+		}
+		x := tree.points.Row(pos)
+		r := vec.Dist(x, center)
+		if math.Abs(tree.rx[pos]-r) > 1e-6*(1+r) {
+			t.Fatalf("rx[%d]=%v but true dist %v", i, tree.rx[pos], r)
+		}
+		xn := vec.Norm(x)
+		if got := math.Hypot(tree.xcos[pos], tree.xsin[pos]); math.Abs(got-xn) > 1e-6*(1+xn) {
+			t.Fatalf("cone identity broken: hypot=%v, ||x||=%v", got, xn)
+		}
+		if tree.xsin[pos] < 0 {
+			t.Fatalf("xsin must be nonnegative, got %v", tree.xsin[pos])
+		}
+		// Figure 4: the rejection and the center-offset projection form a
+		// right triangle with hypotenuse r_x.
+		lhs := tree.xsin[pos]*tree.xsin[pos] + (n.centerNorm-tree.xcos[pos])*(n.centerNorm-tree.xcos[pos])
+		if math.Abs(lhs-r*r) > 1e-5*(1+r*r) {
+			t.Fatalf("Figure 4 identity broken: %v != %v", lhs, r*r)
 		}
 	}
 }
 
+// TestLemma1CenterMatchesDirectCentroid verifies that a BC tree's internal
+// centers, assembled bottom-up via Lemma 1, equal the direct centroid of the
+// node's points (what the Ball build computes), up to float32 storage
+// rounding.
+func TestLemma1CenterMatchesDirectCentroid(t *testing.T) {
+	data, _ := buildTestData(t, dataset.FamilyHeavyTail, 700, 10, 2)
+	tree := Build(data, BC, Config{LeafSize: 30, Seed: 2})
+	var walk func(ni int32)
+	walk = func(ni int32) {
+		n := &tree.nodes[ni]
+		center := tree.center(ni)
+		ids := make([]int32, 0, n.count())
+		for pos := n.start; pos < n.end; pos++ {
+			ids = append(ids, pos)
+		}
+		direct := tree.points.Centroid(ids)
+		for j := range direct {
+			diff := math.Abs(float64(direct[j]) - float64(center[j]))
+			scale := math.Max(1, math.Abs(float64(direct[j])))
+			if diff > 1e-4*scale {
+				t.Fatalf("center[%d] drifted: lemma1=%v direct=%v", j, center[j], direct[j])
+			}
+		}
+		if !n.isLeaf() {
+			walk(n.left)
+			walk(n.right)
+		}
+	}
+	walk(0)
+}
+
+func TestBuildDeterministic(t *testing.T) {
+	forKinds(t, func(t *testing.T, kind Kind) {
+		data, _ := buildTestData(t, dataset.FamilyClustered, 400, 12, 3)
+		a := Build(data, kind, Config{LeafSize: 25, Seed: 9})
+		b := Build(data, kind, Config{LeafSize: 25, Seed: 9})
+		if a.Nodes() != b.Nodes() || a.Height() != b.Height() {
+			t.Fatal("same seed must build identical trees")
+		}
+		for i := range a.ids {
+			if a.ids[i] != b.ids[i] {
+				t.Fatal("same seed must produce identical reordering")
+			}
+		}
+	})
+}
+
 func TestBuildAllIdenticalPoints(t *testing.T) {
-	rows := make([][]float32, 64)
-	for i := range rows {
-		rows[i] = []float32{1, 2, 3}
-	}
-	data := vec.FromRows(rows).AppendOnes()
-	tree := Build(data, Config{LeafSize: 8, Seed: 1})
-	checkTreeInvariants(t, tree)
-	if tree.nodes[0].radius > 1e-6 {
-		t.Fatalf("radius of identical points should be ~0, got %v", tree.nodes[0].radius)
-	}
+	forKinds(t, func(t *testing.T, kind Kind) {
+		rows := make([][]float32, 64)
+		for i := range rows {
+			rows[i] = []float32{1, 2, 3}
+		}
+		data := vec.FromRows(rows).AppendOnes()
+		tree := Build(data, kind, Config{LeafSize: 8, Seed: 1})
+		checkTreeInvariants(t, tree)
+		if tree.nodes[0].radius > 1e-6 {
+			t.Fatalf("radius of identical points should be ~0, got %v", tree.nodes[0].radius)
+		}
+	})
 }
 
 func TestBuildSinglePoint(t *testing.T) {
-	data := vec.FromRows([][]float32{{1, 2}}).AppendOnes()
-	tree := Build(data, Config{})
-	if tree.Nodes() != 1 || tree.Leaves() != 1 || tree.Height() != 1 {
-		t.Fatalf("single point tree: %s", tree)
-	}
+	forKinds(t, func(t *testing.T, kind Kind) {
+		data := vec.FromRows([][]float32{{1, 2}}).AppendOnes()
+		tree := Build(data, kind, Config{})
+		if tree.Nodes() != 1 || tree.Leaves() != 1 || tree.Height() != 1 {
+			t.Fatalf("single point tree: %s", tree)
+		}
+		if tree.LeafSize() != DefaultLeafSize {
+			t.Fatalf("default leaf size %d", tree.LeafSize())
+		}
+	})
 }
 
 func TestNodeCountBound(t *testing.T) {
 	// With N0 >> 1 the paper notes the node count is well below n.
-	data, _ := buildTestData(t, dataset.FamilyClustered, 2000, 10, 4)
-	tree := Build(data, Config{LeafSize: 100, Seed: 1})
-	if tree.Nodes() >= 2000/10 {
-		t.Fatalf("too many nodes: %d", tree.Nodes())
-	}
+	forKinds(t, func(t *testing.T, kind Kind) {
+		data, _ := buildTestData(t, dataset.FamilyClustered, 2000, 10, 4)
+		tree := Build(data, kind, Config{LeafSize: 100, Seed: 1})
+		if tree.Nodes() >= 2000/10 {
+			t.Fatalf("too many nodes: %d", tree.Nodes())
+		}
+	})
 }
 
-func TestIndexBytesReasonable(t *testing.T) {
-	data, _ := buildTestData(t, dataset.FamilyClustered, 2000, 64, 5)
-	tree := Build(data, Config{LeafSize: 100, Seed: 1})
-	ib, db := tree.IndexBytes(), tree.DataBytes()
-	if ib <= 0 || db <= 0 {
+// TestIndexBytesAccounting pins the paper's Table III "lightweight"
+// comparison: at N0=100 both indexes stay below the data size (Section V-D),
+// and BC-Tree reports exactly what it adds over Ball-Tree on the same splits
+// — three n-size arrays (Theorem 6) and one centerNorm per node.
+func TestIndexBytesAccounting(t *testing.T) {
+	data, _ := buildTestData(t, dataset.FamilyClustered, 2000, 32, 5)
+	ball := Build(data, Ball, Config{LeafSize: 100, Seed: 1})
+	bc := Build(data, BC, Config{LeafSize: 100, Seed: 1})
+	if ball.Nodes() != bc.Nodes() {
+		t.Fatalf("same seed must split identically: %d vs %d nodes", ball.Nodes(), bc.Nodes())
+	}
+	if ball.IndexBytes() <= 0 || ball.DataBytes() <= 0 {
 		t.Fatal("byte accounting must be positive")
 	}
-	// Paper Section V-D: index size much smaller than data size for N0=100.
-	if ib >= db {
-		t.Fatalf("index bytes %d should be below data bytes %d", ib, db)
+	extra := int64(bc.N())*3*8 + int64(bc.Nodes())*8
+	if got := bc.IndexBytes() - ball.IndexBytes(); got != extra {
+		t.Fatalf("BC reports %d bytes over Ball, want %d", got, extra)
+	}
+	if bc.IndexBytes() >= bc.DataBytes() {
+		t.Fatalf("index bytes %d should stay below data bytes %d at N0=100", bc.IndexBytes(), bc.DataBytes())
 	}
 }
 
@@ -158,18 +249,20 @@ func TestRadiusMonotoneDown(t *testing.T) {
 	// Radii shrink (weakly) from root to leaves on typical data: each child
 	// covers a subset. Not a theorem for arbitrary centers, but holds for
 	// centroid balls on blobby data; treat violations beyond slack as bugs.
-	data, _ := buildTestData(t, dataset.FamilyClustered, 800, 8, 6)
-	tree := Build(data, Config{LeafSize: 50, Seed: 2})
-	var walk func(ni int32, parentR float64)
-	walk = func(ni int32, parentR float64) {
-		n := &tree.nodes[ni]
-		if n.radius > parentR*2+1e-9 {
-			t.Fatalf("child radius %v wildly exceeds parent %v", n.radius, parentR)
+	forKinds(t, func(t *testing.T, kind Kind) {
+		data, _ := buildTestData(t, dataset.FamilyClustered, 800, 8, 6)
+		tree := Build(data, kind, Config{LeafSize: 50, Seed: 2})
+		var walk func(ni int32, parentR float64)
+		walk = func(ni int32, parentR float64) {
+			n := &tree.nodes[ni]
+			if n.radius > parentR*2+1e-9 {
+				t.Fatalf("child radius %v wildly exceeds parent %v", n.radius, parentR)
+			}
+			if !n.isLeaf() {
+				walk(n.left, n.radius)
+				walk(n.right, n.radius)
+			}
 		}
-		if !n.isLeaf() {
-			walk(n.left, n.radius)
-			walk(n.right, n.radius)
-		}
-	}
-	walk(0, math.Inf(1))
+		walk(0, math.Inf(1))
+	})
 }

@@ -206,9 +206,9 @@ func post(t *testing.T, ts *httptest.Server, path string, body []byte) (int, []b
 	return resp.StatusCode, raw
 }
 
-// mustEqualResponses posts the same body to the oracle and the router and
-// requires byte-identical 200 answers.
-func (f *fixture) mustEqualResponses(path string, body []byte) {
+// postBoth posts the same body to the oracle and the router, requires 200
+// from both, and returns the two answers.
+func (f *fixture) postBoth(path string, body []byte) (want, got []byte) {
 	f.t.Helper()
 	wantStatus, want := post(f.t, f.oracle, path, body)
 	gotStatus, got := post(f.t, f.router, path, body)
@@ -218,8 +218,61 @@ func (f *fixture) mustEqualResponses(path string, body []byte) {
 	if gotStatus != http.StatusOK {
 		f.t.Fatalf("router answered %d: %s", gotStatus, got)
 	}
+	return want, got
+}
+
+// mustEqualResponses requires byte-identical answers to a single-query
+// /search: results and stats. A sequential search's work counters are a
+// function of (index, request), so they belong in the identity.
+func (f *fixture) mustEqualResponses(path string, body []byte) {
+	f.t.Helper()
+	want, got := f.postBoth(path, body)
 	if !bytes.Equal(want, got) {
 		f.t.Fatalf("router answer differs from oracle\nbody: %s\noracle: %s\nrouter: %s", body, want, got)
+	}
+}
+
+// mustEqualBatchResults requires byte-identical "results" from a
+// /search_batch and only the presence of "stats": work counters from the
+// shared batched traversal also depend on which queries shared a chunk (the
+// group's branch-order vote changes each query's λ history), and the daemon
+// sizes chunks by worker count and arrival timing — they are advisory (see
+// DESIGN.md, "Work counters") and differ between oracle and router whenever
+// GOMAXPROCS >= 2.
+func (f *fixture) mustEqualBatchResults(path string, body []byte) {
+	f.t.Helper()
+	type batchAnswer struct {
+		Results []json.RawMessage `json:"results"`
+		Stats   json.RawMessage   `json:"stats"`
+	}
+	var want, got batchAnswer
+	wantRaw, gotRaw := f.postBoth(path, body)
+	if err := json.Unmarshal(wantRaw, &want); err != nil {
+		f.t.Fatalf("oracle answer: %v", err)
+	}
+	if err := json.Unmarshal(gotRaw, &got); err != nil {
+		f.t.Fatalf("router answer: %v", err)
+	}
+	if len(want.Stats) == 0 || len(got.Stats) == 0 {
+		f.t.Fatalf("stats missing: oracle %q, router %q", want.Stats, got.Stats)
+	}
+	if len(want.Results) != len(got.Results) {
+		f.t.Fatalf("oracle answered %d queries, router %d", len(want.Results), len(got.Results))
+	}
+	for qi := range want.Results {
+		if bytes.Equal(want.Results[qi], got.Results[qi]) {
+			continue
+		}
+		var w, g []httpapi.ResultJSON
+		if json.Unmarshal(want.Results[qi], &w) != nil || json.Unmarshal(got.Results[qi], &g) != nil || len(w) != len(g) {
+			f.t.Fatalf("query %d: oracle returned %d results, router %d", qi, len(w), len(g))
+		}
+		for rank := range w {
+			if w[rank] != g[rank] {
+				f.t.Fatalf("query %d rank %d: oracle %+v, router %+v", qi, rank, w[rank], g[rank])
+			}
+		}
+		f.t.Fatalf("query %d: results encode differently: %s vs %s", qi, want.Results[qi], got.Results[qi])
 	}
 }
 
@@ -312,7 +365,7 @@ func TestRouterPredOracleByteIdentical(t *testing.T) {
 				queries[qi] = f.queries.Row(qi)
 			}
 			body := marshal(t, httpapi.BatchSearchRequest{Queries: queries, SearchOptionsJSON: opts})
-			f.mustEqualResponses("/v1/indexes/trees/search_batch", body)
+			f.mustEqualBatchResults("/v1/indexes/trees/search_batch", body)
 		})
 	}
 	// Budgeted filtered fan-out exercises the router's budget split together
@@ -336,7 +389,7 @@ func TestRouterBatchOracleByteIdentical(t *testing.T) {
 		{K: f.data.N + 10},
 	} {
 		body := marshal(t, httpapi.BatchSearchRequest{Queries: queries, SearchOptionsJSON: opts})
-		f.mustEqualResponses("/v1/indexes/trees/search_batch", body)
+		f.mustEqualBatchResults("/v1/indexes/trees/search_batch", body)
 	}
 }
 
@@ -502,11 +555,7 @@ func TestMemberDownFallsBackToReplica(t *testing.T) {
 	// Batch keeps working off the replica too.
 	queries := [][]float32{f.queries.Row(0), f.queries.Row(2)}
 	bbody := marshal(t, httpapi.BatchSearchRequest{Queries: queries, SearchOptionsJSON: httpapi.SearchOptionsJSON{K: 5}})
-	_, bwant := post(t, f.oracle, "/v1/indexes/trees/search_batch", bbody)
-	status, bgot := post(t, f.router, "/v1/indexes/trees/search_batch", bbody)
-	if status != http.StatusOK || !bytes.Equal(bwant, bgot) {
-		t.Fatalf("batch after member kill: status %d", status)
-	}
+	f.mustEqualBatchResults("/v1/indexes/trees/search_batch", bbody)
 
 	// Router health reports the sick member but stays routable.
 	resp, err := http.Get(f.router.URL + "/healthz")

@@ -24,7 +24,7 @@ package dynamic
 // mutations and runs one capture/build/install cycle at a time.
 
 import (
-	"p2h/internal/bctree"
+	"p2h/internal/balltree"
 	"p2h/internal/vec"
 )
 
@@ -63,7 +63,7 @@ func (ix *Index) CompactionNeeded() bool {
 		return false
 	}
 	if treeLive == 0 {
-		return len(ix.buffer) >= 2*bctree.DefaultLeafSize
+		return len(ix.buffer) >= 2*balltree.DefaultLeafSize
 	}
 	return float64(delta) > frac*float64(ix.live)
 }
@@ -74,7 +74,7 @@ type Compaction struct {
 	ids     []int32     // live handles at capture, ascending
 	rows    *vec.Matrix // alias of the captured row-storage prefix
 	handles int         // ix.Handles() at capture
-	tree    *bctree.Tree
+	tree    *balltree.Tree
 }
 
 // BeginCompaction captures the live set for an off-thread rebuild. It must
@@ -104,7 +104,7 @@ func (ix *Index) BeginCompaction() *Compaction {
 // from the owning index but is immutable after construction.
 func (c *Compaction) Build(cfg Config) {
 	sub := c.rows.SubsetRows(c.ids)
-	c.tree = bctree.Build(sub, bctree.Config{LeafSize: cfg.LeafSize, Seed: cfg.Seed})
+	c.tree = balltree.Build(sub, balltree.BC, balltree.Config{LeafSize: cfg.LeafSize, Seed: cfg.Seed})
 }
 
 // Install swaps the built tree in, reconciling mutations that raced the

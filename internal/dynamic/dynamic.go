@@ -13,7 +13,7 @@ import (
 	"fmt"
 
 	"p2h/internal/attr"
-	"p2h/internal/bctree"
+	"p2h/internal/balltree"
 	"p2h/internal/core"
 	"p2h/internal/vec"
 )
@@ -52,10 +52,10 @@ type Index struct {
 	alive []bool
 	live  int // number of alive handles
 
-	tree    *bctree.Tree // over a snapshot of handles; nil when empty
-	treeIDs []int32      // tree-local id -> handle
-	treeDel int          // tombstones inside the tree snapshot
-	buffer  []int32      // handles inserted since the last rebuild
+	tree    *balltree.Tree // over a snapshot of handles; nil when empty
+	treeIDs []int32        // tree-local id -> handle
+	treeDel int            // tombstones inside the tree snapshot
+	buffer  []int32        // handles inserted since the last rebuild
 
 	// attrs holds one attribute payload per handle, aligned with rows; nil
 	// until the first attributed insert, then padded with empty payloads so
@@ -224,7 +224,7 @@ func (ix *Index) maybeRebuild() {
 		return
 	}
 	// Always fold a buffer into a first tree once it is worth building.
-	if treeLive == 0 && len(ix.buffer) >= 2*bctree.DefaultLeafSize {
+	if treeLive == 0 && len(ix.buffer) >= 2*balltree.DefaultLeafSize {
 		ix.Rebuild()
 		return
 	}
@@ -250,7 +250,7 @@ func (ix *Index) Rebuild() {
 		}
 	}
 	sub := ix.rows.SubsetRows(ids)
-	ix.tree = bctree.Build(sub, bctree.Config{LeafSize: ix.cfg.LeafSize, Seed: ix.cfg.Seed})
+	ix.tree = balltree.Build(sub, balltree.BC, balltree.Config{LeafSize: ix.cfg.LeafSize, Seed: ix.cfg.Seed})
 	ix.treeIDs = ids
 	ix.treeDel = 0
 	ix.buffer = nil

@@ -6,7 +6,7 @@ import (
 	"io"
 	"math"
 
-	"p2h/internal/bctree"
+	"p2h/internal/balltree"
 	"p2h/internal/binio"
 	"p2h/internal/vec"
 )
@@ -156,7 +156,7 @@ func Load(r io.Reader) (*Index, error) {
 		if br.Err() != nil {
 			return nil, br.Err()
 		}
-		tree, err := bctree.Load(bytes.NewReader(payload))
+		tree, err := balltree.Load(bytes.NewReader(payload), balltree.BC)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot tree: %w", err)
 		}

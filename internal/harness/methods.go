@@ -2,7 +2,6 @@ package harness
 
 import (
 	"p2h/internal/balltree"
-	"p2h/internal/bctree"
 	"p2h/internal/fh"
 	"p2h/internal/kdtree"
 	"p2h/internal/linearscan"
@@ -59,7 +58,7 @@ func (p Params) lambda(d int) int {
 func BallTree(p Params) Method {
 	p = p.normalized()
 	return Method{Name: "Ball-Tree", Build: func(data *vec.Matrix) BuiltIndex {
-		return balltree.Build(data, balltree.Config{LeafSize: p.LeafSize, Seed: p.Seed})
+		return balltree.Build(data, balltree.Ball, balltree.Config{LeafSize: p.LeafSize, Seed: p.Seed})
 	}}
 }
 
@@ -67,7 +66,7 @@ func BallTree(p Params) Method {
 func BCTree(p Params) Method {
 	p = p.normalized()
 	return Method{Name: "BC-Tree", Build: func(data *vec.Matrix) BuiltIndex {
-		return bctree.Build(data, bctree.Config{LeafSize: p.LeafSize, Seed: p.Seed})
+		return balltree.Build(data, balltree.BC, balltree.Config{LeafSize: p.LeafSize, Seed: p.Seed})
 	}}
 }
 

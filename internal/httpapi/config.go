@@ -48,8 +48,8 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 // dynamic Spec with Dim set may start empty). Exactly one of Path and Spec
 // must be set.
 type IndexConfig struct {
-	// Path names a .p2h container written by p2h.Save (or a legacy bare
-	// tree stream); the container records its own kind and tuning.
+	// Path names a .p2h container written by p2h.Save; the container
+	// records its own kind and tuning.
 	Path string `json:"path,omitempty"`
 	// Spec declares an index to build, exactly as p2h.New takes it.
 	Spec *p2h.Spec `json:"spec,omitempty"`

@@ -25,8 +25,8 @@
 //     leaf scan") for the full derivation.
 //
 //   - Scan is the exhaustive filter-then-verify baseline over a whole
-//     matrix; internal/balltree and internal/bctree run the same filter
-//     per leaf block inside tree traversal.
+//     matrix; internal/balltree runs the same filter per leaf block inside
+//     tree traversal.
 //
 // Everything here preserves exactness: filters only ever skip rows whose
 // bound proves they cannot enter the top-k, so exact search with

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"p2h/internal/bctree"
+	"p2h/internal/balltree"
 	"p2h/internal/core"
 	"p2h/internal/dataset"
 	"p2h/internal/vec"
@@ -16,7 +16,7 @@ import (
 // treeIndex adapts a BC-Tree (which stores lifted vectors) to the engine's
 // Searcher + BatchSearcher surfaces.
 type treeIndex struct {
-	tree *bctree.Tree
+	tree *balltree.Tree
 }
 
 func (t treeIndex) Search(q []float32, opts core.SearchOptions) ([]core.Result, core.Stats) {
@@ -39,7 +39,7 @@ func treeSetup(t *testing.T, n, nq int, seed int64) (treeIndex, *vec.Matrix) {
 		q := queries.Row(i)
 		vec.Normalize(q[:len(q)-1])
 	}
-	return treeIndex{tree: bctree.Build(raw.AppendOnes(), bctree.Config{LeafSize: 25, Seed: seed})}, queries
+	return treeIndex{tree: balltree.Build(raw.AppendOnes(), balltree.BC, balltree.Config{LeafSize: 25, Seed: seed})}, queries
 }
 
 // TestBatchedServingMatchesIndex floods the engine from many goroutines so

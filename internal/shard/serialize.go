@@ -8,7 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"p2h/internal/bctree"
+	"p2h/internal/balltree"
 	"p2h/internal/binio"
 )
 
@@ -135,10 +135,10 @@ func Load(r io.Reader) (*Index, error) {
 	// query fan-out, exactly min(GOMAXPROCS, shards) goroutines pull shard
 	// indices from a shared counter, never one goroutine per shard, so a
 	// container declaring thousands of shards cannot flood the scheduler.
-	ix.trees = make([]*bctree.Tree, shards)
+	ix.trees = make([]*balltree.Tree, shards)
 	errs := make([]error, shards)
 	decode := func(si int) {
-		t, err := bctree.Load(bytes.NewReader(payloads[si]))
+		t, err := balltree.Load(bytes.NewReader(payloads[si]), balltree.BC)
 		if err != nil {
 			errs[si] = fmt.Errorf("shard %d: %w", si, err)
 			return

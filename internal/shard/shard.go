@@ -18,7 +18,7 @@ import (
 	"sync/atomic"
 
 	"p2h/internal/attr"
-	"p2h/internal/bctree"
+	"p2h/internal/balltree"
 	"p2h/internal/core"
 	"p2h/internal/partition"
 	"p2h/internal/vec"
@@ -37,7 +37,7 @@ type Config struct {
 	// min(Shards, GOMAXPROCS); 1 makes queries sequential.
 	Workers int
 	// Quantize enables the 8-bit quantized leaf mirror on every shard tree;
-	// see bctree.Config.Quantize.
+	// see balltree.Config.Quantize.
 	Quantize bool
 }
 
@@ -56,7 +56,7 @@ func (c Config) normalized() Config {
 
 // Index is a sharded BC-Tree.
 type Index struct {
-	trees   []*bctree.Tree
+	trees   []*balltree.Tree
 	ids     [][]int32 // shard-local row -> global data id
 	n, d    int
 	workers int
@@ -101,7 +101,7 @@ func Build(data *vec.Matrix, cfg Config) *Index {
 		ids := make([]int32, len(part))
 		copy(ids, part)
 		ix.ids = append(ix.ids, ids)
-		ix.trees = append(ix.trees, bctree.Build(sub, bctree.Config{
+		ix.trees = append(ix.trees, balltree.Build(sub, balltree.BC, balltree.Config{
 			LeafSize: cfg.LeafSize,
 			Seed:     cfg.Seed + int64(si) + 1,
 			Quantize: cfg.Quantize,

@@ -4,7 +4,7 @@
 // Vectors are stored as []float32, the storage format common to similarity
 // search systems, while every accumulation runs in float64 so that the
 // geometric bounds built on top of these kernels are stable enough to prune
-// safely (see internal/balltree and internal/bctree).
+// safely (see internal/balltree).
 //
 // Three kernel families live here:
 //

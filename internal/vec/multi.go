@@ -217,55 +217,3 @@ func DotBlockMultiIdx(q64 []float64, d int, act, limits []int32, rows []float32,
 		}
 	}
 }
-
-// SqDistBlockMulti computes, for nq packed queries and m packed rows,
-//
-//	out[r*nq + qi] = ||qs[qi*d:(qi+1)*d] - rows[r*d:(r+1)*d]||^2
-//
-// with the same shapes and output layout as DotBlockMulti. Each
-// (query, row) distance follows exactly SqDist's accumulation order, so
-// batched distances are bitwise identical to the scalar path.
-func SqDistBlockMulti(qs []float32, nq int, rows []float32, out []float64) {
-	if nq <= 0 || len(qs)%nq != 0 {
-		panic("vec: SqDistBlockMulti query shape mismatch")
-	}
-	d := len(qs) / nq
-	if d == 0 || len(rows)%d != 0 || len(out)*d != len(rows)*nq {
-		panic("vec: SqDistBlockMulti shape mismatch")
-	}
-	m := len(rows) / d
-	for r := 0; r < m; r++ {
-		row := rows[r*d : r*d+d : r*d+d]
-		o := out[r*nq : r*nq+nq : r*nq+nq]
-		qi := 0
-		for ; qi+2 <= nq; qi += 2 {
-			a := qs[qi*d : qi*d+d : qi*d+d]
-			b := qs[qi*d+d : qi*d+2*d : qi*d+2*d]
-			var a0, a1, b0, b1 float64
-			j := 0
-			for ; j+2 <= d; j += 2 {
-				r0, r1 := float64(row[j]), float64(row[j+1])
-				da0 := float64(a[j]) - r0
-				da1 := float64(a[j+1]) - r1
-				db0 := float64(b[j]) - r0
-				db1 := float64(b[j+1]) - r1
-				a0 += da0 * da0
-				a1 += da1 * da1
-				b0 += db0 * db0
-				b1 += db1 * db1
-			}
-			if j < d {
-				rj := float64(row[j])
-				da := float64(a[j]) - rj
-				db := float64(b[j]) - rj
-				a0 += da * da
-				b0 += db * db
-			}
-			o[qi] = a0 + a1
-			o[qi+1] = b0 + b1
-		}
-		if qi < nq {
-			o[qi] = SqDist(qs[qi*d:qi*d+d], row)
-		}
-	}
-}

@@ -39,29 +39,6 @@ func TestDotBlockMultiMatchesDot(t *testing.T) {
 	}
 }
 
-func TestSqDistBlockMultiMatchesSqDist(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, nq := range []int{1, 2, 5, 9} {
-		for _, m := range []int{0, 1, 3, 21} {
-			for _, d := range []int{1, 2, 7, 96} {
-				qs := randQueries(rng, nq, d)
-				_, rows := randBlock(rng, m, d)
-				out := make([]float64, m*nq)
-				SqDistBlockMulti(qs, nq, rows, out)
-				for r := 0; r < m; r++ {
-					for qi := 0; qi < nq; qi++ {
-						want := SqDist(qs[qi*d:(qi+1)*d], rows[r*d:(r+1)*d])
-						if out[r*nq+qi] != want {
-							t.Fatalf("nq=%d m=%d d=%d row %d query %d: %v != %v",
-								nq, m, d, r, qi, out[r*nq+qi], want)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestDotBlockMultiIdxMatchesDot checks the widened, limit-aware kernel:
 // bitwise equality with the scalar Dot on every computed (query, row)
 // product, untouched output entries past each query's limit, and correct
@@ -113,13 +90,10 @@ func TestDotBlockMultiIdxMatchesDot(t *testing.T) {
 
 func TestMultiKernelsPanicOnShapeMismatch(t *testing.T) {
 	for name, f := range map[string]func(){
-		"dot-nq":      func() { DotBlockMulti(make([]float32, 7), 2, make([]float32, 4), make([]float64, 2)) },
-		"dot-rows":    func() { DotBlockMulti(make([]float32, 8), 2, make([]float32, 7), make([]float64, 2)) },
-		"dot-out":     func() { DotBlockMulti(make([]float32, 8), 2, make([]float32, 8), make([]float64, 3)) },
-		"dot-zero":    func() { DotBlockMulti(nil, 0, make([]float32, 8), make([]float64, 2)) },
-		"sqdist-nq":   func() { SqDistBlockMulti(make([]float32, 7), 2, make([]float32, 4), make([]float64, 2)) },
-		"sqdist-rows": func() { SqDistBlockMulti(make([]float32, 8), 2, make([]float32, 7), make([]float64, 2)) },
-		"sqdist-out":  func() { SqDistBlockMulti(make([]float32, 8), 2, make([]float32, 8), make([]float64, 3)) },
+		"dot-nq":   func() { DotBlockMulti(make([]float32, 7), 2, make([]float32, 4), make([]float64, 2)) },
+		"dot-rows": func() { DotBlockMulti(make([]float32, 8), 2, make([]float32, 7), make([]float64, 2)) },
+		"dot-out":  func() { DotBlockMulti(make([]float32, 8), 2, make([]float32, 8), make([]float64, 3)) },
+		"dot-zero": func() { DotBlockMulti(nil, 0, make([]float32, 8), make([]float64, 2)) },
 	} {
 		func() {
 			defer func() {

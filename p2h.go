@@ -2,11 +2,9 @@ package p2h
 
 import (
 	"fmt"
-	"io"
 
 	"p2h/internal/attr"
 	"p2h/internal/balltree"
-	"p2h/internal/bctree"
 	"p2h/internal/core"
 	"p2h/internal/fh"
 	"p2h/internal/kdtree"
@@ -120,6 +118,40 @@ func Distance(p []float32, q []float32) float64 {
 	return num / n
 }
 
+// arenaIndex is what BallTree and BCTree share: one internal/balltree arena
+// (the kind is a build-time fact of the tree) and the raw dimensionality.
+// The exported types stay distinct so the registry can tell the kinds apart.
+type arenaIndex struct {
+	tree *balltree.Tree
+	raw  int // raw point dimensionality d
+}
+
+// arenaBacked is satisfied by *BallTree and *BCTree through arenaIndex; the
+// attribute type switches (attr.go) handle both kinds with one case.
+type arenaBacked interface{ arena() *balltree.Tree }
+
+func (t *arenaIndex) arena() *balltree.Tree { return t.tree }
+
+// Search implements Index.
+func (t *arenaIndex) Search(q []float32, opts SearchOptions) ([]Result, Stats) {
+	return t.tree.Search(checkQuery(q, t.raw), opts)
+}
+
+// SearchBatch implements BatchIndex: one shared traversal for the whole
+// batch.
+func (t *arenaIndex) SearchBatch(queries *Matrix, opts SearchOptions) ([][]Result, []Stats) {
+	return t.tree.SearchBatch(checkQueryBatch(queries, t.raw), opts)
+}
+
+// IndexBytes implements Index.
+func (t *arenaIndex) IndexBytes() int64 { return t.tree.IndexBytes() }
+
+// N implements Index.
+func (t *arenaIndex) N() int { return t.tree.N() }
+
+// Dim implements Index.
+func (t *arenaIndex) Dim() int { return t.raw }
+
 // BallTreeOptions configures NewBallTree. The zero value uses the paper's
 // defaults (N0 = 100).
 type BallTreeOptions struct {
@@ -133,10 +165,7 @@ type BallTreeOptions struct {
 }
 
 // BallTree is the paper's Section III index.
-type BallTree struct {
-	tree *balltree.Tree
-	raw  int // raw point dimensionality d
-}
+type BallTree struct{ arenaIndex }
 
 // NewBallTree indexes the rows of data (raw points; the lift x = (p; 1) is
 // internal). It is a thin wrapper over New with Spec{Kind: KindBallTree}
@@ -146,20 +175,6 @@ func NewBallTree(data *Matrix, opts BallTreeOptions) *BallTree {
 		Kind: KindBallTree, LeafSize: opts.LeafSize, Seed: opts.Seed, Quantize: opts.Quantize,
 	}).(*BallTree)
 }
-
-// Search implements Index.
-func (t *BallTree) Search(q []float32, opts SearchOptions) ([]Result, Stats) {
-	return t.tree.Search(checkQuery(q, t.raw), opts)
-}
-
-// IndexBytes implements Index.
-func (t *BallTree) IndexBytes() int64 { return t.tree.IndexBytes() }
-
-// N implements Index.
-func (t *BallTree) N() int { return t.tree.N() }
-
-// Dim implements Index.
-func (t *BallTree) Dim() int { return t.raw }
 
 // SearchNN returns the k indexed points nearest to the point p in Euclidean
 // distance — the classic Ball-Tree query sharing the same tree as the
@@ -203,37 +218,6 @@ func liftPoint(p []float32, d int) []float32 {
 	return out
 }
 
-// Save serializes the index (including its reordered data copy) in the bare
-// tree format. New code should prefer the package-level Save, which wraps
-// the same payload in the self-describing container any kind loads from;
-// both formats are accepted by Load and Open.
-func (t *BallTree) Save(w io.Writer) error { return t.tree.Save(w) }
-
-// SaveFile writes the index to the named file in the bare tree format; see
-// (*BallTree).Save.
-func (t *BallTree) SaveFile(path string) error { return t.tree.SaveFile(path) }
-
-// LoadBallTree restores an index written by (*BallTree).Save. It is kept as
-// a kind-pinned wrapper; new code should prefer the package-level Load,
-// which restores any registered kind (including this format).
-func LoadBallTree(r io.Reader) (*BallTree, error) {
-	tree, err := balltree.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	return &BallTree{tree: tree, raw: tree.Dim() - 1}, nil
-}
-
-// LoadBallTreeFile restores an index from the named file; it is the
-// kind-pinned wrapper over Open, kept for compatibility.
-func LoadBallTreeFile(path string) (*BallTree, error) {
-	tree, err := balltree.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return &BallTree{tree: tree, raw: tree.Dim() - 1}, nil
-}
-
 // BCTreeOptions configures NewBCTree. The zero value uses the paper's
 // defaults (N0 = 100).
 type BCTreeOptions struct {
@@ -248,10 +232,7 @@ type BCTreeOptions struct {
 
 // BCTree is the paper's Section IV index: Ball-Tree plus point-level ball
 // and cone bounds and collaborative inner product computing.
-type BCTree struct {
-	tree *bctree.Tree
-	raw  int
-}
+type BCTree struct{ arenaIndex }
 
 // NewBCTree indexes the rows of data (raw points; the lift is internal). It
 // is a thin wrapper over New with Spec{Kind: KindBCTree} that panics where
@@ -260,51 +241,6 @@ func NewBCTree(data *Matrix, opts BCTreeOptions) *BCTree {
 	return mustNew(data, Spec{
 		Kind: KindBCTree, LeafSize: opts.LeafSize, Seed: opts.Seed, Quantize: opts.Quantize,
 	}).(*BCTree)
-}
-
-// Search implements Index.
-func (t *BCTree) Search(q []float32, opts SearchOptions) ([]Result, Stats) {
-	return t.tree.Search(checkQuery(q, t.raw), opts)
-}
-
-// IndexBytes implements Index.
-func (t *BCTree) IndexBytes() int64 { return t.tree.IndexBytes() }
-
-// N implements Index.
-func (t *BCTree) N() int { return t.tree.N() }
-
-// Dim implements Index.
-func (t *BCTree) Dim() int { return t.raw }
-
-// Save serializes the index (including its reordered data copy) in the bare
-// tree format. New code should prefer the package-level Save, which wraps
-// the same payload in the self-describing container any kind loads from;
-// both formats are accepted by Load and Open.
-func (t *BCTree) Save(w io.Writer) error { return t.tree.Save(w) }
-
-// SaveFile writes the index to the named file in the bare tree format; see
-// (*BCTree).Save.
-func (t *BCTree) SaveFile(path string) error { return t.tree.SaveFile(path) }
-
-// LoadBCTree restores an index written by (*BCTree).Save. It is kept as a
-// kind-pinned wrapper; new code should prefer the package-level Load, which
-// restores any registered kind (including this format).
-func LoadBCTree(r io.Reader) (*BCTree, error) {
-	tree, err := bctree.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	return &BCTree{tree: tree, raw: tree.Dim() - 1}, nil
-}
-
-// LoadBCTreeFile restores an index from the named file; it is the
-// kind-pinned wrapper over Open, kept for compatibility.
-func LoadBCTreeFile(path string) (*BCTree, error) {
-	tree, err := bctree.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return &BCTree{tree: tree, raw: tree.Dim() - 1}, nil
 }
 
 // KDTreeOptions configures NewKDTree.

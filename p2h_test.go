@@ -1,7 +1,6 @@
 package p2h
 
 import (
-	"bytes"
 	"math"
 	"path/filepath"
 	"testing"
@@ -97,51 +96,6 @@ func TestDistanceAgreesWithIndex(t *testing.T) {
 			if math.Abs(want-r.Dist) > 1e-5*(1+want) {
 				t.Fatalf("query %d id %d: index dist %v, Eq.1 dist %v", i, r.ID, r.Dist, want)
 			}
-		}
-	}
-}
-
-func TestBallTreeSaveLoadRoundTrip(t *testing.T) {
-	data, queries, _ := testSetup(t)
-	orig := NewBallTree(data, BallTreeOptions{LeafSize: 25, Seed: 4})
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadBallTree(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.N() != orig.N() || restored.Dim() != orig.Dim() {
-		t.Fatalf("restored shape %d/%d", restored.N(), restored.Dim())
-	}
-	q := queries.Row(0)
-	a, _ := orig.Search(q, SearchOptions{K: 4})
-	b, _ := restored.Search(q, SearchOptions{K: 4})
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("rank %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestBCTreeSaveLoadFile(t *testing.T) {
-	data, queries, _ := testSetup(t)
-	orig := NewBCTree(data, BCTreeOptions{LeafSize: 25, Seed: 4})
-	path := filepath.Join(t.TempDir(), "ix.p2hbc")
-	if err := orig.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadBCTreeFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := queries.Row(0)
-	a, _ := orig.Search(q, SearchOptions{K: 4})
-	b, _ := restored.Search(q, SearchOptions{K: 4})
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("rank %d: %v vs %v", i, a[i], b[i])
 		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // ErrFormat is returned by Load and Open for malformed input: a stream that
-// is not an index container (and matches no legacy tree format), a corrupt
-// or truncated envelope, or a payload its kind's loader rejects.
+// is not an index container, a corrupt or truncated envelope, or a payload
+// its kind's loader rejects.
 var ErrFormat = errors.New("p2h: malformed index container")
 
 // containerMagic opens the self-describing container: every index saved
@@ -38,18 +38,6 @@ const (
 	maxSpecJSONLen    = 1 << 20
 	maxAttrSectionLen = 1 << 28
 )
-
-// legacyMagics maps the bare tree formats that predate the container (what
-// (*BallTree).Save and (*BCTree).Save still write) to their kinds, so Load
-// and Open accept files written by every release.
-var legacyMagics = map[string]string{
-	"P2HBT001": KindBallTree,
-	"P2HBT002": KindBallTree,
-	"P2HBT003": KindBallTree,
-	"P2HBC001": KindBCTree,
-	"P2HBC002": KindBCTree,
-	"P2HBC003": KindBCTree,
-}
 
 // Save writes ix to w as a self-describing container: any reader can
 // restore it with Load without knowing the kind in advance. The index's
@@ -135,10 +123,9 @@ func SaveFile(path string, ix Index) error {
 }
 
 // Load restores an index of any registered kind from a stream written by
-// Save. Bare legacy streams written by (*BallTree).Save / (*BCTree).Save
-// (and their SaveFile variants) are recognized by their magic and load
-// through the same registry. Malformed input returns an error wrapping
-// ErrFormat; a container naming an unregistered kind returns ErrUnknownKind.
+// Save. Malformed input — including a bare tree payload without the
+// container envelope — returns an error wrapping ErrFormat; a container
+// naming an unregistered kind returns ErrUnknownKind.
 func Load(r io.Reader) (Index, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(len(containerMagic))
@@ -147,19 +134,7 @@ func Load(r io.Reader) (Index, error) {
 	}
 	v2 := bytes.Equal(head, containerMagicV2)
 	if !v2 && !bytes.Equal(head, containerMagic) {
-		kindName, ok := legacyMagics[string(head)]
-		if !ok {
-			return nil, fmt.Errorf("%w: unrecognized magic %q", ErrFormat, head)
-		}
-		k, err := lookupKind(kindName)
-		if err != nil {
-			return nil, err
-		}
-		ix, err := k.Load(br, Spec{Kind: kindName})
-		if err != nil {
-			return nil, fmt.Errorf("%w: legacy %s stream: %v", ErrFormat, kindName, err)
-		}
-		return ix, nil
+		return nil, fmt.Errorf("%w: unrecognized magic %q", ErrFormat, head)
 	}
 	if _, err := br.Discard(len(containerMagic)); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
@@ -244,11 +219,9 @@ func Open(path string) (Index, error) {
 // everything Inspect can learn from the container header plus the fixed-size
 // shape prefix of the kind's own payload.
 type IndexInfo struct {
-	// Kind is the registered kind name recorded in the container header (or
-	// sniffed from a legacy bare-tree magic).
+	// Kind is the registered kind name recorded in the container header.
 	Kind string
-	// Spec is the declarative Spec recorded in the container header; the
-	// zero value (with Kind set) for legacy streams, which predate specs.
+	// Spec is the declarative Spec recorded in the container header.
 	Spec Spec
 	// Dim is the raw point dimensionality, or -1 when the payload format is
 	// not one this decoder knows (an out-of-tree registered kind).
@@ -256,9 +229,6 @@ type IndexInfo struct {
 	// N is the number of indexed points (live points for a dynamic index),
 	// or -1 when the payload format is unknown.
 	N int
-	// Legacy marks a bare tree stream written by (*BallTree).Save /
-	// (*BCTree).Save rather than a self-describing container.
-	Legacy bool
 	// HasAttrs marks a v2 container carrying a per-point attribute section.
 	HasAttrs bool
 	// AttrTags is the attribute section's tag vocabulary (sorted); nil when
@@ -278,14 +248,13 @@ type IndexInfo struct {
 	WALRecords int
 }
 
-// Inspect reads the header of an index stream written by Save (or by the
-// legacy bare-tree Save methods) and reports its kind, recorded Spec, raw
-// dimensionality and point count without loading the payload: only the
-// container header and the payload's fixed-size shape prefix are read (for
-// a dynamic index also its liveness bitmap, skipping the vector data). A
-// container holding a payload this decoder does not know still reports its
-// kind and Spec, with Dim and N set to -1. Malformed input returns an error
-// wrapping ErrFormat.
+// Inspect reads the header of an index stream written by Save and reports
+// its kind, recorded Spec, raw dimensionality and point count without
+// loading the payload: only the container header and the payload's
+// fixed-size shape prefix are read (for a dynamic index also its liveness
+// bitmap, skipping the vector data). A container holding a payload this
+// decoder does not know still reports its kind and Spec, with Dim and N set
+// to -1. Malformed input returns an error wrapping ErrFormat.
 func Inspect(r io.Reader) (IndexInfo, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(len(containerMagic))
@@ -294,16 +263,7 @@ func Inspect(r io.Reader) (IndexInfo, error) {
 	}
 	v2 := bytes.Equal(head, containerMagicV2)
 	if !v2 && !bytes.Equal(head, containerMagic) {
-		kindName, ok := legacyMagics[string(head)]
-		if !ok {
-			return IndexInfo{}, fmt.Errorf("%w: unrecognized magic %q", ErrFormat, head)
-		}
-		info := IndexInfo{Kind: kindName, Spec: Spec{Kind: kindName}, Legacy: true}
-		info.Dim, info.N, err = payloadShape(br)
-		if err != nil {
-			return IndexInfo{}, err
-		}
-		return info, nil
+		return IndexInfo{}, fmt.Errorf("%w: unrecognized magic %q", ErrFormat, head)
 	}
 	if _, err := br.Discard(len(containerMagic)); err != nil {
 		return IndexInfo{}, fmt.Errorf("%w: %v", ErrFormat, err)
@@ -405,7 +365,7 @@ func payloadShape(br *bufio.Reader) (dim, n int, err error) {
 		return int(int32(binary.LittleEndian.Uint32(b[:]))), nil
 	}
 	switch string(magic[:]) {
-	case "P2HBT001", "P2HBT002", "P2HBC001", "P2HBC002", "P2HKD001":
+	case "P2HBT002", "P2HBT003", "P2HBC002", "P2HBC003", "P2HKD001":
 		// leafSize, n, d — the stored d is lifted (raw + 1).
 		if _, err := u32(); err != nil { // leafSize
 			return 0, 0, err

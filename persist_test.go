@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -81,6 +82,19 @@ func TestGoldenFixtures(t *testing.T) {
 		if got := KindOf(loaded); got != kind {
 			t.Fatalf("golden %s: KindOf = %q", kind, got)
 		}
+		// Byte identity: a fresh build saves to exactly the committed file, so
+		// neither the build nor the codec may drift without -update.
+		golden, err := os.ReadFile(goldenPath(kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var saved bytes.Buffer
+		if err := Save(&saved, fresh); err != nil {
+			t.Fatalf("golden %s: Save: %v", kind, err)
+		}
+		if !bytes.Equal(saved.Bytes(), golden) {
+			t.Fatalf("golden %s: Save(fresh build) differs from the committed fixture", kind)
+		}
 		if loaded.N() != fresh.N() || loaded.Dim() != fresh.Dim() {
 			t.Fatalf("golden %s: shape %d/%d, want %d/%d", kind, loaded.N(), loaded.Dim(), fresh.N(), fresh.Dim())
 		}
@@ -148,54 +162,26 @@ func TestSaveBuildOnlyKindsRefuse(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyBareStreams: files written by the pre-container Save methods
-// ((*BallTree).Save / (*BCTree).Save) load through the package-level Load
-// and Open by magic sniffing.
-func TestLoadLegacyBareStreams(t *testing.T) {
+// TestBareTreeStreamRejected: the container is the only persisted format. A
+// tree payload without its envelope is refused by Load and Inspect as an
+// unrecognized magic, not sniffed.
+func TestBareTreeStreamRejected(t *testing.T) {
 	data := specTestData(120, 7, 9)
-	queries := GenerateQueries(data, 4, 10)
-
-	bt := NewBallTree(data, BallTreeOptions{LeafSize: 20, Seed: 1})
-	bc := NewBCTree(data, BCTreeOptions{LeafSize: 20, Seed: 1})
-	for kind, pair := range map[string]struct {
-		save func(*bytes.Buffer) error
-		ref  Index
-	}{
-		KindBallTree: {func(b *bytes.Buffer) error { return bt.Save(b) }, bt},
-		KindBCTree:   {func(b *bytes.Buffer) error { return bc.Save(b) }, bc},
+	for _, ix := range []Index{
+		NewBallTree(data, BallTreeOptions{LeafSize: 20, Seed: 1}),
+		NewBCTree(data, BCTreeOptions{LeafSize: 20, Seed: 1, Quantize: true}),
 	} {
-		var buf bytes.Buffer
-		if err := pair.save(&buf); err != nil {
-			t.Fatalf("%s: bare Save: %v", kind, err)
+		var bare bytes.Buffer
+		if err := kindOwning(ix).Save(&bare, ix); err != nil {
+			t.Fatal(err)
 		}
-		ix, err := Load(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: Load of bare stream: %v", kind, err)
+		_, err := Load(bytes.NewReader(bare.Bytes()))
+		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "unrecognized magic") {
+			t.Fatalf("%s: Load of bare payload: %v, want ErrFormat: unrecognized magic", KindOf(ix), err)
 		}
-		if got := KindOf(ix); got != kind {
-			t.Fatalf("%s: KindOf = %q", kind, got)
+		if _, err := Inspect(bytes.NewReader(bare.Bytes())); !errors.Is(err, ErrFormat) {
+			t.Fatalf("%s: Inspect of bare payload: %v, want ErrFormat", KindOf(ix), err)
 		}
-		for qi := 0; qi < queries.N; qi++ {
-			want, _ := pair.ref.Search(queries.Row(qi), SearchOptions{K: 3})
-			got, _ := ix.Search(queries.Row(qi), SearchOptions{K: 3})
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: query %d diverges after bare-stream load", kind, qi)
-			}
-		}
-	}
-
-	// And via the file variants: SaveFile (bare) -> Open (container-aware).
-	dir := t.TempDir()
-	path := filepath.Join(dir, "legacy.bt")
-	if err := bt.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open of bare file: %v", err)
-	}
-	if KindOf(ix) != KindBallTree {
-		t.Fatalf("KindOf = %q", KindOf(ix))
 	}
 }
 
@@ -319,8 +305,8 @@ func TestInspectEveryPersistableKind(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Inspect: %v", kind, err)
 		}
-		if info.Kind != kind || info.Legacy {
-			t.Fatalf("%s: Inspect kind=%q legacy=%v", kind, info.Kind, info.Legacy)
+		if info.Kind != kind {
+			t.Fatalf("%s: Inspect kind=%q", kind, info.Kind)
 		}
 		if info.Spec.Kind != kind {
 			t.Fatalf("%s: Inspect spec kind %q", kind, info.Spec.Kind)
@@ -354,24 +340,6 @@ func TestInspectReadsOnlyThePrefix(t *testing.T) {
 	}
 	if consumed := total - buf.Len(); consumed > 64<<10 || consumed >= total/2 {
 		t.Fatalf("Inspect consumed %d of %d bytes", consumed, total)
-	}
-}
-
-// TestInspectLegacyBareStream: bare (*BallTree).Save output predating the
-// container is sniffed by magic and still reports its shape.
-func TestInspectLegacyBareStream(t *testing.T) {
-	data := specTestData(80, 5, 9)
-	bt := NewBallTree(data, BallTreeOptions{LeafSize: 16, Seed: 2})
-	var buf bytes.Buffer
-	if err := bt.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	info, err := Inspect(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Legacy || info.Kind != KindBallTree || info.Dim != 5 || info.N != 80 {
-		t.Fatalf("legacy inspect: %+v", info)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"p2h/internal/balltree"
-	"p2h/internal/bctree"
 	"p2h/internal/dynamic"
 	"p2h/internal/fh"
 	"p2h/internal/kdtree"
@@ -191,66 +190,50 @@ func KindIsPersistable(name string) (persistable bool, buildOnly string, err err
 	return k.Load != nil, k.BuildOnly, nil
 }
 
+// arenaKind describes one of the two kinds backed by internal/balltree: they
+// differ in the balltree.Kind handed to Build and Load and in the exported
+// type wrap puts around the shared arenaIndex, nothing else.
+func arenaKind[T Index](name, alias string, kind balltree.Kind, desc string, wrap func(arenaIndex) T) IndexKind {
+	return IndexKind{
+		Name:        name,
+		Aliases:     []string{alias},
+		Description: desc,
+		Build: func(data *Matrix, spec Spec) (Index, error) {
+			if err := checkBuildData(name, data, spec); err != nil {
+				return nil, err
+			}
+			tree := balltree.Build(data.AppendOnes(), kind, balltree.Config{
+				LeafSize: spec.LeafSize, Seed: spec.Seed, Quantize: spec.Quantize,
+			})
+			return wrap(arenaIndex{tree: tree, raw: data.D}), nil
+		},
+		Save: func(w io.Writer, ix Index) error { return ix.(arenaBacked).arena().Save(w) },
+		Load: func(r io.Reader, _ Spec) (Index, error) {
+			tree, err := balltree.Load(r, kind)
+			if err != nil {
+				return nil, err
+			}
+			return wrap(arenaIndex{tree: tree, raw: tree.Dim() - 1}), nil
+		},
+		Owns: func(ix Index) bool { _, ok := ix.(T); return ok },
+		SpecOf: func(ix Index) Spec {
+			t := ix.(arenaBacked).arena()
+			return Spec{Kind: name, LeafSize: t.LeafSize(), Quantize: t.Quantized()}
+		},
+	}
+}
+
 // The built-in backends. Each Build owns the validation and construction
 // that used to live in its New* constructor; the constructors are now thin
 // panicking wrappers over New, so the registry is the only construction
 // path.
 func init() {
-	mustRegisterKind(IndexKind{
-		Name:        KindBallTree,
-		Aliases:     []string{"ball"},
-		Description: "the paper's Ball-Tree branch-and-bound index (Section III)",
-		Build: func(data *Matrix, spec Spec) (Index, error) {
-			if err := checkBuildData(KindBallTree, data, spec); err != nil {
-				return nil, err
-			}
-			tree := balltree.Build(data.AppendOnes(), balltree.Config{
-				LeafSize: spec.LeafSize, Seed: spec.Seed, Quantize: spec.Quantize,
-			})
-			return &BallTree{tree: tree, raw: data.D}, nil
-		},
-		Save: func(w io.Writer, ix Index) error { return ix.(*BallTree).tree.Save(w) },
-		Load: func(r io.Reader, _ Spec) (Index, error) {
-			tree, err := balltree.Load(r)
-			if err != nil {
-				return nil, err
-			}
-			return &BallTree{tree: tree, raw: tree.Dim() - 1}, nil
-		},
-		Owns: func(ix Index) bool { _, ok := ix.(*BallTree); return ok },
-		SpecOf: func(ix Index) Spec {
-			t := ix.(*BallTree)
-			return Spec{Kind: KindBallTree, LeafSize: t.tree.LeafSize(), Quantize: t.tree.Quantized()}
-		},
-	})
-
-	mustRegisterKind(IndexKind{
-		Name:        KindBCTree,
-		Aliases:     []string{"bc"},
-		Description: "BC-Tree: Ball-Tree plus point-level ball/cone bounds (Section IV)",
-		Build: func(data *Matrix, spec Spec) (Index, error) {
-			if err := checkBuildData(KindBCTree, data, spec); err != nil {
-				return nil, err
-			}
-			tree := bctree.Build(data.AppendOnes(), bctree.Config{
-				LeafSize: spec.LeafSize, Seed: spec.Seed, Quantize: spec.Quantize,
-			})
-			return &BCTree{tree: tree, raw: data.D}, nil
-		},
-		Save: func(w io.Writer, ix Index) error { return ix.(*BCTree).tree.Save(w) },
-		Load: func(r io.Reader, _ Spec) (Index, error) {
-			tree, err := bctree.Load(r)
-			if err != nil {
-				return nil, err
-			}
-			return &BCTree{tree: tree, raw: tree.Dim() - 1}, nil
-		},
-		Owns: func(ix Index) bool { _, ok := ix.(*BCTree); return ok },
-		SpecOf: func(ix Index) Spec {
-			t := ix.(*BCTree)
-			return Spec{Kind: KindBCTree, LeafSize: t.tree.LeafSize(), Quantize: t.tree.Quantized()}
-		},
-	})
+	mustRegisterKind(arenaKind(KindBallTree, "ball", balltree.Ball,
+		"the paper's Ball-Tree branch-and-bound index (Section III)",
+		func(a arenaIndex) *BallTree { return &BallTree{a} }))
+	mustRegisterKind(arenaKind(KindBCTree, "bc", balltree.BC,
+		"BC-Tree: Ball-Tree plus point-level ball/cone bounds (Section IV)",
+		func(a arenaIndex) *BCTree { return &BCTree{a} }))
 
 	mustRegisterKind(IndexKind{
 		Name:        KindKDTree,

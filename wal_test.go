@@ -2,9 +2,11 @@ package p2h
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -360,6 +362,16 @@ func containerFuzzSeeds(t testing.TB) map[string][]byte {
 	truncated := bc[:len(bc)*2/3]
 	flipped := append([]byte(nil), dynBuf.Bytes()...)
 	flipped[len(flipped)/2] ^= 0x20
+	// A NaN point radius inside the first leaf: it passes every ordered
+	// comparison, so only an explicit finiteness check rejects it. The rx
+	// array follows the payload's header (8+5*4), ids, points, centers and
+	// the two node columns (16 bytes per node each).
+	nanRadius := append([]byte(nil), bc...)
+	pay := bytes.Index(nanRadius, []byte("P2HBC002"))
+	hdr := func(i int) int { return int(binary.LittleEndian.Uint32(nanRadius[pay+8+4*i:])) }
+	n, d, nodes := hdr(1), hdr(2), hdr(3)
+	rx := pay + 28 + 4*n + 4*n*d + 4*nodes*d + 32*nodes
+	binary.LittleEndian.PutUint64(nanRadius[rx+8:], math.Float64bits(math.NaN()))
 	attributed, err := New(data, Spec{Kind: KindBCTree, LeafSize: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -378,6 +390,7 @@ func containerFuzzSeeds(t testing.TB) map[string][]byte {
 		"seed-attrs":     save(attributed, nil),
 		"seed-truncated": truncated,
 		"seed-flipped":   flipped,
+		"seed-nanradius": nanRadius,
 		"seed-badmagic":  []byte("NOTANIDX container bytes"),
 		"seed-empty":     {},
 	}
