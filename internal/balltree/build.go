@@ -136,8 +136,9 @@ func (b *builder) fillLeaf(ni int32, ids []int32, offset int32) {
 	t.nodes[ni].centerNorm = centerNorm
 
 	radii := make([]float64, len(ids))
-	for i, id := range ids {
-		radii[i] = vec.Dist(b.data.Row(int(id)), center)
+	b.data.SqDistsFrom(ids, center, radii)
+	for i, sq := range radii {
+		radii[i] = math.Sqrt(sq)
 	}
 	order := make([]int, len(ids))
 	for i := range order {

@@ -13,14 +13,14 @@ import (
 // normals — the same contract as Search) in a single shared traversal: the
 // arena is walked once for the whole group, collaborative inner products
 // (Lemma 2) apply per query, the point-level ball bound cuts each query's
-// verified prefix of the radius-sorted leaf, and the union of those prefixes
-// is verified for all active queries by one vec.DotBlockMulti call — the
-// leaf block streams from memory once per batch instead of once per query.
-// The point-level cone bound is skipped in batch mode: it selects per-query
-// survivor subsets that would break the dense multi-query verification, and
-// with the shared row loads the dense scan is the cheaper trade. Under the
-// Ball kind's forced switches every prefix is the whole leaf and both child
-// inner products are computed directly. Results and their ordering are
+// verified prefix of the radius-sorted leaf, and every active query verifies
+// its prefix with one vec.DotBlock call while the leaf block is in cache —
+// it streams from memory once per batch instead of once per query. The
+// point-level cone bound is skipped in batch mode: it selects per-query
+// survivor subsets that would be verified row by row, and the dense blocked
+// scan of the whole prefix is the cheaper trade. Under the Ball kind's
+// forced switches every prefix is the whole leaf and both child inner
+// products are computed directly. Results and their ordering are
 // bitwise identical to per-query Search calls (exact results are canonical;
 // see internal/exec).
 //
@@ -65,7 +65,6 @@ type batchSearcher struct {
 func (b *batchSearcher) run(queries *vec.Matrix, opts core.SearchOptions, out [][]core.Result, stats []core.Stats) {
 	t := b.tree
 	nq := queries.N
-	d := queries.D
 	b.queries, b.opts, b.stats = queries, opts, stats
 	scr := &b.scr
 	scr.Reset(queries, opts.K)
@@ -79,9 +78,9 @@ func (b *batchSearcher) run(queries *vec.Matrix, opts core.SearchOptions, out []
 	for i := range act {
 		act[i] = int32(i)
 	}
-	root := scr.Center64(0, t.center(0))
+	root := t.center(0)
 	for i := range act {
-		ips[i] = vec.Dot64(scr.Q64[i*d:(i+1)*d], root)
+		ips[i] = vec.Dot(queries.Row(i), root)
 		stats[i].IPCount++
 	}
 	b.visit(0, act, ips)
@@ -131,23 +130,18 @@ func (b *batchSearcher) visit(ni int32, act []int32, ips []float64) {
 	actR, ipsR := scr.Alloc(live)
 	copy(actL, act)
 	copy(actR, act)
-	d := b.queries.D
-	cl64 := scr.Center64(0, t.center(n.left))
-	var cr64 []float64
-	if b.opts.DisableCollabIP {
-		cr64 = scr.Center64(1, t.center(n.right))
-	}
+	centerL, centerR := t.center(n.left), t.center(n.right)
 	cn := float64(n.count())
 	cl := float64(t.nodes[n.left].count())
 	cr := float64(t.nodes[n.right].count())
 	var sumL, sumR float64
 	for j, qi := range act {
-		q64 := scr.Q64[int(qi)*d : (int(qi)+1)*d]
-		ipl := vec.Dot64(q64, cl64)
+		q := b.queries.Row(int(qi))
+		ipl := vec.Dot(q, centerL)
 		b.stats[qi].IPCount++
 		var ipr float64
 		if b.opts.DisableCollabIP {
-			ipr = vec.Dot64(q64, cr64)
+			ipr = vec.Dot(q, centerR)
 			b.stats[qi].IPCount++
 		} else {
 			// Lemma 2: <q, rc.c> = (|N| <q, N.c> - |lc| <q, lc.c>) / |rc|.
@@ -168,76 +162,18 @@ func (b *batchSearcher) visit(ni int32, act []int32, ips []float64) {
 	scr.Release(mark)
 }
 
-// scanLeaf verifies the leaf for every active query: the point-level ball
-// bound (Corollary 1, strict) cuts each query's prefix of the
-// radius-sorted leaf by binary search, then one multi-query kernel call
-// computes the distance block over the union prefix and each query keeps
-// its own share. A query whose prefix is empty costs nothing beyond its
-// pruning bookkeeping.
+// scanLeaf verifies the leaf for every active query in turn: the point-level
+// ball bound (Corollary 1, strict) cuts the query's prefix of the
+// radius-sorted leaf by binary search, and one blocked kernel call verifies
+// the prefix. A query whose prefix is empty costs nothing beyond its pruning
+// bookkeeping.
+//
+// On a quantized tree a query whose heap is full runs the code filter over
+// its prefix of the (4x smaller) code block first and verifies only the
+// survivors, row by row unless every row survived — exactly like the
+// single-query path. Results stay bitwise identical to per-query Search
+// (canonical exact results; see internal/exec).
 func (b *batchSearcher) scanLeaf(n *nodeRec, act []int32, ips []float64) {
-	if b.quant {
-		b.scanLeafQuant(n, act, ips)
-		return
-	}
-	t := b.tree
-	m := int(n.count())
-	if m == 0 {
-		return
-	}
-	start := int(n.start)
-	nact := len(act)
-	prefix := b.scr.Prefix(nact)
-	maxM := 0
-	for j, qi := range act {
-		st := &b.stats[qi]
-		st.LeavesVisited++
-		mj := m
-		if !b.opts.DisablePointBall {
-			mj = vec.BallCutoff(math.Abs(ips[j]), b.scr.QNorms[qi],
-				b.scr.Heaps[qi].Lambda(), t.rx[start:start+m])
-			st.PrunedPoints += int64(m - mj)
-		}
-		prefix[j] = int32(mj)
-		if mj > maxM {
-			maxM = mj
-		}
-	}
-	if maxM == 0 {
-		return
-	}
-
-	// Sort the active set by prefix length (descending) so the kernel can
-	// stop each query's products exactly at its own pruning cut.
-	exec.SortByLimitDesc(act, prefix)
-	d := t.points.D
-	rows := t.points.Data[start*d : (start+maxM)*d]
-	dists := b.scr.Dists(maxM * nact)
-	vec.DotBlockMultiIdx(b.scr.Q64, d, act, prefix, rows, b.scr.Row64(d), dists)
-	for j, qi := range act {
-		mj := int(prefix[j])
-		if mj == 0 {
-			continue
-		}
-		st := &b.stats[qi]
-		st.IPCount += int64(mj)
-		st.Candidates += int64(mj)
-		tk := &b.scr.Heaps[qi]
-		for r := 0; r < mj; r++ {
-			tk.Push(t.ids[start+r], math.Abs(dists[r*nact+j]))
-		}
-	}
-}
-
-// scanLeafQuant is the batched quantized leaf scan. The point-level ball
-// bound still cuts each query's prefix of the radius-sorted leaf first; the
-// code filter then runs over that prefix of the (4x smaller, cache-resident)
-// code block, and only its survivors are verified. Each query filters and
-// verifies independently instead of sharing a multi-query kernel — the filter removes most rows, so widening the float
-// stream for all queries would do work no survivor needs. Queries whose heap
-// is not yet full fall back to a dense float scan of their prefix, exactly
-// like the single-query path. Results stay bitwise identical to per-query
-// Search (canonical exact results; see internal/exec).
-func (b *batchSearcher) scanLeafQuant(n *nodeRec, act []int32, ips []float64) {
 	t := b.tree
 	m := int(n.count())
 	if m == 0 {
@@ -258,35 +194,28 @@ func (b *batchSearcher) scanLeafQuant(n *nodeRec, act []int32, ips []float64) {
 		if mj == 0 {
 			continue
 		}
-		rows := t.points.Data[start*d : (start+mj)*d]
 		q := b.queries.Row(int(qi))
-		if !tk.Full() {
-			dists := b.scr.Dists(mj)
-			vec.DotBlock(q, rows, dists)
-			st.IPCount += int64(mj)
-			st.Candidates += int64(mj)
-			for r := 0; r < mj; r++ {
-				tk.Push(t.ids[start+r], math.Abs(dists[r]))
+		if b.quant && tk.Full() {
+			w, base, invS, eps := b.scr.QuantFilter(int(qi), d)
+			sel := vec.CodeSelect(t.codes[start*d:(start+mj)*d], d,
+				w, base, invS, eps, tk.Lambda(), b.scr.Sel(mj))
+			if len(sel) < mj {
+				st.PrunedPoints += int64(mj - len(sel))
+				st.IPCount += int64(len(sel))
+				st.Candidates += int64(len(sel))
+				for _, r := range sel {
+					pos := start + int(r)
+					tk.Push(t.ids[pos], math.Abs(vec.Dot(q, t.points.Row(pos))))
+				}
+				continue
 			}
-			continue
 		}
-		w, base, invS, eps := b.scr.QuantFilter(int(qi), d)
-		sel := vec.CodeSelect(t.codes[start*d:(start+mj)*d], d,
-			w, base, invS, eps, tk.Lambda(), b.scr.Sel(mj))
-		st.PrunedPoints += int64(mj - len(sel))
-		st.IPCount += int64(len(sel))
-		st.Candidates += int64(len(sel))
-		if len(sel) == mj {
-			dists := b.scr.Dists(mj)
-			vec.DotBlock(q, rows, dists)
-			for r := 0; r < mj; r++ {
-				tk.Push(t.ids[start+r], math.Abs(dists[r]))
-			}
-		} else {
-			for _, r := range sel {
-				pos := start + int(r)
-				tk.Push(t.ids[pos], math.Abs(vec.Dot(q, t.points.Row(pos))))
-			}
+		dists := b.scr.Dists(mj)
+		vec.DotBlock(q, t.points.Data[start*d:(start+mj)*d], dists)
+		st.IPCount += int64(mj)
+		st.Candidates += int64(mj)
+		for r, v := range dists {
+			tk.Push(t.ids[start+r], math.Abs(v))
 		}
 	}
 }

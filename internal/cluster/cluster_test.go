@@ -677,6 +677,7 @@ func TestRouterMetricsExposition(t *testing.T) {
 		`p2hd_router_member_state{member="m0"} 1`,
 		"p2hd_router_hedges_total",
 		"p2hd_router_member_requests_total",
+		`p2hd_build_info{go_version="`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)

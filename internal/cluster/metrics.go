@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"p2h/internal/httpapi"
 )
 
 // Prometheus text-format metrics for the router, stdlib only, mirroring the
@@ -169,4 +171,5 @@ func (rt *Router) renderMetrics(w *strings.Builder) {
 	for _, name := range members {
 		fmt.Fprintf(w, "p2hd_router_member_p99_seconds{member=%q} %g\n", name, rt.members[name].lat.p99().Seconds())
 	}
+	httpapi.RenderBuildInfo(w)
 }

@@ -59,14 +59,13 @@ func (p *Pool[T]) Put(x *T) { p.p.Put(x) }
 
 // BatchScratch holds every piece of reusable state one batched traversal
 // needs: per-query top-k collectors and norms, the active-set arena the
-// recursive walk carves per-node segments from, and the gather/output
-// buffers of the multi-query leaf kernels. A zero value is ready; all
+// recursive walk carves per-node segments from, and the output buffer of
+// the leaf kernels. A zero value is ready; all
 // storage grows on demand and is retained across runs, so a pooled
 // BatchScratch reaches a zero-allocation steady state.
 type BatchScratch struct {
 	Heaps  []core.TopK // one collector per query of the batch
 	QNorms []float64   // per-query ||q||
-	Q64    []float64   // every query widened to float64, packed row-major
 
 	// Active-set arena: visit() allocates one (act, ips) segment per child
 	// per node, strictly LIFO with the recursion, via Mark/Alloc/Release.
@@ -74,10 +73,7 @@ type BatchScratch struct {
 	ips  []float64
 	mark int
 
-	dists  []float64 // multi-kernel output, row-major by data row
-	prefix []int32   // per-active-query verified prefix length (BC-Tree)
-	rows64 []float64 // one leaf's row block, widened per visit
-	ctr64  []float64 // node centers widened for the bound computations
+	dists []float64 // leaf kernel output, reused across leaves
 
 	// Quantized-filter state (ResetQuant): one fitted integer filter per
 	// query of the batch. qw packs the int16 weights row-major (nq x d);
@@ -91,10 +87,8 @@ type BatchScratch struct {
 }
 
 // Reset prepares the scratch for a batch of nq queries with k results each:
-// collectors are (re)initialized, per-query norms computed, and every query
-// widened once into Q64 — the packed float64 form the conversion-free
-// kernels index for the rest of the traversal. Storage from earlier batches
-// is retained.
+// collectors are (re)initialized and per-query norms computed. Storage from
+// earlier batches is retained.
 func (b *BatchScratch) Reset(queries *vec.Matrix, k int) {
 	nq := queries.N
 	if nq > len(b.Heaps) {
@@ -108,11 +102,6 @@ func (b *BatchScratch) Reset(queries *vec.Matrix, k int) {
 	if nq > len(b.QNorms) {
 		b.QNorms = make([]float64, nq)
 	}
-	if cap(b.Q64) < len(queries.Data) {
-		b.Q64 = make([]float64, len(queries.Data))
-	}
-	b.Q64 = b.Q64[:len(queries.Data)]
-	vec.Widen(b.Q64, queries.Data)
 	for i := 0; i < nq; i++ {
 		b.QNorms[i] = vec.Norm(queries.Row(i))
 	}
@@ -178,58 +167,11 @@ func (b *BatchScratch) Alloc(n int) ([]int32, []float64) {
 // Release rewinds the arena to a watermark previously returned by Mark.
 func (b *BatchScratch) Release(mark int) { b.mark = mark }
 
-// Dists returns a distance buffer of n entries for the multi-query kernels,
-// reused across leaves.
+// Dists returns a distance buffer of n entries for the leaf kernels, reused
+// across leaves.
 func (b *BatchScratch) Dists(n int) []float64 {
 	if cap(b.dists) < n {
 		b.dists = make([]float64, n)
 	}
 	return b.dists[:n]
-}
-
-// Prefix returns an n-entry buffer for per-query verified prefix lengths,
-// reused across leaves.
-func (b *BatchScratch) Prefix(n int) []int32 {
-	if cap(b.prefix) < n {
-		b.prefix = make([]int32, n)
-	}
-	return b.prefix[:n]
-}
-
-// Row64 returns the single-row widening scratch (at least n entries) that
-// DotBlockMultiIdx fills and re-reads per leaf row.
-func (b *BatchScratch) Row64(n int) []float64 {
-	if cap(b.rows64) < n {
-		b.rows64 = make([]float64, n)
-	}
-	return b.rows64[:n]
-}
-
-// SortByLimitDesc permutes act and limits (kept aligned) so limits is
-// non-increasing — the order DotBlockMultiIdx requires to shrink its active
-// prefix as rows advance. Insertion sort: active groups are small and often
-// already sorted.
-func SortByLimitDesc(act, limits []int32) {
-	for i := 1; i < len(limits); i++ {
-		a, l := act[i], limits[i]
-		j := i
-		for j > 0 && limits[j-1] < l {
-			act[j], limits[j] = act[j-1], limits[j-1]
-			j--
-		}
-		act[j], limits[j] = a, l
-	}
-}
-
-// Center64 widens node center c into slot (0 or 1) of a reusable
-// two-center buffer for the per-node bound computations — one conversion
-// per element per visited node, amortized over the active queries.
-func (b *BatchScratch) Center64(slot int, c []float32) []float64 {
-	d := len(c)
-	if cap(b.ctr64) < 2*d {
-		b.ctr64 = make([]float64, 2*d)
-	}
-	out := b.ctr64[slot*d : (slot+1)*d]
-	vec.Widen(out, c)
-	return out
 }

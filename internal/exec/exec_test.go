@@ -98,37 +98,16 @@ func TestBatchScratchArenaGrowth(t *testing.T) {
 	}
 }
 
-func TestBatchScratchResetWidensQueries(t *testing.T) {
+func TestBatchScratchReset(t *testing.T) {
 	var b BatchScratch
 	q := vec.FromRows([][]float32{{1, 2, 2}, {0, 3, 4}})
 	b.Reset(q, 3)
-	if len(b.Q64) != 6 {
-		t.Fatalf("Q64 length %d, want 6", len(b.Q64))
-	}
-	for i, v := range q.Data {
-		if b.Q64[i] != float64(v) {
-			t.Fatalf("Q64[%d] = %v, want %v", i, b.Q64[i], float64(v))
-		}
-	}
 	if b.QNorms[0] != 3 || b.QNorms[1] != 5 {
 		t.Fatalf("QNorms = %v, want [3 5]", b.QNorms[:2])
 	}
 	for i := range b.Heaps[:2] {
 		if b.Heaps[i].K() != 3 || b.Heaps[i].Len() != 0 {
 			t.Fatalf("heap %d not reset", i)
-		}
-	}
-}
-
-func TestSortByLimitDesc(t *testing.T) {
-	act := []int32{10, 11, 12, 13, 14}
-	limits := []int32{3, 9, 0, 9, 5}
-	SortByLimitDesc(act, limits)
-	wantLimits := []int32{9, 9, 5, 3, 0}
-	wantAct := []int32{11, 13, 14, 10, 12}
-	for i := range limits {
-		if limits[i] != wantLimits[i] || act[i] != wantAct[i] {
-			t.Fatalf("sorted (%v, %v), want (%v, %v)", act, limits, wantAct, wantLimits)
 		}
 	}
 }

@@ -2,12 +2,15 @@ package httpapi
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"p2h/internal/vec"
 )
 
 // Prometheus text-format metrics, stdlib only: per-endpoint request counters
@@ -147,6 +150,17 @@ func (m *metrics) render(w *strings.Builder, indexes []IndexInfoResponse, draini
 
 	renderIndexMetrics(w, indexes)
 	renderDaemonGauges(w, indexes, draining, swapping)
+	RenderBuildInfo(w)
+}
+
+// RenderBuildInfo emits the constant p2hd_build_info series whose labels say
+// what produced every other number on the page: the Go release, the
+// architecture, and which float kernel internal/vec selected at start-up.
+// The daemon and the router both end their exposition with it.
+func RenderBuildInfo(w *strings.Builder) {
+	w.WriteString("# HELP p2hd_build_info Build and runtime facts, as labels on a constant 1.\n# TYPE p2hd_build_info gauge\n")
+	fmt.Fprintf(w, "p2hd_build_info{go_version=%q,goarch=%q,vec_kernel=%q} 1\n",
+		runtime.Version(), runtime.GOARCH, vec.Kernel())
 }
 
 // renderDaemonGauges emits the daemon-level overload signals: whether the

@@ -1,9 +1,13 @@
 package httpapi
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"p2h/internal/vec"
 )
 
 func TestHistogramBuckets(t *testing.T) {
@@ -58,6 +62,7 @@ func TestMetricsRenderShape(t *testing.T) {
 		"p2hd_draining 0",
 		"p2hd_swapping 1",
 		"p2hd_degraded 0",
+		fmt.Sprintf("p2hd_build_info{go_version=%q,goarch=%q,vec_kernel=%q} 1", runtime.Version(), runtime.GOARCH, vec.Kernel()),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing %q\n%s", want, text)

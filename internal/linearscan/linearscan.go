@@ -30,9 +30,15 @@ func (s *Scanner) N() int { return s.data.N }
 // Dim returns the lifted dimensionality d.
 func (s *Scanner) Dim() int { return s.data.D }
 
+// scanChunk is the number of rows one vec.DotBlock call covers: large enough
+// to amortize the call, small enough that the distances stay on the stack.
+const scanChunk = 256
+
 // Search returns the top-k points minimizing |<x, q>|. With an unlimited
 // budget the answer is exact; a budget caps the number of points scanned
 // (in storage order), matching how candidate budgets apply to the indexes.
+// Without a Filter the scan runs in blocks of rows; a Filter decides row by
+// row which points cost an inner product and count against the budget.
 func (s *Scanner) Search(q []float32, opts core.SearchOptions) ([]core.Result, core.Stats) {
 	opts = opts.Normalized()
 	var st core.Stats
@@ -41,17 +47,30 @@ func (s *Scanner) Search(q []float32, opts core.SearchOptions) ([]core.Result, c
 	if opts.Profile != nil {
 		start = time.Now()
 	}
-	for i := 0; i < s.data.N; i++ {
-		if !opts.BudgetLeft(st.Candidates) {
-			break
+	if opts.Filter == nil {
+		n, d := s.data.N, s.data.D
+		if opts.Budget > 0 {
+			n = min(n, opts.Budget)
 		}
-		if opts.Filter != nil && !opts.Filter(int32(i)) {
-			continue
+		var dists [scanChunk]float64
+		for lo := 0; lo < n; lo += scanChunk {
+			hi := min(lo+scanChunk, n)
+			out := dists[:hi-lo]
+			vec.DotBlock(q, s.data.Data[lo*d:hi*d], out)
+			for i, v := range out {
+				tk.Push(int32(lo+i), math.Abs(v))
+			}
 		}
-		d := math.Abs(vec.Dot(q, s.data.Row(i)))
-		st.IPCount++
-		st.Candidates++
-		tk.Push(int32(i), d)
+		st.IPCount, st.Candidates = int64(n), int64(n)
+	} else {
+		for i := 0; i < s.data.N && opts.BudgetLeft(st.Candidates); i++ {
+			if !opts.Filter(int32(i)) {
+				continue
+			}
+			st.IPCount++
+			st.Candidates++
+			tk.Push(int32(i), math.Abs(vec.Dot(q, s.data.Row(i))))
+		}
 	}
 	if opts.Profile != nil {
 		opts.Profile.Add(core.PhaseVerify, time.Since(start))

@@ -101,3 +101,42 @@ func TestSearchMatchesManualMin(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchBlockedMatchesPerRow holds the blocked scan to the per-row scan an
+// accept-all Filter selects: same results and same Stats, with budgets on
+// either side of every chunk boundary.
+func TestSearchBlockedMatchesPerRow(t *testing.T) {
+	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 9, Clusters: 3}, 2*scanChunk+88, 5)
+	data := raw.AppendOnes()
+	queries := dataset.GenerateQueries(raw, 4, 6)
+	s := New(data)
+	all := func(int32) bool { return true }
+	for _, budget := range []int{0, 1, scanChunk - 1, scanChunk, scanChunk + 1, 2 * scanChunk, data.N - 1, data.N, data.N + 7} {
+		for i := 0; i < queries.N; i++ {
+			got, gotSt := s.Search(queries.Row(i), core.SearchOptions{K: 7, Budget: budget})
+			want, wantSt := s.Search(queries.Row(i), core.SearchOptions{K: 7, Budget: budget, Filter: all})
+			if gotSt != wantSt {
+				t.Fatalf("budget %d query %d: stats %+v, per row %+v", budget, i, gotSt, wantSt)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("budget %d query %d: %d results, per row %d", budget, i, len(got), len(want))
+			}
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("budget %d query %d rank %d: %+v, per row %+v", budget, i, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkLinearScan(b *testing.B) {
+	raw := dataset.Generate(dataset.Spec{Name: "b", Family: dataset.FamilyClustered, RawDim: 128, Clusters: 8}, 10000, 7)
+	data := raw.AppendOnes()
+	q := dataset.GenerateQueries(raw, 1, 8).Row(0)
+	s := New(data)
+	b.SetBytes(data.Bytes())
+	for i := 0; i < b.N; i++ {
+		s.Search(q, core.SearchOptions{K: 10})
+	}
+}

@@ -25,17 +25,28 @@ func SeedGrow(data *vec.Matrix, ids []int32, rng *rand.Rand) int {
 	v := data.Row(int(ids[rng.Intn(len(ids))]))
 	posL, _ := data.MaxDistFrom(ids, v)
 	xl := data.Row(int(ids[posL]))
-	posR, _ := data.MaxDistFrom(ids, xl)
-	xr := data.Row(int(ids[posR]))
+	// The pass that finds xr leaves every point's distance to xl behind; the
+	// assignment below needs only one more pass, from xr.
+	dist := make([]float64, 2*len(ids))
+	dl, dr := dist[:len(ids)], dist[len(ids):]
+	data.SqDistsFrom(ids, xl, dl)
+	posR, far := 0, -1.0
+	for i, d := range dl {
+		if d > far {
+			posR, far = i, d
+		}
+	}
+	data.SqDistsFrom(ids, data.Row(int(ids[posR])), dr)
 
 	lo, hi := 0, len(ids)-1
 	for lo <= hi {
-		id := ids[lo]
-		x := data.Row(int(id))
-		if vec.SqDist(x, xl) <= vec.SqDist(x, xr) {
+		if dl[lo] <= dr[lo] {
 			lo++
 		} else {
+			// The point swapped in from hi is examined next; carry its
+			// distances with it. The one moved to hi is settled.
 			ids[lo], ids[hi] = ids[hi], ids[lo]
+			dl[lo], dr[lo] = dl[hi], dr[hi]
 			hi--
 		}
 	}

@@ -103,3 +103,56 @@ func TestSeedGrowTinyInputs(t *testing.T) {
 		t.Fatalf("single id returns len(ids): got %d", got)
 	}
 }
+
+// seedGrowRecompute is SeedGrow as first written: it measures every point
+// against both pivots in the assignment loop, with the per-row kernel.
+func seedGrowRecompute(data *vec.Matrix, ids []int32, rng *rand.Rand) int {
+	v := data.Row(int(ids[rng.Intn(len(ids))]))
+	posL, _ := data.MaxDistFrom(ids, v)
+	xl := data.Row(int(ids[posL]))
+	posR, _ := data.MaxDistFrom(ids, xl)
+	xr := data.Row(int(ids[posR]))
+	lo, hi := 0, len(ids)-1
+	for lo <= hi {
+		x := data.Row(int(ids[lo]))
+		if vec.SqDist(x, xl) <= vec.SqDist(x, xr) {
+			lo++
+		} else {
+			ids[lo], ids[hi] = ids[hi], ids[lo]
+			hi--
+		}
+	}
+	if lo == 0 || lo == len(ids) {
+		return len(ids) / 2
+	}
+	return lo
+}
+
+// TestSeedGrowKeepsStoredDistances checks that reusing the xl pass and
+// carrying distances through the swaps leaves ids in exactly the order the
+// recomputing version produces — the order the built trees' bytes depend on.
+func TestSeedGrowKeepsStoredDistances(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n, d := 2+rng.Intn(300), 1+rng.Intn(9)
+		m := vec.NewMatrix(n, d)
+		for i := range m.Data {
+			m.Data[i] = float32(rng.Intn(5)) // coarse grid: many exact ties
+		}
+		got := make([]int32, n)
+		for i := range got {
+			got[i] = int32(i)
+		}
+		want := append([]int32(nil), got...)
+		nlGot := SeedGrow(m, got, rand.New(rand.NewSource(seed)))
+		nlWant := seedGrowRecompute(m, want, rand.New(rand.NewSource(seed)))
+		if nlGot != nlWant {
+			t.Fatalf("seed %d: left size %d, recomputing version %d", seed, nlGot, nlWant)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: ids[%d] = %d, recomputing version %d", seed, i, got[i], want[i])
+			}
+		}
+	}
+}

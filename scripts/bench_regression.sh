@@ -9,8 +9,9 @@
 #                                                 or allocs/op increase
 #
 # The suite covers the layers the execution engine optimizes: the vec
-# kernels, the balltree/bctree searches (per-query and batched), and the
-# serving path. -count=6 gives benchstat enough samples for a significance
+# kernels (single row, one four-row pass, leaf-sized blocks, the build's
+# MaxDistFrom pass), the linear scan, the tree searches (per-query and
+# batched), and the serving path. -count=6 gives benchstat enough samples for a significance
 # test; -benchmem records allocs/op so the zero-allocation steady state is
 # gated alongside time.
 set -euo pipefail
@@ -23,8 +24,10 @@ MAX_ALLOC_REGRESSION_PCT="${MAX_ALLOC_REGRESSION_PCT:-10}"
 run() {
   local out="$1"
   : > "$out"
-  go test -run '^$' -bench 'BenchmarkDot|BenchmarkSqDistBlock|BenchmarkConeSelect|BenchmarkCodeDot|BenchmarkCodeSelect' \
+  go test -run '^$' -bench 'BenchmarkDot|BenchmarkDotBlock4x128|BenchmarkSqDistBlock|BenchmarkMaxDistFrom|BenchmarkConeSelect|BenchmarkCodeDot|BenchmarkCodeSelect' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" ./internal/vec | tee -a "$out"
+  go test -run '^$' -bench 'BenchmarkLinearScan' \
+    -benchmem -benchtime="$BENCHTIME" -count="$COUNT" ./internal/linearscan | tee -a "$out"
   go test -run '^$' -bench 'BenchmarkQueryExactBallTree|BenchmarkQueryExactBCTree|BenchmarkQueryBudgetBCTree$|BenchmarkSearchBatchExact|BenchmarkServer' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" . | tee -a "$out"
 }
