@@ -11,6 +11,7 @@ package p2h
 // experiment benchmarks.
 
 import (
+	"context"
 	"testing"
 
 	"p2h/internal/harness"
@@ -238,18 +239,19 @@ func BenchmarkSearchBatchExact(b *testing.B) {
 	})
 }
 
-// BenchmarkServerBatched measures the serving layer on a batchable index
-// with the cache disabled: concurrent callers flood the dispatcher, whose
-// micro-batch chunks run through the index's native SearchBatch. This is
-// the uncached steady-state throughput of the full engine stack
-// (dispatcher + worker pool + batched traversal).
+// BenchmarkServerBatched is the serving layer with many callers and the
+// cache off: eight callers per GOMAXPROCS each run exact searches on their
+// own goroutine under the server's worker slots, so the number is the
+// uncached steady-state throughput of slot hand-off plus the tree. (The name
+// predates caller-runs serving and is kept so bench_regression.sh has base
+// lines to compare against.)
 func BenchmarkServerBatched(b *testing.B) {
 	data, queries := benchData(b)
 	ix := NewBCTree(data, BCTreeOptions{Seed: 1})
 	srv := NewServer(ix, ServerOptions{CacheEntries: -1})
 	defer srv.Close()
 	opts := SearchOptions{K: 10}
-	b.SetParallelism(8) // enough concurrent callers to fill micro-batches
+	b.SetParallelism(8) // many more callers than slots
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
@@ -260,12 +262,32 @@ func BenchmarkServerBatched(b *testing.B) {
 	})
 }
 
+// BenchmarkServerSearchBatch is the batch entry, cache off: one caller hands
+// the server 64 exact queries per SearchBatchCtx call, which splits them
+// into one shared traversal per worker slot. ns/op is per batch.
+func BenchmarkServerSearchBatch(b *testing.B) {
+	data, _ := benchData(b)
+	queries := GenerateQueries(data, 64, 2)
+	rows := make([][]float32, queries.N)
+	for i := range rows {
+		rows[i] = queries.Row(i)
+	}
+	srv := NewServer(NewBCTree(data, BCTreeOptions{Seed: 1}), ServerOptions{CacheEntries: -1})
+	defer srv.Close()
+	opts := SearchOptions{K: 10}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := srv.SearchBatchCtx(context.Background(), rows, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkServer compares three ways of answering the same exact top-10
 // workload on one BC-Tree: a sequential single-query loop (the baseline),
-// the micro-batching server with its result cache disabled (batching +
-// worker parallelism alone), and the full server (batching + cache; the
-// workload cycles over 64 distinct hyperplanes, so steady state is nearly
-// all cache hits). The server variants drive one concurrent caller per
+// the server with its result cache disabled (worker-slot parallelism
+// alone), and the full server (slots + cache; the workload cycles over 64
+// distinct hyperplanes, so steady state is nearly all cache hits). The server variants drive one concurrent caller per
 // GOMAXPROCS via RunParallel — the serving scenario the layer exists for.
 func BenchmarkServer(b *testing.B) {
 	data, queries := benchData(b)

@@ -18,7 +18,7 @@
 //	{
 //	  "listen": "127.0.0.1:8080",
 //	  "drain_timeout": "10s",
-//	  "server": {"workers": 8, "max_batch": 16, "cache_entries": 4096},
+//	  "server": {"workers": 8, "cache_entries": 4096, "max_queue": 512},
 //	  "indexes": {
 //	    "trees": {"path": "trees.p2h"},
 //	    "live":  {"spec": {"kind": "dynamic", "dim": 128}, "data": ""}
@@ -76,12 +76,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		wal        = fs.Bool("wal", false, "journal the -load index's mutations to a write-ahead log at <path>.wal, replaying any pending records at startup")
 		walSync    = fs.String("walsync", "", "write-ahead log fsync policy: always (default) or none")
 		compact    = fs.Bool("compact", false, "absorb dynamic indexes' deltas via background compaction instead of inline rebuilds")
-		workers    = fs.Int("workers", 0, "serving workers per index (0: the config file's, else GOMAXPROCS)")
-		maxBatch   = fs.Int("maxbatch", 0, "largest micro-batch per worker (0: the config file's, else 16)")
-		maxDelay   = fs.Duration("maxdelay", 0, "batch window for an under-filled round (0: the config file's, else 100µs)")
+		workers    = fs.Int("workers", 0, "worker slots per index: searches executing at once (0: the config file's, else GOMAXPROCS)")
 		cacheSize  = fs.Int("cache", 0, "result cache entries per index (0: the config file's, else 1024; negative: disabled)")
 		drain      = fs.Duration("drain", 0, "shutdown/unload drain bound (0: the config file's, else 10s)")
-		maxQueue   = fs.Int("maxqueue", 0, "admitted-but-unfinished request cap per index (0: the config file's, else 4*workers*maxbatch; negative: shedding disabled)")
+		maxQueue   = fs.Int("maxqueue", 0, "admitted-but-unfinished request cap per index (0: the config file's, else 64*workers; negative: shedding disabled)")
 		maxTimeout = fs.Duration("maxtimeout", 0, "cap on client timeout_ms, backstop for requests without one (0: the config file's, else 30s)")
 		sloTarget  = fs.Duration("slo", 0, "p99 latency objective; breaching it degrades search budgets until load recedes (0: the config file's slo block, else off)")
 		faults     = fs.String("faults", "", "arm fault-injection points, e.g. 'wal.fsync=delay:5ms;engine.search=delay:2ms' (also via P2HD_FAULTS)")
@@ -109,12 +107,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	opts := cfg.Server.Options()
 	if *workers != 0 {
 		opts.Workers = *workers
-	}
-	if *maxBatch != 0 {
-		opts.MaxBatch = *maxBatch
-	}
-	if *maxDelay != 0 {
-		opts.MaxDelay = *maxDelay
 	}
 	if *cacheSize != 0 {
 		opts.CacheEntries = *cacheSize

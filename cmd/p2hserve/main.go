@@ -24,7 +24,7 @@
 //
 // Queries arrive as fvecs rows (-queries) or as text lines of d+1
 // space-separated floats, normal then offset (-stdin). Every query is
-// answered through the server's micro-batching worker pool and result
+// answered through the server's worker slots and result
 // cache; -compare additionally replays the identical workload as a
 // sequential single-query loop on the bare index and reports the speedup.
 package main
@@ -73,9 +73,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		budget    = fs.Int("budget", 0, "candidate budget per query (0: exact)")
 		clients   = fs.Int("clients", 8, "concurrent client goroutines replaying the stream")
 		repeat    = fs.Int("repeat", 1, "times each client replays the full query stream")
-		workers   = fs.Int("workers", 0, "server worker goroutines (0: GOMAXPROCS)")
-		maxBatch  = fs.Int("maxbatch", 16, "largest micro-batch handed to one worker")
-		maxDelay  = fs.Duration("maxdelay", 100*time.Microsecond, "batch window for an under-filled round")
+		workers   = fs.Int("workers", 0, "server worker slots: searches executing at once (0: GOMAXPROCS)")
 		cacheSize = fs.Int("cache", 1024, "result cache entries (0 or negative: disabled)")
 		compare   = fs.Bool("compare", false, "also run the workload sequentially on the bare index")
 		url       = fs.String("url", "", "client mode: load-test running p2hd daemon(s) at these comma-separated base URLs (round-robin) instead of serving in-process")
@@ -156,8 +154,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	srv := p2h.NewServer(ix, p2h.ServerOptions{
 		Workers:      *workers,
-		MaxBatch:     *maxBatch,
-		MaxDelay:     *maxDelay,
 		CacheEntries: cache,
 	})
 	defer srv.Close()
@@ -173,7 +169,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if st.Batches > 0 {
 		meanBatch = float64(st.Queries) / float64(st.Batches)
 	}
-	fmt.Fprintf(stdout, "server: %d batches (mean %.1f queries/batch), cache hit rate %.1f%%\n",
+	fmt.Fprintf(stdout, "server: %d serving calls (mean %.1f queries/call), cache hit rate %.1f%%\n",
 		st.Batches, meanBatch, 100*hitRate)
 
 	if *compare {
@@ -334,7 +330,7 @@ func runClient(baseURL, name string, queries *p2h.Matrix, opts p2h.SearchOptions
 		if info.Stats.Batches > 0 {
 			meanBatch = float64(info.Stats.Queries) / float64(info.Stats.Batches)
 		}
-		fmt.Fprintf(stdout, "daemon: %d queries served, %d micro-batches (mean %.1f queries/batch), cache hit rate %.1f%%\n",
+		fmt.Fprintf(stdout, "daemon: %d queries served, %d serving calls (mean %.1f queries/call), cache hit rate %.1f%%\n",
 			info.Stats.Queries, info.Stats.Batches, meanBatch, 100*hitRate)
 	}
 	return 0

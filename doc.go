@@ -51,9 +51,10 @@
 //
 // Every index is safe for concurrent readers, and SearchBatch fans a query
 // matrix over a goroutine pool. For serving live traffic, Server wraps any
-// Index (including Sharded and Dynamic) behind a micro-batching worker pool
-// with a normalized-query result cache and snapshot-consistent reads across
-// concurrent Insert/Delete:
+// Index (including Sharded and Dynamic) behind a bounded set of worker
+// slots — a search runs on its caller's goroutine, a batch is split one
+// chunk per slot — with a normalized-query result cache and
+// snapshot-consistent reads across concurrent Insert/Delete:
 //
 //	srv := p2h.NewServer(index, p2h.ServerOptions{})
 //	defer srv.Close()

@@ -42,8 +42,8 @@ func ExampleSearchBatch() {
 	// Output: 0 3
 }
 
-// Server wraps any index behind a thread-safe micro-batching worker pool
-// with a result cache; Search blocks until the answer is served.
+// Server wraps any index behind a thread-safe set of worker slots with a
+// result cache; Search runs on the calling goroutine once a slot is free.
 func ExampleServer() {
 	data := p2h.FromRows([][]float32{{0, 0}, {1, 0}, {2, 0}, {3, 0}})
 	srv := p2h.NewServer(p2h.NewBCTree(data, p2h.BCTreeOptions{}), p2h.ServerOptions{Workers: 2})

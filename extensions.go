@@ -7,6 +7,7 @@ import (
 
 	"p2h/internal/attr"
 	"p2h/internal/dynamic"
+	"p2h/internal/exec"
 	"p2h/internal/quant"
 	"p2h/internal/shard"
 )
@@ -294,26 +295,16 @@ func SearchBatch(ix Index, queries *Matrix, opts SearchOptions, workers int) [][
 			res, _ := bi.SearchBatch(queries, opts)
 			return res
 		}
-		chunk := (queries.N + workers - 1) / workers
-		var wg sync.WaitGroup
-		for lo := 0; lo < queries.N; lo += chunk {
-			hi := lo + chunk
-			if hi > queries.N {
-				hi = queries.N
+		_ = exec.ForChunks(queries.N, workers, func(lo, hi int) error {
+			sub := &Matrix{
+				Data: queries.Data[lo*queries.D : hi*queries.D],
+				N:    hi - lo,
+				D:    queries.D,
 			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				sub := &Matrix{
-					Data: queries.Data[lo*queries.D : hi*queries.D],
-					N:    hi - lo,
-					D:    queries.D,
-				}
-				res, _ := bi.SearchBatch(sub, opts)
-				copy(out[lo:hi], res)
-			}(lo, hi)
-		}
-		wg.Wait()
+			res, _ := bi.SearchBatch(sub, opts)
+			copy(out[lo:hi], res)
+			return nil // the chunks never fail
+		})
 		return out
 	}
 

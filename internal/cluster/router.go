@@ -400,8 +400,8 @@ func (rt *Router) Search(ctx context.Context, name string, req httpapi.SearchReq
 	return out, nil
 }
 
-// SearchBatch fans a whole batch out — one batch request per shard, so the
-// members' micro-batching engines see the full batch — and merges per query.
+// SearchBatch fans a whole batch out — one batch request per shard, so each
+// member admits and chunks it as one batch — and merges per query.
 // Results are byte-identical to per-query Search calls and to the in-process
 // Sharded index's SearchBatch.
 func (rt *Router) SearchBatch(ctx context.Context, name string, req httpapi.BatchSearchRequest) (*httpapi.BatchSearchResponse, error) {

@@ -39,6 +39,49 @@ func Fallback(s Searcher, queries *vec.Matrix, opts core.SearchOptions, out [][]
 	}
 }
 
+// ForChunks splits rows [0, n) into min(parts, n) contiguous chunks of
+// near-equal size and runs fn(lo, hi) on each — on the calling goroutine when
+// there is one chunk, else one goroutine per chunk — returning once every
+// chunk has finished. The split is a function of n and parts alone, so the
+// queries sharing a batched traversal never depend on scheduling. It returns
+// the error of the lowest failing chunk; a panic inside a chunk is re-raised
+// in the caller after the others have finished, so it reaches whoever
+// submitted the batch instead of killing the process from a bare goroutine.
+func ForChunks(n, parts int, fn func(lo, hi int) error) error {
+	if parts > n {
+		parts = n
+	}
+	if parts <= 1 {
+		if n <= 0 {
+			return nil
+		}
+		return fn(0, n)
+	}
+	errs := make([]error, parts)
+	panics := make([]any, parts)
+	var wg sync.WaitGroup
+	for c := 0; c < parts; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			defer func() { panics[c] = recover() }()
+			errs[c] = fn(c*n/parts, (c+1)*n/parts)
+		}(c)
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Pool is a typed free list over sync.Pool. The zero value is ready to use;
 // Get returns a zero-valued *T when the pool is empty, so owners re-bind any
 // per-owner fields (e.g. the tree pointer) after Get.

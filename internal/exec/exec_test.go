@@ -1,7 +1,12 @@
 package exec
 
 import (
+	"fmt"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"p2h/internal/core"
 	"p2h/internal/vec"
@@ -137,4 +142,66 @@ func TestFallback(t *testing.T) {
 			t.Fatalf("query %d stats: %+v", i, stats[i])
 		}
 	}
+}
+
+// TestForChunks pins the split every batched caller relies on: min(parts, n)
+// contiguous chunks of near-equal size covering [0, n) exactly once, the
+// lowest failing chunk's error, and a chunk's panic re-raised in the caller
+// only after every other chunk has finished.
+func TestForChunks(t *testing.T) {
+	for _, tc := range []struct {
+		n, parts int
+		want     string
+	}{
+		{0, 4, "[]"},
+		{5, 0, "[[0 5]]"},
+		{5, 1, "[[0 5]]"},
+		{10, 3, "[[0 3] [3 6] [6 10]]"},
+		{3, 8, "[[0 1] [1 2] [2 3]]"},
+	} {
+		var mu sync.Mutex
+		got := [][2]int{}
+		if err := ForChunks(tc.n, tc.parts, func(lo, hi int) error {
+			mu.Lock()
+			defer mu.Unlock()
+			got = append(got, [2]int{lo, hi})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sort.Slice(got, func(i, j int) bool { return got[i][0] < got[j][0] })
+		if fmt.Sprint(got) != tc.want {
+			t.Errorf("ForChunks(%d, %d) ran %v, want %s", tc.n, tc.parts, got, tc.want)
+		}
+	}
+
+	err := ForChunks(9, 3, func(lo, hi int) error {
+		if lo == 0 {
+			return nil
+		}
+		return fmt.Errorf("chunk at %d", lo)
+	})
+	if err == nil || err.Error() != "chunk at 3" {
+		t.Errorf("err = %v, want the lowest failing chunk's", err)
+	}
+
+	var finished atomic.Int32
+	func() {
+		defer func() {
+			if p := recover(); p != "chunk boom" {
+				t.Errorf("recovered %v, want the chunk's panic", p)
+			}
+			if finished.Load() != 2 {
+				t.Errorf("panic re-raised with %d of 2 other chunks finished", finished.Load())
+			}
+		}()
+		_ = ForChunks(3, 3, func(lo, hi int) error {
+			if lo == 1 {
+				panic("chunk boom")
+			}
+			time.Sleep(10 * time.Millisecond)
+			finished.Add(1)
+			return nil
+		})
+	}()
 }

@@ -86,16 +86,14 @@ func (c IndexConfig) validate() error {
 // ServerConfig tunes the per-index serving engines; zero values select the
 // p2h.ServerOptions defaults.
 type ServerConfig struct {
-	Workers      int      `json:"workers,omitempty"`
-	MaxBatch     int      `json:"max_batch,omitempty"`
-	MaxDelay     Duration `json:"max_delay,omitempty"`
-	CacheEntries int      `json:"cache_entries,omitempty"`
+	Workers      int `json:"workers,omitempty"`
+	CacheEntries int `json:"cache_entries,omitempty"`
 	// BackgroundCompaction moves dynamic indexes' delta absorption off the
 	// mutation path: the tree is rebuilt by a background goroutine and
 	// hot-swapped in, instead of rebuilding inline inside an Insert/Delete.
 	BackgroundCompaction bool `json:"background_compaction,omitempty"`
-	// MaxQueue statically caps each index's admitted-but-unfinished requests
-	// (zero: 4*workers*max_batch; negative: admission control off).
+	// MaxQueue statically caps each index's admitted-but-unfinished queries
+	// (zero: 64*workers; negative: admission control off).
 	MaxQueue int `json:"max_queue,omitempty"`
 	// MaxQueueDelay bounds the queueing delay admission control accepts
 	// (zero: 50ms); when the backlog's expected drain time exceeds it, new
@@ -107,8 +105,6 @@ type ServerConfig struct {
 func (c ServerConfig) Options() p2h.ServerOptions {
 	return p2h.ServerOptions{
 		Workers:              c.Workers,
-		MaxBatch:             c.MaxBatch,
-		MaxDelay:             time.Duration(c.MaxDelay),
 		CacheEntries:         c.CacheEntries,
 		BackgroundCompaction: c.BackgroundCompaction,
 		MaxQueue:             c.MaxQueue,

@@ -42,7 +42,7 @@ func TestLoadConfig(t *testing.T) {
 	doc := `{
 		"listen": "127.0.0.1:9999",
 		"drain_timeout": "2s",
-		"server": {"workers": 3, "max_batch": 8, "max_delay": "200us", "cache_entries": 512},
+		"server": {"workers": 3, "cache_entries": 512, "max_queue": 96, "max_queue_delay": "20ms"},
 		"indexes": {
 			"trees": {"path": "trees.p2h"},
 			"fresh": {"spec": {"kind": "bctree", "leaf_size": 50}, "data": "data.fvecs"}
@@ -59,7 +59,7 @@ func TestLoadConfig(t *testing.T) {
 		t.Fatalf("config %+v", cfg)
 	}
 	opts := cfg.Server.Options()
-	if opts.Workers != 3 || opts.MaxBatch != 8 || opts.MaxDelay != 200*time.Microsecond || opts.CacheEntries != 512 {
+	if opts.Workers != 3 || opts.CacheEntries != 512 || opts.MaxQueue != 96 || opts.MaxQueueDelay != 20*time.Millisecond {
 		t.Fatalf("server options %+v", opts)
 	}
 	if cfg.Indexes["trees"].Path != "trees.p2h" {
@@ -94,6 +94,15 @@ func TestLoadConfigRejectsBadDeclarations(t *testing.T) {
 	}
 	if _, err := LoadConfig(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing config file accepted")
+	}
+	// The serving layer has no batching knobs; a config that still names one
+	// is rejected like any other unknown key, not silently ignored.
+	stale := filepath.Join(dir, "stale.json")
+	if err := os.WriteFile(stale, []byte(`{"server": {"workers": 2, "max_batch": 8}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadConfig(stale); err == nil {
+		t.Error("config with the removed \"max_batch\" key accepted")
 	}
 	bad := filepath.Join(dir, "syntax.json")
 	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {

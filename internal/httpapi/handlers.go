@@ -13,8 +13,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	p2h "p2h"
@@ -26,15 +24,9 @@ import (
 // fits comfortably, a runaway upload does not.
 const maxBodyBytes = 64 << 20
 
-// batchFanout bounds the goroutines submitting one HTTP batch into the
-// serving engine. The engine micro-batches whatever is concurrently
-// submitted, so this only needs to exceed a worker pool's appetite, not the
-// batch size.
-const batchFanout = 64
-
 // DefaultMaxTimeout caps client timeout_ms values and backstops requests
 // that name none, so every search the daemon dispatches carries a deadline —
-// a stuck traversal can hold a connection, never the worker pool forever.
+// a stuck traversal can hold a connection, never a worker slot forever.
 const DefaultMaxTimeout = 30 * time.Second
 
 // HandlerOptions tunes the HTTP layer's request-deadline policy.
@@ -375,75 +367,15 @@ func (a *API) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Submit the whole batch concurrently: the serving engine's dispatcher
-	// coalesces concurrent submissions into micro-batches and runs them
-	// through the index's zero-allocation batched traversal, so the fan-out
-	// here is what engages the shared-arena path.
-	//
-	// The whole batch shares one deadline. A member the engine sheds is
-	// retried after the engine's own Retry-After estimate — the members of
-	// one admitted HTTP request co-arrived, so backing off self-paces the
-	// fan-out to the engine's capacity instead of failing a half-executed
-	// batch — while the deadline bounds the total wait. Any terminal error
-	// (deadline expired, engine draining) aborts the batch: the response is
-	// one JSON document, all-or-nothing.
+	// The whole batch shares one deadline and one admission decision: a shed
+	// batch answers 429 + Retry-After exactly like /search, and any terminal
+	// error (deadline expired, engine draining) fails it as a unit — the
+	// response is one JSON document, all-or-nothing.
 	ctx, cancel := a.searchContext(r, req.TimeoutMS)
 	defer cancel()
-	results := make([][]core.Result, len(req.Queries))
-	stats := make([]core.Stats, len(req.Queries))
-	workers := batchFanout
-	if workers > len(req.Queries) {
-		workers = len(req.Queries)
-	}
-	var abortMu sync.Mutex
-	var abortErr error
-	abort := func(err error) {
-		abortMu.Lock()
-		if abortErr == nil {
-			abortErr = err
-		}
-		abortMu.Unlock()
-	}
-	aborted := func() bool {
-		abortMu.Lock()
-		defer abortMu.Unlock()
-		return abortErr != nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(req.Queries) || aborted() {
-					return
-				}
-				for {
-					res, st, err := e.srv.SearchCtx(ctx, req.Queries[i], opts)
-					if err == nil {
-						results[i], stats[i] = res, st
-						break
-					}
-					var oe *p2h.OverloadError
-					if !errors.As(err, &oe) {
-						abort(err)
-						return
-					}
-					select {
-					case <-ctx.Done():
-						abort(ctx.Err())
-						return
-					case <-time.After(oe.RetryAfter):
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if aborted() {
-		a.fail(w, abortErr)
+	results, stats, err := e.srv.SearchBatchCtx(ctx, req.Queries, opts)
+	if err != nil {
+		a.fail(w, err)
 		return
 	}
 

@@ -56,7 +56,7 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 
-	m := NewManager(p2h.ServerOptions{Workers: 2, MaxBatch: 4}, 0)
+	m := NewManager(p2h.ServerOptions{Workers: 2}, 0)
 	if _, _, err := m.Load("trees", IndexConfig{Path: containerPath}, false); err != nil {
 		t.Fatal(err)
 	}

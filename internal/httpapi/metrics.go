@@ -206,7 +206,7 @@ var indexCounters = []struct {
 }{
 	{"p2hd_index_queries_total", "Searches served, by index.", "counter",
 		func(i IndexInfoResponse) int64 { return i.Stats.Queries }},
-	{"p2hd_index_batches_total", "Micro-batches dispatched by the serving engine, by index.", "counter",
+	{"p2hd_index_batches_total", "Serving calls (single searches and whole batches) the engine answered, by index.", "counter",
 		func(i IndexInfoResponse) int64 { return i.Stats.Batches }},
 	{"p2hd_index_cache_hits_total", "Searches answered from the result cache, by index.", "counter",
 		func(i IndexInfoResponse) int64 { return i.Stats.CacheHits }},
@@ -230,13 +230,13 @@ var indexCounters = []struct {
 		func(i IndexInfoResponse) int64 { return i.Stats.Shed }},
 	{"p2hd_index_expired_total", "Searches whose deadline fired before index work ran, by index.", "counter",
 		func(i IndexInfoResponse) int64 { return i.Stats.Expired }},
-	{"p2hd_index_worker_panics_total", "Worker-pool panics isolated without losing the pool, by index.", "counter",
+	{"p2hd_index_worker_panics_total", "Panics raised while serving and returned to their caller, by index.", "counter",
 		func(i IndexInfoResponse) int64 { return i.Stats.Panics }},
 	{"p2hd_index_degraded_queries_total", "Searches whose budget the degradation ceiling clamped, by index.", "counter",
 		func(i IndexInfoResponse) int64 { return i.Stats.DegradedQueries }},
 	{"p2hd_index_budget_ceiling", "Current degradation budget ceiling (0: serving exact), by index.", "gauge",
 		func(i IndexInfoResponse) int64 { return int64(i.Stats.BudgetCeiling) }},
-	{"p2hd_index_backlog", "Admitted-but-unfinished requests, by index.", "gauge",
+	{"p2hd_index_backlog", "Admitted-but-unfinished queries, by index.", "gauge",
 		func(i IndexInfoResponse) int64 { return i.Stats.Backlog }},
 	{"p2hd_index_filter_skipped_nodes_total", "Whole subtrees pruned by predicate pushdown, by index.", "counter",
 		func(i IndexInfoResponse) int64 { return i.Stats.FilterSkippedNodes }},

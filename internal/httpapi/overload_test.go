@@ -64,11 +64,17 @@ func armFaults(t *testing.T, spec string) {
 // (0 when absent) and decoded body.
 func (f *chaosFixture) search(t *testing.T, req SearchRequest) (int, int, []byte) {
 	t.Helper()
+	return f.post(t, "search", req)
+}
+
+// post sends req to one of the trees index's endpoints.
+func (f *chaosFixture) post(t *testing.T, endpoint string, req any) (int, int, []byte) {
+	t.Helper()
 	b, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := f.ts.Client().Post(f.ts.URL+"/v1/indexes/trees/search", "application/json", bytes.NewReader(b))
+	resp, err := f.ts.Client().Post(f.ts.URL+"/v1/indexes/trees/"+endpoint, "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +99,7 @@ func (f *chaosFixture) search(t *testing.T, req SearchRequest) (int, int, []byte
 // moment the flood stops.
 func TestChaosFloodShedsCleanly(t *testing.T) {
 	f := newChaosFixture(t, p2h.ServerOptions{
-		Workers: 1, MaxBatch: 1, CacheEntries: -1,
+		Workers: 1, CacheEntries: -1,
 		MaxQueue: 2, MaxQueueDelay: time.Hour, // static limit only
 	}, HandlerOptions{})
 	armFaults(t, "engine.search=delay:5ms")
@@ -148,6 +154,57 @@ func TestChaosFloodShedsCleanly(t *testing.T) {
 	})
 	if status != 200 {
 		t.Fatalf("post-flood search: status %d (%s)", status, body)
+	}
+}
+
+// TestSearchBatchShedAsAWhole pins /search_batch's overload contract.
+// Admission asks "is the backlog under the limit at arrival" and then counts
+// the whole batch, so an idle engine serves a batch larger than MaxQueue; a
+// second batch arriving behind it is shed as a unit — one immediate 429 with
+// Retry-After, exactly like /search, never a per-row wait inside the handler.
+func TestSearchBatchShedAsAWhole(t *testing.T) {
+	f := newChaosFixture(t, p2h.ServerOptions{
+		Workers: 1, CacheEntries: -1,
+		MaxQueue: 4, MaxQueueDelay: time.Hour, // static limit only
+	}, HandlerOptions{})
+	armFaults(t, "engine.search=delay:300ms") // once per chunk: holds the big batch in its slot
+
+	big := BatchSearchRequest{SearchOptionsJSON: SearchOptionsJSON{K: 2}}
+	for i := 0; i < 32; i++ {
+		big.Queries = append(big.Queries, f.queries.Row(i%f.queries.N))
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		status, _, body := f.post(t, "search_batch", big)
+		if status != 200 {
+			t.Errorf("32-row batch on an idle engine with MaxQueue 4: status %d (%s)", status, body)
+			return
+		}
+		if n := len(unmarshal[BatchSearchResponse](t, body).Results); n != len(big.Queries) {
+			t.Errorf("%d result rows, want %d", n, len(big.Queries))
+		}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); f.m.List()[0].Stats.Backlog != 32; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the big batch never entered the backlog: %+v", f.m.List()[0].Stats)
+		}
+	}
+
+	small := BatchSearchRequest{Queries: big.Queries[:2], SearchOptionsJSON: SearchOptionsJSON{K: 2}}
+	status, retryAfter, body := f.post(t, "search_batch", small)
+	wantError(t, status, body, 429, "overloaded")
+	if retryAfter < 1 {
+		t.Errorf("429 without a usable Retry-After (%d)", retryAfter)
+	}
+	select {
+	case <-done:
+		t.Error("the shed batch waited for the admitted one instead of answering at once")
+	default:
+	}
+	<-done
+	if st := f.m.List()[0].Stats; st.Shed != 2 || st.Backlog != 0 {
+		t.Errorf("after both batches: shed %d (want the 2 rows), backlog %d (want 0)", st.Shed, st.Backlog)
 	}
 }
 

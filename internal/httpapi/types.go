@@ -236,15 +236,15 @@ type ServerStatsJSON struct {
 	// searches currently pay for; rebuilds and compactions reset it.
 	PendingDelta int `json:"pending_delta"`
 	// Shed counts deadline-carrying searches rejected by admission control
-	// (HTTP 429); Expired counts requests whose deadline fired before any
-	// index work ran; Panics counts worker-pool panics isolated without
-	// losing the pool.
+	// (HTTP 429); Expired counts searches whose deadline fired before any
+	// index work ran; Panics counts panics raised while serving, returned to
+	// their caller.
 	Shed    int64 `json:"shed"`
 	Expired int64 `json:"expired"`
 	Panics  int64 `json:"panics"`
 	// DegradedQueries counts searches whose budget the degradation ceiling
 	// clamped; BudgetCeiling is the current cap (zero: serving exact);
-	// Backlog is the admitted-but-unfinished request count right now.
+	// Backlog is the admitted-but-unfinished query count right now.
 	DegradedQueries int64 `json:"degraded_queries"`
 	BudgetCeiling   int   `json:"budget_ceiling"`
 	Backlog         int64 `json:"backlog"`

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"testing"
 
@@ -215,7 +214,7 @@ func (v *versionIndex) Delete(h int32) bool {
 // the searcher read before submitting.
 func TestCacheEpochNoStaleHitsUnderConcurrentMutation(t *testing.T) {
 	v := &versionIndex{}
-	e := New(v, v, Config{Workers: 4, MaxBatch: 4, MaxDelay: 20 * time.Microsecond, CacheEntries: 128})
+	e := New(v, v, Config{Workers: 4, CacheEntries: 128})
 	defer e.Close()
 
 	q := []float32{1, 0, 0}     // one fixed query, so the cache is hammered

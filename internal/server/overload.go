@@ -1,14 +1,14 @@
 package server
 
-// Overload resilience: the admission-controlled, deadline-aware submission
-// path (SearchCtx) and the two feedback signals it runs on — an EWMA of
-// per-query service time for the latency-derived admission limit, and a
-// fixed-bucket latency histogram an external SLO controller samples to step
-// the degradation ceiling (SetBudgetCeiling).
+// Overload resilience: the admission-controlled, deadline-aware entries
+// (SearchCtx, SearchBatchCtx) and the two feedback signals they run on — an
+// EWMA of per-query service time for the latency-derived admission limit,
+// and a fixed-bucket latency histogram an external SLO controller samples to
+// step the degradation ceiling (SetBudgetCeiling).
 //
 // The blocking Search path is untouched by all of this: in-process callers
-// (benchmarks, tests, batch tooling) queue without shedding and without
-// deadlines, exactly as before. Only SearchCtx submissions can be rejected.
+// (benchmarks, tests, batch tooling) wait for a slot without shedding and
+// without deadlines. Only the Ctx entries can be rejected.
 
 import (
 	"context"
@@ -25,15 +25,15 @@ import (
 // concrete error is an *OverloadError carrying the suggested retry delay.
 var ErrOverloaded = errors.New("server: overloaded")
 
-// ErrDraining is returned by SearchCtx once Drain or Close has stopped
-// intake (where the blocking Search would panic).
+// ErrDraining is returned by SearchCtx and SearchBatchCtx once Drain or
+// Close has stopped intake (where the blocking Search would panic).
 var ErrDraining = errors.New("server: engine draining")
 
 // OverloadError reports a shed request: the engine's backlog exceeded what
 // it can drain within the configured queueing-delay bound, so the request
-// was rejected instead of admitted to a queue it would only time out in.
+// was rejected instead of admitted to a wait it would only time out in.
 type OverloadError struct {
-	// Backlog is the number of admitted-but-unfinished requests at
+	// Backlog is the number of admitted-but-unfinished queries at
 	// rejection time.
 	Backlog int64
 	// Limit is the admission limit the backlog exceeded.
@@ -53,12 +53,12 @@ func (e *OverloadError) Error() string {
 func (e *OverloadError) Unwrap() error { return ErrOverloaded }
 
 // ewmaAlpha weights the service-time moving average; small enough to ride
-// out one odd chunk, large enough to track a load shift within tens of
-// chunks.
+// out one odd sample, large enough to track a load shift within tens of
+// them.
 const ewmaAlpha = 0.2
 
-// observeService folds one per-query service-time sample (a worker's chunk
-// wall time divided by the chunk size) into the EWMA.
+// observeService folds one per-query service-time sample (how long a slot
+// was held, divided by the queries it served) into the EWMA.
 func (e *Engine) observeService(perQuery time.Duration) {
 	for {
 		old := e.ewmaSvc.Load()
@@ -79,10 +79,10 @@ func (e *Engine) serviceTime() time.Duration {
 	return time.Duration(math.Float64frombits(e.ewmaSvc.Load()))
 }
 
-// admissionLimit is the backlog bound SearchCtx sheds against: the static
-// MaxQueue ceiling, tightened by the latency-derived limit — the number of
-// requests the worker pool can drain within MaxQueueDelay at the current
-// smoothed service time. Zero means unlimited (shedding disabled).
+// admissionLimit is the backlog bound the Ctx entries shed against: the
+// static MaxQueue ceiling, tightened by the latency-derived limit — the
+// number of queries the worker slots can drain within MaxQueueDelay at the
+// current smoothed service time. Zero means unlimited (shedding disabled).
 func (e *Engine) admissionLimit() int64 {
 	if e.cfg.MaxQueue < 0 {
 		return 0
@@ -91,7 +91,7 @@ func (e *Engine) admissionLimit() int64 {
 	if svc := e.serviceTime(); svc > 0 {
 		derived := int64(e.cfg.MaxQueueDelay) * int64(e.cfg.Workers) / int64(svc)
 		if derived < int64(e.cfg.Workers) {
-			// Never shed below one request per worker: the pool must stay
+			// Never shed below one query per worker: the slots must stay
 			// busy even when a misbehaving index makes single queries slow.
 			derived = int64(e.cfg.Workers)
 		}
@@ -102,15 +102,17 @@ func (e *Engine) admissionLimit() int64 {
 	return limit
 }
 
-// admit decides whether one more request may enter. It returns nil and
-// leaves the backlog incremented on admission; on rejection the backlog is
-// untouched and the error carries the retry estimate.
-func (e *Engine) admit() error {
+// admit decides whether one more call of n queries may enter. The test is
+// "backlog under the limit at arrival" — a call is admitted or shed as a
+// unit, so an idle engine serves a batch larger than the limit. It returns
+// nil and leaves the backlog grown by n on admission; on rejection the
+// backlog is untouched and the error carries the retry estimate.
+func (e *Engine) admit(n int) error {
 	limit := e.admissionLimit()
 	for {
 		b := e.backlog.Load()
 		if limit > 0 && b >= limit {
-			e.shed.Add(1)
+			e.shed.Add(int64(n))
 			svc := e.serviceTime()
 			if svc <= 0 {
 				svc = time.Millisecond
@@ -121,28 +123,27 @@ func (e *Engine) admit() error {
 			}
 			return &OverloadError{Backlog: b, Limit: limit, RetryAfter: retry}
 		}
-		if e.backlog.CompareAndSwap(b, b+1) {
+		if e.backlog.CompareAndSwap(b, b+int64(n)) {
 			return nil
 		}
 	}
 }
 
 // SearchCtx is the deadline-aware, admission-controlled form of Search — the
-// submission path a network serving layer uses. It differs from Search in
-// three ways:
+// entry a network serving layer uses. It differs from Search in three ways:
 //
 //   - Admission control: when the backlog of admitted-but-unfinished
-//     requests exceeds what the pool can drain within MaxQueueDelay, the
+//     queries exceeds what the slots can drain within MaxQueueDelay, the
 //     request is rejected immediately with an *OverloadError
-//     (errors.Is(err, ErrOverloaded)) instead of joining a queue it would
+//     (errors.Is(err, ErrOverloaded)) instead of joining a wait it would
 //     only expire in. Rejecting the newest arrival keeps the work already
-//     queued meaningful.
+//     admitted meaningful.
 //
-//   - Deadline propagation: a request whose ctx expires while still queued
-//     is dropped before dispatch (ctx.Err() is returned, no index work is
-//     done); one that expires mid-search abandons the remaining traversal
-//     at the next leaf-block boundary (core.SearchOptions.Cancel) and
-//     returns ctx.Err() alongside the partial results found so far.
+//   - Deadline propagation: a request whose ctx expires while it waits for
+//     a slot gives up there (ctx.Err() is returned, no index work is done);
+//     one that expires mid-search abandons the remaining traversal at the
+//     next leaf-block boundary (core.SearchOptions.Cancel) and returns
+//     ctx.Err() alongside the partial results found so far.
 //
 //   - Closed engines return ErrDraining instead of panicking.
 //
@@ -150,38 +151,10 @@ func (e *Engine) admit() error {
 // to the query, not the transport. A nil or never-canceled ctx makes
 // SearchCtx behave like Search plus admission control.
 func (e *Engine) SearchCtx(ctx context.Context, q []float32, opts core.SearchOptions) ([]core.Result, core.Stats, error) {
-	if e.closed.Load() {
-		return nil, core.Stats{}, ErrDraining
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	norm, err := core.CheckQuery(q, e.dim-1)
-	if err != nil {
-		panic("server: " + err.Error())
-	}
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			e.expired.Add(1)
-			return nil, core.Stats{}, cerr
-		}
-	}
-	if err := e.admit(); err != nil {
-		return nil, core.Stats{}, err
-	}
-	r := &request{
-		q: q, norm: norm, opts: e.applyCeiling(opts.Normalized()),
-		ctx: ctx, done: make(chan struct{}),
-	}
-	start := time.Now()
-	if !e.submit(r) {
-		e.backlog.Add(-1)
-		return nil, core.Stats{}, ErrDraining
-	}
-	<-r.done
-	e.backlog.Add(-1)
-	e.latency.observe(time.Since(start))
-	if r.panicVal != nil {
-		panic(r.panicVal)
-	}
-	return r.res, r.stats, r.err
+	return e.search(ctx, q, opts, true)
 }
 
 // SetBudgetCeiling caps the candidate budget of every subsequently submitted
@@ -204,23 +177,24 @@ func (e *Engine) BudgetCeiling() int {
 	return int(e.budgetCeiling.Load())
 }
 
-// applyCeiling clamps one request's budget to the degradation ceiling. Must
-// run at submission time, before the options reach cache-key computation or
-// batch grouping, so every downstream consumer sees one consistent budget.
-func (e *Engine) applyCeiling(opts core.SearchOptions) core.SearchOptions {
+// applyCeiling clamps the budget of one call's n queries to the degradation
+// ceiling. Must run before the options reach cache-key computation or the
+// batch-eligibility test, so every downstream consumer sees one consistent
+// budget.
+func (e *Engine) applyCeiling(opts core.SearchOptions, n int) core.SearchOptions {
 	if c := e.budgetCeiling.Load(); c > 0 && (opts.Budget <= 0 || opts.Budget > int(c)) {
 		opts.Budget = int(c)
-		e.degradedQueries.Add(1)
+		e.degradedQueries.Add(int64(n))
 	}
 	return opts
 }
 
 // cancelFor builds the cooperative cancellation hook the tree traversals
-// poll between leaf blocks. Nil when the request carries no context — the
-// nil check inside core.SearchOptions.Canceled keeps the unexpired path at
-// one branch per node visit.
+// poll between leaf blocks. Nil when ctx can never end — the nil check
+// inside core.SearchOptions.Canceled keeps the unexpired path at one branch
+// per node visit.
 func cancelFor(ctx context.Context) func() bool {
-	if ctx == nil || ctx.Done() == nil {
+	if ctx.Done() == nil {
 		return nil
 	}
 	return func() bool {
@@ -261,7 +235,7 @@ func (h *latHist) observe(d time.Duration) {
 }
 
 // LatencySnapshot is a point-in-time copy of the engine's completion-latency
-// histogram (queue wait plus service, per submitted request). Subtract two
+// histogram (slot wait plus service, per serving call). Subtract two
 // snapshots to get a window, then ask the window for a quantile — the loop
 // an SLO controller runs.
 type LatencySnapshot struct {

@@ -15,7 +15,7 @@ import (
 // slowIndex wraps an index with a fixed per-search delay that polls the
 // cancellation hook, standing in for a long leaf-block traversal.
 type slowIndex struct {
-	scanIndex
+	Searcher
 	delay time.Duration
 	step  time.Duration
 }
@@ -28,29 +28,7 @@ func (s slowIndex) Search(q []float32, opts core.SearchOptions) ([]core.Result, 
 		}
 		time.Sleep(s.step)
 	}
-	return s.scanIndex.Search(q, opts)
-}
-
-func TestSearchCtxMatchesSearch(t *testing.T) {
-	data, queries := testData(300, 8, 10, 1)
-	e := New(scanIndex{linearscan.New(data)}, nil, Config{Workers: 2})
-	defer e.Close()
-	for i := 0; i < queries.N; i++ {
-		q := queries.Row(i)
-		want, _ := e.Search(q, core.SearchOptions{K: 3})
-		got, _, err := e.SearchCtx(context.Background(), q, core.SearchOptions{K: 3})
-		if err != nil {
-			t.Fatalf("query %d: SearchCtx error %v", i, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("query %d: got %d results, want %d", i, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("query %d result %d: %v != %v", i, j, got[j], want[j])
-			}
-		}
-	}
+	return s.Searcher.Search(q, opts)
 }
 
 func TestSearchCtxNilContext(t *testing.T) {
@@ -67,7 +45,7 @@ func TestSearchCtxShedsUnderOverload(t *testing.T) {
 	data, queries := testData(200, 8, 4, 3)
 	slow := slowIndex{scanIndex{linearscan.New(data)}, 5 * time.Millisecond, time.Millisecond}
 	e := New(slow, nil, Config{
-		Workers: 1, MaxBatch: 1, CacheEntries: -1,
+		Workers: 1, CacheEntries: -1,
 		MaxQueue: 2, MaxQueueDelay: time.Hour, // only the static limit binds
 	})
 	defer e.Close()
@@ -233,34 +211,5 @@ func TestLatencyQuantileWindows(t *testing.T) {
 	}
 	if (LatencySnapshot{}).Quantile(0.99) != 0 {
 		t.Fatal("empty window quantile must be 0")
-	}
-}
-
-// TestWorkerPanicIsolated pins the bulkhead: a panic escaping the
-// per-request recovery (simulated via a panicking canonical path is not
-// reachable, so we use the per-request Filter panic plus a full-pool flood)
-// must neither lose the panic nor shrink the pool.
-func TestWorkerPanicIsolated(t *testing.T) {
-	data, queries := testData(100, 8, 4, 8)
-	e := New(scanIndex{linearscan.New(data)}, nil, Config{Workers: 2})
-	defer e.Close()
-	for round := 0; round < 4; round++ {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("filter panic did not reach the caller")
-				}
-			}()
-			e.Search(queries.Row(0), core.SearchOptions{
-				K:      1,
-				Filter: func(id int32) bool { panic("boom") },
-			})
-		}()
-	}
-	// The pool still serves after repeated panics.
-	for i := 0; i < queries.N; i++ {
-		if res, _ := e.Search(queries.Row(i), core.SearchOptions{K: 1}); len(res) != 1 {
-			t.Fatalf("query %d starved after panics", i)
-		}
 	}
 }

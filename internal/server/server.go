@@ -1,22 +1,19 @@
 // Package server turns a single-query P2HNNS index into a concurrent
-// query-serving engine: callers from any number of goroutines submit queries
-// that are grouped into micro-batches, dispatched over a bounded worker
-// pool, answered through a bounded result cache, and — when the underlying
-// index is mutable — kept snapshot-consistent against concurrent inserts and
-// deletes.
+// query-serving engine: callers from any number of goroutines search through
+// a bounded set of worker slots, are answered through a bounded result
+// cache, and — when the underlying index is mutable — stay
+// snapshot-consistent against concurrent inserts and deletes.
 //
 // The engine adds three mechanisms on top of a plain Searcher:
 //
-//   - Micro-batching. A single dispatcher goroutine drains the request
-//     channel into rounds, splits each round into per-worker chunks of at
-//     most MaxBatch queries, and hands whole chunks to workers. Under load
-//     this amortizes channel handoffs and scheduler wakeups over the chunk,
-//     keeps duplicate queries flowing through the shared cache, and lets
-//     each worker reuse one normalization scratch buffer across every query
-//     it ever serves instead of allocating per query. The dispatcher only
-//     holds a round open (for at most MaxDelay) while every worker is
-//     already busy; a query that an idle worker could serve is dispatched
-//     immediately with no added latency.
+//   - Caller-runs under slots. A search executes on the goroutine that
+//     submitted it, holding one of Workers slots for the index work; the
+//     engine owns no queue and no goroutine of its own (bar the optional
+//     compaction loop), so a panic raised by the index or a user Filter
+//     unwinds into its caller by construction. A batch that arrives as a
+//     batch (SearchBatchCtx) is split into min(Workers, misses) contiguous
+//     chunks, each one slot and — when the index has a native batch surface
+//     and the options allow the shared traversal — one SearchBatch call.
 //
 //   - Result caching. A query is canonicalized to its unit-normal form, so
 //     scaled duplicates of the same hyperplane share one cache slot. The
@@ -25,7 +22,8 @@
 //     with the mutation epoch at which they were computed, so any insert or
 //     delete invalidates every older entry without an eager sweep. Queries
 //     with a Filter or Profile attached bypass the cache (a filter is an
-//     arbitrary function; a profile wants fresh timings).
+//     arbitrary function; a profile wants fresh timings). Cache hits are
+//     answered before a slot is taken.
 //
 //   - Snapshot-consistent mutation. When the index exposes Insert/Delete,
 //     searches run under a read lock and mutations under the write lock of
@@ -47,6 +45,7 @@ import (
 
 	"p2h/internal/attr"
 	"p2h/internal/core"
+	"p2h/internal/exec"
 	"p2h/internal/faultinject"
 	"p2h/internal/vec"
 )
@@ -63,10 +62,11 @@ type Searcher interface {
 }
 
 // BatchSearcher is the optional native batch surface of an index
-// (p2h.BatchIndex). When the served index exposes it, a worker hands each
-// micro-batch chunk to one SearchBatch call instead of looping per query, so
-// the index's shared batched traversal — one arena walk and one leaf-block
-// pass for the whole chunk — replaces per-query work.
+// (p2h.BatchIndex). When the served index exposes it, each chunk of a
+// SearchBatchCtx call whose options are exec.Eligible is one SearchBatch
+// call instead of a per-query loop, so the index's shared batched traversal
+// — one arena walk and one leaf-block pass for the whole chunk — replaces
+// per-query work.
 type BatchSearcher interface {
 	SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats)
 }
@@ -132,23 +132,16 @@ var ErrImmutable = errors.New("server: underlying index does not support mutatio
 // Config parameterizes an Engine; zero values select the documented
 // defaults.
 type Config struct {
-	// Workers bounds the goroutines executing searches (zero: GOMAXPROCS).
+	// Workers is the number of slots index work runs under — the searches
+	// (or batch chunks) executing at once (zero: GOMAXPROCS).
 	Workers int
-	// MaxBatch is the largest micro-batch handed to one worker (zero: 16).
-	MaxBatch int
-	// MaxDelay is how long the dispatcher holds an under-filled round open
-	// waiting for more queries (zero: 100µs). The window only engages
-	// while every worker is busy — waiting then costs nothing and buys
-	// fuller batches; a query that an idle worker could serve is always
-	// dispatched immediately.
-	MaxDelay time.Duration
 	// CacheEntries bounds the result cache (zero: 1024; negative: cache
 	// disabled).
 	CacheEntries int
-	// MaxQueue is the static ceiling on requests admitted through SearchCtx
-	// but not yet finished — queued plus executing (zero: 4*Workers*MaxBatch;
-	// negative: admission control disabled). The blocking Search path ignores
-	// it.
+	// MaxQueue is the static ceiling on queries admitted through SearchCtx
+	// and SearchBatchCtx but not yet finished — waiting for a slot plus
+	// executing (zero: 64*Workers; negative: admission control disabled).
+	// The blocking Search path ignores it.
 	MaxQueue int
 	// MaxQueueDelay bounds the queueing delay admission control will accept
 	// (zero: 50ms): when the backlog's expected drain time at the smoothed
@@ -168,17 +161,11 @@ func (c Config) normalized() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 100 * time.Microsecond
-	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 1024
 	}
 	if c.MaxQueue == 0 {
-		c.MaxQueue = 4 * c.Workers * c.MaxBatch
+		c.MaxQueue = 64 * c.Workers
 	}
 	if c.MaxQueueDelay <= 0 {
 		c.MaxQueueDelay = 50 * time.Millisecond
@@ -189,7 +176,7 @@ func (c Config) normalized() Config {
 // Stats is a point-in-time snapshot of the engine's counters.
 type Stats struct {
 	Queries     int64  // searches served
-	Batches     int64  // micro-batches dispatched
+	Batches     int64  // serving calls, one per Search/SearchCtx/SearchBatchCtx: Queries/Batches is the mean request size
 	CacheHits   int64  // searches answered from the cache
 	CacheMisses int64  // cacheable searches that ran the index
 	Inserts     int64  // successful Insert calls
@@ -203,11 +190,11 @@ type Stats struct {
 
 	// Overload counters (see SearchCtx and SetBudgetCeiling).
 
-	Shed            int64 // SearchCtx submissions rejected by admission control
-	Expired         int64 // requests whose deadline fired before index work ran
-	Panics          int64 // worker-pool panics isolated (chunk failed, pool alive)
+	Shed            int64 // queries rejected by admission control
+	Expired         int64 // queries whose deadline fired before index work ran
+	Panics          int64 // panics raised while serving, returned to their caller
 	DegradedQueries int64 // searches whose budget the degradation ceiling clamped
-	Backlog         int64 // admitted-but-unfinished requests right now
+	Backlog         int64 // admitted-but-unfinished queries right now
 	BudgetCeiling   int   // current degradation cap (zero: serving exact)
 
 	// Predicate-pushdown totals, accumulated over every search the index
@@ -218,45 +205,8 @@ type Stats struct {
 	FilterSkippedPoints int64
 }
 
-// request is one in-flight search; done is closed exactly once (guarded by
-// state) after res/stats, err, or panicVal are set.
-type request struct {
-	q        []float32 // caller's query, read-only
-	norm     float64   // ||normal||, computed once at submission
-	opts     core.SearchOptions
-	ctx      context.Context // nil for uncancellable (Search) submissions
-	canon    []float32       // canonical unit-normal form, set by the serving worker
-	hash     uint64          // cache hash of (canon, opts), set with canon
-	dupOf    *request        // earlier identical request in the same chunk, if any
-	res      []core.Result
-	stats    core.Stats
-	err      error         // terminal error (expired deadline), set before finish
-	panicVal any           // panic raised while serving, re-raised in the caller
-	state    atomic.Uint32 // 0 pending, 1 finished
-	done     chan struct{}
-}
-
-// finish publishes the request: the first caller closes done, later calls
-// are no-ops. Result fields must be set before calling.
-func (r *request) finish() {
-	if r.state.CompareAndSwap(0, 1) {
-		close(r.done)
-	}
-}
-
-// tryFail finishes the request with a panic value and/or error, unless a
-// racing path already finished it. Used by the worker-pool panic isolation
-// to fail the stragglers of a chunk whose serving code blew up.
-func (r *request) tryFail(p any, err error) {
-	if r.state.CompareAndSwap(0, 1) {
-		r.panicVal, r.err = p, err
-		close(r.done)
-	}
-}
-
 // Engine is the concurrent serving layer. All methods are safe for
-// concurrent use; Close must only be called once no Search/Insert/Delete is
-// in flight or forthcoming.
+// concurrent use.
 type Engine struct {
 	ix      Searcher
 	batchIx BatchSearcher // non-nil when ix has a native batched path
@@ -272,20 +222,18 @@ type Engine struct {
 	durable durableJournal // journal's group-commit surface, when offered
 	comp    Compactor      // nil unless background compaction is on
 
-	reqs      chan *request
-	batches   chan []*request
-	inflight  atomic.Int64 // chunks dispatched but not yet completed
-	closed    atomic.Bool
-	subMu     sync.RWMutex   // submitters read-lock around the reqs send; Drain write-locks to close it
-	drained   chan struct{}  // closed once the dispatcher and every worker exited
-	wg        sync.WaitGroup // dispatcher + workers + compaction loop
-	compactCh chan struct{}  // wake signal for the compaction loop (cap 1)
-	stopComp  chan struct{}  // closed by the first Drain
+	slots     chan struct{} // one token per executing search or batch chunk (cap Workers)
+	closed    atomic.Bool   // set by the first Drain: intake stopped
+	active    atomic.Int64  // serving calls in flight, plus the compaction loop
+	idle      chan struct{} // closed once closed is set and active reached zero
+	idleOnce  sync.Once
+	compactCh chan struct{} // wake signal for the compaction loop (cap 1)
+	stopComp  chan struct{} // closed by the first Drain
 
 	queries, batchCount, hits, misses, inserts, deletes, compactions atomic.Int64
 	fltSkipNodes, fltSkipPoints                                      atomic.Int64
 
-	// Overload state (see overload.go): the admitted-but-unfinished request
+	// Overload state (see overload.go): the admitted-but-unfinished query
 	// count, shed/expired/panic counters, the smoothed per-query service
 	// time (float64 bits), the degradation ceiling, and the completion
 	// latency histogram the SLO controller samples.
@@ -306,102 +254,189 @@ type durableJournal interface {
 	WaitDurable() error
 }
 
-// New builds and starts an engine over ix. Pass the index's mutation surface
-// as mut (or nil for read-only serving); when non-nil, the engine serializes
+// New builds an engine over ix. Pass the index's mutation surface as mut (or
+// nil for read-only serving); when non-nil, the engine serializes
 // Insert/Delete against searches and invalidates the cache on every applied
 // mutation.
 func New(ix Searcher, mut Mutator, cfg Config) *Engine {
 	cfg = cfg.normalized()
 	e := &Engine{
-		ix:      ix,
-		mut:     mut,
-		cfg:     cfg,
-		dim:     ix.Dim() + 1,
-		reqs:    make(chan *request, cfg.Workers*cfg.MaxBatch),
-		batches: make(chan []*request, cfg.Workers),
-		drained: make(chan struct{}),
+		ix:    ix,
+		mut:   mut,
+		cfg:   cfg,
+		dim:   ix.Dim() + 1,
+		slots: make(chan struct{}, cfg.Workers),
+		idle:  make(chan struct{}),
 	}
-	if bi, ok := ix.(BatchSearcher); ok {
-		e.batchIx = bi
-	}
+	e.batchIx, _ = ix.(BatchSearcher)
 	if cfg.CacheEntries > 0 {
 		e.cache = newLRU(cfg.CacheEntries)
 	}
 	if mut != nil {
 		e.journal = cfg.Journal
-		if d, ok := cfg.Journal.(durableJournal); ok {
-			e.durable = d
-		}
+		e.durable, _ = cfg.Journal.(durableJournal)
 		if c, ok := mut.(Compactor); ok && cfg.BackgroundCompaction {
 			e.comp = c
 			c.SetBackgroundCompaction(true)
 			e.compactCh = make(chan struct{}, 1)
 			e.stopComp = make(chan struct{})
-			e.wg.Add(1)
+			e.active.Add(1)
 			go e.compactLoop()
 		}
-	}
-	e.wg.Add(1 + cfg.Workers)
-	go e.dispatcher()
-	for i := 0; i < cfg.Workers; i++ {
-		go e.worker()
 	}
 	return e
 }
 
-// Search answers one top-k hyperplane query; it blocks until a worker has
-// served it. Like Index.Search it panics on a malformed query, but in the
-// calling goroutine, before the query is enqueued.
+// Search answers one top-k hyperplane query on the calling goroutine,
+// waiting without bound for a worker slot. Like Index.Search it panics on a
+// malformed query; searching a closed engine panics too. The blocking path
+// is never shed, but it still counts toward the backlog (and the latency
+// histogram) so admission control and the SLO controller see the whole load,
+// whichever door it came through.
 func (e *Engine) Search(q []float32, opts core.SearchOptions) ([]core.Result, core.Stats) {
-	if e.closed.Load() {
+	res, st, err := e.search(context.Background(), q, opts, false)
+	if err == ErrDraining {
 		panic("server: Search on closed engine")
 	}
-	// The one shared checked path (core.CheckQuery) validates here, in the
-	// calling goroutine, before the query is enqueued — the engine's
-	// documented panic semantics, implemented once for every index kind.
+	return res, st
+}
+
+// search is Search and SearchCtx: a batch of one whose bookkeeping lives on
+// the caller's stack.
+func (e *Engine) search(ctx context.Context, q []float32, opts core.SearchOptions, shed bool) ([]core.Result, core.Stats, error) {
+	norm := e.checkQuery(q)
+	start, err := e.begin(ctx, 1, shed)
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
+	defer e.end(1, start)
+
+	var (
+		res  [1][]core.Result
+		sts  [1]core.Stats
+		hash [1]uint64
+		row  [1]int
+	)
+	c := e.newCall(ctx, opts, 1, q)
+	m := misses{row: row[:], hash: hash[:], res: res[:], sts: sts[:]}
+	if !core.UnitNormBand(norm) {
+		c.canon = canonicalize(make([]float32, e.dim), q, norm)
+	}
+	var hit bool
+	if hash[0], hit = e.probe(&c, c.canon, &res[0], &sts[0]); !hit {
+		err = e.serve(&c, &m, 0, 1)
+	}
+	return res[0], sts[0], err
+}
+
+// SearchBatchCtx answers a batch that arrived as a batch: one top-k query
+// per row of queries, all under opts and ctx's deadline, results and stats
+// in row order. The batch passes admission as a unit (the backlog is tested
+// at arrival and then grows by len(queries), so an idle engine serves a batch
+// of any size), every row is canonicalized and looked up in the cache, and
+// the misses are split into min(Workers, misses) contiguous chunks — a
+// function of the request, Workers and the cache contents, never of arrival
+// timing. Each chunk takes one worker slot; it is one SearchBatch call when
+// the index has the batch surface and exec.Eligible(opts) holds, else a
+// per-row Search with the deadline's cancellation hook installed. The error
+// is all-or-nothing: a shed, drained or expired batch returns no results.
+// Malformed rows panic before anything runs, exactly like Search. A Profile
+// is honored by running the misses as one chunk.
+func (e *Engine) SearchBatchCtx(ctx context.Context, queries [][]float32, opts core.SearchOptions) ([][]core.Result, []core.Stats, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	n := len(queries)
+	norms := make([]float64, n)
+	for i, q := range queries {
+		norms[i] = e.checkQuery(q)
+	}
+	start, err := e.begin(ctx, n, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer e.end(n, start)
+
+	c := e.newCall(ctx, opts, n, make([]float32, n*e.dim))
+	m := &misses{row: make([]int, 0, n), hash: make([]uint64, 0, n), res: make([][]core.Result, n), sts: make([]core.Stats, n)}
+	for i, q := range queries {
+		// A hit leaves its slot of the packed buffer to the next row.
+		j := len(m.row)
+		cq := canonicalize(c.canon[j*e.dim:(j+1)*e.dim], q, norms[i])
+		if h, hit := e.probe(&c, cq, &m.res[i], &m.sts[i]); !hit {
+			m.row = append(m.row, i)
+			m.hash = append(m.hash, h)
+		}
+	}
+	parts := e.cfg.Workers
+	if c.opts.Profile != nil {
+		parts = 1 // concurrent chunks cannot share one per-phase timer
+	}
+	if err := exec.ForChunks(len(m.row), parts, func(lo, hi int) error { return e.serve(&c, m, lo, hi) }); err != nil {
+		return nil, nil, err
+	}
+	return m.res, m.sts, nil
+}
+
+// checkQuery is the one shared checked path (core.CheckQuery), run in the
+// calling goroutine before anything is admitted — the engine's documented
+// panic semantics, implemented once for every index kind. It returns
+// ||normal||.
+func (e *Engine) checkQuery(q []float32) float64 {
 	norm, err := core.CheckQuery(q, e.dim-1)
 	if err != nil {
 		panic("server: " + err.Error())
 	}
-	r := &request{q: q, norm: norm, opts: e.applyCeiling(opts.Normalized()), done: make(chan struct{})}
-	// The blocking path is never shed, but it still counts toward the
-	// backlog (and the latency histogram) so admission control and the SLO
-	// controller see the whole load, whichever door it came through.
-	e.backlog.Add(1)
-	start := time.Now()
-	if !e.submit(r) {
-		e.backlog.Add(-1)
-		panic("server: Search on closed engine")
-	}
-	<-r.done
-	e.backlog.Add(-1)
-	e.latency.observe(time.Since(start))
-	if r.panicVal != nil {
-		// A panic raised while serving (e.g. by a user Filter) belongs to
-		// the caller that submitted the query, not to the worker pool.
-		panic(r.panicVal)
-	}
-	return r.res, r.stats
+	return norm
 }
 
-// submit enqueues r on the request channel, serialized against Drain's
-// close: submitters hold the read half while they send, Drain holds the
-// write half while it closes, so a send can never race the close (each
-// blind path alone would be a close/send data race under concurrent Drain).
-// It reports false when the engine closed first — the send did not happen
-// and the caller owns the backlog rollback and its own closed-engine
-// contract (panic for Search, ErrDraining for SearchCtx). A submitter that
-// wins the race sends on a channel the dispatcher is still draining — close
-// only makes the channel reject new sends, already-queued requests are
-// served through the drain.
-func (e *Engine) submit(r *request) bool {
-	e.subMu.RLock()
-	defer e.subMu.RUnlock()
-	if e.closed.Load() {
-		return false
+// begin opens a serving call of n queries: the intake gate, the
+// expired-at-the-door check, admission (shed calls only) and the backlog.
+// Every begin that returns nil is closed by end. The active count goes up
+// before closed is read and Drain sets closed before it reads the count, so
+// a call either sees the drain or is seen by it.
+func (e *Engine) begin(ctx context.Context, n int, shed bool) (time.Time, error) {
+	e.active.Add(1)
+	var err error
+	switch {
+	case e.closed.Load():
+		err = ErrDraining
+	case ctx.Err() != nil:
+		e.expired.Add(int64(n))
+		err = ctx.Err()
+	case shed:
+		err = e.admit(n)
+	default:
+		e.backlog.Add(int64(n))
 	}
-	e.reqs <- r
-	return true
+	if err != nil {
+		e.exit()
+		return time.Time{}, err
+	}
+	e.batchCount.Add(1)
+	e.queries.Add(int64(n))
+	return time.Now(), nil
+}
+
+// end closes a serving call, as a deferred call: it settles the backlog and
+// the latency histogram and, when the call is unwinding from a panic (an
+// index bug, a user Filter), counts it and lets it continue into the caller.
+func (e *Engine) end(n int, start time.Time) {
+	e.backlog.Add(int64(-n))
+	e.latency.observe(time.Since(start))
+	e.exit()
+	if p := recover(); p != nil {
+		e.panics.Add(1)
+		panic(p)
+	}
+}
+
+// exit retires one serving call (or the compaction loop); the last one out
+// after Drain reports the engine idle.
+func (e *Engine) exit() {
+	if e.active.Add(-1) == 0 && e.closed.Load() {
+		e.idleOnce.Do(func() { close(e.idle) })
+	}
 }
 
 // Insert adds a point through the mutation surface, serialized against
@@ -527,7 +562,7 @@ func (e *Engine) wakeCompactor() {
 // (see Compactor); a cycle therefore never blocks the very mutations that
 // outgrow the threshold again, which is why the loop re-checks and chains.
 func (e *Engine) compactLoop() {
-	defer e.wg.Done()
+	defer e.exit()
 	for {
 		select {
 		case <-e.stopComp:
@@ -603,40 +638,35 @@ func (e *Engine) noteFilterStats(st core.Stats) {
 	}
 }
 
-// Drain stops intake and waits — bounded by ctx — for every
-// already-submitted query to finish and the dispatcher and workers to exit.
-// It returns nil once the engine is fully stopped, or ctx.Err() if the
-// deadline expires first (a worker stuck inside the index or a user Filter
-// cannot hold shutdown hostage: the engine is abandoned, not waited on).
-// Drain is idempotent and safe to call concurrently; every call observes the
-// same terminal state, and submitting after any Drain or Close panics.
+// Drain stops intake and waits — bounded by ctx — for every call already
+// inside the engine to finish and the compaction loop to exit. It returns
+// nil once the engine is idle, or ctx.Err() if the deadline expires first (a
+// search stuck inside the index or a user Filter cannot hold shutdown
+// hostage: the engine is abandoned, not waited on). Drain is idempotent and
+// safe to call concurrently; every call observes the same terminal state,
+// and after any Drain or Close, Search panics and SearchCtx returns
+// ErrDraining.
 func (e *Engine) Drain(ctx context.Context) error {
-	e.subMu.Lock()
-	first := !e.closed.Swap(true)
-	if first {
-		close(e.reqs)
-	}
-	e.subMu.Unlock()
-	if first {
+	if !e.closed.Swap(true) {
 		if e.stopComp != nil {
 			close(e.stopComp) // the loop finishes any in-flight cycle first
 		}
-		go func() {
-			e.wg.Wait()
-			close(e.drained)
-		}()
+		// One phantom call: its exit reports an already-idle engine, and on a
+		// busy one leaves that to the last real call out.
+		e.active.Add(1)
+		e.exit()
 	}
 	select {
-	case <-e.drained:
+	case <-e.idle:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// Close drains every already-submitted query and stops the batcher and
-// workers, waiting without bound (Drain with a background context). It is
-// idempotent; submitting after Close panics.
+// Close drains every call already inside the engine, waiting without bound
+// (Drain with a background context). It is idempotent; searching after
+// Close panics.
 func (e *Engine) Close() { _ = e.Drain(context.Background()) }
 
 // Exclusive runs fn while the engine guarantees no search or mutation is
@@ -670,149 +700,67 @@ func (e *Engine) Shared(fn func()) {
 	fn()
 }
 
-// dispatcher assembles incoming requests into rounds and splits every round
-// into per-worker chunks. Dispatch is work-conserving: whenever a worker is
-// idle, the drained round goes out immediately; only while every worker is
-// busy does the dispatcher hold an under-filled round open, for at most
-// MaxDelay, to coalesce stragglers into fuller batches.
-func (e *Engine) dispatcher() {
-	defer e.wg.Done()
-	defer close(e.batches)
-	maxRound := e.cfg.Workers * e.cfg.MaxBatch
-	round := make([]*request, 0, maxRound)
-	for {
-		r, ok := <-e.reqs
-		if !ok {
-			return
-		}
-		round = append(round[:0], r)
-		// Opportunistically drain everything already queued.
-		open := true
-	drain:
-		for len(round) < maxRound {
-			select {
-			case r, more := <-e.reqs:
-				if !more {
-					open = false
-					break drain
-				}
-				round = append(round, r)
-			default:
-				break drain
-			}
-		}
-		// Dispatch is work-conserving: while any worker could start this
-		// round right now, it goes out immediately. Only when every worker
-		// is already busy — so waiting costs nothing — is the round held
-		// open briefly to coalesce late arrivals into fuller batches.
-		if open && len(round) < maxRound &&
-			e.inflight.Load() >= int64(e.cfg.Workers) {
-			timer := time.NewTimer(e.cfg.MaxDelay)
-		fill:
-			for len(round) < maxRound {
-				select {
-				case r, more := <-e.reqs:
-					if !more {
-						open = false
-						break fill
-					}
-					round = append(round, r)
-				case <-timer.C:
-					break fill
-				}
-			}
-			timer.Stop()
-		}
-		e.dispatch(round)
-		if !open {
-			return
-		}
-	}
+// call is what one serving call asks of the index once its cache hits are
+// answered: the options and the misses' canonical queries, packed row-major.
+type call struct {
+	ctx    context.Context
+	opts   core.SearchOptions // normalized, ceiling applied; Cancel is installed per row, never here
+	key    optsKey            // cache projection of opts
+	cached bool               // the engine has a cache and opts may use it
+	canon  []float32          // miss j is canon[j*dim:(j+1)*dim]
 }
 
-// dispatch splits a round into chunks sized to occupy every worker (capped
-// at MaxBatch) and hands them to the pool. Chunks own their backing arrays;
-// the round slice is reused by the dispatcher.
-func (e *Engine) dispatch(round []*request) {
-	n := len(round)
-	chunk := (n + e.cfg.Workers - 1) / e.cfg.Workers
-	if chunk > e.cfg.MaxBatch {
-		chunk = e.cfg.MaxBatch
-	}
-	for i := 0; i < n; i += chunk {
-		j := i + chunk
-		if j > n {
-			j = n
-		}
-		b := make([]*request, j-i)
-		copy(b, round[i:j])
-		e.batchCount.Add(1)
-		e.inflight.Add(1)
-		e.batches <- b
-	}
+// misses is where a call's answers go. It is kept apart from call because
+// everything a call points to flows into the index and the cache, hence to
+// the heap; the misses of a single search stay on its caller's stack.
+type misses struct {
+	row  []int    // miss j answers res[row[j]], sts[row[j]]
+	hash []uint64 // miss j's cache hash (cached calls only)
+	res  [][]core.Result
+	sts  []core.Stats
 }
 
-// workerScratch is the per-worker reusable storage: canonicalization
-// buffers, the packed canonical queries of the current chunk, and the
-// grouping slices of the batched path. One workerScratch lives as long as
-// its worker, so steady-state serving allocates only what each answer
-// returns to its caller.
-type workerScratch struct {
-	one   []float32  // canonicalization buffer for the per-request path
-	canon []float32  // packed canonical queries of the current chunk
-	pend  []*request // cache misses awaiting the batched path
-	dups  []*request // chunk-internal duplicates of a pending request
-	group []*request // one options-group of pend
-	gq    []float32  // packed queries of the current group
+// newCall normalizes one call's options over its n queries — defaults, the
+// degradation ceiling, the cache projection; canon receives the misses.
+func (e *Engine) newCall(ctx context.Context, opts core.SearchOptions, n int, canon []float32) call {
+	c := call{ctx: ctx, opts: e.applyCeiling(opts.Normalized(), n), canon: canon}
+	if c.cached = e.cache != nil && c.opts.Filter == nil && c.opts.Profile == nil; c.cached {
+		c.key = makeOptsKey(c.opts)
+	}
+	return c
 }
 
-// worker serves whole chunks: when the index exposes a native batched path,
-// each chunk runs through serveBatch (cache first, then one SearchBatch per
-// options-group); otherwise requests are served one at a time.
-func (e *Engine) worker() {
-	defer e.wg.Done()
-	ws := &workerScratch{one: make([]float32, e.dim)}
-	for batch := range e.batches {
-		e.serveChunk(batch, ws)
-		e.inflight.Add(-1)
+// probe answers canonical query q from the cache when the call may use it,
+// counting the hit or miss; hash is where a miss installs its answer.
+func (e *Engine) probe(c *call, q []float32, res *[]core.Result, st *core.Stats) (hash uint64, hit bool) {
+	if !c.cached {
+		return 0, false
 	}
+	hash = hashKey(q, c.key)
+	if *res, *st, hit = e.cache.get(hash, q, c.key, e.epoch.Load()); hit {
+		e.hits.Add(1)
+	} else {
+		e.misses.Add(1)
+	}
+	return hash, hit
 }
 
-// serveChunk is the worker pool's panic bulkhead around one chunk. The
-// per-request paths already route index and user-code panics back to their
-// callers; what this catches is a panic in the engine's own serving code,
-// which would otherwise kill the worker and silently shrink the pool. The
-// chunk's unfinished requests fail with the panic value (no caller hangs, no
-// panic is lost), the scratch is replaced (the old one may be mid-mutation),
-// and the worker lives on. It also times the chunk to feed the smoothed
-// service time admission control divides by, and drops requests whose
-// deadline expired while queued before any index work runs on them.
-func (e *Engine) serveChunk(batch []*request, ws *workerScratch) {
-	defer func() {
-		if p := recover(); p != nil {
-			e.panics.Add(1)
-			for _, r := range batch {
-				r.tryFail(p, nil)
-			}
-			*ws = workerScratch{one: make([]float32, e.dim)}
-		}
-	}()
-	// Expired work is dropped at the door: a request whose deadline fired
-	// while it sat in the queue gets ctx.Err() back without costing a
-	// canonicalization, a cache probe, or a leaf block.
-	alive := batch[:0]
-	for _, r := range batch {
-		if r.ctx != nil && r.ctx.Err() != nil {
-			e.expired.Add(1)
-			r.tryFail(nil, r.ctx.Err())
-			continue
-		}
-		alive = append(alive, r)
-	}
-	if len(alive) == 0 {
-		return
+// serve executes misses [lo, hi) of a call holding one worker slot. Waiting
+// for the slot is the only queueing there is, so a deadline that fires there
+// expired before any index work. The slot's hold time feeds the smoothed
+// service time admission control divides by.
+func (e *Engine) serve(c *call, m *misses, lo, hi int) error {
+	select {
+	case e.slots <- struct{}{}:
+	case <-c.ctx.Done():
+		e.expired.Add(int64(hi - lo))
+		return c.ctx.Err()
 	}
 	start := time.Now()
+	defer func() {
+		<-e.slots
+		e.observeService(time.Since(start) / time.Duration(hi-lo))
+	}()
 	// The engine.search failpoint stands in for a slow or failing index
 	// (a stuck traversal, a poisoned mmap). Its delay runs inside the timed
 	// section on purpose: injected latency must feed the smoothed service
@@ -820,252 +768,24 @@ func (e *Engine) serveChunk(batch []*request, ws *workerScratch) {
 	// it would to a genuinely slow one.
 	if faultinject.Armed() {
 		if err := faultinject.Inject("engine.search"); err != nil {
-			for _, r := range alive {
-				r.tryFail(nil, err)
-			}
-			e.observeService(time.Since(start) / time.Duration(len(alive)))
-			return
+			return err
 		}
 	}
-	e.serveBatch(alive, ws)
-	e.observeService(time.Since(start) / time.Duration(len(alive)))
+	return e.run(c, m, lo, hi)
 }
 
-// serveBatch answers one dispatched chunk. Requests with a Filter or
-// Profile (per-query state the shared traversal cannot split) and chunks on
-// indexes without a batch surface take the per-request path; everything
-// else is canonicalized once, answered from the cache where possible, and
-// the remaining cache misses run through the index's SearchBatch grouped by
-// identical options — under load this is the common case, so the index
-// walks its arena once per chunk instead of once per query.
-func (e *Engine) serveBatch(batch []*request, ws *workerScratch) {
-	if e.batchIx == nil || len(batch) == 1 {
-		for _, r := range batch {
-			e.serve(r, ws.one)
-		}
-		return
-	}
-
+// run is the one place the engine calls the index: misses [lo, hi) of a call
+// in one read-locked section (mutable indexes only), as a single SearchBatch
+// call when the index has the batch surface and the options allow the shared
+// traversal, else row by row with the deadline's cancellation hook installed.
+// Rows whose turn comes after the deadline are never run, a row the deadline
+// truncated is never cached, and a deadline that has passed by the end is
+// the call's error even when every answer is exact.
+func (e *Engine) run(c *call, m *misses, lo, hi int) error {
 	dim := e.dim
-	if cap(ws.canon) < len(batch)*dim {
-		ws.canon = make([]float32, len(batch)*dim)
-	}
-	pend := ws.pend[:0]
-	dups := ws.dups[:0]
-	for _, r := range batch {
-		if r.opts.Filter != nil || r.opts.Profile != nil {
-			e.serve(r, ws.one)
-			continue
-		}
-		e.queries.Add(1)
-		dst := ws.canon[len(pend)*dim : (len(pend)+1)*dim]
-		r.canon = canonicalize(dst, r.q, r.norm)
-		r.hash = hashKey(r.canon, makeOptsKey(r.opts))
-		if e.cache != nil {
-			if res, st, hit := e.cache.get(r.hash, r.canon, makeOptsKey(r.opts), e.epoch.Load()); hit {
-				e.hits.Add(1)
-				r.res, r.stats = res, st
-				r.finish()
-				continue
-			}
-		}
-		// Coalesce duplicates within the chunk: the sequential path served
-		// later occurrences from the cache entry the first one installed,
-		// and the batched path must not recompute them either.
-		r.dupOf = nil
-		for _, p := range pend {
-			if p.hash == r.hash && sameBatchOpts(p.opts, r.opts) && equalQuery(p.canon, r.canon) {
-				r.dupOf = p
-				break
-			}
-		}
-		if r.dupOf != nil {
-			if e.cache != nil {
-				e.hits.Add(1) // would have hit the leader's entry sequentially
-			}
-			dups = append(dups, r)
-			continue
-		}
-		if e.cache != nil {
-			e.misses.Add(1)
-		}
-		pend = append(pend, r)
-	}
-	ws.pend, ws.dups = pend, dups
-
-	// Partition the misses into groups of identical options; each group is
-	// one native batch call.
-	for len(pend) > 0 {
-		lead := pend[0]
-		group := append(ws.group[:0], lead)
-		keep := 0
-		for _, r := range pend[1:] {
-			if sameBatchOpts(r.opts, lead.opts) {
-				group = append(group, r)
-			} else {
-				pend[keep] = r
-				keep++
-			}
-		}
-		pend = pend[:keep]
-		ws.group = group[:0]
-		e.runGroup(group, lead.opts, ws)
-	}
-	ws.pend = ws.pend[:0]
-
-	// Serve the coalesced duplicates from their leaders' answers (each
-	// caller gets a private copy, like a cache hit). A leader that panicked
-	// propagates the same panic to its duplicates.
-	for _, r := range dups {
-		lead := r.dupOf
-		if lead.panicVal != nil {
-			r.panicVal = lead.panicVal
-		} else {
-			r.res = append([]core.Result(nil), lead.res...)
-			r.stats = lead.stats
-			r.err = lead.err
-		}
-		r.finish()
-	}
-	ws.dups = ws.dups[:0]
-}
-
-// sameBatchOpts reports whether two (already filter- and profile-free)
-// option sets ask the index the same question, so their requests can share
-// one batch call.
-func sameBatchOpts(a, b core.SearchOptions) bool {
-	return a.K == b.K && a.Budget == b.Budget && a.Preference == b.Preference &&
-		a.DisablePointBall == b.DisablePointBall &&
-		a.DisablePointCone == b.DisablePointCone &&
-		a.DisableCollabIP == b.DisableCollabIP &&
-		a.Pred.Equal(b.Pred)
-}
-
-// runGroup answers one options-group of cache misses through the native
-// batch surface, under the read lock when the index is mutable. A panic
-// raised by the index travels back to every caller whose answer it
-// swallowed, exactly like the per-request path.
-func (e *Engine) runGroup(group []*request, opts core.SearchOptions, ws *workerScratch) {
-	if len(group) == 1 {
-		e.finishMiss(group[0])
-		return
-	}
-	dim := e.dim
-	if cap(ws.gq) < len(group)*dim {
-		ws.gq = make([]float32, len(group)*dim)
-	}
-	gq := ws.gq[:len(group)*dim]
-	for i, r := range group {
-		copy(gq[i*dim:(i+1)*dim], r.canon)
-	}
-	queries := &vec.Matrix{Data: gq, N: len(group), D: dim}
-
-	served := 0
-	defer func() {
-		if p := recover(); p != nil {
-			for _, r := range group[served:] {
-				r.panicVal = p
-				r.finish()
-			}
-		}
-	}()
 	var epoch uint64
-	res, sts := func() ([][]core.Result, []core.Stats) {
-		if e.mut != nil {
-			e.mu.RLock()
-			defer e.mu.RUnlock()
-		}
-		epoch = e.epoch.Load()
-		return e.batchIx.SearchBatch(queries, opts)
-	}()
-	ok := makeOptsKey(opts)
-	for i, r := range group {
-		e.noteFilterStats(sts[i])
-		if e.cache != nil {
-			e.cache.put(r.hash, r.canon, ok, epoch, res[i], sts[i])
-		}
-		r.res, r.stats = res[i], sts[i]
-		if r.ctx != nil {
-			// The shared traversal ran to completion (it cannot split one
-			// caller's deadline out of the arena walk), so the answer is
-			// exact and cacheable — but a caller whose deadline has since
-			// passed still gets the deadline error its contract promises.
-			r.err = r.ctx.Err()
-		}
-		r.finish()
-		served = i + 1
-	}
-}
-
-// finishMiss completes a canonicalized cache miss through the single-query
-// path (a group of one gains nothing from the batch surface).
-func (e *Engine) finishMiss(r *request) {
-	defer r.finish()
-	defer func() {
-		if p := recover(); p != nil {
-			r.panicVal = p
-		}
-	}()
-	opts := r.opts
-	opts.Cancel = cancelFor(r.ctx)
-	var epoch uint64
-	res, st := func() ([]core.Result, core.Stats) {
-		if e.mut != nil {
-			e.mu.RLock()
-			defer e.mu.RUnlock()
-		}
-		epoch = e.epoch.Load()
-		return e.ix.Search(r.canon, opts)
-	}()
-	if r.ctx != nil {
-		r.err = r.ctx.Err()
-	}
-	e.noteFilterStats(st)
-	if e.cache != nil && r.err == nil {
-		// A canceled search's results are truncated, not exact — they must
-		// never be served to a future caller as the real answer.
-		e.cache.put(r.hash, r.canon, makeOptsKey(r.opts), epoch, res, st)
-	}
-	r.res, r.stats = res, st
-}
-
-// serve answers one request on the per-query path: canonicalize, consult
-// the cache, search under the read lock, publish. Duplicate queries inside
-// one batch hit the cache entry their first occurrence installed.
-func (e *Engine) serve(r *request, scratch []float32) {
-	defer r.finish()
-	defer func() {
-		// A panicking Search (a user Filter, a buggy index) must neither
-		// kill the worker pool nor strand the rest of the chunk; the panic
-		// value travels back to the submitting caller instead.
-		if p := recover(); p != nil {
-			r.panicVal = p
-		}
-	}()
-	e.queries.Add(1)
-
-	q := canonicalize(scratch, r.q, r.norm)
-	cacheable := e.cache != nil && r.opts.Filter == nil && r.opts.Profile == nil
-	var h uint64
-	var ok optsKey
-	if cacheable {
-		ok = makeOptsKey(r.opts)
-		h = hashKey(q, ok)
-		if res, st, hit := e.cache.get(h, q, ok, e.epoch.Load()); hit {
-			e.hits.Add(1)
-			r.res, r.stats = res, st
-			return
-		}
-		e.misses.Add(1)
-	}
-
-	// The cancellation hook lives only in this call-time copy of the
-	// options, never in r.opts: cache keys and batch grouping must not see
-	// per-request transport state.
-	opts := r.opts
-	opts.Cancel = cancelFor(r.ctx)
-	var epoch uint64
-	res, st := func() ([]core.Result, core.Stats) {
+	done := lo // misses [lo, done) hold complete answers
+	func() {
 		if e.mut != nil {
 			e.mu.RLock()
 			defer e.mu.RUnlock()
@@ -1074,21 +794,47 @@ func (e *Engine) serve(r *request, scratch []float32) {
 		// move while the search runs, so stamping entries with it is
 		// race-free.
 		epoch = e.epoch.Load()
-		return e.ix.Search(q, opts)
+		if c.ctx.Err() != nil {
+			e.expired.Add(int64(hi - lo))
+			return
+		}
+		if e.batchIx != nil && hi-lo > 1 && exec.Eligible(c.opts) {
+			// The shared traversal cannot split one caller's deadline out of
+			// the arena walk, so it runs to completion: exact and cacheable.
+			res, sts := e.batchIx.SearchBatch(&vec.Matrix{Data: c.canon[lo*dim : hi*dim], N: hi - lo, D: dim}, c.opts)
+			for j := range res {
+				m.res[m.row[lo+j]], m.sts[m.row[lo+j]] = res[j], sts[j]
+			}
+			done = hi
+			return
+		}
+		// The cancellation hook lives only in this call-time copy of the
+		// options: cache keys and Eligible must not see transport state.
+		opts := c.opts
+		opts.Cancel = cancelFor(c.ctx)
+		for ; done < hi; done++ {
+			i := m.row[done]
+			m.res[i], m.sts[i] = e.ix.Search(c.canon[done*dim:(done+1)*dim], opts)
+			if c.ctx.Err() != nil {
+				// Truncated, not exact: it must never be served to a future
+				// caller as the real answer.
+				e.expired.Add(int64(hi - done - 1))
+				return
+			}
+		}
 	}()
-
-	if r.ctx != nil {
-		r.err = r.ctx.Err()
+	for j := lo; j < done; j++ {
+		i := m.row[j]
+		e.noteFilterStats(m.sts[i])
+		if c.cached {
+			e.cache.put(m.hash[j], c.canon[j*dim:(j+1)*dim], c.key, epoch, m.res[i], m.sts[i])
+		}
 	}
-	e.noteFilterStats(st)
-	if cacheable && r.err == nil {
-		e.cache.put(h, q, ok, epoch, res, st)
-	}
-	r.res, r.stats = res, st
+	return c.ctx.Err()
 }
 
 // canonicalize copies q into dst rescaled to a unit normal (n is ||normal||,
-// already computed at submission), so that scaled duplicates of one
+// already computed at validation), so that scaled duplicates of one
 // hyperplane map to identical bytes and share one cache slot. The tolerance
 // band is core.UnitNormBand, shared with p2h's checkQuery, which stays
 // responsible for validation at the index boundary; this copy exists purely

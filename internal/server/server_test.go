@@ -114,34 +114,6 @@ func testData(n, d, nq int, seed int64) (*vec.Matrix, *vec.Matrix) {
 	return data, queries
 }
 
-func TestEngineMatchesDirectSearch(t *testing.T) {
-	data, queries := testData(500, 8, 20, 1)
-	ix := scanIndex{linearscan.New(data)}
-	e := New(ix, nil, Config{Workers: 3, MaxBatch: 4, MaxDelay: 50 * time.Microsecond})
-	defer e.Close()
-	for pass := 0; pass < 2; pass++ { // second pass hits the cache
-		for i := 0; i < queries.N; i++ {
-			got, _ := e.Search(queries.Row(i), core.SearchOptions{K: 5})
-			want, _ := ix.Search(queries.Row(i), core.SearchOptions{K: 5})
-			if len(got) != len(want) {
-				t.Fatalf("pass %d query %d: %d results, want %d", pass, i, len(got), len(want))
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("pass %d query %d rank %d: %v != %v", pass, i, j, got[j], want[j])
-				}
-			}
-		}
-	}
-	st := e.Stats()
-	if st.Queries != int64(2*queries.N) {
-		t.Fatalf("queries %d, want %d", st.Queries, 2*queries.N)
-	}
-	if st.CacheHits < int64(queries.N) {
-		t.Fatalf("cache hits %d, want >= %d", st.CacheHits, queries.N)
-	}
-}
-
 func TestEngineCanonicalizesScaledQueries(t *testing.T) {
 	data, _ := testData(200, 6, 1, 2)
 	e := New(scanIndex{linearscan.New(data)}, nil, Config{Workers: 1})
@@ -178,24 +150,6 @@ func TestEngineCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestEngineFilterBypassesCache(t *testing.T) {
-	data, queries := testData(100, 4, 1, 4)
-	e := New(scanIndex{linearscan.New(data)}, nil, Config{Workers: 1})
-	defer e.Close()
-	opts := core.SearchOptions{K: 2, Filter: func(id int32) bool { return id%2 == 0 }}
-	for i := 0; i < 2; i++ {
-		res, _ := e.Search(queries.Row(0), opts)
-		for _, r := range res {
-			if r.ID%2 != 0 {
-				t.Fatalf("filter ignored: %v", r)
-			}
-		}
-	}
-	if st := e.Stats(); st.CacheHits != 0 || st.CacheMisses != 0 {
-		t.Fatalf("filtered query touched the cache: %+v", st)
-	}
-}
-
 func TestEngineImmutableRejectsMutation(t *testing.T) {
 	data, _ := testData(10, 3, 1, 5)
 	e := New(scanIndex{linearscan.New(data)}, nil, Config{Workers: 1})
@@ -211,7 +165,7 @@ func TestEngineImmutableRejectsMutation(t *testing.T) {
 func TestEngineMutationInvalidatesCache(t *testing.T) {
 	d := 3
 	m := newMutScan(d)
-	e := New(m, m, Config{Workers: 2, MaxBatch: 2})
+	e := New(m, m, Config{Workers: 2})
 	defer e.Close()
 	if _, err := e.Insert([]float32{10, 0, 0}); err != nil {
 		t.Fatal(err)
@@ -248,7 +202,7 @@ func TestEngineMutationInvalidatesCache(t *testing.T) {
 func TestEngineConcurrentSearchersAndMutators(t *testing.T) {
 	d := 4
 	m := newMutScan(d)
-	e := New(m, m, Config{Workers: 4, MaxBatch: 4, MaxDelay: 20 * time.Microsecond, CacheEntries: 64})
+	e := New(m, m, Config{Workers: 4, CacheEntries: 64})
 	defer e.Close()
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 32; i++ {
@@ -310,7 +264,7 @@ func TestEngineConcurrentSearchersAndMutators(t *testing.T) {
 
 func TestEngineCloseDrainsInFlight(t *testing.T) {
 	data, queries := testData(300, 6, 16, 9)
-	e := New(scanIndex{linearscan.New(data)}, nil, Config{Workers: 2, MaxBatch: 8, MaxDelay: time.Millisecond})
+	e := New(scanIndex{linearscan.New(data)}, nil, Config{Workers: 2})
 	var wg sync.WaitGroup
 	var served atomic.Int64
 	for i := 0; i < queries.N; i++ {
@@ -335,25 +289,6 @@ func TestEngineCloseDrainsInFlight(t *testing.T) {
 		}
 	}()
 	e.Search(queries.Row(0), core.SearchOptions{K: 1})
-}
-
-func TestEngineSearchPanicReachesCallerNotWorker(t *testing.T) {
-	data, queries := testData(100, 4, 2, 12)
-	e := New(scanIndex{linearscan.New(data)}, nil, Config{Workers: 2})
-	defer e.Close()
-	boom := core.SearchOptions{K: 1, Filter: func(id int32) bool { panic("filter boom") }}
-	func() {
-		defer func() {
-			if p := recover(); p != "filter boom" {
-				t.Fatalf("recovered %v, want the filter's panic", p)
-			}
-		}()
-		e.Search(queries.Row(0), boom)
-	}()
-	// The worker pool must have survived: ordinary queries still serve.
-	if res, _ := e.Search(queries.Row(1), core.SearchOptions{K: 1}); len(res) != 1 {
-		t.Fatalf("engine dead after search panic: %v", res)
-	}
 }
 
 // panicMut always panics, standing in for a mutator fed garbage (e.g. a

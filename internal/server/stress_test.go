@@ -13,25 +13,6 @@ import (
 	"p2h/internal/core"
 )
 
-// slowMut wraps the mutable fixture with an injected per-search delay that
-// polls the cancellation hook — a stand-in for a long traversal so deadlines
-// actually expire mid-search and the backlog actually builds.
-type slowMut struct {
-	*mutScan
-	delay, step time.Duration
-}
-
-func (s slowMut) Search(q []float32, opts core.SearchOptions) ([]core.Result, core.Stats) {
-	deadline := time.Now().Add(s.delay)
-	for time.Now().Before(deadline) {
-		if opts.Canceled() {
-			return nil, core.Stats{}
-		}
-		time.Sleep(s.step)
-	}
-	return s.mutScan.Search(q, opts)
-}
-
 // TestStressSearchMutateDrain hammers one engine with every concurrent
 // behavior the overload machinery must survive at once — deadline-carrying
 // searches, shedding, blocking searches, inserts and deletes, panicking
@@ -48,9 +29,12 @@ func TestStressSearchMutateDrain(t *testing.T) {
 	for i := 0; i < data.N; i++ {
 		m.Insert(data.Row(i)[:d])
 	}
-	slow := slowMut{m, 200 * time.Microsecond, 50 * time.Microsecond}
+	// An injected per-search delay that polls the cancellation hook stands in
+	// for a long traversal, so deadlines actually expire mid-search and the
+	// backlog actually builds.
+	slow := slowIndex{m, 200 * time.Microsecond, 50 * time.Microsecond}
 	e := New(slow, m, Config{
-		Workers: 2, MaxBatch: 2, CacheEntries: -1,
+		Workers: 2, CacheEntries: -1,
 		MaxQueue: 8, MaxQueueDelay: time.Hour, // static limit only
 	})
 

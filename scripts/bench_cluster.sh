@@ -71,7 +71,7 @@ echo "== calibrate per-shard service-time floors (single client, no cache)"
 declare -A cal_qps
 for c in c1 c3; do
   GOMAXPROCS=1 "$bin/p2hd" -listen 127.0.0.1:0 -name cal -load "$tmp/$c/trees-s0.p2h" \
-    -cache=-1 -workers 1 -maxbatch 1 >"$tmp/cal-$c.log" 2>&1 &
+    -cache=-1 -workers 1 >"$tmp/cal-$c.log" 2>&1 &
   cal_pid=$!
   url="$(wait_url "$tmp/cal-$c.log")"
   out="$("$bin/p2hserve" -url "$url" -name cal -queries "$tmp/q.fvecs" -clients 1 -repeat 2 -k "$K")"
@@ -90,7 +90,7 @@ boot_cluster() {
   for i in $(seq 0 $((n - 1))); do
     ( cd "$dir" && exec env GOMAXPROCS=1 P2HD_FAULTS="engine.search=delay:${delay}us" \
         "$bin/p2hd" -listen 127.0.0.1:0 -config "member-m$i.json" \
-        -cache=-1 -workers 1 -maxbatch 1 -maxqueue=-1 ) >"$tmp/member-$n-$i.log" 2>&1 &
+        -cache=-1 -workers 1 -maxqueue=-1 ) >"$tmp/member-$n-$i.log" 2>&1 &
     pids+=($!)
     murl="$(wait_url "$tmp/member-$n-$i.log")"
     sed -i "s|@m$i@|$murl|" "$dir/cluster.json"

@@ -239,7 +239,7 @@ echo "== p2hd: chaos — injected faults, flood, shed, recover, no acked loss"
 "$bin/p2htool" build -index dynamic -spec '{"leaf_size":50}' -seed 1 -data "$data" -out "$tmp/chaos.p2h"
 P2HD_FAULTS="wal.fsync=delay:2ms;engine.search=delay:10ms" \
   "$bin/p2hd" -listen 127.0.0.1:0 -name chaos -load "$tmp/chaos.p2h" -wal -walsync always \
-  -workers 1 -maxbatch 1 -cache=-1 -maxqueue 2 -maxtimeout 5s \
+  -workers 1 -cache=-1 -maxqueue 2 -maxtimeout 5s \
   >"$tmp/p2hd-chaos.log" 2>&1 &
 daemon_pid=$!
 url=""

@@ -12,26 +12,19 @@ import (
 // ServerOptions configures NewServer; zero values select the documented
 // defaults.
 type ServerOptions struct {
-	// Workers bounds the goroutines executing searches (zero: GOMAXPROCS).
+	// Workers is the number of slots index work runs under — the searches
+	// (or batch chunks) executing at once (zero: GOMAXPROCS).
 	Workers int
-	// MaxBatch is the largest micro-batch dispatched to one worker
-	// (zero: 16). 1 disables batching.
-	MaxBatch int
-	// MaxDelay is how long the dispatcher holds an under-filled batch
-	// window open waiting for more queries (zero: 100µs). The window only
-	// engages while every worker is busy; a query that an idle worker
-	// could serve is dispatched immediately.
-	MaxDelay time.Duration
 	// CacheEntries bounds the result cache (zero: 1024; negative: cache
 	// disabled).
 	CacheEntries int
-	// MaxQueue is the static ceiling on requests admitted through SearchCtx
-	// but not yet finished (zero: 4*Workers*MaxBatch; negative: admission
-	// control disabled). The blocking Search path ignores it.
+	// MaxQueue is the static ceiling on queries admitted through SearchCtx
+	// and SearchBatchCtx but not yet finished (zero: 64*Workers; negative:
+	// admission control disabled). The blocking Search path ignores it.
 	MaxQueue int
 	// MaxQueueDelay bounds the queueing delay admission control will accept
-	// (zero: 50ms); when the backlog's expected drain time exceeds it,
-	// SearchCtx sheds new arrivals with an *OverloadError.
+	// (zero: 50ms); when the backlog's expected drain time exceeds it, the
+	// Ctx entries shed new arrivals with an *OverloadError.
 	MaxQueueDelay time.Duration
 	// WAL, when non-nil, makes mutations durable: every applied
 	// Insert/Delete is appended to the attached write-ahead log before the
@@ -67,22 +60,22 @@ type OverloadError = server.OverloadError
 var ErrImmutable = server.ErrImmutable
 
 // ErrOverloaded is the errors.Is target for admission rejections from
-// Server.SearchCtx.
+// Server.SearchCtx and Server.SearchBatchCtx.
 var ErrOverloaded = server.ErrOverloaded
 
-// ErrDraining is returned by Server.SearchCtx once Drain or Close has
-// stopped intake (where the blocking Search would panic).
+// ErrDraining is returned by Server.SearchCtx and Server.SearchBatchCtx once
+// Drain or Close has stopped intake (where the blocking Search would panic).
 var ErrDraining = server.ErrDraining
 
 // Server is a concurrent query-serving layer over any Index: callers from
-// any number of goroutines submit queries that are micro-batched over a
-// bounded worker pool, answered through a bounded LRU cache of normalized
-// queries, and — when the index is a Dynamic — kept snapshot-consistent
-// against concurrent Insert and Delete calls, which invalidate the cache
-// through a mutation epoch.
+// any number of goroutines search on their own goroutine under a bounded
+// set of worker slots, are answered through a bounded LRU cache of
+// normalized queries, and — when the index is a Dynamic — stay
+// snapshot-consistent against concurrent Insert and Delete calls, which
+// invalidate the cache through a mutation epoch.
 //
-// All methods are safe for concurrent use. Close drains in-flight queries
-// and stops the workers; searching after Close panics.
+// All methods are safe for concurrent use. Close drains in-flight queries;
+// searching after Close panics.
 type Server struct {
 	engine *server.Engine
 	ix     Index
@@ -118,8 +111,6 @@ func NewServer(ix Index, opts ServerOptions) *Server {
 	}
 	cfg := server.Config{
 		Workers:              opts.Workers,
-		MaxBatch:             opts.MaxBatch,
-		MaxDelay:             opts.MaxDelay,
 		CacheEntries:         opts.CacheEntries,
 		MaxQueue:             opts.MaxQueue,
 		MaxQueueDelay:        opts.MaxQueueDelay,
@@ -135,25 +126,37 @@ func NewServer(ix Index, opts ServerOptions) *Server {
 	}
 }
 
-// Search answers one top-k hyperplane query, blocking until a worker has
-// served it. Semantics match Index.Search exactly (including panics on
-// malformed queries, raised in the calling goroutine); cached answers are
+// Search answers one top-k hyperplane query on the calling goroutine,
+// waiting for a worker slot when all are busy. Semantics match Index.Search
+// exactly (including panics on malformed queries); cached answers are
 // bit-identical to what the index would return.
 func (s *Server) Search(q []float32, opts SearchOptions) ([]Result, Stats) {
 	return s.engine.Search(q, opts)
 }
 
 // SearchCtx is the deadline-aware, admission-controlled form of Search — the
-// submission path the network serving layer uses. A request is shed with an
+// entry the network serving layer uses. A request is shed with an
 // *OverloadError (errors.Is ErrOverloaded) when the backlog exceeds what the
-// workers can drain within MaxQueueDelay; one whose ctx expires while queued
-// is dropped before any index work with ctx.Err(); one expiring mid-search
-// abandons the remaining traversal at the next leaf-block boundary and
-// returns ctx.Err() alongside the partial results found so far. A drained
-// server returns ErrDraining instead of panicking. Malformed queries still
-// panic, exactly like Search.
+// worker slots can drain within MaxQueueDelay; one whose ctx expires while
+// it waits for a slot gives up before any index work with ctx.Err(); one
+// expiring mid-search abandons the remaining traversal at the next
+// leaf-block boundary and returns ctx.Err() alongside the partial results
+// found so far. A drained server returns ErrDraining instead of panicking.
+// Malformed queries still panic, exactly like Search.
 func (s *Server) SearchCtx(ctx context.Context, q []float32, opts SearchOptions) ([]Result, Stats, error) {
 	return s.engine.SearchCtx(ctx, q, opts)
+}
+
+// SearchBatchCtx answers one top-k query per row of queries under one
+// deadline, returning results and stats in row order — the batch form of
+// SearchCtx. The batch is admitted or shed as a unit; rows the cache cannot
+// answer are split into min(Workers, misses) contiguous chunks, each one
+// shared SearchBatch traversal when the index is a BatchIndex and the
+// options are exact and unfiltered, else a per-row Search that honors the
+// deadline mid-traversal. Results are bitwise the per-row Search answers;
+// the error is all-or-nothing. Malformed rows panic, exactly like Search.
+func (s *Server) SearchBatchCtx(ctx context.Context, queries [][]float32, opts SearchOptions) ([][]Result, []Stats, error) {
+	return s.engine.SearchBatchCtx(ctx, queries, opts)
 }
 
 // SetBudgetCeiling caps the candidate budget of every subsequently submitted
@@ -166,8 +169,8 @@ func (s *Server) SetBudgetCeiling(ceiling int) { s.engine.SetBudgetCeiling(ceili
 // exact).
 func (s *Server) BudgetCeiling() int { return s.engine.BudgetCeiling() }
 
-// Latency snapshots the server's completion-latency histogram (queue wait
-// plus service, per submitted request).
+// Latency snapshots the server's completion-latency histogram (slot wait
+// plus service, per serving call).
 func (s *Server) Latency() LatencySnapshot { return s.engine.Latency() }
 
 // Insert adds a point through the underlying Dynamic index, serialized
@@ -193,8 +196,8 @@ func (s *Server) Delete(handle int32) (bool, error) {
 // Stats snapshots the server's counters.
 func (s *Server) Stats() ServerStats { return s.engine.Stats() }
 
-// Index returns the index the server wraps. The index is shared with the
-// serving workers; callers must treat it as read-only and route mutations
+// Index returns the index the server wraps. The index is shared with every
+// in-flight search; callers must treat it as read-only and route mutations
 // through Server.Insert and Server.Delete. On a mutable index, calling even
 // read methods (N, IndexBytes, Search) directly is racy against concurrent
 // Insert/Delete — use Describe for a synchronized snapshot.
@@ -265,15 +268,15 @@ func (s *Server) Snapshot(path string) (int64, error) {
 // without one.
 func (s *Server) WAL() *WAL { return s.wal }
 
-// Drain stops intake and waits — bounded by ctx — for every
-// already-submitted query to finish and the workers to exit. It returns nil
-// once the server is fully stopped, or ctx.Err() if the deadline expires
-// first; a worker stuck inside the index or a user Filter cannot hold
-// shutdown hostage. Drain is idempotent and safe to call concurrently;
-// submitting after any Drain or Close panics.
+// Drain stops intake and waits — bounded by ctx — for every search already
+// inside the server to finish. It returns nil once the server is idle, or
+// ctx.Err() if the deadline expires first; a search stuck inside the index
+// or a user Filter cannot hold shutdown hostage. Drain is idempotent and
+// safe to call concurrently; searching after any Drain or Close panics
+// (SearchCtx and SearchBatchCtx return ErrDraining).
 func (s *Server) Drain(ctx context.Context) error { return s.engine.Drain(ctx) }
 
-// Close drains every already-submitted query and stops the server, waiting
+// Close drains every search already inside the server, waiting
 // without bound (Drain with a background context). It is idempotent; it must
 // not race new Search/Insert/Delete calls.
 func (s *Server) Close() { s.engine.Close() }

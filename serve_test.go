@@ -4,34 +4,57 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
 
+// TestServerMatchesDirectSearchAllIndexes: through either entry of the
+// server — one Search per query, or the whole set as one SearchBatchCtx —
+// every index kind answers bitwise what its direct Search answers, cold and
+// from the cache.
 func TestServerMatchesDirectSearchAllIndexes(t *testing.T) {
 	data, queries, _ := testSetup(t)
-	for name, ix := range allIndexes(data) {
-		srv := NewServer(ix, ServerOptions{Workers: 3, MaxBatch: 4, MaxDelay: 20 * time.Microsecond})
-		for pass := 0; pass < 2; pass++ { // pass 2 is served from the cache
-			for i := 0; i < queries.N; i++ {
-				got, _ := srv.Search(queries.Row(i), SearchOptions{K: 5})
-				want, _ := ix.Search(queries.Row(i), SearchOptions{K: 5})
-				if len(got) != len(want) {
-					t.Fatalf("%s pass %d query %d: %d results, want %d", name, pass, i, len(got), len(want))
-				}
-				for j := range want {
-					if got[j] != want[j] {
-						t.Fatalf("%s pass %d query %d rank %d: %v != %v", name, pass, i, j, got[j], want[j])
+	rows := make([][]float32, queries.N)
+	for i := range rows {
+		rows[i] = queries.Row(i)
+	}
+	entries := map[string]func(*Server) [][]Result{
+		"Search": func(srv *Server) [][]Result {
+			out := make([][]Result, len(rows))
+			for i, q := range rows {
+				out[i], _ = srv.Search(q, SearchOptions{K: 5})
+			}
+			return out
+		},
+		"SearchBatchCtx": func(srv *Server) [][]Result {
+			out, _, err := srv.SearchBatchCtx(context.Background(), rows, SearchOptions{K: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		},
+	}
+	kinds := allIndexes(data)
+	kinds["dynamic"] = NewDynamic(data, DynamicOptions{Seed: 3})
+	for name, ix := range kinds {
+		for entry, run := range entries {
+			srv := NewServer(ix, ServerOptions{Workers: 3})
+			for pass := 0; pass < 2; pass++ { // pass 2 is served from the cache
+				for i, got := range run(srv) {
+					want, _ := ix.Search(rows[i], SearchOptions{K: 5})
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s %s pass %d query %d: %v != %v", name, entry, pass, i, got, want)
 					}
 				}
 			}
+			st := srv.Stats()
+			if st.Queries != int64(2*queries.N) || st.CacheHits != int64(queries.N) {
+				t.Fatalf("%s %s stats %+v", name, entry, st)
+			}
+			srv.Close()
 		}
-		st := srv.Stats()
-		if st.Queries != int64(2*queries.N) || st.CacheHits < int64(queries.N) {
-			t.Fatalf("%s stats %+v", name, st)
-		}
-		srv.Close()
 	}
 }
 
@@ -83,8 +106,6 @@ func TestServerConcurrentSearchAndMutate(t *testing.T) {
 	data, queries, _ := testSetup(t)
 	srv := NewServer(NewDynamic(data, DynamicOptions{Seed: 1}), ServerOptions{
 		Workers:      4,
-		MaxBatch:     4,
-		MaxDelay:     20 * time.Microsecond,
 		CacheEntries: 64,
 	})
 	defer srv.Close()
