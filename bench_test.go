@@ -13,6 +13,7 @@ package p2h
 import (
 	"context"
 	"testing"
+	"time"
 
 	"p2h/internal/harness"
 )
@@ -186,28 +187,83 @@ func BenchmarkQueryExactLinearScan(b *testing.B) {
 	queryBench(b, NewLinearScan(data), queries)
 }
 
-// budgetQueryBench measures latency at a 5% candidate budget.
-func budgetQueryBench(b *testing.B, ix Index, queries *Matrix, n int) {
+// budgetQueryBench measures latency at equal quality, not at an equal
+// candidate count: every index searches at the smallest budget TuneBudget
+// finds for recall@10 0.8 on the benchmark's own queries, and reports that
+// budget and the recall it measures there beside ns/op.
+func budgetQueryBench(b *testing.B, ix Index, data, queries *Matrix) {
 	b.Helper()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.Search(queries.Row(i%queries.N), SearchOptions{K: 10, Budget: n / 20})
+	gt := GroundTruth(data, queries, 10)
+	opts := SearchOptions{K: 10, Budget: TuneBudget(ix, queries, gt, 10, 0.8)}
+	var recall float64
+	for i := 0; i < queries.N; i++ {
+		res, _ := ix.Search(queries.Row(i), opts)
+		recall += Recall(res, gt[i]) / float64(queries.N)
 	}
+	// b.Loop runs this function once per -count instead of once per b.N
+	// ramp step, so the tuning above (seconds for NH and FH) is paid once.
+	for i := 0; b.Loop(); i++ {
+		ix.Search(queries.Row(i%queries.N), opts)
+	}
+	b.ReportMetric(float64(opts.Budget), "budget")
+	b.ReportMetric(recall, "recall")
 }
 
 func BenchmarkQueryBudgetBCTree(b *testing.B) {
 	data, queries := benchData(b)
-	budgetQueryBench(b, NewBCTree(data, BCTreeOptions{Seed: 1}), queries, data.N)
+	budgetQueryBench(b, NewBCTree(data, BCTreeOptions{Seed: 1}), data, queries)
 }
 
 func BenchmarkQueryBudgetNH(b *testing.B) {
 	data, queries := benchData(b)
-	budgetQueryBench(b, NewNH(data, NHOptions{M: 16, Seed: 1}), queries, data.N)
+	budgetQueryBench(b, NewNH(data, NHOptions{M: 16, Seed: 1}), data, queries)
 }
 
 func BenchmarkQueryBudgetFH(b *testing.B) {
 	data, queries := benchData(b)
-	budgetQueryBench(b, NewFH(data, FHOptions{M: 16, Seed: 1}), queries, data.N)
+	budgetQueryBench(b, NewFH(data, FHOptions{M: 16, Seed: 1}), data, queries)
+}
+
+// BenchmarkExactDrivers is the measurement behind "exact search stays
+// depth-first" (DESIGN.md, "Two drivers, one node step"): the same exact
+// answers from the depth-first driver (Budget 0) and from the best-first one
+// (Budget n, bitwise exact by TestBudgetedSearchProperties). One iteration is
+// a pass over all queries by each driver, in alternating order, so the two are
+// measured in the same process under the same drift; it runs at the benchmark
+// fixture's size, where the points no longer fit in cache and the order leaves
+// are scanned in shows. Read the two ms/query metrics, not ns/op; use
+// -benchtime=20x for twenty passes each.
+func BenchmarkExactDrivers(b *testing.B) {
+	data := Dedup(GenerateDataset("Sift", 50000, 1))
+	queries := GenerateQueries(data, 256, 2)
+	drivers := [2]SearchOptions{{K: 10}, {K: 10, Budget: data.N}}
+	for _, c := range []struct {
+		name string
+		ix   Index
+	}{
+		{"BCTree", NewBCTree(data, BCTreeOptions{Seed: 1})},
+		{"BallTree", NewBallTree(data, BallTreeOptions{Seed: 1})},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var spent [2]time.Duration
+			passes := 0
+			for ; b.Loop(); passes++ {
+				for j := range drivers {
+					d := (passes + j) % 2
+					t0 := time.Now()
+					for i := 0; i < queries.N; i++ {
+						c.ix.Search(queries.Row(i), drivers[d])
+					}
+					spent[d] += time.Since(t0)
+				}
+			}
+			perQuery := func(d time.Duration) float64 {
+				return d.Seconds() * 1e3 / float64(passes*queries.N)
+			}
+			b.ReportMetric(perQuery(spent[0]), "depth-first-ms/query")
+			b.ReportMetric(perQuery(spent[1]), "best-first-ms/query")
+		})
+	}
 }
 
 // BenchmarkSearchBatchExact is the headline number of the batched execution

@@ -331,9 +331,14 @@ func SearchBatch(ix Index, queries *Matrix, opts SearchOptions, workers int) [][
 	return out
 }
 
-// TuneBudget finds the smallest candidate budget (among fractions of the
-// data size) whose mean recall over the sample queries reaches target, and
-// returns that budget. If even the full budget misses the target (possible
+// TuneBudget finds the smallest candidate budget whose mean recall over the
+// sample queries reaches target, to within 5 %, and returns it. It climbs a
+// ladder of fractions of the data size to the first step that passes, then
+// bisects between that step and the last failing one. For the tree indexes
+// recall never falls as the budget grows (the candidates verified under a
+// budget are a prefix of those verified under a larger one), so the bisection
+// is exact; for the hashing indexes it still only ever returns a budget that
+// was measured to pass. If even the full budget misses the target (possible
 // only for the hashing indexes' probe ordering pathologies), the data size
 // is returned. Use the returned value as SearchOptions.Budget.
 //
@@ -344,21 +349,33 @@ func TuneBudget(ix Index, queries *Matrix, gt [][]Result, k int, target float64)
 	if queries.N == 0 || len(gt) < queries.N {
 		panic("p2h: TuneBudget needs ground truth for every sample query")
 	}
-	n := ix.N()
-	fractions := []float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0}
-	for _, f := range fractions {
-		budget := int(f * float64(n))
-		if budget < 1 {
-			budget = 1
-		}
+	passes := func(budget int) bool {
 		var recall float64
 		for i := 0; i < queries.N; i++ {
 			res, _ := ix.Search(queries.Row(i), SearchOptions{K: k, Budget: budget})
 			recall += Recall(res, gt[i][:min(k, len(gt[i]))])
 		}
-		if recall/float64(queries.N) >= target {
-			return budget
+		return recall/float64(queries.N) >= target
+	}
+	n := ix.N()
+	fail := 0 // the largest budget seen to miss the target
+	for _, f := range []float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0} {
+		pass := max(int(f*float64(n)), 1)
+		if pass <= fail {
+			continue
 		}
+		if !passes(pass) {
+			fail = pass
+			continue
+		}
+		for pass-fail > 1 && float64(pass-fail) > 0.05*float64(pass) {
+			if mid := fail + (pass-fail)/2; passes(mid) {
+				pass = mid
+			} else {
+				fail = mid
+			}
+		}
+		return pass
 	}
 	return n
 }

@@ -42,19 +42,28 @@ func testSearchCancelMidway(t *testing.T, kind Kind) {
 	tree := Build(data, kind, Config{LeafSize: 25, Seed: 2})
 	for i := 0; i < queries.N; i++ {
 		q := queries.Row(i)
-		_, full := tree.Search(q, core.SearchOptions{K: 5})
-		polls := 0
-		res, st := tree.Search(q, core.SearchOptions{
-			K:      5,
-			Cancel: func() bool { polls++; return polls > 4 },
-		})
-		if st.NodesVisited >= full.NodesVisited {
-			t.Fatalf("query %d: canceled search visited %d nodes, full search %d",
-				i, st.NodesVisited, full.NodesVisited)
-		}
-		for j := 1; j < len(res); j++ {
-			if res[j].Dist < res[j-1].Dist {
-				t.Fatalf("query %d: partial results unsorted: %v", i, res)
+		// Both drivers: depth-first (no budget) and best-first (a budget).
+		for _, budget := range []int{0, tree.N()} {
+			_, full := tree.Search(q, core.SearchOptions{K: 5, Budget: budget})
+			polls := 0
+			res, st := tree.Search(q, core.SearchOptions{
+				K:      5,
+				Budget: budget,
+				Cancel: func() bool { polls++; return polls > 4 },
+			})
+			if st.NodesVisited >= full.NodesVisited {
+				t.Fatalf("query %d budget %d: canceled search visited %d nodes, full search %d",
+					i, budget, st.NodesVisited, full.NodesVisited)
+			}
+			// The best-first driver abandons its frontier on the first poll
+			// that fires; it does not drain it node by node.
+			if budget > 0 && polls != 5 {
+				t.Fatalf("query %d budget %d: %d polls, want the search to stop at the 5th", i, budget, polls)
+			}
+			for j := 1; j < len(res); j++ {
+				if res[j].Dist < res[j-1].Dist {
+					t.Fatalf("query %d budget %d: partial results unsorted: %v", i, budget, res)
+				}
 			}
 		}
 	}

@@ -21,6 +21,15 @@
 // which is exactly Algorithm 3. Traversal, leaf scans, the batched engine,
 // the codec and attribute pushdown exist once.
 //
+// A search has two drivers over one node step (Searcher.step: attribute
+// skip, strict pruning, leaf scan, the children's inner products). An exact
+// search (Budget <= 0) is the paper's depth-first recursion, preferred child
+// first. A budgeted search opens nodes best-first from a min-heap frontier
+// keyed by the centre's offset over the radius, |<q,c>| / r, so the budget
+// is spent on the leaves nearest the hyperplane wherever they sit in the
+// tree, instead of on the first subtree a depth-first walk dives into. The
+// code selects the driver from Budget; there is no option for it.
+//
 // Storage is a flat arena: all nodes live in one []nodeRec slice with
 // children addressed by index, all node centers are packed into one
 // contiguous centers matrix (row i = center of node i), and the per-point

@@ -10,9 +10,10 @@ import (
 	"p2h/internal/vec"
 )
 
-// Search answers a top-k P2HNNS query with Algorithm 5: depth-first
-// branch-and-bound over the ball hierarchy, pruning any node whose
-// node-level ball bound (Theorem 2)
+// Search answers a top-k P2HNNS query with Algorithm 5: branch-and-bound
+// over the ball hierarchy — depth-first when exact, best-first from one
+// frontier when opts.Budget caps the candidates (see bestFirst) — pruning
+// any node whose node-level ball bound (Theorem 2)
 //
 //	lb = max(|<q, N.c>| - ||q|| * N.r, 0)
 //
@@ -59,6 +60,8 @@ type Searcher struct {
 	opts    core.SearchOptions
 	buf     []float64 // per-leaf scratch for blocked inner products
 	sel     []int32   // per-leaf scratch for cone-bound survivors
+
+	frontier []frontierNode // budgeted searches: min-heap of unopened nodes
 
 	// Quantized-filter state, live only while useQuant is set: qf is the
 	// query's fitted integer filter (see quant.CodeFilter).
@@ -122,7 +125,11 @@ func (s *Searcher) Search(q []float32, opts core.SearchOptions, dst []core.Resul
 		}
 		ip := vec.Dot(q, s.tree.center(0))
 		s.st.IPCount++
-		s.visit(0, ip)
+		if opts.Budget > 0 {
+			s.bestFirst(ip)
+		} else {
+			s.visit(0, ip)
+		}
 	}
 	// Drop caller-owned references so the pooled Searcher cannot pin them.
 	s.q = nil
@@ -172,50 +179,45 @@ func (s *Searcher) scratch(m int) []float64 {
 	return s.buf[:m]
 }
 
-// visit implements SubBCTreeSearch (SubBallTreeSearch under the Ball kind's
-// forced switches). ip is <q, center(ni)>, already known to
-// the caller: computed directly for the root and for left children, derived
-// via Lemma 2 for right children. Pruning is strict (lb > λ): candidates
-// tied with the k-th best distance reach the collector, whose canonical
-// (Dist, ID) order decides — the invariant that makes exact results
-// independent of traversal order (see internal/exec).
-func (s *Searcher) visit(ni int32, ip float64) {
-	if !s.opts.BudgetLeft(s.st.Candidates) {
-		return
-	}
-	if s.opts.Canceled() {
-		return // deadline fired: keep what the collector already holds
-	}
+// step evaluates one node for both drivers. ip is <q, center(ni)>, already
+// known to the caller: computed directly for the root and for left children,
+// derived via Lemma 2 for right children. A node that is skipped by the
+// attribute summaries, pruned, or a leaf (scanned here) is finished and step
+// reports expand == false; for a surviving internal node it returns the
+// children's inner products and leaves the order in which they are opened —
+// and the polling of opts.Cancel between nodes — to the driver. Pruning is
+// strict (lb > λ): candidates tied with the k-th best distance reach the
+// collector, whose canonical (Dist, ID) order decides — the invariant that
+// makes exact results independent of traversal order (see internal/exec).
+func (s *Searcher) step(ni int32, ip float64) (n *nodeRec, ipl, ipr float64, expand bool) {
+	n = &s.tree.nodes[ni]
 	if s.usePush && s.tree.attrSums.Node(ni, s.pred) == attr.TriNo {
 		// Predicate pushdown: the node's attribute summaries prove no point
 		// under it can match, so the whole subtree is skipped. The skip only
 		// removes points a per-row filter would have rejected anyway, so the
 		// accepted-candidate sequence — and with it the results, budgeted or
 		// not — is unchanged.
-		n := &s.tree.nodes[ni]
 		s.st.FilterSkippedNodes++
 		s.st.FilterSkippedPoints += int64(n.count())
-		return
+		return n, 0, 0, false
 	}
 	s.st.NodesVisited++
-	n := &s.tree.nodes[ni]
 	lb := math.Abs(ip) - s.qnorm*n.radius
 	if lb > s.tk.Lambda() { // lb < 0 < Lambda never prunes, no max needed
 		s.st.PrunedNodes++
-		return
+		return n, 0, 0, false
 	}
 	if n.isLeaf() {
 		s.scanWithPruning(n, ip)
-		return
+		return n, 0, 0, false
 	}
 
 	var start time.Time
 	if s.opts.Profile != nil {
 		start = time.Now()
 	}
-	ipl := vec.Dot(s.q, s.tree.center(n.left))
+	ipl = vec.Dot(s.q, s.tree.center(n.left))
 	s.st.IPCount++
-	var ipr float64
 	if s.opts.DisableCollabIP {
 		ipr = vec.Dot(s.q, s.tree.center(n.right))
 		s.st.IPCount++
@@ -230,15 +232,27 @@ func (s *Searcher) visit(ni int32, ip float64) {
 	if s.opts.Profile != nil {
 		s.opts.Profile.Add(core.PhaseBound, time.Since(start))
 	}
+	return n, ipl, ipr, true
+}
 
-	first, second := n.left, n.right
-	ipf, ips := ipl, ipr
-	if s.preferRight(n, ipl, ipr) {
-		first, second = n.right, n.left
-		ipf, ips = ipr, ipl
+// visit is the exact driver: SubBCTreeSearch (SubBallTreeSearch under the
+// Ball kind's forced switches), the paper's depth-first recursion with the
+// preferred child first.
+func (s *Searcher) visit(ni int32, ip float64) {
+	if s.opts.Canceled() {
+		return // deadline fired: keep what the collector already holds
 	}
-	s.visit(first, ipf)
-	s.visit(second, ips)
+	n, ipl, ipr, expand := s.step(ni, ip)
+	if !expand {
+		return
+	}
+	if s.preferRight(n, ipl, ipr) {
+		s.visit(n.right, ipr)
+		s.visit(n.left, ipl)
+	} else {
+		s.visit(n.left, ipl)
+		s.visit(n.right, ipr)
+	}
 }
 
 // preferRight decides the branch order (Algorithm 5 lines 12-17).
@@ -255,6 +269,105 @@ func (s *Searcher) preferRight(n *nodeRec, ipl, ipr float64) bool {
 		return lbr < lbl
 	}
 	return math.Abs(ipr) < math.Abs(ipl)
+}
+
+// frontierNode is an unopened node of a budgeted search: its arena index,
+// its centre's inner product with the query, and the key it is ordered by.
+type frontierNode struct {
+	key float64
+	ip  float64
+	ni  int32
+}
+
+// before is the frontier's order: smaller key first, ties by arena index so
+// the order — and every counter that depends on it — is a function of
+// (tree, query, options) alone.
+func (a frontierNode) before(b frontierNode) bool {
+	return a.key < b.key || (a.key == b.key && a.ni < b.ni)
+}
+
+// bestFirst is the budgeted driver. A depth-first walk cut off after Budget
+// candidates spends the whole budget in the first subtree it dives into;
+// this one keeps every unopened node on a min-heap frontier and always opens
+// the most promising, so the budget goes to the leaves nearest the
+// hyperplane wherever they sit in the tree. It stops when the budget is
+// spent, the frontier is empty or opts.Cancel fires — with Budget >= n that
+// is the exact answer, since exact results do not depend on the order nodes
+// are opened.
+func (s *Searcher) bestFirst(ip float64) {
+	s.frontier = s.frontier[:0]
+	s.pushFrontier(0, ip, 0)
+	for len(s.frontier) > 0 && s.opts.BudgetLeft(s.st.Candidates) && !s.opts.Canceled() {
+		e := s.popFrontier()
+		if n, ipl, ipr, expand := s.step(e.ni, e.ip); expand {
+			s.pushFrontier(n.left, ipl, n.radius)
+			s.pushFrontier(n.right, ipr, n.radius)
+		}
+	}
+}
+
+// pushFrontier keys node ni and sifts it up the heap. PrefCenter keys by the
+// centre's offset from the hyperplane relative to the ball's radius,
+// |<q,c>| / r: how deep into the ball the hyperplane cuts, which — unlike the
+// bare offset the depth-first order compares between two siblings — ranks
+// balls of different sizes against each other. PrefLowerBound keys by the
+// unclamped ball bound |<q,c>| - ||q||·r. A zero-radius ball (a single point,
+// or a leaf of duplicates) has no size of its own to be relative to and is
+// ranked on its parent's, so that it still competes by how near it lies.
+func (s *Searcher) pushFrontier(ni int32, ip, parentRadius float64) {
+	r := s.tree.nodes[ni].radius
+	key := math.Abs(ip)
+	if s.opts.Preference == core.PrefLowerBound {
+		key -= s.qnorm * r
+	} else {
+		if r == 0 {
+			r = parentRadius
+		}
+		if r > 0 {
+			key /= r
+		}
+	}
+	e := frontierNode{key: key, ip: ip, ni: ni}
+	h := append(s.frontier, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+	s.frontier = h
+}
+
+// popFrontier removes and returns the frontier's first node.
+func (s *Searcher) popFrontier() frontierNode {
+	h := s.frontier
+	top := h[0]
+	last := h[len(h)-1]
+	h = h[:len(h)-1]
+	s.frontier = h
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if len(h) > 0 {
+		h[i] = last
+	}
+	return top
 }
 
 // scanWithPruning implements Algorithm 5 lines 18-26 over the contiguous,

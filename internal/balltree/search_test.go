@@ -171,53 +171,6 @@ func TestCollabIPHalvesInnerProducts(t *testing.T) {
 	}
 }
 
-func TestSearchBudgetRespected(t *testing.T) { forKinds(t, testSearchBudgetRespected) }
-
-func testSearchBudgetRespected(t *testing.T, kind Kind) {
-	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyUniform, RawDim: 10}, 1000, 10)
-	data := raw.AppendOnes()
-	queries := dataset.GenerateQueries(raw, 5, 11)
-	tree := Build(data, kind, Config{LeafSize: 40, Seed: 2})
-	for _, budget := range []int{1, 10, 100, 999} {
-		for i := 0; i < queries.N; i++ {
-			res, st := tree.Search(queries.Row(i), core.SearchOptions{K: 5, Budget: budget})
-			if st.Candidates > int64(budget) {
-				t.Fatalf("budget %d exceeded: %d", budget, st.Candidates)
-			}
-			if len(res) == 0 {
-				t.Fatal("budgeted search must still return something")
-			}
-		}
-	}
-}
-
-func TestSearchBudgetRecallImproves(t *testing.T) { forKinds(t, testSearchBudgetRecallImproves) }
-
-func testSearchBudgetRecallImproves(t *testing.T, kind Kind) {
-	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 16, Clusters: 8}, 3000, 12)
-	data := raw.AppendOnes()
-	queries := dataset.GenerateQueries(raw, 20, 13)
-	tree := Build(data, kind, Config{LeafSize: 50, Seed: 3})
-	gt := linearscan.GroundTruth(data, queries, 10)
-	recallAt := func(budget int) float64 {
-		hit, total := 0, 0
-		for i := 0; i < queries.N; i++ {
-			res, _ := tree.Search(queries.Row(i), core.SearchOptions{K: 10, Budget: budget})
-			hit += overlap(res, gt[i])
-			total += len(gt[i])
-		}
-		return float64(hit) / float64(total)
-	}
-	low := recallAt(30)
-	high := recallAt(3000)
-	if high < low-0.01 {
-		t.Fatalf("recall must not degrade with budget: %.3f -> %.3f", low, high)
-	}
-	if high < 0.95 {
-		t.Fatalf("large budget recall too low: %.3f", high)
-	}
-}
-
 func overlap(res, gt []core.Result) int {
 	// count returned ids whose distance is within the gt k-th distance
 	// (ties counted as hits, the standard recall convention).

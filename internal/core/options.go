@@ -2,17 +2,23 @@ package core
 
 import "p2h/internal/attr"
 
-// Preference selects the branching order of the tree search
-// (paper Section III-C, "Branch Preference Choice").
+// Preference selects the order in which the tree search opens nodes
+// (paper Section III-C, "Branch Preference Choice"). An exact search is the
+// paper's depth-first walk and the preference orders the two children of a
+// node; a budgeted search (Budget > 0) opens nodes best-first from one
+// frontier and the preference is the key the frontier is ordered by.
 type Preference int
 
 const (
-	// PrefCenter visits first the child whose center has the smaller
-	// absolute inner product with the query. The paper's default and the
-	// uniformly better choice (Figure 7).
+	// PrefCenter prefers the center nearer the hyperplane: depth-first, the
+	// child with the smaller |<q,c>|; best-first, the node with the smaller
+	// |<q,c>| / r, the center's offset relative to the ball's radius, which
+	// compares balls of different sizes. The paper's default and the
+	// uniformly better choice (Figure 7), on both drivers.
 	PrefCenter Preference = iota
-	// PrefLowerBound visits first the child with the smaller node-level
-	// ball bound. Kept for the Figure 7 comparison.
+	// PrefLowerBound prefers the smaller node-level ball bound
+	// |<q,c>| - ||q||·r (clamped at zero depth-first, unclamped as a frontier
+	// key). Kept for the Figure 7 comparison.
 	PrefLowerBound
 )
 
@@ -31,9 +37,14 @@ type SearchOptions struct {
 	// Budget caps the number of candidate verifications; once reached the
 	// search stops and returns its current best results. This is the
 	// paper's "candidate fraction" approximation knob. Budget <= 0 means
-	// unlimited, which makes the tree methods exact.
+	// unlimited, which makes the tree methods exact. The ball trees spend a
+	// budget best-first — the most promising unopened node anywhere in the
+	// tree is opened next — so the candidates verified under a budget are a
+	// prefix of those verified under any larger one, recall never falls as
+	// the budget grows, and Budget >= n returns the exact answer.
 	Budget int
-	// Preference picks the branch order for the tree methods.
+	// Preference picks the order nodes are opened in by the tree methods:
+	// the child order of an exact search, the frontier key of a budgeted one.
 	Preference Preference
 	// Filter, if non-nil, restricts the search to ids it accepts: rejected
 	// points are neither verified nor counted against the budget. Used for

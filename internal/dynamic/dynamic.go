@@ -257,7 +257,8 @@ func (ix *Index) Rebuild() {
 }
 
 // Search answers a top-k P2HNNS query over the live set: the tree snapshot
-// (with tombstones filtered) plus an exhaustive pass over the buffer.
+// (with tombstones filtered) plus a pass over the buffer — exhaustive, or
+// up to what the tree leaves of opts.Budget, which caps the two together.
 // Results carry stable handles. opts.Filter composes with the liveness
 // filter and receives handles. opts.Pred is evaluated per handle against the
 // stored attribute payloads — before the user filter, matching the static
@@ -284,6 +285,17 @@ func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, co
 
 	if ix.tree != nil {
 		treeOpts := opts
+		if opts.Budget > 0 {
+			// Hold back the buffer's share of the budget, proportional to its
+			// size and rounded up (as internal/shard splits a budget across
+			// shards) but leaving the tree at least one candidate: handed the
+			// whole budget the tree spends it, and the newest inserts would be
+			// invisible to every budgeted search.
+			total := len(ix.treeIDs) + len(ix.buffer)
+			budget := min(opts.Budget, total) // also keeps the product below from overflowing
+			held := min((budget*len(ix.buffer)+total-1)/total, budget-1)
+			treeOpts.Budget = budget - held
+		}
 		treeIDs := ix.treeIDs
 		treeOpts.Filter = func(local int32) bool { return accepts(treeIDs[local]) }
 		res, s := ix.tree.Search(q, treeOpts)
@@ -293,6 +305,8 @@ func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, co
 		}
 	}
 
+	// The buffer gets what the tree left of the budget: its own share plus
+	// whatever the tree did not spend.
 	for _, handle := range ix.buffer {
 		if !opts.BudgetLeft(st.Candidates) {
 			break

@@ -110,6 +110,41 @@ func TestInsertedPointIsFound(t *testing.T) {
 	}
 }
 
+// A budgeted search must still look at the delta buffer: the tree spends its
+// share of the budget, not all of it.
+func TestBudgetedSearchSeesBuffer(t *testing.T) {
+	data, _ := liftedData(3000, 8, 9)
+	ix := NewFromMatrix(data, Config{Seed: 10})
+	x := make([]float32, data.D)
+	x[0] = 5
+	x[data.D-1] = 1
+	h := ix.Insert(x)
+	if ix.BufferLen() != 1 {
+		t.Fatalf("insert did not land in the buffer: %s", ix)
+	}
+	q := make([]float32, data.D)
+	q[0] = 1
+	q[data.D-1] = -5
+	budget := ix.N() / 100
+	res, st := ix.Search(q, core.SearchOptions{K: 5, Budget: budget})
+	if len(res) == 0 || res[0].ID != h || res[0].Dist > 1e-6 {
+		t.Fatalf("buffered point not at rank 1 under budget %d: %v (handle %d)", budget, res, h)
+	}
+	if st.Candidates > int64(budget) {
+		t.Fatalf("verified %d candidates under budget %d", st.Candidates, budget)
+	}
+	// What the tree does not spend of its share goes to the buffer: with
+	// every tree point filtered out, a budget of 3 verifies 3 buffered points
+	// though the buffer's own share is 1.
+	for i := 0; i < 3; i++ {
+		ix.Insert(x)
+	}
+	_, st = ix.Search(q, core.SearchOptions{K: 5, Budget: 3, Filter: func(id int32) bool { return id >= h }})
+	if st.Candidates != 3 {
+		t.Fatalf("verified %d buffered candidates under budget 3 with the tree filtered out", st.Candidates)
+	}
+}
+
 func TestDeletedPointDisappears(t *testing.T) {
 	data, queries := liftedData(400, 10, 5)
 	ix := NewFromMatrix(data, Config{Seed: 6})

@@ -19,9 +19,12 @@ import (
 type SearchOptionsJSON struct {
 	// K is the number of neighbors to return (zero: 1).
 	K int `json:"k,omitempty"`
-	// Budget caps candidate verifications (zero or negative: exact).
+	// Budget caps candidate verifications (zero or negative: exact). The
+	// tree kinds spend it best-first, so a larger budget never answers
+	// worse and a budget of n answers exactly.
 	Budget int `json:"budget,omitempty"`
-	// Preference is "center" (default) or "lower-bound".
+	// Preference is "center" (default) or "lower-bound": the child order of
+	// an exact search, the frontier key of a budgeted one.
 	Preference string `json:"preference,omitempty"`
 	// The BC-Tree ablation switches, mirroring p2h.SearchOptions.
 	DisablePointBall bool `json:"disable_point_ball,omitempty"`

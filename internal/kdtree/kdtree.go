@@ -216,6 +216,9 @@ type searcher struct {
 }
 
 func (s *searcher) visit(n *node) {
+	// A budget cuts this depth-first walk off where it stands; the ball trees'
+	// best-first frontier is not mirrored here (an ablation baseline no
+	// workload serves under a budget).
 	if !s.opts.BudgetLeft(s.st.Candidates) {
 		return
 	}

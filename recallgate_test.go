@@ -27,6 +27,20 @@ func exactIndexes(data *p2h.Matrix) map[string]p2h.Index {
 	}
 }
 
+// gateHits is distance-based recall: a returned point counts as a hit when
+// its distance is within the ground-truth k-th distance (the standard
+// convention, robust to exact ties). want must be non-empty.
+func gateHits(got, want []p2h.Result) int {
+	kth := want[len(want)-1].Dist
+	hits := 0
+	for _, r := range got {
+		if r.Dist <= kth*(1+1e-9)+1e-12 {
+			hits++
+		}
+	}
+	return hits
+}
+
 func TestRecallGateExactIndexes(t *testing.T) {
 	const k = 10
 	for _, set := range []string{"Sift", "Cifar-10"} {
@@ -42,21 +56,44 @@ func TestRecallGateExactIndexes(t *testing.T) {
 				if len(got) != len(want) {
 					t.Fatalf("%s/%s query %d: %d results, want %d", set, name, qi, len(got), len(want))
 				}
-				// Distance-based recall: a returned point counts as a hit when
-				// its distance is within the ground-truth k-th distance (the
-				// standard convention, robust to exact ties).
-				kth := want[len(want)-1].Dist
-				for _, r := range got {
-					if r.Dist <= kth*(1+1e-9)+1e-12 {
-						hits++
-					}
-				}
+				hits += gateHits(got, want)
 				total += len(want)
 			}
 			if recall := float64(hits) / float64(total); math.Abs(recall-1) > 1e-12 {
 				t.Errorf("%s/%s: recall %.6f, want exactly 1.0", set, name, recall)
 			}
 		}
+	}
+}
+
+// TestRecallGateBudgeted is the floor under the approximate path: a BC-Tree
+// allowed to verify 5 % of the points must still find at least half of the
+// true top 10. A budgeted search that spends its candidates in traversal
+// order instead of best-first fails this several times over (recall ≈ 0.1),
+// so the frontier's gain cannot be lost silently.
+func TestRecallGateBudgeted(t *testing.T) {
+	// n = 10000: large enough that 5 % of the points is several leaves (at
+	// the other gates' n = 2000 it is exactly one, and no order can help).
+	const k, floor = 10, 0.5
+	data := p2h.Dedup(p2h.GenerateDataset("Sift", 10000, 1))
+	queries := p2h.GenerateQueries(data, 40, 2)
+	ix := p2h.NewBCTree(data, p2h.BCTreeOptions{Seed: 3})
+	scan := p2h.NewLinearScan(data)
+	hits, total := 0, 0
+	for qi := 0; qi < queries.N; qi++ {
+		q := queries.Row(qi)
+		got, st := ix.Search(q, p2h.SearchOptions{K: k, Budget: data.N / 20})
+		if st.Candidates > int64(data.N/20) {
+			t.Fatalf("query %d verified %d candidates under budget %d", qi, st.Candidates, data.N/20)
+		}
+		want, _ := scan.Search(q, p2h.SearchOptions{K: k})
+		hits += gateHits(got, want)
+		total += len(want)
+	}
+	if recall := float64(hits) / float64(total); recall < floor {
+		t.Errorf("bctree at a 5%% budget (n=%d): recall@%d %.3f, want >= %.2f", data.N, k, recall, floor)
+	} else {
+		t.Logf("bctree at a 5%% budget (n=%d): recall@%d %.3f", data.N, k, recall)
 	}
 }
 
@@ -107,12 +144,7 @@ func TestRecallGateFiltered(t *testing.T) {
 					if len(want) == 0 {
 						continue
 					}
-					kth := want[len(want)-1].Dist
-					for _, r := range got {
-						if r.Dist <= kth*(1+1e-9)+1e-12 {
-							hits++
-						}
-					}
+					hits += gateHits(got, want)
 					total += len(want)
 				}
 				if recall := float64(hits) / float64(total); math.Abs(recall-1) > 1e-12 {
@@ -150,12 +182,7 @@ func TestRecallGateBatchedPath(t *testing.T) {
 							set, name, qi, i, batch[qi][i], seq[i])
 					}
 				}
-				kth := want[len(want)-1].Dist
-				for _, r := range batch[qi] {
-					if r.Dist <= kth*(1+1e-9)+1e-12 {
-						hits++
-					}
-				}
+				hits += gateHits(batch[qi], want)
 				total += len(want)
 			}
 			if recall := float64(hits) / float64(total); math.Abs(recall-1) > 1e-12 {
