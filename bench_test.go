@@ -12,6 +12,8 @@ package p2h
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -134,6 +136,48 @@ func BenchmarkBuildBCTree(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NewBCTree(data, BCTreeOptions{Seed: 1})
+	}
+}
+
+// codecBench builds the benchmark fixture's BC-Tree (n=50k Sift surrogate)
+// and saves it once; the two codec benchmarks below report throughput against
+// the container's size and, with -benchmem, what a round trip allocates —
+// opening should cost about one container's worth of heap, not several.
+func codecBench(b *testing.B) (ix Index, path string, size int64) {
+	b.Helper()
+	ix = NewBCTree(Dedup(GenerateDataset("Sift", 50000, 1)), BCTreeOptions{Seed: 1})
+	path = filepath.Join(b.TempDir(), "bc.p2h")
+	if err := SaveFile(path, ix); err != nil {
+		b.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ix, path, fi.Size()
+}
+
+func BenchmarkSaveBCTree(b *testing.B) {
+	ix, path, size := codecBench(b)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := SaveFile(path, ix); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkOpenBCTree(b *testing.B) {
+	_, path, size := codecBench(b)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Open(path); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -35,9 +35,9 @@ func Build(data *vec.Matrix, kind Kind, cfg Config) *Tree {
 		leafSize: cfg.LeafSize,
 	}
 	if kind == BC {
-		t.rx = make([]float64, data.N)
-		t.xcos = make([]float64, data.N)
-		t.xsin = make([]float64, data.N)
+		t.rx = make([]float32, data.N)
+		t.xcos = make([]float32, data.N)
+		t.xsin = make([]float32, data.N)
 	}
 	for i := range t.ids {
 		t.ids[i] = int32(i)
@@ -151,8 +151,7 @@ func (b *builder) fillLeaf(ni int32, ids []int32, offset int32) {
 		id := ids[idx]
 		sortedIDs[pos] = id
 		gpos := int(offset) + pos
-		r := radii[idx]
-		t.rx[gpos] = r * (1 + radiusSlack)
+		t.rx[gpos] = up32(radii[idx] * (1 + radiusSlack))
 		x := b.data.Row(int(id))
 		xnorm := vec.Norm(x)
 		var xcos float64
@@ -166,11 +165,38 @@ func (b *builder) fillLeaf(ni int32, ids []int32, offset int32) {
 		} else if xcos < -xnorm {
 			xcos = -xnorm
 		}
-		t.xcos[gpos] = xcos
-		t.xsin[gpos] = math.Sqrt(math.Max(0, xnorm*xnorm-xcos*xcos))
+		t.xcos[gpos] = towardZero32(xcos)
+		t.xsin[gpos] = up32(math.Sqrt(math.Max(0, xnorm*xnorm-xcos*xcos)))
 	}
 	copy(ids, sortedIDs)
 	if len(ids) > 0 {
-		t.nodes[ni].radius = t.rx[offset] // already slack-inflated, rx descending
+		// Already slack-inflated and rounded up; rx is descending, and stays
+		// so in float32 because rounding is monotone.
+		t.nodes[ni].radius = float64(t.rx[offset])
 	}
+}
+
+// The point-level arrays are stored as float32 rounded toward "cannot prune".
+// The ball bound |<q,c>| - ||q||*rx falls as rx grows and the cone bound
+// |qcos*xcos| - qsin*xsin (vec.ConeBound) falls as |xcos| shrinks or xsin
+// grows, so radii and rejections round up and projections toward zero: a
+// stored bound never exceeds the float64 one and nothing is pruned that the
+// wider arrays would have kept.
+
+// up32 returns the smallest float32 not below v.
+func up32(v float64) float32 {
+	f := float32(v)
+	if float64(f) < v {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
+	}
+	return f
+}
+
+// towardZero32 returns the float32 of largest magnitude not beyond v.
+func towardZero32(v float64) float32 {
+	f := float32(v)
+	if math.Abs(float64(f)) > math.Abs(v) {
+		f = math.Nextafter32(f, 0)
+	}
+	return f
 }

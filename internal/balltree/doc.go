@@ -35,7 +35,10 @@
 // contiguous centers matrix (row i = center of node i), and the per-point
 // ball/cone structures are three position-indexed arrays of length n — each
 // storage position belongs to exactly one leaf, so a leaf's slice of those
-// arrays is contiguous and its radii stay descending within the slice. Leaf
+// arrays is contiguous and its radii stay descending within the slice. The
+// three arrays are float32, rounded at build time in the direction that can
+// only lower a bound (radii and rejections up, projections toward zero), so
+// they cost 12 bytes a point and exact results are unaffected. Leaf
 // verification runs as fused bound kernels plus one blocked inner-product
 // call over sequential memory (vec.BallCutoff / vec.ConeSelect /
 // vec.DotBlock).

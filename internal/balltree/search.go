@@ -520,20 +520,13 @@ func (s *Searcher) scanFiltered(n *nodeRec, ip float64) time.Duration {
 			break
 		}
 		if useBall {
-			if lbBall := absIP - s.qnorm*s.tree.rx[start+i]; lbBall > s.tk.Lambda() {
+			if lbBall := absIP - s.qnorm*float64(s.tree.rx[start+i]); lbBall > s.tk.Lambda() {
 				s.st.PrunedPoints += int64(count - i)
 				break
 			}
 		}
 		if useCone {
-			sumA := qcos*s.tree.xcos[start+i] - qsin*s.tree.xsin[start+i]
-			sumB := qcos*s.tree.xcos[start+i] + qsin*s.tree.xsin[start+i]
-			var lbCone float64
-			if sumA > 0 && qcos > 0 && s.tree.xcos[start+i] > 0 {
-				lbCone = sumA
-			} else if sumB < 0 {
-				lbCone = -sumB
-			}
+			lbCone := vec.ConeBound(qcos, qsin, float64(s.tree.xcos[start+i]), float64(s.tree.xsin[start+i]))
 			if lbCone*(1-boundSlack) > s.tk.Lambda() {
 				s.st.PrunedPoints++
 				continue
@@ -594,14 +587,7 @@ func (s *Searcher) scanPredQuant(n *nodeRec, ip float64) time.Duration {
 			continue
 		}
 		if useCone {
-			sumA := qcos*s.tree.xcos[start+i] - qsin*s.tree.xsin[start+i]
-			sumB := qcos*s.tree.xcos[start+i] + qsin*s.tree.xsin[start+i]
-			var lbCone float64
-			if sumA > 0 && qcos > 0 && s.tree.xcos[start+i] > 0 {
-				lbCone = sumA
-			} else if sumB < 0 {
-				lbCone = -sumB
-			}
+			lbCone := vec.ConeBound(qcos, qsin, float64(s.tree.xcos[start+i]), float64(s.tree.xsin[start+i]))
 			if lbCone*(1-boundSlack) > lambda {
 				s.st.PrunedPoints++
 				continue

@@ -1,6 +1,7 @@
 package balltree
 
 import (
+	"fmt"
 	"io"
 	"math"
 
@@ -11,30 +12,76 @@ import (
 
 // Payload formats, one codec. The layout mirrors the in-memory flat arena:
 // header, position->id map, reordered points, packed centers, columnar node
-// arrays. The magic records the kind and whether a quantization section
+// arrays. Every array is one contiguous little-endian section that binio moves
+// as a block. The magic records the kind and whether a quantization section
 // follows:
 //
 //	P2HBT002  Ball kind: nodes carry radius only, no trailing arrays
 //	P2HBT003  P2HBT002 plus the quantization section
-//	P2HBC002  BC kind: nodes carry radius and centerNorm, then rx/xcos/xsin
-//	P2HBC003  P2HBC002 plus the quantization section
+//	P2HBC004  BC kind: nodes carry radius and centerNorm, then rx/xcos/xsin
+//	          as float32
+//	P2HBC005  P2HBC004 plus the quantization section
 //
 // The quantization section (grid tables and the 8-bit code mirror) is the
-// same for both kinds. Save writes version 3 only when the tree is quantized,
-// so unquantized files stay readable by older code.
+// same for both kinds. There is one current version per kind: P2HBC002/003,
+// which stored the point-level arrays as float64, are named in the error that
+// rejects them and are not converted.
 var magics = [2][2]string{
 	Ball: {"P2HBT002", "P2HBT003"},
-	BC:   {"P2HBC002", "P2HBC003"},
+	BC:   {"P2HBC004", "P2HBC005"},
+}
+
+// retiredMagics maps the payload magics earlier releases wrote to what to
+// tell someone who still has such a file.
+var retiredMagics = map[string]string{
+	"P2HBC002": "bctree payload version 2 (float64 point-level arrays)",
+	"P2HBC003": "quantized bctree payload version 3 (float64 point-level arrays)",
+}
+
+// PayloadMagics lists the magic of every payload Load accepts, so that code
+// which only sniffs a payload's header (p2h.Inspect) follows the codec.
+func PayloadMagics() []string {
+	return []string{magics[Ball][0], magics[Ball][1], magics[BC][0], magics[BC][1]}
+}
+
+// RetiredPayload returns the error Load refuses a retired payload magic with
+// — it names the version found and the ones this build reads — or nil when
+// magic is not one an earlier release wrote.
+func RetiredPayload(magic string) error {
+	what, ok := retiredMagics[magic]
+	if !ok {
+		return nil
+	}
+	return fmt.Errorf("%w: %s is a %s, which this build no longer reads (current: %s/%s); rebuild the index and save it again",
+		binio.ErrCorrupt, magic, what, magics[BC][0], magics[BC][1])
 }
 
 // maxSerialDim guards against corrupt headers allocating absurd buffers.
 const maxSerialDim = 1 << 20
+
+// PayloadBytes is the exact number of bytes Save writes, a closed form of the
+// tree's shape. A format that embeds the payload behind a length prefix
+// (internal/shard, internal/dynamic) writes the prefix from it and streams
+// the tree straight through instead of buffering it to learn its length.
+func (t *Tree) PayloadBytes() int64 {
+	n, d, nodes := int64(t.points.N), int64(t.points.D), int64(len(t.nodes))
+	b := 8 /*magic*/ + 5*4 /*header*/ + 4*n /*ids*/ + 4*n*d /*points*/ +
+		4*nodes*d /*centers*/ + nodes*(8 /*radius*/ +4*4 /*range, children*/)
+	if t.kind == BC {
+		b += nodes*8 /*centerNorm*/ + 3*4*n /*rx, xcos, xsin*/
+	}
+	if t.qz != nil {
+		b += quant.SectionBytes(t.points.N, t.points.D)
+	}
+	return b
+}
 
 // Save writes the tree to w, self-contained so Load can restore it without
 // the original data matrix. A BC tree's point-level ball and cone arrays ride
 // along so restored trees prune identically.
 func (t *Tree) Save(w io.Writer) error {
 	bw := binio.NewWriter(w)
+	start := bw.Written()
 	m := magics[t.kind][0]
 	if t.qz != nil {
 		m = magics[t.kind][1]
@@ -62,14 +109,20 @@ func (t *Tree) Save(w io.Writer) error {
 		bw.I32(n.right)
 	}
 	if t.kind == BC {
-		bw.F64s(t.rx)
-		bw.F64s(t.xcos)
-		bw.F64s(t.xsin)
+		bw.F32s(t.rx)
+		bw.F32s(t.xcos)
+		bw.F32s(t.xsin)
 	}
 	if t.qz != nil {
 		quant.WriteSection(bw, t.qz, t.codes)
 	}
-	return bw.Flush()
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	if got := bw.Written() - start; got != t.PayloadBytes() {
+		return fmt.Errorf("balltree: wrote a %d-byte payload, its closed form says %d", got, t.PayloadBytes())
+	}
+	return nil
 }
 
 // Load restores a tree of the given kind written by Save. The stream is
@@ -81,8 +134,11 @@ func Load(r io.Reader, kind Kind) (*Tree, error) {
 	if err := br.Err(); err != nil {
 		return nil, err
 	}
-	v3 := magic == magics[kind][1]
-	if !v3 && magic != magics[kind][0] {
+	quantized := magic == magics[kind][1]
+	if !quantized && magic != magics[kind][0] {
+		if err := RetiredPayload(magic); err != nil {
+			return nil, err
+		}
 		br.Fail("bad %s magic %q", kind, magic)
 		return nil, br.Err()
 	}
@@ -105,16 +161,23 @@ func Load(r io.Reader, kind Kind) (*Tree, error) {
 	}
 	t := &Tree{kind: kind, leafSize: leafSize, leaves: leaves}
 	t.ids = br.I32s(n)
-	if br.Err() == nil {
-		for _, id := range t.ids {
-			if id < 0 || int(id) >= n {
-				br.Fail("id %d out of range", id)
-				break
-			}
+	for _, id := range t.ids {
+		if id < 0 || int(id) >= n {
+			br.Fail("id %d out of range", id)
+			break
 		}
 	}
 	data := br.F32s(n * d)
 	centers := br.F32s(nodes * d)
+	// The node columns arrive as two sections — radius (and centerNorm, BC
+	// kind) pairs, then range and child links — and are transposed into the
+	// arena's records once both are in.
+	perNode := 1
+	if kind == BC {
+		perNode = 2
+	}
+	bounds := br.F64s(nodes * perNode)
+	links := br.I32s(nodes * 4)
 	if err := br.Err(); err != nil {
 		return nil, err
 	}
@@ -122,24 +185,19 @@ func Load(r io.Reader, kind Kind) (*Tree, error) {
 	t.centers = &vec.Matrix{Data: centers, N: nodes, D: d}
 	t.nodes = make([]nodeRec, nodes)
 	for i := range t.nodes {
-		t.nodes[i].radius = br.F64()
-		if kind == BC {
-			t.nodes[i].centerNorm = br.F64()
-		}
-	}
-	for i := range t.nodes {
 		nd := &t.nodes[i]
-		nd.start = br.I32()
-		nd.end = br.I32()
-		nd.left = br.I32()
-		nd.right = br.I32()
+		nd.radius = bounds[i*perNode]
+		if kind == BC {
+			nd.centerNorm = bounds[i*perNode+1]
+		}
+		nd.start, nd.end, nd.left, nd.right = links[4*i], links[4*i+1], links[4*i+2], links[4*i+3]
 	}
 	if kind == BC {
-		t.rx = br.F64s(n)
-		t.xcos = br.F64s(n)
-		t.xsin = br.F64s(n)
+		t.rx = br.F32s(n)
+		t.xcos = br.F32s(n)
+		t.xsin = br.F32s(n)
 	}
-	if v3 && br.Err() == nil {
+	if quantized && br.Err() == nil {
 		t.qz, t.codes = quant.ReadSection(br, t.points)
 	}
 	if err := br.Err(); err != nil {
@@ -193,7 +251,7 @@ func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 		return br.Err()
 	}
 	for p := range t.rx {
-		if !finite(t.rx[p]) || !finite(t.xcos[p]) || !finite(t.xsin[p]) {
+		if !finite(float64(t.rx[p])) || !finite(float64(t.xcos[p])) || !finite(float64(t.xsin[p])) {
 			br.Fail("point-level structures at position %d not finite", p)
 			return br.Err()
 		}

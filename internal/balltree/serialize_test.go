@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"p2h/internal/binio"
@@ -49,10 +51,10 @@ func testSaveLoadRoundTrip(t *testing.T, kind Kind) {
 	}
 }
 
-// payloadOffsets locates the float64 sections of a saved unquantized payload
-// so corruption tests can patch single values: the node radius column (stride
-// 8 for Ball, 16 with centerNorm for BC) and, BC only, the rx/xcos/xsin
-// arrays.
+// payloadOffsets locates the float sections of a saved unquantized payload so
+// corruption tests can patch single values: the float64 node radius column
+// (stride 8 for Ball, 16 with centerNorm for BC) and, BC only, the float32
+// rx/xcos/xsin arrays.
 func payloadOffsets(t *Tree) (radius, rx, xcos, xsin int) {
 	n, d, nodes := t.N(), t.Dim(), t.Nodes()
 	radius = 8 + 5*4 + 4*n + 4*n*d + 4*nodes*d
@@ -61,12 +63,18 @@ func payloadOffsets(t *Tree) (radius, rx, xcos, xsin int) {
 		stride = 16
 	}
 	rx = radius + nodes*stride + nodes*16
-	return radius, rx, rx + 8*n, rx + 16*n
+	return radius, rx, rx + 4*n, rx + 8*n
 }
 
 func patchF64(good []byte, off int, v float64) []byte {
 	bad := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint64(bad[off:], math.Float64bits(v))
+	return bad
+}
+
+func patchF32(good []byte, off int, v float32) []byte {
+	bad := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(bad[off:], math.Float32bits(v))
 	return bad
 }
 
@@ -118,14 +126,60 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 		cases["NaN centerNorm"] = patchF64(good, radius+8, math.NaN())
 		// The shape that broke exactness: radii [.., NaN, big] load, then
 		// vec.BallCutoff's binary search skips the big-radius point.
-		cases["NaN rx mid-leaf"] = patchF64(good, rx+8*p, math.NaN())
-		cases["ascending rx"] = patchF64(good, rx+8*p, orig.rx[p-1]*2+1)
-		cases["NaN xcos"] = patchF64(good, xcos+8*p, math.NaN())
-		cases["Inf xsin"] = patchF64(good, xsin+8*p, math.Inf(-1))
+		nan32 := float32(math.NaN())
+		cases["NaN rx mid-leaf"] = patchF32(good, rx+4*p, nan32)
+		cases["ascending rx"] = patchF32(good, rx+4*p, orig.rx[p-1]*2+1)
+		cases["NaN xcos"] = patchF32(good, xcos+4*p, nan32)
+		cases["Inf xsin"] = patchF32(good, xsin+4*p, float32(math.Inf(-1)))
 	}
 	for name, payload := range cases {
 		if _, err := Load(bytes.NewReader(payload), kind); !errors.Is(err, binio.ErrCorrupt) {
 			t.Fatalf("%s: want ErrCorrupt, got %v", name, err)
 		}
 	}
+}
+
+// TestLoadNamesRetiredVersions: the BC payloads earlier releases wrote (float64
+// point-level arrays) are refused by name, not mistaken for garbage and not
+// converted.
+func TestLoadNamesRetiredVersions(t *testing.T) {
+	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyUniform, RawDim: 5}, 80, 6)
+	var buf bytes.Buffer
+	if err := Build(raw.AppendOnes(), BC, Config{LeafSize: 10, Seed: 7}).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for old, version := range map[string]string{"P2HBC002": "version 2", "P2HBC003": "version 3"} {
+		payload := append([]byte(old), buf.Bytes()[8:]...)
+		_, err := Load(bytes.NewReader(payload), BC)
+		if !errors.Is(err, binio.ErrCorrupt) {
+			t.Fatalf("%s: want ErrCorrupt, got %v", old, err)
+		}
+		for _, want := range []string{old, version, magics[BC][0]} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", old, err, want)
+			}
+		}
+	}
+	if slices.Contains(PayloadMagics(), "P2HBC002") || len(PayloadMagics()) != 4 {
+		t.Fatalf("PayloadMagics() = %v", PayloadMagics())
+	}
+}
+
+// TestPayloadBytesIsExact: the closed form embedding formats write as the
+// length prefix is the size Save produces, for every kind and with the
+// quantization section.
+func TestPayloadBytesIsExact(t *testing.T) {
+	forKinds(t, func(t *testing.T, kind Kind) {
+		for _, quantize := range []bool{false, true} {
+			data, _ := buildTestData(t, dataset.FamilyHeavyTail, 333, 9, 2)
+			tree := Build(data, kind, Config{LeafSize: 7, Seed: 1, Quantize: quantize})
+			var buf bytes.Buffer
+			if err := tree.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if got := tree.PayloadBytes(); got != int64(buf.Len()) {
+				t.Fatalf("quantize=%v: PayloadBytes() = %d, Save wrote %d", quantize, got, buf.Len())
+			}
+		}
+	})
 }

@@ -57,7 +57,8 @@ type Config struct {
 	// filters leaf rows through its exact error bound after the ball and
 	// cone bounds (BC kind), before float verification. Results are unchanged (the
 	// filter is conservative); exact unfiltered searches get cheaper leaf
-	// scans for +25% memory.
+	// scans for one more byte per coordinate: +25% on the reordered float32
+	// data copy.
 	Quantize bool
 }
 
@@ -93,10 +94,13 @@ type Tree struct {
 
 	// Position-indexed point-level structures (Algorithm 4 lines 5-9),
 	// length n; within each leaf's [start, end) slice rx is descending. All
-	// three are nil for the Ball kind.
-	rx   []float64 // ball radii r_x = ||x - center||
-	xcos []float64 // ||x|| cos(phi_x), the projection of x onto center
-	xsin []float64 // ||x|| sin(phi_x), the rejection of x from center
+	// three are nil for the Ball kind. They are float32 rounded toward
+	// "cannot prune" (up32 and towardZero32 in build.go): a bound computed
+	// from them is never above the one the float64 values would give, so
+	// results stay exact at half the memory.
+	rx   []float32 // ball radii r_x = ||x - center||, rounded up
+	xcos []float32 // ||x|| cos(phi_x), the projection of x onto center, rounded toward zero
+	xsin []float32 // ||x|| sin(phi_x), the rejection of x from center, rounded up
 
 	leafSize int
 	leaves   int
@@ -195,7 +199,7 @@ func (t *Tree) IndexBytes() int64 {
 	const perNode = 8 /*radius*/ + 2*4 /*range*/ + 2*4 /*children*/
 	b := t.centers.Bytes() + int64(len(t.nodes))*perNode + int64(len(t.ids))*4
 	if t.kind == BC {
-		b += int64(len(t.nodes))*8 /*centerNorm*/ + int64(t.points.N)*3*8
+		b += int64(len(t.nodes))*8 /*centerNorm*/ + int64(t.points.N)*3*4
 	}
 	if t.qz != nil {
 		b += int64(len(t.codes)) + int64(t.points.D)*(4+4+8)

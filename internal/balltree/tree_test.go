@@ -3,7 +3,9 @@ package balltree
 import (
 	"math"
 	"testing"
+	"unsafe"
 
+	"p2h/internal/attr"
 	"p2h/internal/dataset"
 	"p2h/internal/vec"
 )
@@ -35,13 +37,26 @@ func TestBuildBasicInvariants(t *testing.T) {
 	})
 }
 
+// TestPointLevelArraysRoundOutward runs the invariants — for the BC kind that
+// is checkLeafStructures' outward-rounding property of the float32 arrays —
+// over every data family, at a leaf size small enough for hundreds of leaves.
+func TestPointLevelArraysRoundOutward(t *testing.T) {
+	forKinds(t, func(t *testing.T, kind Kind) {
+		for _, family := range []dataset.Family{dataset.FamilyClustered, dataset.FamilyUniform, dataset.FamilyHeavyTail} {
+			data, _ := buildTestData(t, family, 3000, 24, 11)
+			checkTreeInvariants(t, Build(data, kind, Config{LeafSize: 12, Seed: 4}))
+		}
+	})
+}
+
 // checkTreeInvariants verifies the structural properties both builds share
 // (Section III-B): child partition (Eqs. 4-5 via contiguous ranges), leaf
 // size <= N0, preorder arena, and ball containment (Eq. 7). For the BC kind
 // it adds Algorithm 4's leaf structures: r_x descending, the ball identity
-// r_x=||x-c||, and the cone identity xcos^2 + xsin^2 = ||x||^2 together with
-// the Figure 4 relation (||x||sin phi)^2 + (||c|| - ||x||cos phi)^2 = r_x^2.
-// A Ball tree must carry none of them.
+// r_x=||x-c|| and the cone structures as outward-rounded float32 (see
+// checkLeafStructures), and the Figure 4 relation
+// (||x||sin phi)^2 + (||c|| - ||x||cos phi)^2 = r_x^2. A Ball tree must carry
+// none of them.
 func checkTreeInvariants(t *testing.T, tree *Tree) {
 	t.Helper()
 	seen := make([]bool, tree.N())
@@ -108,28 +123,43 @@ func checkTreeInvariants(t *testing.T, tree *Tree) {
 	}
 }
 
+// checkLeafStructures recomputes a BC leaf's point-level structures in
+// float64 as the builder does and checks the stored float32 arrays against
+// them: each is the float64 value moved by less than one float32 step in the
+// direction that can only lower a bound — rx (slack-inflated) and xsin up,
+// |xcos| toward zero — rx stays descending after rounding, and the leaf's own
+// radius is its first point's.
 func checkLeafStructures(t *testing.T, tree *Tree, n *nodeRec, center []float32) {
 	t.Helper()
+	const ulp32 = 1.0 / (1 << 23)
+	if n.radius != float64(tree.rx[n.start]) {
+		t.Fatalf("leaf radius %v != rx[start] %v", n.radius, tree.rx[n.start])
+	}
 	for pos := int(n.start); pos < int(n.end); pos++ {
 		i := pos - int(n.start)
-		if i > 0 && tree.rx[pos] > tree.rx[pos-1]+1e-12 {
+		if i > 0 && tree.rx[pos] > tree.rx[pos-1] {
 			t.Fatalf("rx not descending at %d: %v > %v", i, tree.rx[pos], tree.rx[pos-1])
 		}
 		x := tree.points.Row(pos)
-		r := vec.Dist(x, center)
-		if math.Abs(tree.rx[pos]-r) > 1e-6*(1+r) {
-			t.Fatalf("rx[%d]=%v but true dist %v", i, tree.rx[pos], r)
+		r := vec.Dist(x, center) * (1 + radiusSlack)
+		if got := float64(tree.rx[pos]); got < r || got > r*(1+ulp32) {
+			t.Fatalf("rx[%d]=%v is not r(1+slack)=%v rounded up", i, got, r)
 		}
 		xn := vec.Norm(x)
-		if got := math.Hypot(tree.xcos[pos], tree.xsin[pos]); math.Abs(got-xn) > 1e-6*(1+xn) {
-			t.Fatalf("cone identity broken: hypot=%v, ||x||=%v", got, xn)
+		xcos := 0.0
+		if n.centerNorm > 0 {
+			xcos = math.Max(-xn, math.Min(xn, vec.Dot(x, center)/n.centerNorm))
 		}
-		if tree.xsin[pos] < 0 {
-			t.Fatalf("xsin must be nonnegative, got %v", tree.xsin[pos])
+		xsin := math.Sqrt(math.Max(0, xn*xn-xcos*xcos))
+		if got := float64(tree.xcos[pos]); math.Abs(got) > math.Abs(xcos) || math.Abs(got) < math.Abs(xcos)*(1-ulp32) || got*xcos < 0 {
+			t.Fatalf("xcos[%d]=%v is not %v rounded toward zero", i, got, xcos)
+		}
+		if got := float64(tree.xsin[pos]); got < xsin || got > xsin*(1+ulp32)+math.SmallestNonzeroFloat32 {
+			t.Fatalf("xsin[%d]=%v is not %v rounded up", i, got, xsin)
 		}
 		// Figure 4: the rejection and the center-offset projection form a
 		// right triangle with hypotenuse r_x.
-		lhs := tree.xsin[pos]*tree.xsin[pos] + (n.centerNorm-tree.xcos[pos])*(n.centerNorm-tree.xcos[pos])
+		lhs := xsin*xsin + (n.centerNorm-xcos)*(n.centerNorm-xcos)
 		if math.Abs(lhs-r*r) > 1e-5*(1+r*r) {
 			t.Fatalf("Figure 4 identity broken: %v != %v", lhs, r*r)
 		}
@@ -225,7 +255,7 @@ func TestNodeCountBound(t *testing.T) {
 // TestIndexBytesAccounting pins the paper's Table III "lightweight"
 // comparison: at N0=100 both indexes stay below the data size (Section V-D),
 // and BC-Tree reports exactly what it adds over Ball-Tree on the same splits
-// — three n-size arrays (Theorem 6) and one centerNorm per node.
+// — three n-size float32 arrays (Theorem 6) and one centerNorm per node.
 func TestIndexBytesAccounting(t *testing.T) {
 	data, _ := buildTestData(t, dataset.FamilyClustered, 2000, 32, 5)
 	ball := Build(data, Ball, Config{LeafSize: 100, Seed: 1})
@@ -236,13 +266,69 @@ func TestIndexBytesAccounting(t *testing.T) {
 	if ball.IndexBytes() <= 0 || ball.DataBytes() <= 0 {
 		t.Fatal("byte accounting must be positive")
 	}
-	extra := int64(bc.N())*3*8 + int64(bc.Nodes())*8
+	extra := int64(bc.N())*3*4 + int64(bc.Nodes())*8
 	if got := bc.IndexBytes() - ball.IndexBytes(); got != extra {
 		t.Fatalf("BC reports %d bytes over Ball, want %d", got, extra)
 	}
 	if bc.IndexBytes() >= bc.DataBytes() {
 		t.Fatalf("index bytes %d should stay below data bytes %d at N0=100", bc.IndexBytes(), bc.DataBytes())
 	}
+}
+
+// sliceBytes is the storage behind a slice: len x element size.
+func sliceBytes[T any](s []T) int64 {
+	var zero T
+	return int64(len(s)) * int64(unsafe.Sizeof(zero))
+}
+
+// TestIndexBytesMatchesStorage ties the benchmark's bytes_per_point to the
+// layout: IndexBytes is the sum of len x element size over the arena's
+// slices, so changing what the tree stores without changing what it reports
+// (or the reverse) fails here. The one adjustment is the Ball kind's node
+// record, which carries a centerNorm field the kind never reads; IndexBytes
+// does not charge Ball-Tree for it (the paper's Table III).
+func TestIndexBytesMatchesStorage(t *testing.T) {
+	data, _ := buildTestData(t, dataset.FamilyClustered, 1500, 24, 5)
+	points := make([]attr.Point, data.N)
+	for i := range points {
+		points[i] = attr.Point{Tags: []string{"even", "odd"}[i%2 : i%2+1], Ints: map[string]int64{"i": int64(i)}}
+	}
+	store, err := attr.Build(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forKinds(t, func(t *testing.T, kind Kind) {
+		for _, tc := range []struct {
+			name       string
+			quantize   bool
+			attributed bool
+		}{{"plain", false, false}, {"quantized", true, false}, {"attributed", false, true}} {
+			tree := Build(data, kind, Config{LeafSize: 40, Seed: 3, Quantize: tc.quantize})
+			if tc.attributed {
+				if err := tree.AttachAttrs(store); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := sliceBytes(tree.centers.Data) + sliceBytes(tree.nodes) + sliceBytes(tree.ids) +
+				sliceBytes(tree.rx) + sliceBytes(tree.xcos) + sliceBytes(tree.xsin) + sliceBytes(tree.codes)
+			if kind == Ball {
+				want -= int64(len(tree.nodes)) * int64(unsafe.Sizeof(tree.nodes[0].centerNorm))
+			}
+			if tree.qz != nil {
+				lo, step, halfE := tree.qz.Tables()
+				want += sliceBytes(lo) + sliceBytes(step) + sliceBytes(halfE)
+			}
+			if tree.attrs != nil {
+				want += tree.attrs.MemBytes() + tree.attrSums.MemBytes()
+			}
+			if got := tree.IndexBytes(); got != want {
+				t.Errorf("%s: IndexBytes() = %d, the arena's slices hold %d", tc.name, got, want)
+			}
+			if got, want := tree.DataBytes(), sliceBytes(tree.points.Data); got != want {
+				t.Errorf("%s: DataBytes() = %d, the point copy holds %d", tc.name, got, want)
+			}
+		}
+	})
 }
 
 func TestRadiusMonotoneDown(t *testing.T) {

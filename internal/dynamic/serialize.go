@@ -52,12 +52,12 @@ func (ix *Index) Save(w io.Writer) error {
 		bw.U8(1)
 		bw.I32(int32(len(ix.treeIDs)))
 		bw.I32s(ix.treeIDs)
-		var payload bytes.Buffer
-		if err := ix.tree.Save(&payload); err != nil {
+		// The payload's length is a closed form of the tree's shape, so the
+		// tree streams straight through; Save checks it wrote exactly that.
+		bw.I64(ix.tree.PayloadBytes())
+		if err := ix.tree.Save(bw); err != nil {
 			return err
 		}
-		bw.I64(int64(payload.Len()))
-		bw.Bytes(payload.Bytes())
 	}
 	bw.I32(int32(len(ix.buffer)))
 	bw.I32s(ix.buffer)
@@ -99,17 +99,19 @@ func Load(r io.Reader) (*Index, error) {
 		data = []float32{}
 	}
 	ix.rows = &vec.Matrix{Data: data, N: rows, D: dim}
+	flags := br.U8s(rows)
+	if br.Err() != nil {
+		return nil, br.Err()
+	}
 	ix.alive = make([]bool, rows)
-	for h := 0; h < rows; h++ {
-		switch br.U8() {
+	for h, flag := range flags {
+		switch flag {
 		case 0:
 		case 1:
 			ix.alive[h] = true
 			ix.live++
 		default:
-			if br.Err() == nil {
-				br.Fail("handle %d: liveness byte not 0/1", h)
-			}
+			br.Fail("handle %d: liveness byte not 0/1", h)
 			return nil, br.Err()
 		}
 	}

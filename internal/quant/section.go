@@ -19,6 +19,13 @@ func WriteSection(bw *binio.Writer, qz *Quantizer, codes []uint8) {
 	bw.Bytes(codes)
 }
 
+// SectionBytes is the exact size of the section WriteSection emits for the
+// mirror of an n x d matrix: the flag, two float32 and one float64 table of d
+// entries, and one code byte per coordinate.
+func SectionBytes(n, d int) int64 {
+	return 1 + int64(d)*(4+4+8) + int64(n)*int64(d)
+}
+
 // ReadSection reads a quantization section and returns the validated
 // quantizer and code mirror for points. Validation is semantic, not just
 // structural: the loaded tables must actually bound the decode error of

@@ -36,16 +36,15 @@ func (ix *Index) Save(w io.Writer) error {
 	bw.I32(int32(ix.d))
 	bw.I32(int32(len(ix.trees)))
 	bw.I32(int32(ix.workers))
-	var payload bytes.Buffer
 	for si, t := range ix.trees {
 		bw.I32(int32(len(ix.ids[si])))
 		bw.I32s(ix.ids[si])
-		payload.Reset()
-		if err := t.Save(&payload); err != nil {
+		// The payload's length is a closed form of the tree's shape, so the
+		// tree streams straight through; Save checks it wrote exactly that.
+		bw.I64(t.PayloadBytes())
+		if err := t.Save(bw); err != nil {
 			return err
 		}
-		bw.I64(int64(payload.Len()))
-		bw.Bytes(payload.Bytes())
 	}
 	return bw.Flush()
 }

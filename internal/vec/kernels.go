@@ -1,6 +1,9 @@
 package vec
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // This file holds the blocked kernels behind the flat tree layouts: instead
 // of one O(d) call per candidate, a leaf hands its whole contiguous row block
@@ -115,8 +118,9 @@ func sqDistBlockGo(q []float32, rows []float32, out []float64) {
 // its bound is strictly above lambda): candidates tied with the current k-th
 // best distance must reach the collector, whose (Dist, ID) order decides
 // ties canonically — the invariant behind batched/sequential result
-// equivalence.
-func BallCutoff(absIP, qnorm, lambda float64, rx []float64) int {
+// equivalence. The radii are stored as float32 (rounded up by the builder);
+// the arithmetic stays float64.
+func BallCutoff(absIP, qnorm, lambda float64, rx []float32) int {
 	if qnorm <= 0 {
 		if absIP > lambda {
 			return 0
@@ -125,33 +129,44 @@ func BallCutoff(absIP, qnorm, lambda float64, rx []float64) int {
 	}
 	// lb_ball(i) > lambda  <=>  rx[i] < (absIP-lambda)/qnorm.
 	thresh := (absIP - lambda) / qnorm
-	return sort.Search(len(rx), func(i int) bool { return rx[i] < thresh })
+	return sort.Search(len(rx), func(i int) bool { return float64(rx[i]) < thresh })
 }
 
-// ConeSelect is the fused point-level cone bound kernel (Theorem 3): it
-// evaluates the O(1) cone lower bound for each point of a leaf block and
-// appends the indices of the points it cannot prune to sel, returning the
-// extended slice. qcos and qsin are the query's projection onto / rejection
-// from the leaf center; xcos and xsin are the per-point analogues stored by
-// the tree. A point survives when lbCone*(1-slack) <= lambda: pruning is
-// strict so boundary ties reach the collector's canonical (Dist, ID)
-// ordering (see BallCutoff).
-func ConeSelect(qcos, qsin, lambda, slack float64, xcos, xsin []float64, sel []int32) []int32 {
+// ConeBound is the point-level cone lower bound (Theorem 3) on |<q, x>| from
+// the projections onto (qcos, xcos) and rejections from (qsin, xsin >= 0) a
+// shared center direction:
+//
+//	lb_cone = max(0, |qcos*xcos| - qsin*xsin)
+//
+// <q, x> is qcos*xcos plus the inner product of the two rejections, which
+// Cauchy-Schwarz confines to [-qsin*xsin, qsin*xsin]. This is the paper's
+// three-case bound in one expression: it is bitwise equal to each case where
+// that case fires, and it also covers the combination the cases leave at zero
+// (qcos < 0 and xcos < 0), which is the first case for the hyperplane -q.
+// Shrinking |xcos| or growing xsin can only lower it, which is what lets the
+// tree store both as outward-rounded float32.
+func ConeBound(qcos, qsin, xcos, xsin float64) float64 {
+	lb := math.Abs(qcos*xcos) - qsin*xsin
+	if lb < 0 {
+		return 0
+	}
+	return lb
+}
+
+// ConeSelect is the fused point-level cone bound kernel: it evaluates
+// ConeBound for each point of a leaf block and appends the indices of the
+// points it cannot prune to sel, returning the extended slice. qcos and qsin
+// are the query's projection onto / rejection from the leaf center; xcos and
+// xsin are the per-point analogues stored by the tree. A point survives when
+// lbCone*(1-slack) <= lambda: pruning is strict so boundary ties reach the
+// collector's canonical (Dist, ID) ordering (see BallCutoff).
+func ConeSelect(qcos, qsin, lambda, slack float64, xcos, xsin []float32, sel []int32) []int32 {
 	if len(xcos) != len(xsin) {
 		panic("vec: ConeSelect shape mismatch")
 	}
 	scale := 1 - slack
 	for i := range xcos {
-		xc, xs := xcos[i], xsin[i]
-		sumA := qcos*xc - qsin*xs
-		sumB := qcos*xc + qsin*xs
-		var lb float64
-		if sumA > 0 && qcos > 0 && xc > 0 {
-			lb = sumA
-		} else if sumB < 0 {
-			lb = -sumB
-		}
-		if lb*scale <= lambda {
+		if ConeBound(qcos, qsin, float64(xcos[i]), float64(xsin[i]))*scale <= lambda {
 			sel = append(sel, int32(i))
 		}
 	}

@@ -3,6 +3,7 @@ package vec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -23,7 +24,7 @@ func TestBlockKernelsPanicOnShapeMismatch(t *testing.T) {
 	for name, f := range map[string]func(){
 		"dot":    func() { DotBlock(make([]float32, 3), make([]float32, 7), make([]float64, 2)) },
 		"sqdist": func() { SqDistBlock(make([]float32, 3), make([]float32, 7), make([]float64, 2)) },
-		"cone":   func() { ConeSelect(0, 0, 1, 0, make([]float64, 2), make([]float64, 3), nil) },
+		"cone":   func() { ConeSelect(0, 0, 1, 0, make([]float32, 2), make([]float32, 3), nil) },
 	} {
 		func() {
 			defer func() {
@@ -38,9 +39,9 @@ func TestBlockKernelsPanicOnShapeMismatch(t *testing.T) {
 
 // ballCutoffNaive is the reference scan the binary search must agree with.
 // Pruning is strict: only a bound strictly above lambda cuts.
-func ballCutoffNaive(absIP, qnorm, lambda float64, rx []float64) int {
+func ballCutoffNaive(absIP, qnorm, lambda float64, rx []float32) int {
 	for i, r := range rx {
-		if absIP-qnorm*r > lambda {
+		if absIP-qnorm*float64(r) > lambda {
 			return i
 		}
 	}
@@ -51,11 +52,11 @@ func TestBallCutoffMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(40)
-		rx := make([]float64, n)
+		rx := make([]float32, n)
 		for i := range rx {
-			rx[i] = rng.Float64() * 10
+			rx[i] = rng.Float32() * 10
 		}
-		sort.Sort(sort.Reverse(sort.Float64Slice(rx)))
+		sort.Slice(rx, func(a, b int) bool { return rx[a] > rx[b] })
 		absIP := rng.Float64() * 5
 		qnorm := rng.Float64() * 2
 		lambda := rng.Float64() * 3
@@ -69,7 +70,7 @@ func TestBallCutoffMatchesScan(t *testing.T) {
 }
 
 func TestBallCutoffZeroQnorm(t *testing.T) {
-	rx := []float64{3, 2, 1}
+	rx := []float32{3, 2, 1}
 	if got := BallCutoff(5, 0, 4, rx); got != 0 {
 		t.Fatalf("constant bound above lambda must cut everything, got %d", got)
 	}
@@ -78,54 +79,72 @@ func TestBallCutoffZeroQnorm(t *testing.T) {
 	}
 }
 
-// coneKeepNaive mirrors the scalar cone-bound logic point by point.
-func coneKeepNaive(qcos, qsin, lambda, slack float64, xcos, xsin []float64) []int32 {
-	var keep []int32
-	for i := range xcos {
-		sumA := qcos*xcos[i] - qsin*xsin[i]
-		sumB := qcos*xcos[i] + qsin*xsin[i]
-		var lb float64
-		if sumA > 0 && qcos > 0 && xcos[i] > 0 {
-			lb = sumA
-		} else if sumB < 0 {
-			lb = -sumB
+// threeCaseCone is the cone bound as Theorem 3 states it, case by case; it
+// leaves the combination qcos < 0, xcos < 0 at zero.
+func threeCaseCone(qcos, qsin, xcos, xsin float64) float64 {
+	sumA := qcos*xcos - qsin*xsin
+	sumB := qcos*xcos + qsin*xsin
+	if sumA > 0 && qcos > 0 && xcos > 0 {
+		return sumA
+	} else if sumB < 0 {
+		return -sumB
+	}
+	return 0
+}
+
+// ConeBound is the three-case bound wherever a case fires (bitwise), never
+// below it, and a true lower bound on |<q, x>| whatever the angle between the
+// two rejections — including where the cases give up.
+func TestConeBoundSoundAndCoversThreeCases(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 20000; trial++ {
+		qcos, xcos := rng.NormFloat64(), rng.NormFloat64()
+		qsin, xsin := math.Abs(rng.NormFloat64()), math.Abs(rng.NormFloat64())
+		got := ConeBound(qcos, qsin, xcos, xsin)
+		if want := threeCaseCone(qcos, qsin, xcos, xsin); want > 0 && got != want {
+			t.Fatalf("trial %d: ConeBound %v != three-case bound %v", trial, got, want)
+		} else if want == 0 && got > 0 && !(qcos < 0 && xcos < 0) {
+			t.Fatalf("trial %d: positive bound %v outside the cases (qcos=%v xcos=%v)", trial, got, qcos, xcos)
 		}
-		if lb*(1-slack) <= lambda {
-			keep = append(keep, int32(i))
+		// q = qcos*c + qsin*u, x = xcos*c + xsin*v with u, v unit vectors
+		// orthogonal to c at angle alpha: <q, x> = qcos*xcos + qsin*xsin*cos(alpha).
+		for _, cosAlpha := range []float64{-1, 1, 2*rng.Float64() - 1} {
+			if truth := math.Abs(qcos*xcos + qsin*xsin*cosAlpha); got > truth*(1+1e-12) {
+				t.Fatalf("trial %d: bound %v above |<q,x>| = %v (cos alpha %v)", trial, got, truth, cosAlpha)
+			}
 		}
 	}
-	return keep
 }
 
 func TestConeSelectMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(50)
-		xcos := make([]float64, n)
-		xsin := make([]float64, n)
+		xcos := make([]float32, n)
+		xsin := make([]float32, n)
 		for i := range xcos {
-			xcos[i] = rng.NormFloat64()
-			xsin[i] = math.Abs(rng.NormFloat64())
+			xcos[i] = float32(rng.NormFloat64())
+			xsin[i] = float32(math.Abs(rng.NormFloat64()))
 		}
 		qcos := rng.NormFloat64()
 		qsin := math.Abs(rng.NormFloat64())
 		lambda := rng.Float64() * 2
 		got := ConeSelect(qcos, qsin, lambda, 1e-9, xcos, xsin, nil)
-		want := coneKeepNaive(qcos, qsin, lambda, 1e-9, xcos, xsin)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: kept %d != %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: survivor %d: %d != %d", trial, i, got[i], want[i])
+		var want []int32
+		for i := range xcos {
+			if ConeBound(qcos, qsin, float64(xcos[i]), float64(xsin[i]))*(1-1e-9) <= lambda {
+				want = append(want, int32(i))
 			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: kept %v, want %v", trial, got, want)
 		}
 	}
 }
 
 func TestConeSelectAppendsToExisting(t *testing.T) {
 	sel := []int32{99}
-	sel = ConeSelect(0, 0, 1, 0, []float64{0}, []float64{0}, sel)
+	sel = ConeSelect(0, 0, 1, 0, []float32{0}, []float32{0}, sel)
 	if len(sel) != 2 || sel[0] != 99 || sel[1] != 0 {
 		t.Fatalf("ConeSelect must append, got %v", sel)
 	}
@@ -200,11 +219,11 @@ func BenchmarkSqDistBlock100x128(b *testing.B) {
 
 func BenchmarkConeSelect100(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
-	xcos := make([]float64, 100)
-	xsin := make([]float64, 100)
+	xcos := make([]float32, 100)
+	xsin := make([]float32, 100)
 	for i := range xcos {
-		xcos[i] = rng.NormFloat64()
-		xsin[i] = math.Abs(rng.NormFloat64())
+		xcos[i] = float32(rng.NormFloat64())
+		xsin[i] = float32(math.Abs(rng.NormFloat64()))
 	}
 	sel := make([]int32, 0, 100)
 	for i := 0; i < b.N; i++ {

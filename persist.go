@@ -1,7 +1,6 @@
 package p2h
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -9,8 +8,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"p2h/internal/attr"
+	"p2h/internal/balltree"
 	"p2h/internal/binio"
 )
 
@@ -32,7 +33,7 @@ var containerMagic = []byte("P2HIX001")
 var containerMagicV2 = []byte("P2HIX002")
 
 // Container header bounds; a corrupt length prefix fails fast instead of
-// allocating.
+// allocating (see readBlock).
 const (
 	maxKindTagLen     = 64
 	maxSpecJSONLen    = 1 << 20
@@ -126,63 +127,81 @@ func SaveFile(path string, ix Index) error {
 // Save. Malformed input — including a bare tree payload without the
 // container envelope — returns an error wrapping ErrFormat; a container
 // naming an unregistered kind returns ErrUnknownKind.
-func Load(r io.Reader) (Index, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(containerMagic))
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading magic: %v", ErrFormat, err)
-	}
-	v2 := bytes.Equal(head, containerMagicV2)
-	if !v2 && !bytes.Equal(head, containerMagic) {
-		return nil, fmt.Errorf("%w: unrecognized magic %q", ErrFormat, head)
-	}
-	if _, err := br.Discard(len(containerMagic)); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
+func Load(r io.Reader) (Index, error) { return load(binio.NewReader(r)) }
 
-	kindTag, err := readBlock(br, maxKindTagLen, "kind tag")
+// load decodes a container from br. br knows how many bytes are left whenever
+// its source could say (Open passes the file size), and every decoder below —
+// the header blocks here, the kind's payload loader, the trees a Sharded or
+// Dynamic payload embeds — reads through it or through a sized view of its
+// bytes, so a declared length the stream cannot deliver fails before it is
+// allocated.
+func load(br *binio.Reader) (Index, error) {
+	h, err := readHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	specJSON, err := readBlock(br, maxSpecJSONLen, "spec")
-	if err != nil {
-		return nil, err
-	}
-	var spec Spec
-	if err := json.Unmarshal(specJSON, &spec); err != nil {
-		return nil, fmt.Errorf("%w: decoding spec: %v", ErrFormat, err)
-	}
-	var st *attr.Store
-	if v2 {
-		section, err := readBlock(br, maxAttrSectionLen, "attribute section")
-		if err != nil {
-			return nil, err
-		}
-		if st, err = decodeAttrSection(section); err != nil {
-			return nil, fmt.Errorf("%w: attribute section: %v", ErrFormat, err)
-		}
-	}
-
-	k, err := lookupKind(string(kindTag))
+	k, err := lookupKind(h.kind)
 	if err != nil {
 		return nil, err
 	}
 	if k.Load == nil {
 		return nil, fmt.Errorf("%w: container holds build-only kind %q (%s)", ErrFormat, k.Name, k.BuildOnly)
 	}
-	if spec.Kind == "" {
-		spec.Kind = k.Name
+	if h.spec.Kind == "" {
+		h.spec.Kind = k.Name
 	}
-	ix, err := k.Load(br, spec)
+	ix, err := k.Load(br, h.spec)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s payload: %v", ErrFormat, k.Name, err)
 	}
-	if st != nil {
-		if err := attachStore(ix, st); err != nil {
+	if h.attrs != nil {
+		if err := attachStore(ix, h.attrs); err != nil {
 			return nil, fmt.Errorf("%w: attaching attributes: %v", ErrFormat, err)
 		}
 	}
 	return ix, nil
+}
+
+// header is everything a container holds ahead of the kind's payload.
+type header struct {
+	kind  string
+	spec  Spec
+	attrs *attr.Store // nil for a v1 container
+}
+
+// readHeader decodes the container envelope, leaving br at the first byte of
+// the kind's payload.
+func readHeader(br *binio.Reader) (header, error) {
+	magic := br.Raw(len(containerMagic))
+	if err := br.Err(); err != nil {
+		return header{}, fmt.Errorf("%w: reading magic: %v", ErrFormat, err)
+	}
+	v2 := bytes.Equal(magic, containerMagicV2)
+	if !v2 && !bytes.Equal(magic, containerMagic) {
+		return header{}, fmt.Errorf("%w: unrecognized magic %q", ErrFormat, magic)
+	}
+	kindTag, err := readBlock(br, maxKindTagLen, "kind tag")
+	if err != nil {
+		return header{}, err
+	}
+	specJSON, err := readBlock(br, maxSpecJSONLen, "spec")
+	if err != nil {
+		return header{}, err
+	}
+	h := header{kind: string(kindTag)}
+	if err := json.Unmarshal(specJSON, &h.spec); err != nil {
+		return header{}, fmt.Errorf("%w: decoding spec: %v", ErrFormat, err)
+	}
+	if v2 {
+		section, err := readBlock(br, maxAttrSectionLen, "attribute section")
+		if err != nil {
+			return header{}, err
+		}
+		if h.attrs, err = decodeAttrSection(section); err != nil {
+			return header{}, fmt.Errorf("%w: attribute section: %v", ErrFormat, err)
+		}
+	}
+	return h, nil
 }
 
 // Open restores an index of any registered kind from the named file; see
@@ -203,7 +222,11 @@ func Open(path string) (Index, error) {
 		return nil, err
 	}
 	defer f.Close()
-	ix, err := Load(f)
+	size := int64(-1) // unknown: not a regular file, or it would not say
+	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+		size = fi.Size()
+	}
+	ix, err := load(binio.NewSizedReader(f, size))
 	if err != nil {
 		return nil, fmt.Errorf("p2h: open %s: %w", path, err)
 	}
@@ -256,42 +279,16 @@ type IndexInfo struct {
 // decoder does not know still reports its kind and Spec, with Dim and N set
 // to -1. Malformed input returns an error wrapping ErrFormat.
 func Inspect(r io.Reader) (IndexInfo, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(containerMagic))
-	if err != nil {
-		return IndexInfo{}, fmt.Errorf("%w: reading magic: %v", ErrFormat, err)
-	}
-	v2 := bytes.Equal(head, containerMagicV2)
-	if !v2 && !bytes.Equal(head, containerMagic) {
-		return IndexInfo{}, fmt.Errorf("%w: unrecognized magic %q", ErrFormat, head)
-	}
-	if _, err := br.Discard(len(containerMagic)); err != nil {
-		return IndexInfo{}, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	kindTag, err := readBlock(br, maxKindTagLen, "kind tag")
+	br := binio.NewReader(r)
+	h, err := readHeader(br)
 	if err != nil {
 		return IndexInfo{}, err
 	}
-	specJSON, err := readBlock(br, maxSpecJSONLen, "spec")
-	if err != nil {
-		return IndexInfo{}, err
-	}
-	info := IndexInfo{Kind: string(kindTag)}
-	if err := json.Unmarshal(specJSON, &info.Spec); err != nil {
-		return IndexInfo{}, fmt.Errorf("%w: decoding spec: %v", ErrFormat, err)
-	}
+	info := IndexInfo{Kind: h.kind, Spec: h.spec}
 	if info.Spec.Kind == "" {
 		info.Spec.Kind = info.Kind
 	}
-	if v2 {
-		section, err := readBlock(br, maxAttrSectionLen, "attribute section")
-		if err != nil {
-			return IndexInfo{}, err
-		}
-		st, err := decodeAttrSection(section)
-		if err != nil {
-			return IndexInfo{}, fmt.Errorf("%w: attribute section: %v", ErrFormat, err)
-		}
+	if st := h.attrs; st != nil {
 		info.HasAttrs = true
 		info.AttrTags = st.Tags()
 		names, kinds := st.Fields()
@@ -348,8 +345,9 @@ const maxInspectDim = 1 << 20
 // serializers all start with an 8-byte magic and little-endian counters).
 // Unknown payload magics — an out-of-tree registered kind, including one
 // whose whole payload is shorter than a magic — report (-1, -1) with no
-// error; only structurally corrupt known payloads fail.
-func payloadShape(br *bufio.Reader) (dim, n int, err error) {
+// error; only structurally corrupt known payloads fail, and a payload
+// version this build has retired fails with the error Load would give.
+func payloadShape(br io.Reader) (dim, n int, err error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -364,8 +362,12 @@ func payloadShape(br *bufio.Reader) (dim, n int, err error) {
 		}
 		return int(int32(binary.LittleEndian.Uint32(b[:]))), nil
 	}
-	switch string(magic[:]) {
-	case "P2HBT002", "P2HBT003", "P2HBC002", "P2HBC003", "P2HKD001":
+	m := string(magic[:])
+	if err := balltree.RetiredPayload(m); err != nil {
+		return 0, 0, fmt.Errorf("%w: %v", ErrFormat, err)
+	}
+	switch {
+	case m == "P2HKD001" || slices.Contains(balltree.PayloadMagics(), m):
 		// leafSize, n, d — the stored d is lifted (raw + 1).
 		if _, err := u32(); err != nil { // leafSize
 			return 0, 0, err
@@ -381,7 +383,7 @@ func payloadShape(br *bufio.Reader) (dim, n int, err error) {
 			return 0, 0, fmt.Errorf("%w: payload header: n=%d d=%d", ErrFormat, n, lifted)
 		}
 		return lifted - 1, n, nil
-	case "P2HSH001":
+	case m == "P2HSH001":
 		// n, d (lifted), shards, workers.
 		var lifted int
 		if n, err = u32(); err != nil {
@@ -394,7 +396,7 @@ func payloadShape(br *bufio.Reader) (dim, n int, err error) {
 			return 0, 0, fmt.Errorf("%w: payload header: n=%d d=%d", ErrFormat, n, lifted)
 		}
 		return lifted - 1, n, nil
-	case "P2HDY001":
+	case m == "P2HDY001":
 		// leafSize i32, seed i64, rebuild f64, dim i32 (lifted), rows i32,
 		// then rows*dim float32s (skipped) and rows liveness bytes (read to
 		// count the live points).
@@ -445,18 +447,20 @@ func writeBlock(buf *bytes.Buffer, b []byte) {
 	buf.Write(b)
 }
 
-// readBlock reads one length-prefixed block, bounding the length.
-func readBlock(br *bufio.Reader, maxLen int, what string) ([]byte, error) {
-	var n [4]byte
-	if _, err := io.ReadFull(br, n[:]); err != nil {
+// readBlock reads one length-prefixed block. The length is bounded by maxLen
+// and, through br, by what the stream can still deliver when that is known;
+// when it is not, the block grows a chunk at a time as its bytes arrive. A
+// four-byte prefix never buys an allocation the stream does not back.
+func readBlock(br *binio.Reader, maxLen int, what string) ([]byte, error) {
+	ln := int(uint32(br.I32()))
+	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("%w: reading %s length: %v", ErrFormat, what, err)
 	}
-	ln := int(binary.LittleEndian.Uint32(n[:]))
 	if ln <= 0 || ln > maxLen {
 		return nil, fmt.Errorf("%w: %s length %d out of range (1..%d)", ErrFormat, what, ln, maxLen)
 	}
-	b := make([]byte, ln)
-	if _, err := io.ReadFull(br, b); err != nil {
+	b := br.Raw(ln)
+	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("%w: reading %s: %v", ErrFormat, what, err)
 	}
 	return b, nil

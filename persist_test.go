@@ -5,11 +5,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"p2h/internal/balltree"
 )
 
 var updateGolden = flag.Bool("update", false, "regenerate the golden index fixtures under testdata/golden")
@@ -108,40 +112,238 @@ func TestGoldenFixtures(t *testing.T) {
 	}
 }
 
+// codecVariants is the codec's whole matrix: every persistable kind, plain (the
+// golden recipes), with the quantized mirror where the kind has one, and with
+// an attribute column (which switches the container to its v2 envelope).
+func codecVariants(t *testing.T) map[string]Index {
+	t.Helper()
+	out := map[string]Index{}
+	for kind, ix := range goldenRecipes(t) {
+		out[kind+"/plain"] = ix
+	}
+	data := specTestData(150, 8, 11)
+	for _, kind := range []string{KindBallTree, KindBCTree, KindSharded} {
+		ix, err := New(data, Spec{Kind: kind, Shards: 3, Workers: 2, LeafSize: 24, Seed: 3, Quantize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[kind+"/quantized"] = ix
+	}
+	for kind, ix := range goldenRecipes(t) {
+		rows := ix.N()
+		if d, ok := ix.(*Dynamic); ok {
+			rows = d.Handles()
+		}
+		pts := make([]PointAttrs, rows)
+		for i := range pts {
+			pts[i] = PointAttrs{Tags: []string{"even", "odd"}[i%2 : i%2+1], Ints: map[string]int64{"row": int64(i)}}
+		}
+		if err := AttachAttributes(ix, pts); err != nil {
+			t.Fatalf("%s: AttachAttributes: %v", kind, err)
+		}
+		out[kind+"/attributed"] = ix
+	}
+	return out
+}
+
 // TestSaveLoadRoundTripEveryPersistableKind: in-memory Save->Load for every
-// persistable kind with byte-identical search results (exact, budgeted and
-// filtered), and Save->Load->Save byte equality.
+// persistable kind x {plain, quantized, attributed} with byte-identical search
+// results (exact, budgeted, filtered and by predicate), and Save->Load->Save
+// byte equality.
 func TestSaveLoadRoundTripEveryPersistableKind(t *testing.T) {
-	recipes := goldenRecipes(t)
 	queries := GenerateQueries(specTestData(150, 8, 11), 6, 33)
-	for kind, orig := range recipes {
+	for name, orig := range codecVariants(t) {
 		var buf bytes.Buffer
 		if err := Save(&buf, orig); err != nil {
-			t.Fatalf("%s: Save: %v", kind, err)
+			t.Fatalf("%s: Save: %v", name, err)
 		}
 		loaded, err := Load(bytes.NewReader(buf.Bytes()))
 		if err != nil {
-			t.Fatalf("%s: Load: %v", kind, err)
+			t.Fatalf("%s: Load: %v", name, err)
 		}
 		for qi := 0; qi < queries.N; qi++ {
 			for _, opts := range []SearchOptions{
 				{K: 5},
 				{K: 3, Budget: 40},
 				{K: 4, Filter: func(id int32) bool { return id%2 == 0 }},
+				{K: 4, Pred: TagIs("even")},
 			} {
 				want, _ := orig.Search(queries.Row(qi), opts)
 				got, _ := loaded.Search(queries.Row(qi), opts)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: query %d opts %+v diverges after round trip", kind, qi, opts)
+					t.Fatalf("%s: query %d opts %+v diverges after round trip", name, qi, opts)
 				}
 			}
 		}
 		var buf2 bytes.Buffer
 		if err := Save(&buf2, loaded); err != nil {
-			t.Fatalf("%s: re-Save: %v", kind, err)
+			t.Fatalf("%s: re-Save: %v", name, err)
 		}
 		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-			t.Fatalf("%s: Save -> Load -> Save is not byte-identical", kind)
+			t.Fatalf("%s: Save -> Load -> Save is not byte-identical", name)
+		}
+	}
+}
+
+// arenaPayload locates the last arena payload inside a container (the only one
+// in a tree's, the embedded snapshot in a Dynamic's): its offset and the magic
+// Save wrote there, from the codec's own list.
+func arenaPayload(t testing.TB, container []byte) (off int, magic string) {
+	t.Helper()
+	off = -1
+	for _, m := range balltree.PayloadMagics() {
+		if i := bytes.LastIndex(container, []byte(m)); i > off {
+			off, magic = i, m
+		}
+	}
+	if off < 0 {
+		t.Fatal("container embeds no arena payload")
+	}
+	return off, magic
+}
+
+// totalAllocDuring reports the heap bytes f allocates in total.
+func totalAllocDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestTruncatedSectionsFailBeforeAllocating cuts a BC-Tree container — plain,
+// quantized and attributed — at every section boundary of the arena payload
+// (the next section is missing) and one element short of it (the section
+// declares one element more than fits). Every cut is ErrFormat, and because a
+// sized stream refuses a section it cannot deliver before the make(), loading
+// allocates the bytes that are there once: well under 1 MiB for a container
+// of ~0.6 MB, where growing each section by doubling would pass it. The same
+// holds through Open, which learns the size from the file. Sharded and
+// Dynamic containers, whose payloads embed arena payloads, get a byte-grid
+// sweep under the same bound.
+func TestTruncatedSectionsFailBeforeAllocating(t *testing.T) {
+	const limit = 1 << 20
+	data := specTestData(4000, 31, 5)
+	check := func(name string, cut []byte) {
+		t.Helper()
+		var err error
+		if got := totalAllocDuring(func() { _, err = Load(bytes.NewReader(cut)) }); got >= limit {
+			t.Errorf("%s: loading %d bytes allocated %d", name, len(cut), got)
+		}
+		if !errors.Is(err, ErrFormat) {
+			t.Fatalf("%s: err = %v, want ErrFormat", name, err)
+		}
+	}
+	for _, variant := range []string{"plain", "quantized", "attributed"} {
+		ix, err := New(data, Spec{Kind: KindBCTree, LeafSize: 50, Seed: 2, Quantize: variant == "quantized"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if variant == "attributed" {
+			pts := make([]PointAttrs, data.N)
+			for i := range pts {
+				pts[i] = PointAttrs{Ints: map[string]int64{"row": int64(i)}}
+			}
+			if err := AttachAttributes(ix, pts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := Save(&buf, ix); err != nil {
+			t.Fatal(err)
+		}
+		good := buf.Bytes()
+		pay, _ := arenaPayload(t, good)
+		hdr := func(i int) int { return int(binary.LittleEndian.Uint32(good[pay+8+4*i:])) }
+		n, d, nodes := hdr(1), hdr(2), hdr(3)
+		// Section sizes in stream order, each with its element width.
+		sections := []struct {
+			name        string
+			bytes, elem int
+		}{
+			{"header", 8 + 5*4, 4}, {"ids", 4 * n, 4}, {"points", 4 * n * d, 4}, {"centers", 4 * nodes * d, 4},
+			{"node bounds", 16 * nodes, 8}, {"node links", 16 * nodes, 4},
+			{"rx", 4 * n, 4}, {"xcos", 4 * n, 4}, {"xsin", 4 * n, 4},
+		}
+		if variant == "quantized" {
+			sections = append(sections, []struct {
+				name        string
+				bytes, elem int
+			}{{"quant flag", 1, 1}, {"quant lo", 4 * d, 4}, {"quant step", 4 * d, 4}, {"quant halfE", 8 * d, 8}, {"codes", n * d, 1}}...)
+		}
+		end := pay
+		for _, sec := range sections {
+			end += sec.bytes
+			check(variant+": one element short of the end of "+sec.name, good[:end-sec.elem])
+			if end < len(good) {
+				check(variant+": cut after "+sec.name, good[:end])
+			}
+		}
+		if end != len(good) {
+			t.Fatalf("%s: sections add up to %d bytes, container has %d", variant, end, len(good))
+		}
+		if variant == "plain" {
+			path := filepath.Join(t.TempDir(), "cut.p2h")
+			if err := os.WriteFile(path, good[:len(good)-4], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if got := totalAllocDuring(func() { _, err = Open(path) }); got >= limit || !errors.Is(err, ErrFormat) {
+				t.Errorf("Open of a container one element short: allocated %d, err %v", got, err)
+			}
+		}
+	}
+
+	small := specTestData(1500, 31, 5)
+	for _, spec := range []Spec{
+		{Kind: KindSharded, Shards: 3, Workers: 2, LeafSize: 50, Seed: 2},
+		{Kind: KindDynamic, LeafSize: 50, Seed: 2},
+	} {
+		ix, err := New(small, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Save(&buf, ix); err != nil {
+			t.Fatal(err)
+		}
+		good := buf.Bytes()
+		for cut := 0; cut < len(good); cut += len(good)/97 + 1 {
+			check(fmt.Sprintf("%s cut at %d", spec.Kind, cut), good[:cut])
+		}
+		check(spec.Kind+" one byte short", good[:len(good)-1])
+	}
+}
+
+// TestRetiredBCPayloadsAreNamed: a container written before the point-level
+// arrays became float32 — a BC-Tree, or a Sharded or Dynamic index embedding
+// one — is refused with an error that names the payload version it holds and
+// the ones this build reads. There is no converter.
+func TestRetiredBCPayloadsAreNamed(t *testing.T) {
+	for kind, ix := range goldenRecipes(t) {
+		if kind != KindBCTree && kind != KindSharded && kind != KindDynamic {
+			continue
+		}
+		var buf bytes.Buffer
+		if err := Save(&buf, ix); err != nil {
+			t.Fatal(err)
+		}
+		_, current := arenaPayload(t, buf.Bytes())
+		old := bytes.ReplaceAll(buf.Bytes(), []byte(current), []byte("P2HBC002"))
+		_, err := Load(bytes.NewReader(old))
+		if !errors.Is(err, ErrFormat) {
+			t.Fatalf("%s: retired payload: err = %v, want ErrFormat", kind, err)
+		}
+		for _, want := range []string{"P2HBC002", "version 2", current} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", kind, err, want)
+			}
+		}
+		// Inspect sniffs the outermost payload only: it names a retired
+		// BC-Tree payload too rather than reporting an unknown shape.
+		if _, err := Inspect(bytes.NewReader(old)); kind == KindBCTree &&
+			(!errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "version 2")) {
+			t.Errorf("Inspect of a retired bctree payload: %v", err)
 		}
 	}
 }
@@ -294,26 +496,41 @@ func TestContainerSpecRecorded(t *testing.T) {
 }
 
 // TestInspectEveryPersistableKind: Inspect reports kind, Spec, raw dim and
-// point count from the header region alone, for every kind Save can write.
+// point count from the header region alone, for every kind Save can write and
+// every payload version the arena codec emits — it follows the codec's own
+// magic list, so a format bump cannot leave it reporting -1/-1.
 func TestInspectEveryPersistableKind(t *testing.T) {
-	for kind, ix := range goldenRecipes(t) {
+	seen := map[string]bool{}
+	for name, ix := range codecVariants(t) {
+		kind, _, _ := strings.Cut(name, "/")
 		var buf bytes.Buffer
 		if err := Save(&buf, ix); err != nil {
-			t.Fatalf("%s: %v", kind, err)
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, m := range balltree.PayloadMagics() {
+			if bytes.Contains(buf.Bytes(), []byte(m)) {
+				seen[m] = true
+			}
 		}
 		info, err := Inspect(&buf)
 		if err != nil {
-			t.Fatalf("%s: Inspect: %v", kind, err)
+			t.Fatalf("%s: Inspect: %v", name, err)
 		}
 		if info.Kind != kind {
-			t.Fatalf("%s: Inspect kind=%q", kind, info.Kind)
+			t.Fatalf("%s: Inspect kind=%q", name, info.Kind)
 		}
 		if info.Spec.Kind != kind {
-			t.Fatalf("%s: Inspect spec kind %q", kind, info.Spec.Kind)
+			t.Fatalf("%s: Inspect spec kind %q", name, info.Spec.Kind)
 		}
 		if info.Dim != ix.Dim() || info.N != ix.N() {
-			t.Fatalf("%s: Inspect dim=%d n=%d, want dim=%d n=%d", kind, info.Dim, info.N, ix.Dim(), ix.N())
+			t.Fatalf("%s: Inspect dim=%d n=%d, want dim=%d n=%d", name, info.Dim, info.N, ix.Dim(), ix.N())
 		}
+		if want := strings.HasSuffix(name, "/attributed"); info.HasAttrs != want {
+			t.Fatalf("%s: Inspect HasAttrs=%v", name, info.HasAttrs)
+		}
+	}
+	if len(seen) != len(balltree.PayloadMagics()) {
+		t.Fatalf("variants exercised payload magics %v of %v", seen, balltree.PayloadMagics())
 	}
 }
 

@@ -11,9 +11,11 @@
 # The suite covers the layers the execution engine optimizes: the vec
 # kernels (single row, one four-row pass, leaf-sized blocks, the build's
 # MaxDistFrom pass), the linear scan, the tree searches (per-query and
-# batched), and the serving path. -count=6 gives benchstat enough samples for a significance
+# batched), the serving path, and the container codec (save and open of the
+# n=50k BC-Tree). -count=6 gives benchstat enough samples for a significance
 # test; -benchmem records allocs/op so the zero-allocation steady state is
-# gated alongside time.
+# gated alongside time, and B/op for the codec pair, where it is what opening
+# an index costs in heap (about one container's worth).
 set -euo pipefail
 
 COUNT="${BENCH_COUNT:-6}"
@@ -28,7 +30,7 @@ run() {
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" ./internal/vec | tee -a "$out"
   go test -run '^$' -bench 'BenchmarkLinearScan' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" ./internal/linearscan | tee -a "$out"
-  go test -run '^$' -bench 'BenchmarkQueryExactBallTree|BenchmarkQueryExactBCTree|BenchmarkQueryBudgetBCTree$|BenchmarkSearchBatchExact|BenchmarkServer' \
+  go test -run '^$' -bench 'BenchmarkQueryExactBallTree|BenchmarkQueryExactBCTree|BenchmarkQueryBudgetBCTree$|BenchmarkSearchBatchExact|BenchmarkServer|BenchmarkSaveBCTree|BenchmarkOpenBCTree' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" . | tee -a "$out"
 }
 
@@ -62,16 +64,19 @@ compare() {
   report=$(benchstat "$base" "$head")
   echo "$report"
   # benchstat marks a significant delta as "+NN.NN% (p=0.0xx n=6)" and an
-  # insignificant one as "~". Two metric sections are regression signals:
-  # sec/op (a positive delta is a slowdown) and allocs/op (a positive delta
-  # means the zero-allocation steady state is eroding). In the B/s table a
-  # positive delta is an improvement, so the scan tracks which metric
-  # section it is inside.
+  # insignificant one as "~". Three metric sections are regression signals:
+  # sec/op (a positive delta is a slowdown), allocs/op (a positive delta
+  # means the zero-allocation steady state is eroding) and, for the codec
+  # benchmarks only, B/op (elsewhere it follows pool and cache state). In
+  # the B/s table a positive delta is an improvement, so the scan tracks
+  # which metric section it is inside.
   local bad
   bad=$(echo "$report" | awk -v maxsec="$MAX_REGRESSION_PCT" -v maxalloc="$MAX_ALLOC_REGRESSION_PCT" '
     /sec\/op/  { sect = "sec";   next }
     /allocs\/op/ { sect = "alloc"; next }
-    /B\/s|B\/op/ { sect = "";      next }
+    /B\/op/ { sect = "bytes"; next }
+    /B\/s/  { sect = "";      next }
+    sect == "bytes" && $1 !~ /^(Save|Open)BCTree/ { next }
     sect != "" {
       for (i = 1; i < NF; i++) {
         if ($i ~ /^\+[0-9]+(\.[0-9]+)?%$/ && $(i + 1) ~ /^\(p=[0-9.]+$/) {
@@ -85,7 +90,7 @@ compare() {
   if [ -n "$bad" ]; then
     echo ""
     echo "FAIL: statistically significant regression(s) above the gates" \
-         "(sec/op > ${MAX_REGRESSION_PCT}%, allocs/op > ${MAX_ALLOC_REGRESSION_PCT}%):"
+         "(sec/op > ${MAX_REGRESSION_PCT}%, allocs/op and codec B/op > ${MAX_ALLOC_REGRESSION_PCT}%):"
     echo "$bad"
     exit 1
   fi

@@ -58,9 +58,10 @@ type Spec struct {
 	// quantized mirror of their leaf blocks and filter leaf rows through its
 	// exact error bound before float verification. Results are unchanged (the
 	// filter is conservative); exact unfiltered searches get cheaper leaf
-	// scans for about 25% more memory. The dynamic kind ignores it: its
-	// snapshot is rebuilt incrementally and would invalidate the mirror on
-	// every insert batch. See docs/TUNING.md.
+	// scans for one more byte per stored coordinate: +25% on the float32
+	// point copy, which is the bulk of a tree's footprint. The dynamic kind
+	// ignores it: its snapshot is rebuilt incrementally and would invalidate
+	// the mirror on every insert batch. See docs/TUNING.md.
 	Quantize bool `json:"quantize,omitempty"`
 
 	// Lambda is NH/FH's sampled transform dimension (zero: 2*(Dim+1)).

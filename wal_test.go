@@ -363,15 +363,15 @@ func containerFuzzSeeds(t testing.TB) map[string][]byte {
 	flipped := append([]byte(nil), dynBuf.Bytes()...)
 	flipped[len(flipped)/2] ^= 0x20
 	// A NaN point radius inside the first leaf: it passes every ordered
-	// comparison, so only an explicit finiteness check rejects it. The rx
-	// array follows the payload's header (8+5*4), ids, points, centers and
-	// the two node columns (16 bytes per node each).
+	// comparison, so only an explicit finiteness check rejects it. The
+	// float32 rx array follows the payload's header (8+5*4), ids, points,
+	// centers and the two node columns (16 bytes per node each).
 	nanRadius := append([]byte(nil), bc...)
-	pay := bytes.Index(nanRadius, []byte("P2HBC002"))
+	pay, _ := arenaPayload(t, nanRadius)
 	hdr := func(i int) int { return int(binary.LittleEndian.Uint32(nanRadius[pay+8+4*i:])) }
 	n, d, nodes := hdr(1), hdr(2), hdr(3)
 	rx := pay + 28 + 4*n + 4*n*d + 4*nodes*d + 32*nodes
-	binary.LittleEndian.PutUint64(nanRadius[rx+8:], math.Float64bits(math.NaN()))
+	binary.LittleEndian.PutUint32(nanRadius[rx+4:], math.Float32bits(float32(math.NaN())))
 	attributed, err := New(data, Spec{Kind: KindBCTree, LeafSize: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
