@@ -11,6 +11,7 @@ package p2h
 // experiment benchmarks.
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -177,6 +178,69 @@ func BenchmarkOpenBCTree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Open(path); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// dynamicBench builds dyn-rw's index — the first 20 000 rows of the benchmark
+// fixture, bulk-loaded — with 5 % more inserted on top, so it holds a snapshot
+// tree and a delta, and returns its container bytes and the size of its live
+// lifted vectors.
+func dynamicBench(b *testing.B) (container []byte, liveBytes int64) {
+	b.Helper()
+	data := Dedup(GenerateDataset("Sift", 50000, 1))
+	const seedN = 20000
+	seed := make([]int32, seedN)
+	for i := range seed {
+		seed[i] = int32(i)
+	}
+	ix := NewDynamic(data.SubsetRows(seed), DynamicOptions{Seed: 1})
+	for i := seedN; i < seedN+seedN/20; i++ {
+		ix.Insert(data.Row(i))
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, ix); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes(), int64(ix.N()) * int64(ix.Dim()+1) * 4
+}
+
+// BenchmarkOpenDynamic: recovery reads the container once. With -benchmem,
+// B/op should be about one container's worth — the embedded tree decodes off
+// the stream, not out of a buffered copy of its payload.
+func BenchmarkOpenDynamic(b *testing.B) {
+	container, _ := dynamicBench(b)
+	path := filepath.Join(b.TempDir(), "dyn.p2h")
+	if err := os.WriteFile(path, container, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(container)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Open(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDynamicCompact: one compaction cycle of that index, throughput
+// against the live data folded. B/op should be about twice the live data —
+// the gathered rows and the new tree's reordered copy of them.
+func BenchmarkDynamicCompact(b *testing.B) {
+	container, liveBytes := dynamicBench(b)
+	b.SetBytes(liveBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ix, err := Load(bytes.NewReader(container))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if !ix.(*Dynamic).Compact() {
+			b.Fatal("nothing to compact")
 		}
 	}
 }

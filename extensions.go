@@ -162,9 +162,10 @@ func (t *Dynamic) Dim() int { return t.raw }
 func (t *Dynamic) Handles() int { return t.index.Handles() }
 
 // Pending reports the delta queries currently pay for beyond the tree:
-// buffered inserts (scanned exhaustively per query) plus tree tombstones
-// (filtered during traversal). Rebuilds and compactions drive it back
-// toward zero.
+// rows inserted since the last rebuild (scanned exhaustively per query; one
+// deleted since still counts, its vector stays until that rebuild) plus tree
+// tombstones (filtered during traversal). Rebuilds and compactions drive it
+// back to zero and release the deleted vectors.
 func (t *Dynamic) Pending() int { return t.index.Pending() }
 
 // SetBackgroundCompaction hands delta folding to a serving engine (true) or
@@ -173,9 +174,9 @@ func (t *Dynamic) Pending() int { return t.index.Pending() }
 // ServerOptions.BackgroundCompaction is set.
 func (t *Dynamic) SetBackgroundCompaction(on bool) { t.index.SetBackgroundCompaction(on) }
 
-// CompactionNeeded reports whether the delta (insert buffer + tombstones)
-// has outgrown the compaction threshold (Spec.CompactFraction, falling back
-// to Spec.RebuildFraction).
+// CompactionNeeded reports whether the delta (rows inserted since the last
+// rebuild + tombstones) has outgrown the compaction threshold
+// (Spec.CompactFraction, falling back to Spec.RebuildFraction).
 func (t *Dynamic) CompactionNeeded() bool { return t.index.CompactionNeeded() }
 
 // BeginCompaction captures a background rebuild of the delta: build runs

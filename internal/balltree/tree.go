@@ -213,6 +213,12 @@ func (t *Tree) IndexBytes() int64 {
 // DataBytes returns the size of the reordered data copy.
 func (t *Tree) DataBytes() int64 { return t.points.Bytes() }
 
+// Rows returns the reordered data copy and the position -> id map: row p of
+// points is the vector Build was handed as row ids[p]. Both alias the tree
+// and are read-only. A holder that keeps no second copy of what it indexed
+// (internal/dynamic) reads its vectors back through them.
+func (t *Tree) Rows() (points *vec.Matrix, ids []int32) { return t.points, t.ids }
+
 // String summarizes the tree for logs.
 func (t *Tree) String() string {
 	return fmt.Sprintf("%s{n=%d d=%d leafsize=%d nodes=%d leaves=%d height=%d}",

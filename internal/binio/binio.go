@@ -177,6 +177,7 @@ type Reader struct {
 	r     *bufio.Reader
 	err   error
 	left  int64   // bytes the stream can still deliver; negative when unknown
+	n     int64   // bytes delivered so far
 	word  [8]byte // decode buffer of the scalar readers
 	chunk []byte  // decode buffer of the bulk readers, allocated on first use
 }
@@ -205,11 +206,18 @@ func NewSizedReader(r io.Reader, size int64) *Reader {
 // touch the sticky error.
 func (r *Reader) Read(p []byte) (int, error) {
 	n, err := r.r.Read(p)
+	r.n += int64(n)
 	if r.left >= 0 {
 		r.left -= int64(n)
 	}
 	return n, err
 }
+
+// Consumed returns the number of bytes decoded so far, the counterpart of
+// Writer.Written: a format that length-prefixes an embedded payload streams
+// the payload's decoder through and checks it took exactly the declared
+// length.
+func (r *Reader) Consumed() int64 { return r.n }
 
 func (r *Reader) get(buf []byte) bool {
 	if r.err != nil {

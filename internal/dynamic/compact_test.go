@@ -3,6 +3,8 @@ package dynamic
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"p2h/internal/core"
@@ -105,8 +107,13 @@ func TestCompactReconciliation(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	ix := New(dim, Config{Seed: 2})
 	ix.SetBackgroundCompaction(true)
+	var inserted [][]float32 // by handle
+	insert := func() int32 {
+		inserted = append(inserted, randLifted(rng, dim))
+		return ix.Insert(inserted[len(inserted)-1])
+	}
 	for i := 0; i < 500; i++ {
-		ix.Insert(randLifted(rng, dim))
+		insert()
 	}
 
 	c := ix.BeginCompaction()
@@ -118,7 +125,7 @@ func TestCompactReconciliation(t *testing.T) {
 	// of a captured handle, a delete of a handle inserted after capture.
 	var late []int32
 	for i := 0; i < 50; i++ {
-		late = append(late, ix.Insert(randLifted(rng, dim)))
+		late = append(late, insert())
 	}
 	if !ix.Delete(10) {
 		t.Fatal("delete of captured handle failed")
@@ -136,16 +143,10 @@ func TestCompactReconciliation(t *testing.T) {
 	if ix.treeDel != 1 {
 		t.Fatalf("treeDel = %d, want 1 (handle 10)", ix.treeDel)
 	}
-	if len(ix.buffer) != 49 {
-		t.Fatalf("buffer = %d, want 49 live late inserts", len(ix.buffer))
-	}
-	for _, h := range ix.buffer {
-		if h < 500 {
-			t.Fatalf("buffer holds captured handle %d", h)
-		}
-		if h == late[7] {
-			t.Fatal("buffer holds deleted late handle")
-		}
+	// The raced rows are the new delta, the deleted one included: it stays
+	// until the next rebuild, dead.
+	if ix.base != 500 || ix.delta.N != 50 {
+		t.Fatalf("base %d, delta of %d rows; want 500 and the 50 late inserts", ix.base, ix.delta.N)
 	}
 	if ix.N() != 548 {
 		t.Fatalf("N = %d, want 548", ix.N())
@@ -155,22 +156,14 @@ func TestCompactReconciliation(t *testing.T) {
 	q := randLifted(rng, dim)
 	got := searchHandles(t, ix, q, 20)
 	ref := New(dim, Config{Seed: 2})
-	for h := 0; h < ix.Handles(); h++ {
-		v, ok := ix.Vector(int32(h))
-		if ok {
-			if rh := ref.Insert(v); rh != int32(h) {
-				// ref handles drift past deleted ones; rebuild ref from
-				// scratch using the same rows instead.
-				t.Fatalf("reference handle %d != %d", rh, h)
-			}
-		} else {
-			// Keep handle spaces aligned: insert the original row, then
-			// delete it.
-			row := ix.rows.Row(h)
-			if rh := ref.Insert(row); rh != int32(h) {
-				t.Fatalf("reference handle %d != %d", rh, h)
-			}
+	for h, row := range inserted {
+		if rh := ref.Insert(row); rh != int32(h) {
+			t.Fatalf("reference handle %d != %d", rh, h)
+		}
+		if v, ok := ix.vector(int32(h)); !ok {
 			ref.Delete(int32(h))
+		} else if !slices.Equal(v, row) {
+			t.Fatalf("handle %d holds %v, inserted %v", h, v, row)
 		}
 	}
 	ref.Rebuild()
@@ -231,4 +224,185 @@ func TestCompactionNeededThresholds(t *testing.T) {
 	if delta := fb.BufferLen(); delta != 101 {
 		t.Fatalf("fallback triggered at delta %d, want 101", delta)
 	}
+}
+
+// TestCompactionRaceKeepsCaptureIntact runs inserts and deletes — of tree
+// handles, of delta handles the capture holds, of handles inserted since —
+// on one goroutine while Build runs unlocked on another, the way the serving
+// engine does. Under -race any write into what Build reads is reported; the
+// captured delta rows are also compared byte for byte afterwards. The
+// installed index must then answer exactly like a scan of the live set.
+func TestCompactionRaceKeepsCaptureIntact(t *testing.T) {
+	const dim = 9
+	rng := rand.New(rand.NewSource(21))
+	ref := newReference(dim) // the same mutations, scanned linearly
+	for h := 0; h < 600; h++ {
+		ref.insert(randLifted(rng, dim))
+	}
+	ix := NewFromMatrix(ref.rows, Config{LeafSize: 20, Seed: 5})
+	ix.SetBackgroundCompaction(true)
+	insert := func() int32 {
+		x := randLifted(rng, dim)
+		ref.insert(x)
+		return ix.Insert(x)
+	}
+	remove := func(h int32) {
+		if !ix.Delete(h) || !ref.delete(h) {
+			t.Fatalf("delete of live handle %d failed", h)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		insert()
+	}
+	for _, h := range []int32{3, 99, 431, 620, 677} { // tree and delta tombstones before the capture
+		remove(h)
+	}
+
+	c := ix.BeginCompaction()
+	if c == nil || c.tree == nil || c.delta.N != 100 || c.fromTree != 597 || len(c.ids) != 695 {
+		t.Fatalf("capture: %+v", c)
+	}
+	captured := slices.Clone(c.delta.Data)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Build(ix.cfg)
+	}()
+	var late []int32
+	for i := 0; i < 300; i++ { // enough appends to reallocate the delta more than once
+		late = append(late, insert())
+		switch i % 60 {
+		case 10:
+			remove(int32(i)) // in the old tree
+		case 30:
+			remove(int32(600 + i/3)) // captured, still in the delta
+		case 50:
+			remove(late[i/2]) // inserted during the build
+		}
+	}
+	<-done
+	if !slices.Equal(captured, c.delta.Data) {
+		t.Fatal("the captured delta rows changed during the build")
+	}
+	ix.Install(c)
+
+	if ix.base != 700 || ix.delta.N != 300 || len(ix.treeIDs) != 695 || ix.treeDel != 10 {
+		t.Fatalf("after install: base %d, delta %d, tree %d with %d tombstones", ix.base, ix.delta.N, len(ix.treeIDs), ix.treeDel)
+	}
+	if cap(ix.delta.Data) != len(ix.delta.Data) || &ix.delta.Data[0] == &c.delta.Data[0] {
+		t.Fatal("the new delta still sits in the folded delta's array")
+	}
+	for i := 0; i < 20; i++ {
+		q := randLifted(rng, dim)
+		var want []int32
+		for _, r := range ref.search(q, 15) {
+			want = append(want, r.ID)
+		}
+		if got := searchHandles(t, ix, q, 15); !slices.Equal(got, want) {
+			t.Fatalf("query %d: %v, scan of the live set %v", i, got, want)
+		}
+	}
+}
+
+// TestCompactIsAFunctionOfTheLiveSet: whatever the history — rebuilds at
+// other sizes, tombstones, rows gathered out of a tree that stored them in
+// its own order — the tree a compaction builds is byte for byte the tree a
+// fresh bulk load of the live rows in handle order builds.
+func TestCompactIsAFunctionOfTheLiveSet(t *testing.T) {
+	const dim = 7
+	rng := rand.New(rand.NewSource(22))
+	cfg := Config{LeafSize: 12, Seed: 9, RebuildFraction: 0.3}
+	ix := New(dim, cfg)
+	ref := newReference(dim)
+	for op := 0; op < 1500; op++ {
+		if op == 0 || rng.Intn(3) > 0 {
+			x := randLifted(rng, dim)
+			ref.insert(x)
+			ix.Insert(x)
+		} else {
+			h := int32(rng.Intn(ref.rows.N))
+			if ix.Delete(h) != ref.delete(h) {
+				t.Fatalf("op %d: delete(%d) diverged", op, h)
+			}
+		}
+		if op%400 == 399 {
+			ix.SetBackgroundCompaction(op%800 == 399) // alternate inline rebuilds and explicit compactions
+			ix.Compact()
+		}
+	}
+	x := randLifted(rng, dim)
+	ref.insert(x)
+	ix.Insert(x)
+	if !ix.Compact() {
+		t.Fatal("Compact found nothing to fold after an insert")
+	}
+	if ix.treeDel != 0 || ix.delta.N != 0 || ix.base != ref.rows.N {
+		t.Fatalf("compacted index still has a delta: %s", ix)
+	}
+
+	var live []int32
+	for h, ok := range ref.alive {
+		if ok {
+			live = append(live, int32(h))
+		}
+	}
+	fresh := NewFromMatrix(ref.rows.SubsetRows(live), cfg)
+	var got, want bytes.Buffer
+	if err := ix.tree.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.tree.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("compacted tree differs from a bulk load of the live rows in handle order")
+	}
+}
+
+// TestChurnKeepsMemoryBounded replaces the live set ten times over with
+// compaction on. What the index holds afterwards is one copy of the live
+// rows, its own structures and a delta under the compaction threshold — not
+// a row for every handle it ever issued.
+func TestChurnKeepsMemoryBounded(t *testing.T) {
+	const dim, live, turnover = 65, 3000, 10
+	rng := rand.New(rand.NewSource(23))
+	row := make([]float32, dim)
+	next := func() []float32 {
+		for j := range row[:dim-1] {
+			row[j] = rng.Float32()*2 - 1
+		}
+		row[dim-1] = 1
+		return row
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	ix := New(dim, Config{Seed: 1, CompactFraction: 0.05})
+	ix.SetBackgroundCompaction(true)
+	mutate := func(f func()) {
+		f()
+		if ix.CompactionNeeded() {
+			ix.Compact()
+		}
+	}
+	for i := 0; i < live; i++ {
+		mutate(func() { ix.Insert(next()) })
+	}
+	for i := 0; i < live*turnover; i++ {
+		mutate(func() { ix.Insert(next()) })
+		mutate(func() { ix.Delete(int32(i)) }) // the oldest live handle
+	}
+	held := heap() - before
+	if ix.N() != live || ix.Handles() != live*(turnover+1) {
+		t.Fatalf("after the churn: %s, %d handles", ix, ix.Handles())
+	}
+	budget := uint64(1.3 * float64(int64(live*dim*4)+ix.IndexBytes()))
+	if held > budget {
+		t.Fatalf("index holds %d bytes after issuing %d handles; 1.3x (live rows + index) is %d", held, ix.Handles(), budget)
+	}
+	runtime.KeepAlive(ix)
 }

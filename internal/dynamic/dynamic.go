@@ -1,8 +1,14 @@
 // Package dynamic makes the static BC-Tree mutable: inserts accumulate in a
-// buffer that queries scan exhaustively, deletes become tombstones filtered
-// out of tree results, and the tree is rebuilt from the live set once the
-// buffer and the tombstones together exceed a configurable fraction of the
-// indexed points. Point handles are stable across rebuilds.
+// delta that queries scan exhaustively, deletes become tombstones filtered
+// out of results, and the tree is rebuilt from the live set once the delta
+// and the tombstones together exceed a configurable fraction of the indexed
+// points. Point handles are stable across rebuilds.
+//
+// There is one copy of the data. A vector lives in the delta from its insert
+// until the next rebuild and in the snapshot tree's reordered storage from
+// then on; a rebuild gathers the live vectors out of the old tree and the
+// delta, so a deleted vector's bytes are released by the rebuild after its
+// delete.
 //
 // The paper's trees are static (built once over a fixed data set); this
 // wrapper is the standard "static structure + delta" construction that turns
@@ -24,7 +30,7 @@ type Config struct {
 	LeafSize int
 	// Seed drives tree construction.
 	Seed int64
-	// RebuildFraction triggers a rebuild when (buffer size + tombstones)
+	// RebuildFraction triggers a rebuild when (delta rows + tombstones)
 	// exceeds this fraction of the live set. Zero selects 0.25.
 	RebuildFraction float64
 	// CompactFraction is the background-compaction trigger used instead of
@@ -48,16 +54,21 @@ type Index struct {
 	cfg Config
 	dim int // lifted dimensionality
 
-	rows  *vec.Matrix // all vectors ever inserted; row index = stable handle
-	alive []bool
-	live  int // number of alive handles
+	alive []bool // per handle ever issued
+	live  int    // number of alive handles
 
+	// Handles [0, base) were folded by the last rebuild: the ones live then
+	// are in the tree, the rest are gone. Handles [base, Handles()) are the
+	// delta: row h-base is handle h, dead or alive. The delta is append-only
+	// between rebuilds — a Delete flips alive and nothing else — which is what
+	// lets a background compaction read an alias of it without the lock.
 	tree    *balltree.Tree // over a snapshot of handles; nil when empty
-	treeIDs []int32        // tree-local id -> handle
+	treeIDs []int32        // tree-local id -> handle, ascending, all < base
 	treeDel int            // tombstones inside the tree snapshot
-	buffer  []int32        // handles inserted since the last rebuild
+	base    int
+	delta   *vec.Matrix
 
-	// attrs holds one attribute payload per handle, aligned with rows; nil
+	// attrs holds one attribute payload per handle, aligned with alive; nil
 	// until the first attributed insert, then padded with empty payloads so
 	// indexing stays direct. Predicates evaluate per handle at query time —
 	// the mutable delta has no per-node summaries to push down into, which
@@ -75,16 +86,20 @@ func New(dim int, cfg Config) *Index {
 	if dim <= 0 {
 		panic(fmt.Sprintf("dynamic: invalid dimension %d", dim))
 	}
-	return &Index{cfg: cfg.normalized(), dim: dim, rows: vec.NewMatrix(0, dim)}
+	return &Index{cfg: cfg.normalized(), dim: dim, delta: vec.NewMatrix(0, dim)}
 }
 
 // NewFromMatrix bulk-loads the rows of data (lifted vectors); handles are
-// the row indices.
+// the row indices. The rows enter as the delta and one Rebuild folds them, so
+// the tree is built once, straight from data, which the index then lets go of.
 func NewFromMatrix(data *vec.Matrix, cfg Config) *Index {
 	ix := New(data.D, cfg)
-	for i := 0; i < data.N; i++ {
-		ix.Insert(data.Row(i))
+	ix.delta = data
+	ix.alive = make([]bool, data.N)
+	for h := range ix.alive {
+		ix.alive[h] = true
 	}
+	ix.live = data.N
 	ix.Rebuild()
 	return ix
 }
@@ -98,13 +113,15 @@ func (ix *Index) Configuration() Config { return ix.cfg }
 // Dim returns the lifted dimensionality.
 func (ix *Index) Dim() int { return ix.dim }
 
-// BufferLen returns the number of points pending outside the tree.
-func (ix *Index) BufferLen() int { return len(ix.buffer) }
+// BufferLen returns the number of rows pending outside the tree, deleted
+// ones included: they stay in the delta until the next rebuild.
+func (ix *Index) BufferLen() int { return ix.delta.N }
 
-// Pending returns the delta queries pay for beyond the tree: buffered
-// inserts (scanned exhaustively) plus tree tombstones (filtered during
-// traversal). It is what the rebuild and compaction triggers measure.
-func (ix *Index) Pending() int { return len(ix.buffer) + ix.treeDel }
+// Pending returns the delta queries pay for beyond the tree: delta rows
+// (scanned exhaustively) plus tree tombstones (filtered during traversal).
+// It is what the rebuild and compaction triggers measure, and it bounds the
+// dead vectors still resident.
+func (ix *Index) Pending() int { return ix.delta.N + ix.treeDel }
 
 // Insert adds a lifted vector and returns its stable handle.
 func (ix *Index) Insert(x []float32) int32 {
@@ -131,19 +148,18 @@ func (ix *Index) insertRow(x []float32) int32 {
 	if len(x) != ix.dim {
 		panic(fmt.Sprintf("dynamic: vector dimension %d != %d", len(x), ix.dim))
 	}
-	handle := int32(ix.rows.N)
-	ix.rows.Data = append(ix.rows.Data, x...)
-	ix.rows.N++
+	handle := int32(len(ix.alive))
+	ix.delta.Data = append(ix.delta.Data, x...)
+	ix.delta.N++
 	ix.alive = append(ix.alive, true)
 	ix.live++
-	ix.buffer = append(ix.buffer, handle)
 	return handle
 }
 
 // ensureAttrs pads the attribute column with empty payloads up to the current
-// row count, so it stays handle-indexed.
+// handle count, so it stays handle-indexed.
 func (ix *Index) ensureAttrs() {
-	for len(ix.attrs) < ix.rows.N {
+	for len(ix.attrs) < len(ix.alive) {
 		ix.attrs = append(ix.attrs, attr.Point{})
 	}
 }
@@ -168,9 +184,9 @@ func (ix *Index) SetAttrs(points []attr.Point) error {
 		ix.attrs = nil
 		return nil
 	}
-	if len(points) != ix.rows.N {
+	if len(points) != len(ix.alive) {
 		return fmt.Errorf("dynamic: attribute column covers %d handles, index has issued %d",
-			len(points), ix.rows.N)
+			len(points), len(ix.alive))
 	}
 	ix.attrs = points
 	return nil
@@ -183,81 +199,49 @@ func (ix *Index) Delete(handle int32) bool {
 	}
 	ix.alive[handle] = false
 	ix.live--
-	// A tombstone inside the tree degrades queries; one in the buffer is
-	// removed immediately.
-	inBuffer := false
-	for i, h := range ix.buffer {
-		if h == handle {
-			ix.buffer = append(ix.buffer[:i], ix.buffer[i+1:]...)
-			inBuffer = true
-			break
-		}
-	}
-	if !inBuffer {
+	// A tombstone inside the tree is filtered out of every traversal until
+	// the next rebuild; a dead delta row is skipped by the scan and was
+	// counted when it was inserted.
+	if int(handle) < ix.base {
 		ix.treeDel++
 	}
 	ix.maybeRebuild()
 	return true
 }
 
-// Vector returns the stored vector of a live handle (aliasing internal
-// storage) and whether the handle is live.
-func (ix *Index) Vector(handle int32) ([]float32, bool) {
-	if handle < 0 || int(handle) >= len(ix.alive) || !ix.alive[handle] {
-		return nil, false
+// outgrown reports whether the delta (delta rows + tombstones) exceeds frac
+// of the live set, the trigger of inline rebuilds and background compactions
+// alike. With no live point in the tree there is no live set to measure
+// against: the delta folds once it is worth building a first tree from.
+func (ix *Index) outgrown(frac float64) bool {
+	pending := ix.Pending()
+	if pending == 0 {
+		return false
 	}
-	return ix.rows.Row(int(handle)), true
+	if len(ix.treeIDs) == ix.treeDel {
+		return ix.delta.N >= 2*balltree.DefaultLeafSize
+	}
+	return float64(pending) > frac*float64(ix.live)
 }
 
-// maybeRebuild rebuilds the tree when the delta (buffer + tombstones)
-// outgrows the configured fraction of the live set.
+// maybeRebuild rebuilds the tree when the delta outgrows RebuildFraction of
+// the live set.
 func (ix *Index) maybeRebuild() {
-	if ix.background {
-		return
-	}
-	treeLive := 0
-	if ix.tree != nil {
-		treeLive = len(ix.treeIDs) - ix.treeDel
-	}
-	delta := len(ix.buffer) + ix.treeDel
-	if delta == 0 {
-		return
-	}
-	// Always fold a buffer into a first tree once it is worth building.
-	if treeLive == 0 && len(ix.buffer) >= 2*balltree.DefaultLeafSize {
-		ix.Rebuild()
-		return
-	}
-	if treeLive > 0 && float64(delta) > ix.cfg.RebuildFraction*float64(ix.live) {
+	if !ix.background && ix.outgrown(ix.cfg.RebuildFraction) {
 		ix.Rebuild()
 	}
 }
 
-// Rebuild folds the buffer and drops tombstones by rebuilding the tree over
-// the live set. It is also safe to call explicitly (e.g. after a bulk load).
+// Rebuild folds the delta and drops tombstones by rebuilding the tree over
+// the live set. It is also safe to call explicitly.
 func (ix *Index) Rebuild() {
-	if ix.live == 0 {
-		ix.tree = nil
-		ix.treeIDs = nil
-		ix.treeDel = 0
-		ix.buffer = nil
-		return
-	}
-	ids := make([]int32, 0, ix.live)
-	for h, ok := range ix.alive {
-		if ok {
-			ids = append(ids, int32(h))
-		}
-	}
-	sub := ix.rows.SubsetRows(ids)
-	ix.tree = balltree.Build(sub, balltree.BC, balltree.Config{LeafSize: ix.cfg.LeafSize, Seed: ix.cfg.Seed})
-	ix.treeIDs = ids
-	ix.treeDel = 0
-	ix.buffer = nil
+	c := ix.capture()
+	c.Build(ix.cfg)
+	ix.Install(c)
 }
 
 // Search answers a top-k P2HNNS query over the live set: the tree snapshot
-// (with tombstones filtered) plus a pass over the buffer — exhaustive, or
+// (with tombstones filtered) plus a pass over the delta — exhaustive, or
 // up to what the tree leaves of opts.Budget, which caps the two together.
 // Results carry stable handles. opts.Filter composes with the liveness
 // filter and receives handles. opts.Pred is evaluated per handle against the
@@ -286,14 +270,14 @@ func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, co
 	if ix.tree != nil {
 		treeOpts := opts
 		if opts.Budget > 0 {
-			// Hold back the buffer's share of the budget, proportional to its
+			// Hold back the delta's share of the budget, proportional to its
 			// size and rounded up (as internal/shard splits a budget across
 			// shards) but leaving the tree at least one candidate: handed the
 			// whole budget the tree spends it, and the newest inserts would be
 			// invisible to every budgeted search.
-			total := len(ix.treeIDs) + len(ix.buffer)
+			total := len(ix.treeIDs) + ix.delta.N
 			budget := min(opts.Budget, total) // also keeps the product below from overflowing
-			held := min((budget*len(ix.buffer)+total-1)/total, budget-1)
+			held := min((budget*ix.delta.N+total-1)/total, budget-1)
 			treeOpts.Budget = budget - held
 		}
 		treeIDs := ix.treeIDs
@@ -305,16 +289,17 @@ func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, co
 		}
 	}
 
-	// The buffer gets what the tree left of the budget: its own share plus
+	// The delta gets what the tree left of the budget: its own share plus
 	// whatever the tree did not spend.
-	for _, handle := range ix.buffer {
+	for i := 0; i < ix.delta.N; i++ {
 		if !opts.BudgetLeft(st.Candidates) {
 			break
 		}
+		handle := int32(ix.base + i)
 		if !accepts(handle) {
 			continue
 		}
-		d := vec.AbsDot(q, ix.rows.Row(int(handle)))
+		d := vec.AbsDot(q, ix.delta.Row(i))
 		st.IPCount++
 		st.Candidates++
 		tk.Push(handle, d)
@@ -322,18 +307,19 @@ func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, co
 	return tk.Results(), st
 }
 
-// IndexBytes reports the tree footprint plus the delta bookkeeping.
+// IndexBytes reports the tree footprint plus the per-handle bookkeeping:
+// the snapshot's handle map and the liveness flags. The vectors themselves —
+// the tree's reordered copy and the delta rows — are data, not index.
 func (ix *Index) IndexBytes() int64 {
-	var total int64
+	total := int64(len(ix.treeIDs))*4 + int64(len(ix.alive))
 	if ix.tree != nil {
-		total += ix.tree.IndexBytes() + int64(len(ix.treeIDs))*4
+		total += ix.tree.IndexBytes()
 	}
-	total += int64(len(ix.buffer))*4 + int64(len(ix.alive))
 	return total
 }
 
 // String summarizes the index for logs.
 func (ix *Index) String() string {
 	return fmt.Sprintf("dynamic{live=%d buffer=%d tombstones=%d dim=%d}",
-		ix.live, len(ix.buffer), ix.treeDel, ix.dim)
+		ix.live, ix.delta.N, ix.treeDel, ix.dim)
 }

@@ -3,6 +3,7 @@ package dynamic
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -53,6 +54,22 @@ func (r *reference) search(q []float32, k int) []core.Result {
 		tk.Push(int32(i), vec.AbsDot(q, r.rows.Row(i)))
 	}
 	return tk.Results()
+}
+
+// vector returns the stored vector of a live handle (aliasing internal
+// storage) and whether the handle is live. The index keeps no handle ->
+// position map for this: a delta handle is its row, a compacted one costs a
+// search of the snapshot's handle map and a scan of the tree's id map.
+func (ix *Index) vector(handle int32) ([]float32, bool) {
+	if handle < 0 || int(handle) >= len(ix.alive) || !ix.alive[handle] {
+		return nil, false
+	}
+	if int(handle) >= ix.base {
+		return ix.delta.Row(int(handle) - ix.base), true
+	}
+	local, _ := slices.BinarySearch(ix.treeIDs, handle)
+	points, ids := ix.tree.Rows()
+	return points.Row(slices.Index(ids, int32(local))), true
 }
 
 func sameDists(a, b []core.Result) bool {
@@ -191,11 +208,11 @@ func TestEmptyAndDrainedIndex(t *testing.T) {
 		t.Fatalf("empty index returned %v", res)
 	}
 	h := ix.Insert([]float32{1, 2, 3, 1})
-	if got, ok := ix.Vector(h); !ok || got[0] != 1 {
+	if got, ok := ix.vector(h); !ok || got[0] != 1 {
 		t.Fatal("vector lookup failed")
 	}
 	ix.Delete(h)
-	if _, ok := ix.Vector(h); ok {
+	if _, ok := ix.vector(h); ok {
 		t.Fatal("vector of deleted handle must not resolve")
 	}
 	res, _ = ix.Search(q, core.SearchOptions{K: 3})

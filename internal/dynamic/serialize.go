@@ -1,7 +1,6 @@
 package dynamic
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -11,13 +10,35 @@ import (
 	"p2h/internal/vec"
 )
 
-// Serialization format: the construction configuration, the full handle
-// history (every vector ever inserted plus its liveness bit), then the tree
-// snapshot and the delta — the snapshot's handle map and serialized BC-Tree,
-// and the insert buffer. Load replays that state exactly, so a restored
-// index answers queries bitwise-identically and keeps assigning handles
-// where the saved one left off.
-var magic = []byte("P2HDY001")
+// Serialization format P2HDY002, one section per field of the index:
+//
+//	magic, leafSize i32, seed i64, rebuildFraction f64, dim i32
+//	handles i32, then one liveness byte per handle
+//	snapshot flag u8; when 1: id count i32, the tree-local id -> handle map,
+//	    the BC-Tree payload's length i64 and the payload itself
+//	base i32, then the delta: (handles - base) rows of dim float32
+//
+// Every live vector is in the file once — in the embedded tree or in the
+// delta — and a deleted one only until the rebuild that follows its delete.
+// Load replays that state exactly, so a restored index answers queries
+// bitwise-identically and keeps assigning handles where the saved one left
+// off. There is one current version: P2HDY001, which also stored every vector
+// ever inserted in handle order, is refused by name and not converted.
+const (
+	magic        = "P2HDY002"
+	retiredMagic = "P2HDY001"
+)
+
+// RetiredPayload returns the error Load refuses the retired payload magic
+// with — it names the version found and the one this build reads — or nil
+// when magic is not one an earlier release wrote.
+func RetiredPayload(found string) error {
+	if found != retiredMagic {
+		return nil
+	}
+	return fmt.Errorf("%w: %s is a dynamic payload version 1 (full handle history), which this build no longer reads (current: %s); rebuild the index and save it again",
+		binio.ErrCorrupt, found, magic)
+}
 
 // maxSerialDim, maxSerialElems and maxSerialTreeBytes guard corrupt headers
 // against absurd allocations: a declared shape whose element count exceeds
@@ -32,13 +53,12 @@ const (
 // replaying the original mutation history.
 func (ix *Index) Save(w io.Writer) error {
 	bw := binio.NewWriter(w)
-	bw.Bytes(magic)
+	bw.Bytes([]byte(magic))
 	bw.I32(int32(ix.cfg.LeafSize))
 	bw.I64(ix.cfg.Seed)
 	bw.F64(ix.cfg.RebuildFraction)
 	bw.I32(int32(ix.dim))
-	bw.I32(int32(ix.rows.N))
-	bw.F32s(ix.rows.Data)
+	bw.I32(int32(len(ix.alive)))
 	for _, ok := range ix.alive {
 		if ok {
 			bw.U8(1)
@@ -59,8 +79,8 @@ func (ix *Index) Save(w io.Writer) error {
 			return err
 		}
 	}
-	bw.I32(int32(len(ix.buffer)))
-	bw.I32s(ix.buffer)
+	bw.I32(int32(ix.base))
+	bw.F32s(ix.delta.Data[:ix.delta.N*ix.dim])
 	return bw.Flush()
 }
 
@@ -68,42 +88,40 @@ func (ix *Index) Save(w io.Writer) error {
 // wrapping binio.ErrCorrupt.
 func Load(r io.Reader) (*Index, error) {
 	br := binio.NewReader(r)
-	br.Expect(magic)
+	found := string(br.Raw(len(magic)))
+	if err := br.Err(); err != nil {
+		return nil, err
+	}
+	if found != magic {
+		if err := RetiredPayload(found); err != nil {
+			return nil, err
+		}
+		br.Fail("bad dynamic magic %q", found)
+		return nil, br.Err()
+	}
 	cfg := Config{
 		LeafSize:        int(br.I32()),
 		Seed:            br.I64(),
 		RebuildFraction: br.F64(),
 	}
 	dim := int(br.I32())
-	rows := int(br.I32())
+	handles := int(br.I32())
 	if err := br.Err(); err != nil {
 		return nil, err
 	}
-	if dim <= 0 || dim > maxSerialDim || rows < 0 ||
+	if dim <= 0 || dim > maxSerialDim || handles < 0 ||
 		cfg.LeafSize < 0 || cfg.RebuildFraction < 0 || math.IsNaN(cfg.RebuildFraction) {
-		br.Fail("bad header: dim=%d rows=%d leafSize=%d rebuild=%v",
-			dim, rows, cfg.LeafSize, cfg.RebuildFraction)
-		return nil, br.Err()
-	}
-	if int64(rows)*int64(dim) > maxSerialElems {
-		br.Fail("declared size %dx%d exceeds the serialization bound", rows, dim)
+		br.Fail("bad header: dim=%d handles=%d leafSize=%d rebuild=%v",
+			dim, handles, cfg.LeafSize, cfg.RebuildFraction)
 		return nil, br.Err()
 	}
 
 	ix := &Index{cfg: cfg.normalized(), dim: dim}
-	data := br.F32s(rows * dim)
-	if rows > 0 && br.Err() != nil {
-		return nil, br.Err()
-	}
-	if data == nil {
-		data = []float32{}
-	}
-	ix.rows = &vec.Matrix{Data: data, N: rows, D: dim}
-	flags := br.U8s(rows)
+	flags := br.U8s(handles)
 	if br.Err() != nil {
 		return nil, br.Err()
 	}
-	ix.alive = make([]bool, rows)
+	ix.alive = make([]bool, handles)
 	for h, flag := range flags {
 		switch flag {
 		case 0:
@@ -116,7 +134,6 @@ func Load(r io.Reader) (*Index, error) {
 		}
 	}
 
-	inTree := make([]bool, rows)
 	switch br.U8() {
 	case 0:
 	case 1:
@@ -124,28 +141,11 @@ func Load(r io.Reader) (*Index, error) {
 		if br.Err() != nil {
 			return nil, br.Err()
 		}
-		if nids < 1 || nids > rows {
-			br.Fail("bad snapshot id count %d for %d handles", nids, rows)
+		if nids < 1 || nids > handles {
+			br.Fail("bad snapshot id count %d for %d handles", nids, handles)
 			return nil, br.Err()
 		}
-		ids := br.I32s(nids)
-		if br.Err() != nil {
-			return nil, br.Err()
-		}
-		for _, h := range ids {
-			if h < 0 || int(h) >= rows {
-				br.Fail("snapshot handle %d out of range", h)
-				return nil, br.Err()
-			}
-			if inTree[h] {
-				br.Fail("snapshot handle %d appears twice", h)
-				return nil, br.Err()
-			}
-			inTree[h] = true
-			if !ix.alive[h] {
-				ix.treeDel++ // a tombstone inside the snapshot
-			}
-		}
+		ix.treeIDs = br.I32s(nids)
 		pn := br.I64()
 		if br.Err() != nil {
 			return nil, br.Err()
@@ -154,20 +154,22 @@ func Load(r io.Reader) (*Index, error) {
 			br.Fail("bad snapshot payload length %d", pn)
 			return nil, br.Err()
 		}
-		payload := br.Raw(int(pn))
-		if br.Err() != nil {
-			return nil, br.Err()
-		}
-		tree, err := balltree.Load(bytes.NewReader(payload), balltree.BC)
+		// The tree decodes straight off the container's stream; what it
+		// consumed must be what the prefix declared.
+		start := br.Consumed()
+		tree, err := balltree.Load(br, balltree.BC)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot tree: %w", err)
 		}
+		if got := br.Consumed() - start; got != pn {
+			br.Fail("snapshot payload declared %d bytes, decoded %d", pn, got)
+			return nil, br.Err()
+		}
 		if tree.N() != nids || tree.Dim() != dim {
-			return nil, fmt.Errorf("%w: snapshot tree shape %dx%d, want %dx%d",
-				binio.ErrCorrupt, tree.N(), tree.Dim(), nids, dim)
+			br.Fail("snapshot tree shape %dx%d, want %dx%d", tree.N(), tree.Dim(), nids, dim)
+			return nil, br.Err()
 		}
 		ix.tree = tree
-		ix.treeIDs = ids
 	default:
 		if br.Err() == nil {
 			br.Fail("snapshot flag not 0/1")
@@ -175,45 +177,46 @@ func Load(r io.Reader) (*Index, error) {
 		return nil, br.Err()
 	}
 
-	nbuf := int(br.I32())
+	ix.base = int(br.I32())
 	if br.Err() != nil {
 		return nil, br.Err()
 	}
-	if nbuf < 0 || nbuf > rows {
-		br.Fail("bad buffer length %d for %d handles", nbuf, rows)
+	if ix.base < 0 || ix.base > handles {
+		br.Fail("delta base %d outside the %d handles issued", ix.base, handles)
 		return nil, br.Err()
 	}
-	if nbuf > 0 {
-		ix.buffer = br.I32s(nbuf)
-		if br.Err() != nil {
+	if int64(handles-ix.base)*int64(dim) > maxSerialElems {
+		br.Fail("declared delta %dx%d exceeds the serialization bound", handles-ix.base, dim)
+		return nil, br.Err()
+	}
+	// The snapshot's handles ascend (a rebuild gathers them in that order)
+	// and sit below the delta, so no handle is stored twice.
+	reachable := 0
+	for i, h := range ix.treeIDs {
+		if h < 0 || int(h) >= ix.base || (i > 0 && h <= ix.treeIDs[i-1]) {
+			br.Fail("snapshot handle %d at %d out of order or not below the delta base %d", h, i, ix.base)
 			return nil, br.Err()
 		}
-		for _, h := range ix.buffer {
-			if h < 0 || int(h) >= rows {
-				br.Fail("buffer handle %d out of range", h)
-				return nil, br.Err()
-			}
-			if !ix.alive[h] {
-				br.Fail("buffer handle %d is dead (deletes drop buffered handles)", h)
-				return nil, br.Err()
-			}
-			if inTree[h] {
-				br.Fail("buffer handle %d already in the snapshot", h)
-				return nil, br.Err()
-			}
+		if ix.alive[h] {
+			reachable++
+		} else {
+			ix.treeDel++ // a tombstone inside the snapshot
 		}
 	}
-
-	// Every live handle must be reachable: in the snapshot or the buffer.
-	reachable := len(ix.buffer)
-	for _, h := range ix.treeIDs {
-		if ix.alive[h] {
+	for _, ok := range ix.alive[ix.base:] {
+		if ok {
 			reachable++
 		}
 	}
+	// Every live handle must be reachable: in the snapshot or the delta.
 	if reachable != ix.live {
 		br.Fail("live handles %d, reachable %d", ix.live, reachable)
 		return nil, br.Err()
 	}
+	data := br.F32s((handles - ix.base) * dim)
+	if br.Err() != nil {
+		return nil, br.Err()
+	}
+	ix.delta = &vec.Matrix{Data: data, N: handles - ix.base, D: dim}
 	return ix, nil
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"p2h/internal/binio"
 	"p2h/internal/core"
@@ -36,9 +38,9 @@ func buildMutated(t *testing.T) *Index {
 		}
 		ix.Insert(row)
 	}
-	if ix.tree == nil || ix.treeDel == 0 || len(ix.buffer) == 0 {
-		t.Fatalf("fixture not in snapshot+delta state: tree=%v del=%d buf=%d",
-			ix.tree != nil, ix.treeDel, len(ix.buffer))
+	if ix.tree == nil || ix.treeDel == 0 || ix.delta.N == 0 {
+		t.Fatalf("fixture not in snapshot+delta state: tree=%v del=%d delta=%d",
+			ix.tree != nil, ix.treeDel, ix.delta.N)
 	}
 	return ix
 }
@@ -170,22 +172,70 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 
 	// An absurd declared size must fail the bound check, not reach a
-	// giant allocation. rows sits after magic + leafSize(4) + seed(8) +
-	// rebuild(8) + dim(4).
+	// giant allocation. The handle count sits after magic + leafSize(4) +
+	// seed(8) + rebuild(8) + dim(4).
 	bad = append([]byte(nil), good...)
-	rowsOff := len(magic) + 4 + 8 + 8 + 4
+	handlesOff := len(magic) + 4 + 8 + 8 + 4
 	for i := 0; i < 4; i++ {
-		bad[rowsOff+i] = 0x7f
+		bad[handlesOff+i] = 0x7f
 	}
 	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, binio.ErrCorrupt) {
-		t.Fatalf("absurd rows: err = %v, want ErrCorrupt", err)
+		t.Fatalf("absurd handle count: err = %v, want ErrCorrupt", err)
 	}
 
-	// A liveness byte outside 0/1.
+	// A liveness byte outside 0/1; the bytes follow the handle count.
 	bad = append([]byte(nil), good...)
-	aliveOff := len(magic) + 4 + 8 + 8 + 4 + 4 + orig.rows.N*orig.dim*4
-	bad[aliveOff] = 7
+	bad[handlesOff+4] = 7
 	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, binio.ErrCorrupt) {
 		t.Fatalf("bad liveness byte: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestLoadNamesRetiredVersions: the payload earlier releases wrote (every
+// vector ever inserted, in handle order, beside the tree's copy) is refused by
+// name, not mistaken for garbage and not converted.
+func TestLoadNamesRetiredVersions(t *testing.T) {
+	var buf bytes.Buffer
+	if err := buildMutated(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte("P2HDY001"), buf.Bytes()[len(magic):]...)
+	_, err := Load(bytes.NewReader(old))
+	if !errors.Is(err, binio.ErrCorrupt) {
+		t.Fatalf("want ErrCorrupt, got %v", err)
+	}
+	for _, want := range []string{"P2HDY001", "version 1", magic} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if RetiredPayload(magic) != nil || RetiredPayload("P2HBC004") != nil {
+		t.Fatal("RetiredPayload names a magic no earlier release of this format wrote")
+	}
+}
+
+// TestIndexBytesMatchesStorage ties dyn-rw's bytes_per_point to the layout,
+// as the tree's test of the same name does for the arena: IndexBytes is the
+// tree's figure plus len x element size of every per-handle slice the index
+// keeps, and the vectors it keeps are the tree's copy and the delta rows,
+// nothing else. The field list is checked against the struct, so a new slice
+// has to be either counted or named here.
+func TestIndexBytesMatchesStorage(t *testing.T) {
+	ix := buildMutated(t)
+	want := ix.tree.IndexBytes() + int64(len(ix.treeIDs))*4 + int64(len(ix.alive))*int64(unsafe.Sizeof(ix.alive[0]))
+	if got := ix.IndexBytes(); got != want {
+		t.Errorf("IndexBytes() = %d, the tree and the per-handle slices hold %d", got, want)
+	}
+	if ix.tree.N()+ix.delta.N != ix.Handles() {
+		t.Errorf("%d vectors in the tree and %d in the delta for %d handles issued, none deleted before the bulk load",
+			ix.tree.N(), ix.delta.N, ix.Handles())
+	}
+	holders := map[string]bool{"alive": true, "treeIDs": true, "tree": true, "delta": true, "attrs": true}
+	typ := reflect.TypeOf(*ix)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if k := f.Type.Kind(); (k == reflect.Slice || k == reflect.Pointer || k == reflect.Map) && !holders[f.Name] {
+			t.Errorf("field %s can hold per-handle storage this test does not account for", f.Name)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"p2h/internal/attr"
 	"p2h/internal/balltree"
 	"p2h/internal/binio"
+	"p2h/internal/dynamic"
 )
 
 // ErrFormat is returned by Load and Open for malformed input: a stream that
@@ -275,7 +276,7 @@ type IndexInfo struct {
 // its kind, recorded Spec, raw dimensionality and point count without
 // loading the payload: only the container header and the payload's
 // fixed-size shape prefix are read (for a dynamic index also its liveness
-// bitmap, skipping the vector data). A container holding a payload this
+// bytes, which follow that prefix directly). A container holding a payload this
 // decoder does not know still reports its kind and Spec, with Dim and N set
 // to -1. Malformed input returns an error wrapping ErrFormat.
 func Inspect(r io.Reader) (IndexInfo, error) {
@@ -363,8 +364,10 @@ func payloadShape(br io.Reader) (dim, n int, err error) {
 		return int(int32(binary.LittleEndian.Uint32(b[:]))), nil
 	}
 	m := string(magic[:])
-	if err := balltree.RetiredPayload(m); err != nil {
-		return 0, 0, fmt.Errorf("%w: %v", ErrFormat, err)
+	for _, retired := range []func(string) error{balltree.RetiredPayload, dynamic.RetiredPayload} {
+		if err := retired(m); err != nil {
+			return 0, 0, fmt.Errorf("%w: %v", ErrFormat, err)
+		}
 	}
 	switch {
 	case m == "P2HKD001" || slices.Contains(balltree.PayloadMagics(), m):
@@ -396,10 +399,9 @@ func payloadShape(br io.Reader) (dim, n int, err error) {
 			return 0, 0, fmt.Errorf("%w: payload header: n=%d d=%d", ErrFormat, n, lifted)
 		}
 		return lifted - 1, n, nil
-	case m == "P2HDY001":
-		// leafSize i32, seed i64, rebuild f64, dim i32 (lifted), rows i32,
-		// then rows*dim float32s (skipped) and rows liveness bytes (read to
-		// count the live points).
+	case m == "P2HDY002":
+		// leafSize i32, seed i64, rebuild f64, dim i32 (lifted), handles i32,
+		// then one liveness byte per handle (read to count the live points).
 		if _, err := io.CopyN(io.Discard, br, 4+8+8); err != nil {
 			return 0, 0, fmt.Errorf("%w: reading payload header: %v", ErrFormat, err)
 		}
@@ -407,32 +409,21 @@ func payloadShape(br io.Reader) (dim, n int, err error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		rows, err := u32()
+		handles, err := u32()
 		if err != nil {
 			return 0, 0, err
 		}
-		if lifted <= 1 || lifted > maxInspectDim || rows < 0 {
-			return 0, 0, fmt.Errorf("%w: payload header: dim=%d rows=%d", ErrFormat, lifted, rows)
-		}
-		if _, err := io.CopyN(io.Discard, br, int64(rows)*int64(lifted)*4); err != nil {
-			return 0, 0, fmt.Errorf("%w: skipping vector data: %v", ErrFormat, err)
+		if lifted <= 1 || lifted > maxInspectDim || handles < 0 {
+			return 0, 0, fmt.Errorf("%w: payload header: dim=%d handles=%d", ErrFormat, lifted, handles)
 		}
 		live := 0
-		for read := 0; read < rows; {
-			chunk := rows - read
-			if chunk > 4096 {
-				chunk = 4096
-			}
-			buf := make([]byte, chunk)
+		buf := make([]byte, 4096)
+		for left := handles; left > 0; left -= len(buf) {
+			buf = buf[:min(left, len(buf))]
 			if _, err := io.ReadFull(br, buf); err != nil {
-				return 0, 0, fmt.Errorf("%w: reading liveness bitmap: %v", ErrFormat, err)
+				return 0, 0, fmt.Errorf("%w: reading liveness bytes: %v", ErrFormat, err)
 			}
-			for _, b := range buf {
-				if b == 1 {
-					live++
-				}
-			}
-			read += chunk
+			live += bytes.Count(buf, []byte{1})
 		}
 		return lifted - 1, live, nil
 	}

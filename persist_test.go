@@ -220,7 +220,8 @@ func totalAllocDuring(f func()) uint64 {
 // of ~0.6 MB, where growing each section by doubling would pass it. The same
 // holds through Open, which learns the size from the file. Sharded and
 // Dynamic containers, whose payloads embed arena payloads, get a byte-grid
-// sweep under the same bound.
+// sweep under the same bound, and the Dynamic payload's own sections the
+// boundary cuts as well.
 func TestTruncatedSectionsFailBeforeAllocating(t *testing.T) {
 	const limit = 1 << 20
 	data := specTestData(4000, 31, 5)
@@ -303,6 +304,12 @@ func TestTruncatedSectionsFailBeforeAllocating(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if dyn, ok := ix.(*Dynamic); ok { // a tombstone and a delta beside the snapshot
+			dyn.Delete(7)
+			for i := 0; i < 40; i++ {
+				dyn.Insert(small.Row(i))
+			}
+		}
 		var buf bytes.Buffer
 		if err := Save(&buf, ix); err != nil {
 			t.Fatal(err)
@@ -312,6 +319,33 @@ func TestTruncatedSectionsFailBeforeAllocating(t *testing.T) {
 			check(fmt.Sprintf("%s cut at %d", spec.Kind, cut), good[:cut])
 		}
 		check(spec.Kind+" one byte short", good[:len(good)-1])
+		if spec.Kind != KindDynamic {
+			continue
+		}
+		// Every section boundary of the P2HDY002 payload, as for the arena
+		// above; the embedded tree is one section here.
+		pay := bytes.Index(good, []byte("P2HDY002"))
+		handles := int(binary.LittleEndian.Uint32(good[pay+8+24:]))
+		nids := int(binary.LittleEndian.Uint32(good[pay+8+28+handles+1:]))
+		tree := int(binary.LittleEndian.Uint64(good[pay+8+28+handles+1+4+4*nids:]))
+		end := pay
+		for _, sec := range []struct {
+			name        string
+			bytes, elem int
+		}{
+			{"header", 8 + 4 + 8 + 8 + 4 + 4, 4}, {"liveness", handles, 1}, {"snapshot flag", 1, 1},
+			{"id count", 4, 4}, {"snapshot ids", 4 * nids, 4}, {"tree length", 8, 8}, {"tree", tree, 4},
+			{"delta base", 4, 4}, {"delta rows", 4 * 40 * (small.D + 1), 4},
+		} {
+			end += sec.bytes
+			check("dynamic: one element short of the end of "+sec.name, good[:end-sec.elem])
+			if end < len(good) {
+				check("dynamic: cut after "+sec.name, good[:end])
+			}
+		}
+		if end != len(good) {
+			t.Fatalf("dynamic: sections add up to %d bytes, container has %d", end, len(good))
+		}
 	}
 }
 
@@ -344,6 +378,34 @@ func TestRetiredBCPayloadsAreNamed(t *testing.T) {
 		if _, err := Inspect(bytes.NewReader(old)); kind == KindBCTree &&
 			(!errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "version 2")) {
 			t.Errorf("Inspect of a retired bctree payload: %v", err)
+		}
+	}
+}
+
+// TestRetiredDynamicPayloadIsNamed: a Dynamic container written before the
+// tree became the index's only copy of its vectors (P2HDY001) is refused the
+// same way, by Load, Open and Inspect alike.
+func TestRetiredDynamicPayloadIsNamed(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Save(&buf, goldenRecipes(t)[KindDynamic]); err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(buf.Bytes(), []byte("P2HDY002"), []byte("P2HDY001"), 1)
+	path := filepath.Join(t.TempDir(), "old.p2h")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, loadErr := Load(bytes.NewReader(old))
+	_, openErr := Open(path)
+	_, inspectErr := Inspect(bytes.NewReader(old))
+	for entry, err := range map[string]error{"Load": loadErr, "Open": openErr, "Inspect": inspectErr} {
+		if !errors.Is(err, ErrFormat) {
+			t.Fatalf("%s: err = %v, want ErrFormat", entry, err)
+		}
+		for _, want := range []string{"P2HDY001", "version 1", "P2HDY002"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", entry, err, want)
+			}
 		}
 	}
 }

@@ -11,11 +11,14 @@
 # The suite covers the layers the execution engine optimizes: the vec
 # kernels (single row, one four-row pass, leaf-sized blocks, the build's
 # MaxDistFrom pass), the linear scan, the tree searches (per-query and
-# batched), the serving path, and the container codec (save and open of the
-# n=50k BC-Tree). -count=6 gives benchstat enough samples for a significance
-# test; -benchmem records allocs/op so the zero-allocation steady state is
-# gated alongside time, and B/op for the codec pair, where it is what opening
-# an index costs in heap (about one container's worth).
+# batched), the serving path, the container codec (save and open of the
+# n=50k BC-Tree) and the dynamic index (recovery and one compaction of
+# dyn-rw's 20k-point index under a 5 % delta). -count=6 gives benchstat enough
+# samples for a significance test; -benchmem records allocs/op so the
+# zero-allocation steady state is gated alongside time, and B/op for the codec
+# and dynamic benchmarks, where it is what the operation costs in heap: about
+# one container's worth to open an index, about two copies of the live data —
+# the gathered rows and the new tree's — to compact one.
 set -euo pipefail
 
 COUNT="${BENCH_COUNT:-6}"
@@ -30,7 +33,7 @@ run() {
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" ./internal/vec | tee -a "$out"
   go test -run '^$' -bench 'BenchmarkLinearScan' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" ./internal/linearscan | tee -a "$out"
-  go test -run '^$' -bench 'BenchmarkQueryExactBallTree|BenchmarkQueryExactBCTree|BenchmarkQueryBudgetBCTree$|BenchmarkSearchBatchExact|BenchmarkServer|BenchmarkSaveBCTree|BenchmarkOpenBCTree' \
+  go test -run '^$' -bench 'BenchmarkQueryExactBallTree|BenchmarkQueryExactBCTree|BenchmarkQueryBudgetBCTree$|BenchmarkSearchBatchExact|BenchmarkServer|BenchmarkSaveBCTree|BenchmarkOpenBCTree|BenchmarkOpenDynamic|BenchmarkDynamicCompact' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" . | tee -a "$out"
 }
 
@@ -76,7 +79,7 @@ compare() {
     /allocs\/op/ { sect = "alloc"; next }
     /B\/op/ { sect = "bytes"; next }
     /B\/s/  { sect = "";      next }
-    sect == "bytes" && $1 !~ /^(Save|Open)BCTree/ { next }
+    sect == "bytes" && $1 !~ /^((Save|Open)BCTree|OpenDynamic|DynamicCompact)/ { next }
     sect != "" {
       for (i = 1; i < NF; i++) {
         if ($i ~ /^\+[0-9]+(\.[0-9]+)?%$/ && $(i + 1) ~ /^\(p=[0-9.]+$/) {

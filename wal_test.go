@@ -180,7 +180,7 @@ func TestOpenSkipsRecordsAlreadyInSnapshot(t *testing.T) {
 	if d.Handles() != 80 || d.N() != 79 {
 		t.Fatalf("recovered handles=%d N=%d, want 80/79", d.Handles(), d.N())
 	}
-	if _, live := d.index.Vector(3); live {
+	if d.Delete(3) {
 		t.Fatal("handle 3 resurrected by replaying a snapshot-covered delete")
 	}
 }
