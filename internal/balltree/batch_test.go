@@ -67,7 +67,6 @@ func testSearchBatchMatchesSequential(t *testing.T, kind Kind) {
 		{"lowerbound-pref", core.SearchOptions{K: 10, Preference: core.PrefLowerBound}},
 		{"wo-ball", core.SearchOptions{K: 10, DisablePointBall: true}},
 		{"wo-cone", core.SearchOptions{K: 10, DisablePointCone: true}},
-		{"wo-collab", core.SearchOptions{K: 10, DisableCollabIP: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			batch, _ := tree.SearchBatch(queries, tc.opts)

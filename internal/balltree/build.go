@@ -12,14 +12,17 @@ import (
 
 // Build constructs a tree of the given kind over the lifted data matrix
 // (rows x = (p; 1)). Both kinds share the seed-grow splitting rule
-// (Algorithm 2) and the preorder arena: the root is index 0 and both
-// children of a node sit at larger indices.
+// (Algorithm 2) and the preorder arena: the root is index 0, a node's left
+// child is the next index and its right child follows the left subtree.
 //
 // Ball follows Algorithm 1: every node's center is the centroid of its
 // points and its radius the maximum distance from it. BC follows Algorithm 4:
 // leaves get the same ball plus the point-level ball and cone structures and
 // are sorted by descending r_x for batch pruning; internal-node centers are
-// assembled from the children via Lemma 1 in O(d) instead of O(d|N|).
+// assembled from the children via Lemma 1 in O(d) instead of O(d|N|). Lemma 1
+// needs both children's centres, so the builder forms one for every node;
+// once the root's is assembled a BC tree drops the right children's, which no
+// search reads (see Tree.centers).
 //
 // The input matrix is not modified; the tree keeps a reordered copy so every
 // leaf occupies a contiguous range of rows.
@@ -45,12 +48,45 @@ func Build(data *vec.Matrix, kind Kind, cfg Config) *Tree {
 	b := &builder{data: data, rng: rng, tree: t}
 	b.build(t.ids, 0)
 	t.centers = &vec.Matrix{Data: b.centers, N: len(t.nodes), D: data.D}
+	if kind == BC {
+		t.centers = t.compactCenters(t.centers)
+	}
 	t.points = data.SubsetRows(t.ids)
 	if cfg.Quantize {
 		t.qz = quant.NewQuantizer(t.points)
 		t.codes = t.qz.EncodeMatrix(t.points)
 	}
 	return t
+}
+
+// assignCenterRows sets every node's leftRow for the BC layout of centers:
+// row 0 is the root's centre and the left children's follow in arena order,
+// so the left child of the i-th internal node has row i+1. Build and Load
+// both number the rows here.
+func (t *Tree) assignCenterRows() {
+	row := int32(1)
+	for i := range t.nodes {
+		n := &t.nodes[i]
+		n.leftRow = noChild
+		if !n.isLeaf() {
+			n.leftRow = row
+			row++
+		}
+	}
+}
+
+// compactCenters turns the builder's table (row i = node i's centre) into the
+// BC layout and returns its (nodes+1)/2-row matrix.
+func (t *Tree) compactCenters(all *vec.Matrix) *vec.Matrix {
+	t.assignCenterRows()
+	kept := vec.NewMatrix((len(t.nodes)+1)/2, all.D)
+	copy(kept.Row(0), all.Row(0))
+	for i := range t.nodes {
+		if n := &t.nodes[i]; !n.isLeaf() {
+			copy(kept.Row(int(n.leftRow)), all.Row(i+1))
+		}
+	}
+	return kept
 }
 
 type builder struct {
@@ -70,10 +106,10 @@ func (b *builder) build(ids []int32, offset int32) int32 {
 	d := b.data.D
 	ni := int32(len(t.nodes))
 	t.nodes = append(t.nodes, nodeRec{
-		start: offset,
-		end:   offset + int32(len(ids)),
-		left:  noChild,
-		right: noChild,
+		start:   offset,
+		end:     offset + int32(len(ids)),
+		leftRow: noChild,
+		right:   noChild,
 	})
 	leaf := len(ids) <= t.leafSize
 	switch {
@@ -92,16 +128,18 @@ func (b *builder) build(ids []int32, offset int32) int32 {
 	}
 
 	nl := partition.SeedGrow(b.data, ids, b.rng)
-	left := b.build(ids[:nl], offset)
+	left := b.build(ids[:nl], offset) // == ni+1: preorder
 	right := b.build(ids[nl:], offset+int32(nl))
 	// Re-index after the recursive appends: the arena may have been regrown.
-	t.nodes[ni].left = left
+	// The builder's table has a row per node, which is the Ball layout; Build
+	// re-assigns leftRow when it compacts a BC tree's.
+	t.nodes[ni].leftRow = left
 	t.nodes[ni].right = right
 	if t.kind == BC {
 		// Lemma 1: N.c * |N| = N.lc.c * |N.lc| + N.rc.c * |N.rc|, so the
 		// center of an internal node costs O(d) once its children are built.
 		center := b.centers[int(ni)*d : (int(ni)+1)*d]
-		combineCenters(center, &t.nodes[ni], t, b.centers)
+		combineCenters(center, ni, t, b.centers)
 		t.nodes[ni].centerNorm = vec.Norm(center)
 		_, maxDist := b.data.MaxDistFrom(ids, center)
 		t.nodes[ni].radius = maxDist * (1 + radiusSlack)
@@ -109,14 +147,16 @@ func (b *builder) build(ids []int32, offset int32) int32 {
 	return ni
 }
 
-// combineCenters applies Lemma 1 to derive a parent's center from its
-// children's centers and counts, writing into dst.
-func combineCenters(dst []float32, n *nodeRec, t *Tree, centers []float32) {
+// combineCenters applies Lemma 1 to derive the center of internal node ni
+// from its children's centers and counts, writing into dst. centers is the
+// builder's table, row i = node i's.
+func combineCenters(dst []float32, ni int32, t *Tree, centers []float32) {
 	d := len(dst)
-	lc := centers[int(n.left)*d : (int(n.left)+1)*d]
-	rc := centers[int(n.right)*d : (int(n.right)+1)*d]
-	cl := float64(t.nodes[n.left].count())
-	cr := float64(t.nodes[n.right].count())
+	left, right := int(ni)+1, int(t.nodes[ni].right)
+	lc := centers[left*d : (left+1)*d]
+	rc := centers[right*d : (right+1)*d]
+	cl := float64(t.nodes[left].count())
+	cr := float64(t.nodes[right].count())
 	inv := 1 / (cl + cr)
 	for i := range dst {
 		dst[i] = float32((cl*float64(lc[i]) + cr*float64(rc[i])) * inv)
@@ -166,7 +206,7 @@ func (b *builder) fillLeaf(ni int32, ids []int32, offset int32) {
 			xcos = -xnorm
 		}
 		t.xcos[gpos] = towardZero32(xcos)
-		t.xsin[gpos] = up32(math.Sqrt(math.Max(0, xnorm*xnorm-xcos*xcos)))
+		t.xsin[gpos] = up32(vec.Rejection(xnorm*xnorm, xcos, len(x)))
 	}
 	copy(ids, sortedIDs)
 	if len(ids) > 0 {

@@ -11,7 +11,8 @@ import (
 // builds on (Omohundro [49]; Ram & Gray [51]): Euclidean nearest neighbor,
 // Euclidean furthest neighbor, and maximum inner product search. They share
 // the tree built for P2HNNS — one structure, four query types — which is the
-// "revitalizing Ball-Tree" theme in code.
+// "revitalizing Ball-Tree" theme in code. They read every node's centre, so
+// they need the Ball kind (Tree.center panics on a BC tree, which keeps half).
 //
 // All three run over the *lifted* vectors x = (p; 1) the tree stores. For
 // Euclidean queries the lift is harmless as long as the query is lifted the
@@ -107,9 +108,9 @@ func (s *classicSearcher) visitNN(ni int32) {
 		return
 	}
 	// Closer child first: it is likelier to shrink lambda early.
-	first, second := n.left, n.right
-	if vec.SqDist(s.q, s.tree.center(n.right)) < vec.SqDist(s.q, s.tree.center(n.left)) {
-		first, second = n.right, n.left
+	first, second := ni+1, n.right
+	if vec.SqDist(s.q, s.tree.center(second)) < vec.SqDist(s.q, s.tree.center(first)) {
+		first, second = second, first
 	}
 	s.st.IPCount += 2
 	s.visitNN(first)
@@ -138,9 +139,9 @@ func (s *classicSearcher) visitFN(ni int32) {
 		return
 	}
 	// Farther child first.
-	first, second := n.left, n.right
-	if vec.SqDist(s.q, s.tree.center(n.right)) > vec.SqDist(s.q, s.tree.center(n.left)) {
-		first, second = n.right, n.left
+	first, second := ni+1, n.right
+	if vec.SqDist(s.q, s.tree.center(second)) > vec.SqDist(s.q, s.tree.center(first)) {
+		first, second = second, first
 	}
 	s.st.IPCount += 2
 	s.visitFN(first)
@@ -169,12 +170,12 @@ func (s *classicSearcher) visitMIP(ni int32) {
 		return
 	}
 	// Larger-inner-product child first.
-	ipl := vec.Dot(s.q, s.tree.center(n.left))
-	ipr := vec.Dot(s.q, s.tree.center(n.right))
+	first, second := ni+1, n.right
+	ipl := vec.Dot(s.q, s.tree.center(first))
+	ipr := vec.Dot(s.q, s.tree.center(second))
 	s.st.IPCount += 2
-	first, second := n.left, n.right
 	if ipr > ipl {
-		first, second = n.right, n.left
+		first, second = second, first
 	}
 	s.visitMIP(first)
 	s.visitMIP(second)

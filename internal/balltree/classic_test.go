@@ -168,7 +168,7 @@ func TestQuickClassicBoundsSound(t *testing.T) {
 					ok = false
 				}
 				if !nd.isLeaf() {
-					walk(nd.left)
+					walk(ni + 1)
 					walk(nd.right)
 				}
 			}

@@ -14,12 +14,15 @@
 // product computing strategy (Lemma 2) that nearly halves the node-level
 // bound cost (Theorem 5).
 //
-// The two differ in what Build leaves in the arena (Kind), not in how they
-// are searched: a Ball kind tree carries no per-point arrays and zero
-// centerNorms, and its searches run with the three Figure 8 ablation
-// switches (DisablePointBall, DisablePointCone, DisableCollabIP) forced on,
-// which is exactly Algorithm 3. Traversal, leaf scans, the batched engine,
-// the codec and attribute pushdown exist once.
+// The two differ in what Build leaves in the arena (Kind): a Ball kind tree
+// carries no per-point arrays and zero centerNorms, so its searches run with
+// the two Figure 8 ablation switches (DisablePointBall, DisablePointCone)
+// forced on, and it keeps a centre for every node, so both children's inner
+// products are computed — which is exactly Algorithm 3. A BC kind tree keeps
+// centres for the root and for left children only: Lemma 2 makes a right
+// child's dead weight, and with them gone a BC search has no other way to a
+// right child's inner product. Traversal, leaf scans, the batched engine, the
+// codec and attribute pushdown exist once.
 //
 // A search has two drivers over one node step (Searcher.step: attribute
 // skip, strict pruning, leaf scan, the children's inner products). An exact
@@ -30,16 +33,22 @@
 // tree, instead of on the first subtree a depth-first walk dives into. The
 // code selects the driver from Budget; there is no option for it.
 //
-// Storage is a flat arena: all nodes live in one []nodeRec slice with
-// children addressed by index, all node centers are packed into one
-// contiguous centers matrix (row i = center of node i), and the per-point
-// ball/cone structures are three position-indexed arrays of length n — each
-// storage position belongs to exactly one leaf, so a leaf's slice of those
-// arrays is contiguous and its radii stay descending within the slice. The
-// three arrays are float32, rounded at build time in the direction that can
-// only lower a bound (radii and rejections up, projections toward zero), so
-// they cost 12 bytes a point and exact results are unaffected. Leaf
-// verification runs as fused bound kernels plus one blocked inner-product
-// call over sequential memory (vec.BallCutoff / vec.ConeSelect /
-// vec.DotBlock).
+// Storage is a flat arena: all nodes live in one []nodeRec slice in preorder
+// (the left child of node i is node i+1, the right child is addressed by
+// index), the node centers are packed into one contiguous matrix (Ball: row i
+// = center of node i; BC: the root's row, then the left children's in arena
+// order — (nodes+1)/2 rows, each internal node holding its left child's row
+// where a left link would be), and the per-point ball/cone structures are
+// three position-indexed arrays of length n — each storage position belongs
+// to exactly one leaf, so a leaf's slice of those arrays is contiguous and
+// its radii stay descending within the slice. The three arrays are float32,
+// rounded at build time in the direction that can only lower a bound (radii
+// and rejections up, projections toward zero), so they cost 12 bytes a point
+// and exact results are unaffected. The same rule covers what a search
+// computes: a product derived by Lemma 2 carries a bound on the float32
+// rounding of the centres behind it (kappa, see Searcher.step), and the cone
+// bound's rejections carry the error of the subtraction under their root
+// (vec.Rejection). Leaf verification runs as fused bound kernels plus one
+// blocked inner-product call over sequential memory (vec.BallCutoff /
+// vec.ConeSelect / vec.DotBlock).
 package balltree

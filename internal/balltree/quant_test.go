@@ -43,7 +43,6 @@ func testQuantSearchMatchesFloat(t *testing.T, kind Kind) {
 		{"no-point-ball", core.SearchOptions{K: 10, DisablePointBall: true}},
 		{"no-point-cone", core.SearchOptions{K: 10, DisablePointCone: true}},
 		{"no-point-bounds", core.SearchOptions{K: 10, DisablePointBall: true, DisablePointCone: true}},
-		{"no-collab-ip", core.SearchOptions{K: 10, DisableCollabIP: true}},
 		{"ablated", core.SearchOptions{K: 10, DisableQuantFilter: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

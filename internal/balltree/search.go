@@ -22,7 +22,10 @@ import (
 //   - collaborative inner product computing (Lemma 2): a visited internal
 //     node computes the O(d) inner product for its left child only; the right
 //     child's follows in O(1) from the node's own inner product, cutting the
-//     node-level bound cost almost in half (Theorem 5);
+//     node-level bound cost almost in half (Theorem 5) — and the centres
+//     stored too, since a right child's is never read. The derived product
+//     inherits the float32 rounding of the centres it is derived from; every
+//     bound it enters is loosened by that much (kappa, see step);
 //   - point-level pruning in the leaves (ScanWithPruning): the point-level
 //     ball bound (Corollary 1) prunes the tail of the radius-sorted leaf in a
 //     batch (vec.BallCutoff finds the cut by binary search), and the
@@ -30,10 +33,11 @@ import (
 //     the fused vec.ConeSelect kernel; survivors are verified by one blocked
 //     vec.DotBlock call when the whole prefix survives.
 //
-// The ablation switches in opts reproduce the paper's Figure 8 variants. A
-// Ball kind tree runs with all three forced on (see normalize), which is
-// Algorithm 3: two O(d) inner products per visited internal node and one
-// vec.DotBlock call over each visited leaf's contiguous rows.
+// The two ablation switches in opts reproduce the paper's Figure 8 variants. A
+// Ball kind tree runs with both forced on (see normalize) and computes both
+// children's inner products from their centres, which is Algorithm 3: two
+// O(d) inner products per visited internal node and one vec.DotBlock call
+// over each visited leaf's contiguous rows.
 //
 // Search runs on a pooled Searcher, so a steady-state call's only allocation
 // is the returned results slice; use a Searcher directly to eliminate that
@@ -87,14 +91,13 @@ func (t *Tree) acquireSearcher() *Searcher {
 func (t *Tree) releaseSearcher(s *Searcher) { t.searchers.Put(s) }
 
 // normalize applies the option defaults and, for the Ball kind, forces the
-// three ablation switches: a Ball-Tree is the BC-Tree search with no
-// point-level ball bound, no point-level cone bound and no collaborative
-// inner products (the tree has no arrays to evaluate them on). This is the
-// only place a search learns the kind.
+// two point-level ablation switches: a Ball-Tree is the BC-Tree search with
+// no point-level ball bound and no point-level cone bound (the tree has no
+// arrays to evaluate them on).
 func (t *Tree) normalize(opts core.SearchOptions) core.SearchOptions {
 	opts = opts.Normalized()
 	if t.kind == Ball {
-		opts.DisablePointBall, opts.DisablePointCone, opts.DisableCollabIP = true, true, true
+		opts.DisablePointBall, opts.DisablePointCone = true, true
 	}
 	return opts
 }
@@ -123,12 +126,12 @@ func (s *Searcher) Search(q []float32, opts core.SearchOptions, dst []core.Resul
 		if s.useQuant {
 			s.tree.qz.Fit(&s.qf, q)
 		}
-		ip := vec.Dot(q, s.tree.center(0))
+		ip := vec.Dot(q, s.tree.centers.Row(0))
 		s.st.IPCount++
 		if opts.Budget > 0 {
 			s.bestFirst(ip)
 		} else {
-			s.visit(0, ip)
+			s.visit(0, ip, 0)
 		}
 	}
 	// Drop caller-owned references so the pooled Searcher cannot pin them.
@@ -179,19 +182,34 @@ func (s *Searcher) scratch(m int) []float64 {
 	return s.buf[:m]
 }
 
-// step evaluates one node for both drivers. ip is <q, center(ni)>, already
-// known to the caller: computed directly for the root and for left children,
-// derived via Lemma 2 for right children. A node that is skipped by the
-// attribute summaries, pruned, or a leaf (scanned here) is finished and step
-// reports expand == false; for a surviving internal node it returns the
-// children's inner products and leaves the order in which they are opened —
-// and the polling of opts.Cancel between nodes — to the driver. Pruning is
-// strict (lb > λ): candidates tied with the k-th best distance reach the
-// collector, whose canonical (Dist, ID) order decides — the invariant that
-// makes exact results independent of traversal order (see internal/exec).
-func (s *Searcher) step(ni int32, ip float64) (n *nodeRec, ipl, ipr float64, expand bool) {
-	n = &s.tree.nodes[ni]
-	if s.usePush && s.tree.attrSums.Node(ni, s.pred) == attr.TriNo {
+// step evaluates one node for both drivers. ip is <q, center(ni)> as the
+// caller knows it: computed from the centre for the root and for left
+// children (and for a Ball tree's right children), derived via Lemma 2 for a
+// BC tree's right children. kappa bounds, per unit of ||q||, how far a derived
+// ip can be from the product with the centre the node's radius and leaf
+// arrays were measured from (see centerStep): zero for a computed product,
+// and for the right child of N
+//
+//	kappa_right = (|N|/|right|) * (kappa_N + centerStep*||N.c||),
+//
+// N's own uncertainty plus the rounding of N's stored centre, both amplified
+// by the division. It depends on the tree alone, not on the query. A bound
+// takes ip at its least favourable: the centre is only known to lie
+// |ip| - kappa*||q|| from the hyperplane.
+//
+// A node that is skipped by the attribute summaries, pruned, or a leaf
+// (scanned here) is finished and step reports expand == false; for a
+// surviving internal node it returns the children's inner products and the
+// right child's kappa (the left child's is zero), and leaves the order in
+// which they are opened — and the polling of opts.Cancel between nodes — to
+// the driver. Pruning is strict (lb > λ): candidates tied with the k-th best
+// distance reach the collector, whose canonical (Dist, ID) order decides —
+// the invariant that makes exact results independent of traversal order (see
+// internal/exec).
+func (s *Searcher) step(ni int32, ip, kappa float64) (n *nodeRec, ipl, ipr, kappaR float64, expand bool) {
+	t := s.tree
+	n = &t.nodes[ni]
+	if s.usePush && t.attrSums.Node(ni, s.pred) == attr.TriNo {
 		// Predicate pushdown: the node's attribute summaries prove no point
 		// under it can match, so the whole subtree is skipped. The skip only
 		// removes points a per-row filter would have rejected anyway, so the
@@ -199,67 +217,68 @@ func (s *Searcher) step(ni int32, ip float64) (n *nodeRec, ipl, ipr float64, exp
 		// not — is unchanged.
 		s.st.FilterSkippedNodes++
 		s.st.FilterSkippedPoints += int64(n.count())
-		return n, 0, 0, false
+		return n, 0, 0, 0, false
 	}
 	s.st.NodesVisited++
-	lb := math.Abs(ip) - s.qnorm*n.radius
-	if lb > s.tk.Lambda() { // lb < 0 < Lambda never prunes, no max needed
+	offset := math.Abs(ip) - s.qnorm*kappa
+	if offset-s.qnorm*n.radius > s.tk.Lambda() { // a negative bound never prunes, no max needed
 		s.st.PrunedNodes++
-		return n, 0, 0, false
+		return n, 0, 0, 0, false
 	}
 	if n.isLeaf() {
-		s.scanWithPruning(n, ip)
-		return n, 0, 0, false
+		s.scanWithPruning(n, math.Max(offset, 0))
+		return n, 0, 0, 0, false
 	}
 
 	var start time.Time
 	if s.opts.Profile != nil {
 		start = time.Now()
 	}
-	ipl = vec.Dot(s.q, s.tree.center(n.left))
+	ipl = vec.Dot(s.q, t.centers.Row(int(n.leftRow)))
 	s.st.IPCount++
-	if s.opts.DisableCollabIP {
-		ipr = vec.Dot(s.q, s.tree.center(n.right))
+	if t.kind == Ball {
+		ipr = vec.Dot(s.q, t.centers.Row(int(n.right)))
 		s.st.IPCount++
 	} else {
 		// Lemma 2: <q, rc.c> = (|N| <q, N.c> - |lc| <q, lc.c>) / |rc|.
 		cn := float64(n.count())
-		cl := float64(s.tree.nodes[n.left].count())
-		cr := float64(s.tree.nodes[n.right].count())
+		cl := float64(t.nodes[ni+1].count())
+		cr := float64(t.nodes[n.right].count())
 		ipr = (cn*ip - cl*ipl) / cr
+		kappaR = cn / cr * (kappa + centerStep*n.centerNorm)
 		s.st.CollabIPs++
 	}
 	if s.opts.Profile != nil {
 		s.opts.Profile.Add(core.PhaseBound, time.Since(start))
 	}
-	return n, ipl, ipr, true
+	return n, ipl, ipr, kappaR, true
 }
 
-// visit is the exact driver: SubBCTreeSearch (SubBallTreeSearch under the
-// Ball kind's forced switches), the paper's depth-first recursion with the
-// preferred child first.
-func (s *Searcher) visit(ni int32, ip float64) {
+// visit is the exact driver: SubBCTreeSearch (SubBallTreeSearch for the Ball
+// kind), the paper's depth-first recursion with the preferred child first.
+func (s *Searcher) visit(ni int32, ip, kappa float64) {
 	if s.opts.Canceled() {
 		return // deadline fired: keep what the collector already holds
 	}
-	n, ipl, ipr, expand := s.step(ni, ip)
+	n, ipl, ipr, kappaR, expand := s.step(ni, ip, kappa)
 	if !expand {
 		return
 	}
-	if s.preferRight(n, ipl, ipr) {
-		s.visit(n.right, ipr)
-		s.visit(n.left, ipl)
+	if s.preferRight(ni, ipl, ipr) {
+		s.visit(n.right, ipr, kappaR)
+		s.visit(ni+1, ipl, 0)
 	} else {
-		s.visit(n.left, ipl)
-		s.visit(n.right, ipr)
+		s.visit(ni+1, ipl, 0)
+		s.visit(n.right, ipr, kappaR)
 	}
 }
 
-// preferRight decides the branch order (Algorithm 5 lines 12-17).
-func (s *Searcher) preferRight(n *nodeRec, ipl, ipr float64) bool {
+// preferRight decides the branch order under node ni (Algorithm 5 lines
+// 12-17).
+func (s *Searcher) preferRight(ni int32, ipl, ipr float64) bool {
 	if s.opts.Preference == core.PrefLowerBound {
-		lbl := math.Abs(ipl) - s.qnorm*s.tree.nodes[n.left].radius
-		lbr := math.Abs(ipr) - s.qnorm*s.tree.nodes[n.right].radius
+		lbl := math.Abs(ipl) - s.qnorm*s.tree.nodes[ni+1].radius
+		lbr := math.Abs(ipr) - s.qnorm*s.tree.nodes[s.tree.nodes[ni].right].radius
 		if lbl < 0 {
 			lbl = 0
 		}
@@ -272,11 +291,13 @@ func (s *Searcher) preferRight(n *nodeRec, ipl, ipr float64) bool {
 }
 
 // frontierNode is an unopened node of a budgeted search: its arena index,
-// its centre's inner product with the query, and the key it is ordered by.
+// its centre's inner product with the query and that product's kappa (see
+// step), and the key it is ordered by.
 type frontierNode struct {
-	key float64
-	ip  float64
-	ni  int32
+	key   float64
+	ip    float64
+	kappa float64
+	ni    int32
 }
 
 // before is the frontier's order: smaller key first, ties by arena index so
@@ -296,12 +317,12 @@ func (a frontierNode) before(b frontierNode) bool {
 // are opened.
 func (s *Searcher) bestFirst(ip float64) {
 	s.frontier = s.frontier[:0]
-	s.pushFrontier(0, ip, 0)
+	s.pushFrontier(0, ip, 0, 0)
 	for len(s.frontier) > 0 && s.opts.BudgetLeft(s.st.Candidates) && !s.opts.Canceled() {
 		e := s.popFrontier()
-		if n, ipl, ipr, expand := s.step(e.ni, e.ip); expand {
-			s.pushFrontier(n.left, ipl, n.radius)
-			s.pushFrontier(n.right, ipr, n.radius)
+		if n, ipl, ipr, kappaR, expand := s.step(e.ni, e.ip, e.kappa); expand {
+			s.pushFrontier(e.ni+1, ipl, 0, n.radius)
+			s.pushFrontier(n.right, ipr, kappaR, n.radius)
 		}
 	}
 }
@@ -314,7 +335,7 @@ func (s *Searcher) bestFirst(ip float64) {
 // unclamped ball bound |<q,c>| - ||q||·r. A zero-radius ball (a single point,
 // or a leaf of duplicates) has no size of its own to be relative to and is
 // ranked on its parent's, so that it still competes by how near it lies.
-func (s *Searcher) pushFrontier(ni int32, ip, parentRadius float64) {
+func (s *Searcher) pushFrontier(ni int32, ip, kappa, parentRadius float64) {
 	r := s.tree.nodes[ni].radius
 	key := math.Abs(ip)
 	if s.opts.Preference == core.PrefLowerBound {
@@ -327,7 +348,7 @@ func (s *Searcher) pushFrontier(ni int32, ip, parentRadius float64) {
 			key /= r
 		}
 	}
-	e := frontierNode{key: key, ip: ip, ni: ni}
+	e := frontierNode{key: key, ip: ip, kappa: kappa, ni: ni}
 	h := append(s.frontier, e)
 	i := len(h) - 1
 	for i > 0 {
@@ -377,8 +398,9 @@ func (s *Searcher) popFrontier() frontierNode {
 // DotBlock call (when the whole prefix survives, the common case on hard
 // leaves) or point by point (when the cone bound thinned them out). Bounds
 // are evaluated against the λ at leaf entry; λ only shrinks during the scan,
-// so the snapshot prunes conservatively and results stay exact.
-func (s *Searcher) scanWithPruning(n *nodeRec, ip float64) {
+// so the snapshot prunes conservatively and results stay exact. absIP is the
+// least |<q, N.c>| can be given what step knows of it.
+func (s *Searcher) scanWithPruning(n *nodeRec, absIP float64) {
 	s.st.LeavesVisited++
 	var leafStart time.Time
 	var verifyDur time.Duration
@@ -392,9 +414,9 @@ func (s *Searcher) scanWithPruning(n *nodeRec, ip float64) {
 		// rows are predicate-filtered first, then code-selected (useQuant
 		// already implies Filter == nil and no budget).
 		if s.pred != nil && s.useQuant && s.tk.Full() {
-			verifyDur = s.scanPredQuant(n, ip)
+			verifyDur = s.scanPredQuant(n, absIP)
 		} else {
-			verifyDur = s.scanFiltered(n, ip)
+			verifyDur = s.scanFiltered(n, absIP)
 		}
 		if profiling {
 			s.opts.Profile.Add(core.PhaseVerify, verifyDur)
@@ -406,7 +428,6 @@ func (s *Searcher) scanWithPruning(n *nodeRec, ip float64) {
 	start := int(n.start)
 	count := int(n.count())
 	lambda := s.tk.Lambda()
-	absIP := math.Abs(ip)
 
 	// Corollary 1: r_x is descending, so the ball bound ascends along the
 	// leaf; everything past the cutoff is pruned in a batch.
@@ -421,11 +442,8 @@ func (s *Searcher) scanWithPruning(n *nodeRec, ip float64) {
 	var sel []int32
 	dense := true // all of [0, m) survived; allows one blocked verification
 	if useCone && m > 0 {
-		// ||q|| cos theta = <q, N.c> / ||N.c||; the rejection follows from
-		// Pythagoras. Rounding can push the projection a hair past ||q||.
-		qcos := ip / n.centerNorm
-		qsin := math.Sqrt(math.Max(0, s.sqQnorm-qcos*qcos))
-		sel = vec.ConeSelect(qcos, qsin, lambda, boundSlack,
+		qcos, qsin := s.coneOf(n, absIP)
+		sel = vec.ConeSelect(qcos, qsin, lambda,
 			s.tree.xcos[start:start+m], s.tree.xsin[start:start+m], s.sel[:0])
 		s.sel = sel // keep the grown capacity for the next leaf
 		s.st.PrunedPoints += int64(m - len(sel))
@@ -497,23 +515,31 @@ func (s *Searcher) scanWithPruning(n *nodeRec, ip float64) {
 	}
 }
 
+// coneOf returns the query's side of the cone bound for leaf n: its
+// projection onto the leaf centre's direction, ||q|| cos theta = <q, N.c> /
+// ||N.c||, taken at the least magnitude absIP allows (only the magnitude
+// enters the bound), and the rejection that goes with it — the smaller the
+// projection the larger the rejection, so both err toward a lower bound.
+func (s *Searcher) coneOf(n *nodeRec, absIP float64) (qcos, qsin float64) {
+	qcos = absIP / n.centerNorm
+	return qcos, vec.Rejection(s.sqQnorm, qcos, len(s.q))
+}
+
 // scanFiltered is the point-at-a-time path for filtered queries (a Filter
 // closure, a compiled predicate, or both): rejected ids must not cost an
 // inner product nor count against the budget, so the bounds are evaluated per
 // point with the evolving λ, as in Algorithm 5. It returns the time spent on
 // verification for the profile's phase split.
-func (s *Searcher) scanFiltered(n *nodeRec, ip float64) time.Duration {
+func (s *Searcher) scanFiltered(n *nodeRec, absIP float64) time.Duration {
 	profiling := s.opts.Profile != nil
 	var verifyDur time.Duration
 	start := int(n.start)
 	count := int(n.count())
-	absIP := math.Abs(ip)
 	useBall := !s.opts.DisablePointBall
 	useCone := !s.opts.DisablePointCone && n.centerNorm > 0
 	var qcos, qsin float64
 	if useCone {
-		qcos = ip / n.centerNorm
-		qsin = math.Sqrt(math.Max(0, s.sqQnorm-qcos*qcos))
+		qcos, qsin = s.coneOf(n, absIP)
 	}
 	for i := 0; i < count; i++ {
 		if !s.opts.BudgetLeft(s.st.Candidates) {
@@ -527,7 +553,7 @@ func (s *Searcher) scanFiltered(n *nodeRec, ip float64) time.Duration {
 		}
 		if useCone {
 			lbCone := vec.ConeBound(qcos, qsin, float64(s.tree.xcos[start+i]), float64(s.tree.xsin[start+i]))
-			if lbCone*(1-boundSlack) > s.tk.Lambda() {
+			if lbCone > s.tk.Lambda() {
 				s.st.PrunedPoints++
 				continue
 			}
@@ -560,12 +586,11 @@ func (s *Searcher) scanFiltered(n *nodeRec, ip float64) time.Duration {
 // entry — conservative, as in scanWithPruning — and predicate-with-quant
 // searches are unbudgeted, so results stay bitwise equal to the unquantized
 // filtered scan. Returns the verification time for the profile's phase split.
-func (s *Searcher) scanPredQuant(n *nodeRec, ip float64) time.Duration {
+func (s *Searcher) scanPredQuant(n *nodeRec, absIP float64) time.Duration {
 	var verifyDur time.Duration
 	start := int(n.start)
 	count := int(n.count())
 	lambda := s.tk.Lambda()
-	absIP := math.Abs(ip)
 
 	m := count
 	if !s.opts.DisablePointBall {
@@ -575,8 +600,7 @@ func (s *Searcher) scanPredQuant(n *nodeRec, ip float64) time.Duration {
 	useCone := !s.opts.DisablePointCone && n.centerNorm > 0
 	var qcos, qsin float64
 	if useCone {
-		qcos = ip / n.centerNorm
-		qsin = math.Sqrt(math.Max(0, s.sqQnorm-qcos*qcos))
+		qcos, qsin = s.coneOf(n, absIP)
 	}
 	if cap(s.sel) < m {
 		s.sel = make([]int32, 0, m)
@@ -588,7 +612,7 @@ func (s *Searcher) scanPredQuant(n *nodeRec, ip float64) time.Duration {
 		}
 		if useCone {
 			lbCone := vec.ConeBound(qcos, qsin, float64(s.tree.xcos[start+i]), float64(s.tree.xsin[start+i]))
-			if lbCone*(1-boundSlack) > lambda {
+			if lbCone > lambda {
 				s.st.PrunedPoints++
 				continue
 			}

@@ -18,9 +18,9 @@ import (
 // it streams from memory once per batch instead of once per query. The
 // point-level cone bound is skipped in batch mode: it selects per-query
 // survivor subsets that would be verified row by row, and the dense blocked
-// scan of the whole prefix is the cheaper trade. Under the Ball kind's
-// forced switches every prefix is the whole leaf and both child inner
-// products are computed directly. Results and their ordering are
+// scan of the whole prefix is the cheaper trade. On a Ball tree every prefix
+// is the whole leaf and both child inner products are computed from their
+// centres. Results and their ordering are
 // bitwise identical to per-query Search calls (exact results are canonical;
 // see internal/exec).
 //
@@ -78,12 +78,12 @@ func (b *batchSearcher) run(queries *vec.Matrix, opts core.SearchOptions, out []
 	for i := range act {
 		act[i] = int32(i)
 	}
-	root := t.center(0)
+	root := t.centers.Row(0)
 	for i := range act {
 		ips[i] = vec.Dot(queries.Row(i), root)
 		stats[i].IPCount++
 	}
-	b.visit(0, act, ips)
+	b.visit(0, act, ips, 0)
 	scr.Release(mark)
 
 	for i := 0; i < nq; i++ {
@@ -97,10 +97,12 @@ func (b *batchSearcher) run(queries *vec.Matrix, opts core.SearchOptions, out []
 // are verified for all survivors at once, and internal nodes recurse with
 // per-child segments carved from the scratch arena. The left child's inner
 // product costs O(d) per active query; the right child's follows from
-// Lemma 2 in O(1) unless the ablation switch disables it. The branch order
-// is the group's center-preference vote — order affects only pruning work,
-// never results, which are canonical.
-func (b *batchSearcher) visit(ni int32, act []int32, ips []float64) {
+// Lemma 2 in O(1) on a BC tree. kappa is Searcher.step's: what the node's
+// inner products may be off by per unit of ||q||, one number for the whole
+// group since it depends on the tree alone. The branch order is the group's
+// center-preference vote — order affects only pruning work, never results,
+// which are canonical.
+func (b *batchSearcher) visit(ni int32, act []int32, ips []float64, kappa float64) {
 	t := b.tree
 	scr := &b.scr
 	n := &t.nodes[ni]
@@ -108,8 +110,8 @@ func (b *batchSearcher) visit(ni int32, act []int32, ips []float64) {
 	for j, qi := range act {
 		st := &b.stats[qi]
 		st.NodesVisited++
-		lb := math.Abs(ips[j]) - scr.QNorms[qi]*n.radius
-		if lb > scr.Heaps[qi].Lambda() {
+		offset := math.Abs(ips[j]) - scr.QNorms[qi]*kappa
+		if offset-scr.QNorms[qi]*n.radius > scr.Heaps[qi].Lambda() {
 			st.PrunedNodes++
 			continue
 		}
@@ -121,7 +123,7 @@ func (b *batchSearcher) visit(ni int32, act []int32, ips []float64) {
 	}
 	act, ips = act[:live], ips[:live]
 	if n.isLeaf() {
-		b.scanLeaf(n, act, ips)
+		b.scanLeaf(n, act, ips, kappa)
 		return
 	}
 
@@ -130,17 +132,24 @@ func (b *batchSearcher) visit(ni int32, act []int32, ips []float64) {
 	actR, ipsR := scr.Alloc(live)
 	copy(actL, act)
 	copy(actR, act)
-	centerL, centerR := t.center(n.left), t.center(n.right)
+	centerL := t.centers.Row(int(n.leftRow))
 	cn := float64(n.count())
-	cl := float64(t.nodes[n.left].count())
+	cl := float64(t.nodes[ni+1].count())
 	cr := float64(t.nodes[n.right].count())
+	var centerR []float32 // Ball kind only
+	var kappaR float64
+	if t.kind == Ball {
+		centerR = t.centers.Row(int(n.right))
+	} else {
+		kappaR = cn / cr * (kappa + centerStep*n.centerNorm)
+	}
 	var sumL, sumR float64
 	for j, qi := range act {
 		q := b.queries.Row(int(qi))
 		ipl := vec.Dot(q, centerL)
 		b.stats[qi].IPCount++
 		var ipr float64
-		if b.opts.DisableCollabIP {
+		if t.kind == Ball {
 			ipr = vec.Dot(q, centerR)
 			b.stats[qi].IPCount++
 		} else {
@@ -153,11 +162,11 @@ func (b *batchSearcher) visit(ni int32, act []int32, ips []float64) {
 		sumR += math.Abs(ipr)
 	}
 	if sumR < sumL {
-		b.visit(n.right, actR, ipsR)
-		b.visit(n.left, actL, ipsL)
+		b.visit(n.right, actR, ipsR, kappaR)
+		b.visit(ni+1, actL, ipsL, 0)
 	} else {
-		b.visit(n.left, actL, ipsL)
-		b.visit(n.right, actR, ipsR)
+		b.visit(ni+1, actL, ipsL, 0)
+		b.visit(n.right, actR, ipsR, kappaR)
 	}
 	scr.Release(mark)
 }
@@ -166,14 +175,14 @@ func (b *batchSearcher) visit(ni int32, act []int32, ips []float64) {
 // ball bound (Corollary 1, strict) cuts the query's prefix of the
 // radius-sorted leaf by binary search, and one blocked kernel call verifies
 // the prefix. A query whose prefix is empty costs nothing beyond its pruning
-// bookkeeping.
+// bookkeeping. kappa discounts each query's |<q, N.c>| as in Searcher.step.
 //
 // On a quantized tree a query whose heap is full runs the code filter over
 // its prefix of the (4x smaller) code block first and verifies only the
 // survivors, row by row unless every row survived — exactly like the
 // single-query path. Results stay bitwise identical to per-query Search
 // (canonical exact results; see internal/exec).
-func (b *batchSearcher) scanLeaf(n *nodeRec, act []int32, ips []float64) {
+func (b *batchSearcher) scanLeaf(n *nodeRec, act []int32, ips []float64, kappa float64) {
 	t := b.tree
 	m := int(n.count())
 	if m == 0 {
@@ -187,7 +196,8 @@ func (b *batchSearcher) scanLeaf(n *nodeRec, act []int32, ips []float64) {
 		tk := &b.scr.Heaps[qi]
 		mj := m
 		if !b.opts.DisablePointBall {
-			mj = vec.BallCutoff(math.Abs(ips[j]), b.scr.QNorms[qi],
+			qnorm := b.scr.QNorms[qi]
+			mj = vec.BallCutoff(math.Abs(ips[j])-qnorm*kappa, qnorm,
 				tk.Lambda(), t.rx[start:start+m])
 			st.PrunedPoints += int64(m - mj)
 		}

@@ -16,19 +16,23 @@ import (
 // as a block. The magic records the kind and whether a quantization section
 // follows:
 //
-//	P2HBT002  Ball kind: nodes carry radius only, no trailing arrays
+//	P2HBT002  Ball kind: a centre per node; nodes carry radius, range and
+//	          both child links; no trailing arrays
 //	P2HBT003  P2HBT002 plus the quantization section
-//	P2HBC004  BC kind: nodes carry radius and centerNorm, then rx/xcos/xsin
-//	          as float32
-//	P2HBC005  P2HBC004 plus the quantization section
+//	P2HBC006  BC kind: (nodes+1)/2 centres (the root's, then the left
+//	          children's in arena order); nodes carry radius, centerNorm,
+//	          range and the right link — the left child is the next node and
+//	          its centre's row follows from the links; then rx/xcos/xsin as
+//	          float32
+//	P2HBC007  P2HBC006 plus the quantization section
 //
 // The quantization section (grid tables and the 8-bit code mirror) is the
-// same for both kinds. There is one current version per kind: P2HBC002/003,
-// which stored the point-level arrays as float64, are named in the error that
-// rejects them and are not converted.
+// same for both kinds. There is one current version per kind: the BC payloads
+// earlier releases wrote are named in the error that rejects them and are not
+// converted.
 var magics = [2][2]string{
 	Ball: {"P2HBT002", "P2HBT003"},
-	BC:   {"P2HBC004", "P2HBC005"},
+	BC:   {"P2HBC006", "P2HBC007"},
 }
 
 // retiredMagics maps the payload magics earlier releases wrote to what to
@@ -36,6 +40,8 @@ var magics = [2][2]string{
 var retiredMagics = map[string]string{
 	"P2HBC002": "bctree payload version 2 (float64 point-level arrays)",
 	"P2HBC003": "quantized bctree payload version 3 (float64 point-level arrays)",
+	"P2HBC004": "bctree payload version 4 (a centre for every node)",
+	"P2HBC005": "quantized bctree payload version 5 (a centre for every node)",
 }
 
 // PayloadMagics lists the magic of every payload Load accepts, so that code
@@ -65,10 +71,12 @@ const maxSerialDim = 1 << 20
 // the tree straight through instead of buffering it to learn its length.
 func (t *Tree) PayloadBytes() int64 {
 	n, d, nodes := int64(t.points.N), int64(t.points.D), int64(len(t.nodes))
-	b := 8 /*magic*/ + 5*4 /*header*/ + 4*n /*ids*/ + 4*n*d /*points*/ +
-		4*nodes*d /*centers*/ + nodes*(8 /*radius*/ +4*4 /*range, children*/)
-	if t.kind == BC {
-		b += nodes*8 /*centerNorm*/ + 3*4*n /*rx, xcos, xsin*/
+	b := 8 /*magic*/ + 5*4 /*header*/ + 4*n /*ids*/ + 4*n*d /*points*/
+	if t.kind == Ball {
+		b += 4*nodes*d /*centers*/ + nodes*(8 /*radius*/ +4*4 /*range, children*/)
+	} else {
+		b += 4*((nodes+1)/2)*d /*centers*/ + nodes*(2*8 /*radius, centerNorm*/ +3*4 /*range, right*/) +
+			3*4*n /*rx, xcos, xsin*/
 	}
 	if t.qz != nil {
 		b += quant.SectionBytes(t.points.N, t.points.D)
@@ -105,7 +113,9 @@ func (t *Tree) Save(w io.Writer) error {
 		n := &t.nodes[i]
 		bw.I32(n.start)
 		bw.I32(n.end)
-		bw.I32(n.left)
+		if t.kind == Ball {
+			bw.I32(n.leftRow) // the left child's arena index: a Ball row is a node
+		}
 		bw.I32(n.right)
 	}
 	if t.kind == BC {
@@ -155,7 +165,8 @@ func Load(r io.Reader, kind Kind) (*Tree, error) {
 		br.Fail("bad header: leafSize=%d n=%d d=%d", leafSize, n, d)
 		return nil, br.Err()
 	}
-	if nodes < 1 || nodes > 2*n || leaves < 1 || leaves > nodes {
+	// A node has two children or none, so a tree of L leaves has 2L-1 nodes.
+	if leaves < 1 || leaves > n || nodes != 2*leaves-1 {
 		br.Fail("bad node counts: nodes=%d leaves=%d n=%d", nodes, leaves, n)
 		return nil, br.Err()
 	}
@@ -168,31 +179,37 @@ func Load(r io.Reader, kind Kind) (*Tree, error) {
 		}
 	}
 	data := br.F32s(n * d)
-	centers := br.F32s(nodes * d)
 	// The node columns arrive as two sections — radius (and centerNorm, BC
 	// kind) pairs, then range and child links — and are transposed into the
-	// arena's records once both are in.
-	perNode := 1
+	// arena's records once both are in. A Ball payload has a centre and a
+	// left link per node; a BC payload has neither for right children — its
+	// (nodes+1)/2 = leaves rows are numbered by assignCenterRows.
+	rows, perBound, perLink := nodes, 1, 4
 	if kind == BC {
-		perNode = 2
+		rows, perBound, perLink = leaves, 2, 3
 	}
-	bounds := br.F64s(nodes * perNode)
-	links := br.I32s(nodes * 4)
+	centers := br.F32s(rows * d)
+	bounds := br.F64s(nodes * perBound)
+	links := br.I32s(nodes * perLink)
 	if err := br.Err(); err != nil {
 		return nil, err
 	}
 	t.points = &vec.Matrix{Data: data, N: n, D: d}
-	t.centers = &vec.Matrix{Data: centers, N: nodes, D: d}
+	t.centers = &vec.Matrix{Data: centers, N: rows, D: d}
 	t.nodes = make([]nodeRec, nodes)
 	for i := range t.nodes {
 		nd := &t.nodes[i]
-		nd.radius = bounds[i*perNode]
-		if kind == BC {
-			nd.centerNorm = bounds[i*perNode+1]
+		nd.radius = bounds[i*perBound]
+		link := links[i*perLink : (i+1)*perLink]
+		nd.start, nd.end, nd.right = link[0], link[1], link[perLink-1]
+		if kind == Ball {
+			nd.leftRow = link[2]
+		} else {
+			nd.centerNorm = bounds[i*perBound+1]
 		}
-		nd.start, nd.end, nd.left, nd.right = links[4*i], links[4*i+1], links[4*i+2], links[4*i+3]
 	}
 	if kind == BC {
+		t.assignCenterRows()
 		t.rx = br.F32s(n)
 		t.xcos = br.F32s(n)
 		t.xsin = br.F32s(n)
@@ -218,10 +235,12 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // validateArena checks the structural invariants of a loaded arena:
 // in-range node fields with finite non-negative radii and norms, the root
-// covering [0, n), children partitioning their parent at strictly larger
-// arena indices, every node reachable from the root exactly once with the
-// declared leaf count, and — BC kind — finite point-level arrays with
-// descending radii within each leaf's slice.
+// covering [0, n), the preorder shape every search relies on — an internal
+// node's left child is the next node (for a Ball payload, the link it stores
+// says so) and its right child the node after the left subtree, which also
+// makes every node reachable exactly once — children partitioning their
+// parent, the declared leaf count, and — BC kind — finite point-level arrays
+// with descending radii within each leaf's slice.
 func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 	nodes := int32(len(t.nodes))
 	n := int32(t.points.N)
@@ -235,13 +254,13 @@ func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 			br.Fail("node %d radius %v or norm %v negative or not finite", i, nd.radius, nd.centerNorm)
 			return br.Err()
 		}
-		if (nd.left == noChild) != (nd.right == noChild) {
-			br.Fail("node %d half-leaf: left=%d right=%d", i, nd.left, nd.right)
+		if (nd.leftRow == noChild) != (nd.right == noChild) {
+			br.Fail("node %d half-leaf: left=%d right=%d", i, nd.leftRow, nd.right)
 			return br.Err()
 		}
-		if nd.left != noChild {
-			if nd.left <= int32(i) || nd.left >= nodes || nd.right <= int32(i) || nd.right >= nodes {
-				br.Fail("node %d children %d,%d out of order", i, nd.left, nd.right)
+		if nd.right != noChild {
+			if nd.right <= int32(i)+1 || nd.right >= nodes || (t.kind == Ball && nd.leftRow != int32(i)+1) {
+				br.Fail("node %d children %d,%d out of order", i, nd.leftRow, nd.right)
 				return br.Err()
 			}
 		}
@@ -256,18 +275,10 @@ func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 			return br.Err()
 		}
 	}
-	visited := make([]bool, nodes)
 	leafCount := 0
-	var walk func(ni int32)
-	walk = func(ni int32) {
-		if br.Err() != nil {
-			return
-		}
-		if visited[ni] {
-			br.Fail("node %d reachable twice", ni)
-			return
-		}
-		visited[ni] = true
+	// walk checks the subtree at ni and returns the arena index after it.
+	var walk func(ni int32) int32
+	walk = func(ni int32) int32 {
 		nd := &t.nodes[ni]
 		if nd.isLeaf() {
 			leafCount++
@@ -275,29 +286,29 @@ func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 				for p := nd.start + 1; p < nd.end; p++ {
 					if !(t.rx[p] <= t.rx[p-1]) {
 						br.Fail("leaf %d radii not descending at position %d", ni, p)
-						return
+						break
 					}
 				}
 			}
-			return
+			return ni + 1
 		}
-		l, r := &t.nodes[nd.left], &t.nodes[nd.right]
+		l, r := &t.nodes[ni+1], &t.nodes[nd.right]
 		if l.start != nd.start || r.end != nd.end || l.end != r.start {
 			br.Fail("children do not partition [%d,%d)", nd.start, nd.end)
-			return
+			return nodes
 		}
-		walk(nd.left)
-		walk(nd.right)
+		if after := walk(ni + 1); after != nd.right {
+			br.Fail("node %d: right child %d does not follow the left subtree", ni, nd.right)
+			return nodes
+		}
+		return walk(nd.right)
 	}
-	walk(0)
+	// A failed subtree reports nodes as its end, so the first failure stands.
+	if after := walk(0); after != nodes {
+		br.Fail("%d nodes unreachable from root", nodes-after)
+	}
 	if err := br.Err(); err != nil {
 		return err
-	}
-	for i, ok := range visited {
-		if !ok {
-			br.Fail("node %d unreachable from root", i)
-			return br.Err()
-		}
 	}
 	if leafCount != leaves {
 		br.Fail("leaf count %d != declared %d", leafCount, leaves)

@@ -51,24 +51,32 @@ func testSaveLoadRoundTrip(t *testing.T, kind Kind) {
 	}
 }
 
-// payloadOffsets locates the float sections of a saved unquantized payload so
+// payloadOffsets locates sections of a saved unquantized payload so
 // corruption tests can patch single values: the float64 node radius column
-// (stride 8 for Ball, 16 with centerNorm for BC) and, BC only, the float32
-// rx/xcos/xsin arrays.
-func payloadOffsets(t *Tree) (radius, rx, xcos, xsin int) {
+// (stride 8 for Ball, 16 with centerNorm for BC), the int32 link rows (start,
+// end, left, right for Ball; start, end, right for BC) and, BC only, the
+// float32 rx/xcos/xsin arrays.
+func payloadOffsets(t *Tree) (radius, links, rx, xcos, xsin int) {
 	n, d, nodes := t.N(), t.Dim(), t.Nodes()
-	radius = 8 + 5*4 + 4*n + 4*n*d + 4*nodes*d
-	stride := 8
+	radius = 8 + 5*4 + 4*n + 4*n*d + 4*t.centers.N*d
+	boundStride, linkStride := 8, 16
 	if t.kind == BC {
-		stride = 16
+		boundStride, linkStride = 16, 12
 	}
-	rx = radius + nodes*stride + nodes*16
-	return radius, rx, rx + 4*n, rx + 8*n
+	links = radius + nodes*boundStride
+	rx = links + nodes*linkStride
+	return radius, links, rx, rx + 4*n, rx + 8*n
 }
 
 func patchF64(good []byte, off int, v float64) []byte {
 	bad := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint64(bad[off:], math.Float64bits(v))
+	return bad
+}
+
+func patchI32(good []byte, off int, v int32) []byte {
+	bad := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(bad[off:], uint32(v))
 	return bad
 }
 
@@ -91,11 +99,22 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 	if _, err := Load(bytes.NewReader(good), kind); err != nil {
 		t.Fatalf("pristine payload: %v", err)
 	}
-	radius, rx, xcos, xsin := payloadOffsets(orig)
+	radius, links, rx, xcos, xsin := payloadOffsets(orig)
 
 	// Flip the node-count header field (offset: 8 magic + 4 leafSize + 4 n + 4 d).
 	badNodes := append([]byte(nil), good...)
 	badNodes[8+12], badNodes[8+13] = 0xFF, 0xFF
+
+	// The root's right link is the last field of the first link row; its
+	// right child has a sibling subtree before it and a node after it.
+	rootRight := links + 8
+	if kind == Ball {
+		rootRight += 4
+	}
+	right := orig.nodes[0].right
+	if right < 3 || int(right)+1 >= orig.Nodes() {
+		t.Fatalf("fixture: root's right child is node %d of %d", right, orig.Nodes())
+	}
 
 	cases := map[string][]byte{
 		"empty":              {},
@@ -107,11 +126,24 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 		"truncated half":     good[:len(good)/2],
 		"truncated tail":     good[:len(good)-9],
 		"corrupt node count": badNodes,
-		"negative radius":    patchF64(good, radius, -1),
+		// The searches take a node's left child to be the next node and never
+		// look at where the right subtree starts again: the arena must be in
+		// preorder, not merely a tree.
+		"even node count":      patchI32(good, 8+12, int32(orig.Nodes()+1)),
+		"right child early":    patchI32(good, rootRight, right-1),
+		"right child late":     patchI32(good, rootRight, right+1),
+		"right child is left":  patchI32(good, rootRight, 1),
+		"right child past end": patchI32(good, rootRight, int32(orig.Nodes())),
+		"negative radius":      patchF64(good, radius, -1),
 		// NaN fails every ordered comparison, so range checks written as
 		// "reject if v < 0" used to wave it through into the bound math.
 		"NaN radius": patchF64(good, radius, math.NaN()),
 		"Inf radius": patchF64(good, radius, math.Inf(1)),
+	}
+	if kind == Ball {
+		// The left link a Ball payload still carries must say "next node".
+		cases["left child not next"] = patchI32(good, links+8, 2)
+		cases["half-leaf"] = patchI32(good, links+8, noChild)
 	}
 	if kind == BC {
 		// A leaf with at least three points, to corrupt r_x past its head.
@@ -124,6 +156,7 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 		}
 		p := int(leaf.start) + 1
 		cases["NaN centerNorm"] = patchF64(good, radius+8, math.NaN())
+		cases["internal node marked leaf"] = patchI32(good, rootRight, noChild)
 		// The shape that broke exactness: radii [.., NaN, big] load, then
 		// vec.BallCutoff's binary search skips the big-radius point.
 		nan32 := float32(math.NaN())
@@ -140,15 +173,17 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 }
 
 // TestLoadNamesRetiredVersions: the BC payloads earlier releases wrote (float64
-// point-level arrays) are refused by name, not mistaken for garbage and not
-// converted.
+// point-level arrays; then a centre for every node) are refused by name, not
+// mistaken for garbage and not converted.
 func TestLoadNamesRetiredVersions(t *testing.T) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyUniform, RawDim: 5}, 80, 6)
 	var buf bytes.Buffer
 	if err := Build(raw.AppendOnes(), BC, Config{LeafSize: 10, Seed: 7}).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for old, version := range map[string]string{"P2HBC002": "version 2", "P2HBC003": "version 3"} {
+	for old, version := range map[string]string{
+		"P2HBC002": "version 2", "P2HBC003": "version 3", "P2HBC004": "version 4", "P2HBC005": "version 5",
+	} {
 		payload := append([]byte(old), buf.Bytes()[8:]...)
 		_, err := Load(bytes.NewReader(payload), BC)
 		if !errors.Is(err, binio.ErrCorrupt) {
@@ -160,7 +195,7 @@ func TestLoadNamesRetiredVersions(t *testing.T) {
 			}
 		}
 	}
-	if slices.Contains(PayloadMagics(), "P2HBC002") || len(PayloadMagics()) != 4 {
+	if slices.Contains(PayloadMagics(), "P2HBC004") || len(PayloadMagics()) != 4 {
 		t.Fatalf("PayloadMagics() = %v", PayloadMagics())
 	}
 }

@@ -13,27 +13,42 @@ import (
 const DefaultLeafSize = 100
 
 // radiusSlack inflates stored radii by a relative epsilon so pruning stays
-// conservative under floating-point rounding.
+// conservative under the float64 rounding of one inner product against the
+// centre the radius was measured from. It does not cover a product derived by
+// Lemma 2, whose error is relative to the centre's norm, not to the radius:
+// see centerStep.
 const radiusSlack = 1e-9
 
-// boundSlack deflates computed point-level bounds by a relative epsilon, for
-// the same reason. Accumulated float64 rounding across the collaborative
-// inner product chain stays orders of magnitude below this.
-const boundSlack = 1e-9
+// centerStep bounds how far a stored centre is from the combination Lemma 1
+// defines it as, relative to its norm. A BC parent's centre is
+// float32((|L| c_L + |R| c_R)/|N|): every coordinate is rounded to 24 bits,
+// so the stored vector misses the exact combination by up to 2^-24 ||c_N||,
+// and the right child's product that Lemma 2 derives from it,
+// (|N| <q,c_N> - |L| <q,c_L>)/|R|, misses <q, c_R> by up to
+// (|N|/|R|) 2^-24 ||q|| ||c_N|| — the rounding amplified by how small a share
+// of the parent the right child is, and amplified again at every further
+// right turn. On the n = 50 000, d = 129 benchmark tree the miss reaches
+// 5.1e-5, some 2e4 radiusSlacks. The second bit covers the float64 rounding
+// of the derivation itself. Searcher.step carries the accumulated bound down
+// the walk as kappa.
+const centerStep = 0x1p-23
 
 // noChild marks a leaf's child slots in the flat arena.
 const noChild = int32(-1)
 
 // Kind is which of the paper's two indexes Build constructed. It is a
 // build-time fact of the tree: it decides the build algorithm, the payload
-// magic and what IndexBytes counts, and nothing about how a search runs
-// beyond forcing the ablation switches for Ball (see Tree.normalize).
+// magic, what IndexBytes counts and which centres the arena keeps — and with
+// that how a search comes by a right child's inner product: a Ball tree reads
+// the child's centre (Algorithm 3), a BC tree has none to read and derives it
+// (Lemma 2).
 type Kind uint8
 
 const (
-	// Ball is Section III's Ball-Tree: centroid balls only.
+	// Ball is Section III's Ball-Tree: centroid balls only, a centre per node.
 	Ball Kind = iota
-	// BC is Section IV's BC-Tree: Ball plus the per-point leaf arrays.
+	// BC is Section IV's BC-Tree: Ball plus the per-point leaf arrays, less
+	// the centres of right children.
 	BC
 )
 
@@ -70,27 +85,37 @@ func (c Config) normalized() Config {
 }
 
 // nodeRec is one ball of the tree in the flat arena. Leaf nodes have
-// left == right == noChild and cover positions [start, end) of the reordered
-// storage; their point-level structures are the [start, end) slices of the
-// tree's rx/xcos/xsin arrays, ordered by descending r_x. Children always sit
-// at larger arena indices than their parent (preorder construction).
+// leftRow == right == noChild and cover positions [start, end) of the
+// reordered storage; their point-level structures are the [start, end) slices
+// of the tree's rx/xcos/xsin arrays, ordered by descending r_x. The arena is
+// in preorder: the left child of node ni is node ni+1, always, so the record
+// does not spend a field on it and holds the row of that child's centre
+// instead; the right child sits after the whole left subtree, at right.
 type nodeRec struct {
-	radius      float64
-	centerNorm  float64 // ||center||, precomputed for the cone bound; 0 for Ball
-	start, end  int32
-	left, right int32 // arena indices of children, noChild for leaves
+	radius     float64
+	centerNorm float64 // ||center||, for the cone bound and centerStep; 0 for Ball
+	start, end int32
+	leftRow    int32 // row of centers holding node ni+1's centre, noChild for leaves
+	right      int32 // arena index of the right child, noChild for leaves
 }
 
 func (n *nodeRec) count() int32 { return n.end - n.start }
-func (n *nodeRec) isLeaf() bool { return n.left == noChild }
+func (n *nodeRec) isLeaf() bool { return n.right == noChild }
 
 // Tree is a Ball-Tree or BC-Tree over lifted data points x = (p; 1).
 type Tree struct {
-	kind    Kind
-	points  *vec.Matrix // reordered copy: leaf ranges are contiguous rows
-	ids     []int32     // position -> original data id
-	nodes   []nodeRec   // flat arena, root at index 0, preorder
-	centers *vec.Matrix // nodes x d: packed node centers
+	kind   Kind
+	points *vec.Matrix // reordered copy: leaf ranges are contiguous rows
+	ids    []int32     // position -> original data id
+	nodes  []nodeRec   // flat arena, root at index 0, preorder
+
+	// Packed node centres. A Ball tree keeps one per node, row i = node i's:
+	// Algorithm 3 and the classic searches read both children's. A BC search
+	// reads a centre only for the root and for left children — a right
+	// child's inner product follows from Lemma 2 and every bound it enters is
+	// precomputed — so a BC tree keeps just those (nodes+1)/2 rows, the root's
+	// first and the left children's in arena order.
+	centers *vec.Matrix
 
 	// Position-indexed point-level structures (Algorithm 4 lines 5-9),
 	// length n; within each leaf's [start, end) slice rx is descending. All
@@ -126,8 +151,14 @@ type Tree struct {
 	batchers  exec.Pool[batchSearcher]
 }
 
-// center returns node ni's center, a row of the packed centers matrix.
-func (t *Tree) center(ni int32) []float32 { return t.centers.Row(int(ni)) }
+// center returns node ni's centre on a Ball tree, whose rows are arena
+// indices. A BC tree has no row for a right child.
+func (t *Tree) center(ni int32) []float32 {
+	if t.kind != Ball {
+		panic("balltree: only the Ball kind keeps every node's centre")
+	}
+	return t.centers.Row(int(ni))
+}
 
 // N returns the number of indexed points.
 func (t *Tree) N() int { return t.points.N }
@@ -152,7 +183,7 @@ func (t *Tree) height(ni int32) int {
 	if n.isLeaf() {
 		return 1
 	}
-	hl, hr := t.height(n.left), t.height(n.right)
+	hl, hr := t.height(ni+1), t.height(n.right)
 	if hl > hr {
 		return hl + 1
 	}
@@ -178,7 +209,10 @@ func (t *Tree) AttachAttrs(st *attr.Store) error {
 	infos := make([]attr.NodeInfo, len(t.nodes))
 	for i := range t.nodes {
 		n := &t.nodes[i]
-		infos[i] = attr.NodeInfo{Start: n.start, End: n.end, Left: n.left, Right: n.right}
+		infos[i] = attr.NodeInfo{Start: n.start, End: n.end, Left: noChild, Right: n.right}
+		if !n.isLeaf() {
+			infos[i].Left = int32(i) + 1
+		}
 	}
 	t.attrs = st
 	t.attrSums = attr.BuildSummaries(st, t.ids, infos)
@@ -189,14 +223,14 @@ func (t *Tree) AttachAttrs(st *attr.Store) error {
 func (t *Tree) Attrs() *attr.Store { return t.attrs }
 
 // IndexBytes estimates the memory footprint of the index structure: the
-// packed centers matrix, the node records (radius, range, child indices),
+// packed centers matrix, the node records (radius, range, child links),
 // the position->id map, the quantized mirror when present, and — BC kind
 // only — the per-node centerNorm plus the three Θ(n)-size point-level arrays
 // that BC-Tree adds over Ball-Tree (Theorem 6). The reordered copy of the
 // data is reported separately by DataBytes, mirroring how the paper's Table
 // III separates index size from data size.
 func (t *Tree) IndexBytes() int64 {
-	const perNode = 8 /*radius*/ + 2*4 /*range*/ + 2*4 /*children*/
+	const perNode = 8 /*radius*/ + 2*4 /*range*/ + 2*4 /*leftRow, right*/
 	b := t.centers.Bytes() + int64(len(t.nodes))*perNode + int64(len(t.ids))*4
 	if t.kind == BC {
 		b += int64(len(t.nodes))*8 /*centerNorm*/ + int64(t.points.N)*3*4

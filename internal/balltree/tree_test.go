@@ -49,6 +49,82 @@ func TestPointLevelArraysRoundOutward(t *testing.T) {
 	})
 }
 
+// nodeCenters reconstructs the builder's table for a tree of either kind:
+// row i is the centre node i's radius and leaf arrays were measured from. A
+// Ball tree stores it. A BC tree stores the root's and the left children's
+// rows; a right leaf's is recomputed as the centroid of its points and a right
+// internal node's as the Lemma 1 combination of its children's, the builder's
+// own arithmetic (a centroid is summed in float64 before it is rounded, so the
+// order of the points — the one thing that differs here — does not show).
+func nodeCenters(tree *Tree) *vec.Matrix {
+	if tree.kind == Ball {
+		return tree.centers
+	}
+	isRight := make([]bool, len(tree.nodes))
+	for i := range tree.nodes {
+		if n := &tree.nodes[i]; !n.isLeaf() {
+			isRight[n.right] = true
+		}
+	}
+	all := vec.NewMatrix(len(tree.nodes), tree.Dim())
+	copy(all.Row(0), tree.centers.Row(0))
+	for i := len(tree.nodes) - 1; i >= 0; i-- { // children before parents
+		n := &tree.nodes[i]
+		if n.isLeaf() {
+			pos := make([]int32, 0, n.count())
+			for p := n.start; p < n.end; p++ {
+				pos = append(pos, p)
+			}
+			copy(all.Row(i), tree.points.Centroid(pos))
+			continue
+		}
+		copy(all.Row(i+1), tree.centers.Row(int(n.leftRow))) // stored: overrides what was recomputed
+		if isRight[i] {
+			combineCenters(all.Row(i), int32(i), tree, all.Data)
+		}
+	}
+	return all
+}
+
+// TestCenterRows pins the layout: a Ball tree keeps a centre per node, a BC
+// tree the root's and the left children's — (nodes+1)/2 rows, in arena order
+// — and what a BC tree dropped is what the Ball build over the same splits
+// computed directly, up to the float32 rounding Lemma 1 adds per level.
+func TestCenterRows(t *testing.T) {
+	data, _ := buildTestData(t, dataset.FamilyClustered, 2000, 16, 5)
+	ball := Build(data, Ball, Config{LeafSize: 20, Seed: 1})
+	bc := Build(data, BC, Config{LeafSize: 20, Seed: 1})
+	if ball.centers.N != ball.Nodes() {
+		t.Fatalf("Ball tree holds %d centre rows for %d nodes", ball.centers.N, ball.Nodes())
+	}
+	if bc.Nodes() != ball.Nodes() || bc.centers.N != (bc.Nodes()+1)/2 {
+		t.Fatalf("BC tree holds %d centre rows for %d nodes, want %d", bc.centers.N, bc.Nodes(), (bc.Nodes()+1)/2)
+	}
+	row := int32(1)
+	for i := range bc.nodes {
+		n := &bc.nodes[i]
+		if n.isLeaf() {
+			if n.leftRow != noChild {
+				t.Fatalf("leaf %d has centre row %d", i, n.leftRow)
+			}
+			continue
+		}
+		if n.leftRow != row || ball.nodes[i].leftRow != int32(i)+1 {
+			t.Fatalf("node %d: left centre row %d (Ball %d), want %d (Ball %d)", i, n.leftRow, ball.nodes[i].leftRow, row, i+1)
+		}
+		row++
+	}
+	all := nodeCenters(bc)
+	for i := range bc.nodes {
+		for j, v := range all.Row(i) {
+			want := float64(ball.center(int32(i))[j])
+			if math.Abs(float64(v)-want) > 1e-5*math.Max(1, math.Abs(want)) {
+				t.Fatalf("node %d centre[%d] = %v, Ball build has %v", i, j, v, want)
+			}
+		}
+	}
+}
+
 // checkTreeInvariants verifies the structural properties both builds share
 // (Section III-B): child partition (Eqs. 4-5 via contiguous ranges), leaf
 // size <= N0, preorder arena, and ball containment (Eq. 7). For the BC kind
@@ -74,11 +150,12 @@ func checkTreeInvariants(t *testing.T, tree *Tree) {
 		t.Fatalf("%s point-level arrays sized %d/%d/%d, want %d",
 			tree.kind, len(tree.rx), len(tree.xcos), len(tree.xsin), want)
 	}
+	centers := nodeCenters(tree)
 	var nodes, leaves int
 	var walk func(ni int32)
 	walk = func(ni int32) {
 		n := &tree.nodes[ni]
-		center := tree.center(ni)
+		center := centers.Row(int(ni))
 		nodes++
 		if n.count() <= 0 {
 			t.Fatal("empty node")
@@ -106,15 +183,15 @@ func checkTreeInvariants(t *testing.T, tree *Tree) {
 			}
 			return
 		}
-		l, r := &tree.nodes[n.left], &tree.nodes[n.right]
+		l, r := &tree.nodes[ni+1], &tree.nodes[n.right]
 		if l.start != n.start || r.end != n.end || l.end != r.start {
 			t.Fatalf("children do not partition parent: [%d,%d) -> [%d,%d)+[%d,%d)",
 				n.start, n.end, l.start, l.end, r.start, r.end)
 		}
-		if n.left <= ni || n.right <= ni {
-			t.Fatalf("children %d,%d not after parent %d in preorder arena", n.left, n.right, ni)
+		walk(ni + 1)
+		if int(n.right) != nodes {
+			t.Fatalf("right child %d of %d does not follow the left subtree, which ends at %d", n.right, ni, nodes)
 		}
-		walk(n.left)
 		walk(n.right)
 	}
 	walk(0)
@@ -126,9 +203,9 @@ func checkTreeInvariants(t *testing.T, tree *Tree) {
 // checkLeafStructures recomputes a BC leaf's point-level structures in
 // float64 as the builder does and checks the stored float32 arrays against
 // them: each is the float64 value moved by less than one float32 step in the
-// direction that can only lower a bound — rx (slack-inflated) and xsin up,
-// |xcos| toward zero — rx stays descending after rounding, and the leaf's own
-// radius is its first point's.
+// direction that can only lower a bound — rx (slack-inflated) and xsin (with
+// the guard of vec.Rejection under its root) up, |xcos| toward zero — rx stays
+// descending after rounding, and the leaf's own radius is its first point's.
 func checkLeafStructures(t *testing.T, tree *Tree, n *nodeRec, center []float32) {
 	t.Helper()
 	const ulp32 = 1.0 / (1 << 23)
@@ -150,7 +227,7 @@ func checkLeafStructures(t *testing.T, tree *Tree, n *nodeRec, center []float32)
 		if n.centerNorm > 0 {
 			xcos = math.Max(-xn, math.Min(xn, vec.Dot(x, center)/n.centerNorm))
 		}
-		xsin := math.Sqrt(math.Max(0, xn*xn-xcos*xcos))
+		xsin := vec.Rejection(xn*xn, xcos, len(x))
 		if got := float64(tree.xcos[pos]); math.Abs(got) > math.Abs(xcos) || math.Abs(got) < math.Abs(xcos)*(1-ulp32) || got*xcos < 0 {
 			t.Fatalf("xcos[%d]=%v is not %v rounded toward zero", i, got, xcos)
 		}
@@ -173,10 +250,11 @@ func checkLeafStructures(t *testing.T, tree *Tree, n *nodeRec, center []float32)
 func TestLemma1CenterMatchesDirectCentroid(t *testing.T) {
 	data, _ := buildTestData(t, dataset.FamilyHeavyTail, 700, 10, 2)
 	tree := Build(data, BC, Config{LeafSize: 30, Seed: 2})
+	centers := nodeCenters(tree)
 	var walk func(ni int32)
 	walk = func(ni int32) {
 		n := &tree.nodes[ni]
-		center := tree.center(ni)
+		center := centers.Row(int(ni))
 		ids := make([]int32, 0, n.count())
 		for pos := n.start; pos < n.end; pos++ {
 			ids = append(ids, pos)
@@ -190,7 +268,7 @@ func TestLemma1CenterMatchesDirectCentroid(t *testing.T) {
 			}
 		}
 		if !n.isLeaf() {
-			walk(n.left)
+			walk(ni + 1)
 			walk(n.right)
 		}
 	}
@@ -255,7 +333,8 @@ func TestNodeCountBound(t *testing.T) {
 // TestIndexBytesAccounting pins the paper's Table III "lightweight"
 // comparison: at N0=100 both indexes stay below the data size (Section V-D),
 // and BC-Tree reports exactly what it adds over Ball-Tree on the same splits
-// — three n-size float32 arrays (Theorem 6) and one centerNorm per node.
+// — three n-size float32 arrays (Theorem 6) and one centerNorm per node — and
+// what it drops: the right children's centres, (nodes-1)/2 rows of d floats.
 func TestIndexBytesAccounting(t *testing.T) {
 	data, _ := buildTestData(t, dataset.FamilyClustered, 2000, 32, 5)
 	ball := Build(data, Ball, Config{LeafSize: 100, Seed: 1})
@@ -266,7 +345,7 @@ func TestIndexBytesAccounting(t *testing.T) {
 	if ball.IndexBytes() <= 0 || ball.DataBytes() <= 0 {
 		t.Fatal("byte accounting must be positive")
 	}
-	extra := int64(bc.N())*3*4 + int64(bc.Nodes())*8
+	extra := int64(bc.N())*3*4 + int64(bc.Nodes())*8 - int64(bc.Nodes()-1)/2*int64(bc.Dim())*4
 	if got := bc.IndexBytes() - ball.IndexBytes(); got != extra {
 		t.Fatalf("BC reports %d bytes over Ball, want %d", got, extra)
 	}
@@ -345,7 +424,7 @@ func TestRadiusMonotoneDown(t *testing.T) {
 				t.Fatalf("child radius %v wildly exceeds parent %v", n.radius, parentR)
 			}
 			if !n.isLeaf() {
-				walk(n.left, n.radius)
+				walk(ni+1, n.radius)
 				walk(n.right, n.radius)
 			}
 		}

@@ -81,8 +81,10 @@ type SearchOptions struct {
 	// the call.
 	Cancel func() bool
 
-	// The three switches below ablate BC-Tree strategies (paper Figure 8
-	// and Theorem 5). They are ignored by the other indexes.
+	// The two switches below ablate BC-Tree's point-level bounds (paper
+	// Figure 8). They are ignored by the other indexes. Collaborative inner
+	// product computing (Lemma 2, Theorem 5) has no switch: a BC-Tree does
+	// not store the centres a search would need without it.
 
 	// DisablePointBall turns off the point-level ball bound (Corollary 1),
 	// producing the paper's BC-Tree-wo-B variant.
@@ -91,10 +93,6 @@ type SearchOptions struct {
 	// producing the paper's BC-Tree-wo-C variant. Setting both switches
 	// yields BC-Tree-wo-BC (exhaustive leaf scans, as Ball-Tree does).
 	DisablePointCone bool
-	// DisableCollabIP turns off collaborative inner product computing
-	// (Lemma 2), so both children of a visited internal node cost a full
-	// O(d) inner product. Used by the Theorem 5 ablation bench.
-	DisableCollabIP bool
 	// DisableQuantFilter turns off the quantized leaf filter on trees built
 	// with quantization (Spec.Quantize), forcing the pure float leaf scan.
 	// Results are identical either way — the filter is exact — so this is

@@ -23,7 +23,7 @@ func TestEligible(t *testing.T) {
 		{"budget", core.SearchOptions{K: 5, Budget: 10}, false},
 		{"filter", core.SearchOptions{K: 5, Filter: func(int32) bool { return true }}, false},
 		{"profile", core.SearchOptions{K: 5, Profile: &core.Profile{}}, false},
-		{"ablations", core.SearchOptions{K: 5, DisablePointBall: true, DisableCollabIP: true}, true},
+		{"ablations", core.SearchOptions{K: 5, DisablePointBall: true, DisablePointCone: true}, true},
 	}
 	for _, tc := range cases {
 		if got := Eligible(tc.opts); got != tc.want {

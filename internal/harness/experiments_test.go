@@ -145,7 +145,7 @@ func TestAblationSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"BC ms", "BC-wo-collab ms", "KD-Tree ms"} {
+	for _, want := range []string{"BC ms", "center IPs off", "KD-Tree ms", "Ball-Tree ms"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}

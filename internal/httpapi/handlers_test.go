@@ -248,6 +248,8 @@ func TestSearchErrorMapping(t *testing.T) {
 		"bad preference": {"/v1/indexes/trees/search", SearchRequest{Query: q, SearchOptionsJSON: SearchOptionsJSON{Preference: "sideways"}}, 400, "bad_request"},
 		"negative k":     {"/v1/indexes/trees/search", SearchRequest{Query: q, SearchOptionsJSON: SearchOptionsJSON{K: -2}}, 400, "bad_request"},
 		"unknown field":  {"/v1/indexes/trees/search", map[string]any{"query": q, "nope": 1}, 400, "bad_request"},
+		// The Lemma 2 switch is gone from the wire, not ignored on it.
+		"retired switch": {"/v1/indexes/trees/search", map[string]any{"query": q, "disable_collab_ip": true}, 400, "bad_request"},
 	} {
 		status, body := f.do(t, "POST", c.path, c.body)
 		t.Run(name, func(t *testing.T) { wantError(t, status, body, c.status, c.code) })

@@ -29,7 +29,6 @@ type SearchOptionsJSON struct {
 	// The BC-Tree ablation switches, mirroring p2h.SearchOptions.
 	DisablePointBall bool `json:"disable_point_ball,omitempty"`
 	DisablePointCone bool `json:"disable_point_cone,omitempty"`
-	DisableCollabIP  bool `json:"disable_collab_ip,omitempty"`
 	// Filter is a declarative attribute predicate (p2h.Pred's JSON form:
 	// tag / any_tag / field+min/max / and / or / not) restricting the search
 	// to matching points. Unlike an in-process Filter closure it survives
@@ -51,7 +50,6 @@ func (o SearchOptionsJSON) toOptions() (core.SearchOptions, error) {
 		Budget:           o.Budget,
 		DisablePointBall: o.DisablePointBall,
 		DisablePointCone: o.DisablePointCone,
-		DisableCollabIP:  o.DisableCollabIP,
 	}
 	switch o.Preference {
 	case "", "center":

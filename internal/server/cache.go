@@ -15,10 +15,10 @@ import (
 // structurally equal predicates share one slot while an opaque Filter
 // closure never could.
 type optsKey struct {
-	k, budget                int
-	preference               core.Preference
-	noBall, noCone, noCollab bool
-	pred                     string // Pred.Canon(); "" when unfiltered
+	k, budget      int
+	preference     core.Preference
+	noBall, noCone bool
+	pred           string // Pred.Canon(); "" when unfiltered
 }
 
 func makeOptsKey(o core.SearchOptions) optsKey {
@@ -36,7 +36,6 @@ func makeOptsKey(o core.SearchOptions) optsKey {
 		preference: o.Preference,
 		noBall:     o.DisablePointBall,
 		noCone:     o.DisablePointCone,
-		noCollab:   o.DisableCollabIP,
 		pred:       pred,
 	}
 }
@@ -66,9 +65,6 @@ func hashKey(q []float32, ok optsKey) uint64 {
 	}
 	if ok.noCone {
 		flags |= 2
-	}
-	if ok.noCollab {
-		flags |= 4
 	}
 	mix(flags, 1)
 	mix(uint64(len(ok.pred)), 4)

@@ -132,6 +132,30 @@ func BallCutoff(absIP, qnorm, lambda float64, rx []float32) int {
 	return sort.Search(len(rx), func(i int) bool { return float64(rx[i]) < thresh })
 }
 
+// coneSlack deflates the cone bound by a relative epsilon per term. The
+// rounding a computed projection or rejection carries is relative to the
+// term it enters, not to the difference of the two terms, which cancels to
+// nothing exactly where the bound decides — so the slack is applied to
+// |qcos*xcos| and to qsin*xsin separately, never to their difference.
+const coneSlack = 1e-9
+
+// Rejection returns an upper bound on sqrt(||v||^2 - proj^2), the length of
+// what is left of a d-dimensional v after taking out its projection proj onto
+// a unit direction, from the computed sqNorm = ||v||^2 and proj. The
+// subtraction keeps no digits once v is nearly collinear with the direction:
+// sqNorm carries up to (d+4) and proj^2 up to 2(2d+2) roundings of 2^-53
+// relative to ||v||^2, so the difference can come out low — or be clamped to
+// zero — by about 5d*2^-53*||v||^2, which under the root is 1e-8*||v|| and
+// more, not 1e-16. Twice that error bound, (d+1)*2^-49*||v||^2, is added
+// before the root: the result is never below the true rejection, and a
+// product of two guarded rejections exceeds the true product by at least what
+// the two projections' own rounding can add to |qcos*xcos| (Cauchy-Schwarz),
+// so ConeBound stays a lower bound with every input computed in floating
+// point.
+func Rejection(sqNorm, proj float64, d int) float64 {
+	return math.Sqrt(math.Max(0, sqNorm-proj*proj) + float64(d+1)*0x1p-49*sqNorm)
+}
+
 // ConeBound is the point-level cone lower bound (Theorem 3) on |<q, x>| from
 // the projections onto (qcos, xcos) and rejections from (qsin, xsin >= 0) a
 // shared center direction:
@@ -140,13 +164,20 @@ func BallCutoff(absIP, qnorm, lambda float64, rx []float32) int {
 //
 // <q, x> is qcos*xcos plus the inner product of the two rejections, which
 // Cauchy-Schwarz confines to [-qsin*xsin, qsin*xsin]. This is the paper's
-// three-case bound in one expression: it is bitwise equal to each case where
-// that case fires, and it also covers the combination the cases leave at zero
+// three-case bound in one expression: it equals each case where that case
+// fires, and it also covers the combination the cases leave at zero
 // (qcos < 0 and xcos < 0), which is the first case for the hyperplane -q.
-// Shrinking |xcos| or growing xsin can only lower it, which is what lets the
-// tree store both as outward-rounded float32.
+// Shrinking |qcos| or |xcos|, or growing qsin or xsin, can only lower it,
+// which is what lets the tree store xcos and xsin as outward-rounded float32
+// and a search discount qcos by what it does not know about <q, c>. Each term
+// is deflated by coneSlack.
 func ConeBound(qcos, qsin, xcos, xsin float64) float64 {
-	lb := math.Abs(qcos*xcos) - qsin*xsin
+	return coneBound(math.Abs(qcos)*(1-coneSlack), qsin*(1+coneSlack), xcos, xsin)
+}
+
+// coneBound is ConeBound on a query side that already carries the slack.
+func coneBound(qc, qs, xcos, xsin float64) float64 {
+	lb := qc*math.Abs(xcos) - qs*xsin
 	if lb < 0 {
 		return 0
 	}
@@ -158,15 +189,15 @@ func ConeBound(qcos, qsin, xcos, xsin float64) float64 {
 // points it cannot prune to sel, returning the extended slice. qcos and qsin
 // are the query's projection onto / rejection from the leaf center; xcos and
 // xsin are the per-point analogues stored by the tree. A point survives when
-// lbCone*(1-slack) <= lambda: pruning is strict so boundary ties reach the
+// its bound is <= lambda: pruning is strict so boundary ties reach the
 // collector's canonical (Dist, ID) ordering (see BallCutoff).
-func ConeSelect(qcos, qsin, lambda, slack float64, xcos, xsin []float32, sel []int32) []int32 {
+func ConeSelect(qcos, qsin, lambda float64, xcos, xsin []float32, sel []int32) []int32 {
 	if len(xcos) != len(xsin) {
 		panic("vec: ConeSelect shape mismatch")
 	}
-	scale := 1 - slack
+	qc, qs := math.Abs(qcos)*(1-coneSlack), qsin*(1+coneSlack)
 	for i := range xcos {
-		if ConeBound(qcos, qsin, float64(xcos[i]), float64(xsin[i]))*scale <= lambda {
+		if coneBound(qc, qs, float64(xcos[i]), float64(xsin[i])) <= lambda {
 			sel = append(sel, int32(i))
 		}
 	}

@@ -262,8 +262,8 @@ func TestTruncatedSectionsFailBeforeAllocating(t *testing.T) {
 			name        string
 			bytes, elem int
 		}{
-			{"header", 8 + 5*4, 4}, {"ids", 4 * n, 4}, {"points", 4 * n * d, 4}, {"centers", 4 * nodes * d, 4},
-			{"node bounds", 16 * nodes, 8}, {"node links", 16 * nodes, 4},
+			{"header", 8 + 5*4, 4}, {"ids", 4 * n, 4}, {"points", 4 * n * d, 4}, {"centers", 4 * ((nodes + 1) / 2) * d, 4},
+			{"node bounds", 16 * nodes, 8}, {"node links", 12 * nodes, 4},
 			{"rx", 4 * n, 4}, {"xcos", 4 * n, 4}, {"xsin", 4 * n, 4},
 		}
 		if variant == "quantized" {
@@ -350,9 +350,10 @@ func TestTruncatedSectionsFailBeforeAllocating(t *testing.T) {
 }
 
 // TestRetiredBCPayloadsAreNamed: a container written before the point-level
-// arrays became float32 — a BC-Tree, or a Sharded or Dynamic index embedding
-// one — is refused with an error that names the payload version it holds and
-// the ones this build reads. There is no converter.
+// arrays became float32 (P2HBC002/003) or before a BC-Tree stopped storing its
+// right children's centres (P2HBC004/005) — a BC-Tree, or a Sharded or Dynamic
+// index embedding one — is refused with an error that names the payload
+// version it holds and the ones this build reads. There is no converter.
 func TestRetiredBCPayloadsAreNamed(t *testing.T) {
 	for kind, ix := range goldenRecipes(t) {
 		if kind != KindBCTree && kind != KindSharded && kind != KindDynamic {
@@ -363,21 +364,23 @@ func TestRetiredBCPayloadsAreNamed(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, current := arenaPayload(t, buf.Bytes())
-		old := bytes.ReplaceAll(buf.Bytes(), []byte(current), []byte("P2HBC002"))
-		_, err := Load(bytes.NewReader(old))
-		if !errors.Is(err, ErrFormat) {
-			t.Fatalf("%s: retired payload: err = %v, want ErrFormat", kind, err)
-		}
-		for _, want := range []string{"P2HBC002", "version 2", current} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("%s: error %q does not mention %q", kind, err, want)
+		for retired, version := range map[string]string{"P2HBC002": "version 2", "P2HBC004": "version 4", "P2HBC005": "version 5"} {
+			old := bytes.ReplaceAll(buf.Bytes(), []byte(current), []byte(retired))
+			_, err := Load(bytes.NewReader(old))
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("%s: %s payload: err = %v, want ErrFormat", kind, retired, err)
 			}
-		}
-		// Inspect sniffs the outermost payload only: it names a retired
-		// BC-Tree payload too rather than reporting an unknown shape.
-		if _, err := Inspect(bytes.NewReader(old)); kind == KindBCTree &&
-			(!errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "version 2")) {
-			t.Errorf("Inspect of a retired bctree payload: %v", err)
+			for _, want := range []string{retired, version, current} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: error %q does not mention %q", kind, err, want)
+				}
+			}
+			// Inspect sniffs the outermost payload only: it names a retired
+			// BC-Tree payload too rather than reporting an unknown shape.
+			if _, err := Inspect(bytes.NewReader(old)); kind == KindBCTree &&
+				(!errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), version)) {
+				t.Errorf("Inspect of a %s bctree payload: %v", retired, err)
+			}
 		}
 	}
 }

@@ -17,8 +17,10 @@
 # samples for a significance test; -benchmem records allocs/op so the
 # zero-allocation steady state is gated alongside time, and B/op for the codec
 # and dynamic benchmarks, where it is what the operation costs in heap: about
-# one container's worth to open an index, about two copies of the live data —
-# the gathered rows and the new tree's — to compact one.
+# one container's worth to open an index (27.2 MB for the 27.07 MB P2HBC006
+# container of the n=50k BC-Tree, which keeps half its nodes' centres; 70 KB to
+# save it), about two copies of the live data — the gathered rows and the new
+# tree's — to compact one.
 set -euo pipefail
 
 COUNT="${BENCH_COUNT:-6}"

@@ -365,12 +365,13 @@ func containerFuzzSeeds(t testing.TB) map[string][]byte {
 	// A NaN point radius inside the first leaf: it passes every ordered
 	// comparison, so only an explicit finiteness check rejects it. The
 	// float32 rx array follows the payload's header (8+5*4), ids, points,
-	// centers and the two node columns (16 bytes per node each).
+	// the (nodes+1)/2 centers and the two node columns (16 and 12 bytes per
+	// node).
 	nanRadius := append([]byte(nil), bc...)
 	pay, _ := arenaPayload(t, nanRadius)
 	hdr := func(i int) int { return int(binary.LittleEndian.Uint32(nanRadius[pay+8+4*i:])) }
 	n, d, nodes := hdr(1), hdr(2), hdr(3)
-	rx := pay + 28 + 4*n + 4*n*d + 4*nodes*d + 32*nodes
+	rx := pay + 28 + 4*n + 4*n*d + 4*((nodes+1)/2)*d + 28*nodes
 	binary.LittleEndian.PutUint32(nanRadius[rx+4:], math.Float32bits(float32(math.NaN())))
 	attributed, err := New(data, Spec{Kind: KindBCTree, LeafSize: 16, Seed: 2})
 	if err != nil {
