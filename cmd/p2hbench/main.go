@@ -17,6 +17,10 @@
 //
 //	p2hbench -index sharded -spec '{"shards":8}' -sets Sift -n 50000
 //	p2hbench -load index.p2h -sets Sift -n 50000
+//
+// Those are its only two modes. Serving, durability, overload, cluster and
+// filtered-search measurements are workloads and per-layer metrics of the
+// repository's one harness, `go run ./benchmark` (benchmark/README.md).
 package main
 
 import (
@@ -55,12 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lambdaF  = fs.Int("lambda", 2, "NH/FH sampled dimension as a multiple of d (Table III uses 1 and 8 regardless)")
 		maxL     = fs.Int("maxlambda", 16384, "cap on the sampled dimension for very high-d sets")
 		verbose  = fs.Bool("v", false, "log per-step progress to stderr")
-		durable  = fs.Bool("durable", false, "run the durability benchmark (sustained insert+search with and without background compaction, plus WAL crash-recovery time) and emit JSON")
-		chaos    = fs.Bool("chaos", false, "run the overload benchmark (2x-capacity flood against the serving stack with SLO degradation, plus WAL group-commit insert throughput) and emit JSON")
-		filter   = fs.Bool("filter", false, "run the filtered-search benchmark (predicate pushdown vs post-filter at ~1%/10%/50% selectivity, with byte-identity and recall gates) and emit JSON")
-		repeat   = fs.Int("repeat", 3, "timed passes over the query set per measurement for the -filter benchmark")
-		sloP99   = fs.Duration("slo", 25*time.Millisecond, "end-to-end p99 SLO for the -chaos benchmark (client deadline 80%, controller objective 60% of it)")
-		workers  = fs.Int("workers", 4, "serving workers for the -chaos benchmark")
 		indexK   = fs.String("index", "", "registry kind for the single-index benchmark ("+strings.Join(p2h.Kinds(), ", ")+")")
 		specJSON = fs.String("spec", "", "p2h.Spec as JSON for the single-index benchmark (-index overrides its kind)")
 		quantize = fs.Bool("quantize", false, "enable the 8-bit quantized leaf mirror on the single-index benchmark (shorthand for \"quantize\":true in -spec)")
@@ -127,44 +125,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *filter {
-		set := "Sift"
-		if len(cfg.Sets) > 0 {
-			set = cfg.Sets[0]
-		}
-		if err := runFilter(out, stderr, filterConfig{
-			set: set, n: *n, nq: *nq, k: *k, seed: *seed,
-			leafSize: *leafSize, repeat: *repeat,
-		}); err != nil {
-			fmt.Fprintf(stderr, "p2hbench: %v\n", err)
-			return 1
-		}
-	} else if *chaos {
-		set := "Sift"
-		if len(cfg.Sets) > 0 {
-			set = cfg.Sets[0]
-		}
-		if err := runChaos(out, stderr, chaosConfig{
-			set: set, n: *n, nq: *nq, k: *k, seed: *seed,
-			workers: *workers, slo: *sloP99,
-			calib: 2 * time.Second, flood: 12 * time.Second,
-		}); err != nil {
-			fmt.Fprintf(stderr, "p2hbench: %v\n", err)
-			return 1
-		}
-	} else if *durable {
-		set := "Sift"
-		if len(cfg.Sets) > 0 {
-			set = cfg.Sets[0]
-		}
-		if err := runDurable(out, stderr, durableConfig{
-			set: set, n: *n, nq: *nq, k: *k, seed: *seed,
-			windows: 12, perWin: *n / 10, walRecs: *n / 4, trials: 5,
-		}); err != nil {
-			fmt.Fprintf(stderr, "p2hbench: %v\n", err)
-			return 1
-		}
-	} else if custom {
+	if custom {
 		set := "Sift"
 		if len(cfg.Sets) > 0 {
 			set = cfg.Sets[0]

@@ -33,10 +33,14 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunBadFlag also pins the cut to two modes: the flags of the removed
+// -durable/-chaos/-filter modes are usage errors like any unknown flag.
 func TestRunBadFlag(t *testing.T) {
-	var out, errw bytes.Buffer
-	if code := run([]string{"-bogus"}, &out, &errw); code != 2 {
-		t.Fatalf("exit %d", code)
+	for _, flag := range []string{"-bogus", "-durable", "-chaos", "-filter", "-repeat=3", "-slo=25ms", "-workers=4"} {
+		var out, errw bytes.Buffer
+		if code := run([]string{flag}, &out, &errw); code != 2 {
+			t.Fatalf("%s: exit %d", flag, code)
+		}
 	}
 }
 

@@ -69,7 +69,6 @@ func TestBuildEveryPersistableKind(t *testing.T) {
 	}{
 		{"balltree", ""},
 		{"bctree", ""},
-		{"kdtree", `{"leaf_size":40}`},
 		{"sharded", `{"shards":3,"workers":2}`},
 		{"dynamic", `{"rebuild_fraction":0.5}`},
 	}
@@ -102,8 +101,8 @@ func TestSpecCarriesKind(t *testing.T) {
 	if !strings.Contains(out, "built balltree") {
 		t.Fatalf("spec kind not honored: %s", out)
 	}
-	out = runOK(t, "build", "-index", "kd", "-spec", `{"kind":"balltree"}`, "-data", data, "-out", index)
-	if !strings.Contains(out, "built kdtree") {
+	out = runOK(t, "build", "-index", "bc", "-spec", `{"kind":"balltree"}`, "-data", data, "-out", index)
+	if !strings.Contains(out, "built bctree") {
 		t.Fatalf("-index did not override spec kind: %s", out)
 	}
 }
@@ -128,20 +127,23 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// TestBuildOnlyKindRefusesSave: hashing kinds build through the registry but
-// document themselves as build-only, so `build` (whose point is the saved
-// file) reports a clear error instead of writing garbage.
+// TestBuildOnlyKindRefusesSave: the baselines (hashing kinds, the KD-Tree)
+// build through the registry but document themselves as build-only, so
+// `build` (whose point is the saved file) reports a clear error instead of
+// writing garbage.
 func TestBuildOnlyKindRefusesSave(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data.fvecs")
 	runOK(t, "gen", "-set", "Music", "-n", "100", "-out", data)
-	var out, errw bytes.Buffer
-	if code := run([]string{"build", "-index", "nh", "-data", data,
-		"-out", filepath.Join(dir, "ix.p2h")}, &out, &errw); code != 1 {
-		t.Fatalf("exit %d", code)
-	}
-	if !strings.Contains(errw.String(), "build-only") {
-		t.Fatalf("stderr: %s", errw.String())
+	for _, kind := range []string{"nh", "kdtree"} {
+		var out, errw bytes.Buffer
+		if code := run([]string{"build", "-index", kind, "-data", data,
+			"-out", filepath.Join(dir, "ix.p2h")}, &out, &errw); code != 1 {
+			t.Fatalf("%s: exit %d", kind, code)
+		}
+		if !strings.Contains(errw.String(), "build-only") {
+			t.Fatalf("%s: stderr: %s", kind, errw.String())
+		}
 	}
 }
 

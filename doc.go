@@ -38,7 +38,7 @@
 // # Persistence
 //
 // Save and Load (SaveFile, Open) move any persistable index — BallTree,
-// BCTree, KDTree, Sharded, Dynamic — through a self-describing container
+// BCTree, Sharded, Dynamic — through a self-describing container
 // that records its own kind and Spec, so loading needs no type
 // information:
 //
@@ -67,7 +67,8 @@
 // recorded Spec, dimensionality, point count — without loading its payload.
 //
 // The cmd/p2hbench tool regenerates every table and figure of the paper's
-// evaluation section, and cmd/p2hserve benchmarks the serving layer on a
-// query stream (in-process, or against a running p2hd with -url); see
-// README.md, DESIGN.md and EXPERIMENTS.md.
+// evaluation section; the benchmark directory holds the one harness that
+// measures every layer, from the kernels to the cluster router (go run
+// ./benchmark); see README.md, DESIGN.md, EXPERIMENTS.md and
+// benchmark/README.md.
 package p2h

@@ -3,7 +3,8 @@ package p2h_test
 // Documentation lint: every exported symbol of the root package must carry a
 // doc comment. The public API is the library's contract — an undocumented
 // export either needs words or should not be exported. CI runs this test as
-// its own step (see .github/workflows/ci.yml).
+// its own step (see .github/workflows/ci.yml). And the documents that describe
+// the tree as it is may only name tools and scripts that exist.
 
 import (
 	"go/ast"
@@ -11,9 +12,35 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
+
+// TestDocsNameExistingToolsAndScripts: every cmd/<name> and scripts/<name>.sh
+// mentioned by a document that describes the tree as it is must exist. History
+// files (CHANGES.md, EXPERIMENTS.md, ROADMAP.md, benchmark/README.md) are
+// exempt: they name what was removed, and when.
+func TestDocsNameExistingToolsAndScripts(t *testing.T) {
+	mention := regexp.MustCompile(`\b(?:cmd/[a-z0-9]+|scripts/[A-Za-z0-9_]+\.sh)\b`)
+	for _, doc := range []string{
+		"README.md", "DESIGN.md", "docs/TUNING.md", "doc.go", "deploy/Dockerfile",
+		".claude/skills/verify/SKILL.md",
+	} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		missing := map[string]bool{}
+		for _, path := range mention.FindAllString(string(text), -1) {
+			if _, err := os.Stat(path); err != nil && !missing[path] {
+				missing[path] = true
+				t.Errorf("%s mentions %s, which is not in the tree", doc, path)
+			}
+		}
+	}
+}
 
 func TestExportedSymbolsDocumented(t *testing.T) {
 	fset := token.NewFileSet()

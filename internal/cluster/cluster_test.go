@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -572,6 +573,56 @@ func TestMemberDownFallsBackToReplica(t *testing.T) {
 	}
 	if h.Members["m0"].State != "down" {
 		t.Fatalf("m0 health state = %q, want down", h.Members["m0"].State)
+	}
+}
+
+// TestMemberKilledMidStream: the primary of shard 0 dies while searches are in
+// flight, not before them — every one of 400 responses, those cut off
+// mid-request included, must be 200 and byte-equal to the oracle's, answered
+// off the replica. The router is not told: no probe round runs, so each
+// request after the kill finds the member out by failing against it.
+func TestMemberKilledMidStream(t *testing.T) {
+	f := newFixture(t, nil)
+	const clients, perClient, killAfter = 4, 100, 40
+	bodies := make([][]byte, f.queries.N)
+	wants := make([][]byte, f.queries.N)
+	for qi := range bodies {
+		bodies[qi] = marshal(t, httpapi.SearchRequest{Query: f.queries.Row(qi), SearchOptionsJSON: httpapi.SearchOptionsJSON{K: 10}})
+		_, wants[qi] = post(t, f.oracle, "/v1/indexes/trees/search", bodies[qi])
+	}
+
+	var answered atomic.Int64
+	kill := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				qi := (c + i) % len(bodies)
+				resp, err := http.Post(f.router.URL+"/v1/indexes/trees/search", "application/json", bytes.NewReader(bodies[qi]))
+				if err != nil {
+					t.Errorf("client %d request %d: %v", c, i, err)
+				} else {
+					got, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, wants[qi]) {
+						t.Errorf("client %d request %d: status %d, read error %v, equal to oracle %v",
+							c, i, resp.StatusCode, err, bytes.Equal(got, wants[qi]))
+					}
+				}
+				if answered.Add(1) == killAfter {
+					close(kill)
+				}
+			}
+		}(c)
+	}
+	<-kill
+	f.members[0].CloseClientConnections()
+	f.members[0].Close()
+	wg.Wait()
+	if f.rt.metrics.fallbacks.Load()+f.rt.metrics.hedges.Load() == 0 {
+		t.Fatal("no fallback or hedge recorded for the member killed mid-stream")
 	}
 }
 

@@ -27,6 +27,5 @@
 // hot-swaps it in without a restart. The router serves its own /healthz
 // (member states), /metrics (fan-out latency, hedge and fallback counters,
 // per-member request counts) and a /v1/indexes surface shaped like a member
-// daemon's, so clients — including cmd/p2hserve's client mode — cannot tell
-// a router from a single daemon.
+// daemon's, so clients cannot tell a router from a single daemon.
 package cluster

@@ -143,9 +143,6 @@ func (t *Tree) N() int { return t.points.N }
 // Dim returns the lifted dimensionality.
 func (t *Tree) Dim() int { return t.points.D }
 
-// LeafSize returns the configured maximum leaf size.
-func (t *Tree) LeafSize() int { return t.leafSize }
-
 // Nodes returns the total number of tree nodes.
 func (t *Tree) Nodes() int { return t.nodes }
 

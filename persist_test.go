@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -30,9 +31,6 @@ func goldenRecipes(t *testing.T) map[string]Index {
 		t.Fatal(err)
 	}
 	if recipes[KindBCTree], err = New(data, Spec{Kind: KindBCTree, LeafSize: 24, Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if recipes[KindKDTree], err = New(data, Spec{Kind: KindKDTree, LeafSize: 24}); err != nil {
 		t.Fatal(err)
 	}
 	if recipes[KindSharded], err = New(data, Spec{Kind: KindSharded, Shards: 3, Workers: 2, LeafSize: 24, Seed: 3}); err != nil {
@@ -413,11 +411,50 @@ func TestRetiredDynamicPayloadIsNamed(t *testing.T) {
 	}
 }
 
-// TestSaveBuildOnlyKindsRefuse: NH, FH and the scans are registered
-// build-only; Save must say so instead of writing an unloadable file.
+// TestRetiredKDTreeContainerRefused: the KD-Tree was the last baseline with a
+// codec of its own; it is build-only now. A container written while it still
+// saved (the former golden fixture, kept as a FuzzOpenContainer seed) is
+// refused by Load and Open with the registry's build-only reason. Inspect
+// loads nothing and consults no registry: it still says what the file is.
+func TestRetiredKDTreeContainerRefused(t *testing.T) {
+	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzOpenContainer", "seed-kdtree"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted := strings.TrimSuffix(strings.TrimPrefix(string(seed), "go test fuzz v1\n[]byte("), ")\n")
+	unquoted, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatalf("seed-kdtree is not a one-value fuzz corpus file: %v", err)
+	}
+	old := []byte(unquoted)
+	path := filepath.Join(t.TempDir(), "kdtree.p2h")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, reason, err := KindIsPersistable(KindKDTree)
+	if err != nil || reason == "" {
+		t.Fatalf("kdtree: build-only reason %q, err %v", reason, err)
+	}
+	want := fmt.Sprintf("container holds build-only kind %q (%s)", KindKDTree, reason)
+	_, loadErr := Load(bytes.NewReader(old))
+	_, openErr := Open(path)
+	for entry, err := range map[string]error{"Load": loadErr, "Open": openErr} {
+		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want ErrFormat: %s", entry, err, want)
+		}
+	}
+	info, err := Inspect(bytes.NewReader(old))
+	if err != nil || info.Kind != KindKDTree || info.Dim != 8 || info.N != 150 {
+		t.Errorf("Inspect = %+v, %v; want kind kdtree, 150 points in 8 dimensions", info, err)
+	}
+}
+
+// TestSaveBuildOnlyKindsRefuse: the five baselines (KD-Tree, NH, FH and the
+// scans) are registered build-only; Save must say so instead of writing an
+// unloadable file.
 func TestSaveBuildOnlyKindsRefuse(t *testing.T) {
 	data := specTestData(80, 6, 5)
-	for _, kind := range []string{KindNH, KindFH, KindLinearScan, KindQuantizedScan} {
+	for _, kind := range []string{KindKDTree, KindNH, KindFH, KindLinearScan, KindQuantizedScan} {
 		ix, err := New(data, Spec{Kind: kind})
 		if err != nil {
 			t.Fatalf("New(%s): %v", kind, err)

@@ -246,19 +246,8 @@ func init() {
 			tree := kdtree.Build(data.AppendOnes(), kdtree.Config{LeafSize: spec.LeafSize})
 			return &KDTree{tree: tree, raw: data.D}, nil
 		},
-		Save: func(w io.Writer, ix Index) error { return ix.(*KDTree).tree.Save(w) },
-		Load: func(r io.Reader, _ Spec) (Index, error) {
-			tree, err := kdtree.Load(r)
-			if err != nil {
-				return nil, err
-			}
-			return &KDTree{tree: tree, raw: tree.Dim() - 1}, nil
-		},
-		Owns: func(ix Index) bool { _, ok := ix.(*KDTree); return ok },
-		SpecOf: func(ix Index) Spec {
-			t := ix.(*KDTree)
-			return Spec{Kind: KindKDTree, LeafSize: t.tree.LeafSize()}
-		},
+		Owns:      func(ix Index) bool { _, ok := ix.(*KDTree); return ok },
+		BuildOnly: "a baseline no workload serves: median splits rebuild deterministically from the data; persist the data with SaveFvecs instead",
 	})
 
 	mustRegisterKind(IndexKind{

@@ -17,8 +17,7 @@ func TestEveryKindLoadsOrDocumentsBuildOnly(t *testing.T) {
 		t.Fatalf("only %d kinds registered: %v", len(kinds), kinds)
 	}
 	persistable := map[string]bool{
-		KindBallTree: true, KindBCTree: true, KindKDTree: true,
-		KindSharded: true, KindDynamic: true,
+		KindBallTree: true, KindBCTree: true, KindSharded: true, KindDynamic: true,
 	}
 	for _, kind := range kinds {
 		ok, buildOnly, err := KindIsPersistable(kind)

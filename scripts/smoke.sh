@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test of the cmd/ binaries against the registry-driven CLI surface:
-# builds p2htool, p2hserve, p2hbench and the p2hd daemon, generates a tiny
-# data set, drives -index / -spec and save-then--load flows end to end for
-# every persistable kind plus a build-only kind, and exercises the daemon's
+# builds p2htool, p2hbench and the p2hd daemon, generates a tiny data set,
+# drives -index / -spec and save-then--load flows end to end for every
+# persistable kind plus two build-only kinds, and exercises the daemon's
 # HTTP API (search, batch, insert/delete, snapshot, hot reload, metrics,
 # health, graceful drain) with curl. CI runs this so the CLI flags, the
 # container format and the service surface cannot silently rot.
@@ -24,7 +24,7 @@ bin="$tmp/bin"
 
 echo "== build binaries"
 go build -o "$bin/" ./cmd/...
-for b in p2htool p2hserve p2hbench p2hd; do
+for b in p2htool p2hbench p2hd; do
   [ -x "$bin/$b" ] || { echo "missing binary $b"; exit 1; }
 done
 
@@ -53,7 +53,7 @@ awk -v n="$nrows" 'BEGIN{
 }' > "$attrs"
 
 echo "== build/save/info/search/eval each persistable kind via -index/-spec/-load"
-for kind in balltree bctree kdtree sharded dynamic; do
+for kind in balltree bctree sharded dynamic; do
   spec='{"leaf_size":50}'
   extra=()
   if [ "$kind" = sharded ]; then
@@ -78,16 +78,12 @@ out="$("$bin/p2htool" build -spec '{"kind":"balltree","leaf_size":25}' -data "$d
 grep "built balltree" >/dev/null <<<"$out" || { echo "spec-only kind failed"; exit 1; }
 
 echo "== build-only kinds refuse to save with a clear diagnostic"
-if "$bin/p2htool" build -index nh -data "$data" -out "$tmp/ix-nh.p2h" 2>"$tmp/nh.err"; then
-  echo "build-only kind saved unexpectedly"; exit 1
-fi
-grep -q "build-only" "$tmp/nh.err" || { echo "build-only diagnostic missing"; exit 1; }
-
-echo "== p2hserve: build via -index/-spec and serve a saved container via -load"
-out="$("$bin/p2hserve" -data "$data" -queries "$queries" -index sharded -spec '{"shards":3,"workers":2}' -clients 2 -repeat 1)"
-grep "index: sharded built" >/dev/null <<<"$out" || { echo "p2hserve -spec failed"; exit 1; }
-out="$("$bin/p2hserve" -data "$data" -queries "$queries" -load "$tmp/ix-bctree.p2h" -clients 2 -repeat 1)"
-grep "index: bctree loaded" >/dev/null <<<"$out" || { echo "p2hserve -load failed"; exit 1; }
+for kind in nh kdtree; do
+  if "$bin/p2htool" build -index "$kind" -data "$data" -out "$tmp/ix-$kind.p2h" 2>"$tmp/$kind.err"; then
+    echo "build-only kind $kind saved unexpectedly"; exit 1
+  fi
+  grep -q "build-only" "$tmp/$kind.err" || { echo "build-only diagnostic missing for $kind"; exit 1; }
+done
 
 echo "== p2hbench: registry-driven single-index benchmark (-index/-spec and -load)"
 out="$("$bin/p2hbench" -index kdtree -spec '{"leaf_size":50}' -sets Music -n 1500 -nq 5 -k 3)"
@@ -163,11 +159,6 @@ curl -fsS "$url/metrics" | grep 'p2hd_index_queries_total{index="trees"' >/dev/n
   || { echo "metrics missing index counters"; exit 1; }
 curl -fsS "$url/metrics" | grep 'p2hd_http_request_duration_seconds_bucket' >/dev/null \
   || { echo "metrics missing latency histogram"; exit 1; }
-
-echo "== p2hserve client mode against the daemon"
-out="$("$bin/p2hserve" -url "$url" -name trees -queries "$queries" -clients 2 -repeat 1 -k 3)"
-grep "daemon index \"trees\"" >/dev/null <<<"$out" || { echo "client mode failed"; exit 1; }
-grep "qps" >/dev/null <<<"$out" || { echo "client mode reported no qps"; exit 1; }
 
 echo "== p2hd: graceful drain on SIGTERM"
 kill -TERM "$daemon_pid"
@@ -308,7 +299,6 @@ cdir="$tmp/cluster"
   -spec '{"leaf_size":50,"shards":3,"workers":2,"seed":1}' \
   -attrs "$attrs" -members 3 -replicas 1 -out "$cdir" >/dev/null
 
-member_urls=()
 for i in 0 1 2; do
   ( cd "$cdir" && exec "$bin/p2hd" -listen 127.0.0.1:0 -config "member-m$i.json" ) \
     >"$tmp/member-m$i.log" 2>&1 &
@@ -322,7 +312,6 @@ for i in 0 1 2; do
     sleep 0.1
   done
   [ -n "$murl" ] || { echo "member m$i never came up"; cat "$tmp/member-m$i.log"; exit 1; }
-  member_urls+=("$murl")
   sed -i "s|@m$i@|$murl|" "$cdir/cluster.json"
 done
 
@@ -376,14 +365,12 @@ curl -fsS -X POST "$ourl/v1/indexes/trees/search_batch" -d "{\"queries\":[$q,$q]
 curl -fsS -X POST "$rurl/v1/indexes/trees/search_batch" -d "{\"queries\":[$q,$q],\"k\":4,\"filter\":{\"tag\":\"warm\"}}" >"$tmp/ans-router"
 cmp -s "$tmp/ans-oracle" "$tmp/ans-router" || { echo "router filtered batch answer differs"; exit 1; }
 
-echo "== cluster: status, ship, p2hserve round-robin"
+echo "== cluster: status, ship"
 out="$("$bin/p2htool" cluster status -config "$cdir/cluster.json")"
 grep "healthy" >/dev/null <<<"$out" || { echo "cluster status shows no healthy member"; echo "$out"; exit 1; }
 grep "primary" >/dev/null <<<"$out" || { echo "cluster status shows no placement"; echo "$out"; exit 1; }
 curl -fsS -X POST "$rurl/v1/cluster/ship" -d '{"index":"trees"}' \
   | grep '"ok":true' >/dev/null || { echo "ship failed"; exit 1; }
-out="$("$bin/p2hserve" -url "${member_urls[0]},${member_urls[1]}" -name trees-s0 -queries "$queries" -clients 2 -repeat 1 -k 3 2>/dev/null || true)"
-grep "round-robin" >/dev/null <<<"$out" || { echo "p2hserve round-robin not engaged"; echo "$out"; exit 1; }
 
 echo "== cluster: kill a member, searches keep answering off the replica"
 kill -9 "${cluster_pids[0]}"
