@@ -88,3 +88,22 @@ func TestTreeSearchSteadyStateAllocs(t *testing.T) {
 		}
 	})
 }
+
+// TestBuildAllocsDoNotFollowNodes: the builder's scratch (centroid
+// accumulator, split distances, leaf points) is sized once per build, so what
+// a build allocates is the tree's own slices — the two that grow by append a
+// logarithmic number of times — and not something per node: a tree of
+// thousands of nodes is built in a few dozen allocations.
+func TestBuildAllocsDoNotFollowNodes(t *testing.T) {
+	forKinds(t, func(t *testing.T, kind Kind) {
+		tree, _ := batchSetup(t, kind, 4000, 8, 24)
+		data, _ := tree.Rows()
+		var nodes int
+		allocs := testing.AllocsPerRun(3, func() {
+			nodes = Build(data, kind, Config{LeafSize: 4, Seed: 1}).Nodes()
+		})
+		if nodes < 1500 || allocs > 80 {
+			t.Fatalf("building %d nodes allocated %.0f times, want a few dozen for thousands of nodes", nodes, allocs)
+		}
+	})
+}

@@ -1,9 +1,11 @@
 package balltree
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"p2h/internal/partition"
 	"p2h/internal/quant"
@@ -17,8 +19,9 @@ import (
 //
 // Ball follows Algorithm 1: every node's center is the centroid of its
 // points and its radius the maximum distance from it. BC follows Algorithm 4:
-// leaves get the same ball plus the point-level ball and cone structures and
-// are sorted by descending r_x for batch pruning; internal-node centers are
+// leaves get the same ball plus the point-level cone structures, from which
+// the point-level ball radius r_x follows (vec.PointRadius), and are sorted by
+// descending r_x for batch pruning; internal-node centers are
 // assembled from the children via Lemma 1 in O(d) instead of O(d|N|). Lemma 1
 // needs both children's centres, so the builder forms one for every node;
 // once the root's is assembled a BC tree drops the right children's, which no
@@ -30,6 +33,11 @@ func Build(data *vec.Matrix, kind Kind, cfg Config) *Tree {
 	if data == nil || data.N == 0 {
 		panic("balltree: empty data")
 	}
+	if data.D > maxSerialDim {
+		// Load refuses such a payload, and vec.PointRadius budgets the rounding
+		// of a d-term inner product for d up to this.
+		panic(fmt.Sprintf("balltree: dimension %d exceeds %d", data.D, maxSerialDim))
+	}
 	cfg = cfg.normalized()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	t := &Tree{
@@ -37,15 +45,19 @@ func Build(data *vec.Matrix, kind Kind, cfg Config) *Tree {
 		ids:      make([]int32, data.N),
 		leafSize: cfg.LeafSize,
 	}
-	if kind == BC {
-		t.rx = make([]float32, data.N)
-		t.xcos = make([]float32, data.N)
-		t.xsin = make([]float32, data.N)
-	}
 	for i := range t.ids {
 		t.ids[i] = int32(i)
 	}
-	b := &builder{data: data, rng: rng, tree: t}
+	b := &builder{
+		data: data, rng: rng, tree: t,
+		acc:  make([]float64, data.D),
+		dist: make([]float64, 2*data.N),
+	}
+	if kind == BC {
+		t.xcos = make([]float32, data.N)
+		t.xsin = make([]float32, data.N)
+		b.leaf = make([]leafPoint, 0, min(cfg.LeafSize, data.N))
+	}
 	b.build(t.ids, 0)
 	t.centers = &vec.Matrix{Data: b.centers, N: len(t.nodes), D: data.D}
 	if kind == BC {
@@ -94,6 +106,23 @@ type builder struct {
 	rng     *rand.Rand
 	tree    *Tree
 	centers []float32 // packed centers, row ni = center of arena node ni
+
+	// Scratch, sized once by Build so that what a build allocates does not
+	// grow with the number of nodes: the centroid accumulator (d), the
+	// seed-grow split's two distances per point (2n) and one leaf's points
+	// (LeafSize).
+	acc  []float64
+	dist []float64
+	leaf []leafPoint
+}
+
+// leafPoint is one point of the BC leaf being filled: its cone pair as the
+// tree will store it and the squared radius derived from that pair, which
+// the leaf is ordered by.
+type leafPoint struct {
+	sqRadius   float64
+	xcos, xsin float32
+	id         int32
 }
 
 // build recursively constructs the subtree over ids, which occupies positions
@@ -111,23 +140,23 @@ func (b *builder) build(ids []int32, offset int32) int32 {
 		leftRow: noChild,
 		right:   noChild,
 	})
+	b.centers = append(b.centers, make([]float32, d)...)
 	leaf := len(ids) <= t.leafSize
-	switch {
-	case t.kind == Ball:
-		b.centers = append(b.centers, b.data.Centroid(ids)...)
-		_, maxDist := b.data.MaxDistFrom(ids, b.centers[int(ni)*d:(int(ni)+1)*d])
+	if t.kind == Ball || leaf {
+		center := b.centers[int(ni)*d : (int(ni)+1)*d]
+		b.data.CentroidInto(ids, b.acc, center)
+		_, maxDist := b.data.MaxDistFrom(ids, center)
 		t.nodes[ni].radius = maxDist * (1 + radiusSlack)
-	case leaf:
-		b.fillLeaf(ni, ids, offset)
-	default:
-		b.centers = append(b.centers, make([]float32, d)...) // filled below
+		if t.kind == BC {
+			b.fillLeaf(ni, ids, center)
+		}
 	}
 	if leaf {
 		t.leaves++
 		return ni
 	}
 
-	nl := partition.SeedGrow(b.data, ids, b.rng)
+	nl := partition.SeedGrow(b.data, ids, b.rng, b.dist)
 	left := b.build(ids[:nl], offset) // == ni+1: preorder
 	right := b.build(ids[nl:], offset+int32(nl))
 	// Re-index after the recursive appends: the arena may have been regrown.
@@ -163,35 +192,30 @@ func combineCenters(dst []float32, ni int32, t *Tree, centers []float32) {
 	}
 }
 
-// fillLeaf computes a BC leaf's ball (center, radius, r_x) and cone
-// (||x||cos phi_x, ||x||sin phi_x) structures — Algorithm 4 lines 3-9 — and
-// sorts the leaf's ids in descending order of r_x so the point-level ball
-// bound prunes in a batch. The structures land in the tree's
-// position-indexed arrays at [offset, offset+len(ids)).
-func (b *builder) fillLeaf(ni int32, ids []int32, offset int32) {
+// fillLeaf computes a BC leaf's cone structures (||x||cos phi_x,
+// ||x||sin phi_x) — Algorithm 4 lines 3-9 — around the centre and radius
+// build has set, and sorts the leaf's ids in descending order of the r_x those
+// structures imply (vec.PointSqRadius), so the point-level ball bound prunes
+// in a batch. The order is defined on the float32 values the tree stores, not
+// on the distances they stand for: what Load checks is what Build sorted by.
+// The structures land in the tree's position-indexed arrays at the leaf's
+// range.
+//
+// The leaf's own radius is not its first point's derived one but the true
+// maximum distance, as for every other node — rounded up to float32, which is
+// what a stored r_x[0] made of it. A derived radius is an upper bound with
+// room in it (a leaf of duplicates derives a small positive one where the
+// true radius is zero), and the node-level bound, the frontier's order and
+// every counter downstream should not move with that room.
+func (b *builder) fillLeaf(ni int32, ids []int32, center []float32) {
 	t := b.tree
-	center := b.data.Centroid(ids)
-	b.centers = append(b.centers, center...)
+	n := &t.nodes[ni]
+	n.radius = float64(up32(n.radius))
 	centerNorm := vec.Norm(center)
-	t.nodes[ni].centerNorm = centerNorm
+	n.centerNorm = centerNorm
 
-	radii := make([]float64, len(ids))
-	b.data.SqDistsFrom(ids, center, radii)
-	for i, sq := range radii {
-		radii[i] = math.Sqrt(sq)
-	}
-	order := make([]int, len(ids))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, c int) bool { return radii[order[a]] > radii[order[c]] })
-
-	sortedIDs := make([]int32, len(ids))
-	for pos, idx := range order {
-		id := ids[idx]
-		sortedIDs[pos] = id
-		gpos := int(offset) + pos
-		t.rx[gpos] = up32(radii[idx] * (1 + radiusSlack))
+	pts := b.leaf[:0]
+	for _, id := range ids {
 		x := b.data.Row(int(id))
 		xnorm := vec.Norm(x)
 		var xcos float64
@@ -205,23 +229,29 @@ func (b *builder) fillLeaf(ni int32, ids []int32, offset int32) {
 		} else if xcos < -xnorm {
 			xcos = -xnorm
 		}
-		t.xcos[gpos] = towardZero32(xcos)
-		t.xsin[gpos] = up32(vec.Rejection(xnorm*xnorm, xcos, len(x)))
+		p := leafPoint{
+			xcos: towardZero32(xcos),
+			xsin: up32(vec.Rejection(xnorm*xnorm, xcos, len(x))),
+			id:   id,
+		}
+		p.sqRadius = vec.PointSqRadius(centerNorm, p.xcos, p.xsin)
+		pts = append(pts, p)
 	}
-	copy(ids, sortedIDs)
-	if len(ids) > 0 {
-		// Already slack-inflated and rounded up; rx is descending, and stays
-		// so in float32 because rounding is monotone.
-		t.nodes[ni].radius = float64(t.rx[offset])
+	slices.SortStableFunc(pts, func(a, c leafPoint) int { return cmp.Compare(c.sqRadius, a.sqRadius) })
+	for i, p := range pts {
+		ids[i] = p.id
+		t.xcos[int(n.start)+i] = p.xcos
+		t.xsin[int(n.start)+i] = p.xsin
 	}
 }
 
 // The point-level arrays are stored as float32 rounded toward "cannot prune".
-// The ball bound |<q,c>| - ||q||*rx falls as rx grows and the cone bound
-// |qcos*xcos| - qsin*xsin (vec.ConeBound) falls as |xcos| shrinks or xsin
-// grows, so radii and rejections round up and projections toward zero: a
-// stored bound never exceeds the float64 one and nothing is pruned that the
-// wider arrays would have kept.
+// The cone bound |qcos*xcos| - qsin*xsin (vec.ConeBound) falls as |xcos|
+// shrinks or xsin grows, so rejections round up and projections toward zero:
+// a stored bound never exceeds the float64 one and nothing is pruned that the
+// wider arrays would have kept. The ball bound |<q,c>| - ||q||*r_x falls as
+// r_x grows; vec.PointRadius widens the derived r_x by what the two roundings
+// can hide.
 
 // up32 returns the smallest float32 not below v.
 func up32(v float64) float32 {

@@ -38,12 +38,17 @@
 // index), the node centers are packed into one contiguous matrix (Ball: row i
 // = center of node i; BC: the root's row, then the left children's in arena
 // order — (nodes+1)/2 rows, each internal node holding its left child's row
-// where a left link would be), and the per-point ball/cone structures are
-// three position-indexed arrays of length n — each storage position belongs
-// to exactly one leaf, so a leaf's slice of those arrays is contiguous and
-// its radii stay descending within the slice. The three arrays are float32,
-// rounded at build time in the direction that can only lower a bound (radii
-// and rejections up, projections toward zero), so they cost 12 bytes a point
+// where a left link would be), and the per-point cone structures are two
+// position-indexed arrays of length n — each storage position belongs to
+// exactly one leaf, so a leaf's slice of those arrays is contiguous. Theorem 6
+// counts three numbers a point; the third, the point-level ball radius r_x, is
+// the hypotenuse over the cone pair's offset from the centre,
+// r_x^2 = (||x|| sin phi)^2 + (||x|| cos phi - ||c||)^2, and is derived from
+// the stored pair and the leaf's centerNorm wherever a bound needs it
+// (vec.PointRadius), widened by what the pair's rounding can hide; a leaf is
+// stored in descending order of that derived radius. The two arrays are
+// float32, rounded at build time in the direction that can only lower a bound
+// (rejections up, projections toward zero), so they cost 8 bytes a point
 // and exact results are unaffected. The same rule covers what a search
 // computes: a product derived by Lemma 2 carries a bound on the float32
 // rounding of the centres behind it (kappa, see Searcher.step), and the cone

@@ -28,7 +28,8 @@ import (
 //     bound it enters is loosened by that much (kappa, see step);
 //   - point-level pruning in the leaves (ScanWithPruning): the point-level
 //     ball bound (Corollary 1) prunes the tail of the radius-sorted leaf in a
-//     batch (vec.BallCutoff finds the cut by binary search), and the
+//     batch (vec.BallCutoff finds the cut by binary search over the radii the
+//     cone pairs imply, vec.PointRadius), and the
 //     point-level cone bound (Theorem 3) prunes single points it misses via
 //     the fused vec.ConeSelect kernel; survivors are verified by one blocked
 //     vec.DotBlock call when the whole prefix survives.
@@ -426,16 +427,11 @@ func (s *Searcher) scanWithPruning(n *nodeRec, absIP float64) {
 	}
 
 	start := int(n.start)
-	count := int(n.count())
 	lambda := s.tk.Lambda()
 
 	// Corollary 1: r_x is descending, so the ball bound ascends along the
 	// leaf; everything past the cutoff is pruned in a batch.
-	m := count
-	if !s.opts.DisablePointBall {
-		m = vec.BallCutoff(absIP, s.qnorm, lambda, s.tree.rx[start:start+count])
-		s.st.PrunedPoints += int64(count - m)
-	}
+	m := s.ballCutoff(n, absIP, lambda)
 
 	// Theorem 3 via the fused kernel: select the survivors of the prefix.
 	useCone := !s.opts.DisablePointCone && n.centerNorm > 0
@@ -515,6 +511,18 @@ func (s *Searcher) scanWithPruning(n *nodeRec, absIP float64) {
 	}
 }
 
+// ballCutoff returns how many leading points of leaf n the point-level ball
+// bound keeps against lambda, and counts the rest as pruned.
+func (s *Searcher) ballCutoff(n *nodeRec, absIP, lambda float64) int {
+	if s.opts.DisablePointBall {
+		return int(n.count())
+	}
+	t := s.tree
+	m := vec.BallCutoff(absIP, s.qnorm, lambda, n.centerNorm, t.xcos[n.start:n.end], t.xsin[n.start:n.end])
+	s.st.PrunedPoints += int64(int(n.count()) - m)
+	return m
+}
+
 // coneOf returns the query's side of the cone bound for leaf n: its
 // projection onto the leaf centre's direction, ||q|| cos theta = <q, N.c> /
 // ||N.c||, taken at the least magnitude absIP allows (only the magnitude
@@ -541,12 +549,22 @@ func (s *Searcher) scanFiltered(n *nodeRec, absIP float64) time.Duration {
 	if useCone {
 		qcos, qsin = s.coneOf(n, absIP)
 	}
+	// The ball bound ascends along the leaf, so against any one λ it cuts the
+	// leaf at one index; λ moves only when a candidate enters the collector,
+	// and only down, which moves the cut up. Tracking the cut costs a binary
+	// search per move instead of a derived radius per point.
+	m, cutLambda := count, math.Inf(1)
 	for i := 0; i < count; i++ {
 		if !s.opts.BudgetLeft(s.st.Candidates) {
 			break
 		}
 		if useBall {
-			if lbBall := absIP - s.qnorm*float64(s.tree.rx[start+i]); lbBall > s.tk.Lambda() {
+			if lambda := s.tk.Lambda(); lambda != cutLambda {
+				cutLambda = lambda
+				m = vec.BallCutoff(absIP, s.qnorm, lambda, n.centerNorm,
+					s.tree.xcos[n.start:n.end], s.tree.xsin[n.start:n.end])
+			}
+			if i >= m {
 				s.st.PrunedPoints += int64(count - i)
 				break
 			}
@@ -589,14 +607,8 @@ func (s *Searcher) scanFiltered(n *nodeRec, absIP float64) time.Duration {
 func (s *Searcher) scanPredQuant(n *nodeRec, absIP float64) time.Duration {
 	var verifyDur time.Duration
 	start := int(n.start)
-	count := int(n.count())
 	lambda := s.tk.Lambda()
-
-	m := count
-	if !s.opts.DisablePointBall {
-		m = vec.BallCutoff(absIP, s.qnorm, lambda, s.tree.rx[start:start+count])
-		s.st.PrunedPoints += int64(count - m)
-	}
+	m := s.ballCutoff(n, absIP, lambda)
 	useCone := !s.opts.DisablePointCone && n.centerNorm > 0
 	var qcos, qsin float64
 	if useCone {

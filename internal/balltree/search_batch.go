@@ -197,8 +197,8 @@ func (b *batchSearcher) scanLeaf(n *nodeRec, act []int32, ips []float64, kappa f
 		mj := m
 		if !b.opts.DisablePointBall {
 			qnorm := b.scr.QNorms[qi]
-			mj = vec.BallCutoff(math.Abs(ips[j])-qnorm*kappa, qnorm,
-				tk.Lambda(), t.rx[start:start+m])
+			mj = vec.BallCutoff(math.Abs(ips[j])-qnorm*kappa, qnorm, tk.Lambda(),
+				n.centerNorm, t.xcos[start:start+m], t.xsin[start:start+m])
 			st.PrunedPoints += int64(m - mj)
 		}
 		if mj == 0 {

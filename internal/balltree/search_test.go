@@ -319,7 +319,7 @@ func boundViolations(tree *Tree, maxNorm float64, q []float32) (node, ball, cone
 			if tree.kind != BC {
 				continue
 			}
-			lbBall := absIP - qnorm*float64(tree.rx[pos])
+			lbBall := absIP - qnorm*vec.PointRadius(n.centerNorm, tree.xcos[pos], tree.xsin[pos])
 			if lbBall > truth+tol {
 				ball++
 			}

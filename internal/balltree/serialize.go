@@ -19,12 +19,12 @@ import (
 //	P2HBT002  Ball kind: a centre per node; nodes carry radius, range and
 //	          both child links; no trailing arrays
 //	P2HBT003  P2HBT002 plus the quantization section
-//	P2HBC006  BC kind: (nodes+1)/2 centres (the root's, then the left
+//	P2HBC008  BC kind: (nodes+1)/2 centres (the root's, then the left
 //	          children's in arena order); nodes carry radius, centerNorm,
 //	          range and the right link — the left child is the next node and
-//	          its centre's row follows from the links; then rx/xcos/xsin as
-//	          float32
-//	P2HBC007  P2HBC006 plus the quantization section
+//	          its centre's row follows from the links; then xcos/xsin as
+//	          float32 (r_x is derived from them, vec.PointRadius)
+//	P2HBC009  P2HBC008 plus the quantization section
 //
 // The quantization section (grid tables and the 8-bit code mirror) is the
 // same for both kinds. There is one current version per kind: the BC payloads
@@ -32,7 +32,7 @@ import (
 // converted.
 var magics = [2][2]string{
 	Ball: {"P2HBT002", "P2HBT003"},
-	BC:   {"P2HBC006", "P2HBC007"},
+	BC:   {"P2HBC008", "P2HBC009"},
 }
 
 // retiredMagics maps the payload magics earlier releases wrote to what to
@@ -42,6 +42,8 @@ var retiredMagics = map[string]string{
 	"P2HBC003": "quantized bctree payload version 3 (float64 point-level arrays)",
 	"P2HBC004": "bctree payload version 4 (a centre for every node)",
 	"P2HBC005": "quantized bctree payload version 5 (a centre for every node)",
+	"P2HBC006": "bctree payload version 6 (a stored r_x array)",
+	"P2HBC007": "quantized bctree payload version 7 (a stored r_x array)",
 }
 
 // PayloadMagics lists the magic of every payload Load accepts, so that code
@@ -76,7 +78,7 @@ func (t *Tree) PayloadBytes() int64 {
 		b += 4*nodes*d /*centers*/ + nodes*(8 /*radius*/ +4*4 /*range, children*/)
 	} else {
 		b += 4*((nodes+1)/2)*d /*centers*/ + nodes*(2*8 /*radius, centerNorm*/ +3*4 /*range, right*/) +
-			3*4*n /*rx, xcos, xsin*/
+			2*4*n /*xcos, xsin*/
 	}
 	if t.qz != nil {
 		b += quant.SectionBytes(t.points.N, t.points.D)
@@ -85,8 +87,8 @@ func (t *Tree) PayloadBytes() int64 {
 }
 
 // Save writes the tree to w, self-contained so Load can restore it without
-// the original data matrix. A BC tree's point-level ball and cone arrays ride
-// along so restored trees prune identically.
+// the original data matrix. A BC tree's point-level cone arrays ride along so
+// restored trees prune identically.
 func (t *Tree) Save(w io.Writer) error {
 	bw := binio.NewWriter(w)
 	start := bw.Written()
@@ -119,7 +121,6 @@ func (t *Tree) Save(w io.Writer) error {
 		bw.I32(n.right)
 	}
 	if t.kind == BC {
-		bw.F32s(t.rx)
 		bw.F32s(t.xcos)
 		bw.F32s(t.xsin)
 	}
@@ -210,7 +211,6 @@ func Load(r io.Reader, kind Kind) (*Tree, error) {
 	}
 	if kind == BC {
 		t.assignCenterRows()
-		t.rx = br.F32s(n)
 		t.xcos = br.F32s(n)
 		t.xsin = br.F32s(n)
 	}
@@ -228,8 +228,8 @@ func Load(r io.Reader, kind Kind) (*Tree, error) {
 
 // finite reports whether v is an ordinary number. Comparisons against NaN are
 // all false, so a NaN radius would slip through range checks written as
-// "reject if v < 0" and then poison the bound comparisons and
-// vec.BallCutoff's binary search — every loaded float a bound reads is
+// "reject if v < 0" and then poison the bound comparisons — a NaN cone value,
+// vec.BallCutoff's binary search — so every loaded float a bound reads is
 // checked explicitly.
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
@@ -240,7 +240,8 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // says so) and its right child the node after the left subtree, which also
 // makes every node reachable exactly once — children partitioning their
 // parent, the declared leaf count, and — BC kind — finite point-level arrays
-// with descending radii within each leaf's slice.
+// whose derived radii (vec.PointSqRadius, the value Build sorted by) descend
+// within each leaf's slice.
 func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 	nodes := int32(len(t.nodes))
 	n := int32(t.points.N)
@@ -269,9 +270,9 @@ func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 		br.Fail("root range [%d,%d) != [0,%d)", t.nodes[0].start, t.nodes[0].end, n)
 		return br.Err()
 	}
-	for p := range t.rx {
-		if !finite(float64(t.rx[p])) || !finite(float64(t.xcos[p])) || !finite(float64(t.xsin[p])) {
-			br.Fail("point-level structures at position %d not finite", p)
+	for p := range t.xcos {
+		if !finite(float64(t.xcos[p])) || !finite(float64(t.xsin[p])) || t.xsin[p] < 0 {
+			br.Fail("point-level structures at position %d not finite, or its rejection negative", p)
 			return br.Err()
 		}
 	}
@@ -283,11 +284,14 @@ func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 		if nd.isLeaf() {
 			leafCount++
 			if t.kind == BC {
-				for p := nd.start + 1; p < nd.end; p++ {
-					if !(t.rx[p] <= t.rx[p-1]) {
-						br.Fail("leaf %d radii not descending at position %d", ni, p)
+				prev := math.Inf(1)
+				for p := nd.start; p < nd.end; p++ {
+					sq := vec.PointSqRadius(nd.centerNorm, t.xcos[p], t.xsin[p])
+					if !(sq <= prev) {
+						br.Fail("leaf %d derived radii not descending at position %d", ni, p)
 						break
 					}
+					prev = sq
 				}
 			}
 			return ni + 1

@@ -11,6 +11,7 @@ import (
 
 	"p2h/internal/binio"
 	"p2h/internal/dataset"
+	"p2h/internal/vec"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) { forKinds(t, testSaveLoadRoundTrip) }
@@ -55,8 +56,8 @@ func testSaveLoadRoundTrip(t *testing.T, kind Kind) {
 // corruption tests can patch single values: the float64 node radius column
 // (stride 8 for Ball, 16 with centerNorm for BC), the int32 link rows (start,
 // end, left, right for Ball; start, end, right for BC) and, BC only, the
-// float32 rx/xcos/xsin arrays.
-func payloadOffsets(t *Tree) (radius, links, rx, xcos, xsin int) {
+// float32 xcos/xsin arrays.
+func payloadOffsets(t *Tree) (radius, links, xcos, xsin int) {
 	n, d, nodes := t.N(), t.Dim(), t.Nodes()
 	radius = 8 + 5*4 + 4*n + 4*n*d + 4*t.centers.N*d
 	boundStride, linkStride := 8, 16
@@ -64,8 +65,8 @@ func payloadOffsets(t *Tree) (radius, links, rx, xcos, xsin int) {
 		boundStride, linkStride = 16, 12
 	}
 	links = radius + nodes*boundStride
-	rx = links + nodes*linkStride
-	return radius, links, rx, rx + 4*n, rx + 8*n
+	xcos = links + nodes*linkStride
+	return radius, links, xcos, xcos + 4*n
 }
 
 func patchF64(good []byte, off int, v float64) []byte {
@@ -99,7 +100,7 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 	if _, err := Load(bytes.NewReader(good), kind); err != nil {
 		t.Fatalf("pristine payload: %v", err)
 	}
-	radius, links, rx, xcos, xsin := payloadOffsets(orig)
+	radius, links, xcos, xsin := payloadOffsets(orig)
 
 	// Flip the node-count header field (offset: 8 magic + 4 leafSize + 4 n + 4 d).
 	badNodes := append([]byte(nil), good...)
@@ -146,7 +147,7 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 		cases["half-leaf"] = patchI32(good, links+8, noChild)
 	}
 	if kind == BC {
-		// A leaf with at least three points, to corrupt r_x past its head.
+		// A leaf with at least three points, to corrupt its order past the head.
 		var leaf *nodeRec
 		for i := range orig.nodes {
 			if n := &orig.nodes[i]; n.isLeaf() && n.count() >= 3 {
@@ -158,12 +159,14 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 		cases["NaN centerNorm"] = patchF64(good, radius+8, math.NaN())
 		cases["internal node marked leaf"] = patchI32(good, rootRight, noChild)
 		// The shape that broke exactness: radii [.., NaN, big] load, then
-		// vec.BallCutoff's binary search skips the big-radius point.
+		// vec.BallCutoff's binary search skips the big-radius point. The radii
+		// are derived now, so it is a cone value that carries the NaN in.
 		nan32 := float32(math.NaN())
-		cases["NaN rx mid-leaf"] = patchF32(good, rx+4*p, nan32)
-		cases["ascending rx"] = patchF32(good, rx+4*p, orig.rx[p-1]*2+1)
-		cases["NaN xcos"] = patchF32(good, xcos+4*p, nan32)
+		far := float32(2*vec.PointRadius(leaf.centerNorm, orig.xcos[p-1], orig.xsin[p-1]) + 1)
+		cases["NaN xcos mid-leaf"] = patchF32(good, xcos+4*p, nan32)
+		cases["derived radius ascending"] = patchF32(good, xsin+4*p, far)
 		cases["Inf xsin"] = patchF32(good, xsin+4*p, float32(math.Inf(-1)))
+		cases["negative xsin"] = patchF32(good, xsin+4*p, -orig.xsin[p])
 	}
 	for name, payload := range cases {
 		if _, err := Load(bytes.NewReader(payload), kind); !errors.Is(err, binio.ErrCorrupt) {
@@ -173,8 +176,8 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 }
 
 // TestLoadNamesRetiredVersions: the BC payloads earlier releases wrote (float64
-// point-level arrays; then a centre for every node) are refused by name, not
-// mistaken for garbage and not converted.
+// point-level arrays; then a centre for every node; then a stored r_x array)
+// are refused by name, not mistaken for garbage and not converted.
 func TestLoadNamesRetiredVersions(t *testing.T) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyUniform, RawDim: 5}, 80, 6)
 	var buf bytes.Buffer
@@ -183,19 +186,20 @@ func TestLoadNamesRetiredVersions(t *testing.T) {
 	}
 	for old, version := range map[string]string{
 		"P2HBC002": "version 2", "P2HBC003": "version 3", "P2HBC004": "version 4", "P2HBC005": "version 5",
+		"P2HBC006": "version 6", "P2HBC007": "version 7",
 	} {
 		payload := append([]byte(old), buf.Bytes()[8:]...)
 		_, err := Load(bytes.NewReader(payload), BC)
 		if !errors.Is(err, binio.ErrCorrupt) {
 			t.Fatalf("%s: want ErrCorrupt, got %v", old, err)
 		}
-		for _, want := range []string{old, version, magics[BC][0]} {
+		for _, want := range []string{old, version, "P2HBC008/P2HBC009"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("%s: error %q does not mention %q", old, err, want)
 			}
 		}
 	}
-	if slices.Contains(PayloadMagics(), "P2HBC004") || len(PayloadMagics()) != 4 {
+	if slices.Contains(PayloadMagics(), "P2HBC006") || len(PayloadMagics()) != 4 {
 		t.Fatalf("PayloadMagics() = %v", PayloadMagics())
 	}
 }

@@ -87,13 +87,14 @@ func (c Config) normalized() Config {
 // nodeRec is one ball of the tree in the flat arena. Leaf nodes have
 // leftRow == right == noChild and cover positions [start, end) of the
 // reordered storage; their point-level structures are the [start, end) slices
-// of the tree's rx/xcos/xsin arrays, ordered by descending r_x. The arena is
+// of the tree's xcos/xsin arrays, ordered by descending derived r_x
+// (vec.PointSqRadius under the leaf's centerNorm). The arena is
 // in preorder: the left child of node ni is node ni+1, always, so the record
 // does not spend a field on it and holds the row of that child's centre
 // instead; the right child sits after the whole left subtree, at right.
 type nodeRec struct {
 	radius     float64
-	centerNorm float64 // ||center||, for the cone bound and centerStep; 0 for Ball
+	centerNorm float64 // ||center||, for the point-level bounds and centerStep; 0 for Ball
 	start, end int32
 	leftRow    int32 // row of centers holding node ni+1's centre, noChild for leaves
 	right      int32 // arena index of the right child, noChild for leaves
@@ -118,12 +119,14 @@ type Tree struct {
 	centers *vec.Matrix
 
 	// Position-indexed point-level structures (Algorithm 4 lines 5-9),
-	// length n; within each leaf's [start, end) slice rx is descending. All
-	// three are nil for the Ball kind. They are float32 rounded toward
-	// "cannot prune" (up32 and towardZero32 in build.go): a bound computed
-	// from them is never above the one the float64 values would give, so
-	// results stay exact at half the memory.
-	rx   []float32 // ball radii r_x = ||x - center||, rounded up
+	// length n, nil for the Ball kind. Theorem 6 counts three numbers a point;
+	// the tree keeps the cone pair only, because the third, r_x = ||x - center||,
+	// is the hypotenuse over the pair's offset from the centre and is derived
+	// where a bound needs it (vec.PointRadius). Within each leaf's [start, end)
+	// slice that derived radius is descending. Both arrays are float32 rounded
+	// toward "cannot prune" (up32 and towardZero32 in build.go): a bound
+	// computed from them is never above the one the float64 values would give,
+	// so results stay exact at half the memory.
 	xcos []float32 // ||x|| cos(phi_x), the projection of x onto center, rounded toward zero
 	xsin []float32 // ||x|| sin(phi_x), the rejection of x from center, rounded up
 
@@ -225,15 +228,18 @@ func (t *Tree) Attrs() *attr.Store { return t.attrs }
 // IndexBytes estimates the memory footprint of the index structure: the
 // packed centers matrix, the node records (radius, range, child links),
 // the position->id map, the quantized mirror when present, and — BC kind
-// only — the per-node centerNorm plus the three Θ(n)-size point-level arrays
-// that BC-Tree adds over Ball-Tree (Theorem 6). The reordered copy of the
-// data is reported separately by DataBytes, mirroring how the paper's Table
-// III separates index size from data size.
+// only — the per-node centerNorm plus the two Θ(n)-size point-level arrays
+// that BC-Tree adds over Ball-Tree (Theorem 6's three, less the radius the
+// other two imply). A BC tree keeps half a Ball tree's centres, so it is the
+// smaller index of the two once 8 bytes a point cost less than 4d bytes per
+// internal node. The reordered copy of the data is reported separately by
+// DataBytes, mirroring how the paper's Table III separates index size from
+// data size.
 func (t *Tree) IndexBytes() int64 {
 	const perNode = 8 /*radius*/ + 2*4 /*range*/ + 2*4 /*leftRow, right*/
 	b := t.centers.Bytes() + int64(len(t.nodes))*perNode + int64(len(t.ids))*4
 	if t.kind == BC {
-		b += int64(len(t.nodes))*8 /*centerNorm*/ + int64(t.points.N)*3*4
+		b += int64(len(t.nodes))*8 /*centerNorm*/ + int64(t.points.N)*2*4
 	}
 	if t.qz != nil {
 		b += int64(len(t.codes)) + int64(t.points.D)*(4+4+8)

@@ -128,11 +128,11 @@ func TestCenterRows(t *testing.T) {
 // checkTreeInvariants verifies the structural properties both builds share
 // (Section III-B): child partition (Eqs. 4-5 via contiguous ranges), leaf
 // size <= N0, preorder arena, and ball containment (Eq. 7). For the BC kind
-// it adds Algorithm 4's leaf structures: r_x descending, the ball identity
-// r_x=||x-c|| and the cone structures as outward-rounded float32 (see
-// checkLeafStructures), and the Figure 4 relation
-// (||x||sin phi)^2 + (||c|| - ||x||cos phi)^2 = r_x^2. A Ball tree must carry
-// none of them.
+// it adds Algorithm 4's leaf structures: the cone structures as
+// outward-rounded float32 and the r_x derived from them — the Figure 4 relation
+// (||x||sin phi)^2 + (||c|| - ||x||cos phi)^2 = r_x^2 — descending and never
+// below ||x-c|| (see checkLeafStructures). A Ball tree must carry none of
+// them.
 func checkTreeInvariants(t *testing.T, tree *Tree) {
 	t.Helper()
 	seen := make([]bool, tree.N())
@@ -146,9 +146,8 @@ func checkTreeInvariants(t *testing.T, tree *Tree) {
 	if tree.kind == BC {
 		want = tree.N()
 	}
-	if len(tree.rx) != want || len(tree.xcos) != want || len(tree.xsin) != want {
-		t.Fatalf("%s point-level arrays sized %d/%d/%d, want %d",
-			tree.kind, len(tree.rx), len(tree.xcos), len(tree.xsin), want)
+	if len(tree.xcos) != want || len(tree.xsin) != want {
+		t.Fatalf("%s point-level arrays sized %d/%d, want %d", tree.kind, len(tree.xcos), len(tree.xsin), want)
 	}
 	centers := nodeCenters(tree)
 	var nodes, leaves int
@@ -203,44 +202,64 @@ func checkTreeInvariants(t *testing.T, tree *Tree) {
 // checkLeafStructures recomputes a BC leaf's point-level structures in
 // float64 as the builder does and checks the stored float32 arrays against
 // them: each is the float64 value moved by less than one float32 step in the
-// direction that can only lower a bound — rx (slack-inflated) and xsin (with
-// the guard of vec.Rejection under its root) up, |xcos| toward zero — rx stays
-// descending after rounding, and the leaf's own radius is its first point's.
+// direction that can only lower a bound — xsin (with the guard of
+// vec.Rejection under its root) up, |xcos| toward zero. The radius derived
+// from a stored pair (vec.PointRadius) is never below the distance it stands
+// for, exceeds it by no more than pointRadiusRoom allows, and descends along
+// the leaf; the leaf's own radius is the true maximum distance, slack-inflated
+// and rounded up to float32, not the first derived one.
 func checkLeafStructures(t *testing.T, tree *Tree, n *nodeRec, center []float32) {
 	t.Helper()
 	const ulp32 = 1.0 / (1 << 23)
-	if n.radius != float64(tree.rx[n.start]) {
-		t.Fatalf("leaf radius %v != rx[start] %v", n.radius, tree.rx[n.start])
-	}
+	var maxDist float64
+	prev := math.Inf(1)
 	for pos := int(n.start); pos < int(n.end); pos++ {
 		i := pos - int(n.start)
-		if i > 0 && tree.rx[pos] > tree.rx[pos-1] {
-			t.Fatalf("rx not descending at %d: %v > %v", i, tree.rx[pos], tree.rx[pos-1])
-		}
 		x := tree.points.Row(pos)
-		r := vec.Dist(x, center) * (1 + radiusSlack)
-		if got := float64(tree.rx[pos]); got < r || got > r*(1+ulp32) {
-			t.Fatalf("rx[%d]=%v is not r(1+slack)=%v rounded up", i, got, r)
+		r := vec.Dist(x, center)
+		maxDist = math.Max(maxDist, r)
+		sq := vec.PointSqRadius(n.centerNorm, tree.xcos[pos], tree.xsin[pos])
+		if sq > prev {
+			t.Fatalf("derived radius not descending at %d: %v > %v", i, sq, prev)
 		}
+		prev = sq
 		xn := vec.Norm(x)
+		derived := vec.PointRadius(n.centerNorm, tree.xcos[pos], tree.xsin[pos])
+		if derived < r || derived > r+pointRadiusRoom(len(x), xn, n.centerNorm, float64(tree.xsin[pos])) {
+			t.Fatalf("derived radius %v of point %d at distance %v (||x||=%v ||c||=%v)", derived, i, r, xn, n.centerNorm)
+		}
 		xcos := 0.0
 		if n.centerNorm > 0 {
 			xcos = math.Max(-xn, math.Min(xn, vec.Dot(x, center)/n.centerNorm))
 		}
 		xsin := vec.Rejection(xn*xn, xcos, len(x))
-		if got := float64(tree.xcos[pos]); math.Abs(got) > math.Abs(xcos) || math.Abs(got) < math.Abs(xcos)*(1-ulp32) || got*xcos < 0 {
+		if got := float64(tree.xcos[pos]); math.Abs(got) > math.Abs(xcos) || math.Abs(got) < math.Abs(xcos)*(1-ulp32)-math.SmallestNonzeroFloat32 || got*xcos < 0 {
 			t.Fatalf("xcos[%d]=%v is not %v rounded toward zero", i, got, xcos)
 		}
 		if got := float64(tree.xsin[pos]); got < xsin || got > xsin*(1+ulp32)+math.SmallestNonzeroFloat32 {
 			t.Fatalf("xsin[%d]=%v is not %v rounded up", i, got, xsin)
 		}
-		// Figure 4: the rejection and the center-offset projection form a
-		// right triangle with hypotenuse r_x.
-		lhs := xsin*xsin + (n.centerNorm-xcos)*(n.centerNorm-xcos)
-		if math.Abs(lhs-r*r) > 1e-5*(1+r*r) {
-			t.Fatalf("Figure 4 identity broken: %v != %v", lhs, r*r)
-		}
 	}
+	want := maxDist * (1 + radiusSlack)
+	if n.radius < want || n.radius > want*(1+ulp32)+math.SmallestNonzeroFloat32 || n.radius != float64(float32(n.radius)) {
+		t.Fatalf("leaf radius %v is not max distance %v with slack, rounded up to float32", n.radius, want)
+	}
+}
+
+// pointRadiusRoom is how far above ||x - c|| the radius derived for a
+// d-dimensional x may lie. Along the centre it is twice what vec.PointRadius
+// widens that leg by: a float32 step of xcos and a 2^-30 for the computed
+// projection, both relative to ||x|| + ||c||. Across the centre it is what
+// the stored rejection xsin carries: its rounding up to float32 and the guard
+// under vec.Rejection's root — a second-order term, guard^2/2xsin, unless x is
+// all but collinear with the centre, where the guard (half as much again if
+// the subtraction under the root erred upward) is the whole leg.
+func pointRadiusRoom(d int, xnorm, centerNorm, xsin float64) float64 {
+	across := 1.5 * math.Sqrt(float64(d+1)*0x1p-49) * xnorm
+	if xsin >= 0x1p-7*xnorm {
+		across = 0x1p-23*xsin + float64(d+1)*0x1p-42*xnorm
+	}
+	return (0x1p-22+0x1p-28)*(xnorm+centerNorm) + across + 3*math.SmallestNonzeroFloat32
 }
 
 // TestLemma1CenterMatchesDirectCentroid verifies that a BC tree's internal
@@ -333,8 +352,9 @@ func TestNodeCountBound(t *testing.T) {
 // TestIndexBytesAccounting pins the paper's Table III "lightweight"
 // comparison: at N0=100 both indexes stay below the data size (Section V-D),
 // and BC-Tree reports exactly what it adds over Ball-Tree on the same splits
-// — three n-size float32 arrays (Theorem 6) and one centerNorm per node — and
-// what it drops: the right children's centres, (nodes-1)/2 rows of d floats.
+// — two n-size float32 arrays (Theorem 6's three less the derived r_x) and one
+// centerNorm per node — and what it drops: the right children's centres,
+// (nodes-1)/2 rows of d floats.
 func TestIndexBytesAccounting(t *testing.T) {
 	data, _ := buildTestData(t, dataset.FamilyClustered, 2000, 32, 5)
 	ball := Build(data, Ball, Config{LeafSize: 100, Seed: 1})
@@ -345,7 +365,7 @@ func TestIndexBytesAccounting(t *testing.T) {
 	if ball.IndexBytes() <= 0 || ball.DataBytes() <= 0 {
 		t.Fatal("byte accounting must be positive")
 	}
-	extra := int64(bc.N())*3*4 + int64(bc.Nodes())*8 - int64(bc.Nodes()-1)/2*int64(bc.Dim())*4
+	extra := int64(bc.N())*2*4 + int64(bc.Nodes())*8 - int64(bc.Nodes()-1)/2*int64(bc.Dim())*4
 	if got := bc.IndexBytes() - ball.IndexBytes(); got != extra {
 		t.Fatalf("BC reports %d bytes over Ball, want %d", got, extra)
 	}
@@ -389,7 +409,7 @@ func TestIndexBytesMatchesStorage(t *testing.T) {
 				}
 			}
 			want := sliceBytes(tree.centers.Data) + sliceBytes(tree.nodes) + sliceBytes(tree.ids) +
-				sliceBytes(tree.rx) + sliceBytes(tree.xcos) + sliceBytes(tree.xsin) + sliceBytes(tree.codes)
+				sliceBytes(tree.xcos) + sliceBytes(tree.xsin) + sliceBytes(tree.codes)
 			if kind == Ball {
 				want -= int64(len(tree.nodes)) * int64(unsafe.Sizeof(tree.nodes[0].centerNorm))
 			}

@@ -18,7 +18,10 @@ import (
 // on one side) fall back to a balanced halving, which keeps recursive tree
 // construction terminating. The paper's algorithm implicitly assumes distinct
 // points after dedup; real corpora can still contain near-duplicates.
-func SeedGrow(data *vec.Matrix, ids []int32, rng *rand.Rand) int {
+//
+// dist is scratch for two distances per point, at least 2*len(ids) long; a
+// caller that splits again and again sizes it once, for its largest split.
+func SeedGrow(data *vec.Matrix, ids []int32, rng *rand.Rand, dist []float64) int {
 	if len(ids) < 2 {
 		return len(ids)
 	}
@@ -27,8 +30,7 @@ func SeedGrow(data *vec.Matrix, ids []int32, rng *rand.Rand) int {
 	xl := data.Row(int(ids[posL]))
 	// The pass that finds xr leaves every point's distance to xl behind; the
 	// assignment below needs only one more pass, from xr.
-	dist := make([]float64, 2*len(ids))
-	dl, dr := dist[:len(ids)], dist[len(ids):]
+	dl, dr := dist[:len(ids)], dist[len(ids):2*len(ids)]
 	data.SqDistsFrom(ids, xl, dl)
 	posR, far := 0, -1.0
 	for i, d := range dl {

@@ -27,7 +27,7 @@ func TestSeedGrowPartitionsAroundPivots(t *testing.T) {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	nl := SeedGrow(m, ids, rng)
+	nl := SeedGrow(m, ids, rng, make([]float64, 2*len(ids)))
 	if nl != 20 {
 		t.Fatalf("expected a 20/20 split of two far blobs, got left size %d", nl)
 	}
@@ -55,7 +55,7 @@ func TestSeedGrowPreservesIDMultiset(t *testing.T) {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	nl := SeedGrow(m, ids, rng)
+	nl := SeedGrow(m, ids, rng, make([]float64, 2*len(ids)))
 	if nl <= 0 || nl >= len(ids) {
 		t.Fatalf("split must be proper for generic data, got %d of %d", nl, len(ids))
 	}
@@ -83,7 +83,7 @@ func TestSeedGrowDegenerateAllIdentical(t *testing.T) {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	nl := SeedGrow(m, ids, rand.New(rand.NewSource(3)))
+	nl := SeedGrow(m, ids, rand.New(rand.NewSource(3)), make([]float64, 2*len(ids)))
 	if nl != m.N/2 {
 		t.Fatalf("degenerate split should halve: got %d, want %d", nl, m.N/2)
 	}
@@ -94,12 +94,12 @@ func TestSeedGrowTinyInputs(t *testing.T) {
 	m.Row(0)[0] = 1
 	m.Row(1)[0] = 2
 	ids := []int32{0, 1}
-	nl := SeedGrow(m, ids, rand.New(rand.NewSource(5)))
+	nl := SeedGrow(m, ids, rand.New(rand.NewSource(5)), make([]float64, 2*len(ids)))
 	if nl != 1 {
 		t.Fatalf("two distinct points must split 1/1, got %d", nl)
 	}
 	one := []int32{0}
-	if got := SeedGrow(m, one, rand.New(rand.NewSource(5))); got != 1 {
+	if got := SeedGrow(m, one, rand.New(rand.NewSource(5)), make([]float64, 2*len(one))); got != 1 {
 		t.Fatalf("single id returns len(ids): got %d", got)
 	}
 }
@@ -144,7 +144,7 @@ func TestSeedGrowKeepsStoredDistances(t *testing.T) {
 			got[i] = int32(i)
 		}
 		want := append([]int32(nil), got...)
-		nlGot := SeedGrow(m, got, rand.New(rand.NewSource(seed)))
+		nlGot := SeedGrow(m, got, rand.New(rand.NewSource(seed)), make([]float64, 2*len(got)))
 		nlWant := seedGrowRecompute(m, want, rand.New(rand.NewSource(seed)))
 		if nlGot != nlWant {
 			t.Fatalf("seed %d: left size %d, recomputing version %d", seed, nlGot, nlWant)

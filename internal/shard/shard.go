@@ -114,6 +114,7 @@ func Build(data *vec.Matrix, cfg Config) *Index {
 // seed-grow rule until `want` parts exist.
 func splitParts(data *vec.Matrix, ids []int32, want int, rng *rand.Rand) [][]int32 {
 	parts := [][]int32{ids}
+	dist := make([]float64, 2*len(ids)) // SeedGrow's scratch; no part is larger
 	for len(parts) < want {
 		// Take the largest part. Linear scan: part counts are tiny.
 		largest := 0
@@ -126,7 +127,7 @@ func splitParts(data *vec.Matrix, ids []int32, want int, rng *rand.Rand) [][]int
 		if len(p) < 2 {
 			break // cannot split further
 		}
-		nl := partition.SeedGrow(data, p, rng)
+		nl := partition.SeedGrow(data, p, rng, dist)
 		parts[largest] = p[:nl]
 		parts = append(parts, p[nl:])
 	}

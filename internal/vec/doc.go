@@ -31,7 +31,9 @@
 //     flight.
 //
 //   - Bound kernels (BallCutoff, ConeSelect) that evaluate the paper's
-//     point-level pruning bounds over position-ordered leaf arrays.
+//     point-level pruning bounds over position-ordered leaf arrays, and the
+//     derivation of the point-level ball radius from the cone pair those
+//     arrays hold (PointRadius, PointSqRadius).
 //
 //   - Integer code kernels (CodeDot, CodeSelect, CodeSelectIdx) behind the
 //     quantized leaf scan: uint8 codes times int16 weights accumulated
@@ -47,9 +49,10 @@
 // a later release). Dot and SqNorm are indifferent (their products are
 // exact), but SqDist is not, so it writes s += float64(d*d): an explicit
 // conversion is a rounding point the compiler must honour. That is what
-// makes "bitwise identical to the reference" — and with it radii, r_x and
-// the golden container bytes — a statement about every platform rather than
-// about amd64.
+// makes "bitwise identical to the reference" — and with it radii and the
+// golden container bytes — a statement about every platform rather than
+// about amd64. PointSqRadius, which a leaf's stored order is defined on, pins
+// its two squares the same way.
 //
 // All pruning kernels share one contract: a candidate is skipped only when
 // its lower bound strictly exceeds the current k-th best distance, so ties

@@ -1,9 +1,6 @@
 package vec
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // This file holds the blocked kernels behind the flat tree layouts: instead
 // of one O(d) call per candidate, a leaf hands its whole contiguous row block
@@ -106,30 +103,105 @@ func sqDistBlockGo(q []float32, rows []float32, out []float64) {
 	}
 }
 
-// BallCutoff returns the number of leading entries of the descending radius
-// array rx whose point-level ball bound (Corollary 1)
+// A BC-Tree stores no point-level ball radius. In the plane spanned by a
+// leaf's centre c and one of its points x the offset x - c has the leg
+// ||x|| sin phi_x across the centre's direction and ||x|| cos phi_x - ||c||
+// along it, so
 //
-//	lb_ball(i) = absIP - qnorm*rx[i]
+//	r_x^2 = ||x - c||^2 = (||x|| sin phi_x)^2 + (||x|| cos phi_x - ||c||)^2
 //
-// does not exceed lambda. Because rx is descending the bound ascends along
-// the array, so everything from the returned index on is prunable in one
-// batch — the flat-layout form of the paper's batch pruning, found by binary
-// search instead of a scan. The cut is strict (a point is pruned only when
-// its bound is strictly above lambda): candidates tied with the current k-th
-// best distance must reach the collector, whose (Dist, ID) order decides
-// ties canonically — the invariant behind batched/sequential result
-// equivalence. The radii are stored as float32 (rounded up by the builder);
-// the arithmetic stays float64.
-func BallCutoff(absIP, qnorm, lambda float64, rx []float32) int {
-	if qnorm <= 0 {
-		if absIP > lambda {
-			return 0
-		}
-		return len(rx)
+// and r_x follows from the cone pair (xcos, xsin) the leaf keeps for Theorem 3
+// and the centerNorm its node record holds. PointSqRadius evaluates the
+// identity on the stored values with the along-centre leg widened by what
+// those values do not know of it:
+//
+//   - xcos is the computed projection rounded toward zero to float32, so the
+//     computed one lies less than one float32 step beyond it: at most
+//     xcosStep*|xcos|, or xcosFloor where xcos is denormal;
+//   - the computed projection <x,c>/||c|| misses the true one by up to
+//     (1.5d+2) roundings of 2^-53 relative to ||x||, and the computed ||c|| by
+//     up to d/2+1 relative to itself. ||x|| is at most |xcos|+xsin, so
+//     legSlack times (|xcos| + xsin + centerNorm) covers both for every
+//     d <= 2^20 with a factor of four to spare.
+//
+// The across-centre leg needs nothing: xsin comes out of Rejection, rounded
+// up, and is never below the true rejection. Hence the derived radius is never
+// below ||x - c||. The spare part of legSlack, and the guard under
+// Rejection's root, do the job the stored radius's relative slack did: they
+// exceed d*2^-53*(||x|| + ||c||), the rounding of the two inner products
+// (<q,c>, <q,x>) a ball bound is compared through, whatever the ratio of
+// ||c|| to r_x — which a slack relative to r_x did not.
+//
+// What the derivation costs is tightness where xcos cannot resolve the
+// offset: the widening is about 2^-23 * ||x||, against 2^-23 * r_x for a radius
+// stored as float32, so the derived bound is the looser one by the factor
+// ||x||/r_x and stops pruning once that passes 2^23. The bound is only ever a
+// way to skip the cone bound's evaluation, which dominates it (Theorem 4) and
+// is as blind in that regime.
+const (
+	xcosStep  = 0x1p-23  // one float32 step of a normal xcos, relative to it
+	xcosFloor = 0x1p-149 // one float32 step of a denormal xcos
+	legSlack  = 0x1p-30
+)
+
+// PointSqRadius returns the square of PointRadius. The leaf order, the
+// codec's validation and BallCutoff all compare squares, so this is the value
+// the order is defined on; the conversions pin each square's rounding so that
+// it is the same number on every platform (see doc.go).
+func PointSqRadius(centerNorm float64, xcos, xsin float32) float64 {
+	pc, ps := float64(xcos), float64(xsin)
+	apc := math.Abs(pc)
+	leg := math.Abs(pc-centerNorm) + (xcosStep*apc + xcosFloor + legSlack*(apc+ps+centerNorm))
+	return float64(ps*ps) + float64(leg*leg)
+}
+
+// PointRadius returns an upper bound on r_x = ||x - c|| for a leaf point x
+// with stored cone pair (xcos, xsin) under a centre of norm centerNorm: the
+// point-level ball radius of Corollary 1, derived instead of stored.
+func PointRadius(centerNorm float64, xcos, xsin float32) float64 {
+	return math.Sqrt(PointSqRadius(centerNorm, xcos, xsin))
+}
+
+// BallCutoff returns the number of leading points of a leaf whose point-level
+// ball bound (Corollary 1)
+//
+//	lb_ball(i) = absIP - qnorm*PointRadius(centerNorm, xcos[i], xsin[i])
+//
+// does not exceed lambda. The leaf is ordered by descending PointSqRadius, so
+// the bound ascends along it and everything from the returned index on is
+// prunable in one batch — the flat-layout form of the paper's batch pruning,
+// found by binary search instead of a scan. No bound exceeds absIP, so a leaf
+// whose centre is within lambda of the hyperplane — most leaves a search
+// opens — is answered without looking at a point; otherwise the search
+// compares squares, r^2 < ((absIP-lambda)/qnorm)^2, and takes no root per
+// probe. The cut is strict (a point is pruned only when its bound is strictly
+// above lambda): candidates tied with the current k-th best distance must
+// reach the collector, whose (Dist, ID) order decides ties canonically — the
+// invariant behind batched/sequential result equivalence.
+func BallCutoff(absIP, qnorm, lambda, centerNorm float64, xcos, xsin []float32) int {
+	if len(xcos) != len(xsin) {
+		panic("vec: BallCutoff shape mismatch")
 	}
-	// lb_ball(i) > lambda  <=>  rx[i] < (absIP-lambda)/qnorm.
-	thresh := (absIP - lambda) / qnorm
-	return sort.Search(len(rx), func(i int) bool { return float64(rx[i]) < thresh })
+	gap := absIP - lambda
+	if !(gap > 0) {
+		return len(xcos)
+	}
+	if qnorm <= 0 {
+		return 0 // every bound is absIP itself
+	}
+	// lb_ball(i) > lambda  <=>  r_i < gap/qnorm.
+	t := gap / qnorm
+	t2 := t * t
+	lo, hi := 0, len(xcos)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if PointSqRadius(centerNorm, xcos[mid], xsin[mid]) < t2 {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // coneSlack deflates the cone bound by a relative epsilon per term. The

@@ -26,6 +26,7 @@ func TestBlockKernelsPanicOnShapeMismatch(t *testing.T) {
 		"dot":    func() { DotBlock(make([]float32, 3), make([]float32, 7), make([]float64, 2)) },
 		"sqdist": func() { SqDistBlock(make([]float32, 3), make([]float32, 7), make([]float64, 2)) },
 		"cone":   func() { ConeSelect(0, 0, 1, make([]float32, 2), make([]float32, 3), nil) },
+		"ball":   func() { BallCutoff(1, 1, 0, 1, make([]float32, 2), make([]float32, 3)) },
 	} {
 		func() {
 			defer func() {
@@ -38,45 +39,104 @@ func TestBlockKernelsPanicOnShapeMismatch(t *testing.T) {
 	}
 }
 
-// ballCutoffNaive is the reference scan the binary search must agree with.
-// Pruning is strict: only a bound strictly above lambda cuts.
-func ballCutoffNaive(absIP, qnorm, lambda float64, rx []float32) int {
-	for i, r := range rx {
-		if absIP-qnorm*float64(r) > lambda {
+// randLeaf draws a leaf's cone pairs around a centre of norm centerNorm and
+// orders them as the builder does, by descending PointSqRadius.
+func randLeaf(rng *rand.Rand, n int, centerNorm float64) (xcos, xsin []float32) {
+	type pair struct{ c, s float32 }
+	pairs := make([]pair, n)
+	for i := range pairs {
+		pairs[i] = pair{float32(centerNorm + 3*rng.NormFloat64()), float32(3 * math.Abs(rng.NormFloat64()))}
+	}
+	sort.SliceStable(pairs, func(a, b int) bool {
+		return PointSqRadius(centerNorm, pairs[a].c, pairs[a].s) > PointSqRadius(centerNorm, pairs[b].c, pairs[b].s)
+	})
+	xcos, xsin = make([]float32, n), make([]float32, n)
+	for i, p := range pairs {
+		xcos[i], xsin[i] = p.c, p.s
+	}
+	return xcos, xsin
+}
+
+// ballCutoffScan is the linear scan the binary search must agree with, over
+// the same derived values and the same comparison of squares. Pruning is
+// strict: only a bound strictly above lambda cuts.
+func ballCutoffScan(absIP, qnorm, lambda, centerNorm float64, xcos, xsin []float32) int {
+	for i := range xcos {
+		var pruned bool
+		if qnorm <= 0 {
+			pruned = absIP > lambda
+		} else if t := (absIP - lambda) / qnorm; t > 0 {
+			pruned = PointSqRadius(centerNorm, xcos[i], xsin[i]) < t*t
+		}
+		if pruned {
 			return i
 		}
 	}
-	return len(rx)
+	return len(xcos)
 }
 
+// The cut BallCutoff finds is the one a scan finds, and it is Corollary 1's:
+// every point before it has absIP - qnorm*PointRadius <= lambda and every
+// point from it on has that bound above lambda, up to the last bit of the
+// comparison.
 func TestBallCutoffMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(40)
-		rx := make([]float32, n)
-		for i := range rx {
-			rx[i] = rng.Float32() * 10
-		}
-		sort.Slice(rx, func(a, b int) bool { return rx[a] > rx[b] })
-		absIP := rng.Float64() * 5
+	for trial := 0; trial < 2000; trial++ {
+		centerNorm := []float64{0, 1, 40}[trial%3]
+		xcos, xsin := randLeaf(rng, rng.Intn(70), centerNorm)
+		absIP := rng.Float64() * 8
 		qnorm := rng.Float64() * 2
-		lambda := rng.Float64() * 3
-		got := BallCutoff(absIP, qnorm, lambda, rx)
-		want := ballCutoffNaive(absIP, qnorm, lambda, rx)
-		if got != want {
-			t.Fatalf("trial %d: cutoff %d != %d (absIP=%v qnorm=%v lambda=%v rx=%v)",
-				trial, got, want, absIP, qnorm, lambda, rx)
+		lambda := rng.Float64() * 6
+		if trial%7 == 0 {
+			lambda = math.Inf(1) // a collector that is not full yet
+		}
+		got := BallCutoff(absIP, qnorm, lambda, centerNorm, xcos, xsin)
+		if want := ballCutoffScan(absIP, qnorm, lambda, centerNorm, xcos, xsin); got != want {
+			t.Fatalf("trial %d: cutoff %d != %d (absIP=%v qnorm=%v lambda=%v)", trial, got, want, absIP, qnorm, lambda)
+		}
+		for i := range xcos {
+			lb := absIP - qnorm*PointRadius(centerNorm, xcos[i], xsin[i])
+			if tol := 1e-12 * (absIP + lambda); (i < got && lb > lambda+tol) || (i >= got && lb < lambda-tol) {
+				t.Fatalf("trial %d: point %d has ball bound %v against lambda %v, cutoff %d", trial, i, lb, lambda, got)
+			}
 		}
 	}
 }
 
 func TestBallCutoffZeroQnorm(t *testing.T) {
-	rx := []float32{3, 2, 1}
-	if got := BallCutoff(5, 0, 4, rx); got != 0 {
+	xcos, xsin := []float32{4, 3, 2}, []float32{3, 2, 1}
+	if got := BallCutoff(5, 0, 4, 1, xcos, xsin); got != 0 {
 		t.Fatalf("constant bound above lambda must cut everything, got %d", got)
 	}
-	if got := BallCutoff(5, 0, 6, rx); got != len(rx) {
+	if got := BallCutoff(5, 0, 6, 1, xcos, xsin); got != len(xcos) {
 		t.Fatalf("constant bound below lambda must keep everything, got %d", got)
+	}
+}
+
+// PointRadius is the hypotenuse over the stored legs, widened along the
+// centre by at least one float32 step of xcos and by less than two.
+func TestPointRadiusIsTheWidenedHypotenuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20000; trial++ {
+		centerNorm := math.Abs(rng.NormFloat64()) * math.Pow(2, float64(rng.Intn(40)-10))
+		xcos := float32(centerNorm * (1 + rng.NormFloat64()*math.Pow(2, -float64(rng.Intn(30)))))
+		xsin := float32(math.Abs(rng.NormFloat64()) * centerNorm * math.Pow(2, -float64(rng.Intn(30))))
+		if trial%5 == 0 {
+			centerNorm = 0
+		}
+		got := PointRadius(centerNorm, xcos, xsin)
+		ac := math.Abs(float64(xcos))
+		step := float64(math.Nextafter32(float32(ac), float32(math.Inf(1)))) - ac
+		lo := math.Hypot(float64(xsin), math.Abs(float64(xcos)-centerNorm)+step)
+		hi := lo + (0x1p-23+0x1p-28)*(ac+float64(xsin)+centerNorm)
+		if got < lo*(1-0x1p-50) || got > hi {
+			t.Fatalf("trial %d: PointRadius(%v, %v, %v) = %v outside [%v, %v]", trial, centerNorm, xcos, xsin, got, lo, hi)
+		}
+	}
+	// A denormal xcos moves by an absolute step, not a relative one.
+	den := math.Float32frombits(3)
+	if got := PointRadius(0, den, 0); got < 4*0x1p-149 {
+		t.Fatalf("denormal xcos: radius %v does not cover the next float32", got)
 	}
 }
 
@@ -278,6 +338,17 @@ func BenchmarkConeSelect100(b *testing.B) {
 		sel = ConeSelect(0.5, 0.8, 0.3, xcos, xsin, sel[:0])
 	}
 	sinkInt = len(sel)
+}
+
+// BenchmarkBallCutoff64 is the cut on a leaf of 64 points whose centre lies
+// beyond lambda, the case that searches; the other returns before the loop.
+func BenchmarkBallCutoff64(b *testing.B) {
+	xcos, xsin := randLeaf(rand.New(rand.NewSource(8)), 64, 40)
+	cut := 0
+	for i := 0; i < b.N; i++ {
+		cut += BallCutoff(2.5+float64(i&3), 1, 0.3, 40, xcos, xsin)
+	}
+	sinkInt = cut
 }
 
 var (

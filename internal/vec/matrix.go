@@ -77,18 +77,29 @@ func (m *Matrix) SubsetRows(idx []int32) *Matrix {
 // Centroid computes the mean of the rows selected by idx into a fresh vector.
 // It panics if idx is empty.
 func (m *Matrix) Centroid(idx []int32) []float32 {
+	dst := make([]float32, m.D)
+	m.CentroidInto(idx, make([]float64, m.D), dst)
+	return dst
+}
+
+// CentroidInto is Centroid into dst, accumulating in acc; both have length
+// m.D. A builder that forms a centroid per node passes the same acc each
+// time.
+func (m *Matrix) CentroidInto(idx []int32, acc []float64, dst []float32) {
 	if len(idx) == 0 {
 		panic("vec: Centroid of empty selection")
 	}
-	acc := make([]float64, m.D)
+	if len(acc) != m.D || len(dst) != m.D {
+		panic("vec: CentroidInto shape mismatch")
+	}
+	clear(acc)
 	for _, id := range idx {
 		AddInto(acc, m.Row(int(id)))
 	}
 	inv := 1 / float64(len(idx))
-	for i := range acc {
-		acc[i] *= inv
+	for i, v := range acc {
+		dst[i] = float32(v * inv)
 	}
-	return Round32(acc)
 }
 
 // SqDistsFrom writes out[i] = SqDist(m.Row(idx[i]), from) for the rows

@@ -145,8 +145,8 @@ func load(br *binio.Reader) (Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if k.Load == nil {
-		return nil, fmt.Errorf("%w: container holds build-only kind %q (%s)", ErrFormat, k.Name, k.BuildOnly)
+	if err := refuseBuildOnly(k); err != nil {
+		return nil, err
 	}
 	if h.spec.Kind == "" {
 		h.spec.Kind = k.Name
@@ -161,6 +161,16 @@ func load(br *binio.Reader) (Index, error) {
 		}
 	}
 	return ix, nil
+}
+
+// refuseBuildOnly returns the error a container naming kind k is refused
+// with when k has no codec (any more), by Load, Open and Inspect alike; nil
+// for a persistable kind.
+func refuseBuildOnly(k *IndexKind) error {
+	if k.Load != nil {
+		return nil
+	}
+	return fmt.Errorf("%w: container holds build-only kind %q (%s)", ErrFormat, k.Name, k.BuildOnly)
 }
 
 // header is everything a container holds ahead of the kind's payload.
@@ -276,14 +286,23 @@ type IndexInfo struct {
 // its kind, recorded Spec, raw dimensionality and point count without
 // loading the payload: only the container header and the payload's
 // fixed-size shape prefix are read (for a dynamic index also its liveness
-// bytes, which follow that prefix directly). A container holding a payload this
+// bytes, which follow that prefix directly; for a sharded or dynamic index
+// also the id list in front of the first tree it embeds, to see that tree's
+// payload version). A container holding a payload this
 // decoder does not know still reports its kind and Spec, with Dim and N set
-// to -1. Malformed input returns an error wrapping ErrFormat.
+// to -1. Malformed input returns an error wrapping ErrFormat, and so does a
+// container Load refuses by its header alone: one of a registered build-only
+// kind, or of a payload version this build has retired.
 func Inspect(r io.Reader) (IndexInfo, error) {
 	br := binio.NewReader(r)
 	h, err := readHeader(br)
 	if err != nil {
 		return IndexInfo{}, err
+	}
+	if k, err := lookupKind(h.kind); err == nil {
+		if err := refuseBuildOnly(k); err != nil {
+			return IndexInfo{}, err
+		}
 	}
 	info := IndexInfo{Kind: h.kind, Spec: h.spec}
 	if info.Spec.Kind == "" {
@@ -370,7 +389,7 @@ func payloadShape(br io.Reader) (dim, n int, err error) {
 		}
 	}
 	switch {
-	case m == "P2HKD001" || slices.Contains(balltree.PayloadMagics(), m):
+	case slices.Contains(balltree.PayloadMagics(), m):
 		// leafSize, n, d — the stored d is lifted (raw + 1).
 		if _, err := u32(); err != nil { // leafSize
 			return 0, 0, err
@@ -398,7 +417,10 @@ func payloadShape(br io.Reader) (dim, n int, err error) {
 		if n <= 0 || lifted <= 1 || lifted > maxInspectDim {
 			return 0, 0, fmt.Errorf("%w: payload header: n=%d d=%d", ErrFormat, n, lifted)
 		}
-		return lifted - 1, n, nil
+		if _, err := io.CopyN(io.Discard, br, 2*4); err != nil { // shards, workers
+			return 0, 0, fmt.Errorf("%w: reading payload header: %v", ErrFormat, err)
+		}
+		return lifted - 1, n, retiredEmbeddedTree(br, n)
 	case m == "P2HDY002":
 		// leafSize i32, seed i64, rebuild f64, dim i32 (lifted), handles i32,
 		// then one liveness byte per handle (read to count the live points).
@@ -425,9 +447,39 @@ func payloadShape(br io.Reader) (dim, n int, err error) {
 			}
 			live += bytes.Count(buf, []byte{1})
 		}
+		if _, err := io.ReadFull(br, buf[:1]); err == nil && buf[0] == 1 { // a snapshot tree follows
+			return lifted - 1, live, retiredEmbeddedTree(br, handles)
+		}
 		return lifted - 1, live, nil
 	}
 	return -1, -1, nil
+}
+
+// retiredEmbeddedTree reads on through what a Sharded or Dynamic payload puts
+// in front of the (first) tree it embeds — an id count of at most maxIDs, the
+// ids, the tree payload's length — to that tree's magic, and returns the error
+// Load refuses the container with when the magic is one this build has
+// retired: Inspect does not describe a container Open will not open. Anything
+// else, a stream that ends first included, is Load's to judge.
+func retiredEmbeddedTree(br io.Reader, maxIDs int) error {
+	var b [8]byte
+	if _, err := io.ReadFull(br, b[:4]); err != nil {
+		return nil
+	}
+	ids := int64(int32(binary.LittleEndian.Uint32(b[:4])))
+	if ids < 0 || ids > int64(maxIDs) {
+		return nil
+	}
+	if _, err := io.CopyN(io.Discard, br, 4*ids+8); err != nil {
+		return nil
+	}
+	if _, err := io.ReadFull(br, b[:]); err != nil {
+		return nil
+	}
+	if err := balltree.RetiredPayload(string(b[:])); err != nil {
+		return fmt.Errorf("%w: %v", ErrFormat, err)
+	}
+	return nil
 }
 
 // writeBlock appends a little-endian uint32 length prefix and the bytes.

@@ -10,17 +10,19 @@
 #
 # The suite covers the layers the execution engine optimizes: the vec
 # kernels (single row, one four-row pass, leaf-sized blocks, the build's
-# MaxDistFrom pass), the linear scan, the tree searches (per-query and
+# MaxDistFrom pass, the point-level ball cut on a 64-point leaf), the linear
+# scan, the two tree builds (n=10k; allocs/op gates the builder's scratch: a
+# build allocates per tree, not per node), the tree searches (per-query and
 # batched), the serving path, the container codec (save and open of the
 # n=50k BC-Tree) and the dynamic index (recovery and one compaction of
 # dyn-rw's 20k-point index under a 5 % delta). -count=6 gives benchstat enough
 # samples for a significance test; -benchmem records allocs/op so the
 # zero-allocation steady state is gated alongside time, and B/op for the codec
 # and dynamic benchmarks, where it is what the operation costs in heap: about
-# one container's worth to open an index (27.2 MB for the 27.07 MB P2HBC006
-# container of the n=50k BC-Tree, which keeps half its nodes' centres; 70 KB to
-# save it), about two copies of the live data — the gathered rows and the new
-# tree's — to compact one.
+# one container's worth to open an index (27.0 MB for the 26.87 MB P2HBC008
+# container of the n=50k BC-Tree, which keeps half its nodes' centres and no
+# point radii; 70 KB to save it), about two copies of the live data — the
+# gathered rows and the new tree's — to compact one.
 set -euo pipefail
 
 COUNT="${BENCH_COUNT:-6}"
@@ -31,11 +33,11 @@ MAX_ALLOC_REGRESSION_PCT="${MAX_ALLOC_REGRESSION_PCT:-10}"
 run() {
   local out="$1"
   : > "$out"
-  go test -run '^$' -bench 'BenchmarkDot|BenchmarkDotBlock4x128|BenchmarkSqDistBlock|BenchmarkMaxDistFrom|BenchmarkConeSelect|BenchmarkCodeDot|BenchmarkCodeSelect' \
+  go test -run '^$' -bench 'BenchmarkDot|BenchmarkDotBlock4x128|BenchmarkSqDistBlock|BenchmarkMaxDistFrom|BenchmarkBallCutoff|BenchmarkConeSelect|BenchmarkCodeDot|BenchmarkCodeSelect' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" ./internal/vec | tee -a "$out"
   go test -run '^$' -bench 'BenchmarkLinearScan' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" ./internal/linearscan | tee -a "$out"
-  go test -run '^$' -bench 'BenchmarkQueryExactBallTree|BenchmarkQueryExactBCTree|BenchmarkQueryBudgetBCTree$|BenchmarkSearchBatchExact|BenchmarkServer|BenchmarkSaveBCTree|BenchmarkOpenBCTree|BenchmarkOpenDynamic|BenchmarkDynamicCompact' \
+  go test -run '^$' -bench 'BenchmarkBuildBCTree|BenchmarkBuildBallTree|BenchmarkQueryExactBallTree|BenchmarkQueryExactBCTree|BenchmarkQueryBudgetBCTree$|BenchmarkSearchBatchExact|BenchmarkServer|BenchmarkSaveBCTree|BenchmarkOpenBCTree|BenchmarkOpenDynamic|BenchmarkDynamicCompact' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" . | tee -a "$out"
 }
 

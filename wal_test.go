@@ -362,17 +362,17 @@ func containerFuzzSeeds(t testing.TB) map[string][]byte {
 	truncated := bc[:len(bc)*2/3]
 	flipped := append([]byte(nil), dynBuf.Bytes()...)
 	flipped[len(flipped)/2] ^= 0x20
-	// A NaN point radius inside the first leaf: it passes every ordered
-	// comparison, so only an explicit finiteness check rejects it. The
-	// float32 rx array follows the payload's header (8+5*4), ids, points,
-	// the (nodes+1)/2 centers and the two node columns (16 and 12 bytes per
-	// node).
+	// A NaN projection inside the first leaf, and with it a NaN derived point
+	// radius: it passes every ordered comparison, so only an explicit
+	// finiteness check rejects it. The float32 xcos array follows the
+	// payload's header (8+5*4), ids, points, the (nodes+1)/2 centers and the
+	// two node columns (16 and 12 bytes per node).
 	nanRadius := append([]byte(nil), bc...)
 	pay, _ := arenaPayload(t, nanRadius)
 	hdr := func(i int) int { return int(binary.LittleEndian.Uint32(nanRadius[pay+8+4*i:])) }
 	n, d, nodes := hdr(1), hdr(2), hdr(3)
-	rx := pay + 28 + 4*n + 4*n*d + 4*((nodes+1)/2)*d + 28*nodes
-	binary.LittleEndian.PutUint32(nanRadius[rx+4:], math.Float32bits(float32(math.NaN())))
+	xcos := pay + 28 + 4*n + 4*n*d + 4*((nodes+1)/2)*d + 28*nodes
+	binary.LittleEndian.PutUint32(nanRadius[xcos+4:], math.Float32bits(float32(math.NaN())))
 	attributed, err := New(data, Spec{Kind: KindBCTree, LeafSize: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
