@@ -94,6 +94,11 @@ func AttachAttributes(ix Index, points []PointAttrs) error {
 func attachStore(ix Index, st *attr.Store) error {
 	switch t := ix.(type) {
 	case arenaBacked:
+		// The tree itself only asks that every id it holds is covered (a shard
+		// tree attaches a store wider than itself); standalone, row for row.
+		if st != nil && st.N() != ix.N() {
+			return fmt.Errorf("p2h: attribute store covers %d rows, index holds %d", st.N(), ix.N())
+		}
 		return t.arena().AttachAttrs(st)
 	case *Sharded:
 		return t.index.AttachAttrs(st)

@@ -140,6 +140,18 @@ func BenchmarkBuildBCTree(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildSharded: the split and four shard trees inside the one lifted
+// matrix the build is handed. With -benchmem, B/op should be about that matrix
+// plus the trees' structures, not two copies of the data.
+func BenchmarkBuildSharded(b *testing.B) {
+	data, _ := benchData(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewSharded(data, ShardedOptions{Shards: 4, Seed: 1})
+	}
+}
+
 // codecBench builds the benchmark fixture's BC-Tree (n=50k Sift surrogate)
 // and saves it once; the two codec benchmarks below report throughput against
 // the container's size and, with -benchmem, what a round trip allocates —
@@ -225,8 +237,9 @@ func BenchmarkOpenDynamic(b *testing.B) {
 }
 
 // BenchmarkDynamicCompact: one compaction cycle of that index, throughput
-// against the live data folded. B/op should be about twice the live data —
-// the gathered rows and the new tree's reordered copy of them.
+// against the live data folded. B/op should be about the live data once — the
+// gathered rows, which the new tree is built inside — plus the tree's own
+// structures.
 func BenchmarkDynamicCompact(b *testing.B) {
 	container, liveBytes := dynamicBench(b)
 	b.SetBytes(liveBytes)

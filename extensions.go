@@ -58,8 +58,11 @@ func NewSharded(data *Matrix, opts ShardedOptions) *Sharded {
 // set across member daemons — shard i served as a KindBCTree index built
 // over data.SubsetRows(plan[i]) with Seed spec.Seed+int64(i)+1 — and a
 // scatter-gather merge over those members reproduces the in-process Sharded
-// results exactly. Spec fields other than Shards, LeafSize and Seed do not
-// affect the plan. It panics on empty data.
+// results exactly, up to the order of ties: Sharded orders equal distances by
+// global id, as every kind does, while a router over plain member trees still
+// breaks a tie by member-local id — the same order only where plan[i]
+// ascends. Spec fields other than Shards, LeafSize and Seed do not affect the
+// plan. It panics on empty data.
 func ShardPlan(data *Matrix, spec Spec) [][]int32 {
 	return shard.Plan(data.AppendOnes(), shard.Config{
 		Shards:   spec.Shards,

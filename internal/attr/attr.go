@@ -235,38 +235,3 @@ func (st *Store) Points() []Point {
 	}
 	return out
 }
-
-// Subset builds the store covering exactly rows[i] of st as new row i — the
-// per-shard view a sharded index hands each shard tree, so shard-local
-// predicate evaluation (and pushdown) agrees with the global store row for
-// row. The full vocabulary and field schema are shared with the parent, so
-// tag and field ids mean the same thing in every shard's view.
-func (st *Store) Subset(rows []int32) *Store {
-	sub := &Store{
-		n:        len(rows),
-		tags:     st.tags,
-		tagIndex: st.tagIndex,
-		tagStart: make([]int32, len(rows)+1),
-		fieldIdx: st.fieldIdx,
-	}
-	for i, r := range rows {
-		sub.tagIDs = append(sub.tagIDs, st.tagIDs[st.tagStart[r]:st.tagStart[r+1]]...)
-		sub.tagStart[i+1] = int32(len(sub.tagIDs))
-	}
-	words := (len(rows) + 63) / 64
-	sub.fields = make([]fieldCol, len(st.fields))
-	for ci := range st.fields {
-		c := &st.fields[ci]
-		sc := &sub.fields[ci]
-		sc.name, sc.kind = c.name, c.kind
-		sc.present = make([]uint64, words)
-		sc.vals = make([]float64, len(rows))
-		for i, r := range rows {
-			if c.has(r) {
-				sc.present[i>>6] |= 1 << (uint(i) & 63)
-				sc.vals[i] = c.vals[r]
-			}
-		}
-	}
-	return sub
-}

@@ -133,28 +133,6 @@ func TestSummariesSound(t *testing.T) {
 	}
 }
 
-func TestSubsetAgrees(t *testing.T) {
-	pts := testPoints(300, 4)
-	st, err := Build(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := []int32{5, 17, 0, 299, 123, 64, 64}
-	sub := st.Subset(rows)
-	if sub.N() != len(rows) {
-		t.Fatalf("subset n=%d want %d", sub.N(), len(rows))
-	}
-	for _, p := range testPreds() {
-		gp := st.Compile(p)
-		sp := sub.Compile(p)
-		for i, r := range rows {
-			if gp.Match(r) != sp.Match(int32(i)) {
-				t.Fatalf("%s: subset row %d disagrees with global row %d", p.Canon(), i, r)
-			}
-		}
-	}
-}
-
 func TestSectionRoundTrip(t *testing.T) {
 	pts := testPoints(200, 5)
 	st, err := Build(pts)

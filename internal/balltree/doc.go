@@ -4,7 +4,8 @@
 // point-to-hyperplane nearest neighbor search with a node-level ball bound
 // (Theorem 2) and a branch-and-bound search scheme (Algorithm 3). The tree
 // indexes lifted data points x = (p; 1); each node covers a contiguous range
-// of a reordered copy of the data, so leaf verification is a sequential scan.
+// of the data, which the builder reorders in place, so leaf verification — and
+// every pass of the build — is a sequential scan.
 //
 // Section IV — BC-Tree: a Ball-Tree whose leaf nodes additionally maintain
 // Ball and Cone structures per data point. They enable two O(1) point-level
@@ -32,6 +33,15 @@
 // is spent on the leaves nearest the hyperplane wherever they sit in the
 // tree, instead of on the first subtree a depth-first walk dives into. The
 // code selects the driver from Budget; there is no option for it.
+//
+// The builder owns its rows and speaks its holder's ids. BuildOwned takes the
+// matrix it is handed as the tree's storage and partitions the rows as it
+// partitions their ids, so a build allocates no second copy of the data; the
+// ids it reports are the labels its caller gave the rows — row numbers for a
+// standalone tree, global row numbers for a shard's tree (internal/shard),
+// handles for a dynamic index's snapshot (internal/dynamic) — so no holder
+// keeps a translation table beside its tree. Build is BuildOwned over a clone,
+// for callers that share their matrix.
 //
 // Storage is a flat arena: all nodes live in one []nodeRec slice in preorder
 // (the left child of node i is node i+1, the right child is addressed by

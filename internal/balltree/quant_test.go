@@ -116,7 +116,7 @@ func testQuantSaveLoadRoundTrip(t *testing.T, kind Kind) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	restored, err := Load(bytes.NewReader(raw), kind)
+	restored, err := Load(bytes.NewReader(raw), kind, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +137,12 @@ func testQuantSaveLoadRoundTrip(t *testing.T, kind Kind) {
 	// is the final section): Load must reject it.
 	tampered := append([]byte(nil), raw...)
 	tampered[len(tampered)-10] ^= 0x80
-	if _, err := Load(bytes.NewReader(tampered), kind); err == nil {
+	if _, err := Load(bytes.NewReader(tampered), kind, 0); err == nil {
 		t.Fatal("tampered quantization section must fail to load")
 	}
 
 	// Truncating the quantization section must fail too.
-	if _, err := Load(bytes.NewReader(raw[:len(raw)-5]), kind); err == nil {
+	if _, err := Load(bytes.NewReader(raw[:len(raw)-5]), kind, 0); err == nil {
 		t.Fatal("truncated quantization section must fail to load")
 	}
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // Payload formats, one codec. The layout mirrors the in-memory flat arena:
-// header, position->id map, reordered points, packed centers, columnar node
+// header, position->id map (in the holder's id space when the tree was built
+// with labels), reordered points, packed centers, columnar node
 // arrays. Every array is one contiguous little-endian section that binio moves
 // as a block. The magic records the kind and whether a quantization section
 // follows:
@@ -138,8 +139,11 @@ func (t *Tree) Save(w io.Writer) error {
 
 // Load restores a tree of the given kind written by Save. The stream is
 // validated structurally; corrupt input — including a payload of the other
-// kind — yields an error wrapping binio.ErrCorrupt.
-func Load(r io.Reader, kind Kind) (*Tree, error) {
+// kind — yields an error wrapping binio.ErrCorrupt. Every id must lie in
+// [0, idBound): a holder that embeds labelled trees passes the size of its own
+// id space (and checks for itself that no id repeats); zero is a standalone
+// tree's bound, its own point count.
+func Load(r io.Reader, kind Kind, idBound int) (*Tree, error) {
 	br := binio.NewReader(r)
 	magic := string(br.Raw(len(magics[kind][0])))
 	if err := br.Err(); err != nil {
@@ -172,10 +176,13 @@ func Load(r io.Reader, kind Kind) (*Tree, error) {
 		return nil, br.Err()
 	}
 	t := &Tree{kind: kind, leafSize: leafSize, leaves: leaves}
+	if idBound == 0 {
+		idBound = n
+	}
 	t.ids = br.I32s(n)
 	for _, id := range t.ids {
-		if id < 0 || int(id) >= n {
-			br.Fail("id %d out of range", id)
+		if id < 0 || int(id) >= idBound {
+			br.Fail("id %d outside [0,%d)", id, idBound)
 			break
 		}
 	}

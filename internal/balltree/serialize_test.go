@@ -26,7 +26,7 @@ func testSaveLoadRoundTrip(t *testing.T, kind Kind) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(&buf, kind)
+	restored, err := Load(&buf, kind, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
-	if _, err := Load(bytes.NewReader(good), kind); err != nil {
+	if _, err := Load(bytes.NewReader(good), kind, 0); err != nil {
 		t.Fatalf("pristine payload: %v", err)
 	}
 	radius, links, xcos, xsin := payloadOffsets(orig)
@@ -169,7 +169,7 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 		cases["negative xsin"] = patchF32(good, xsin+4*p, -orig.xsin[p])
 	}
 	for name, payload := range cases {
-		if _, err := Load(bytes.NewReader(payload), kind); !errors.Is(err, binio.ErrCorrupt) {
+		if _, err := Load(bytes.NewReader(payload), kind, 0); !errors.Is(err, binio.ErrCorrupt) {
 			t.Fatalf("%s: want ErrCorrupt, got %v", name, err)
 		}
 	}
@@ -189,7 +189,7 @@ func TestLoadNamesRetiredVersions(t *testing.T) {
 		"P2HBC006": "version 6", "P2HBC007": "version 7",
 	} {
 		payload := append([]byte(old), buf.Bytes()[8:]...)
-		_, err := Load(bytes.NewReader(payload), BC)
+		_, err := Load(bytes.NewReader(payload), BC, 0)
 		if !errors.Is(err, binio.ErrCorrupt) {
 			t.Fatalf("%s: want ErrCorrupt, got %v", old, err)
 		}

@@ -106,8 +106,8 @@ func (n *nodeRec) isLeaf() bool { return n.right == noChild }
 // Tree is a Ball-Tree or BC-Tree over lifted data points x = (p; 1).
 type Tree struct {
 	kind   Kind
-	points *vec.Matrix // reordered copy: leaf ranges are contiguous rows
-	ids    []int32     // position -> original data id
+	points *vec.Matrix // the matrix BuildOwned was given, reordered: leaf ranges are contiguous rows
+	ids    []int32     // position -> the holder's id for that point (the row number it was handed in as, unless labelled)
 	nodes  []nodeRec   // flat arena, root at index 0, preorder
 
 	// Packed node centres. A Ball tree keeps one per node, row i = node i's:
@@ -141,8 +141,8 @@ type Tree struct {
 	codes []uint8
 
 	// Attribute store and its per-node summaries (AttachAttrs): attrs rows
-	// are shard-local/original data ids (the id space of results), and
-	// attrSums lets visit() skip subtrees a predicate provably cannot
+	// are the ids the tree reports (a shard tree attaches the global store
+	// and holds a subset of its rows), and attrSums lets visit() skip subtrees a predicate provably cannot
 	// match. Both nil when no attributes are attached.
 	attrs    *attr.Store
 	attrSums *attr.Summaries
@@ -196,18 +196,21 @@ func (t *Tree) height(ni int32) int {
 // Quantized reports whether the tree carries the 8-bit leaf mirror.
 func (t *Tree) Quantized() bool { return t.qz != nil }
 
-// AttachAttrs binds a per-point attribute store (row i = the id the tree
-// reports as result i) and builds the per-node summaries predicate pushdown
-// skips subtrees with. Summaries are derived state: cheap to rebuild, never
-// serialized. Passing nil detaches. The caller must not mutate the store
-// afterwards.
+// AttachAttrs binds a per-point attribute store (row i describes the point
+// the tree reports as id i; the store may cover more ids than the tree holds,
+// as the global store of a sharded index does for each shard tree) and builds
+// the per-node summaries predicate pushdown skips subtrees with. Summaries are
+// derived state: cheap to rebuild, never serialized. Passing nil detaches. The
+// caller must not mutate the store afterwards.
 func (t *Tree) AttachAttrs(st *attr.Store) error {
 	if st == nil {
 		t.attrs, t.attrSums = nil, nil
 		return nil
 	}
-	if st.N() != t.points.N {
-		return fmt.Errorf("balltree: attribute store covers %d rows, index holds %d", st.N(), t.points.N)
+	for _, id := range t.ids {
+		if int(id) >= st.N() {
+			return fmt.Errorf("balltree: attribute store covers %d rows, index holds id %d", st.N(), id)
+		}
 	}
 	infos := make([]attr.NodeInfo, len(t.nodes))
 	for i := range t.nodes {
@@ -232,7 +235,7 @@ func (t *Tree) Attrs() *attr.Store { return t.attrs }
 // that BC-Tree adds over Ball-Tree (Theorem 6's three, less the radius the
 // other two imply). A BC tree keeps half a Ball tree's centres, so it is the
 // smaller index of the two once 8 bytes a point cost less than 4d bytes per
-// internal node. The reordered copy of the data is reported separately by
+// internal node. The reordered data is reported separately by
 // DataBytes, mirroring how the paper's Table III separates index size from
 // data size.
 func (t *Tree) IndexBytes() int64 {
@@ -250,13 +253,14 @@ func (t *Tree) IndexBytes() int64 {
 	return b
 }
 
-// DataBytes returns the size of the reordered data copy.
+// DataBytes returns the size of the reordered data.
 func (t *Tree) DataBytes() int64 { return t.points.Bytes() }
 
-// Rows returns the reordered data copy and the position -> id map: row p of
-// points is the vector Build was handed as row ids[p]. Both alias the tree
-// and are read-only. A holder that keeps no second copy of what it indexed
-// (internal/dynamic) reads its vectors back through them.
+// Rows returns the tree's storage and the position -> id map: row p of points
+// is the vector BuildOwned was handed under the label ids[p] (as row ids[p],
+// when it was handed no labels). Both alias the tree and are read-only. A
+// holder that keeps no second copy of what it indexed (internal/dynamic) reads
+// its vectors, and which handles it indexed, back through them.
 func (t *Tree) Rows() (points *vec.Matrix, ids []int32) { return t.points, t.ids }
 
 // String summarizes the tree for logs.

@@ -71,11 +71,7 @@ func nodeCenters(tree *Tree) *vec.Matrix {
 	for i := len(tree.nodes) - 1; i >= 0; i-- { // children before parents
 		n := &tree.nodes[i]
 		if n.isLeaf() {
-			pos := make([]int32, 0, n.count())
-			for p := n.start; p < n.end; p++ {
-				pos = append(pos, p)
-			}
-			copy(all.Row(i), tree.points.Centroid(pos))
+			copy(all.Row(i), directCentroid(tree, n))
 			continue
 		}
 		copy(all.Row(i+1), tree.centers.Row(int(n.leftRow))) // stored: overrides what was recomputed
@@ -84,6 +80,15 @@ func nodeCenters(tree *Tree) *vec.Matrix {
 		}
 	}
 	return all
+}
+
+// directCentroid is the centroid of the points node n covers, as the builder
+// forms a leaf's.
+func directCentroid(tree *Tree, n *nodeRec) []float32 {
+	d := tree.Dim()
+	c := make([]float32, d)
+	vec.CentroidBlock(tree.points.Data[int(n.start)*d:int(n.end)*d], make([]float64, d), c)
+	return c
 }
 
 // TestCenterRows pins the layout: a Ball tree keeps a centre per node, a BC
@@ -274,11 +279,7 @@ func TestLemma1CenterMatchesDirectCentroid(t *testing.T) {
 	walk = func(ni int32) {
 		n := &tree.nodes[ni]
 		center := centers.Row(int(ni))
-		ids := make([]int32, 0, n.count())
-		for pos := n.start; pos < n.end; pos++ {
-			ids = append(ids, pos)
-		}
-		direct := tree.points.Centroid(ids)
+		direct := directCentroid(tree, n)
 		for j := range direct {
 			diff := math.Abs(float64(direct[j]) - float64(center[j]))
 			scale := math.Max(1, math.Abs(float64(direct[j])))

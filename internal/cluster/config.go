@@ -53,7 +53,10 @@ type ShardConfig struct {
 	Replicas []string `json:"replicas,omitempty"`
 	// IDs maps shard-local row ids to global data ids (the shard.Plan rows
 	// the shard's index was built over). When set, merged results are
-	// byte-identical to the in-process Sharded index over the same plan.
+	// byte-identical to the in-process Sharded index over the same plan,
+	// except that the member has already cut ties at its k-th distance by
+	// shard-local id; list the ids in ascending order to make that the
+	// global order too.
 	IDs []int32 `json:"ids,omitempty"`
 	// IDBase, for contiguous partitions, adds a constant offset to
 	// shard-local ids instead of a full IDs table.

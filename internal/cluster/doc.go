@@ -10,7 +10,10 @@
 // map, and merges the per-shard top-k lists in the canonical (Dist, ID)
 // order internal/shard defines — so a cluster built from a shard.Plan
 // partition answers byte-identically to a single-process Sharded index over
-// the same data.
+// the same data, up to the order of exact ties: a member tree numbers its
+// points from zero and cuts a tie at the k-th distance by member-local id
+// before the router translates, where Sharded's trees carry global ids. The
+// two agree wherever a shard's IDs list ascends.
 //
 // Tail latency is defended with hedged requests: when a shard has a
 // replica, a hedge is spawned to it after a delay derived from the primary

@@ -15,8 +15,9 @@ package dynamic
 //	         the captured length or reallocates, leaving the captured array
 //	         untouched — so both aliases stay valid unlocked.
 //	build    (no lock)                  Compaction.Build gathers the captured
-//	         live rows into one matrix and builds the replacement tree;
-//	         searches and mutations proceed concurrently against the old one.
+//	         live rows into one matrix and builds the replacement tree inside
+//	         it; searches and mutations proceed concurrently against the old
+//	         one.
 //	install  (under the mutation lock)  Install swaps the tree in and
 //	         reconciles the mutations that raced the build: captured handles
 //	         deleted meanwhile become tombstones in the new tree, rows
@@ -29,6 +30,8 @@ package dynamic
 // the same three phases run back to back.
 
 import (
+	"slices"
+
 	"p2h/internal/balltree"
 	"p2h/internal/vec"
 )
@@ -68,9 +71,9 @@ type Compaction struct {
 	ids      []int32        // live handles at capture, ascending
 	fromTree int            // ids[:fromTree] are in the tree, the rest in the delta
 	tree     *balltree.Tree // the snapshot at capture, nil when there was none
-	treeIDs  []int32        // its tree-local id -> handle map
 	base     int            // handle of delta row 0
 	delta    *vec.Matrix    // alias of the delta rows at capture
+	owned    bool           // nothing else reads delta: a bulk load's, which Build may build in
 	built    *balltree.Tree
 }
 
@@ -86,54 +89,47 @@ func (ix *Index) BeginCompaction() *Compaction {
 
 // capture is the one place a rebuild learns what to build over.
 func (ix *Index) capture() *Compaction {
+	// A handle below base is live only if the tree holds it: whatever the last
+	// rebuild did not fold was dead by then, and handles are never resurrected.
 	ids := make([]int32, 0, ix.live)
-	for _, h := range ix.treeIDs {
-		if ix.alive[h] {
-			ids = append(ids, h)
-		}
-	}
-	fromTree := len(ids)
-	for h := ix.base; h < len(ix.alive); h++ {
-		if ix.alive[h] {
+	fromTree := 0
+	for h, ok := range ix.alive {
+		if ok {
 			ids = append(ids, int32(h))
+			if h < ix.base {
+				fromTree++
+			}
 		}
 	}
 	return &Compaction{
 		ids:      ids,
 		fromTree: fromTree,
 		tree:     ix.tree,
-		treeIDs:  ix.treeIDs,
 		base:     ix.base,
 		delta:    &vec.Matrix{Data: ix.delta.Data[:ix.delta.N*ix.dim], N: ix.delta.N, D: ix.dim},
 	}
 }
 
-// gather returns the captured live vectors as one matrix, row j holding
-// handle ids[j] — ascending handle order whatever order the old tree stored
-// them in, so the tree built over it is a function of the live set and the
-// seed alone.
+// gather returns the captured live vectors as one matrix of their own, row j
+// holding handle ids[j] — ascending handle order whatever order the old tree
+// stored them in, so the tree built over it is a function of the live set and
+// the seed alone. The new tree is built inside this matrix, which is why it is
+// a copy even when the delta is exactly the live set: searches go on scanning
+// the delta while the build reorders its rows. Only an owned delta is handed
+// over as it is.
 func (c *Compaction) gather() *vec.Matrix {
-	if c.fromTree == 0 && len(c.ids) == c.delta.N {
-		return c.delta // every delta row and nothing else: already that matrix
+	if c.owned && c.fromTree == 0 && len(c.ids) == c.delta.N {
+		return c.delta
 	}
 	out := vec.NewMatrix(len(c.ids), c.delta.D)
 	if c.fromTree > 0 {
-		// row[local] is where tree-local id local goes, -1 for a tombstone.
-		// treeIDs and ids both ascend, so one merge pass fills it; the copy
-		// then walks the tree's storage in its own order.
-		row := make([]int32, len(c.treeIDs))
-		j := 0
-		for local, h := range c.treeIDs {
-			row[local] = -1
-			if j < c.fromTree && c.ids[j] == h {
-				row[local] = int32(j)
-				j++
-			}
-		}
-		points, ids := c.tree.Rows()
-		for p, local := range ids {
-			if r := row[local]; r >= 0 {
-				copy(out.Row(int(r)), points.Row(p))
+		// The copy walks the old tree's storage in its own order; a handle the
+		// capture no longer lists is a tombstone.
+		points, handles := c.tree.Rows()
+		live := c.ids[:c.fromTree]
+		for p, h := range handles {
+			if j, ok := slices.BinarySearch(live, h); ok {
+				copy(out.Row(j), points.Row(p))
 			}
 		}
 	}
@@ -149,7 +145,7 @@ func (c *Compaction) gather() *vec.Matrix {
 // no live point builds nothing: installing it drops the tree.
 func (c *Compaction) Build(cfg Config) {
 	if len(c.ids) > 0 {
-		c.built = balltree.Build(c.gather(), balltree.BC, balltree.Config{LeafSize: cfg.LeafSize, Seed: cfg.Seed})
+		c.built = balltree.BuildOwned(c.gather(), c.ids, balltree.BC, balltree.Config{LeafSize: cfg.LeafSize, Seed: cfg.Seed})
 	}
 }
 
@@ -179,7 +175,6 @@ func (ix *Index) Install(c *Compaction) {
 	raced := vec.NewMatrix(ix.delta.N-c.delta.N, ix.dim)
 	copy(raced.Data, ix.delta.Data[c.delta.N*ix.dim:ix.delta.N*ix.dim])
 	ix.tree = c.built
-	ix.treeIDs = c.ids
 	ix.treeDel = dead
 	ix.base += c.delta.N
 	ix.delta = raced

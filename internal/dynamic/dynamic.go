@@ -4,11 +4,13 @@
 // and the tombstones together exceed a configurable fraction of the indexed
 // points. Point handles are stable across rebuilds.
 //
-// There is one copy of the data. A vector lives in the delta from its insert
-// until the next rebuild and in the snapshot tree's reordered storage from
-// then on; a rebuild gathers the live vectors out of the old tree and the
-// delta, so a deleted vector's bytes are released by the rebuild after its
-// delete.
+// There is one copy of the data and one id space. A vector lives in the delta
+// from its insert until the next rebuild and in the snapshot tree's storage
+// from then on; a rebuild gathers the live vectors out of the old tree and the
+// delta into one matrix, which the new tree is built inside
+// (balltree.BuildOwned) and labelled with the handles of, so a deleted
+// vector's bytes are released by the rebuild after its delete and the tree
+// reports, and filters by, handles itself.
 //
 // The paper's trees are static (built once over a fixed data set); this
 // wrapper is the standard "static structure + delta" construction that turns
@@ -62,8 +64,7 @@ type Index struct {
 	// delta: row h-base is handle h, dead or alive. The delta is append-only
 	// between rebuilds — a Delete flips alive and nothing else — which is what
 	// lets a background compaction read an alias of it without the lock.
-	tree    *balltree.Tree // over a snapshot of handles; nil when empty
-	treeIDs []int32        // tree-local id -> handle, ascending, all < base
+	tree    *balltree.Tree // over a snapshot of handles, its ids, all < base; nil when empty
 	treeDel int            // tombstones inside the tree snapshot
 	base    int
 	delta   *vec.Matrix
@@ -90,8 +91,9 @@ func New(dim int, cfg Config) *Index {
 }
 
 // NewFromMatrix bulk-loads the rows of data (lifted vectors); handles are
-// the row indices. The rows enter as the delta and one Rebuild folds them, so
-// the tree is built once, straight from data, which the index then lets go of.
+// the row indices. It takes ownership of data: the rows enter as the delta,
+// which nothing else can be reading yet, so the one fold builds the tree
+// inside that matrix instead of a copy of it.
 func NewFromMatrix(data *vec.Matrix, cfg Config) *Index {
 	ix := New(data.D, cfg)
 	ix.delta = data
@@ -100,12 +102,23 @@ func NewFromMatrix(data *vec.Matrix, cfg Config) *Index {
 		ix.alive[h] = true
 	}
 	ix.live = data.N
-	ix.Rebuild()
+	c := ix.capture()
+	c.owned = true
+	c.Build(ix.cfg)
+	ix.Install(c)
 	return ix
 }
 
 // N returns the number of live points.
 func (ix *Index) N() int { return ix.live }
+
+// treeN returns the number of handles in the snapshot tree, dead ones included.
+func (ix *Index) treeN() int {
+	if ix.tree == nil {
+		return 0
+	}
+	return ix.tree.N()
+}
 
 // Configuration returns the (normalized) construction configuration.
 func (ix *Index) Configuration() Config { return ix.cfg }
@@ -218,7 +231,7 @@ func (ix *Index) outgrown(frac float64) bool {
 	if pending == 0 {
 		return false
 	}
-	if len(ix.treeIDs) == ix.treeDel {
+	if ix.treeN() == ix.treeDel {
 		return ix.delta.N >= 2*balltree.DefaultLeafSize
 	}
 	return float64(pending) > frac*float64(ix.live)
@@ -275,17 +288,16 @@ func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, co
 			// shards) but leaving the tree at least one candidate: handed the
 			// whole budget the tree spends it, and the newest inserts would be
 			// invisible to every budgeted search.
-			total := len(ix.treeIDs) + ix.delta.N
+			total := ix.tree.N() + ix.delta.N
 			budget := min(opts.Budget, total) // also keeps the product below from overflowing
 			held := min((budget*ix.delta.N+total-1)/total, budget-1)
 			treeOpts.Budget = budget - held
 		}
-		treeIDs := ix.treeIDs
-		treeOpts.Filter = func(local int32) bool { return accepts(treeIDs[local]) }
+		treeOpts.Filter = accepts
 		res, s := ix.tree.Search(q, treeOpts)
 		st.Add(s)
 		for _, r := range res {
-			tk.Push(treeIDs[r.ID], r.Dist)
+			tk.Push(r.ID, r.Dist)
 		}
 	}
 
@@ -307,11 +319,11 @@ func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, co
 	return tk.Results(), st
 }
 
-// IndexBytes reports the tree footprint plus the per-handle bookkeeping:
-// the snapshot's handle map and the liveness flags. The vectors themselves —
-// the tree's reordered copy and the delta rows — are data, not index.
+// IndexBytes reports the tree footprint (its id map is the snapshot's handle
+// list) plus the liveness flag per handle. The vectors themselves — the tree's
+// storage and the delta rows — are data, not index.
 func (ix *Index) IndexBytes() int64 {
-	total := int64(len(ix.treeIDs))*4 + int64(len(ix.alive))
+	total := int64(len(ix.alive))
 	if ix.tree != nil {
 		total += ix.tree.IndexBytes()
 	}

@@ -59,7 +59,7 @@ func (r *reference) search(q []float32, k int) []core.Result {
 // vector returns the stored vector of a live handle (aliasing internal
 // storage) and whether the handle is live. The index keeps no handle ->
 // position map for this: a delta handle is its row, a compacted one costs a
-// search of the snapshot's handle map and a scan of the tree's id map.
+// scan of the tree's id map, which holds handles.
 func (ix *Index) vector(handle int32) ([]float32, bool) {
 	if handle < 0 || int(handle) >= len(ix.alive) || !ix.alive[handle] {
 		return nil, false
@@ -67,9 +67,8 @@ func (ix *Index) vector(handle int32) ([]float32, bool) {
 	if int(handle) >= ix.base {
 		return ix.delta.Row(int(handle) - ix.base), true
 	}
-	local, _ := slices.BinarySearch(ix.treeIDs, handle)
-	points, ids := ix.tree.Rows()
-	return points.Row(slices.Index(ids, int32(local))), true
+	points, handles := ix.tree.Rows()
+	return points.Row(slices.Index(handles, handle)), true
 }
 
 func sameDists(a, b []core.Result) bool {
@@ -95,7 +94,7 @@ func TestNewValidations(t *testing.T) {
 
 func TestBulkLoadMatchesScan(t *testing.T) {
 	data, queries := liftedData(700, 12, 1)
-	ix := NewFromMatrix(data, Config{LeafSize: 30, Seed: 2})
+	ix := NewFromMatrix(data.Clone(), Config{LeafSize: 30, Seed: 2}) // the index takes its matrix over
 	if ix.N() != data.N || ix.BufferLen() != 0 {
 		t.Fatalf("bulk load state: %s", ix)
 	}

@@ -10,12 +10,12 @@ import (
 	"p2h/internal/vec"
 )
 
-// Serialization format P2HDY002, one section per field of the index:
+// Serialization format P2HDY003, one section per field of the index:
 //
 //	magic, leafSize i32, seed i64, rebuildFraction f64, dim i32
 //	handles i32, then one liveness byte per handle
-//	snapshot flag u8; when 1: id count i32, the tree-local id -> handle map,
-//	    the BC-Tree payload's length i64 and the payload itself
+//	snapshot flag u8; when 1: the BC-Tree payload's length i64 and the
+//	    payload itself, whose id map holds the snapshot's handles
 //	base i32, then the delta: (handles - base) rows of dim float32
 //
 // Every live vector is in the file once — in the embedded tree or in the
@@ -23,21 +23,25 @@ import (
 // Load replays that state exactly, so a restored index answers queries
 // bitwise-identically and keeps assigning handles where the saved one left
 // off. There is one current version: P2HDY001, which also stored every vector
-// ever inserted in handle order, is refused by name and not converted.
-const (
-	magic        = "P2HDY002"
-	retiredMagic = "P2HDY001"
-)
+// ever inserted in handle order, and P2HDY002, which kept a tree-local id ->
+// handle map beside the tree, are refused by name and not converted.
+const magic = "P2HDY003"
 
-// RetiredPayload returns the error Load refuses the retired payload magic
+var retiredMagics = map[string]string{
+	"P2HDY001": "dynamic payload version 1 (full handle history)",
+	"P2HDY002": "dynamic payload version 2 (a handle map beside the snapshot tree)",
+}
+
+// RetiredPayload returns the error Load refuses a retired payload magic
 // with — it names the version found and the one this build reads — or nil
-// when magic is not one an earlier release wrote.
+// when found is not one an earlier release wrote.
 func RetiredPayload(found string) error {
-	if found != retiredMagic {
+	what, ok := retiredMagics[found]
+	if !ok {
 		return nil
 	}
-	return fmt.Errorf("%w: %s is a dynamic payload version 1 (full handle history), which this build no longer reads (current: %s); rebuild the index and save it again",
-		binio.ErrCorrupt, found, magic)
+	return fmt.Errorf("%w: %s is a %s, which this build no longer reads (current: %s); rebuild the index and save it again",
+		binio.ErrCorrupt, found, what, magic)
 }
 
 // maxSerialDim, maxSerialElems and maxSerialTreeBytes guard corrupt headers
@@ -70,8 +74,6 @@ func (ix *Index) Save(w io.Writer) error {
 		bw.U8(0)
 	} else {
 		bw.U8(1)
-		bw.I32(int32(len(ix.treeIDs)))
-		bw.I32s(ix.treeIDs)
 		// The payload's length is a closed form of the tree's shape, so the
 		// tree streams straight through; Save checks it wrote exactly that.
 		bw.I64(ix.tree.PayloadBytes())
@@ -137,27 +139,18 @@ func Load(r io.Reader) (*Index, error) {
 	switch br.U8() {
 	case 0:
 	case 1:
-		nids := int(br.I32())
-		if br.Err() != nil {
-			return nil, br.Err()
-		}
-		if nids < 1 || nids > handles {
-			br.Fail("bad snapshot id count %d for %d handles", nids, handles)
-			return nil, br.Err()
-		}
-		ix.treeIDs = br.I32s(nids)
 		pn := br.I64()
 		if br.Err() != nil {
 			return nil, br.Err()
 		}
-		if pn <= 0 || pn > maxSerialTreeBytes {
-			br.Fail("bad snapshot payload length %d", pn)
+		if pn <= 0 || pn > maxSerialTreeBytes || handles == 0 {
+			br.Fail("bad snapshot payload length %d for %d handles", pn, handles)
 			return nil, br.Err()
 		}
 		// The tree decodes straight off the container's stream; what it
 		// consumed must be what the prefix declared.
 		start := br.Consumed()
-		tree, err := balltree.Load(br, balltree.BC)
+		tree, err := balltree.Load(br, balltree.BC, handles)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot tree: %w", err)
 		}
@@ -165,8 +158,8 @@ func Load(r io.Reader) (*Index, error) {
 			br.Fail("snapshot payload declared %d bytes, decoded %d", pn, got)
 			return nil, br.Err()
 		}
-		if tree.N() != nids || tree.Dim() != dim {
-			br.Fail("snapshot tree shape %dx%d, want %dx%d", tree.N(), tree.Dim(), nids, dim)
+		if tree.Dim() != dim {
+			br.Fail("snapshot tree dimension %d, want %d", tree.Dim(), dim)
 			return nil, br.Err()
 		}
 		ix.tree = tree
@@ -189,18 +182,24 @@ func Load(r io.Reader) (*Index, error) {
 		br.Fail("declared delta %dx%d exceeds the serialization bound", handles-ix.base, dim)
 		return nil, br.Err()
 	}
-	// The snapshot's handles ascend (a rebuild gathers them in that order)
-	// and sit below the delta, so no handle is stored twice.
+	// The snapshot's handles are distinct and sit below the delta, so no
+	// handle is stored twice. The tree has range-checked them against handles,
+	// which the liveness section bounds by the input's size.
 	reachable := 0
-	for i, h := range ix.treeIDs {
-		if h < 0 || int(h) >= ix.base || (i > 0 && h <= ix.treeIDs[i-1]) {
-			br.Fail("snapshot handle %d at %d out of order or not below the delta base %d", h, i, ix.base)
-			return nil, br.Err()
-		}
-		if ix.alive[h] {
-			reachable++
-		} else {
-			ix.treeDel++ // a tombstone inside the snapshot
+	if ix.tree != nil {
+		seen := make([]bool, ix.base)
+		_, snapshot := ix.tree.Rows()
+		for _, h := range snapshot {
+			if int(h) >= ix.base || seen[h] {
+				br.Fail("snapshot handle %d repeats or is not below the delta base %d", h, ix.base)
+				return nil, br.Err()
+			}
+			seen[h] = true
+			if ix.alive[h] {
+				reachable++
+			} else {
+				ix.treeDel++ // a tombstone inside the snapshot
+			}
 		}
 	}
 	for _, ok := range ix.alive[ix.base:] {

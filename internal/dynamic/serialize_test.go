@@ -191,22 +191,24 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestLoadNamesRetiredVersions: the payload earlier releases wrote (every
-// vector ever inserted, in handle order, beside the tree's copy) is refused by
-// name, not mistaken for garbage and not converted.
+// TestLoadNamesRetiredVersions: the payloads earlier releases wrote (every
+// vector ever inserted, in handle order, beside the tree's copy; then a
+// tree-local id -> handle map beside the tree) are refused by name, not
+// mistaken for garbage and not converted.
 func TestLoadNamesRetiredVersions(t *testing.T) {
 	var buf bytes.Buffer
 	if err := buildMutated(t).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	old := append([]byte("P2HDY001"), buf.Bytes()[len(magic):]...)
-	_, err := Load(bytes.NewReader(old))
-	if !errors.Is(err, binio.ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt, got %v", err)
-	}
-	for _, want := range []string{"P2HDY001", "version 1", magic} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
+	for old, version := range map[string]string{"P2HDY001": "version 1", "P2HDY002": "version 2"} {
+		_, err := Load(bytes.NewReader(append([]byte(old), buf.Bytes()[len(magic):]...)))
+		if !errors.Is(err, binio.ErrCorrupt) {
+			t.Fatalf("%s: want ErrCorrupt, got %v", old, err)
+		}
+		for _, want := range []string{old, version, magic} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not mention %q", err, want)
+			}
 		}
 	}
 	if RetiredPayload(magic) != nil || RetiredPayload("P2HBC004") != nil {
@@ -222,7 +224,7 @@ func TestLoadNamesRetiredVersions(t *testing.T) {
 // has to be either counted or named here.
 func TestIndexBytesMatchesStorage(t *testing.T) {
 	ix := buildMutated(t)
-	want := ix.tree.IndexBytes() + int64(len(ix.treeIDs))*4 + int64(len(ix.alive))*int64(unsafe.Sizeof(ix.alive[0]))
+	want := ix.tree.IndexBytes() + int64(len(ix.alive))*int64(unsafe.Sizeof(ix.alive[0]))
 	if got := ix.IndexBytes(); got != want {
 		t.Errorf("IndexBytes() = %d, the tree and the per-handle slices hold %d", got, want)
 	}
@@ -230,7 +232,7 @@ func TestIndexBytesMatchesStorage(t *testing.T) {
 		t.Errorf("%d vectors in the tree and %d in the delta for %d handles issued, none deleted before the bulk load",
 			ix.tree.N(), ix.delta.N, ix.Handles())
 	}
-	holders := map[string]bool{"alive": true, "treeIDs": true, "tree": true, "delta": true, "attrs": true}
+	holders := map[string]bool{"alive": true, "tree": true, "delta": true, "attrs": true}
 	typ := reflect.TypeOf(*ix)
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"p2h/internal/vec"
@@ -27,7 +28,7 @@ func TestSeedGrowPartitionsAroundPivots(t *testing.T) {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	nl := SeedGrow(m, ids, rng, make([]float64, 2*len(ids)))
+	nl := SeedGrow(m.Data, ids, rng, make([]float64, 2*len(ids)))
 	if nl != 20 {
 		t.Fatalf("expected a 20/20 split of two far blobs, got left size %d", nl)
 	}
@@ -55,7 +56,7 @@ func TestSeedGrowPreservesIDMultiset(t *testing.T) {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	nl := SeedGrow(m, ids, rng, make([]float64, 2*len(ids)))
+	nl := SeedGrow(m.Data, ids, rng, make([]float64, 2*len(ids)))
 	if nl <= 0 || nl >= len(ids) {
 		t.Fatalf("split must be proper for generic data, got %d of %d", nl, len(ids))
 	}
@@ -83,7 +84,7 @@ func TestSeedGrowDegenerateAllIdentical(t *testing.T) {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	nl := SeedGrow(m, ids, rand.New(rand.NewSource(3)), make([]float64, 2*len(ids)))
+	nl := SeedGrow(m.Data, ids, rand.New(rand.NewSource(3)), make([]float64, 2*len(ids)))
 	if nl != m.N/2 {
 		t.Fatalf("degenerate split should halve: got %d, want %d", nl, m.N/2)
 	}
@@ -94,24 +95,31 @@ func TestSeedGrowTinyInputs(t *testing.T) {
 	m.Row(0)[0] = 1
 	m.Row(1)[0] = 2
 	ids := []int32{0, 1}
-	nl := SeedGrow(m, ids, rand.New(rand.NewSource(5)), make([]float64, 2*len(ids)))
+	nl := SeedGrow(m.Data, ids, rand.New(rand.NewSource(5)), make([]float64, 2*len(ids)))
 	if nl != 1 {
 		t.Fatalf("two distinct points must split 1/1, got %d", nl)
 	}
 	one := []int32{0}
-	if got := SeedGrow(m, one, rand.New(rand.NewSource(5)), make([]float64, 2*len(one))); got != 1 {
+	if got := SeedGrow(m.Data[:2], one, rand.New(rand.NewSource(5)), make([]float64, 2*len(one))); got != 1 {
 		t.Fatalf("single id returns len(ids): got %d", got)
 	}
 }
 
-// seedGrowRecompute is SeedGrow as first written: it measures every point
-// against both pivots in the assignment loop, with the per-row kernel.
+// seedGrowRecompute is SeedGrow as first written: over a shared matrix and a
+// list of row ids, which alone it reorders, measuring every point against
+// both pivots in the assignment loop with the per-row kernel.
 func seedGrowRecompute(data *vec.Matrix, ids []int32, rng *rand.Rand) int {
-	v := data.Row(int(ids[rng.Intn(len(ids))]))
-	posL, _ := data.MaxDistFrom(ids, v)
-	xl := data.Row(int(ids[posL]))
-	posR, _ := data.MaxDistFrom(ids, xl)
-	xr := data.Row(int(ids[posR]))
+	farthest := func(from []float32) []float32 {
+		pos, best := 0, -1.0
+		for i, id := range ids {
+			if d := vec.SqDist(data.Row(int(id)), from); d > best {
+				pos, best = i, d
+			}
+		}
+		return data.Row(int(ids[pos]))
+	}
+	xl := farthest(data.Row(int(ids[rng.Intn(len(ids))])))
+	xr := farthest(xl)
 	lo, hi := 0, len(ids)-1
 	for lo <= hi {
 		x := data.Row(int(ids[lo]))
@@ -129,8 +137,9 @@ func seedGrowRecompute(data *vec.Matrix, ids []int32, rng *rand.Rand) int {
 }
 
 // TestSeedGrowKeepsStoredDistances checks that reusing the xl pass and
-// carrying distances through the swaps leaves ids in exactly the order the
-// recomputing version produces — the order the built trees' bytes depend on.
+// carrying rows, ids and distances through the swaps leaves ids in exactly the
+// order the recomputing version produces over an untouched matrix — the order
+// the built trees' bytes depend on — and every row beside its id.
 func TestSeedGrowKeepsStoredDistances(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -144,7 +153,8 @@ func TestSeedGrowKeepsStoredDistances(t *testing.T) {
 			got[i] = int32(i)
 		}
 		want := append([]int32(nil), got...)
-		nlGot := SeedGrow(m, got, rand.New(rand.NewSource(seed)), make([]float64, 2*len(got)))
+		moved := m.Clone()
+		nlGot := SeedGrow(moved.Data, got, rand.New(rand.NewSource(seed)), make([]float64, 2*len(got)))
 		nlWant := seedGrowRecompute(m, want, rand.New(rand.NewSource(seed)))
 		if nlGot != nlWant {
 			t.Fatalf("seed %d: left size %d, recomputing version %d", seed, nlGot, nlWant)
@@ -152,6 +162,9 @@ func TestSeedGrowKeepsStoredDistances(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("seed %d: ids[%d] = %d, recomputing version %d", seed, i, got[i], want[i])
+			}
+			if !slices.Equal(moved.Row(i), m.Row(int(got[i]))) {
+				t.Fatalf("seed %d: position %d holds id %d but not its row", seed, i, got[i])
 			}
 		}
 	}

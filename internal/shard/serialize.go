@@ -5,19 +5,34 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"p2h/internal/balltree"
 	"p2h/internal/binio"
 )
 
-// Serialization format: a header with the global shape, then one
-// length-prefixed record per shard (the id map plus the shard tree's own
-// serialized payload). The per-shard byte lengths let Load slice the stream
-// without parsing tree internals, so shard trees decode in parallel — the
-// load-time mirror of the index's query-time fan-out.
-var magic = []byte("P2HSH001")
+// Serialization format P2HSH002: a header with the global shape, then one
+// length-prefixed record per shard, the shard tree's own serialized payload.
+// There is no id section: a shard tree's ids are global, so the payload's id
+// map is the shard's membership. The per-shard byte lengths let Load slice the
+// stream without parsing tree internals, so shard trees decode in parallel —
+// the load-time mirror of the index's query-time fan-out. There is one current
+// version: P2HSH001, which carried a shard-local -> global id map beside every
+// tree, is refused by name and not converted.
+const (
+	magic        = "P2HSH002"
+	retiredMagic = "P2HSH001"
+)
+
+// RetiredPayload returns the error Load refuses the retired payload magic
+// with — it names the version found and the one this build reads — or nil
+// when found is not one an earlier release wrote.
+func RetiredPayload(found string) error {
+	if found != retiredMagic {
+		return nil
+	}
+	return fmt.Errorf("%w: %s is a sharded payload version 1 (an id map beside every shard tree), which this build no longer reads (current: %s); rebuild the index and save it again",
+		binio.ErrCorrupt, found, magic)
+}
 
 // maxSerialShardBytes bounds one shard payload and maxSerialElems the
 // declared global size against corrupt headers allocating absurd buffers: a
@@ -31,14 +46,12 @@ const (
 // the original data matrix.
 func (ix *Index) Save(w io.Writer) error {
 	bw := binio.NewWriter(w)
-	bw.Bytes(magic)
+	bw.Bytes([]byte(magic))
 	bw.I32(int32(ix.n))
 	bw.I32(int32(ix.d))
 	bw.I32(int32(len(ix.trees)))
 	bw.I32(int32(ix.workers))
-	for si, t := range ix.trees {
-		bw.I32(int32(len(ix.ids[si])))
-		bw.I32s(ix.ids[si])
+	for _, t := range ix.trees {
 		// The payload's length is a closed form of the tree's shape, so the
 		// tree streams straight through; Save checks it wrote exactly that.
 		bw.I64(t.PayloadBytes())
@@ -54,7 +67,17 @@ func (ix *Index) Save(w io.Writer) error {
 // Corrupt input yields an error wrapping binio.ErrCorrupt.
 func Load(r io.Reader) (*Index, error) {
 	br := binio.NewReader(r)
-	br.Expect(magic)
+	found := string(br.Raw(len(magic)))
+	if err := br.Err(); err != nil {
+		return nil, err
+	}
+	if found != magic {
+		if err := RetiredPayload(found); err != nil {
+			return nil, err
+		}
+		br.Fail("bad sharded magic %q", found)
+		return nil, br.Err()
+	}
 	n := int(br.I32())
 	d := int(br.I32())
 	shards := int(br.I32())
@@ -74,34 +97,10 @@ func Load(r io.Reader) (*Index, error) {
 	// Allocations below grow with bytes actually read, never with the
 	// declared counts alone: a corrupt header claiming 2^31 points or shards
 	// must fail at the stream's real end, not reach a multi-GiB make().
-	// payloads is appended per record, and the duplicate-id check waits until
-	// every id has been read from the stream (bounding n by the input size);
-	// the loop itself only range-checks.
+	// payloads is appended per record.
 	ix := &Index{n: n, d: d, workers: workers}
 	var payloads [][]byte
-	total := 0
 	for si := 0; si < shards; si++ {
-		nids := int(br.I32())
-		if br.Err() != nil {
-			return nil, br.Err()
-		}
-		if nids < 1 || nids > n {
-			br.Fail("shard %d: bad id count %d", si, nids)
-			return nil, br.Err()
-		}
-		ids := br.I32s(nids)
-		if br.Err() != nil {
-			return nil, br.Err()
-		}
-		for _, id := range ids {
-			if id < 0 || int(id) >= n {
-				br.Fail("shard %d: id %d out of range", si, id)
-				return nil, br.Err()
-			}
-		}
-		total += nids
-		ix.ids = append(ix.ids, ids)
-
 		pn := br.I64()
 		if br.Err() != nil {
 			return nil, br.Err()
@@ -115,69 +114,48 @@ func Load(r io.Reader) (*Index, error) {
 			return nil, br.Err()
 		}
 	}
+
+	// Decode the shard trees in parallel over the bounded pool Build builds
+	// them with. Each tree range-checks its ids against the global n.
+	ix.trees = make([]*balltree.Tree, shards)
+	errs := make([]error, shards)
+	forEach(shards, runtime.GOMAXPROCS(0), func(si int) {
+		t, err := balltree.Load(bytes.NewReader(payloads[si]), balltree.BC, n)
+		if err != nil {
+			errs[si] = fmt.Errorf("shard %d: %w", si, err)
+			return
+		}
+		if t.Dim() != d {
+			errs[si] = fmt.Errorf("shard %d: %w: tree dimension %d, want %d", si, binio.ErrCorrupt, t.Dim(), d)
+			return
+		}
+		ix.trees[si] = t
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	// The shards must partition [0, n). The ids have all been read from the
+	// stream by now, so the table below is bounded by the input's size.
+	total := 0
+	for _, t := range ix.trees {
+		total += t.N()
+	}
 	if total != n {
 		br.Fail("shards cover %d of %d points", total, n)
 		return nil, br.Err()
 	}
 	seen := make([]bool, n)
-	for si, ids := range ix.ids {
+	for si, t := range ix.trees {
+		_, ids := t.Rows()
 		for _, id := range ids {
 			if seen[id] {
 				br.Fail("shard %d: id %d appears twice", si, id)
 				return nil, br.Err()
 			}
 			seen[id] = true
-		}
-	}
-
-	// Decode the shard trees in parallel over a bounded pool — like the
-	// query fan-out, exactly min(GOMAXPROCS, shards) goroutines pull shard
-	// indices from a shared counter, never one goroutine per shard, so a
-	// container declaring thousands of shards cannot flood the scheduler.
-	ix.trees = make([]*balltree.Tree, shards)
-	errs := make([]error, shards)
-	decode := func(si int) {
-		t, err := balltree.Load(bytes.NewReader(payloads[si]), balltree.BC)
-		if err != nil {
-			errs[si] = fmt.Errorf("shard %d: %w", si, err)
-			return
-		}
-		if t.N() != len(ix.ids[si]) || t.Dim() != d {
-			errs[si] = fmt.Errorf("shard %d: %w: tree shape %dx%d, want %dx%d",
-				si, binio.ErrCorrupt, t.N(), t.Dim(), len(ix.ids[si]), d)
-			return
-		}
-		ix.trees[si] = t
-	}
-	nw := runtime.GOMAXPROCS(0)
-	if nw > shards {
-		nw = shards
-	}
-	if nw <= 1 {
-		for si := 0; si < shards; si++ {
-			decode(si)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(nw)
-		for w := 0; w < nw; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					si := int(next.Add(1)) - 1
-					if si >= shards {
-						return
-					}
-					decode(si)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
 		}
 	}
 	return ix, nil

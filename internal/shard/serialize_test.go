@@ -2,9 +2,11 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"p2h/internal/binio"
@@ -97,12 +99,47 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		t.Fatalf("absurd n: err = %v, want ErrCorrupt", err)
 	}
 
-	// Duplicate id across shards: make the first shard's first id equal its
-	// second id.
+	// The first shard tree's ids start after the header, the record's length
+	// prefix and the tree payload's own magic and five counters; the second
+	// record follows the first payload.
+	const treeIDs = 8 + 5*4
+	first := len(magic) + 4*4
+	firstIDs := first + 8 + treeIDs
+	secondIDs := firstIDs - treeIDs + int(binary.LittleEndian.Uint64(good[first:])) + 8 + treeIDs
+
+	// An id the holder's id space does not have.
 	bad = append([]byte(nil), good...)
-	idsOff := len(magic) + 4*4 + 4 // header + first shard's id count
-	copy(bad[idsOff:idsOff+4], bad[idsOff+4:idsOff+8])
+	binary.LittleEndian.PutUint32(bad[firstIDs:], uint32(data.N))
 	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, binio.ErrCorrupt) {
-		t.Fatalf("duplicate id: err = %v, want ErrCorrupt", err)
+		t.Fatalf("id past the global n: err = %v, want ErrCorrupt", err)
+	}
+
+	// An id two shards both claim.
+	bad = append([]byte(nil), good...)
+	copy(bad[firstIDs:firstIDs+4], bad[secondIDs:secondIDs+4])
+	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, binio.ErrCorrupt) {
+		t.Fatalf("id in two shards: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestLoadNamesRetiredVersions checks that a payload written before the shard
+// trees spoke global ids is refused by name, not as noise.
+func TestLoadNamesRetiredVersions(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Build(serialTestMatrix(60, 3, 4), Config{Shards: 2, Seed: 1}).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte("P2HSH001"), buf.Bytes()[len(magic):]...)
+	_, err := Load(bytes.NewReader(old))
+	if !errors.Is(err, binio.ErrCorrupt) {
+		t.Fatalf("retired payload: err = %v, want ErrCorrupt", err)
+	}
+	for _, want := range []string{"P2HSH001", "version 1", magic} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
+	}
+	if RetiredPayload(magic) != nil || RetiredPayload("P2HDY002") != nil {
+		t.Fatal("RetiredPayload names a magic no earlier release of this format wrote")
 	}
 }

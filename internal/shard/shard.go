@@ -8,6 +8,12 @@
 // Shards are formed by recursive seed-grow splitting (the trees' own
 // partition rule), so each shard covers a compact region and its tree prunes
 // as well as a monolithic tree over that region would.
+//
+// One id space, one copy: the split reorders the one matrix Build is handed
+// into a contiguous block per shard, each shard tree is built inside its block
+// (balltree.BuildOwned) and labelled with the global row numbers of its
+// points. A shard tree therefore reports, filters by and orders ties by global
+// ids itself; the index keeps no id map and translates nothing.
 package shard
 
 import (
@@ -56,14 +62,13 @@ func (c Config) normalized() Config {
 
 // Index is a sharded BC-Tree.
 type Index struct {
-	trees   []*balltree.Tree
-	ids     [][]int32 // shard-local row -> global data id
+	trees   []*balltree.Tree // each labelled with the global ids of its points
 	n, d    int
 	workers int
 
-	// attrs is the global attribute store (row = global data id); each shard
-	// tree holds the Subset over its own rows, so predicate pushdown runs
-	// per shard and opts.Pred passes through shardOpts untranslated.
+	// attrs is the global attribute store (row = global data id), attached to
+	// every shard tree as it is: a tree's ids are rows of it, so predicate
+	// pushdown runs per shard and opts.Pred passes through untranslated.
 	attrs *attr.Store
 }
 
@@ -71,67 +76,82 @@ type Index struct {
 // one slice of row indices per shard, in shard order. It is deterministic in
 // cfg.Seed and exactly the partition a Build with the same inputs produces,
 // so out-of-process deployments (one tree per daemon) can mirror the
-// in-process sharding — and its exact merge semantics — bit for bit.
+// in-process sharding bit for bit. Like Build it takes ownership of data and
+// reorders its rows.
+//
+// What such a deployment does not mirror by itself is the order of ties. A
+// shard tree here reports global ids and orders equal distances by them; a
+// member tree built over the rows plan[i] selects numbers its points from
+// zero, so a router merging member answers sees ties in member-local order
+// unless plan[i] ascends.
 func Plan(data *vec.Matrix, cfg Config) [][]int32 {
-	if data == nil || data.N == 0 {
-		panic("shard: empty data")
+	ids, spans := split(data, cfg.normalized())
+	parts := make([][]int32, len(spans))
+	for si, sp := range spans {
+		parts[si] = ids[sp.lo:sp.hi:sp.hi]
 	}
-	cfg = cfg.normalized()
-	if cfg.Shards > data.N {
-		cfg.Shards = data.N
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	all := make([]int32, data.N)
-	for i := range all {
-		all[i] = int32(i)
-	}
-	return splitParts(data, all, cfg.Shards, rng)
+	return parts
 }
 
 // Build partitions the lifted data into cfg.Shards compact regions and
-// builds one BC-Tree per region.
+// builds one BC-Tree per region, inside that region's block of data: Build
+// takes ownership of the matrix, which becomes the trees' storage. The trees
+// have their own seeds and disjoint blocks, so they are built
+// min(GOMAXPROCS, shards) at a time; the result does not depend on how many.
 func Build(data *vec.Matrix, cfg Config) *Index {
-	parts := Plan(data, cfg)
 	cfg = cfg.normalized()
-
-	ix := &Index{n: data.N, d: data.D, workers: cfg.Workers}
-	for si, part := range parts {
-		sub := data.SubsetRows(part)
-		ids := make([]int32, len(part))
-		copy(ids, part)
-		ix.ids = append(ix.ids, ids)
-		ix.trees = append(ix.trees, balltree.Build(sub, balltree.BC, balltree.Config{
+	ids, spans := split(data, cfg)
+	d := data.D
+	ix := &Index{n: data.N, d: d, workers: cfg.Workers, trees: make([]*balltree.Tree, len(spans))}
+	forEach(len(spans), runtime.GOMAXPROCS(0), func(si int) {
+		sp := spans[si]
+		block := &vec.Matrix{Data: data.Data[sp.lo*d : sp.hi*d : sp.hi*d], N: sp.hi - sp.lo, D: d}
+		ix.trees[si] = balltree.BuildOwned(block, ids[sp.lo:sp.hi], balltree.BC, balltree.Config{
 			LeafSize: cfg.LeafSize,
 			Seed:     cfg.Seed + int64(si) + 1,
 			Quantize: cfg.Quantize,
-		}))
-	}
+		})
+	})
 	return ix
 }
 
-// splitParts recursively halves the largest remaining part with the
-// seed-grow rule until `want` parts exist.
-func splitParts(data *vec.Matrix, ids []int32, want int, rng *rand.Rand) [][]int32 {
-	parts := [][]int32{ids}
-	dist := make([]float64, 2*len(ids)) // SeedGrow's scratch; no part is larger
-	for len(parts) < want {
+// span is the block of positions [lo, hi) one shard owns.
+type span struct{ lo, hi int }
+
+// split reorders the rows of data in place into one contiguous block per
+// shard by recursively halving the largest remaining part with the seed-grow
+// rule until cfg.Shards parts exist. ids[p] is the original row number of the
+// row now at position p; spans lists the blocks in shard order (a split leaves
+// the left half in the part's place and appends the right half).
+func split(data *vec.Matrix, cfg Config) (ids []int32, spans []span) {
+	if data == nil || data.N == 0 {
+		panic("shard: empty data")
+	}
+	want := min(cfg.Shards, data.N)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	ids = make([]int32, data.N)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	spans = []span{{0, data.N}}
+	dist := make([]float64, 2*data.N) // SeedGrow's scratch; no part is larger
+	for len(spans) < want {
 		// Take the largest part. Linear scan: part counts are tiny.
 		largest := 0
-		for i := 1; i < len(parts); i++ {
-			if len(parts[i]) > len(parts[largest]) {
+		for i, sp := range spans {
+			if sp.hi-sp.lo > spans[largest].hi-spans[largest].lo {
 				largest = i
 			}
 		}
-		p := parts[largest]
-		if len(p) < 2 {
+		sp := spans[largest]
+		if sp.hi-sp.lo < 2 {
 			break // cannot split further
 		}
-		nl := partition.SeedGrow(data, p, rng, dist)
-		parts[largest] = p[:nl]
-		parts = append(parts, p[nl:])
+		mid := sp.lo + partition.SeedGrow(data.Data[sp.lo*data.D:sp.hi*data.D], ids[sp.lo:sp.hi], rng, dist)
+		spans[largest] = span{sp.lo, mid}
+		spans = append(spans, span{mid, sp.hi})
 	}
-	return parts
+	return ids, spans
 }
 
 // N returns the number of indexed points.
@@ -152,23 +172,16 @@ func (ix *Index) LeafSize() int { return ix.trees[0].LeafSize() }
 // Quantized reports whether the shard trees carry the 8-bit leaf mirror.
 func (ix *Index) Quantized() bool { return ix.trees[0].Quantized() }
 
-// AttachAttrs binds a per-point attribute store (row i = global data id i):
-// every shard tree gets the Subset over its own rows, in shard-local row
-// order, so each tree's pushdown summaries speak its local id space and a
-// global predicate needs no per-shard translation. Passing nil detaches.
+// AttachAttrs binds a per-point attribute store (row i = global data id i).
+// Every shard tree attaches the same store — its ids are global, so its
+// pushdown summaries and a global predicate speak one id space. Passing nil
+// detaches.
 func (ix *Index) AttachAttrs(st *attr.Store) error {
-	if st == nil {
-		for _, t := range ix.trees {
-			t.AttachAttrs(nil)
-		}
-		ix.attrs = nil
-		return nil
-	}
-	if st.N() != ix.n {
+	if st != nil && st.N() != ix.n {
 		return fmt.Errorf("shard: attribute store covers %d rows, index holds %d", st.N(), ix.n)
 	}
-	for si, t := range ix.trees {
-		if err := t.AttachAttrs(st.Subset(ix.ids[si])); err != nil {
+	for _, t := range ix.trees {
+		if err := t.AttachAttrs(st); err != nil {
 			return err
 		}
 	}
@@ -179,16 +192,16 @@ func (ix *Index) AttachAttrs(st *attr.Store) error {
 // Attrs returns the attached global attribute store, nil when none.
 func (ix *Index) Attrs() *attr.Store { return ix.attrs }
 
-// IndexBytes reports the summed footprint of all shard trees plus the
-// id maps (and, when attributes are attached, the global store the per-shard
-// subsets were carved from).
+// IndexBytes reports the summed footprint of all shard trees. Each tree
+// counts the attribute store it has attached; that is one store shared by all
+// of them, counted here once, beside every shard's own summaries.
 func (ix *Index) IndexBytes() int64 {
 	var total int64
-	for si, t := range ix.trees {
-		total += t.IndexBytes() + int64(len(ix.ids[si]))*4
+	for _, t := range ix.trees {
+		total += t.IndexBytes()
 	}
 	if ix.attrs != nil {
-		total += ix.attrs.MemBytes()
+		total -= int64(len(ix.trees)-1) * ix.attrs.MemBytes()
 	}
 	return total
 }
@@ -199,41 +212,23 @@ func (ix *Index) String() string {
 }
 
 // shardOpts derives shard si's view of the caller's options: the candidate
-// budget is divided across shards in proportion to their sizes, and a caller
-// filter (which speaks global ids) is wrapped to translate the shard tree's
-// local ids.
+// budget is divided across shards in proportion to their sizes. Filter and
+// Pred pass through, the shard trees speak global ids.
 func (ix *Index) shardOpts(opts core.SearchOptions, si int) core.SearchOptions {
-	out := opts
 	if opts.Budget > 0 {
-		share := (opts.Budget*len(ix.ids[si]) + ix.n - 1) / ix.n
-		if share < 1 {
-			share = 1
-		}
-		out.Budget = share
+		opts.Budget = max(1, (opts.Budget*ix.trees[si].N()+ix.n-1)/ix.n)
 	}
-	if opts.Filter != nil {
-		userFilter := opts.Filter
-		localIDs := ix.ids[si]
-		out.Filter = func(local int32) bool {
-			return userFilter(localIDs[local])
-		}
-	}
-	return out
+	return opts
 }
 
-// forEachShard runs fn(si) for every shard index over at most ix.workers
-// goroutines. Exactly min(workers, shards) goroutines are created — never
-// one per shard — so a search over many shards cannot flood the scheduler
-// regardless of the shard count; the pool pulls shard indices from a shared
-// counter.
-func (ix *Index) forEachShard(fn func(si int)) {
-	nw := ix.workers
-	if nw > len(ix.trees) {
-		nw = len(ix.trees)
-	}
+// forEach runs fn(i) for every i in [0, n) over min(workers, n) goroutines —
+// never one per item — which pull indices from a shared counter, so work over
+// many shards cannot flood the scheduler regardless of the shard count.
+func forEach(n, workers int, fn func(i int)) {
+	nw := min(workers, n)
 	if nw <= 1 {
-		for si := range ix.trees {
-			fn(si)
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 		return
 	}
@@ -244,16 +239,20 @@ func (ix *Index) forEachShard(fn func(si int)) {
 		go func() {
 			defer wg.Done()
 			for {
-				si := int(next.Add(1)) - 1
-				if si >= len(ix.trees) {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				fn(si)
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
 }
+
+// forEachShard runs fn(si) for every shard index over at most ix.workers
+// goroutines.
+func (ix *Index) forEachShard(fn func(si int)) { forEach(len(ix.trees), ix.workers, fn) }
 
 // Search fans the query out across the shards (over at most cfg.Workers
 // goroutines), asks each shard tree for its local top-k, and merges exactly.
@@ -272,10 +271,6 @@ func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, co
 
 	ix.forEachShard(func(si int) {
 		res, st := ix.trees[si].Search(q, ix.shardOpts(opts, si))
-		// Map shard-local ids back to global ids.
-		for i := range res {
-			res[i].ID = ix.ids[si][res[i].ID]
-		}
 		outs[si] = shardOut{res: res, st: st}
 	})
 
@@ -311,14 +306,7 @@ func (ix *Index) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]
 	shardRes := make([][][]core.Result, len(ix.trees))
 	shardStats := make([][]core.Stats, len(ix.trees))
 	ix.forEachShard(func(si int) {
-		res, sts := ix.trees[si].SearchBatch(queries, ix.shardOpts(opts, si))
-		ids := ix.ids[si]
-		for qi := range res {
-			for i := range res[qi] {
-				res[qi][i].ID = ids[res[qi][i].ID]
-			}
-		}
-		shardRes[si], shardStats[si] = res, sts
+		shardRes[si], shardStats[si] = ix.trees[si].SearchBatch(queries, ix.shardOpts(opts, si))
 	})
 
 	for qi := 0; qi < nq; qi++ {

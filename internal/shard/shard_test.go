@@ -1,11 +1,14 @@
 package shard
 
 import (
+	"bytes"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"p2h/internal/attr"
 	"p2h/internal/core"
 	"p2h/internal/dataset"
 	"p2h/internal/linearscan"
@@ -30,19 +33,25 @@ func TestBuildPanicsOnEmpty(t *testing.T) {
 
 func TestShardsPartitionData(t *testing.T) {
 	data, _ := setup(t, 1000, 1)
-	ix := Build(data, Config{Shards: 7, Seed: 2})
+	ix := Build(data.Clone(), Config{Shards: 7, Seed: 2})
 	if ix.Shards() != 7 {
 		t.Fatalf("shards %d", ix.Shards())
 	}
+	// Every shard tree speaks global ids: row p of its storage is the vector
+	// Build was handed as row ids[p], and no id is in two shards.
 	seen := make([]bool, data.N)
 	total := 0
-	for _, ids := range ix.ids {
+	for _, tr := range ix.trees {
+		points, ids := tr.Rows()
 		total += len(ids)
-		for _, id := range ids {
+		for p, id := range ids {
 			if seen[id] {
 				t.Fatalf("id %d in two shards", id)
 			}
 			seen[id] = true
+			if !slices.Equal(points.Row(p), data.Row(int(id))) {
+				t.Fatalf("id %d does not label its own vector", id)
+			}
 		}
 	}
 	if total != data.N {
@@ -50,11 +59,50 @@ func TestShardsPartitionData(t *testing.T) {
 	}
 }
 
+// TestPlanIsBuildsPartition checks that Plan lists, shard by shard and in
+// storage order, the global ids Build's trees were handed.
+func TestPlanIsBuildsPartition(t *testing.T) {
+	data, _ := setup(t, 700, 21)
+	cfg := Config{Shards: 5, Seed: 22}
+	plan := Plan(data.Clone(), cfg)
+	ix := Build(data.Clone(), cfg)
+	if len(plan) != ix.Shards() {
+		t.Fatalf("plan has %d parts, index %d shards", len(plan), ix.Shards())
+	}
+	for si, tr := range ix.trees {
+		_, ids := tr.Rows()
+		got, want := slices.Sorted(slices.Values(ids)), slices.Sorted(slices.Values(plan[si]))
+		if !slices.Equal(got, want) {
+			t.Fatalf("shard %d holds other ids than the plan's part", si)
+		}
+	}
+}
+
+// TestBuildIsTheSameAtAnyWidth pins that building the shard trees concurrently
+// changes nothing: the saved bytes are identical at GOMAXPROCS 1, 2 and 4.
+func TestBuildIsTheSameAtAnyWidth(t *testing.T) {
+	data, _ := setup(t, 900, 23)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []byte
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		var buf bytes.Buffer
+		if err := Build(data.Clone(), Config{Shards: 6, Workers: 2, LeafSize: 20, Seed: 24}).Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("GOMAXPROCS=%d builds a different index than GOMAXPROCS=1", procs)
+		}
+	}
+}
+
 func TestSearchExactMatchesLinearScan(t *testing.T) {
 	data, queries := setup(t, 900, 3)
 	scan := linearscan.New(data)
 	for _, shards := range []int{1, 2, 5, 16} {
-		ix := Build(data, Config{Shards: shards, LeafSize: 25, Seed: 4})
+		ix := Build(data.Clone(), Config{Shards: shards, LeafSize: 25, Seed: 4})
 		for qi := 0; qi < queries.N; qi++ {
 			q := queries.Row(qi)
 			got, _ := ix.Search(q, core.SearchOptions{K: 7})
@@ -73,7 +121,7 @@ func TestSearchExactMatchesLinearScan(t *testing.T) {
 
 func TestSearchSequentialWorkerMatchesParallel(t *testing.T) {
 	data, queries := setup(t, 800, 5)
-	par := Build(data, Config{Shards: 8, Seed: 6})
+	par := Build(data.Clone(), Config{Shards: 8, Seed: 6})
 	seq := Build(data, Config{Shards: 8, Seed: 6, Workers: 1})
 	for qi := 0; qi < queries.N; qi++ {
 		q := queries.Row(qi)
@@ -116,7 +164,7 @@ func TestMoreShardsThanPoints(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	data, queries := setup(t, 500, 9)
-	a := Build(data, Config{Shards: 4, Seed: 10})
+	a := Build(data.Clone(), Config{Shards: 4, Seed: 10})
 	b := Build(data, Config{Shards: 4, Seed: 10})
 	for qi := 0; qi < queries.N; qi++ {
 		q := queries.Row(qi)
@@ -209,10 +257,46 @@ func TestIndexBytesSumsShards(t *testing.T) {
 		t.Fatal("bytes must be positive")
 	}
 	var manual int64
-	for si, tr := range ix.trees {
-		manual += tr.IndexBytes() + int64(len(ix.ids[si]))*4
+	for _, tr := range ix.trees {
+		manual += tr.IndexBytes()
 	}
 	if ix.IndexBytes() != manual {
 		t.Fatalf("accounting %d != %d", ix.IndexBytes(), manual)
+	}
+}
+
+// TestShardedAttrBytesCountedOnce pins the attribute accounting: the global
+// store once — every shard tree attaches that same store, none a copy of its
+// rows — and each shard's summaries once.
+func TestShardedAttrBytesCountedOnce(t *testing.T) {
+	data, _ := setup(t, 600, 11)
+	ix := Build(data, Config{Shards: 3, Seed: 12})
+	bare := ix.IndexBytes()
+	pts := make([]attr.Point, ix.N())
+	for i := range pts {
+		pts[i] = attr.Point{Tags: []string{"even", "odd"}[i%2 : i%2+1], Ints: map[string]int64{"row": int64(i)}}
+	}
+	st, err := attr.Build(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.AttachAttrs(st); err != nil {
+		t.Fatal(err)
+	}
+	want := st.MemBytes()
+	for _, tr := range ix.trees {
+		if tr.Attrs() != st {
+			t.Fatal("a shard tree attached something other than the global store")
+		}
+		want += tr.IndexBytes() - st.MemBytes() // the tree's own structures and summaries
+	}
+	if want <= bare+st.MemBytes() {
+		t.Fatal("the shard trees built no summaries")
+	}
+	if got := ix.IndexBytes(); got != want {
+		t.Fatalf("IndexBytes %d with attributes, want %d: the store once and every shard's summaries once", got, want)
+	}
+	if err := ix.AttachAttrs(nil); err != nil || ix.IndexBytes() != bare {
+		t.Fatalf("detaching left %d bytes, want %d (err %v)", ix.IndexBytes(), bare, err)
 	}
 }

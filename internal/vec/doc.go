@@ -9,9 +9,9 @@
 // Four kernel families live here:
 //
 //   - Reference float kernels in Go (Dot, SqDist, Norm) and their blocked
-//     forms (DotBlock, SqDistBlock, Matrix.SqDistsFrom), which process a
-//     leaf's packed row block, or a set of rows picked by index, in one
-//     call. A blocked result is bitwise identical to the per-row call it
+//     forms (DotBlock, SqDistBlock), which process a packed row block — a
+//     leaf's at search time, a node's while the builder partitions its rows
+//     in place — in one call. A blocked result is bitwise identical to the per-row call it
 //     replaces, which is what lets different traversal strategies compare
 //     distances with plain ==.
 //

@@ -74,20 +74,6 @@ func sqDistBlockArch(q, rows []float32, out []float64) {
 	}
 }
 
-func sqDistRowsArch(m *Matrix, idx []int32, from []float32, out []float64) {
-	n := len(idx)
-	if !useAVX2 || m.D == 0 || n < 4 {
-		sqDistRowsGo(m, idx, from, out)
-		return
-	}
-	for i := 0; i < n; i += 4 {
-		i = min(i, n-4)
-		id := idx[i : i+4 : i+4]
-		sqDist4AVX2(&from[0], &m.Row(int(id[0]))[0], &m.Row(int(id[1]))[0],
-			&m.Row(int(id[2]))[0], &m.Row(int(id[3]))[0], m.D, &out[i])
-	}
-}
-
 //go:noescape
 func dotAVX2(a, b *float32, n int) float64
 

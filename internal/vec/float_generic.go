@@ -11,7 +11,3 @@ func dotArch(a, b []float32) float64 { return dotGo(a, b) }
 func dotBlockArch(q, rows []float32, out []float64) { dotBlockGo(q, rows, out) }
 
 func sqDistBlockArch(q, rows []float32, out []float64) { sqDistBlockGo(q, rows, out) }
-
-func sqDistRowsArch(m *Matrix, idx []int32, from []float32, out []float64) {
-	sqDistRowsGo(m, idx, from, out)
-}

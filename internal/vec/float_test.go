@@ -10,7 +10,7 @@ import (
 
 // This file is the one differential harness for the float kernels: whatever
 // implementation the build and the CPU select (Dot, DotBlock, DotBlockMulti,
-// SqDistBlock, Matrix.SqDistsFrom) against the Go references (dotGo,
+// SqDistBlock, MaxDistBlock) against the Go references (dotGo,
 // dotBlockGo, SqDist), bit for bit. On an AVX2 host it compares assembly with
 // Go in one process; under the purego tag, and with useAVX2 switched off, it
 // holds the references to each other.
@@ -92,24 +92,15 @@ func checkFloatKernels(t *testing.T, q, rows []float32, m int) {
 	if m == 0 {
 		return
 	}
-	// Rows gathered by index: reversed, the first row once more at the end.
-	mat := &Matrix{Data: rows, N: m, D: d}
-	idx := make([]int32, m)
-	for i := range idx {
-		idx[i] = int32(m - 1 - i)
-	}
-	idx[m-1] = int32(m / 2)
-	mat.SqDistsFrom(idx, q, reset())
+	// The builder's pass over a block: the farthest row, the first on a tie.
 	bestPos, best := 0, -1.0
-	for i, id := range idx {
-		want := SqDist(mat.Row(int(id)), q)
-		check("SqDistsFrom", i, out[i], want)
-		if want > best {
+	for i := 0; i < m; i++ {
+		if want := SqDist(row(i), q); want > best {
 			bestPos, best = i, want
 		}
 	}
-	if pos, dist := mat.MaxDistFrom(idx, q); pos != bestPos || !sameFloat(dist, math.Sqrt(best)) {
-		t.Fatalf("d=%d m=%d MaxDistFrom = (%d, %v), reference (%d, %v)", d, m, pos, dist, bestPos, math.Sqrt(best))
+	if pos, dist := MaxDistBlock(q, rows); pos != bestPos || !sameFloat(dist, math.Sqrt(best)) {
+		t.Fatalf("d=%d m=%d MaxDistBlock = (%d, %v), reference (%d, %v)", d, m, pos, dist, bestPos, math.Sqrt(best))
 	}
 }
 
@@ -183,8 +174,8 @@ func FuzzFloatKernels(f *testing.F) {
 func TestFloatKernelsKeepPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"Dot":          func() { Dot([]float32{1}, []float32{1, 2}) },
-		"SqDistsFrom":  func() { NewMatrix(4, 2).SqDistsFrom([]int32{0, 1}, make([]float32, 2), make([]float64, 3)) },
-		"SqDistsFromD": func() { NewMatrix(4, 2).SqDistsFrom([]int32{0, 1}, make([]float32, 3), make([]float64, 2)) },
+		"SqDistBlock":  func() { SqDistBlock(make([]float32, 2), make([]float32, 4), make([]float64, 3)) },
+		"MaxDistBlock": func() { MaxDistBlock(make([]float32, 3), make([]float32, 4)) },
 		"multi-nq":     func() { DotBlockMulti(make([]float32, 7), 2, make([]float32, 4), make([]float64, 2)) },
 		"multi-rows":   func() { DotBlockMulti(make([]float32, 8), 2, make([]float32, 7), make([]float64, 2)) },
 		"multi-out":    func() { DotBlockMulti(make([]float32, 8), 2, make([]float32, 8), make([]float64, 3)) },

@@ -292,17 +292,11 @@ func BenchmarkDotBlock4x128(b *testing.B) {
 }
 
 func BenchmarkMaxDistFrom(b *testing.B) {
-	// The build's pass: 1000 rows picked by index out of 4000.
-	rng := rand.New(rand.NewSource(9))
-	q, rows := randBlock(rng, 4000, 128)
-	m := &Matrix{Data: rows, N: 4000, D: 128}
-	idx := make([]int32, 1000)
-	for i := range idx {
-		idx[i] = int32(rng.Intn(m.N))
-	}
-	b.SetBytes(int64(len(idx)) * 128 * 4)
+	// The build's pass: one node's block of 1000 rows.
+	q, rows := randBlock(rand.New(rand.NewSource(9)), 1000, 128)
+	b.SetBytes(1000 * 128 * 4)
 	for i := 0; i < b.N; i++ {
-		sinkInt, sinkF64 = m.MaxDistFrom(idx, q)
+		sinkInt, sinkF64 = MaxDistBlock(q, rows)
 	}
 }
 

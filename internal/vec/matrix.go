@@ -74,66 +74,41 @@ func (m *Matrix) SubsetRows(idx []int32) *Matrix {
 	return out
 }
 
-// Centroid computes the mean of the rows selected by idx into a fresh vector.
-// It panics if idx is empty.
-func (m *Matrix) Centroid(idx []int32) []float32 {
-	dst := make([]float32, m.D)
-	m.CentroidInto(idx, make([]float64, m.D), dst)
-	return dst
-}
-
-// CentroidInto is Centroid into dst, accumulating in acc; both have length
-// m.D. A builder that forms a centroid per node passes the same acc each
-// time.
-func (m *Matrix) CentroidInto(idx []int32, acc []float64, dst []float32) {
-	if len(idx) == 0 {
-		panic("vec: Centroid of empty selection")
-	}
-	if len(acc) != m.D || len(dst) != m.D {
-		panic("vec: CentroidInto shape mismatch")
+// CentroidBlock writes the mean of the packed row-major block rows, whose
+// rows have dimension len(dst), into dst, accumulating row after row in acc
+// (length len(dst)). A builder that forms a centroid per node passes the same
+// acc each time. It panics if the block is empty.
+func CentroidBlock(rows []float32, acc []float64, dst []float32) {
+	d := len(dst)
+	if len(rows) == 0 || len(acc) != d || len(rows)%d != 0 {
+		panic("vec: CentroidBlock of an empty or misshapen block")
 	}
 	clear(acc)
-	for _, id := range idx {
-		AddInto(acc, m.Row(int(id)))
+	for at := 0; at < len(rows); at += d {
+		AddInto(acc, rows[at:at+d])
 	}
-	inv := 1 / float64(len(idx))
+	inv := 1 / float64(len(rows)/d)
 	for i, v := range acc {
 		dst[i] = float32(v * inv)
 	}
 }
 
-// SqDistsFrom writes out[i] = SqDist(m.Row(idx[i]), from) for the rows
-// selected by idx, each bitwise equal to that call. len(out) must be
-// len(idx) and len(from) must be m.D.
-func (m *Matrix) SqDistsFrom(idx []int32, from []float32, out []float64) {
-	if len(out) != len(idx) || len(from) != m.D {
-		panic("vec: SqDistsFrom shape mismatch")
-	}
-	sqDistRowsArch(m, idx, from, out)
-}
-
-// sqDistRowsGo is SqDistsFrom's reference.
-func sqDistRowsGo(m *Matrix, idx []int32, from []float32, out []float64) {
-	for i, id := range idx {
-		out[i] = SqDist(m.Row(int(id)), from)
-	}
-}
-
-// MaxDistFrom returns the index (position within idx) and distance of the row
-// farthest from the vector from, over the rows selected by idx.
-// It panics if idx is empty.
-func (m *Matrix) MaxDistFrom(idx []int32, from []float32) (pos int, dist float64) {
-	if len(idx) == 0 {
-		panic("vec: MaxDistFrom over empty selection")
+// MaxDistBlock returns the index and distance of the row of the packed
+// row-major block rows (dimension len(from)) farthest from the vector from,
+// the first such row on a tie. It panics if the block is empty.
+func MaxDistBlock(from, rows []float32) (pos int, dist float64) {
+	d := len(from)
+	if len(rows) == 0 || len(rows)%d != 0 {
+		panic("vec: MaxDistBlock over an empty or misshapen block")
 	}
 	var buf [128]float64 // a chunk of squared distances, on the stack
 	best, bestPos := -1.0, 0
-	for lo := 0; lo < len(idx); lo += len(buf) {
-		sq := buf[:min(len(buf), len(idx)-lo)]
-		m.SqDistsFrom(idx[lo:lo+len(sq)], from, sq)
-		for i, d := range sq {
-			if d > best {
-				best, bestPos = d, lo+i
+	for lo, n := 0, len(rows)/d; lo < n; lo += len(buf) {
+		sq := buf[:min(len(buf), n-lo)]
+		SqDistBlock(from, rows[lo*d:(lo+len(sq))*d], sq)
+		for i, v := range sq {
+			if v > best {
+				best, bestPos = v, lo+i
 			}
 		}
 	}

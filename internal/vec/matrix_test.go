@@ -96,14 +96,15 @@ func TestSubsetRows(t *testing.T) {
 
 func TestCentroid(t *testing.T) {
 	m := FromRows([][]float32{{0, 0}, {2, 4}, {4, 2}})
-	c := m.Centroid([]int32{0, 1, 2})
+	c, acc := make([]float32, 2), make([]float64, 2)
+	CentroidBlock(m.Data, acc, c)
 	if c[0] != 2 || c[1] != 2 {
-		t.Fatalf("Centroid = %v, want [2 2]", c)
+		t.Fatalf("CentroidBlock = %v, want [2 2]", c)
 	}
-	// subset centroid
-	c = m.Centroid([]int32{1})
+	// a sub-block's centroid
+	CentroidBlock(m.Row(1), acc, c)
 	if c[0] != 2 || c[1] != 4 {
-		t.Fatalf("Centroid = %v, want [2 4]", c)
+		t.Fatalf("CentroidBlock = %v, want [2 4]", c)
 	}
 }
 
@@ -113,14 +114,14 @@ func TestCentroidEmptyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewMatrix(1, 2).Centroid(nil)
+	CentroidBlock(nil, make([]float64, 2), make([]float32, 2))
 }
 
 func TestMaxDistFrom(t *testing.T) {
 	m := FromRows([][]float32{{0, 0}, {3, 4}, {1, 1}})
-	pos, dist := m.MaxDistFrom([]int32{0, 1, 2}, []float32{0, 0})
+	pos, dist := MaxDistBlock([]float32{0, 0}, m.Data)
 	if pos != 1 || !almostEq(dist, 5, 1e-6) {
-		t.Fatalf("MaxDistFrom = (%d, %v), want (1, 5)", pos, dist)
+		t.Fatalf("MaxDistBlock = (%d, %v), want (1, 5)", pos, dist)
 	}
 }
 
@@ -130,7 +131,7 @@ func TestMaxDistFromEmptyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewMatrix(1, 2).MaxDistFrom(nil, []float32{0, 0})
+	MaxDistBlock([]float32{0, 0}, nil)
 }
 
 func TestBytes(t *testing.T) {
@@ -149,11 +150,8 @@ func TestQuickCentroidInBox(t *testing.T) {
 		for i := range m.Data {
 			m.Data[i] = float32(rng.NormFloat64())
 		}
-		idx := make([]int32, n)
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		c := m.Centroid(idx)
+		c := make([]float32, d)
+		CentroidBlock(m.Data, make([]float64, d), c)
 		for j := 0; j < d; j++ {
 			lo, hi := float32(1e30), float32(-1e30)
 			for i := 0; i < n; i++ {

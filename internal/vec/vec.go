@@ -49,8 +49,7 @@ func SqNorm(a []float32) float64 {
 func Norm(a []float32) float64 { return math.Sqrt(SqNorm(a)) }
 
 // SqDist returns the squared Euclidean distance between a and b. It is the
-// reference the multi-row kernels (SqDistBlock, Matrix.SqDistsFrom)
-// reproduce bit for bit. It panics if the slices have different lengths.
+// reference the multi-row kernel SqDistBlock reproduces bit for bit. It panics if the slices have different lengths.
 func SqDist(a, b []float32) float64 {
 	if len(a) != len(b) {
 		panic("vec: SqDist length mismatch")

@@ -14,6 +14,7 @@ import (
 	"p2h/internal/balltree"
 	"p2h/internal/binio"
 	"p2h/internal/dynamic"
+	"p2h/internal/shard"
 )
 
 // ErrFormat is returned by Load and Open for malformed input: a stream that
@@ -383,7 +384,7 @@ func payloadShape(br io.Reader) (dim, n int, err error) {
 		return int(int32(binary.LittleEndian.Uint32(b[:]))), nil
 	}
 	m := string(magic[:])
-	for _, retired := range []func(string) error{balltree.RetiredPayload, dynamic.RetiredPayload} {
+	for _, retired := range []func(string) error{balltree.RetiredPayload, shard.RetiredPayload, dynamic.RetiredPayload} {
 		if err := retired(m); err != nil {
 			return 0, 0, fmt.Errorf("%w: %v", ErrFormat, err)
 		}
@@ -405,7 +406,7 @@ func payloadShape(br io.Reader) (dim, n int, err error) {
 			return 0, 0, fmt.Errorf("%w: payload header: n=%d d=%d", ErrFormat, n, lifted)
 		}
 		return lifted - 1, n, nil
-	case m == "P2HSH001":
+	case m == "P2HSH002":
 		// n, d (lifted), shards, workers.
 		var lifted int
 		if n, err = u32(); err != nil {
@@ -420,8 +421,8 @@ func payloadShape(br io.Reader) (dim, n int, err error) {
 		if _, err := io.CopyN(io.Discard, br, 2*4); err != nil { // shards, workers
 			return 0, 0, fmt.Errorf("%w: reading payload header: %v", ErrFormat, err)
 		}
-		return lifted - 1, n, retiredEmbeddedTree(br, n)
-	case m == "P2HDY002":
+		return lifted - 1, n, retiredEmbeddedTree(br)
+	case m == "P2HDY003":
 		// leafSize i32, seed i64, rebuild f64, dim i32 (lifted), handles i32,
 		// then one liveness byte per handle (read to count the live points).
 		if _, err := io.CopyN(io.Discard, br, 4+8+8); err != nil {
@@ -448,7 +449,7 @@ func payloadShape(br io.Reader) (dim, n int, err error) {
 			live += bytes.Count(buf, []byte{1})
 		}
 		if _, err := io.ReadFull(br, buf[:1]); err == nil && buf[0] == 1 { // a snapshot tree follows
-			return lifted - 1, live, retiredEmbeddedTree(br, handles)
+			return lifted - 1, live, retiredEmbeddedTree(br)
 		}
 		return lifted - 1, live, nil
 	}
@@ -456,21 +457,14 @@ func payloadShape(br io.Reader) (dim, n int, err error) {
 }
 
 // retiredEmbeddedTree reads on through what a Sharded or Dynamic payload puts
-// in front of the (first) tree it embeds — an id count of at most maxIDs, the
-// ids, the tree payload's length — to that tree's magic, and returns the error
-// Load refuses the container with when the magic is one this build has
-// retired: Inspect does not describe a container Open will not open. Anything
-// else, a stream that ends first included, is Load's to judge.
-func retiredEmbeddedTree(br io.Reader, maxIDs int) error {
+// in front of the (first) tree it embeds — the tree payload's length — to that
+// tree's magic, and returns the error Load refuses the container with when the
+// magic is one this build has retired: Inspect does not describe a container
+// Open will not open. Anything else, a stream that ends first included, is
+// Load's to judge.
+func retiredEmbeddedTree(br io.Reader) error {
 	var b [8]byte
-	if _, err := io.ReadFull(br, b[:4]); err != nil {
-		return nil
-	}
-	ids := int64(int32(binary.LittleEndian.Uint32(b[:4])))
-	if ids < 0 || ids > int64(maxIDs) {
-		return nil
-	}
-	if _, err := io.CopyN(io.Discard, br, 4*ids+8); err != nil {
+	if _, err := io.CopyN(io.Discard, br, 8); err != nil { // the payload's length
 		return nil
 	}
 	if _, err := io.ReadFull(br, b[:]); err != nil {

@@ -320,19 +320,18 @@ func TestTruncatedSectionsFailBeforeAllocating(t *testing.T) {
 		if spec.Kind != KindDynamic {
 			continue
 		}
-		// Every section boundary of the P2HDY002 payload, as for the arena
+		// Every section boundary of the P2HDY003 payload, as for the arena
 		// above; the embedded tree is one section here.
-		pay := bytes.Index(good, []byte("P2HDY002"))
+		pay := bytes.Index(good, []byte("P2HDY003"))
 		handles := int(binary.LittleEndian.Uint32(good[pay+8+24:]))
-		nids := int(binary.LittleEndian.Uint32(good[pay+8+28+handles+1:]))
-		tree := int(binary.LittleEndian.Uint64(good[pay+8+28+handles+1+4+4*nids:]))
+		tree := int(binary.LittleEndian.Uint64(good[pay+8+28+handles+1:]))
 		end := pay
 		for _, sec := range []struct {
 			name        string
 			bytes, elem int
 		}{
 			{"header", 8 + 4 + 8 + 8 + 4 + 4, 4}, {"liveness", handles, 1}, {"snapshot flag", 1, 1},
-			{"id count", 4, 4}, {"snapshot ids", 4 * nids, 4}, {"tree length", 8, 8}, {"tree", tree, 4},
+			{"tree length", 8, 8}, {"tree", tree, 4},
 			{"delta base", 4, 4}, {"delta rows", 4 * 40 * (small.D + 1), 4},
 		} {
 			end += sec.bytes
@@ -347,12 +346,40 @@ func TestTruncatedSectionsFailBeforeAllocating(t *testing.T) {
 	}
 }
 
+// checkRetiredNamed asserts that Load, Open and Inspect each refuse the
+// container old with an ErrFormat whose text carries every one of wants: the
+// version found and the current one. Inspect loads nothing, but it reads as
+// far as the magic of the (first) tree a container holds or embeds, and names
+// a retired payload as Open does rather than describing the container.
+func checkRetiredNamed(t *testing.T, what string, old []byte, wants ...string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "old.p2h")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, loadErr := Load(bytes.NewReader(old))
+	_, openErr := Open(path)
+	_, inspectErr := Inspect(bytes.NewReader(old))
+	for entry, err := range map[string]error{"Load": loadErr, "Open": openErr, "Inspect": inspectErr} {
+		if !errors.Is(err, ErrFormat) {
+			t.Fatalf("%s: %s: err = %v, want ErrFormat", what, entry, err)
+		}
+		for _, want := range wants {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: %s error %q does not mention %q", what, entry, err, want)
+			}
+		}
+	}
+}
+
 // TestRetiredBCPayloadsAreNamed: a container written before the point-level
 // arrays became float32 (P2HBC002/003), before a BC-Tree stopped storing its
 // right children's centres (P2HBC004/005) or before it stopped storing r_x
 // (P2HBC006/007) — a BC-Tree, or a Sharded or Dynamic index embedding one — is
 // refused with an error that names the payload version it holds and the ones
-// this build reads, by Load and Open alike. There is no converter.
+// this build reads, by Load, Open and Inspect alike. So is a Sharded or
+// Dynamic container from before the trees they embed spoke their holder's ids
+// (P2HSH001, P2HDY002). There is no converter.
 func TestRetiredBCPayloadsAreNamed(t *testing.T) {
 	for kind, ix := range goldenRecipes(t) {
 		if kind != KindBCTree && kind != KindSharded && kind != KindDynamic {
@@ -368,29 +395,15 @@ func TestRetiredBCPayloadsAreNamed(t *testing.T) {
 			"P2HBC006": "version 6", "P2HBC007": "version 7",
 		} {
 			old := bytes.ReplaceAll(buf.Bytes(), []byte(current), []byte(retired))
-			path := filepath.Join(t.TempDir(), "old.p2h")
-			if err := os.WriteFile(path, old, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, loadErr := Load(bytes.NewReader(old))
-			_, openErr := Open(path)
-			for entry, err := range map[string]error{"Load": loadErr, "Open": openErr} {
-				if !errors.Is(err, ErrFormat) {
-					t.Fatalf("%s: %s of a %s payload: err = %v, want ErrFormat", kind, entry, retired, err)
-				}
-				for _, want := range []string{retired, version, "P2HBC008/P2HBC009"} {
-					if !strings.Contains(err.Error(), want) {
-						t.Errorf("%s: %s error %q does not mention %q", kind, entry, err, want)
-					}
-				}
-			}
-			// Inspect loads nothing, but it reads as far as the magic of the
-			// (first) tree a container holds or embeds, and names a retired
-			// one as Open does rather than describing the container.
-			if _, err := Inspect(bytes.NewReader(old)); !errors.Is(err, ErrFormat) ||
-				!strings.Contains(err.Error(), version) || !strings.Contains(err.Error(), "P2HBC008/P2HBC009") {
-				t.Errorf("Inspect of a %s container with a %s payload: %v", kind, retired, err)
-			}
+			checkRetiredNamed(t, kind+" holding "+retired, old, retired, version, "P2HBC008/P2HBC009")
+		}
+		switch kind {
+		case KindSharded:
+			old := bytes.Replace(buf.Bytes(), []byte("P2HSH002"), []byte("P2HSH001"), 1)
+			checkRetiredNamed(t, "P2HSH001", old, "P2HSH001", "version 1", "P2HSH002")
+		case KindDynamic:
+			old := bytes.Replace(buf.Bytes(), []byte("P2HDY003"), []byte("P2HDY002"), 1)
+			checkRetiredNamed(t, "P2HDY002", old, "P2HDY002", "version 2", "P2HDY003")
 		}
 	}
 }
@@ -403,24 +416,8 @@ func TestRetiredDynamicPayloadIsNamed(t *testing.T) {
 	if err := Save(&buf, goldenRecipes(t)[KindDynamic]); err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.Replace(buf.Bytes(), []byte("P2HDY002"), []byte("P2HDY001"), 1)
-	path := filepath.Join(t.TempDir(), "old.p2h")
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, loadErr := Load(bytes.NewReader(old))
-	_, openErr := Open(path)
-	_, inspectErr := Inspect(bytes.NewReader(old))
-	for entry, err := range map[string]error{"Load": loadErr, "Open": openErr, "Inspect": inspectErr} {
-		if !errors.Is(err, ErrFormat) {
-			t.Fatalf("%s: err = %v, want ErrFormat", entry, err)
-		}
-		for _, want := range []string{"P2HDY001", "version 1", "P2HDY002"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("%s: error %q does not mention %q", entry, err, want)
-			}
-		}
-	}
+	old := bytes.Replace(buf.Bytes(), []byte("P2HDY003"), []byte("P2HDY001"), 1)
+	checkRetiredNamed(t, "P2HDY001", old, "P2HDY001", "version 1", "P2HDY003")
 }
 
 // TestRetiredKDTreeContainerRefused: the KD-Tree was the last baseline with a

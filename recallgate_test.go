@@ -7,7 +7,10 @@ package p2h_test
 // unsound shows up here as recall < 1 long before any benchmark moves.
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	p2h "p2h"
@@ -188,6 +191,93 @@ func TestRecallGateBatchedPath(t *testing.T) {
 			if recall := float64(hits) / float64(total); math.Abs(recall-1) > 1e-12 {
 				t.Errorf("%s/%s batched: recall %.6f, want exactly 1.0", set, name, recall)
 			}
+		}
+	}
+}
+
+// tieSet returns 2*pairs shuffled points in the plane, mirrored pairs (a, ±b)
+// with b one of five values. Against the hyperplane x₁ = 0 — tieQueries — every
+// point is at distance exactly b, so an exact top-k is decided by the order of
+// ties almost everywhere: the case gateHits, which counts by distance, cannot
+// see.
+func tieSet(pairs int, seed int64) *p2h.Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	rows := make([][]float32, 0, 2*pairs)
+	for i := 0; i < pairs; i++ {
+		a, b := float32(rng.NormFloat64()), 0.25*float32(1+rng.Intn(5))
+		rows = append(rows, []float32{a, b}, []float32{a, -b})
+	}
+	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	return p2h.FromRows(rows)
+}
+
+// tieQueries is the hyperplane x₁ = 0 three times over: as it is, flipped and
+// scaled. None of it changes which points tie.
+func tieQueries() *p2h.Matrix {
+	return p2h.FromRows([][]float32{{0, 1, 0}, {0, -1, 0}, {0, 2, 0}})
+}
+
+// checkTiesAgainstScan asserts that ix answers the tie queries exactly as the
+// linear scan does — same ids in the same order, ties by ascending id — for
+// k in {1,3,5,10}, through Search and SearchBatch, plain, with a Filter and
+// with the equivalent Pred.
+func checkTiesAgainstScan(t *testing.T, name string, ix p2h.Index, data *p2h.Matrix) {
+	t.Helper()
+	attrs := make([]p2h.PointAttrs, data.N)
+	for i := range attrs {
+		if i%3 != 0 {
+			attrs[i].Tags = []string{"kept"}
+		}
+	}
+	scan := p2h.NewLinearScan(data)
+	for _, x := range []p2h.Index{scan, ix} {
+		if err := p2h.AttachAttributes(x, attrs); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	queries := tieQueries()
+	for _, k := range []int{1, 3, 5, 10} {
+		for mode, opts := range map[string]p2h.SearchOptions{
+			"plain":  {K: k},
+			"filter": {K: k, Filter: func(id int32) bool { return id%3 != 0 }},
+			"pred":   {K: k, Pred: p2h.TagIs("kept")},
+		} {
+			batch := p2h.SearchBatch(ix, queries, opts, 1)
+			for qi := 0; qi < queries.N; qi++ {
+				want, _ := scan.Search(queries.Row(qi), opts)
+				got, _ := ix.Search(queries.Row(qi), opts)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s %s k=%d query %d: Search %v, linear scan %v", name, mode, k, qi, got, want)
+				}
+				if !slices.Equal(batch[qi], want) {
+					t.Fatalf("%s %s k=%d query %d: SearchBatch %v, linear scan %v", name, mode, k, qi, batch[qi], want)
+				}
+			}
+		}
+	}
+}
+
+// TestShardedBreaksTiesByGlobalID pins what labelled shard trees fixed: a
+// shard tree used to report shard-local ids, so a tie at the k-th distance was
+// cut by position in the shard and the "exact" answer was not the linear
+// scan's (721 of 800 searches on sets like these). The trees speak global ids
+// now and (Dist, ID) is one order in every kind.
+func TestShardedBreaksTiesByGlobalID(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		data := tieSet(200, seed)
+		ix := p2h.NewSharded(data, p2h.ShardedOptions{Shards: 3, Seed: seed})
+		checkTiesAgainstScan(t, fmt.Sprintf("sharded seed %d", seed), ix, data)
+	}
+}
+
+// TestExactIndexesBreakTiesByID runs the tie set through every index that
+// promises exact answers: ids and order, not distances, must equal the linear
+// scan's.
+func TestExactIndexesBreakTiesByID(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		data := tieSet(200, seed)
+		for name, ix := range exactIndexes(data) {
+			checkTiesAgainstScan(t, name, ix, data)
 		}
 	}
 }

@@ -202,14 +202,14 @@ func arenaKind[T Index](name, alias string, kind balltree.Kind, desc string, wra
 			if err := checkBuildData(name, data, spec); err != nil {
 				return nil, err
 			}
-			tree := balltree.Build(data.AppendOnes(), kind, balltree.Config{
+			tree := balltree.BuildOwned(data.AppendOnes(), nil, kind, balltree.Config{
 				LeafSize: spec.LeafSize, Seed: spec.Seed, Quantize: spec.Quantize,
 			})
 			return wrap(arenaIndex{tree: tree, raw: data.D}), nil
 		},
 		Save: func(w io.Writer, ix Index) error { return ix.(arenaBacked).arena().Save(w) },
 		Load: func(r io.Reader, _ Spec) (Index, error) {
-			tree, err := balltree.Load(r, kind)
+			tree, err := balltree.Load(r, kind, 0)
 			if err != nil {
 				return nil, err
 			}

@@ -10,19 +10,20 @@
 #
 # The suite covers the layers the execution engine optimizes: the vec
 # kernels (single row, one four-row pass, leaf-sized blocks, the build's
-# MaxDistFrom pass, the point-level ball cut on a 64-point leaf), the linear
-# scan, the two tree builds (n=10k; allocs/op gates the builder's scratch: a
-# build allocates per tree, not per node), the tree searches (per-query and
-# batched), the serving path, the container codec (save and open of the
+# farthest-row pass over a node's block, the point-level ball cut on a 64-point
+# leaf), the linear scan, the two tree builds and the sharded one (n=10k, 4
+# shards; allocs/op gates the builder's scratch: a build allocates per tree,
+# not per node, and B/op that it makes one matrix, not two), the tree searches
+# (per-query and batched), the serving path, the container codec (save and open of the
 # n=50k BC-Tree) and the dynamic index (recovery and one compaction of
 # dyn-rw's 20k-point index under a 5 % delta). -count=6 gives benchstat enough
 # samples for a significance test; -benchmem records allocs/op so the
-# zero-allocation steady state is gated alongside time, and B/op for the codec
-# and dynamic benchmarks, where it is what the operation costs in heap: about
+# zero-allocation steady state is gated alongside time, and B/op for the build,
+# codec and dynamic benchmarks, where it is what the operation costs in heap: about
 # one container's worth to open an index (27.0 MB for the 26.87 MB P2HBC008
 # container of the n=50k BC-Tree, which keeps half its nodes' centres and no
-# point radii; 70 KB to save it), about two copies of the live data — the
-# gathered rows and the new tree's — to compact one.
+# point radii; 70 KB to save it), about one copy of the live data — the
+# gathered rows, which the new tree is built inside — to compact one.
 set -euo pipefail
 
 COUNT="${BENCH_COUNT:-6}"
@@ -37,7 +38,7 @@ run() {
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" ./internal/vec | tee -a "$out"
   go test -run '^$' -bench 'BenchmarkLinearScan' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" ./internal/linearscan | tee -a "$out"
-  go test -run '^$' -bench 'BenchmarkBuildBCTree|BenchmarkBuildBallTree|BenchmarkQueryExactBallTree|BenchmarkQueryExactBCTree|BenchmarkQueryBudgetBCTree$|BenchmarkSearchBatchExact|BenchmarkServer|BenchmarkSaveBCTree|BenchmarkOpenBCTree|BenchmarkOpenDynamic|BenchmarkDynamicCompact' \
+  go test -run '^$' -bench 'BenchmarkBuildBCTree|BenchmarkBuildBallTree|BenchmarkBuildSharded|BenchmarkQueryExactBallTree|BenchmarkQueryExactBCTree|BenchmarkQueryBudgetBCTree$|BenchmarkSearchBatchExact|BenchmarkServer|BenchmarkSaveBCTree|BenchmarkOpenBCTree|BenchmarkOpenDynamic|BenchmarkDynamicCompact' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" . | tee -a "$out"
 }
 
@@ -73,8 +74,8 @@ compare() {
   # benchstat marks a significant delta as "+NN.NN% (p=0.0xx n=6)" and an
   # insignificant one as "~". Three metric sections are regression signals:
   # sec/op (a positive delta is a slowdown), allocs/op (a positive delta
-  # means the zero-allocation steady state is eroding) and, for the codec
-  # benchmarks only, B/op (elsewhere it follows pool and cache state). In
+  # means the zero-allocation steady state is eroding) and, for the build,
+  # codec and dynamic benchmarks only, B/op (elsewhere it follows pool and cache state). In
   # the B/s table a positive delta is an improvement, so the scan tracks
   # which metric section it is inside.
   local bad
@@ -83,7 +84,7 @@ compare() {
     /allocs\/op/ { sect = "alloc"; next }
     /B\/op/ { sect = "bytes"; next }
     /B\/s/  { sect = "";      next }
-    sect == "bytes" && $1 !~ /^((Save|Open)BCTree|OpenDynamic|DynamicCompact)/ { next }
+    sect == "bytes" && $1 !~ /^((Save|Open)BCTree|OpenDynamic|DynamicCompact|Build(BCTree|BallTree|Sharded))/ { next }
     sect != "" {
       for (i = 1; i < NF; i++) {
         if ($i ~ /^\+[0-9]+(\.[0-9]+)?%$/ && $(i + 1) ~ /^\(p=[0-9.]+$/) {
