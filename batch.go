@@ -10,8 +10,9 @@ import (
 // BatchIndex is the optional batched execution surface of an index: a native
 // SearchBatch answers a whole group of queries in one shared traversal
 // (internal/exec) instead of a per-query loop, amortizing node visits and
-// leaf verification across the group. BallTree, BCTree and Sharded implement
-// it; p2h.SearchBatch and the Server route through it automatically.
+// leaf verification across the group. BallTree, BCTree, Sharded and LinearScan
+// (whose batch streams the data once for the whole group) implement it;
+// p2h.SearchBatch and the Server route through it automatically.
 type BatchIndex interface {
 	Index
 	// SearchBatch answers one top-k query per row of queries (each row a
@@ -61,4 +62,5 @@ var (
 	_ BatchIndex = (*BallTree)(nil)
 	_ BatchIndex = (*BCTree)(nil)
 	_ BatchIndex = (*Sharded)(nil)
+	_ BatchIndex = (*LinearScan)(nil)
 )

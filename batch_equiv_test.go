@@ -20,6 +20,9 @@ func equivIndexes(data *p2h.Matrix) map[string]p2h.Index {
 		"bctree":   p2h.NewBCTree(data, p2h.BCTreeOptions{Seed: 5}),
 		"sharded":  p2h.NewSharded(data, p2h.ShardedOptions{Shards: 4, Seed: 5}),
 		"dynamic":  p2h.NewDynamic(data, p2h.DynamicOptions{Seed: 5}), // no native batch: loop fallback
+		// The batched scan: 40 queries are ten groups of the kernel's four,
+		// three workers' chunks of 13 and 14 leave a remainder each.
+		"linearscan": p2h.NewLinearScan(data),
 	}
 }
 

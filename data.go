@@ -42,14 +42,10 @@ func LoadFvecs(path string) (*Matrix, error) { return dataset.LoadFvecs(path) }
 func SaveFvecs(path string, m *Matrix) error { return dataset.SaveFvecs(path, m) }
 
 // GroundTruth computes the exact top-k results for every query row by
-// exhaustive scan — the reference for recall measurements.
+// exhaustive scan — the reference for recall measurements. It is the batched
+// scan on GOMAXPROCS goroutines: p2h.SearchBatch over a LinearScan.
 func GroundTruth(data, queries *Matrix, k int) [][]Result {
-	out := make([][]Result, queries.N)
-	scan := NewLinearScan(data)
-	for i := 0; i < queries.N; i++ {
-		out[i], _ = scan.Search(queries.Row(i), SearchOptions{K: k})
-	}
-	return out
+	return SearchBatch(NewLinearScan(data), queries, SearchOptions{K: k}, 0)
 }
 
 // Recall measures the fraction of the exact top-k recovered by res, counting

@@ -247,11 +247,12 @@ var _ Index = (*QuantizedScan)(nil)
 // query order and are identical to per-query Search calls.
 //
 // Indexes with a native batched path (BatchIndex: BallTree, BCTree,
-// Sharded) serve contiguous sub-batches through their shared traversal —
-// one arena walk and one pass over each visited leaf block per sub-batch
-// instead of per query — with the sub-batches spread across the workers.
-// Other indexes fall back to a per-query worker loop. Every index in this
-// library is safe for concurrent readers.
+// Sharded, LinearScan) serve contiguous sub-batches through it — for the
+// trees one arena walk and one pass over each visited leaf block per
+// sub-batch instead of per query, for the scan one pass over the data — with
+// the sub-batches spread across the workers. Other indexes fall back to a
+// per-query worker loop. Every index in this library is safe for concurrent
+// readers.
 //
 // SearchOptions.Profile is honored only when the whole batch runs on one
 // goroutine (workers == 1 on a non-batched index); on every parallel path

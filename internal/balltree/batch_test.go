@@ -1,6 +1,9 @@
 package balltree
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"p2h/internal/core"
@@ -135,5 +138,105 @@ func TestSearchBatchBallPruningActive(t *testing.T) {
 	}
 	if pruned == 0 {
 		t.Fatal("expected the batched ball bound to prune at least one point")
+	}
+}
+
+// TestScanLeafTileMatchesQueryByQuery drives scanLeaf on one leaf of a
+// two-dimensional set with nine active queries — two groups for the
+// multi-query kernel and one query left over — whose prefixes differ inside a
+// group: the whole leaf (a collector that is not full) beside cuts of several
+// lengths in the first, so the kernel takes the shortest and each query
+// finishes its own; an empty one (the centre far beyond lambda) in the second,
+// which leaves the kernel nothing. k exceeds the leaf, so every verified row
+// is in its collector at the end. Collectors and counters must come out as
+// they do when each query cuts, verifies and pushes in turn, which is the
+// reference written out below.
+func TestScanLeafTileMatchesQueryByQuery(t *testing.T) {
+	const k, nq = 256, 9
+	const whole, partial, none = 0, 1, 2
+	kinds := [nq]int{whole, partial, whole, partial, partial, whole, none, partial, whole}
+	rng := rand.New(rand.NewSource(7))
+	data := vec.NewMatrix(3000, 3)
+	for i := 0; i < data.N; i++ {
+		copy(data.Row(i), []float32{float32(1000 + rng.NormFloat64()), float32(1000 + rng.NormFloat64()), 1})
+	}
+	tree := Build(data, BC, Config{LeafSize: 100, Seed: 3})
+	var leaf *nodeRec
+	for i := range tree.nodes {
+		if n := &tree.nodes[i]; n.isLeaf() && (leaf == nil || n.count() > leaf.count()) {
+			leaf = n
+		}
+	}
+	start, m, d := int(leaf.start), int(leaf.count()), tree.points.D
+	centre := make([]float32, d)
+	for r := start; r < start+m; r++ {
+		for j, v := range tree.points.Row(r) {
+			centre[j] += v / float32(m)
+		}
+	}
+
+	queries := vec.NewMatrix(nq, d)
+	act, ips := make([]int32, nq), make([]float64, nq)
+	seed := make([][]core.Result, nq) // what each collector holds on arrival
+	for qi := 0; qi < nq; qi++ {
+		q := queries.Row(qi)
+		q[0], q[1] = float32(rng.NormFloat64()), float32(rng.NormFloat64())
+		vec.Normalize(q[:2])
+		q[2] = -float32(vec.Dot(q[:2], centre[:2]))
+		act[qi], ips[qi] = int32(qi), vec.Dot(q, centre)
+		qnorm := vec.Norm(q)    // bounds are |<q,c>| - ||q|| r, in the lifted space
+		if kinds[qi] == whole { // not full: lambda is +Inf
+			seed[qi] = []core.Result{{ID: -1, Dist: 0.5}}
+			continue
+		}
+		// Full at a lambda every row beats, the centre beyond it by a
+		// fraction of the leaf's radius, or by ten radii.
+		const lambda = 1e3
+		for i := 0; i < k; i++ {
+			seed[qi] = append(seed[qi], core.Result{ID: int32(-1 - i), Dist: lambda})
+		}
+		ips[qi] = lambda + qnorm*leaf.radius*(0.2+0.07*float64(qi))
+		if kinds[qi] == none {
+			ips[qi] = lambda + 10*qnorm*leaf.radius
+		}
+	}
+
+	b := &batchSearcher{tree: tree, queries: queries, opts: core.SearchOptions{K: k}, stats: make([]core.Stats, nq)}
+	b.scr.Reset(queries, k)
+	b.scr.Wide.Reset(queries.Data, d)
+	for qi, rs := range seed {
+		for _, r := range rs {
+			b.scr.Heaps[qi].Push(r.ID, r.Dist)
+		}
+	}
+	const kappa = 1e-9
+	b.scanLeaf(leaf, act, ips, kappa)
+
+	var cuts [nq]int
+	for qi := 0; qi < nq; qi++ {
+		tk := core.NewTopK(k)
+		for _, r := range seed[qi] {
+			tk.Push(r.ID, r.Dist)
+		}
+		qnorm := b.scr.QNorms[qi]
+		cut := vec.BallCutoff(math.Abs(ips[qi])-qnorm*kappa, qnorm, tk.Lambda(),
+			leaf.centerNorm, tree.xcos[start:start+m], tree.xsin[start:start+m])
+		dists := make([]float64, cut)
+		vec.DotBlock(queries.Row(qi), tree.points.Data[start*d:(start+cut)*d], dists)
+		for r, v := range dists {
+			tk.Push(tree.ids[start+r], math.Abs(v))
+		}
+		want := core.Stats{LeavesVisited: 1, IPCount: int64(cut), Candidates: int64(cut), PrunedPoints: int64(m - cut)}
+		if b.stats[qi] != want {
+			t.Fatalf("query %d: counters %+v, query by query %+v", qi, b.stats[qi], want)
+		}
+		requireSameResults(t, fmt.Sprintf("query %d", qi), b.scr.Heaps[qi].DrainInto(nil), tk.Results())
+		cuts[qi] = cut
+		if (kinds[qi] == whole) != (cut == m) || (kinds[qi] == none) != (cut == 0) {
+			t.Fatalf("query %d: prefix %d of %d is not the case this test set up", qi, cut, m)
+		}
+	}
+	if cuts[1] == cuts[3] {
+		t.Fatalf("prefixes %v: the first group's cuts should differ", cuts)
 	}
 }

@@ -3,6 +3,7 @@ package balltree
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"p2h/internal/core"
 	"p2h/internal/exec"
@@ -13,9 +14,10 @@ import (
 // normals — the same contract as Search) in a single shared traversal: the
 // arena is walked once for the whole group, collaborative inner products
 // (Lemma 2) apply per query, the point-level ball bound cuts each query's
-// verified prefix of the radius-sorted leaf, and every active query verifies
-// its prefix with one vec.DotBlock call while the leaf block is in cache —
-// it streams from memory once per batch instead of once per query. The
+// verified prefix of the radius-sorted leaf, and the active queries verify
+// their prefixes four to a pass of the multi-query kernel while the leaf
+// block is in cache (scanLeaf) — it streams from memory once per batch
+// instead of once per query. The
 // point-level cone bound is skipped in batch mode: it selects per-query
 // survivor subsets that would be verified row by row, and the dense blocked
 // scan of the whole prefix is the cheaper trade. On a Ball tree every prefix
@@ -71,6 +73,8 @@ func (b *batchSearcher) run(queries *vec.Matrix, opts core.SearchOptions, out []
 	b.quant = t.qz != nil && !opts.DisableQuantFilter
 	if b.quant {
 		scr.ResetQuant(t.qz, queries)
+	} else {
+		scr.Wide.Reset(queries.Data, queries.D)
 	}
 
 	mark := scr.Mark()
@@ -90,6 +94,7 @@ func (b *batchSearcher) run(queries *vec.Matrix, opts core.SearchOptions, out []
 		out[i] = scr.Heaps[i].DrainInto(nil)
 	}
 	b.queries, b.stats = nil, nil
+	scr.Wide.Reset(nil, queries.D)
 }
 
 // visit walks one node for the whole group: the node-level ball bound
@@ -171,41 +176,109 @@ func (b *batchSearcher) visit(ni int32, act []int32, ips []float64, kappa float6
 	scr.Release(mark)
 }
 
-// scanLeaf verifies the leaf for every active query in turn: the point-level
-// ball bound (Corollary 1, strict) cuts the query's prefix of the
-// radius-sorted leaf by binary search, and one blocked kernel call verifies
-// the prefix. A query whose prefix is empty costs nothing beyond its pruning
-// bookkeeping. kappa discounts each query's |<q, N.c>| as in Searcher.step.
-//
-// On a quantized tree a query whose heap is full runs the code filter over
-// its prefix of the (4x smaller) code block first and verifies only the
-// survivors, row by row unless every row survived — exactly like the
-// single-query path. Results stay bitwise identical to per-query Search
-// (canonical exact results; see internal/exec).
+// scanLeaf verifies the leaf for every active query. The point-level ball
+// bound (Corollary 1, strict) cuts each query's prefix of the radius-sorted
+// leaf by binary search, all of them before any row is verified: a cut reads
+// only its own query's collector, which no other query's pushes reach, so
+// cutting first is cutting in turn. Then vec.TileQueries queries at a time
+// go through the multi-query kernel over the rows all of the group verify —
+// the shortest of their prefixes — so each converted row element serves the
+// whole group, and every query finishes what is left of its own prefix, as
+// do the queries of a last incomplete group, with vec.DotBlock. A query whose
+// prefix is empty costs nothing beyond its pruning bookkeeping. kappa
+// discounts each query's |<q, N.c>| as in Searcher.step. Results and counters
+// are those of verifying query by query (canonical exact results; see
+// internal/exec).
 func (b *batchSearcher) scanLeaf(n *nodeRec, act []int32, ips []float64, kappa float64) {
 	t := b.tree
 	m := int(n.count())
 	if m == 0 {
 		return
 	}
+	if b.quant {
+		b.scanLeafQuant(n, act, ips, kappa)
+		return
+	}
+	start, d := int(n.start), t.points.D
+	cuts := b.scr.Cuts(len(act))
+	for j, qi := range act {
+		cuts[j] = b.cutLeaf(n, qi, ips[j], kappa)
+		b.stats[qi].IPCount += int64(cuts[j])
+		b.stats[qi].Candidates += int64(cuts[j])
+	}
+	const g = vec.TileQueries
+	j := 0
+	for ; j+g <= len(act); j += g {
+		shared := slices.Min(cuts[j : j+g])
+		if shared > 0 {
+			dists := b.scr.Dists(shared * g)
+			b.scr.Wide.DotBlock(act[j:j+g], t.points.Data[start*d:(start+shared)*d], dists)
+			for k, qi := range act[j : j+g] {
+				tk := &b.scr.Heaps[qi]
+				for r := 0; r < shared; r++ {
+					tk.Push(t.ids[start+r], math.Abs(dists[r*g+k]))
+				}
+			}
+		}
+		for k, qi := range act[j : j+g] {
+			b.verify(qi, start+shared, start+cuts[j+k])
+		}
+	}
+	for ; j < len(act); j++ {
+		b.verify(act[j], start, start+cuts[j])
+	}
+}
+
+// cutLeaf counts query qi's visit to the leaf and returns how many leading
+// points its point-level ball bound leaves to verify.
+func (b *batchSearcher) cutLeaf(n *nodeRec, qi int32, ip, kappa float64) int {
+	st := &b.stats[qi]
+	st.LeavesVisited++
+	m := int(n.count())
+	if b.opts.DisablePointBall {
+		return m
+	}
+	start := int(n.start)
+	qnorm := b.scr.QNorms[qi]
+	mj := vec.BallCutoff(math.Abs(ip)-qnorm*kappa, qnorm, b.scr.Heaps[qi].Lambda(),
+		n.centerNorm, b.tree.xcos[start:start+m], b.tree.xsin[start:start+m])
+	st.PrunedPoints += int64(m - mj)
+	return mj
+}
+
+// verify offers query qi the points at positions [lo, hi) of the arena: one
+// blocked kernel call and a push per row.
+func (b *batchSearcher) verify(qi int32, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	t := b.tree
+	d := t.points.D
+	dists := b.scr.Dists(hi - lo)
+	vec.DotBlock(b.queries.Row(int(qi)), t.points.Data[lo*d:hi*d], dists)
+	tk := &b.scr.Heaps[qi]
+	for r, v := range dists {
+		tk.Push(t.ids[lo+r], math.Abs(v))
+	}
+}
+
+// scanLeafQuant is the leaf scan of a quantized tree, query by query: a query
+// whose heap is full runs the code filter over its prefix of the (4x smaller)
+// code block first and verifies only the survivors, row by row unless every
+// row survived — exactly like the single-query path. The filter's threshold
+// moves with each push, so these queries do not share a kernel pass.
+func (b *batchSearcher) scanLeafQuant(n *nodeRec, act []int32, ips []float64, kappa float64) {
+	t := b.tree
 	start := int(n.start)
 	d := t.points.D
 	for j, qi := range act {
-		st := &b.stats[qi]
-		st.LeavesVisited++
-		tk := &b.scr.Heaps[qi]
-		mj := m
-		if !b.opts.DisablePointBall {
-			qnorm := b.scr.QNorms[qi]
-			mj = vec.BallCutoff(math.Abs(ips[j])-qnorm*kappa, qnorm, tk.Lambda(),
-				n.centerNorm, t.xcos[start:start+m], t.xsin[start:start+m])
-			st.PrunedPoints += int64(m - mj)
-		}
+		mj := b.cutLeaf(n, qi, ips[j], kappa)
 		if mj == 0 {
 			continue
 		}
-		q := b.queries.Row(int(qi))
-		if b.quant && tk.Full() {
+		st := &b.stats[qi]
+		tk := &b.scr.Heaps[qi]
+		if tk.Full() {
 			w, base, invS, eps := b.scr.QuantFilter(int(qi), d)
 			sel := vec.CodeSelect(t.codes[start*d:(start+mj)*d], d,
 				w, base, invS, eps, tk.Lambda(), b.scr.Sel(mj))
@@ -213,6 +286,7 @@ func (b *batchSearcher) scanLeaf(n *nodeRec, act []int32, ips []float64, kappa f
 				st.PrunedPoints += int64(mj - len(sel))
 				st.IPCount += int64(len(sel))
 				st.Candidates += int64(len(sel))
+				q := b.queries.Row(int(qi))
 				for _, r := range sel {
 					pos := start + int(r)
 					tk.Push(t.ids[pos], math.Abs(vec.Dot(q, t.points.Row(pos))))
@@ -220,12 +294,8 @@ func (b *batchSearcher) scanLeaf(n *nodeRec, act []int32, ips []float64, kappa f
 				continue
 			}
 		}
-		dists := b.scr.Dists(mj)
-		vec.DotBlock(q, t.points.Data[start*d:(start+mj)*d], dists)
 		st.IPCount += int64(mj)
 		st.Candidates += int64(mj)
-		for r, v := range dists {
-			tk.Push(t.ids[start+r], math.Abs(v))
-		}
+		b.verify(qi, start, start+mj)
 	}
 }

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"p2h/internal/vec"
@@ -20,6 +22,35 @@ func TestDedupRemovesDuplicates(t *testing.T) {
 		if r[0] != w[0] || r[1] != w[1] {
 			t.Fatalf("row %d = %v, want %v (order must be preserved)", i, r, w)
 		}
+	}
+}
+
+// TestDedupPlantedDuplicates plants copies far from their originals in a
+// generated set, and runs the same set under a hash that sends every row to
+// one chain: the survivors are the originals, in order, either way.
+func TestDedupPlantedDuplicates(t *testing.T) {
+	base := Generate(Spec{Name: "t", Family: FamilyClustered, RawDim: 7, Clusters: 3}, 600, 2)
+	var rows [][]float32
+	var want []int32 // rows of base that survive, in order
+	for i := 0; i < base.N; i++ {
+		rows = append(rows, base.Row(i))
+		want = append(want, int32(i))
+		if i >= 300 && i%7 == 0 {
+			rows = append(rows, base.Row(i-300), base.Row(i)) // one from far back, one adjacent
+		}
+	}
+	m := vec.FromRows(rows)
+	for name, got := range map[string]*vec.Matrix{
+		"hashed":     Dedup(m),
+		"one chain":  dedup(m, func([]float32) uint64 { return 42 }),
+		"two chains": dedup(m, func(row []float32) uint64 { return uint64(math.Float32bits(row[0]) & 1) }),
+	} {
+		if !reflect.DeepEqual(got, base.SubsetRows(want)) {
+			t.Errorf("%s: kept %d rows, want the %d originals in order", name, got.N, base.N)
+		}
+	}
+	if got := dedup(base, func([]float32) uint64 { return 0 }); got != base {
+		t.Error("a set without duplicates should come back as it is, colliding hashes or not")
 	}
 }
 

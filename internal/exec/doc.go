@@ -16,7 +16,7 @@
 //
 // BatchScratch is deliberately a bag of flat, growable arrays rather than
 // per-query structs: one traversal touches every query's state in tight
-// loops, and packing (heaps, norms, filter coefficients)
+// loops, and packing (heaps, norms, widened queries, filter coefficients)
 // into contiguous arrays keeps those loops cache-friendly and allocation-
 // free in steady state. Eligible gates which option combinations may take
 // the shared walk; everything else goes through Fallback on a pooled

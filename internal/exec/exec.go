@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"p2h/internal/core"
-	"p2h/internal/quant"
 	"p2h/internal/vec"
 )
 
@@ -102,10 +101,10 @@ func (p *Pool[T]) Put(x *T) { p.p.Put(x) }
 
 // BatchScratch holds every piece of reusable state one batched traversal
 // needs: per-query top-k collectors and norms, the active-set arena the
-// recursive walk carves per-node segments from, and the output buffer of
-// the leaf kernels. A zero value is ready; all
-// storage grows on demand and is retained across runs, so a pooled
-// BatchScratch reaches a zero-allocation steady state.
+// recursive walk carves per-node segments from, the queries as the
+// multi-query kernel reads them, and the output buffers of the leaf kernels.
+// A zero value is ready; all storage grows on demand and is retained across
+// runs, so a pooled BatchScratch reaches a zero-allocation steady state.
 type BatchScratch struct {
 	Heaps  []core.TopK // one collector per query of the batch
 	QNorms []float64   // per-query ||q||
@@ -117,6 +116,11 @@ type BatchScratch struct {
 	mark int
 
 	dists []float64 // leaf kernel output, reused across leaves
+	cuts  []int     // per-active-query leaf prefixes, reused across leaves
+
+	// Wide is the batch's queries in the multi-query kernel's form (widened
+	// once per batch where the assembly tile runs); the owner Resets it.
+	Wide vec.Queries
 
 	// Quantized-filter state (ResetQuant): one fitted integer filter per
 	// query of the batch. qw packs the int16 weights row-major (nq x d);
@@ -151,11 +155,18 @@ func (b *BatchScratch) Reset(queries *vec.Matrix, k int) {
 	b.mark = 0
 }
 
+// FilterFitter is what ResetQuant needs of a quantizer: *quant.Quantizer,
+// named by its one method so that this package, which the linear scan that
+// internal/quant's tests compare against imports, does not import quant.
+type FilterFitter interface {
+	FitInto(w []int16, query []float32) (base, invS, eps float64)
+}
+
 // ResetQuant fits the quantized filter of every query in the batch into the
 // scratch's packed per-query state (see quant.Quantizer.FitInto). Call after
 // Reset when the tree carries a quantized mirror; the per-query coefficients
 // are then read back with QuantFilter during leaf scans.
-func (b *BatchScratch) ResetQuant(qz *quant.Quantizer, queries *vec.Matrix) {
+func (b *BatchScratch) ResetQuant(qz FilterFitter, queries *vec.Matrix) {
 	nq, d := queries.N, queries.D
 	if cap(b.qw) < nq*d {
 		b.qw = make([]int16, nq*d)
@@ -209,6 +220,14 @@ func (b *BatchScratch) Alloc(n int) ([]int32, []float64) {
 
 // Release rewinds the arena to a watermark previously returned by Mark.
 func (b *BatchScratch) Release(mark int) { b.mark = mark }
+
+// Cuts returns a buffer of n leaf prefixes, reused across leaves.
+func (b *BatchScratch) Cuts(n int) []int {
+	if cap(b.cuts) < n {
+		b.cuts = make([]int, n)
+	}
+	return b.cuts[:n]
+}
 
 // Dists returns a distance buffer of n entries for the leaf kernels, reused
 // across leaves.

@@ -2,6 +2,7 @@ package linearscan
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"p2h/internal/core"
@@ -130,6 +131,76 @@ func TestSearchBlockedMatchesPerRow(t *testing.T) {
 	}
 }
 
+// TestSearchPollsCancel fires Cancel on its second poll: the scan, blocked or
+// filtered, stops within two chunks, counts only the rows it covered, and
+// returns the exact answer over that prefix.
+func TestSearchPollsCancel(t *testing.T) {
+	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 9, Clusters: 3}, 5*scanChunk+31, 5)
+	s := New(raw.AppendOnes())
+	q := dataset.GenerateQueries(raw, 1, 6).Row(0)
+	for name, filter := range map[string]func(int32) bool{"blocked": nil, "filtered": func(int32) bool { return true }} {
+		polls := 0
+		opts := core.SearchOptions{K: 7, Filter: filter, Cancel: func() bool { polls++; return polls >= 2 }}
+		got, st := s.Search(q, opts)
+		if polls != 2 {
+			t.Fatalf("%s: %d polls, want the scan to stop at the second", name, polls)
+		}
+		if st.Candidates == 0 || st.Candidates > 2*scanChunk || st.IPCount != st.Candidates {
+			t.Fatalf("%s: stats %+v after a cancel on the second poll", name, st)
+		}
+		want, _ := s.Search(q, core.SearchOptions{K: 7, Budget: int(st.Candidates)})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %v, want the answer over the first %d rows %v", name, got, st.Candidates, want)
+		}
+	}
+}
+
+// TestSearchBatchMatchesSearch holds the batched scan to the per-query one:
+// results (ids, order, distances) and Stats, for data shorter than one row
+// block and data that ends inside one, query counts on every side of the
+// tile's group of four, k beyond n, and every kind of batch that takes the
+// per-query path.
+func TestSearchBatchMatchesSearch(t *testing.T) {
+	even := func(id int32) bool { return id%2 == 0 }
+	for _, n := range []int{1, 3, scanChunk - 1, 2*scanChunk + 88} {
+		raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 9, Clusters: 3}, n, 5)
+		s := New(raw.AppendOnes())
+		for _, nq := range []int{1, 2, 3, 4, 5, 7, 8, 13} {
+			queries := dataset.GenerateQueries(raw, nq, int64(6+nq))
+			for name, opts := range map[string]core.SearchOptions{
+				"k1":       {K: 1},
+				"k10":      {K: 10},
+				"k>n":      {K: n + 3},
+				"budget":   {K: 5, Budget: n/2 + 1},
+				"filter":   {K: 5, Filter: even},
+				"profile":  {K: 5, Profile: new(core.Profile)},
+				"cancel":   {K: 5, Cancel: func() bool { return false }},
+				"canceled": {K: 5, Cancel: func() bool { return true }},
+			} {
+				got, gotSt := s.SearchBatch(queries, opts)
+				if len(got) != nq || len(gotSt) != nq {
+					t.Fatalf("n=%d nq=%d %s: %d results and %d stats", n, nq, name, len(got), len(gotSt))
+				}
+				for i := 0; i < nq; i++ {
+					want, wantSt := s.Search(queries.Row(i), opts)
+					if !reflect.DeepEqual(got[i], want) || gotSt[i] != wantSt {
+						t.Fatalf("n=%d nq=%d %s query %d:\n batch %v %+v\n search %v %+v", n, nq, name, i, got[i], gotSt[i], want, wantSt)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestSearchBatchPanicsOnDimension(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	New(vec.NewMatrix(4, 3)).SearchBatch(vec.NewMatrix(2, 4), core.SearchOptions{K: 1})
+}
+
 func BenchmarkLinearScan(b *testing.B) {
 	raw := dataset.Generate(dataset.Spec{Name: "b", Family: dataset.FamilyClustered, RawDim: 128, Clusters: 8}, 10000, 7)
 	data := raw.AppendOnes()
@@ -138,5 +209,29 @@ func BenchmarkLinearScan(b *testing.B) {
 	b.SetBytes(data.Bytes())
 	for i := 0; i < b.N; i++ {
 		s.Search(q, core.SearchOptions{K: 10})
+	}
+}
+
+// BenchmarkLinearScanBatch is the benchmark fixture's ground truth: 256
+// queries over the 50 000-point Sift surrogate, as one SearchBatch and as
+// GroundTruth splits them over GOMAXPROCS goroutines.
+func BenchmarkLinearScanBatch(b *testing.B) {
+	raw := dataset.Generate(dataset.ByName("Sift"), 50000, 1)
+	data := raw.AppendOnes()
+	queries := dataset.GenerateQueries(raw, 256, 2)
+	s := New(data)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"workers=1", func() { s.SearchBatch(queries, core.SearchOptions{K: 10}) }},
+		{"workers=max", func() { GroundTruth(data, queries, 10) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(data.N)*float64(queries.N)), "ns/(row,query)")
+		})
 	}
 }

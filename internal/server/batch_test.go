@@ -120,8 +120,8 @@ var entries = []struct {
 }
 
 // TestEntriesMatchDirectSearch is the serving matrix: every door of the
-// engine over an index with the batch surface, one without, and a mutable
-// one. Answers are bitwise the direct Index.Search answers, cold and from the
+// engine over a tree and a linear scan with the batch surface, a scan
+// without, and a mutable one. Answers are bitwise the direct Index.Search answers, cold and from the
 // cache; rows that cannot share a traversal (budgeted, filtered) also return
 // exactly the sequential stats; the cache counters add up; and a panic from
 // a Filter or from the index itself reaches its caller with the worker slot
@@ -139,6 +139,7 @@ func TestEntriesMatchDirectSearch(t *testing.T) {
 	}{
 		{"tree", tree, nil},
 		{"scan", scanIndex{linearscan.New(lifted)}, nil},
+		{"scan-batch", batchScanIndex{scanIndex{linearscan.New(lifted)}}, nil},
 		{"mutable", mut, mut},
 	}
 	qs := rowsOf(queries)

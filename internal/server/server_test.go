@@ -25,6 +25,13 @@ func (s scanIndex) Search(q []float32, opts core.SearchOptions) ([]core.Result, 
 
 func (s scanIndex) Dim() int { return s.scan.Dim() - 1 }
 
+// batchScanIndex is scanIndex with the scanner's batch surface.
+type batchScanIndex struct{ scanIndex }
+
+func (s batchScanIndex) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
+	return s.scan.SearchBatch(queries, opts)
+}
+
 // mutScan is a Mutator over a guarded point set with a rebuilt scanner; it
 // exists to exercise the engine's locking, not to be fast.
 type mutScan struct {

@@ -17,7 +17,8 @@
 //
 //   - AVX2+FMA assembly for those float kernels (float_amd64.s): Dot, a
 //     four-row DotBlock pass that shares each converted group of query
-//     elements, and a four-row squared distance. It is selected once at
+//     elements, a two-row by four-query tile for groups of queries (below),
+//     and a four-row squared distance. It is selected once at
 //     init when CPUID and XGETBV report AVX2, FMA and OS-saved YMM state;
 //     every other host, every other architecture, and the purego build tag
 //     run the Go reference. Kernel reports which. The assembly is bitwise
@@ -29,6 +30,21 @@
 //     rounded difference, which is not exact, so its kernel keeps the
 //     multiply and the add apart and gets its speed from four rows in
 //     flight.
+//
+//   - The multi-query kernel (multi.go): Queries holds a batch's packed
+//     queries and Queries.DotBlock multiplies any list of them into a row
+//     block; DotBlockMulti is that over all of a packed group. Where the
+//     assembly runs, whole groups of TileQueries = 4 listed queries go
+//     through the tile: eight accumulators, each converted group of row
+//     elements feeding four products, the queries read as float64 —
+//     widened once per batch by Queries.Reset, which is exact — so a
+//     product costs 1.25 convert/FMA operations where a DotBlock pass per
+//     query costs 2.25. Every accumulator keeps Dot's contract: lane k is
+//     chain s_k, the sum is ((s0+s1)+s2)+s3, and a tail element enters
+//     lane 0 through a full-width FMA whose other lanes add +0 * +0 —
+//     harmless because a chain that starts at +0 never holds -0. What is
+//     left of the list, and everything on the Go path, is a loop over
+//     DotBlock: there is one assembly body and one portable body.
 //
 //   - Bound kernels (BallCutoff, ConeSelect) that evaluate the paper's
 //     point-level pruning bounds over position-ordered leaf arrays, and the

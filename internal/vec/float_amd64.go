@@ -74,8 +74,50 @@ func sqDistBlockArch(q, rows []float32, out []float64) {
 	}
 }
 
+// widen fills b.wide for the tile; the Go path reads b.qs alone.
+func (b *Queries) widen() {
+	if !useAVX2 {
+		return
+	}
+	if cap(b.wide) < len(b.qs) {
+		b.wide = make([]float64, len(b.qs))
+	}
+	b.wide = b.wide[:len(b.qs)]
+	for i, v := range b.qs {
+		b.wide[i] = float64(v)
+	}
+}
+
+// dotBlockTiled runs the 2 x 4 tile over every whole group of TileQueries
+// listed queries and returns how many columns of out it filled. An odd row
+// count ends with one pass over the last two rows, which recomputes a row to
+// the same bits, as dotBlockArch does; a single row is left to the caller.
+func (b *Queries) dotBlockTiled(qi []int32, rows []float32, out []float64) int {
+	d, g := b.d, len(qi)
+	m := len(rows) / d
+	if !useAVX2 || m < 2 {
+		return 0
+	}
+	k := 0
+	for ; k+TileQueries <= g; k += TileQueries {
+		var q [TileQueries]*float64
+		for c := range q {
+			i := int(qi[k+c])
+			q[c] = &b.wide[i*d : (i+1)*d][0]
+		}
+		dotTile2x4AVX2(&rows[0], m/2, d, q[0], q[1], q[2], q[3], &out[k], g)
+		if m%2 != 0 {
+			dotTile2x4AVX2(&rows[(m-2)*d], 1, d, q[0], q[1], q[2], q[3], &out[(m-2)*g+k], g)
+		}
+	}
+	return k
+}
+
 //go:noescape
 func dotAVX2(a, b *float32, n int) float64
+
+//go:noescape
+func dotTile2x4AVX2(rows *float32, pairs, d int, q0, q1, q2, q3 *float64, out *float64, stride int)
 
 //go:noescape
 func dotBlock4AVX2(q, rows *float32, d int, out *float64)

@@ -11,15 +11,17 @@
 // squares a rounded difference, which is not exact, so it stays unfused.
 // No kernel reads past the n-th (d-th) float of any operand.
 
-// REDUCE4 stores ((s0+s1)+s2)+s3 at off(DI), with lo = [s0, s1] and
+// REDUCE4TO stores ((s0+s1)+s2)+s3 at dst, with lo = [s0, s1] and
 // hi = [s2, s3]. Clobbers lo, hi and X15.
-#define REDUCE4(lo, hi, off) \
+#define REDUCE4TO(lo, hi, dst) \
 	VPERMILPD $1, lo, X15; \
 	VADDSD    X15, lo, lo; \
 	VADDSD    hi, lo, lo; \
 	VPERMILPD $1, hi, hi; \
 	VADDSD    hi, lo, lo; \
-	VMOVSD    lo, off(DI)
+	VMOVSD    lo, dst
+
+#define REDUCE4(lo, hi, off) REDUCE4TO(lo, hi, off(DI))
 
 // func dotAVX2(a, b *float32, n int) float64
 TEXT ·dotAVX2(SB), NOSPLIT, $0-32
@@ -125,6 +127,110 @@ block_done:
 	REDUCE4(X5, X9, 8)
 	REDUCE4(X6, X10, 16)
 	REDUCE4(X7, X11, 24)
+	VZEROUPPER
+	RET
+
+// TILEQ accumulates one query's four widened elements at qbase into its two
+// accumulators: a0 += row0 * q, a1 += row1 * q, the converted row groups
+// being in Y8 and Y9.
+#define TILEQ(qbase, tmp, a0, a1) \
+	VMOVUPD     (qbase)(AX*8), tmp; \
+	VFMADD231PD tmp, Y8, a0; \
+	VFMADD231PD tmp, Y9, a1
+
+// TILEQTAIL is TILEQ for one tail element: VMOVSD zeroes every lane of tmp
+// above the first, and the row registers hold [x, 0, 0, 0].
+#define TILEQTAIL(qbase, tmpx, tmp, a0, a1) \
+	VMOVSD      (qbase)(AX*8), tmpx; \
+	VFMADD231PD tmp, Y8, a0; \
+	VFMADD231PD tmp, Y9, a1
+
+// TILEOUT reduces one accumulator to dst. Clobbers acc, X8 and X15.
+#define TILEOUT(acc, accx, dst) \
+	VEXTRACTF128 $1, acc, X8; \
+	REDUCE4TO(accx, X8, dst)
+
+// func dotTile2x4AVX2(rows *float32, pairs, d int, q0, q1, q2, q3 *float64, out *float64, stride int)
+//
+// The multi-query tile: pairs*2 packed rows of d floats against four queries
+// already widened to float64, two rows by four queries in flight, so one
+// converted group of row elements feeds four products and one loaded group of
+// query elements two. out[r*stride + k] receives <row r, q_k>.
+//
+// A tail element is accumulated with a full-width FMA whose lanes 1 to 3
+// multiply zero by zero: adding that +0 leaves s1..s3 as they are, because a
+// chain that starts at +0 never holds -0 (x + y is -0 only when both are).
+TEXT ·dotTile2x4AVX2(SB), NOSPLIT, $0-72
+	MOVQ rows+0(FP), SI
+	MOVQ pairs+8(FP), R13
+	MOVQ d+16(FP), CX
+	MOVQ q0+24(FP), R9
+	MOVQ q1+32(FP), R10
+	MOVQ q2+40(FP), R11
+	MOVQ q3+48(FP), R12
+	MOVQ out+56(FP), DI
+	MOVQ stride+64(FP), BX
+	SHLQ $3, BX           // bytes between a row's outputs and the next row's
+	MOVQ CX, DX
+	ANDQ $-4, DX
+
+tile_pair:
+	TESTQ  R13, R13
+	JZ     tile_ret
+	LEAQ   (SI)(CX*4), R8 // second row of the pair
+	VXORPD Y0, Y0, Y0     // row 0 x q0..q3
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4     // row 1 x q0..q3
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ   AX, AX
+	TESTQ  DX, DX
+	JZ     tile_tail
+
+tile_loop:
+	VCVTPS2PD (SI)(AX*4), Y8
+	VCVTPS2PD (R8)(AX*4), Y9
+	TILEQ(R9, Y10, Y0, Y4)
+	TILEQ(R10, Y11, Y1, Y5)
+	TILEQ(R11, Y12, Y2, Y6)
+	TILEQ(R12, Y13, Y3, Y7)
+	ADDQ      $4, AX
+	CMPQ      AX, DX
+	JLT       tile_loop
+
+tile_tail:
+	VXORPD X14, X14, X14
+
+tile_tail_loop:
+	CMPQ      AX, CX
+	JGE       tile_store
+	VCVTSS2SD (SI)(AX*4), X14, X8 // Y8 = [x, 0, 0, 0]: lane 1 from X14, the rest zeroed by VEX
+	VCVTSS2SD (R8)(AX*4), X14, X9
+	TILEQTAIL(R9, X10, Y10, Y0, Y4)
+	TILEQTAIL(R10, X11, Y11, Y1, Y5)
+	TILEQTAIL(R11, X12, Y12, Y2, Y6)
+	TILEQTAIL(R12, X13, Y13, Y3, Y7)
+	INCQ      AX
+	JMP       tile_tail_loop
+
+tile_store:
+	TILEOUT(Y0, X0, 0(DI))
+	TILEOUT(Y1, X1, 8(DI))
+	TILEOUT(Y2, X2, 16(DI))
+	TILEOUT(Y3, X3, 24(DI))
+	TILEOUT(Y4, X4, 0(DI)(BX*1))
+	TILEOUT(Y5, X5, 8(DI)(BX*1))
+	TILEOUT(Y6, X6, 16(DI)(BX*1))
+	TILEOUT(Y7, X7, 24(DI)(BX*1))
+	LEAQ (R8)(CX*4), SI
+	LEAQ (DI)(BX*2), DI
+	DECQ R13
+	JMP  tile_pair
+
+tile_ret:
 	VZEROUPPER
 	RET
 

@@ -13,4 +13,6 @@ func TestFloatKernelsReferenceDispatch(t *testing.T) {
 		t.Fatalf("Kernel() = %q with the assembly off", Kernel())
 	}
 	runFloatKernelTable(t)
+	runSignedZeroTable(t)
+	TestFloatKernelsKeepPanics(t)
 }

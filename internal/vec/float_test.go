@@ -31,8 +31,10 @@ func tailSlice(off, n int) []float32 {
 }
 
 // checkFloatKernels runs every float kernel over query q and the m packed
-// rows and compares each result with the reference.
-func checkFloatKernels(t *testing.T, q, rows []float32, m int) {
+// rows and compares each result with the reference. wide allocates the
+// storage the query groups are widened into (the guard-page test puts it at
+// the end of a mapping).
+func checkFloatKernels(t *testing.T, q, rows []float32, m int, wide func(n int) []float64) {
 	t.Helper()
 	d := len(q)
 	row := func(i int) []float32 { return rows[i*d : (i+1)*d] }
@@ -78,14 +80,45 @@ func checkFloatKernels(t *testing.T, q, rows []float32, m int) {
 		return // no matrix and no packed queries of dimension zero
 	}
 
-	// The query and the first rows as a packed query group.
-	nq := min(3, m+1)
-	qs := append(append([]float32(nil), q...), rows[:(nq-1)*d]...)
-	multi := make([]float64, m*nq)
-	DotBlockMulti(qs, nq, rows, multi)
-	for r := 0; r < m; r++ {
-		for qi := 0; qi < nq; qi++ {
-			check(fmt.Sprintf("DotBlockMulti query %d", qi), r, multi[r*nq+qi], dotGo(qs[qi*d:(qi+1)*d], row(r)))
+	// The query and the rows, cycled, as packed query groups: every remainder
+	// of the tile's four queries against every remainder of its two rows (m
+	// runs over both parities in the callers), first whole through
+	// DotBlockMulti, then as an index list that runs backwards and repeats
+	// itself through a Queries whose widened copy ends where wide says.
+	for _, nq := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
+		qs := append(make([]float32, 0, nq*d), q...)
+		for i := 1; i < nq; i++ {
+			if m == 0 {
+				qs = append(qs, q...)
+			} else {
+				qs = append(qs, row((i-1)%m)...)
+			}
+		}
+		want := func(qi, r int) float64 { return dotGo(qs[qi*d:(qi+1)*d], row(r)) }
+		multi := make([]float64, m*nq+1)
+		multi[m*nq] = sentinel
+		DotBlockMulti(qs, nq, rows, multi[:m*nq])
+		for r := 0; r < m; r++ {
+			for qi := 0; qi < nq; qi++ {
+				check(fmt.Sprintf("DotBlockMulti nq=%d query %d", nq, qi), r, multi[r*nq+qi], want(qi, r))
+			}
+		}
+		list := make([]int32, nq+2)
+		for k := range list {
+			list[k] = int32((2*nq - 1 - k) % nq)
+		}
+		listed := make([]float64, m*len(list)+1)
+		listed[m*len(list)] = sentinel
+		b := Queries{wide: wide(nq * d)}
+		b.Reset(qs, d)
+		b.DotBlock(list, rows, listed[:m*len(list)])
+		for r := 0; r < m; r++ {
+			for k, qi := range list {
+				check(fmt.Sprintf("Queries.DotBlock nq=%d column %d", nq, k), r, listed[r*len(list)+k], want(int(qi), r))
+			}
+		}
+		if multi[m*nq] != sentinel || listed[m*len(list)] != sentinel {
+			t.Fatalf("d=%d m=%d nq=%d: a multi-query kernel wrote past its output", d, m, nq)
 		}
 	}
 
@@ -103,6 +136,15 @@ func checkFloatKernels(t *testing.T, q, rows []float32, m int) {
 		t.Fatalf("d=%d m=%d MaxDistBlock = (%d, %v), reference (%d, %v)", d, m, pos, dist, bestPos, math.Sqrt(best))
 	}
 }
+
+// queries returns a Queries over n zero floats of dimension d.
+func queries(n, d int) *Queries {
+	b := new(Queries)
+	b.Reset(make([]float32, n), d)
+	return b
+}
+
+func heapFloat64s(n int) []float64 { return make([]float64, n) }
 
 // float32 values where rounding, overflow and NaN propagation are decided.
 var (
@@ -140,13 +182,46 @@ func runFloatKernelTable(t *testing.T) {
 				q, rows := tailSlice(off, d), tailSlice(3-off, m*d)
 				fillFloats(rng, q, (d+m+off)%3)
 				fillFloats(rng, rows, (d+m+off)%3)
-				checkFloatKernels(t, q, rows, m)
+				checkFloatKernels(t, q, rows, m, heapFloat64s)
 			}
 		}
 	}
 }
 
-func TestFloatKernelsMatchReference(t *testing.T) { runFloatKernelTable(t) }
+// runSignedZeroTable pins what the tile's tail step rests on. A tail element
+// reaches lanes 1 to 3 as +0 * +0, and adding that must leave s1, s2 and s3 as
+// they are, which fails for exactly one value: -0 + +0 is +0. No chain holds
+// -0, though, because it starts at +0 and x + y is -0 only when both are —
+// so rows of -0 against whole query groups of every sign, with ±Inf and NaN
+// lanes beside them, must come out of the tile with Dot's bits at every
+// tail length.
+func runSignedZeroTable(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	lanes := []float32{1, -1, 0, negZero, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 128, 129, 130, 131} {
+		for m := 1; m <= 5; m++ {
+			for shift := range lanes {
+				q, rows := make([]float32, d), make([]float32, m*d)
+				for i := range q {
+					q[i] = lanes[(i+shift)%4] // finite: every product is a signed zero
+				}
+				for i := range rows {
+					rows[i] = negZero
+				}
+				if shift >= 4 {
+					rows[(m-1)*d+d/2] = lanes[shift]
+					q[d-1] = lanes[shift]
+				}
+				checkFloatKernels(t, q, rows, m, heapFloat64s)
+			}
+		}
+	}
+}
+
+func TestFloatKernelsMatchReference(t *testing.T) {
+	runFloatKernelTable(t)
+	runSignedZeroTable(t)
+}
 
 // FuzzFloatKernels feeds the harness raw bit patterns, so denormals,
 // infinities and NaNs with arbitrary payloads arrive unprompted.
@@ -167,7 +242,7 @@ func FuzzFloatKernels(f *testing.F) {
 		q, rows := tailSlice(int(off)%4, d), tailSlice(int(off/4)%4, m*d)
 		next(q)
 		next(rows)
-		checkFloatKernels(t, q, rows, m)
+		checkFloatKernels(t, q, rows, m, heapFloat64s)
 	})
 }
 
@@ -180,6 +255,11 @@ func TestFloatKernelsKeepPanics(t *testing.T) {
 		"multi-rows":   func() { DotBlockMulti(make([]float32, 8), 2, make([]float32, 7), make([]float64, 2)) },
 		"multi-out":    func() { DotBlockMulti(make([]float32, 8), 2, make([]float32, 8), make([]float64, 3)) },
 		"multi-zero":   func() { DotBlockMulti(nil, 0, make([]float32, 8), make([]float64, 2)) },
+		"queries-dim":  func() { new(Queries).Reset(make([]float32, 8), 0) },
+		"queries-rows": func() { new(Queries).Reset(make([]float32, 7), 2) },
+		"tile-rows":    func() { queries(8, 2).DotBlock([]int32{0, 1, 2, 3}, make([]float32, 3), make([]float64, 4)) },
+		"tile-out":     func() { queries(8, 2).DotBlock([]int32{0, 1, 2, 3}, make([]float32, 4), make([]float64, 7)) },
+		"tile-index":   func() { queries(8, 2).DotBlock([]int32{0, 1, 2, 4}, make([]float32, 4), make([]float64, 8)) },
 	} {
 		func() {
 			defer func() {

@@ -291,6 +291,29 @@ func BenchmarkDotBlock4x128(b *testing.B) {
 	}
 }
 
+// BenchmarkDotBlockMulti is the benchmark probe's shape, 32 queries over 4096
+// rows: "tile" as it runs, every query in a group of four; "rest" with three
+// queries, which no tile takes, so the per-query path under it.
+func BenchmarkDotBlockMulti(b *testing.B) {
+	const m, d = 4096, 128
+	rng := rand.New(rand.NewSource(7))
+	_, rows := randBlock(rng, m, d)
+	for _, c := range []struct {
+		name string
+		nq   int
+	}{{"tile", 32}, {"rest", 3}} {
+		b.Run(c.name, func(b *testing.B) {
+			_, qs := randBlock(rng, c.nq, d)
+			out := make([]float64, m*c.nq)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				DotBlockMulti(qs, c.nq, rows, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m*c.nq), "ns/(row,query)")
+		})
+	}
+}
+
 func BenchmarkMaxDistFrom(b *testing.B) {
 	// The build's pass: one node's block of 1000 rows.
 	q, rows := randBlock(rand.New(rand.NewSource(9)), 1000, 128)

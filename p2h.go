@@ -397,6 +397,18 @@ func (t *LinearScan) Search(q []float32, opts SearchOptions) ([]Result, Stats) {
 	return t.scan.Search(checkQuery(q, t.raw), opts)
 }
 
+// SearchBatch implements BatchIndex: an exact batch streams the data once for
+// the whole group (linearscan.Scanner.SearchBatch); any other takes the
+// per-query path. Results and Stats are those of per-query Search calls.
+func (t *LinearScan) SearchBatch(queries *Matrix, opts SearchOptions) ([][]Result, []Stats) {
+	queries = checkQueryBatch(queries, t.raw)
+	opts, empty := applyPred(opts, t.attrs)
+	if empty {
+		return make([][]Result, queries.N), make([]Stats, queries.N)
+	}
+	return t.scan.SearchBatch(queries, opts)
+}
+
 // IndexBytes implements Index: a scan has no index structure.
 func (t *LinearScan) IndexBytes() int64 { return 0 }
 

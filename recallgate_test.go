@@ -27,6 +27,7 @@ func exactIndexes(data *p2h.Matrix) map[string]p2h.Index {
 		"balltree-quant": p2h.NewBallTree(data, p2h.BallTreeOptions{Seed: 3, Quantize: true}),
 		"bctree-quant":   p2h.NewBCTree(data, p2h.BCTreeOptions{Seed: 3, Quantize: true}),
 		"sharded-quant":  p2h.NewSharded(data, p2h.ShardedOptions{Shards: 4, Seed: 3, Quantize: true}),
+		"linearscan":     p2h.NewLinearScan(data), // its batched path against its own Search
 	}
 }
 
@@ -211,10 +212,11 @@ func tieSet(pairs int, seed int64) *p2h.Matrix {
 	return p2h.FromRows(rows)
 }
 
-// tieQueries is the hyperplane x₁ = 0 three times over: as it is, flipped and
-// scaled. None of it changes which points tie.
+// tieQueries is the hyperplane x₁ = 0 five times over: as it is, flipped and
+// scaled. None of it changes which points tie. Five is one group for the
+// multi-query kernel and one query beside it.
 func tieQueries() *p2h.Matrix {
-	return p2h.FromRows([][]float32{{0, 1, 0}, {0, -1, 0}, {0, 2, 0}})
+	return p2h.FromRows([][]float32{{0, 1, 0}, {0, -1, 0}, {0, 2, 0}, {0, -3, 0}, {0, 0.5, 0}})
 }
 
 // checkTiesAgainstScan asserts that ix answers the tie queries exactly as the

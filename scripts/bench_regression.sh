@@ -9,9 +9,11 @@
 #                                                 or allocs/op increase
 #
 # The suite covers the layers the execution engine optimizes: the vec
-# kernels (single row, one four-row pass, leaf-sized blocks, the build's
-# farthest-row pass over a node's block, the point-level ball cut on a 64-point
-# leaf), the linear scan, the two tree builds and the sharded one (n=10k, 4
+# kernels (single row, one four-row pass, leaf-sized blocks, the multi-query
+# tile and the per-query path beside it, the build's farthest-row pass over a
+# node's block, the point-level ball cut on a 64-point leaf), the linear scan
+# (one query over n=10k; the benchmark fixture's 256-query ground truth over
+# n=50k as one batch and split over GOMAXPROCS), the two tree builds and the sharded one (n=10k, 4
 # shards; allocs/op gates the builder's scratch: a build allocates per tree,
 # not per node, and B/op that it makes one matrix, not two), the tree searches
 # (per-query and batched), the serving path, the container codec (save and open of the
