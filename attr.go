@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"p2h/internal/attr"
+	"p2h/internal/dynamic"
 )
 
 // PointAttrs is one point's attribute payload: free-form string tags plus
@@ -64,12 +65,11 @@ func NotOf(p *Pred) *Pred { return attr.NotOf(p) }
 // f as an int, another as a float) are rejected.
 func AttachAttributes(ix Index, points []PointAttrs) error {
 	if d, ok := ix.(*Dynamic); ok {
-		if points == nil {
-			return d.index.SetAttrs(nil)
-		}
 		// Validate the payloads build a consistent schema before installing.
-		if _, err := attr.Build(points); err != nil {
-			return fmt.Errorf("p2h: AttachAttributes: %w", err)
+		if points != nil {
+			if _, err := attr.Build(points); err != nil {
+				return fmt.Errorf("p2h: AttachAttributes: %w", err)
+			}
 		}
 		return d.index.SetAttrs(points)
 	}
@@ -88,94 +88,79 @@ func AttachAttributes(ix Index, points []PointAttrs) error {
 	return attachStore(ix, st)
 }
 
-// attachStore installs a built column store on an index (nil detaches). The
-// Dynamic kind is handled by AttachAttributes directly (it keeps row-form
-// payloads, not a store).
+// attrHolder is an inner index that keeps the attribute store itself and
+// pushes predicates down its traversal: *balltree.Tree and *shard.Index.
+type attrHolder interface {
+	AttachAttrs(st *attr.Store) error
+	Attrs() *attr.Store
+}
+
+// attachStore installs a built column store on an index (nil detaches): into
+// the inner index where that has a predicate path of its own — row-form
+// payloads for a dynamic one — and on the handle otherwise.
 func attachStore(ix Index, st *attr.Store) error {
-	switch t := ix.(type) {
-	case arenaBacked:
-		// The tree itself only asks that every id it holds is covered (a shard
+	w, ok := ix.(wrapped)
+	if !ok {
+		return fmt.Errorf("p2h: %T is not an index of this package and takes no attributes", ix)
+	}
+	switch in := w.base().in.(type) {
+	case *dynamic.Index:
+		if st == nil {
+			return in.SetAttrs(nil)
+		}
+		return in.SetAttrs(st.Points())
+	case attrHolder:
+		// A tree itself only asks that every id it holds is covered (a shard
 		// tree attaches a store wider than itself); standalone, row for row.
 		if st != nil && st.N() != ix.N() {
 			return fmt.Errorf("p2h: attribute store covers %d rows, index holds %d", st.N(), ix.N())
 		}
-		return t.arena().AttachAttrs(st)
-	case *Sharded:
-		return t.index.AttachAttrs(st)
-	case *KDTree:
-		t.attrs = st
-	case *NH:
-		t.attrs = st
-	case *FH:
-		t.attrs = st
-	case *LinearScan:
-		t.attrs = st
-	case *QuantizedScan:
-		t.attrs = st
-	case *Dynamic:
-		if st == nil {
-			return t.index.SetAttrs(nil)
-		}
-		return t.index.SetAttrs(st.Points())
+		return in.AttachAttrs(st)
 	default:
-		return fmt.Errorf("p2h: index kind %s does not support attributes", KindOf(ix))
+		w.base().attrs = st
+		return nil
 	}
-	return nil
 }
 
 // storeOf extracts an index's attribute payloads as a column store for
 // persistence; nil when the index carries none. For a Dynamic index the
 // store covers every handle ever issued (dead handles hold what they held),
 // so a restore round-trips the column exactly.
-func storeOf(ix Index) (*attr.Store, error) {
-	switch t := ix.(type) {
-	case arenaBacked:
-		return t.arena().Attrs(), nil
-	case *Sharded:
-		return t.index.Attrs(), nil
-	case *KDTree:
-		return t.attrs, nil
-	case *NH:
-		return t.attrs, nil
-	case *FH:
-		return t.attrs, nil
-	case *LinearScan:
-		return t.attrs, nil
-	case *QuantizedScan:
-		return t.attrs, nil
-	case *Dynamic:
-		if !t.index.HasAttrs() {
+func storeOf(h *handle) (*attr.Store, error) {
+	switch in := h.in.(type) {
+	case *dynamic.Index:
+		if !in.HasAttrs() {
 			return nil, nil
 		}
-		pts := make([]attr.Point, t.index.Handles())
-		for h := range pts {
-			pts[h] = t.index.AttrAt(int32(h))
+		pts := make([]attr.Point, in.Handles())
+		for i := range pts {
+			pts[i] = in.AttrAt(int32(i))
 		}
 		return attr.Build(pts)
+	case attrHolder:
+		return in.Attrs(), nil
+	default:
+		return h.attrs, nil
 	}
-	return nil, nil
 }
 
-// applyPred folds opts.Pred into opts.Filter for index kinds without a native
-// predicate path, evaluating it through the attached store (predicate first,
-// then the caller's filter — the same acceptance order the tree kinds use, so
-// results stay bitwise identical across kinds). The second result reports
-// that the predicate can match nothing at all (no store attached and the
-// predicate rejects the empty payload): the caller returns empty results
-// without searching.
-func applyPred(opts SearchOptions, st *attr.Store) (SearchOptions, bool) {
+// applyPred folds opts.Pred into opts.Filter for the kinds without a native
+// predicate path, evaluating it through the store attached to the handle
+// (predicate first, then the caller's filter — the same acceptance order the
+// tree kinds use, so results stay bitwise identical across kinds). The second
+// result reports that the predicate can match nothing at all (no store
+// attached and the predicate rejects the empty payload): the caller returns
+// empty results without searching.
+func (t *handle) applyPred(opts SearchOptions) (SearchOptions, bool) {
 	p := opts.Pred
-	if p == nil {
+	if p == nil || t.kind.nativePred {
 		return opts, false
 	}
 	opts.Pred = nil
-	if st == nil {
-		if p.MatchesEmpty() {
-			return opts, false
-		}
-		return opts, true
+	if t.attrs == nil {
+		return opts, !p.MatchesEmpty()
 	}
-	prog := st.Compile(p)
+	prog := t.attrs.Compile(p)
 	user := opts.Filter
 	opts.Filter = func(id int32) bool {
 		if !prog.Match(id) {

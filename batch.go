@@ -10,9 +10,10 @@ import (
 // BatchIndex is the optional batched execution surface of an index: a native
 // SearchBatch answers a whole group of queries in one shared traversal
 // (internal/exec) instead of a per-query loop, amortizing node visits and
-// leaf verification across the group. BallTree, BCTree, Sharded and LinearScan
-// (whose batch streams the data once for the whole group) implement it;
-// p2h.SearchBatch and the Server route through it automatically.
+// leaf verification across the group. The balltree, bctree, sharded and
+// linearscan kinds (the last streams the data once for the whole group)
+// implement it; p2h.SearchBatch and the Server find it by type assertion and
+// route through it automatically.
 type BatchIndex interface {
 	Index
 	// SearchBatch answers one top-k query per row of queries (each row a
@@ -50,17 +51,35 @@ func checkQueryBatch(queries *Matrix, d int) *Matrix {
 	return out
 }
 
-// SearchBatch implements BatchIndex: every shard serves the whole batch
-// through its shared traversal and the per-shard answers merge exactly per
-// query. Shard fan-out uses at most ShardedOptions.Workers goroutines.
-func (t *Sharded) SearchBatch(queries *Matrix, opts SearchOptions) ([][]Result, []Stats) {
-	return t.index.SearchBatch(checkQueryBatch(queries, t.raw), opts)
+// batchInner is an inner index with a batched path of its own.
+type batchInner interface {
+	inner
+	SearchBatch(queries *Matrix, opts SearchOptions) ([][]Result, []Stats)
+}
+
+// batchHandle is the handle of a kind whose inner index is a batchInner. It is
+// a type of its own because BatchIndex is found by type assertion: a kind
+// without a native batch must not have the method.
+type batchHandle struct{ handle }
+
+// SearchBatch implements BatchIndex over the inner index's shared traversal
+// (for Sharded: every shard serves the whole batch and the per-shard answers
+// merge exactly per query, on at most Spec.Workers goroutines).
+func (t *batchHandle) SearchBatch(queries *Matrix, opts SearchOptions) ([][]Result, []Stats) {
+	queries = checkQueryBatch(queries, t.raw)
+	opts, empty := t.applyPred(opts)
+	if empty {
+		return make([][]Result, queries.N), make([]Stats, queries.N)
+	}
+	return t.in.(batchInner).SearchBatch(queries, opts)
 }
 
 // Interface conformance checks.
 var (
+	_ Index      = (*handle)(nil)
+	_ Index      = (*Dynamic)(nil)
+	_ BatchIndex = (*batchHandle)(nil)
 	_ BatchIndex = (*BallTree)(nil)
-	_ BatchIndex = (*BCTree)(nil)
 	_ BatchIndex = (*Sharded)(nil)
 	_ BatchIndex = (*LinearScan)(nil)
 )

@@ -14,12 +14,12 @@ import (
 	p2h "p2h"
 )
 
-func equivIndexes(data *p2h.Matrix) map[string]p2h.Index {
+func equivIndexes(t testing.TB, data *p2h.Matrix) map[string]p2h.Index {
 	return map[string]p2h.Index{
-		"balltree": p2h.NewBallTree(data, p2h.BallTreeOptions{Seed: 5}),
-		"bctree":   p2h.NewBCTree(data, p2h.BCTreeOptions{Seed: 5}),
-		"sharded":  p2h.NewSharded(data, p2h.ShardedOptions{Shards: 4, Seed: 5}),
-		"dynamic":  p2h.NewDynamic(data, p2h.DynamicOptions{Seed: 5}), // no native batch: loop fallback
+		"balltree": p2h.MustBuild(t, data, p2h.Spec{Kind: p2h.KindBallTree, Seed: 5}),
+		"bctree":   p2h.MustBuild(t, data, p2h.Spec{Kind: p2h.KindBCTree, Seed: 5}),
+		"sharded":  p2h.MustBuild(t, data, p2h.Spec{Kind: p2h.KindSharded, Shards: 4, Seed: 5}),
+		"dynamic":  p2h.MustBuild(t, data, p2h.Spec{Kind: p2h.KindDynamic, Seed: 5}), // no native batch: loop fallback
 		// The batched scan: 40 queries are ten groups of the kernel's four,
 		// three workers' chunks of 13 and 14 leave a remainder each.
 		"linearscan": p2h.NewLinearScan(data),
@@ -41,7 +41,7 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 		{"budget", p2h.SearchOptions{K: 10, Budget: n / 20}},
 		{"filtered", p2h.SearchOptions{K: 10, Filter: func(id int32) bool { return id%5 != 0 }}},
 	}
-	for name, ix := range equivIndexes(data) {
+	for name, ix := range equivIndexes(t, data) {
 		for _, tc := range cases {
 			t.Run(name+"/"+tc.name, func(t *testing.T) {
 				want := make([][]p2h.Result, queries.N)
@@ -96,7 +96,7 @@ func TestSearchBatchNormalizesLikeSearch(t *testing.T) {
 	}
 	before := append([]float32(nil), queries.Data...)
 
-	ix := p2h.NewBCTree(data, p2h.BCTreeOptions{Seed: 11})
+	ix := p2h.MustBuild(t, data, p2h.Spec{Kind: p2h.KindBCTree, Seed: 11}).(p2h.BatchIndex)
 	got, _ := ix.SearchBatch(queries, p2h.SearchOptions{K: 5})
 	for qi := 0; qi < queries.N; qi++ {
 		want, _ := ix.Search(queries.Row(qi), p2h.SearchOptions{K: 5})
@@ -115,7 +115,7 @@ func TestSearchBatchNormalizesLikeSearch(t *testing.T) {
 
 func TestSearchBatchEmptyQueries(t *testing.T) {
 	data := p2h.Dedup(p2h.GenerateDataset("Sift", 200, 12))
-	ix := p2h.NewBallTree(data, p2h.BallTreeOptions{Seed: 13})
+	ix := p2h.MustBuild(t, data, p2h.Spec{Kind: p2h.KindBallTree, Seed: 13})
 	empty := &p2h.Matrix{N: 0, D: data.D + 1}
 	if out := p2h.SearchBatch(ix, empty, p2h.SearchOptions{K: 3}, 4); len(out) != 0 {
 		t.Fatalf("empty batch returned %d results", len(out))

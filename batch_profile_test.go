@@ -17,7 +17,7 @@ func TestSearchBatchProfileParallelIsRaceFree(t *testing.T) {
 
 	// KDTree has no native batch surface, so this exercises the per-query
 	// worker fallback that raced.
-	ix := NewKDTree(data, KDTreeOptions{LeafSize: 25})
+	ix := MustBuild(t, data, Spec{Kind: KindKDTree, LeafSize: 25})
 	var prof Profile
 	opts := SearchOptions{K: 5, Profile: &prof}
 	got := SearchBatch(ix, queries, opts, 4)
@@ -31,7 +31,7 @@ func TestSearchBatchProfileParallelIsRaceFree(t *testing.T) {
 	}
 
 	// The batched-index parallel path must be race-free too.
-	bc := NewBCTree(data, BCTreeOptions{LeafSize: 25, Seed: 3})
+	bc := MustBuild(t, data, Spec{Kind: KindBCTree, LeafSize: 25, Seed: 3})
 	var prof2 Profile
 	gotBC := SearchBatch(bc, queries, SearchOptions{K: 5, Profile: &prof2}, 4)
 	wantBC := SearchBatch(bc, queries, SearchOptions{K: 5}, 1)

@@ -128,7 +128,7 @@ func BenchmarkBuildBallTree(b *testing.B) {
 	data, _ := benchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewBallTree(data, BallTreeOptions{Seed: 1})
+		MustBuild(b, data, Spec{Kind: KindBallTree, Seed: 1})
 	}
 }
 
@@ -136,7 +136,7 @@ func BenchmarkBuildBCTree(b *testing.B) {
 	data, _ := benchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewBCTree(data, BCTreeOptions{Seed: 1})
+		MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1})
 	}
 }
 
@@ -148,7 +148,7 @@ func BenchmarkBuildSharded(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewSharded(data, ShardedOptions{Shards: 4, Seed: 1})
+		MustBuild(b, data, Spec{Kind: KindSharded, Shards: 4, Seed: 1})
 	}
 }
 
@@ -158,7 +158,7 @@ func BenchmarkBuildSharded(b *testing.B) {
 // opening should cost about one container's worth of heap, not several.
 func codecBench(b *testing.B) (ix Index, path string, size int64) {
 	b.Helper()
-	ix = NewBCTree(Dedup(GenerateDataset("Sift", 50000, 1)), BCTreeOptions{Seed: 1})
+	ix = MustBuild(b, Dedup(GenerateDataset("Sift", 50000, 1)), Spec{Kind: KindBCTree, Seed: 1})
 	path = filepath.Join(b.TempDir(), "bc.p2h")
 	if err := SaveFile(path, ix); err != nil {
 		b.Fatal(err)
@@ -206,7 +206,7 @@ func dynamicBench(b *testing.B) (container []byte, liveBytes int64) {
 	for i := range seed {
 		seed[i] = int32(i)
 	}
-	ix := NewDynamic(data.SubsetRows(seed), DynamicOptions{Seed: 1})
+	ix := MustBuild(b, data.SubsetRows(seed), Spec{Kind: KindDynamic, Seed: 1}).(*Dynamic)
 	for i := seedN; i < seedN+seedN/20; i++ {
 		ix.Insert(data.Row(i))
 	}
@@ -262,7 +262,7 @@ func BenchmarkBuildNH(b *testing.B) {
 	data, _ := benchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewNH(data, NHOptions{M: 16, Seed: 1})
+		MustBuild(b, data, Spec{Kind: KindNH, M: 16, Seed: 1})
 	}
 }
 
@@ -270,7 +270,7 @@ func BenchmarkBuildFH(b *testing.B) {
 	data, _ := benchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewFH(data, FHOptions{M: 16, Seed: 1})
+		MustBuild(b, data, Spec{Kind: KindFH, M: 16, Seed: 1})
 	}
 }
 
@@ -285,22 +285,22 @@ func queryBench(b *testing.B, ix Index, queries *Matrix) {
 
 func BenchmarkQueryExactBallTree(b *testing.B) {
 	data, queries := benchData(b)
-	queryBench(b, NewBallTree(data, BallTreeOptions{Seed: 1}), queries)
+	queryBench(b, MustBuild(b, data, Spec{Kind: KindBallTree, Seed: 1}), queries)
 }
 
 func BenchmarkQueryExactBCTree(b *testing.B) {
 	data, queries := benchData(b)
-	queryBench(b, NewBCTree(data, BCTreeOptions{Seed: 1}), queries)
+	queryBench(b, MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1}), queries)
 }
 
 func BenchmarkQueryExactBallTreeQuant(b *testing.B) {
 	data, queries := benchData(b)
-	queryBench(b, NewBallTree(data, BallTreeOptions{Seed: 1, Quantize: true}), queries)
+	queryBench(b, MustBuild(b, data, Spec{Kind: KindBallTree, Seed: 1, Quantize: true}), queries)
 }
 
 func BenchmarkQueryExactBCTreeQuant(b *testing.B) {
 	data, queries := benchData(b)
-	queryBench(b, NewBCTree(data, BCTreeOptions{Seed: 1, Quantize: true}), queries)
+	queryBench(b, MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1, Quantize: true}), queries)
 }
 
 func BenchmarkQueryExactLinearScan(b *testing.B) {
@@ -332,17 +332,17 @@ func budgetQueryBench(b *testing.B, ix Index, data, queries *Matrix) {
 
 func BenchmarkQueryBudgetBCTree(b *testing.B) {
 	data, queries := benchData(b)
-	budgetQueryBench(b, NewBCTree(data, BCTreeOptions{Seed: 1}), data, queries)
+	budgetQueryBench(b, MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1}), data, queries)
 }
 
 func BenchmarkQueryBudgetNH(b *testing.B) {
 	data, queries := benchData(b)
-	budgetQueryBench(b, NewNH(data, NHOptions{M: 16, Seed: 1}), data, queries)
+	budgetQueryBench(b, MustBuild(b, data, Spec{Kind: KindNH, M: 16, Seed: 1}), data, queries)
 }
 
 func BenchmarkQueryBudgetFH(b *testing.B) {
 	data, queries := benchData(b)
-	budgetQueryBench(b, NewFH(data, FHOptions{M: 16, Seed: 1}), data, queries)
+	budgetQueryBench(b, MustBuild(b, data, Spec{Kind: KindFH, M: 16, Seed: 1}), data, queries)
 }
 
 // BenchmarkExactDrivers is the measurement behind "exact search stays
@@ -362,8 +362,8 @@ func BenchmarkExactDrivers(b *testing.B) {
 		name string
 		ix   Index
 	}{
-		{"BCTree", NewBCTree(data, BCTreeOptions{Seed: 1})},
-		{"BallTree", NewBallTree(data, BallTreeOptions{Seed: 1})},
+		{"BCTree", MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1})},
+		{"BallTree", MustBuild(b, data, Spec{Kind: KindBallTree, Seed: 1})},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var spent [2]time.Duration
@@ -399,7 +399,7 @@ func BenchmarkExactDrivers(b *testing.B) {
 func BenchmarkSearchBatchExact(b *testing.B) {
 	data, _ := benchData(b)
 	queries := GenerateQueries(data, 64, 2)
-	ix := NewBCTree(data, BCTreeOptions{Seed: 1})
+	ix := MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1}).(BatchIndex)
 	opts := SearchOptions{K: 10}
 
 	b.Run("perquery", func(b *testing.B) {
@@ -424,7 +424,7 @@ func BenchmarkSearchBatchExact(b *testing.B) {
 // lines to compare against.)
 func BenchmarkServerBatched(b *testing.B) {
 	data, queries := benchData(b)
-	ix := NewBCTree(data, BCTreeOptions{Seed: 1})
+	ix := MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1})
 	srv := NewServer(ix, ServerOptions{CacheEntries: -1})
 	defer srv.Close()
 	opts := SearchOptions{K: 10}
@@ -449,7 +449,7 @@ func BenchmarkServerSearchBatch(b *testing.B) {
 	for i := range rows {
 		rows[i] = queries.Row(i)
 	}
-	srv := NewServer(NewBCTree(data, BCTreeOptions{Seed: 1}), ServerOptions{CacheEntries: -1})
+	srv := NewServer(MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1}), ServerOptions{CacheEntries: -1})
 	defer srv.Close()
 	opts := SearchOptions{K: 10}
 	b.ResetTimer()
@@ -468,7 +468,7 @@ func BenchmarkServerSearchBatch(b *testing.B) {
 // GOMAXPROCS via RunParallel — the serving scenario the layer exists for.
 func BenchmarkServer(b *testing.B) {
 	data, queries := benchData(b)
-	ix := NewBCTree(data, BCTreeOptions{Seed: 1})
+	ix := MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1})
 	opts := SearchOptions{K: 10}
 
 	b.Run("sequential", func(b *testing.B) {

@@ -27,18 +27,19 @@
 //	q := p2h.Hyperplane(normal, offset)
 //	results, _ := index.Search(q, p2h.SearchOptions{K: 10})
 //
-// New is the declarative entry point: a Spec names any registered index
-// kind (Kinds lists them; RegisterKind adds more) plus its tuning fields,
-// and malformed input returns an error (ErrUnknownKind, ErrDimMismatch)
-// instead of panicking. The kind-specific constructors (NewBCTree, ...)
-// remain as thin wrappers. Exact search is the default; set
+// New is the one constructor: a Spec names an index kind (Kinds lists them)
+// plus its tuning fields, and malformed input returns an error
+// (ErrUnknownKind, ErrDimMismatch) instead of panicking. Where a kind has
+// methods beyond Index, assert on what New returns: index.(*p2h.Dynamic) for
+// Insert and Delete, index.(*p2h.BallTree) for the classic point queries,
+// index.(*p2h.Sharded) for Shards. Exact search is the default; set
 // SearchOptions.Budget to cap the number of candidate verifications and
 // trade recall for speed (the paper's candidate fraction).
 //
 // # Persistence
 //
-// Save and Load (SaveFile, Open) move any persistable index — BallTree,
-// BCTree, Sharded, Dynamic — through a self-describing container
+// Save and Load (SaveFile, Open) move any persistable index — the balltree,
+// bctree, sharded and dynamic kinds — through a self-describing container
 // that records its own kind and Spec, so loading needs no type
 // information:
 //

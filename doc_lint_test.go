@@ -4,7 +4,7 @@ package p2h_test
 // doc comment. The public API is the library's contract — an undocumented
 // export either needs words or should not be exported. CI runs this test as
 // its own step (see .github/workflows/ci.yml). And the documents that describe
-// the tree as it is may only name tools and scripts that exist.
+// the tree as it is may only name tools, scripts and p2h symbols that exist.
 
 import (
 	"go/ast"
@@ -42,10 +42,11 @@ func TestDocsNameExistingToolsAndScripts(t *testing.T) {
 	}
 }
 
-func TestExportedSymbolsDocumented(t *testing.T) {
-	fset := token.NewFileSet()
+// rootPackageDoc parses the root package's non-test files as go doc sees them.
+func rootPackageDoc(t *testing.T) *doc.Package {
+	t.Helper()
 	notTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
-	pkgs, err := parser.ParseDir(fset, ".", notTest, parser.ParseComments)
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", notTest, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,55 @@ func TestExportedSymbolsDocumented(t *testing.T) {
 	if !ok {
 		t.Fatalf("package p2h not found in %v", pkgs)
 	}
-	d := doc.New(pkg, "p2h", 0)
+	return doc.New(pkg, "p2h", 0)
+}
+
+// TestDocsNameExistingSymbols: every p2h.<Identifier> the current documents
+// mention must be exported by the root package — a deleted constructor leaves
+// no instructions behind. The same history files are exempt as above.
+func TestDocsNameExistingSymbols(t *testing.T) {
+	d := rootPackageDoc(t)
+	exported := map[string]bool{}
+	values := func(vs []*doc.Value) {
+		for _, v := range vs {
+			for _, name := range v.Names {
+				exported[name] = true
+			}
+		}
+	}
+	funcs := func(fs []*doc.Func) {
+		for _, f := range fs {
+			exported[f.Name] = true
+		}
+	}
+	values(d.Consts)
+	values(d.Vars)
+	funcs(d.Funcs)
+	for _, typ := range d.Types {
+		exported[typ.Name] = true
+		values(typ.Consts)
+		values(typ.Vars)
+		funcs(typ.Funcs)
+	}
+
+	mention := regexp.MustCompile(`\bp2h\.([A-Z][A-Za-z0-9_]*)`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "docs/TUNING.md", "doc.go"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		missing := map[string]bool{}
+		for _, m := range mention.FindAllStringSubmatch(string(text), -1) {
+			if name := m[1]; !exported[name] && !missing[name] {
+				missing[name] = true
+				t.Errorf("%s mentions p2h.%s, which the root package does not export", doc, name)
+			}
+		}
+	}
+}
+
+func TestExportedSymbolsDocumented(t *testing.T) {
+	d := rootPackageDoc(t)
 
 	var missing []string
 	report := func(kind, name, comment string) {

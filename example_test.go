@@ -32,7 +32,10 @@ func ExampleDistance() {
 // returning results in query order.
 func ExampleSearchBatch() {
 	data := p2h.FromRows([][]float32{{0}, {1}, {2}, {3}})
-	index := p2h.NewBCTree(data, p2h.BCTreeOptions{})
+	index, err := p2h.New(data, p2h.Spec{Kind: p2h.KindBCTree})
+	if err != nil {
+		panic(err)
+	}
 	queries := p2h.FromRows([][]float32{
 		{1, -0.4}, // hyperplane x = 0.4: nearest point is 0
 		{1, -2.9}, // hyperplane x = 2.9: nearest point is 3
@@ -46,7 +49,11 @@ func ExampleSearchBatch() {
 // result cache; Search runs on the calling goroutine once a slot is free.
 func ExampleServer() {
 	data := p2h.FromRows([][]float32{{0, 0}, {1, 0}, {2, 0}, {3, 0}})
-	srv := p2h.NewServer(p2h.NewBCTree(data, p2h.BCTreeOptions{}), p2h.ServerOptions{Workers: 2})
+	index, err := p2h.New(data, p2h.Spec{Kind: p2h.KindBCTree})
+	if err != nil {
+		panic(err)
+	}
+	srv := p2h.NewServer(index, p2h.ServerOptions{Workers: 2})
 	defer srv.Close()
 
 	q := p2h.Hyperplane([]float32{1, 0}, -2.2) // hyperplane x = 2.2

@@ -2,8 +2,8 @@
 // hyperplane queries keep coming, the pattern of online active learning
 // where the unlabeled pool changes between rounds.
 //
-// The example drives p2h.NewDynamic (BC-Tree snapshot + delta buffer +
-// tombstones with automatic rebuilds) through insert/delete/query waves,
+// The example drives the dynamic kind (*p2h.Dynamic: BC-Tree snapshot + delta
+// buffer + tombstones with automatic rebuilds) through insert/delete/query waves,
 // cross-checks every wave against a fresh exhaustive scan, and finishes with
 // a concurrent batch of queries via p2h.SearchBatch on a sharded index.
 package main

@@ -5,50 +5,19 @@ import (
 	"runtime"
 	"sync"
 
-	"p2h/internal/attr"
 	"p2h/internal/dynamic"
 	"p2h/internal/exec"
-	"p2h/internal/quant"
 	"p2h/internal/shard"
 )
 
-// ShardedOptions configures NewSharded.
-type ShardedOptions struct {
-	// Shards is the number of partitions (and the maximum query
-	// parallelism). Zero selects GOMAXPROCS.
-	Shards int
-	// LeafSize is each shard tree's N0; zero selects 100.
-	LeafSize int
-	// Seed makes construction deterministic.
-	Seed int64
-	// Workers bounds the goroutines used per query; zero selects
-	// min(Shards, GOMAXPROCS), 1 makes queries sequential.
-	Workers int
-	// Quantize stores an 8-bit leaf mirror on every shard tree and filters
-	// leaf rows through its exact error bound; see Spec.Quantize.
-	Quantize bool
-}
-
-// Sharded is a parallel BC-Tree index: the data is partitioned into compact
-// shards (the paper's Section III-A(4) scalability observation), one BC-Tree
-// per shard, and queries fan out over goroutines with an exact merge.
+// Sharded is a parallel BC-Tree index, what New returns for KindSharded: the
+// data is partitioned into compact shards (the paper's Section III-A(4)
+// scalability observation), one BC-Tree per shard, and queries fan out over
+// goroutines with an exact merge. SearchOptions.Profile is ignored (the
+// per-phase timers are not meaningful across concurrent shards).
 type Sharded struct {
+	batchHandle
 	index *shard.Index
-	raw   int
-}
-
-// NewSharded indexes the rows of data across multiple shard trees. It is a
-// thin wrapper over New with Spec{Kind: KindSharded} that panics where New
-// returns an error.
-func NewSharded(data *Matrix, opts ShardedOptions) *Sharded {
-	return mustNew(data, Spec{
-		Kind:     KindSharded,
-		Shards:   opts.Shards,
-		LeafSize: opts.LeafSize,
-		Seed:     opts.Seed,
-		Workers:  opts.Workers,
-		Quantize: opts.Quantize,
-	}).(*Sharded)
 }
 
 // ShardPlan returns the row partition a Sharded build over data with this
@@ -73,61 +42,18 @@ func ShardPlan(data *Matrix, spec Spec) [][]int32 {
 	})
 }
 
-// Search implements Index. SearchOptions.Profile is ignored (the per-phase
-// timers are not meaningful across concurrent shards).
-func (t *Sharded) Search(q []float32, opts SearchOptions) ([]Result, Stats) {
-	return t.index.Search(checkQuery(q, t.raw), opts)
-}
-
-// IndexBytes implements Index.
-func (t *Sharded) IndexBytes() int64 { return t.index.IndexBytes() }
-
-// N implements Index.
-func (t *Sharded) N() int { return t.index.N() }
-
-// Dim implements Index.
-func (t *Sharded) Dim() int { return t.raw }
-
 // Shards returns the number of shard trees.
 func (t *Sharded) Shards() int { return t.index.Shards() }
 
-var _ Index = (*Sharded)(nil)
-
-// DynamicOptions configures NewDynamic.
-type DynamicOptions struct {
-	// Dim is the data dimensionality, required when starting empty
-	// (initial data == nil); otherwise it is taken from the data.
-	Dim int
-	// LeafSize is the underlying BC-Tree's N0; zero selects 100.
-	LeafSize int
-	// Seed makes rebuilds deterministic.
-	Seed int64
-	// RebuildFraction triggers a tree rebuild when pending inserts plus
-	// tombstones exceed this fraction of the live set (zero: 0.25).
-	RebuildFraction float64
-}
-
-// Dynamic is a mutable P2HNNS index: a BC-Tree snapshot plus an insert
-// buffer and delete tombstones, rebuilt automatically as the delta grows.
-// Results carry stable handles assigned by Insert. Not safe for concurrent
-// mutation.
+// Dynamic is a mutable P2HNNS index, what New returns for KindDynamic: a
+// BC-Tree snapshot plus an insert buffer and delete tombstones, rebuilt
+// automatically as the delta grows. Built over data it is bulk-loaded and the
+// handles are the row indices; built over nil with Spec.Dim set it starts
+// empty. Results carry stable handles assigned by Insert; N counts the live
+// points. Not safe for concurrent mutation.
 type Dynamic struct {
+	handle
 	index *dynamic.Index
-	raw   int
-}
-
-// NewDynamic creates a mutable index, optionally bulk-loaded with the rows
-// of data (handles are then the row indices). Pass data == nil and
-// opts.Dim to start empty. It is a thin wrapper over New with
-// Spec{Kind: KindDynamic} that panics where New returns an error.
-func NewDynamic(data *Matrix, opts DynamicOptions) *Dynamic {
-	return mustNew(data, Spec{
-		Kind:            KindDynamic,
-		Dim:             opts.Dim,
-		LeafSize:        opts.LeafSize,
-		Seed:            opts.Seed,
-		RebuildFraction: opts.RebuildFraction,
-	}).(*Dynamic)
 }
 
 // Insert adds a point and returns its stable handle.
@@ -144,20 +70,6 @@ func (t *Dynamic) InsertWithAttrs(p []float32, at PointAttrs) int32 {
 
 // Delete removes a handle; it reports whether the handle was live.
 func (t *Dynamic) Delete(handle int32) bool { return t.index.Delete(handle) }
-
-// Search implements Index over the current live set.
-func (t *Dynamic) Search(q []float32, opts SearchOptions) ([]Result, Stats) {
-	return t.index.Search(checkQuery(q, t.raw), opts)
-}
-
-// IndexBytes implements Index.
-func (t *Dynamic) IndexBytes() int64 { return t.index.IndexBytes() }
-
-// N implements Index: the number of live points.
-func (t *Dynamic) N() int { return t.index.N() }
-
-// Dim implements Index.
-func (t *Dynamic) Dim() int { return t.raw }
 
 // Handles returns the number of handles ever issued, including deleted
 // ones: the next Insert returns exactly Handles(). The write-ahead log uses
@@ -202,53 +114,13 @@ func (t *Dynamic) BeginCompaction() (build, install func()) {
 // reports whether there was anything to fold.
 func (t *Dynamic) Compact() bool { return t.index.Compact() }
 
-var _ Index = (*Dynamic)(nil)
-
-// QuantizedScan is an exhaustive baseline over 8-bit quantized codes: a
-// cheap approximate pass filters points through a rigorous error bound, and
-// only survivors are verified against the float vectors, so results stay
-// exact while the hot loop reads 4x less memory. One of the optimizations
-// the paper's Section III-A(4) says the tree methods combine with.
-type QuantizedScan struct {
-	scan  *quant.Scan
-	raw   int
-	attrs *attr.Store
-}
-
-// NewQuantizedScan quantizes and indexes the rows of data. It is a thin
-// wrapper over New with Spec{Kind: KindQuantizedScan} that panics where New
-// returns an error.
-func NewQuantizedScan(data *Matrix) *QuantizedScan {
-	return mustNew(data, Spec{Kind: KindQuantizedScan}).(*QuantizedScan)
-}
-
-// Search implements Index; results are exact despite the quantized filter.
-func (t *QuantizedScan) Search(q []float32, opts SearchOptions) ([]Result, Stats) {
-	opts, empty := applyPred(opts, t.attrs)
-	if empty {
-		return nil, Stats{}
-	}
-	return t.scan.Search(checkQuery(q, t.raw), opts)
-}
-
-// IndexBytes implements Index.
-func (t *QuantizedScan) IndexBytes() int64 { return t.scan.IndexBytes() }
-
-// N implements Index.
-func (t *QuantizedScan) N() int { return t.scan.N() }
-
-// Dim implements Index.
-func (t *QuantizedScan) Dim() int { return t.raw }
-
-var _ Index = (*QuantizedScan)(nil)
-
 // SearchBatch answers many hyperplane queries on any index, using at most
 // workers goroutines (zero selects GOMAXPROCS). Results are returned in
 // query order and are identical to per-query Search calls.
 //
-// Indexes with a native batched path (BatchIndex: BallTree, BCTree,
-// Sharded, LinearScan) serve contiguous sub-batches through it — for the
-// trees one arena walk and one pass over each visited leaf block per
+// Indexes with a native batched path (BatchIndex: the balltree, bctree,
+// sharded and linearscan kinds) serve contiguous sub-batches through it — for
+// the trees one arena walk and one pass over each visited leaf block per
 // sub-batch instead of per query, for the scan one pass over the data — with
 // the sub-batches spread across the workers. Other indexes fall back to a
 // per-query worker loop. Every index in this library is safe for concurrent

@@ -1,6 +1,7 @@
 package p2h
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -9,7 +10,7 @@ import (
 func TestShardedExactMatchesScan(t *testing.T) {
 	data, queries, gt := testSetup(t)
 	for _, shards := range []int{1, 3, 8} {
-		ix := NewSharded(data, ShardedOptions{Shards: shards, Seed: 1})
+		ix := MustBuild(t, data, Spec{Kind: KindSharded, Shards: shards, Seed: 1}).(*Sharded)
 		if ix.N() != data.N || ix.Dim() != data.D || ix.Shards() != shards {
 			t.Fatalf("sharded shape: n=%d d=%d shards=%d", ix.N(), ix.Dim(), ix.Shards())
 		}
@@ -24,7 +25,7 @@ func TestShardedExactMatchesScan(t *testing.T) {
 
 func TestShardedBudgetRespected(t *testing.T) {
 	data, queries, _ := testSetup(t)
-	ix := NewSharded(data, ShardedOptions{Shards: 4, Seed: 2})
+	ix := MustBuild(t, data, Spec{Kind: KindSharded, Shards: 4, Seed: 2}).(*Sharded)
 	for i := 0; i < queries.N; i++ {
 		_, st := ix.Search(queries.Row(i), SearchOptions{K: 5, Budget: 40})
 		if st.Candidates > int64(40+ix.Shards()) {
@@ -35,7 +36,7 @@ func TestShardedBudgetRespected(t *testing.T) {
 
 func TestSearchBatchMatchesSequential(t *testing.T) {
 	data, queries, _ := testSetup(t)
-	ix := NewBCTree(data, BCTreeOptions{Seed: 3})
+	ix := MustBuild(t, data, Spec{Kind: KindBCTree, Seed: 3})
 	batch := SearchBatch(ix, queries, SearchOptions{K: 5}, 4)
 	if len(batch) != queries.N {
 		t.Fatalf("batch size %d", len(batch))
@@ -55,7 +56,7 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 
 func TestSearchBatchDefaultsWorkers(t *testing.T) {
 	data, queries, _ := testSetup(t)
-	ix := NewBCTree(data, BCTreeOptions{Seed: 3})
+	ix := MustBuild(t, data, Spec{Kind: KindBCTree, Seed: 3})
 	want := SearchBatch(ix, queries, SearchOptions{K: 5}, 1)
 	for _, workers := range []int{0, -4} { // non-positive selects GOMAXPROCS
 		got := SearchBatch(ix, queries, SearchOptions{K: 5}, workers)
@@ -74,7 +75,7 @@ func TestSearchBatchDefaultsWorkers(t *testing.T) {
 
 func TestSearchBatchEmptyQueryMatrix(t *testing.T) {
 	data, _, _ := testSetup(t)
-	ix := NewBCTree(data, BCTreeOptions{Seed: 3})
+	ix := MustBuild(t, data, Spec{Kind: KindBCTree, Seed: 3})
 	out := SearchBatch(ix, NewMatrix(0, data.D+1), SearchOptions{K: 5}, 4)
 	if out == nil || len(out) != 0 {
 		t.Fatalf("empty batch: %v", out)
@@ -83,7 +84,7 @@ func TestSearchBatchEmptyQueryMatrix(t *testing.T) {
 
 func TestSearchBatchValidatesDimensions(t *testing.T) {
 	data, _, _ := testSetup(t)
-	ix := NewBCTree(data, BCTreeOptions{})
+	ix := MustBuild(t, data, Spec{Kind: KindBCTree})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -94,7 +95,7 @@ func TestSearchBatchValidatesDimensions(t *testing.T) {
 
 func TestTuneBudgetReachesTarget(t *testing.T) {
 	data, queries, gt := testSetup(t)
-	ix := NewBCTree(data, BCTreeOptions{Seed: 4})
+	ix := MustBuild(t, data, Spec{Kind: KindBCTree, Seed: 4})
 	budget := TuneBudget(ix, queries, gt, 5, 0.9)
 	if budget < 1 || budget > data.N {
 		t.Fatalf("budget %d out of range", budget)
@@ -121,7 +122,7 @@ func TestTuneBudgetReachesTarget(t *testing.T) {
 
 func TestTuneBudgetUnreachableTargetReturnsN(t *testing.T) {
 	data, queries, gt := testSetup(t)
-	ix := NewBCTree(data, BCTreeOptions{Seed: 4})
+	ix := MustBuild(t, data, Spec{Kind: KindBCTree, Seed: 4})
 	// Recall can never exceed 1, so an impossible target must fall through
 	// the whole fraction ladder and return the full data size.
 	if budget := TuneBudget(ix, queries, gt, 5, 1.5); budget != data.N {
@@ -131,7 +132,7 @@ func TestTuneBudgetUnreachableTargetReturnsN(t *testing.T) {
 
 func TestTuneBudgetValidatesInput(t *testing.T) {
 	data, queries, _ := testSetup(t)
-	ix := NewBCTree(data, BCTreeOptions{})
+	ix := MustBuild(t, data, Spec{Kind: KindBCTree})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -142,7 +143,7 @@ func TestTuneBudgetValidatesInput(t *testing.T) {
 
 func TestBallTreeSearchNNMatchesBrute(t *testing.T) {
 	data, _, _ := testSetup(t)
-	ix := NewBallTree(data, BallTreeOptions{Seed: 5})
+	ix := MustBuild(t, data, Spec{Kind: KindBallTree, Seed: 5}).(*BallTree)
 	p := data.Row(42)
 	res, _ := ix.SearchNN(p, 3)
 	if res[0].ID != 42 || res[0].Dist > 1e-6 {
@@ -178,7 +179,7 @@ func TestBallTreeSearchNNMatchesBrute(t *testing.T) {
 
 func TestBallTreeSearchFNFurthest(t *testing.T) {
 	data, _, _ := testSetup(t)
-	ix := NewBallTree(data, BallTreeOptions{Seed: 6})
+	ix := MustBuild(t, data, Spec{Kind: KindBallTree, Seed: 6}).(*BallTree)
 	p := data.Row(0)
 	res, _ := ix.SearchFN(p, 5)
 	if len(res) != 5 {
@@ -203,7 +204,7 @@ func TestBallTreeSearchFNFurthest(t *testing.T) {
 
 func TestBallTreeSearchMIPBothQueryForms(t *testing.T) {
 	data, _, _ := testSetup(t)
-	ix := NewBallTree(data, BallTreeOptions{Seed: 7})
+	ix := MustBuild(t, data, Spec{Kind: KindBallTree, Seed: 7}).(*BallTree)
 	q := make([]float32, data.D)
 	for i := range q {
 		q[i] = float32(i%5) - 2
@@ -234,7 +235,7 @@ func TestBallTreeSearchMIPBothQueryForms(t *testing.T) {
 
 func TestBallTreeSearchMIPRejectsBadDim(t *testing.T) {
 	data, _, _ := testSetup(t)
-	ix := NewBallTree(data, BallTreeOptions{})
+	ix := MustBuild(t, data, Spec{Kind: KindBallTree}).(*BallTree)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -245,7 +246,7 @@ func TestBallTreeSearchMIPRejectsBadDim(t *testing.T) {
 
 func TestDynamicFacadeLifecycle(t *testing.T) {
 	data, queries, gt := testSetup(t)
-	ix := NewDynamic(data, DynamicOptions{Seed: 1})
+	ix := MustBuild(t, data, Spec{Kind: KindDynamic, Seed: 1}).(*Dynamic)
 	if ix.N() != data.N || ix.Dim() != data.D {
 		t.Fatalf("shape %d/%d", ix.N(), ix.Dim())
 	}
@@ -276,7 +277,7 @@ func TestDynamicFacadeLifecycle(t *testing.T) {
 }
 
 func TestDynamicFacadeEmptyStart(t *testing.T) {
-	ix := NewDynamic(nil, DynamicOptions{Dim: 4})
+	ix := MustBuild(t, nil, Spec{Kind: KindDynamic, Dim: 4}).(*Dynamic)
 	if ix.N() != 0 || ix.Dim() != 4 {
 		t.Fatalf("empty start: n=%d dim=%d", ix.N(), ix.Dim())
 	}
@@ -289,10 +290,7 @@ func TestDynamicFacadeEmptyStart(t *testing.T) {
 }
 
 func TestDynamicFacadeRequiresDim(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewDynamic(nil, DynamicOptions{})
+	if _, err := New(nil, Spec{Kind: KindDynamic}); !errors.Is(err, ErrDimMismatch) {
+		t.Fatalf("empty start without Spec.Dim: err = %v, want ErrDimMismatch", err)
+	}
 }

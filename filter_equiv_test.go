@@ -385,7 +385,7 @@ func TestDynamicInsertWithAttrs(t *testing.T) {
 	data := p2h.Dedup(p2h.GenerateDataset("Cifar-10", 900, 91))
 	q := p2h.GenerateQueries(data, 1, 92).Row(0)
 
-	ix := p2h.NewDynamic(nil, p2h.DynamicOptions{Dim: data.D, Seed: 7})
+	ix := p2h.MustBuild(t, nil, p2h.Spec{Kind: p2h.KindDynamic, Dim: data.D, Seed: 7}).(*p2h.Dynamic)
 	points := attrsFor(data.N)
 	for i := 0; i < data.N; i++ {
 		if h := ix.InsertWithAttrs(data.Row(i), points[i]); h != int32(i) {

@@ -10,6 +10,8 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"p2h/internal/balltree"
 )
 
 // integrationFamilies maps a representative data set name per generator
@@ -22,15 +24,15 @@ var integrationFamilies = []string{
 }
 
 // buildAll constructs every index type with small, test-friendly parameters.
-func buildAll(data *Matrix) map[string]Index {
+func buildAll(t testing.TB, data *Matrix) map[string]Index {
 	return map[string]Index{
-		"balltree": NewBallTree(data, BallTreeOptions{LeafSize: 40, Seed: 11}),
-		"bctree":   NewBCTree(data, BCTreeOptions{LeafSize: 40, Seed: 11}),
-		"kdtree":   NewKDTree(data, KDTreeOptions{LeafSize: 40}),
-		"nh":       NewNH(data, NHOptions{Lambda: 48, M: 8, Seed: 11}),
-		"fh":       NewFH(data, FHOptions{Lambda: 48, M: 8, Seed: 11}),
-		"quant":    NewQuantizedScan(data),
-		"sharded":  NewSharded(data, ShardedOptions{Shards: 5, Seed: 11}),
+		"balltree": MustBuild(t, data, Spec{Kind: KindBallTree, LeafSize: 40, Seed: 11}),
+		"bctree":   MustBuild(t, data, Spec{Kind: KindBCTree, LeafSize: 40, Seed: 11}),
+		"kdtree":   MustBuild(t, data, Spec{Kind: KindKDTree, LeafSize: 40}),
+		"nh":       MustBuild(t, data, Spec{Kind: KindNH, Lambda: 48, M: 8, Seed: 11}),
+		"fh":       MustBuild(t, data, Spec{Kind: KindFH, Lambda: 48, M: 8, Seed: 11}),
+		"quant":    MustBuild(t, data, Spec{Kind: KindQuantizedScan}),
+		"sharded":  MustBuild(t, data, Spec{Kind: KindSharded, Shards: 5, Seed: 11}),
 		"scan":     NewLinearScan(data),
 	}
 }
@@ -41,7 +43,7 @@ func TestIntegrationAllIndexesAllFamiliesExact(t *testing.T) {
 		queries := GenerateQueries(data, 6, 2)
 		for _, k := range []int{1, 7, 25} {
 			gt := GroundTruth(data, queries, k)
-			for method, ix := range buildAll(data) {
+			for method, ix := range buildAll(t, data) {
 				for qi := 0; qi < queries.N; qi++ {
 					res, _ := ix.Search(queries.Row(qi), SearchOptions{K: k})
 					if len(res) != len(gt[qi]) {
@@ -68,7 +70,7 @@ func TestIntegrationBudgetMonotonicity(t *testing.T) {
 	queries := GenerateQueries(data, 10, 4)
 	gt := GroundTruth(data, queries, 10)
 	budgets := []int{15, 150, 750, data.N}
-	for method, ix := range buildAll(data) {
+	for method, ix := range buildAll(t, data) {
 		var prev float64 = -1
 		for _, budget := range budgets {
 			var recall float64
@@ -113,9 +115,9 @@ func TestIntegrationSerializedTreesAgree(t *testing.T) {
 			}
 			return out
 		}
-		ball := NewBallTree(data, BallTreeOptions{LeafSize: 30, Seed: 7})
+		ball := MustBuild(t, data, Spec{Kind: KindBallTree, LeafSize: 30, Seed: 7})
 		ball2 := reload(ball)
-		bc := NewBCTree(data, BCTreeOptions{LeafSize: 30, Seed: 7})
+		bc := MustBuild(t, data, Spec{Kind: KindBCTree, LeafSize: 30, Seed: 7})
 		bc2 := reload(bc)
 
 		for qi := 0; qi < queries.N; qi++ {
@@ -154,7 +156,7 @@ func TestIntegrationLowDimensions(t *testing.T) {
 		normal[0] = 1
 		q := Hyperplane(normal, -0.25)
 		gtRes, _ := NewLinearScan(data).Search(q, SearchOptions{K: 3})
-		for method, ix := range buildAll(data) {
+		for method, ix := range buildAll(t, data) {
 			res, _ := ix.Search(q, SearchOptions{K: 3})
 			for j := range gtRes {
 				if math.Abs(res[j].Dist-gtRes[j].Dist) > 1e-9*(1+gtRes[j].Dist) {
@@ -174,7 +176,7 @@ func TestIntegrationIdenticalPoints(t *testing.T) {
 	}
 	data := FromRows(rows)
 	q := Hyperplane([]float32{1, 0, 0}, 0)
-	for method, ix := range buildAll(data) {
+	for method, ix := range buildAll(t, data) {
 		res, _ := ix.Search(q, SearchOptions{K: 5})
 		if len(res) != 5 {
 			t.Fatalf("%s: %d results", method, len(res))
@@ -196,7 +198,7 @@ func TestIntegrationHyperplaneThroughPoint(t *testing.T) {
 	normal[0] = 1
 	// offset = -<normal, target>: the plane contains the target point.
 	q := Hyperplane(normal, -float64(target[0]))
-	for method, ix := range buildAll(data) {
+	for method, ix := range buildAll(t, data) {
 		res, _ := ix.Search(q, SearchOptions{K: 1})
 		if res[0].Dist > 1e-5 {
 			t.Fatalf("%s: nearest distance %v, want ~0 (plane contains point 123)", method, res[0].Dist)
@@ -209,7 +211,7 @@ func TestIntegrationHyperplaneThroughPoint(t *testing.T) {
 func TestIntegrationStatsConsistency(t *testing.T) {
 	data := Dedup(GenerateDataset("GloVe", 600, 9))
 	queries := GenerateQueries(data, 5, 10)
-	for method, ix := range buildAll(data) {
+	for method, ix := range buildAll(t, data) {
 		for qi := 0; qi < queries.N; qi++ {
 			_, st := ix.Search(queries.Row(qi), SearchOptions{K: 5})
 			if st.Candidates > int64(data.N) {
@@ -230,10 +232,10 @@ func TestIntegrationStatsConsistency(t *testing.T) {
 // leaf size outweighs what it adds.
 func TestIntegrationIndexBytesOrdering(t *testing.T) {
 	data := Dedup(GenerateDataset("Sift", 2000, 11))
-	ball := NewBallTree(data, BallTreeOptions{Seed: 1})
-	bc := NewBCTree(data, BCTreeOptions{Seed: 1})
-	nhIx := NewNH(data, NHOptions{M: 32, Seed: 1})
-	fhIx := NewFH(data, FHOptions{M: 32, Seed: 1})
+	ball := MustBuild(t, data, Spec{Kind: KindBallTree, Seed: 1})
+	bc := MustBuild(t, data, Spec{Kind: KindBCTree, Seed: 1})
+	nhIx := MustBuild(t, data, Spec{Kind: KindNH, M: 32, Seed: 1})
+	fhIx := MustBuild(t, data, Spec{Kind: KindFH, M: 32, Seed: 1})
 	if ball.IndexBytes() >= nhIx.IndexBytes() || bc.IndexBytes() >= nhIx.IndexBytes() {
 		t.Fatalf("trees (%d, %d) must be smaller than NH (%d)",
 			ball.IndexBytes(), bc.IndexBytes(), nhIx.IndexBytes())
@@ -242,9 +244,10 @@ func TestIntegrationIndexBytesOrdering(t *testing.T) {
 		t.Fatalf("trees (%d, %d) must be smaller than FH (%d)",
 			ball.IndexBytes(), bc.IndexBytes(), fhIx.IndexBytes())
 	}
-	n, d, nodes := int64(bc.N()), int64(bc.Dim()+1), int64(bc.arena().Nodes())
-	if int64(ball.arena().Nodes()) != nodes {
-		t.Fatalf("same seed must split identically: %d vs %d nodes", ball.arena().Nodes(), nodes)
+	arenaNodes := func(ix Index) int64 { return int64(ix.(wrapped).base().in.(*balltree.Tree).Nodes()) }
+	n, d, nodes := int64(bc.N()), int64(bc.Dim()+1), arenaNodes(bc)
+	if arenaNodes(ball) != nodes {
+		t.Fatalf("same seed must split identically: %d vs %d nodes", arenaNodes(ball), nodes)
 	}
 	if got, want := bc.IndexBytes()-ball.IndexBytes(), 8*n+8*nodes-4*d*(nodes-1)/2; got != want {
 		t.Fatalf("BC-Tree (%d) carries %d bytes over Ball-Tree (%d), want 8n + 8 nodes - 4d(nodes-1)/2 = %d",
@@ -260,8 +263,8 @@ func TestIntegrationIndexBytesOrdering(t *testing.T) {
 func TestIntegrationDeterministicEndToEnd(t *testing.T) {
 	data := Dedup(GenerateDataset("Music", 500, 12))
 	queries := GenerateQueries(data, 8, 13)
-	a := buildAll(data)
-	b := buildAll(data)
+	a := buildAll(t, data)
+	b := buildAll(t, data)
 	for method := range a {
 		for qi := 0; qi < queries.N; qi++ {
 			ra, _ := a[method].Search(queries.Row(qi), SearchOptions{K: 5, Budget: 100})
@@ -286,7 +289,7 @@ func TestIntegrationFilterConsistency(t *testing.T) {
 	queries := GenerateQueries(data, 6, 15)
 	even := func(id int32) bool { return id%2 == 0 }
 	ref := NewLinearScan(data)
-	for method, ix := range buildAll(data) {
+	for method, ix := range buildAll(t, data) {
 		for qi := 0; qi < queries.N; qi++ {
 			q := queries.Row(qi)
 			res, _ := ix.Search(q, SearchOptions{K: 5, Filter: even})

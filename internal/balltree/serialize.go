@@ -137,6 +137,54 @@ func (t *Tree) Save(w io.Writer) error {
 	return nil
 }
 
+// readShape decodes the shape prefix every payload of the given kind starts
+// with: the magic, which also says whether a quantization section follows, and
+// the leaf size, point count and (lifted) dimensionality. A payload of the
+// other kind, a retired version and a nonsensical count are refused here, for
+// Load and ReadShape alike.
+func readShape(br *binio.Reader, kind Kind) (quantized bool, leafSize, n, d int, err error) {
+	magic := string(br.Raw(len(magics[kind][0])))
+	if err := br.Err(); err != nil {
+		return false, 0, 0, 0, err
+	}
+	quantized = magic == magics[kind][1]
+	if !quantized && magic != magics[kind][0] {
+		if err := RetiredPayload(magic); err != nil {
+			return false, 0, 0, 0, err
+		}
+		br.Fail("bad %s magic %q", kind, magic)
+		return false, 0, 0, 0, br.Err()
+	}
+	leafSize, n, d = int(br.I32()), int(br.I32()), int(br.I32())
+	if br.Err() == nil && (leafSize <= 0 || n <= 0 || d <= 0 || d > maxSerialDim) {
+		br.Fail("bad header: leafSize=%d n=%d d=%d", leafSize, n, d)
+	}
+	return quantized, leafSize, n, d, br.Err()
+}
+
+// ReadShape reads only the shape prefix of a payload of the given kind and
+// returns its point count and stored (lifted) dimensionality; the rest of the
+// stream stays unread. It refuses what Load refuses by those bytes alone.
+func ReadShape(r io.Reader, kind Kind) (n, d int, err error) {
+	_, _, n, d, err = readShape(binio.NewReader(r), kind)
+	return n, d, err
+}
+
+// EmbeddedRetired is for the shape readers of the formats that embed a BC
+// payload behind its length (internal/shard, internal/dynamic): it reads on
+// through that length to the embedded payload's magic and returns the error
+// Load refuses a retired one with, so that describing a container never
+// succeeds where opening it fails by name. Anything else — a stream that ends
+// first included — is Load's to judge.
+func EmbeddedRetired(br *binio.Reader) error {
+	br.I64()
+	magic := br.Raw(len(magics[BC][0]))
+	if br.Err() != nil {
+		return nil
+	}
+	return RetiredPayload(string(magic))
+}
+
 // Load restores a tree of the given kind written by Save. The stream is
 // validated structurally; corrupt input — including a payload of the other
 // kind — yields an error wrapping binio.ErrCorrupt. Every id must lie in
@@ -145,30 +193,14 @@ func (t *Tree) Save(w io.Writer) error {
 // tree's bound, its own point count.
 func Load(r io.Reader, kind Kind, idBound int) (*Tree, error) {
 	br := binio.NewReader(r)
-	magic := string(br.Raw(len(magics[kind][0])))
-	if err := br.Err(); err != nil {
+	quantized, leafSize, n, d, err := readShape(br, kind)
+	if err != nil {
 		return nil, err
 	}
-	quantized := magic == magics[kind][1]
-	if !quantized && magic != magics[kind][0] {
-		if err := RetiredPayload(magic); err != nil {
-			return nil, err
-		}
-		br.Fail("bad %s magic %q", kind, magic)
-		return nil, br.Err()
-	}
-
-	leafSize := int(br.I32())
-	n := int(br.I32())
-	d := int(br.I32())
 	nodes := int(br.I32())
 	leaves := int(br.I32())
 	if err := br.Err(); err != nil {
 		return nil, err
-	}
-	if leafSize <= 0 || n <= 0 || d <= 0 || d > maxSerialDim {
-		br.Fail("bad header: leafSize=%d n=%d d=%d", leafSize, n, d)
-		return nil, br.Err()
 	}
 	// A node has two children or none, so a tree of L leaves has 2L-1 nodes.
 	if leaves < 1 || leaves > n || nodes != 2*leaves-1 {

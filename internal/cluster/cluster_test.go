@@ -298,7 +298,6 @@ func TestRouterOracleByteIdentical(t *testing.T) {
 		{"budgeted", httpapi.SearchOptionsJSON{K: 10, Budget: 100}},
 		{"budget_1", httpapi.SearchOptionsJSON{K: 5, Budget: 1}},
 		{"k_exceeds_n", httpapi.SearchOptionsJSON{K: n + 50}},
-		{"lower_bound", httpapi.SearchOptionsJSON{K: 10, Preference: "lower-bound"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -709,6 +708,32 @@ func TestRouterInfoAndList(t *testing.T) {
 		marshal(t, httpapi.SearchRequest{Query: f.queries.Row(0)}))
 	if status != http.StatusNotFound {
 		t.Fatalf("unknown index answered %d: %s", status, body)
+	}
+}
+
+// TestRouterBodyTooLarge: the router decodes bodies with the member daemons'
+// own decoder, so an over-limit body is 413 body_too_large on both — not 400
+// bad_request on one of them. The limit itself is 64 MiB; a reader in front of
+// the handler trips it early, which is all the decoder can see either way.
+func TestRouterBodyTooLarge(t *testing.T) {
+	f := newFixture(t, nil)
+	handler := NewHandler(f.rt)
+	small := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, 256)
+		handler.ServeHTTP(w, r)
+	}))
+	defer small.Close()
+	queries := make([][]float32, 8)
+	for i := range queries {
+		queries[i] = f.queries.Row(i % f.queries.N)
+	}
+	status, body := post(t, small, "/v1/indexes/trees/search_batch", marshal(t, httpapi.BatchSearchRequest{Queries: queries}))
+	var resp httpapi.ErrorResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("error body %q: %v", body, err)
+	}
+	if status != http.StatusRequestEntityTooLarge || resp.Code != "body_too_large" {
+		t.Fatalf("over-limit batch answered %d %q (%s), want 413 body_too_large", status, resp.Code, resp.Error)
 	}
 }
 

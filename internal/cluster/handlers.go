@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -68,14 +66,8 @@ type ShipResponse struct {
 // unchanged.
 func NewHandler(rt *Router) http.Handler {
 	mux := http.NewServeMux()
-	route := func(pattern, endpoint string, h func(http.ResponseWriter, *http.Request)) {
-		em := rt.metrics.endpoint(endpoint)
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-			start := time.Now()
-			h(rec, r)
-			em.record(rec.status, time.Since(start))
-		})
+	route := func(pattern, endpoint string, h http.HandlerFunc) {
+		rt.metrics.http.Route(mux, pattern, endpoint, h)
 	}
 	route("GET /healthz", "healthz", rt.handleHealthz)
 	route("GET /metrics", "metrics", rt.handleMetrics)
@@ -87,31 +79,15 @@ func NewHandler(rt *Router) http.Handler {
 	return mux
 }
 
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
 // fail maps a routing error onto the member daemons' error envelope. A
 // member's API error passes through with its own status and code (the
-// router adds nothing a client could act on); router-side conditions get
-// their own stable codes.
+// router adds nothing a client could act on); the two router-side conditions
+// get their own stable codes; everything else — a malformed or over-limit
+// body, a deadline — is the member daemons' own table.
 func fail(w http.ResponseWriter, err error) {
 	var me *MemberError
-	status, code := http.StatusInternalServerError, "internal"
+	var status int
+	var code string
 	switch {
 	case errors.As(err, &me):
 		status, code = me.Status, me.Code
@@ -119,26 +95,15 @@ func fail(w http.ResponseWriter, err error) {
 		status, code = http.StatusNotFound, "index_not_found"
 	case errors.Is(err, ErrNoMembers):
 		status, code = http.StatusServiceUnavailable, "no_member_available"
-	case errors.Is(err, context.DeadlineExceeded):
-		status, code = http.StatusGatewayTimeout, "deadline_exceeded"
-	case errors.Is(err, context.Canceled):
-		status, code = http.StatusGatewayTimeout, "canceled"
-	case errors.Is(err, errBadRequest):
-		status, code = http.StatusBadRequest, "bad_request"
+	default:
+		status, code = httpapi.ErrorStatus(err)
 	}
-	writeJSON(w, status, httpapi.ErrorResponse{Error: err.Error(), Code: code})
+	httpapi.WriteJSON(w, status, httpapi.ErrorResponse{Error: err.Error(), Code: code})
 }
 
-var errBadRequest = errors.New("bad request")
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: decoding body: %v", errBadRequest, err)
-	}
-	return nil
-}
+// errBadRequest tags the router's own request-shape complaints like the ones
+// httpapi.DecodeBody makes.
+var errBadRequest = httpapi.ErrBadRequest
 
 // Health summarizes cluster routability and per-member detail.
 func (rt *Router) Health() (ClusterHealthResponse, int) {
@@ -189,7 +154,7 @@ func (rt *Router) Health() (ClusterHealthResponse, int) {
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp, status := rt.Health()
-	writeJSON(w, status, resp)
+	httpapi.WriteJSON(w, status, resp)
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -209,7 +174,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Indexes = append(resp.Indexes, info)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -218,12 +183,12 @@ func (rt *Router) handleInfo(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	httpapi.WriteJSON(w, http.StatusOK, info)
 }
 
 func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req httpapi.SearchRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := httpapi.DecodeBody(w, r, &req); err != nil {
 		fail(w, err)
 		return
 	}
@@ -238,12 +203,12 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req httpapi.BatchSearchRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := httpapi.DecodeBody(w, r, &req); err != nil {
 		fail(w, err)
 		return
 	}
@@ -262,12 +227,12 @@ func (rt *Router) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleShip(w http.ResponseWriter, r *http.Request) {
 	var req ShipRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := httpapi.DecodeBody(w, r, &req); err != nil {
 		fail(w, err)
 		return
 	}
@@ -292,5 +257,5 @@ func (rt *Router) handleShip(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Query validation errors. The public package re-exports these sentinels so
-// both the panicking legacy API and the error-returning Spec/registry API
+// both its panicking Search contract and its error-returning entry points
 // report malformed queries through one shared checked path.
 var (
 	// ErrDimMismatch reports a query whose length does not match the

@@ -292,7 +292,11 @@ func TestServerSearchDuringCompactionRecovers(t *testing.T) {
 	srv := p2h.NewServer(opened, p2h.ServerOptions{WAL: wal, BackgroundCompaction: true})
 
 	// Reference: same script applied inline (default rebuild policy).
-	ref := p2h.NewDynamic(data, p2h.DynamicOptions{LeafSize: 16, Seed: 3})
+	refIx, err := p2h.New(data, p2h.Spec{Kind: p2h.KindDynamic, LeafSize: 16, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := refIx.(*p2h.Dynamic)
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup

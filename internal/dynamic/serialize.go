@@ -86,10 +86,10 @@ func (ix *Index) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load restores an index written by Save. Corrupt input yields an error
-// wrapping binio.ErrCorrupt.
-func Load(r io.Reader) (*Index, error) {
-	br := binio.NewReader(r)
+// readShape decodes the payload up to the snapshot flag: the magic, the
+// configuration, the (lifted) dimensionality and one liveness byte per handle
+// ever issued. The returned index holds exactly that.
+func readShape(br *binio.Reader) (*Index, error) {
 	found := string(br.Raw(len(magic)))
 	if err := br.Err(); err != nil {
 		return nil, err
@@ -135,6 +135,36 @@ func Load(r io.Reader) (*Index, error) {
 			return nil, br.Err()
 		}
 	}
+	return ix, nil
+}
+
+// ReadShape reads only the head of a payload — its shape prefix and the
+// liveness bytes that follow it directly, which is what says how many points
+// are live — and returns that count and the stored (lifted) dimensionality. It
+// refuses what Load refuses by those bytes alone and, when a snapshot tree
+// follows, one of a retired version (balltree.EmbeddedRetired). The vectors
+// stay unread.
+func ReadShape(r io.Reader) (n, d int, err error) {
+	br := binio.NewReader(r)
+	ix, err := readShape(br)
+	if err != nil {
+		return 0, 0, err
+	}
+	if br.U8() == 1 {
+		err = balltree.EmbeddedRetired(br)
+	}
+	return ix.live, ix.dim, err
+}
+
+// Load restores an index written by Save. Corrupt input yields an error
+// wrapping binio.ErrCorrupt.
+func Load(r io.Reader) (*Index, error) {
+	br := binio.NewReader(r)
+	ix, err := readShape(br)
+	if err != nil {
+		return nil, err
+	}
+	dim, handles := ix.dim, len(ix.alive)
 
 	switch br.U8() {
 	case 0:

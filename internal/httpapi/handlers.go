@@ -42,7 +42,7 @@ type HandlerOptions struct {
 // API serves the p2hd HTTP surface over a Manager.
 type API struct {
 	m              *Manager
-	metrics        *metrics
+	metrics        *Metrics
 	started        time.Time
 	maxTimeout     time.Duration
 	defaultTimeout time.Duration
@@ -76,14 +76,12 @@ func NewHandlerWithOptions(m *Manager, opts HandlerOptions) http.Handler {
 		opts.DefaultTimeout = opts.MaxTimeout
 	}
 	a := &API{
-		m: m, metrics: newMetrics(), started: time.Now(),
+		m: m, metrics: newDaemonMetrics(), started: time.Now(),
 		maxTimeout: opts.MaxTimeout, defaultTimeout: opts.DefaultTimeout,
 	}
 	mux := http.NewServeMux()
-	route := func(pattern, endpoint string, h func(http.ResponseWriter, *http.Request)) {
-		// Resolving the endpoint here pre-registers it (the scrape lists it
-		// from the start) and keeps the registry mutex off the request path.
-		mux.HandleFunc(pattern, instrument(a.metrics.endpoint(endpoint), h))
+	route := func(pattern, endpoint string, h http.HandlerFunc) {
+		a.metrics.Route(mux, pattern, endpoint, h)
 	}
 	route("GET /healthz", "healthz", a.handleHealthz)
 	route("GET /metrics", "metrics", a.handleMetrics)
@@ -101,29 +99,8 @@ func NewHandlerWithOptions(m *Manager, opts HandlerOptions) http.Handler {
 	return mux
 }
 
-// statusRecorder captures the status code a handler writes.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a handler with its endpoint's request counter and
-// latency histogram.
-func instrument(em *endpointMetrics, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		h(rec, r)
-		em.record(rec.status, time.Since(start))
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the JSON body of a response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -152,7 +129,7 @@ func (a *API) searchContext(r *http.Request, timeoutMS int) (context.Context, co
 }
 
 // errorStatus maps an error onto an HTTP status and a stable wire code.
-func errorStatus(err error) (int, string) {
+func ErrorStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, p2h.ErrOverloaded):
 		return http.StatusTooManyRequests, "overloaded"
@@ -176,9 +153,9 @@ func errorStatus(err error) (int, string) {
 		return http.StatusBadRequest, "zero_normal"
 	case errors.Is(err, p2h.ErrFormat):
 		return http.StatusBadRequest, "bad_container"
-	case errors.Is(err, errBodyTooLarge):
+	case errors.Is(err, ErrBodyTooLarge):
 		return http.StatusRequestEntityTooLarge, "body_too_large"
-	case errors.Is(err, ErrBadName), errors.Is(err, ErrBadConfig), errors.Is(err, errBadRequest):
+	case errors.Is(err, ErrBadName), errors.Is(err, ErrBadConfig), errors.Is(err, ErrBadRequest):
 		return http.StatusBadRequest, "bad_request"
 	case errors.Is(err, fs.ErrNotExist):
 		return http.StatusBadRequest, "file_not_found"
@@ -201,22 +178,22 @@ func (a *API) fail(w http.ResponseWriter, err error) {
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
-	status, code := errorStatus(err)
-	writeJSON(w, status, ErrorResponse{Error: err.Error(), Code: code})
+	status, code := ErrorStatus(err)
+	WriteJSON(w, status, ErrorResponse{Error: err.Error(), Code: code})
 }
 
 // decodeBody strictly decodes one JSON document into v. An over-limit body
 // surfaces as its own error so clients can tell "shrink the batch" (413)
 // from "malformed JSON" (400).
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return fmt.Errorf("%w: body exceeds %d bytes", errBodyTooLarge, tooBig.Limit)
+			return fmt.Errorf("%w: body exceeds %d bytes", ErrBodyTooLarge, tooBig.Limit)
 		}
-		return fmt.Errorf("%w: decoding body: %v", errBadRequest, err)
+		return fmt.Errorf("%w: decoding body: %v", ErrBadRequest, err)
 	}
 	return nil
 }
@@ -251,18 +228,18 @@ func (a *API) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			resp.WALPendingRecords += info.WAL.Records
 		}
 	}
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }
 
 func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
-	a.metrics.render(&b, a.m.List(), a.m.Draining(), a.m.Swapping())
+	renderDaemon(&b, a.metrics, a.m.List(), a.m.Draining(), a.m.Swapping())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(b.String()))
 }
 
 func (a *API) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, ListResponse{Indexes: a.m.List()})
+	WriteJSON(w, http.StatusOK, ListResponse{Indexes: a.m.List()})
 }
 
 func (a *API) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -271,13 +248,13 @@ func (a *API) handleInfo(w http.ResponseWriter, r *http.Request) {
 		a.fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 func (a *API) handleLoad(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req LoadRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := DecodeBody(w, r, &req); err != nil {
 		a.fail(w, err)
 		return
 	}
@@ -290,7 +267,7 @@ func (a *API) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if replaced {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, info)
+	WriteJSON(w, status, info)
 }
 
 func (a *API) handleUnload(w http.ResponseWriter, r *http.Request) {
@@ -299,7 +276,7 @@ func (a *API) handleUnload(w http.ResponseWriter, r *http.Request) {
 		a.fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, UnloadResponse{Unloaded: true, Drained: drained})
+	WriteJSON(w, http.StatusOK, UnloadResponse{Unloaded: true, Drained: drained})
 }
 
 func (a *API) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -310,7 +287,7 @@ func (a *API) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer e.release()
 	var req SearchRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := DecodeBody(w, r, &req); err != nil {
 		a.fail(w, err)
 		return
 	}
@@ -334,7 +311,7 @@ func (a *API) handleSearch(w http.ResponseWriter, r *http.Request) {
 		a.fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SearchResponse{Results: toResultsJSON(res), Stats: toStatsJSON(stats)})
+	WriteJSON(w, http.StatusOK, SearchResponse{Results: toResultsJSON(res), Stats: toStatsJSON(stats)})
 }
 
 func (a *API) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
@@ -345,12 +322,12 @@ func (a *API) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer e.release()
 	var req BatchSearchRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := DecodeBody(w, r, &req); err != nil {
 		a.fail(w, err)
 		return
 	}
 	if len(req.Queries) == 0 {
-		a.fail(w, fmt.Errorf("%w: empty \"queries\"", errBadRequest))
+		a.fail(w, fmt.Errorf("%w: empty \"queries\"", ErrBadRequest))
 		return
 	}
 	opts, err := req.toOptions()
@@ -386,7 +363,7 @@ func (a *API) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		agg.Add(stats[i])
 	}
 	resp.Stats = toStatsJSON(agg)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (a *API) handleInsert(w http.ResponseWriter, r *http.Request) {
@@ -397,7 +374,7 @@ func (a *API) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	defer e.release()
 	var req InsertRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := DecodeBody(w, r, &req); err != nil {
 		a.fail(w, err)
 		return
 	}
@@ -416,7 +393,7 @@ func (a *API) handleInsert(w http.ResponseWriter, r *http.Request) {
 		a.fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, InsertResponse{Handle: h})
+	WriteJSON(w, http.StatusOK, InsertResponse{Handle: h})
 }
 
 func (a *API) handleDeletePoint(w http.ResponseWriter, r *http.Request) {
@@ -428,7 +405,7 @@ func (a *API) handleDeletePoint(w http.ResponseWriter, r *http.Request) {
 	defer e.release()
 	h64, err := strconv.ParseInt(r.PathValue("handle"), 10, 32)
 	if err != nil {
-		a.fail(w, fmt.Errorf("%w: bad handle %q", errBadRequest, r.PathValue("handle")))
+		a.fail(w, fmt.Errorf("%w: bad handle %q", ErrBadRequest, r.PathValue("handle")))
 		return
 	}
 	ok, err := e.srv.Delete(int32(h64))
@@ -437,12 +414,12 @@ func (a *API) handleDeletePoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !ok {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{
 			Error: fmt.Sprintf("handle %d is not live", h64), Code: "handle_not_found",
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: true, Handle: int32(h64)})
+	WriteJSON(w, http.StatusOK, DeleteResponse{Deleted: true, Handle: int32(h64)})
 }
 
 // handleContainer streams a fresh atomic snapshot of the index as raw
@@ -465,7 +442,7 @@ func (a *API) handleContainer(w http.ResponseWriter, r *http.Request) {
 	}
 	defer e.release()
 	if persistable, buildOnly, err := p2h.KindIsPersistable(e.kind); err == nil && !persistable {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{
 			Error: fmt.Sprintf("index kind %q is build-only: %s", e.kind, buildOnly),
 			Code:  "not_persistable",
 		})
@@ -536,7 +513,7 @@ func (a *API) handleRestore(w http.ResponseWriter, r *http.Request) {
 		os.Remove(path)
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			a.fail(w, fmt.Errorf("%w: container exceeds %d bytes", errBodyTooLarge, tooBig.Limit))
+			a.fail(w, fmt.Errorf("%w: container exceeds %d bytes", ErrBodyTooLarge, tooBig.Limit))
 			return
 		}
 		a.fail(w, err)
@@ -563,7 +540,7 @@ func (a *API) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if replaced {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, info)
+	WriteJSON(w, status, info)
 }
 
 func (a *API) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -574,18 +551,18 @@ func (a *API) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	defer e.release()
 	var req SnapshotRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := DecodeBody(w, r, &req); err != nil {
 		a.fail(w, err)
 		return
 	}
 	if req.Path == "" {
-		a.fail(w, fmt.Errorf("%w: missing \"path\"", errBadRequest))
+		a.fail(w, fmt.Errorf("%w: missing \"path\"", ErrBadRequest))
 		return
 	}
 	// A build-only kind cannot snapshot by design; report it as the
 	// client-side condition it is, not a daemon fault.
 	if persistable, buildOnly, err := p2h.KindIsPersistable(e.kind); err == nil && !persistable {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{
 			Error: fmt.Sprintf("index kind %q is build-only: %s", e.kind, buildOnly),
 			Code:  "not_persistable",
 		})
@@ -596,5 +573,5 @@ func (a *API) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		a.fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SnapshotResponse{Path: req.Path, Bytes: n})
+	WriteJSON(w, http.StatusOK, SnapshotResponse{Path: req.Path, Bytes: n})
 }

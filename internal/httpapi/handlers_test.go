@@ -212,15 +212,13 @@ func TestSearchOptionsMapped(t *testing.T) {
 	q := f.queries.Row(1)
 	// A tight budget must cap the candidate count exactly as SearchOptions does.
 	status, body := f.do(t, "POST", "/v1/indexes/trees/search", SearchRequest{
-		Query: q, SearchOptionsJSON: SearchOptionsJSON{K: 3, Budget: 40, Preference: "lower-bound"},
+		Query: q, SearchOptionsJSON: SearchOptionsJSON{K: 3, Budget: 40},
 	})
 	if status != 200 {
 		t.Fatalf("status %d (%s)", status, body)
 	}
 	resp := unmarshal[SearchResponse](t, body)
-	want, wantStats := f.bctree.Search(q, p2h.SearchOptions{
-		K: 3, Budget: 40, Preference: p2h.PrefLowerBound,
-	})
+	want, wantStats := f.bctree.Search(q, p2h.SearchOptions{K: 3, Budget: 40})
 	if resp.Stats.Candidates != wantStats.Candidates {
 		t.Fatalf("candidates %d, want %d", resp.Stats.Candidates, wantStats.Candidates)
 	}
@@ -240,14 +238,16 @@ func TestSearchErrorMapping(t *testing.T) {
 		status int
 		code   string
 	}{
-		"unknown index":  {"/v1/indexes/ghost/search", SearchRequest{Query: q}, 404, "index_not_found"},
-		"missing query":  {"/v1/indexes/trees/search", SearchRequest{}, 400, "bad_request"},
-		"both forms":     {"/v1/indexes/trees/search", SearchRequest{Query: q, Normal: q[:8]}, 400, "bad_request"},
-		"short query":    {"/v1/indexes/trees/search", SearchRequest{Query: q[:4]}, 400, "dim_mismatch"},
-		"zero normal":    {"/v1/indexes/trees/search", SearchRequest{Query: make([]float32, 9)}, 400, "zero_normal"},
-		"bad preference": {"/v1/indexes/trees/search", SearchRequest{Query: q, SearchOptionsJSON: SearchOptionsJSON{Preference: "sideways"}}, 400, "bad_request"},
-		"negative k":     {"/v1/indexes/trees/search", SearchRequest{Query: q, SearchOptionsJSON: SearchOptionsJSON{K: -2}}, 400, "bad_request"},
-		"unknown field":  {"/v1/indexes/trees/search", map[string]any{"query": q, "nope": 1}, 400, "bad_request"},
+		"unknown index": {"/v1/indexes/ghost/search", SearchRequest{Query: q}, 404, "index_not_found"},
+		"missing query": {"/v1/indexes/trees/search", SearchRequest{}, 400, "bad_request"},
+		"both forms":    {"/v1/indexes/trees/search", SearchRequest{Query: q, Normal: q[:8]}, 400, "bad_request"},
+		"short query":   {"/v1/indexes/trees/search", SearchRequest{Query: q[:4]}, 400, "dim_mismatch"},
+		"zero normal":   {"/v1/indexes/trees/search", SearchRequest{Query: make([]float32, 9)}, 400, "zero_normal"},
+		// The paper's ablation switches are in-process options, not wire fields.
+		"bad preference":  {"/v1/indexes/trees/search", map[string]any{"query": q, "preference": "lower-bound"}, 400, "bad_request"},
+		"ablation switch": {"/v1/indexes/trees/search", map[string]any{"query": q, "disable_point_cone": true}, 400, "bad_request"},
+		"negative k":      {"/v1/indexes/trees/search", SearchRequest{Query: q, SearchOptionsJSON: SearchOptionsJSON{K: -2}}, 400, "bad_request"},
+		"unknown field":   {"/v1/indexes/trees/search", map[string]any{"query": q, "nope": 1}, 400, "bad_request"},
 		// The Lemma 2 switch is gone from the wire, not ignored on it.
 		"retired switch": {"/v1/indexes/trees/search", map[string]any{"query": q, "disable_collab_ip": true}, 400, "bad_request"},
 	} {
@@ -600,7 +600,7 @@ func TestSnapshotBuildOnlyKindMapped(t *testing.T) {
 }
 
 func TestBodyTooLargeMapping(t *testing.T) {
-	if status, code := errorStatus(fmt.Errorf("%w: body exceeds 1 bytes", errBodyTooLarge)); status != 413 || code != "body_too_large" {
-		t.Fatalf("errBodyTooLarge mapped to %d %q", status, code)
+	if status, code := ErrorStatus(fmt.Errorf("%w: body exceeds 1 bytes", ErrBodyTooLarge)); status != 413 || code != "body_too_large" {
+		t.Fatalf("ErrBodyTooLarge mapped to %d %q", status, code)
 	}
 }

@@ -39,12 +39,12 @@ var (
 	ErrManagerClosed = errors.New("httpapi: manager closed")
 )
 
-// errBadRequest tags request-shape errors (malformed JSON, missing fields);
-// the HTTP layer maps it to 400. errBodyTooLarge tags an over-limit body,
-// mapped to 413.
+// ErrBadRequest tags request-shape errors (malformed JSON, missing fields);
+// the HTTP layer maps it to 400. ErrBodyTooLarge tags an over-limit body,
+// mapped to 413. The router (internal/cluster) tags its own with the same two.
 var (
-	errBadRequest   = errors.New("httpapi: bad request")
-	errBodyTooLarge = errors.New("httpapi: request body too large")
+	ErrBadRequest   = errors.New("httpapi: bad request")
+	ErrBodyTooLarge = errors.New("httpapi: request body too large")
 )
 
 var nameRE = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)

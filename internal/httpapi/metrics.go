@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"fmt"
+	"net/http"
 	"runtime"
 	"sort"
 	"strconv"
@@ -55,29 +56,44 @@ type endpointMetrics struct {
 	latency histogram
 }
 
-func (em *endpointMetrics) code(status int) *atomic.Int64 {
+// record counts one finished request. It touches only the endpoint's own
+// state (a short mutex for the code counter plus atomics), never the
+// registry's mutex.
+func (em *endpointMetrics) record(status int, d time.Duration) {
 	em.mu.Lock()
-	defer em.mu.Unlock()
 	c := em.byCode[status]
 	if c == nil {
 		c = &atomic.Int64{}
 		em.byCode[status] = c
 	}
-	return c
+	em.mu.Unlock()
+	c.Add(1)
+	em.latency.observe(d)
 }
 
-// metrics is the daemon-wide registry. Endpoints are registered up front by
-// the router, so the scrape path only reads.
-type metrics struct {
-	mu        sync.Mutex
-	endpoints map[string]*endpointMetrics
+// Metrics is the request half of a /metrics page — per-endpoint request
+// counters by status code and latency histograms, named under one prefix. The
+// daemon and the router (internal/cluster) each hold one and render their own
+// series after it.
+type Metrics struct {
+	prefix                    string // series are <prefix>_requests_total, <prefix>_request_duration_seconds
+	requestsHelp, latencyHelp string
+	mu                        sync.Mutex
+	endpoints                 map[string]*endpointMetrics
 }
 
-func newMetrics() *metrics {
-	return &metrics{endpoints: make(map[string]*endpointMetrics)}
+// NewMetrics returns an empty registry whose two series carry the given name
+// prefix and HELP texts.
+func NewMetrics(prefix, requestsHelp, latencyHelp string) *Metrics {
+	return &Metrics{prefix: prefix, requestsHelp: requestsHelp, latencyHelp: latencyHelp,
+		endpoints: make(map[string]*endpointMetrics)}
 }
 
-func (m *metrics) endpoint(name string) *endpointMetrics {
+func newDaemonMetrics() *Metrics {
+	return NewMetrics("p2hd_http", "HTTP requests served, by endpoint and status code.", "HTTP request latency, by endpoint.")
+}
+
+func (m *Metrics) endpoint(name string) *endpointMetrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	em := m.endpoints[name]
@@ -88,34 +104,45 @@ func (m *metrics) endpoint(name string) *endpointMetrics {
 	return em
 }
 
-// record counts one finished request on a pre-resolved endpoint. The router
-// resolves the *endpointMetrics once at registration, so the request path
-// touches only the endpoint's own state (a short mutex for the code counter
-// plus atomics), never the registry mutex.
-func (em *endpointMetrics) record(status int, d time.Duration) {
-	em.code(status).Add(1)
-	em.latency.observe(d)
+// statusRecorder captures the status code a handler writes.
+type statusRecorder struct {
+	http.ResponseWriter
+	status int
 }
 
-// render writes the whole exposition: HTTP metrics from the registry,
-// per-index engine counters from the manager's live snapshot, and the
-// daemon-level overload gauges. Output is deterministic (sorted label
-// values) so tests and diffs stay stable.
-func (m *metrics) render(w *strings.Builder, indexes []IndexInfoResponse, draining, swapping bool) {
+func (r *statusRecorder) WriteHeader(code int) {
+	r.status = code
+	r.ResponseWriter.WriteHeader(code)
+}
+
+// Route registers h on mux under pattern, counted and timed as endpoint.
+// Resolving the endpoint here pre-registers it (the scrape lists it from the
+// start) and keeps the registry mutex off the request path.
+func (m *Metrics) Route(mux *http.ServeMux, pattern, endpoint string, h http.HandlerFunc) {
+	em := m.endpoint(endpoint)
+	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		start := time.Now()
+		h(rec, r)
+		em.record(rec.status, time.Since(start))
+	})
+}
+
+// Render writes the two series. Output is deterministic (sorted label values)
+// so tests and diffs stay stable.
+func (m *Metrics) Render(w *strings.Builder) {
 	m.mu.Lock()
 	names := make([]string, 0, len(m.endpoints))
-	for name := range m.endpoints {
-		names = append(names, name)
-	}
 	ems := make(map[string]*endpointMetrics, len(m.endpoints))
 	for name, em := range m.endpoints {
+		names = append(names, name)
 		ems[name] = em
 	}
 	m.mu.Unlock()
 	sort.Strings(names)
 
-	w.WriteString("# HELP p2hd_http_requests_total HTTP requests served, by endpoint and status code.\n")
-	w.WriteString("# TYPE p2hd_http_requests_total counter\n")
+	requests, duration := m.prefix+"_requests_total", m.prefix+"_request_duration_seconds"
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", requests, m.requestsHelp, requests)
 	for _, name := range names {
 		em := ems[name]
 		em.mu.Lock()
@@ -125,29 +152,33 @@ func (m *metrics) render(w *strings.Builder, indexes []IndexInfoResponse, draini
 		}
 		sort.Ints(codes)
 		for _, code := range codes {
-			fmt.Fprintf(w, "p2hd_http_requests_total{endpoint=%q,code=\"%d\"} %d\n",
-				name, code, em.byCode[code].Load())
+			fmt.Fprintf(w, "%s{endpoint=%q,code=\"%d\"} %d\n", requests, name, code, em.byCode[code].Load())
 		}
 		em.mu.Unlock()
 	}
 
-	w.WriteString("# HELP p2hd_http_request_duration_seconds HTTP request latency, by endpoint.\n")
-	w.WriteString("# TYPE p2hd_http_request_duration_seconds histogram\n")
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", duration, m.latencyHelp, duration)
 	for _, name := range names {
 		h := &ems[name].latency
 		var cum int64
 		for i, ub := range latencyBuckets {
 			cum += h.counts[i].Load()
-			fmt.Fprintf(w, "p2hd_http_request_duration_seconds_bucket{endpoint=%q,le=%q} %d\n",
-				name, formatBucket(ub), cum)
+			// The bound in the shortest decimal form, no exponent at these
+			// magnitudes, as Prometheus clients expect.
+			fmt.Fprintf(w, "%s_bucket{endpoint=%q,le=%q} %d\n", duration, name, strconv.FormatFloat(ub, 'g', -1, 64), cum)
 		}
 		total := h.total.Load()
-		fmt.Fprintf(w, "p2hd_http_request_duration_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", name, total)
-		fmt.Fprintf(w, "p2hd_http_request_duration_seconds_sum{endpoint=%q} %g\n",
-			name, time.Duration(h.sumNS.Load()).Seconds())
-		fmt.Fprintf(w, "p2hd_http_request_duration_seconds_count{endpoint=%q} %d\n", name, total)
+		fmt.Fprintf(w, "%s_bucket{endpoint=%q,le=\"+Inf\"} %d\n", duration, name, total)
+		fmt.Fprintf(w, "%s_sum{endpoint=%q} %g\n", duration, name, time.Duration(h.sumNS.Load()).Seconds())
+		fmt.Fprintf(w, "%s_count{endpoint=%q} %d\n", duration, name, total)
 	}
+}
 
+// renderDaemon writes the daemon's whole exposition: HTTP metrics from the
+// registry, per-index engine counters from the manager's live snapshot, and
+// the daemon-level overload gauges.
+func renderDaemon(w *strings.Builder, m *Metrics, indexes []IndexInfoResponse, draining, swapping bool) {
+	m.Render(w)
 	renderIndexMetrics(w, indexes)
 	renderDaemonGauges(w, indexes, draining, swapping)
 	RenderBuildInfo(w)
@@ -191,12 +222,6 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// formatBucket renders a bucket bound the way Prometheus clients expect
-// (shortest decimal form, no exponent for these magnitudes).
-func formatBucket(ub float64) string {
-	return strconv.FormatFloat(ub, 'g', -1, 64)
 }
 
 // indexCounter describes one per-index series derived from the engine stats.

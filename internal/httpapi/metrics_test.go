@@ -35,13 +35,13 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestMetricsRenderShape(t *testing.T) {
-	m := newMetrics()
+	m := newDaemonMetrics()
 	m.endpoint("search") // pre-registered, no traffic: histogram renders zeroed
 	m.endpoint("insert").record(200, 2*time.Millisecond)
 	m.endpoint("insert").record(405, 100*time.Microsecond)
 
 	var b strings.Builder
-	m.render(&b, []IndexInfoResponse{{
+	renderDaemon(&b, m, []IndexInfoResponse{{
 		Name: "a", Kind: "bctree", N: 42, IndexBytes: 1000,
 		Stats: ServerStatsJSON{Queries: 7, CacheHits: 3},
 	}}, false, true)

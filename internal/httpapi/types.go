@@ -15,7 +15,9 @@ import (
 // SearchOptionsJSON is the query-tuning surface shared by search and
 // search_batch requests: the fields of p2h.SearchOptions that survive a
 // network boundary (Filter is an arbitrary function and Profile a live
-// pointer; neither has a wire form).
+// pointer; neither has a wire form, and the paper's ablation switches —
+// Preference, DisablePointBall, DisablePointCone — are for in-process
+// experiments only).
 type SearchOptionsJSON struct {
 	// K is the number of neighbors to return (zero: 1).
 	K int `json:"k,omitempty"`
@@ -23,12 +25,6 @@ type SearchOptionsJSON struct {
 	// tree kinds spend it best-first, so a larger budget never answers
 	// worse and a budget of n answers exactly.
 	Budget int `json:"budget,omitempty"`
-	// Preference is "center" (default) or "lower-bound": the child order of
-	// an exact search, the frontier key of a budgeted one.
-	Preference string `json:"preference,omitempty"`
-	// The BC-Tree ablation switches, mirroring p2h.SearchOptions.
-	DisablePointBall bool `json:"disable_point_ball,omitempty"`
-	DisablePointCone bool `json:"disable_point_cone,omitempty"`
 	// Filter is a declarative attribute predicate (p2h.Pred's JSON form:
 	// tag / any_tag / field+min/max / and / or / not) restricting the search
 	// to matching points. Unlike an in-process Filter closure it survives
@@ -45,30 +41,16 @@ type SearchOptionsJSON struct {
 
 // toOptions validates and converts the wire options.
 func (o SearchOptionsJSON) toOptions() (core.SearchOptions, error) {
-	opts := core.SearchOptions{
-		K:                o.K,
-		Budget:           o.Budget,
-		DisablePointBall: o.DisablePointBall,
-		DisablePointCone: o.DisablePointCone,
-	}
-	switch o.Preference {
-	case "", "center":
-		opts.Preference = core.PrefCenter
-	case "lower-bound", "lower_bound":
-		opts.Preference = core.PrefLowerBound
-	default:
-		return opts, fmt.Errorf("%w: unknown preference %q (want \"center\" or \"lower-bound\")",
-			errBadRequest, o.Preference)
-	}
+	opts := core.SearchOptions{K: o.K, Budget: o.Budget}
 	if o.K < 0 {
-		return opts, fmt.Errorf("%w: negative k %d", errBadRequest, o.K)
+		return opts, fmt.Errorf("%w: negative k %d", ErrBadRequest, o.K)
 	}
 	if o.TimeoutMS < 0 {
-		return opts, fmt.Errorf("%w: negative timeout_ms %d", errBadRequest, o.TimeoutMS)
+		return opts, fmt.Errorf("%w: negative timeout_ms %d", ErrBadRequest, o.TimeoutMS)
 	}
 	if o.Filter != nil {
 		if err := o.Filter.Validate(); err != nil {
-			return opts, fmt.Errorf("%w: filter: %v", errBadRequest, err)
+			return opts, fmt.Errorf("%w: filter: %v", ErrBadRequest, err)
 		}
 		opts.Pred = o.Filter
 	}
@@ -95,7 +77,7 @@ func assembleQuery(query, normal []float32, offset float64, dim int) ([]float32,
 	var q []float32
 	switch {
 	case query != nil && normal != nil:
-		return nil, fmt.Errorf("%w: \"query\" and \"normal\" are mutually exclusive", errBadRequest)
+		return nil, fmt.Errorf("%w: \"query\" and \"normal\" are mutually exclusive", ErrBadRequest)
 	case query != nil:
 		q = query
 	case normal != nil:
@@ -103,7 +85,7 @@ func assembleQuery(query, normal []float32, offset float64, dim int) ([]float32,
 		copy(q, normal)
 		q[len(normal)] = float32(offset)
 	default:
-		return nil, fmt.Errorf("%w: missing \"query\" (or \"normal\"+\"offset\")", errBadRequest)
+		return nil, fmt.Errorf("%w: missing \"query\" (or \"normal\"+\"offset\")", ErrBadRequest)
 	}
 	if _, err := core.CheckQuery(q, dim); err != nil {
 		return nil, err

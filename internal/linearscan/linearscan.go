@@ -33,6 +33,9 @@ func (s *Scanner) N() int { return s.data.N }
 // Dim returns the lifted dimensionality d.
 func (s *Scanner) Dim() int { return s.data.D }
 
+// IndexBytes is zero: a scan has no index structure beside the data.
+func (s *Scanner) IndexBytes() int64 { return 0 }
+
 // scanChunk is the number of rows one kernel call covers: large enough to
 // amortize the call, small enough that one query's distances stay on the
 // stack and that the rows (129 KiB at d = 129) are still in L2 when the last

@@ -62,32 +62,48 @@ func (ix *Index) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
+// readShape decodes the payload's shape prefix — everything ahead of the first
+// shard record: the magic, the global point count and (lifted) dimensionality,
+// the shard count and the worker bound.
+func readShape(br *binio.Reader) (n, d, shards, workers int, err error) {
+	found := string(br.Raw(len(magic)))
+	if err := br.Err(); err != nil {
+		return 0, 0, 0, 0, err
+	}
+	if found != magic {
+		if err := RetiredPayload(found); err != nil {
+			return 0, 0, 0, 0, err
+		}
+		br.Fail("bad sharded magic %q", found)
+		return 0, 0, 0, 0, br.Err()
+	}
+	n, d, shards, workers = int(br.I32()), int(br.I32()), int(br.I32()), int(br.I32())
+	if br.Err() == nil && (n <= 0 || d <= 0 || shards < 1 || shards > n || workers < 1) {
+		br.Fail("bad header: n=%d d=%d shards=%d workers=%d", n, d, shards, workers)
+	}
+	return n, d, shards, workers, br.Err()
+}
+
+// ReadShape reads only the shape prefix of a payload and returns its point
+// count and stored (lifted) dimensionality, refusing what Load refuses by
+// those bytes alone — and, when the stream reaches that far, a first shard
+// tree of a retired version (balltree.EmbeddedRetired). The rest stays unread.
+func ReadShape(r io.Reader) (n, d int, err error) {
+	br := binio.NewReader(r)
+	if n, d, _, _, err = readShape(br); err != nil {
+		return 0, 0, err
+	}
+	return n, d, balltree.EmbeddedRetired(br)
+}
+
 // Load restores an index written by Save. The shard payloads are read
 // sequentially (their lengths come from the stream) and decoded in parallel.
 // Corrupt input yields an error wrapping binio.ErrCorrupt.
 func Load(r io.Reader) (*Index, error) {
 	br := binio.NewReader(r)
-	found := string(br.Raw(len(magic)))
-	if err := br.Err(); err != nil {
+	n, d, shards, workers, err := readShape(br)
+	if err != nil {
 		return nil, err
-	}
-	if found != magic {
-		if err := RetiredPayload(found); err != nil {
-			return nil, err
-		}
-		br.Fail("bad sharded magic %q", found)
-		return nil, br.Err()
-	}
-	n := int(br.I32())
-	d := int(br.I32())
-	shards := int(br.I32())
-	workers := int(br.I32())
-	if err := br.Err(); err != nil {
-		return nil, err
-	}
-	if n <= 0 || d <= 0 || shards < 1 || shards > n || workers < 1 {
-		br.Fail("bad header: n=%d d=%d shards=%d workers=%d", n, d, shards, workers)
-		return nil, br.Err()
 	}
 	if int64(n)*int64(d) > maxSerialElems {
 		br.Fail("declared size %dx%d exceeds the serialization bound", n, d)

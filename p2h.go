@@ -6,10 +6,6 @@ import (
 	"p2h/internal/attr"
 	"p2h/internal/balltree"
 	"p2h/internal/core"
-	"p2h/internal/fh"
-	"p2h/internal/kdtree"
-	"p2h/internal/linearscan"
-	"p2h/internal/nh"
 	"p2h/internal/vec"
 )
 
@@ -118,62 +114,58 @@ func Distance(p []float32, q []float32) float64 {
 	return num / n
 }
 
-// arenaIndex is what BallTree and BCTree share: one internal/balltree arena
-// (the kind is a build-time fact of the tree) and the raw dimensionality.
-// The exported types stay distinct so the registry can tell the kinds apart.
-type arenaIndex struct {
-	tree *balltree.Tree
-	raw  int // raw point dimensionality d
+// inner is what the wrapper needs of an internal/* index: searches take lifted
+// vectors and canonical (unit-normal) queries, the sizes are the index's own.
+type inner interface {
+	Search(q []float32, opts SearchOptions) ([]Result, Stats)
+	N() int
+	IndexBytes() int64
 }
 
-// arenaBacked is satisfied by *BallTree and *BCTree through arenaIndex; the
-// attribute type switches (attr.go) handle both kinds with one case.
-type arenaBacked interface{ arena() *balltree.Tree }
+// handle is the one wrapper between the Index contract — raw points, any
+// non-zero normal, a panic on a malformed query — and an inner index. Every
+// index this package hands out is a *handle, a *batchHandle (batch.go) or one
+// of the exported types that embed those to add methods of their own, and
+// carries the row of the kind table it was built or loaded through.
+type handle struct {
+	kind *kind
+	in   inner
+	raw  int // raw point dimensionality d
+	// attrs is the attached attribute store of a kind whose inner index has
+	// no predicate path of its own (kind.nativePred is false).
+	attrs *attr.Store
+}
 
-func (t *arenaIndex) arena() *balltree.Tree { return t.tree }
+// wrapped is satisfied by everything New, Open and Load return: KindOf, Save
+// and the attribute surface reach the handle through it.
+type wrapped interface{ base() *handle }
+
+func (t *handle) base() *handle { return t }
 
 // Search implements Index.
-func (t *arenaIndex) Search(q []float32, opts SearchOptions) ([]Result, Stats) {
-	return t.tree.Search(checkQuery(q, t.raw), opts)
-}
-
-// SearchBatch implements BatchIndex: one shared traversal for the whole
-// batch.
-func (t *arenaIndex) SearchBatch(queries *Matrix, opts SearchOptions) ([][]Result, []Stats) {
-	return t.tree.SearchBatch(checkQueryBatch(queries, t.raw), opts)
+func (t *handle) Search(q []float32, opts SearchOptions) ([]Result, Stats) {
+	opts, empty := t.applyPred(opts)
+	if empty {
+		return nil, Stats{}
+	}
+	return t.in.Search(checkQuery(q, t.raw), opts)
 }
 
 // IndexBytes implements Index.
-func (t *arenaIndex) IndexBytes() int64 { return t.tree.IndexBytes() }
+func (t *handle) IndexBytes() int64 { return t.in.IndexBytes() }
 
 // N implements Index.
-func (t *arenaIndex) N() int { return t.tree.N() }
+func (t *handle) N() int { return t.in.N() }
 
 // Dim implements Index.
-func (t *arenaIndex) Dim() int { return t.raw }
+func (t *handle) Dim() int { return t.raw }
 
-// BallTreeOptions configures NewBallTree. The zero value uses the paper's
-// defaults (N0 = 100).
-type BallTreeOptions struct {
-	// LeafSize is the maximum leaf size N0; zero selects 100.
-	LeafSize int
-	// Seed makes construction deterministic.
-	Seed int64
-	// Quantize stores an 8-bit leaf mirror and filters leaf rows through its
-	// exact error bound before float verification; see Spec.Quantize.
-	Quantize bool
-}
-
-// BallTree is the paper's Section III index.
-type BallTree struct{ arenaIndex }
-
-// NewBallTree indexes the rows of data (raw points; the lift x = (p; 1) is
-// internal). It is a thin wrapper over New with Spec{Kind: KindBallTree}
-// that panics where New returns an error.
-func NewBallTree(data *Matrix, opts BallTreeOptions) *BallTree {
-	return mustNew(data, Spec{
-		Kind: KindBallTree, LeafSize: opts.LeafSize, Seed: opts.Seed, Quantize: opts.Quantize,
-	}).(*BallTree)
+// BallTree is the paper's Section III index, what New returns for
+// KindBallTree. Beside the hyperplane search it answers the classic Ball-Tree
+// queries over the same tree.
+type BallTree struct {
+	batchHandle
+	tree *balltree.Tree
 }
 
 // SearchNN returns the k indexed points nearest to the point p in Euclidean
@@ -218,212 +210,18 @@ func liftPoint(p []float32, d int) []float32 {
 	return out
 }
 
-// BCTreeOptions configures NewBCTree. The zero value uses the paper's
-// defaults (N0 = 100).
-type BCTreeOptions struct {
-	// LeafSize is the maximum leaf size N0; zero selects 100.
-	LeafSize int
-	// Seed makes construction deterministic.
-	Seed int64
-	// Quantize stores an 8-bit leaf mirror and filters leaf rows through its
-	// exact error bound after the ball and cone bounds; see Spec.Quantize.
-	Quantize bool
-}
+// LinearScan is the exhaustive baseline — exact, with no index structure —
+// and the oracle every other kind is measured against: what New returns for
+// KindLinearScan. Its batches stream the data once for the whole group.
+type LinearScan struct{ batchHandle }
 
-// BCTree is the paper's Section IV index: Ball-Tree plus point-level ball
-// and cone bounds and collaborative inner product computing.
-type BCTree struct{ arenaIndex }
-
-// NewBCTree indexes the rows of data (raw points; the lift is internal). It
-// is a thin wrapper over New with Spec{Kind: KindBCTree} that panics where
-// New returns an error.
-func NewBCTree(data *Matrix, opts BCTreeOptions) *BCTree {
-	return mustNew(data, Spec{
-		Kind: KindBCTree, LeafSize: opts.LeafSize, Seed: opts.Seed, Quantize: opts.Quantize,
-	}).(*BCTree)
-}
-
-// KDTreeOptions configures NewKDTree.
-type KDTreeOptions struct {
-	// LeafSize is the maximum leaf size; zero selects 100.
-	LeafSize int
-}
-
-// KDTree is the bounding-box alternative the paper's Section III-A discusses.
-type KDTree struct {
-	tree  *kdtree.Tree
-	raw   int
-	attrs *attr.Store
-}
-
-// NewKDTree indexes the rows of data. It is a thin wrapper over New with
-// Spec{Kind: KindKDTree} that panics where New returns an error.
-func NewKDTree(data *Matrix, opts KDTreeOptions) *KDTree {
-	return mustNew(data, Spec{Kind: KindKDTree, LeafSize: opts.LeafSize}).(*KDTree)
-}
-
-// Search implements Index.
-func (t *KDTree) Search(q []float32, opts SearchOptions) ([]Result, Stats) {
-	opts, empty := applyPred(opts, t.attrs)
-	if empty {
-		return nil, Stats{}
-	}
-	return t.tree.Search(checkQuery(q, t.raw), opts)
-}
-
-// IndexBytes implements Index.
-func (t *KDTree) IndexBytes() int64 { return t.tree.IndexBytes() }
-
-// N implements Index.
-func (t *KDTree) N() int { return t.tree.N() }
-
-// Dim implements Index.
-func (t *KDTree) Dim() int { return t.raw }
-
-// NHOptions configures NewNH; zero values select the defaults documented on
-// the fields.
-type NHOptions struct {
-	// Lambda is the sampled transform dimension (zero: 2*(Dim+1)).
-	Lambda int
-	// M is the number of hash projections (zero: 64).
-	M int
-	// L is the collision threshold (zero: 2).
-	L int
-	// Seed makes construction deterministic.
-	Seed int64
-}
-
-// NH is the nearest-hyperplane hashing baseline (Huang et al., SIGMOD 2021).
-type NH struct {
-	index *nh.Index
-	raw   int
-	attrs *attr.Store
-}
-
-// NewNH indexes the rows of data. It is a thin wrapper over New with
-// Spec{Kind: KindNH} that panics where New returns an error.
-func NewNH(data *Matrix, opts NHOptions) *NH {
-	return mustNew(data, Spec{
-		Kind: KindNH, Lambda: opts.Lambda, M: opts.M, L: opts.L, Seed: opts.Seed,
-	}).(*NH)
-}
-
-// Search implements Index.
-func (t *NH) Search(q []float32, opts SearchOptions) ([]Result, Stats) {
-	opts, empty := applyPred(opts, t.attrs)
-	if empty {
-		return nil, Stats{}
-	}
-	return t.index.Search(checkQuery(q, t.raw), opts)
-}
-
-// IndexBytes implements Index.
-func (t *NH) IndexBytes() int64 { return t.index.IndexBytes() }
-
-// N implements Index.
-func (t *NH) N() int { return t.index.N() }
-
-// Dim implements Index.
-func (t *NH) Dim() int { return t.raw }
-
-// FHOptions configures NewFH; zero values select the defaults documented on
-// the fields.
-type FHOptions struct {
-	// Lambda is the sampled transform dimension (zero: 2*(Dim+1)).
-	Lambda int
-	// M is the number of hash projections per partition (zero: 64).
-	M int
-	// L is the separation threshold (zero: 2).
-	L int
-	// B is the norm partition ratio in (0,1) (zero: 0.9).
-	B float64
-	// Seed makes construction deterministic.
-	Seed int64
-}
-
-// FH is the furthest-hyperplane hashing baseline (Huang et al., SIGMOD 2021).
-type FH struct {
-	index *fh.Index
-	raw   int
-	attrs *attr.Store
-}
-
-// NewFH indexes the rows of data. It is a thin wrapper over New with
-// Spec{Kind: KindFH} that panics where New returns an error.
-func NewFH(data *Matrix, opts FHOptions) *FH {
-	return mustNew(data, Spec{
-		Kind: KindFH, Lambda: opts.Lambda, M: opts.M, L: opts.L, B: opts.B, Seed: opts.Seed,
-	}).(*FH)
-}
-
-// Search implements Index.
-func (t *FH) Search(q []float32, opts SearchOptions) ([]Result, Stats) {
-	opts, empty := applyPred(opts, t.attrs)
-	if empty {
-		return nil, Stats{}
-	}
-	return t.index.Search(checkQuery(q, t.raw), opts)
-}
-
-// IndexBytes implements Index.
-func (t *FH) IndexBytes() int64 { return t.index.IndexBytes() }
-
-// N implements Index.
-func (t *FH) N() int { return t.index.N() }
-
-// Dim implements Index.
-func (t *FH) Dim() int { return t.raw }
-
-// LinearScan is the exhaustive baseline; exact, with no index structure.
-type LinearScan struct {
-	scan  *linearscan.Scanner
-	raw   int
-	attrs *attr.Store
-}
-
-// NewLinearScan wraps the rows of data for exhaustive search. It is a thin
-// wrapper over New with Spec{Kind: KindLinearScan} that panics where New
-// returns an error.
+// NewLinearScan wraps the rows of data for exhaustive search: New with
+// Spec{Kind: KindLinearScan}, panicking where New returns an error. Ground
+// truth is computed often enough to earn the one typed constructor.
 func NewLinearScan(data *Matrix) *LinearScan {
-	return mustNew(data, Spec{Kind: KindLinearScan}).(*LinearScan)
-}
-
-// Search implements Index.
-func (t *LinearScan) Search(q []float32, opts SearchOptions) ([]Result, Stats) {
-	opts, empty := applyPred(opts, t.attrs)
-	if empty {
-		return nil, Stats{}
+	ix, err := New(data, Spec{Kind: KindLinearScan})
+	if err != nil {
+		panic("p2h: " + err.Error())
 	}
-	return t.scan.Search(checkQuery(q, t.raw), opts)
+	return ix.(*LinearScan)
 }
-
-// SearchBatch implements BatchIndex: an exact batch streams the data once for
-// the whole group (linearscan.Scanner.SearchBatch); any other takes the
-// per-query path. Results and Stats are those of per-query Search calls.
-func (t *LinearScan) SearchBatch(queries *Matrix, opts SearchOptions) ([][]Result, []Stats) {
-	queries = checkQueryBatch(queries, t.raw)
-	opts, empty := applyPred(opts, t.attrs)
-	if empty {
-		return make([][]Result, queries.N), make([]Stats, queries.N)
-	}
-	return t.scan.SearchBatch(queries, opts)
-}
-
-// IndexBytes implements Index: a scan has no index structure.
-func (t *LinearScan) IndexBytes() int64 { return 0 }
-
-// N implements Index.
-func (t *LinearScan) N() int { return t.scan.N() }
-
-// Dim implements Index.
-func (t *LinearScan) Dim() int { return t.raw }
-
-// Interface conformance checks.
-var (
-	_ Index = (*BallTree)(nil)
-	_ Index = (*BCTree)(nil)
-	_ Index = (*KDTree)(nil)
-	_ Index = (*NH)(nil)
-	_ Index = (*FH)(nil)
-	_ Index = (*LinearScan)(nil)
-)

@@ -14,22 +14,22 @@ func testSetup(t *testing.T) (*Matrix, *Matrix, [][]Result) {
 	return data, queries, GroundTruth(data, queries, 5)
 }
 
-func allIndexes(data *Matrix) map[string]Index {
+func allIndexes(t testing.TB, data *Matrix) map[string]Index {
 	return map[string]Index{
-		"balltree": NewBallTree(data, BallTreeOptions{LeafSize: 30, Seed: 3}),
-		"bctree":   NewBCTree(data, BCTreeOptions{LeafSize: 30, Seed: 3}),
-		"kdtree":   NewKDTree(data, KDTreeOptions{LeafSize: 30}),
-		"nh":       NewNH(data, NHOptions{Lambda: 32, M: 8, Seed: 3}),
-		"fh":       NewFH(data, FHOptions{Lambda: 32, M: 8, Seed: 3}),
+		"balltree": MustBuild(t, data, Spec{Kind: KindBallTree, LeafSize: 30, Seed: 3}),
+		"bctree":   MustBuild(t, data, Spec{Kind: KindBCTree, LeafSize: 30, Seed: 3}),
+		"kdtree":   MustBuild(t, data, Spec{Kind: KindKDTree, LeafSize: 30}),
+		"nh":       MustBuild(t, data, Spec{Kind: KindNH, Lambda: 32, M: 8, Seed: 3}),
+		"fh":       MustBuild(t, data, Spec{Kind: KindFH, Lambda: 32, M: 8, Seed: 3}),
 		"scan":     NewLinearScan(data),
-		"quant":    NewQuantizedScan(data),
-		"sharded":  NewSharded(data, ShardedOptions{Shards: 4, Seed: 3}),
+		"quant":    MustBuild(t, data, Spec{Kind: KindQuantizedScan}),
+		"sharded":  MustBuild(t, data, Spec{Kind: KindSharded, Shards: 4, Seed: 3}),
 	}
 }
 
 func TestAllIndexesExactWithFullBudget(t *testing.T) {
 	data, queries, gt := testSetup(t)
-	for name, ix := range allIndexes(data) {
+	for name, ix := range allIndexes(t, data) {
 		if ix.N() != data.N || ix.Dim() != data.D {
 			t.Fatalf("%s: shape %d/%d want %d/%d", name, ix.N(), ix.Dim(), data.N, data.D)
 		}
@@ -44,7 +44,7 @@ func TestAllIndexesExactWithFullBudget(t *testing.T) {
 
 func TestSearchValidatesQueryDimension(t *testing.T) {
 	data, _, _ := testSetup(t)
-	ix := NewBCTree(data, BCTreeOptions{})
+	ix := MustBuild(t, data, Spec{Kind: KindBCTree})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on wrong query dimension")
@@ -55,7 +55,7 @@ func TestSearchValidatesQueryDimension(t *testing.T) {
 
 func TestSearchRescalesUnnormalizedQueries(t *testing.T) {
 	data, queries, _ := testSetup(t)
-	ix := NewBCTree(data, BCTreeOptions{Seed: 1})
+	ix := MustBuild(t, data, Spec{Kind: KindBCTree, Seed: 1})
 	q := queries.Row(0)
 	// Scale the whole query by 7: same hyperplane, so same neighbors and
 	// same distances after the library rescales.
@@ -138,7 +138,7 @@ func TestDatasetsCatalog(t *testing.T) {
 
 func TestBudgetTradeoffThroughFacade(t *testing.T) {
 	data, queries, gt := testSetup(t)
-	ix := NewBCTree(data, BCTreeOptions{Seed: 5})
+	ix := MustBuild(t, data, Spec{Kind: KindBCTree, Seed: 5})
 	var rLow, rHigh float64
 	for i := 0; i < queries.N; i++ {
 		low, _ := ix.Search(queries.Row(i), SearchOptions{K: 5, Budget: 8})

@@ -8,13 +8,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 
 	"p2h/internal/attr"
-	"p2h/internal/balltree"
 	"p2h/internal/binio"
-	"p2h/internal/dynamic"
-	"p2h/internal/shard"
 )
 
 // ErrFormat is returned by Load and Open for malformed input: a stream that
@@ -43,36 +39,39 @@ const (
 )
 
 // Save writes ix to w as a self-describing container: any reader can
-// restore it with Load without knowing the kind in advance. The index's
-// kind must be registered and persistable; build-only kinds (NH, FH, the
-// scan baselines) return an error naming the documented reason.
+// restore it with Load without knowing the kind in advance. ix must come from
+// New, Open or Load and be of a persistable kind; build-only kinds (NH, FH,
+// the KD-Tree and scan baselines) return an error naming the documented
+// reason.
 func Save(w io.Writer, ix Index) error {
-	k := kindOwning(ix)
-	if k == nil {
-		return fmt.Errorf("p2h: Save: no registered index kind owns %T", ix)
+	wr, ok := ix.(wrapped)
+	if !ok {
+		return fmt.Errorf("p2h: Save: %T is not an index of this package", ix)
 	}
-	if k.Save == nil {
-		return fmt.Errorf("p2h: Save: index kind %q is build-only: %s", k.Name, k.BuildOnly)
+	h := wr.base()
+	k := h.kind
+	if k.save == nil {
+		return fmt.Errorf("p2h: Save: index kind %q is build-only: %s", k.name, k.buildOnly)
 	}
-	spec := k.SpecOf(ix)
-	spec.Kind = k.Name
+	spec := k.specOf(h.in)
+	spec.Kind = k.name
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return fmt.Errorf("p2h: Save: encoding spec: %w", err)
 	}
-	st, err := storeOf(ix)
+	st, err := storeOf(h)
 	if err != nil {
 		return fmt.Errorf("p2h: Save: collecting attributes: %w", err)
 	}
 	var head bytes.Buffer
 	if st == nil {
 		head.Write(containerMagic)
-		writeBlock(&head, []byte(k.Name))
-		writeBlock(&head, specJSON)
 	} else {
 		head.Write(containerMagicV2)
-		writeBlock(&head, []byte(k.Name))
-		writeBlock(&head, specJSON)
+	}
+	writeBlock(&head, []byte(k.name))
+	writeBlock(&head, specJSON)
+	if st != nil {
 		section, err := encodeAttrSection(st)
 		if err != nil {
 			return fmt.Errorf("p2h: Save: encoding attributes: %w", err)
@@ -82,7 +81,7 @@ func Save(w io.Writer, ix Index) error {
 	if _, err := w.Write(head.Bytes()); err != nil {
 		return err
 	}
-	return k.Save(w, ix)
+	return k.save(w, h.in)
 }
 
 // encodeAttrSection serializes an attribute store to the block a v2
@@ -125,10 +124,10 @@ func SaveFile(path string, ix Index) error {
 	return f.Close()
 }
 
-// Load restores an index of any registered kind from a stream written by
+// Load restores an index of any persistable kind from a stream written by
 // Save. Malformed input — including a bare tree payload without the
 // container envelope — returns an error wrapping ErrFormat; a container
-// naming an unregistered kind returns ErrUnknownKind.
+// naming an unknown kind returns ErrUnknownKind.
 func Load(r io.Reader) (Index, error) { return load(binio.NewReader(r)) }
 
 // load decodes a container from br. br knows how many bytes are left whenever
@@ -142,20 +141,11 @@ func load(br *binio.Reader) (Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	k, err := lookupKind(h.kind)
+	in, err := h.kind.load(br, h.spec)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %s payload: %v", ErrFormat, h.kind.name, err)
 	}
-	if err := refuseBuildOnly(k); err != nil {
-		return nil, err
-	}
-	if h.spec.Kind == "" {
-		h.spec.Kind = k.Name
-	}
-	ix, err := k.Load(br, h.spec)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s payload: %v", ErrFormat, k.Name, err)
-	}
+	ix := h.kind.index(in, in.Dim()-1)
 	if h.attrs != nil {
 		if err := attachStore(ix, h.attrs); err != nil {
 			return nil, fmt.Errorf("%w: attaching attributes: %v", ErrFormat, err)
@@ -164,25 +154,17 @@ func load(br *binio.Reader) (Index, error) {
 	return ix, nil
 }
 
-// refuseBuildOnly returns the error a container naming kind k is refused
-// with when k has no codec (any more), by Load, Open and Inspect alike; nil
-// for a persistable kind.
-func refuseBuildOnly(k *IndexKind) error {
-	if k.Load != nil {
-		return nil
-	}
-	return fmt.Errorf("%w: container holds build-only kind %q (%s)", ErrFormat, k.Name, k.BuildOnly)
-}
-
 // header is everything a container holds ahead of the kind's payload.
 type header struct {
-	kind  string
+	kind  *kind // of the kind tag; always a persistable one
 	spec  Spec
 	attrs *attr.Store // nil for a v1 container
 }
 
 // readHeader decodes the container envelope, leaving br at the first byte of
-// the kind's payload.
+// the kind's payload. A kind tag the table does not know is ErrUnknownKind; one
+// of a build-only kind — which has no codec (any more) — is refused, for Load,
+// Open and Inspect alike.
 func readHeader(br *binio.Reader) (header, error) {
 	magic := br.Raw(len(containerMagic))
 	if err := br.Err(); err != nil {
@@ -200,9 +182,18 @@ func readHeader(br *binio.Reader) (header, error) {
 	if err != nil {
 		return header{}, err
 	}
-	h := header{kind: string(kindTag)}
+	var h header
+	if h.kind, err = lookupKind(string(kindTag)); err != nil {
+		return header{}, err
+	}
+	if h.kind.load == nil {
+		return header{}, fmt.Errorf("%w: container holds build-only kind %q (%s)", ErrFormat, h.kind.name, h.kind.buildOnly)
+	}
 	if err := json.Unmarshal(specJSON, &h.spec); err != nil {
 		return header{}, fmt.Errorf("%w: decoding spec: %v", ErrFormat, err)
+	}
+	if h.spec.Kind == "" {
+		h.spec.Kind = h.kind.name
 	}
 	if v2 {
 		section, err := readBlock(br, maxAttrSectionLen, "attribute section")
@@ -216,7 +207,7 @@ func readHeader(br *binio.Reader) (header, error) {
 	return h, nil
 }
 
-// Open restores an index of any registered kind from the named file; see
+// Open restores an index of any persistable kind from the named file; see
 // Load for the accepted formats.
 //
 // For a dynamic index, Open also replays the sidecar write-ahead log
@@ -254,15 +245,13 @@ func Open(path string) (Index, error) {
 // everything Inspect can learn from the container header plus the fixed-size
 // shape prefix of the kind's own payload.
 type IndexInfo struct {
-	// Kind is the registered kind name recorded in the container header.
+	// Kind is the kind name recorded in the container header.
 	Kind string
 	// Spec is the declarative Spec recorded in the container header.
 	Spec Spec
-	// Dim is the raw point dimensionality, or -1 when the payload format is
-	// not one this decoder knows (an out-of-tree registered kind).
+	// Dim is the raw point dimensionality.
 	Dim int
-	// N is the number of indexed points (live points for a dynamic index),
-	// or -1 when the payload format is unknown.
+	// N is the number of indexed points (live points for a dynamic index).
 	N int
 	// HasAttrs marks a v2 container carrying a per-point attribute section.
 	HasAttrs bool
@@ -285,30 +274,21 @@ type IndexInfo struct {
 
 // Inspect reads the header of an index stream written by Save and reports
 // its kind, recorded Spec, raw dimensionality and point count without
-// loading the payload: only the container header and the payload's
-// fixed-size shape prefix are read (for a dynamic index also its liveness
-// bytes, which follow that prefix directly; for a sharded or dynamic index
-// also the id list in front of the first tree it embeds, to see that tree's
-// payload version). A container holding a payload this
-// decoder does not know still reports its kind and Spec, with Dim and N set
-// to -1. Malformed input returns an error wrapping ErrFormat, and so does a
-// container Load refuses by its header alone: one of a registered build-only
-// kind, or of a payload version this build has retired.
+// loading the payload: only the container header and the shape prefix of the
+// payload are read, by the reader the kind's own package keeps beside its
+// serializer (for a dynamic index that includes its liveness bytes, which
+// follow the prefix directly; for a sharded or dynamic index also the magic of
+// the first tree it embeds). Inspect fails wherever Load fails by those bytes
+// alone: malformed input and a payload version this build has retired return
+// an error wrapping ErrFormat, as does a build-only kind's container; an
+// unknown kind returns ErrUnknownKind.
 func Inspect(r io.Reader) (IndexInfo, error) {
 	br := binio.NewReader(r)
 	h, err := readHeader(br)
 	if err != nil {
 		return IndexInfo{}, err
 	}
-	if k, err := lookupKind(h.kind); err == nil {
-		if err := refuseBuildOnly(k); err != nil {
-			return IndexInfo{}, err
-		}
-	}
-	info := IndexInfo{Kind: h.kind, Spec: h.spec}
-	if info.Spec.Kind == "" {
-		info.Spec.Kind = info.Kind
-	}
+	info := IndexInfo{Kind: h.kind.name, Spec: h.spec}
 	if st := h.attrs; st != nil {
 		info.HasAttrs = true
 		info.AttrTags = st.Tags()
@@ -321,10 +301,11 @@ func Inspect(r io.Reader) (IndexInfo, error) {
 			info.AttrFields = append(info.AttrFields, name+":"+k)
 		}
 	}
-	info.Dim, info.N, err = payloadShape(br)
+	n, lifted, err := h.kind.shape(br)
 	if err != nil {
-		return IndexInfo{}, err
+		return IndexInfo{}, fmt.Errorf("%w: %s payload: %v", ErrFormat, h.kind.name, err)
 	}
+	info.Dim, info.N = lifted-1, n
 	return info, nil
 }
 
@@ -354,126 +335,6 @@ func InspectFile(path string) (IndexInfo, error) {
 		info.WALRecords = n
 	}
 	return info, nil
-}
-
-// maxInspectDim bounds a payload-declared dimensionality, mirroring the
-// serializers' own guards, so a corrupt shape fails instead of driving a
-// huge skip.
-const maxInspectDim = 1 << 20
-
-// payloadShape decodes the raw dimensionality and point count from the
-// fixed-size shape prefix of a known payload format (the built-in kinds'
-// serializers all start with an 8-byte magic and little-endian counters).
-// Unknown payload magics — an out-of-tree registered kind, including one
-// whose whole payload is shorter than a magic — report (-1, -1) with no
-// error; only structurally corrupt known payloads fail, and a payload
-// version this build has retired fails with the error Load would give.
-func payloadShape(br io.Reader) (dim, n int, err error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return -1, -1, nil // a payload too short for any built-in format
-		}
-		return 0, 0, fmt.Errorf("%w: reading payload magic: %v", ErrFormat, err)
-	}
-	u32 := func() (int, error) {
-		var b [4]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, fmt.Errorf("%w: reading payload header: %v", ErrFormat, err)
-		}
-		return int(int32(binary.LittleEndian.Uint32(b[:]))), nil
-	}
-	m := string(magic[:])
-	for _, retired := range []func(string) error{balltree.RetiredPayload, shard.RetiredPayload, dynamic.RetiredPayload} {
-		if err := retired(m); err != nil {
-			return 0, 0, fmt.Errorf("%w: %v", ErrFormat, err)
-		}
-	}
-	switch {
-	case slices.Contains(balltree.PayloadMagics(), m):
-		// leafSize, n, d — the stored d is lifted (raw + 1).
-		if _, err := u32(); err != nil { // leafSize
-			return 0, 0, err
-		}
-		var lifted int
-		if n, err = u32(); err != nil {
-			return 0, 0, err
-		}
-		if lifted, err = u32(); err != nil {
-			return 0, 0, err
-		}
-		if n <= 0 || lifted <= 1 || lifted > maxInspectDim {
-			return 0, 0, fmt.Errorf("%w: payload header: n=%d d=%d", ErrFormat, n, lifted)
-		}
-		return lifted - 1, n, nil
-	case m == "P2HSH002":
-		// n, d (lifted), shards, workers.
-		var lifted int
-		if n, err = u32(); err != nil {
-			return 0, 0, err
-		}
-		if lifted, err = u32(); err != nil {
-			return 0, 0, err
-		}
-		if n <= 0 || lifted <= 1 || lifted > maxInspectDim {
-			return 0, 0, fmt.Errorf("%w: payload header: n=%d d=%d", ErrFormat, n, lifted)
-		}
-		if _, err := io.CopyN(io.Discard, br, 2*4); err != nil { // shards, workers
-			return 0, 0, fmt.Errorf("%w: reading payload header: %v", ErrFormat, err)
-		}
-		return lifted - 1, n, retiredEmbeddedTree(br)
-	case m == "P2HDY003":
-		// leafSize i32, seed i64, rebuild f64, dim i32 (lifted), handles i32,
-		// then one liveness byte per handle (read to count the live points).
-		if _, err := io.CopyN(io.Discard, br, 4+8+8); err != nil {
-			return 0, 0, fmt.Errorf("%w: reading payload header: %v", ErrFormat, err)
-		}
-		lifted, err := u32()
-		if err != nil {
-			return 0, 0, err
-		}
-		handles, err := u32()
-		if err != nil {
-			return 0, 0, err
-		}
-		if lifted <= 1 || lifted > maxInspectDim || handles < 0 {
-			return 0, 0, fmt.Errorf("%w: payload header: dim=%d handles=%d", ErrFormat, lifted, handles)
-		}
-		live := 0
-		buf := make([]byte, 4096)
-		for left := handles; left > 0; left -= len(buf) {
-			buf = buf[:min(left, len(buf))]
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return 0, 0, fmt.Errorf("%w: reading liveness bytes: %v", ErrFormat, err)
-			}
-			live += bytes.Count(buf, []byte{1})
-		}
-		if _, err := io.ReadFull(br, buf[:1]); err == nil && buf[0] == 1 { // a snapshot tree follows
-			return lifted - 1, live, retiredEmbeddedTree(br)
-		}
-		return lifted - 1, live, nil
-	}
-	return -1, -1, nil
-}
-
-// retiredEmbeddedTree reads on through what a Sharded or Dynamic payload puts
-// in front of the (first) tree it embeds — the tree payload's length — to that
-// tree's magic, and returns the error Load refuses the container with when the
-// magic is one this build has retired: Inspect does not describe a container
-// Open will not open. Anything else, a stream that ends first included, is
-// Load's to judge.
-func retiredEmbeddedTree(br io.Reader) error {
-	var b [8]byte
-	if _, err := io.CopyN(io.Discard, br, 8); err != nil { // the payload's length
-		return nil
-	}
-	if _, err := io.ReadFull(br, b[:]); err != nil {
-		return nil
-	}
-	if err := balltree.RetiredPayload(string(b[:])); err != nil {
-		return fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	return nil
 }
 
 // writeBlock appends a little-endian uint32 length prefix and the bytes.

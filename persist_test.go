@@ -479,11 +479,12 @@ func TestSaveBuildOnlyKindsRefuse(t *testing.T) {
 func TestBareTreeStreamRejected(t *testing.T) {
 	data := specTestData(120, 7, 9)
 	for _, ix := range []Index{
-		NewBallTree(data, BallTreeOptions{LeafSize: 20, Seed: 1}),
-		NewBCTree(data, BCTreeOptions{LeafSize: 20, Seed: 1, Quantize: true}),
+		MustBuild(t, data, Spec{Kind: KindBallTree, LeafSize: 20, Seed: 1}),
+		MustBuild(t, data, Spec{Kind: KindBCTree, LeafSize: 20, Seed: 1, Quantize: true}),
 	} {
 		var bare bytes.Buffer
-		if err := kindOwning(ix).Save(&bare, ix); err != nil {
+		h := ix.(wrapped).base()
+		if err := h.kind.save(&bare, h.in); err != nil {
 			t.Fatal(err)
 		}
 		_, err := Load(bytes.NewReader(bare.Bytes()))
@@ -669,31 +670,9 @@ func TestInspectReadsOnlyThePrefix(t *testing.T) {
 	}
 }
 
-// TestInspectUnknownPayload: a container naming an out-of-tree kind still
-// reports its header; the unknown shape comes back as -1.
-func TestInspectUnknownPayload(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write(containerMagic)
-	block := func(b []byte) {
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(len(b)))
-		buf.Write(n[:])
-		buf.Write(b)
-	}
-	block([]byte("mycustom"))
-	block([]byte(`{"kind":"mycustom","leaf_size":7}`))
-	buf.Write([]byte("XYZPAY01rest-of-the-payload"))
-	info, err := Inspect(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Kind != "mycustom" || info.Spec.LeafSize != 7 || info.Dim != -1 || info.N != -1 {
-		t.Fatalf("unknown-payload inspect: %+v", info)
-	}
-}
-
 // TestInspectRejectsMalformed: garbage and truncation fail with ErrFormat
-// rather than a misread shape.
+// rather than a misread shape, and a header naming a kind the table does not
+// know with ErrUnknownKind — Inspect fails where Load does.
 func TestInspectRejectsMalformed(t *testing.T) {
 	ix, err := New(specTestData(60, 4, 5), Spec{Kind: KindBCTree, LeafSize: 20})
 	if err != nil {
@@ -704,14 +683,24 @@ func TestInspectRejectsMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
-	for name, b := range map[string][]byte{
-		"garbage":         []byte("not an index container at all"),
-		"empty":           {},
-		"cut mid-header":  good[:10],
-		"cut mid-payload": good[:len(good)-(len(good)-30)], // 30 bytes: inside the kind/spec blocks
+	for name, c := range map[string]struct {
+		data []byte
+		want error
+	}{
+		"garbage":         {[]byte("not an index container at all"), ErrFormat},
+		"empty":           {nil, ErrFormat},
+		"cut mid-header":  {good[:10], ErrFormat},
+		"cut mid-payload": {good[:30], ErrFormat}, // 30 bytes: inside the kind/spec blocks
+		"cut mid-shape":   {good[:bytes.Index(good, []byte("P2HBC"))+12], ErrFormat},
+		"other kind's payload": {
+			bytes.Replace(good, []byte("\x06\x00\x00\x00bctree"), []byte("\x08\x00\x00\x00balltree"), 1), ErrFormat},
+		"unknown kind": {buildContainer("mycustom", `{"kind":"mycustom","leaf_size":7}`, []byte("XYZPAY01rest-of-the-payload")), ErrUnknownKind},
 	} {
-		if _, err := Inspect(bytes.NewReader(b)); !errors.Is(err, ErrFormat) {
-			t.Errorf("%s: Inspect err = %v, want ErrFormat", name, err)
+		if _, err := Inspect(bytes.NewReader(c.data)); !errors.Is(err, c.want) {
+			t.Errorf("%s: Inspect err = %v, want %v", name, err, c.want)
+		}
+		if _, err := Load(bytes.NewReader(c.data)); !errors.Is(err, c.want) {
+			t.Errorf("%s: Load err = %v, want %v", name, err, c.want)
 		}
 	}
 }
@@ -745,29 +734,5 @@ func TestInspectFileMatchesOpen(t *testing.T) {
 	}
 	if info.Spec.LeafSize != 25 {
 		t.Fatalf("InspectFile spec: %+v", info.Spec)
-	}
-}
-
-// TestInspectTinyUnknownPayload: an out-of-tree kind whose payload is
-// shorter than any built-in magic still inspects to its header, shape
-// unknown.
-func TestInspectTinyUnknownPayload(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write(containerMagic)
-	block := func(b []byte) {
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(len(b)))
-		buf.Write(n[:])
-		buf.Write(b)
-	}
-	block([]byte("tinykind"))
-	block([]byte(`{"kind":"tinykind"}`))
-	buf.Write([]byte("abc")) // 3-byte payload: shorter than any magic
-	info, err := Inspect(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Kind != "tinykind" || info.Dim != -1 || info.N != -1 {
-		t.Fatalf("tiny-payload inspect: %+v", info)
 	}
 }

@@ -17,16 +17,16 @@ import (
 )
 
 // exactIndexes enumerates the indexes that promise exact answers.
-func exactIndexes(data *p2h.Matrix) map[string]p2h.Index {
+func exactIndexes(t testing.TB, data *p2h.Matrix) map[string]p2h.Index {
 	return map[string]p2h.Index{
-		"balltree":       p2h.NewBallTree(data, p2h.BallTreeOptions{Seed: 3}),
-		"bctree":         p2h.NewBCTree(data, p2h.BCTreeOptions{Seed: 3}),
-		"kdtree":         p2h.NewKDTree(data, p2h.KDTreeOptions{}),
-		"sharded":        p2h.NewSharded(data, p2h.ShardedOptions{Shards: 4, Seed: 3}),
-		"dynamic":        p2h.NewDynamic(data, p2h.DynamicOptions{Seed: 3}),
-		"balltree-quant": p2h.NewBallTree(data, p2h.BallTreeOptions{Seed: 3, Quantize: true}),
-		"bctree-quant":   p2h.NewBCTree(data, p2h.BCTreeOptions{Seed: 3, Quantize: true}),
-		"sharded-quant":  p2h.NewSharded(data, p2h.ShardedOptions{Shards: 4, Seed: 3, Quantize: true}),
+		"balltree":       p2h.MustBuild(t, data, p2h.Spec{Kind: p2h.KindBallTree, Seed: 3}),
+		"bctree":         p2h.MustBuild(t, data, p2h.Spec{Kind: p2h.KindBCTree, Seed: 3}),
+		"kdtree":         p2h.MustBuild(t, data, p2h.Spec{Kind: p2h.KindKDTree}),
+		"sharded":        p2h.MustBuild(t, data, p2h.Spec{Kind: p2h.KindSharded, Shards: 4, Seed: 3}),
+		"dynamic":        p2h.MustBuild(t, data, p2h.Spec{Kind: p2h.KindDynamic, Seed: 3}),
+		"balltree-quant": p2h.MustBuild(t, data, p2h.Spec{Kind: p2h.KindBallTree, Seed: 3, Quantize: true}),
+		"bctree-quant":   p2h.MustBuild(t, data, p2h.Spec{Kind: p2h.KindBCTree, Seed: 3, Quantize: true}),
+		"sharded-quant":  p2h.MustBuild(t, data, p2h.Spec{Kind: p2h.KindSharded, Shards: 4, Seed: 3, Quantize: true}),
 		"linearscan":     p2h.NewLinearScan(data), // its batched path against its own Search
 	}
 }
@@ -51,7 +51,7 @@ func TestRecallGateExactIndexes(t *testing.T) {
 		data := p2h.Dedup(p2h.GenerateDataset(set, 2000, 1))
 		queries := p2h.GenerateQueries(data, 20, 2)
 		scan := p2h.NewLinearScan(data)
-		for name, ix := range exactIndexes(data) {
+		for name, ix := range exactIndexes(t, data) {
 			hits, total := 0, 0
 			for qi := 0; qi < queries.N; qi++ {
 				q := queries.Row(qi)
@@ -81,7 +81,7 @@ func TestRecallGateBudgeted(t *testing.T) {
 	const k, floor = 10, 0.5
 	data := p2h.Dedup(p2h.GenerateDataset("Sift", 10000, 1))
 	queries := p2h.GenerateQueries(data, 40, 2)
-	ix := p2h.NewBCTree(data, p2h.BCTreeOptions{Seed: 3})
+	ix := p2h.MustBuild(t, data, p2h.Spec{Kind: p2h.KindBCTree, Seed: 3})
 	scan := p2h.NewLinearScan(data)
 	hits, total := 0, 0
 	for qi := 0; qi < queries.N; qi++ {
@@ -132,7 +132,7 @@ func TestRecallGateFiltered(t *testing.T) {
 			p2h.AllOf(p2h.TagIs("warm"), p2h.FieldAtLeast("score", 0.3)),
 		} {
 			opts := p2h.SearchOptions{K: k, Pred: pred}
-			for name, ix := range exactIndexes(data) {
+			for name, ix := range exactIndexes(t, data) {
 				if err := p2h.AttachAttributes(ix, attrs); err != nil {
 					t.Fatalf("%s/%s: %v", set, name, err)
 				}
@@ -170,7 +170,7 @@ func TestRecallGateBatchedPath(t *testing.T) {
 		data := p2h.Dedup(p2h.GenerateDataset(set, 2000, 1))
 		queries := p2h.GenerateQueries(data, 20, 2)
 		scan := p2h.NewLinearScan(data)
-		for name, ix := range exactIndexes(data) {
+		for name, ix := range exactIndexes(t, data) {
 			batch := p2h.SearchBatch(ix, queries, p2h.SearchOptions{K: k}, 2)
 			hits, total := 0, 0
 			for qi := 0; qi < queries.N; qi++ {
@@ -267,7 +267,7 @@ func checkTiesAgainstScan(t *testing.T, name string, ix p2h.Index, data *p2h.Mat
 func TestShardedBreaksTiesByGlobalID(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		data := tieSet(200, seed)
-		ix := p2h.NewSharded(data, p2h.ShardedOptions{Shards: 3, Seed: seed})
+		ix := p2h.MustBuild(t, data, p2h.Spec{Kind: p2h.KindSharded, Shards: 3, Seed: seed})
 		checkTiesAgainstScan(t, fmt.Sprintf("sharded seed %d", seed), ix, data)
 	}
 }
@@ -278,7 +278,7 @@ func TestShardedBreaksTiesByGlobalID(t *testing.T) {
 func TestExactIndexesBreakTiesByID(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		data := tieSet(200, seed)
-		for name, ix := range exactIndexes(data) {
+		for name, ix := range exactIndexes(t, data) {
 			checkTiesAgainstScan(t, name, ix, data)
 		}
 	}

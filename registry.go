@@ -4,9 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"p2h/internal/balltree"
 	"p2h/internal/dynamic"
@@ -18,164 +17,200 @@ import (
 	"p2h/internal/shard"
 )
 
-// ErrUnknownKind is returned by New, Open and Load when Spec.Kind (or a
-// container's kind tag) names no registered index backend.
+// ErrUnknownKind is returned by New, Open, Load and Inspect when Spec.Kind (or
+// a container's kind tag) names no index kind.
 var ErrUnknownKind = errors.New("p2h: unknown index kind")
 
-// IndexKind describes one index backend to the registry: how to build it
-// from a Spec and — for persistable kinds — how to serialize and restore it.
-// The built-in kinds register themselves at init; RegisterKind adds new
-// backends, which then work everywhere a kind name is accepted (p2h.New,
-// p2h.Open, the cmd/ tools' -index and -spec flags).
-type IndexKind struct {
-	// Name is the canonical kind name (lowercase; see the Kind* constants).
-	Name string
-	// Aliases are alternative names resolving to this kind.
-	Aliases []string
-	// Description is a one-line summary for tool usage strings.
-	Description string
+// kind is one row of the kind table: how an index kind is built from a Spec
+// and — for the persistable kinds — how it is written, restored and described.
+type kind struct {
+	name    string   // canonical, lower-case; see the Kind* constants
+	aliases []string // alternative names resolving to this kind
 
-	// Build constructs the index. It must validate its inputs and return
-	// errors rather than panic.
-	Build func(data *Matrix, spec Spec) (Index, error)
+	// build constructs the inner index over the lifted rows, which it may
+	// keep. lifted is nil only for an emptyStart kind given no data; dim is
+	// the raw dimensionality either way.
+	build func(lifted *Matrix, dim int, spec Spec) inner
+	// emptyStart marks a kind that builds from no data, given Spec.Dim.
+	emptyStart bool
+	// nativePred marks a kind whose inner index evaluates SearchOptions.Pred
+	// itself, over attributes it keeps; for the rest the handle folds the
+	// predicate into a Filter over the store attached to it.
+	nativePred bool
+	// wrap puts the exported type users assert to around the handle; nil for
+	// a kind that adds no method to Index and BatchIndex.
+	wrap func(h handle) Index
 
-	// Save writes the index payload (the bytes following the container
-	// header). Nil marks a build-only kind; BuildOnly must then say why.
-	Save func(w io.Writer, ix Index) error
-	// Load restores a payload written by Save. spec is the Spec recorded
-	// in the container header (informational for self-contained payloads).
-	Load func(r io.Reader, spec Spec) (Index, error)
-	// Owns reports whether ix is an instance of this kind; it backs
-	// KindOf and the Save dispatch. Required when Save is set.
-	Owns func(ix Index) bool
-	// SpecOf reconstructs the Spec recorded in a saved container from a
-	// built index (construction-only fields such as Seed are not
-	// recoverable and stay zero). Required when Save is set.
-	SpecOf func(ix Index) Spec
-
-	// BuildOnly documents why the kind has no persistence (for example
-	// "cheaper to rebuild than to store"). Exactly one of Load/BuildOnly
-	// must be set: every registered kind either round-trips through
-	// Save/Load or carries this marker.
-	BuildOnly string
+	// The codec of a persistable kind, all four set or all nil: save writes
+	// the payload (the bytes after the container header) and load restores it
+	// (spec is the header's), specOf recovers the Spec a container records
+	// (construction-only fields such as Seed may stay zero), and shape reads a
+	// payload's point count and stored dimensionality off its prefix.
+	save   func(w io.Writer, in inner) error
+	load   func(r io.Reader, spec Spec) (loadedIndex, error)
+	specOf func(in inner) Spec
+	shape  func(r io.Reader) (n, lifted int, err error)
+	// buildOnly says why a kind without a codec has none. Exactly one of load
+	// and buildOnly is set.
+	buildOnly string
 }
 
-// registry maps kind names (and aliases) to their descriptors. Guarded by a
-// mutex so RegisterKind is safe from init functions and tests.
-var registry = struct {
-	sync.RWMutex
-	kinds map[string]*IndexKind // canonical name -> kind
-	alias map[string]string     // alias -> canonical name
-}{
-	kinds: make(map[string]*IndexKind),
-	alias: make(map[string]string),
+// loadedIndex is what a payload loader returns: the inner index, which reports
+// the (lifted) dimensionality the payload stored.
+type loadedIndex interface {
+	inner
+	Dim() int
 }
 
-// normalizeKindName canonicalizes user-supplied kind names.
-func normalizeKindName(name string) string {
-	return strings.ToLower(strings.TrimSpace(name))
+// index wraps a built or loaded inner index of this kind over raw
+// d-dimensional points in what New, Open and Load hand out.
+func (k *kind) index(in inner, d int) Index {
+	h := handle{kind: k, in: in, raw: d}
+	if k.wrap != nil {
+		return k.wrap(h)
+	}
+	if _, ok := in.(batchInner); ok {
+		return &batchHandle{h}
+	}
+	return &h
 }
 
-// RegisterKind adds an index backend to the registry. It returns an error on
-// an invalid descriptor (missing Name or Build, persistence hooks half-set,
-// neither loader nor BuildOnly marker) or a name collision. Registered kinds
-// are immediately usable by New, Open, Save and the cmd/ tools.
-func RegisterKind(k IndexKind) error {
-	k.Name = normalizeKindName(k.Name)
-	if k.Name == "" {
-		return errors.New("p2h: RegisterKind: empty kind name")
+// arenaKind is one of the two kinds backed by internal/balltree: they differ
+// in the balltree.Kind handed to the builder and the codec, and in the
+// exported type around the handle, nothing else.
+func arenaKind(name, alias string, tk balltree.Kind, wrap func(handle) Index) *kind {
+	return &kind{
+		name: name, aliases: []string{alias}, nativePred: true, wrap: wrap,
+		build: func(x *Matrix, _ int, s Spec) inner {
+			return balltree.BuildOwned(x, nil, tk, balltree.Config{LeafSize: s.LeafSize, Seed: s.Seed, Quantize: s.Quantize})
+		},
+		save: func(w io.Writer, in inner) error { return in.(*balltree.Tree).Save(w) },
+		load: func(r io.Reader, _ Spec) (loadedIndex, error) { return balltree.Load(r, tk, 0) },
+		specOf: func(in inner) Spec {
+			t := in.(*balltree.Tree)
+			return Spec{LeafSize: t.LeafSize(), Quantize: t.Quantized()}
+		},
+		shape: func(r io.Reader) (int, int, error) { return balltree.ReadShape(r, tk) },
 	}
-	if k.Build == nil {
-		return fmt.Errorf("p2h: RegisterKind %q: Build is required", k.Name)
-	}
-	if (k.Save == nil) != (k.Load == nil) {
-		return fmt.Errorf("p2h: RegisterKind %q: Save and Load must both be set or both nil", k.Name)
-	}
-	if k.Save != nil && (k.Owns == nil || k.SpecOf == nil) {
-		return fmt.Errorf("p2h: RegisterKind %q: persistable kinds require Owns and SpecOf", k.Name)
-	}
-	if k.Load == nil && k.BuildOnly == "" {
-		return fmt.Errorf("p2h: RegisterKind %q: kinds without a loader must document BuildOnly", k.Name)
-	}
-	if k.Load != nil && k.BuildOnly != "" {
-		return fmt.Errorf("p2h: RegisterKind %q: BuildOnly set on a persistable kind", k.Name)
-	}
+}
 
-	registry.Lock()
-	defer registry.Unlock()
-	names := append([]string{k.Name}, k.Aliases...)
-	for i, name := range names {
-		names[i] = normalizeKindName(name)
-		if _, dup := registry.kinds[names[i]]; dup {
-			return fmt.Errorf("p2h: RegisterKind %q: name %q already registered", k.Name, names[i])
+// hashBuildOnly is why neither hashing baseline has a codec.
+const hashBuildOnly = "randomized hash tables are cheaper to rebuild from the data (deterministic in Seed) than to store"
+
+// kinds is the kind table, in name order. It is fixed at compile time: every
+// place a kind name is accepted (New, Open, the cmd/ tools' -index and -spec
+// flags) resolves through it.
+var kinds = []*kind{
+	arenaKind(KindBallTree, "ball", balltree.Ball, func(h handle) Index {
+		return &BallTree{batchHandle{h}, h.in.(*balltree.Tree)}
+	}),
+	arenaKind(KindBCTree, "bc", balltree.BC, nil),
+	{
+		name: KindDynamic, aliases: []string{"dyn"}, emptyStart: true, nativePred: true,
+		build: func(x *Matrix, d int, s Spec) inner {
+			cfg := dynamic.Config{
+				LeafSize: s.LeafSize, Seed: s.Seed,
+				RebuildFraction: s.RebuildFraction, CompactFraction: s.CompactFraction,
+			}
+			if x == nil {
+				return dynamic.New(d+1, cfg)
+			}
+			return dynamic.NewFromMatrix(x, cfg)
+		},
+		wrap: func(h handle) Index { return &Dynamic{h, h.in.(*dynamic.Index)} },
+		save: func(w io.Writer, in inner) error { return in.(*dynamic.Index).Save(w) },
+		load: func(r io.Reader, spec Spec) (loadedIndex, error) {
+			ix, err := dynamic.Load(r)
+			// The payload format predates CompactFraction; the container
+			// header's Spec carries it across Save/Load.
+			if err == nil && spec.CompactFraction > 0 {
+				ix.SetCompactFraction(spec.CompactFraction)
+			}
+			return ix, err
+		},
+		specOf: func(in inner) Spec {
+			ix := in.(*dynamic.Index)
+			cfg := ix.Configuration()
+			return Spec{
+				LeafSize: cfg.LeafSize, Seed: cfg.Seed, Dim: ix.Dim() - 1,
+				RebuildFraction: cfg.RebuildFraction, CompactFraction: cfg.CompactFraction,
+			}
+		},
+		shape: dynamic.ReadShape,
+	},
+	{
+		name: KindFH, buildOnly: hashBuildOnly,
+		build: func(x *Matrix, _ int, s Spec) inner {
+			return fh.Build(x, fh.Config{Lambda: s.Lambda, M: s.M, L: s.L, B: s.B, Seed: s.Seed})
+		},
+	},
+	{
+		name: KindKDTree, aliases: []string{"kd"},
+		buildOnly: "a baseline no workload serves: median splits rebuild deterministically from the data; persist the data with SaveFvecs instead",
+		build: func(x *Matrix, _ int, s Spec) inner {
+			return kdtree.Build(x, kdtree.Config{LeafSize: s.LeafSize})
+		},
+	},
+	{
+		name: KindLinearScan, aliases: []string{"scan", "linear"},
+		buildOnly: "holds nothing beyond the data matrix; persist the data with SaveFvecs instead",
+		build:     func(x *Matrix, _ int, _ Spec) inner { return linearscan.New(x) },
+		wrap:      func(h handle) Index { return &LinearScan{batchHandle{h}} },
+	},
+	{
+		name: KindNH, buildOnly: hashBuildOnly,
+		build: func(x *Matrix, _ int, s Spec) inner {
+			return nh.Build(x, nh.Config{Lambda: s.Lambda, M: s.M, L: s.L, Seed: s.Seed})
+		},
+	},
+	{
+		name: KindQuantizedScan, aliases: []string{"quant", "qscan"},
+		buildOnly: "codes are derived from the data deterministically; persist the data with SaveFvecs instead",
+		build:     func(x *Matrix, _ int, _ Spec) inner { return quant.NewScan(x) },
+	},
+	{
+		name: KindSharded, aliases: []string{"shard"}, nativePred: true,
+		build: func(x *Matrix, _ int, s Spec) inner {
+			return shard.Build(x, shard.Config{
+				Shards: s.Shards, LeafSize: s.LeafSize, Seed: s.Seed, Workers: s.Workers, Quantize: s.Quantize,
+			})
+		},
+		wrap: func(h handle) Index { return &Sharded{batchHandle{h}, h.in.(*shard.Index)} },
+		save: func(w io.Writer, in inner) error { return in.(*shard.Index).Save(w) },
+		load: func(r io.Reader, _ Spec) (loadedIndex, error) { return shard.Load(r) },
+		specOf: func(in inner) Spec {
+			ix := in.(*shard.Index)
+			return Spec{LeafSize: ix.LeafSize(), Shards: ix.Shards(), Workers: ix.Workers(), Quantize: ix.Quantized()}
+		},
+		shape: shard.ReadShape,
+	},
+}
+
+// lookupKind resolves a kind name or alias, case-insensitively.
+func lookupKind(name string) (*kind, error) {
+	n := strings.ToLower(strings.TrimSpace(name))
+	for _, k := range kinds {
+		if k.name == n || slices.Contains(k.aliases, n) {
+			return k, nil
 		}
-		if _, dup := registry.alias[names[i]]; dup {
-			return fmt.Errorf("p2h: RegisterKind %q: name %q already registered as an alias", k.Name, names[i])
-		}
 	}
-	registry.kinds[k.Name] = &k
-	for _, a := range names[1:] {
-		registry.alias[a] = k.Name
-	}
-	return nil
+	return nil, fmt.Errorf("%w %q (known: %s)", ErrUnknownKind, name, strings.Join(Kinds(), ", "))
 }
 
-// mustRegisterKind backs the built-in registrations.
-func mustRegisterKind(k IndexKind) {
-	if err := RegisterKind(k); err != nil {
-		panic(err)
+// Kinds returns the canonical names of every index kind, sorted.
+func Kinds() []string {
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = k.name
 	}
-}
-
-// lookupKind resolves a kind name or alias.
-func lookupKind(name string) (*IndexKind, error) {
-	n := normalizeKindName(name)
-	registry.RLock()
-	defer registry.RUnlock()
-	if canon, ok := registry.alias[n]; ok {
-		n = canon
-	}
-	if k, ok := registry.kinds[n]; ok {
-		return k, nil
-	}
-	return nil, fmt.Errorf("%w %q (registered: %s)", ErrUnknownKind, name, strings.Join(kindNamesLocked(), ", "))
-}
-
-// kindOwning finds the registered kind an index instance belongs to.
-func kindOwning(ix Index) *IndexKind {
-	registry.RLock()
-	defer registry.RUnlock()
-	for _, name := range kindNamesLocked() {
-		k := registry.kinds[name]
-		if k.Owns != nil && k.Owns(ix) {
-			return k
-		}
-	}
-	return nil
-}
-
-// kindNamesLocked returns the sorted canonical names; callers hold the lock.
-func kindNamesLocked() []string {
-	names := make([]string, 0, len(registry.kinds))
-	for name := range registry.kinds {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	return names
 }
 
-// Kinds returns the sorted canonical names of every registered index kind.
-func Kinds() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	return kindNamesLocked()
-}
-
-// KindOf reports the registered kind name of a built index, or "" when no
-// registered kind owns it.
+// KindOf reports the kind name of an index New, Open or Load returned, or ""
+// for an Index implemented elsewhere.
 func KindOf(ix Index) string {
-	if k := kindOwning(ix); k != nil {
-		return k.Name
+	if w, ok := ix.(wrapped); ok {
+		return w.base().kind.name
 	}
 	return ""
 }
@@ -187,220 +222,5 @@ func KindIsPersistable(name string) (persistable bool, buildOnly string, err err
 	if err != nil {
 		return false, "", err
 	}
-	return k.Load != nil, k.BuildOnly, nil
-}
-
-// arenaKind describes one of the two kinds backed by internal/balltree: they
-// differ in the balltree.Kind handed to Build and Load and in the exported
-// type wrap puts around the shared arenaIndex, nothing else.
-func arenaKind[T Index](name, alias string, kind balltree.Kind, desc string, wrap func(arenaIndex) T) IndexKind {
-	return IndexKind{
-		Name:        name,
-		Aliases:     []string{alias},
-		Description: desc,
-		Build: func(data *Matrix, spec Spec) (Index, error) {
-			if err := checkBuildData(name, data, spec); err != nil {
-				return nil, err
-			}
-			tree := balltree.BuildOwned(data.AppendOnes(), nil, kind, balltree.Config{
-				LeafSize: spec.LeafSize, Seed: spec.Seed, Quantize: spec.Quantize,
-			})
-			return wrap(arenaIndex{tree: tree, raw: data.D}), nil
-		},
-		Save: func(w io.Writer, ix Index) error { return ix.(arenaBacked).arena().Save(w) },
-		Load: func(r io.Reader, _ Spec) (Index, error) {
-			tree, err := balltree.Load(r, kind, 0)
-			if err != nil {
-				return nil, err
-			}
-			return wrap(arenaIndex{tree: tree, raw: tree.Dim() - 1}), nil
-		},
-		Owns: func(ix Index) bool { _, ok := ix.(T); return ok },
-		SpecOf: func(ix Index) Spec {
-			t := ix.(arenaBacked).arena()
-			return Spec{Kind: name, LeafSize: t.LeafSize(), Quantize: t.Quantized()}
-		},
-	}
-}
-
-// The built-in backends. Each Build owns the validation and construction
-// that used to live in its New* constructor; the constructors are now thin
-// panicking wrappers over New, so the registry is the only construction
-// path.
-func init() {
-	mustRegisterKind(arenaKind(KindBallTree, "ball", balltree.Ball,
-		"the paper's Ball-Tree branch-and-bound index (Section III)",
-		func(a arenaIndex) *BallTree { return &BallTree{a} }))
-	mustRegisterKind(arenaKind(KindBCTree, "bc", balltree.BC,
-		"BC-Tree: Ball-Tree plus point-level ball/cone bounds (Section IV)",
-		func(a arenaIndex) *BCTree { return &BCTree{a} }))
-
-	mustRegisterKind(IndexKind{
-		Name:        KindKDTree,
-		Aliases:     []string{"kd"},
-		Description: "KD-Tree bounding-box alternative (the paper's Section III-A ablation)",
-		Build: func(data *Matrix, spec Spec) (Index, error) {
-			if err := checkBuildData(KindKDTree, data, spec); err != nil {
-				return nil, err
-			}
-			tree := kdtree.Build(data.AppendOnes(), kdtree.Config{LeafSize: spec.LeafSize})
-			return &KDTree{tree: tree, raw: data.D}, nil
-		},
-		Owns:      func(ix Index) bool { _, ok := ix.(*KDTree); return ok },
-		BuildOnly: "a baseline no workload serves: median splits rebuild deterministically from the data; persist the data with SaveFvecs instead",
-	})
-
-	mustRegisterKind(IndexKind{
-		Name:        KindSharded,
-		Aliases:     []string{"shard"},
-		Description: "parallel BC-Tree: compact shards searched over a goroutine pool",
-		Build: func(data *Matrix, spec Spec) (Index, error) {
-			if err := checkBuildData(KindSharded, data, spec); err != nil {
-				return nil, err
-			}
-			ix := shard.Build(data.AppendOnes(), shard.Config{
-				Shards:   spec.Shards,
-				LeafSize: spec.LeafSize,
-				Seed:     spec.Seed,
-				Workers:  spec.Workers,
-				Quantize: spec.Quantize,
-			})
-			return &Sharded{index: ix, raw: data.D}, nil
-		},
-		Save: func(w io.Writer, ix Index) error { return ix.(*Sharded).index.Save(w) },
-		Load: func(r io.Reader, _ Spec) (Index, error) {
-			ix, err := shard.Load(r)
-			if err != nil {
-				return nil, err
-			}
-			return &Sharded{index: ix, raw: ix.Dim() - 1}, nil
-		},
-		Owns: func(ix Index) bool { _, ok := ix.(*Sharded); return ok },
-		SpecOf: func(ix Index) Spec {
-			t := ix.(*Sharded)
-			return Spec{
-				Kind:     KindSharded,
-				LeafSize: t.index.LeafSize(),
-				Shards:   t.index.Shards(),
-				Workers:  t.index.Workers(),
-				Quantize: t.index.Quantized(),
-			}
-		},
-	})
-
-	mustRegisterKind(IndexKind{
-		Name:        KindDynamic,
-		Aliases:     []string{"dyn"},
-		Description: "mutable BC-Tree: snapshot plus insert buffer and tombstones",
-		Build: func(data *Matrix, spec Spec) (Index, error) {
-			cfg := dynamic.Config{
-				LeafSize:        spec.LeafSize,
-				Seed:            spec.Seed,
-				RebuildFraction: spec.RebuildFraction,
-				CompactFraction: spec.CompactFraction,
-			}
-			d := spec.Dim
-			if data != nil && data.N > 0 {
-				if d != 0 && d != data.D {
-					return nil, fmt.Errorf("%w: dynamic: Spec.Dim %d contradicts data dimension %d",
-						ErrDimMismatch, d, data.D)
-				}
-				d = data.D
-			}
-			if d <= 0 {
-				return nil, fmt.Errorf("%w: dynamic: empty start requires a positive Spec.Dim",
-					ErrDimMismatch)
-			}
-			if data == nil || data.N == 0 {
-				return &Dynamic{index: dynamic.New(d+1, cfg), raw: d}, nil
-			}
-			return &Dynamic{index: dynamic.NewFromMatrix(data.AppendOnes(), cfg), raw: data.D}, nil
-		},
-		Save: func(w io.Writer, ix Index) error { return ix.(*Dynamic).index.Save(w) },
-		Load: func(r io.Reader, spec Spec) (Index, error) {
-			ix, err := dynamic.Load(r)
-			if err != nil {
-				return nil, err
-			}
-			// The payload format predates CompactFraction; the container
-			// header's Spec carries it across Save/Load.
-			if spec.CompactFraction > 0 {
-				ix.SetCompactFraction(spec.CompactFraction)
-			}
-			return &Dynamic{index: ix, raw: ix.Dim() - 1}, nil
-		},
-		Owns: func(ix Index) bool { _, ok := ix.(*Dynamic); return ok },
-		SpecOf: func(ix Index) Spec {
-			t := ix.(*Dynamic)
-			cfg := t.index.Configuration()
-			return Spec{
-				Kind:            KindDynamic,
-				LeafSize:        cfg.LeafSize,
-				Seed:            cfg.Seed,
-				RebuildFraction: cfg.RebuildFraction,
-				CompactFraction: cfg.CompactFraction,
-				Dim:             t.raw,
-			}
-		},
-	})
-
-	mustRegisterKind(IndexKind{
-		Name:        KindNH,
-		Description: "NH nearest-hyperplane hashing baseline (SIGMOD 2021)",
-		Build: func(data *Matrix, spec Spec) (Index, error) {
-			if err := checkBuildData(KindNH, data, spec); err != nil {
-				return nil, err
-			}
-			ix := nh.Build(data.AppendOnes(), nh.Config{
-				Lambda: spec.Lambda, M: spec.M, L: spec.L, Seed: spec.Seed,
-			})
-			return &NH{index: ix, raw: data.D}, nil
-		},
-		Owns:      func(ix Index) bool { _, ok := ix.(*NH); return ok },
-		BuildOnly: "randomized hash tables are cheaper to rebuild from the data (deterministic in Seed) than to store",
-	})
-
-	mustRegisterKind(IndexKind{
-		Name:        KindFH,
-		Description: "FH furthest-hyperplane hashing baseline (SIGMOD 2021)",
-		Build: func(data *Matrix, spec Spec) (Index, error) {
-			if err := checkBuildData(KindFH, data, spec); err != nil {
-				return nil, err
-			}
-			ix := fh.Build(data.AppendOnes(), fh.Config{
-				Lambda: spec.Lambda, M: spec.M, L: spec.L, B: spec.B, Seed: spec.Seed,
-			})
-			return &FH{index: ix, raw: data.D}, nil
-		},
-		Owns:      func(ix Index) bool { _, ok := ix.(*FH); return ok },
-		BuildOnly: "randomized hash tables are cheaper to rebuild from the data (deterministic in Seed) than to store",
-	})
-
-	mustRegisterKind(IndexKind{
-		Name:        KindLinearScan,
-		Aliases:     []string{"scan", "linear"},
-		Description: "exhaustive exact baseline with no index structure",
-		Build: func(data *Matrix, spec Spec) (Index, error) {
-			if err := checkBuildData(KindLinearScan, data, spec); err != nil {
-				return nil, err
-			}
-			return &LinearScan{scan: linearscan.New(data.AppendOnes()), raw: data.D}, nil
-		},
-		Owns:      func(ix Index) bool { _, ok := ix.(*LinearScan); return ok },
-		BuildOnly: "holds nothing beyond the data matrix; persist the data with SaveFvecs instead",
-	})
-
-	mustRegisterKind(IndexKind{
-		Name:        KindQuantizedScan,
-		Aliases:     []string{"quant", "qscan"},
-		Description: "exact exhaustive baseline over 8-bit quantized codes",
-		Build: func(data *Matrix, spec Spec) (Index, error) {
-			if err := checkBuildData(KindQuantizedScan, data, spec); err != nil {
-				return nil, err
-			}
-			return &QuantizedScan{scan: quant.NewScan(data.AppendOnes()), raw: data.D}, nil
-		},
-		Owns:      func(ix Index) bool { _, ok := ix.(*QuantizedScan); return ok },
-		BuildOnly: "codes are derived from the data deterministically; persist the data with SaveFvecs instead",
-	})
+	return k.load != nil, k.buildOnly, nil
 }

@@ -3,18 +3,17 @@ package p2h
 import (
 	"bytes"
 	"errors"
-	"io"
 	"strings"
 	"testing"
 )
 
-// TestEveryKindLoadsOrDocumentsBuildOnly: the registry invariant — each
-// registered kind either round-trips through Save/Load or carries a
-// documented build-only marker (never silently neither).
+// TestEveryKindLoadsOrDocumentsBuildOnly: the kind table's invariant as the
+// exported surface shows it — each kind either round-trips through Save/Load
+// or carries a documented build-only marker (never silently neither).
 func TestEveryKindLoadsOrDocumentsBuildOnly(t *testing.T) {
 	kinds := Kinds()
 	if len(kinds) < 9 {
-		t.Fatalf("only %d kinds registered: %v", len(kinds), kinds)
+		t.Fatalf("only %d kinds: %v", len(kinds), kinds)
 	}
 	persistable := map[string]bool{
 		KindBallTree: true, KindBCTree: true, KindSharded: true, KindDynamic: true,
@@ -36,94 +35,60 @@ func TestEveryKindLoadsOrDocumentsBuildOnly(t *testing.T) {
 	}
 }
 
-// registryTestIndex is a toy backend for registration tests.
-type registryTestIndex struct {
-	*LinearScan
-}
-
-func TestRegisterKindValidation(t *testing.T) {
-	build := func(data *Matrix, spec Spec) (Index, error) {
-		if err := checkBuildData("regtest", data, spec); err != nil {
-			return nil, err
+// TestKindTableIsWellFormed asserts of the static kind table what registering
+// kinds at run time used to enforce one descriptor at a time: names and
+// aliases are lower-case and unique across the table, rows are in name order
+// (Kinds() promises it), every kind builds, and a kind has either its whole
+// codec — save, load, specOf and the shape reader Inspect dispatches to — or
+// none of it and the reason why.
+func TestKindTableIsWellFormed(t *testing.T) {
+	seen := map[string]string{}
+	for i, k := range kinds {
+		if i > 0 && kinds[i-1].name >= k.name {
+			t.Errorf("kind %q follows %q: the table is not in name order", k.name, kinds[i-1].name)
 		}
-		return &registryTestIndex{NewLinearScan(data)}, nil
-	}
-	cases := []struct {
-		name string
-		kind IndexKind
-	}{
-		{"empty name", IndexKind{Build: build, BuildOnly: "x"}},
-		{"no build", IndexKind{Name: "regtest-nobuild", BuildOnly: "x"}},
-		{"half persistence", IndexKind{Name: "regtest-half", Build: build,
-			Save: func(io.Writer, Index) error { return nil }, BuildOnly: "x"}},
-		{"no loader no marker", IndexKind{Name: "regtest-neither", Build: build}},
-		{"marker on persistable", IndexKind{Name: "regtest-both", Build: build,
-			Save:      func(io.Writer, Index) error { return nil },
-			Load:      func(io.Reader, Spec) (Index, error) { return nil, nil },
-			Owns:      func(Index) bool { return false },
-			SpecOf:    func(Index) Spec { return Spec{} },
-			BuildOnly: "x"}},
-		{"persistable without owns", IndexKind{Name: "regtest-noowns", Build: build,
-			Save: func(io.Writer, Index) error { return nil },
-			Load: func(io.Reader, Spec) (Index, error) { return nil, nil }}},
-		{"name collision", IndexKind{Name: KindBCTree, Build: build, BuildOnly: "x"}},
-		{"alias collision", IndexKind{Name: "regtest-alias", Aliases: []string{"bc"}, Build: build, BuildOnly: "x"}},
-	}
-	for _, c := range cases {
-		if err := RegisterKind(c.kind); err == nil {
-			t.Fatalf("%s: RegisterKind accepted an invalid descriptor", c.name)
-		}
-	}
-}
-
-// TestRegisterCustomKind: the extensibility contract — a newly registered
-// backend immediately works through New, KindOf and Save's dispatch.
-func TestRegisterCustomKind(t *testing.T) {
-	err := RegisterKind(IndexKind{
-		Name:        "regtest-custom",
-		Aliases:     []string{"regtest-alias2"},
-		Description: "test-only wrapper over the linear scan",
-		Build: func(data *Matrix, spec Spec) (Index, error) {
-			if err := checkBuildData("regtest-custom", data, spec); err != nil {
-				return nil, err
+		for _, name := range append([]string{k.name}, k.aliases...) {
+			if name == "" || name != strings.ToLower(strings.TrimSpace(name)) {
+				t.Errorf("kind %q: name %q is not a lower-case token", k.name, name)
 			}
-			return &registryTestIndex{NewLinearScan(data)}, nil
-		},
-		Owns:      func(ix Index) bool { _, ok := ix.(*registryTestIndex); return ok },
-		BuildOnly: "test-only kind",
-	})
-	if err != nil {
-		t.Fatalf("RegisterKind: %v", err)
-	}
-
-	data := specTestData(60, 4, 1)
-	ix, err := New(data, Spec{Kind: "REGTEST-ALIAS2"})
-	if err != nil {
-		t.Fatalf("New via alias: %v", err)
-	}
-	if got := KindOf(ix); got != "regtest-custom" {
-		t.Fatalf("KindOf = %q", got)
-	}
-	found := false
-	for _, k := range Kinds() {
-		if k == "regtest-custom" {
-			found = true
+			if owner, dup := seen[name]; dup {
+				t.Errorf("kind %q: name %q already belongs to %q", k.name, name, owner)
+			}
+			seen[name] = k.name
+		}
+		if k.build == nil {
+			t.Errorf("kind %q has no builder", k.name)
+		}
+		codec := []bool{k.save != nil, k.load != nil, k.specOf != nil, k.shape != nil}
+		for _, set := range codec[1:] {
+			if set != codec[0] {
+				t.Errorf("kind %q: codec half-set (save, load, specOf, shape = %v)", k.name, codec)
+				break
+			}
+		}
+		if (k.load != nil) == (k.buildOnly != "") {
+			t.Errorf("kind %q: wants exactly one of a loader and a build-only reason, has loader=%v reason=%q",
+				k.name, k.load != nil, k.buildOnly)
 		}
 	}
-	if !found {
-		t.Fatalf("Kinds() missing the custom kind: %v", Kinds())
+}
+
+// foreignIndex is an Index implemented outside the package.
+type foreignIndex struct{ Index }
+
+// TestForeignIndexHasNoKind: the package knows the kind of what it handed out
+// and nothing else's — an Index implemented elsewhere still searches (through
+// SearchBatch and Server, which take any Index) but has no kind, no codec and
+// no attribute surface, and says so instead of panicking.
+func TestForeignIndexHasNoKind(t *testing.T) {
+	ix := foreignIndex{NewLinearScan(specTestData(40, 4, 1))}
+	if got := KindOf(ix); got != "" {
+		t.Fatalf("KindOf(foreign) = %q", got)
 	}
-	// Build-only: Save refuses with the documented marker.
-	var buf bytes.Buffer
-	if err := Save(&buf, ix); err == nil || !strings.Contains(err.Error(), "test-only kind") {
-		t.Fatalf("Save on build-only custom kind: %v", err)
+	if err := Save(&bytes.Buffer{}, ix); err == nil {
+		t.Fatal("Save accepted an index of another package")
 	}
-	// Duplicate registration is rejected.
-	if err := RegisterKind(IndexKind{
-		Name:      "regtest-custom",
-		Build:     func(*Matrix, Spec) (Index, error) { return nil, nil },
-		BuildOnly: "x",
-	}); err == nil {
-		t.Fatal("duplicate RegisterKind accepted")
+	if err := AttachAttributes(ix, make([]PointAttrs, ix.N())); err == nil {
+		t.Fatal("AttachAttributes accepted an index of another package")
 	}
 }

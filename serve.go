@@ -89,18 +89,6 @@ type mutator interface {
 	Delete(handle int32) bool
 }
 
-// NewServerFromSpec builds the index declared by spec over data through the
-// registry (exactly as New does) and starts a serving layer over it — the
-// build-at-startup deployment path: one Spec, typically decoded from
-// configuration, stands up a serving stack for any registered index kind.
-func NewServerFromSpec(data *Matrix, spec Spec, opts ServerOptions) (*Server, error) {
-	ix, err := New(data, spec)
-	if err != nil {
-		return nil, err
-	}
-	return NewServer(ix, opts), nil
-}
-
 // NewServer starts a serving layer over ix. If ix exposes the Dynamic
 // mutation surface, Server.Insert and Server.Delete route through it with
 // snapshot consistency; otherwise they return ErrImmutable.

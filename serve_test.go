@@ -36,8 +36,8 @@ func TestServerMatchesDirectSearchAllIndexes(t *testing.T) {
 			return out
 		},
 	}
-	kinds := allIndexes(data)
-	kinds["dynamic"] = NewDynamic(data, DynamicOptions{Seed: 3})
+	kinds := allIndexes(t, data)
+	kinds["dynamic"] = MustBuild(t, data, Spec{Kind: KindDynamic, Seed: 3}).(*Dynamic)
 	for name, ix := range kinds {
 		for entry, run := range entries {
 			srv := NewServer(ix, ServerOptions{Workers: 3})
@@ -60,7 +60,7 @@ func TestServerMatchesDirectSearchAllIndexes(t *testing.T) {
 
 func TestServerImmutableIndexRejectsMutation(t *testing.T) {
 	data, _, _ := testSetup(t)
-	srv := NewServer(NewBCTree(data, BCTreeOptions{Seed: 1}), ServerOptions{Workers: 1})
+	srv := NewServer(MustBuild(t, data, Spec{Kind: KindBCTree, Seed: 1}), ServerOptions{Workers: 1})
 	defer srv.Close()
 	if _, err := srv.Insert(data.Row(0)); err != ErrImmutable {
 		t.Fatalf("Insert err %v", err)
@@ -72,7 +72,7 @@ func TestServerImmutableIndexRejectsMutation(t *testing.T) {
 
 func TestServerDynamicMutationVisible(t *testing.T) {
 	data, queries, _ := testSetup(t)
-	srv := NewServer(NewDynamic(data, DynamicOptions{Seed: 1}), ServerOptions{Workers: 2})
+	srv := NewServer(MustBuild(t, data, Spec{Kind: KindDynamic, Seed: 1}), ServerOptions{Workers: 2})
 	defer srv.Close()
 	q := queries.Row(0)
 	before, _ := srv.Search(q, SearchOptions{K: 2})
@@ -104,7 +104,7 @@ func TestServerDynamicMutationVisible(t *testing.T) {
 // data-race acceptance test for the serving layer.
 func TestServerConcurrentSearchAndMutate(t *testing.T) {
 	data, queries, _ := testSetup(t)
-	srv := NewServer(NewDynamic(data, DynamicOptions{Seed: 1}), ServerOptions{
+	srv := NewServer(MustBuild(t, data, Spec{Kind: KindDynamic, Seed: 1}), ServerOptions{
 		Workers:      4,
 		CacheEntries: 64,
 	})
@@ -160,7 +160,7 @@ func TestServerConcurrentSearchAndMutate(t *testing.T) {
 
 func TestServerUncacheableOptions(t *testing.T) {
 	data, queries, _ := testSetup(t)
-	srv := NewServer(NewBCTree(data, BCTreeOptions{Seed: 1}), ServerOptions{Workers: 2})
+	srv := NewServer(MustBuild(t, data, Spec{Kind: KindBCTree, Seed: 1}), ServerOptions{Workers: 2})
 	defer srv.Close()
 	q := queries.Row(0)
 	// A Filter bypasses the cache and is still honored.
@@ -186,7 +186,7 @@ func TestServerUncacheableOptions(t *testing.T) {
 
 func TestServerPanicsOnBadQuery(t *testing.T) {
 	data, _, _ := testSetup(t)
-	srv := NewServer(NewBCTree(data, BCTreeOptions{}), ServerOptions{Workers: 1})
+	srv := NewServer(MustBuild(t, data, Spec{Kind: KindBCTree}), ServerOptions{Workers: 1})
 	defer srv.Close()
 	defer func() {
 		if recover() == nil {
@@ -202,8 +202,8 @@ func TestServerPanicsOnBadQuery(t *testing.T) {
 func TestServerSnapshotRoundTrip(t *testing.T) {
 	data, queries, _ := testSetup(t)
 	for name, ix := range map[string]Index{
-		"bctree":  NewBCTree(data, BCTreeOptions{Seed: 1}),
-		"dynamic": NewDynamic(data, DynamicOptions{Seed: 1}),
+		"bctree":  MustBuild(t, data, Spec{Kind: KindBCTree, Seed: 1}),
+		"dynamic": MustBuild(t, data, Spec{Kind: KindDynamic, Seed: 1}),
 	} {
 		srv := NewServer(ix, ServerOptions{Workers: 2})
 		path := filepath.Join(t.TempDir(), name+".p2h")
@@ -248,7 +248,7 @@ func TestServerSnapshotRoundTrip(t *testing.T) {
 // written container.
 func TestServerSnapshotConcurrentWithTraffic(t *testing.T) {
 	data, queries, _ := testSetup(t)
-	srv := NewServer(NewDynamic(data, DynamicOptions{Seed: 1}), ServerOptions{Workers: 2})
+	srv := NewServer(MustBuild(t, data, Spec{Kind: KindDynamic, Seed: 1}), ServerOptions{Workers: 2})
 	defer srv.Close()
 	dir := t.TempDir()
 	var wg sync.WaitGroup
@@ -287,7 +287,7 @@ func TestServerSnapshotConcurrentWithTraffic(t *testing.T) {
 // the error instead of leaving a temp file behind.
 func TestServerSnapshotBuildOnlyKindFails(t *testing.T) {
 	data, _, _ := testSetup(t)
-	srv := NewServer(NewNH(data, NHOptions{Seed: 1}), ServerOptions{Workers: 1})
+	srv := NewServer(MustBuild(t, data, Spec{Kind: KindNH, Seed: 1}), ServerOptions{Workers: 1})
 	defer srv.Close()
 	dir := t.TempDir()
 	if _, err := srv.Snapshot(filepath.Join(dir, "nh.p2h")); err == nil {
@@ -305,7 +305,7 @@ func TestServerSnapshotBuildOnlyKindFails(t *testing.T) {
 // TestServerDrainAndIndex: the bounded-drain surface and the index accessor.
 func TestServerDrainAndIndex(t *testing.T) {
 	data, queries, _ := testSetup(t)
-	ix := NewBCTree(data, BCTreeOptions{Seed: 1})
+	ix := MustBuild(t, data, Spec{Kind: KindBCTree, Seed: 1})
 	srv := NewServer(ix, ServerOptions{Workers: 2})
 	if srv.Index() != Index(ix) {
 		t.Fatal("Index() does not return the wrapped index")

@@ -6,10 +6,9 @@ import (
 	"p2h/internal/core"
 )
 
-// Validation errors of the declarative API. The legacy constructors and the
-// panicking Search surface delegate to the same checks, so the two APIs can
-// never drift apart; new code should prefer the error-returning entry points
-// (New, Open, Save, Load).
+// Validation errors of the error-returning entry points (New, Open, Save,
+// Load). The panicking Search surface runs the same checks and panics with the
+// same text.
 var (
 	// ErrDimMismatch reports inputs whose dimensionalities do not line up:
 	// a query of the wrong length, a Spec.Dim contradicting the data
@@ -20,10 +19,9 @@ var (
 	ErrZeroNormal = core.ErrZeroNormal
 )
 
-// Canonical kind names of the built-in index backends, as accepted by
-// Spec.Kind and written into saved index containers. Kinds() lists every
-// registered name; short aliases ("bc", "ball", "kd", "scan", "quant",
-// "shard", "dyn") resolve to these.
+// Canonical kind names of the index backends, as accepted by Spec.Kind and
+// written into saved index containers. Kinds() lists them; short aliases
+// ("bc", "ball", "kd", "scan", "quant", "shard", "dyn") resolve to these.
 const (
 	KindBallTree      = "balltree"
 	KindBCTree        = "bctree"
@@ -43,7 +41,7 @@ const (
 // kind's documented default.
 //
 // Spec is the portable configuration surface of the library: p2h.New builds
-// any registered kind from it, the cmd/ tools accept it as -spec JSON, and
+// any kind from it, the cmd/ tools accept it as -spec JSON, and
 // p2h.Save embeds it into the container header so a saved index describes
 // itself.
 type Spec struct {
@@ -94,45 +92,38 @@ type Spec struct {
 	CompactFraction float64 `json:"compact_fraction,omitempty"`
 }
 
-// New builds an index declared by spec over the rows of data. It is the
-// single constructor behind every kind-specific New* function: the kind is
-// resolved through the registry (ErrUnknownKind if unregistered), the
-// backend validates its inputs, and malformed input returns an error instead
-// of panicking.
+// New builds an index declared by spec over the rows of data — with Open and
+// Load, the only way to obtain one. The kind is resolved through the kind
+// table (ErrUnknownKind if it names none) and malformed input returns an error
+// instead of panicking. What comes back implements Index, BatchIndex when the
+// kind has a batched path of its own, and for four kinds asserts to a type
+// with more methods: *BallTree, *Dynamic, *Sharded, *LinearScan.
 //
-// data may be nil only for kinds that document an empty start (the dynamic
-// kind, with Spec.Dim set).
+// data may be nil or empty only for the dynamic kind, which then starts empty
+// and needs Spec.Dim.
 func New(data *Matrix, spec Spec) (Index, error) {
 	k, err := lookupKind(spec.Kind)
 	if err != nil {
 		return nil, err
 	}
-	return k.Build(data, spec)
-}
-
-// mustNew backs the legacy panicking constructors.
-func mustNew(data *Matrix, spec Spec) Index {
-	ix, err := New(data, spec)
-	if err != nil {
-		panic("p2h: " + err.Error())
+	var lifted *Matrix
+	d := spec.Dim
+	switch {
+	case data != nil && data.N > 0:
+		// The dimensionality comes from the data; a Spec.Dim that
+		// contradicts it is a config/data mix-up worth surfacing.
+		if data.D <= 0 {
+			return nil, fmt.Errorf("%w: %s: data matrix has dimension %d", ErrDimMismatch, k.name, data.D)
+		}
+		if d != 0 && d != data.D {
+			return nil, fmt.Errorf("%w: %s: Spec.Dim %d contradicts data dimension %d",
+				ErrDimMismatch, k.name, d, data.D)
+		}
+		lifted, d = data.AppendOnes(), data.D
+	case !k.emptyStart:
+		return nil, fmt.Errorf("p2h: %s: index construction needs a non-empty data matrix", k.name)
+	case d <= 0:
+		return nil, fmt.Errorf("%w: %s: empty start requires a positive Spec.Dim", ErrDimMismatch, k.name)
 	}
-	return ix
-}
-
-// checkBuildData rejects construction over no data for the kinds that
-// require a bulk load, and a Spec.Dim contradicting the data matrix (a
-// config/data mix-up worth surfacing even though these kinds take their
-// dimensionality from the data).
-func checkBuildData(kind string, data *Matrix, spec Spec) error {
-	if data == nil || data.N == 0 {
-		return fmt.Errorf("p2h: %s: index construction needs a non-empty data matrix", kind)
-	}
-	if data.D <= 0 {
-		return fmt.Errorf("%w: %s: data matrix has dimension %d", ErrDimMismatch, kind, data.D)
-	}
-	if spec.Dim != 0 && spec.Dim != data.D {
-		return fmt.Errorf("%w: %s: Spec.Dim %d contradicts data dimension %d",
-			ErrDimMismatch, kind, spec.Dim, data.D)
-	}
-	return nil
+	return k.index(k.build(lifted, d, spec), d), nil
 }

@@ -18,66 +18,79 @@ func specTestData(n, d int, seed int64) *Matrix {
 	return m
 }
 
-// TestNewBuildsEveryKind: the acceptance bar — every registered kind is
-// constructible via New(data, Spec{Kind: ...}) and answers queries.
+// TestNewBuildsEveryKind: every kind is constructible via New(data,
+// Spec{Kind: ...}), and what comes back is one wrapper's worth of contract
+// whatever the kind: it reports its kind, asserts to the typed handle the kind
+// documents (and to no other), is a BatchIndex exactly when its inner index
+// has a batched path of its own, and answers a Pred as it answers the
+// equivalent Filter — before attributes are attached (every payload is then
+// the empty one) and after — through Search and, where there is one, the
+// native SearchBatch.
 func TestNewBuildsEveryKind(t *testing.T) {
 	data := specTestData(300, 12, 1)
 	queries := GenerateQueries(data, 3, 2)
+	typed := map[string]func(Index) bool{
+		KindBallTree:   func(ix Index) bool { _, ok := ix.(*BallTree); return ok },
+		KindDynamic:    func(ix Index) bool { _, ok := ix.(*Dynamic); return ok },
+		KindLinearScan: func(ix Index) bool { _, ok := ix.(*LinearScan); return ok },
+		KindSharded:    func(ix Index) bool { _, ok := ix.(*Sharded); return ok },
+	}
+	points := make([]PointAttrs, data.N)
+	for i := range points {
+		points[i] = PointAttrs{Tags: []string{"even", "odd"}[i%2 : i%2+1], Ints: map[string]int64{"row": int64(i)}}
+	}
+	preds := []*Pred{TagIs("even"), NotOf(TagIs("even")), AllOf(TagIs("odd"), FieldAtMost("row", 150))}
+
 	for _, kind := range Kinds() {
-		ix, err := New(data, Spec{Kind: kind, Seed: 7, Shards: 3})
-		if err != nil {
-			t.Fatalf("New(%q): %v", kind, err)
-		}
+		ix := MustBuild(t, data, Spec{Kind: kind, Seed: 7, Shards: 3})
 		if ix.N() != data.N || ix.Dim() != data.D {
 			t.Fatalf("%s: shape %d/%d, want %d/%d", kind, ix.N(), ix.Dim(), data.N, data.D)
 		}
 		if got := KindOf(ix); got != kind {
 			t.Fatalf("KindOf(%s index) = %q", kind, got)
 		}
-		res, _ := ix.Search(queries.Row(0), SearchOptions{K: 5})
-		if len(res) != 5 {
+		for name, is := range typed {
+			if is(ix) != (name == kind) {
+				t.Fatalf("%s: New returned %T, which asserts to the %s handle: %v", kind, ix, name, is(ix))
+			}
+		}
+		bi, isBatch := ix.(BatchIndex)
+		if _, native := ix.(wrapped).base().in.(batchInner); isBatch != native {
+			t.Fatalf("%s: BatchIndex = %v, inner index has a native batch = %v", kind, isBatch, native)
+		}
+		if res, _ := ix.Search(queries.Row(0), SearchOptions{K: 5}); len(res) != 5 {
 			t.Fatalf("%s: %d results, want 5", kind, len(res))
 		}
-	}
-}
 
-// TestNewMatchesLegacyConstructors: the thin wrappers and the declarative
-// path produce identical indexes (same construction code runs underneath).
-func TestNewMatchesLegacyConstructors(t *testing.T) {
-	data := specTestData(250, 10, 3)
-	queries := GenerateQueries(data, 5, 4)
-
-	type build struct {
-		name   string
-		legacy Index
-		spec   Spec
-	}
-	builds := []build{
-		{"balltree", NewBallTree(data, BallTreeOptions{LeafSize: 32, Seed: 5}),
-			Spec{Kind: KindBallTree, LeafSize: 32, Seed: 5}},
-		{"bctree", NewBCTree(data, BCTreeOptions{LeafSize: 32, Seed: 5}),
-			Spec{Kind: KindBCTree, LeafSize: 32, Seed: 5}},
-		{"kdtree", NewKDTree(data, KDTreeOptions{LeafSize: 32}),
-			Spec{Kind: KindKDTree, LeafSize: 32}},
-		{"sharded", NewSharded(data, ShardedOptions{Shards: 3, LeafSize: 32, Seed: 5, Workers: 2}),
-			Spec{Kind: KindSharded, Shards: 3, LeafSize: 32, Seed: 5, Workers: 2}},
-		{"dynamic", NewDynamic(data, DynamicOptions{LeafSize: 32, Seed: 5}),
-			Spec{Kind: KindDynamic, LeafSize: 32, Seed: 5}},
-		{"nh", NewNH(data, NHOptions{M: 16, Seed: 5}), Spec{Kind: KindNH, M: 16, Seed: 5}},
-		{"fh", NewFH(data, FHOptions{M: 16, Seed: 5}), Spec{Kind: KindFH, M: 16, Seed: 5}},
-		{"linearscan", NewLinearScan(data), Spec{Kind: KindLinearScan}},
-		{"quantizedscan", NewQuantizedScan(data), Spec{Kind: KindQuantizedScan}},
-	}
-	for _, b := range builds {
-		viaSpec, err := New(data, b.spec)
-		if err != nil {
-			t.Fatalf("New(%s): %v", b.name, err)
-		}
-		for qi := 0; qi < queries.N; qi++ {
-			want, _ := b.legacy.Search(queries.Row(qi), SearchOptions{K: 4})
-			got, _ := viaSpec.Search(queries.Row(qi), SearchOptions{K: 4})
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: query %d diverges between legacy and Spec construction", b.name, qi)
+		payload := func(int32) PointAttrs { return PointAttrs{} }
+		for _, attached := range []bool{false, true} {
+			if attached {
+				if err := AttachAttributes(ix, points); err != nil {
+					t.Fatalf("%s: AttachAttributes: %v", kind, err)
+				}
+				payload = func(id int32) PointAttrs { return points[id] }
+			}
+			for pi, pred := range preds {
+				byPred := SearchOptions{K: 7, Pred: pred}
+				byFilter := SearchOptions{K: 7, Filter: func(id int32) bool { return pred.Matches(payload(id)) }}
+				for qi := 0; qi < queries.N; qi++ {
+					got, _ := ix.Search(queries.Row(qi), byPred)
+					want, _ := ix.Search(queries.Row(qi), byFilter)
+					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+						t.Fatalf("%s attached=%v pred %d query %d: Pred gives %v, the equivalent Filter %v",
+							kind, attached, pi, qi, got, want)
+					}
+				}
+				if isBatch {
+					got, _ := bi.SearchBatch(queries, byPred)
+					want, _ := bi.SearchBatch(queries, byFilter)
+					for qi := range want {
+						if len(got[qi]) != len(want[qi]) || (len(want[qi]) > 0 && !reflect.DeepEqual(got[qi], want[qi])) {
+							t.Fatalf("%s attached=%v pred %d: batched Pred diverges from the equivalent Filter at query %d",
+								kind, attached, pi, qi)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -171,25 +184,14 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNewServerFromSpec(t *testing.T) {
-	data := specTestData(200, 8, 1)
-	srv, err := NewServerFromSpec(data, Spec{Kind: KindBCTree, LeafSize: 40, Seed: 2}, ServerOptions{Workers: 2})
+// MustBuild is the tests' one constructor: New, or the test fails. It is
+// exported (from a test file, so it is no part of the package) for the
+// external test package to share.
+func MustBuild(t testing.TB, data *Matrix, spec Spec) Index {
+	t.Helper()
+	ix, err := New(data, spec)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("New(%+v): %v", spec, err)
 	}
-	defer srv.Close()
-
-	ix := NewBCTree(data, BCTreeOptions{LeafSize: 40, Seed: 2})
-	queries := GenerateQueries(data, 4, 3)
-	for i := 0; i < queries.N; i++ {
-		want, _ := ix.Search(queries.Row(i), SearchOptions{K: 3})
-		got, _ := srv.Search(queries.Row(i), SearchOptions{K: 3})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: server diverges from bare index", i)
-		}
-	}
-
-	if _, err := NewServerFromSpec(data, Spec{Kind: "nope"}, ServerOptions{}); !errors.Is(err, ErrUnknownKind) {
-		t.Fatalf("err = %v, want ErrUnknownKind", err)
-	}
+	return ix
 }

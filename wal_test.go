@@ -33,7 +33,7 @@ func TestServerWALRecoversAcknowledgedMutations(t *testing.T) {
 
 	// Reference index mutated in lockstep, never persisted: the state every
 	// acknowledged mutation should reproduce.
-	ref := NewDynamic(nil, DynamicOptions{Dim: dim, Seed: 5})
+	ref := MustBuild(t, nil, Spec{Kind: KindDynamic, Dim: dim, Seed: 5}).(*Dynamic)
 
 	build := func() (*Server, *WAL) {
 		var ix Index
@@ -44,7 +44,7 @@ func TestServerWALRecoversAcknowledgedMutations(t *testing.T) {
 				t.Fatal(oerr)
 			}
 		} else {
-			ix = NewDynamic(nil, DynamicOptions{Dim: dim, Seed: 5})
+			ix = MustBuild(t, nil, Spec{Kind: KindDynamic, Dim: dim, Seed: 5}).(*Dynamic)
 		}
 		w, err := AttachWAL(ix, WALPath(ixPath), WALSyncNone)
 		if err != nil {
@@ -137,7 +137,7 @@ func TestOpenSkipsRecordsAlreadyInSnapshot(t *testing.T) {
 	ixPath := filepath.Join(dir, "ix.p2h")
 	const dim = 4
 
-	ix := NewDynamic(nil, DynamicOptions{Dim: dim, Seed: 9})
+	ix := MustBuild(t, nil, Spec{Kind: KindDynamic, Dim: dim, Seed: 9}).(*Dynamic)
 	w, err := AttachWAL(ix, WALPath(ixPath), WALSyncNone)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestOpenRejectsStaleSnapshotUnderNewerWAL(t *testing.T) {
 	ixPath := filepath.Join(dir, "ix.p2h")
 	const dim = 3
 
-	ix := NewDynamic(nil, DynamicOptions{Dim: dim, Seed: 1})
+	ix := MustBuild(t, nil, Spec{Kind: KindDynamic, Dim: dim, Seed: 1}).(*Dynamic)
 	for i := 0; i < 10; i++ {
 		ix.Insert([]float32{float32(i), 1, 2})
 	}
@@ -240,7 +240,7 @@ func TestInspectFileReportsPendingWAL(t *testing.T) {
 	ixPath := filepath.Join(dir, "ix.p2h")
 	const dim = 5
 
-	ix := NewDynamic(nil, DynamicOptions{Dim: dim, Seed: 2})
+	ix := MustBuild(t, nil, Spec{Kind: KindDynamic, Dim: dim, Seed: 2}).(*Dynamic)
 	for i := 0; i < 30; i++ {
 		ix.Insert(make([]float32, dim))
 	}
@@ -351,7 +351,7 @@ func containerFuzzSeeds(t testing.TB) map[string][]byte {
 		return buf.Bytes()
 	}
 	data := specTestData(40, 4, 7)
-	dyn := NewDynamic(data, DynamicOptions{Seed: 3})
+	dyn := MustBuild(t, data, Spec{Kind: KindDynamic, Seed: 3}).(*Dynamic)
 	dyn.Delete(5)
 	dyn.Insert([]float32{1, 2, 3, 4})
 	var dynBuf bytes.Buffer
