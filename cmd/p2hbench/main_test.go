@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	p2h "p2h"
 )
 
 func TestRunSingleExperiment(t *testing.T) {
@@ -33,10 +31,12 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestRunBadFlag also pins the cut to two modes: the flags of the removed
-// -durable/-chaos/-filter modes are usage errors like any unknown flag.
+// TestRunBadFlag also pins the cut to one mode: the flags of the removed
+// -durable/-chaos/-filter modes and of the single-index sweep (now
+// `p2htool eval`) are usage errors like any unknown flag.
 func TestRunBadFlag(t *testing.T) {
-	for _, flag := range []string{"-bogus", "-durable", "-chaos", "-filter", "-repeat=3", "-slo=25ms", "-workers=4"} {
+	for _, flag := range []string{"-bogus", "-durable", "-chaos", "-filter", "-repeat=3", "-slo=25ms", "-workers=4",
+		"-index=bctree", `-spec={"shards":3}`, "-load=ix.p2h", "-n=600", "-quantize"} {
 		var out, errw bytes.Buffer
 		if code := run([]string{flag}, &out, &errw); code != 2 {
 			t.Fatalf("%s: exit %d", flag, code)
@@ -103,63 +103,6 @@ func TestProfileFlags(t *testing.T) {
 		}
 		if fi.Size() == 0 {
 			t.Fatalf("profile %s is empty", p)
-		}
-	}
-}
-
-// TestRunCustomIndexBenchmark drives the registry-backed single-index mode:
-// -index/-spec build any registered kind, -load benchmarks a saved container.
-func TestRunCustomIndexBenchmark(t *testing.T) {
-	var out, errw bytes.Buffer
-	code := run([]string{
-		"-index", "sharded", "-spec", `{"shards":3,"workers":2}`,
-		"-sets", "Music", "-n", "600", "-nq", "4", "-k", "3",
-	}, &out, &errw)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errw.String())
-	}
-	s := out.String()
-	if !strings.Contains(s, "index: sharded built") || !strings.Contains(s, "recall") {
-		t.Fatalf("output:\n%s", s)
-	}
-
-	// Full-budget recall must be exact for a tree kind.
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	if last := lines[len(lines)-1]; !strings.Contains(last, "100.0%") {
-		t.Fatalf("full budget not exact: %s", last)
-	}
-
-	// -load path: build+save with p2htool's library calls, then benchmark.
-	dir := t.TempDir()
-	data := p2h.Dedup(p2h.GenerateDataset("Music", 600, 1))
-	ix, err := p2h.New(data, p2h.Spec{Kind: p2h.KindBCTree, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ixPath := filepath.Join(dir, "ix.p2h")
-	if err := p2h.SaveFile(ixPath, ix); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errw.Reset()
-	code = run([]string{"-load", ixPath, "-sets", "Music", "-n", "600", "-nq", "3"}, &out, &errw)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errw.String())
-	}
-	if !strings.Contains(out.String(), "index: bctree loaded") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-
-	// Unknown kinds and bad spec JSON fail with a diagnostic.
-	for _, args := range [][]string{
-		{"-index", "nope", "-n", "200"},
-		{"-spec", "{bad", "-n", "200"},
-		{"-load", "/does/not/exist.p2h"},
-	} {
-		out.Reset()
-		errw.Reset()
-		if code := run(args, &out, &errw); code != 1 || errw.Len() == 0 {
-			t.Fatalf("%v: exit %d, stderr: %s", args, code, errw.String())
 		}
 	}
 }

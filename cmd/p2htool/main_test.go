@@ -210,6 +210,50 @@ func TestEvalSubcommand(t *testing.T) {
 	}
 }
 
+// TestEvalBuildsOrLoads drives eval's two sources: -index/-spec build any
+// kind over -data in process, -load sweeps a saved container; giving both,
+// or neither, is refused, as are unknown kinds, bad spec JSON and missing
+// files.
+func TestEvalBuildsOrLoads(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data.fvecs")
+	queries := filepath.Join(dir, "q.fvecs")
+	index := filepath.Join(dir, "ix.p2h")
+	runOK(t, "gen", "-set", "Music", "-n", "600", "-out", data)
+	runOK(t, "queries", "-data", data, "-nq", "4", "-out", queries)
+
+	out := runOK(t, "eval", "-index", "sharded", "-spec", `{"shards":3,"workers":2}`,
+		"-data", data, "-queries", queries, "-k", "3")
+	if !strings.Contains(out, "index: sharded built") || !strings.Contains(out, "nodes/query") {
+		t.Fatalf("eval output:\n%s", out)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if last := lines[len(lines)-1]; !strings.HasPrefix(strings.TrimSpace(last), "100.0%  ") ||
+		!strings.Contains(last, "  100.0%  ") {
+		t.Fatalf("full budget not exact: %s", last)
+	}
+
+	runOK(t, "build", "-index", "bctree", "-data", data, "-out", index)
+	out = runOK(t, "eval", "-load", index, "-data", data, "-queries", queries, "-k", "3")
+	if !strings.Contains(out, "index: bctree loaded") {
+		t.Fatalf("eval output:\n%s", out)
+	}
+
+	for _, args := range [][]string{
+		{"-index", "nope"},
+		{"-spec", "{bad"},
+		{"-load", filepath.Join(dir, "missing.p2h")},
+		{"-load", index, "-index", "bctree"},
+		{},
+	} {
+		args = append([]string{"eval", "-data", data, "-queries", queries}, args...)
+		var o, e bytes.Buffer
+		if code := run(args, &o, &e); code != 1 || e.Len() == 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", args, code, e.String())
+		}
+	}
+}
+
 func TestInspectSubcommand(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data.fvecs")

@@ -68,7 +68,9 @@
 // recorded Spec, dimensionality, point count — without loading its payload.
 //
 // The cmd/p2hbench tool regenerates every table and figure of the paper's
-// evaluation section; the benchmark directory holds the one harness that
+// evaluation section, building every method through New; `p2htool eval`
+// runs the same budget sweep over one index on your own data; the
+// benchmark directory holds the one harness that
 // measures every layer, from the kernels to the cluster router (go run
 // ./benchmark); see README.md, DESIGN.md, EXPERIMENTS.md and
 // benchmark/README.md.

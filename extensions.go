@@ -3,7 +3,6 @@ package p2h
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"p2h/internal/dynamic"
 	"p2h/internal/exec"
@@ -122,9 +121,10 @@ func (t *Dynamic) Compact() bool { return t.index.Compact() }
 // sharded and linearscan kinds) serve contiguous sub-batches through it — for
 // the trees one arena walk and one pass over each visited leaf block per
 // sub-batch instead of per query, for the scan one pass over the data — with
-// the sub-batches spread across the workers. Other indexes fall back to a
-// per-query worker loop. Every index in this library is safe for concurrent
-// readers.
+// the sub-batches spread across the workers. For other indexes the workers
+// pull queries one at a time. Every index in this library is safe for
+// concurrent readers. A panic in any worker (a zero-normal row, say) is
+// re-raised in the caller.
 //
 // SearchOptions.Profile is honored only when the whole batch runs on one
 // goroutine (workers == 1 on a non-batched index); on every parallel path
@@ -185,26 +185,9 @@ func SearchBatch(ix Index, queries *Matrix, opts SearchOptions, workers int) [][
 		return out
 	}
 
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= queries.N {
-					return
-				}
-				out[i], _ = ix.Search(queries.Row(i), opts)
-			}
-		}()
-	}
-	wg.Wait()
+	exec.ForEach(queries.N, workers, func(i int) {
+		out[i], _ = ix.Search(queries.Row(i), opts)
+	})
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -91,6 +92,49 @@ func TestSearchBatchValidatesDimensions(t *testing.T) {
 		}
 	}()
 	SearchBatch(ix, NewMatrix(3, data.D), SearchOptions{K: 1}, 2) // missing offset dim
+}
+
+// TestFanOutPanicsReachTheCaller: a panic on one of the goroutines a search
+// fans out over — a shard worker, a per-query batch worker — is re-raised in
+// the caller, where it can be recovered (and, through a Server, counted),
+// instead of killing the process.
+func TestFanOutPanicsReachTheCaller(t *testing.T) {
+	data, queries, _ := testSetup(t)
+	recovered := func(f func()) (p any) {
+		defer func() { p = recover() }()
+		f()
+		return nil
+	}
+	boom := SearchOptions{K: 5, Filter: func(int32) bool { panic("filter boom") }}
+	sharded := MustBuild(t, data, Spec{Kind: KindSharded, Shards: 4, Workers: 4, Seed: 1})
+
+	t.Run("sharded", func(t *testing.T) {
+		if p := recovered(func() { sharded.Search(queries.Row(0), boom) }); p != "filter boom" {
+			t.Fatalf("recovered %v, want the filter's panic", p)
+		}
+	})
+	t.Run("server", func(t *testing.T) {
+		srv := NewServer(sharded, ServerOptions{})
+		defer srv.Close()
+		if p := recovered(func() { srv.Search(queries.Row(0), boom) }); p != "filter boom" {
+			t.Fatalf("recovered %v, want the filter's panic", p)
+		}
+		if got := srv.Stats().Panics; got != 1 {
+			t.Fatalf("Stats().Panics = %d, want 1", got)
+		}
+		if res, _ := srv.Search(queries.Row(0), SearchOptions{K: 5}); len(res) != 5 {
+			t.Fatalf("search after the panic answered %d results", len(res))
+		}
+	})
+	t.Run("batch", func(t *testing.T) {
+		nh := MustBuild(t, data, Spec{Kind: KindNH, Lambda: 32, M: 8, Seed: 3})
+		bad := queries.Clone()
+		clear(bad.Row(3)[:data.D])
+		p := recovered(func() { SearchBatch(nh, bad, SearchOptions{K: 5}, 4) })
+		if s, _ := p.(string); !strings.Contains(s, ErrZeroNormal.Error()) {
+			t.Fatalf("recovered %v, want the zero-normal panic", p)
+		}
+	})
 }
 
 func TestTuneBudgetReachesTarget(t *testing.T) {

@@ -338,28 +338,35 @@ func (rt *Router) searchDeadline(ctx context.Context, timeoutMS int) (context.Co
 	return context.WithDeadline(ctx, time.Now().Add(d))
 }
 
-// Search fans one query out over the index's shards and merges the exact
-// top-k. Results are byte-identical to the in-process Sharded index over the
-// same partition: same per-shard budget split, same (Dist, ID) merge order,
-// same truncation.
-func (rt *Router) Search(ctx context.Context, name string, req httpapi.SearchRequest) (*httpapi.SearchResponse, error) {
+// fanOut is what Search and SearchBatch share: it resolves the index, splits
+// a positive budget across its shards, and asks every shard at once — each
+// through hedgedCall over its ordered holders, with the deadline left as the
+// request's timeout_ms. send makes one shard's request with the options it is
+// given and returns the shard's answer as one result list per query (nq of
+// them) plus its work counters. An exact answer needs every shard, so any
+// shard's failure fails the call. fanOut returns, per query, the shards'
+// lists translated to global ids and merged into the top k, and the counters
+// summed over the shards.
+func (rt *Router) fanOut(ctx context.Context, name string, opts httpapi.SearchOptionsJSON, nq int,
+	send func(ctx context.Context, m *member, index string, opts httpapi.SearchOptionsJSON) ([][]httpapi.ResultJSON, httpapi.StatsJSON, error),
+) ([][]httpapi.ResultJSON, httpapi.StatsJSON, error) {
+	var stats httpapi.StatsJSON
 	ri, ok := rt.indexes[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownIndex, name)
+		return nil, stats, fmt.Errorf("%w: %q", ErrUnknownIndex, name)
 	}
 	var total int64
-	if req.Budget > 0 {
+	if opts.Budget > 0 {
 		var err error
 		if total, err = rt.indexSize(ctx, ri); err != nil {
-			return nil, err
+			return nil, stats, err
 		}
 	}
-	k := req.K
-	if k <= 0 {
-		k = 1
+	type answer struct {
+		lists [][]httpapi.ResultJSON
+		stats httpapi.StatsJSON
 	}
-	lists := make([][]httpapi.ResultJSON, len(ri.shards))
-	stats := make([]httpapi.StatsJSON, len(ri.shards))
+	answers := make([]answer, len(ri.shards))
 	errs := make([]error, len(ri.shards))
 	var wg sync.WaitGroup
 	for si := range ri.shards {
@@ -367,37 +374,74 @@ func (rt *Router) Search(ctx context.Context, name string, req httpapi.SearchReq
 		go func(si int) {
 			defer wg.Done()
 			rs := ri.shards[si]
-			sreq := req
-			sreq.SearchOptionsJSON = shardOptions(req.SearchOptionsJSON, rs.n.Load(), total)
+			sopts := shardOptions(opts, rs.n.Load(), total)
 			v, err := rt.hedgedCall(ctx, rt.shardTargets(rs.cfg), func(c context.Context, m *member) (any, error) {
-				r := sreq
-				r.TimeoutMS = remainingMS(c)
-				return m.search(c, rs.cfg.Index, r)
+				o := sopts
+				o.TimeoutMS = remainingMS(c)
+				lists, st, err := send(c, m, rs.cfg.Index, o)
+				return answer{lists, st}, err
 			})
 			if err != nil {
 				errs[si] = err
 				return
 			}
-			resp := v.(*httpapi.SearchResponse)
-			if err := translateIDs(rs.cfg, resp.Results); err != nil {
-				errs[si] = err
+			a := v.(answer)
+			if len(a.lists) != nq {
+				errs[si] = fmt.Errorf("cluster: shard %q answered %d results for %d queries", rs.cfg.Index, len(a.lists), nq)
 				return
 			}
-			lists[si], stats[si] = resp.Results, resp.Stats
+			for _, l := range a.lists {
+				if err := translateIDs(rs.cfg, l); err != nil {
+					errs[si] = err
+					return
+				}
+			}
+			answers[si] = a
 		}(si)
 	}
 	wg.Wait()
-	// An exact answer needs every shard; any shard failure fails the query.
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, stats, err
 		}
 	}
-	out := &httpapi.SearchResponse{Results: mergeTopK(lists, k)}
-	for _, st := range stats {
-		addStats(&out.Stats, st)
+	k := opts.K
+	if k <= 0 {
+		k = 1
 	}
-	return out, nil
+	merged := make([][]httpapi.ResultJSON, nq)
+	lists := make([][]httpapi.ResultJSON, len(ri.shards))
+	for qi := range merged {
+		for si, a := range answers {
+			lists[si] = a.lists[qi]
+		}
+		merged[qi] = mergeTopK(lists, k)
+	}
+	for _, a := range answers {
+		addStats(&stats, a.stats)
+	}
+	return merged, stats, nil
+}
+
+// Search fans one query out over the index's shards and merges the exact
+// top-k. Results are byte-identical to the in-process Sharded index over the
+// same partition: same per-shard budget split, same (Dist, ID) merge order,
+// same truncation.
+func (rt *Router) Search(ctx context.Context, name string, req httpapi.SearchRequest) (*httpapi.SearchResponse, error) {
+	merged, stats, err := rt.fanOut(ctx, name, req.SearchOptionsJSON, 1,
+		func(c context.Context, m *member, index string, opts httpapi.SearchOptionsJSON) ([][]httpapi.ResultJSON, httpapi.StatsJSON, error) {
+			r := req
+			r.SearchOptionsJSON = opts
+			resp, err := m.search(c, index, r)
+			if err != nil {
+				return nil, httpapi.StatsJSON{}, err
+			}
+			return [][]httpapi.ResultJSON{resp.Results}, resp.Stats, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return &httpapi.SearchResponse{Results: merged[0], Stats: stats}, nil
 }
 
 // SearchBatch fans a whole batch out — one batch request per shard, so each
@@ -405,73 +449,20 @@ func (rt *Router) Search(ctx context.Context, name string, req httpapi.SearchReq
 // Results are byte-identical to per-query Search calls and to the in-process
 // Sharded index's SearchBatch.
 func (rt *Router) SearchBatch(ctx context.Context, name string, req httpapi.BatchSearchRequest) (*httpapi.BatchSearchResponse, error) {
-	ri, ok := rt.indexes[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownIndex, name)
-	}
-	var total int64
-	if req.Budget > 0 {
-		var err error
-		if total, err = rt.indexSize(ctx, ri); err != nil {
-			return nil, err
-		}
-	}
-	k := req.K
-	if k <= 0 {
-		k = 1
-	}
-	nq := len(req.Queries)
-	shardResp := make([]*httpapi.BatchSearchResponse, len(ri.shards))
-	errs := make([]error, len(ri.shards))
-	var wg sync.WaitGroup
-	for si := range ri.shards {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			rs := ri.shards[si]
-			sreq := req
-			sreq.SearchOptionsJSON = shardOptions(req.SearchOptionsJSON, rs.n.Load(), total)
-			v, err := rt.hedgedCall(ctx, rt.shardTargets(rs.cfg), func(c context.Context, m *member) (any, error) {
-				r := sreq
-				r.TimeoutMS = remainingMS(c)
-				return m.searchBatch(c, rs.cfg.Index, r)
-			})
+	merged, stats, err := rt.fanOut(ctx, name, req.SearchOptionsJSON, len(req.Queries),
+		func(c context.Context, m *member, index string, opts httpapi.SearchOptionsJSON) ([][]httpapi.ResultJSON, httpapi.StatsJSON, error) {
+			r := req
+			r.SearchOptionsJSON = opts
+			resp, err := m.searchBatch(c, index, r)
 			if err != nil {
-				errs[si] = err
-				return
+				return nil, httpapi.StatsJSON{}, err
 			}
-			resp := v.(*httpapi.BatchSearchResponse)
-			if len(resp.Results) != nq {
-				errs[si] = fmt.Errorf("cluster: shard %q answered %d results for %d queries", rs.cfg.Index, len(resp.Results), nq)
-				return
-			}
-			for qi := range resp.Results {
-				if err := translateIDs(rs.cfg, resp.Results[qi]); err != nil {
-					errs[si] = err
-					return
-				}
-			}
-			shardResp[si] = resp
-		}(si)
+			return resp.Results, resp.Stats, nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := &httpapi.BatchSearchResponse{Results: make([][]httpapi.ResultJSON, nq)}
-	lists := make([][]httpapi.ResultJSON, len(ri.shards))
-	for qi := 0; qi < nq; qi++ {
-		for si := range ri.shards {
-			lists[si] = shardResp[si].Results[qi]
-		}
-		out.Results[qi] = mergeTopK(lists, k)
-	}
-	for _, resp := range shardResp {
-		addStats(&out.Stats, resp.Stats)
-	}
-	return out, nil
+	return &httpapi.BatchSearchResponse{Results: merged, Stats: stats}, nil
 }
 
 // Info describes one logical index in the member daemons' wire shape (kind

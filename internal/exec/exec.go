@@ -2,6 +2,7 @@ package exec
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"p2h/internal/core"
 	"p2h/internal/vec"
@@ -79,6 +80,45 @@ func ForChunks(n, parts int, fn func(lo, hi int) error) error {
 		}
 	}
 	return nil
+}
+
+// ForEach runs fn(i) for every i in [0, n) over min(workers, n) goroutines —
+// on the calling goroutine when that is one, never one goroutine per item —
+// which pull indices from a shared counter, so items of uneven cost (shards
+// of different sizes, queries of different depths) keep every worker busy.
+// As in ForChunks, a panic inside fn is re-raised in the caller once every
+// worker has stopped, instead of killing the process from a bare goroutine.
+func ForEach(n, workers int, fn func(i int)) {
+	nw := min(workers, n)
+	if nw <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	panics := make([]any, nw)
+	var wg sync.WaitGroup
+	wg.Add(nw)
+	for w := 0; w < nw; w++ {
+		go func(w int) {
+			defer wg.Done()
+			defer func() { panics[w] = recover() }()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // Pool is a typed free list over sync.Pool. The zero value is ready to use;

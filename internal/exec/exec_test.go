@@ -205,3 +205,49 @@ func TestForChunks(t *testing.T) {
 		})
 	}()
 }
+
+// TestForEach pins the pull-scheduled fan-out: every index in [0, n) runs
+// exactly once on at most min(workers, n) goroutines, and a panic on one of
+// them is re-raised in the caller once the other workers have drained the
+// rest of the items.
+func TestForEach(t *testing.T) {
+	for _, tc := range []struct{ n, workers int }{{0, 4}, {5, 0}, {5, 1}, {10, 3}, {3, 8}} {
+		counts := make([]atomic.Int32, tc.n)
+		var running, peak atomic.Int32
+		ForEach(tc.n, tc.workers, func(i int) {
+			if r := running.Add(1); r > peak.Load() {
+				peak.Store(r)
+			}
+			time.Sleep(time.Millisecond)
+			counts[i].Add(1)
+			running.Add(-1)
+		})
+		for i := range counts {
+			if c := counts[i].Load(); c != 1 {
+				t.Errorf("ForEach(%d, %d) ran item %d %d times", tc.n, tc.workers, i, c)
+			}
+		}
+		if limit := max(1, min(tc.n, tc.workers)); int(peak.Load()) > limit {
+			t.Errorf("ForEach(%d, %d) ran %d items at once, want at most %d", tc.n, tc.workers, peak.Load(), limit)
+		}
+	}
+
+	var finished atomic.Int32
+	func() {
+		defer func() {
+			if p := recover(); p != "item boom" {
+				t.Errorf("recovered %v, want the item's panic", p)
+			}
+			if finished.Load() != 7 {
+				t.Errorf("panic re-raised with %d of 7 other items finished", finished.Load())
+			}
+		}()
+		ForEach(8, 3, func(i int) {
+			if i == 1 {
+				panic("item boom")
+			}
+			time.Sleep(time.Millisecond)
+			finished.Add(1)
+		})
+	}()
+}

@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
+
+	p2h "p2h"
 
 	"p2h/internal/core"
 	"p2h/internal/dataset"
@@ -88,6 +89,8 @@ func (c Config) workload(spec dataset.Spec) *Workload {
 	return Prepare(spec, c.scaledN(spec), c.NQ, c.Seed)
 }
 
+func (c Config) defaultMethods(d int) []Method { return DefaultMethods(c.Params, d) }
+
 // Experiments lists the runnable experiment names in paper order.
 func Experiments() []string {
 	return []string{"table2", "table3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "ablation"}
@@ -148,13 +151,13 @@ func Table2(cfg Config) (string, error) {
 	return t.String(), nil
 }
 
-// table3Methods is the paper's Table III column order: trees first, then the
-// hashing schemes at lambda = d and lambda = 8d.
-func table3Methods(p Params) []Method {
+// table3Methods is the paper's Table III column order over d-dimensional raw
+// points: trees first, then the hashing schemes at lambda = d and lambda = 8d.
+func table3Methods(p Params, d int) []Method {
 	p1, p8 := p, p
 	p1.LambdaFactor = 1
 	p8.LambdaFactor = 8
-	nh1, nh8, fh1, fh8 := NH(p1), NH(p8), FH(p1), FH(p8)
+	nh1, nh8, fh1, fh8 := NH(p1, d), NH(p8, d), FH(p1, d), FH(p8, d)
 	nh1.Name = "NH(l=d)"
 	nh8.Name = "NH(l=8d)"
 	fh1.Name = "FH(l=d)"
@@ -169,9 +172,8 @@ func Table3(cfg Config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	methods := table3Methods(cfg.Params)
 	header := []string{"Data Set"}
-	for _, m := range methods {
+	for _, m := range table3Methods(cfg.Params, 0) { // names only: they do not depend on d
 		header = append(header, m.Name+" Time(s)", m.Name+" Size(MB)")
 	}
 	t := &Table{
@@ -181,8 +183,8 @@ func Table3(cfg Config) (string, error) {
 	for _, spec := range specs {
 		w := cfg.workload(spec)
 		row := []string{spec.Name}
-		for _, m := range methods {
-			br := m.BuildTimed(w.Data)
+		for _, m := range table3Methods(cfg.Params, spec.RawDim) {
+			br := m.BuildTimed(w.Raw)
 			row = append(row, fmtSeconds(br.BuildTime), fmtBytes(br.Bytes))
 			cfg.logf("table3: %s / %s built in %v", spec.Name, m.Name, br.BuildTime)
 		}
@@ -192,16 +194,17 @@ func Table3(cfg Config) (string, error) {
 }
 
 // timeRecallFigure renders one time-recall figure: for every data set, one
-// series per method over the budget-fraction sweep.
+// series per method (methods are given the set's dimension) over the
+// budget-fraction sweep.
 func timeRecallFigure(cfg Config, title string, specs []dataset.Spec,
-	methods []Method, base func(m Method) core.SearchOptions) (string, error) {
+	methods func(d int) []Method, base func(m Method) p2h.SearchOptions) (string, error) {
 	var b strings.Builder
 	for _, spec := range specs {
 		w := cfg.workload(spec)
 		var series []Series
-		for _, m := range methods {
-			ix := m.Build(w.Data)
-			opts := core.SearchOptions{}
+		for _, m := range methods(spec.RawDim) {
+			ix := m.Build(w.Raw)
+			opts := p2h.SearchOptions{}
 			if base != nil {
 				opts = base(m)
 			}
@@ -227,7 +230,7 @@ func Fig5(cfg Config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return timeRecallFigure(cfg, "Fig 5", specs, DefaultMethods(cfg.Params), nil)
+	return timeRecallFigure(cfg, "Fig 5", specs, cfg.defaultMethods, nil)
 }
 
 // kSweep is the paper's k axis for Figures 6 and 8.
@@ -235,20 +238,20 @@ var kSweep = []int{1, 10, 20, 40}
 
 // atRecallFigure renders one query-time-vs-k figure at the target recall.
 func atRecallFigure(cfg Config, title string, specs []dataset.Spec,
-	methods []Method, target float64, base func(m Method) core.SearchOptions) (string, error) {
+	methods func(d int) []Method, target float64, base func(m Method) p2h.SearchOptions) (string, error) {
 	var b strings.Builder
 	for _, spec := range specs {
 		w := cfg.workload(spec)
 		var series []Series
-		for _, m := range methods {
-			ix := m.Build(w.Data)
-			opts := core.SearchOptions{}
+		for _, m := range methods(spec.RawDim) {
+			ix := m.Build(w.Raw)
+			opts := p2h.SearchOptions{}
 			if base != nil {
 				opts = base(m)
 			}
 			s := Series{Name: m.Name}
 			for _, k := range kSweep {
-				_, ev := FindBudget(ix, w, k, target, opts)
+				ev := FindBudget(ix, w, k, target, opts)
 				s.Points = append(s.Points, Point{X: float64(k), Y: ev.QueryMS})
 			}
 			series = append(series, s)
@@ -268,7 +271,7 @@ func Fig6(cfg Config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return atRecallFigure(cfg, "Fig 6", specs, DefaultMethods(cfg.Params), 0.8, nil)
+	return atRecallFigure(cfg, "Fig 6", specs, cfg.defaultMethods, 0.8, nil)
 }
 
 // Fig7 reproduces Figure 7: center vs lower-bound branch preference for
@@ -285,12 +288,12 @@ func Fig7(cfg Config) (string, error) {
 	ballC.Name = "Ball-Tree (center)"
 	ballL.Name = "Ball-Tree (lower bound)"
 	methods := []Method{bcC, bcL, ballC, ballL}
-	prefs := map[string]core.Preference{
-		bcC.Name: core.PrefCenter, bcL.Name: core.PrefLowerBound,
-		ballC.Name: core.PrefCenter, ballL.Name: core.PrefLowerBound,
+	prefs := map[string]p2h.Preference{
+		bcC.Name: p2h.PrefCenter, bcL.Name: p2h.PrefLowerBound,
+		ballC.Name: p2h.PrefCenter, ballL.Name: p2h.PrefLowerBound,
 	}
-	return timeRecallFigure(cfg, "Fig 7", specs, methods, func(m Method) core.SearchOptions {
-		return core.SearchOptions{Preference: prefs[m.Name]}
+	return timeRecallFigure(cfg, "Fig 7", specs, func(int) []Method { return methods }, func(m Method) p2h.SearchOptions {
+		return p2h.SearchOptions{Preference: prefs[m.Name]}
 	})
 }
 
@@ -308,13 +311,13 @@ func Fig8(cfg Config) (string, error) {
 	woB.Name = "BC-Tree-wo-B"
 	woBC.Name = "BC-Tree-wo-BC"
 	methods := []Method{full, woC, woB, woBC}
-	variants := map[string]core.SearchOptions{
+	variants := map[string]p2h.SearchOptions{
 		full.Name: {},
 		woC.Name:  {DisablePointCone: true},
 		woB.Name:  {DisablePointBall: true},
 		woBC.Name: {DisablePointBall: true, DisablePointCone: true},
 	}
-	return atRecallFigure(cfg, "Fig 8", specs, methods, 0.8, func(m Method) core.SearchOptions {
+	return atRecallFigure(cfg, "Fig 8", specs, func(int) []Method { return methods }, 0.8, func(m Method) p2h.SearchOptions {
 		return variants[m.Name]
 	})
 }
@@ -327,7 +330,7 @@ func Fig9(cfg Config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return timeRecallFigure(cfg, "Fig 9", specs, DefaultMethods(cfg.Params), nil)
+	return timeRecallFigure(cfg, "Fig 9", specs, cfg.defaultMethods, nil)
 }
 
 // fig10Sets are the paper's two profiled data sets.
@@ -352,10 +355,10 @@ func Fig10(cfg Config) (string, error) {
 				spec.Name, spec.RawDim, w.N()),
 			Header: []string{"Method", "Recall%", "Verification", "Table Lookup", "Lower Bounds", "Others", "Total"},
 		}
-		for _, m := range DefaultMethods(cfg.Params) {
-			ix := m.Build(w.Data)
-			budget, _ := FindBudget(ix, w, cfg.K, 0.9, core.SearchOptions{})
-			ev := Run(ix, w, core.SearchOptions{K: cfg.K, Budget: budget}, true)
+		for _, m := range cfg.defaultMethods(spec.RawDim) {
+			ix := m.Build(w.Raw)
+			budget := FindBudget(ix, w, cfg.K, 0.9, p2h.SearchOptions{}).Budget
+			ev := Run(ix, w, p2h.SearchOptions{K: cfg.K, Budget: budget}, true)
 			nq := float64(w.Queries.N)
 			perQuery := func(p core.Phase) float64 {
 				return ev.Profile.Get(p).Seconds() * 1000 / nq
@@ -397,9 +400,9 @@ func Fig11(cfg Config) (string, error) {
 		var series []Series
 		for _, n0 := range leafSweep {
 			p := cfg.Params
-			p.LeafSize = n0
-			ix := BCTree(p).Build(w.Data)
-			evals := Sweep(ix, w, cfg.K, nil, core.SearchOptions{})
+			p.Spec.LeafSize = n0
+			ix := BCTree(p).Build(w.Raw)
+			evals := Sweep(ix, w, cfg.K, nil, p2h.SearchOptions{})
 			s := Series{Name: fmt.Sprintf("N0=%d", n0)}
 			for _, ev := range evals {
 				s.Points = append(s.Points, Point{X: ev.Recall * 100, Y: ev.QueryMS})
@@ -435,13 +438,10 @@ func Ablation(cfg Config) (string, error) {
 	}
 	for _, spec := range specs {
 		w := cfg.workload(spec)
-		bc := BCTree(cfg.Params).Build(w.Data)
-		_, evOn := FindBudget(bc, w, cfg.K, 0.8, core.SearchOptions{})
+		evOn := FindBudget(BCTree(cfg.Params).Build(w.Raw), w, cfg.K, 0.8, p2h.SearchOptions{})
 		centerIPs := evOn.Stats.IPCount - evOn.Stats.Candidates
-		kd := KDTree(cfg.Params).Build(w.Data)
-		_, evKD := FindBudget(kd, w, cfg.K, 0.8, core.SearchOptions{})
-		ball := BallTree(cfg.Params).Build(w.Data)
-		_, evBall := FindBudget(ball, w, cfg.K, 0.8, core.SearchOptions{})
+		evKD := FindBudget(KDTree(cfg.Params).Build(w.Raw), w, cfg.K, 0.8, p2h.SearchOptions{})
+		evBall := FindBudget(BallTree(cfg.Params).Build(w.Raw), w, cfg.K, 0.8, p2h.SearchOptions{})
 		t.AddRow(spec.Name,
 			fmt.Sprintf("%.4f", evOn.QueryMS),
 			fmt.Sprintf("%d", centerIPs),
@@ -452,14 +452,4 @@ func Ablation(cfg Config) (string, error) {
 		cfg.logf("ablation: %s done", spec.Name)
 	}
 	return t.String(), nil
-}
-
-// SortSeriesByX orders every series' points by ascending X (recall sweeps
-// come out ordered already; this is for callers composing custom series).
-func SortSeriesByX(series []Series) {
-	for i := range series {
-		sort.Slice(series[i].Points, func(a, b int) bool {
-			return series[i].Points[a].X < series[i].Points[b].X
-		})
-	}
 }

@@ -3,22 +3,20 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	p2h "p2h"
 )
 
 // tinyCfg keeps experiment smoke tests fast: small point counts, few queries,
 // cheap hash parameters.
 func tinyCfg(sets ...string) Config {
 	return Config{
-		Scale: 0.02, // Music: 20000*0.02 = 400 points
-		NQ:    4,
-		K:     5,
-		Seed:  1,
-		Sets:  sets,
-		Params: Params{
-			LeafSize: 25,
-			HashM:    4,
-			HashL:    2,
-		},
+		Scale:  0.02, // Music: 20000*0.02 = 400 points
+		NQ:     4,
+		K:      5,
+		Seed:   1,
+		Sets:   sets,
+		Params: Params{Spec: p2h.Spec{LeafSize: 25, M: 4, L: 2}},
 	}
 }
 

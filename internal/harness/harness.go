@@ -2,6 +2,10 @@
 // (synthetic surrogate data, hyperplane queries, ground truth), evaluates
 // indexes over candidate-budget sweeps, and formats the series and tables
 // that reproduce Table II, Table III, and Figures 5-11.
+//
+// Every index it measures is built by p2h.New from a Method's Spec and
+// searched through the p2h.Index every caller of the library gets; ground
+// truth and recall are p2h.GroundTruth and p2h.Recall.
 package harness
 
 import (
@@ -9,25 +13,26 @@ import (
 	"math"
 	"time"
 
-	"p2h/internal/core"
+	p2h "p2h"
+
 	"p2h/internal/dataset"
-	"p2h/internal/linearscan"
-	"p2h/internal/vec"
 )
 
-// BuiltIndex is the common surface of every built P2HNNS index.
-type BuiltIndex interface {
-	// Search answers one top-k hyperplane query.
-	Search(q []float32, opts core.SearchOptions) ([]core.Result, core.Stats)
-	// IndexBytes reports the memory footprint of the index structure.
-	IndexBytes() int64
+// Method names one competitor and the Spec its index is built from.
+type Method struct {
+	Name string
+	Spec p2h.Spec
 }
 
-// Method names one competitor and knows how to build its index over a lifted
-// data matrix.
-type Method struct {
-	Name  string
-	Build func(data *vec.Matrix) BuiltIndex
+// Build builds the method's index over raw points. It panics where p2h.New
+// returns an error, as p2h.NewLinearScan does: the Specs are this package's
+// constants and the workloads its own, so an error is a bug here.
+func (m Method) Build(raw *p2h.Matrix) p2h.Index {
+	ix, err := p2h.New(raw, m.Spec)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %s: %v", m.Name, err))
+	}
+	return ix
 }
 
 // BuildResult carries the Table III measurements for one build.
@@ -35,13 +40,14 @@ type BuildResult struct {
 	Method    string
 	BuildTime time.Duration
 	Bytes     int64
-	Index     BuiltIndex
+	Index     p2h.Index
 }
 
 // BuildTimed builds the method's index and measures wall-clock time and size.
-func (m Method) BuildTimed(data *vec.Matrix) BuildResult {
+// The time includes New's one lifted copy of the data.
+func (m Method) BuildTimed(raw *p2h.Matrix) BuildResult {
 	start := time.Now()
-	ix := m.Build(data)
+	ix := m.Build(raw)
 	return BuildResult{
 		Method:    m.Name,
 		BuildTime: time.Since(start),
@@ -50,88 +56,69 @@ func (m Method) BuildTimed(data *vec.Matrix) BuildResult {
 	}
 }
 
-// Workload is one prepared data set: deduped raw points, the lifted matrix
-// indexes consume, hyperplane queries, and lazily computed ground truth.
+// Workload is one set of raw points, the hyperplane queries asked of it and
+// their lazily computed ground truth. Prepare makes one from a surrogate
+// spec; a caller with its own points and queries sets Raw and Queries.
 type Workload struct {
 	Spec    dataset.Spec
-	Raw     *vec.Matrix
-	Data    *vec.Matrix // lifted: x = (p; 1)
-	Queries *vec.Matrix
+	Raw     *p2h.Matrix
+	Queries *p2h.Matrix
 
-	gt map[int][][]core.Result
+	gt map[int][][]p2h.Result
 }
 
 // Prepare generates a workload for the spec: n raw points (spec default if
-// n <= 0), deduplicated, lifted, with nq hyperplane queries. Deterministic in
-// seed.
+// n <= 0), deduplicated, with nq hyperplane queries. Deterministic in seed.
 func Prepare(spec dataset.Spec, n, nq int, seed int64) *Workload {
 	raw := dataset.Dedup(dataset.Generate(spec, n, seed))
 	return &Workload{
 		Spec:    spec,
 		Raw:     raw,
-		Data:    raw.AppendOnes(),
 		Queries: dataset.GenerateQueries(raw, nq, seed+1),
-		gt:      make(map[int][][]core.Result),
 	}
 }
 
 // GroundTruth returns the exact top-k results per query, computed once.
-func (w *Workload) GroundTruth(k int) [][]core.Result {
+func (w *Workload) GroundTruth(k int) [][]p2h.Result {
 	if gt, ok := w.gt[k]; ok {
 		return gt
 	}
-	gt := linearscan.GroundTruth(w.Data, w.Queries, k)
+	if w.gt == nil {
+		w.gt = make(map[int][][]p2h.Result)
+	}
+	gt := p2h.GroundTruth(w.Raw, w.Queries, k)
 	w.gt[k] = gt
 	return gt
 }
 
-// N returns the workload's deduplicated point count.
-func (w *Workload) N() int { return w.Data.N }
-
-// Recall measures the fraction of the exact top-k a result list recovered.
-// Any returned point whose distance is within the exact k-th distance counts
-// as a hit (the tie convention recall evaluations use), capped at k.
-func Recall(res, gt []core.Result) float64 {
-	if len(gt) == 0 {
-		return 1
-	}
-	kth := gt[len(gt)-1].Dist
-	hits := 0
-	for _, r := range res {
-		if r.Dist <= kth*(1+1e-9)+1e-12 {
-			hits++
-		}
-	}
-	if hits > len(gt) {
-		hits = len(gt)
-	}
-	return float64(hits) / float64(len(gt))
-}
+// N returns the workload's point count.
+func (w *Workload) N() int { return w.Raw.N }
 
 // Eval measures one configuration: it runs every workload query through the
 // index with opts and averages recall and wall-clock time.
 type Eval struct {
+	Budget    int     // the candidate budget searched with (0: exact)
 	Recall    float64 // mean recall over queries
 	QueryMS   float64 // mean wall-clock milliseconds per query
-	Stats     core.Stats
-	Profile   core.Profile // populated when opts.Profile was requested
+	Stats     p2h.Stats
+	Profile   p2h.Profile // populated when opts.Profile was requested
 	WallTotal time.Duration
 }
 
 // Run evaluates ix on every query of w under opts. If profile is true the
 // per-phase breakdown is collected (at some timing overhead).
-func Run(ix BuiltIndex, w *Workload, opts core.SearchOptions, profile bool) Eval {
+func Run(ix p2h.Index, w *Workload, opts p2h.SearchOptions, profile bool) Eval {
 	opts = opts.Normalized()
 	gt := w.GroundTruth(opts.K)
-	var ev Eval
-	var prof core.Profile
+	ev := Eval{Budget: opts.Budget}
+	var prof p2h.Profile
 	if profile {
 		opts.Profile = &prof
 	}
 	start := time.Now()
 	for i := 0; i < w.Queries.N; i++ {
 		res, st := ix.Search(w.Queries.Row(i), opts)
-		ev.Recall += Recall(res, gt[i])
+		ev.Recall += p2h.Recall(res, gt[i])
 		ev.Stats.Add(st)
 	}
 	ev.WallTotal = time.Since(start)
@@ -148,7 +135,7 @@ var BudgetFractions = []float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2,
 
 // Sweep evaluates ix across the budget fractions and returns one Eval per
 // fraction, in order.
-func Sweep(ix BuiltIndex, w *Workload, k int, fractions []float64, base core.SearchOptions) []Eval {
+func Sweep(ix p2h.Index, w *Workload, k int, fractions []float64, base p2h.SearchOptions) []Eval {
 	if len(fractions) == 0 {
 		fractions = BudgetFractions
 	}
@@ -174,35 +161,21 @@ func budgetFor(fraction float64, n int) int {
 }
 
 // FindBudget locates the smallest sweep budget reaching the target recall and
-// returns its evaluation. If no fraction reaches the target the full-budget
-// evaluation is returned. This pins the paper's "at about 80% recall"
-// operating points (Figures 6, 8, 10).
-func FindBudget(ix BuiltIndex, w *Workload, k int, target float64, base core.SearchOptions) (int, Eval) {
+// returns its evaluation (Eval.Budget is that budget). If no fraction reaches
+// the target the full-budget evaluation is returned. This pins the paper's
+// "at about 80% recall" operating points (Figures 6, 8, 10).
+func FindBudget(ix p2h.Index, w *Workload, k int, target float64, base p2h.SearchOptions) Eval {
 	var last Eval
-	var lastBudget int
 	for _, f := range BudgetFractions {
 		opts := base
 		opts.K = k
 		opts.Budget = budgetFor(f, w.N())
-		last = Run(ix, w, opts, false)
-		lastBudget = opts.Budget
-		if last.Recall >= target {
-			return opts.Budget, last
+		if last = Run(ix, w, opts, false); last.Recall >= target {
+			break
 		}
 	}
-	return lastBudget, last
+	return last
 }
-
-// scanIndex adapts the linear scan to BuiltIndex (its "index" is free).
-type scanIndex struct{ *linearscan.Scanner }
-
-// IndexBytes is zero: the scan holds no structure beyond the data itself.
-func (scanIndex) IndexBytes() int64 { return 0 }
-
-// String names the adapter in logs.
-func (scanIndex) String() string { return "linear-scan" }
-
-var _ BuiltIndex = scanIndex{}
 
 // fmtBytes renders a byte count the way Table III does (MB with one digit).
 func fmtBytes(b int64) string {

@@ -1,11 +1,16 @@
 package harness
 
 import (
-	"math"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
-	"p2h/internal/core"
+	p2h "p2h"
+
 	"p2h/internal/dataset"
 )
 
@@ -13,27 +18,35 @@ func tinySpec(family dataset.Family, d int) dataset.Spec {
 	return dataset.Spec{Name: "tiny", Family: family, RawDim: d, ScaledN: 400, Clusters: 4}
 }
 
-func TestRecallConventions(t *testing.T) {
-	gt := []core.Result{{ID: 1, Dist: 0.1}, {ID: 2, Dist: 0.2}, {ID: 3, Dist: 0.3}}
-	cases := []struct {
-		name string
-		res  []core.Result
-		want float64
-	}{
-		{"perfect", gt, 1},
-		{"empty", nil, 0},
-		{"half", gt[:1], 1.0 / 3},
-		{"different ids same dists", []core.Result{{ID: 9, Dist: 0.1}, {ID: 8, Dist: 0.25}, {ID: 7, Dist: 0.3}}, 1},
-		{"too far", []core.Result{{ID: 9, Dist: 0.9}}, 0},
-		{"overfull capped", []core.Result{{ID: 1, Dist: 0.1}, {ID: 2, Dist: 0.1}, {ID: 3, Dist: 0.1}, {ID: 4, Dist: 0.1}}, 1},
+// TestHarnessBuildsThroughNew holds the harness to the library's one build
+// path: its non-test files import p2h and no index package, so every method
+// it measures is a p2h.Spec that p2h.New builds.
+func TestHarnessBuildsThroughNew(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if got := Recall(c.res, gt); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("%s: recall %v want %v", c.name, got, c.want)
+	var imports []string
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		ast, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, im := range ast.Imports {
+			path, _ := strconv.Unquote(im.Path.Value)
+			imports = append(imports, path)
 		}
 	}
-	if got := Recall(nil, nil); got != 1 {
-		t.Errorf("empty gt should be recall 1, got %v", got)
+	if !slices.Contains(imports, "p2h") {
+		t.Errorf("harness does not import p2h (imports %v)", imports)
+	}
+	for _, pkg := range []string{"balltree", "nh", "fh", "kdtree", "linearscan", "quant", "shard", "dynamic"} {
+		if slices.Contains(imports, "p2h/internal/"+pkg) {
+			t.Errorf("harness imports p2h/internal/%s: build indexes through p2h.New", pkg)
+		}
 	}
 }
 
@@ -44,8 +57,8 @@ func TestPrepareDeterministic(t *testing.T) {
 	if a.N() != b.N() || a.Queries.N != b.Queries.N {
 		t.Fatal("same seed, different workload shape")
 	}
-	for i := range a.Data.Data {
-		if a.Data.Data[i] != b.Data.Data[i] {
+	for i := range a.Raw.Data {
+		if a.Raw.Data[i] != b.Raw.Data[i] {
 			t.Fatal("same seed, different data")
 		}
 	}
@@ -65,9 +78,11 @@ func TestGroundTruthCached(t *testing.T) {
 
 func TestRunFullBudgetExactForTrees(t *testing.T) {
 	w := Prepare(tinySpec(dataset.FamilyClustered, 10), 400, 8, 2)
-	for _, m := range []Method{BallTree(Params{Seed: 3}), BCTree(Params{Seed: 3}), KDTree(Params{}), LinearScan()} {
-		ix := m.Build(w.Data)
-		ev := Run(ix, w, core.SearchOptions{K: 5}, false)
+	p := Params{Spec: p2h.Spec{Seed: 3}}
+	scan := Method{Name: "Scan", Spec: p2h.Spec{Kind: p2h.KindLinearScan}}
+	for _, m := range []Method{BallTree(p), BCTree(p), KDTree(Params{}), scan} {
+		ix := m.Build(w.Raw)
+		ev := Run(ix, w, p2h.SearchOptions{K: 5}, false)
 		if ev.Recall < 1-1e-12 {
 			t.Fatalf("%s: unlimited budget must be exact, recall %v", m.Name, ev.Recall)
 		}
@@ -79,7 +94,7 @@ func TestRunFullBudgetExactForTrees(t *testing.T) {
 
 func TestBuildTimedMeasures(t *testing.T) {
 	w := Prepare(tinySpec(dataset.FamilyClustered, 10), 300, 4, 3)
-	br := BCTree(Params{Seed: 1}).BuildTimed(w.Data)
+	br := BCTree(Params{Spec: p2h.Spec{Seed: 1}}).BuildTimed(w.Raw)
 	if br.BuildTime <= 0 || br.Bytes <= 0 || br.Index == nil || br.Method != "BC-Tree" {
 		t.Fatalf("build result %+v", br)
 	}
@@ -87,8 +102,8 @@ func TestBuildTimedMeasures(t *testing.T) {
 
 func TestSweepMonotoneBudgets(t *testing.T) {
 	w := Prepare(tinySpec(dataset.FamilyClustered, 12), 800, 10, 4)
-	ix := BCTree(Params{Seed: 5}).Build(w.Data)
-	evals := Sweep(ix, w, 10, nil, core.SearchOptions{})
+	ix := BCTree(Params{Spec: p2h.Spec{Seed: 5}}).Build(w.Raw)
+	evals := Sweep(ix, w, 10, nil, p2h.SearchOptions{})
 	if len(evals) != len(BudgetFractions) {
 		t.Fatalf("%d evals", len(evals))
 	}
@@ -105,29 +120,47 @@ func TestSweepMonotoneBudgets(t *testing.T) {
 
 func TestFindBudgetHitsTarget(t *testing.T) {
 	w := Prepare(tinySpec(dataset.FamilyClustered, 12), 800, 10, 5)
-	ix := BallTree(Params{Seed: 6}).Build(w.Data)
-	budget, ev := FindBudget(ix, w, 10, 0.8, core.SearchOptions{})
+	ix := BallTree(Params{Spec: p2h.Spec{Seed: 6}}).Build(w.Raw)
+	ev := FindBudget(ix, w, 10, 0.8, p2h.SearchOptions{})
 	if ev.Recall < 0.8 {
-		t.Fatalf("budget %d recall %v < target", budget, ev.Recall)
+		t.Fatalf("budget %d recall %v < target", ev.Budget, ev.Recall)
 	}
-	if budget <= 0 || budget > w.N() {
-		t.Fatalf("budget %d out of range", budget)
+	if ev.Budget <= 0 || ev.Budget > w.N() {
+		t.Fatalf("budget %d out of range", ev.Budget)
 	}
 }
 
 func TestMethodsHaveDistinctNames(t *testing.T) {
 	seen := map[string]bool{}
-	for _, m := range DefaultMethods(Params{}) {
+	for _, m := range DefaultMethods(Params{}, 10) {
 		if seen[m.Name] {
 			t.Fatalf("duplicate method name %s", m.Name)
 		}
 		seen[m.Name] = true
 	}
-	for _, m := range table3Methods(Params{}) {
-		_ = m.Name // all six must be constructible
-	}
-	if len(table3Methods(Params{})) != 6 {
+	if len(table3Methods(Params{}, 10)) != 6 {
 		t.Fatal("Table III needs six method columns")
+	}
+}
+
+// TestHashingLambda pins NH/FH's sampled dimension: LambdaFactor times the
+// lifted dimension d+1 (default factor 2), capped by MaxLambda, with the
+// reproduction's M default of 32.
+func TestHashingLambda(t *testing.T) {
+	for _, c := range []struct {
+		p    Params
+		d    int
+		want int
+	}{
+		{Params{}, 10, 22},
+		{Params{LambdaFactor: 8}, 10, 88},
+		{Params{LambdaFactor: 8, MaxLambda: 50}, 10, 50},
+	} {
+		for _, m := range []Method{NH(c.p, c.d), FH(c.p, c.d)} {
+			if m.Spec.Lambda != c.want || m.Spec.M != 32 {
+				t.Errorf("%s %+v d=%d: Spec %+v, want Lambda %d and M 32", m.Name, c.p, c.d, m.Spec, c.want)
+			}
+		}
 	}
 }
 

@@ -128,7 +128,7 @@ func (a *API) searchContext(r *http.Request, timeoutMS int) (context.Context, co
 	return context.WithDeadline(r.Context(), time.Now().Add(d))
 }
 
-// errorStatus maps an error onto an HTTP status and a stable wire code.
+// ErrorStatus maps an error onto an HTTP status and a stable wire code.
 func ErrorStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, p2h.ErrOverloaded):
@@ -182,7 +182,7 @@ func (a *API) fail(w http.ResponseWriter, err error) {
 	WriteJSON(w, status, ErrorResponse{Error: err.Error(), Code: code})
 }
 
-// decodeBody strictly decodes one JSON document into v. An over-limit body
+// DecodeBody strictly decodes one JSON document into v. An over-limit body
 // surfaces as its own error so clients can tell "shrink the batch" (413)
 // from "malformed JSON" (400).
 func DecodeBody(w http.ResponseWriter, r *http.Request, v any) error {

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"p2h/internal/server"
 	"p2h/internal/vec"
 )
 
@@ -19,41 +20,11 @@ import (
 // per-index gauges/counters read live from the serving engines at scrape
 // time (the engines already count; the scrape just renders their snapshot).
 
-// latencyBuckets are the histogram upper bounds in seconds, spanning
-// cache-hit microseconds to stuck-second outliers.
-const numLatencyBuckets = 16
-
-var latencyBuckets = [numLatencyBuckets]float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// histogram is a fixed-bucket latency histogram safe for concurrent use.
-// counts[i] covers observations <= latencyBuckets[i]; the +Inf bucket is
-// implicit in total.
-type histogram struct {
-	counts [numLatencyBuckets]atomic.Int64
-	total  atomic.Int64
-	sumNS  atomic.Int64
-}
-
-func (h *histogram) observe(d time.Duration) {
-	s := d.Seconds()
-	for i, ub := range latencyBuckets {
-		if s <= ub {
-			h.counts[i].Add(1)
-			break
-		}
-	}
-	h.total.Add(1)
-	h.sumNS.Add(int64(d))
-}
-
 // endpointMetrics tracks one logical endpoint (route pattern, not URL).
 type endpointMetrics struct {
 	mu      sync.Mutex
 	byCode  map[int]*atomic.Int64
-	latency histogram
+	latency server.Histogram
 }
 
 // record counts one finished request. It touches only the endpoint's own
@@ -68,7 +39,7 @@ func (em *endpointMetrics) record(status int, d time.Duration) {
 	}
 	em.mu.Unlock()
 	c.Add(1)
-	em.latency.observe(d)
+	em.latency.Observe(d)
 }
 
 // Metrics is the request half of a /metrics page — per-endpoint request
@@ -159,18 +130,15 @@ func (m *Metrics) Render(w *strings.Builder) {
 
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", duration, m.latencyHelp, duration)
 	for _, name := range names {
-		h := &ems[name].latency
-		var cum int64
-		for i, ub := range latencyBuckets {
-			cum += h.counts[i].Load()
+		h := ems[name].latency.Snapshot()
+		for ub, cum := range h.Buckets() {
 			// The bound in the shortest decimal form, no exponent at these
 			// magnitudes, as Prometheus clients expect.
 			fmt.Fprintf(w, "%s_bucket{endpoint=%q,le=%q} %d\n", duration, name, strconv.FormatFloat(ub, 'g', -1, 64), cum)
 		}
-		total := h.total.Load()
-		fmt.Fprintf(w, "%s_bucket{endpoint=%q,le=\"+Inf\"} %d\n", duration, name, total)
-		fmt.Fprintf(w, "%s_sum{endpoint=%q} %g\n", duration, name, time.Duration(h.sumNS.Load()).Seconds())
-		fmt.Fprintf(w, "%s_count{endpoint=%q} %d\n", duration, name, total)
+		fmt.Fprintf(w, "%s_bucket{endpoint=%q,le=\"+Inf\"} %d\n", duration, name, h.Total)
+		fmt.Fprintf(w, "%s_sum{endpoint=%q} %g\n", duration, name, h.Sum.Seconds())
+		fmt.Fprintf(w, "%s_count{endpoint=%q} %d\n", duration, name, h.Total)
 	}
 }
 

@@ -10,30 +10,6 @@ import (
 	"p2h/internal/vec"
 )
 
-func TestHistogramBuckets(t *testing.T) {
-	var h histogram
-	h.observe(50 * time.Microsecond)  // <= 0.0001
-	h.observe(300 * time.Microsecond) // <= 0.0005
-	h.observe(30 * time.Second)       // only +Inf
-	if h.total.Load() != 3 {
-		t.Fatalf("total %d", h.total.Load())
-	}
-	if h.counts[0].Load() != 1 {
-		t.Fatalf("first bucket %d", h.counts[0].Load())
-	}
-	var bucketed int64
-	for i := range h.counts {
-		bucketed += h.counts[i].Load()
-	}
-	if bucketed != 2 {
-		t.Fatalf("bucketed %d, want 2 (one observation beyond the last bound)", bucketed)
-	}
-	wantSum := (50*time.Microsecond + 300*time.Microsecond + 30*time.Second)
-	if h.sumNS.Load() != int64(wantSum) {
-		t.Fatalf("sum %d, want %d", h.sumNS.Load(), int64(wantSum))
-	}
-}
-
 func TestMetricsRenderShape(t *testing.T) {
 	m := newDaemonMetrics()
 	m.endpoint("search") // pre-registered, no traffic: histogram renders zeroed

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"sync/atomic"
 	"time"
@@ -208,8 +209,7 @@ func cancelFor(ctx context.Context) func() bool {
 }
 
 // numLatBuckets fixed upper bounds span cache-hit microseconds to
-// stuck-second outliers; they mirror the HTTP layer's histogram so the two
-// agree about where a percentile falls.
+// stuck-second outliers.
 const numLatBuckets = 16
 
 var latBounds = [numLatBuckets]float64{
@@ -217,13 +217,18 @@ var latBounds = [numLatBuckets]float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// latHist is a fixed-bucket latency histogram safe for concurrent use.
-type latHist struct {
+// Histogram is a fixed-bucket latency histogram safe for concurrent use: the
+// engine's completion latencies, and in internal/httpapi every endpoint's
+// request latencies — one bucket table, so the two agree about where a
+// percentile falls. The zero value is ready.
+type Histogram struct {
 	counts [numLatBuckets]atomic.Int64
 	total  atomic.Int64
+	sumNS  atomic.Int64
 }
 
-func (h *latHist) observe(d time.Duration) {
+// Observe records one latency.
+func (h *Histogram) Observe(d time.Duration) {
 	s := d.Seconds()
 	for i, ub := range latBounds {
 		if s <= ub {
@@ -232,31 +237,50 @@ func (h *latHist) observe(d time.Duration) {
 		}
 	}
 	h.total.Add(1) // observations above the last bound live only in total
+	h.sumNS.Add(int64(d))
 }
 
-// LatencySnapshot is a point-in-time copy of the engine's completion-latency
-// histogram (slot wait plus service, per serving call). Subtract two
-// snapshots to get a window, then ask the window for a quantile — the loop
-// an SLO controller runs.
+// Snapshot copies the histogram's counters.
+func (h *Histogram) Snapshot() LatencySnapshot {
+	var s LatencySnapshot
+	for i := range s.Counts {
+		s.Counts[i] = h.counts[i].Load()
+	}
+	s.Total = h.total.Load()
+	s.Sum = time.Duration(h.sumNS.Load())
+	return s
+}
+
+// LatencySnapshot is a point-in-time copy of a Histogram (the engine's times
+// slot wait plus service, per serving call). Subtract two snapshots to get a
+// window, then ask the window for a quantile — the loop an SLO controller
+// runs.
 type LatencySnapshot struct {
 	// Counts[i] holds observations at or below bucket i's upper bound (see
-	// Bounds); observations beyond the last bound count only toward Total.
+	// Buckets); observations beyond the last bound count only toward Total.
 	Counts [numLatBuckets]int64
 	// Total is every observation, including the implicit +Inf bucket.
 	Total int64
+	// Sum is the observations' total duration.
+	Sum time.Duration
 }
 
-// LatencyBounds returns the histogram's upper bounds in seconds.
-func LatencyBounds() []float64 { return latBounds[:] }
-
 // Latency snapshots the engine's completion-latency histogram.
-func (e *Engine) Latency() LatencySnapshot {
-	var s LatencySnapshot
-	for i := range s.Counts {
-		s.Counts[i] = e.latency.counts[i].Load()
+func (e *Engine) Latency() LatencySnapshot { return e.latency.Snapshot() }
+
+// Buckets yields every bucket's upper bound in seconds with the cumulative
+// count of observations at or below it, in ascending order — a Prometheus
+// histogram's _bucket series without the +Inf one, which is Total.
+func (s LatencySnapshot) Buckets() iter.Seq2[float64, int64] {
+	return func(yield func(float64, int64) bool) {
+		var cum int64
+		for i, ub := range latBounds {
+			cum += s.Counts[i]
+			if !yield(ub, cum) {
+				return
+			}
+		}
 	}
-	s.Total = e.latency.total.Load()
-	return s
 }
 
 // Sub returns the windowed histogram of observations between prev and s.
@@ -266,6 +290,7 @@ func (s LatencySnapshot) Sub(prev LatencySnapshot) LatencySnapshot {
 		d.Counts[i] = s.Counts[i] - prev.Counts[i]
 	}
 	d.Total = s.Total - prev.Total
+	d.Sum = s.Sum - prev.Sum
 	return d
 }
 

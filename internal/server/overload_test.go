@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -211,5 +212,43 @@ func TestLatencyQuantileWindows(t *testing.T) {
 	}
 	if (LatencySnapshot{}).Quantile(0.99) != 0 {
 		t.Fatal("empty window quantile must be 0")
+	}
+}
+
+// TestHistogramBuckets pins the bucket rule (an observation lands in the
+// first bucket whose bound it does not exceed; beyond the last bound it
+// counts only toward Total), the Sum the /metrics _sum series renders, and
+// the cumulative counts Buckets yields for the _bucket series.
+func TestHistogramBuckets(t *testing.T) {
+	var h Histogram
+	h.Observe(50 * time.Microsecond)  // <= 0.0001
+	h.Observe(300 * time.Microsecond) // <= 0.0005
+	h.Observe(30 * time.Second)       // only +Inf
+	s := h.Snapshot()
+	if s.Total != 3 {
+		t.Fatalf("total %d", s.Total)
+	}
+	if s.Counts[0] != 1 {
+		t.Fatalf("first bucket %d", s.Counts[0])
+	}
+	var bucketed int64
+	for _, c := range s.Counts {
+		bucketed += c
+	}
+	if bucketed != 2 {
+		t.Fatalf("bucketed %d, want 2 (one observation beyond the last bound)", bucketed)
+	}
+	if want := 50*time.Microsecond + 300*time.Microsecond + 30*time.Second; s.Sum != want {
+		t.Fatalf("sum %v, want %v", s.Sum, want)
+	}
+	var got []string
+	for ub, cum := range s.Buckets() {
+		got = append(got, fmt.Sprint(ub, ":", cum))
+	}
+	if want := "[0.0001:1 0.00025:1 0.0005:2 0.001:2 0.0025:2 0.005:2 0.01:2 0.025:2 0.05:2 0.1:2 0.25:2 0.5:2 1:2 2.5:2 5:2 10:2]"; fmt.Sprint(got) != want {
+		t.Fatalf("buckets %v, want %s", got, want)
+	}
+	if w := s.Sub(s); w.Sum != 0 || w.Total != 0 {
+		t.Fatalf("empty window %+v", w)
 	}
 }

@@ -244,7 +244,7 @@ type Engine struct {
 	degradedQueries atomic.Int64
 	ewmaSvc         atomic.Uint64
 	budgetCeiling   atomic.Int64
-	latency         latHist
+	latency         Histogram
 }
 
 // durableJournal is the optional group-commit surface of a Journal: after a
@@ -423,7 +423,7 @@ func (e *Engine) begin(ctx context.Context, n int, shed bool) (time.Time, error)
 // index bug, a user Filter), counts it and lets it continue into the caller.
 func (e *Engine) end(n int, start time.Time) {
 	e.backlog.Add(int64(-n))
-	e.latency.observe(time.Since(start))
+	e.latency.Observe(time.Since(start))
 	e.exit()
 	if p := recover(); p != nil {
 		e.panics.Add(1)

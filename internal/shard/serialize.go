@@ -8,6 +8,7 @@ import (
 
 	"p2h/internal/balltree"
 	"p2h/internal/binio"
+	"p2h/internal/exec"
 )
 
 // Serialization format P2HSH002: a header with the global shape, then one
@@ -135,7 +136,7 @@ func Load(r io.Reader) (*Index, error) {
 	// them with. Each tree range-checks its ids against the global n.
 	ix.trees = make([]*balltree.Tree, shards)
 	errs := make([]error, shards)
-	forEach(shards, runtime.GOMAXPROCS(0), func(si int) {
+	exec.ForEach(shards, runtime.GOMAXPROCS(0), func(si int) {
 		t, err := balltree.Load(bytes.NewReader(payloads[si]), balltree.BC, n)
 		if err != nil {
 			errs[si] = fmt.Errorf("shard %d: %w", si, err)

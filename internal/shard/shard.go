@@ -20,12 +20,11 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"p2h/internal/attr"
 	"p2h/internal/balltree"
 	"p2h/internal/core"
+	"p2h/internal/exec"
 	"p2h/internal/partition"
 	"p2h/internal/vec"
 )
@@ -103,7 +102,7 @@ func Build(data *vec.Matrix, cfg Config) *Index {
 	ids, spans := split(data, cfg)
 	d := data.D
 	ix := &Index{n: data.N, d: d, workers: cfg.Workers, trees: make([]*balltree.Tree, len(spans))}
-	forEach(len(spans), runtime.GOMAXPROCS(0), func(si int) {
+	exec.ForEach(len(spans), runtime.GOMAXPROCS(0), func(si int) {
 		sp := spans[si]
 		block := &vec.Matrix{Data: data.Data[sp.lo*d : sp.hi*d : sp.hi*d], N: sp.hi - sp.lo, D: d}
 		ix.trees[si] = balltree.BuildOwned(block, ids[sp.lo:sp.hi], balltree.BC, balltree.Config{
@@ -221,38 +220,9 @@ func (ix *Index) shardOpts(opts core.SearchOptions, si int) core.SearchOptions {
 	return opts
 }
 
-// forEach runs fn(i) for every i in [0, n) over min(workers, n) goroutines —
-// never one per item — which pull indices from a shared counter, so work over
-// many shards cannot flood the scheduler regardless of the shard count.
-func forEach(n, workers int, fn func(i int)) {
-	nw := min(workers, n)
-	if nw <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	for w := 0; w < nw; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // forEachShard runs fn(si) for every shard index over at most ix.workers
 // goroutines.
-func (ix *Index) forEachShard(fn func(si int)) { forEach(len(ix.trees), ix.workers, fn) }
+func (ix *Index) forEachShard(fn func(si int)) { exec.ForEach(len(ix.trees), ix.workers, fn) }
 
 // Search fans the query out across the shards (over at most cfg.Workers
 // goroutines), asks each shard tree for its local top-k, and merges exactly.

@@ -120,6 +120,33 @@ func TestFvecsRoundTripPublic(t *testing.T) {
 	}
 }
 
+// TestRecallConventions pins Recall's two conventions: a returned point at or
+// within the exact k-th distance is a hit whatever its id (ties count), and
+// hits are capped at k.
+func TestRecallConventions(t *testing.T) {
+	gt := []Result{{ID: 1, Dist: 0.1}, {ID: 2, Dist: 0.2}, {ID: 3, Dist: 0.3}}
+	cases := []struct {
+		name string
+		res  []Result
+		want float64
+	}{
+		{"perfect", gt, 1},
+		{"empty", nil, 0},
+		{"half", gt[:1], 1.0 / 3},
+		{"different ids same dists", []Result{{ID: 9, Dist: 0.1}, {ID: 8, Dist: 0.25}, {ID: 7, Dist: 0.3}}, 1},
+		{"too far", []Result{{ID: 9, Dist: 0.9}}, 0},
+		{"overfull capped", []Result{{ID: 1, Dist: 0.1}, {ID: 2, Dist: 0.1}, {ID: 3, Dist: 0.1}, {ID: 4, Dist: 0.1}}, 1},
+	}
+	for _, c := range cases {
+		if got := Recall(c.res, gt); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s: recall %v want %v", c.name, got, c.want)
+		}
+	}
+	if got := Recall(nil, nil); got != 1 {
+		t.Errorf("empty gt should be recall 1, got %v", got)
+	}
+}
+
 func TestDatasetsCatalog(t *testing.T) {
 	names := Datasets()
 	if len(names) != 16 {

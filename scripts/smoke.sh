@@ -2,7 +2,8 @@
 # Smoke test of the cmd/ binaries against the registry-driven CLI surface:
 # builds p2htool, p2hbench and the p2hd daemon, generates a tiny data set,
 # drives -index / -spec and save-then--load flows end to end for every
-# persistable kind plus two build-only kinds, and exercises the daemon's
+# persistable kind plus two build-only kinds, checks that `p2htool eval`
+# sweeps a built and a saved-then-loaded tree identically, and exercises the daemon's
 # HTTP API (search, batch, insert/delete, snapshot, hot reload, metrics,
 # health, graceful drain) with curl. CI runs this so the CLI flags, the
 # container format and the service surface cannot silently rot.
@@ -85,11 +86,17 @@ for kind in nh kdtree; do
   grep -q "build-only" "$tmp/$kind.err" || { echo "build-only diagnostic missing for $kind"; exit 1; }
 done
 
-echo "== p2hbench: registry-driven single-index benchmark (-index/-spec and -load)"
-out="$("$bin/p2hbench" -index kdtree -spec '{"leaf_size":50}' -sets Music -n 1500 -nq 5 -k 3)"
-grep "index: kdtree built" >/dev/null <<<"$out" || { echo "p2hbench -index failed"; exit 1; }
-out="$("$bin/p2hbench" -load "$tmp/ix-bctree.p2h" -sets Music -n 2000 -nq 5 -k 3)"
-grep "index: bctree loaded" >/dev/null <<<"$out" || { echo "p2hbench -load failed"; exit 1; }
+echo "== eval sweeps a build-only kind built in process (-index/-spec)"
+out="$("$bin/p2htool" eval -index kdtree -spec '{"leaf_size":50}' -data "$data" -queries "$queries" -k 3)"
+grep "index: kdtree built" >/dev/null <<<"$out" || { echo "eval -index kdtree failed: $out"; exit 1; }
+
+echo "== eval: a built tree and the same Spec saved then loaded sweep identically"
+# The saved bctree above was built with leaf_size 50 and seed 1. Every sweep
+# row must match once the index line and the ms/query column are cut.
+sweep_rows() { grep -v "^index:" | awk '{$3 = ""; print}'; }
+built="$("$bin/p2htool" eval -index bctree -spec '{"leaf_size":50,"seed":1}' -data "$data" -queries "$queries" -k 5 | sweep_rows)"
+loaded="$("$bin/p2htool" eval -load "$tmp/ix-bctree.p2h" -data "$data" -queries "$queries" -k 5 | sweep_rows)"
+[ "$built" = "$loaded" ] || { echo "eval: built and loaded bctree sweep differently:"; echo "$built"; echo "$loaded"; exit 1; }
 
 echo "== p2htool inspect: header-only container description"
 out="$("$bin/p2htool" inspect "$tmp/ix-sharded.p2h")"
