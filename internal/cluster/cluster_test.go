@@ -360,7 +360,7 @@ func TestRouterPredOracleByteIdentical(t *testing.T) {
 				body := marshal(t, httpapi.SearchRequest{Query: f.queries.Row(qi), SearchOptionsJSON: opts})
 				f.mustEqualResponses("/v1/indexes/trees/search", body)
 			}
-			queries := make([][]float32, f.queries.N)
+			queries := make([]httpapi.Vector, f.queries.N)
 			for qi := range queries {
 				queries[qi] = f.queries.Row(qi)
 			}
@@ -379,7 +379,7 @@ func TestRouterPredOracleByteIdentical(t *testing.T) {
 
 func TestRouterBatchOracleByteIdentical(t *testing.T) {
 	f := newFixture(t, nil)
-	queries := make([][]float32, f.queries.N)
+	queries := make([]httpapi.Vector, f.queries.N)
 	for qi := range queries {
 		queries[qi] = f.queries.Row(qi)
 	}
@@ -390,6 +390,54 @@ func TestRouterBatchOracleByteIdentical(t *testing.T) {
 	} {
 		body := marshal(t, httpapi.BatchSearchRequest{Queries: queries, SearchOptionsJSON: opts})
 		f.mustEqualBatchResults("/v1/indexes/trees/search_batch", body)
+	}
+}
+
+// The decimal forms of the search requests: []float32 fields, which
+// encoding/json writes as arrays of numbers, as curl users and clients
+// predating httpapi.Vector send them.
+type decimalSearch struct {
+	Query []float32 `json:"query"`
+	httpapi.SearchOptionsJSON
+}
+
+type decimalBatch struct {
+	Queries [][]float32 `json:"queries"`
+	httpapi.SearchOptionsJSON
+}
+
+// TestRouterDecimalAndBase64ByteIdentical: a query sent as decimal and the
+// same query sent as base64 get the same response bytes from the router —
+// single, budgeted, filtered and batch — and a single query's bytes are the
+// oracle daemon's too. Members run with the result cache off, so both forms
+// reach the trees.
+func TestRouterDecimalAndBase64ByteIdentical(t *testing.T) {
+	f := newFixture(t, nil)
+	qs := make([][]float32, f.queries.N)
+	vs := make([]httpapi.Vector, f.queries.N)
+	for i := range qs {
+		qs[i] = f.queries.Row(i)
+		vs[i] = qs[i]
+	}
+	const path = "/v1/indexes/trees/search"
+	for _, opts := range []httpapi.SearchOptionsJSON{
+		{K: 10},
+		{K: 10, Budget: 150},
+		{K: 10, Filter: p2h.TagIs("warm")},
+		{K: 10, Budget: 150, Filter: p2h.AllOf(p2h.TagIs("even"), p2h.FieldAtLeast("score", 0.5))},
+	} {
+		for qi := range qs {
+			oracle, dec := f.postBoth(path, marshal(t, decimalSearch{qs[qi], opts}))
+			_, bin := post(t, f.router, path, marshal(t, httpapi.SearchRequest{Query: vs[qi], SearchOptionsJSON: opts}))
+			if !bytes.Equal(oracle, dec) || !bytes.Equal(dec, bin) {
+				t.Fatalf("query %d %+v: oracle answered %s, router %s as decimal and %s as base64", qi, opts, oracle, dec, bin)
+			}
+		}
+		s1, want := post(t, f.router, path+"_batch", marshal(t, decimalBatch{qs, opts}))
+		s2, got := post(t, f.router, path+"_batch", marshal(t, httpapi.BatchSearchRequest{Queries: vs, SearchOptionsJSON: opts}))
+		if s1 != http.StatusOK || s2 != http.StatusOK || !bytes.Equal(want, got) {
+			t.Fatalf("batch %+v: decimal answered %d %s, base64 %d %s", opts, s1, want, s2, got)
+		}
 	}
 }
 
@@ -553,7 +601,7 @@ func TestMemberDownFallsBackToReplica(t *testing.T) {
 	}
 
 	// Batch keeps working off the replica too.
-	queries := [][]float32{f.queries.Row(0), f.queries.Row(2)}
+	queries := []httpapi.Vector{f.queries.Row(0), f.queries.Row(2)}
 	bbody := marshal(t, httpapi.BatchSearchRequest{Queries: queries, SearchOptionsJSON: httpapi.SearchOptionsJSON{K: 5}})
 	f.mustEqualBatchResults("/v1/indexes/trees/search_batch", bbody)
 
@@ -723,7 +771,7 @@ func TestRouterBodyTooLarge(t *testing.T) {
 		handler.ServeHTTP(w, r)
 	}))
 	defer small.Close()
-	queries := make([][]float32, 8)
+	queries := make([]httpapi.Vector, 8)
 	for i := range queries {
 		queries[i] = f.queries.Row(i % f.queries.N)
 	}

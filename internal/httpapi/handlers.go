@@ -20,8 +20,9 @@ import (
 	"p2h/internal/faultinject"
 )
 
-// maxBodyBytes bounds any request body; a batch of 100k Glove-sized queries
-// fits comfortably, a runaway upload does not.
+// maxBodyBytes bounds any request body, a runaway upload included. A
+// GloVe-sized query (101 floats) is ≈543 B as base64, so a batch of 100k
+// (≈54 MB) fits; as decimal text it is ≈1.23 KB, so about 54k fit.
 const maxBodyBytes = 64 << 20
 
 // DefaultMaxTimeout caps client timeout_ms values and backstops requests
@@ -337,11 +338,13 @@ func (a *API) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate everything before submitting anything, so a bad row cannot
 	// leave the batch half-executed.
+	queries := make([][]float32, len(req.Queries))
 	for i, q := range req.Queries {
 		if _, err := core.CheckQuery(q, e.dim); err != nil {
 			a.fail(w, fmt.Errorf("query %d: %w", i, err))
 			return
 		}
+		queries[i] = q
 	}
 
 	// The whole batch shares one deadline and one admission decision: a shed
@@ -350,7 +353,7 @@ func (a *API) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	// response is one JSON document, all-or-nothing.
 	ctx, cancel := a.searchContext(r, req.TimeoutMS)
 	defer cancel()
-	results, stats, err := e.srv.SearchBatchCtx(ctx, req.Queries, opts)
+	results, stats, err := e.srv.SearchBatchCtx(ctx, queries, opts)
 	if err != nil {
 		a.fail(w, err)
 		return

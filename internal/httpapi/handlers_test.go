@@ -268,7 +268,7 @@ func TestSearchErrorMapping(t *testing.T) {
 
 func TestSearchBatchMatchesPerQuery(t *testing.T) {
 	f := newFixture(t)
-	qs := make([][]float32, f.queries.N)
+	qs := make([]Vector, f.queries.N)
 	for i := range qs {
 		qs[i] = f.queries.Row(i)
 	}
@@ -295,12 +295,64 @@ func TestSearchBatchMatchesPerQuery(t *testing.T) {
 	}
 }
 
+// The decimal forms of the search requests: []float32 fields, which
+// encoding/json writes as arrays of numbers, as curl users and clients
+// predating Vector send them.
+type decimalSearch struct {
+	Query []float32 `json:"query"`
+	SearchOptionsJSON
+}
+
+type decimalBatch struct {
+	Queries [][]float32 `json:"queries"`
+	SearchOptionsJSON
+}
+
+// TestDecimalAndBase64AnswerByteIdentical sends each request as decimal to
+// one daemon and as base64 to an identical one — two daemons, so neither
+// answer comes from the other's result cache — and requires the same
+// response bytes: single, budgeted, filtered and batch.
+func TestDecimalAndBase64AnswerByteIdentical(t *testing.T) {
+	dec, bin := newFixture(t), newFixture(t)
+	qs := make([][]float32, dec.queries.N)
+	vs := make([]Vector, dec.queries.N)
+	for i := range qs {
+		qs[i] = dec.queries.Row(i)
+		vs[i] = qs[i]
+	}
+	filter := p2h.NotOf(p2h.TagIs("absent")) // the fixture has no tags: matches every point
+	for _, opts := range []SearchOptionsJSON{
+		{K: 5},
+		{K: 3, Budget: 40},
+		{K: 5, Filter: filter},
+		{K: 4, Budget: 60, Filter: filter},
+	} {
+		type request struct {
+			path            string
+			decimal, base64 any
+		}
+		reqs := []request{{"/v1/indexes/trees/search_batch",
+			decimalBatch{qs, opts}, BatchSearchRequest{Queries: vs, SearchOptionsJSON: opts}}}
+		for i := range qs {
+			reqs = append(reqs, request{"/v1/indexes/trees/search",
+				decimalSearch{qs[i], opts}, SearchRequest{Query: vs[i], SearchOptionsJSON: opts}})
+		}
+		for _, r := range reqs {
+			s1, want := dec.do(t, "POST", r.path, r.decimal)
+			s2, got := bin.do(t, "POST", r.path, r.base64)
+			if s1 != 200 || s2 != 200 || !bytes.Equal(want, got) {
+				t.Fatalf("%s %+v: decimal answered %d %s, base64 %d %s", r.path, opts, s1, want, s2, got)
+			}
+		}
+	}
+}
+
 func TestSearchBatchErrors(t *testing.T) {
 	f := newFixture(t)
 	status, body := f.do(t, "POST", "/v1/indexes/trees/search_batch", BatchSearchRequest{})
 	wantError(t, status, body, 400, "bad_request")
 	status, body = f.do(t, "POST", "/v1/indexes/trees/search_batch", BatchSearchRequest{
-		Queries: [][]float32{f.queries.Row(0), {1, 2}},
+		Queries: []Vector{f.queries.Row(0), {1, 2}},
 	})
 	wantError(t, status, body, 400, "dim_mismatch")
 }

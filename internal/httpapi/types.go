@@ -10,7 +10,9 @@ import (
 // The JSON wire types of the p2hd HTTP API. Every request body is a single
 // JSON document; every response is either the documented success shape or an
 // ErrorResponse. Field names are snake_case; zero-valued optional fields are
-// omitted.
+// omitted. Every float vector of a request is a Vector: base64 little-endian
+// float32, as this module's Go code sends it, or a plain array of numbers, as
+// curl and other clients do.
 
 // SearchOptionsJSON is the query-tuning surface shared by search and
 // search_batch requests: the fields of p2h.SearchOptions that survive a
@@ -61,9 +63,9 @@ func (o SearchOptionsJSON) toOptions() (core.SearchOptions, error) {
 // either as the full query vector (normal components then offset, dim+1
 // values) or as a separate normal and offset; exactly one form must be set.
 type SearchRequest struct {
-	Query  []float32 `json:"query,omitempty"`
-	Normal []float32 `json:"normal,omitempty"`
-	Offset float64   `json:"offset,omitempty"`
+	Query  Vector  `json:"query,omitempty"`
+	Normal Vector  `json:"normal,omitempty"`
+	Offset float64 `json:"offset,omitempty"`
 	SearchOptionsJSON
 }
 
@@ -147,7 +149,7 @@ type SearchResponse struct {
 // BatchSearchRequest asks many queries with shared options; each row is a
 // full (normal; offset) query vector.
 type BatchSearchRequest struct {
-	Queries [][]float32 `json:"queries"`
+	Queries []Vector `json:"queries"`
 	SearchOptionsJSON
 }
 
@@ -161,7 +163,7 @@ type BatchSearchResponse struct {
 // InsertRequest adds one raw point (dim values) to a mutable index,
 // optionally with an attribute payload predicates can filter on.
 type InsertRequest struct {
-	Point []float32 `json:"point"`
+	Point Vector `json:"point"`
 	// Attrs carries the point's tags and numeric fields; with a WAL
 	// attached the payload is journaled alongside the vector.
 	Attrs *p2h.PointAttrs `json:"attrs,omitempty"`

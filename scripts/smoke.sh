@@ -5,7 +5,8 @@
 # persistable kind plus two build-only kinds, checks that `p2htool eval`
 # sweeps a built and a saved-then-loaded tree identically, and exercises the daemon's
 # HTTP API (search, batch, insert/delete, snapshot, hot reload, metrics,
-# health, graceful drain) with curl. CI runs this so the CLI flags, the
+# health, graceful drain) with curl, sending queries both as decimal arrays
+# and as base64 float32 strings. CI runs this so the CLI flags, the
 # container format and the service surface cannot silently rot.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -137,10 +138,20 @@ curl -fsS "$url/healthz" | grep '"indexes":2' >/dev/null || { echo "healthz fail
 
 dim=$(curl -fsS "$url/v1/indexes/trees" | sed -n 's/.*"dim":\([0-9]*\).*/\1/p')
 q="[1$(for _ in $(seq 2 $((dim + 1))); do printf ',0'; done)]"
-curl -fsS -X POST "$url/v1/indexes/trees/search" -d "{\"query\":$q,\"k\":3}" \
-  | grep '"results":\[{' >/dev/null || { echo "search failed"; exit 1; }
-curl -fsS -X POST "$url/v1/indexes/trees/search_batch" -d "{\"queries\":[$q,$q],\"k\":2}" \
-  | grep '"results":\[\[' >/dev/null || { echo "search_batch failed"; exit 1; }
+# The same query as Go clients send it: a JSON string of standard padded
+# base64 over the little-endian float32 bytes (1.0 is 00 00 80 3f, then dim
+# zeros). Either form must get the same answer bytes.
+qb64="\"$({ printf '\000\000\200\077'; head -c $((4 * dim)) /dev/zero; } | base64 -w0)\""
+curl -fsS -X POST "$url/v1/indexes/trees/search" -d "{\"query\":$q,\"k\":3}" >"$tmp/ans-dec"
+grep '"results":\[{' "$tmp/ans-dec" >/dev/null || { echo "search failed"; exit 1; }
+curl -fsS -X POST "$url/v1/indexes/trees/search" -d "{\"query\":$qb64,\"k\":3}" >"$tmp/ans-b64"
+cmp -s "$tmp/ans-dec" "$tmp/ans-b64" \
+  || { echo "base64 search answer differs from decimal"; cat "$tmp/ans-dec" "$tmp/ans-b64"; exit 1; }
+curl -fsS -X POST "$url/v1/indexes/trees/search_batch" -d "{\"queries\":[$q,$q],\"k\":2}" >"$tmp/ans-dec"
+grep '"results":\[\[' "$tmp/ans-dec" >/dev/null || { echo "search_batch failed"; exit 1; }
+curl -fsS -X POST "$url/v1/indexes/trees/search_batch" -d "{\"queries\":[$qb64,$qb64],\"k\":2}" >"$tmp/ans-b64"
+cmp -s "$tmp/ans-dec" "$tmp/ans-b64" \
+  || { echo "base64 search_batch answer differs from decimal"; cat "$tmp/ans-dec" "$tmp/ans-b64"; exit 1; }
 
 point="[9$(for _ in $(seq 2 "$dim"); do printf ',0'; done)]"
 handle=$(curl -fsS -X POST "$url/v1/indexes/dyn/insert" -d "{\"point\":$point}" \
@@ -351,13 +362,16 @@ curl -fsS "$rurl/healthz" | grep '"status":"ok"' >/dev/null \
 curl -fsS "$rurl/v1/indexes/trees" | grep '"kind":"cluster"' >/dev/null \
   || { echo "router index info wrong"; exit 1; }
 
-for body in "{\"query\":$q,\"k\":5}" "{\"query\":$q,\"k\":5,\"budget\":200}" "{\"query\":$q,\"k\":9999}" \
-            "{\"query\":$q,\"k\":5,\"filter\":{\"tag\":\"hot\"}}" \
-            "{\"query\":$q,\"k\":5,\"filter\":{\"and\":[{\"tag\":\"even\"},{\"field\":\"score\",\"min\":0.5}]}}"; do
-  curl -fsS -X POST "$ourl/v1/indexes/trees/search" -d "$body" >"$tmp/ans-oracle"
-  curl -fsS -X POST "$rurl/v1/indexes/trees/search" -d "$body" >"$tmp/ans-router"
-  cmp -s "$tmp/ans-oracle" "$tmp/ans-router" \
-    || { echo "router answer differs from single node for $body"; cat "$tmp/ans-oracle" "$tmp/ans-router"; exit 1; }
+# The router answers the decimal and the base64 form with the single node's
+# decimal-form bytes.
+for opts in '"k":5' '"k":5,"budget":200' '"k":9999' '"k":5,"filter":{"tag":"hot"}' \
+            '"k":5,"filter":{"and":[{"tag":"even"},{"field":"score","min":0.5}]}'; do
+  curl -fsS -X POST "$ourl/v1/indexes/trees/search" -d "{\"query\":$q,$opts}" >"$tmp/ans-oracle"
+  for form in "$q" "$qb64"; do
+    curl -fsS -X POST "$rurl/v1/indexes/trees/search" -d "{\"query\":$form,$opts}" >"$tmp/ans-router"
+    cmp -s "$tmp/ans-oracle" "$tmp/ans-router" \
+      || { echo "router answer differs from single node for {\"query\":$form,$opts}"; cat "$tmp/ans-oracle" "$tmp/ans-router"; exit 1; }
+  done
 done
 # The selective predicate must actually prune subtrees, not just post-filter.
 grep '"filter_skipped_nodes":[1-9]' "$tmp/ans-router" >/dev/null \
@@ -366,8 +380,10 @@ code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST "$rurl/v1/indexes/trees/s
   -d "{\"query\":$q,\"k\":5,\"filter\":{\"bogus\":1}}")
 [ "$code" = 400 ] || { echo "malformed filter answered $code, want 400"; exit 1; }
 curl -fsS -X POST "$ourl/v1/indexes/trees/search_batch" -d "{\"queries\":[$q,$q],\"k\":4}" >"$tmp/ans-oracle"
-curl -fsS -X POST "$rurl/v1/indexes/trees/search_batch" -d "{\"queries\":[$q,$q],\"k\":4}" >"$tmp/ans-router"
-cmp -s "$tmp/ans-oracle" "$tmp/ans-router" || { echo "router batch answer differs"; exit 1; }
+for form in "$q" "$qb64"; do
+  curl -fsS -X POST "$rurl/v1/indexes/trees/search_batch" -d "{\"queries\":[$form,$form],\"k\":4}" >"$tmp/ans-router"
+  cmp -s "$tmp/ans-oracle" "$tmp/ans-router" || { echo "router batch answer differs for $form"; exit 1; }
+done
 curl -fsS -X POST "$ourl/v1/indexes/trees/search_batch" -d "{\"queries\":[$q,$q],\"k\":4,\"filter\":{\"tag\":\"warm\"}}" >"$tmp/ans-oracle"
 curl -fsS -X POST "$rurl/v1/indexes/trees/search_batch" -d "{\"queries\":[$q,$q],\"k\":4,\"filter\":{\"tag\":\"warm\"}}" >"$tmp/ans-router"
 cmp -s "$tmp/ans-oracle" "$tmp/ans-router" || { echo "router filtered batch answer differs"; exit 1; }
