@@ -79,7 +79,6 @@ var (
 	_ Index      = (*handle)(nil)
 	_ Index      = (*Dynamic)(nil)
 	_ BatchIndex = (*batchHandle)(nil)
-	_ BatchIndex = (*BallTree)(nil)
 	_ BatchIndex = (*Sharded)(nil)
 	_ BatchIndex = (*LinearScan)(nil)
 )

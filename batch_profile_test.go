@@ -38,12 +38,24 @@ func TestSearchBatchProfileParallelIsRaceFree(t *testing.T) {
 	if !reflect.DeepEqual(gotBC, wantBC) {
 		t.Fatal("profiled parallel batch diverges on the batched path")
 	}
+}
 
-	// With one worker on a non-batched index the batch runs sequentially,
-	// so profiling still works there.
-	var seq Profile
-	SearchBatch(ix, queries, SearchOptions{K: 5, Profile: &seq}, 1)
-	if seq == (Profile{}) {
-		t.Fatal("sequential SearchBatch did not record a profile")
+// TestSearchBatchProfileByKind pins which kinds fill SearchBatch's Profile:
+// on one worker every kind does except sharded (its SearchBatch drops the
+// Profile) and quantizedscan (its Search records no phases); on two workers
+// none does.
+func TestSearchBatchProfileByKind(t *testing.T) {
+	data := specTestData(400, 6, 1)
+	queries := GenerateQueries(data, 8, 2)
+	unprofiled := map[string]bool{KindSharded: true, KindQuantizedScan: true}
+	for _, kind := range Kinds() {
+		ix := MustBuild(t, data, Spec{Kind: kind, Seed: 7, Shards: 3})
+		for _, workers := range []int{1, 2} {
+			var prof Profile
+			SearchBatch(ix, queries, SearchOptions{K: 5, Profile: &prof}, workers)
+			if want := workers == 1 && !unprofiled[kind]; (prof.Total() > 0) != want {
+				t.Errorf("%s, %d workers: Profile total %v, want it filled: %v", kind, workers, prof.Total(), want)
+			}
+		}
 	}
 }

@@ -31,8 +31,8 @@
 // plus its tuning fields, and malformed input returns an error
 // (ErrUnknownKind, ErrDimMismatch) instead of panicking. Where a kind has
 // methods beyond Index, assert on what New returns: index.(*p2h.Dynamic) for
-// Insert and Delete, index.(*p2h.BallTree) for the classic point queries,
-// index.(*p2h.Sharded) for Shards. Exact search is the default; set
+// Insert and Delete, index.(*p2h.Sharded) for Shards. Every index answers
+// hyperplane queries only. Exact search is the default; set
 // SearchOptions.Budget to cap the number of candidate verifications and
 // trade recall for speed (the paper's candidate fraction).
 //

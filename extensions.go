@@ -126,10 +126,13 @@ func (t *Dynamic) Compact() bool { return t.index.Compact() }
 // concurrent readers. A panic in any worker (a zero-normal row, say) is
 // re-raised in the caller.
 //
-// SearchOptions.Profile is honored only when the whole batch runs on one
-// goroutine (workers == 1 on a non-batched index); on every parallel path
-// it is ignored, matching Sharded.Search — concurrent workers cannot share
-// one per-phase timer.
+// SearchOptions.Profile is filled only when the batch runs on one goroutine
+// (workers == 1, or a single query). Then a native batch of a tree or the
+// scan runs the profiled batch query by query (exec.Fallback), and any other
+// index runs Search query by query. Two kinds still leave it zero: sharded,
+// whose SearchBatch drops it as its Search does, and quantizedscan, whose
+// Search records no phases. On every parallel path it is ignored, since
+// concurrent workers cannot share one per-phase timer.
 func SearchBatch(ix Index, queries *Matrix, opts SearchOptions, workers int) [][]Result {
 	if queries.D != ix.Dim()+1 {
 		panic(fmt.Sprintf("p2h: %v: batch queries have dimension %d, want %d",

@@ -2,8 +2,6 @@ package p2h
 
 import (
 	"errors"
-	"math"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -183,109 +181,6 @@ func TestTuneBudgetValidatesInput(t *testing.T) {
 		}
 	}()
 	TuneBudget(ix, queries, nil, 5, 0.9) // no ground truth
-}
-
-func TestBallTreeSearchNNMatchesBrute(t *testing.T) {
-	data, _, _ := testSetup(t)
-	ix := MustBuild(t, data, Spec{Kind: KindBallTree, Seed: 5}).(*BallTree)
-	p := data.Row(42)
-	res, _ := ix.SearchNN(p, 3)
-	if res[0].ID != 42 || res[0].Dist > 1e-6 {
-		t.Fatalf("nearest neighbor of a data point must be itself: %v", res[0])
-	}
-	// Brute-force check of the full ranking.
-	type pair struct {
-		id int32
-		d  float64
-	}
-	all := make([]pair, data.N)
-	for i := 0; i < data.N; i++ {
-		var s float64
-		row := data.Row(i)
-		for j := range row {
-			diff := float64(row[j]) - float64(p[j])
-			s += diff * diff
-		}
-		all[i] = pair{int32(i), math.Sqrt(s)}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].d != all[j].d {
-			return all[i].d < all[j].d
-		}
-		return all[i].id < all[j].id
-	})
-	for i := range res {
-		if math.Abs(res[i].Dist-all[i].d) > 1e-6*(1+all[i].d) {
-			t.Fatalf("rank %d: %v want %v", i, res[i].Dist, all[i].d)
-		}
-	}
-}
-
-func TestBallTreeSearchFNFurthest(t *testing.T) {
-	data, _, _ := testSetup(t)
-	ix := MustBuild(t, data, Spec{Kind: KindBallTree, Seed: 6}).(*BallTree)
-	p := data.Row(0)
-	res, _ := ix.SearchFN(p, 5)
-	if len(res) != 5 {
-		t.Fatalf("results %d", len(res))
-	}
-	for i := 1; i < len(res); i++ {
-		if res[i].Dist > res[i-1].Dist {
-			t.Fatalf("FN not descending: %v", res)
-		}
-	}
-	// The furthest point must be at least as far as a random other point.
-	other := 0.0
-	row := data.Row(77)
-	for j := range row {
-		diff := float64(row[j]) - float64(p[j])
-		other += diff * diff
-	}
-	if res[0].Dist < math.Sqrt(other)-1e-6 {
-		t.Fatal("claimed furthest is nearer than a sampled point")
-	}
-}
-
-func TestBallTreeSearchMIPBothQueryForms(t *testing.T) {
-	data, _, _ := testSetup(t)
-	ix := MustBuild(t, data, Spec{Kind: KindBallTree, Seed: 7}).(*BallTree)
-	q := make([]float32, data.D)
-	for i := range q {
-		q[i] = float32(i%5) - 2
-	}
-	plain, _ := ix.SearchMIP(q, 4)
-	affine, _ := ix.SearchMIP(append(append([]float32{}, q...), 0), 4)
-	for i := range plain {
-		if plain[i] != affine[i] {
-			t.Fatalf("rank %d: plain %v vs affine-with-zero-offset %v", i, plain[i], affine[i])
-		}
-	}
-	// Brute check of the top score.
-	best, bestID := math.Inf(-1), int32(-1)
-	for i := 0; i < data.N; i++ {
-		var s float64
-		row := data.Row(i)
-		for j := range row {
-			s += float64(q[j]) * float64(row[j])
-		}
-		if s > best {
-			best, bestID = s, int32(i)
-		}
-	}
-	if plain[0].ID != bestID || math.Abs(plain[0].Dist-best) > 1e-6*(1+math.Abs(best)) {
-		t.Fatalf("MIP top %v, brute (%d, %v)", plain[0], bestID, best)
-	}
-}
-
-func TestBallTreeSearchMIPRejectsBadDim(t *testing.T) {
-	data, _, _ := testSetup(t)
-	ix := MustBuild(t, data, Spec{Kind: KindBallTree}).(*BallTree)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ix.SearchMIP(make([]float32, data.D+2), 1)
 }
 
 func TestDynamicFacadeLifecycle(t *testing.T) {

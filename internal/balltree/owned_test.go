@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"p2h/internal/attr"
 	"p2h/internal/binio"
 	"p2h/internal/core"
 	"p2h/internal/dataset"
@@ -46,8 +47,8 @@ func TestBuildOwnedIsBuild(t *testing.T) {
 // TestLabelsAreTheTreesIDs builds the same tree with and without labels — a
 // random injective map into a wider id space — and checks that the labelled
 // one is the other with its ids mapped: in Rows, where row p is the vector
-// handed in under the label ids[p], and in what Search, SearchBatch and (Ball
-// kind) SearchNN report, filter by and evaluate predicates on.
+// handed in under the label ids[p], and in what Search and SearchBatch report,
+// filter by and evaluate predicates on.
 func TestLabelsAreTheTreesIDs(t *testing.T) {
 	forKinds(t, func(t *testing.T, kind Kind) {
 		data, queries := buildTestData(t, dataset.FamilyClustered, 900, 12, 31)
@@ -77,6 +78,26 @@ func TestLabelsAreTheTreesIDs(t *testing.T) {
 			return out
 		}
 		keep := func(id int32) bool { return id%3 != 0 }
+		// One payload per label: the plain tree's store is indexed by row,
+		// the labelled tree's by label.
+		byRow, byLabel := make([]attr.Point, data.N), make([]attr.Point, 3*data.N)
+		for row, label := range labels {
+			byRow[row] = attr.Point{Ints: map[string]int64{"label": int64(label)}}
+			byLabel[label] = byRow[row]
+		}
+		for _, at := range []struct {
+			tree   *Tree
+			points []attr.Point
+		}{{plain, byRow}, {labelled, byLabel}} {
+			store, err := attr.Build(at.points)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := at.tree.AttachAttrs(store); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pred := attr.FieldAtMost("label", float64(3*data.N/2))
 		for _, tc := range []struct {
 			name           string
 			plain, labeled core.SearchOptions
@@ -85,6 +106,7 @@ func TestLabelsAreTheTreesIDs(t *testing.T) {
 			{"budget", core.SearchOptions{K: 7, Budget: 150}, core.SearchOptions{K: 7, Budget: 150}},
 			{"filter", core.SearchOptions{K: 7, Filter: func(row int32) bool { return keep(labels[row]) }},
 				core.SearchOptions{K: 7, Filter: keep}},
+			{"pred", core.SearchOptions{K: 7, Pred: pred}, core.SearchOptions{K: 7, Pred: pred}},
 		} {
 			wantBatch, _ := plain.SearchBatch(queries, tc.plain)
 			gotBatch, _ := labelled.SearchBatch(queries, tc.labeled)
@@ -96,15 +118,6 @@ func TestLabelsAreTheTreesIDs(t *testing.T) {
 				}
 				if !slices.Equal(gotBatch[qi], mapped(wantBatch[qi])) {
 					t.Fatalf("%s query %d: labelled SearchBatch %v, unlabelled mapped %v", tc.name, qi, gotBatch[qi], mapped(wantBatch[qi]))
-				}
-			}
-		}
-		if kind == Ball {
-			for qi := 0; qi < queries.N; qi++ {
-				want, _ := plain.SearchNN(data.Row(qi), 5)
-				got, _ := labelled.SearchNN(data.Row(qi), 5)
-				if !slices.Equal(got, mapped(want)) {
-					t.Fatalf("SearchNN %d: labelled %v, unlabelled mapped %v", qi, got, mapped(want))
 				}
 			}
 		}

@@ -47,8 +47,8 @@ var retiredMagics = map[string]string{
 	"P2HBC007": "quantized bctree payload version 7 (a stored r_x array)",
 }
 
-// PayloadMagics lists the magic of every payload Load accepts, so that code
-// which only sniffs a payload's header (p2h.Inspect) follows the codec.
+// PayloadMagics lists the magic of every payload Load accepts; the root
+// package's container tests walk it, so a format bump cannot slip past them.
 func PayloadMagics() []string {
 	return []string{magics[Ball][0], magics[Ball][1], magics[BC][0], magics[BC][1]}
 }

@@ -111,11 +111,11 @@ type Tree struct {
 	nodes  []nodeRec   // flat arena, root at index 0, preorder
 
 	// Packed node centres. A Ball tree keeps one per node, row i = node i's:
-	// Algorithm 3 and the classic searches read both children's. A BC search
-	// reads a centre only for the root and for left children — a right
-	// child's inner product follows from Lemma 2 and every bound it enters is
-	// precomputed — so a BC tree keeps just those (nodes+1)/2 rows, the root's
-	// first and the left children's in arena order.
+	// Algorithm 3 reads both children's. A BC search reads a centre only for
+	// the root and for left children — a right child's inner product follows
+	// from Lemma 2 and every bound it enters is precomputed — so a BC tree
+	// keeps just those (nodes+1)/2 rows, the root's first and the left
+	// children's in arena order.
 	centers *vec.Matrix
 
 	// Position-indexed point-level structures (Algorithm 4 lines 5-9),
@@ -152,15 +152,6 @@ type Tree struct {
 	// queries allocate nothing.
 	searchers exec.Pool[Searcher]
 	batchers  exec.Pool[batchSearcher]
-}
-
-// center returns node ni's centre on a Ball tree, whose rows are arena
-// indices. A BC tree has no row for a right child.
-func (t *Tree) center(ni int32) []float32 {
-	if t.kind != Ball {
-		panic("balltree: only the Ball kind keeps every node's centre")
-	}
-	return t.centers.Row(int(ni))
 }
 
 // N returns the number of indexed points.

@@ -122,7 +122,7 @@ func TestCenterRows(t *testing.T) {
 	all := nodeCenters(bc)
 	for i := range bc.nodes {
 		for j, v := range all.Row(i) {
-			want := float64(ball.center(int32(i))[j])
+			want := float64(ball.centers.Row(i)[j])
 			if math.Abs(float64(v)-want) > 1e-5*math.Max(1, math.Abs(want)) {
 				t.Fatalf("node %d centre[%d] = %v, Ball build has %v", i, j, v, want)
 			}
@@ -172,7 +172,7 @@ func checkTreeInvariants(t *testing.T, tree *Tree) {
 			t.Fatalf("%s centerNorm %v, want %v", tree.kind, n.centerNorm, wantNorm)
 		}
 		for pos := n.start; pos < n.end; pos++ {
-			d := vec.Dist(tree.points.Row(int(pos)), center)
+			d := math.Sqrt(vec.SqDist(tree.points.Row(int(pos)), center))
 			if d > n.radius {
 				t.Fatalf("point at pos %d outside ball: %v > %v", pos, d, n.radius)
 			}
@@ -221,7 +221,7 @@ func checkLeafStructures(t *testing.T, tree *Tree, n *nodeRec, center []float32)
 	for pos := int(n.start); pos < int(n.end); pos++ {
 		i := pos - int(n.start)
 		x := tree.points.Row(pos)
-		r := vec.Dist(x, center)
+		r := math.Sqrt(vec.SqDist(x, center))
 		maxDist = math.Max(maxDist, r)
 		sq := vec.PointSqRadius(n.centerNorm, tree.xcos[pos], tree.xsin[pos])
 		if sq > prev {

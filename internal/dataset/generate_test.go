@@ -132,7 +132,7 @@ func avgNearestDist(m *vec.Matrix, sample int) float64 {
 			if i == j {
 				continue
 			}
-			d := vec.Dist(m.Row(i), m.Row(j))
+			d := math.Sqrt(vec.SqDist(m.Row(i), m.Row(j)))
 			if d < best {
 				best = d
 			}
@@ -151,7 +151,7 @@ func avgPairDist(m *vec.Matrix, pairs int) float64 {
 		if a == b {
 			continue
 		}
-		sum += vec.Dist(m.Row(a), m.Row(b))
+		sum += math.Sqrt(vec.SqDist(m.Row(a), m.Row(b)))
 		count++
 	}
 	return sum / float64(pairs)

@@ -71,9 +71,6 @@ func SqDist(a, b []float32) float64 {
 	return s0 + s1
 }
 
-// Dist returns the Euclidean distance between a and b.
-func Dist(a, b []float32) float64 { return math.Sqrt(SqDist(a, b)) }
-
 // AbsDot returns |<a, b>|, the point-to-hyperplane distance of the paper's
 // Equation 2 once data points carry a trailing 1 and queries are normalized.
 func AbsDot(a, b []float32) float64 { return math.Abs(Dot(a, b)) }

@@ -65,8 +65,8 @@ func TestNormAndSqNorm(t *testing.T) {
 func TestDistMatchesHandComputation(t *testing.T) {
 	a := []float32{1, 2, 3}
 	b := []float32{4, 6, 3}
-	if got := Dist(a, b); !almostEq(got, 5, 1e-12) {
-		t.Errorf("Dist = %v, want 5", got)
+	if got := SqDist(a, b); !almostEq(got, 25, 1e-12) {
+		t.Errorf("SqDist = %v, want 25", got)
 	}
 }
 

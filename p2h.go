@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"p2h/internal/attr"
-	"p2h/internal/balltree"
 	"p2h/internal/core"
 	"p2h/internal/vec"
 )
@@ -160,46 +159,8 @@ func (t *handle) N() int { return t.in.N() }
 // Dim implements Index.
 func (t *handle) Dim() int { return t.raw }
 
-// BallTree is the paper's Section III index, what New returns for
-// KindBallTree. Beside the hyperplane search it answers the classic Ball-Tree
-// queries over the same tree.
-type BallTree struct {
-	batchHandle
-	tree *balltree.Tree
-}
-
-// SearchNN returns the k indexed points nearest to the point p in Euclidean
-// distance — the classic Ball-Tree query sharing the same tree as the
-// hyperplane search. p has the data dimensionality Dim().
-func (t *BallTree) SearchNN(p []float32, k int) ([]Result, Stats) {
-	return t.tree.SearchNN(liftPoint(p, t.raw), k)
-}
-
-// SearchFN returns the k indexed points furthest from the point p in
-// Euclidean distance.
-func (t *BallTree) SearchFN(p []float32, k int) ([]Result, Stats) {
-	return t.tree.SearchFN(liftPoint(p, t.raw), k)
-}
-
-// SearchMIP returns the k indexed points with the largest inner product
-// against q. q may have dimension Dim() (plain inner product <q, p>) or
-// Dim()+1 (affine score <w, p> + b for q = (w; b)). Result distances hold
-// the scores.
-func (t *BallTree) SearchMIP(q []float32, k int) ([]Result, Stats) {
-	switch len(q) {
-	case t.raw:
-		lifted := make([]float32, t.raw+1)
-		copy(lifted, q) // trailing 0: the lifted 1-coordinate contributes nothing
-		return t.tree.SearchMIP(lifted, k)
-	case t.raw + 1:
-		return t.tree.SearchMIP(q, k)
-	}
-	panic(fmt.Sprintf("p2h: MIP query has dimension %d, want %d or %d", len(q), t.raw, t.raw+1))
-}
-
 // liftPoint appends a trailing 1 so a raw point aligns with the lifted
-// storage; for Euclidean queries the matching constants cancel in every
-// difference.
+// storage the trees keep.
 func liftPoint(p []float32, d int) []float32 {
 	if len(p) != d {
 		panic(fmt.Sprintf("p2h: point has dimension %d, want %d", len(p), d))

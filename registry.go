@@ -76,11 +76,10 @@ func (k *kind) index(in inner, d int) Index {
 }
 
 // arenaKind is one of the two kinds backed by internal/balltree: they differ
-// in the balltree.Kind handed to the builder and the codec, and in the
-// exported type around the handle, nothing else.
-func arenaKind(name, alias string, tk balltree.Kind, wrap func(handle) Index) *kind {
+// in the balltree.Kind handed to the builder and the codec, nothing else.
+func arenaKind(name, alias string, tk balltree.Kind) *kind {
 	return &kind{
-		name: name, aliases: []string{alias}, nativePred: true, wrap: wrap,
+		name: name, aliases: []string{alias}, nativePred: true,
 		build: func(x *Matrix, _ int, s Spec) inner {
 			return balltree.BuildOwned(x, nil, tk, balltree.Config{LeafSize: s.LeafSize, Seed: s.Seed, Quantize: s.Quantize})
 		},
@@ -101,10 +100,8 @@ const hashBuildOnly = "randomized hash tables are cheaper to rebuild from the da
 // place a kind name is accepted (New, Open, the cmd/ tools' -index and -spec
 // flags) resolves through it.
 var kinds = []*kind{
-	arenaKind(KindBallTree, "ball", balltree.Ball, func(h handle) Index {
-		return &BallTree{batchHandle{h}, h.in.(*balltree.Tree)}
-	}),
-	arenaKind(KindBCTree, "bc", balltree.BC, nil),
+	arenaKind(KindBallTree, "ball", balltree.Ball),
+	arenaKind(KindBCTree, "bc", balltree.BC),
 	{
 		name: KindDynamic, aliases: []string{"dyn"}, emptyStart: true, nativePred: true,
 		build: func(x *Matrix, d int, s Spec) inner {

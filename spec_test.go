@@ -25,12 +25,12 @@ func specTestData(n, d int, seed int64) *Matrix {
 // has a batched path of its own, and answers a Pred as it answers the
 // equivalent Filter — before attributes are attached (every payload is then
 // the empty one) and after — through Search and, where there is one, the
-// native SearchBatch.
+// native SearchBatch. The two arena kinds, balltree and bctree, differ only in
+// the tree inside: both come back as the same batched handle.
 func TestNewBuildsEveryKind(t *testing.T) {
 	data := specTestData(300, 12, 1)
 	queries := GenerateQueries(data, 3, 2)
 	typed := map[string]func(Index) bool{
-		KindBallTree:   func(ix Index) bool { _, ok := ix.(*BallTree); return ok },
 		KindDynamic:    func(ix Index) bool { _, ok := ix.(*Dynamic); return ok },
 		KindLinearScan: func(ix Index) bool { _, ok := ix.(*LinearScan); return ok },
 		KindSharded:    func(ix Index) bool { _, ok := ix.(*Sharded); return ok },
@@ -41,6 +41,15 @@ func TestNewBuildsEveryKind(t *testing.T) {
 	}
 	preds := []*Pred{TagIs("even"), NotOf(TagIs("even")), AllOf(TagIs("odd"), FieldAtMost("row", 150))}
 
+	ball, bc := MustBuild(t, data, Spec{Kind: KindBallTree}), MustBuild(t, data, Spec{Kind: KindBCTree})
+	if reflect.TypeOf(ball) != reflect.TypeOf(bc) {
+		t.Fatalf("balltree comes back as %T, bctree as %T", ball, bc)
+	}
+	for _, ix := range []Index{ball, bc} {
+		if _, ok := ix.(BatchIndex); !ok {
+			t.Fatalf("%s: %T is not a BatchIndex", KindOf(ix), ix)
+		}
+	}
 	for _, kind := range Kinds() {
 		ix := MustBuild(t, data, Spec{Kind: kind, Seed: 7, Shards: 3})
 		if ix.N() != data.N || ix.Dim() != data.D {
