@@ -3,8 +3,8 @@ package p2h_test
 // Documentation lint: every exported symbol of the root package must carry a
 // doc comment. The public API is the library's contract — an undocumented
 // export either needs words or should not be exported. CI runs this test as
-// its own step (see .github/workflows/ci.yml). And the documents that describe
-// the tree as it is may only name tools, scripts and p2h symbols that exist.
+// its own step (see .github/workflows/ci.yml). And the documents describing the
+// tree may name only tools, scripts, symbols, tests and files that exist.
 
 import (
 	"go/ast"
@@ -13,7 +13,9 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -44,19 +46,78 @@ func TestDocsNameExistingToolsAndScripts(t *testing.T) {
 		fi, err := os.Stat(dir + "/" + pkg)
 		return symbol && err == nil && fi.IsDir()
 	}
-	for _, doc := range currentDocs {
+	eachMention(t, currentDocs, mention, func(doc, path string) {
+		if !exists(path) {
+			t.Errorf("%s mentions %s, which is not in the tree", doc, path)
+		}
+	})
+}
+
+// eachMention calls check once for every distinct match of mention in each of
+// docs: the match, or its last group when mention has groups.
+func eachMention(t *testing.T, docs []string, mention *regexp.Regexp, check func(doc, name string)) {
+	t.Helper()
+	for _, doc := range docs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		missing := map[string]bool{}
-		for _, path := range mention.FindAllString(string(text), -1) {
-			if !exists(path) && !missing[path] {
-				missing[path] = true
-				t.Errorf("%s mentions %s, which is not in the tree", doc, path)
+		seen := map[string]bool{}
+		for _, m := range mention.FindAllStringSubmatch(string(text), -1) {
+			if name := m[len(m)-1]; !seen[name] {
+				seen[name] = true
+				check(doc, name)
 			}
 		}
 	}
+}
+
+// TestDocsNameExistingTests: every Test*, Fuzz* and Benchmark* name a current
+// document or the CI workflow mentions must begin the name of a function in
+// some _test.go file. `go test -run TestGone` runs nothing and passes, so a
+// stale name would turn a gate into a no-op without a word.
+func TestDocsNameExistingTests(t *testing.T) {
+	defined := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	var funcs []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case strings.HasSuffix(path, "_test.go"):
+			src, err := os.ReadFile(path)
+			for _, m := range defined.FindAllStringSubmatch(string(src), -1) {
+				funcs = append(funcs, m[1])
+			}
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mention := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`)
+	eachMention(t, append(slices.Clone(currentDocs), ".github/workflows/ci.yml"), mention, func(doc, name string) {
+		if !slices.ContainsFunc(funcs, func(f string) bool { return strings.HasPrefix(f, name) }) {
+			t.Errorf("%s mentions %s, which no test, fuzz or benchmark function is named", doc, name)
+		}
+	})
+}
+
+// TestDocsLinksResolve: every relative Markdown link in a current document
+// names a file or directory in the tree.
+func TestDocsLinksResolve(t *testing.T) {
+	link := regexp.MustCompile(`\]\(([^)\s]+)\)`)
+	eachMention(t, currentDocs, link, func(doc, dest string) {
+		target, _, _ := strings.Cut(dest, "#")
+		if target == "" || strings.Contains(target, ":") {
+			return // an anchor in the same document, or a URL
+		}
+		if _, err := os.Stat(filepath.Join(filepath.Dir(doc), target)); err != nil {
+			t.Errorf("%s links to %s, which is not in the tree", doc, dest)
+		}
+	})
 }
 
 // rootPackageDoc parses the root package's non-test files as go doc sees them.
@@ -103,19 +164,11 @@ func TestDocsNameExistingSymbols(t *testing.T) {
 	}
 
 	mention := regexp.MustCompile(`\bp2h\.([A-Z][A-Za-z0-9_]*)`)
-	for _, doc := range currentDocs {
-		text, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
+	eachMention(t, currentDocs, mention, func(doc, name string) {
+		if !exported[name] {
+			t.Errorf("%s mentions p2h.%s, which the root package does not export", doc, name)
 		}
-		missing := map[string]bool{}
-		for _, m := range mention.FindAllStringSubmatch(string(text), -1) {
-			if name := m[1]; !exported[name] && !missing[name] {
-				missing[name] = true
-				t.Errorf("%s mentions p2h.%s, which the root package does not export", doc, name)
-			}
-		}
-	}
+	})
 }
 
 func TestExportedSymbolsDocumented(t *testing.T) {

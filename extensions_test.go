@@ -6,22 +6,6 @@ import (
 	"testing"
 )
 
-func TestShardedExactMatchesScan(t *testing.T) {
-	data, queries, gt := testSetup(t)
-	for _, shards := range []int{1, 3, 8} {
-		ix := MustBuild(t, data, Spec{Kind: KindSharded, Shards: shards, Seed: 1}).(*Sharded)
-		if ix.N() != data.N || ix.Dim() != data.D || ix.Shards() != shards {
-			t.Fatalf("sharded shape: n=%d d=%d shards=%d", ix.N(), ix.Dim(), ix.Shards())
-		}
-		for i := 0; i < queries.N; i++ {
-			res, _ := ix.Search(queries.Row(i), SearchOptions{K: 5})
-			if r := Recall(res, gt[i]); r < 1-1e-12 {
-				t.Fatalf("shards=%d query %d: recall %v", shards, i, r)
-			}
-		}
-	}
-}
-
 func TestShardedBudgetRespected(t *testing.T) {
 	data, queries, _ := testSetup(t)
 	ix := MustBuild(t, data, Spec{Kind: KindSharded, Shards: 4, Seed: 2}).(*Sharded)
@@ -29,26 +13,6 @@ func TestShardedBudgetRespected(t *testing.T) {
 		_, st := ix.Search(queries.Row(i), SearchOptions{K: 5, Budget: 40})
 		if st.Candidates > int64(40+ix.Shards()) {
 			t.Fatalf("budget blown: %d", st.Candidates)
-		}
-	}
-}
-
-func TestSearchBatchMatchesSequential(t *testing.T) {
-	data, queries, _ := testSetup(t)
-	ix := MustBuild(t, data, Spec{Kind: KindBCTree, Seed: 3})
-	batch := SearchBatch(ix, queries, SearchOptions{K: 5}, 4)
-	if len(batch) != queries.N {
-		t.Fatalf("batch size %d", len(batch))
-	}
-	for i := 0; i < queries.N; i++ {
-		want, _ := ix.Search(queries.Row(i), SearchOptions{K: 5})
-		if len(batch[i]) != len(want) {
-			t.Fatalf("query %d: %d results, want %d", i, len(batch[i]), len(want))
-		}
-		for j := range want {
-			if batch[i][j] != want[j] {
-				t.Fatalf("query %d rank %d: %v != %v", i, j, batch[i][j], want[j])
-			}
 		}
 	}
 }

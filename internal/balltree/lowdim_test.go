@@ -65,28 +65,36 @@ func (c lowDimCase) generate(n, nq int) (data, queries *vec.Matrix) {
 
 // TestExactOnLowDimensionalData: exact search — sequential and batched — is
 // the linear scan's answer, bit for bit, where the bounds have no room for an
-// unaccounted rounding.
+// unaccounted rounding. The scan answers each case once, for both kinds.
 func TestExactOnLowDimensionalData(t *testing.T) {
 	n, nq := 100000, 3000
 	if testing.Short() {
 		n, nq = 20000, 500
 	}
+	opts := core.SearchOptions{K: 10}
+	type oracle struct {
+		data, queries *vec.Matrix
+		want          [][]core.Result
+	}
+	oracles := make([]oracle, len(lowDimCases))
+	for i, c := range lowDimCases {
+		data, queries := c.generate(n, nq)
+		want, _ := linearscan.New(data).SearchBatch(queries, opts)
+		oracles[i] = oracle{data, queries, want}
+	}
 	forKinds(t, func(t *testing.T, kind Kind) {
-		for _, c := range lowDimCases {
+		for i, c := range lowDimCases {
 			t.Run(c.name, func(t *testing.T) {
-				data, queries := c.generate(n, nq)
+				data, queries, want := oracles[i].data, oracles[i].queries, oracles[i].want
 				tree := Build(data, kind, Config{LeafSize: c.leafSize, Seed: c.seed})
-				scan := linearscan.New(data)
-				opts := core.SearchOptions{K: 10}
 				batch, _ := tree.SearchBatch(queries, opts)
 				var wrongSeq, wrongBatch int
 				for qi := 0; qi < queries.N; qi++ {
-					want, _ := scan.Search(queries.Row(qi), opts)
 					got, _ := tree.Search(queries.Row(qi), opts)
-					if !equalResults(got, want) {
+					if !equalResults(got, want[qi]) {
 						wrongSeq++
 					}
-					if !equalResults(batch[qi], want) {
+					if !equalResults(batch[qi], want[qi]) {
 						wrongBatch++
 					}
 				}

@@ -14,34 +14,6 @@ func testSetup(t *testing.T) (*Matrix, *Matrix, [][]Result) {
 	return data, queries, GroundTruth(data, queries, 5)
 }
 
-func allIndexes(t testing.TB, data *Matrix) map[string]Index {
-	return map[string]Index{
-		"balltree": MustBuild(t, data, Spec{Kind: KindBallTree, LeafSize: 30, Seed: 3}),
-		"bctree":   MustBuild(t, data, Spec{Kind: KindBCTree, LeafSize: 30, Seed: 3}),
-		"kdtree":   MustBuild(t, data, Spec{Kind: KindKDTree, LeafSize: 30}),
-		"nh":       MustBuild(t, data, Spec{Kind: KindNH, Lambda: 32, M: 8, Seed: 3}),
-		"fh":       MustBuild(t, data, Spec{Kind: KindFH, Lambda: 32, M: 8, Seed: 3}),
-		"scan":     NewLinearScan(data),
-		"quant":    MustBuild(t, data, Spec{Kind: KindQuantizedScan}),
-		"sharded":  MustBuild(t, data, Spec{Kind: KindSharded, Shards: 4, Seed: 3}),
-	}
-}
-
-func TestAllIndexesExactWithFullBudget(t *testing.T) {
-	data, queries, gt := testSetup(t)
-	for name, ix := range allIndexes(t, data) {
-		if ix.N() != data.N || ix.Dim() != data.D {
-			t.Fatalf("%s: shape %d/%d want %d/%d", name, ix.N(), ix.Dim(), data.N, data.D)
-		}
-		for i := 0; i < queries.N; i++ {
-			res, _ := ix.Search(queries.Row(i), SearchOptions{K: 5})
-			if r := Recall(res, gt[i]); r < 1-1e-12 {
-				t.Fatalf("%s query %d: full-budget recall %v", name, i, r)
-			}
-		}
-	}
-}
-
 func TestSearchValidatesQueryDimension(t *testing.T) {
 	data, _, _ := testSetup(t)
 	ix := MustBuild(t, data, Spec{Kind: KindBCTree})

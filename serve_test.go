@@ -4,59 +4,10 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"testing"
 	"time"
 )
-
-// TestServerMatchesDirectSearchAllIndexes: through either entry of the
-// server — one Search per query, or the whole set as one SearchBatchCtx —
-// every index kind answers bitwise what its direct Search answers, cold and
-// from the cache.
-func TestServerMatchesDirectSearchAllIndexes(t *testing.T) {
-	data, queries, _ := testSetup(t)
-	rows := make([][]float32, queries.N)
-	for i := range rows {
-		rows[i] = queries.Row(i)
-	}
-	entries := map[string]func(*Server) [][]Result{
-		"Search": func(srv *Server) [][]Result {
-			out := make([][]Result, len(rows))
-			for i, q := range rows {
-				out[i], _ = srv.Search(q, SearchOptions{K: 5})
-			}
-			return out
-		},
-		"SearchBatchCtx": func(srv *Server) [][]Result {
-			out, _, err := srv.SearchBatchCtx(context.Background(), rows, SearchOptions{K: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out
-		},
-	}
-	kinds := allIndexes(t, data)
-	kinds["dynamic"] = MustBuild(t, data, Spec{Kind: KindDynamic, Seed: 3}).(*Dynamic)
-	for name, ix := range kinds {
-		for entry, run := range entries {
-			srv := NewServer(ix, ServerOptions{Workers: 3})
-			for pass := 0; pass < 2; pass++ { // pass 2 is served from the cache
-				for i, got := range run(srv) {
-					want, _ := ix.Search(rows[i], SearchOptions{K: 5})
-					if !slices.Equal(got, want) {
-						t.Fatalf("%s %s pass %d query %d: %v != %v", name, entry, pass, i, got, want)
-					}
-				}
-			}
-			st := srv.Stats()
-			if st.Queries != int64(2*queries.N) || st.CacheHits != int64(queries.N) {
-				t.Fatalf("%s %s stats %+v", name, entry, st)
-			}
-			srv.Close()
-		}
-	}
-}
 
 func TestServerImmutableIndexRejectsMutation(t *testing.T) {
 	data, _, _ := testSetup(t)
