@@ -53,7 +53,8 @@ func BenchmarkBuildSharded(b *testing.B) {
 // codecBench builds the benchmark fixture's BC-Tree (n=50k Sift surrogate)
 // and saves it once; the two codec benchmarks below report throughput against
 // the container's size and, with -benchmem, what a round trip allocates —
-// opening should cost about one container's worth of heap, not several.
+// opening should cost the node records' worth of heap on unix, where the
+// rest of the container is mapped, and about one container's worth elsewhere.
 func codecBench(b *testing.B) (ix Index, path string, size int64) {
 	b.Helper()
 	ix = MustBuild(b, Dedup(GenerateDataset("Sift", 50000, 1)), Spec{Kind: KindBCTree, Seed: 1})

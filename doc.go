@@ -46,7 +46,9 @@
 //	_ = p2h.SaveFile("index.p2h", index)
 //	loaded, err := p2h.Open("index.p2h") // any persistable kind
 //
-// Malformed input returns errors wrapping ErrFormat.
+// Malformed input returns errors wrapping ErrFormat. On unix, Open maps the
+// file and serves a tree's points from it, so an opened index costs page
+// cache rather than heap; SaveFile replaces a file by rename, never in place.
 //
 // # Serving
 //

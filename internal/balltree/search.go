@@ -2,6 +2,7 @@ package balltree
 
 import (
 	"math"
+	"runtime"
 	"time"
 
 	"p2h/internal/attr"
@@ -47,6 +48,7 @@ func (t *Tree) Search(q []float32, opts core.SearchOptions) ([]core.Result, core
 	s := t.acquireSearcher()
 	res, st := s.Search(q, opts, nil)
 	t.releaseSearcher(s)
+	runtime.KeepAlive(t) // the walk reads slices of a mapping only t holds (Tree.backing)
 	return res, st
 }
 

@@ -3,6 +3,7 @@ package balltree
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 
 	"p2h/internal/core"
@@ -43,12 +44,13 @@ func (t *Tree) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]co
 		s := t.acquireSearcher()
 		exec.Fallback(s, queries, opts, out, stats)
 		t.releaseSearcher(s)
-		return out, stats
+	} else {
+		b := t.batchers.Get()
+		b.tree = t
+		b.run(queries, opts, out, stats)
+		t.batchers.Put(b)
 	}
-	b := t.batchers.Get()
-	b.tree = t
-	b.run(queries, opts, out, stats)
-	t.batchers.Put(b)
+	runtime.KeepAlive(t) // as in Search: the walk reads slices of t's mapping
 	return out, stats
 }
 

@@ -191,6 +191,12 @@ func EmbeddedRetired(br *binio.Reader) error {
 // [0, idBound): a holder that embeds labelled trees passes the size of its own
 // id space (and checks for itself that no id repeats); zero is a standalone
 // tree's bound, its own point count.
+//
+// Handed an in-place binio.Reader (a mapped container), Load aliases the
+// float32 and int32 sections — ids, points, centres, xcos and xsin — where
+// they are aligned (binio.Reader.F32sView) instead of copying them, and the
+// tree holds the Reader's Backing. The node records are decoded into the
+// arena either way, and every section is validated the same way.
 func Load(r io.Reader, kind Kind, idBound int) (*Tree, error) {
 	br := binio.NewReader(r)
 	quantized, leafSize, n, d, err := readShape(br, kind)
@@ -211,14 +217,14 @@ func Load(r io.Reader, kind Kind, idBound int) (*Tree, error) {
 	if idBound == 0 {
 		idBound = n
 	}
-	t.ids = br.I32s(n)
+	t.ids = br.I32sView(n)
 	for _, id := range t.ids {
 		if id < 0 || int(id) >= idBound {
 			br.Fail("id %d outside [0,%d)", id, idBound)
 			break
 		}
 	}
-	data := br.F32s(n * d)
+	data := br.F32sView(n * d)
 	// The node columns arrive as two sections — radius (and centerNorm, BC
 	// kind) pairs, then range and child links — and are transposed into the
 	// arena's records once both are in. A Ball payload has a centre and a
@@ -228,7 +234,7 @@ func Load(r io.Reader, kind Kind, idBound int) (*Tree, error) {
 	if kind == BC {
 		rows, perBound, perLink = leaves, 2, 3
 	}
-	centers := br.F32s(rows * d)
+	centers := br.F32sView(rows * d)
 	bounds := br.F64s(nodes * perBound)
 	links := br.I32s(nodes * perLink)
 	if err := br.Err(); err != nil {
@@ -250,8 +256,8 @@ func Load(r io.Reader, kind Kind, idBound int) (*Tree, error) {
 	}
 	if kind == BC {
 		t.assignCenterRows()
-		t.xcos = br.F32s(n)
-		t.xsin = br.F32s(n)
+		t.xcos = br.F32sView(n)
+		t.xsin = br.F32sView(n)
 	}
 	if quantized && br.Err() == nil {
 		t.qz, t.codes = quant.ReadSection(br, t.points)
@@ -262,6 +268,7 @@ func Load(r io.Reader, kind Kind, idBound int) (*Tree, error) {
 	if err := validateArena(br, t, leaves); err != nil {
 		return nil, err
 	}
+	t.backing = br.Backing()
 	return t, nil
 }
 

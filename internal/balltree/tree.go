@@ -152,6 +152,14 @@ type Tree struct {
 	// queries allocate nothing.
 	searchers exec.Pool[Searcher]
 	batchers  exec.Pool[batchSearcher]
+
+	// backing keeps the file mapping alive that a tree Load decoded in place
+	// (binio.Reader.Backing) aliases — ids, points, centres and the cone
+	// pair are then read-only views of it — and is nil when the tree owns
+	// its storage. The mapping goes once the tree is unreachable, so a
+	// search holding one of those slices keeps the tree alive until it is
+	// done with them (runtime.KeepAlive in Search and SearchBatch).
+	backing any
 }
 
 // N returns the number of indexed points.

@@ -6,6 +6,7 @@ package binio
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // ErrCorrupt reports a structurally invalid stream.
@@ -173,13 +175,20 @@ func (w *Writer) Flush() error {
 // allocated, and one that fits is allocated exactly once. A stream that cannot
 // say (a pipe, a network body) is read through the same loop with
 // chunk-bounded growth.
+//
+// A Reader made by NewBytesReader or MapFile reads bytes in place instead of
+// from a stream: everything decodes as on a stream, except that F32sView and
+// I32sView hand out sections without copying them where they can.
 type Reader struct {
-	r     *bufio.Reader
-	err   error
-	left  int64   // bytes the stream can still deliver; negative when unknown
-	n     int64   // bytes delivered so far
-	word  [8]byte // decode buffer of the scalar readers
-	chunk []byte  // decode buffer of the bulk readers, allocated on first use
+	r      *bufio.Reader // nil when reading in place
+	src    []byte        // what an in-place Reader reads; src[n:] is not yet decoded
+	owner  any           // what keeps src valid when it is not Go memory (MapFile)
+	viewed bool          // a view into src has been handed out
+	err    error
+	left   int64   // bytes the stream can still deliver; negative when unknown
+	n      int64   // bytes delivered so far
+	word   [8]byte // decode buffer of the scalar readers
+	chunk  []byte  // decode buffer of the bulk readers, allocated on first use
 }
 
 // NewReader wraps r. A *Reader is returned as is, so a decoder handed the
@@ -201,11 +210,24 @@ func NewSizedReader(r io.Reader, size int64) *Reader {
 	return &Reader{r: bufio.NewReader(r), left: size}
 }
 
+// NewBytesReader reads b in place. owner is what keeps b valid when it is not
+// Go memory (MapFile passes its mapping); Backing hands it to whoever keeps a
+// view. Nothing may write to b while views of it are in use.
+func NewBytesReader(b []byte, owner any) *Reader {
+	return &Reader{src: b, owner: owner, left: int64(len(b))}
+}
+
 // Read makes the Reader an io.Reader over the bytes not yet decoded, for
 // handing the rest of the stream to a decoder that takes one. It does not
 // touch the sticky error.
 func (r *Reader) Read(p []byte) (int, error) {
-	n, err := r.r.Read(p)
+	var n int
+	var err error
+	if r.r != nil {
+		n, err = r.r.Read(p)
+	} else if n = copy(p, r.src[r.n:]); n == 0 && len(p) > 0 {
+		err = io.EOF
+	}
 	r.n += int64(n)
 	if r.left >= 0 {
 		r.left -= int64(n)
@@ -284,10 +306,17 @@ func (r *Reader) reserve(n, size int) int {
 }
 
 // next reads the bytes of the next c elements of size bytes each into the
-// decode buffer, or returns nil once the stream has failed.
+// decode buffer — an in-place Reader returns them where they are, which
+// reserve has checked — or returns nil once the stream has failed.
 func (r *Reader) next(c, size int) []byte {
 	if r.err != nil {
 		return nil
+	}
+	if r.r == nil {
+		b := r.src[r.n : r.n+int64(c*size)]
+		r.n += int64(len(b))
+		r.left -= int64(len(b))
+		return b
 	}
 	if r.chunk == nil {
 		r.chunk = make([]byte, chunkBytes)
@@ -379,6 +408,77 @@ func (r *Reader) I32s(n int) []int32 {
 		}
 	}
 	return out
+}
+
+// littleEndian reports whether the host stores numbers as the formats do, the
+// first condition for a view.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// view moves past the next n elements of size bytes each and returns where
+// they start — on an in-place Reader, on a little-endian host, when they are
+// there and aligned to size. Otherwise it consumes nothing and returns nil, and
+// the caller decodes a copy (which fails the stream if the section is not
+// there).
+func (r *Reader) view(n, size int) unsafe.Pointer {
+	need := int64(n) * int64(size)
+	if r.r != nil || !littleEndian || r.err != nil || n <= 0 || need > r.left {
+		return nil
+	}
+	p := unsafe.Pointer(unsafe.SliceData(r.src[r.n:]))
+	if uintptr(p)%uintptr(size) != 0 {
+		return nil
+	}
+	r.n += need
+	r.left -= need
+	r.viewed = true
+	return p
+}
+
+// F32sView reads n float32 values as F32s does, except that on an in-place
+// Reader an aligned section comes back as a slice of the Reader's bytes rather
+// than a copy. The caller must not write to the result, and must keep Backing
+// reachable for as long as it uses it.
+func (r *Reader) F32sView(n int) []float32 {
+	if p := r.view(n, 4); p != nil {
+		return unsafe.Slice((*float32)(p), n)
+	}
+	return r.F32s(n)
+}
+
+// I32sView is F32sView for int32 values.
+func (r *Reader) I32sView(n int) []int32 {
+	if p := r.view(n, 4); p != nil {
+		return unsafe.Slice((*int32)(p), n)
+	}
+	return r.I32s(n)
+}
+
+// Section moves past the next n bytes and returns a Reader over exactly them:
+// in place on an in-place Reader, with its owner, and a stream over a copy of
+// them on a stream. A section r cannot deliver fails r and comes back empty.
+func (r *Reader) Section(n int) *Reader {
+	if r.r != nil {
+		return NewReader(bytes.NewReader(r.Raw(n)))
+	}
+	if r.err != nil || n < 0 || int64(n) > r.left {
+		r.Fail("section of %d bytes declared, %d left in the stream", n, r.left)
+		return NewBytesReader(nil, nil)
+	}
+	sub := NewBytesReader(r.src[r.n:r.n+int64(n)], r.owner)
+	r.n += int64(n)
+	r.left -= int64(n)
+	return sub
+}
+
+// Backing returns what must stay reachable for as long as the views this
+// Reader handed out are in use: its owner once it has handed one out, nil
+// before — and nil for views of Go memory, which keep their bytes alive
+// themselves.
+func (r *Reader) Backing() any {
+	if !r.viewed {
+		return nil
+	}
+	return r.owner
 }
 
 // Fail records a validation failure with context.

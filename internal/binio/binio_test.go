@@ -6,9 +6,11 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRoundTripScalars(t *testing.T) {
@@ -217,6 +219,61 @@ func TestUnsizedStreamGrowsWithTheBytes(t *testing.T) {
 	}
 	if r.F32s(-1); !errors.Is(r.Err(), ErrCorrupt) {
 		t.Fatalf("negative count: %v", r.Err())
+	}
+}
+
+// TestViewsAliasAlignedInPlaceSections: on an in-place Reader F32sView and
+// I32sView hand out aligned sections as slices of its bytes, and Backing is
+// then its owner; a misaligned section, a stream and a section that is not
+// there all decode exactly as F32s/I32s do, and Section splits either kind of
+// Reader the same way.
+func TestViewsAliasAlignedInPlaceSections(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.I32(3)
+	w.F32s([]float32{1.5, -2, 3.25})
+	w.I32s([]int32{7, -8})
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	owner := new(int)
+	decode := func(r *Reader) ([]float32, []int32) {
+		n := int(r.I32())
+		return r.F32sView(n), r.I32sView(2)
+	}
+	want32, wantI := []float32{1.5, -2, 3.25}, []int32{7, -8}
+	check := func(name string, r *Reader, b []byte, aliased bool) {
+		t.Helper()
+		f, i := decode(r)
+		if r.Err() != nil || !slices.Equal(f, want32) || !slices.Equal(i, wantI) {
+			t.Fatalf("%s: %v %v, %v", name, f, i, r.Err())
+		}
+		if got := &f[0] == (*float32)(unsafe.Pointer(&b[4])); got != aliased {
+			t.Fatalf("%s: aliased %v, want %v", name, got, aliased)
+		}
+		if got := r.Backing() != nil; got != aliased {
+			t.Fatalf("%s: Backing set %v, want %v", name, got, aliased)
+		}
+	}
+	aligned := buf.Bytes()
+	check("in place", NewBytesReader(aligned, owner), aligned, littleEndian)
+	check("stream", NewReader(bytes.NewReader(aligned)), aligned, false)
+	shifted := append(make([]byte, 1, len(aligned)+1), aligned...)[1:]
+	check("misaligned", NewBytesReader(shifted, owner), shifted, false)
+
+	r := NewBytesReader(aligned, owner)
+	r.I32()
+	if r.F32sView(6); !errors.Is(r.Err(), ErrCorrupt) { // 24 bytes, 20 left
+		t.Fatalf("a view past the end: %v", r.Err())
+	}
+	for name, outer := range map[string]*Reader{
+		"in place": NewBytesReader(aligned, owner),
+		"stream":   NewReader(bytes.NewReader(aligned)),
+	} {
+		check(name+" section", outer.Section(len(aligned)), aligned, name == "in place" && littleEndian)
+		if outer.Section(1); !errors.Is(outer.Err(), ErrCorrupt) {
+			t.Fatalf("%s: a section past the end: %v", name, outer.Err())
+		}
 	}
 }
 

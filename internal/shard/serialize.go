@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"runtime"
@@ -114,9 +113,11 @@ func Load(r io.Reader) (*Index, error) {
 	// Allocations below grow with bytes actually read, never with the
 	// declared counts alone: a corrupt header claiming 2^31 points or shards
 	// must fail at the stream's real end, not reach a multi-GiB make().
-	// payloads is appended per record.
+	// payloads is appended per record. A payload is a section of br (in place
+	// when br is, so the shard trees alias a mapped container as a plain
+	// tree does; binio.Reader.Section).
 	ix := &Index{n: n, d: d, workers: workers}
-	var payloads [][]byte
+	var payloads []*binio.Reader
 	for si := 0; si < shards; si++ {
 		pn := br.I64()
 		if br.Err() != nil {
@@ -126,7 +127,7 @@ func Load(r io.Reader) (*Index, error) {
 			br.Fail("shard %d: bad payload length %d", si, pn)
 			return nil, br.Err()
 		}
-		payloads = append(payloads, br.Raw(int(pn)))
+		payloads = append(payloads, br.Section(int(pn)))
 		if br.Err() != nil {
 			return nil, br.Err()
 		}
@@ -137,7 +138,7 @@ func Load(r io.Reader) (*Index, error) {
 	ix.trees = make([]*balltree.Tree, shards)
 	errs := make([]error, shards)
 	exec.ForEach(shards, runtime.GOMAXPROCS(0), func(si int) {
-		t, err := balltree.Load(bytes.NewReader(payloads[si]), balltree.BC, n)
+		t, err := balltree.Load(payloads[si], balltree.BC, n)
 		if err != nil {
 			errs[si] = fmt.Errorf("shard %d: %w", si, err)
 			return

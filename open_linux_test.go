@@ -1,0 +1,141 @@
+package p2h
+
+import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// The lifetime of an opened container's mapping, read off /proc/self/maps.
+
+// mappingsUnder counts the entries of /proc/self/maps that map a file under
+// dir — a replaced or unlinked one included, which the kernel lists with
+// " (deleted)" after its old name.
+func mappingsUnder(t *testing.T, dir string) int {
+	t.Helper()
+	b, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Count(string(b), dir+string(filepath.Separator))
+}
+
+// answersOf is every query's exact and budgeted answer, one at a time and as
+// one batch.
+func answersOf(ix Index, queries *Matrix) [][]Result {
+	var out [][]Result
+	for _, opts := range []SearchOptions{{K: 7}, {K: 7, Budget: 300}} {
+		for qi := 0; qi < queries.N; qi++ {
+			res, _ := ix.Search(queries.Row(qi), opts)
+			out = append(out, res)
+		}
+		out = append(out, SearchBatch(ix, queries, opts, 2)...)
+	}
+	return out
+}
+
+// TestOpenedIndexOutlivesItsFile: an index Open served from the mapped file
+// keeps answering bit for bit as the index that was saved while the file is
+// replaced by rename and then unlinked, with collections forced between the
+// rounds — the mapping belongs to the index, not to the path.
+func TestOpenedIndexOutlivesItsFile(t *testing.T) {
+	data := specTestData(3000, 31, 7)
+	other := specTestData(400, 31, 9)
+	queries := GenerateQueries(data, 12, 8)
+	dir := t.TempDir()
+	for _, spec := range []Spec{
+		{Kind: KindBCTree, LeafSize: 50, Seed: 1},
+		{Kind: KindBallTree, LeafSize: 50, Seed: 1},
+		{Kind: KindSharded, Shards: 3, LeafSize: 50, Seed: 1},
+		{Kind: KindDynamic, LeafSize: 50, Seed: 1},
+	} {
+		path := filepath.Join(dir, spec.Kind+".p2h")
+		fresh := MustBuild(t, data, spec)
+		if err := SaveFile(path, fresh); err != nil {
+			t.Fatal(err)
+		}
+		opened, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mappingsUnder(t, dir) == 0 {
+			t.Fatalf("%s: Open mapped nothing", spec.Kind)
+		}
+		want := answersOf(fresh, queries)
+		for round, change := range []func() error{
+			func() error { return nil },
+			func() error { return SaveFile(path, MustBuild(t, other, spec)) },
+			func() error { return os.Remove(path) },
+		} {
+			if err := change(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			runtime.GC()
+			if got := answersOf(opened, queries); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: round %d: the opened index's answers changed", spec.Kind, round)
+			}
+		}
+	}
+}
+
+// TestOpenAndDropReleasesMappings: 200 hot-swap-like cycles — open, search,
+// drop — leave no mapping of the container behind once the dropped indexes
+// have been collected.
+func TestOpenAndDropReleasesMappings(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "swap.p2h")
+	data := specTestData(600, 15, 3)
+	if err := SaveFile(path, MustBuild(t, data, Spec{Kind: KindBCTree, LeafSize: 40, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	q := GenerateQueries(data, 1, 4).Row(0)
+	for i := 0; i < 200; i++ {
+		ix, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, _ := ix.Search(q, SearchOptions{K: 3}); len(res) != 3 {
+			t.Fatalf("cycle %d: %d results", i, len(res))
+		}
+		if i == 0 && mappingsUnder(t, dir) == 0 {
+			t.Fatal("Open mapped nothing")
+		}
+	}
+	// A tree is free two collections after its last search (its free lists
+	// are sync.Pools), and its mapping goes on the cleanup goroutine after it.
+	deadline := time.Now().Add(10 * time.Second)
+	for n := mappingsUnder(t, dir); n > 0; n = mappingsUnder(t, dir) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d mappings of the container left after 200 open-and-drop cycles", n)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestOpenDoesNotCopyThePoints: opening a 4 000 × 31 BC-Tree container
+// allocates well under a quarter of its point section, which it serves from
+// the mapped file; decoding a copy allocates more than the whole file.
+func TestOpenDoesNotCopyThePoints(t *testing.T) {
+	data := specTestData(4000, 31, 5)
+	fresh := MustBuild(t, data, Spec{Kind: KindBCTree, LeafSize: 50, Seed: 2})
+	path := filepath.Join(t.TempDir(), "bc.p2h")
+	if err := SaveFile(path, fresh); err != nil {
+		t.Fatal(err)
+	}
+	pointBytes := uint64(4 * data.N * (data.D + 1))
+	var opened Index
+	var err error
+	if got := totalAllocDuring(func() { opened, err = Open(path) }); err != nil || got >= pointBytes/4 {
+		t.Fatalf("Open allocated %d bytes (err %v), want under a quarter of the %d-byte point section", got, err, pointBytes)
+	}
+	queries := GenerateQueries(data, 8, 6)
+	if !reflect.DeepEqual(answersOf(opened, queries), answersOf(fresh, queries)) {
+		t.Fatal("the opened index answers differently from the one saved")
+	}
+}

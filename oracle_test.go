@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -191,17 +192,20 @@ var equivPreds = []struct {
 // The paths an answer takes besides Search, which every cell checks.
 // viaSearchBatch(w) is p2h.SearchBatch on w workers; viaServer is two passes
 // through a Server, the second from its cache; the twins are a second New
-// from the same Spec and a Save→Load copy (persistable kinds only).
+// from the same Spec, a Save→Load copy decoded off a stream and a
+// SaveFile→Open copy decoded in place from the mapped file (persistable
+// kinds only).
 const (
 	viaBatchIndex = "BatchIndex.SearchBatch"
 	viaServer     = "Server"
 	viaRebuilt    = "rebuilt"
 	viaLoaded     = "loaded"
+	viaOpened     = "opened"
 )
 
 func viaSearchBatch(workers int) string { return "SearchBatch/" + strconv.Itoa(workers) }
 
-var allPaths = []string{viaSearchBatch(1), viaSearchBatch(3), viaBatchIndex, viaServer, viaRebuilt, viaLoaded}
+var allPaths = []string{viaSearchBatch(1), viaSearchBatch(3), viaBatchIndex, viaServer, viaRebuilt, viaLoaded, viaOpened}
 
 // oracleShape is one option shape and the paths it runs besides Search;
 // DisableQuantFilter runs on the quantized rows only.
@@ -325,7 +329,7 @@ type builtRow struct {
 	points []p2h.PointAttrs
 	ix     p2h.Index
 	plain  p2h.Index            // a quantized row's unquantized twin, for budgeted shapes
-	twins  map[string]p2h.Index // viaRebuilt, viaLoaded; nil where the kind cannot be saved
+	twins  map[string]p2h.Index // viaRebuilt, viaLoaded, viaOpened; nil where the kind cannot be saved
 	srv    *p2h.Server
 }
 
@@ -360,23 +364,38 @@ func buildRow(t *testing.T, set oracleSet, spec p2h.Spec, points []p2h.PointAttr
 				}
 			case viaRebuilt:
 				r.twins[path] = build(spec)
-			case viaLoaded:
+			case viaLoaded, viaOpened:
 				r.twins[path] = nil
 				if ok, _, _ := p2h.KindIsPersistable(spec.Kind); ok {
-					var buf bytes.Buffer
-					if err := p2h.Save(&buf, r.ix); err != nil {
-						t.Fatal(err)
-					}
-					loaded, err := p2h.Load(&buf)
-					if err != nil {
-						t.Fatal(err)
-					}
-					r.twins[path] = loaded
+					r.twins[path] = saveAndRestore(t, r.ix, path == viaOpened)
 				}
 			}
 		}
 	}
 	return r
+}
+
+// saveAndRestore returns a copy of ix through the container: Save→Load off a
+// stream, or SaveFile→Open from a file, which decodes in place where it can.
+func saveAndRestore(t *testing.T, ix p2h.Index, viaFile bool) p2h.Index {
+	t.Helper()
+	var out p2h.Index
+	var err error
+	if viaFile {
+		path := filepath.Join(t.TempDir(), "ix.p2h")
+		if err = p2h.SaveFile(path, ix); err == nil {
+			out, err = p2h.Open(path)
+		}
+	} else {
+		var buf bytes.Buffer
+		if err = p2h.Save(&buf, ix); err == nil {
+			out, err = p2h.Load(&buf)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // checkCell holds one row's answers to one shape to the cell's contract.
@@ -418,7 +437,7 @@ func checkCell(t *testing.T, r *builtRow, sh oracleShape, want [][]p2h.Result) {
 			}
 		case viaServer:
 			checkServer(t, r.srv, queries, opts, ref)
-		case viaRebuilt, viaLoaded:
+		case viaRebuilt, viaLoaded, viaOpened:
 			if twin := r.twins[path]; twin != nil {
 				requireSame(t, path, searchEach(twin, queries, opts), ref)
 			}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"p2h/internal/attr"
 	"p2h/internal/binio"
@@ -27,8 +28,14 @@ var containerMagic = []byte("P2HIX001")
 // attributes: the same header as v1, then one length-prefixed attribute
 // section (see internal/attr.WriteSection) between the spec and the kind
 // payload. Save emits it only when the index actually carries attributes, so
-// unattributed saves stay byte-identical to every earlier release.
+// unattributed saves stay readable by releases that predate attributes.
 var containerMagicV2 = []byte("P2HIX002")
+
+// payloadAlign is the boundary Save starts the kind payload on, by padding
+// the spec JSON with trailing spaces (still the same JSON to any reader). Every
+// float32 and int32 section of a tree payload then sits on a 4-byte boundary
+// of the file, and Open can serve it from the mapped file in place.
+const payloadAlign = 4
 
 // Container header bounds; a corrupt length prefix fails fast instead of
 // allocating (see readBlock).
@@ -63,6 +70,16 @@ func Save(w io.Writer, ix Index) error {
 	if err != nil {
 		return fmt.Errorf("p2h: Save: collecting attributes: %w", err)
 	}
+	var section []byte
+	headLen := len(containerMagic) + 4 + len(k.name) + 4 + len(specJSON)
+	if st != nil {
+		if section, err = encodeAttrSection(st); err != nil {
+			return fmt.Errorf("p2h: Save: encoding attributes: %w", err)
+		}
+		headLen += 4 + len(section)
+	}
+	pad := (payloadAlign - headLen%payloadAlign) % payloadAlign
+	specJSON = append(specJSON, bytes.Repeat([]byte(" "), pad)...)
 	var head bytes.Buffer
 	if st == nil {
 		head.Write(containerMagic)
@@ -72,10 +89,6 @@ func Save(w io.Writer, ix Index) error {
 	writeBlock(&head, []byte(k.name))
 	writeBlock(&head, specJSON)
 	if st != nil {
-		section, err := encodeAttrSection(st)
-		if err != nil {
-			return fmt.Errorf("p2h: Save: encoding attributes: %w", err)
-		}
 		writeBlock(&head, section)
 	}
 	if _, err := w.Write(head.Bytes()); err != nil {
@@ -110,18 +123,39 @@ func decodeAttrSection(section []byte) (*attr.Store, error) {
 	return st, nil
 }
 
-// SaveFile writes ix to the named file in the container format.
+// SaveFile writes ix to the named file in the container format, atomically:
+// the bytes go to a temporary file in the same directory, which is fsynced and
+// renamed over path only when the whole save succeeded, and removed otherwise.
+// A failed save leaves whatever was at path as it was, and a file that is
+// replaced is never truncated or rewritten in place — which an index Open
+// mapped from it would see (a read past the new end faults the process); it
+// keeps reading the old bytes instead.
 func SaveFile(path string, ix Index) error {
-	f, err := os.Create(path)
+	dir, base := filepath.Split(path)
+	if dir == "" {
+		dir = "."
+	}
+	f, err := os.CreateTemp(dir, "."+base+".tmp-*")
 	if err != nil {
 		return err
 	}
-	if err := Save(f, ix); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
+	err = f.Chmod(0o644) // CreateTemp's 0600 would hide the file from other users
+	if err == nil {
+		err = Save(f, ix)
 	}
-	return f.Close()
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // Load restores an index of any persistable kind from a stream written by
@@ -210,6 +244,13 @@ func readHeader(br *binio.Reader) (header, error) {
 // Open restores an index of any persistable kind from the named file; see
 // Load for the accepted formats.
 //
+// On unix systems Open maps the file read-only instead of reading it, and a
+// tree's point, centre, id and cone sections are served from the mapping —
+// the page cache — rather than copied to the heap (a container written before
+// Save aligned its payload decodes to copies, as a stream does). The mapping
+// lives as long as the index does. Do not truncate or rewrite an opened file
+// in place: replace it by rename (SaveFile and Server.Snapshot do).
+//
 // For a dynamic index, Open also replays the sidecar write-ahead log
 // (path + ".wal") when one is present: mutations acknowledged by a durable
 // server after the container was last snapshotted are applied on top, so
@@ -229,7 +270,11 @@ func Open(path string) (Index, error) {
 	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
 		size = fi.Size()
 	}
-	ix, err := load(binio.NewSizedReader(f, size))
+	br := binio.MapFile(f, size)
+	if br == nil {
+		br = binio.NewSizedReader(f, size)
+	}
+	ix, err := load(br)
 	if err != nil {
 		return nil, fmt.Errorf("p2h: open %s: %w", path, err)
 	}

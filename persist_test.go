@@ -108,6 +108,29 @@ func TestGoldenFixtures(t *testing.T) {
 			}
 		}
 	}
+
+	// A container from before Save aligned the payload (its spec is not
+	// padded, so the payload starts at offset 54): Open cannot alias its
+	// sections and decodes copies, which must answer as a fresh build does.
+	old := filepath.Join("testdata", "golden", "bctree-unaligned.p2h")
+	raw, err := os.ReadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off, _ := arenaPayload(t, raw); off%payloadAlign == 0 {
+		t.Fatalf("%s: payload at offset %d is aligned; the fixture must not be", old, off)
+	}
+	var loaded Index
+	if got, pointBytes := totalAllocDuring(func() { loaded, err = Open(old) }), 4*150*9; err != nil || got < uint64(pointBytes) {
+		t.Fatalf("Open(%s): err %v, allocated %d bytes, want a copy of the %d-byte point section", old, err, got, pointBytes)
+	}
+	for qi := 0; qi < queries.N; qi++ {
+		want, _ := recipes[KindBCTree].Search(queries.Row(qi), SearchOptions{K: 6})
+		got, _ := loaded.Search(queries.Row(qi), SearchOptions{K: 6})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: query %d diverges from a fresh build", old, qi)
+		}
+	}
 }
 
 // codecVariants is the codec's whole matrix: every persistable kind, plain (the
@@ -569,7 +592,8 @@ func TestLoadRejectsMalformedContainers(t *testing.T) {
 }
 
 // TestSaveFileCleansUpOnError: a failed Save must not leave a half-written
-// container behind.
+// container behind, and must not touch the container already at the path: it
+// keeps its bytes and still opens.
 func TestSaveFileCleansUpOnError(t *testing.T) {
 	data := specTestData(50, 4, 1)
 	nh, err := New(data, Spec{Kind: KindNH})
@@ -583,6 +607,28 @@ func TestSaveFileCleansUpOnError(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("SaveFile left %s behind (stat err: %v)", path, err)
+	}
+
+	good := MustBuild(t, data, Spec{Kind: KindBCTree, LeafSize: 10, Seed: 1})
+	if err := SaveFile(path, good); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveFile(path, nh); err == nil {
+		t.Fatal("SaveFile succeeded on a build-only kind")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("a failed SaveFile changed the container at the path (err %v, %d bytes, had %d)", err, len(after), len(before))
+	}
+	if _, err := Open(path); err != nil {
+		t.Fatalf("the container a failed SaveFile went over no longer opens: %v", err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("SaveFile left temporary files behind: %v %v", entries, err)
 	}
 }
 

@@ -3,7 +3,6 @@ package p2h
 import (
 	"context"
 	"os"
-	"path/filepath"
 	"time"
 
 	"p2h/internal/server"
@@ -204,10 +203,10 @@ func (s *Server) Describe() (n int, indexBytes int64) {
 }
 
 // Snapshot atomically persists the wrapped index to path in the
-// self-describing container format: the bytes are written to a temporary
-// file in the destination directory, fsynced, and renamed into place only
-// on success, so a reader never observes a partial file and a failed save
-// leaves any existing file untouched. On a mutable index the whole
+// self-describing container format through SaveFile: the bytes are written
+// to a temporary file in the destination directory, fsynced, and renamed into
+// place only on success, so a reader never observes a partial file and a
+// failed save leaves any existing file untouched. On a mutable index the whole
 // save-sync-rename sequence runs with mutations excluded (in-flight
 // searches finish first), so the snapshot is a consistent cut. With a
 // write-ahead log attached the log is truncated under the same exclusion,
@@ -216,33 +215,14 @@ func (s *Server) Describe() (n int, indexBytes int64) {
 // container plus the full log, or the new container plus a log whose
 // leftover records replay as no-ops. It returns the snapshot size in bytes.
 func (s *Server) Snapshot(path string) (int64, error) {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, "."+base+".tmp-*")
-	if err != nil {
-		return 0, err
-	}
-	tmp := f.Name()
 	var saveErr error
 	s.engine.Exclusive(func() {
-		saveErr = Save(f, s.ix)
-		if saveErr == nil {
-			saveErr = f.Sync()
-		}
-		if cerr := f.Close(); saveErr == nil {
-			saveErr = cerr
-		}
-		if saveErr == nil {
-			saveErr = os.Rename(tmp, path)
-		}
+		saveErr = SaveFile(path, s.ix)
 		if saveErr == nil && s.wal != nil {
 			saveErr = s.wal.truncate()
 		}
 	})
 	if saveErr != nil {
-		os.Remove(tmp)
 		return 0, saveErr
 	}
 	st, err := os.Stat(path)

@@ -10,7 +10,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"p2h/internal/binio"
 )
 
 // dynSaveBytes canonicalizes (Rebuild folds the delta deterministically)
@@ -415,21 +418,30 @@ func TestGenerateContainerFuzzCorpus(t *testing.T) {
 	}
 }
 
-// FuzzOpenContainer asserts the container decoder's contract over arbitrary
-// bytes: Load never panics, corruption surfaces as ErrFormat (or
-// ErrUnknownKind for an intact header naming no backend) — and a stream
-// that does load supports Save and answers basic queries, so a bit-flip can
-// never smuggle a half-broken index past the loader.
+// FuzzOpenContainer asserts the container decoders' contract over arbitrary
+// bytes, for Load off a stream and for the in-place decoder Open runs over a
+// mapped file alike: neither panics, corruption surfaces as ErrFormat (or
+// ErrUnknownKind for an intact header naming no backend) from both — and a
+// container that does load supports Save and answers basic queries, so a
+// bit-flip can never smuggle a half-broken index past the loader. The two
+// decoders accept the same inputs, answer the probe query the same and save
+// the same bytes.
 func FuzzOpenContainer(f *testing.F) {
 	for _, data := range containerFuzzSeeds(f) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := Load(bytes.NewReader(data))
-		if err != nil {
-			if !errors.Is(err, ErrFormat) && !errors.Is(err, ErrUnknownKind) {
-				t.Fatalf("Load error %v wraps neither ErrFormat nor ErrUnknownKind", err)
+		inPlace, inPlaceErr := load(binio.NewBytesReader(data, nil))
+		for _, e := range []error{err, inPlaceErr} {
+			if e != nil && !errors.Is(e, ErrFormat) && !errors.Is(e, ErrUnknownKind) {
+				t.Fatalf("decode error %v wraps neither ErrFormat nor ErrUnknownKind", e)
 			}
+		}
+		if (err == nil) != (inPlaceErr == nil) || errors.Is(err, ErrUnknownKind) != errors.Is(inPlaceErr, ErrUnknownKind) {
+			t.Fatalf("the decoders disagree: stream %v, in place %v", err, inPlaceErr)
+		}
+		if err != nil {
 			return
 		}
 		// A loaded index must be internally consistent enough to serve.
@@ -443,10 +455,20 @@ func FuzzOpenContainer(f *testing.F) {
 			if len(res) == 0 {
 				t.Fatalf("loaded index with %d points returned no results", n)
 			}
+			// Bit for bit: points are not checked finite, so a distance may be NaN.
+			got, _ := inPlace.Search(q, SearchOptions{K: 3})
+			if !slices.EqualFunc(got, res, func(a, b Result) bool {
+				return a.ID == b.ID && math.Float64bits(a.Dist) == math.Float64bits(b.Dist)
+			}) {
+				t.Fatalf("the decoders answer differently: stream %v, in place %v", res, got)
+			}
 		}
-		var buf bytes.Buffer
+		var buf, again bytes.Buffer
 		if err := Save(&buf, ix); err != nil {
 			t.Fatalf("re-saving a loaded index: %v", err)
+		}
+		if err := Save(&again, inPlace); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
+			t.Fatalf("the decoders' indexes save differently (err %v)", err)
 		}
 	})
 }
