@@ -117,8 +117,11 @@ func dynamicBench(b *testing.B) (container []byte, liveBytes int64) {
 }
 
 // BenchmarkOpenDynamic: recovery reads the container once. With -benchmem,
-// B/op should be about one container's worth — the embedded tree decodes off
-// the stream, not out of a buffered copy of its payload.
+// B/op should be the delta rows, the liveness bytes and the snapshot tree's
+// node records on unix, where the tree's sections are views of the mapped
+// file (the payload pads the liveness bytes so they are aligned), and about
+// one container's worth elsewhere — the embedded tree decodes off the stream,
+// not out of a buffered copy of its payload.
 func BenchmarkOpenDynamic(b *testing.B) {
 	container, _ := dynamicBench(b)
 	path := filepath.Join(b.TempDir(), "dyn.p2h")

@@ -12,8 +12,8 @@ import (
 
 // TestIntegrationIndexBytesOrdering: the paper's Table III size ordering
 // holds on a common data set: trees are smaller than hash indexes. Between
-// the two trees the paper's order does not: a BC-Tree adds two float32 a point
-// and a centerNorm a node to a Ball-Tree and drops the right children's
+// the two trees the paper's order does not: a BC-Tree adds two 16-bit codes a
+// point and a centerNorm a node to a Ball-Tree and drops the right children's
 // centres, (nodes-1)/2 rows of d floats — which at d = 129 and the default
 // leaf size outweighs what it adds.
 func TestIntegrationIndexBytesOrdering(t *testing.T) {
@@ -35,8 +35,8 @@ func TestIntegrationIndexBytesOrdering(t *testing.T) {
 	if arenaNodes(ball) != nodes {
 		t.Fatalf("same seed must split identically: %d vs %d nodes", arenaNodes(ball), nodes)
 	}
-	if got, want := bc.IndexBytes()-ball.IndexBytes(), 8*n+8*nodes-4*d*(nodes-1)/2; got != want {
-		t.Fatalf("BC-Tree (%d) carries %d bytes over Ball-Tree (%d), want 8n + 8 nodes - 4d(nodes-1)/2 = %d",
+	if got, want := bc.IndexBytes()-ball.IndexBytes(), 4*n+8*nodes-4*d*(nodes-1)/2; got != want {
+		t.Fatalf("BC-Tree (%d) carries %d bytes over Ball-Tree (%d), want 4n + 8 nodes - 4d(nodes-1)/2 = %d",
 			bc.IndexBytes(), got, ball.IndexBytes(), want)
 	}
 	if bc.IndexBytes() >= ball.IndexBytes() {

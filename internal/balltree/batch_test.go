@@ -219,8 +219,9 @@ func TestScanLeafTileMatchesQueryByQuery(t *testing.T) {
 			tk.Push(r.ID, r.Dist)
 		}
 		qnorm := b.scr.QNorms[qi]
+		grid := tree.grid(leaf)
 		cut := vec.BallCutoff(math.Abs(ips[qi])-qnorm*kappa, qnorm, tk.Lambda(),
-			leaf.centerNorm, tree.xcos[start:start+m], tree.xsin[start:start+m])
+			&grid, tree.xcos[start:start+m], tree.xsin[start:start+m])
 		dists := make([]float64, cut)
 		vec.DotBlock(queries.Row(qi), tree.points.Data[start*d:(start+cut)*d], dists)
 		for r, v := range dists {

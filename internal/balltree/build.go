@@ -31,7 +31,7 @@ import (
 // Ball follows Algorithm 1: every node's center is the centroid of its
 // points and its radius the maximum distance from it. BC follows Algorithm 4:
 // leaves get the same ball plus the point-level cone structures, from which
-// the point-level ball radius r_x follows (vec.PointRadius), and are sorted by
+// the point-level ball radius r_x follows (vec.ConeGrid.Radius), and are sorted by
 // descending r_x for batch pruning; internal-node centers are
 // assembled from the children via Lemma 1 in O(d) instead of O(d|N|). Lemma 1
 // needs both children's centres, so the builder forms one for every node;
@@ -42,7 +42,7 @@ func BuildOwned(rows *vec.Matrix, labels []int32, kind Kind, cfg Config) *Tree {
 		panic("balltree: empty data")
 	}
 	if rows.D > maxSerialDim {
-		// Load refuses such a payload, and vec.PointRadius budgets the rounding
+		// Load refuses such a payload, and vec.ConeGrid budgets the rounding
 		// of a d-term inner product for d up to this.
 		panic(fmt.Sprintf("balltree: dimension %d exceeds %d", rows.D, maxSerialDim))
 	}
@@ -69,8 +69,8 @@ func BuildOwned(rows *vec.Matrix, labels []int32, kind Kind, cfg Config) *Tree {
 		dist: make([]float64, 2*rows.N),
 	}
 	if kind == BC {
-		t.xcos = make([]float32, rows.N)
-		t.xsin = make([]float32, rows.N)
+		t.xcos = make([]uint16, rows.N)
+		t.xsin = make([]uint16, rows.N)
 		leaf := min(cfg.LeafSize, rows.N)
 		b.leaf = make([]leafPoint, 0, leaf)
 		b.leafRows = make([]float32, leaf*rows.D)
@@ -138,12 +138,12 @@ type builder struct {
 	leafRows []float32
 }
 
-// leafPoint is one point of the BC leaf being filled: its cone pair as the
-// tree will store it, the squared radius derived from that pair, which the
-// leaf is ordered by, and where in the leaf the point was before the sort.
+// leafPoint is one point of the BC leaf being filled: its cone pair's codes
+// as the tree will store them, the squared radius derived from those, which
+// the leaf is ordered by, and where in the leaf the point was before the sort.
 type leafPoint struct {
 	sqRadius   float64
-	xcos, xsin float32
+	xcos, xsin uint16
 	id         int32
 	from       int32
 }
@@ -219,11 +219,12 @@ func combineCenters(dst []float32, ni int32, t *Tree, centers []float32) {
 // fillLeaf computes a BC leaf's cone structures (||x||cos phi_x,
 // ||x||sin phi_x) — Algorithm 4 lines 3-9 — around the centre and radius
 // build has set, and sorts the leaf's rows, with their ids, in descending
-// order of the r_x those structures imply (vec.PointSqRadius), so the
-// point-level ball bound prunes in a batch. The order is defined on the
-// float32 values the tree stores, not on the distances they stand for: what
-// Load checks is what the builder sorted by. The structures land in the tree's
-// position-indexed arrays at the leaf's range.
+// order of the r_x those structures imply (vec.ConeGrid.SqRadius), so the
+// point-level ball bound prunes in a batch. The structures are coded on the
+// leaf's grids (Tree.grid), which the radius and centerNorm set here fix, and
+// the order is defined on the codes the tree stores, not on the distances
+// they stand for: what Load checks is what the builder sorted by. The codes
+// land in the tree's position-indexed arrays at the leaf's range.
 //
 // The leaf's own radius is not its first point's derived one but the true
 // maximum distance, as for every other node — rounded up to float32, which is
@@ -239,29 +240,19 @@ func (b *builder) fillLeaf(ni int32, rows, center []float32) {
 	n.radius = float64(up32(n.radius))
 	centerNorm := vec.Norm(center)
 	n.centerNorm = centerNorm
+	grid := t.grid(n)
+	// Coordinates that are not finite leave the centre without a finite norm
+	// and the leaf without grids; its codes stay zero (such a tree answers
+	// nothing exactly, and Load refuses its node records).
+	coded := finite(centerNorm + n.radius)
 
 	pts := b.leaf[:0]
 	for i, id := range ids {
-		x := rows[i*d : (i+1)*d]
-		xnorm := vec.Norm(x)
-		var xcos float64
-		if centerNorm > 0 {
-			xcos = vec.Dot(x, center) / centerNorm
+		p := leafPoint{id: id, from: int32(i)}
+		if coded {
+			p.xcos, p.xsin = grid.Encode(vec.ConePair(rows[i*d:(i+1)*d], center, centerNorm))
+			p.sqRadius = grid.SqRadius(p.xcos, p.xsin)
 		}
-		// Clamp |cos phi_x| <= 1 scaled by ||x||, then derive the rejection;
-		// rounding can push the projection a hair past the norm.
-		if xcos > xnorm {
-			xcos = xnorm
-		} else if xcos < -xnorm {
-			xcos = -xnorm
-		}
-		p := leafPoint{
-			xcos: towardZero32(xcos),
-			xsin: up32(vec.Rejection(xnorm*xnorm, xcos, len(x))),
-			id:   id,
-			from: int32(i),
-		}
-		p.sqRadius = vec.PointSqRadius(centerNorm, p.xcos, p.xsin)
 		pts = append(pts, p)
 	}
 	slices.SortStableFunc(pts, func(a, c leafPoint) int { return cmp.Compare(c.sqRadius, a.sqRadius) })
@@ -276,28 +267,11 @@ func (b *builder) fillLeaf(ni int32, rows, center []float32) {
 	}
 }
 
-// The point-level arrays are stored as float32 rounded toward "cannot prune".
-// The cone bound |qcos*xcos| - qsin*xsin (vec.ConeBound) falls as |xcos|
-// shrinks or xsin grows, so rejections round up and projections toward zero:
-// a stored bound never exceeds the float64 one and nothing is pruned that the
-// wider arrays would have kept. The ball bound |<q,c>| - ||q||*r_x falls as
-// r_x grows; vec.PointRadius widens the derived r_x by what the two roundings
-// can hide.
-
 // up32 returns the smallest float32 not below v.
 func up32(v float64) float32 {
 	f := float32(v)
 	if float64(f) < v {
 		f = math.Nextafter32(f, float32(math.Inf(1)))
-	}
-	return f
-}
-
-// towardZero32 returns the float32 of largest magnitude not beyond v.
-func towardZero32(v float64) float32 {
-	f := float32(v)
-	if math.Abs(float64(f)) > math.Abs(v) {
-		f = math.Nextafter32(f, 0)
 	}
 	return f
 }

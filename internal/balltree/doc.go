@@ -55,11 +55,13 @@
 // the hypotenuse over the cone pair's offset from the centre,
 // r_x^2 = (||x|| sin phi)^2 + (||x|| cos phi - ||c||)^2, and is derived from
 // the stored pair and the leaf's centerNorm wherever a bound needs it
-// (vec.PointRadius), widened by what the pair's rounding can hide; a leaf is
-// stored in descending order of that derived radius. The two arrays are
-// float32, rounded at build time in the direction that can only lower a bound
-// (rejections up, projections toward zero), so they cost 8 bytes a point
-// and exact results are unaffected. The same rule covers what a search
+// (vec.ConeGrid.Radius), widened by what the pair's rounding can hide; a leaf
+// is stored in descending order of that derived radius. The two arrays hold
+// 16-bit codes on grids that the leaf's radius, centerNorm and the dimension
+// fix (vec.ConeGrid: no per-leaf field describes them), rounded at build time
+// in the direction that can only lower a bound (rejections up, projections
+// toward zero), so they cost 4 bytes a point and exact results are
+// unaffected. The same rule covers what a search
 // computes: a product derived by Lemma 2 carries a bound on the float32
 // rounding of the centres behind it (kappa, see Searcher.step), and the cone
 // bound's rejections carry the error of the subtraction under their root

@@ -161,11 +161,14 @@ func TestDerivedRadiusSoundOnLowDimensionalData(t *testing.T) {
 	}
 }
 
-// TestDerivedRadiusPrunesLikeAStoredOne pins what deriving r_x costs where it
-// costs the most: on the offset-1000 set a float32 xcos resolves a point's
-// offset along its centre to some 2^-13 of the leaf's radius. With a stored
-// r_x array 500 exact searches verified 47 835 338 candidates; the derived
-// radius may let through a few more, not a hundred-thousandth more.
+// TestDerivedRadiusPrunesLikeAStoredOne pins what deriving r_x from coded cone
+// pairs costs where it costs the most. With a stored float32 r_x array 500
+// exact searches of the offset-1000 set verified 47 835 338 candidates, and
+// with a float32 cone pair 47 835 359. The 16-bit codes let through 47 835 888,
+// 1.15e-5 more than the stored radius: on this set the cone bound decides
+// (a tighter derived radius moves nothing), and its xsin is now resolved to
+// a 65535th of the leaf's radius instead of to a float32 step of itself. The
+// count is exact on every platform; the pin allows 1.5e-5.
 func TestDerivedRadiusPrunesLikeAStoredOne(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the pinned count is of the n = 100 000 tree")
@@ -179,7 +182,7 @@ func TestDerivedRadiusPrunesLikeAStoredOne(t *testing.T) {
 		candidates += st.Candidates
 	}
 	const stored = 47835338
-	if float64(candidates) > stored*(1+1e-5) {
+	if float64(candidates) > stored*(1+1.5e-5) {
 		t.Errorf("%s: %d candidates, %d with a stored r_x", c.name, candidates, stored)
 	}
 	t.Logf("%s: %d candidates, %+d against a stored r_x", c.name, candidates, candidates-stored)

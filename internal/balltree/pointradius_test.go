@@ -11,7 +11,7 @@ import (
 )
 
 // checkDerivedRadii is the property the tree rests on now that it stores no
-// r_x: over every leaf point, the radius derived from the stored cone pair is
+// r_x: over every leaf point, the radius derived from the stored cone codes is
 // never below the distance to the centre the builder formed, within
 // pointRadiusRoom of it, and descending along the leaf (checkTreeInvariants
 // asserts all three); and vec.BallCutoff on the leaf's arrays returns what a
@@ -25,21 +25,22 @@ func checkDerivedRadii(t *testing.T, tree *Tree) {
 		if !n.isLeaf() {
 			continue
 		}
+		grid := tree.grid(n)
 		xcos, xsin := tree.xcos[n.start:n.end], tree.xsin[n.start:n.end]
 		for i := range xcos {
-			r := vec.PointRadius(n.centerNorm, xcos[i], xsin[i])
+			r := grid.Radius(xcos[i], xsin[i])
 			for _, t1 := range []float64{math.Nextafter(r, 0), r, math.Nextafter(r, math.Inf(1))} {
 				for _, qnorm := range []float64{1, 0.3} {
 					lambda := 0.25 * t1
 					absIP := lambda + qnorm*t1
 					want := len(xcos)
 					for j := range xcos {
-						if th := (absIP - lambda) / qnorm; th > 0 && vec.PointSqRadius(n.centerNorm, xcos[j], xsin[j]) < th*th {
+						if th := (absIP - lambda) / qnorm; th > 0 && grid.SqRadius(xcos[j], xsin[j]) < th*th {
 							want = j
 							break
 						}
 					}
-					if got := vec.BallCutoff(absIP, qnorm, lambda, n.centerNorm, xcos, xsin); got != want {
+					if got := vec.BallCutoff(absIP, qnorm, lambda, &grid, xcos, xsin); got != want {
 						t.Fatalf("leaf %d: BallCutoff = %d, a scan cuts at %d (threshold at point %d)", ni, got, want, i)
 					}
 				}
@@ -51,7 +52,8 @@ func checkDerivedRadii(t *testing.T, tree *Tree) {
 // TestDerivedRadiusSoundOnSurrogates runs checkDerivedRadii over BC trees on
 // the sixteen Table II surrogates, where next to no point is collinear with
 // its centre and pointRadiusRoom is its tight form: a derived radius lies
-// within 1.5 * 2^-22 * (||x|| + ||c||) of the distance.
+// within two xcos steps and one xsin step of the distance, some 2^-14 of the
+// leaf's radius.
 func TestDerivedRadiusSoundOnSurrogates(t *testing.T) {
 	for _, spec := range dataset.Catalog() {
 		n := 1500

@@ -30,7 +30,7 @@ import (
 //   - point-level pruning in the leaves (ScanWithPruning): the point-level
 //     ball bound (Corollary 1) prunes the tail of the radius-sorted leaf in a
 //     batch (vec.BallCutoff finds the cut by binary search over the radii the
-//     cone pairs imply, vec.PointRadius), and the
+//     cone pairs imply, vec.ConeGrid.Radius), and the
 //     point-level cone bound (Theorem 3) prunes single points it misses via
 //     the fused vec.ConeSelect kernel; survivors are verified by one blocked
 //     vec.DotBlock call when the whole prefix survives.
@@ -430,10 +430,11 @@ func (s *Searcher) scanWithPruning(n *nodeRec, absIP float64) {
 
 	start := int(n.start)
 	lambda := s.tk.Lambda()
+	grid := s.tree.grid(n)
 
 	// Corollary 1: r_x is descending, so the ball bound ascends along the
 	// leaf; everything past the cutoff is pruned in a batch.
-	m := s.ballCutoff(n, absIP, lambda)
+	m := s.ballCutoff(n, &grid, absIP, lambda)
 
 	// Theorem 3 via the fused kernel: select the survivors of the prefix.
 	useCone := !s.opts.DisablePointCone && n.centerNorm > 0
@@ -441,7 +442,7 @@ func (s *Searcher) scanWithPruning(n *nodeRec, absIP float64) {
 	dense := true // all of [0, m) survived; allows one blocked verification
 	if useCone && m > 0 {
 		qcos, qsin := s.coneOf(n, absIP)
-		sel = vec.ConeSelect(qcos, qsin, lambda,
+		sel = vec.ConeSelect(qcos, qsin, lambda, &grid,
 			s.tree.xcos[start:start+m], s.tree.xsin[start:start+m], s.sel[:0])
 		s.sel = sel // keep the grown capacity for the next leaf
 		s.st.PrunedPoints += int64(m - len(sel))
@@ -513,14 +514,15 @@ func (s *Searcher) scanWithPruning(n *nodeRec, absIP float64) {
 	}
 }
 
-// ballCutoff returns how many leading points of leaf n the point-level ball
-// bound keeps against lambda, and counts the rest as pruned.
-func (s *Searcher) ballCutoff(n *nodeRec, absIP, lambda float64) int {
+// ballCutoff returns how many leading points of leaf n, whose grids are g,
+// the point-level ball bound keeps against lambda, and counts the rest as
+// pruned.
+func (s *Searcher) ballCutoff(n *nodeRec, g *vec.ConeGrid, absIP, lambda float64) int {
 	if s.opts.DisablePointBall {
 		return int(n.count())
 	}
 	t := s.tree
-	m := vec.BallCutoff(absIP, s.qnorm, lambda, n.centerNorm, t.xcos[n.start:n.end], t.xsin[n.start:n.end])
+	m := vec.BallCutoff(absIP, s.qnorm, lambda, g, t.xcos[n.start:n.end], t.xsin[n.start:n.end])
 	s.st.PrunedPoints += int64(int(n.count()) - m)
 	return m
 }
@@ -547,6 +549,7 @@ func (s *Searcher) scanFiltered(n *nodeRec, absIP float64) time.Duration {
 	count := int(n.count())
 	useBall := !s.opts.DisablePointBall
 	useCone := !s.opts.DisablePointCone && n.centerNorm > 0
+	grid := s.tree.grid(n)
 	var qcos, qsin float64
 	if useCone {
 		qcos, qsin = s.coneOf(n, absIP)
@@ -563,7 +566,7 @@ func (s *Searcher) scanFiltered(n *nodeRec, absIP float64) time.Duration {
 		if useBall {
 			if lambda := s.tk.Lambda(); lambda != cutLambda {
 				cutLambda = lambda
-				m = vec.BallCutoff(absIP, s.qnorm, lambda, n.centerNorm,
+				m = vec.BallCutoff(absIP, s.qnorm, lambda, &grid,
 					s.tree.xcos[n.start:n.end], s.tree.xsin[n.start:n.end])
 			}
 			if i >= m {
@@ -572,8 +575,8 @@ func (s *Searcher) scanFiltered(n *nodeRec, absIP float64) time.Duration {
 			}
 		}
 		if useCone {
-			lbCone := vec.ConeBound(qcos, qsin, float64(s.tree.xcos[start+i]), float64(s.tree.xsin[start+i]))
-			if lbCone > s.tk.Lambda() {
+			xcos, xsin := grid.Pair(s.tree.xcos[start+i], s.tree.xsin[start+i])
+			if vec.ConeBound(qcos, qsin, xcos, xsin) > s.tk.Lambda() {
 				s.st.PrunedPoints++
 				continue
 			}
@@ -610,7 +613,8 @@ func (s *Searcher) scanPredQuant(n *nodeRec, absIP float64) time.Duration {
 	var verifyDur time.Duration
 	start := int(n.start)
 	lambda := s.tk.Lambda()
-	m := s.ballCutoff(n, absIP, lambda)
+	grid := s.tree.grid(n)
+	m := s.ballCutoff(n, &grid, absIP, lambda)
 	useCone := !s.opts.DisablePointCone && n.centerNorm > 0
 	var qcos, qsin float64
 	if useCone {
@@ -625,8 +629,8 @@ func (s *Searcher) scanPredQuant(n *nodeRec, absIP float64) time.Duration {
 			continue
 		}
 		if useCone {
-			lbCone := vec.ConeBound(qcos, qsin, float64(s.tree.xcos[start+i]), float64(s.tree.xsin[start+i]))
-			if lbCone > lambda {
+			xcos, xsin := grid.Pair(s.tree.xcos[start+i], s.tree.xsin[start+i])
+			if vec.ConeBound(qcos, qsin, xcos, xsin) > lambda {
 				s.st.PrunedPoints++
 				continue
 			}

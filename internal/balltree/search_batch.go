@@ -202,9 +202,10 @@ func (b *batchSearcher) scanLeaf(n *nodeRec, act []int32, ips []float64, kappa f
 		return
 	}
 	start, d := int(n.start), t.points.D
+	grid := t.grid(n)
 	cuts := b.scr.Cuts(len(act))
 	for j, qi := range act {
-		cuts[j] = b.cutLeaf(n, qi, ips[j], kappa)
+		cuts[j] = b.cutLeaf(n, &grid, qi, ips[j], kappa)
 		b.stats[qi].IPCount += int64(cuts[j])
 		b.stats[qi].Candidates += int64(cuts[j])
 	}
@@ -231,9 +232,9 @@ func (b *batchSearcher) scanLeaf(n *nodeRec, act []int32, ips []float64, kappa f
 	}
 }
 
-// cutLeaf counts query qi's visit to the leaf and returns how many leading
-// points its point-level ball bound leaves to verify.
-func (b *batchSearcher) cutLeaf(n *nodeRec, qi int32, ip, kappa float64) int {
+// cutLeaf counts query qi's visit to the leaf, whose grids are g, and returns
+// how many leading points its point-level ball bound leaves to verify.
+func (b *batchSearcher) cutLeaf(n *nodeRec, g *vec.ConeGrid, qi int32, ip, kappa float64) int {
 	st := &b.stats[qi]
 	st.LeavesVisited++
 	m := int(n.count())
@@ -243,7 +244,7 @@ func (b *batchSearcher) cutLeaf(n *nodeRec, qi int32, ip, kappa float64) int {
 	start := int(n.start)
 	qnorm := b.scr.QNorms[qi]
 	mj := vec.BallCutoff(math.Abs(ip)-qnorm*kappa, qnorm, b.scr.Heaps[qi].Lambda(),
-		n.centerNorm, b.tree.xcos[start:start+m], b.tree.xsin[start:start+m])
+		g, b.tree.xcos[start:start+m], b.tree.xsin[start:start+m])
 	st.PrunedPoints += int64(m - mj)
 	return mj
 }
@@ -273,8 +274,9 @@ func (b *batchSearcher) scanLeafQuant(n *nodeRec, act []int32, ips []float64, ka
 	t := b.tree
 	start := int(n.start)
 	d := t.points.D
+	grid := t.grid(n)
 	for j, qi := range act {
-		mj := b.cutLeaf(n, qi, ips[j], kappa)
+		mj := b.cutLeaf(n, &grid, qi, ips[j], kappa)
 		if mj == 0 {
 			continue
 		}

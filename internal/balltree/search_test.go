@@ -286,11 +286,12 @@ func maxNorm(tree *Tree) float64 {
 // compute it — and counts those above the |<q,x>| they claim to lie below. The
 // only error admitted is what float64 rounding of the d-term inner products
 // behind the truth and a computed <q,c> can amount to, 2d·2^-53 per product of
-// norms; neither the float32 storage nor a derived product gets an allowance,
+// norms; neither the coded storage nor a derived product gets an allowance,
 // because the one rounds toward smaller bounds and the other carries its own.
-// Theorem 4 (the cone bound dominates the ball bound) holds for the exact
-// structures; each stored one sits within a float32 step of those and the
-// rejections carry their guard, so that check gets a margin of that size.
+// Theorem 4 (the cone bound dominates the ball bound) holds for any one pair,
+// and both bounds read the same decoded pair; the query's rejection carries
+// its guard and the two bounds round differently, so that check gets a
+// margin of that size.
 func boundViolations(tree *Tree, maxNorm float64, q []float32) (node, ball, cone, theorem4 int) {
 	qnorm := vec.Norm(q)
 	d := tree.Dim()
@@ -307,6 +308,7 @@ func boundViolations(tree *Tree, maxNorm float64, q []float32) (node, ball, cone
 			return
 		}
 		absIP := math.Max(offset, 0)
+		grid := tree.grid(n)
 		var qcos, qsin float64
 		if n.centerNorm > 0 {
 			qcos = absIP / n.centerNorm
@@ -319,14 +321,15 @@ func boundViolations(tree *Tree, maxNorm float64, q []float32) (node, ball, cone
 			if tree.kind != BC {
 				continue
 			}
-			lbBall := absIP - qnorm*vec.PointRadius(n.centerNorm, tree.xcos[pos], tree.xsin[pos])
+			lbBall := absIP - qnorm*grid.Radius(tree.xcos[pos], tree.xsin[pos])
 			if lbBall > truth+tol {
 				ball++
 			}
 			if n.centerNorm == 0 {
 				continue // the searches skip the cone bound here
 			}
-			lbCone := vec.ConeBound(qcos, qsin, float64(tree.xcos[pos]), float64(tree.xsin[pos]))
+			xcos, xsin := grid.Pair(tree.xcos[pos], tree.xsin[pos])
+			lbCone := vec.ConeBound(qcos, qsin, xcos, xsin)
 			if lbCone > truth+tol {
 				cone++
 			}

@@ -20,12 +20,13 @@ import (
 //	P2HBT002  Ball kind: a centre per node; nodes carry radius, range and
 //	          both child links; no trailing arrays
 //	P2HBT003  P2HBT002 plus the quantization section
-//	P2HBC008  BC kind: (nodes+1)/2 centres (the root's, then the left
+//	P2HBC010  BC kind: (nodes+1)/2 centres (the root's, then the left
 //	          children's in arena order); nodes carry radius, centerNorm,
 //	          range and the right link — the left child is the next node and
 //	          its centre's row follows from the links; then xcos/xsin as
-//	          float32 (r_x is derived from them, vec.PointRadius)
-//	P2HBC009  P2HBC008 plus the quantization section
+//	          uint16 codes on each leaf's grids, which its radius and
+//	          centerNorm fix (vec.ConeGrid; r_x is derived from them)
+//	P2HBC011  P2HBC010 plus the quantization section
 //
 // The quantization section (grid tables and the 8-bit code mirror) is the
 // same for both kinds. There is one current version per kind: the BC payloads
@@ -33,7 +34,7 @@ import (
 // converted.
 var magics = [2][2]string{
 	Ball: {"P2HBT002", "P2HBT003"},
-	BC:   {"P2HBC008", "P2HBC009"},
+	BC:   {"P2HBC010", "P2HBC011"},
 }
 
 // retiredMagics maps the payload magics earlier releases wrote to what to
@@ -45,6 +46,8 @@ var retiredMagics = map[string]string{
 	"P2HBC005": "quantized bctree payload version 5 (a centre for every node)",
 	"P2HBC006": "bctree payload version 6 (a stored r_x array)",
 	"P2HBC007": "quantized bctree payload version 7 (a stored r_x array)",
+	"P2HBC008": "bctree payload version 8 (float32 cone pair)",
+	"P2HBC009": "quantized bctree payload version 9 (float32 cone pair)",
 }
 
 // PayloadMagics lists the magic of every payload Load accepts; the root
@@ -79,7 +82,7 @@ func (t *Tree) PayloadBytes() int64 {
 		b += 4*nodes*d /*centers*/ + nodes*(8 /*radius*/ +4*4 /*range, children*/)
 	} else {
 		b += 4*((nodes+1)/2)*d /*centers*/ + nodes*(2*8 /*radius, centerNorm*/ +3*4 /*range, right*/) +
-			2*4*n /*xcos, xsin*/
+			2*2*n /*xcos, xsin*/
 	}
 	if t.qz != nil {
 		b += quant.SectionBytes(t.points.N, t.points.D)
@@ -122,8 +125,8 @@ func (t *Tree) Save(w io.Writer) error {
 		bw.I32(n.right)
 	}
 	if t.kind == BC {
-		bw.F32s(t.xcos)
-		bw.F32s(t.xsin)
+		bw.U16s(t.xcos)
+		bw.U16s(t.xsin)
 	}
 	if t.qz != nil {
 		quant.WriteSection(bw, t.qz, t.codes)
@@ -193,8 +196,8 @@ func EmbeddedRetired(br *binio.Reader) error {
 // tree's bound, its own point count.
 //
 // Handed an in-place binio.Reader (a mapped container), Load aliases the
-// float32 and int32 sections — ids, points, centres, xcos and xsin — where
-// they are aligned (binio.Reader.F32sView) instead of copying them, and the
+// float32, int32 and uint16 sections — ids, points, centres, xcos and xsin —
+// where they are aligned (binio.Reader.F32sView) instead of copying them, and the
 // tree holds the Reader's Backing. The node records are decoded into the
 // arena either way, and every section is validated the same way.
 func Load(r io.Reader, kind Kind, idBound int) (*Tree, error) {
@@ -256,8 +259,8 @@ func Load(r io.Reader, kind Kind, idBound int) (*Tree, error) {
 	}
 	if kind == BC {
 		t.assignCenterRows()
-		t.xcos = br.F32sView(n)
-		t.xsin = br.F32sView(n)
+		t.xcos = br.U16sView(n)
+		t.xsin = br.U16sView(n)
 	}
 	if quantized && br.Err() == nil {
 		t.qz, t.codes = quant.ReadSection(br, t.points)
@@ -274,10 +277,16 @@ func Load(r io.Reader, kind Kind, idBound int) (*Tree, error) {
 
 // finite reports whether v is an ordinary number. Comparisons against NaN are
 // all false, so a NaN radius would slip through range checks written as
-// "reject if v < 0" and then poison the bound comparisons — a NaN cone value,
+// "reject if v < 0" and then poison the bound comparisons — a NaN cone grid,
 // vec.BallCutoff's binary search — so every loaded float a bound reads is
-// checked explicitly.
+// checked explicitly. (The cone codes are integers: on a finite grid every one
+// decodes to a number.)
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// maxNodeBound caps a loaded node's radius and centerNorm. Float32 data in at
+// most 2^20 dimensions has norms below 2^139; the cap keeps a corrupt record
+// from deriving cone grids that overflow (vec.NewConeGrid).
+const maxNodeBound = 0x1p256
 
 // validateArena checks the structural invariants of a loaded arena:
 // in-range node fields with finite non-negative radii and norms, the root
@@ -285,8 +294,8 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // node's left child is the next node (for a Ball payload, the link it stores
 // says so) and its right child the node after the left subtree, which also
 // makes every node reachable exactly once — children partitioning their
-// parent, the declared leaf count, and — BC kind — finite point-level arrays
-// whose derived radii (vec.PointSqRadius, the value Build sorted by) descend
+// parent, the declared leaf count, and — BC kind — point-level codes whose
+// derived radii (vec.ConeGrid.SqRadius, the value Build sorted by) descend
 // within each leaf's slice.
 func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 	nodes := int32(len(t.nodes))
@@ -297,8 +306,9 @@ func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 			br.Fail("node %d range [%d,%d) invalid for n=%d", i, nd.start, nd.end, n)
 			return br.Err()
 		}
-		if !finite(nd.radius) || !finite(nd.centerNorm) || nd.radius < 0 || nd.centerNorm < 0 {
-			br.Fail("node %d radius %v or norm %v negative or not finite", i, nd.radius, nd.centerNorm)
+		if !finite(nd.radius) || !finite(nd.centerNorm) || nd.radius < 0 || nd.centerNorm < 0 ||
+			nd.radius > maxNodeBound || nd.centerNorm > maxNodeBound {
+			br.Fail("node %d radius %v or norm %v negative, not finite or out of range", i, nd.radius, nd.centerNorm)
 			return br.Err()
 		}
 		if (nd.leftRow == noChild) != (nd.right == noChild) {
@@ -316,12 +326,6 @@ func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 		br.Fail("root range [%d,%d) != [0,%d)", t.nodes[0].start, t.nodes[0].end, n)
 		return br.Err()
 	}
-	for p := range t.xcos {
-		if !finite(float64(t.xcos[p])) || !finite(float64(t.xsin[p])) || t.xsin[p] < 0 {
-			br.Fail("point-level structures at position %d not finite, or its rejection negative", p)
-			return br.Err()
-		}
-	}
 	leafCount := 0
 	// walk checks the subtree at ni and returns the arena index after it.
 	var walk func(ni int32) int32
@@ -330,9 +334,10 @@ func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 		if nd.isLeaf() {
 			leafCount++
 			if t.kind == BC {
+				grid := t.grid(nd)
 				prev := math.Inf(1)
 				for p := nd.start; p < nd.end; p++ {
-					sq := vec.PointSqRadius(nd.centerNorm, t.xcos[p], t.xsin[p])
+					sq := grid.SqRadius(t.xcos[p], t.xsin[p])
 					if !(sq <= prev) {
 						br.Fail("leaf %d derived radii not descending at position %d", ni, p)
 						break

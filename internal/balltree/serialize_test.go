@@ -11,7 +11,6 @@ import (
 
 	"p2h/internal/binio"
 	"p2h/internal/dataset"
-	"p2h/internal/vec"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) { forKinds(t, testSaveLoadRoundTrip) }
@@ -56,7 +55,7 @@ func testSaveLoadRoundTrip(t *testing.T, kind Kind) {
 // corruption tests can patch single values: the float64 node radius column
 // (stride 8 for Ball, 16 with centerNorm for BC), the int32 link rows (start,
 // end, left, right for Ball; start, end, right for BC) and, BC only, the
-// float32 xcos/xsin arrays.
+// uint16 xcos/xsin code arrays.
 func payloadOffsets(t *Tree) (radius, links, xcos, xsin int) {
 	n, d, nodes := t.N(), t.Dim(), t.Nodes()
 	radius = 8 + 5*4 + 4*n + 4*n*d + 4*t.centers.N*d
@@ -66,7 +65,7 @@ func payloadOffsets(t *Tree) (radius, links, xcos, xsin int) {
 	}
 	links = radius + nodes*boundStride
 	xcos = links + nodes*linkStride
-	return radius, links, xcos, xcos + 4*n
+	return radius, links, xcos, xcos + 2*n
 }
 
 func patchF64(good []byte, off int, v float64) []byte {
@@ -81,9 +80,9 @@ func patchI32(good []byte, off int, v int32) []byte {
 	return bad
 }
 
-func patchF32(good []byte, off int, v float32) []byte {
+func patchU16(good []byte, off int, v uint16) []byte {
 	bad := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint32(bad[off:], math.Float32bits(v))
+	binary.LittleEndian.PutUint16(bad[off:], v)
 	return bad
 }
 
@@ -140,6 +139,9 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 		// "reject if v < 0" used to wave it through into the bound math.
 		"NaN radius": patchF64(good, radius, math.NaN()),
 		"Inf radius": patchF64(good, radius, math.Inf(1)),
+		// Finite, but past any float32 data's norms: its cone grids would
+		// overflow.
+		"radius out of range": patchF64(good, radius, 0x1p300),
 	}
 	if kind == Ball {
 		// The left link a Ball payload still carries must say "next node".
@@ -158,15 +160,14 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 		p := int(leaf.start) + 1
 		cases["NaN centerNorm"] = patchF64(good, radius+8, math.NaN())
 		cases["internal node marked leaf"] = patchI32(good, rootRight, noChild)
-		// The shape that broke exactness: radii [.., NaN, big] load, then
-		// vec.BallCutoff's binary search skips the big-radius point. The radii
-		// are derived now, so it is a cone value that carries the NaN in.
-		nan32 := float32(math.NaN())
-		far := float32(2*vec.PointRadius(leaf.centerNorm, orig.xcos[p-1], orig.xsin[p-1]) + 1)
-		cases["NaN xcos mid-leaf"] = patchF32(good, xcos+4*p, nan32)
-		cases["derived radius ascending"] = patchF32(good, xsin+4*p, far)
-		cases["Inf xsin"] = patchF32(good, xsin+4*p, float32(math.Inf(-1)))
-		cases["negative xsin"] = patchF32(good, xsin+4*p, -orig.xsin[p])
+		// vec.BallCutoff's binary search assumes the order: codes for the
+		// farthest corner of the grids (xcos at C - R', xsin at its top)
+		// derive a radius past the leaf's, after a point that derives less.
+		grid := orig.grid(leaf)
+		if grid.SqRadius(0, math.MaxUint16) <= grid.SqRadius(orig.xcos[p-1], orig.xsin[p-1]) {
+			t.Fatal("fixture: the corner codes do not derive the leaf's largest radius")
+		}
+		cases["derived radius ascending"] = patchU16(patchU16(good, xcos+2*p, 0), xsin+2*p, math.MaxUint16)
 	}
 	for name, payload := range cases {
 		if _, err := Load(bytes.NewReader(payload), kind, 0); !errors.Is(err, binio.ErrCorrupt) {
@@ -176,8 +177,9 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 }
 
 // TestLoadNamesRetiredVersions: the BC payloads earlier releases wrote (float64
-// point-level arrays; then a centre for every node; then a stored r_x array)
-// are refused by name, not mistaken for garbage and not converted.
+// point-level arrays; then a centre for every node; then a stored r_x array;
+// then a float32 cone pair) are refused by name, not mistaken for garbage and
+// not converted.
 func TestLoadNamesRetiredVersions(t *testing.T) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyUniform, RawDim: 5}, 80, 6)
 	var buf bytes.Buffer
@@ -186,20 +188,20 @@ func TestLoadNamesRetiredVersions(t *testing.T) {
 	}
 	for old, version := range map[string]string{
 		"P2HBC002": "version 2", "P2HBC003": "version 3", "P2HBC004": "version 4", "P2HBC005": "version 5",
-		"P2HBC006": "version 6", "P2HBC007": "version 7",
+		"P2HBC006": "version 6", "P2HBC007": "version 7", "P2HBC008": "version 8", "P2HBC009": "version 9",
 	} {
 		payload := append([]byte(old), buf.Bytes()[8:]...)
 		_, err := Load(bytes.NewReader(payload), BC, 0)
 		if !errors.Is(err, binio.ErrCorrupt) {
 			t.Fatalf("%s: want ErrCorrupt, got %v", old, err)
 		}
-		for _, want := range []string{old, version, "P2HBC008/P2HBC009"} {
+		for _, want := range []string{old, version, "P2HBC010/P2HBC011"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("%s: error %q does not mention %q", old, err, want)
 			}
 		}
 	}
-	if slices.Contains(PayloadMagics(), "P2HBC006") || len(PayloadMagics()) != 4 {
+	if slices.Contains(PayloadMagics(), "P2HBC008") || len(PayloadMagics()) != 4 {
 		t.Fatalf("PayloadMagics() = %v", PayloadMagics())
 	}
 }

@@ -87,8 +87,9 @@ func (c Config) normalized() Config {
 // nodeRec is one ball of the tree in the flat arena. Leaf nodes have
 // leftRow == right == noChild and cover positions [start, end) of the
 // reordered storage; their point-level structures are the [start, end) slices
-// of the tree's xcos/xsin arrays, ordered by descending derived r_x
-// (vec.PointSqRadius under the leaf's centerNorm). The arena is
+// of the tree's xcos/xsin code arrays, on the grids radius, centerNorm and
+// the dimension fix (Tree.grid), ordered by descending derived r_x
+// (vec.ConeGrid.SqRadius). The arena is
 // in preorder: the left child of node ni is node ni+1, always, so the record
 // does not spend a field on it and holds the row of that child's centre
 // instead; the right child sits after the whole left subtree, at right.
@@ -122,13 +123,13 @@ type Tree struct {
 	// length n, nil for the Ball kind. Theorem 6 counts three numbers a point;
 	// the tree keeps the cone pair only, because the third, r_x = ||x - center||,
 	// is the hypotenuse over the pair's offset from the centre and is derived
-	// where a bound needs it (vec.PointRadius). Within each leaf's [start, end)
-	// slice that derived radius is descending. Both arrays are float32 rounded
-	// toward "cannot prune" (up32 and towardZero32 in build.go): a bound
-	// computed from them is never above the one the float64 values would give,
-	// so results stay exact at half the memory.
-	xcos []float32 // ||x|| cos(phi_x), the projection of x onto center, rounded toward zero
-	xsin []float32 // ||x|| sin(phi_x), the rejection of x from center, rounded up
+	// where a bound needs it (vec.ConeGrid.Radius). Within each leaf's
+	// [start, end) slice that derived radius is descending. Both values are
+	// 16-bit codes on the leaf's grids (vec.ConeGrid), rounded toward "cannot
+	// prune": a bound computed from them is never above the one the float64
+	// values would give, so results stay exact at a quarter of the memory.
+	xcos []uint16 // ||x|| cos(phi_x), the projection of x onto center, rounded toward zero
+	xsin []uint16 // ||x|| sin(phi_x), the rejection of x from center, rounded up
 
 	leafSize int
 	leaves   int
@@ -230,18 +231,18 @@ func (t *Tree) Attrs() *attr.Store { return t.attrs }
 // IndexBytes estimates the memory footprint of the index structure: the
 // packed centers matrix, the node records (radius, range, child links),
 // the position->id map, the quantized mirror when present, and — BC kind
-// only — the per-node centerNorm plus the two Θ(n)-size point-level arrays
-// that BC-Tree adds over Ball-Tree (Theorem 6's three, less the radius the
-// other two imply). A BC tree keeps half a Ball tree's centres, so it is the
-// smaller index of the two once 8 bytes a point cost less than 4d bytes per
-// internal node. The reordered data is reported separately by
+// only — the per-node centerNorm plus the two Θ(n)-size point-level code
+// arrays that BC-Tree adds over Ball-Tree (Theorem 6's three, less the radius
+// the other two imply). A BC tree keeps half a Ball tree's centres, so it is
+// the smaller index of the two once 4 bytes a point cost less than 4d bytes
+// per internal node. The reordered data is reported separately by
 // DataBytes, mirroring how the paper's Table III separates index size from
 // data size.
 func (t *Tree) IndexBytes() int64 {
 	const perNode = 8 /*radius*/ + 2*4 /*range*/ + 2*4 /*leftRow, right*/
 	b := t.centers.Bytes() + int64(len(t.nodes))*perNode + int64(len(t.ids))*4
 	if t.kind == BC {
-		b += int64(len(t.nodes))*8 /*centerNorm*/ + int64(t.points.N)*2*4
+		b += int64(len(t.nodes))*8 /*centerNorm*/ + int64(t.points.N)*2*2
 	}
 	if t.qz != nil {
 		b += int64(len(t.codes)) + int64(t.points.D)*(4+4+8)
@@ -254,6 +255,11 @@ func (t *Tree) IndexBytes() int64 {
 
 // DataBytes returns the size of the reordered data.
 func (t *Tree) DataBytes() int64 { return t.points.Bytes() }
+
+// grid returns the grids BC leaf n codes its cone pairs on.
+func (t *Tree) grid(n *nodeRec) vec.ConeGrid {
+	return vec.NewConeGrid(n.centerNorm, n.radius, t.points.D)
+}
 
 // Rows returns the tree's storage and the position -> id map: row p of points
 // is the vector BuildOwned was handed under the label ids[p] (as row ids[p],

@@ -150,6 +150,19 @@ func (w *Writer) I32s(vs []int32) {
 	}
 }
 
+// U16s writes a []uint16 payload (no length prefix), one chunk per write.
+func (w *Writer) U16s(vs []uint16) {
+	for len(vs) > 0 && w.err == nil {
+		c := min(len(vs), chunkBytes/2)
+		b := w.block(c, 2)
+		for i, v := range vs[:c] {
+			binary.LittleEndian.PutUint16(b[2*i:], v)
+		}
+		w.put(b)
+		vs = vs[c:]
+	}
+}
+
 // Written returns the number of bytes handed to the Writer so far, flushed or
 // not. Formats that length-prefix an embedded payload compute the length in
 // closed form, stream the payload through and check the two agree.
@@ -177,8 +190,8 @@ func (w *Writer) Flush() error {
 // chunk-bounded growth.
 //
 // A Reader made by NewBytesReader or MapFile reads bytes in place instead of
-// from a stream: everything decodes as on a stream, except that F32sView and
-// I32sView hand out sections without copying them where they can.
+// from a stream: everything decodes as on a stream, except that F32sView,
+// I32sView and U16sView hand out sections without copying them where they can.
 type Reader struct {
 	r      *bufio.Reader // nil when reading in place
 	src    []byte        // what an in-place Reader reads; src[n:] is not yet decoded
@@ -410,6 +423,22 @@ func (r *Reader) I32s(n int) []int32 {
 	return out
 }
 
+// U16s reads n uint16 values.
+func (r *Reader) U16s(n int) []uint16 {
+	out := make([]uint16, 0, r.reserve(n, 2))
+	for len(out) < n {
+		c := min(n-len(out), chunkBytes/2)
+		b := r.next(c, 2)
+		if b == nil {
+			return nil
+		}
+		for i := 0; i < c; i++ {
+			out = append(out, binary.LittleEndian.Uint16(b[2*i:]))
+		}
+	}
+	return out
+}
+
 // littleEndian reports whether the host stores numbers as the formats do, the
 // first condition for a view.
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
@@ -451,6 +480,14 @@ func (r *Reader) I32sView(n int) []int32 {
 		return unsafe.Slice((*int32)(p), n)
 	}
 	return r.I32s(n)
+}
+
+// U16sView is F32sView for uint16 values.
+func (r *Reader) U16sView(n int) []uint16 {
+	if p := r.view(n, 2); p != nil {
+		return unsafe.Slice((*uint16)(p), n)
+	}
+	return r.U16s(n)
 }
 
 // Section moves past the next n bytes and returns a Reader over exactly them:

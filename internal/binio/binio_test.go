@@ -45,12 +45,13 @@ func TestRoundTripScalars(t *testing.T) {
 }
 
 func TestQuickRoundTripSlices(t *testing.T) {
-	f := func(f32 []float32, f64 []float64, i32 []int32) bool {
+	f := func(f32 []float32, f64 []float64, i32 []int32, u16 []uint16) bool {
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
 		w.F32s(f32)
 		w.F64s(f64)
 		w.I32s(i32)
+		w.U16s(u16)
 		if w.Flush() != nil {
 			return false
 		}
@@ -58,7 +59,8 @@ func TestQuickRoundTripSlices(t *testing.T) {
 		g32 := r.F32s(len(f32))
 		g64 := r.F64s(len(f64))
 		gi := r.I32s(len(i32))
-		if r.Err() != nil {
+		gu := r.U16s(len(u16))
+		if r.Err() != nil || !slices.Equal(gu, u16) {
 			return false
 		}
 		for i := range f32 {
@@ -163,6 +165,7 @@ func TestSizedStreamRefusesBeforeAllocating(t *testing.T) {
 		"I32s": func(r *Reader, n int) int { return len(r.I32s(n)) },
 		"F64s": func(r *Reader, n int) int { return len(r.F64s(n/2)) * 2 },
 		"U8s":  func(r *Reader, n int) int { return len(r.U8s(n*4)) / 4 },
+		"U16s": func(r *Reader, n int) int { return len(r.U16s(n*2)) / 2 },
 	} {
 		var r *Reader
 		// One element more than the stream holds: nothing beyond the Reader
@@ -222,34 +225,38 @@ func TestUnsizedStreamGrowsWithTheBytes(t *testing.T) {
 	}
 }
 
-// TestViewsAliasAlignedInPlaceSections: on an in-place Reader F32sView and
-// I32sView hand out aligned sections as slices of its bytes, and Backing is
-// then its owner; a misaligned section, a stream and a section that is not
-// there all decode exactly as F32s/I32s do, and Section splits either kind of
-// Reader the same way.
+// TestViewsAliasAlignedInPlaceSections: on an in-place Reader F32sView,
+// I32sView and U16sView hand out aligned sections as slices of its bytes, and
+// Backing is then its owner; a misaligned section, a stream and a section that
+// is not there all decode exactly as F32s/I32s/U16s do, and Section splits
+// either kind of Reader the same way.
 func TestViewsAliasAlignedInPlaceSections(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.I32(3)
 	w.F32s([]float32{1.5, -2, 3.25})
 	w.I32s([]int32{7, -8})
+	w.U16s([]uint16{9, 65535, 0})
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	owner := new(int)
-	decode := func(r *Reader) ([]float32, []int32) {
+	decode := func(r *Reader) ([]float32, []int32, []uint16) {
 		n := int(r.I32())
-		return r.F32sView(n), r.I32sView(2)
+		return r.F32sView(n), r.I32sView(2), r.U16sView(3)
 	}
-	want32, wantI := []float32{1.5, -2, 3.25}, []int32{7, -8}
+	want32, wantI, wantU := []float32{1.5, -2, 3.25}, []int32{7, -8}, []uint16{9, 65535, 0}
 	check := func(name string, r *Reader, b []byte, aliased bool) {
 		t.Helper()
-		f, i := decode(r)
-		if r.Err() != nil || !slices.Equal(f, want32) || !slices.Equal(i, wantI) {
-			t.Fatalf("%s: %v %v, %v", name, f, i, r.Err())
+		f, i, u := decode(r)
+		if r.Err() != nil || !slices.Equal(f, want32) || !slices.Equal(i, wantI) || !slices.Equal(u, wantU) {
+			t.Fatalf("%s: %v %v %v, %v", name, f, i, u, r.Err())
 		}
 		if got := &f[0] == (*float32)(unsafe.Pointer(&b[4])); got != aliased {
 			t.Fatalf("%s: aliased %v, want %v", name, got, aliased)
+		}
+		if got := &u[0] == (*uint16)(unsafe.Pointer(&b[4+12+8])); got != aliased {
+			t.Fatalf("%s: codes aliased %v, want %v", name, got, aliased)
 		}
 		if got := r.Backing() != nil; got != aliased {
 			t.Fatalf("%s: Backing set %v, want %v", name, got, aliased)
@@ -263,7 +270,7 @@ func TestViewsAliasAlignedInPlaceSections(t *testing.T) {
 
 	r := NewBytesReader(aligned, owner)
 	r.I32()
-	if r.F32sView(6); !errors.Is(r.Err(), ErrCorrupt) { // 24 bytes, 20 left
+	if r.F32sView(7); !errors.Is(r.Err(), ErrCorrupt) { // 28 bytes, 26 left
 		t.Fatalf("a view past the end: %v", r.Err())
 	}
 	for name, outer := range map[string]*Reader{

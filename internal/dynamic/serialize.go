@@ -10,10 +10,12 @@ import (
 	"p2h/internal/vec"
 )
 
-// Serialization format P2HDY003, one section per field of the index:
+// Serialization format P2HDY004, one section per field of the index:
 //
 //	magic, leafSize i32, seed i64, rebuildFraction f64, dim i32
 //	handles i32, then one liveness byte per handle
+//	0-3 zero bytes, so that the tree payload below starts on a 4-byte
+//	    boundary of this payload whatever the handle count
 //	snapshot flag u8; when 1: the BC-Tree payload's length i64 and the
 //	    payload itself, whose id map holds the snapshot's handles
 //	base i32, then the delta: (handles - base) rows of dim float32
@@ -22,15 +24,28 @@ import (
 // delta — and a deleted one only until the rebuild that follows its delete.
 // Load replays that state exactly, so a restored index answers queries
 // bitwise-identically and keeps assigning handles where the saved one left
-// off. There is one current version: P2HDY001, which also stored every vector
-// ever inserted in handle order, and P2HDY002, which kept a tree-local id ->
-// handle map beside the tree, are refused by name and not converted.
-const magic = "P2HDY003"
+// off. A container starts this payload aligned, so the embedded tree's
+// sections are aligned too and an in-place decode (p2h.Open) serves them
+// from the mapped file. There is one current version: P2HDY001, which also
+// stored every vector ever inserted in handle order, P2HDY002, which kept a
+// tree-local id -> handle map beside the tree, and P2HDY003, which embedded
+// the tree unpadded (and in a retired format), are refused by name and not
+// converted.
+const magic = "P2HDY004"
 
 var retiredMagics = map[string]string{
 	"P2HDY001": "dynamic payload version 1 (full handle history)",
 	"P2HDY002": "dynamic payload version 2 (a handle map beside the snapshot tree)",
+	"P2HDY003": "dynamic payload version 3 (an unaligned snapshot tree)",
 }
+
+// headBytes is the size of the fields ahead of the liveness bytes, and
+// treePad(handles) the number of zero bytes after that many liveness bytes
+// that puts the tree payload — behind the snapshot flag and its length — on
+// a 4-byte boundary.
+const headBytes = len(magic) + 4 + 8 + 8 + 4 + 4
+
+func treePad(handles int) int { return -(headBytes + handles + 1 + 8) & 3 }
 
 // RetiredPayload returns the error Load refuses a retired payload magic
 // with — it names the version found and the one this build reads — or nil
@@ -70,6 +85,9 @@ func (ix *Index) Save(w io.Writer) error {
 			bw.U8(0)
 		}
 	}
+	for range treePad(len(ix.alive)) {
+		bw.U8(0)
+	}
 	if ix.tree == nil {
 		bw.U8(0)
 	} else {
@@ -87,8 +105,9 @@ func (ix *Index) Save(w io.Writer) error {
 }
 
 // readShape decodes the payload up to the snapshot flag: the magic, the
-// configuration, the (lifted) dimensionality and one liveness byte per handle
-// ever issued. The returned index holds exactly that.
+// configuration, the (lifted) dimensionality, one liveness byte per handle
+// ever issued and the padding after them. The returned index holds exactly
+// that.
 func readShape(br *binio.Reader) (*Index, error) {
 	found := string(br.Raw(len(magic)))
 	if err := br.Err(); err != nil {
@@ -135,11 +154,16 @@ func readShape(br *binio.Reader) (*Index, error) {
 			return nil, br.Err()
 		}
 	}
-	return ix, nil
+	for _, b := range br.Raw(treePad(handles)) {
+		if b != 0 {
+			br.Fail("padding after the liveness bytes not zero")
+		}
+	}
+	return ix, br.Err()
 }
 
 // ReadShape reads only the head of a payload — its shape prefix and the
-// liveness bytes that follow it directly, which is what says how many points
+// liveness bytes (and padding) that follow it directly, which is what says how many points
 // are live — and returns that count and the stored (lifted) dimensionality. It
 // refuses what Load refuses by those bytes alone and, when a snapshot tree
 // follows, one of a retired version (balltree.EmbeddedRetired). The vectors

@@ -191,16 +191,45 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestSnapshotTreeIsAligned: whatever the handle count mod 4, the embedded
+// tree payload starts on a 4-byte boundary of the dynamic payload, behind
+// zero padding that Load insists on. (Dedup may drop a generated row, so the
+// four counts are the matrices', whatever they come to.)
+func TestSnapshotTreeIsAligned(t *testing.T) {
+	for seed := int64(40); seed < 44; seed++ {
+		data, _ := liftedData(int(seed), 5, seed)
+		n := data.N // the handle count
+		var buf bytes.Buffer
+		if err := NewFromMatrix(data, Config{LeafSize: 8, Seed: 1}).Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		good := buf.Bytes()
+		pad := treePad(n)
+		tree := headBytes + n + pad + 1 + 8
+		if tree%4 != 0 || string(good[tree:tree+len("P2HBC")]) != "P2HBC" {
+			t.Fatalf("%d handles: tree payload at offset %d (%d padding bytes)", n, tree, pad)
+		}
+		if pad == 0 {
+			continue
+		}
+		bad := append([]byte(nil), good...)
+		bad[headBytes+n] = 1
+		if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, binio.ErrCorrupt) {
+			t.Fatalf("%d handles: non-zero padding: err = %v, want ErrCorrupt", n, err)
+		}
+	}
+}
+
 // TestLoadNamesRetiredVersions: the payloads earlier releases wrote (every
 // vector ever inserted, in handle order, beside the tree's copy; then a
-// tree-local id -> handle map beside the tree) are refused by name, not
-// mistaken for garbage and not converted.
+// tree-local id -> handle map beside the tree; then the tree unpadded) are
+// refused by name, not mistaken for garbage and not converted.
 func TestLoadNamesRetiredVersions(t *testing.T) {
 	var buf bytes.Buffer
 	if err := buildMutated(t).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for old, version := range map[string]string{"P2HDY001": "version 1", "P2HDY002": "version 2"} {
+	for old, version := range map[string]string{"P2HDY001": "version 1", "P2HDY002": "version 2", "P2HDY003": "version 3"} {
 		_, err := Load(bytes.NewReader(append([]byte(old), buf.Bytes()[len(magic):]...)))
 		if !errors.Is(err, binio.ErrCorrupt) {
 			t.Fatalf("%s: want ErrCorrupt, got %v", old, err)

@@ -47,9 +47,11 @@
 //     DotBlock: there is one assembly body and one portable body.
 //
 //   - Bound kernels (BallCutoff, ConeSelect) that evaluate the paper's
-//     point-level pruning bounds over position-ordered leaf arrays, and the
-//     derivation of the point-level ball radius from the cone pair those
-//     arrays hold (PointRadius, PointSqRadius).
+//     point-level pruning bounds over position-ordered leaf arrays, the
+//     16-bit codec of the cone pair those arrays hold (ConeGrid: a leaf's
+//     grids, fixed by its radius, centre norm and dimension; every grid value
+//     exact), and the derivation of the point-level ball radius from a coded
+//     pair (ConeGrid.Radius, ConeGrid.SqRadius).
 //
 //   - Integer code kernels (CodeDot, CodeSelect, CodeSelectIdx) behind the
 //     quantized leaf scan: uint8 codes times int16 weights accumulated
@@ -67,8 +69,9 @@
 // conversion is a rounding point the compiler must honour. That is what
 // makes "bitwise identical to the reference" — and with it radii and the
 // golden container bytes — a statement about every platform rather than
-// about amd64. PointSqRadius, which a leaf's stored order is defined on, pins
-// its two squares the same way.
+// about amd64. ConeGrid.SqRadius, which a leaf's stored order is defined on,
+// pins its two squares the same way, and NewConeGrid the one product in a
+// grid's derivation that is not exact.
 //
 // All pruning kernels share one contract: a candidate is skipped only when
 // its lower bound strictly exceeds the current k-th best distance, so ties

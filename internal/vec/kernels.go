@@ -103,71 +103,12 @@ func sqDistBlockGo(q []float32, rows []float32, out []float64) {
 	}
 }
 
-// A BC-Tree stores no point-level ball radius. In the plane spanned by a
-// leaf's centre c and one of its points x the offset x - c has the leg
-// ||x|| sin phi_x across the centre's direction and ||x|| cos phi_x - ||c||
-// along it, so
-//
-//	r_x^2 = ||x - c||^2 = (||x|| sin phi_x)^2 + (||x|| cos phi_x - ||c||)^2
-//
-// and r_x follows from the cone pair (xcos, xsin) the leaf keeps for Theorem 3
-// and the centerNorm its node record holds. PointSqRadius evaluates the
-// identity on the stored values with the along-centre leg widened by what
-// those values do not know of it:
-//
-//   - xcos is the computed projection rounded toward zero to float32, so the
-//     computed one lies less than one float32 step beyond it: at most
-//     xcosStep*|xcos|, or xcosFloor where xcos is denormal;
-//   - the computed projection <x,c>/||c|| misses the true one by up to
-//     (1.5d+2) roundings of 2^-53 relative to ||x||, and the computed ||c|| by
-//     up to d/2+1 relative to itself. ||x|| is at most |xcos|+xsin, so
-//     legSlack times (|xcos| + xsin + centerNorm) covers both for every
-//     d <= 2^20 with a factor of four to spare.
-//
-// The across-centre leg needs nothing: xsin comes out of Rejection, rounded
-// up, and is never below the true rejection. Hence the derived radius is never
-// below ||x - c||. The spare part of legSlack, and the guard under
-// Rejection's root, do the job the stored radius's relative slack did: they
-// exceed d*2^-53*(||x|| + ||c||), the rounding of the two inner products
-// (<q,c>, <q,x>) a ball bound is compared through, whatever the ratio of
-// ||c|| to r_x — which a slack relative to r_x did not.
-//
-// What the derivation costs is tightness where xcos cannot resolve the
-// offset: the widening is about 2^-23 * ||x||, against 2^-23 * r_x for a radius
-// stored as float32, so the derived bound is the looser one by the factor
-// ||x||/r_x and stops pruning once that passes 2^23. The bound is only ever a
-// way to skip the cone bound's evaluation, which dominates it (Theorem 4) and
-// is as blind in that regime.
-const (
-	xcosStep  = 0x1p-23  // one float32 step of a normal xcos, relative to it
-	xcosFloor = 0x1p-149 // one float32 step of a denormal xcos
-	legSlack  = 0x1p-30
-)
-
-// PointSqRadius returns the square of PointRadius. The leaf order, the
-// codec's validation and BallCutoff all compare squares, so this is the value
-// the order is defined on; the conversions pin each square's rounding so that
-// it is the same number on every platform (see doc.go).
-func PointSqRadius(centerNorm float64, xcos, xsin float32) float64 {
-	pc, ps := float64(xcos), float64(xsin)
-	apc := math.Abs(pc)
-	leg := math.Abs(pc-centerNorm) + (xcosStep*apc + xcosFloor + legSlack*(apc+ps+centerNorm))
-	return float64(ps*ps) + float64(leg*leg)
-}
-
-// PointRadius returns an upper bound on r_x = ||x - c|| for a leaf point x
-// with stored cone pair (xcos, xsin) under a centre of norm centerNorm: the
-// point-level ball radius of Corollary 1, derived instead of stored.
-func PointRadius(centerNorm float64, xcos, xsin float32) float64 {
-	return math.Sqrt(PointSqRadius(centerNorm, xcos, xsin))
-}
-
 // BallCutoff returns the number of leading points of a leaf whose point-level
 // ball bound (Corollary 1)
 //
-//	lb_ball(i) = absIP - qnorm*PointRadius(centerNorm, xcos[i], xsin[i])
+//	lb_ball(i) = absIP - qnorm*g.Radius(cos[i], sin[i])
 //
-// does not exceed lambda. The leaf is ordered by descending PointSqRadius, so
+// does not exceed lambda. The leaf is ordered by descending g.SqRadius, so
 // the bound ascends along it and everything from the returned index on is
 // prunable in one batch — the flat-layout form of the paper's batch pruning,
 // found by binary search instead of a scan. No bound exceeds absIP, so a leaf
@@ -178,13 +119,13 @@ func PointRadius(centerNorm float64, xcos, xsin float32) float64 {
 // above lambda): candidates tied with the current k-th best distance must
 // reach the collector, whose (Dist, ID) order decides ties canonically — the
 // invariant behind batched/sequential result equivalence.
-func BallCutoff(absIP, qnorm, lambda, centerNorm float64, xcos, xsin []float32) int {
-	if len(xcos) != len(xsin) {
+func BallCutoff(absIP, qnorm, lambda float64, g *ConeGrid, cos, sin []uint16) int {
+	if len(cos) != len(sin) {
 		panic("vec: BallCutoff shape mismatch")
 	}
 	gap := absIP - lambda
 	if !(gap > 0) {
-		return len(xcos)
+		return len(cos)
 	}
 	if qnorm <= 0 {
 		return 0 // every bound is absIP itself
@@ -192,10 +133,10 @@ func BallCutoff(absIP, qnorm, lambda, centerNorm float64, xcos, xsin []float32) 
 	// lb_ball(i) > lambda  <=>  r_i < gap/qnorm.
 	t := gap / qnorm
 	t2 := t * t
-	lo, hi := 0, len(xcos)
+	lo, hi := 0, len(cos)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if PointSqRadius(centerNorm, xcos[mid], xsin[mid]) < t2 {
+		if g.SqRadius(cos[mid], sin[mid]) < t2 {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -240,8 +181,8 @@ func Rejection(sqNorm, proj float64, d int) float64 {
 // fires, and it also covers the combination the cases leave at zero
 // (qcos < 0 and xcos < 0), which is the first case for the hyperplane -q.
 // Shrinking |qcos| or |xcos|, or growing qsin or xsin, can only lower it,
-// which is what lets the tree store xcos and xsin as outward-rounded float32
-// and a search discount qcos by what it does not know about <q, c>. Each term
+// which is what lets the tree store xcos and xsin as outward-rounded codes
+// (ConeGrid) and a search discount qcos by what it does not know about <q, c>. Each term
 // is deflated by coneSlack.
 func ConeBound(qcos, qsin, xcos, xsin float64) float64 {
 	return coneBound(math.Abs(qcos)*(1-coneSlack), qsin*(1+coneSlack), xcos, xsin)
@@ -259,17 +200,18 @@ func coneBound(qc, qs, xcos, xsin float64) float64 {
 // ConeSelect is the fused point-level cone bound kernel: it evaluates
 // ConeBound for each point of a leaf block and appends the indices of the
 // points it cannot prune to sel, returning the extended slice. qcos and qsin
-// are the query's projection onto / rejection from the leaf center; xcos and
-// xsin are the per-point analogues stored by the tree. A point survives when
+// are the query's projection onto / rejection from the leaf center; cos and
+// sin are the codes of the per-point analogues the tree stores on the leaf's
+// grids g. A point survives when
 // its bound is <= lambda: pruning is strict so boundary ties reach the
 // collector's canonical (Dist, ID) ordering (see BallCutoff).
-func ConeSelect(qcos, qsin, lambda float64, xcos, xsin []float32, sel []int32) []int32 {
-	if len(xcos) != len(xsin) {
+func ConeSelect(qcos, qsin, lambda float64, g *ConeGrid, cos, sin []uint16, sel []int32) []int32 {
+	if len(cos) != len(sin) {
 		panic("vec: ConeSelect shape mismatch")
 	}
 	qc, qs := math.Abs(qcos)*(1-coneSlack), qsin*(1+coneSlack)
-	for i := range xcos {
-		if coneBound(qc, qs, float64(xcos[i]), float64(xsin[i])) <= lambda {
+	for i := range cos {
+		if xcos, xsin := g.Pair(cos[i], sin[i]); coneBound(qc, qs, xcos, xsin) <= lambda {
 			sel = append(sel, int32(i))
 		}
 	}

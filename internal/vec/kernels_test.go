@@ -22,11 +22,12 @@ func randBlock(rng *rand.Rand, n, d int) ([]float32, []float32) {
 }
 
 func TestBlockKernelsPanicOnShapeMismatch(t *testing.T) {
+	g := NewConeGrid(1, 1, 4)
 	for name, f := range map[string]func(){
 		"dot":    func() { DotBlock(make([]float32, 3), make([]float32, 7), make([]float64, 2)) },
 		"sqdist": func() { SqDistBlock(make([]float32, 3), make([]float32, 7), make([]float64, 2)) },
-		"cone":   func() { ConeSelect(0, 0, 1, make([]float32, 2), make([]float32, 3), nil) },
-		"ball":   func() { BallCutoff(1, 1, 0, 1, make([]float32, 2), make([]float32, 3)) },
+		"cone":   func() { ConeSelect(0, 0, 1, &g, make([]uint16, 2), make([]uint16, 3), nil) },
+		"ball":   func() { BallCutoff(1, 1, 0, &g, make([]uint16, 2), make([]uint16, 3)) },
 	} {
 		func() {
 			defer func() {
@@ -39,63 +40,64 @@ func TestBlockKernelsPanicOnShapeMismatch(t *testing.T) {
 	}
 }
 
-// randLeaf draws a leaf's cone pairs around a centre of norm centerNorm and
-// orders them as the builder does, by descending PointSqRadius.
-func randLeaf(rng *rand.Rand, n int, centerNorm float64) (xcos, xsin []float32) {
-	type pair struct{ c, s float32 }
+// randLeaf draws the codes of a leaf of radius 3 around a centre of norm
+// centerNorm and orders them as the builder does, by descending SqRadius.
+func randLeaf(rng *rand.Rand, n int, centerNorm float64) (g ConeGrid, cos, sin []uint16) {
+	g = NewConeGrid(centerNorm, 3, 8)
+	type pair struct{ c, s uint16 }
 	pairs := make([]pair, n)
 	for i := range pairs {
-		pairs[i] = pair{float32(centerNorm + 3*rng.NormFloat64()), float32(3 * math.Abs(rng.NormFloat64()))}
+		pairs[i] = pair{uint16(rng.Intn(1 << 16)), uint16(rng.Intn(1 << 16))}
 	}
 	sort.SliceStable(pairs, func(a, b int) bool {
-		return PointSqRadius(centerNorm, pairs[a].c, pairs[a].s) > PointSqRadius(centerNorm, pairs[b].c, pairs[b].s)
+		return g.SqRadius(pairs[a].c, pairs[a].s) > g.SqRadius(pairs[b].c, pairs[b].s)
 	})
-	xcos, xsin = make([]float32, n), make([]float32, n)
+	cos, sin = make([]uint16, n), make([]uint16, n)
 	for i, p := range pairs {
-		xcos[i], xsin[i] = p.c, p.s
+		cos[i], sin[i] = p.c, p.s
 	}
-	return xcos, xsin
+	return g, cos, sin
 }
 
 // ballCutoffScan is the linear scan the binary search must agree with, over
 // the same derived values and the same comparison of squares. Pruning is
 // strict: only a bound strictly above lambda cuts.
-func ballCutoffScan(absIP, qnorm, lambda, centerNorm float64, xcos, xsin []float32) int {
-	for i := range xcos {
+func ballCutoffScan(absIP, qnorm, lambda float64, g *ConeGrid, cos, sin []uint16) int {
+	for i := range cos {
 		var pruned bool
 		if qnorm <= 0 {
 			pruned = absIP > lambda
 		} else if t := (absIP - lambda) / qnorm; t > 0 {
-			pruned = PointSqRadius(centerNorm, xcos[i], xsin[i]) < t*t
+			pruned = g.SqRadius(cos[i], sin[i]) < t*t
 		}
 		if pruned {
 			return i
 		}
 	}
-	return len(xcos)
+	return len(cos)
 }
 
 // The cut BallCutoff finds is the one a scan finds, and it is Corollary 1's:
-// every point before it has absIP - qnorm*PointRadius <= lambda and every
-// point from it on has that bound above lambda, up to the last bit of the
+// every point before it has absIP - qnorm*Radius <= lambda and every point
+// from it on has that bound above lambda, up to the last bit of the
 // comparison.
 func TestBallCutoffMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 2000; trial++ {
 		centerNorm := []float64{0, 1, 40}[trial%3]
-		xcos, xsin := randLeaf(rng, rng.Intn(70), centerNorm)
+		g, cos, sin := randLeaf(rng, rng.Intn(70), centerNorm)
 		absIP := rng.Float64() * 8
 		qnorm := rng.Float64() * 2
 		lambda := rng.Float64() * 6
 		if trial%7 == 0 {
 			lambda = math.Inf(1) // a collector that is not full yet
 		}
-		got := BallCutoff(absIP, qnorm, lambda, centerNorm, xcos, xsin)
-		if want := ballCutoffScan(absIP, qnorm, lambda, centerNorm, xcos, xsin); got != want {
+		got := BallCutoff(absIP, qnorm, lambda, &g, cos, sin)
+		if want := ballCutoffScan(absIP, qnorm, lambda, &g, cos, sin); got != want {
 			t.Fatalf("trial %d: cutoff %d != %d (absIP=%v qnorm=%v lambda=%v)", trial, got, want, absIP, qnorm, lambda)
 		}
-		for i := range xcos {
-			lb := absIP - qnorm*PointRadius(centerNorm, xcos[i], xsin[i])
+		for i := range cos {
+			lb := absIP - qnorm*g.Radius(cos[i], sin[i])
 			if tol := 1e-12 * (absIP + lambda); (i < got && lb > lambda+tol) || (i >= got && lb < lambda-tol) {
 				t.Fatalf("trial %d: point %d has ball bound %v against lambda %v, cutoff %d", trial, i, lb, lambda, got)
 			}
@@ -104,39 +106,34 @@ func TestBallCutoffMatchesScan(t *testing.T) {
 }
 
 func TestBallCutoffZeroQnorm(t *testing.T) {
-	xcos, xsin := []float32{4, 3, 2}, []float32{3, 2, 1}
-	if got := BallCutoff(5, 0, 4, 1, xcos, xsin); got != 0 {
+	g := NewConeGrid(1, 4, 3)
+	cos, sin := []uint16{60000, 50000, 40000}, []uint16{3000, 2000, 1000}
+	if got := BallCutoff(5, 0, 4, &g, cos, sin); got != 0 {
 		t.Fatalf("constant bound above lambda must cut everything, got %d", got)
 	}
-	if got := BallCutoff(5, 0, 6, 1, xcos, xsin); got != len(xcos) {
+	if got := BallCutoff(5, 0, 6, &g, cos, sin); got != len(cos) {
 		t.Fatalf("constant bound below lambda must keep everything, got %d", got)
 	}
 }
 
-// PointRadius is the hypotenuse over the stored legs, widened along the
-// centre by at least one float32 step of xcos and by less than two.
-func TestPointRadiusIsTheWidenedHypotenuse(t *testing.T) {
+// Radius is the hypotenuse over the decoded legs, widened along the centre by
+// one xcos step and by legSlack's share of C + R, give or take the rounding of
+// the root.
+func TestConeGridRadiusIsTheWidenedHypotenuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20000; trial++ {
 		centerNorm := math.Abs(rng.NormFloat64()) * math.Pow(2, float64(rng.Intn(40)-10))
-		xcos := float32(centerNorm * (1 + rng.NormFloat64()*math.Pow(2, -float64(rng.Intn(30)))))
-		xsin := float32(math.Abs(rng.NormFloat64()) * centerNorm * math.Pow(2, -float64(rng.Intn(30))))
+		radius := centerNorm * math.Pow(2, -float64(rng.Intn(40)-5))
 		if trial%5 == 0 {
 			centerNorm = 0
 		}
-		got := PointRadius(centerNorm, xcos, xsin)
-		ac := math.Abs(float64(xcos))
-		step := float64(math.Nextafter32(float32(ac), float32(math.Inf(1)))) - ac
-		lo := math.Hypot(float64(xsin), math.Abs(float64(xcos)-centerNorm)+step)
-		hi := lo + (0x1p-23+0x1p-28)*(ac+float64(xsin)+centerNorm)
-		if got < lo*(1-0x1p-50) || got > hi {
-			t.Fatalf("trial %d: PointRadius(%v, %v, %v) = %v outside [%v, %v]", trial, centerNorm, xcos, xsin, got, lo, hi)
+		g := NewConeGrid(centerNorm, radius, 1+rng.Intn(200))
+		c, s := uint16(rng.Intn(1<<16)), uint16(rng.Intn(1<<16))
+		pc, ps := g.Pair(c, s)
+		want := math.Hypot(ps, math.Abs(pc-centerNorm)+g.cosStep+legSlack*(centerNorm+radius))
+		if got := g.Radius(c, s); math.Abs(got-want) > 0x1p-50*want {
+			t.Fatalf("trial %d: Radius(%d, %d) = %v on grid %+v, want %v", trial, c, s, got, g, want)
 		}
-	}
-	// A denormal xcos moves by an absolute step, not a relative one.
-	den := math.Float32frombits(3)
-	if got := PointRadius(0, den, 0); got < 4*0x1p-149 {
-		t.Fatalf("denormal xcos: radius %v does not cover the next float32", got)
 	}
 }
 
@@ -227,20 +224,14 @@ func TestRejectionCoversCancellation(t *testing.T) {
 func TestConeSelectMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(50)
-		xcos := make([]float32, n)
-		xsin := make([]float32, n)
-		for i := range xcos {
-			xcos[i] = float32(rng.NormFloat64())
-			xsin[i] = float32(math.Abs(rng.NormFloat64()))
-		}
+		g, cos, sin := randLeaf(rng, rng.Intn(50), 1)
 		qcos := rng.NormFloat64()
 		qsin := math.Abs(rng.NormFloat64())
 		lambda := rng.Float64() * 2
-		got := ConeSelect(qcos, qsin, lambda, xcos, xsin, nil)
+		got := ConeSelect(qcos, qsin, lambda, &g, cos, sin, nil)
 		var want []int32
-		for i := range xcos {
-			if ConeBound(qcos, qsin, float64(xcos[i]), float64(xsin[i])) <= lambda {
+		for i := range cos {
+			if xcos, xsin := g.Pair(cos[i], sin[i]); ConeBound(qcos, qsin, xcos, xsin) <= lambda {
 				want = append(want, int32(i))
 			}
 		}
@@ -252,7 +243,8 @@ func TestConeSelectMatchesScalar(t *testing.T) {
 
 func TestConeSelectAppendsToExisting(t *testing.T) {
 	sel := []int32{99}
-	sel = ConeSelect(0, 0, 1, []float32{0}, []float32{0}, sel)
+	g := NewConeGrid(1, 1, 2)
+	sel = ConeSelect(0, 0, 1, &g, []uint16{0}, []uint16{0}, sel)
 	if len(sel) != 2 || sel[0] != 99 || sel[1] != 0 {
 		t.Fatalf("ConeSelect must append, got %v", sel)
 	}
@@ -343,16 +335,10 @@ func BenchmarkSqDistBlock100x128(b *testing.B) {
 }
 
 func BenchmarkConeSelect100(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	xcos := make([]float32, 100)
-	xsin := make([]float32, 100)
-	for i := range xcos {
-		xcos[i] = float32(rng.NormFloat64())
-		xsin[i] = float32(math.Abs(rng.NormFloat64()))
-	}
+	g, cos, sin := randLeaf(rand.New(rand.NewSource(8)), 100, 1)
 	sel := make([]int32, 0, 100)
 	for i := 0; i < b.N; i++ {
-		sel = ConeSelect(0.5, 0.8, 0.3, xcos, xsin, sel[:0])
+		sel = ConeSelect(0.5, 0.8, 0.3, &g, cos, sin, sel[:0])
 	}
 	sinkInt = len(sel)
 }
@@ -360,10 +346,10 @@ func BenchmarkConeSelect100(b *testing.B) {
 // BenchmarkBallCutoff64 is the cut on a leaf of 64 points whose centre lies
 // beyond lambda, the case that searches; the other returns before the loop.
 func BenchmarkBallCutoff64(b *testing.B) {
-	xcos, xsin := randLeaf(rand.New(rand.NewSource(8)), 64, 40)
+	g, cos, sin := randLeaf(rand.New(rand.NewSource(8)), 64, 40)
 	cut := 0
 	for i := 0; i < b.N; i++ {
-		cut += BallCutoff(2.5+float64(i&3), 1, 0.3, 40, xcos, xsin)
+		cut += BallCutoff(2.5+float64(i&3), 1, 0.3, &g, cos, sin)
 	}
 	sinkInt = cut
 }

@@ -139,3 +139,35 @@ func TestOpenDoesNotCopyThePoints(t *testing.T) {
 		t.Fatal("the opened index answers differently from the one saved")
 	}
 }
+
+// TestOpenMapsTheDynamicSnapshotTree: a dynamic container's snapshot tree sits
+// behind one liveness byte per handle, and the payload pads them so the tree
+// is aligned whatever the handle count. For counts of every residue mod 4,
+// opening allocates under a quarter of the point section and under the size of
+// the tree's two code arrays, so the points, ids and codes are all views of
+// the mapping; and the opened index answers as the one saved. (Leaves of 400
+// keep the node records, which are decoded, small beside the codes; the two
+// bytes a handle the liveness flags take are what is left.)
+func TestOpenMapsTheDynamicSnapshotTree(t *testing.T) {
+	dir := t.TempDir()
+	for n := 12000; n < 12004; n++ {
+		data := specTestData(n, 7, 5)
+		fresh := MustBuild(t, data, Spec{Kind: KindDynamic, LeafSize: 400, Seed: 2})
+		path := filepath.Join(dir, "dyn.p2h")
+		if err := SaveFile(path, fresh); err != nil {
+			t.Fatal(err)
+		}
+		pointBytes, codeBytes := uint64(4*n*(data.D+1)), uint64(2*2*n)
+		var opened Index
+		var err error
+		got := totalAllocDuring(func() { opened, err = Open(path) })
+		if err != nil || got >= pointBytes/4 || got >= codeBytes {
+			t.Fatalf("%d handles: Open allocated %d bytes (err %v), want under %d, a quarter of the point section, and under the %d-byte code arrays",
+				n, got, err, pointBytes/4, codeBytes)
+		}
+		queries := GenerateQueries(data, 6, 6)
+		if !reflect.DeepEqual(answersOf(opened, queries), answersOf(fresh, queries)) {
+			t.Fatalf("%d handles: the opened index answers differently from the one saved", n)
+		}
+	}
+}

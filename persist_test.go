@@ -73,6 +73,13 @@ func TestGoldenFixtures(t *testing.T) {
 				t.Fatalf("update %s: %v", kind, err)
 			}
 		}
+		var buf bytes.Buffer
+		if err := Save(&buf, recipes[KindBCTree]); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath("bctree-unaligned"), unpadded(t, buf.Bytes()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	queries := GenerateQueries(specTestData(150, 8, 11), 8, 21)
@@ -109,10 +116,10 @@ func TestGoldenFixtures(t *testing.T) {
 		}
 	}
 
-	// A container from before Save aligned the payload (its spec is not
-	// padded, so the payload starts at offset 54): Open cannot alias its
-	// sections and decodes copies, which must answer as a fresh build does.
-	old := filepath.Join("testdata", "golden", "bctree-unaligned.p2h")
+	// A container as Save wrote them before it aligned the payload (its spec
+	// is not padded): Open cannot alias its sections and decodes copies, which
+	// must answer as a fresh build does.
+	old := goldenPath("bctree-unaligned")
 	raw, err := os.ReadFile(old)
 	if err != nil {
 		t.Fatal(err)
@@ -223,6 +230,21 @@ func arenaPayload(t testing.TB, container []byte) (off int, magic string) {
 	return off, magic
 }
 
+// unpadded returns container with the trailing spaces Save pads the spec with
+// removed, as Save wrote containers before it aligned their payload.
+func unpadded(t testing.TB, container []byte) []byte {
+	t.Helper()
+	at := len(containerMagic) + 4 + int(binary.LittleEndian.Uint32(container[len(containerMagic):]))
+	n := int(binary.LittleEndian.Uint32(container[at:]))
+	spec := bytes.TrimRight(container[at+4:at+4+n], " ")
+	out := binary.LittleEndian.AppendUint32(append([]byte(nil), container[:at]...), uint32(len(spec)))
+	out = append(append(out, spec...), container[at+4+n:]...)
+	if off, _ := arenaPayload(t, out); off%payloadAlign == 0 {
+		t.Fatalf("the payload of the unpadded container is still aligned, at offset %d", off)
+	}
+	return out
+}
+
 // totalAllocDuring reports the heap bytes f allocates in total.
 func totalAllocDuring(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -285,7 +307,7 @@ func TestTruncatedSectionsFailBeforeAllocating(t *testing.T) {
 		}{
 			{"header", 8 + 5*4, 4}, {"ids", 4 * n, 4}, {"points", 4 * n * d, 4}, {"centers", 4 * ((nodes + 1) / 2) * d, 4},
 			{"node bounds", 16 * nodes, 8}, {"node links", 12 * nodes, 4},
-			{"xcos", 4 * n, 4}, {"xsin", 4 * n, 4},
+			{"xcos", 2 * n, 2}, {"xsin", 2 * n, 2},
 		}
 		if variant == "quantized" {
 			sections = append(sections, []struct {
@@ -343,20 +365,25 @@ func TestTruncatedSectionsFailBeforeAllocating(t *testing.T) {
 		if spec.Kind != KindDynamic {
 			continue
 		}
-		// Every section boundary of the P2HDY003 payload, as for the arena
-		// above; the embedded tree is one section here.
-		pay := bytes.Index(good, []byte("P2HDY003"))
+		// Every section boundary of the P2HDY004 payload, as for the arena
+		// above; the embedded tree is one section here, and the padding
+		// before it one more when there is any.
+		pay := bytes.Index(good, []byte("P2HDY004"))
 		handles := int(binary.LittleEndian.Uint32(good[pay+8+24:]))
-		tree := int(binary.LittleEndian.Uint64(good[pay+8+28+handles+1:]))
+		pad := -(36 + handles + 1 + 8) & 3
+		tree := int(binary.LittleEndian.Uint64(good[pay+8+28+handles+pad+1:]))
 		end := pay
 		for _, sec := range []struct {
 			name        string
 			bytes, elem int
 		}{
-			{"header", 8 + 4 + 8 + 8 + 4 + 4, 4}, {"liveness", handles, 1}, {"snapshot flag", 1, 1},
+			{"header", 8 + 4 + 8 + 8 + 4 + 4, 4}, {"liveness", handles, 1}, {"padding", pad, 1}, {"snapshot flag", 1, 1},
 			{"tree length", 8, 8}, {"tree", tree, 4},
 			{"delta base", 4, 4}, {"delta rows", 4 * 40 * (small.D + 1), 4},
 		} {
+			if sec.bytes == 0 {
+				continue
+			}
 			end += sec.bytes
 			check("dynamic: one element short of the end of "+sec.name, good[:end-sec.elem])
 			if end < len(good) {
@@ -397,12 +424,14 @@ func checkRetiredNamed(t *testing.T, what string, old []byte, wants ...string) {
 
 // TestRetiredBCPayloadsAreNamed: a container written before the point-level
 // arrays became float32 (P2HBC002/003), before a BC-Tree stopped storing its
-// right children's centres (P2HBC004/005) or before it stopped storing r_x
-// (P2HBC006/007) — a BC-Tree, or a Sharded or Dynamic index embedding one — is
-// refused with an error that names the payload version it holds and the ones
-// this build reads, by Load, Open and Inspect alike. So is a Sharded or
-// Dynamic container from before the trees they embed spoke their holder's ids
-// (P2HSH001, P2HDY002). There is no converter.
+// right children's centres (P2HBC004/005), before it stopped storing r_x
+// (P2HBC006/007) or before its cone pair became 16-bit codes (P2HBC008/009) —
+// a BC-Tree, or a Sharded or Dynamic index embedding one — is refused with an
+// error that names the payload version it holds and the ones this build
+// reads, by Load, Open and Inspect alike. So is a Sharded or Dynamic container
+// from before the trees they embed spoke their holder's ids (P2HSH001,
+// P2HDY002), and a Dynamic one from before it aligned its tree (P2HDY003).
+// There is no converter.
 func TestRetiredBCPayloadsAreNamed(t *testing.T) {
 	for kind, ix := range goldenRecipes(t) {
 		if kind != KindBCTree && kind != KindSharded && kind != KindDynamic {
@@ -415,18 +444,20 @@ func TestRetiredBCPayloadsAreNamed(t *testing.T) {
 		_, current := arenaPayload(t, buf.Bytes())
 		for retired, version := range map[string]string{
 			"P2HBC002": "version 2", "P2HBC004": "version 4", "P2HBC005": "version 5",
-			"P2HBC006": "version 6", "P2HBC007": "version 7",
+			"P2HBC006": "version 6", "P2HBC007": "version 7", "P2HBC008": "version 8", "P2HBC009": "version 9",
 		} {
 			old := bytes.ReplaceAll(buf.Bytes(), []byte(current), []byte(retired))
-			checkRetiredNamed(t, kind+" holding "+retired, old, retired, version, "P2HBC008/P2HBC009")
+			checkRetiredNamed(t, kind+" holding "+retired, old, retired, version, "P2HBC010/P2HBC011")
 		}
 		switch kind {
 		case KindSharded:
 			old := bytes.Replace(buf.Bytes(), []byte("P2HSH002"), []byte("P2HSH001"), 1)
 			checkRetiredNamed(t, "P2HSH001", old, "P2HSH001", "version 1", "P2HSH002")
 		case KindDynamic:
-			old := bytes.Replace(buf.Bytes(), []byte("P2HDY003"), []byte("P2HDY002"), 1)
-			checkRetiredNamed(t, "P2HDY002", old, "P2HDY002", "version 2", "P2HDY003")
+			for retired, version := range map[string]string{"P2HDY002": "version 2", "P2HDY003": "version 3"} {
+				old := bytes.Replace(buf.Bytes(), []byte("P2HDY004"), []byte(retired), 1)
+				checkRetiredNamed(t, retired, old, retired, version, "P2HDY004")
+			}
 		}
 	}
 }
@@ -439,8 +470,8 @@ func TestRetiredDynamicPayloadIsNamed(t *testing.T) {
 	if err := Save(&buf, goldenRecipes(t)[KindDynamic]); err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.Replace(buf.Bytes(), []byte("P2HDY003"), []byte("P2HDY001"), 1)
-	checkRetiredNamed(t, "P2HDY001", old, "P2HDY001", "version 1", "P2HDY003")
+	old := bytes.Replace(buf.Bytes(), []byte("P2HDY004"), []byte("P2HDY001"), 1)
+	checkRetiredNamed(t, "P2HDY001", old, "P2HDY001", "version 1", "P2HDY004")
 }
 
 // TestRetiredKDTreeContainerRefused: the KD-Tree was the last baseline with a

@@ -21,11 +21,13 @@
 # dyn-rw's 20k-point index under a 5 % delta). -count=6 gives benchstat enough
 # samples for a significance test; -benchmem records allocs/op so the
 # zero-allocation steady state is gated alongside time, and B/op for the build,
-# codec and dynamic benchmarks, where it is what the operation costs in heap: about
-# one container's worth to open an index (27.0 MB for the 26.87 MB P2HBC008
-# container of the n=50k BC-Tree, which keeps half its nodes' centres and no
-# point radii; 70 KB to save it), about one copy of the live data — the
-# gathered rows, which the new tree is built inside — to compact one.
+# codec and dynamic benchmarks, where it is what the operation costs in heap: the
+# node records to open an index on unix, where the rest of the container is
+# mapped (0.1 MB for the 26.67 MB P2HBC010 container of the n=50k BC-Tree,
+# which keeps half its nodes' centres, no point radii and its cone pair as two
+# 16-bit codes; about one container's worth where it is decoded as a copy;
+# 70 KB to save it), about one copy of the live data — the gathered rows,
+# which the new tree is built inside — to compact one.
 set -euo pipefail
 
 COUNT="${BENCH_COUNT:-6}"

@@ -365,17 +365,24 @@ func containerFuzzSeeds(t testing.TB) map[string][]byte {
 	truncated := bc[:len(bc)*2/3]
 	flipped := append([]byte(nil), dynBuf.Bytes()...)
 	flipped[len(flipped)/2] ^= 0x20
-	// A NaN projection inside the first leaf, and with it a NaN derived point
-	// radius: it passes every ordered comparison, so only an explicit
-	// finiteness check rejects it. The float32 xcos array follows the
-	// payload's header (8+5*4), ids, points, the (nodes+1)/2 centers and the
-	// two node columns (16 and 12 bytes per node).
+	// A NaN radius on the last node, a leaf: it passes every ordered
+	// comparison, so only an explicit finiteness check rejects it. The node
+	// radius column (radius and centerNorm, 16 bytes a node) follows the
+	// payload's header (8+5*4), ids, points and the (nodes+1)/2 centers.
 	nanRadius := append([]byte(nil), bc...)
 	pay, _ := arenaPayload(t, nanRadius)
 	hdr := func(i int) int { return int(binary.LittleEndian.Uint32(nanRadius[pay+8+4*i:])) }
 	n, d, nodes := hdr(1), hdr(2), hdr(3)
-	xcos := pay + 28 + 4*n + 4*n*d + 4*((nodes+1)/2)*d + 28*nodes
-	binary.LittleEndian.PutUint32(nanRadius[xcos+4:], math.Float32bits(float32(math.NaN())))
+	radius := pay + 28 + 4*n + 4*n*d + 4*((nodes+1)/2)*d + 16*(nodes-1)
+	binary.LittleEndian.PutUint64(nanRadius[radius:], math.Float64bits(math.NaN()))
+	// Two NaN coordinates in an unaligned container: points are not checked
+	// finite, so it loads — through the copy path when decoded in place — and
+	// both decoders must answer with the same NaN distances.
+	nanPoint := unpadded(t, save(New(data, Spec{Kind: KindBCTree, LeafSize: 16})))
+	pay, _ = arenaPayload(t, nanPoint)
+	points := pay + 28 + 4*n
+	binary.LittleEndian.PutUint32(nanPoint[points+4*2:], math.Float32bits(float32(math.NaN())))
+	binary.LittleEndian.PutUint32(nanPoint[points+4*(39*d+3):], math.Float32bits(float32(math.NaN())))
 	attributed, err := New(data, Spec{Kind: KindBCTree, LeafSize: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -395,6 +402,7 @@ func containerFuzzSeeds(t testing.TB) map[string][]byte {
 		"seed-truncated": truncated,
 		"seed-flipped":   flipped,
 		"seed-nanradius": nanRadius,
+		"nan-point":      nanPoint,
 		"seed-badmagic":  []byte("NOTANIDX container bytes"),
 		"seed-empty":     {},
 	}
