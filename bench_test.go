@@ -176,38 +176,61 @@ func BenchmarkBuildFH(b *testing.B) {
 	}
 }
 
-// queryBench measures exact top-10 query latency, cycling over 64 queries.
-func queryBench(b *testing.B, ix Index, queries *Matrix) {
+// queryBench measures query latency under opts, cycling over 64 queries.
+func queryBench(b *testing.B, ix Index, queries *Matrix, opts SearchOptions) {
 	b.Helper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Search(queries.Row(i%queries.N), SearchOptions{K: 10})
+		ix.Search(queries.Row(i%queries.N), opts)
 	}
 }
 
 func BenchmarkQueryExactBallTree(b *testing.B) {
 	data, queries := benchData(b)
-	queryBench(b, MustBuild(b, data, Spec{Kind: KindBallTree, Seed: 1}), queries)
+	queryBench(b, MustBuild(b, data, Spec{Kind: KindBallTree, Seed: 1}), queries, SearchOptions{K: 10})
 }
 
 func BenchmarkQueryExactBCTree(b *testing.B) {
 	data, queries := benchData(b)
-	queryBench(b, MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1}), queries)
+	queryBench(b, MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1}), queries, SearchOptions{K: 10})
 }
 
 func BenchmarkQueryExactBallTreeQuant(b *testing.B) {
 	data, queries := benchData(b)
-	queryBench(b, MustBuild(b, data, Spec{Kind: KindBallTree, Seed: 1, Quantize: true}), queries)
+	queryBench(b, MustBuild(b, data, Spec{Kind: KindBallTree, Seed: 1, Quantize: true}), queries, SearchOptions{K: 10})
 }
 
 func BenchmarkQueryExactBCTreeQuant(b *testing.B) {
 	data, queries := benchData(b)
-	queryBench(b, MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1, Quantize: true}), queries)
+	queryBench(b, MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1, Quantize: true}), queries, SearchOptions{K: 10})
+}
+
+// BenchmarkQueryPredBCTree and BenchmarkQueryFilterBCTree time the same
+// exact top-10 search restricted to every tenth row, once as a declarative
+// tag predicate (pushed down to the node summaries, matched per row in the
+// leaf scan) and once as a Filter closure on the row id.
+func BenchmarkQueryPredBCTree(b *testing.B) {
+	data, queries := benchData(b)
+	ix := MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1})
+	points := make([]PointAttrs, data.N)
+	for i := 0; i < data.N; i += 10 {
+		points[i].Tags = []string{"sel10"}
+	}
+	if err := AttachAttributes(ix, points); err != nil {
+		b.Fatal(err)
+	}
+	queryBench(b, ix, queries, SearchOptions{K: 10, Pred: TagIs("sel10")})
+}
+
+func BenchmarkQueryFilterBCTree(b *testing.B) {
+	data, queries := benchData(b)
+	ix := MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1})
+	queryBench(b, ix, queries, SearchOptions{K: 10, Filter: func(id int32) bool { return id%10 == 0 }})
 }
 
 func BenchmarkQueryExactLinearScan(b *testing.B) {
 	data, queries := benchData(b)
-	queryBench(b, NewLinearScan(data), queries)
+	queryBench(b, NewLinearScan(data), queries, SearchOptions{K: 10})
 }
 
 // budgetQueryBench measures latency at equal quality, not at an equal

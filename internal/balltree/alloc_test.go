@@ -5,26 +5,44 @@ package balltree
 import (
 	"testing"
 
+	"p2h/internal/attr"
 	"p2h/internal/core"
 )
 
 // TestSearcherZeroAllocs pins the steady-state allocation count of the
 // pooled execution engine at zero: once a Searcher's scratch (top-k heap,
-// leaf buffer) and the caller's dst have grown to their working size,
-// repeated exact and budgeted searches must not allocate at all. Guarded
-// from -race builds, where the runtime's instrumentation allocates.
+// leaf buffer, survivor list) and the caller's dst have grown to their
+// working size, repeated exact, budgeted, Filter and predicate searches must
+// not allocate at all. Guarded from -race builds, where the runtime's
+// instrumentation allocates.
 func TestSearcherZeroAllocs(t *testing.T) {
 	forKinds(t, testSearcherZeroAllocs)
 }
 
 func testSearcherZeroAllocs(t *testing.T, kind Kind) {
 	tree, queries := batchSetup(t, kind, 2000, 8, 21)
+	points := make([]attr.Point, tree.N())
+	for i := range points {
+		if i%10 == 0 {
+			points[i].Tags = []string{"sel10"}
+		}
+	}
+	store, err := attr.Build(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.AttachAttrs(store); err != nil {
+		t.Fatal(err)
+	}
+	keep := func(id int32) bool { return id%10 == 0 }
 	for _, tc := range []struct {
 		name string
 		opts core.SearchOptions
 	}{
 		{"exact", core.SearchOptions{K: 10}},
 		{"budgeted", core.SearchOptions{K: 10, Budget: 200}},
+		{"filter", core.SearchOptions{K: 10, Filter: keep}},
+		{"pred", core.SearchOptions{K: 10, Pred: attr.TagIs("sel10")}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tree.NewSearcher()

@@ -88,19 +88,27 @@ func testBudgetedSearchProperties(t *testing.T, kind Kind, fx budgetFixture) {
 	})
 
 	t.Run("candidates under a budget prefix those under a larger one", func(t *testing.T) {
-		// An accept-all Filter sees exactly the verified candidates, in order.
+		// An accept-all Filter sees exactly the verified candidates, in order,
+		// and leaves every counter where the unfiltered search puts it.
 		verified := func(q []float32, budget int) []int32 {
 			var seq []int32
-			_, st := tree.Search(q, core.SearchOptions{K: k, Budget: budget, Filter: func(id int32) bool {
+			opts := core.SearchOptions{K: k, Budget: budget}
+			_, want := tree.Search(q, opts)
+			opts.Filter = func(id int32) bool {
 				seq = append(seq, id)
 				return true
-			}})
-			if int64(len(seq)) != st.Candidates || len(seq) > budget {
+			}
+			_, st := tree.Search(q, opts)
+			if st != want {
+				t.Fatalf("budget %d: accept-all filter stats %+v, unfiltered %+v", budget, st, want)
+			}
+			if int64(len(seq)) != st.Candidates || (budget > 0 && len(seq) > budget) {
 				t.Fatalf("budget %d: filter accepted %d ids, stats count %d candidates", budget, len(seq), st.Candidates)
 			}
 			return seq
 		}
 		forQueries(func(qi int, q []float32) {
+			verified(q, 0) // exact
 			var prev []int32
 			for _, budget := range budgets {
 				seq := verified(q, budget)

@@ -33,7 +33,8 @@ import (
 //     cone pairs imply, vec.ConeGrid.Radius), and the
 //     point-level cone bound (Theorem 3) prunes single points it misses via
 //     the fused vec.ConeSelect kernel; survivors are verified by one blocked
-//     vec.DotBlock call when the whole prefix survives.
+//     vec.DotBlock call when the whole prefix survives. Predicate and Filter
+//     searches take the same scan, their row filters among its stages.
 //
 // The two ablation switches in opts reproduce the paper's Figure 8 variants. A
 // Ball kind tree runs with both forced on (see normalize) and computes both
@@ -66,7 +67,7 @@ type Searcher struct {
 	st      core.Stats
 	opts    core.SearchOptions
 	buf     []float64 // per-leaf scratch for blocked inner products
-	sel     []int32   // per-leaf scratch for cone-bound survivors
+	sel     []int32   // per-leaf scratch for the survivor list
 
 	frontier []frontierNode // budgeted searches: min-heap of unopened nodes
 
@@ -76,8 +77,10 @@ type Searcher struct {
 	useQuant bool
 
 	// Predicate state, live only while opts.Pred is set on a tree with an
-	// attribute store: pred is the predicate compiled against the store,
-	// usePush gates the per-node summary skip.
+	// attribute store: pred points at prog, the predicate compiled against
+	// the store (held by value so compiling allocates nothing for a plain
+	// tag or range), and usePush gates the per-node summary skip.
+	prog    attr.Prog
 	pred    *attr.Prog
 	usePush bool
 }
@@ -119,10 +122,12 @@ func (s *Searcher) Search(q []float32, opts core.SearchOptions, dst []core.Resul
 	run := s.preparePred()
 	// The quantized filter applies to exact scans only: budgeted searches
 	// keep the float path so "candidates verified" keeps meaning the same
-	// work, and Filter-closure searches stay point-at-a-time. A declarative
-	// predicate composes with it (rows are predicate-filtered before the
-	// code kernel). Results are identical either way (the filter is exact),
-	// which the quantized-vs-float equality tests pin down.
+	// work, and so do Filter-closure searches, so that the closure is asked
+	// about the rows the float scan verifies whether or not the tree carries
+	// the mirror. A declarative predicate composes with it (the leaf scan
+	// filters rows by the predicate before the code kernel). Results are
+	// identical either way (the filter is exact), which the quantized-vs-float
+	// equality tests pin down.
 	s.useQuant = s.tree.qz != nil && opts.Filter == nil && opts.Budget <= 0 &&
 		!opts.DisableQuantFilter
 	if run {
@@ -143,7 +148,7 @@ func (s *Searcher) Search(q []float32, opts core.SearchOptions, dst []core.Resul
 	s.opts.Profile = nil
 	s.opts.Cancel = nil
 	s.opts.Pred = nil
-	s.pred = nil
+	s.prog, s.pred = attr.Prog{}, nil
 	s.usePush = false
 	return s.tk.DrainInto(dst), s.st
 }
@@ -161,19 +166,10 @@ func (s *Searcher) preparePred() bool {
 	if s.tree.attrs == nil {
 		return s.opts.Pred.MatchesEmpty()
 	}
-	s.pred = s.tree.attrs.Compile(s.opts.Pred)
+	s.prog = *s.tree.attrs.Compile(s.opts.Pred)
+	s.pred = &s.prog
 	s.usePush = s.tree.attrSums != nil
 	return true
-}
-
-// accept reports whether id passes the predicate and the caller filter —
-// exactly the acceptance an equivalent Filter closure would compute, which
-// is what keeps pushdown results bitwise equal to post-filtering.
-func (s *Searcher) accept(id int32) bool {
-	if s.pred != nil && !s.pred.Match(id) {
-		return false
-	}
-	return s.opts.Filter == nil || s.opts.Filter(id)
 }
 
 // scratch returns a distance buffer of at least m entries, reused across the
@@ -395,90 +391,110 @@ func (s *Searcher) popFrontier() frontierNode {
 }
 
 // scanWithPruning implements Algorithm 5 lines 18-26 over the contiguous,
-// radius-sorted storage of the leaf, blocked: the ball bound cuts the tail of
-// the leaf in one binary search, the fused cone kernel selects survivors in
-// the remaining prefix, and the survivors are verified either by one
-// DotBlock call (when the whole prefix survives, the common case on hard
-// leaves) or point by point (when the cone bound thinned them out). Bounds
-// are evaluated against the λ at leaf entry; λ only shrinks during the scan,
-// so the snapshot prunes conservatively and results stay exact. absIP is the
-// least |<q, N.c>| can be given what step knows of it.
+// radius-sorted storage of the leaf as one pipeline of set filters, cheapest
+// first:
+//
+//  1. the ball bound (Corollary 1) cuts the tail of the leaf in one binary
+//     search;
+//  2. the compiled predicate drops the rows it does not match — it is data,
+//     so it runs before any bound arithmetic;
+//  3. the fused cone kernel (Theorem 3) drops single rows, over the prefix or
+//     over the predicate's survivor list;
+//  4. the Filter closure is asked about what the bounds left, in leaf order,
+//     until the remaining budget has been accepted: a rejected id costs no
+//     inner product and no budget, and an accept-all Filter sees exactly the
+//     verified candidates;
+//  5. the 8-bit code filter (see useQuant);
+//  6. verification: one DotBlock call when no row of the prefix was removed
+//     (the common case on hard leaves), else one Dot per survivor.
+//
+// Every bound is evaluated against the λ at leaf entry; λ only shrinks during
+// the scan, so the snapshot prunes conservatively and results stay exact.
+// absIP is the least |<q, N.c>| can be given what step knows of it.
 func (s *Searcher) scanWithPruning(n *nodeRec, absIP float64) {
 	s.st.LeavesVisited++
 	var leafStart time.Time
-	var verifyDur time.Duration
 	profiling := s.opts.Profile != nil
 	if profiling {
 		leafStart = time.Now()
 	}
-
-	if s.opts.Filter != nil || s.pred != nil {
-		// Predicate searches with the quantized mirror keep the code kernel:
-		// rows are predicate-filtered first, then code-selected (useQuant
-		// already implies Filter == nil and no budget).
-		if s.pred != nil && s.useQuant && s.tk.Full() {
-			verifyDur = s.scanPredQuant(n, absIP)
-		} else {
-			verifyDur = s.scanFiltered(n, absIP)
-		}
-		if profiling {
-			s.opts.Profile.Add(core.PhaseVerify, verifyDur)
-			s.opts.Profile.Add(core.PhaseBound, time.Since(leafStart)-verifyDur)
-		}
-		return
-	}
-
+	t := s.tree
 	start := int(n.start)
 	lambda := s.tk.Lambda()
-	grid := s.tree.grid(n)
+	grid := t.grid(n)
+	left := math.MaxInt // candidates the budget still allows
+	if s.opts.Budget > 0 {
+		left = int(int64(s.opts.Budget) - s.st.Candidates)
+	}
 
-	// Corollary 1: r_x is descending, so the ball bound ascends along the
-	// leaf; everything past the cutoff is pruned in a batch.
+	// The survivors are the prefix [0, m) while dense, else the list in sel.
 	m := s.ballCutoff(n, &grid, absIP, lambda)
-
-	// Theorem 3 via the fused kernel: select the survivors of the prefix.
-	useCone := !s.opts.DisablePointCone && n.centerNorm > 0
-	var sel []int32
-	dense := true // all of [0, m) survived; allows one blocked verification
-	if useCone && m > 0 {
-		qcos, qsin := s.coneOf(n, absIP)
-		sel = vec.ConeSelect(qcos, qsin, lambda, &grid,
-			s.tree.xcos[start:start+m], s.tree.xsin[start:start+m], s.sel[:0])
-		s.sel = sel // keep the grown capacity for the next leaf
-		s.st.PrunedPoints += int64(m - len(sel))
+	sel, dense := s.sel[:0], true
+	if s.pred != nil {
+		for i := 0; i < m; i++ {
+			if s.pred.Match(t.ids[start+i]) {
+				sel = append(sel, int32(i))
+			}
+		}
 		dense = len(sel) == m
 	}
-
-	// Quantized filter: one integer-kernel pass over what the geometric
-	// bounds left standing (the whole prefix, or the cone survivors). Like
-	// them it prunes against the λ snapshot and needs a finite λ to act.
-	if s.useQuant && m > 0 && s.tk.Full() {
-		d := s.tree.points.D
+	if !s.opts.DisablePointCone && n.centerNorm > 0 && m > 0 {
+		qcos, qsin := s.coneOf(n, absIP)
+		cos, sin := t.xcos[start:start+m], t.xsin[start:start+m]
+		before := len(sel)
 		if dense {
-			sel = vec.CodeSelect(s.tree.codes[start*d:(start+m)*d], d,
-				s.qf.W, s.qf.Base, s.qf.InvS, s.qf.Eps, lambda, s.sel[:0])
-			s.sel = sel
-			s.st.PrunedPoints += int64(m - len(sel))
-			dense = len(sel) == m
-		} else if len(sel) > 0 {
-			before := len(sel)
-			sel = vec.CodeSelectIdx(s.tree.codes[start*d:(start+m)*d], d,
-				s.qf.W, s.qf.Base, s.qf.InvS, s.qf.Eps, lambda, sel)
-			s.sel = sel
-			s.st.PrunedPoints += int64(before - len(sel))
+			before = m
+			sel = vec.ConeSelect(qcos, qsin, lambda, &grid, cos, sin, sel[:0])
+		} else {
+			sel = vec.ConeSelectIdx(qcos, qsin, lambda, &grid, cos, sin, sel)
+		}
+		s.st.PrunedPoints += int64(before - len(sel))
+		dense = len(sel) == m
+	}
+	if s.opts.Filter != nil {
+		if dense {
+			sel = sel[:0]
+			for i := 0; i < m; i++ {
+				sel = append(sel, int32(i))
+			}
+		}
+		kept := sel[:0]
+		for _, i := range sel {
+			if len(kept) == left {
+				break
+			}
+			if s.opts.Filter(t.ids[start+int(i)]) {
+				kept = append(kept, i)
+			}
+		}
+		sel = kept
+		// A prefix the closure left whole is still verified in one block.
+		dense = len(sel) > 0 && int(sel[len(sel)-1]) == len(sel)-1
+		if dense {
+			m = len(sel)
 		}
 	}
+	// Like the bounds, the code filter needs a finite λ to act.
+	if s.useQuant && s.tk.Full() && m > 0 {
+		d := t.points.D
+		codes := t.codes[start*d : (start+m)*d]
+		before := len(sel)
+		if dense {
+			before = m
+			sel = vec.CodeSelect(codes, d, s.qf.W, s.qf.Base, s.qf.InvS, s.qf.Eps, lambda, sel[:0])
+		} else {
+			sel = vec.CodeSelectIdx(codes, d, s.qf.W, s.qf.Base, s.qf.InvS, s.qf.Eps, lambda, sel)
+		}
+		s.st.PrunedPoints += int64(before - len(sel))
+		dense = len(sel) == m
+	}
+	s.sel = sel // keep the grown capacity for the next leaf
 
-	// Cap verification work by the remaining candidate budget.
-	verify := m
-	if !dense {
-		verify = len(sel)
+	verify := len(sel)
+	if dense {
+		verify = m
 	}
-	if s.opts.Budget > 0 {
-		if left := int(int64(s.opts.Budget) - s.st.Candidates); left < verify {
-			verify = left
-		}
-	}
+	verify = min(verify, left)
 	if verify <= 0 {
 		if profiling {
 			s.opts.Profile.Add(core.PhaseBound, time.Since(leafStart))
@@ -490,25 +506,23 @@ func (s *Searcher) scanWithPruning(n *nodeRec, absIP float64) {
 	if profiling {
 		t0 = time.Now()
 	}
-	d := s.tree.points.D
+	d := t.points.D
 	if dense {
-		rows := s.tree.points.Data[start*d : (start+verify)*d]
 		dists := s.scratch(verify)
-		vec.DotBlock(s.q, rows, dists)
+		vec.DotBlock(s.q, t.points.Data[start*d:(start+verify)*d], dists)
 		for i := 0; i < verify; i++ {
-			s.tk.Push(s.tree.ids[start+i], math.Abs(dists[i]))
+			s.tk.Push(t.ids[start+i], math.Abs(dists[i]))
 		}
 	} else {
 		for _, i := range sel[:verify] {
 			pos := start + int(i)
-			v := math.Abs(vec.Dot(s.q, s.tree.points.Row(pos)))
-			s.tk.Push(s.tree.ids[pos], v)
+			s.tk.Push(t.ids[pos], math.Abs(vec.Dot(s.q, t.points.Row(pos))))
 		}
 	}
 	s.st.IPCount += int64(verify)
 	s.st.Candidates += int64(verify)
 	if profiling {
-		verifyDur = time.Since(t0)
+		verifyDur := time.Since(t0)
 		s.opts.Profile.Add(core.PhaseVerify, verifyDur)
 		s.opts.Profile.Add(core.PhaseBound, time.Since(leafStart)-verifyDur)
 	}
@@ -535,130 +549,4 @@ func (s *Searcher) ballCutoff(n *nodeRec, g *vec.ConeGrid, absIP, lambda float64
 func (s *Searcher) coneOf(n *nodeRec, absIP float64) (qcos, qsin float64) {
 	qcos = absIP / n.centerNorm
 	return qcos, vec.Rejection(s.sqQnorm, qcos, len(s.q))
-}
-
-// scanFiltered is the point-at-a-time path for filtered queries (a Filter
-// closure, a compiled predicate, or both): rejected ids must not cost an
-// inner product nor count against the budget, so the bounds are evaluated per
-// point with the evolving λ, as in Algorithm 5. It returns the time spent on
-// verification for the profile's phase split.
-func (s *Searcher) scanFiltered(n *nodeRec, absIP float64) time.Duration {
-	profiling := s.opts.Profile != nil
-	var verifyDur time.Duration
-	start := int(n.start)
-	count := int(n.count())
-	useBall := !s.opts.DisablePointBall
-	useCone := !s.opts.DisablePointCone && n.centerNorm > 0
-	grid := s.tree.grid(n)
-	var qcos, qsin float64
-	if useCone {
-		qcos, qsin = s.coneOf(n, absIP)
-	}
-	// The ball bound ascends along the leaf, so against any one λ it cuts the
-	// leaf at one index; λ moves only when a candidate enters the collector,
-	// and only down, which moves the cut up. Tracking the cut costs a binary
-	// search per move instead of a derived radius per point.
-	m, cutLambda := count, math.Inf(1)
-	for i := 0; i < count; i++ {
-		if !s.opts.BudgetLeft(s.st.Candidates) {
-			break
-		}
-		if useBall {
-			if lambda := s.tk.Lambda(); lambda != cutLambda {
-				cutLambda = lambda
-				m = vec.BallCutoff(absIP, s.qnorm, lambda, &grid,
-					s.tree.xcos[n.start:n.end], s.tree.xsin[n.start:n.end])
-			}
-			if i >= m {
-				s.st.PrunedPoints += int64(count - i)
-				break
-			}
-		}
-		if useCone {
-			xcos, xsin := grid.Pair(s.tree.xcos[start+i], s.tree.xsin[start+i])
-			if vec.ConeBound(qcos, qsin, xcos, xsin) > s.tk.Lambda() {
-				s.st.PrunedPoints++
-				continue
-			}
-		}
-		id := s.tree.ids[start+i]
-		if !s.accept(id) {
-			continue
-		}
-		var t0 time.Time
-		if profiling {
-			t0 = time.Now()
-		}
-		v := math.Abs(vec.Dot(s.q, s.tree.points.Row(start+i)))
-		s.st.IPCount++
-		s.st.Candidates++
-		s.tk.Push(id, v)
-		if profiling {
-			verifyDur += time.Since(t0)
-		}
-	}
-	return verifyDur
-}
-
-// scanPredQuant is the quantized leaf scan for predicate searches: the ball
-// cutoff trims the radius-sorted tail, the remaining rows are filtered by the
-// compiled predicate, the cone bound prunes single survivors, and the integer
-// code kernel (vec.CodeSelectIdx) removes rows whose error-bounded approximate
-// score provably cannot beat the current k-th best, leaving only the remainder
-// for float verification. All bounds prune against the λ snapshot at leaf
-// entry — conservative, as in scanWithPruning — and predicate-with-quant
-// searches are unbudgeted, so results stay bitwise equal to the unquantized
-// filtered scan. Returns the verification time for the profile's phase split.
-func (s *Searcher) scanPredQuant(n *nodeRec, absIP float64) time.Duration {
-	var verifyDur time.Duration
-	start := int(n.start)
-	lambda := s.tk.Lambda()
-	grid := s.tree.grid(n)
-	m := s.ballCutoff(n, &grid, absIP, lambda)
-	useCone := !s.opts.DisablePointCone && n.centerNorm > 0
-	var qcos, qsin float64
-	if useCone {
-		qcos, qsin = s.coneOf(n, absIP)
-	}
-	if cap(s.sel) < m {
-		s.sel = make([]int32, 0, m)
-	}
-	sel := s.sel[:0]
-	for i := 0; i < m; i++ {
-		if !s.pred.Match(s.tree.ids[start+i]) {
-			continue
-		}
-		if useCone {
-			xcos, xsin := grid.Pair(s.tree.xcos[start+i], s.tree.xsin[start+i])
-			if vec.ConeBound(qcos, qsin, xcos, xsin) > lambda {
-				s.st.PrunedPoints++
-				continue
-			}
-		}
-		sel = append(sel, int32(i))
-	}
-	if len(sel) > 0 {
-		d := s.tree.points.D
-		codes := s.tree.codes[start*d : (start+m)*d]
-		before := len(sel)
-		sel = vec.CodeSelectIdx(codes, d, s.qf.W, s.qf.Base, s.qf.InvS, s.qf.Eps,
-			lambda, sel)
-		s.st.PrunedPoints += int64(before - len(sel))
-	}
-	s.sel = sel
-	var t0 time.Time
-	if s.opts.Profile != nil {
-		t0 = time.Now()
-	}
-	for _, i := range sel {
-		pos := start + int(i)
-		v := math.Abs(vec.Dot(s.q, s.tree.points.Row(pos)))
-		s.tk.Push(s.tree.ids[pos], v)
-	}
-	s.st.IPCount += int64(len(sel))
-	s.st.Candidates += int64(len(sel))
-	if s.opts.Profile != nil {
-		verifyDur = time.Since(t0)
-	}
-	return verifyDur
 }

@@ -201,9 +201,10 @@ func testSearchProfileRecordsPhases(t *testing.T, kind Kind) {
 	}
 }
 
-// TestSearchFilteredProfileRecordsPhases pins the phase split on the
-// filtered (point-at-a-time) leaf path: verification inner products must be
-// charged to PhaseVerify, not lumped into PhaseBound.
+// TestSearchFilteredProfileRecordsPhases pins the phase split when a Filter
+// closure runs among the leaf scan's stages: verification inner products
+// must be charged to PhaseVerify, not lumped into PhaseBound with the
+// closure's calls.
 func TestSearchFilteredProfileRecordsPhases(t *testing.T) {
 	forKinds(t, testSearchFilteredProfileRecordsPhases)
 }

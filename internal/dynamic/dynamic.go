@@ -257,11 +257,12 @@ func (ix *Index) Rebuild() {
 // (with tombstones filtered) plus a pass over the delta — exhaustive, or
 // up to what the tree leaves of opts.Budget, which caps the two together.
 // Results carry stable handles. opts.Filter composes with the liveness
-// filter and receives handles. opts.Pred is evaluated per handle against the
-// stored attribute payloads — before the user filter, matching the static
-// kinds' acceptance order — and stripped from the options the snapshot tree
-// sees (the tree's rows are transient, its summaries would be stale after
-// one rebuild; the liveness closure already forces the per-row path).
+// filter and receives handles; the tree runs the combined closure in its
+// leaf scan after the point-level bounds, as it would any Filter. opts.Pred is
+// evaluated per handle against the stored attribute payloads — before the
+// user filter, matching the static kinds' acceptance order — and stripped
+// from the options the snapshot tree sees: the payloads live here, keyed by
+// handle, and the snapshot tree has no attribute store to compile it against.
 func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, core.Stats) {
 	opts = opts.Normalized()
 	var st core.Stats

@@ -16,7 +16,8 @@
 # n=50k as one batch and split over GOMAXPROCS), the two tree builds and the sharded one (n=10k, 4
 # shards; allocs/op gates the builder's scratch: a build allocates per tree,
 # not per node, and B/op that it makes one matrix, not two), the tree searches
-# (per-query and batched), the serving path, the container codec (save and open of the
+# (per-query and batched; exact BC-Tree searches also under a tag predicate
+# and under a Filter closure, each keeping every tenth row), the serving path, the container codec (save and open of the
 # n=50k BC-Tree) and the dynamic index (recovery and one compaction of
 # dyn-rw's 20k-point index under a 5 % delta). -count=6 gives benchstat enough
 # samples for a significance test; -benchmem records allocs/op so the
@@ -42,7 +43,7 @@ run() {
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" ./internal/vec | tee -a "$out"
   go test -run '^$' -bench 'BenchmarkLinearScan' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" ./internal/linearscan | tee -a "$out"
-  go test -run '^$' -bench 'BenchmarkBuildBCTree|BenchmarkBuildBallTree|BenchmarkBuildSharded|BenchmarkQueryExactBallTree|BenchmarkQueryExactBCTree|BenchmarkQueryBudgetBCTree$|BenchmarkSearchBatchExact|BenchmarkServer|BenchmarkSaveBCTree|BenchmarkOpenBCTree|BenchmarkOpenDynamic|BenchmarkDynamicCompact' \
+  go test -run '^$' -bench 'BenchmarkBuildBCTree|BenchmarkBuildBallTree|BenchmarkBuildSharded|BenchmarkQueryExactBallTree|BenchmarkQueryExactBCTree|BenchmarkQueryPredBCTree|BenchmarkQueryFilterBCTree|BenchmarkQueryBudgetBCTree$|BenchmarkSearchBatchExact|BenchmarkServer|BenchmarkSaveBCTree|BenchmarkOpenBCTree|BenchmarkOpenDynamic|BenchmarkDynamicCompact' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" . | tee -a "$out"
 }
 
