@@ -93,11 +93,10 @@ func BenchmarkOpenBCTree(b *testing.B) {
 	}
 }
 
-// dynamicBench builds dyn-rw's index — the first 20 000 rows of the benchmark
-// fixture, bulk-loaded — with 5 % more inserted on top, so it holds a snapshot
-// tree and a delta, and returns its container bytes and the size of its live
-// lifted vectors.
-func dynamicBench(b *testing.B) (container []byte, liveBytes int64) {
+// dynamicBenchIndex builds dyn-rw's index — the first 20 000 rows of the
+// benchmark fixture, bulk-loaded — with 5 % more inserted on top, so it holds
+// a snapshot tree and a delta, and returns it with the fixture.
+func dynamicBenchIndex(b *testing.B) (*Dynamic, *Matrix) {
 	b.Helper()
 	data := Dedup(GenerateDataset("Sift", 50000, 1))
 	const seedN = 20000
@@ -109,6 +108,14 @@ func dynamicBench(b *testing.B) (container []byte, liveBytes int64) {
 	for i := seedN; i < seedN+seedN/20; i++ {
 		ix.Insert(data.Row(i))
 	}
+	return ix, data
+}
+
+// dynamicBench returns the container bytes of dynamicBenchIndex's index and
+// the size of its live lifted vectors.
+func dynamicBench(b *testing.B) (container []byte, liveBytes int64) {
+	b.Helper()
+	ix, _ := dynamicBenchIndex(b)
 	var buf bytes.Buffer
 	if err := Save(&buf, ix); err != nil {
 		b.Fatal(err)
@@ -226,6 +233,18 @@ func BenchmarkQueryFilterBCTree(b *testing.B) {
 	data, queries := benchData(b)
 	ix := MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1})
 	queryBench(b, ix, queries, SearchOptions{K: 10, Filter: func(id int32) bool { return id%10 == 0 }})
+}
+
+// BenchmarkQueryDynamicChurned: exact top-10 searches of dynamicBenchIndex's
+// index after 0.5 % of its handles, spread over the snapshot and the delta,
+// are deleted — dyn-rw's read between two compactions: a leaf scan that
+// drops tombstones by the liveness bitmap and a blocked scan of the delta.
+func BenchmarkQueryDynamicChurned(b *testing.B) {
+	ix, data := dynamicBenchIndex(b)
+	for h := 0; h < ix.Handles(); h += 200 {
+		ix.Delete(int32(h))
+	}
+	queryBench(b, ix, GenerateQueries(data, 64, 2), SearchOptions{K: 10})
 }
 
 func BenchmarkQueryExactLinearScan(b *testing.B) {

@@ -70,7 +70,7 @@ func TestBuildEveryPersistableKind(t *testing.T) {
 		{"balltree", ""},
 		{"bctree", ""},
 		{"sharded", `{"shards":3,"workers":2}`},
-		{"dynamic", `{"rebuild_fraction":0.5}`},
+		{"dynamic", `{"compact_fraction":0.5}`},
 	}
 	for _, c := range cases {
 		index := filepath.Join(dir, "ix-"+c.kind+".p2h")
@@ -124,6 +124,12 @@ func TestErrors(t *testing.T) {
 		if code := run(args, &out, &errw); code == 0 {
 			t.Fatalf("p2htool %v: expected failure", args)
 		}
+	}
+	// The retired fold threshold is refused by name, its replacement named.
+	var out, errw bytes.Buffer
+	if code := run([]string{"build", "-spec", `{"kind":"dynamic","rebuild_fraction":0.5}`, "-data", "/tmp/x", "-out", "/tmp/y"}, &out, &errw); code == 0 ||
+		!strings.Contains(errw.String(), "compact_fraction") {
+		t.Fatalf("rebuild_fraction spec: exit %d, stderr %q", code, errw.String())
 	}
 }
 

@@ -32,7 +32,7 @@ func main() {
 
 	// The declarative entry point returns the Index interface; the dynamic
 	// kind's mutation surface comes from the concrete type.
-	ix, err := p2h.New(data, p2h.Spec{Kind: p2h.KindDynamic, Seed: 1, RebuildFraction: 0.2})
+	ix, err := p2h.New(data, p2h.Spec{Kind: p2h.KindDynamic, Seed: 1, CompactFraction: 0.2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,8 +45,9 @@ func ShardPlan(data *Matrix, spec Spec) [][]int32 {
 func (t *Sharded) Shards() int { return t.index.Shards() }
 
 // Dynamic is a mutable P2HNNS index, what New returns for KindDynamic: a
-// BC-Tree snapshot plus an insert buffer and delete tombstones, rebuilt
-// automatically as the delta grows. Built over data it is bulk-loaded and the
+// BC-Tree snapshot plus an insert buffer, with one liveness bit per handle
+// that a delete clears, folded into a fresh snapshot once the delta outgrows
+// Spec.CompactFraction of the live set. Built over data it is bulk-loaded and the
 // handles are the row indices; built over nil with Spec.Dim set it starts
 // empty. Results carry stable handles assigned by Insert; N counts the live
 // points. Not safe for concurrent mutation.
@@ -89,8 +90,8 @@ func (t *Dynamic) Pending() int { return t.index.Pending() }
 func (t *Dynamic) SetBackgroundCompaction(on bool) { t.index.SetBackgroundCompaction(on) }
 
 // CompactionNeeded reports whether the delta (rows inserted since the last
-// rebuild + tombstones) has outgrown the compaction threshold
-// (Spec.CompactFraction, falling back to Spec.RebuildFraction).
+// rebuild + tombstones) has outgrown the fold threshold,
+// Spec.CompactFraction of the live set.
 func (t *Dynamic) CompactionNeeded() bool { return t.index.CompactionNeeded() }
 
 // BeginCompaction captures a background rebuild of the delta: build runs

@@ -12,9 +12,9 @@ import (
 // TestSearcherZeroAllocs pins the steady-state allocation count of the
 // pooled execution engine at zero: once a Searcher's scratch (top-k heap,
 // leaf buffer, survivor list) and the caller's dst have grown to their
-// working size, repeated exact, budgeted, Filter and predicate searches must
-// not allocate at all. Guarded from -race builds, where the runtime's
-// instrumentation allocates.
+// working size, repeated exact, budgeted, Filter, predicate and
+// liveness-bitmap searches must not allocate at all. Guarded from -race
+// builds, where the runtime's instrumentation allocates.
 func TestSearcherZeroAllocs(t *testing.T) {
 	forKinds(t, testSearcherZeroAllocs)
 }
@@ -35,25 +35,31 @@ func testSearcherZeroAllocs(t *testing.T, kind Kind) {
 		t.Fatal(err)
 	}
 	keep := func(id int32) bool { return id%10 == 0 }
+	live := make(core.Bitmap, core.BitmapWords(tree.N()))
+	for i := range live {
+		live[i] = 0x5555555555555555 // every other id
+	}
 	for _, tc := range []struct {
 		name string
 		opts core.SearchOptions
+		live core.Bitmap
 	}{
-		{"exact", core.SearchOptions{K: 10}},
-		{"budgeted", core.SearchOptions{K: 10, Budget: 200}},
-		{"filter", core.SearchOptions{K: 10, Filter: keep}},
-		{"pred", core.SearchOptions{K: 10, Pred: attr.TagIs("sel10")}},
+		{"exact", core.SearchOptions{K: 10}, nil},
+		{"budgeted", core.SearchOptions{K: 10, Budget: 200}, nil},
+		{"filter", core.SearchOptions{K: 10, Filter: keep}, nil},
+		{"pred", core.SearchOptions{K: 10, Pred: attr.TagIs("sel10")}, nil},
+		{"live", core.SearchOptions{K: 10}, live},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tree.NewSearcher()
 			var dst []core.Result
 			// Warm up: grow every scratch buffer to its steady-state size.
 			for qi := 0; qi < queries.N; qi++ {
-				dst, _ = s.Search(queries.Row(qi), tc.opts, dst[:0])
+				dst, _ = s.SearchLive(queries.Row(qi), tc.opts, tc.live, dst[:0])
 			}
 			qi := 0
 			allocs := testing.AllocsPerRun(100, func() {
-				dst, _ = s.Search(queries.Row(qi%queries.N), tc.opts, dst[:0])
+				dst, _ = s.SearchLive(queries.Row(qi%queries.N), tc.opts, tc.live, dst[:0])
 				qi++
 			})
 			if allocs != 0 {

@@ -46,8 +46,19 @@ import (
 // is the returned results slice; use a Searcher directly to eliminate that
 // one too.
 func (t *Tree) Search(q []float32, opts core.SearchOptions) ([]core.Result, core.Stats) {
+	return t.SearchLive(q, opts, nil)
+}
+
+// SearchLive is Search over the rows whose id is in live, a bitmap covering
+// every id the tree holds; a nil live admits every row. A row outside it is
+// dropped in the leaf scan before any bound arithmetic, so it costs no inner
+// product and no budget — the answer and the candidate count are those of a
+// Filter closure reading the same bits, without a call per row. The bitmap is
+// read during the call only: the caller owns it, and may grow it between
+// calls.
+func (t *Tree) SearchLive(q []float32, opts core.SearchOptions, live core.Bitmap) ([]core.Result, core.Stats) {
 	s := t.acquireSearcher()
-	res, st := s.Search(q, opts, nil)
+	res, st := s.SearchLive(q, opts, live, nil)
 	t.releaseSearcher(s)
 	runtime.KeepAlive(t) // the walk reads slices of a mapping only t holds (Tree.backing)
 	return res, st
@@ -83,6 +94,8 @@ type Searcher struct {
 	prog    attr.Prog
 	pred    *attr.Prog
 	usePush bool
+
+	live core.Bitmap // SearchLive's bitmap for the current call; nil admits every row
 }
 
 // NewSearcher returns a reusable executor bound to the tree.
@@ -112,7 +125,14 @@ func (t *Tree) normalize(opts core.SearchOptions) core.SearchOptions {
 // (Dist, ID)) to dst. Passing a recycled dst makes the call allocation-free
 // in steady state.
 func (s *Searcher) Search(q []float32, opts core.SearchOptions, dst []core.Result) ([]core.Result, core.Stats) {
+	return s.SearchLive(q, opts, nil, dst)
+}
+
+// SearchLive is Search over the rows whose id is in live (see
+// Tree.SearchLive).
+func (s *Searcher) SearchLive(q []float32, opts core.SearchOptions, live core.Bitmap, dst []core.Result) ([]core.Result, core.Stats) {
 	opts = s.tree.normalize(opts)
+	s.live = live
 	s.q = q
 	s.qnorm = vec.Norm(q)
 	s.sqQnorm = s.qnorm * s.qnorm
@@ -150,6 +170,7 @@ func (s *Searcher) Search(q []float32, opts core.SearchOptions, dst []core.Resul
 	s.opts.Pred = nil
 	s.prog, s.pred = attr.Prog{}, nil
 	s.usePush = false
+	s.live = nil
 	return s.tk.DrainInto(dst), s.st
 }
 
@@ -396,10 +417,11 @@ func (s *Searcher) popFrontier() frontierNode {
 //
 //  1. the ball bound (Corollary 1) cuts the tail of the leaf in one binary
 //     search;
-//  2. the compiled predicate drops the rows it does not match — it is data,
-//     so it runs before any bound arithmetic;
+//  2. the liveness bitmap (see SearchLive) and the compiled predicate drop
+//     the rows they do not admit — they are data, so they run before any
+//     bound arithmetic;
 //  3. the fused cone kernel (Theorem 3) drops single rows, over the prefix or
-//     over the predicate's survivor list;
+//     over the data filters' survivor list;
 //  4. the Filter closure is asked about what the bounds left, in leaf order,
 //     until the remaining budget has been accepted: a rejected id costs no
 //     inner product and no budget, and an accept-all Filter sees exactly the
@@ -430,9 +452,9 @@ func (s *Searcher) scanWithPruning(n *nodeRec, absIP float64) {
 	// The survivors are the prefix [0, m) while dense, else the list in sel.
 	m := s.ballCutoff(n, &grid, absIP, lambda)
 	sel, dense := s.sel[:0], true
-	if s.pred != nil {
-		for i := 0; i < m; i++ {
-			if s.pred.Match(t.ids[start+i]) {
+	if live, pred := s.live, s.pred; live != nil || pred != nil {
+		for i, id := range t.ids[start : start+m] {
+			if (live == nil || live.Has(id)) && (pred == nil || pred.Match(id)) {
 				sel = append(sel, int32(i))
 			}
 		}

@@ -2,7 +2,7 @@ package dynamic
 
 // Background delta compaction. In the default (synchronous) mode the index
 // folds its delta into a fresh tree inline, inside the Insert/Delete call
-// that pushed the delta over RebuildFraction — simple, but the unlucky
+// that pushed the delta over CompactFraction — simple, but the unlucky
 // mutation stalls for the whole build while the serving engine holds every
 // search out behind the mutation lock. Background mode splits the rebuild
 // into three phases so only the two short ones run under the lock:
@@ -10,10 +10,10 @@ package dynamic
 //	capture  (under the mutation lock)  BeginCompaction snapshots the live
 //	         handle set and aliases the two places its vectors are: the
 //	         snapshot tree, which nothing ever writes, and the delta rows.
-//	         The delta is append-only — a row never changes (a Delete flips
-//	         the liveness flag, not the row) and growth either extends past
-//	         the captured length or reallocates, leaving the captured array
-//	         untouched — so both aliases stay valid unlocked.
+//	         The delta is append-only — a row never changes (a Delete clears
+//	         the handle's liveness bit, not the row) and growth either
+//	         extends past the captured length or reallocates, leaving the
+//	         captured array untouched — so both aliases stay valid unlocked.
 //	build    (no lock)                  Compaction.Build gathers the captured
 //	         live rows into one matrix and builds the replacement tree inside
 //	         it; searches and mutations proceed concurrently against the old
@@ -39,31 +39,18 @@ import (
 // Handles returns the number of handles ever issued, deleted ones included.
 // The write-ahead log records it as the replay boundary between snapshot
 // contents and logged mutations.
-func (ix *Index) Handles() int { return len(ix.alive) }
-
-// SetCompactFraction overrides the compaction threshold after construction.
-// The payload serialization predates the field, so the container layer
-// restores it from the index's Spec (stored in the container header) through
-// this setter.
-func (ix *Index) SetCompactFraction(f float64) { ix.cfg.CompactFraction = f }
+func (ix *Index) Handles() int { return ix.base + ix.delta.N }
 
 // SetBackgroundCompaction switches delta folding between synchronous (the
 // default: Insert/Delete rebuild inline once the delta outgrows
-// RebuildFraction) and background (mutations never rebuild; the caller
+// CompactFraction) and background (mutations never rebuild; the caller
 // drives BeginCompaction/Build/Install off-thread when CompactionNeeded).
 func (ix *Index) SetBackgroundCompaction(on bool) { ix.background = on }
 
-// CompactionNeeded reports whether the delta has outgrown the compaction
-// threshold: CompactFraction of the live set, or RebuildFraction when
-// CompactFraction is unset. Meaningful in background mode, where mutations
-// no longer fold the delta themselves.
-func (ix *Index) CompactionNeeded() bool {
-	frac := ix.cfg.CompactFraction
-	if frac <= 0 {
-		frac = ix.cfg.RebuildFraction
-	}
-	return ix.outgrown(frac)
-}
+// CompactionNeeded reports whether the delta has outgrown CompactFraction of
+// the live set. Meaningful in background mode, where mutations no longer fold
+// the delta themselves.
+func (ix *Index) CompactionNeeded() bool { return ix.outgrown(ix.cfg.CompactFraction) }
 
 // Compaction is one captured rebuild: the live handle set as of
 // BeginCompaction and where its vectors are, the built tree after Build.
@@ -91,12 +78,12 @@ func (ix *Index) BeginCompaction() *Compaction {
 func (ix *Index) capture() *Compaction {
 	// A handle below base is live only if the tree holds it: whatever the last
 	// rebuild did not fold was dead by then, and handles are never resurrected.
-	ids := make([]int32, 0, ix.live)
+	ids := make([]int32, 0, ix.nlive)
 	fromTree := 0
-	for h, ok := range ix.alive {
-		if ok {
-			ids = append(ids, int32(h))
-			if h < ix.base {
+	for h := range int32(ix.Handles()) {
+		if ix.live.Has(h) {
+			ids = append(ids, h)
+			if int(h) < ix.base {
 				fromTree++
 			}
 		}
@@ -168,7 +155,7 @@ func (ix *Index) Install(c *Compaction) {
 	}
 	dead := 0
 	for _, h := range c.ids {
-		if !ix.alive[h] {
+		if !ix.live.Has(h) {
 			dead++
 		}
 	}

@@ -178,11 +178,12 @@ func TestCompactReconciliation(t *testing.T) {
 	}
 }
 
-// TestCompactionNeededThresholds pins the trigger predicate.
+// TestCompactionNeededThresholds pins the trigger predicate, and that the one
+// threshold drives the inline and the background folder alike.
 func TestCompactionNeededThresholds(t *testing.T) {
 	const dim = 3
 	rng := rand.New(rand.NewSource(13))
-	ix := New(dim, Config{RebuildFraction: 100, CompactFraction: 0.5})
+	ix := New(dim, Config{CompactFraction: 0.5})
 	ix.SetBackgroundCompaction(true)
 
 	// No tree yet: triggers at 2*DefaultLeafSize buffered points.
@@ -201,7 +202,7 @@ func TestCompactionNeededThresholds(t *testing.T) {
 		t.Fatal("needed immediately after compaction")
 	}
 
-	// With a tree: CompactFraction (0.5), not RebuildFraction (100).
+	// With a tree: CompactFraction (0.5).
 	for !ix.CompactionNeeded() {
 		ix.Insert(randLifted(rng, dim))
 	}
@@ -210,19 +211,31 @@ func TestCompactionNeededThresholds(t *testing.T) {
 		t.Fatalf("triggered at delta %d, want 201", delta)
 	}
 
-	// CompactFraction falls back to RebuildFraction when unset.
-	fb := New(dim, Config{RebuildFraction: 0.25})
-	fb.SetBackgroundCompaction(true)
+	// The default (0.25): a background index asks for a compaction at the
+	// insert an inline one folds at. live=300+k, delta=k: trigger at
+	// k > 0.25*(300+k) ⇒ 0.75k > 75 ⇒ k=101.
+	bg, inline := New(dim, Config{}), New(dim, Config{})
+	bg.SetBackgroundCompaction(true)
 	for i := 0; i < 300; i++ {
-		fb.Insert(randLifted(rng, dim))
+		x := randLifted(rng, dim)
+		bg.Insert(x)
+		inline.Insert(x)
 	}
-	fb.Compact()
-	for !fb.CompactionNeeded() {
-		fb.Insert(randLifted(rng, dim))
+	bg.Compact()
+	inline.Compact()
+	for !bg.CompactionNeeded() {
+		x := randLifted(rng, dim)
+		bg.Insert(x)
+		inline.Insert(x)
+		if inline.BufferLen() == 0 && !bg.CompactionNeeded() {
+			t.Fatalf("inline index folded at delta %d, before the background trigger", bg.BufferLen())
+		}
 	}
-	// live=300+k, delta=k: trigger at k > 0.25*(300+k) ⇒ 0.75k > 75 ⇒ k=101.
-	if delta := fb.BufferLen(); delta != 101 {
-		t.Fatalf("fallback triggered at delta %d, want 101", delta)
+	if delta := bg.BufferLen(); delta != 101 {
+		t.Fatalf("default triggered at delta %d, want 101", delta)
+	}
+	if inline.BufferLen() != 0 {
+		t.Fatalf("inline index holds a delta of %d where the background one asks to fold", inline.BufferLen())
 	}
 }
 
@@ -311,7 +324,7 @@ func TestCompactionRaceKeepsCaptureIntact(t *testing.T) {
 func TestCompactIsAFunctionOfTheLiveSet(t *testing.T) {
 	const dim = 7
 	rng := rand.New(rand.NewSource(22))
-	cfg := Config{LeafSize: 12, Seed: 9, RebuildFraction: 0.3}
+	cfg := Config{LeafSize: 12, Seed: 9, CompactFraction: 0.3}
 	ix := New(dim, cfg)
 	ref := newReference(dim)
 	for op := 0; op < 1500; op++ {

@@ -1,8 +1,9 @@
 // Package dynamic makes the static BC-Tree mutable: inserts accumulate in a
-// delta that queries scan exhaustively, deletes become tombstones filtered
-// out of results, and the tree is rebuilt from the live set once the delta
-// and the tombstones together exceed a configurable fraction of the indexed
-// points. Point handles are stable across rebuilds.
+// delta that queries scan exhaustively, deletes clear the handle's bit in a
+// liveness bitmap that the tree's leaf scan and the delta scan both apply,
+// and the tree is rebuilt from the live set once the delta and the
+// tombstones together exceed a configurable fraction of the indexed points.
+// Point handles are stable across rebuilds.
 //
 // There is one copy of the data and one id space. A vector lives in the delta
 // from its insert until the next rebuild and in the snapshot tree's storage
@@ -19,6 +20,7 @@ package dynamic
 
 import (
 	"fmt"
+	"math"
 
 	"p2h/internal/attr"
 	"p2h/internal/balltree"
@@ -32,20 +34,17 @@ type Config struct {
 	LeafSize int
 	// Seed drives tree construction.
 	Seed int64
-	// RebuildFraction triggers a rebuild when (delta rows + tombstones)
-	// exceeds this fraction of the live set. Zero selects 0.25.
-	RebuildFraction float64
-	// CompactFraction is the background-compaction trigger used instead of
-	// RebuildFraction when SetBackgroundCompaction is on. Zero inherits
-	// RebuildFraction; it is kept distinct so a serving deployment can defer
-	// inline rebuilds (large RebuildFraction) while compacting in the
-	// background at a tighter threshold.
+	// CompactFraction is the fold threshold: the delta is folded into a
+	// fresh tree once (delta rows + tombstones) exceeds this fraction of the
+	// live set — inline, by the mutation that crosses it, or by the caller's
+	// background compaction when SetBackgroundCompaction is on. Zero selects
+	// 0.25.
 	CompactFraction float64
 }
 
 func (c Config) normalized() Config {
-	if c.RebuildFraction <= 0 {
-		c.RebuildFraction = 0.25
+	if c.CompactFraction <= 0 {
+		c.CompactFraction = 0.25
 	}
 	return c
 }
@@ -56,20 +55,23 @@ type Index struct {
 	cfg Config
 	dim int // lifted dimensionality
 
-	alive []bool // per handle ever issued
-	live  int    // number of alive handles
+	// live holds the live handles, one bit per handle ever issued
+	// (core.BitmapWords(Handles()) words). Searches hand it to the snapshot
+	// tree's leaf scan as it is (balltree.Tree.SearchLive).
+	live  core.Bitmap
+	nlive int // number of set bits
 
 	// Handles [0, base) were folded by the last rebuild: the ones live then
 	// are in the tree, the rest are gone. Handles [base, Handles()) are the
 	// delta: row h-base is handle h, dead or alive. The delta is append-only
-	// between rebuilds — a Delete flips alive and nothing else — which is what
-	// lets a background compaction read an alias of it without the lock.
+	// between rebuilds — a Delete clears a bit and nothing else — which is
+	// what lets a background compaction read an alias of it without the lock.
 	tree    *balltree.Tree // over a snapshot of handles, its ids, all < base; nil when empty
 	treeDel int            // tombstones inside the tree snapshot
 	base    int
 	delta   *vec.Matrix
 
-	// attrs holds one attribute payload per handle, aligned with alive; nil
+	// attrs holds one attribute payload per handle, handle-indexed; nil
 	// until the first attributed insert, then padded with empty payloads so
 	// indexing stays direct. Predicates evaluate per handle at query time —
 	// the mutable delta has no per-node summaries to push down into, which
@@ -97,11 +99,11 @@ func New(dim int, cfg Config) *Index {
 func NewFromMatrix(data *vec.Matrix, cfg Config) *Index {
 	ix := New(data.D, cfg)
 	ix.delta = data
-	ix.alive = make([]bool, data.N)
-	for h := range ix.alive {
-		ix.alive[h] = true
+	ix.live = make(core.Bitmap, core.BitmapWords(data.N))
+	for h := range int32(data.N) {
+		ix.live.Set(h)
 	}
-	ix.live = data.N
+	ix.nlive = data.N
 	c := ix.capture()
 	c.owned = true
 	c.Build(ix.cfg)
@@ -110,7 +112,7 @@ func NewFromMatrix(data *vec.Matrix, cfg Config) *Index {
 }
 
 // N returns the number of live points.
-func (ix *Index) N() int { return ix.live }
+func (ix *Index) N() int { return ix.nlive }
 
 // treeN returns the number of handles in the snapshot tree, dead ones included.
 func (ix *Index) treeN() int {
@@ -161,18 +163,21 @@ func (ix *Index) insertRow(x []float32) int32 {
 	if len(x) != ix.dim {
 		panic(fmt.Sprintf("dynamic: vector dimension %d != %d", len(x), ix.dim))
 	}
-	handle := int32(len(ix.alive))
+	handle := int32(ix.Handles())
 	ix.delta.Data = append(ix.delta.Data, x...)
 	ix.delta.N++
-	ix.alive = append(ix.alive, true)
-	ix.live++
+	if len(ix.live) < core.BitmapWords(ix.Handles()) {
+		ix.live = append(ix.live, 0)
+	}
+	ix.live.Set(handle)
+	ix.nlive++
 	return handle
 }
 
 // ensureAttrs pads the attribute column with empty payloads up to the current
 // handle count, so it stays handle-indexed.
 func (ix *Index) ensureAttrs() {
-	for len(ix.attrs) < len(ix.alive) {
+	for len(ix.attrs) < ix.Handles() {
 		ix.attrs = append(ix.attrs, attr.Point{})
 	}
 }
@@ -197,9 +202,9 @@ func (ix *Index) SetAttrs(points []attr.Point) error {
 		ix.attrs = nil
 		return nil
 	}
-	if len(points) != len(ix.alive) {
+	if len(points) != ix.Handles() {
 		return fmt.Errorf("dynamic: attribute column covers %d handles, index has issued %d",
-			len(points), len(ix.alive))
+			len(points), ix.Handles())
 	}
 	ix.attrs = points
 	return nil
@@ -207,11 +212,11 @@ func (ix *Index) SetAttrs(points []attr.Point) error {
 
 // Delete removes a handle. It reports whether the handle was live.
 func (ix *Index) Delete(handle int32) bool {
-	if handle < 0 || int(handle) >= len(ix.alive) || !ix.alive[handle] {
+	if handle < 0 || int(handle) >= ix.Handles() || !ix.live.Has(handle) {
 		return false
 	}
-	ix.alive[handle] = false
-	ix.live--
+	ix.live.Clear(handle)
+	ix.nlive--
 	// A tombstone inside the tree is filtered out of every traversal until
 	// the next rebuild; a dead delta row is skipped by the scan and was
 	// counted when it was inserted.
@@ -234,13 +239,13 @@ func (ix *Index) outgrown(frac float64) bool {
 	if ix.treeN() == ix.treeDel {
 		return ix.delta.N >= 2*balltree.DefaultLeafSize
 	}
-	return float64(pending) > frac*float64(ix.live)
+	return float64(pending) > frac*float64(ix.nlive)
 }
 
-// maybeRebuild rebuilds the tree when the delta outgrows RebuildFraction of
-// the live set.
+// maybeRebuild rebuilds the tree when the delta outgrows CompactFraction of
+// the live set, unless a background compaction folds it instead.
 func (ix *Index) maybeRebuild() {
-	if !ix.background && ix.outgrown(ix.cfg.RebuildFraction) {
+	if !ix.background && ix.outgrown(ix.cfg.CompactFraction) {
 		ix.Rebuild()
 	}
 }
@@ -254,31 +259,24 @@ func (ix *Index) Rebuild() {
 }
 
 // Search answers a top-k P2HNNS query over the live set: the tree snapshot
-// (with tombstones filtered) plus a pass over the delta — exhaustive, or
-// up to what the tree leaves of opts.Budget, which caps the two together.
-// Results carry stable handles. opts.Filter composes with the liveness
-// filter and receives handles; the tree runs the combined closure in its
-// leaf scan after the point-level bounds, as it would any Filter. opts.Pred is
-// evaluated per handle against the stored attribute payloads — before the
-// user filter, matching the static kinds' acceptance order — and stripped
-// from the options the snapshot tree sees: the payloads live here, keyed by
-// handle, and the snapshot tree has no attribute store to compile it against.
+// plus a pass over the delta — exhaustive, or up to what the tree leaves of
+// opts.Budget, which caps the two together. Results carry stable handles.
+// Liveness is the bitmap, which the tree's leaf scan applies before its
+// bounds and the delta scan before its inner products, so a search with no
+// opts.Filter and no opts.Pred calls no closure. Otherwise the two run as one
+// Filter on live handles: opts.Pred evaluated per handle against the stored
+// attribute payloads — the payloads live here, keyed by handle, and the
+// snapshot tree has no attribute store to compile it against — before the
+// user's filter, matching the static kinds' acceptance order.
 func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, core.Stats) {
 	opts = opts.Normalized()
 	var st core.Stats
 	tk := core.NewTopK(opts.K)
 
-	userFilter := opts.Filter
-	pred := opts.Pred
-	opts.Filter, opts.Pred = nil, nil
-	accepts := func(handle int32) bool {
-		if !ix.alive[handle] {
-			return false
+	if pred, user := opts.Pred, opts.Filter; pred != nil {
+		opts.Pred, opts.Filter = nil, func(handle int32) bool {
+			return pred.Matches(ix.AttrAt(handle)) && (user == nil || user(handle))
 		}
-		if pred != nil && !pred.Matches(ix.AttrAt(handle)) {
-			return false
-		}
-		return userFilter == nil || userFilter(handle)
 	}
 
 	if ix.tree != nil {
@@ -294,37 +292,68 @@ func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, co
 			held := min((budget*ix.delta.N+total-1)/total, budget-1)
 			treeOpts.Budget = budget - held
 		}
-		treeOpts.Filter = accepts
-		res, s := ix.tree.Search(q, treeOpts)
+		res, s := ix.tree.SearchLive(q, treeOpts, ix.live)
 		st.Add(s)
 		for _, r := range res {
 			tk.Push(r.ID, r.Dist)
 		}
 	}
-
 	// The delta gets what the tree left of the budget: its own share plus
 	// whatever the tree did not spend.
-	for i := 0; i < ix.delta.N; i++ {
-		if !opts.BudgetLeft(st.Candidates) {
-			break
-		}
-		handle := int32(ix.base + i)
-		if !accepts(handle) {
-			continue
-		}
-		d := vec.AbsDot(q, ix.delta.Row(i))
-		st.IPCount++
-		st.Candidates++
-		tk.Push(handle, d)
-	}
+	ix.scanDelta(q, opts, tk, &st)
 	return tk.Results(), st
 }
 
+// deltaBlock is how many delta rows the scan filters and verifies at a time.
+const deltaBlock = 64
+
+// scanDelta verifies the delta's accepted rows into tk, in handle order and
+// fixed blocks: a block's rows are filtered by the bitmap and opts.Filter and
+// cut at the remaining budget, then verified by one vec.DotBlock call when
+// the accepted rows are a whole prefix of the block, else one Dot each.
+func (ix *Index) scanDelta(q []float32, opts core.SearchOptions, tk *core.TopK, st *core.Stats) {
+	var dists [deltaBlock]float64
+	var sel [deltaBlock]int32
+	d := ix.dim
+	left := math.MaxInt // candidates the budget still allows
+	if opts.Budget > 0 {
+		left = int(int64(opts.Budget) - st.Candidates)
+	}
+	for lo := 0; lo < ix.delta.N && left > 0; lo += deltaBlock {
+		hi := min(lo+deltaBlock, ix.delta.N)
+		m := 0
+		for i := lo; i < hi && m < left; i++ {
+			h := int32(ix.base + i)
+			if ix.live.Has(h) && (opts.Filter == nil || opts.Filter(h)) {
+				sel[m] = int32(i - lo)
+				m++
+			}
+		}
+		if m == 0 {
+			continue
+		}
+		if int(sel[m-1]) == m-1 {
+			vec.DotBlock(q, ix.delta.Data[lo*d:(lo+m)*d], dists[:m])
+			for j := range m {
+				tk.Push(int32(ix.base+lo+j), math.Abs(dists[j]))
+			}
+		} else {
+			for _, j := range sel[:m] {
+				i := lo + int(j)
+				tk.Push(int32(ix.base+i), vec.AbsDot(q, ix.delta.Row(i)))
+			}
+		}
+		st.IPCount += int64(m)
+		st.Candidates += int64(m)
+		left -= m
+	}
+}
+
 // IndexBytes reports the tree footprint (its id map is the snapshot's handle
-// list) plus the liveness flag per handle. The vectors themselves — the tree's
-// storage and the delta rows — are data, not index.
+// list) plus the liveness bitmap, 8 bytes per 64 handles. The vectors
+// themselves — the tree's storage and the delta rows — are data, not index.
 func (ix *Index) IndexBytes() int64 {
-	total := int64(len(ix.alive))
+	total := 8 * int64(len(ix.live))
 	if ix.tree != nil {
 		total += ix.tree.IndexBytes()
 	}
@@ -334,5 +363,5 @@ func (ix *Index) IndexBytes() int64 {
 // String summarizes the index for logs.
 func (ix *Index) String() string {
 	return fmt.Sprintf("dynamic{live=%d buffer=%d tombstones=%d dim=%d}",
-		ix.live, ix.delta.N, ix.treeDel, ix.dim)
+		ix.nlive, ix.delta.N, ix.treeDel, ix.dim)
 }

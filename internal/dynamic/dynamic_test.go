@@ -61,7 +61,7 @@ func (r *reference) search(q []float32, k int) []core.Result {
 // position map for this: a delta handle is its row, a compacted one costs a
 // scan of the tree's id map, which holds handles.
 func (ix *Index) vector(handle int32) ([]float32, bool) {
-	if handle < 0 || int(handle) >= len(ix.alive) || !ix.alive[handle] {
+	if handle < 0 || int(handle) >= ix.Handles() || !ix.live.Has(handle) {
 		return nil, false
 	}
 	if int(handle) >= ix.base {
@@ -183,7 +183,7 @@ func TestDeletedPointDisappears(t *testing.T) {
 
 func TestRebuildTriggersAndFoldsBuffer(t *testing.T) {
 	data, _ := liftedData(1000, 8, 7)
-	ix := NewFromMatrix(data, Config{Seed: 8, RebuildFraction: 0.1})
+	ix := NewFromMatrix(data, Config{Seed: 8, CompactFraction: 0.1})
 	x := make([]float32, data.D)
 	x[data.D-1] = 1
 	// Push well past the 10% delta threshold; the buffer must fold.
@@ -243,7 +243,7 @@ func TestQuickRandomOpsMatchReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := rng.Intn(6) + 3
-		ix := New(d, Config{LeafSize: 10, Seed: seed, RebuildFraction: 0.2})
+		ix := New(d, Config{LeafSize: 10, Seed: seed, CompactFraction: 0.2})
 		ref := newReference(d)
 		var handles []int32
 
@@ -305,5 +305,39 @@ func TestQuickRandomOpsMatchReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDeleteAfterBitmapGrowth: liveness is one bitmap the index hands every
+// search, so the inserts that make it reallocate cannot leave a search reading
+// an outgrown copy. A snapshot handle deleted after the growth — each query's
+// nearest point — is answered by no search, exact or budgeted, on the pooled
+// searchers that served the searches before it.
+func TestDeleteAfterBitmapGrowth(t *testing.T) {
+	data, queries := liftedData(500, 6, 3)
+	ix := NewFromMatrix(data, Config{LeafSize: 16, Seed: 1})
+	ix.SetBackgroundCompaction(true) // keep every handle in the one snapshot
+	var victims []int32
+	for qi := 0; qi < queries.N; qi++ {
+		res, _ := ix.Search(queries.Row(qi), core.SearchOptions{K: 1})
+		victims = append(victims, res[0].ID)
+	}
+	first := &ix.live[0]
+	rng := rand.New(rand.NewSource(4))
+	for &ix.live[0] == first {
+		ix.Insert(randLifted(rng, data.D))
+	}
+	for _, h := range victims {
+		ix.Delete(h)
+	}
+	for qi := 0; qi < queries.N; qi++ {
+		for _, budget := range []int{0, 50} {
+			res, _ := ix.Search(queries.Row(qi), core.SearchOptions{K: 10, Budget: budget})
+			for _, r := range res {
+				if slices.Contains(victims, r.ID) {
+					t.Fatalf("query %d, budget %d: deleted handle %d answered", qi, budget, r.ID)
+				}
+			}
+		}
 	}
 }

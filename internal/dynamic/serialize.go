@@ -1,21 +1,26 @@
 package dynamic
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"p2h/internal/balltree"
 	"p2h/internal/binio"
+	"p2h/internal/core"
 	"p2h/internal/vec"
 )
 
-// Serialization format P2HDY004, one section per field of the index:
+// Serialization format P2HDY005, one section per field of the index:
 //
-//	magic, leafSize i32, seed i64, rebuildFraction f64, dim i32
-//	handles i32, then one liveness byte per handle
+//	magic, leafSize i32, seed i64, compactFraction f64, dim i32
+//	handles i32, live i32, then ⌈handles/64⌉ u64 liveness words: bit h%64
+//	    of word h/64 is set while handle h is live, no bit at or past
+//	    handles is set, and live counts the set bits
 //	0-3 zero bytes, so that the tree payload below starts on a 4-byte
-//	    boundary of this payload whatever the handle count
+//	    boundary of this payload
 //	snapshot flag u8; when 1: the BC-Tree payload's length i64 and the
 //	    payload itself, whose id map holds the snapshot's handles
 //	base i32, then the delta: (handles - base) rows of dim float32
@@ -28,24 +33,26 @@ import (
 // sections are aligned too and an in-place decode (p2h.Open) serves them
 // from the mapped file. There is one current version: P2HDY001, which also
 // stored every vector ever inserted in handle order, P2HDY002, which kept a
-// tree-local id -> handle map beside the tree, and P2HDY003, which embedded
-// the tree unpadded (and in a retired format), are refused by name and not
-// converted.
-const magic = "P2HDY004"
+// tree-local id -> handle map beside the tree, P2HDY003, which embedded the
+// tree unpadded (and in a retired format), and P2HDY004, which kept a
+// liveness byte per handle and a separate rebuild threshold, are refused by
+// name and not converted.
+const magic = "P2HDY005"
 
 var retiredMagics = map[string]string{
 	"P2HDY001": "dynamic payload version 1 (full handle history)",
 	"P2HDY002": "dynamic payload version 2 (a handle map beside the snapshot tree)",
 	"P2HDY003": "dynamic payload version 3 (an unaligned snapshot tree)",
+	"P2HDY004": "dynamic payload version 4 (a liveness byte per handle)",
 }
 
-// headBytes is the size of the fields ahead of the liveness bytes, and
-// treePad(handles) the number of zero bytes after that many liveness bytes
-// that puts the tree payload — behind the snapshot flag and its length — on
-// a 4-byte boundary.
-const headBytes = len(magic) + 4 + 8 + 8 + 4 + 4
+// headBytes is the size of the fields ahead of the liveness words, and
+// treePad(handles) the number of zero bytes after the words of that many
+// handles that puts the tree payload — behind the snapshot flag and its
+// length — on a 4-byte boundary.
+const headBytes = len(magic) + 4 + 8 + 8 + 4 + 4 + 4
 
-func treePad(handles int) int { return -(headBytes + handles + 1 + 8) & 3 }
+func treePad(handles int) int { return -(headBytes + 8*core.BitmapWords(handles) + 1 + 8) & 3 }
 
 // RetiredPayload returns the error Load refuses a retired payload magic
 // with — it names the version found and the one this build reads — or nil
@@ -75,17 +82,14 @@ func (ix *Index) Save(w io.Writer) error {
 	bw.Bytes([]byte(magic))
 	bw.I32(int32(ix.cfg.LeafSize))
 	bw.I64(ix.cfg.Seed)
-	bw.F64(ix.cfg.RebuildFraction)
+	bw.F64(ix.cfg.CompactFraction)
 	bw.I32(int32(ix.dim))
-	bw.I32(int32(len(ix.alive)))
-	for _, ok := range ix.alive {
-		if ok {
-			bw.U8(1)
-		} else {
-			bw.U8(0)
-		}
+	bw.I32(int32(ix.Handles()))
+	bw.I32(int32(ix.nlive))
+	for _, w := range ix.live {
+		bw.I64(int64(w))
 	}
-	for range treePad(len(ix.alive)) {
+	for range treePad(ix.Handles()) {
 		bw.U8(0)
 	}
 	if ix.tree == nil {
@@ -105,90 +109,94 @@ func (ix *Index) Save(w io.Writer) error {
 }
 
 // readShape decodes the payload up to the snapshot flag: the magic, the
-// configuration, the (lifted) dimensionality, one liveness byte per handle
-// ever issued and the padding after them. The returned index holds exactly
-// that.
-func readShape(br *binio.Reader) (*Index, error) {
+// configuration, the (lifted) dimensionality, the handle and live counts, the
+// liveness words and the padding after them. The returned index holds exactly
+// that, and the handle count comes beside it: the index derives its own from
+// the delta, which is not read yet.
+func readShape(br *binio.Reader) (*Index, int, error) {
 	found := string(br.Raw(len(magic)))
 	if err := br.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if found != magic {
 		if err := RetiredPayload(found); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		br.Fail("bad dynamic magic %q", found)
-		return nil, br.Err()
+		return nil, 0, br.Err()
 	}
 	cfg := Config{
 		LeafSize:        int(br.I32()),
 		Seed:            br.I64(),
-		RebuildFraction: br.F64(),
+		CompactFraction: br.F64(),
 	}
 	dim := int(br.I32())
 	handles := int(br.I32())
+	nlive := int(br.I32())
 	if err := br.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if dim <= 0 || dim > maxSerialDim || handles < 0 ||
-		cfg.LeafSize < 0 || cfg.RebuildFraction < 0 || math.IsNaN(cfg.RebuildFraction) {
-		br.Fail("bad header: dim=%d handles=%d leafSize=%d rebuild=%v",
-			dim, handles, cfg.LeafSize, cfg.RebuildFraction)
-		return nil, br.Err()
+	if dim <= 0 || dim > maxSerialDim || handles < 0 || nlive < 0 || nlive > handles ||
+		cfg.LeafSize < 0 || !(cfg.CompactFraction > 0) || math.IsInf(cfg.CompactFraction, 0) {
+		br.Fail("bad header: dim=%d handles=%d live=%d leafSize=%d compact=%v",
+			dim, handles, nlive, cfg.LeafSize, cfg.CompactFraction)
+		return nil, 0, br.Err()
 	}
 
-	ix := &Index{cfg: cfg.normalized(), dim: dim}
-	flags := br.U8s(handles)
+	ix := &Index{cfg: cfg, dim: dim, nlive: nlive}
+	raw := br.U8s(8 * core.BitmapWords(handles))
 	if br.Err() != nil {
-		return nil, br.Err()
+		return nil, 0, br.Err()
 	}
-	ix.alive = make([]bool, handles)
-	for h, flag := range flags {
-		switch flag {
-		case 0:
-		case 1:
-			ix.alive[h] = true
-			ix.live++
-		default:
-			br.Fail("handle %d: liveness byte not 0/1", h)
-			return nil, br.Err()
-		}
+	ix.live = make(core.Bitmap, core.BitmapWords(handles))
+	set := 0
+	for w := range ix.live {
+		ix.live[w] = binary.LittleEndian.Uint64(raw[8*w:])
+		set += bits.OnesCount64(ix.live[w])
+	}
+	if tail := handles & 63; tail != 0 && ix.live[len(ix.live)-1]>>tail != 0 {
+		br.Fail("a liveness bit is set at or past the %d handles issued", handles)
+		return nil, 0, br.Err()
+	}
+	if set != nlive {
+		br.Fail("%d liveness bits set, live count %d", set, nlive)
+		return nil, 0, br.Err()
 	}
 	for _, b := range br.Raw(treePad(handles)) {
 		if b != 0 {
-			br.Fail("padding after the liveness bytes not zero")
+			br.Fail("padding after the liveness words not zero")
 		}
 	}
-	return ix, br.Err()
+	return ix, handles, br.Err()
 }
 
 // ReadShape reads only the head of a payload — its shape prefix and the
-// liveness bytes (and padding) that follow it directly, which is what says how many points
-// are live — and returns that count and the stored (lifted) dimensionality. It
-// refuses what Load refuses by those bytes alone and, when a snapshot tree
-// follows, one of a retired version (balltree.EmbeddedRetired). The vectors
-// stay unread.
+// liveness words (and padding) that follow it directly, which is what says
+// how many points are live — and returns that count and the stored (lifted)
+// dimensionality. It refuses what Load refuses by those bytes alone and, when
+// a snapshot tree follows, one of a retired version
+// (balltree.EmbeddedRetired). The vectors stay unread.
 func ReadShape(r io.Reader) (n, d int, err error) {
 	br := binio.NewReader(r)
-	ix, err := readShape(br)
+	ix, _, err := readShape(br)
 	if err != nil {
 		return 0, 0, err
 	}
 	if br.U8() == 1 {
 		err = balltree.EmbeddedRetired(br)
 	}
-	return ix.live, ix.dim, err
+	return ix.nlive, ix.dim, err
 }
 
 // Load restores an index written by Save. Corrupt input yields an error
 // wrapping binio.ErrCorrupt.
 func Load(r io.Reader) (*Index, error) {
 	br := binio.NewReader(r)
-	ix, err := readShape(br)
+	ix, handles, err := readShape(br)
 	if err != nil {
 		return nil, err
 	}
-	dim, handles := ix.dim, len(ix.alive)
+	dim := ix.dim
 
 	switch br.U8() {
 	case 0:
@@ -249,21 +257,21 @@ func Load(r io.Reader) (*Index, error) {
 				return nil, br.Err()
 			}
 			seen[h] = true
-			if ix.alive[h] {
+			if ix.live.Has(h) {
 				reachable++
 			} else {
 				ix.treeDel++ // a tombstone inside the snapshot
 			}
 		}
 	}
-	for _, ok := range ix.alive[ix.base:] {
-		if ok {
+	for h := ix.base; h < handles; h++ {
+		if ix.live.Has(int32(h)) {
 			reachable++
 		}
 	}
 	// Every live handle must be reachable: in the snapshot or the delta.
-	if reachable != ix.live {
-		br.Fail("live handles %d, reachable %d", ix.live, reachable)
+	if reachable != ix.nlive {
+		br.Fail("live handles %d, reachable %d", ix.nlive, reachable)
 		return nil, br.Err()
 	}
 	data := br.F32s((handles - ix.base) * dim)

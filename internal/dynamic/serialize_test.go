@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -173,7 +174,8 @@ func TestLoadRejectsCorruption(t *testing.T) {
 
 	// An absurd declared size must fail the bound check, not reach a
 	// giant allocation. The handle count sits after magic + leafSize(4) +
-	// seed(8) + rebuild(8) + dim(4).
+	// seed(8) + compactFraction(8) + dim(4), the live count after it, and
+	// the liveness words after that.
 	bad = append([]byte(nil), good...)
 	handlesOff := len(magic) + 4 + 8 + 8 + 4
 	for i := 0; i < 4; i++ {
@@ -183,21 +185,45 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		t.Fatalf("absurd handle count: err = %v, want ErrCorrupt", err)
 	}
 
-	// A liveness byte outside 0/1; the bytes follow the handle count.
+	// A liveness bit at or past the handle count: the fixture's 310 handles
+	// leave 58 unused bits in the last word; set the first of them, with the
+	// live count raised to match so only the range check can refuse it.
+	handles := orig.Handles()
+	if handles%64 == 0 {
+		t.Fatalf("%d handles fill their last liveness word; the case needs spare bits", handles)
+	}
+	wordsOff := handlesOff + 8
 	bad = append([]byte(nil), good...)
-	bad[handlesOff+4] = 7
+	last := wordsOff + 8*(core.BitmapWords(handles)-1)
+	binary.LittleEndian.PutUint64(bad[last:], binary.LittleEndian.Uint64(bad[last:])|1<<(handles%64))
+	binary.LittleEndian.PutUint32(bad[handlesOff+4:], uint32(orig.N()+1))
+	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "past") {
+		t.Fatalf("bit past the handle count: err = %v, want ErrCorrupt naming it", err)
+	}
+
+	// A live count the bits disagree with.
+	bad = append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(bad[handlesOff+4:], uint32(orig.N()-1))
+	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "live count") {
+		t.Fatalf("live count off by one: err = %v, want ErrCorrupt naming it", err)
+	}
+
+	// A live handle's bit cleared with the count kept: the counts disagree
+	// too, so the bits and the count are one consistent claim or refused.
+	bad = append([]byte(nil), good...)
+	bad[wordsOff] ^= 1 // handle 0 is live in the fixture
 	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, binio.ErrCorrupt) {
-		t.Fatalf("bad liveness byte: err = %v, want ErrCorrupt", err)
+		t.Fatalf("flipped liveness bit: err = %v, want ErrCorrupt", err)
 	}
 }
 
-// TestSnapshotTreeIsAligned: whatever the handle count mod 4, the embedded
-// tree payload starts on a 4-byte boundary of the dynamic payload, behind
-// zero padding that Load insists on. (Dedup may drop a generated row, so the
-// four counts are the matrices', whatever they come to.)
+// TestSnapshotTreeIsAligned: whatever the handle count, the embedded tree
+// payload starts on a 4-byte boundary of the dynamic payload, behind zero
+// padding that Load insists on. (Dedup may drop a generated row, so the
+// counts are the matrices', whatever they come to.)
 func TestSnapshotTreeIsAligned(t *testing.T) {
 	for seed := int64(40); seed < 44; seed++ {
-		data, _ := liftedData(int(seed), 5, seed)
+		data, _ := liftedData(int(seed)+30*int(seed-40), 5, seed)
 		n := data.N // the handle count
 		var buf bytes.Buffer
 		if err := NewFromMatrix(data, Config{LeafSize: 8, Seed: 1}).Save(&buf); err != nil {
@@ -205,7 +231,7 @@ func TestSnapshotTreeIsAligned(t *testing.T) {
 		}
 		good := buf.Bytes()
 		pad := treePad(n)
-		tree := headBytes + n + pad + 1 + 8
+		tree := headBytes + 8*core.BitmapWords(n) + pad + 1 + 8
 		if tree%4 != 0 || string(good[tree:tree+len("P2HBC")]) != "P2HBC" {
 			t.Fatalf("%d handles: tree payload at offset %d (%d padding bytes)", n, tree, pad)
 		}
@@ -213,7 +239,7 @@ func TestSnapshotTreeIsAligned(t *testing.T) {
 			continue
 		}
 		bad := append([]byte(nil), good...)
-		bad[headBytes+n] = 1
+		bad[headBytes+8*core.BitmapWords(n)] = 1
 		if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, binio.ErrCorrupt) {
 			t.Fatalf("%d handles: non-zero padding: err = %v, want ErrCorrupt", n, err)
 		}
@@ -222,14 +248,15 @@ func TestSnapshotTreeIsAligned(t *testing.T) {
 
 // TestLoadNamesRetiredVersions: the payloads earlier releases wrote (every
 // vector ever inserted, in handle order, beside the tree's copy; then a
-// tree-local id -> handle map beside the tree; then the tree unpadded) are
-// refused by name, not mistaken for garbage and not converted.
+// tree-local id -> handle map beside the tree; then the tree unpadded; then a
+// liveness byte per handle) are refused by name, not mistaken for garbage and
+// not converted.
 func TestLoadNamesRetiredVersions(t *testing.T) {
 	var buf bytes.Buffer
 	if err := buildMutated(t).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for old, version := range map[string]string{"P2HDY001": "version 1", "P2HDY002": "version 2", "P2HDY003": "version 3"} {
+	for old, version := range map[string]string{"P2HDY001": "version 1", "P2HDY002": "version 2", "P2HDY003": "version 3", "P2HDY004": "version 4"} {
 		_, err := Load(bytes.NewReader(append([]byte(old), buf.Bytes()[len(magic):]...)))
 		if !errors.Is(err, binio.ErrCorrupt) {
 			t.Fatalf("%s: want ErrCorrupt, got %v", old, err)
@@ -248,12 +275,16 @@ func TestLoadNamesRetiredVersions(t *testing.T) {
 // TestIndexBytesMatchesStorage ties dyn-rw's bytes_per_point to the layout,
 // as the tree's test of the same name does for the arena: IndexBytes is the
 // tree's figure plus len x element size of every per-handle slice the index
-// keeps, and the vectors it keeps are the tree's copy and the delta rows,
-// nothing else. The field list is checked against the struct, so a new slice
-// has to be either counted or named here.
+// keeps — the liveness bitmap, one 8-byte word per 64 handles — and the
+// vectors it keeps are the tree's copy and the delta rows, nothing else. The
+// field list is checked against the struct, so a new slice has to be either
+// counted or named here.
 func TestIndexBytesMatchesStorage(t *testing.T) {
 	ix := buildMutated(t)
-	want := ix.tree.IndexBytes() + int64(len(ix.alive))*int64(unsafe.Sizeof(ix.alive[0]))
+	if len(ix.live) != (ix.Handles()+63)/64 {
+		t.Errorf("%d liveness words for %d handles", len(ix.live), ix.Handles())
+	}
+	want := ix.tree.IndexBytes() + int64(len(ix.live))*int64(unsafe.Sizeof(ix.live[0]))
 	if got := ix.IndexBytes(); got != want {
 		t.Errorf("IndexBytes() = %d, the tree and the per-handle slices hold %d", got, want)
 	}
@@ -261,7 +292,7 @@ func TestIndexBytesMatchesStorage(t *testing.T) {
 		t.Errorf("%d vectors in the tree and %d in the delta for %d handles issued, none deleted before the bulk load",
 			ix.tree.N(), ix.delta.N, ix.Handles())
 	}
-	holders := map[string]bool{"alive": true, "tree": true, "delta": true, "attrs": true}
+	holders := map[string]bool{"live": true, "tree": true, "delta": true, "attrs": true}
 	typ := reflect.TypeOf(*ix)
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)

@@ -181,9 +181,9 @@ func TestManagerInfoRacesMutation(t *testing.T) {
 	m := NewManager(p2h.ServerOptions{Workers: 2}, time.Second)
 	defer m.Close(context.Background())
 	if _, _, err := m.Load("dyn", IndexConfig{
-		// A small rebuild fraction so the mutation stream triggers tree
+		// A small fold threshold so the mutation stream triggers tree
 		// swaps, the state info() used to read unsynchronized.
-		Spec: &p2h.Spec{Kind: p2h.KindDynamic, LeafSize: 16, RebuildFraction: 0.05}, Data: dataPath,
+		Spec: &p2h.Spec{Kind: p2h.KindDynamic, LeafSize: 16, CompactFraction: 0.05}, Data: dataPath,
 	}, false); err != nil {
 		t.Fatal(err)
 	}

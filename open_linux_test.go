@@ -141,13 +141,13 @@ func TestOpenDoesNotCopyThePoints(t *testing.T) {
 }
 
 // TestOpenMapsTheDynamicSnapshotTree: a dynamic container's snapshot tree sits
-// behind one liveness byte per handle, and the payload pads them so the tree
-// is aligned whatever the handle count. For counts of every residue mod 4,
-// opening allocates under a quarter of the point section and under the size of
-// the tree's two code arrays, so the points, ids and codes are all views of
-// the mapping; and the opened index answers as the one saved. (Leaves of 400
-// keep the node records, which are decoded, small beside the codes; the two
-// bytes a handle the liveness flags take are what is left.)
+// behind the liveness bitmap, 8 bytes per 64 handles, and the payload pads it
+// so the tree is aligned whatever the handle count. For counts of every
+// residue mod 4, opening allocates under a quarter of the point section and
+// under the size of the tree's two code arrays, so the points, ids and codes
+// are all views of the mapping; and the opened index answers as the one
+// saved. (Leaves of 400 keep the node records, which are decoded, small beside
+// the codes; the bitmap, read and then decoded into words, is what is left.)
 func TestOpenMapsTheDynamicSnapshotTree(t *testing.T) {
 	dir := t.TempDir()
 	for n := 12000; n < 12004; n++ {

@@ -41,14 +41,16 @@ import (
 )
 
 // oracleKinds is the one table of specs the root tests build from: every kind
-// of p2h.Kinds(), the quantized trees, and sharded at 1, 4 and 8 shards.
-// NH and FH use M = 8: an exact hash search drains all m·n cursors.
+// of p2h.Kinds(), the quantized trees, sharded at 1, 4 and 8 shards, and a
+// churned dynamic index (see churnedRow). NH and FH use M = 8: an exact hash
+// search drains all m·n cursors.
 var oracleKinds = []oracleKind{
 	{"balltree", p2h.Spec{Kind: p2h.KindBallTree, LeafSize: 40, Seed: 11}},
 	{"balltree-quant", p2h.Spec{Kind: p2h.KindBallTree, LeafSize: 40, Seed: 11, Quantize: true}},
 	{"bctree", p2h.Spec{Kind: p2h.KindBCTree, LeafSize: 40, Seed: 11}},
 	{"bctree-quant", p2h.Spec{Kind: p2h.KindBCTree, LeafSize: 40, Seed: 11, Quantize: true}},
 	{"dynamic", p2h.Spec{Kind: p2h.KindDynamic, LeafSize: 40, Seed: 11}},
+	{churnedRow, p2h.Spec{Kind: p2h.KindDynamic, LeafSize: 40, Seed: 11}},
 	{"fh", p2h.Spec{Kind: p2h.KindFH, Lambda: 48, M: 8, Seed: 11}},
 	{"kdtree", p2h.Spec{Kind: p2h.KindKDTree, LeafSize: 40}},
 	{"linearscan", p2h.Spec{Kind: p2h.KindLinearScan}},
@@ -306,7 +308,7 @@ func (v oracleView) runSet(t *testing.T, set oracleSet) {
 		if set.shardedOnly && spec.Kind != p2h.KindSharded {
 			continue
 		}
-		r := buildRow(t, set, spec, points, shapes)
+		r := buildRow(t, set, spec, name == churnedRow, points, shapes)
 		for s, sh := range shapes {
 			if sh.opts.DisableQuantFilter && !spec.Quantize {
 				continue
@@ -333,8 +335,11 @@ type builtRow struct {
 	srv    *p2h.Server
 }
 
-func buildRow(t *testing.T, set oracleSet, spec p2h.Spec, points []p2h.PointAttrs, shapes []oracleShape) *builtRow {
+func buildRow(t *testing.T, set oracleSet, spec p2h.Spec, churned bool, points []p2h.PointAttrs, shapes []oracleShape) *builtRow {
 	build := func(spec p2h.Spec) p2h.Index {
+		if churned {
+			return churn(t, set, spec, points)
+		}
 		ix := p2h.MustBuild(t, set.data, spec)
 		if ix.N() != set.data.N || ix.Dim() != set.data.D {
 			t.Fatalf("shape %d×%d, want %d×%d", ix.N(), ix.Dim(), set.data.N, set.data.D)
@@ -373,6 +378,50 @@ func buildRow(t *testing.T, set oracleSet, spec p2h.Spec, points []p2h.PointAttr
 		}
 	}
 	return r
+}
+
+// churnedRow is the row churn builds.
+const churnedRow = "dynamic-churned"
+
+// churn builds a dynamic index whose live set is set.data, handle i holding
+// row i, beside dead rows on both sides of its snapshot boundary: copies of
+// every tenth row, bulk-loaded after the data and deleted (tombstones in the
+// snapshot tree), and copies of every twentieth, inserted and deleted (dead
+// delta rows). A copy lies at its original's distance from every hyperplane
+// and carries its payload, so a dead row any path let through shows as a
+// wrong id. Together they stay under the fold threshold: nothing is folded.
+func churn(t *testing.T, set oracleSet, spec p2h.Spec, points []p2h.PointAttrs) p2h.Index {
+	n := set.data.N
+	rows := make([]int32, n, n+n/10+n/20+2)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	for i := 0; i < n; i += 10 {
+		rows = append(rows, int32(i))
+	}
+	ix := p2h.MustBuild(t, set.data.SubsetRows(rows), spec).(*p2h.Dynamic)
+	for i := 0; i < n; i += 20 {
+		ix.Insert(set.data.Row(i))
+		rows = append(rows, int32(i))
+	}
+	payloads := make([]p2h.PointAttrs, len(rows))
+	for h, row := range rows {
+		payloads[h] = points[row]
+	}
+	if err := p2h.AttachAttributes(ix, payloads); err != nil {
+		t.Fatal(err)
+	}
+	for h := n; h < len(rows); h++ {
+		if !ix.Delete(int32(h)) {
+			t.Fatalf("Delete(%d) = false", h)
+		}
+	}
+	// Every dead row still pending: no fold has dropped a tombstone or a
+	// dead delta row.
+	if ix.N() != n || ix.Pending() != len(rows)-n {
+		t.Fatalf("churned index: %d live and %d pending, want %d and %d", ix.N(), ix.Pending(), n, len(rows)-n)
+	}
+	return ix
 }
 
 // saveAndRestore returns a copy of ix through the container: Save→Load off a

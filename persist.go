@@ -175,7 +175,7 @@ func load(br *binio.Reader) (Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	in, err := h.kind.load(br, h.spec)
+	in, err := h.kind.load(br)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s payload: %v", ErrFormat, h.kind.name, err)
 	}
@@ -223,7 +223,10 @@ func readHeader(br *binio.Reader) (header, error) {
 	if h.kind.load == nil {
 		return header{}, fmt.Errorf("%w: container holds build-only kind %q (%s)", ErrFormat, h.kind.name, h.kind.buildOnly)
 	}
-	if err := json.Unmarshal(specJSON, &h.spec); err != nil {
+	// Leniently, unlike a user's spec: a key an older release recorded (the
+	// rebuild_fraction of a P2HDY004 dynamic payload, say) leaves the refusal
+	// to the payload decoder, which names the version.
+	if err := json.Unmarshal(specJSON, (*plainSpec)(&h.spec)); err != nil {
 		return header{}, fmt.Errorf("%w: decoding spec: %v", ErrFormat, err)
 	}
 	if h.spec.Kind == "" {

@@ -365,19 +365,20 @@ func TestTruncatedSectionsFailBeforeAllocating(t *testing.T) {
 		if spec.Kind != KindDynamic {
 			continue
 		}
-		// Every section boundary of the P2HDY004 payload, as for the arena
+		// Every section boundary of the P2HDY005 payload, as for the arena
 		// above; the embedded tree is one section here, and the padding
 		// before it one more when there is any.
-		pay := bytes.Index(good, []byte("P2HDY004"))
+		pay := bytes.Index(good, []byte("P2HDY005"))
 		handles := int(binary.LittleEndian.Uint32(good[pay+8+24:]))
-		pad := -(36 + handles + 1 + 8) & 3
-		tree := int(binary.LittleEndian.Uint64(good[pay+8+28+handles+pad+1:]))
+		words := 8 * ((handles + 63) / 64)
+		pad := -(40 + words + 1 + 8) & 3
+		tree := int(binary.LittleEndian.Uint64(good[pay+40+words+pad+1:]))
 		end := pay
 		for _, sec := range []struct {
 			name        string
 			bytes, elem int
 		}{
-			{"header", 8 + 4 + 8 + 8 + 4 + 4, 4}, {"liveness", handles, 1}, {"padding", pad, 1}, {"snapshot flag", 1, 1},
+			{"header", 8 + 4 + 8 + 8 + 4 + 4 + 4, 4}, {"liveness", words, 8}, {"padding", pad, 1}, {"snapshot flag", 1, 1},
 			{"tree length", 8, 8}, {"tree", tree, 4},
 			{"delta base", 4, 4}, {"delta rows", 4 * 40 * (small.D + 1), 4},
 		} {
@@ -430,8 +431,9 @@ func checkRetiredNamed(t *testing.T, what string, old []byte, wants ...string) {
 // error that names the payload version it holds and the ones this build
 // reads, by Load, Open and Inspect alike. So is a Sharded or Dynamic container
 // from before the trees they embed spoke their holder's ids (P2HSH001,
-// P2HDY002), and a Dynamic one from before it aligned its tree (P2HDY003).
-// There is no converter.
+// P2HDY002), a Dynamic one from before it aligned its tree (P2HDY003), and
+// one from before its liveness became a bitmap (P2HDY004). There is no
+// converter.
 func TestRetiredBCPayloadsAreNamed(t *testing.T) {
 	for kind, ix := range goldenRecipes(t) {
 		if kind != KindBCTree && kind != KindSharded && kind != KindDynamic {
@@ -454,9 +456,9 @@ func TestRetiredBCPayloadsAreNamed(t *testing.T) {
 			old := bytes.Replace(buf.Bytes(), []byte("P2HSH002"), []byte("P2HSH001"), 1)
 			checkRetiredNamed(t, "P2HSH001", old, "P2HSH001", "version 1", "P2HSH002")
 		case KindDynamic:
-			for retired, version := range map[string]string{"P2HDY002": "version 2", "P2HDY003": "version 3"} {
-				old := bytes.Replace(buf.Bytes(), []byte("P2HDY004"), []byte(retired), 1)
-				checkRetiredNamed(t, retired, old, retired, version, "P2HDY004")
+			for retired, version := range map[string]string{"P2HDY002": "version 2", "P2HDY003": "version 3", "P2HDY004": "version 4"} {
+				old := bytes.Replace(buf.Bytes(), []byte("P2HDY005"), []byte(retired), 1)
+				checkRetiredNamed(t, retired, old, retired, version, "P2HDY005")
 			}
 		}
 	}
@@ -464,14 +466,25 @@ func TestRetiredBCPayloadsAreNamed(t *testing.T) {
 
 // TestRetiredDynamicPayloadIsNamed: a Dynamic container written before the
 // tree became the index's only copy of its vectors (P2HDY001) is refused the
-// same way, by Load, Open and Inspect alike.
+// same way, by Load, Open and Inspect alike — and so is the golden fixture the
+// last release wrote (P2HDY004, liveness bytes), whose header still records
+// the retired rebuild_fraction a user's spec may no longer set.
 func TestRetiredDynamicPayloadIsNamed(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Save(&buf, goldenRecipes(t)[KindDynamic]); err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.Replace(buf.Bytes(), []byte("P2HDY004"), []byte("P2HDY001"), 1)
-	checkRetiredNamed(t, "P2HDY001", old, "P2HDY001", "version 1", "P2HDY004")
+	old := bytes.Replace(buf.Bytes(), []byte("P2HDY005"), []byte("P2HDY001"), 1)
+	checkRetiredNamed(t, "P2HDY001", old, "P2HDY001", "version 1", "P2HDY005")
+
+	v4, err := os.ReadFile(goldenPath("dynamic-p2hdy004"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(v4, []byte(`"rebuild_fraction"`)) {
+		t.Fatal("the P2HDY004 fixture's header does not record rebuild_fraction")
+	}
+	checkRetiredNamed(t, "P2HDY004 fixture", v4, "P2HDY004", "version 4", "P2HDY005")
 }
 
 // TestRetiredKDTreeContainerRefused: the KD-Tree was the last baseline with a

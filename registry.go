@@ -42,12 +42,12 @@ type kind struct {
 	wrap func(h handle) Index
 
 	// The codec of a persistable kind, all four set or all nil: save writes
-	// the payload (the bytes after the container header) and load restores it
-	// (spec is the header's), specOf recovers the Spec a container records
-	// (construction-only fields such as Seed may stay zero), and shape reads a
-	// payload's point count and stored dimensionality off its prefix.
+	// the payload (the bytes after the container header) and load restores
+	// it, specOf recovers the Spec a container records (construction-only
+	// fields such as Seed may stay zero), and shape reads a payload's point
+	// count and stored dimensionality off its prefix.
 	save   func(w io.Writer, in inner) error
-	load   func(r io.Reader, spec Spec) (loadedIndex, error)
+	load   func(r io.Reader) (loadedIndex, error)
 	specOf func(in inner) Spec
 	shape  func(r io.Reader) (n, lifted int, err error)
 	// buildOnly says why a kind without a codec has none. Exactly one of load
@@ -84,7 +84,7 @@ func arenaKind(name, alias string, tk balltree.Kind) *kind {
 			return balltree.BuildOwned(x, nil, tk, balltree.Config{LeafSize: s.LeafSize, Seed: s.Seed, Quantize: s.Quantize})
 		},
 		save: func(w io.Writer, in inner) error { return in.(*balltree.Tree).Save(w) },
-		load: func(r io.Reader, _ Spec) (loadedIndex, error) { return balltree.Load(r, tk, 0) },
+		load: func(r io.Reader) (loadedIndex, error) { return balltree.Load(r, tk, 0) },
 		specOf: func(in inner) Spec {
 			t := in.(*balltree.Tree)
 			return Spec{LeafSize: t.LeafSize(), Quantize: t.Quantized()}
@@ -105,10 +105,7 @@ var kinds = []*kind{
 	{
 		name: KindDynamic, aliases: []string{"dyn"}, emptyStart: true, nativePred: true,
 		build: func(x *Matrix, d int, s Spec) inner {
-			cfg := dynamic.Config{
-				LeafSize: s.LeafSize, Seed: s.Seed,
-				RebuildFraction: s.RebuildFraction, CompactFraction: s.CompactFraction,
-			}
+			cfg := dynamic.Config{LeafSize: s.LeafSize, Seed: s.Seed, CompactFraction: s.CompactFraction}
 			if x == nil {
 				return dynamic.New(d+1, cfg)
 			}
@@ -116,22 +113,11 @@ var kinds = []*kind{
 		},
 		wrap: func(h handle) Index { return &Dynamic{h, h.in.(*dynamic.Index)} },
 		save: func(w io.Writer, in inner) error { return in.(*dynamic.Index).Save(w) },
-		load: func(r io.Reader, spec Spec) (loadedIndex, error) {
-			ix, err := dynamic.Load(r)
-			// The payload format predates CompactFraction; the container
-			// header's Spec carries it across Save/Load.
-			if err == nil && spec.CompactFraction > 0 {
-				ix.SetCompactFraction(spec.CompactFraction)
-			}
-			return ix, err
-		},
+		load: func(r io.Reader) (loadedIndex, error) { return dynamic.Load(r) },
 		specOf: func(in inner) Spec {
 			ix := in.(*dynamic.Index)
 			cfg := ix.Configuration()
-			return Spec{
-				LeafSize: cfg.LeafSize, Seed: cfg.Seed, Dim: ix.Dim() - 1,
-				RebuildFraction: cfg.RebuildFraction, CompactFraction: cfg.CompactFraction,
-			}
+			return Spec{LeafSize: cfg.LeafSize, Seed: cfg.Seed, Dim: ix.Dim() - 1, CompactFraction: cfg.CompactFraction}
 		},
 		shape: dynamic.ReadShape,
 	},
@@ -174,7 +160,7 @@ var kinds = []*kind{
 		},
 		wrap: func(h handle) Index { return &Sharded{batchHandle{h}, h.in.(*shard.Index)} },
 		save: func(w io.Writer, in inner) error { return in.(*shard.Index).Save(w) },
-		load: func(r io.Reader, _ Spec) (loadedIndex, error) { return shard.Load(r) },
+		load: func(r io.Reader) (loadedIndex, error) { return shard.Load(r) },
 		specOf: func(in inner) Spec {
 			ix := in.(*shard.Index)
 			return Spec{LeafSize: ix.LeafSize(), Shards: ix.Shards(), Workers: ix.Workers(), Quantize: ix.Quantized()}

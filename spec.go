@@ -1,6 +1,9 @@
 package p2h
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 
 	"p2h/internal/core"
@@ -81,16 +84,40 @@ type Spec struct {
 	// starting empty (data == nil); other kinds take it from the data and
 	// reject a contradicting value.
 	Dim int `json:"dim,omitempty"`
-	// RebuildFraction is the dynamic kind's rebuild trigger (zero: 0.25).
-	RebuildFraction float64 `json:"rebuild_fraction,omitempty"`
-	// CompactFraction is the dynamic kind's background-compaction trigger,
-	// used instead of RebuildFraction when a server runs with
-	// ServerOptions.BackgroundCompaction (zero: RebuildFraction). Keeping
-	// the two distinct lets a serving deployment defer inline rebuilds
-	// (large RebuildFraction) while compacting off-thread at a tighter
-	// threshold.
+	// CompactFraction is the dynamic kind's fold threshold (zero: 0.25): once
+	// the rows inserted since the last fold plus the tombstones exceed this
+	// fraction of the live set, the delta is folded into a fresh tree —
+	// inline, by the Insert or Delete that crossed it, or off-thread when a
+	// server runs with ServerOptions.BackgroundCompaction. A JSON spec that
+	// sets the retired "rebuild_fraction" key is refused with a message
+	// naming this one.
 	CompactFraction float64 `json:"compact_fraction,omitempty"`
 }
+
+// UnmarshalJSON decodes a JSON spec strictly: a key that names no field is
+// refused — a typo'd tuning key must fail, not run with the default — and the
+// retired "rebuild_fraction" with a message naming its replacement (see
+// CompactFraction).
+func (s *Spec) UnmarshalJSON(b []byte) error {
+	var v struct {
+		plainSpec
+		RebuildFraction *float64 `json:"rebuild_fraction"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&v); err != nil {
+		return fmt.Errorf("p2h: spec: %w", err)
+	}
+	if v.RebuildFraction != nil {
+		return errors.New(`p2h: spec key "rebuild_fraction" is retired: the dynamic kind has one fold threshold, "compact_fraction" (default 0.25), for inline rebuilds and background compaction alike`)
+	}
+	*s = Spec(v.plainSpec)
+	return nil
+}
+
+// plainSpec is Spec without its methods: encoding/json decodes it field by
+// field, ignoring keys it does not know.
+type plainSpec Spec
 
 // New builds an index declared by spec over the rows of data — with Open and
 // Load, the only way to obtain one. The kind is resolved through the kind

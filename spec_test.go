@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -190,6 +191,28 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 	if string(b) != `{"kind":"bctree"}` {
 		t.Fatalf("minimal spec JSON = %s", b)
+	}
+}
+
+// TestSpecRefusesRebuildFraction: the dynamic kind has one fold threshold, so
+// a spec that still sets the retired key is refused — by every JSON decoder
+// of a Spec, the cmd tools' -spec flags and the daemon's index configs — with
+// a message naming its replacement, as is a key that names no field at all,
+// while a spec with compact_fraction decodes as before.
+func TestSpecRefusesRebuildFraction(t *testing.T) {
+	var spec Spec
+	err := json.Unmarshal([]byte(`{"kind":"dynamic","rebuild_fraction":0.5}`), &spec)
+	if err == nil || !strings.Contains(err.Error(), "rebuild_fraction") || !strings.Contains(err.Error(), `"compact_fraction"`) {
+		t.Fatalf("rebuild_fraction: err = %v, want a refusal naming compact_fraction", err)
+	}
+	if err := json.Unmarshal([]byte(`{"kind":"bctree","leaf_sise":8}`), &spec); err == nil || !strings.Contains(err.Error(), "leaf_sise") {
+		t.Fatalf("unknown key: err = %v, want it named", err)
+	}
+	if err := json.Unmarshal([]byte(`{"kind":"dynamic","leaf_size":8,"compact_fraction":0.5}`), &spec); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Spec{Kind: KindDynamic, LeafSize: 8, CompactFraction: 0.5}); spec != want {
+		t.Fatalf("decoded %+v, want %+v", spec, want)
 	}
 }
 
