@@ -4,9 +4,11 @@ package p2h_test
 // doc comment. The public API is the library's contract — an undocumented
 // export either needs words or should not be exported. CI runs this test as
 // its own step (see .github/workflows/ci.yml). And the documents describing the
-// tree may name only tools, scripts, symbols, tests and files that exist.
+// tree may name only tools, scripts, symbols, tests, files and formats that
+// exist, and cite no frozen benchmark snapshot.
 
 import (
+	"bytes"
 	"go/ast"
 	"go/doc"
 	"go/parser"
@@ -18,6 +20,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"p2h"
+	"p2h/internal/balltree"
+	"p2h/internal/dynamic"
+	"p2h/internal/shard"
 )
 
 // currentDocs are the documents that describe the tree as it is. History files
@@ -101,6 +108,61 @@ func TestDocsNameExistingTests(t *testing.T) {
 	eachMention(t, append(slices.Clone(currentDocs), ".github/workflows/ci.yml"), mention, func(doc, name string) {
 		if !slices.ContainsFunc(funcs, func(f string) bool { return strings.HasPrefix(f, name) }) {
 			t.Errorf("%s mentions %s, which no test, fuzz or benchmark function is named", doc, name)
+		}
+	})
+}
+
+// TestDocsNameNoFrozenSnapshots: no current document cites a BENCH_<n>
+// snapshot. Those files were written once, on hosts and in schemas no script
+// reproduces, and are gone; a number a current document gives names the
+// BENCHMARK.json metric and workload that measure it.
+func TestDocsNameNoFrozenSnapshots(t *testing.T) {
+	eachMention(t, currentDocs, regexp.MustCompile(`\bBENCH_[0-9]+`), func(doc, name string) {
+		t.Errorf("%s cites %s, a frozen snapshot; cite a BENCHMARK.json metric or drop the number", doc, name)
+	})
+}
+
+// TestDocsNameKnownFormats: every format magic a current document names is
+// either written today — it appears in the bytes Save writes for one of the
+// codec's variants, or in a fresh write-ahead log — or is a retired payload
+// magic that a loader refuses by name. A format bump cannot leave the
+// documents describing a format nothing writes or refuses.
+func TestDocsNameKnownFormats(t *testing.T) {
+	var written bytes.Buffer
+	for name, ix := range p2h.CodecVariants(t) {
+		if err := p2h.Save(&written, ix); err != nil {
+			t.Fatalf("%s: Save: %v", name, err)
+		}
+	}
+	dyn, err := p2h.New(nil, p2h.Spec{Kind: p2h.KindDynamic, Dim: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "index.p2h.wal")
+	w, err := p2h.AttachWAL(dyn, path, p2h.WALSyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written.Write(wal)
+
+	refused := func(magic string) bool {
+		for _, retired := range []func(string) error{balltree.RetiredPayload, dynamic.RetiredPayload, shard.RetiredPayload} {
+			if err := retired(magic); err != nil && strings.Contains(err.Error(), magic) {
+				return true
+			}
+		}
+		return false
+	}
+	eachMention(t, currentDocs, regexp.MustCompile(`\bP2H[A-Z]{2}[0-9]{3}\b`), func(doc, magic string) {
+		if !bytes.Contains(written.Bytes(), []byte(magic)) && !refused(magic) {
+			t.Errorf("%s names format %s, which nothing writes and no loader refuses by name", doc, magic)
 		}
 	})
 }

@@ -27,9 +27,10 @@ import (
 // bitwise identical to per-query Search calls (exact results are canonical;
 // see internal/exec).
 //
-// Batches that are not exec.Eligible (budgeted, filtered, or profiled)
-// fall back to the per-query path on one pooled Searcher, preserving
-// per-query traversal semantics exactly.
+// Batches that are not exec.Eligible (budgeted, filtered, predicated,
+// profiled, or carrying a Cancel hook) and batches of one query fall back to
+// the per-query path on one pooled Searcher, preserving per-query traversal
+// semantics exactly.
 func (t *Tree) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
 	if queries.D != t.points.D {
 		panic(fmt.Sprintf("balltree: batch queries have dimension %d, want %d", queries.D, t.points.D))

@@ -47,10 +47,11 @@ type SearchOptions struct {
 	// the child order of an exact search, the frontier key of a budgeted one.
 	Preference Preference
 	// Filter, if non-nil, restricts the search to ids it accepts: rejected
-	// points are neither verified nor counted against the budget. Used for
-	// tombstones (internal/dynamic) and ad-hoc filtering. Being an opaque
-	// function, it has no wire form and defeats the serving result cache;
-	// prefer Pred for attribute filtering.
+	// points are neither verified nor counted against the budget. It serves
+	// ad-hoc filtering, and a dynamic index evaluates a Pred through it, per
+	// handle against the stored payloads. Being an opaque function, it has
+	// no wire form and defeats the serving result cache; prefer Pred for
+	// attribute filtering.
 	Filter func(id int32) bool
 	// Pred, if non-nil, restricts the search to points whose attribute
 	// payload satisfies the declarative predicate. Unlike Filter it is

@@ -26,7 +26,7 @@ package dynamic
 //	         them — become garbage here.
 //
 // The serving engine owns the schedule: it polls CompactionNeeded after
-// mutations and runs one capture/build/install cycle at a time. Rebuild is
+// mutations and runs one capture/build/install cycle at a time. Compact is
 // the same three phases run back to back.
 
 import (
@@ -167,9 +167,10 @@ func (ix *Index) Install(c *Compaction) {
 	ix.delta = raced
 }
 
-// Compact runs one full capture/build/install cycle inline and reports
-// whether there was anything to fold: Rebuild, except that an index with no
-// delta is left alone.
+// Compact folds the delta and drops tombstones by running one full
+// capture/build/install cycle inline, and reports whether there was anything
+// to fold. An index with nothing pending is left alone: its tree is already
+// the fold of its live set in ascending handle order.
 func (ix *Index) Compact() bool {
 	c := ix.BeginCompaction()
 	if c == nil {

@@ -84,10 +84,10 @@ func TestCompactEquivalence(t *testing.T) {
 		}
 	}
 
-	// After a canonicalizing Rebuild both indexes serialize identically:
+	// After a canonicalizing Compact both indexes serialize identically:
 	// same rows, same liveness, same live set, same (deterministic) tree.
-	sync.Rebuild()
-	bg.Rebuild()
+	sync.Compact()
+	bg.Compact()
 	var sb, bb bytes.Buffer
 	if err := sync.Save(&sb); err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestCompactEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(sb.Bytes(), bb.Bytes()) {
-		t.Fatal("Save bytes differ after canonicalizing Rebuild")
+		t.Fatal("Save bytes differ after canonicalizing Compact")
 	}
 }
 
@@ -166,7 +166,7 @@ func TestCompactReconciliation(t *testing.T) {
 			t.Fatalf("handle %d holds %v, inserted %v", h, v, row)
 		}
 	}
-	ref.Rebuild()
+	ref.Compact()
 	want := searchHandles(t, ref, q, 20)
 	if len(got) != len(want) {
 		t.Fatalf("result sizes %d vs %d", len(got), len(want))

@@ -242,20 +242,12 @@ func (ix *Index) outgrown(frac float64) bool {
 	return float64(pending) > frac*float64(ix.nlive)
 }
 
-// maybeRebuild rebuilds the tree when the delta outgrows CompactFraction of
+// maybeRebuild folds the delta inline when it outgrows CompactFraction of
 // the live set, unless a background compaction folds it instead.
 func (ix *Index) maybeRebuild() {
 	if !ix.background && ix.outgrown(ix.cfg.CompactFraction) {
-		ix.Rebuild()
+		ix.Compact()
 	}
-}
-
-// Rebuild folds the delta and drops tombstones by rebuilding the tree over
-// the live set. It is also safe to call explicitly.
-func (ix *Index) Rebuild() {
-	c := ix.capture()
-	c.Build(ix.cfg)
-	ix.Install(c)
 }
 
 // Search answers a top-k P2HNNS query over the live set: the tree snapshot

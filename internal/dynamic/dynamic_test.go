@@ -218,7 +218,7 @@ func TestEmptyAndDrainedIndex(t *testing.T) {
 	if len(res) != 0 {
 		t.Fatalf("drained index returned %v", res)
 	}
-	ix.Rebuild() // explicit rebuild of an empty index must be a no-op
+	ix.Compact() // an explicit fold of an empty index must be a no-op
 	if ix.N() != 0 {
 		t.Fatal("rebuild resurrected points")
 	}

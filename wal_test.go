@@ -16,12 +16,12 @@ import (
 	"p2h/internal/binio"
 )
 
-// dynSaveBytes canonicalizes (Rebuild folds the delta deterministically)
+// dynSaveBytes canonicalizes (Compact folds the delta deterministically)
 // and serializes, so two equivalent indexes compare byte-identical
 // regardless of when their rebuilds happened to trigger.
 func dynSaveBytes(t *testing.T, d *Dynamic) []byte {
 	t.Helper()
-	d.index.Rebuild()
+	d.index.Compact()
 	var buf bytes.Buffer
 	if err := Save(&buf, d); err != nil {
 		t.Fatal(err)
