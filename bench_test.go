@@ -290,7 +290,7 @@ func BenchmarkQueryBudgetFH(b *testing.B) {
 }
 
 // BenchmarkExactDrivers is the measurement behind "exact search stays
-// depth-first" (DESIGN.md, "Two drivers, one node step"): the same exact
+// depth-first" (DESIGN.md, "One exact walk, one best-first driver"): the same exact
 // answers from the depth-first driver (Budget 0) and from the best-first one
 // (Budget n, bitwise exact by TestBudgetedSearchProperties). One iteration is
 // a pass over all queries by each driver, in alternating order, so the two are
@@ -333,31 +333,48 @@ func BenchmarkExactDrivers(b *testing.B) {
 
 // BenchmarkSearchBatchExact is the headline number of the batched execution
 // engine: one uncached batch of 64 exact top-10 queries on a BC-Tree,
-// answered per query (the pre-engine SearchBatch behavior: a plain loop
-// over Search) versus through the native shared batched traversal. Both
-// variants run on one goroutine so the ratio isolates the engine's
-// algorithmic effect — shared node visits, per-prefix multi-query leaf
-// kernels, conversion-free float64 inner loops — rather than parallelism.
+// answered per query (a plain loop over Search) versus as one SearchBatch
+// call, whose exact walk serves the whole group. Both variants run on one
+// goroutine so the ratio isolates the walk's algorithmic effect — shared node
+// visits, per-prefix multi-query leaf kernels, conversion-free float64 inner
+// loops — rather than parallelism. The pred- and filter- pairs restrict the
+// same batch to every tenth row, as BenchmarkQueryPredBCTree and
+// BenchmarkQueryFilterBCTree do: the walk shares its node visits and the
+// predicate's summary skips, and every query runs its own leaf pipeline.
 // Results of the two paths are bitwise identical (the equivalence tests pin
 // this); only the execution differs.
 func BenchmarkSearchBatchExact(b *testing.B) {
 	data, _ := benchData(b)
 	queries := GenerateQueries(data, 64, 2)
 	ix := MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1}).(BatchIndex)
-	opts := SearchOptions{K: 10}
-
-	b.Run("perquery", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for qi := 0; qi < queries.N; qi++ {
-				ix.Search(queries.Row(qi), opts)
+	points := make([]PointAttrs, data.N)
+	for i := 0; i < data.N; i += 10 {
+		points[i].Tags = []string{"sel10"}
+	}
+	if err := AttachAttributes(ix, points); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		prefix string
+		opts   SearchOptions
+	}{
+		{"", SearchOptions{K: 10}},
+		{"pred-", SearchOptions{K: 10, Pred: TagIs("sel10")}},
+		{"filter-", SearchOptions{K: 10, Filter: func(id int32) bool { return id%10 == 0 }}},
+	} {
+		b.Run(c.prefix+"perquery", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for qi := 0; qi < queries.N; qi++ {
+					ix.Search(queries.Row(qi), c.opts)
+				}
 			}
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ix.SearchBatch(queries, opts)
-		}
-	})
+		})
+		b.Run(c.prefix+"batched", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ix.SearchBatch(queries, c.opts)
+			}
+		})
+	}
 }
 
 // BenchmarkServerBatched is the serving layer with many callers and the

@@ -128,11 +128,11 @@ func (t *Dynamic) Compact() bool { return t.index.Compact() }
 // re-raised in the caller.
 //
 // SearchOptions.Profile is filled only when the batch runs on one goroutine
-// (workers == 1, or a single query). Then a native batch of a tree or the
-// scan runs the profiled batch query by query (exec.Fallback), and any other
-// index runs Search query by query. Two kinds still leave it zero: sharded,
-// whose SearchBatch drops it as its Search does, and quantizedscan, whose
-// Search records no phases. On every parallel path it is ignored, since
+// (workers == 1, or a single query). Then a tree's native batch records it
+// in its one walk, the scan's runs the profiled batch query by query, and
+// any other index runs Search query by query. Two kinds still leave it zero:
+// sharded, whose SearchBatch drops it as its Search does, and quantizedscan,
+// whose Search records no phases. On every parallel path it is ignored, since
 // concurrent workers cannot share one per-phase timer.
 func SearchBatch(ix Index, queries *Matrix, opts SearchOptions, workers int) [][]Result {
 	if queries.D != ix.Dim()+1 {
@@ -161,14 +161,12 @@ func SearchBatch(ix Index, queries *Matrix, opts SearchOptions, workers int) [][
 		// splitting its batch here would both oversubscribe the CPU
 		// (workers × shard workers goroutines) and walk every shard tree
 		// once per sub-batch instead of once per batch. But that routing
-		// only wins when the shared batched traversal actually engages
-		// (exact, unfiltered options) and the shard fan-out offers
-		// comparable parallelism; otherwise — budgeted or filtered batches,
-		// or fewer shards than workers — the worker split below keeps the
-		// caller's parallelism.
-		if sh, sharded := ix.(*Sharded); sharded &&
-			opts.Budget <= 0 && opts.Filter == nil && opts.Pred == nil && opts.Profile == nil &&
-			sh.Shards() >= workers {
+		// only wins when the shard trees' shared walk engages (an exact
+		// batch, whatever its Filter or Pred) and the shard fan-out offers
+		// comparable parallelism; otherwise — budgeted batches, or fewer
+		// shards than workers — the worker split below keeps the caller's
+		// parallelism.
+		if sh, sharded := ix.(*Sharded); sharded && opts.Budget <= 0 && sh.Shards() >= workers {
 			res, _ := bi.SearchBatch(queries, opts)
 			return res
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"p2h/internal/attr"
 	"p2h/internal/core"
 	"p2h/internal/dataset"
 	"p2h/internal/vec"
@@ -58,6 +59,23 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 
 func testSearchBatchMatchesSequential(t *testing.T, kind Kind) {
 	tree, queries := batchSetup(t, kind, 1500, 40, 1)
+	// A spatially correlated attribute, so the summaries have subtrees to
+	// skip: the first coordinate, thresholded at its mean.
+	data, _ := tree.Rows()
+	points := make([]attr.Point, data.N)
+	var mean float64
+	for i := range points {
+		x0 := float64(data.Row(i)[0])
+		points[i].Floats = map[string]float64{"x0": x0}
+		mean += x0 / float64(data.N)
+	}
+	store, err := attr.Build(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.AttachAttrs(store); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		opts core.SearchOptions
@@ -67,15 +85,26 @@ func testSearchBatchMatchesSequential(t *testing.T, kind Kind) {
 		{"exact-kBig", core.SearchOptions{K: tree.N() + 5}}, // k > n
 		{"budget", core.SearchOptions{K: 10, Budget: 100}},
 		{"filtered", core.SearchOptions{K: 10, Filter: func(id int32) bool { return id%3 != 0 }}},
+		{"pred", core.SearchOptions{K: 10, Pred: attr.FieldAtLeast("x0", mean)}},
+		{"profiled", core.SearchOptions{K: 10, Profile: &core.Profile{}}},
+		{"cancel-never", core.SearchOptions{K: 10, Cancel: func() bool { return false }}},
 		{"lowerbound-pref", core.SearchOptions{K: 10, Preference: core.PrefLowerBound}},
 		{"wo-ball", core.SearchOptions{K: 10, DisablePointBall: true}},
 		{"wo-cone", core.SearchOptions{K: 10, DisablePointCone: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			batch, _ := tree.SearchBatch(queries, tc.opts)
+			batch, stats := tree.SearchBatch(queries, tc.opts)
+			var skipped int64
 			for qi := 0; qi < queries.N; qi++ {
 				want, _ := tree.Search(queries.Row(qi), tc.opts)
 				requireSameResults(t, tc.name, batch[qi], want)
+				skipped += stats[qi].FilterSkippedNodes
+			}
+			if tc.opts.Pred != nil && skipped == 0 {
+				t.Fatal("the batch's walk skipped no subtree by its summaries")
+			}
+			if p := tc.opts.Profile; p != nil && p.Total() == 0 {
+				t.Fatal("the profiled batch recorded no phase time")
 			}
 		})
 	}
@@ -89,10 +118,41 @@ func TestSearchBatchEmptyAndSingle(t *testing.T) {
 		if len(out) != 0 || len(stats) != 0 {
 			t.Fatalf("empty batch: %d results, %d stats", len(out), len(stats))
 		}
+		// A batch of one is the walk Search runs: the same answer and the
+		// same work counters.
 		one := &vec.Matrix{Data: queries.Row(0), N: 1, D: queries.D}
-		out, _ = tree.SearchBatch(one, core.SearchOptions{K: 5})
-		want, _ := tree.Search(queries.Row(0), core.SearchOptions{K: 5})
+		out, stats = tree.SearchBatch(one, core.SearchOptions{K: 5})
+		want, wantSt := tree.Search(queries.Row(0), core.SearchOptions{K: 5})
 		requireSameResults(t, "single", out[0], want)
+		if stats[0] != wantSt {
+			t.Fatalf("single: batch stats %+v, Search stats %+v", stats[0], wantSt)
+		}
+	})
+}
+
+// TestSearchBatchTrailingRows: a Matrix is N rows of D at the front of Data,
+// which may run longer (a reused buffer filled to N rows). The batch reads
+// row i at Data[i*D:(i+1)*D], whatever follows the N-th row, exact (tiled and
+// leftover queries) and budgeted.
+func TestSearchBatchTrailingRows(t *testing.T) {
+	forKinds(t, func(t *testing.T, kind Kind) {
+		tree, queries := batchSetup(t, kind, 600, 9, 5)
+		const n = 6
+		head := &vec.Matrix{Data: queries.Data, N: n, D: queries.D}
+		for _, opts := range []core.SearchOptions{{K: 5}, {K: 5, Budget: 40}} {
+			out, stats := tree.SearchBatch(head, opts)
+			_, wantSt := tree.SearchBatch(&vec.Matrix{Data: queries.Data[:n*queries.D], N: n, D: queries.D}, opts)
+			if len(out) != n {
+				t.Fatalf("%+v: %d results for %d rows", opts, len(out), n)
+			}
+			for i := range out {
+				want, _ := tree.Search(queries.Row(i), opts)
+				requireSameResults(t, "trailing", out[i], want)
+				if stats[i] != wantSt[i] {
+					t.Fatalf("%+v row %d: stats %+v, want %+v", opts, i, stats[i], wantSt[i])
+				}
+			}
+		}
 	})
 }
 
@@ -142,15 +202,16 @@ func TestSearchBatchBallPruningActive(t *testing.T) {
 }
 
 // TestScanLeafTileMatchesQueryByQuery drives scanLeaf on one leaf of a
-// two-dimensional set with nine active queries — two groups for the
+// two-dimensional set with nine active queries — two tiles for the
 // multi-query kernel and one query left over — whose prefixes differ inside a
-// group: the whole leaf (a collector that is not full) beside cuts of several
+// tile: the whole leaf (a collector that is not full) beside cuts of several
 // lengths in the first, so the kernel takes the shortest and each query
 // finishes its own; an empty one (the centre far beyond lambda) in the second,
 // which leaves the kernel nothing. k exceeds the leaf, so every verified row
-// is in its collector at the end. Collectors and counters must come out as
-// they do when each query cuts, verifies and pushes in turn, which is the
-// reference written out below.
+// is in its collector at the end. The tiled queries' collectors and counters
+// must come out as they do when each query cuts, verifies and pushes in turn,
+// which is the reference written out below; the leftover ninth must come out
+// as the single-query pipeline (scanWithPruning) leaves it.
 func TestScanLeafTileMatchesQueryByQuery(t *testing.T) {
 	const k, nq = 256, 9
 	const whole, partial, none = 0, 1, 2
@@ -201,24 +262,25 @@ func TestScanLeafTileMatchesQueryByQuery(t *testing.T) {
 		}
 	}
 
-	b := &batchSearcher{tree: tree, queries: queries, opts: core.SearchOptions{K: k}, stats: make([]core.Stats, nq)}
-	b.scr.Reset(queries, k)
-	b.scr.Wide.Reset(queries.Data, d)
+	opts := core.SearchOptions{K: k}
+	s := tree.NewSearcher()
+	s.begin(queries.Data, nq, opts, nil)
 	for qi, rs := range seed {
 		for _, r := range rs {
-			b.scr.Heaps[qi].Push(r.ID, r.Dist)
+			s.qs[qi].tk.Push(r.ID, r.Dist)
 		}
 	}
+	s.scr.Wide.Reset(queries.Data, d)
 	const kappa = 1e-9
-	b.scanLeaf(leaf, act, ips, kappa)
+	s.scanLeaf(leaf, act, ips, kappa)
 
 	var cuts [nq]int
-	for qi := 0; qi < nq; qi++ {
+	for qi := 0; qi < nq-1; qi++ {
 		tk := core.NewTopK(k)
 		for _, r := range seed[qi] {
 			tk.Push(r.ID, r.Dist)
 		}
-		qnorm := b.scr.QNorms[qi]
+		qnorm := s.qs[qi].qnorm
 		grid := tree.grid(leaf)
 		cut := vec.BallCutoff(math.Abs(ips[qi])-qnorm*kappa, qnorm, tk.Lambda(),
 			&grid, tree.xcos[start:start+m], tree.xsin[start:start+m])
@@ -228,15 +290,26 @@ func TestScanLeafTileMatchesQueryByQuery(t *testing.T) {
 			tk.Push(tree.ids[start+r], math.Abs(v))
 		}
 		want := core.Stats{LeavesVisited: 1, IPCount: int64(cut), Candidates: int64(cut), PrunedPoints: int64(m - cut)}
-		if b.stats[qi] != want {
-			t.Fatalf("query %d: counters %+v, query by query %+v", qi, b.stats[qi], want)
+		if s.qs[qi].st != want {
+			t.Fatalf("query %d: counters %+v, query by query %+v", qi, s.qs[qi].st, want)
 		}
-		requireSameResults(t, fmt.Sprintf("query %d", qi), b.scr.Heaps[qi].DrainInto(nil), tk.Results())
+		requireSameResults(t, fmt.Sprintf("query %d", qi), s.qs[qi].tk.DrainInto(nil), tk.Results())
 		cuts[qi] = cut
 		if (kinds[qi] == whole) != (cut == m) || (kinds[qi] == none) != (cut == 0) {
 			t.Fatalf("query %d: prefix %d of %d is not the case this test set up", qi, cut, m)
 		}
 	}
+	last := nq - 1
+	one := tree.NewSearcher()
+	one.begin(queries.Row(last), 1, opts, nil)
+	for _, r := range seed[last] {
+		one.qs[0].tk.Push(r.ID, r.Dist)
+	}
+	one.scanWithPruning(&one.qs[0], leaf, math.Abs(ips[last])-one.qs[0].qnorm*kappa)
+	if s.qs[last].st != one.qs[0].st || one.qs[0].st.Candidates == 0 {
+		t.Fatalf("leftover query: counters %+v, single-query pipeline %+v", s.qs[last].st, one.qs[0].st)
+	}
+	requireSameResults(t, "leftover query", s.qs[last].tk.DrainInto(nil), one.qs[0].tk.DrainInto(nil))
 	if cuts[1] == cuts[3] {
 		t.Fatalf("prefixes %v: the first group's cuts should differ", cuts)
 	}

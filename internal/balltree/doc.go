@@ -25,10 +25,16 @@
 // right child's inner product. Traversal, leaf scans, the batched engine, the
 // codec and attribute pushdown exist once.
 //
-// A search has two drivers over one node step (Searcher.step: attribute
-// skip, strict pruning, leaf scan, the children's inner products). An exact
-// search (Budget <= 0) is the paper's depth-first recursion, preferred child
-// first. A budgeted search opens nodes best-first from a min-heap frontier
+// There is one exact walk and one best-first driver, over one node step
+// (Searcher.step: attribute skip, strict pruning, leaf scan, the children's
+// inner products and the group's child-order vote). An exact search
+// (Budget <= 0) is the paper's depth-first recursion, run once for a whole
+// group of queries: Search is the walk over a group of one, SearchBatch over
+// all its rows, and the children are opened in the order the group's
+// preference vote picks — for one query, its own preferred child first. At a
+// leaf, whole tiles of queries share the multi-query kernel and every other
+// query runs the single-query leaf pipeline (scanWithPruning). A budgeted
+// search opens nodes best-first, query by query, from a min-heap frontier
 // keyed by the centre's offset over the radius, |<q,c>| / r, so the budget
 // is spent on the leaves nearest the hyperplane wherever they sit in the
 // tree, instead of on the first subtree a depth-first walk dives into. The

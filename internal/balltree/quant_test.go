@@ -9,6 +9,11 @@ import (
 	"p2h/internal/vec"
 )
 
+// acceptAll is a Filter that rejects nothing: the leaf pipeline's Filter
+// stage keeps whole prefixes, verified in one block, and a quantized tree
+// scans in float (see Searcher.begin).
+func acceptAll(int32) bool { return true }
+
 func quantPair(t *testing.T, kind Kind, n, nq int, seed int64) (plain, quantized *Tree, queries *vec.Matrix) {
 	t.Helper()
 	raw := dataset.Dedup(dataset.Generate(dataset.Spec{
@@ -43,7 +48,7 @@ func testQuantSearchMatchesFloat(t *testing.T, kind Kind) {
 		{"no-point-ball", core.SearchOptions{K: 10, DisablePointBall: true}},
 		{"no-point-cone", core.SearchOptions{K: 10, DisablePointCone: true}},
 		{"no-point-bounds", core.SearchOptions{K: 10, DisablePointBall: true, DisablePointCone: true}},
-		{"ablated", core.SearchOptions{K: 10, DisableQuantFilter: true}},
+		{"ablated", core.SearchOptions{K: 10, Filter: acceptAll}}, // the float leaf scan
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for qi := 0; qi < queries.N; qi++ {
@@ -70,7 +75,7 @@ func testQuantBatchMatchesSequential(t *testing.T, kind Kind) {
 		{"exact-k10", core.SearchOptions{K: 10}},
 		{"exact-kBig", core.SearchOptions{K: quantized.N() + 5}},
 		{"no-point-ball", core.SearchOptions{K: 10, DisablePointBall: true}},
-		{"ablated", core.SearchOptions{K: 10, DisableQuantFilter: true}},
+		{"ablated", core.SearchOptions{K: 10, Filter: acceptAll}}, // the float leaf scan
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			batch, _ := quantized.SearchBatch(queries, tc.opts)

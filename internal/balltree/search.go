@@ -7,12 +7,14 @@ import (
 
 	"p2h/internal/attr"
 	"p2h/internal/core"
+	"p2h/internal/exec"
 	"p2h/internal/quant"
 	"p2h/internal/vec"
 )
 
 // Search answers a top-k P2HNNS query with Algorithm 5: branch-and-bound
-// over the ball hierarchy — depth-first when exact, best-first from one
+// over the ball hierarchy — depth-first when exact (the walk every exact
+// search shares; Search is a call of one query), best-first from one
 // frontier when opts.Budget caps the candidates (see bestFirst) — pruning
 // any node whose node-level ball bound (Theorem 2)
 //
@@ -57,57 +59,67 @@ func (t *Tree) Search(q []float32, opts core.SearchOptions) ([]core.Result, core
 // read during the call only: the caller owns it, and may grow it between
 // calls.
 func (t *Tree) SearchLive(q []float32, opts core.SearchOptions, live core.Bitmap) ([]core.Result, core.Stats) {
-	s := t.acquireSearcher()
+	s := t.acquireSearcher(&t.searchers)
 	res, st := s.SearchLive(q, opts, live, nil)
-	t.releaseSearcher(s)
+	t.searchers.Put(s)
 	runtime.KeepAlive(t) // the walk reads slices of a mapping only t holds (Tree.backing)
 	return res, st
 }
 
-// Searcher is a reusable single-query executor over one tree: the top-k
-// collector and the per-leaf scratch persist across calls, so steady-state
-// search allocates nothing beyond growth of the caller's dst. A Searcher is
-// not safe for concurrent use; acquire one per goroutine (Tree.Search pools
-// them automatically).
+// Searcher is a reusable executor over one tree. A call's state is split in
+// two: what every query of the call shares — the options, the compiled
+// predicate, the liveness bitmap and the flags derived from them — and one
+// record per query (see query). The scratch (the walk's active-set arena, the
+// leaf buffers, the budgeted frontier, the query records themselves) persists
+// across calls, so steady-state search allocates nothing beyond growth of the
+// caller's dst. A Searcher is not safe for concurrent use; acquire one per
+// goroutine (Tree.Search and Tree.SearchBatch pool them automatically).
 type Searcher struct {
-	tree    *Tree
+	tree *Tree
+	opts core.SearchOptions
+	live core.Bitmap // SearchLive's bitmap for the current call; nil admits every row
+
+	// Predicate state, live only while opts.Pred is set on a tree with an
+	// attribute store: pred points at prog, the predicate compiled against
+	// the store once per call (held by value so compiling allocates nothing
+	// for a plain tag or range), and usePush gates the per-node summary skip.
+	prog    attr.Prog
+	pred    *attr.Prog
+	usePush bool
+
+	// useQuant: the leaf scan runs the 8-bit code filter (see begin). tiled:
+	// full tiles of vec.TileQueries queries share the multi-query kernel at a
+	// leaf (see scanLeaf).
+	useQuant bool
+	tiled    bool
+
+	qs []query // the call's queries, in row order
+
+	sel      []int32           // per-leaf scratch for the survivor list
+	frontier []frontierNode    // budgeted searches: min-heap of unopened nodes
+	scr      exec.BatchScratch // the walk's active-set arena and the leaf kernels' buffers
+}
+
+// query is one query's state in a call: the vector and its norm, its top-k
+// collector and work counters, and, while useQuant is set, its fitted integer
+// filter (see quant.CodeFilter).
+type query struct {
 	q       []float32
 	qnorm   float64
 	sqQnorm float64
 	tk      core.TopK
 	st      core.Stats
-	opts    core.SearchOptions
-	buf     []float64 // per-leaf scratch for blocked inner products
-	sel     []int32   // per-leaf scratch for the survivor list
-
-	frontier []frontierNode // budgeted searches: min-heap of unopened nodes
-
-	// Quantized-filter state, live only while useQuant is set: qf is the
-	// query's fitted integer filter (see quant.CodeFilter).
-	qf       quant.CodeFilter
-	useQuant bool
-
-	// Predicate state, live only while opts.Pred is set on a tree with an
-	// attribute store: pred points at prog, the predicate compiled against
-	// the store (held by value so compiling allocates nothing for a plain
-	// tag or range), and usePush gates the per-node summary skip.
-	prog    attr.Prog
-	pred    *attr.Prog
-	usePush bool
-
-	live core.Bitmap // SearchLive's bitmap for the current call; nil admits every row
+	qf      quant.CodeFilter
 }
 
 // NewSearcher returns a reusable executor bound to the tree.
 func (t *Tree) NewSearcher() *Searcher { return &Searcher{tree: t} }
 
-func (t *Tree) acquireSearcher() *Searcher {
-	s := t.searchers.Get()
+func (t *Tree) acquireSearcher(pool *exec.Pool[Searcher]) *Searcher {
+	s := pool.Get()
 	s.tree = t
 	return s
 }
-
-func (t *Tree) releaseSearcher(s *Searcher) { t.searchers.Put(s) }
 
 // normalize applies the option defaults and, for the Ball kind, forces the
 // two point-level ablation switches: a Ball-Tree is the BC-Tree search with
@@ -129,185 +141,263 @@ func (s *Searcher) Search(q []float32, opts core.SearchOptions, dst []core.Resul
 }
 
 // SearchLive is Search over the rows whose id is in live (see
-// Tree.SearchLive).
+// Tree.SearchLive). An exact search is the shared walk over one query.
 func (s *Searcher) SearchLive(q []float32, opts core.SearchOptions, live core.Bitmap, dst []core.Result) ([]core.Result, core.Stats) {
-	opts = s.tree.normalize(opts)
-	s.live = live
-	s.q = q
-	s.qnorm = vec.Norm(q)
-	s.sqQnorm = s.qnorm * s.qnorm
-	s.opts = opts
-	s.st = core.Stats{}
-	s.tk.Init(opts.K)
-	run := s.preparePred()
-	// The quantized filter applies to exact scans only: budgeted searches
-	// keep the float path so "candidates verified" keeps meaning the same
-	// work, and so do Filter-closure searches, so that the closure is asked
-	// about the rows the float scan verifies whether or not the tree carries
-	// the mirror. A declarative predicate composes with it (the leaf scan
-	// filters rows by the predicate before the code kernel). Results are
-	// identical either way (the filter is exact), which the quantized-vs-float
-	// equality tests pin down.
-	s.useQuant = s.tree.qz != nil && opts.Filter == nil && opts.Budget <= 0 &&
-		!opts.DisableQuantFilter
-	if run {
-		if s.useQuant {
-			s.tree.qz.Fit(&s.qf, q)
+	s.search(q, 1, opts, live)
+	r := &s.qs[0]
+	res, st := r.tk.DrainInto(dst), r.st
+	s.end()
+	return res, st
+}
+
+// search runs one call over the nq queries packed row-major in rows: the
+// exact walk once for all of them, or the best-first driver for each in
+// turn. The answers stay in the query records for the caller to drain before
+// end.
+func (s *Searcher) search(rows []float32, nq int, opts core.SearchOptions, live core.Bitmap) {
+	switch run := s.begin(rows, nq, opts, live); {
+	case !run:
+	case s.opts.Budget > 0:
+		for i := range s.qs {
+			s.bestFirst(int32(i))
 		}
-		ip := vec.Dot(q, s.tree.centers.Row(0))
-		s.st.IPCount++
-		if opts.Budget > 0 {
-			s.bestFirst(ip)
+	default:
+		s.exact(rows)
+	}
+}
+
+// begin sets up the per-call state and a record for each of the nq queries
+// packed in rows. It reports whether the traversal should run at all: a
+// predicate on a tree without attributes constant-folds against the empty
+// payload — it either accepts every point (and is dropped) or rejects every
+// point (empty results, no traversal).
+//
+// The quantized filter applies to exact scans only: budgeted searches keep
+// the float path so "candidates verified" keeps meaning the same work, and so
+// do Filter-closure searches, so that the closure is asked about the rows the
+// float scan verifies whether or not the tree carries the mirror. A
+// declarative predicate composes with it (the leaf scan filters rows by the
+// predicate before the code kernel). Results are identical either way (the
+// filter is exact), which the quantized-vs-float equality tests pin down.
+func (s *Searcher) begin(rows []float32, nq int, opts core.SearchOptions, live core.Bitmap) bool {
+	s.opts = s.tree.normalize(opts)
+	s.live = live
+	s.useQuant = s.tree.qz != nil && s.opts.Filter == nil && s.opts.Budget <= 0
+	run := true
+	s.pred, s.usePush = nil, false
+	if p := s.opts.Pred; p != nil {
+		if s.tree.attrs == nil {
+			run = p.MatchesEmpty()
 		} else {
-			s.visit(0, ip, 0)
+			s.prog = *s.tree.attrs.Compile(p)
+			s.pred = &s.prog
+			s.usePush = s.tree.attrSums != nil
 		}
 	}
-	// Drop caller-owned references so the pooled Searcher cannot pin them.
-	s.q = nil
-	s.opts.Filter = nil
-	s.opts.Profile = nil
-	s.opts.Cancel = nil
-	s.opts.Pred = nil
+	s.tiled = nq >= vec.TileQueries && live == nil && s.pred == nil &&
+		s.opts.Filter == nil && !s.useQuant && s.opts.Profile == nil
+	// Grow the records without dropping the storage earlier calls gave them.
+	if nq > cap(s.qs) {
+		grown := make([]query, nq)
+		copy(grown, s.qs[:cap(s.qs)])
+		s.qs = grown
+	}
+	s.qs = s.qs[:nq]
+	d := s.tree.points.D
+	for i := range s.qs {
+		r := &s.qs[i]
+		r.q = rows[i*d : (i+1)*d]
+		r.qnorm = vec.Norm(r.q)
+		r.sqQnorm = r.qnorm * r.qnorm
+		r.tk.Init(s.opts.K)
+		r.st = core.Stats{}
+		if s.useQuant {
+			s.tree.qz.Fit(&r.qf, r.q)
+		}
+	}
+	return run
+}
+
+// end drops every caller-owned reference so the pooled Searcher cannot pin
+// them.
+func (s *Searcher) end() {
+	for i := range s.qs {
+		s.qs[i].q = nil
+	}
+	s.opts = core.SearchOptions{}
 	s.prog, s.pred = attr.Prog{}, nil
 	s.usePush = false
 	s.live = nil
-	return s.tk.DrainInto(dst), s.st
 }
 
-// preparePred resolves opts.Pred against the tree's attribute store. It
-// reports whether the traversal should run at all: a predicate on a tree
-// without attributes constant-folds against the empty payload — it either
-// accepts every point (and is dropped) or rejects every point (empty result,
-// no traversal).
-func (s *Searcher) preparePred() bool {
-	s.pred, s.usePush = nil, false
-	if s.opts.Pred == nil {
-		return true
+// exact runs the exact walk from the root for every query of the call. rows
+// are the queries packed row-major, which the multi-query kernel reads when
+// the call is tiled.
+func (s *Searcher) exact(rows []float32) {
+	t := s.tree
+	scr := &s.scr
+	scr.Reset()
+	if s.tiled {
+		scr.Wide.Reset(rows, t.points.D)
 	}
-	if s.tree.attrs == nil {
-		return s.opts.Pred.MatchesEmpty()
+	act, ips := scr.Alloc(len(s.qs))
+	root := t.centers.Row(0)
+	for i := range act {
+		r := &s.qs[i]
+		act[i] = int32(i)
+		ips[i] = vec.Dot(r.q, root)
+		r.st.IPCount++
 	}
-	s.prog = *s.tree.attrs.Compile(s.opts.Pred)
-	s.pred = &s.prog
-	s.usePush = s.tree.attrSums != nil
-	return true
+	s.walk(0, act, ips, 0)
+	if s.tiled {
+		scr.Wide.Reset(nil, t.points.D)
+	}
 }
 
-// scratch returns a distance buffer of at least m entries, reused across the
-// leaves one query visits.
-func (s *Searcher) scratch(m int) []float64 {
-	if cap(s.buf) < m {
-		s.buf = make([]float64, m)
+// walk is the exact driver: SubBCTreeSearch (SubBallTreeSearch for the Ball
+// kind), the paper's depth-first recursion, run once for the active queries
+// act (ips[j] is <q, N.c> for query act[j], kappa as in step). A query leaves
+// the active set where its own bound prunes; each child gets the survivors
+// and their inner products with its centre as a segment carved from the
+// scratch arena, and the children are opened in the order the group's vote
+// picks (see step). Order affects only pruning work, never results, which are
+// canonical (see internal/exec). opts.Cancel is polled at every node.
+func (s *Searcher) walk(ni int32, act []int32, ips []float64, kappa float64) {
+	if s.opts.Canceled() {
+		return // deadline fired: keep what the collectors already hold
 	}
-	return s.buf[:m]
+	n := &s.tree.nodes[ni]
+	m := len(act)
+	mark := s.scr.Mark()
+	acts, ipss := s.scr.Alloc(2 * m)
+	if live, kappaR, right := s.step(ni, n, act, ips, ipss[:m], ipss[m:], kappa); live > 0 {
+		actL, actR := acts[:live], acts[m:m+live]
+		for j, qi := range act[:live] {
+			actL[j], actR[j] = qi, qi
+		}
+		ipsL, ipsR := ipss[:live], ipss[m:m+live]
+		if right {
+			s.walk(n.right, actR, ipsR, kappaR)
+			s.walk(ni+1, actL, ipsL, 0)
+		} else {
+			s.walk(ni+1, actL, ipsL, 0)
+			s.walk(n.right, actR, ipsR, kappaR)
+		}
+	}
+	s.scr.Release(mark)
 }
 
-// step evaluates one node for both drivers. ip is <q, center(ni)> as the
-// caller knows it: computed from the centre for the root and for left
-// children (and for a Ball tree's right children), derived via Lemma 2 for a
-// BC tree's right children. kappa bounds, per unit of ||q||, how far a derived
-// ip can be from the product with the centre the node's radius and leaf
-// arrays were measured from (see centerStep): zero for a computed product,
-// and for the right child of N
+// step evaluates node n (arena index ni) for the active queries act, for both
+// drivers. ips[j] is <q, center(ni)> for query act[j] as the caller knows it:
+// computed from the centre for the root and for left children (and for a Ball
+// tree's right children), derived via Lemma 2 for a BC tree's right children.
+// kappa bounds, per unit of ||q||, how far a derived ip can be from the
+// product with the centre the node's radius and leaf arrays were measured
+// from (see centerStep): zero for a computed product, and for the right child
+// of N
 //
 //	kappa_right = (|N|/|right|) * (kappa_N + centerStep*||N.c||),
 //
 // N's own uncertainty plus the rounding of N's stored centre, both amplified
-// by the division. It depends on the tree alone, not on the query. A bound
-// takes ip at its least favourable: the centre is only known to lie
-// |ip| - kappa*||q|| from the hyperplane.
+// by the division. It depends on the tree alone, not on the query, so one
+// number serves the group. A bound takes ip at its least favourable: the
+// centre is only known to lie |ip| - kappa*||q|| from the hyperplane.
 //
-// A node that is skipped by the attribute summaries, pruned, or a leaf
-// (scanned here) is finished and step reports expand == false; for a
-// surviving internal node it returns the children's inner products and the
-// right child's kappa (the left child's is zero), and leaves the order in
-// which they are opened — and the polling of opts.Cancel between nodes — to
-// the driver. Pruning is strict (lb > λ): candidates tied with the k-th best
-// distance reach the collector, whose canonical (Dist, ID) order decides —
-// the invariant that makes exact results independent of traversal order (see
+// The attribute summaries are asked once for the whole group; the node-level
+// ball bound prunes query by query. A leaf is scanned here for its survivors.
+// For an internal node step compacts act and ips in place to the survivors,
+// returns how many there are, and writes their children's inner products to
+// ipsL and ipsR (as long as act; ipsL may be ips itself): the left child's
+// from its centre, the right child's via Lemma 2 on a BC tree (from its
+// centre on a Ball tree). It also returns the right child's kappa (the left
+// child's is zero) and whether the group opens the right child first. That
+// is a vote of Algorithm 5 lines 12-17: each query's key for either child —
+// |<q, c>| under PrefCenter, the ball bound max(|<q, c>| - ||q||·r, 0) under
+// PrefLowerBound — is summed over the group and the smaller sum goes first,
+// the left child on a tie; for one query it is that query's own preference.
+// A finished node — skipped, pruned for every query, or a leaf — returns zero
+// survivors.
+//
+// Pruning is strict (lb > λ): candidates tied with the k-th best distance
+// reach the collector, whose canonical (Dist, ID) order decides — the
+// invariant that makes exact results independent of traversal order (see
 // internal/exec).
-func (s *Searcher) step(ni int32, ip, kappa float64) (n *nodeRec, ipl, ipr, kappaR float64, expand bool) {
+func (s *Searcher) step(ni int32, n *nodeRec, act []int32, ips, ipsL, ipsR []float64, kappa float64) (live int, kappaR float64, right bool) {
 	t := s.tree
-	n = &t.nodes[ni]
 	if s.usePush && t.attrSums.Node(ni, s.pred) == attr.TriNo {
 		// Predicate pushdown: the node's attribute summaries prove no point
 		// under it can match, so the whole subtree is skipped. The skip only
 		// removes points a per-row filter would have rejected anyway, so the
 		// accepted-candidate sequence — and with it the results, budgeted or
 		// not — is unchanged.
-		s.st.FilterSkippedNodes++
-		s.st.FilterSkippedPoints += int64(n.count())
-		return n, 0, 0, 0, false
+		for _, qi := range act {
+			st := &s.qs[qi].st
+			st.FilterSkippedNodes++
+			st.FilterSkippedPoints += int64(n.count())
+		}
+		return 0, 0, false
 	}
-	s.st.NodesVisited++
-	offset := math.Abs(ip) - s.qnorm*kappa
-	if offset-s.qnorm*n.radius > s.tk.Lambda() { // a negative bound never prunes, no max needed
-		s.st.PrunedNodes++
-		return n, 0, 0, 0, false
+	for j, qi := range act {
+		r := &s.qs[qi]
+		r.st.NodesVisited++
+		offset := math.Abs(ips[j]) - r.qnorm*kappa
+		if offset-r.qnorm*n.radius > r.tk.Lambda() { // a negative bound never prunes, no max needed
+			r.st.PrunedNodes++
+			continue
+		}
+		act[live], ips[live] = qi, ips[j]
+		live++
+	}
+	if live == 0 {
+		return 0, 0, false
 	}
 	if n.isLeaf() {
-		s.scanWithPruning(n, math.Max(offset, 0))
-		return n, 0, 0, 0, false
+		s.scanLeaf(n, act[:live], ips[:live], kappa)
+		return 0, 0, false
 	}
 
 	var start time.Time
 	if s.opts.Profile != nil {
 		start = time.Now()
 	}
-	ipl = vec.Dot(s.q, t.centers.Row(int(n.leftRow)))
-	s.st.IPCount++
+	centerL := t.centers.Row(int(n.leftRow))
+	cn := float64(n.count())
+	cl := float64(t.nodes[ni+1].count())
+	cr := float64(t.nodes[n.right].count())
+	var centerR []float32 // Ball kind only
 	if t.kind == Ball {
-		ipr = vec.Dot(s.q, t.centers.Row(int(n.right)))
-		s.st.IPCount++
+		centerR = t.centers.Row(int(n.right))
 	} else {
-		// Lemma 2: <q, rc.c> = (|N| <q, N.c> - |lc| <q, lc.c>) / |rc|.
-		cn := float64(n.count())
-		cl := float64(t.nodes[ni+1].count())
-		cr := float64(t.nodes[n.right].count())
-		ipr = (cn*ip - cl*ipl) / cr
 		kappaR = cn / cr * (kappa + centerStep*n.centerNorm)
-		s.st.CollabIPs++
+	}
+	lowerBound := s.opts.Preference == core.PrefLowerBound
+	rl, rr := t.nodes[ni+1].radius, t.nodes[n.right].radius
+	var sumL, sumR float64
+	for j, qi := range act[:live] {
+		r := &s.qs[qi]
+		ipl := vec.Dot(r.q, centerL)
+		r.st.IPCount++
+		var ipr float64
+		if t.kind == Ball {
+			ipr = vec.Dot(r.q, centerR)
+			r.st.IPCount++
+		} else {
+			// Lemma 2: <q, rc.c> = (|N| <q, N.c> - |lc| <q, lc.c>) / |rc|.
+			ipr = (cn*ips[j] - cl*ipl) / cr
+			r.st.CollabIPs++
+		}
+		ipsL[j], ipsR[j] = ipl, ipr
+		keyL, keyR := math.Abs(ipl), math.Abs(ipr)
+		if lowerBound {
+			keyL, keyR = max(keyL-r.qnorm*rl, 0), max(keyR-r.qnorm*rr, 0)
+		}
+		sumL += keyL
+		sumR += keyR
 	}
 	if s.opts.Profile != nil {
 		s.opts.Profile.Add(core.PhaseBound, time.Since(start))
 	}
-	return n, ipl, ipr, kappaR, true
-}
-
-// visit is the exact driver: SubBCTreeSearch (SubBallTreeSearch for the Ball
-// kind), the paper's depth-first recursion with the preferred child first.
-func (s *Searcher) visit(ni int32, ip, kappa float64) {
-	if s.opts.Canceled() {
-		return // deadline fired: keep what the collector already holds
-	}
-	n, ipl, ipr, kappaR, expand := s.step(ni, ip, kappa)
-	if !expand {
-		return
-	}
-	if s.preferRight(ni, ipl, ipr) {
-		s.visit(n.right, ipr, kappaR)
-		s.visit(ni+1, ipl, 0)
-	} else {
-		s.visit(ni+1, ipl, 0)
-		s.visit(n.right, ipr, kappaR)
-	}
-}
-
-// preferRight decides the branch order under node ni (Algorithm 5 lines
-// 12-17).
-func (s *Searcher) preferRight(ni int32, ipl, ipr float64) bool {
-	if s.opts.Preference == core.PrefLowerBound {
-		lbl := math.Abs(ipl) - s.qnorm*s.tree.nodes[ni+1].radius
-		lbr := math.Abs(ipr) - s.qnorm*s.tree.nodes[s.tree.nodes[ni].right].radius
-		if lbl < 0 {
-			lbl = 0
-		}
-		if lbr < 0 {
-			lbr = 0
-		}
-		return lbr < lbl
-	}
-	return math.Abs(ipr) < math.Abs(ipl)
+	return live, kappaR, sumR < sumL
 }
 
 // frontierNode is an unopened node of a budgeted search: its arena index,
@@ -334,15 +424,27 @@ func (a frontierNode) before(b frontierNode) bool {
 // hyperplane wherever they sit in the tree. It stops when the budget is
 // spent, the frontier is empty or opts.Cancel fires — with Budget >= n that
 // is the exact answer, since exact results do not depend on the order nodes
-// are opened.
-func (s *Searcher) bestFirst(ip float64) {
+// are opened. It runs for query qi of the call alone, and opens each node
+// through the walk's step.
+func (s *Searcher) bestFirst(qi int32) {
+	t := s.tree
+	r := &s.qs[qi]
+	scr := &s.scr
+	scr.Reset()
+	act, ips := scr.Alloc(3) // step's active set: the one query
+	ipc := ips[1:3]          // and its children's inner products
+	act, ips = act[:1], ips[:1]
+	ip := vec.Dot(r.q, t.centers.Row(0))
+	r.st.IPCount++
 	s.frontier = s.frontier[:0]
-	s.pushFrontier(0, ip, 0, 0)
-	for len(s.frontier) > 0 && s.opts.BudgetLeft(s.st.Candidates) && !s.opts.Canceled() {
+	s.pushFrontier(r, 0, ip, 0, 0)
+	for len(s.frontier) > 0 && s.opts.BudgetLeft(r.st.Candidates) && !s.opts.Canceled() {
 		e := s.popFrontier()
-		if n, ipl, ipr, kappaR, expand := s.step(e.ni, e.ip, e.kappa); expand {
-			s.pushFrontier(e.ni+1, ipl, 0, n.radius)
-			s.pushFrontier(n.right, ipr, kappaR, n.radius)
+		n := &t.nodes[e.ni]
+		act[0], ips[0] = qi, e.ip
+		if live, kappaR, _ := s.step(e.ni, n, act, ips, ipc[:1], ipc[1:], e.kappa); live > 0 {
+			s.pushFrontier(r, e.ni+1, ipc[0], 0, n.radius)
+			s.pushFrontier(r, n.right, ipc[1], kappaR, n.radius)
 		}
 	}
 }
@@ -355,17 +457,17 @@ func (s *Searcher) bestFirst(ip float64) {
 // unclamped ball bound |<q,c>| - ||q||·r. A zero-radius ball (a single point,
 // or a leaf of duplicates) has no size of its own to be relative to and is
 // ranked on its parent's, so that it still competes by how near it lies.
-func (s *Searcher) pushFrontier(ni int32, ip, kappa, parentRadius float64) {
-	r := s.tree.nodes[ni].radius
+func (s *Searcher) pushFrontier(r *query, ni int32, ip, kappa, parentRadius float64) {
+	rad := s.tree.nodes[ni].radius
 	key := math.Abs(ip)
 	if s.opts.Preference == core.PrefLowerBound {
-		key -= s.qnorm * r
+		key -= r.qnorm * rad
 	} else {
-		if r == 0 {
-			r = parentRadius
+		if rad == 0 {
+			rad = parentRadius
 		}
-		if r > 0 {
-			key /= r
+		if rad > 0 {
+			key /= rad
 		}
 	}
 	e := frontierNode{key: key, ip: ip, kappa: kappa, ni: ni}
@@ -432,9 +534,10 @@ func (s *Searcher) popFrontier() frontierNode {
 //
 // Every bound is evaluated against the λ at leaf entry; λ only shrinks during
 // the scan, so the snapshot prunes conservatively and results stay exact.
-// absIP is the least |<q, N.c>| can be given what step knows of it.
-func (s *Searcher) scanWithPruning(n *nodeRec, absIP float64) {
-	s.st.LeavesVisited++
+// absIP is the least |<q, N.c>| can be given what step knows of it. The scan
+// serves query r alone, against its own collector.
+func (s *Searcher) scanWithPruning(r *query, n *nodeRec, absIP float64) {
+	r.st.LeavesVisited++
 	var leafStart time.Time
 	profiling := s.opts.Profile != nil
 	if profiling {
@@ -442,15 +545,15 @@ func (s *Searcher) scanWithPruning(n *nodeRec, absIP float64) {
 	}
 	t := s.tree
 	start := int(n.start)
-	lambda := s.tk.Lambda()
+	lambda := r.tk.Lambda()
 	grid := t.grid(n)
 	left := math.MaxInt // candidates the budget still allows
 	if s.opts.Budget > 0 {
-		left = int(int64(s.opts.Budget) - s.st.Candidates)
+		left = int(int64(s.opts.Budget) - r.st.Candidates)
 	}
 
 	// The survivors are the prefix [0, m) while dense, else the list in sel.
-	m := s.ballCutoff(n, &grid, absIP, lambda)
+	m := s.ballCutoff(r, n, &grid, absIP, lambda)
 	sel, dense := s.sel[:0], true
 	if live, pred := s.live, s.pred; live != nil || pred != nil {
 		for i, id := range t.ids[start : start+m] {
@@ -461,7 +564,7 @@ func (s *Searcher) scanWithPruning(n *nodeRec, absIP float64) {
 		dense = len(sel) == m
 	}
 	if !s.opts.DisablePointCone && n.centerNorm > 0 && m > 0 {
-		qcos, qsin := s.coneOf(n, absIP)
+		qcos, qsin := r.coneOf(n, absIP)
 		cos, sin := t.xcos[start:start+m], t.xsin[start:start+m]
 		before := len(sel)
 		if dense {
@@ -470,7 +573,7 @@ func (s *Searcher) scanWithPruning(n *nodeRec, absIP float64) {
 		} else {
 			sel = vec.ConeSelectIdx(qcos, qsin, lambda, &grid, cos, sin, sel)
 		}
-		s.st.PrunedPoints += int64(before - len(sel))
+		r.st.PrunedPoints += int64(before - len(sel))
 		dense = len(sel) == m
 	}
 	if s.opts.Filter != nil {
@@ -497,17 +600,17 @@ func (s *Searcher) scanWithPruning(n *nodeRec, absIP float64) {
 		}
 	}
 	// Like the bounds, the code filter needs a finite λ to act.
-	if s.useQuant && s.tk.Full() && m > 0 {
+	if s.useQuant && r.tk.Full() && m > 0 {
 		d := t.points.D
 		codes := t.codes[start*d : (start+m)*d]
 		before := len(sel)
 		if dense {
 			before = m
-			sel = vec.CodeSelect(codes, d, s.qf.W, s.qf.Base, s.qf.InvS, s.qf.Eps, lambda, sel[:0])
+			sel = vec.CodeSelect(codes, d, r.qf.W, r.qf.Base, r.qf.InvS, r.qf.Eps, lambda, sel[:0])
 		} else {
-			sel = vec.CodeSelectIdx(codes, d, s.qf.W, s.qf.Base, s.qf.InvS, s.qf.Eps, lambda, sel)
+			sel = vec.CodeSelectIdx(codes, d, r.qf.W, r.qf.Base, r.qf.InvS, r.qf.Eps, lambda, sel)
 		}
-		s.st.PrunedPoints += int64(before - len(sel))
+		r.st.PrunedPoints += int64(before - len(sel))
 		dense = len(sel) == m
 	}
 	s.sel = sel // keep the grown capacity for the next leaf
@@ -528,21 +631,16 @@ func (s *Searcher) scanWithPruning(n *nodeRec, absIP float64) {
 	if profiling {
 		t0 = time.Now()
 	}
-	d := t.points.D
 	if dense {
-		dists := s.scratch(verify)
-		vec.DotBlock(s.q, t.points.Data[start*d:(start+verify)*d], dists)
-		for i := 0; i < verify; i++ {
-			s.tk.Push(t.ids[start+i], math.Abs(dists[i]))
-		}
+		s.verify(r, start, start+verify)
 	} else {
 		for _, i := range sel[:verify] {
 			pos := start + int(i)
-			s.tk.Push(t.ids[pos], math.Abs(vec.Dot(s.q, t.points.Row(pos))))
+			r.tk.Push(t.ids[pos], math.Abs(vec.Dot(r.q, t.points.Row(pos))))
 		}
 	}
-	s.st.IPCount += int64(verify)
-	s.st.Candidates += int64(verify)
+	r.st.IPCount += int64(verify)
+	r.st.Candidates += int64(verify)
 	if profiling {
 		verifyDur := time.Since(t0)
 		s.opts.Profile.Add(core.PhaseVerify, verifyDur)
@@ -551,15 +649,15 @@ func (s *Searcher) scanWithPruning(n *nodeRec, absIP float64) {
 }
 
 // ballCutoff returns how many leading points of leaf n, whose grids are g,
-// the point-level ball bound keeps against lambda, and counts the rest as
-// pruned.
-func (s *Searcher) ballCutoff(n *nodeRec, g *vec.ConeGrid, absIP, lambda float64) int {
+// the point-level ball bound keeps for query r against lambda, and counts the
+// rest as pruned.
+func (s *Searcher) ballCutoff(r *query, n *nodeRec, g *vec.ConeGrid, absIP, lambda float64) int {
 	if s.opts.DisablePointBall {
 		return int(n.count())
 	}
 	t := s.tree
-	m := vec.BallCutoff(absIP, s.qnorm, lambda, g, t.xcos[n.start:n.end], t.xsin[n.start:n.end])
-	s.st.PrunedPoints += int64(int(n.count()) - m)
+	m := vec.BallCutoff(absIP, r.qnorm, lambda, g, t.xcos[n.start:n.end], t.xsin[n.start:n.end])
+	r.st.PrunedPoints += int64(int(n.count()) - m)
 	return m
 }
 
@@ -568,7 +666,7 @@ func (s *Searcher) ballCutoff(n *nodeRec, g *vec.ConeGrid, absIP, lambda float64
 // ||N.c||, taken at the least magnitude absIP allows (only the magnitude
 // enters the bound), and the rejection that goes with it — the smaller the
 // projection the larger the rejection, so both err toward a lower bound.
-func (s *Searcher) coneOf(n *nodeRec, absIP float64) (qcos, qsin float64) {
+func (r *query) coneOf(n *nodeRec, absIP float64) (qcos, qsin float64) {
 	qcos = absIP / n.centerNorm
-	return qcos, vec.Rejection(s.sqQnorm, qcos, len(s.q))
+	return qcos, vec.Rejection(r.sqQnorm, qcos, len(r.q))
 }

@@ -143,16 +143,18 @@ type Tree struct {
 
 	// Attribute store and its per-node summaries (AttachAttrs): attrs rows
 	// are the ids the tree reports (a shard tree attaches the global store
-	// and holds a subset of its rows), and attrSums lets visit() skip subtrees a predicate provably cannot
-	// match. Both nil when no attributes are attached.
+	// and holds a subset of its rows), and attrSums lets a search skip
+	// subtrees a predicate provably cannot match. Both nil when no
+	// attributes are attached.
 	attrs    *attr.Store
 	attrSums *attr.Summaries
 
 	// Free lists of the execution-engine state (internal/exec): Search and
-	// SearchBatch recycle their scratch through these, so steady-state
-	// queries allocate nothing.
+	// SearchBatch recycle their Searchers through these, so steady-state
+	// queries allocate nothing. They are two so that a batch is handed a
+	// Searcher whose query records a batch has already grown.
 	searchers exec.Pool[Searcher]
-	batchers  exec.Pool[batchSearcher]
+	batchers  exec.Pool[Searcher]
 
 	// backing keeps the file mapping alive that a tree Load decoded in place
 	// (binio.Reader.Backing) aliases — ids, points, centres and the cone

@@ -6,7 +6,10 @@ import "p2h/internal/attr"
 // (paper Section III-C, "Branch Preference Choice"). An exact search is the
 // paper's depth-first walk and the preference orders the two children of a
 // node; a budgeted search (Budget > 0) opens nodes best-first from one
-// frontier and the preference is the key the frontier is ordered by.
+// frontier and the preference is the key the frontier is ordered by. The
+// exact walk serves a batch of queries at once, so there the child order is
+// a vote: each query's key is summed over the group and the child with the
+// smaller sum goes first — for a single query, its own preference.
 type Preference int
 
 const (
@@ -94,11 +97,6 @@ type SearchOptions struct {
 	// producing the paper's BC-Tree-wo-C variant. Setting both switches
 	// yields BC-Tree-wo-BC (exhaustive leaf scans, as Ball-Tree does).
 	DisablePointCone bool
-	// DisableQuantFilter turns off the quantized leaf filter on trees built
-	// with quantization (Spec.Quantize), forcing the pure float leaf scan.
-	// Results are identical either way — the filter is exact — so this is
-	// an ablation/escape hatch for measuring the filter's contribution.
-	DisableQuantFilter bool
 }
 
 // Normalized returns a copy with defaults applied.

@@ -7,30 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"p2h/internal/core"
-	"p2h/internal/vec"
 )
-
-func TestEligible(t *testing.T) {
-	cases := []struct {
-		name string
-		opts core.SearchOptions
-		want bool
-	}{
-		{"exact", core.SearchOptions{K: 5}, true},
-		{"negative-budget", core.SearchOptions{K: 5, Budget: -1}, true},
-		{"budget", core.SearchOptions{K: 5, Budget: 10}, false},
-		{"filter", core.SearchOptions{K: 5, Filter: func(int32) bool { return true }}, false},
-		{"profile", core.SearchOptions{K: 5, Profile: &core.Profile{}}, false},
-		{"ablations", core.SearchOptions{K: 5, DisablePointBall: true, DisablePointCone: true}, true},
-	}
-	for _, tc := range cases {
-		if got := Eligible(tc.opts); got != tc.want {
-			t.Errorf("%s: Eligible = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
 
 func TestPoolRecycles(t *testing.T) {
 	type thing struct{ n int }
@@ -50,9 +27,6 @@ func TestPoolRecycles(t *testing.T) {
 
 func TestBatchScratchArenaLIFO(t *testing.T) {
 	var b BatchScratch
-	q := vec.NewMatrix(3, 4)
-	b.Reset(q, 2)
-
 	mark := b.Mark()
 	act1, ips1 := b.Alloc(3)
 	for i := range act1 {
@@ -83,7 +57,6 @@ func TestBatchScratchArenaLIFO(t *testing.T) {
 // superseded arrays alive on its stack frames.
 func TestBatchScratchArenaGrowth(t *testing.T) {
 	var b BatchScratch
-	b.Reset(vec.NewMatrix(1, 2), 1)
 	act1, ips1 := b.Alloc(4)
 	for i := range act1 {
 		act1[i], ips1[i] = int32(i+1), float64(i+1)
@@ -103,44 +76,20 @@ func TestBatchScratchArenaGrowth(t *testing.T) {
 	}
 }
 
+// TestBatchScratchReset checks that Reset rewinds an arena a walk left
+// mid-recursion (a panicking Filter, say) and keeps its storage: the next
+// walk's first segment starts at the bottom again, in the same backing array.
 func TestBatchScratchReset(t *testing.T) {
 	var b BatchScratch
-	q := vec.FromRows([][]float32{{1, 2, 2}, {0, 3, 4}})
-	b.Reset(q, 3)
-	if b.QNorms[0] != 3 || b.QNorms[1] != 5 {
-		t.Fatalf("QNorms = %v, want [3 5]", b.QNorms[:2])
+	first, _ := b.Alloc(3) // never released
+	b.Reset()
+	if b.Mark() != 0 {
+		t.Fatalf("watermark %d after Reset, want 0", b.Mark())
 	}
-	for i := range b.Heaps[:2] {
-		if b.Heaps[i].K() != 3 || b.Heaps[i].Len() != 0 {
-			t.Fatalf("heap %d not reset", i)
-		}
-	}
-}
-
-// fakeSearcher counts calls and returns its query index.
-type fakeSearcher struct{ calls int }
-
-func (f *fakeSearcher) Search(q []float32, opts core.SearchOptions, dst []core.Result) ([]core.Result, core.Stats) {
-	f.calls++
-	return append(dst, core.Result{ID: int32(f.calls), Dist: float64(q[0])}), core.Stats{IPCount: 1}
-}
-
-func TestFallback(t *testing.T) {
-	queries := vec.FromRows([][]float32{{1}, {2}, {3}})
-	out := make([][]core.Result, 3)
-	stats := make([]core.Stats, 3)
-	f := &fakeSearcher{}
-	Fallback(f, queries, core.SearchOptions{K: 1}, out, stats)
-	if f.calls != 3 {
-		t.Fatalf("fallback made %d calls, want 3", f.calls)
-	}
-	for i := range out {
-		if len(out[i]) != 1 || out[i][0].Dist != float64(i+1) {
-			t.Fatalf("query %d: %v", i, out[i])
-		}
-		if stats[i].IPCount != 1 {
-			t.Fatalf("query %d stats: %+v", i, stats[i])
-		}
+	again, _ := b.Alloc(3)
+	again[0] = 11
+	if first[0] != 11 {
+		t.Fatal("Reset must reuse the arena, not reallocate it")
 	}
 }
 

@@ -97,12 +97,14 @@ func (s *Scanner) Search(q []float32, opts core.SearchOptions) ([]core.Result, c
 }
 
 // SearchBatch answers one top-k query per row of queries with results and
-// Stats identical to per-query Search calls. An exact batch (exec.Eligible)
-// walks the matrix once: each scanChunk of rows is verified for every query
-// while it sits in cache, vec.TileQueries queries per pass of the multi-query
-// kernel, and only products at or under a query's current k-th distance reach
-// its collector — the rest Push would turn away. Any other batch takes the
-// per-query path, as the trees' batches do.
+// Stats identical to per-query Search calls. An exact batch without a Filter
+// or a Profile walks the matrix once: each scanChunk of rows is verified for
+// every query while it sits in cache, vec.TileQueries queries per pass of the
+// multi-query kernel, and only products at or under a query's current k-th
+// distance reach its collector — the rest Push would turn away. opts.Cancel
+// is polled once per scanChunk, as in Search, so a canceled batch returns
+// every query's best over the chunks it covered. A budgeted, filtered or
+// profiled batch takes the per-query path.
 func (s *Scanner) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
 	n, d := s.data.N, s.data.D
 	if queries.D != d {
@@ -112,7 +114,7 @@ func (s *Scanner) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][
 	nq := queries.N
 	out := make([][]core.Result, nq)
 	stats := make([]core.Stats, nq)
-	if !exec.Eligible(opts) || nq == 1 {
+	if opts.Budget > 0 || opts.Filter != nil || opts.Profile != nil {
 		for i := range out {
 			out[i], stats[i] = s.Search(queries.Row(i), opts)
 		}
@@ -129,6 +131,10 @@ func (s *Scanner) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][
 	}
 	var dists [scanChunk * vec.TileQueries]float64
 	for lo := 0; lo < n; lo += scanChunk {
+		if opts.Canceled() {
+			n = lo
+			break
+		}
 		hi := min(lo+scanChunk, n)
 		rows := s.data.Data[lo*d : hi*d]
 		for g := 0; g < nq; g += vec.TileQueries {

@@ -133,7 +133,8 @@ func TestSearchBlockedMatchesPerRow(t *testing.T) {
 
 // TestSearchPollsCancel fires Cancel on its second poll: the scan, blocked or
 // filtered, stops within two chunks, counts only the rows it covered, and
-// returns the exact answer over that prefix.
+// returns the exact answer over that prefix. A batch polls once per chunk
+// for all its queries and stops the same way.
 func TestSearchPollsCancel(t *testing.T) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 9, Clusters: 3}, 5*scanChunk+31, 5)
 	s := New(raw.AppendOnes())
@@ -151,6 +152,22 @@ func TestSearchPollsCancel(t *testing.T) {
 		want, _ := s.Search(q, core.SearchOptions{K: 7, Budget: int(st.Candidates)})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: %v, want the answer over the first %d rows %v", name, got, st.Candidates, want)
+		}
+	}
+
+	queries := dataset.GenerateQueries(raw, 6, 7)
+	polls := 0
+	got, sts := s.SearchBatch(queries, core.SearchOptions{K: 7, Cancel: func() bool { polls++; return polls >= 2 }})
+	if polls != 2 {
+		t.Fatalf("batch: %d polls, want the scan to stop at the second", polls)
+	}
+	for i, st := range sts {
+		if st.Candidates != scanChunk || st.IPCount != st.Candidates {
+			t.Fatalf("batch query %d: stats %+v after a cancel on the second poll", i, st)
+		}
+		want, _ := s.Search(queries.Row(i), core.SearchOptions{K: 7, Budget: scanChunk})
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("batch query %d: %v, want the answer over the first chunk %v", i, got[i], want)
 		}
 	}
 }

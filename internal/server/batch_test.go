@@ -122,8 +122,10 @@ var entries = []struct {
 // TestEntriesMatchDirectSearch is the serving matrix: every door of the
 // engine over a tree and a linear scan with the batch surface, a scan
 // without, and a mutable one. Answers are bitwise the direct Index.Search answers, cold and from the
-// cache; rows that cannot share a traversal (budgeted, filtered) also return
-// exactly the sequential stats; the cache counters add up; and a panic from
+// cache; budgeted and filtered rows also return exactly the stats of the
+// index calls the engine makes for them — the sequential stats, or for the
+// tree's filtered batches, which share one walk per chunk, those of a direct
+// SearchBatch over each chunk; the cache counters add up; and a panic from
 // a Filter or from the index itself reaches its caller with the worker slot
 // and the read lock released.
 func TestEntriesMatchDirectSearch(t *testing.T) {
@@ -157,31 +159,61 @@ func TestEntriesMatchDirectSearch(t *testing.T) {
 				})
 				e := New(ix, fx.mut, Config{Workers: workers})
 				defer e.Close()
-				check := func(what string, opts core.SearchOptions, exactStats bool) {
+				// check compares every row's answer with the direct Search and,
+				// given wantStats, its Stats with wantStats(opts)'s row.
+				check := func(what string, opts core.SearchOptions, wantStats func(core.SearchOptions) []core.Stats) {
 					t.Helper()
 					got, sts := en.run(e, qs, opts)
+					var wsts []core.Stats
+					if wantStats != nil {
+						wsts = wantStats(opts)
+					}
 					for i, q := range qs {
-						want, wst := fx.ix.Search(q, opts)
+						want, _ := fx.ix.Search(q, opts)
 						if !slices.Equal(got[i], want) {
 							t.Fatalf("%s row %d: %v, want %v", what, i, got[i], want)
 						}
-						if exactStats && sts[i] != wst {
-							t.Fatalf("%s row %d: stats %+v, want the sequential %+v", what, i, sts[i], wst)
+						if wsts != nil && sts[i] != wsts[i] {
+							t.Fatalf("%s row %d: stats %+v, want %+v", what, i, sts[i], wsts[i])
 						}
 					}
 				}
+				sequential := func(opts core.SearchOptions) []core.Stats {
+					sts := make([]core.Stats, len(qs))
+					for i, q := range qs {
+						_, sts[i] = fx.ix.Search(q, opts)
+					}
+					return sts
+				}
+				// perChunk: one direct SearchBatch per chunk of the misses,
+				// split as the engine splits them (contiguous, min(Workers,
+				// misses) chunks; every filtered row misses the cache).
+				perChunk := func(opts core.SearchOptions) []core.Stats {
+					var sts []core.Stats
+					d := queries.D
+					for c := 0; c < workers; c++ {
+						lo, hi := c*queries.N/workers, (c+1)*queries.N/workers
+						_, chunk := tree.SearchBatch(&vec.Matrix{Data: queries.Data[lo*d : hi*d], N: hi - lo, D: d}, opts)
+						sts = append(sts, chunk...)
+					}
+					return sts
+				}
 				nq := int64(len(qs))
 
-				check("cold", core.SearchOptions{K: 5}, false)
+				check("cold", core.SearchOptions{K: 5}, nil)
 				if st := e.Stats(); st.CacheMisses != nq || st.CacheHits != 0 {
 					t.Fatalf("cold pass: %+v", st)
 				}
-				check("cached", core.SearchOptions{K: 5}, false)
+				check("cached", core.SearchOptions{K: 5}, nil)
 				if st := e.Stats(); st.CacheMisses != nq || st.CacheHits != nq {
 					t.Fatalf("cached pass: %+v", st)
 				}
-				check("budgeted", core.SearchOptions{K: 5, Budget: 60}, true)
-				check("filtered", core.SearchOptions{K: 5, Filter: even}, true)
+				check("budgeted", core.SearchOptions{K: 5, Budget: 60}, sequential)
+				filtered := sequential
+				if fx.name == "tree" && en.name == "SearchBatchCtx" {
+					filtered = perChunk
+				}
+				check("filtered", core.SearchOptions{K: 5, Filter: even}, filtered)
 				st := e.Stats()
 				if st.Queries != 4*nq || st.Batches != 4*en.calls(len(qs)) ||
 					st.CacheHits != nq || st.CacheMisses != 2*nq {
@@ -212,7 +244,7 @@ func TestEntriesMatchDirectSearch(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				check("after panics", core.SearchOptions{K: 3}, false)
+				check("after panics", core.SearchOptions{K: 3}, nil)
 				if b := e.Stats().Backlog; b != 0 {
 					t.Fatalf("Backlog = %d at rest", b)
 				}
@@ -258,9 +290,8 @@ func TestSearchBatchCtxChunksByWorkers(t *testing.T) {
 }
 
 // slowTree has the batch surface, but its per-row Search takes delay while
-// polling the cancellation hook, and counts the rows it started. Budgeted
-// options are not exec.Eligible, so its SearchBatch — which could not honor a
-// deadline — must never be what answers them.
+// polling the cancellation hook, and counts the rows it started. A budgeted
+// batch runs row by row, so its SearchBatch must never be what answers one.
 type slowTree struct {
 	treeIndex
 	delay   time.Duration
@@ -278,7 +309,7 @@ func (s *slowTree) Search(q []float32, opts core.SearchOptions) ([]core.Result, 
 }
 
 func (s *slowTree) SearchBatch(*vec.Matrix, core.SearchOptions) ([][]core.Result, []core.Stats) {
-	panic("SearchBatch ran a batch that is not exec.Eligible")
+	panic("SearchBatch ran a budgeted batch")
 }
 
 // TestSearchBatchCtxDeadline: every per-row execution of a batch carries the
@@ -322,6 +353,74 @@ func TestSearchBatchCtxDeadline(t *testing.T) {
 	}
 	if hits := e.Stats().CacheHits; hits >= started {
 		t.Fatalf("%d cache hits from %d started rows: the truncated row was cached", hits, started)
+	}
+
+	t.Run("exact", func(t *testing.T) { testExactBatchDeadline(t, tree, qs) })
+}
+
+// lateTree is a real batch-surface tree whose SearchBatch starts late: it
+// waits out delay, or until the call's Cancel hook fires, then runs the
+// tree's walk and records what that walk was handed and what it did.
+type lateTree struct {
+	treeIndex
+	delay     time.Duration
+	hadCancel atomic.Bool
+	nodes     atomic.Int64 // NodesVisited summed over the batch's rows
+}
+
+func (l *lateTree) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
+	l.hadCancel.Store(opts.Cancel != nil)
+	for until := time.Now().Add(l.delay); time.Now().Before(until) && !opts.Canceled(); time.Sleep(time.Millisecond) {
+	}
+	res, sts := l.treeIndex.SearchBatch(queries, opts)
+	for _, st := range sts {
+		l.nodes.Add(st.NodesVisited)
+	}
+	return res, sts
+}
+
+// testExactBatchDeadline: an exact batch runs as one SearchBatch call that
+// carries the deadline. A deadline that fires before the walk starts stops it
+// at the root, the call fails with ctx.Err(), every row counts as expired and
+// nothing is cached.
+func testExactBatchDeadline(t *testing.T, tree treeIndex, qs [][]float32) {
+	ix := &lateTree{treeIndex: tree, delay: 200 * time.Millisecond}
+	e := New(ix, nil, Config{Workers: 1})
+	defer e.Close()
+	opts := core.SearchOptions{K: 3}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	res, _, err := e.SearchBatchCtx(ctx, qs, opts)
+	if !errors.Is(err, context.DeadlineExceeded) || res != nil {
+		t.Fatalf("res=%v err=%v, want no results and DeadlineExceeded", res, err)
+	}
+	if !ix.hadCancel.Load() {
+		t.Fatal("the exact batch reached SearchBatch without the deadline's Cancel hook")
+	}
+	if n := ix.nodes.Load(); n != 0 {
+		t.Fatalf("the walk visited %d nodes after its deadline", n)
+	}
+	if ex := e.Stats().Expired; ex != int64(len(qs)) {
+		t.Fatalf("Stats.Expired = %d, want all %d rows of the expired batch", ex, len(qs))
+	}
+
+	ix.delay = 0
+	res, _, err = e.SearchBatchCtx(context.Background(), qs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range qs {
+		want, _ := tree.Search(q, opts)
+		if !slices.Equal(res[i], want) {
+			t.Fatalf("row %d after the deadline: %v, want %v", i, res[i], want)
+		}
+	}
+	if hits := e.Stats().CacheHits; hits != 0 {
+		t.Fatalf("%d cache hits: the expired batch was cached", hits)
+	}
+	if ix.nodes.Load() == 0 {
+		t.Fatal("the uncanceled batch visited no node")
 	}
 }
 

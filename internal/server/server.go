@@ -13,7 +13,8 @@
 //     unwinds into its caller by construction. A batch that arrives as a
 //     batch (SearchBatchCtx) is split into min(Workers, misses) contiguous
 //     chunks, each one slot and — when the index has a native batch surface
-//     and the options allow the shared traversal — one SearchBatch call.
+//     and the batch is exact — one SearchBatch call. Every search, batched
+//     or not, carries the caller's deadline as its Cancel hook.
 //
 //   - Result caching. A query is canonicalized to its unit-normal form, so
 //     scaled duplicates of the same hyperplane share one cache slot. The
@@ -62,11 +63,12 @@ type Searcher interface {
 }
 
 // BatchSearcher is the optional native batch surface of an index
-// (p2h.BatchIndex). When the served index exposes it, each chunk of a
-// SearchBatchCtx call whose options are exec.Eligible is one SearchBatch
-// call instead of a per-query loop, so the index's shared batched traversal
-// — one arena walk and one leaf-block pass for the whole chunk — replaces
-// per-query work.
+// (p2h.BatchIndex). When the served index exposes it, each chunk of an exact
+// SearchBatchCtx call (Budget <= 0) is one SearchBatch call instead of a
+// per-query loop, so the index's shared batched traversal — one arena walk
+// and one leaf-block pass for the whole chunk — replaces per-query work. The
+// call's options carry the deadline's Cancel hook, which the index polls as
+// its Search does.
 type BatchSearcher interface {
 	SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats)
 }
@@ -337,8 +339,8 @@ func (e *Engine) search(ctx context.Context, q []float32, opts core.SearchOption
 // the misses are split into min(Workers, misses) contiguous chunks — a
 // function of the request, Workers and the cache contents, never of arrival
 // timing. Each chunk takes one worker slot; it is one SearchBatch call when
-// the index has the batch surface and exec.Eligible(opts) holds, else a
-// per-row Search with the deadline's cancellation hook installed. The error
+// the index has the batch surface and the batch is exact, else a per-row
+// Search; either way the deadline's cancellation hook is installed. The error
 // is all-or-nothing: a shed, drained or expired batch returns no results.
 // Malformed rows panic before anything runs, exactly like Search. A Profile
 // is honored by running the misses as one chunk.
@@ -776,11 +778,12 @@ func (e *Engine) serve(c *call, m *misses, lo, hi int) error {
 
 // run is the one place the engine calls the index: misses [lo, hi) of a call
 // in one read-locked section (mutable indexes only), as a single SearchBatch
-// call when the index has the batch surface and the options allow the shared
-// traversal, else row by row with the deadline's cancellation hook installed.
-// Rows whose turn comes after the deadline are never run, a row the deadline
-// truncated is never cached, and a deadline that has passed by the end is
-// the call's error even when every answer is exact.
+// call when the index has the batch surface and the batch is exact, else row
+// by row, with the deadline's cancellation hook installed either way. Rows
+// whose turn comes after the deadline are never run, a row the deadline
+// truncated is never cached (nor is any row of a SearchBatch call the
+// deadline outlived), and a deadline that has passed by the end is the
+// call's error even when every answer is exact.
 func (e *Engine) run(c *call, m *misses, lo, hi int) error {
 	dim := e.dim
 	var epoch uint64
@@ -798,20 +801,24 @@ func (e *Engine) run(c *call, m *misses, lo, hi int) error {
 			e.expired.Add(int64(hi - lo))
 			return
 		}
-		if e.batchIx != nil && hi-lo > 1 && exec.Eligible(c.opts) {
-			// The shared traversal cannot split one caller's deadline out of
-			// the arena walk, so it runs to completion: exact and cacheable.
-			res, sts := e.batchIx.SearchBatch(&vec.Matrix{Data: c.canon[lo*dim : hi*dim], N: hi - lo, D: dim}, c.opts)
+		// The cancellation hook lives only in this call-time copy of the
+		// options: cache keys must not see transport state.
+		opts := c.opts
+		opts.Cancel = cancelFor(c.ctx)
+		if e.batchIx != nil && hi-lo > 1 && opts.Budget <= 0 {
+			res, sts := e.batchIx.SearchBatch(&vec.Matrix{Data: c.canon[lo*dim : hi*dim], N: hi - lo, D: dim}, opts)
+			if c.ctx.Err() != nil {
+				// The walk may have stopped at the deadline: no row of it
+				// is known to be exact, so none is cached or returned.
+				e.expired.Add(int64(hi - lo))
+				return
+			}
 			for j := range res {
 				m.res[m.row[lo+j]], m.sts[m.row[lo+j]] = res[j], sts[j]
 			}
 			done = hi
 			return
 		}
-		// The cancellation hook lives only in this call-time copy of the
-		// options: cache keys and Eligible must not see transport state.
-		opts := c.opts
-		opts.Cancel = cancelFor(c.ctx)
 		for ; done < hi; done++ {
 			i := m.row[done]
 			m.res[i], m.sts[i] = e.ix.Search(c.canon[done*dim:(done+1)*dim], opts)

@@ -258,8 +258,8 @@ func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, co
 }
 
 // SearchBatch answers one top-k query per row of queries: every shard tree
-// serves the whole batch through its shared batched traversal (falling back
-// to per-query search for budgeted or filtered options), and the per-shard
+// serves the whole batch through its SearchBatch (one shared walk when exact,
+// best-first query by query under a budget), and the per-shard
 // answers merge exactly per query. Shards are processed over at most
 // cfg.Workers goroutines. Results are bitwise identical to per-query Search
 // calls. The Profile option is ignored, as in Search.

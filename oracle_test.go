@@ -210,11 +210,12 @@ func viaSearchBatch(workers int) string { return "SearchBatch/" + strconv.Itoa(w
 var allPaths = []string{viaSearchBatch(1), viaSearchBatch(3), viaBatchIndex, viaServer, viaRebuilt, viaLoaded, viaOpened}
 
 // oracleShape is one option shape and the paths it runs besides Search;
-// DisableQuantFilter runs on the quantized rows only.
+// a quantOnly shape runs on the quantized rows only.
 type oracleShape struct {
-	name  string
-	opts  p2h.SearchOptions
-	paths []string
+	name      string
+	opts      p2h.SearchOptions
+	paths     []string
+	quantOnly bool
 }
 
 func oracleShapes(n int) []oracleShape {
@@ -227,7 +228,11 @@ func oracleShapes(n int) []oracleShape {
 		{name: "pred+filter", opts: p2h.SearchOptions{K: 10, Pred: p2h.TagIs("warm"), Filter: keep}},
 		{name: "budget", opts: p2h.SearchOptions{K: 10, Budget: budget}},
 		{name: "budget+pred", opts: p2h.SearchOptions{K: 10, Budget: budget, Pred: p2h.TagIs("even")}},
-		{name: "noquant", opts: p2h.SearchOptions{K: 10, DisableQuantFilter: true}},
+		// A Filter that rejects nothing leaves the prefix the bounds kept
+		// whole, which is then verified in one block; the filter shape's
+		// closure leaves it sparse. It runs on the trees that carry the code
+		// mirror, which a Filter sends down the float scan.
+		{name: "noquant", opts: p2h.SearchOptions{K: 10, Filter: acceptAll}, quantOnly: true},
 	}
 	for _, p := range equivPreds {
 		shapes = append(shapes, oracleShape{name: "pred-" + p.name, opts: p2h.SearchOptions{K: 10, Pred: p.pred}})
@@ -310,7 +315,7 @@ func (v oracleView) runSet(t *testing.T, set oracleSet) {
 		}
 		r := buildRow(t, set, spec, name == churnedRow, points, shapes)
 		for s, sh := range shapes {
-			if sh.opts.DisableQuantFilter && !spec.Quantize {
+			if sh.quantOnly && !spec.Quantize {
 				continue
 			}
 			t.Run(strings.TrimSuffix(shown+"/"+sh.name, "/"), func(t *testing.T) {
@@ -573,6 +578,7 @@ var (
 	exactK10    = fixedShapes(oracleShape{opts: p2h.SearchOptions{K: 10}})
 	exactK5     = fixedShapes(oracleShape{opts: p2h.SearchOptions{K: 5}})
 	keepNotMod3 = func(id int32) bool { return id%3 != 0 } // the matrix's Filter
+	acceptAll   = func(int32) bool { return true }
 )
 
 // fixedShapes is a fixed shape list, whatever the set's size.
@@ -599,9 +605,9 @@ func tieShapes(int) (out []oracleShape) {
 	for _, k := range []int{1, 3, 5, 10} {
 		name := "k" + strconv.Itoa(k)
 		out = append(out,
-			oracleShape{name, p2h.SearchOptions{K: k}, []string{viaSearchBatch(1)}},
-			oracleShape{name + "-filter", p2h.SearchOptions{K: k, Filter: keepNotMod3}, []string{viaSearchBatch(1)}},
-			oracleShape{name + "-pred", p2h.SearchOptions{K: k, Pred: p2h.TagIs("even")}, []string{viaSearchBatch(1)}})
+			oracleShape{name: name, opts: p2h.SearchOptions{K: k}, paths: []string{viaSearchBatch(1)}},
+			oracleShape{name: name + "-filter", opts: p2h.SearchOptions{K: k, Filter: keepNotMod3}, paths: []string{viaSearchBatch(1)}},
+			oracleShape{name: name + "-pred", opts: p2h.SearchOptions{K: k, Pred: p2h.TagIs("even")}, paths: []string{viaSearchBatch(1)}})
 	}
 	return out
 }
@@ -629,7 +635,7 @@ func TestPredEquivalenceQuantized(t *testing.T) {
 // and four workers.
 func TestPredEquivalenceBatched(t *testing.T) {
 	oracleView{sets: []string{"Cifar-10"}, rows: p2h.Kinds(), shapes: predShapes(func(_ int, opts p2h.SearchOptions) []oracleShape {
-		return []oracleShape{{"w1", opts, []string{viaSearchBatch(1)}}, {"w4", opts, []string{viaSearchBatch(4)}}}
+		return []oracleShape{{name: "w1", opts: opts, paths: []string{viaSearchBatch(1)}}, {name: "w4", opts: opts, paths: []string{viaSearchBatch(4)}}}
 	})}.run(t)
 }
 
@@ -650,7 +656,7 @@ func TestQuantizedEquivalence(t *testing.T) {
 			{name: "kBig", opts: p2h.SearchOptions{K: n + 3}},
 			{name: "budget", opts: p2h.SearchOptions{K: 10, Budget: max(n/20, 1)}},
 			{name: "filtered", opts: p2h.SearchOptions{K: 10, Filter: func(id int32) bool { return id%2 == 0 }}},
-			{name: "ablated", opts: p2h.SearchOptions{K: 10, DisableQuantFilter: true}},
+			{name: "ablated", opts: p2h.SearchOptions{K: 10, Filter: acceptAll}}, // the float leaf scan
 		}
 	}}.run(t)
 }
@@ -662,18 +668,19 @@ func TestQuantizedEquivalenceBatched(t *testing.T) {
 }
 
 // TestSearchBatchMatchesSequential: the batch surfaces — p2h.SearchBatch on
-// one and three workers, and a native BatchIndex — on the shared exact
-// traversal, the per-query fallback (budget, Filter) and k > n.
+// one and three workers, and a native BatchIndex — exact (filtered too, which
+// the trees' walk shares and the scan runs per query), budgeted (per query)
+// and at k > n.
 func TestSearchBatchMatchesSequential(t *testing.T) {
 	batched := []string{viaSearchBatch(1), viaSearchBatch(3), viaBatchIndex}
 	oracleView{sets: []string{"Cifar-10"}, rows: []string{"balltree", "bctree", "dynamic", "linearscan", "sharded"},
 		shapes: func(n int) []oracleShape {
 			return []oracleShape{
-				{"exact-k1", p2h.SearchOptions{K: 1}, batched},
-				{"exact-k10", p2h.SearchOptions{K: 10}, batched},
-				{"exact-kBig", p2h.SearchOptions{K: n + 10}, batched},
-				{"budget", p2h.SearchOptions{K: 10, Budget: max(n/20, 1)}, batched},
-				{"filtered", p2h.SearchOptions{K: 10, Filter: func(id int32) bool { return id%5 != 0 }}, batched},
+				{name: "exact-k1", opts: p2h.SearchOptions{K: 1}, paths: batched},
+				{name: "exact-k10", opts: p2h.SearchOptions{K: 10}, paths: batched},
+				{name: "exact-kBig", opts: p2h.SearchOptions{K: n + 10}, paths: batched},
+				{name: "budget", opts: p2h.SearchOptions{K: 10, Budget: max(n/20, 1)}, paths: batched},
+				{name: "filtered", opts: p2h.SearchOptions{K: 10, Filter: func(id int32) bool { return id%5 != 0 }}, paths: batched},
 			}
 		}}.run(t)
 }

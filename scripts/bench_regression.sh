@@ -16,8 +16,9 @@
 # n=50k as one batch and split over GOMAXPROCS), the two tree builds and the sharded one (n=10k, 4
 # shards; allocs/op gates the builder's scratch: a build allocates per tree,
 # not per node, and B/op that it makes one matrix, not two), the tree searches
-# (per-query and batched; exact BC-Tree searches also under a tag predicate
-# and under a Filter closure, each keeping every tenth row), the serving path, the container codec (save and open of the
+# (per-query and batched; exact BC-Tree searches, single and in 64-query
+# batches, also under a tag predicate and under a Filter closure, each
+# keeping every tenth row), the serving path, the container codec (save and open of the
 # n=50k BC-Tree) and the dynamic index (recovery and one compaction of
 # dyn-rw's 20k-point index under a 5 % delta, and exact searches of it once
 # 0.5 % of its handles are deleted). -count=6 gives benchstat enough
