@@ -48,7 +48,10 @@
 //
 // Malformed input returns errors wrapping ErrFormat. On unix, Open maps the
 // file and serves a tree's points from it, so an opened index costs page
-// cache rather than heap; SaveFile replaces a file by rename, never in place.
+// cache rather than heap — and so does a saved one: once SaveFile has written
+// the file, the index it saved serves from a mapping of it too. Either way
+// the file is the index's backing: replace it by rename, as SaveFile does,
+// never rewrite it in place.
 //
 // # Serving
 //

@@ -228,10 +228,10 @@ func TestScanLeafTileMatchesQueryByQuery(t *testing.T) {
 			leaf = n
 		}
 	}
-	start, m, d := int(leaf.start), int(leaf.count()), tree.points.D
+	start, m, d := int(leaf.start), int(leaf.count()), tree.sec().points.D
 	centre := make([]float32, d)
 	for r := start; r < start+m; r++ {
-		for j, v := range tree.points.Row(r) {
+		for j, v := range tree.sec().points.Row(r) {
 			centre[j] += v / float32(m)
 		}
 	}
@@ -281,13 +281,13 @@ func TestScanLeafTileMatchesQueryByQuery(t *testing.T) {
 			tk.Push(r.ID, r.Dist)
 		}
 		qnorm := s.qs[qi].qnorm
-		grid := tree.grid(leaf)
+		grid := tree.sec().grid(leaf)
 		cut := vec.BallCutoff(math.Abs(ips[qi])-qnorm*kappa, qnorm, tk.Lambda(),
-			&grid, tree.xcos[start:start+m], tree.xsin[start:start+m])
+			&grid, tree.sec().xcos[start:start+m], tree.sec().xsin[start:start+m])
 		dists := make([]float64, cut)
-		vec.DotBlock(queries.Row(qi), tree.points.Data[start*d:(start+cut)*d], dists)
+		vec.DotBlock(queries.Row(qi), tree.sec().points.Data[start*d:(start+cut)*d], dists)
 		for r, v := range dists {
-			tk.Push(tree.ids[start+r], math.Abs(v))
+			tk.Push(tree.sec().ids[start+r], math.Abs(v))
 		}
 		want := core.Stats{LeavesVisited: 1, IPCount: int64(cut), Candidates: int64(cut), PrunedPoints: int64(m - cut)}
 		if s.qs[qi].st != want {

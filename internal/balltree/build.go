@@ -15,8 +15,8 @@ import (
 // BuildOwned constructs a tree of the given kind over the lifted points
 // (rows x = (p; 1)) and takes ownership of the matrix: it reorders the rows in
 // place, so that every node — and in the end every leaf — occupies a
-// contiguous block, and keeps the matrix as the tree's storage. There is no
-// second copy. A caller that still needs its matrix, or whose matrix other
+// contiguous block, and keeps the matrix's rows as the tree's storage. There
+// is no second copy. A caller that still needs its matrix, or whose matrix other
 // goroutines read, hands over a clone (Build does).
 //
 // labels names the points in the id space of whoever holds the tree:
@@ -36,7 +36,7 @@ import (
 // assembled from the children via Lemma 1 in O(d) instead of O(d|N|). Lemma 1
 // needs both children's centres, so the builder forms one for every node;
 // once the root's is assembled a BC tree drops the right children's, which no
-// search reads (see Tree.centers).
+// search reads (see sections.centers).
 func BuildOwned(rows *vec.Matrix, labels []int32, kind Kind, cfg Config) *Tree {
 	if rows == nil || rows.N == 0 {
 		panic("balltree: empty data")
@@ -50,41 +50,53 @@ func BuildOwned(rows *vec.Matrix, labels []int32, kind Kind, cfg Config) *Tree {
 		panic(fmt.Sprintf("balltree: %d labels for %d rows", len(labels), rows.N))
 	}
 	cfg = cfg.normalized()
-	t := &Tree{
-		kind:     kind,
-		points:   rows,
-		ids:      make([]int32, rows.N),
-		leafSize: cfg.LeafSize,
-	}
+	t := &Tree{kind: kind, leafSize: cfg.LeafSize}
+	sec := &sections{points: *rows, ids: make([]int32, rows.N)}
 	if labels != nil {
-		copy(t.ids, labels)
+		copy(sec.ids, labels)
 	} else {
-		for i := range t.ids {
-			t.ids[i] = int32(i)
+		for i := range sec.ids {
+			sec.ids[i] = int32(i)
 		}
 	}
 	b := &builder{
-		rng: rand.New(rand.NewSource(cfg.Seed)), tree: t,
+		rng: rand.New(rand.NewSource(cfg.Seed)), tree: t, sec: sec,
 		acc:  make([]float64, rows.D),
 		dist: make([]float64, 2*rows.N),
 	}
 	if kind == BC {
-		t.xcos = make([]uint16, rows.N)
-		t.xsin = make([]uint16, rows.N)
+		sec.xcos = make([]uint16, rows.N)
+		sec.xsin = make([]uint16, rows.N)
 		leaf := min(cfg.LeafSize, rows.N)
 		b.leaf = make([]leafPoint, 0, leaf)
 		b.leafRows = make([]float32, leaf*rows.D)
 	}
 	b.build(0, int32(rows.N))
-	t.centers = &vec.Matrix{Data: b.centers, N: len(t.nodes), D: rows.D}
+	// The arena and the centre table grew by append: keep no slack. A BC
+	// tree's centres are copied out of the table anyway.
+	t.nodes = trimmed(t.nodes)
+	sec.centers = vec.Matrix{Data: b.centers, N: len(t.nodes), D: rows.D}
 	if kind == BC {
-		t.centers = t.compactCenters(t.centers)
+		sec.centers = t.compactCenters(&sec.centers)
+	} else {
+		sec.centers.Data = trimmed(b.centers)
 	}
 	if cfg.Quantize {
-		t.qz = quant.NewQuantizer(t.points)
-		t.codes = t.qz.EncodeMatrix(t.points)
+		t.qz = quant.NewQuantizer(&sec.points)
+		t.codes = t.qz.EncodeMatrix(&sec.points)
 	}
+	t.cur.Store(sec)
 	return t
+}
+
+// trimmed returns s in an allocation of exactly its length.
+func trimmed[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }
 
 // Build is BuildOwned for a caller that shares its matrix: data is not
@@ -111,7 +123,7 @@ func (t *Tree) assignCenterRows() {
 
 // compactCenters turns the builder's table (row i = node i's centre) into the
 // BC layout and returns its (nodes+1)/2-row matrix.
-func (t *Tree) compactCenters(all *vec.Matrix) *vec.Matrix {
+func (t *Tree) compactCenters(all *vec.Matrix) vec.Matrix {
 	t.assignCenterRows()
 	kept := vec.NewMatrix((len(t.nodes)+1)/2, all.D)
 	copy(kept.Row(0), all.Row(0))
@@ -120,12 +132,13 @@ func (t *Tree) compactCenters(all *vec.Matrix) *vec.Matrix {
 			copy(kept.Row(int(n.leftRow)), all.Row(i+1))
 		}
 	}
-	return kept
+	return *kept
 }
 
 type builder struct {
 	rng     *rand.Rand
-	tree    *Tree     // its points and ids are what the builder reorders
+	tree    *Tree     // whose arena the builder fills
+	sec     *sections // the tree's sections: its points and ids are what the builder reorders
 	centers []float32 // packed centers, row ni = center of arena node ni
 
 	// Scratch, sized once by BuildOwned so that what a build allocates does
@@ -154,9 +167,9 @@ type leafPoint struct {
 // appended before their children (preorder); a BC internal node's center is
 // filled in afterwards via Lemma 1.
 func (b *builder) build(start, end int32) int32 {
-	t := b.tree
-	d := t.points.D
-	rows := t.points.Data[int(start)*d : int(end)*d]
+	t, sec := b.tree, b.sec
+	d := sec.points.D
+	rows := sec.points.Data[int(start)*d : int(end)*d]
 	ni := int32(len(t.nodes))
 	t.nodes = append(t.nodes, nodeRec{
 		start:   start,
@@ -180,7 +193,7 @@ func (b *builder) build(start, end int32) int32 {
 		return ni
 	}
 
-	mid := start + int32(partition.SeedGrow(rows, t.ids[start:end], b.rng, b.dist))
+	mid := start + int32(partition.SeedGrow(rows, sec.ids[start:end], b.rng, b.dist))
 	left := b.build(start, mid) // == ni+1: preorder
 	right := b.build(mid, end)
 	// Re-index after the recursive appends: the arena may have been regrown.
@@ -233,14 +246,14 @@ func combineCenters(dst []float32, ni int32, t *Tree, centers []float32) {
 // true radius is zero), and the node-level bound, the frontier's order and
 // every counter downstream should not move with that room.
 func (b *builder) fillLeaf(ni int32, rows, center []float32) {
-	t := b.tree
+	t, sec := b.tree, b.sec
 	n := &t.nodes[ni]
 	d := len(center)
-	ids := t.ids[n.start:n.end]
+	ids := sec.ids[n.start:n.end]
 	n.radius = float64(up32(n.radius))
 	centerNorm := vec.Norm(center)
 	n.centerNorm = centerNorm
-	grid := t.grid(n)
+	grid := sec.grid(n)
 	// Coordinates that are not finite leave the centre without a finite norm
 	// and the leaf without grids; its codes stay zero (such a tree answers
 	// nothing exactly, and Load refuses its node records).
@@ -262,8 +275,8 @@ func (b *builder) fillLeaf(ni int32, rows, center []float32) {
 	for i, p := range pts {
 		copy(rows[i*d:(i+1)*d], old[int(p.from)*d:(int(p.from)+1)*d])
 		ids[i] = p.id
-		t.xcos[int(n.start)+i] = p.xcos
-		t.xsin[int(n.start)+i] = p.xsin
+		sec.xcos[int(n.start)+i] = p.xcos
+		sec.xsin[int(n.start)+i] = p.xsin
 	}
 }
 

@@ -33,7 +33,7 @@ func testLiveMaskEqualsFilter(t *testing.T, kind Kind) {
 		}
 		for pos := n.start; pos < n.end; pos++ {
 			if leaves%3 == 1 || pos%3 != 0 {
-				live.Set(tree.ids[pos])
+				live.Set(tree.sec().ids[pos])
 			}
 		}
 	}

@@ -25,8 +25,8 @@ func checkDerivedRadii(t *testing.T, tree *Tree) {
 		if !n.isLeaf() {
 			continue
 		}
-		grid := tree.grid(n)
-		xcos, xsin := tree.xcos[n.start:n.end], tree.xsin[n.start:n.end]
+		grid := tree.sec().grid(n)
+		xcos, xsin := tree.sec().xcos[n.start:n.end], tree.sec().xsin[n.start:n.end]
 		for i := range xcos {
 			r := grid.Radius(xcos[i], xsin[i])
 			for _, t1 := range []float64{math.Nextafter(r, 0), r, math.Nextafter(r, math.Inf(1))} {

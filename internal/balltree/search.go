@@ -2,7 +2,6 @@ package balltree
 
 import (
 	"math"
-	"runtime"
 	"time"
 
 	"p2h/internal/attr"
@@ -62,7 +61,6 @@ func (t *Tree) SearchLive(q []float32, opts core.SearchOptions, live core.Bitmap
 	s := t.acquireSearcher(&t.searchers)
 	res, st := s.SearchLive(q, opts, live, nil)
 	t.searchers.Put(s)
-	runtime.KeepAlive(t) // the walk reads slices of a mapping only t holds (Tree.backing)
 	return res, st
 }
 
@@ -76,6 +74,7 @@ func (t *Tree) SearchLive(q []float32, opts core.SearchOptions, live core.Bitmap
 // goroutine (Tree.Search and Tree.SearchBatch pool them automatically).
 type Searcher struct {
 	tree *Tree
+	sec  *sections // the tree's sections, loaded once a call: what the call reads throughout
 	opts core.SearchOptions
 	live core.Bitmap // SearchLive's bitmap for the current call; nil admits every row
 
@@ -181,6 +180,7 @@ func (s *Searcher) search(rows []float32, nq int, opts core.SearchOptions, live 
 // filter is exact), which the quantized-vs-float equality tests pin down.
 func (s *Searcher) begin(rows []float32, nq int, opts core.SearchOptions, live core.Bitmap) bool {
 	s.opts = s.tree.normalize(opts)
+	s.sec = s.tree.sec()
 	s.live = live
 	s.useQuant = s.tree.qz != nil && s.opts.Filter == nil && s.opts.Budget <= 0
 	run := true
@@ -203,7 +203,7 @@ func (s *Searcher) begin(rows []float32, nq int, opts core.SearchOptions, live c
 		s.qs = grown
 	}
 	s.qs = s.qs[:nq]
-	d := s.tree.points.D
+	d := s.sec.points.D
 	for i := range s.qs {
 		r := &s.qs[i]
 		r.q = rows[i*d : (i+1)*d]
@@ -218,9 +218,10 @@ func (s *Searcher) begin(rows []float32, nq int, opts core.SearchOptions, live c
 	return run
 }
 
-// end drops every caller-owned reference so the pooled Searcher cannot pin
-// them.
+// end drops every caller-owned reference, and the sections, so the pooled
+// Searcher cannot pin them.
 func (s *Searcher) end() {
+	s.sec = nil
 	for i := range s.qs {
 		s.qs[i].q = nil
 	}
@@ -234,14 +235,14 @@ func (s *Searcher) end() {
 // are the queries packed row-major, which the multi-query kernel reads when
 // the call is tiled.
 func (s *Searcher) exact(rows []float32) {
-	t := s.tree
+	sec := s.sec
 	scr := &s.scr
 	scr.Reset()
 	if s.tiled {
-		scr.Wide.Reset(rows, t.points.D)
+		scr.Wide.Reset(rows, sec.points.D)
 	}
 	act, ips := scr.Alloc(len(s.qs))
-	root := t.centers.Row(0)
+	root := sec.centers.Row(0)
 	for i := range act {
 		r := &s.qs[i]
 		act[i] = int32(i)
@@ -250,7 +251,7 @@ func (s *Searcher) exact(rows []float32) {
 	}
 	s.walk(0, act, ips, 0)
 	if s.tiled {
-		scr.Wide.Reset(nil, t.points.D)
+		scr.Wide.Reset(nil, sec.points.D)
 	}
 }
 
@@ -360,13 +361,13 @@ func (s *Searcher) step(ni int32, n *nodeRec, act []int32, ips, ipsL, ipsR []flo
 	if s.opts.Profile != nil {
 		start = time.Now()
 	}
-	centerL := t.centers.Row(int(n.leftRow))
+	centerL := s.sec.centers.Row(int(n.leftRow))
 	cn := float64(n.count())
 	cl := float64(t.nodes[ni+1].count())
 	cr := float64(t.nodes[n.right].count())
 	var centerR []float32 // Ball kind only
 	if t.kind == Ball {
-		centerR = t.centers.Row(int(n.right))
+		centerR = s.sec.centers.Row(int(n.right))
 	} else {
 		kappaR = cn / cr * (kappa + centerStep*n.centerNorm)
 	}
@@ -434,7 +435,7 @@ func (s *Searcher) bestFirst(qi int32) {
 	act, ips := scr.Alloc(3) // step's active set: the one query
 	ipc := ips[1:3]          // and its children's inner products
 	act, ips = act[:1], ips[:1]
-	ip := vec.Dot(r.q, t.centers.Row(0))
+	ip := vec.Dot(r.q, s.sec.centers.Row(0))
 	r.st.IPCount++
 	s.frontier = s.frontier[:0]
 	s.pushFrontier(r, 0, ip, 0, 0)
@@ -543,10 +544,10 @@ func (s *Searcher) scanWithPruning(r *query, n *nodeRec, absIP float64) {
 	if profiling {
 		leafStart = time.Now()
 	}
-	t := s.tree
+	t, sec := s.tree, s.sec
 	start := int(n.start)
 	lambda := r.tk.Lambda()
-	grid := t.grid(n)
+	grid := sec.grid(n)
 	left := math.MaxInt // candidates the budget still allows
 	if s.opts.Budget > 0 {
 		left = int(int64(s.opts.Budget) - r.st.Candidates)
@@ -556,7 +557,7 @@ func (s *Searcher) scanWithPruning(r *query, n *nodeRec, absIP float64) {
 	m := s.ballCutoff(r, n, &grid, absIP, lambda)
 	sel, dense := s.sel[:0], true
 	if live, pred := s.live, s.pred; live != nil || pred != nil {
-		for i, id := range t.ids[start : start+m] {
+		for i, id := range sec.ids[start : start+m] {
 			if (live == nil || live.Has(id)) && (pred == nil || pred.Match(id)) {
 				sel = append(sel, int32(i))
 			}
@@ -565,7 +566,7 @@ func (s *Searcher) scanWithPruning(r *query, n *nodeRec, absIP float64) {
 	}
 	if !s.opts.DisablePointCone && n.centerNorm > 0 && m > 0 {
 		qcos, qsin := r.coneOf(n, absIP)
-		cos, sin := t.xcos[start:start+m], t.xsin[start:start+m]
+		cos, sin := sec.xcos[start:start+m], sec.xsin[start:start+m]
 		before := len(sel)
 		if dense {
 			before = m
@@ -588,7 +589,7 @@ func (s *Searcher) scanWithPruning(r *query, n *nodeRec, absIP float64) {
 			if len(kept) == left {
 				break
 			}
-			if s.opts.Filter(t.ids[start+int(i)]) {
+			if s.opts.Filter(sec.ids[start+int(i)]) {
 				kept = append(kept, i)
 			}
 		}
@@ -601,7 +602,7 @@ func (s *Searcher) scanWithPruning(r *query, n *nodeRec, absIP float64) {
 	}
 	// Like the bounds, the code filter needs a finite λ to act.
 	if s.useQuant && r.tk.Full() && m > 0 {
-		d := t.points.D
+		d := sec.points.D
 		codes := t.codes[start*d : (start+m)*d]
 		before := len(sel)
 		if dense {
@@ -636,7 +637,7 @@ func (s *Searcher) scanWithPruning(r *query, n *nodeRec, absIP float64) {
 	} else {
 		for _, i := range sel[:verify] {
 			pos := start + int(i)
-			r.tk.Push(t.ids[pos], math.Abs(vec.Dot(r.q, t.points.Row(pos))))
+			r.tk.Push(sec.ids[pos], math.Abs(vec.Dot(r.q, sec.points.Row(pos))))
 		}
 	}
 	r.st.IPCount += int64(verify)
@@ -655,8 +656,8 @@ func (s *Searcher) ballCutoff(r *query, n *nodeRec, g *vec.ConeGrid, absIP, lamb
 	if s.opts.DisablePointBall {
 		return int(n.count())
 	}
-	t := s.tree
-	m := vec.BallCutoff(absIP, r.qnorm, lambda, g, t.xcos[n.start:n.end], t.xsin[n.start:n.end])
+	sec := s.sec
+	m := vec.BallCutoff(absIP, r.qnorm, lambda, g, sec.xcos[n.start:n.end], sec.xsin[n.start:n.end])
 	r.st.PrunedPoints += int64(int(n.count()) - m)
 	return m
 }

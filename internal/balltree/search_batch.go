@@ -3,7 +3,6 @@ package balltree
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 
 	"p2h/internal/core"
@@ -24,8 +23,8 @@ import (
 // ordering are bitwise identical to per-query Search calls (exact results are
 // canonical; see internal/exec).
 func (t *Tree) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
-	if queries.D != t.points.D {
-		panic(fmt.Sprintf("balltree: batch queries have dimension %d, want %d", queries.D, t.points.D))
+	if d := t.Dim(); queries.D != d {
+		panic(fmt.Sprintf("balltree: batch queries have dimension %d, want %d", queries.D, d))
 	}
 	out := make([][]core.Result, queries.N)
 	stats := make([]core.Stats, queries.N)
@@ -39,7 +38,6 @@ func (t *Tree) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]co
 	}
 	s.end()
 	t.batchers.Put(s)
-	runtime.KeepAlive(t) // as in Search: the walk reads slices of t's mapping
 	return out, stats
 }
 
@@ -78,9 +76,9 @@ func (s *Searcher) scanLeaf(n *nodeRec, act []int32, ips []float64, kappa float6
 // is empty costs nothing beyond its pruning bookkeeping. Results are those of
 // verifying query by query (canonical exact results; see internal/exec).
 func (s *Searcher) scanTiles(n *nodeRec, act []int32, ips []float64, kappa float64) {
-	t := s.tree
-	start, d := int(n.start), t.points.D
-	grid := t.grid(n)
+	sec := s.sec
+	start, d := int(n.start), sec.points.D
+	grid := sec.grid(n)
 	cuts := s.scr.Cuts(len(act))
 	for j, qi := range act {
 		r := &s.qs[qi]
@@ -94,11 +92,11 @@ func (s *Searcher) scanTiles(n *nodeRec, act []int32, ips []float64, kappa float
 		shared := slices.Min(cuts[j : j+g])
 		if shared > 0 {
 			dists := s.scr.Dists(shared * g)
-			s.scr.Wide.DotBlock(act[j:j+g], t.points.Data[start*d:(start+shared)*d], dists)
+			s.scr.Wide.DotBlock(act[j:j+g], sec.points.Data[start*d:(start+shared)*d], dists)
 			for k, qi := range act[j : j+g] {
 				tk := &s.qs[qi].tk
 				for row := 0; row < shared; row++ {
-					tk.Push(t.ids[start+row], math.Abs(dists[row*g+k]))
+					tk.Push(sec.ids[start+row], math.Abs(dists[row*g+k]))
 				}
 			}
 		}
@@ -114,11 +112,11 @@ func (s *Searcher) verify(r *query, lo, hi int) {
 	if lo >= hi {
 		return
 	}
-	t := s.tree
-	d := t.points.D
+	sec := s.sec
+	d := sec.points.D
 	dists := s.scr.Dists(hi - lo)
-	vec.DotBlock(r.q, t.points.Data[lo*d:hi*d], dists)
+	vec.DotBlock(r.q, sec.points.Data[lo*d:hi*d], dists)
 	for i, v := range dists {
-		r.tk.Push(t.ids[lo+i], math.Abs(v))
+		r.tk.Push(sec.ids[lo+i], math.Abs(v))
 	}
 }

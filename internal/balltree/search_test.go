@@ -254,10 +254,10 @@ func boundWalk(tree *Tree, q []float32, visit func(ni int32, ip, kappa float64))
 		if n.isLeaf() {
 			return
 		}
-		ipl := vec.Dot(q, tree.centers.Row(int(n.leftRow)))
+		ipl := vec.Dot(q, tree.sec().centers.Row(int(n.leftRow)))
 		var ipr, kappaR float64
 		if tree.kind == Ball {
-			ipr = vec.Dot(q, tree.centers.Row(int(n.right)))
+			ipr = vec.Dot(q, tree.sec().centers.Row(int(n.right)))
 		} else {
 			cn := float64(n.count())
 			cl := float64(tree.nodes[ni+1].count())
@@ -268,14 +268,14 @@ func boundWalk(tree *Tree, q []float32, visit func(ni int32, ip, kappa float64))
 		walk(ni+1, ipl, 0)
 		walk(n.right, ipr, kappaR)
 	}
-	walk(0, vec.Dot(q, tree.centers.Row(0)), 0)
+	walk(0, vec.Dot(q, tree.sec().centers.Row(0)), 0)
 }
 
 // maxNorm is the largest norm among the tree's points; no centre exceeds it.
 func maxNorm(tree *Tree) float64 {
 	var m float64
 	for p := 0; p < tree.N(); p++ {
-		m = math.Max(m, vec.Norm(tree.points.Row(p)))
+		m = math.Max(m, vec.Norm(tree.sec().points.Row(p)))
 	}
 	return m
 }
@@ -309,7 +309,7 @@ func boundViolations(tree *Tree, maxNorm float64, q []float32) (node, ball, cone
 			return
 		}
 		absIP := math.Max(offset, 0)
-		grid := tree.grid(n)
+		grid := tree.sec().grid(n)
 		var qcos, qsin float64
 		if n.centerNorm > 0 {
 			qcos = absIP / n.centerNorm
@@ -317,19 +317,19 @@ func boundViolations(tree *Tree, maxNorm float64, q []float32) (node, ball, cone
 		}
 		minBelow[ni] = math.Inf(1)
 		for pos := int(n.start); pos < int(n.end); pos++ {
-			truth := math.Abs(vec.Dot(q, tree.points.Row(pos)))
+			truth := math.Abs(vec.Dot(q, tree.sec().points.Row(pos)))
 			minBelow[ni] = math.Min(minBelow[ni], truth)
 			if tree.kind != BC {
 				continue
 			}
-			lbBall := absIP - qnorm*grid.Radius(tree.xcos[pos], tree.xsin[pos])
+			lbBall := absIP - qnorm*grid.Radius(tree.sec().xcos[pos], tree.sec().xsin[pos])
 			if lbBall > truth+tol {
 				ball++
 			}
 			if n.centerNorm == 0 {
 				continue // the searches skip the cone bound here
 			}
-			xcos, xsin := grid.Pair(tree.xcos[pos], tree.xsin[pos])
+			xcos, xsin := grid.Pair(tree.sec().xcos[pos], tree.sec().xsin[pos])
 			lbCone := vec.ConeBound(qcos, qsin, xcos, xsin)
 			if lbCone > truth+tol {
 				cone++
@@ -424,7 +424,7 @@ func collabMisses(tree *Tree, centers *vec.Matrix, maxNorm float64, q []float32)
 		sum := sums[i*d : (i+1)*d]
 		if n.isLeaf() {
 			for pos := int(n.start); pos < int(n.end); pos++ {
-				vec.AddInto(sum, tree.points.Row(pos))
+				vec.AddInto(sum, tree.sec().points.Row(pos))
 			}
 			height[i] = 1
 			continue

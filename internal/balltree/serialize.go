@@ -1,9 +1,12 @@
 package balltree
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"unsafe"
 
 	"p2h/internal/binio"
 	"p2h/internal/quant"
@@ -76,7 +79,8 @@ const maxSerialDim = 1 << 20
 // (internal/shard, internal/dynamic) writes the prefix from it and streams
 // the tree straight through instead of buffering it to learn its length.
 func (t *Tree) PayloadBytes() int64 {
-	n, d, nodes := int64(t.points.N), int64(t.points.D), int64(len(t.nodes))
+	sec := t.sec()
+	n, d, nodes := int64(sec.points.N), int64(sec.points.D), int64(len(t.nodes))
 	b := 8 /*magic*/ + 5*4 /*header*/ + 4*n /*ids*/ + 4*n*d /*points*/
 	if t.kind == Ball {
 		b += 4*nodes*d /*centers*/ + nodes*(8 /*radius*/ +4*4 /*range, children*/)
@@ -85,7 +89,7 @@ func (t *Tree) PayloadBytes() int64 {
 			2*2*n /*xcos, xsin*/
 	}
 	if t.qz != nil {
-		b += quant.SectionBytes(t.points.N, t.points.D)
+		b += quant.SectionBytes(sec.points.N, sec.points.D)
 	}
 	return b
 }
@@ -94,6 +98,7 @@ func (t *Tree) PayloadBytes() int64 {
 // the original data matrix. A BC tree's point-level cone arrays ride along so
 // restored trees prune identically.
 func (t *Tree) Save(w io.Writer) error {
+	sec := t.sec()
 	bw := binio.NewWriter(w)
 	start := bw.Written()
 	m := magics[t.kind][0]
@@ -102,13 +107,13 @@ func (t *Tree) Save(w io.Writer) error {
 	}
 	bw.Bytes([]byte(m))
 	bw.I32(int32(t.leafSize))
-	bw.I32(int32(t.points.N))
-	bw.I32(int32(t.points.D))
+	bw.I32(int32(sec.points.N))
+	bw.I32(int32(sec.points.D))
 	bw.I32(int32(len(t.nodes)))
 	bw.I32(int32(t.leaves))
-	bw.I32s(t.ids)
-	bw.F32s(t.points.Data)
-	bw.F32s(t.centers.Data)
+	bw.I32s(sec.ids)
+	bw.F32s(sec.points.Data)
+	bw.F32s(sec.centers.Data)
 	for i := range t.nodes {
 		bw.F64(t.nodes[i].radius)
 		if t.kind == BC {
@@ -125,8 +130,8 @@ func (t *Tree) Save(w io.Writer) error {
 		bw.I32(n.right)
 	}
 	if t.kind == BC {
-		bw.U16s(t.xcos)
-		bw.U16s(t.xsin)
+		bw.U16s(sec.xcos)
+		bw.U16s(sec.xsin)
 	}
 	if t.qz != nil {
 		quant.WriteSection(bw, t.qz, t.codes)
@@ -198,8 +203,8 @@ func EmbeddedRetired(br *binio.Reader) error {
 // Handed an in-place binio.Reader (a mapped container), Load aliases the
 // float32, int32 and uint16 sections — ids, points, centres, xcos and xsin —
 // where they are aligned (binio.Reader.F32sView) instead of copying them, and the
-// tree holds the Reader's Backing. The node records are decoded into the
-// arena either way, and every section is validated the same way.
+// tree holds the Reader's Backing with them. The node records are decoded into
+// the arena either way, and every section is validated the same way.
 func Load(r io.Reader, kind Kind, idBound int) (*Tree, error) {
 	br := binio.NewReader(r)
 	quantized, leafSize, n, d, err := readShape(br, kind)
@@ -217,11 +222,12 @@ func Load(r io.Reader, kind Kind, idBound int) (*Tree, error) {
 		return nil, br.Err()
 	}
 	t := &Tree{kind: kind, leafSize: leafSize, leaves: leaves}
+	sec := &sections{}
 	if idBound == 0 {
 		idBound = n
 	}
-	t.ids = br.I32sView(n)
-	for _, id := range t.ids {
+	sec.ids = br.I32sView(n)
+	for _, id := range sec.ids {
 		if id < 0 || int(id) >= idBound {
 			br.Fail("id %d outside [0,%d)", id, idBound)
 			break
@@ -243,8 +249,8 @@ func Load(r io.Reader, kind Kind, idBound int) (*Tree, error) {
 	if err := br.Err(); err != nil {
 		return nil, err
 	}
-	t.points = &vec.Matrix{Data: data, N: n, D: d}
-	t.centers = &vec.Matrix{Data: centers, N: rows, D: d}
+	sec.points = vec.Matrix{Data: data, N: n, D: d}
+	sec.centers = vec.Matrix{Data: centers, N: rows, D: d}
 	t.nodes = make([]nodeRec, nodes)
 	for i := range t.nodes {
 		nd := &t.nodes[i]
@@ -259,20 +265,51 @@ func Load(r io.Reader, kind Kind, idBound int) (*Tree, error) {
 	}
 	if kind == BC {
 		t.assignCenterRows()
-		t.xcos = br.U16sView(n)
-		t.xsin = br.U16sView(n)
+		sec.xcos = br.U16sView(n)
+		sec.xsin = br.U16sView(n)
 	}
 	if quantized && br.Err() == nil {
-		t.qz, t.codes = quant.ReadSection(br, t.points)
+		t.qz, t.codes = quant.ReadSection(br, &sec.points)
 	}
 	if err := br.Err(); err != nil {
 		return nil, err
 	}
+	sec.backing = br.Backing()
+	t.cur.Store(sec)
 	if err := validateArena(br, t, leaves); err != nil {
 		return nil, err
 	}
-	t.backing = br.Backing()
 	return t, nil
+}
+
+// Adopt makes t serve its point, id, centre and cone sections from m's, where
+// m is a tree Load decoded in place from a mapped container holding t — the
+// file p2h.SaveFile has just written, say. It adopts them only if m is mapped
+// and equal to t: of the same kind and shape, with the same node records and
+// every section byte for byte the same. It reports whether it did; otherwise t
+// keeps its own. A search in flight finishes on the sections it started
+// with, and the ones t gives up are freed once none is reading them. t keeps
+// its node records, code mirror and attributes.
+func (t *Tree) Adopt(m *Tree) bool {
+	own, in := t.sec(), m.sec()
+	if in.backing == nil || m.kind != t.kind || m.leafSize != t.leafSize || m.leaves != t.leaves ||
+		in.points.D != own.points.D || in.centers.D != own.centers.D || !slices.Equal(m.nodes, t.nodes) ||
+		!sameBytes(in.points.Data, own.points.Data) || !sameBytes(in.ids, own.ids) ||
+		!sameBytes(in.centers.Data, own.centers.Data) ||
+		!sameBytes(in.xcos, own.xcos) || !sameBytes(in.xsin, own.xsin) {
+		return false
+	}
+	t.cur.Store(in)
+	return true
+}
+
+// sameBytes reports whether a and b hold the same bytes: a float section
+// compares by its bits, NaNs and signed zeros included.
+func sameBytes[T float32 | int32 | uint16](a, b []T) bool {
+	size := int(unsafe.Sizeof(*new(T)))
+	return bytes.Equal(
+		unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(a))), len(a)*size),
+		unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b))), len(b)*size))
 }
 
 // finite reports whether v is an ordinary number. Comparisons against NaN are
@@ -298,8 +335,9 @@ const maxNodeBound = 0x1p256
 // derived radii (vec.ConeGrid.SqRadius, the value Build sorted by) descend
 // within each leaf's slice.
 func validateArena(br *binio.Reader, t *Tree, leaves int) error {
+	sec := t.sec()
 	nodes := int32(len(t.nodes))
-	n := int32(t.points.N)
+	n := int32(sec.points.N)
 	for i := range t.nodes {
 		nd := &t.nodes[i]
 		if nd.start < 0 || nd.end <= nd.start || nd.end > n {
@@ -334,10 +372,10 @@ func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 		if nd.isLeaf() {
 			leafCount++
 			if t.kind == BC {
-				grid := t.grid(nd)
+				grid := sec.grid(nd)
 				prev := math.Inf(1)
 				for p := nd.start; p < nd.end; p++ {
-					sq := grid.SqRadius(t.xcos[p], t.xsin[p])
+					sq := grid.SqRadius(sec.xcos[p], sec.xsin[p])
 					if !(sq <= prev) {
 						br.Fail("leaf %d derived radii not descending at position %d", ni, p)
 						break

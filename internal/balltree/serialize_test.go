@@ -58,7 +58,7 @@ func testSaveLoadRoundTrip(t *testing.T, kind Kind) {
 // uint16 xcos/xsin code arrays.
 func payloadOffsets(t *Tree) (radius, links, xcos, xsin int) {
 	n, d, nodes := t.N(), t.Dim(), t.Nodes()
-	radius = 8 + 5*4 + 4*n + 4*n*d + 4*t.centers.N*d
+	radius = 8 + 5*4 + 4*n + 4*n*d + 4*t.sec().centers.N*d
 	boundStride, linkStride := 8, 16
 	if t.kind == BC {
 		boundStride, linkStride = 16, 12
@@ -163,8 +163,8 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 		// vec.BallCutoff's binary search assumes the order: codes for the
 		// farthest corner of the grids (xcos at C - R', xsin at its top)
 		// derive a radius past the leaf's, after a point that derives less.
-		grid := orig.grid(leaf)
-		if grid.SqRadius(0, math.MaxUint16) <= grid.SqRadius(orig.xcos[p-1], orig.xsin[p-1]) {
+		grid := orig.sec().grid(leaf)
+		if grid.SqRadius(0, math.MaxUint16) <= grid.SqRadius(orig.sec().xcos[p-1], orig.sec().xsin[p-1]) {
 			t.Fatal("fixture: the corner codes do not derive the leaf's largest radius")
 		}
 		cases["derived radius ascending"] = patchU16(patchU16(good, xcos+2*p, 0), xsin+2*p, math.MaxUint16)

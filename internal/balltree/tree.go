@@ -2,6 +2,7 @@ package balltree
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"p2h/internal/attr"
 	"p2h/internal/exec"
@@ -106,30 +107,14 @@ func (n *nodeRec) isLeaf() bool { return n.right == noChild }
 
 // Tree is a Ball-Tree or BC-Tree over lifted data points x = (p; 1).
 type Tree struct {
-	kind   Kind
-	points *vec.Matrix // the matrix BuildOwned was given, reordered: leaf ranges are contiguous rows
-	ids    []int32     // position -> the holder's id for that point (the row number it was handed in as, unless labelled)
-	nodes  []nodeRec   // flat arena, root at index 0, preorder
+	kind  Kind
+	nodes []nodeRec // flat arena, root at index 0, preorder
 
-	// Packed node centres. A Ball tree keeps one per node, row i = node i's:
-	// Algorithm 3 reads both children's. A BC search reads a centre only for
-	// the root and for left children — a right child's inner product follows
-	// from Lemma 2 and every bound it enters is precomputed — so a BC tree
-	// keeps just those (nodes+1)/2 rows, the root's first and the left
-	// children's in arena order.
-	centers *vec.Matrix
-
-	// Position-indexed point-level structures (Algorithm 4 lines 5-9),
-	// length n, nil for the Ball kind. Theorem 6 counts three numbers a point;
-	// the tree keeps the cone pair only, because the third, r_x = ||x - center||,
-	// is the hypotenuse over the pair's offset from the centre and is derived
-	// where a bound needs it (vec.ConeGrid.Radius). Within each leaf's
-	// [start, end) slice that derived radius is descending. Both values are
-	// 16-bit codes on the leaf's grids (vec.ConeGrid), rounded toward "cannot
-	// prune": a bound computed from them is never above the one the float64
-	// values would give, so results stay exact at a quarter of the memory.
-	xcos []uint16 // ||x|| cos(phi_x), the projection of x onto center, rounded toward zero
-	xsin []uint16 // ||x|| sin(phi_x), the rejection of x from center, rounded up
+	// The point, id, centre and cone sections, on the heap or in a mapped
+	// container (see sections). A search loads the pointer once per call and
+	// reads that set throughout, so Adopt can swap in another set under
+	// searches in flight.
+	cur atomic.Pointer[sections]
 
 	leafSize int
 	leaves   int
@@ -155,21 +140,50 @@ type Tree struct {
 	// Searcher whose query records a batch has already grown.
 	searchers exec.Pool[Searcher]
 	batchers  exec.Pool[Searcher]
+}
 
-	// backing keeps the file mapping alive that a tree Load decoded in place
-	// (binio.Reader.Backing) aliases — ids, points, centres and the cone
-	// pair are then read-only views of it — and is nil when the tree owns
-	// its storage. The mapping goes once the tree is unreachable, so a
-	// search holding one of those slices keeps the tree alive until it is
-	// done with them (runtime.KeepAlive in Search and SearchBatch).
+// sections is the part of a tree a saved container holds byte for byte, so
+// that the tree can serve it from the mapped file in place of the heap.
+type sections struct {
+	points vec.Matrix // the rows BuildOwned was given, reordered: leaf ranges are contiguous rows
+	ids    []int32    // position -> the holder's id for that point (the row number it was handed in as, unless labelled)
+
+	// Packed node centres. A Ball tree keeps one per node, row i = node i's:
+	// Algorithm 3 reads both children's. A BC search reads a centre only for
+	// the root and for left children — a right child's inner product follows
+	// from Lemma 2 and every bound it enters is precomputed — so a BC tree
+	// keeps just those (nodes+1)/2 rows, the root's first and the left
+	// children's in arena order.
+	centers vec.Matrix
+
+	// Position-indexed point-level structures (Algorithm 4 lines 5-9),
+	// length n, nil for the Ball kind. Theorem 6 counts three numbers a point;
+	// the tree keeps the cone pair only, because the third, r_x = ||x - center||,
+	// is the hypotenuse over the pair's offset from the centre and is derived
+	// where a bound needs it (vec.ConeGrid.Radius). Within each leaf's
+	// [start, end) slice that derived radius is descending. Both values are
+	// 16-bit codes on the leaf's grids (vec.ConeGrid), rounded toward "cannot
+	// prune": a bound computed from them is never above the one the float64
+	// values would give, so results stay exact at a quarter of the memory.
+	xcos []uint16 // ||x|| cos(phi_x), the projection of x onto center, rounded toward zero
+	xsin []uint16 // ||x|| sin(phi_x), the rejection of x from center, rounded up
+
+	// backing keeps alive the file mapping the slices above are views of
+	// (binio.Reader.Backing), nil when they are the tree's own. The mapping
+	// goes once nothing refers to this set of sections, so whoever reads a
+	// view holds the set it came from: a Searcher for the length of a call,
+	// a Rows caller through the points matrix, which lives inside it.
 	backing any
 }
 
+// sec returns the tree's current sections.
+func (t *Tree) sec() *sections { return t.cur.Load() }
+
 // N returns the number of indexed points.
-func (t *Tree) N() int { return t.points.N }
+func (t *Tree) N() int { return t.sec().points.N }
 
 // Dim returns the lifted dimensionality.
-func (t *Tree) Dim() int { return t.points.D }
+func (t *Tree) Dim() int { return t.sec().points.D }
 
 // LeafSize returns the configured maximum leaf size N0.
 func (t *Tree) LeafSize() int { return t.leafSize }
@@ -209,7 +223,8 @@ func (t *Tree) AttachAttrs(st *attr.Store) error {
 		t.attrs, t.attrSums = nil, nil
 		return nil
 	}
-	for _, id := range t.ids {
+	ids := t.sec().ids
+	for _, id := range ids {
 		if int(id) >= st.N() {
 			return fmt.Errorf("balltree: attribute store covers %d rows, index holds id %d", st.N(), id)
 		}
@@ -223,7 +238,7 @@ func (t *Tree) AttachAttrs(st *attr.Store) error {
 		}
 	}
 	t.attrs = st
-	t.attrSums = attr.BuildSummaries(st, t.ids, infos)
+	t.attrSums = attr.BuildSummaries(st, ids, infos)
 	return nil
 }
 
@@ -242,12 +257,13 @@ func (t *Tree) Attrs() *attr.Store { return t.attrs }
 // data size.
 func (t *Tree) IndexBytes() int64 {
 	const perNode = 8 /*radius*/ + 2*4 /*range*/ + 2*4 /*leftRow, right*/
-	b := t.centers.Bytes() + int64(len(t.nodes))*perNode + int64(len(t.ids))*4
+	sec := t.sec()
+	b := sec.centers.Bytes() + int64(len(t.nodes))*perNode + int64(len(sec.ids))*4
 	if t.kind == BC {
-		b += int64(len(t.nodes))*8 /*centerNorm*/ + int64(t.points.N)*2*2
+		b += int64(len(t.nodes))*8 /*centerNorm*/ + int64(sec.points.N)*2*2
 	}
 	if t.qz != nil {
-		b += int64(len(t.codes)) + int64(t.points.D)*(4+4+8)
+		b += int64(len(t.codes)) + int64(sec.points.D)*(4+4+8)
 	}
 	if t.attrs != nil {
 		b += t.attrs.MemBytes() + t.attrSums.MemBytes()
@@ -256,11 +272,11 @@ func (t *Tree) IndexBytes() int64 {
 }
 
 // DataBytes returns the size of the reordered data.
-func (t *Tree) DataBytes() int64 { return t.points.Bytes() }
+func (t *Tree) DataBytes() int64 { return t.sec().points.Bytes() }
 
 // grid returns the grids BC leaf n codes its cone pairs on.
-func (t *Tree) grid(n *nodeRec) vec.ConeGrid {
-	return vec.NewConeGrid(n.centerNorm, n.radius, t.points.D)
+func (sec *sections) grid(n *nodeRec) vec.ConeGrid {
+	return vec.NewConeGrid(n.centerNorm, n.radius, sec.points.D)
 }
 
 // Rows returns the tree's storage and the position -> id map: row p of points
@@ -268,7 +284,14 @@ func (t *Tree) grid(n *nodeRec) vec.ConeGrid {
 // when it was handed no labels). Both alias the tree and are read-only. A
 // holder that keeps no second copy of what it indexed (internal/dynamic) reads
 // its vectors, and which handles it indexed, back through them.
-func (t *Tree) Rows() (points *vec.Matrix, ids []int32) { return t.points, t.ids }
+//
+// Both may be views of a mapped container (see Adopt), which stays mapped for
+// as long as points is reachable, whatever the tree adopts meanwhile: a caller
+// that may run beside an Adopt reads ids only while it holds points.
+func (t *Tree) Rows() (points *vec.Matrix, ids []int32) {
+	sec := t.sec()
+	return &sec.points, sec.ids
+}
 
 // String summarizes the tree for logs.
 func (t *Tree) String() string {

@@ -59,7 +59,7 @@ func TestPointLevelArraysRoundOutward(t *testing.T) {
 // order of the points — the one thing that differs here — does not show).
 func nodeCenters(tree *Tree) *vec.Matrix {
 	if tree.kind == Ball {
-		return tree.centers
+		return &tree.sec().centers
 	}
 	isRight := make([]bool, len(tree.nodes))
 	for i := range tree.nodes {
@@ -68,14 +68,14 @@ func nodeCenters(tree *Tree) *vec.Matrix {
 		}
 	}
 	all := vec.NewMatrix(len(tree.nodes), tree.Dim())
-	copy(all.Row(0), tree.centers.Row(0))
+	copy(all.Row(0), tree.sec().centers.Row(0))
 	for i := len(tree.nodes) - 1; i >= 0; i-- { // children before parents
 		n := &tree.nodes[i]
 		if n.isLeaf() {
 			copy(all.Row(i), directCentroid(tree, n))
 			continue
 		}
-		copy(all.Row(i+1), tree.centers.Row(int(n.leftRow))) // stored: overrides what was recomputed
+		copy(all.Row(i+1), tree.sec().centers.Row(int(n.leftRow))) // stored: overrides what was recomputed
 		if isRight[i] {
 			combineCenters(all.Row(i), int32(i), tree, all.Data)
 		}
@@ -88,7 +88,7 @@ func nodeCenters(tree *Tree) *vec.Matrix {
 func directCentroid(tree *Tree, n *nodeRec) []float32 {
 	d := tree.Dim()
 	c := make([]float32, d)
-	vec.CentroidBlock(tree.points.Data[int(n.start)*d:int(n.end)*d], make([]float64, d), c)
+	vec.CentroidBlock(tree.sec().points.Data[int(n.start)*d:int(n.end)*d], make([]float64, d), c)
 	return c
 }
 
@@ -100,11 +100,11 @@ func TestCenterRows(t *testing.T) {
 	data, _ := buildTestData(t, dataset.FamilyClustered, 2000, 16, 5)
 	ball := Build(data, Ball, Config{LeafSize: 20, Seed: 1})
 	bc := Build(data, BC, Config{LeafSize: 20, Seed: 1})
-	if ball.centers.N != ball.Nodes() {
-		t.Fatalf("Ball tree holds %d centre rows for %d nodes", ball.centers.N, ball.Nodes())
+	if ball.sec().centers.N != ball.Nodes() {
+		t.Fatalf("Ball tree holds %d centre rows for %d nodes", ball.sec().centers.N, ball.Nodes())
 	}
-	if bc.Nodes() != ball.Nodes() || bc.centers.N != (bc.Nodes()+1)/2 {
-		t.Fatalf("BC tree holds %d centre rows for %d nodes, want %d", bc.centers.N, bc.Nodes(), (bc.Nodes()+1)/2)
+	if bc.Nodes() != ball.Nodes() || bc.sec().centers.N != (bc.Nodes()+1)/2 {
+		t.Fatalf("BC tree holds %d centre rows for %d nodes, want %d", bc.sec().centers.N, bc.Nodes(), (bc.Nodes()+1)/2)
 	}
 	row := int32(1)
 	for i := range bc.nodes {
@@ -123,7 +123,7 @@ func TestCenterRows(t *testing.T) {
 	all := nodeCenters(bc)
 	for i := range bc.nodes {
 		for j, v := range all.Row(i) {
-			want := float64(ball.centers.Row(i)[j])
+			want := float64(ball.sec().centers.Row(i)[j])
 			if math.Abs(float64(v)-want) > 1e-5*math.Max(1, math.Abs(want)) {
 				t.Fatalf("node %d centre[%d] = %v, Ball build has %v", i, j, v, want)
 			}
@@ -142,7 +142,7 @@ func TestCenterRows(t *testing.T) {
 func checkTreeInvariants(t *testing.T, tree *Tree) {
 	t.Helper()
 	seen := make([]bool, tree.N())
-	for _, id := range tree.ids {
+	for _, id := range tree.sec().ids {
 		if seen[id] {
 			t.Fatalf("id %d appears twice in reordering", id)
 		}
@@ -152,8 +152,8 @@ func checkTreeInvariants(t *testing.T, tree *Tree) {
 	if tree.kind == BC {
 		want = tree.N()
 	}
-	if len(tree.xcos) != want || len(tree.xsin) != want {
-		t.Fatalf("%s point-level arrays sized %d/%d, want %d", tree.kind, len(tree.xcos), len(tree.xsin), want)
+	if len(tree.sec().xcos) != want || len(tree.sec().xsin) != want {
+		t.Fatalf("%s point-level arrays sized %d/%d, want %d", tree.kind, len(tree.sec().xcos), len(tree.sec().xsin), want)
 	}
 	centers := nodeCenters(tree)
 	var nodes, leaves int
@@ -173,7 +173,7 @@ func checkTreeInvariants(t *testing.T, tree *Tree) {
 			t.Fatalf("%s centerNorm %v, want %v", tree.kind, n.centerNorm, wantNorm)
 		}
 		for pos := n.start; pos < n.end; pos++ {
-			d := math.Sqrt(vec.SqDist(tree.points.Row(int(pos)), center))
+			d := math.Sqrt(vec.SqDist(tree.sec().points.Row(int(pos)), center))
 			if d > n.radius {
 				t.Fatalf("point at pos %d outside ball: %v > %v", pos, d, n.radius)
 			}
@@ -218,25 +218,25 @@ func checkTreeInvariants(t *testing.T, tree *Tree) {
 func checkLeafStructures(t *testing.T, tree *Tree, n *nodeRec, center []float32) {
 	t.Helper()
 	const ulp32 = 1.0 / (1 << 23)
-	grid := tree.grid(n)
+	grid := tree.sec().grid(n)
 	var maxDist float64
 	prev := math.Inf(1)
 	for pos := int(n.start); pos < int(n.end); pos++ {
 		i := pos - int(n.start)
-		x := tree.points.Row(pos)
+		x := tree.sec().points.Row(pos)
 		r := math.Sqrt(vec.SqDist(x, center))
 		maxDist = math.Max(maxDist, r)
-		sq := grid.SqRadius(tree.xcos[pos], tree.xsin[pos])
+		sq := grid.SqRadius(tree.sec().xcos[pos], tree.sec().xsin[pos])
 		if sq > prev {
 			t.Fatalf("derived radius not descending at %d: %v > %v", i, sq, prev)
 		}
 		prev = sq
 		xcos, xsin := vec.ConePair(x, center, n.centerNorm)
-		derived := grid.Radius(tree.xcos[pos], tree.xsin[pos])
+		derived := grid.Radius(tree.sec().xcos[pos], tree.sec().xsin[pos])
 		if room := pointRadiusRoom(&grid, len(x), vec.Norm(x), xsin, n.centerNorm, n.radius); derived < r || derived > r+room {
 			t.Fatalf("derived radius %v of point %d at distance %v (room %v, ||c||=%v)", derived, i, r, room, n.centerNorm)
 		}
-		got, gotSin := grid.Pair(tree.xcos[pos], tree.xsin[pos])
+		got, gotSin := grid.Pair(tree.sec().xcos[pos], tree.sec().xsin[pos])
 		cosStep, sinStep := gridSteps(&grid)
 		if math.Abs(got) > math.Abs(xcos) || math.Abs(xcos)-math.Abs(got) > cosStep || got*xcos < 0 {
 			t.Fatalf("xcos[%d]=%v is not %v rounded toward zero within a step", i, got, xcos)
@@ -312,8 +312,8 @@ func TestBuildDeterministic(t *testing.T) {
 		if a.Nodes() != b.Nodes() || a.Height() != b.Height() {
 			t.Fatal("same seed must build identical trees")
 		}
-		for i := range a.ids {
-			if a.ids[i] != b.ids[i] {
+		for i := range a.sec().ids {
+			if a.sec().ids[i] != b.sec().ids[i] {
 				t.Fatal("same seed must produce identical reordering")
 			}
 		}
@@ -442,8 +442,8 @@ func TestIndexBytesMatchesStorage(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			want := sliceBytes(tree.centers.Data) + sliceBytes(tree.nodes) + sliceBytes(tree.ids) +
-				sliceBytes(tree.xcos) + sliceBytes(tree.xsin) + sliceBytes(tree.codes)
+			want := sliceBytes(tree.sec().centers.Data) + sliceBytes(tree.nodes) + sliceBytes(tree.sec().ids) +
+				sliceBytes(tree.sec().xcos) + sliceBytes(tree.sec().xsin) + sliceBytes(tree.codes)
 			if kind == Ball {
 				want -= int64(len(tree.nodes)) * int64(unsafe.Sizeof(tree.nodes[0].centerNorm))
 			}
@@ -457,8 +457,14 @@ func TestIndexBytesMatchesStorage(t *testing.T) {
 			if got := tree.IndexBytes(); got != want {
 				t.Errorf("%s: IndexBytes() = %d, the arena's slices hold %d", tc.name, got, want)
 			}
-			if got, want := tree.DataBytes(), sliceBytes(tree.points.Data); got != want {
+			if got, want := tree.DataBytes(), sliceBytes(tree.sec().points.Data); got != want {
 				t.Errorf("%s: DataBytes() = %d, the point copy holds %d", tc.name, got, want)
+			}
+			// What IndexBytes counts is all the arena holds: the two tables
+			// the builder grows by append keep no slack.
+			if sec := tree.sec(); cap(sec.centers.Data) != len(sec.centers.Data) || cap(tree.nodes) != len(tree.nodes) {
+				t.Errorf("%s: centre table cap %d for len %d, node arena cap %d for len %d", tc.name,
+					cap(sec.centers.Data), len(sec.centers.Data), cap(tree.nodes), len(tree.nodes))
 			}
 		}
 	})

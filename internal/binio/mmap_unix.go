@@ -17,10 +17,10 @@ type mapping struct{ data []byte }
 // holds it any more, so f may be closed as soon as MapFile returns. The file
 // must not change under the mapping while a view of it is in use: replace it
 // by rename, never truncate or rewrite it in place. MapFile returns nil when
-// the file cannot be mapped (empty, or the system refuses); read f as a
-// stream instead.
+// the file cannot be mapped (empty, or the system refuses) or the mapping
+// would serve no view (a big-endian host); read f as a stream instead.
 func MapFile(f *os.File, size int64) *Reader {
-	if size <= 0 || size != int64(int(size)) {
+	if !littleEndian || size <= 0 || size != int64(int(size)) {
 		return nil
 	}
 	b, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)

@@ -122,6 +122,15 @@ func (ix *Index) treeN() int {
 	return ix.tree.N()
 }
 
+// Trees returns the snapshot tree, the one tree Save writes, or nothing
+// while there is none. Like Save, it must run with mutations excluded.
+func (ix *Index) Trees() []*balltree.Tree {
+	if ix.tree == nil {
+		return nil
+	}
+	return []*balltree.Tree{ix.tree}
+}
+
 // Configuration returns the (normalized) construction configuration.
 func (ix *Index) Configuration() Config { return ix.cfg }
 

@@ -434,9 +434,10 @@ func (a *API) handleDeletePoint(w http.ResponseWriter, r *http.Request) {
 //
 // An index with a write-ahead log snapshots to its own canonical container
 // path (the snapshot truncates the log, so writing anywhere else would
-// orphan the truncated records); an index without one snapshots to a
+// orphan the truncated records); an index without one is copied to a
 // temporary file in the manager's spool directory, removed after the
-// stream.
+// stream. The index never adopts that copy (p2h.SaveFile): it would serve
+// from a file about to be deleted.
 func (a *API) handleContainer(w http.ResponseWriter, r *http.Request) {
 	e, err := a.m.acquire(r.PathValue("name"))
 	if err != nil {
@@ -451,37 +452,61 @@ func (a *API) handleContainer(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	path := e.cfg.Path
-	if e.wal == nil || path == "" {
-		f, err := os.CreateTemp(a.m.spoolDir(), ".p2hd-container-*.p2h")
-		if err != nil {
-			a.fail(w, err)
-			return
-		}
-		path = f.Name()
-		f.Close()
-		defer os.Remove(path)
-	}
 	// Snapshot first, then read the stats: the exclusive cut inside Snapshot
 	// means the streamed bytes are at least as new as the n/epoch reported.
-	size, err := e.srv.Snapshot(path)
-	if err != nil {
-		a.fail(w, err)
-		return
+	var f *os.File
+	if e.wal != nil && e.cfg.Path != "" {
+		if _, err = e.srv.Snapshot(e.cfg.Path); err == nil {
+			f, err = os.Open(e.cfg.Path)
+		}
+	} else if f, err = a.spoolCopy(e); err == nil {
+		defer os.Remove(f.Name())
 	}
-	n, _ := e.srv.Describe()
-	f, err := os.Open(path)
 	if err != nil {
 		a.fail(w, err)
 		return
 	}
 	defer f.Close()
+	// The size is the opened file's own: a newer snapshot renamed over the
+	// path since leaves this one, and its length, as they were.
+	fi, err := f.Stat()
+	if err != nil {
+		a.fail(w, err)
+		return
+	}
+	n, _ := e.srv.Describe()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
+	w.Header().Set("Content-Length", strconv.FormatInt(fi.Size(), 10))
 	w.Header().Set("X-P2H-Kind", e.kind)
 	w.Header().Set("X-P2H-Points", strconv.Itoa(n))
 	w.Header().Set("X-P2H-Epoch", strconv.FormatUint(e.srv.Stats().Epoch, 10))
 	_, _ = io.Copy(w, f)
+}
+
+// spoolCopy writes the index to a new spool file and returns it open at its
+// start; the caller removes it. A mutable index is snapshotted under the
+// server's exclusive cut, which adopts nothing without a log; an immutable
+// one needs no cut and is saved directly, which adopts nothing either.
+func (a *API) spoolCopy(e *managed) (*os.File, error) {
+	f, err := os.CreateTemp(a.m.spoolDir(), ".p2hd-container-*.p2h")
+	if err != nil {
+		return nil, err
+	}
+	path := f.Name()
+	if _, mutable := e.srv.Index().(*p2h.Dynamic); mutable {
+		f.Close()
+		if _, err = e.srv.Snapshot(path); err == nil {
+			f, err = os.Open(path)
+		}
+	} else if err = p2h.Save(f, e.srv.Index()); err == nil {
+		_, err = f.Seek(0, io.SeekStart)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, err
+	}
+	return f, nil
 }
 
 // maxContainerBytes bounds a restore upload; far above any container this

@@ -2,11 +2,19 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"p2h"
 )
 
 // rawPost sends non-JSON bytes (container uploads) to the fixture daemon.
@@ -111,4 +119,98 @@ func TestContainerUnknownIndex(t *testing.T) {
 	if !strings.Contains(string(raw), "index_not_found") {
 		t.Fatalf("unexpected error body: %s", raw)
 	}
+}
+
+// TestContainerLengthIsTheStreamedFile: a logged index streams its container
+// from its canonical path, which concurrent snapshots — other container GETs,
+// and inserts growing the index between them — keep renaming new files of
+// other sizes over. Every response's Content-Length is the length of the
+// bytes it carries, and those bytes are a whole container.
+func TestContainerLengthIsTheStreamedFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "dyn.p2h")
+	ix, err := p2h.New(testMatrix(300, 8, 3), p2h.Spec{Kind: p2h.KindDynamic, LeafSize: 32, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p2h.SaveFile(path, ix); err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(p2h.ServerOptions{Workers: 2}, 0)
+	defer m.Close(context.Background())
+	if _, _, err := m.Load("d", IndexConfig{Path: path, WAL: true, WALSync: "none"}, false); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(m))
+	defer ts.Close()
+	e, err := m.acquire("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.release()
+
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		tick := time.NewTicker(50 * time.Microsecond)
+		defer tick.Stop()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			if _, err := e.srv.Insert([]float32{float32(i), 1, 2, 3, 4, 5, 6, 7}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	errs := make(chan error, 3)
+	for range 3 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for range 100 {
+				if err := getWholeContainer(ts); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// getWholeContainer GETs index d's container and checks that the response
+// is as long as it says and loads.
+func getWholeContainer(ts *httptest.Server) error {
+	resp, err := ts.Client().Get(ts.URL + "/v1/indexes/d/container")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return fmt.Errorf("reading the container: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("container answered %d: %s", resp.StatusCode, raw)
+	}
+	if cl, _ := strconv.Atoi(resp.Header.Get("Content-Length")); cl != len(raw) {
+		return fmt.Errorf("Content-Length %d but read %d bytes", cl, len(raw))
+	}
+	if _, err := p2h.Load(bytes.NewReader(raw)); err != nil {
+		return fmt.Errorf("the streamed container does not load: %v", err)
+	}
+	return nil
 }

@@ -162,6 +162,9 @@ func (ix *Index) Dim() int { return ix.d }
 // Shards returns the number of shards.
 func (ix *Index) Shards() int { return len(ix.trees) }
 
+// Trees returns the shard trees in shard order, the order Save writes them.
+func (ix *Index) Trees() []*balltree.Tree { return ix.trees }
+
 // Workers returns the per-query goroutine bound the index was built with.
 func (ix *Index) Workers() int { return ix.workers }
 

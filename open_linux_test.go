@@ -24,20 +24,6 @@ func mappingsUnder(t *testing.T, dir string) int {
 	return strings.Count(string(b), dir+string(filepath.Separator))
 }
 
-// answersOf is every query's exact and budgeted answer, one at a time and as
-// one batch.
-func answersOf(ix Index, queries *Matrix) [][]Result {
-	var out [][]Result
-	for _, opts := range []SearchOptions{{K: 7}, {K: 7, Budget: 300}} {
-		for qi := 0; qi < queries.N; qi++ {
-			res, _ := ix.Search(queries.Row(qi), opts)
-			out = append(out, res)
-		}
-		out = append(out, SearchBatch(ix, queries, opts, 2)...)
-	}
-	return out
-}
-
 // TestOpenedIndexOutlivesItsFile: an index Open served from the mapped file
 // keeps answering bit for bit as the index that was saved while the file is
 // replaced by rename and then unlinked, with collections forced between the
@@ -170,4 +156,49 @@ func TestOpenMapsTheDynamicSnapshotTree(t *testing.T) {
 			t.Fatalf("%d handles: the opened index answers differently from the one saved", n)
 		}
 	}
+}
+
+// TestSaveFileServesFromTheFile: once SaveFile has written an index, the index
+// serves from a mapping of that file, as one Open returned would. For every
+// persistable kind the live heap falls by at least three quarters of the
+// point section, and the index answers as it did before the save.
+func TestSaveFileServesFromTheFile(t *testing.T) {
+	data := specTestData(20000, 31, 11)
+	queries := GenerateQueries(data, 8, 12)
+	pointBytes := int64(4 * data.N * (data.D + 1))
+	for _, spec := range []Spec{
+		{Kind: KindBCTree, LeafSize: 50, Seed: 1},
+		{Kind: KindBallTree, LeafSize: 50, Seed: 1},
+		{Kind: KindSharded, Shards: 4, LeafSize: 50, Seed: 1},
+		{Kind: KindDynamic, LeafSize: 50, Seed: 1},
+	} {
+		dir := t.TempDir()
+		ix := MustBuild(t, data, spec)
+		want := answersOf(ix, queries)
+		before := liveHeap()
+		if err := SaveFile(filepath.Join(dir, "ix.p2h"), ix); err != nil {
+			t.Fatal(err)
+		}
+		after := liveHeap()
+		if mappingsUnder(t, dir) == 0 {
+			t.Fatalf("%s: the saved index maps nothing of its file", spec.Kind)
+		}
+		fell := before - after
+		t.Logf("%s: the live heap fell by %d bytes on saving; the point section is %d", spec.Kind, fell, pointBytes)
+		if fell < pointBytes*3/4 {
+			t.Fatalf("%s: the live heap fell by %d bytes on saving, want at least 3/4 of the %d-byte point section",
+				spec.Kind, fell, pointBytes)
+		}
+		if got := answersOf(ix, queries); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the saved index answers differently", spec.Kind)
+		}
+	}
+}
+
+// liveHeap returns the bytes of heap live after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

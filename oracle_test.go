@@ -194,20 +194,21 @@ var equivPreds = []struct {
 // The paths an answer takes besides Search, which every cell checks.
 // viaSearchBatch(w) is p2h.SearchBatch on w workers; viaServer is two passes
 // through a Server, the second from its cache; the twins are a second New
-// from the same Spec, a Save→Load copy decoded off a stream and a
-// SaveFile→Open copy decoded in place from the mapped file (persistable
-// kinds only).
+// from the same Spec, a Save→Load copy decoded off a stream, a SaveFile→Open
+// copy decoded in place from the mapped file and, viaSaved, a second New that
+// SaveFile has made serve from the file it wrote (persistable kinds only).
 const (
 	viaBatchIndex = "BatchIndex.SearchBatch"
 	viaServer     = "Server"
 	viaRebuilt    = "rebuilt"
 	viaLoaded     = "loaded"
 	viaOpened     = "opened"
+	viaSaved      = "saved"
 )
 
 func viaSearchBatch(workers int) string { return "SearchBatch/" + strconv.Itoa(workers) }
 
-var allPaths = []string{viaSearchBatch(1), viaSearchBatch(3), viaBatchIndex, viaServer, viaRebuilt, viaLoaded, viaOpened}
+var allPaths = []string{viaSearchBatch(1), viaSearchBatch(3), viaBatchIndex, viaServer, viaRebuilt, viaLoaded, viaOpened, viaSaved}
 
 // oracleShape is one option shape and the paths it runs besides Search;
 // a quantOnly shape runs on the quantized rows only.
@@ -329,15 +330,20 @@ func (v oracleView) runSet(t *testing.T, set oracleSet) {
 }
 
 // builtRow is one row built over one set with its attributes attached, and
-// what its shapes' paths need besides.
+// what its shapes' paths need besides. Where a shape takes viaOpened, a
+// persistable row's ix has been saved by SaveFile before any cell runs and
+// serves from that file: every path over ix then runs on adopted trees.
 type builtRow struct {
 	set    oracleSet
 	spec   p2h.Spec
 	points []p2h.PointAttrs
 	ix     p2h.Index
 	plain  p2h.Index            // a quantized row's unquantized twin, for budgeted shapes
-	twins  map[string]p2h.Index // viaRebuilt, viaLoaded, viaOpened; nil where the kind cannot be saved
+	twins  map[string]p2h.Index // viaRebuilt, viaLoaded, viaOpened, viaSaved; nil where the kind cannot be saved
 	srv    *p2h.Server
+
+	// The viaSaved twin's budgeted answers before it was saved, by shape.
+	presaved map[string][][]p2h.Result
 }
 
 func buildRow(t *testing.T, set oracleSet, spec p2h.Spec, churned bool, points []p2h.PointAttrs, shapes []oracleShape) *builtRow {
@@ -378,6 +384,11 @@ func buildRow(t *testing.T, set oracleSet, spec p2h.Spec, churned bool, points [
 				r.twins[path] = nil
 				if ok, _, _ := p2h.KindIsPersistable(spec.Kind); ok {
 					r.twins[path] = saveAndRestore(t, r.ix, path == viaOpened)
+				}
+			case viaSaved:
+				r.twins[path] = nil
+				if ok, _, _ := p2h.KindIsPersistable(spec.Kind); ok {
+					r.twins[path] = saveInPlace(t, build(spec), shapes, set.queries, r)
 				}
 			}
 		}
@@ -429,8 +440,26 @@ func churn(t *testing.T, set oracleSet, spec p2h.Spec, points []p2h.PointAttrs) 
 	return ix
 }
 
+// saveInPlace records ix's budgeted answers to the shapes in r.presaved, then
+// saves ix with SaveFile, which leaves it serving from the file it wrote, and
+// returns it.
+func saveInPlace(t *testing.T, ix p2h.Index, shapes []oracleShape, queries *p2h.Matrix, r *builtRow) p2h.Index {
+	t.Helper()
+	r.presaved = map[string][][]p2h.Result{}
+	for _, sh := range shapes {
+		if sh.opts.Budget > 0 {
+			r.presaved[sh.name] = searchEach(ix, queries, sh.opts)
+		}
+	}
+	if err := p2h.SaveFile(filepath.Join(t.TempDir(), "saved.p2h"), ix); err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 // saveAndRestore returns a copy of ix through the container: Save→Load off a
 // stream, or SaveFile→Open from a file, which decodes in place where it can.
+// SaveFile also leaves ix itself serving from the file.
 func saveAndRestore(t *testing.T, ix p2h.Index, viaFile bool) p2h.Index {
 	t.Helper()
 	var out p2h.Index
@@ -494,6 +523,16 @@ func checkCell(t *testing.T, r *builtRow, sh oracleShape, want [][]p2h.Result) {
 		case viaRebuilt, viaLoaded, viaOpened:
 			if twin := r.twins[path]; twin != nil {
 				requireSame(t, path, searchEach(twin, queries, opts), ref)
+			}
+		case viaSaved:
+			// Exact: the scan. Budgeted: the same index's answers before
+			// the save.
+			if twin := r.twins[path]; twin != nil {
+				saved := ref
+				if opts.Budget > 0 {
+					saved = r.presaved[sh.name]
+				}
+				requireSame(t, path, searchEach(twin, queries, opts), saved)
 			}
 		default:
 			workers, err := strconv.Atoi(strings.TrimPrefix(path, "SearchBatch/"))

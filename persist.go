@@ -130,14 +130,30 @@ func decodeAttrSection(section []byte) (*attr.Store, error) {
 // replaced is never truncated or rewritten in place — which an index Open
 // mapped from it would see (a read past the new end faults the process); it
 // keeps reading the old bytes instead.
+//
+// On unix, once the file is in place, ix serves from it as an index Open
+// returned would: each of its trees swaps its point, id, centre and cone
+// sections for views of the mapped file it wrote (balltree.Tree.Adopt), so
+// the heap keeps only what Open would put there. The saved file is then the
+// index's backing: replace it by rename, never rewrite it in place. A dynamic
+// index's delta and liveness stay on the heap, and its snapshot tree is read
+// under the exclusion Save already requires. Adopting changes no answer and
+// never fails the save: a tree that cannot adopt keeps its own sections.
 func SaveFile(path string, ix Index) error {
+	_, err := saveFile(path, ix, true)
+	return err
+}
+
+// saveFile is SaveFile, adopting the written file only when adopt is set, and
+// it returns the size of the file it wrote.
+func saveFile(path string, ix Index, adopt bool) (int64, error) {
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
 	}
 	f, err := os.CreateTemp(dir, "."+base+".tmp-*")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	err = f.Chmod(0o644) // CreateTemp's 0600 would hide the file from other users
 	if err == nil {
@@ -145,6 +161,19 @@ func SaveFile(path string, ix Index) error {
 	}
 	if err == nil {
 		err = f.Sync()
+	}
+	var size int64
+	if err == nil {
+		var fi os.FileInfo
+		if fi, err = f.Stat(); err == nil {
+			size = fi.Size()
+		}
+	}
+	// Mapped through the descriptor that wrote it, never by path: whatever
+	// another writer renames over path in the meantime is not adopted.
+	var mapped *binio.Reader
+	if err == nil && adopt {
+		mapped = binio.MapFile(f, size)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -154,8 +183,34 @@ func SaveFile(path string, ix Index) error {
 	}
 	if err != nil {
 		os.Remove(f.Name())
+		return 0, err
 	}
-	return err
+	if mapped != nil {
+		adoptSaved(ix, mapped)
+	}
+	return size, nil
+}
+
+// adoptSaved decodes the container ix was just saved to in place from br, a
+// mapping of the file, and has each tree of ix adopt its counterpart. A tree
+// that differs from its counterpart — a dynamic index compacted since the
+// save, say — refuses and keeps its own sections.
+func adoptSaved(ix Index, br *binio.Reader) {
+	h := ix.(wrapped).base()
+	if _, err := readHeader(br); err != nil {
+		return
+	}
+	in, err := h.kind.load(br)
+	if err != nil {
+		return
+	}
+	mine, theirs := h.kind.trees(h.in), h.kind.trees(in)
+	if len(mine) != len(theirs) {
+		return
+	}
+	for i, t := range mine {
+		t.Adopt(theirs[i])
+	}
 }
 
 // Load restores an index of any persistable kind from a stream written by
@@ -251,8 +306,10 @@ func readHeader(br *binio.Reader) (header, error) {
 // tree's point, centre, id and cone sections are served from the mapping —
 // the page cache — rather than copied to the heap (a container written before
 // Save aligned its payload decodes to copies, as a stream does). The mapping
-// lives as long as the index does. Do not truncate or rewrite an opened file
-// in place: replace it by rename (SaveFile and Server.Snapshot do).
+// lives as long as the index does, or until SaveFile has it adopt another
+// file. The opened file is the index's backing, as a saved one is: do not
+// truncate or rewrite it in place, replace it by rename (SaveFile and
+// Server.Snapshot do).
 //
 // For a dynamic index, Open also replays the sidecar write-ahead log
 // (path + ".wal") when one is present: mutations acknowledged by a durable

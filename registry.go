@@ -41,15 +41,18 @@ type kind struct {
 	// a kind that adds no method to Index and BatchIndex.
 	wrap func(h handle) Index
 
-	// The codec of a persistable kind, all four set or all nil: save writes
+	// The codec of a persistable kind, all five set or all nil: save writes
 	// the payload (the bytes after the container header) and load restores
 	// it, specOf recovers the Spec a container records (construction-only
-	// fields such as Seed may stay zero), and shape reads a payload's point
-	// count and stored dimensionality off its prefix.
+	// fields such as Seed may stay zero), shape reads a payload's point
+	// count and stored dimensionality off its prefix, and trees lists the
+	// trees the payload embeds, in the order save writes them (see
+	// SaveFile).
 	save   func(w io.Writer, in inner) error
 	load   func(r io.Reader) (loadedIndex, error)
 	specOf func(in inner) Spec
 	shape  func(r io.Reader) (n, lifted int, err error)
+	trees  func(in inner) []*balltree.Tree
 	// buildOnly says why a kind without a codec has none. Exactly one of load
 	// and buildOnly is set.
 	buildOnly string
@@ -90,6 +93,7 @@ func arenaKind(name, alias string, tk balltree.Kind) *kind {
 			return Spec{LeafSize: t.LeafSize(), Quantize: t.Quantized()}
 		},
 		shape: func(r io.Reader) (int, int, error) { return balltree.ReadShape(r, tk) },
+		trees: func(in inner) []*balltree.Tree { return []*balltree.Tree{in.(*balltree.Tree)} },
 	}
 }
 
@@ -120,6 +124,7 @@ var kinds = []*kind{
 			return Spec{LeafSize: cfg.LeafSize, Seed: cfg.Seed, Dim: ix.Dim() - 1, CompactFraction: cfg.CompactFraction}
 		},
 		shape: dynamic.ReadShape,
+		trees: func(in inner) []*balltree.Tree { return in.(*dynamic.Index).Trees() },
 	},
 	{
 		name: KindFH, buildOnly: hashBuildOnly,
@@ -166,6 +171,7 @@ var kinds = []*kind{
 			return Spec{LeafSize: ix.LeafSize(), Shards: ix.Shards(), Workers: ix.Workers(), Quantize: ix.Quantized()}
 		},
 		shape: shard.ReadShape,
+		trees: func(in inner) []*balltree.Tree { return in.(*shard.Index).Trees() },
 	},
 }
 

@@ -39,7 +39,8 @@ func TestEveryKindLoadsOrDocumentsBuildOnly(t *testing.T) {
 // kinds at run time used to enforce one descriptor at a time: names and
 // aliases are lower-case and unique across the table, rows are in name order
 // (Kinds() promises it), every kind builds, and a kind has either its whole
-// codec — save, load, specOf and the shape reader Inspect dispatches to — or
+// codec — save, load, specOf, the shape reader Inspect dispatches to and the
+// tree list SaveFile adopts through — or
 // none of it and the reason why.
 func TestKindTableIsWellFormed(t *testing.T) {
 	seen := map[string]string{}
@@ -59,10 +60,10 @@ func TestKindTableIsWellFormed(t *testing.T) {
 		if k.build == nil {
 			t.Errorf("kind %q has no builder", k.name)
 		}
-		codec := []bool{k.save != nil, k.load != nil, k.specOf != nil, k.shape != nil}
+		codec := []bool{k.save != nil, k.load != nil, k.specOf != nil, k.shape != nil, k.trees != nil}
 		for _, set := range codec[1:] {
 			if set != codec[0] {
-				t.Errorf("kind %q: codec half-set (save, load, specOf, shape = %v)", k.name, codec)
+				t.Errorf("kind %q: codec half-set (save, load, specOf, shape, trees = %v)", k.name, codec)
 				break
 			}
 		}

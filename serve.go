@@ -2,7 +2,6 @@ package p2h
 
 import (
 	"context"
-	"os"
 	"time"
 
 	"p2h/internal/server"
@@ -214,23 +213,27 @@ func (s *Server) Describe() (n int, indexBytes int64) {
 // after the rename: every logged record is inside the renamed container
 // before it leaves the log, so a crash at any instant leaves either the old
 // container plus the full log, or the new container plus a log whose
-// leftover records replay as no-ops. It returns the snapshot size in bytes.
+// leftover records replay as no-ops. It returns the size of the file it
+// wrote.
+//
+// Like SaveFile, Snapshot leaves the index serving from the file it wrote —
+// unless the index is mutable and served without a log. Such a snapshot is a
+// copy nothing reopens (cmd/p2hd streams one from a spool file it then
+// deletes), so the index keeps its trees on the heap.
 func (s *Server) Snapshot(path string) (int64, error) {
-	var saveErr error
+	_, mutable := s.ix.(mutator)
+	var size int64
+	var err error
 	s.engine.Exclusive(func() {
-		saveErr = SaveFile(path, s.ix)
-		if saveErr == nil && s.wal != nil {
-			saveErr = s.wal.truncate()
+		size, err = saveFile(path, s.ix, s.wal != nil || !mutable)
+		if err == nil && s.wal != nil {
+			err = s.wal.truncate()
 		}
 	})
-	if saveErr != nil {
-		return 0, saveErr
-	}
-	st, err := os.Stat(path)
 	if err != nil {
 		return 0, err
 	}
-	return st.Size(), nil
+	return size, nil
 }
 
 // WAL returns the attached write-ahead log, or nil when the server runs

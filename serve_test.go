@@ -1,6 +1,7 @@
 package p2h
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -191,6 +192,58 @@ func TestServerSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("%s: snapshot left debris: %v", name, entries)
 		}
 		srv.Close()
+	}
+}
+
+// TestServerSnapshotSizeIsWhatItWrote: while another writer keeps renaming a
+// one-byte file over the snapshot path, every size Snapshot reports is that
+// of the container it wrote — what Save writes for the index — never the size
+// of whatever sits at the path by the time it returns.
+func TestServerSnapshotSizeIsWhatItWrote(t *testing.T) {
+	data, _, _ := testSetup(t)
+	ix := MustBuild(t, data, Spec{Kind: KindBCTree, Seed: 1})
+	var buf bytes.Buffer
+	if err := Save(&buf, ix); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ix, ServerOptions{Workers: 1})
+	defer srv.Close()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap.p2h")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tmp := filepath.Join(dir, "other")
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := os.WriteFile(tmp, []byte("x"), 0o644); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := os.Rename(tmp, path); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 100; i++ {
+		n, err := srv.Snapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != int64(buf.Len()) {
+			t.Fatalf("snapshot %d: reported %d bytes, Save writes %d", i, n, buf.Len())
+		}
 	}
 }
 
