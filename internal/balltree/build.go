@@ -72,6 +72,7 @@ func BuildOwned(rows *vec.Matrix, labels []int32, kind Kind, cfg Config) *Tree {
 		b.leafRows = make([]float32, leaf*rows.D)
 	}
 	b.build(0, int32(rows.N))
+	b.sweepRadii()
 	// The arena and the centre table grew by append: keep no slack. A BC
 	// tree's centres are copied out of the table anyway.
 	t.nodes = trimmed(t.nodes)
@@ -165,7 +166,9 @@ type leafPoint struct {
 // tree's storage. It partitions (and, in BC leaves, sorts) the rows and their
 // ids in place and returns the arena index of the subtree root. Nodes are
 // appended before their children (preorder); a BC internal node's center is
-// filled in afterwards via Lemma 1.
+// filled in afterwards via Lemma 1, and every internal node's radius once the
+// whole tree is built (sweepRadii). A leaf measures its radius on entry: BC's
+// grids need it.
 func (b *builder) build(start, end int32) int32 {
 	t, sec := b.tree, b.sec
 	d := sec.points.D
@@ -182,15 +185,15 @@ func (b *builder) build(start, end int32) int32 {
 	if t.kind == Ball || leaf {
 		center := b.centers[int(ni)*d : (int(ni)+1)*d]
 		vec.CentroidBlock(rows, b.acc, center)
-		_, maxDist := vec.MaxDistBlock(center, rows)
-		t.nodes[ni].radius = maxDist * (1 + radiusSlack)
-		if t.kind == BC {
-			b.fillLeaf(ni, rows, center)
+		if leaf {
+			_, maxDist := vec.MaxDistBlock(center, rows)
+			t.nodes[ni].radius = maxDist * (1 + radiusSlack)
+			if t.kind == BC {
+				b.fillLeaf(ni, rows, center)
+			}
+			t.leaves++
+			return ni
 		}
-	}
-	if leaf {
-		t.leaves++
-		return ni
 	}
 
 	mid := start + int32(partition.SeedGrow(rows, sec.ids[start:end], b.rng, b.dist))
@@ -207,10 +210,55 @@ func (b *builder) build(start, end int32) int32 {
 		center := b.centers[int(ni)*d : (int(ni)+1)*d]
 		combineCenters(center, ni, t, b.centers)
 		t.nodes[ni].centerNorm = vec.Norm(center)
-		_, maxDist := vec.MaxDistBlock(center, rows)
-		t.nodes[ni].radius = maxDist * (1 + radiusSlack)
 	}
 	return ni
+}
+
+// sweepRadii sets the radius of every internal node once the recursion has
+// put every row in its final place: one pass over the leaves compares each
+// leaf's rows, while they sit in cache, with the centre of every ancestor
+// and keeps each ancestor's largest squared distance, starting from -1 as
+// vec.MaxDistBlock does. A maximum does not depend on the order it is taken
+// in, so the radius is the float64 MaxDistBlock over the node's block would
+// give, at one read of the matrix instead of one per level. The split's
+// distance scratch, free by now and longer than the arena (a tree has fewer
+// than twice as many nodes as rows), holds the running maxima.
+func (b *builder) sweepRadii() {
+	t, sec := b.tree, b.sec
+	d := sec.points.D
+	maxSq := b.dist[:len(t.nodes)]
+	path := make([]int32, 0, 64) // the internal nodes above the current one
+	var sq [128]float64
+	for i := range t.nodes {
+		n := &t.nodes[i]
+		for len(path) > 0 && t.nodes[path[len(path)-1]].end <= n.start {
+			path = path[:len(path)-1]
+		}
+		if !n.isLeaf() {
+			maxSq[i] = -1
+			path = append(path, int32(i))
+			continue
+		}
+		for lo := int(n.start); lo < int(n.end); lo += len(sq) {
+			hi := min(lo+len(sq), int(n.end))
+			rows, out := sec.points.Data[lo*d:hi*d], sq[:hi-lo]
+			for _, a := range path {
+				vec.SqDistBlock(b.centers[int(a)*d:(int(a)+1)*d], rows, out)
+				best := maxSq[a]
+				for _, v := range out {
+					if v > best {
+						best = v
+					}
+				}
+				maxSq[a] = best
+			}
+		}
+	}
+	for i := range t.nodes {
+		if n := &t.nodes[i]; !n.isLeaf() {
+			n.radius = math.Sqrt(maxSq[i]) * (1 + radiusSlack)
+		}
+	}
 }
 
 // combineCenters applies Lemma 1 to derive the center of internal node ni

@@ -335,6 +335,56 @@ func TestBuildAllIdenticalPoints(t *testing.T) {
 	})
 }
 
+// TestRadiusIsMaxDistOfKeptCentre holds every node whose centre the tree
+// keeps — every node of a Ball tree, the root and the left children of a BC
+// tree — to the radius vec.MaxDistBlock over the node's block gives, with the
+// slack, bit for bit (a BC leaf's rounded up to float32): the value the
+// builder's sweep over the leaves must reproduce. It covers generated data, a
+// set with a NaN coordinate (every ancestor of that point has no finite
+// radius) and leaves full of duplicates.
+func TestRadiusIsMaxDistOfKeptCentre(t *testing.T) {
+	generated, _ := buildTestData(t, dataset.FamilyHeavyTail, 1500, 12, 6)
+	withNaN := generated.Clone()
+	withNaN.Row(700)[3] = float32(math.NaN())
+	dups := vec.NewMatrix(600, 5)
+	for i := 0; i < dups.N; i++ {
+		for j := 0; j < 4; j++ {
+			dups.Row(i)[j] = float32((i%20)*(j+1)) * 0.25
+		}
+		dups.Row(i)[4] = 1
+	}
+	forKinds(t, func(t *testing.T, kind Kind) {
+		for name, data := range map[string]*vec.Matrix{"generated": generated, "nan": withNaN, "duplicates": dups} {
+			tree := Build(data, kind, Config{LeafSize: 16, Seed: 2})
+			sec, d := tree.sec(), tree.Dim()
+			check := func(ni int, center []float32) {
+				n := &tree.nodes[ni]
+				_, maxDist := vec.MaxDistBlock(center, sec.points.Data[int(n.start)*d:int(n.end)*d])
+				want := maxDist * (1 + radiusSlack)
+				if kind == BC && n.isLeaf() {
+					want = float64(up32(want))
+				}
+				if math.Float64bits(n.radius) != math.Float64bits(want) {
+					t.Fatalf("%s node %d [%d, %d): radius %v (%#x), MaxDistBlock gives %v (%#x)",
+						name, ni, n.start, n.end, n.radius, math.Float64bits(n.radius), want, math.Float64bits(want))
+				}
+			}
+			if kind == Ball {
+				for i := range tree.nodes {
+					check(i, sec.centers.Row(i))
+				}
+				continue
+			}
+			check(0, sec.centers.Row(0))
+			for i := range tree.nodes {
+				if n := &tree.nodes[i]; !n.isLeaf() {
+					check(i+1, sec.centers.Row(int(n.leftRow)))
+				}
+			}
+		}
+	})
+}
+
 func TestBuildSinglePoint(t *testing.T) {
 	forKinds(t, func(t *testing.T, kind Kind) {
 		data := vec.FromRows([][]float32{{1, 2}}).AppendOnes()

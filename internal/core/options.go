@@ -54,7 +54,9 @@ type SearchOptions struct {
 	// ad-hoc filtering, and a dynamic index evaluates a Pred through it, per
 	// handle against the stored payloads. Being an opaque function, it has
 	// no wire form and defeats the serving result cache; prefer Pred for
-	// attribute filtering.
+	// attribute filtering. It must be a pure function of the id, safe to
+	// call concurrently: a batch may ask it once per row for all of its
+	// queries (the linear scan does), and parallel searches share it.
 	Filter func(id int32) bool
 	// Pred, if non-nil, restricts the search to points whose attribute
 	// payload satisfies the declarative predicate. Unlike Filter it is

@@ -1,6 +1,12 @@
 // Package linearscan implements the exhaustive O(nd) baseline for P2HNNS.
 // It is the "trivial solution" the paper's introduction describes, and this
 // repository's source of exact ground truth for recall evaluation.
+//
+// Every scan is one loop (Scanner.scan): the data a chunk of rows at a time,
+// each chunk's accepted rows handed on as a range of rows or a list of ids.
+// One query verifies a range with vec.DotBlock and listed rows with vec.Dot;
+// an exact batch, filtered or not, verifies a range in place and packs listed
+// rows into blocks, and runs every block through the multi-query tile.
 package linearscan
 
 import (
@@ -43,70 +49,143 @@ func (s *Scanner) IndexBytes() int64 { return 0 }
 // opts.Cancel.
 const scanChunk = 256
 
+// scan is the scanner's one loop. It walks the data a scanChunk of rows at a
+// time, in storage order, polls opts.Cancel before each chunk, and hands
+// visit each chunk's accepted rows: as the range [lo, hi) when they are a
+// prefix of the chunk (without a Filter, every row up to the budget), and
+// otherwise as their ids, sel. A Filter is asked once per row until
+// opts.Budget rows are accepted. It returns how many rows were accepted:
+// every row handed to visit, which is every accepted row the scan covered.
+func (s *Scanner) scan(opts core.SearchOptions, visit func(lo, hi int, sel []int32)) int64 {
+	n := s.data.N
+	var accepted int64
+	var ids [scanChunk]int32
+	for lo := 0; lo < n && opts.BudgetLeft(accepted); lo += scanChunk {
+		if opts.Canceled() {
+			break
+		}
+		hi, want := min(lo+scanChunk, n), scanChunk
+		if opts.Budget > 0 {
+			want = opts.Budget - int(accepted)
+		}
+		if opts.Filter == nil {
+			hi = min(hi, lo+want)
+			accepted += int64(hi - lo)
+			visit(lo, hi, nil)
+			continue
+		}
+		m := 0
+		for r, filter := lo, opts.Filter; r < hi && m < want; r++ {
+			if filter(int32(r)) {
+				ids[m] = int32(r)
+				m++
+			}
+		}
+		accepted += int64(m)
+		switch {
+		case m == 0:
+		case int(ids[m-1]) == lo+m-1:
+			visit(lo, lo+m, nil)
+		default:
+			visit(lo, hi, ids[:m])
+		}
+	}
+	return accepted
+}
+
 // Search returns the top-k points minimizing |<x, q>|. With an unlimited
 // budget the answer is exact; a budget caps the number of points scanned
 // (in storage order), matching how candidate budgets apply to the indexes.
-// Without a Filter the scan runs in blocks of rows; a Filter decides row by
-// row which points cost an inner product and count against the budget.
-// opts.Cancel is polled once per scanChunk rows; a canceled scan returns the
-// best of the rows it covered, and its Stats count only those.
+// A Filter decides which points cost an inner product and count against the
+// budget. The scan runs a chunk at a time (see scan): the accepted prefix of
+// a chunk, every row of it without a Filter, through one vec.DotBlock call,
+// any other accepted row through vec.Dot, in place — one query reads a row
+// once, so gathering rows would only copy them. opts.Cancel is polled once
+// per chunk; a canceled scan returns the best of the rows it covered, its
+// Stats counting only those.
 func (s *Scanner) Search(q []float32, opts core.SearchOptions) ([]core.Result, core.Stats) {
 	opts = opts.Normalized()
-	var st core.Stats
 	tk := core.NewTopK(opts.K)
 	var start time.Time
 	if opts.Profile != nil {
 		start = time.Now()
 	}
-	if opts.Filter == nil {
-		n, d := s.data.N, s.data.D
-		if opts.Budget > 0 {
-			n = min(n, opts.Budget)
+	d := s.data.D
+	var dists [scanChunk]float64
+	n := s.scan(opts, func(lo, hi int, sel []int32) {
+		if sel != nil {
+			for _, id := range sel {
+				tk.Push(id, math.Abs(vec.Dot(q, s.data.Row(int(id)))))
+			}
+			return
 		}
-		var dists [scanChunk]float64
-		for lo := 0; lo < n; lo += scanChunk {
-			if opts.Canceled() {
-				n = lo
-				break
-			}
-			hi := min(lo+scanChunk, n)
-			out := dists[:hi-lo]
-			vec.DotBlock(q, s.data.Data[lo*d:hi*d], out)
-			for i, v := range out {
-				tk.Push(int32(lo+i), math.Abs(v))
-			}
+		out := dists[:hi-lo]
+		vec.DotBlock(q, s.data.Data[lo*d:hi*d], out)
+		for i, v := range out {
+			tk.Push(int32(lo+i), math.Abs(v))
 		}
-		st.IPCount, st.Candidates = int64(n), int64(n)
-	} else {
-		for i := 0; i < s.data.N && opts.BudgetLeft(st.Candidates); i++ {
-			if i%scanChunk == 0 && opts.Canceled() {
-				break
-			}
-			if !opts.Filter(int32(i)) {
-				continue
-			}
-			st.IPCount++
-			st.Candidates++
-			tk.Push(int32(i), math.Abs(vec.Dot(q, s.data.Row(i))))
-		}
-	}
+	})
 	if opts.Profile != nil {
 		opts.Profile.Add(core.PhaseVerify, time.Since(start))
 	}
-	return tk.Results(), st
+	return tk.Results(), core.Stats{IPCount: n, Candidates: n}
+}
+
+// block is rows verified together by a batch: row r of the packed rows is
+// the point with id lo+r, or ids[r] when ids is not nil.
+type block struct {
+	rows []float32
+	lo   int32
+	ids  []int32
+}
+
+// gather packs a filtered batch's scattered accepted rows, from as many
+// chunks as it takes, into blocks of up to scanChunk rows. Its buffer is
+// allocated on first use and dropped with the call: one kept past the call
+// would hold on to whatever it last packed.
+type gather struct {
+	data *vec.Matrix
+	rows []float32
+	ids  []int32
+}
+
+// add packs the rows sel names, handing verify the block first if they would
+// overflow it.
+func (g *gather) add(sel []int32, verify func(block)) {
+	d := g.data.D
+	if g.rows == nil {
+		g.rows, g.ids = make([]float32, scanChunk*d), make([]int32, 0, scanChunk)
+	}
+	if len(g.ids)+len(sel) > scanChunk {
+		g.flush(verify)
+	}
+	for _, id := range sel {
+		copy(g.rows[len(g.ids)*d:], g.data.Row(int(id)))
+		g.ids = append(g.ids, id)
+	}
+}
+
+// flush hands verify the packed rows, if there are any, and empties the block.
+func (g *gather) flush(verify func(block)) {
+	if len(g.ids) > 0 {
+		verify(block{rows: g.rows[:len(g.ids)*g.data.D], ids: g.ids})
+		g.ids = g.ids[:0]
+	}
 }
 
 // SearchBatch answers one top-k query per row of queries with results and
-// Stats identical to per-query Search calls. An exact batch without a Filter
-// or a Profile walks the matrix once: each scanChunk of rows is verified for
-// every query while it sits in cache, vec.TileQueries queries per pass of the
-// multi-query kernel, and only products at or under a query's current k-th
-// distance reach its collector — the rest Push would turn away. opts.Cancel
-// is polled once per scanChunk, as in Search, so a canceled batch returns
-// every query's best over the chunks it covered. A budgeted, filtered or
-// profiled batch takes the per-query path.
+// Stats identical to per-query Search calls. An exact batch without a Profile
+// walks the matrix once, through the loop Search runs (scan), so a Filter is
+// asked once per row for the whole batch. A chunk's accepted prefix is
+// verified in place, other accepted rows once gathered into a packed block
+// (see gather); each block is verified for every query while it sits in
+// cache, vec.TileQueries queries per pass of the multi-query kernel, and only
+// products at or under a query's current k-th distance reach its collector —
+// the rest Push would turn away. opts.Cancel is polled once per chunk, as in
+// Search, so a canceled batch returns every query's best over the chunks it
+// covered. A budgeted or profiled batch takes the per-query path.
 func (s *Scanner) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
-	n, d := s.data.N, s.data.D
+	d := s.data.D
 	if queries.D != d {
 		panic(fmt.Sprintf("linearscan: batch queries have dimension %d, want %d", queries.D, d))
 	}
@@ -114,7 +193,7 @@ func (s *Scanner) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][
 	nq := queries.N
 	out := make([][]core.Result, nq)
 	stats := make([]core.Stats, nq)
-	if opts.Budget > 0 || opts.Filter != nil || opts.Profile != nil {
+	if opts.Budget > 0 || opts.Profile != nil {
 		for i := range out {
 			out[i], stats[i] = s.Search(queries.Row(i), opts)
 		}
@@ -124,38 +203,51 @@ func (s *Scanner) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][
 	var wide vec.Queries
 	wide.Reset(queries.Data, d)
 	heaps := make([]core.TopK, nq)
-	ids := make([]int32, nq)
+	all := make([]int32, nq)
 	for i := range heaps {
 		heaps[i].Init(opts.K)
-		ids[i] = int32(i)
+		all[i] = int32(i)
 	}
 	var dists [scanChunk * vec.TileQueries]float64
-	for lo := 0; lo < n; lo += scanChunk {
-		if opts.Canceled() {
-			n = lo
-			break
-		}
-		hi := min(lo+scanChunk, n)
-		rows := s.data.Data[lo*d : hi*d]
+	verify := func(b block) {
+		m := len(b.rows) / d
 		for g := 0; g < nq; g += vec.TileQueries {
-			group := ids[g:min(g+vec.TileQueries, nq)]
+			group := all[g:min(g+vec.TileQueries, nq)]
 			w := len(group)
-			wide.DotBlock(group, rows, dists[:(hi-lo)*w])
+			wide.DotBlock(group, b.rows, dists[:m*w])
 			for k, qi := range group {
 				tk := &heaps[qi]
 				lambda := tk.Lambda()
-				for r := 0; r < hi-lo; r++ {
+				for r := 0; r < m; r++ {
 					// Not "v <= lambda": a NaN must reach Push as it does in Search.
-					if v := math.Abs(dists[r*w+k]); !(v > lambda) && tk.Push(int32(lo+r), v) {
+					v := math.Abs(dists[r*w+k])
+					if v > lambda {
+						continue
+					}
+					id := b.lo + int32(r)
+					if b.ids != nil {
+						id = b.ids[r]
+					}
+					if tk.Push(id, v) {
 						lambda = tk.Lambda()
 					}
 				}
 			}
 		}
 	}
+	g := gather{data: s.data}
+	n := s.scan(opts, func(lo, hi int, sel []int32) {
+		if sel != nil {
+			g.add(sel, verify)
+			return
+		}
+		g.flush(verify)
+		verify(block{rows: s.data.Data[lo*d : hi*d], lo: int32(lo)})
+	})
+	g.flush(verify)
 	for i := range out {
 		out[i] = heaps[i].DrainInto(make([]core.Result, 0, heaps[i].Len()))
-		stats[i].IPCount, stats[i].Candidates = int64(n), int64(n)
+		stats[i].IPCount, stats[i].Candidates = n, n
 	}
 	return out, stats
 }

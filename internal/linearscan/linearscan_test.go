@@ -103,28 +103,41 @@ func TestSearchMatchesManualMin(t *testing.T) {
 	}
 }
 
-// TestSearchBlockedMatchesPerRow holds the blocked scan to the per-row scan an
-// accept-all Filter selects: same results and same Stats, with budgets on
-// either side of every chunk boundary.
+// perRow is the scan as a loop over rows: a Dot per row the filter accepts,
+// until the budget is spent, and the k best by (distance, id).
+func perRow(data *vec.Matrix, q []float32, k, budget int, filter func(int32) bool) ([]core.Result, core.Stats) {
+	var all []core.Result
+	for i := 0; i < data.N && (budget <= 0 || len(all) < budget); i++ {
+		if filter == nil || filter(int32(i)) {
+			all = append(all, core.Result{ID: int32(i), Dist: math.Abs(vec.Dot(q, data.Row(i)))})
+		}
+	}
+	st := core.Stats{IPCount: int64(len(all)), Candidates: int64(len(all))}
+	core.SortResults(all)
+	return all[:min(k, len(all))], st
+}
+
+// TestSearchBlockedMatchesPerRow holds the chunk loop to a per-row loop: same
+// results and same Stats, blocked and filtered — the accepted rows of a chunk
+// in place, gathered, and both in turn — with budgets on either side of every
+// chunk boundary.
 func TestSearchBlockedMatchesPerRow(t *testing.T) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 9, Clusters: 3}, 2*scanChunk+88, 5)
 	data := raw.AppendOnes()
 	queries := dataset.GenerateQueries(raw, 4, 6)
 	s := New(data)
-	all := func(int32) bool { return true }
-	for _, budget := range []int{0, 1, scanChunk - 1, scanChunk, scanChunk + 1, 2 * scanChunk, data.N - 1, data.N, data.N + 7} {
-		for i := 0; i < queries.N; i++ {
-			got, gotSt := s.Search(queries.Row(i), core.SearchOptions{K: 7, Budget: budget})
-			want, wantSt := s.Search(queries.Row(i), core.SearchOptions{K: 7, Budget: budget, Filter: all})
-			if gotSt != wantSt {
-				t.Fatalf("budget %d query %d: stats %+v, per row %+v", budget, i, gotSt, wantSt)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("budget %d query %d: %d results, per row %d", budget, i, len(got), len(want))
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Fatalf("budget %d query %d rank %d: %+v, per row %+v", budget, i, j, got[j], want[j])
+	for name, filter := range map[string]func(int32) bool{
+		"blocked":   nil,
+		"all":       func(int32) bool { return true },
+		"even":      func(id int32) bool { return id%2 == 0 },
+		"alternate": func(id int32) bool { return (id/scanChunk)%2 == 1 || id%3 == 0 },
+	} {
+		for _, budget := range []int{0, 1, scanChunk - 1, scanChunk, scanChunk + 1, 2 * scanChunk, data.N - 1, data.N, data.N + 7} {
+			for i := 0; i < queries.N; i++ {
+				got, gotSt := s.Search(queries.Row(i), core.SearchOptions{K: 7, Budget: budget, Filter: filter})
+				want, wantSt := perRow(data, queries.Row(i), 7, budget, filter)
+				if gotSt != wantSt || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s budget %d query %d:\n scan %v %+v\n per row %v %+v", name, budget, i, got, gotSt, want, wantSt)
 				}
 			}
 		}
@@ -175,37 +188,87 @@ func TestSearchPollsCancel(t *testing.T) {
 // TestSearchBatchMatchesSearch holds the batched scan to the per-query one:
 // results (ids, order, distances) and Stats, for data shorter than one row
 // block and data that ends inside one, query counts on every side of the
-// tile's group of four, k beyond n, and every kind of batch that takes the
-// per-query path.
+// tile's group of four, k beyond n, filtered batches (accepting nothing,
+// everything — every chunk in place —, chunks that alternate between
+// gathered and in place, under a cancel and with k above what the filter
+// accepts) and every kind of batch that takes the per-query path. Each call
+// gets fresh options, so a cancel that fires on its second poll fires on the
+// second poll of each.
 func TestSearchBatchMatchesSearch(t *testing.T) {
 	even := func(id int32) bool { return id%2 == 0 }
-	for _, n := range []int{1, 3, scanChunk - 1, 2*scanChunk + 88} {
+	none := func(int32) bool { return false }
+	all := func(int32) bool { return true }
+	alternate := func(id int32) bool { return (id/scanChunk)%2 == 1 || id%3 == 0 }
+	secondPoll := func() func() bool {
+		polls := 0
+		return func() bool { polls++; return polls >= 2 }
+	}
+	for _, n := range []int{1, 3, scanChunk - 1, 2*scanChunk + 88, 5*scanChunk + 9} {
 		raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 9, Clusters: 3}, n, 5)
 		s := New(raw.AppendOnes())
 		for _, nq := range []int{1, 2, 3, 4, 5, 7, 8, 13} {
 			queries := dataset.GenerateQueries(raw, nq, int64(6+nq))
-			for name, opts := range map[string]core.SearchOptions{
-				"k1":       {K: 1},
-				"k10":      {K: 10},
-				"k>n":      {K: n + 3},
-				"budget":   {K: 5, Budget: n/2 + 1},
-				"filter":   {K: 5, Filter: even},
-				"profile":  {K: 5, Profile: new(core.Profile)},
-				"cancel":   {K: 5, Cancel: func() bool { return false }},
-				"canceled": {K: 5, Cancel: func() bool { return true }},
+			for name, opts := range map[string]func() core.SearchOptions{
+				"k1":               func() core.SearchOptions { return core.SearchOptions{K: 1} },
+				"k10":              func() core.SearchOptions { return core.SearchOptions{K: 10} },
+				"k>n":              func() core.SearchOptions { return core.SearchOptions{K: n + 3} },
+				"budget":           func() core.SearchOptions { return core.SearchOptions{K: 5, Budget: n/2 + 1} },
+				"filter":           func() core.SearchOptions { return core.SearchOptions{K: 5, Filter: even} },
+				"filter-none":      func() core.SearchOptions { return core.SearchOptions{K: 5, Filter: none} },
+				"filter-all":       func() core.SearchOptions { return core.SearchOptions{K: 5, Filter: all} },
+				"filter-alternate": func() core.SearchOptions { return core.SearchOptions{K: 5, Filter: alternate} },
+				"filter-canceled": func() core.SearchOptions {
+					return core.SearchOptions{K: 5, Filter: even, Cancel: func() bool { return true }}
+				},
+				"filter-second-poll": func() core.SearchOptions { return core.SearchOptions{K: 5, Filter: alternate, Cancel: secondPoll()} },
+				"filter-k>accepted":  func() core.SearchOptions { return core.SearchOptions{K: n/2 + 4, Filter: even} },
+				"filter-budget":      func() core.SearchOptions { return core.SearchOptions{K: 5, Budget: n/3 + 1, Filter: alternate} },
+				"profile":            func() core.SearchOptions { return core.SearchOptions{K: 5, Profile: new(core.Profile)} },
+				"cancel":             func() core.SearchOptions { return core.SearchOptions{K: 5, Cancel: func() bool { return false }} },
+				"canceled":           func() core.SearchOptions { return core.SearchOptions{K: 5, Cancel: func() bool { return true }} },
+				"second-poll":        func() core.SearchOptions { return core.SearchOptions{K: 5, Cancel: secondPoll()} },
 			} {
-				got, gotSt := s.SearchBatch(queries, opts)
+				got, gotSt := s.SearchBatch(queries, opts())
 				if len(got) != nq || len(gotSt) != nq {
 					t.Fatalf("n=%d nq=%d %s: %d results and %d stats", n, nq, name, len(got), len(gotSt))
 				}
 				for i := 0; i < nq; i++ {
-					want, wantSt := s.Search(queries.Row(i), opts)
+					want, wantSt := s.Search(queries.Row(i), opts())
 					if !reflect.DeepEqual(got[i], want) || gotSt[i] != wantSt {
 						t.Fatalf("n=%d nq=%d %s query %d:\n batch %v %+v\n search %v %+v", n, nq, name, i, got[i], gotSt[i], want, wantSt)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestFilterAskedOncePerCoveredRow counts Filter calls: an exact batch asks
+// once per row for all its queries, a canceled one once per row of the chunks
+// it covered, and a budgeted search stops asking at the row that fills its
+// budget.
+func TestFilterAskedOncePerCoveredRow(t *testing.T) {
+	n := 3*scanChunk + 40
+	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 9, Clusters: 3}, n, 5)
+	s := New(raw.AppendOnes())
+	queries := dataset.GenerateQueries(raw, 9, 7)
+	calls := 0
+	third := func(id int32) bool { calls++; return id%3 == 0 }
+
+	s.SearchBatch(queries, core.SearchOptions{K: 4, Filter: third})
+	if calls != n {
+		t.Fatalf("exact batch of %d queries asked the filter %d times, want once per row (%d)", queries.N, calls, n)
+	}
+	calls, polls := 0, 0
+	_, sts := s.SearchBatch(queries, core.SearchOptions{K: 4, Filter: third, Cancel: func() bool { polls++; return polls >= 3 }})
+	if calls != 2*scanChunk || sts[0].Candidates != int64(2*scanChunk+2)/3 {
+		t.Fatalf("batch canceled at its third poll asked the filter %d times and accepted %d, want %d and %d",
+			calls, sts[0].Candidates, 2*scanChunk, (2*scanChunk+2)/3)
+	}
+	calls = 0
+	_, st := s.Search(queries.Row(0), core.SearchOptions{K: 4, Budget: 100, Filter: third})
+	if calls != 298 || st.Candidates != 100 {
+		t.Fatalf("budget 100 asked the filter %d times and accepted %d, want 298 and 100", calls, st.Candidates)
 	}
 }
 
@@ -251,4 +314,20 @@ func BenchmarkLinearScanBatch(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(data.N)*float64(queries.N)), "ns/(row,query)")
 		})
 	}
+}
+
+// BenchmarkLinearScanFilteredBatch is the benchmark fixture's filtered ground
+// truth: 256 queries over the 50 000-point Sift surrogate, keeping every
+// tenth row, as one SearchBatch.
+func BenchmarkLinearScanFilteredBatch(b *testing.B) {
+	raw := dataset.Generate(dataset.ByName("Sift"), 50000, 1)
+	data := raw.AppendOnes()
+	queries := dataset.GenerateQueries(raw, 256, 2)
+	s := New(data)
+	opts := core.SearchOptions{K: 10, Filter: func(id int32) bool { return id%10 == 0 }}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SearchBatch(queries, opts)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(data.N/10)*float64(queries.N)), "ns/(row,query)")
 }

@@ -18,7 +18,8 @@
 //   - AVX2+FMA assembly for those float kernels (float_amd64.s): Dot, a
 //     four-row DotBlock pass that shares each converted group of query
 //     elements, a two-row by four-query tile for groups of queries (below),
-//     and a four-row squared distance. It is selected once at
+//     a four-row squared distance, and CentroidBlock's row sums. It is
+//     selected once at
 //     init when CPUID and XGETBV report AVX2, FMA and OS-saved YMM state;
 //     every other host, every other architecture, and the purego build tag
 //     run the Go reference. Kernel reports which. The assembly is bitwise
@@ -28,8 +29,13 @@
 //     Dot's chain s_k, tail elements fold into lane 0, and the lanes are
 //     summed ((s0+s1)+s2)+s3 as the reference does. SqDist squares a
 //     rounded difference, which is not exact, so its kernel keeps the
-//     multiply and the add apart and gets its speed from four rows in
-//     flight.
+//     multiply and the add apart. Its two chains (even and odd elements)
+//     are an XMM register per row; it converts, subtracts and squares four
+//     elements of each of four rows in a YMM register and adds the low pair,
+//     then the high pair, into the row's chains, so each chain adds in index
+//     order. A centroid's sum is one chain per coordinate in row order; its
+//     kernel keeps four coordinates' chains in a YMM register and adds four
+//     rows per load and store of them.
 //
 //   - The multi-query kernel (multi.go): Queries holds a batch's packed
 //     queries and Queries.DotBlock multiplies any list of them into a row

@@ -74,6 +74,19 @@ func sqDistBlockArch(q, rows []float32, out []float64) {
 	}
 }
 
+// addRowsArch adds the leading whole groups of four rows of the packed block
+// into acc (one float64 per coordinate) and returns how many of rows' floats
+// it covered; the caller adds the rest, in order.
+func addRowsArch(acc []float64, rows []float32) int {
+	d := len(acc)
+	g := len(rows) / (4 * d)
+	if !useAVX2 || g == 0 {
+		return 0
+	}
+	addRows4AVX2(&acc[0], &rows[0], d, g)
+	return g * 4 * d
+}
+
 // widen fills b.wide for the tile; the Go path reads b.qs alone.
 func (b *Queries) widen() {
 	if !useAVX2 {
@@ -121,6 +134,9 @@ func dotTile2x4AVX2(rows *float32, pairs, d int, q0, q1, q2, q3 *float64, out *f
 
 //go:noescape
 func dotBlock4AVX2(q, rows *float32, d int, out *float64)
+
+//go:noescape
+func addRows4AVX2(acc *float64, rows *float32, d, groups int)
 
 //go:noescape
 func sqDist4AVX2(q, r0, r1, r2, r3 *float32, d int, out *float64)

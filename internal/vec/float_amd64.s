@@ -3,7 +3,8 @@
 #include "textflag.h"
 
 // AVX2+FMA float kernels. Each is bitwise identical to its Go reference
-// (dotGo, dotBlockGo, SqDist); doc.go and DESIGN.md give the argument. In
+// (dotGo, dotBlockGo, SqDist, AddInto); doc.go and DESIGN.md give the
+// argument. In
 // short: a float32 x float32 product is exact in float64, so a fused
 // multiply-add rounds exactly as the reference's multiply-then-add; lane k
 // of a YMM accumulator is the reference's chain s_k; tail elements fold into
@@ -242,6 +243,18 @@ tile_ret:
 	VMULPD    tmp, tmp, tmp; \
 	VADDPD    tmp, acc, acc
 
+// SQSTEP4 accumulates four elements of the row at base into acc. The four
+// squares are formed in one YMM register, and the low pair (elements 0 and
+// 1) enters the chains before the high pair (elements 2 and 3), so each
+// chain still adds its elements in index order.
+#define SQSTEP4(base, tmp, tmpx, hi, acc) \
+	VCVTPS2PD    (base)(AX*4), tmp; \
+	VSUBPD       Y0, tmp, tmp; \
+	VMULPD       tmp, tmp, tmp; \
+	VEXTRACTF128 $1, tmp, hi; \
+	VADDPD       tmpx, acc, acc; \
+	VADDPD       hi, acc, acc
+
 // SQTAIL accumulates the last element of an odd-length row into chain s0.
 #define SQTAIL(base, tmp, acc) \
 	VCVTSS2SD (base)(AX*4), tmp, tmp; \
@@ -258,8 +271,10 @@ tile_ret:
 // func sqDist4AVX2(q, r0, r1, r2, r3 *float32, d int, out *float64)
 //
 // Squared distances from q to four rows given by pointer. Two chains per
-// row as in SqDist, so each row owns one XMM accumulator and the speed comes
-// from four rows in flight behind one converted pair of query elements.
+// row as in SqDist, so each row owns one XMM accumulator; groups of four
+// elements are converted, subtracted and squared a YMM register at a time,
+// four rows in flight behind one converted group of query elements, and a
+// remaining pair and element take the two-element step and the tail.
 TEXT ·sqDist4AVX2(SB), NOSPLIT, $0-56
 	MOVQ   q+0(FP), SI
 	MOVQ   r0+8(FP), R8
@@ -273,21 +288,33 @@ TEXT ·sqDist4AVX2(SB), NOSPLIT, $0-56
 	VXORPD X6, X6, X6
 	VXORPD X7, X7, X7
 	MOVQ   CX, DX
-	ANDQ   $-2, DX
+	ANDQ   $-4, DX
 	XORQ   AX, AX
 
 	TESTQ  DX, DX
-	JZ     sq_tail
+	JZ     sq_pair
 
 sq_loop:
+	VCVTPS2PD (SI)(AX*4), Y0
+	SQSTEP4(R8, Y1, X1, X9, X4)
+	SQSTEP4(R9, Y2, X2, X10, X5)
+	SQSTEP4(R10, Y3, X3, X11, X6)
+	SQSTEP4(R11, Y8, X8, X12, X7)
+	ADDQ      $4, AX
+	CMPQ      AX, DX
+	JLT       sq_loop
+
+sq_pair:
+	MOVQ      CX, DX
+	SUBQ      AX, DX
+	CMPQ      DX, $2
+	JLT       sq_tail
 	VCVTPS2PD (SI)(AX*4), X0
 	SQSTEP(R8, X1, X4)
 	SQSTEP(R9, X2, X5)
 	SQSTEP(R10, X3, X6)
 	SQSTEP(R11, X8, X7)
 	ADDQ      $2, AX
-	CMPQ      AX, DX
-	JLT       sq_loop
 
 sq_tail:
 	CMPQ      AX, CX
@@ -303,6 +330,71 @@ sq_done:
 	SQSUM(X5, 8)
 	SQSUM(X6, 16)
 	SQSUM(X7, 24)
+	VZEROUPPER
+	RET
+
+// func addRows4AVX2(acc *float64, rows *float32, d, groups int)
+//
+// Adds groups*4 packed rows of d floats into acc, the rows in order: four
+// coordinates a YMM register at a time, each lane one coordinate's chain as
+// AddInto row by row forms it, so acc is loaded and stored once per four rows.
+// The tail coordinates take the same four adds one at a time.
+TEXT ·addRows4AVX2(SB), NOSPLIT, $0-32
+	MOVQ acc+0(FP), DI
+	MOVQ rows+8(FP), SI
+	MOVQ d+16(FP), CX
+	MOVQ groups+24(FP), R11
+	MOVQ CX, DX
+	ANDQ $-4, DX
+
+add_group:
+	TESTQ R11, R11
+	JZ    add_ret
+	LEAQ  (SI)(CX*4), R8  // the group's second row
+	LEAQ  (R8)(CX*4), R9
+	LEAQ  (R9)(CX*4), R10
+	XORQ  AX, AX
+	TESTQ DX, DX
+	JZ    add_tail
+
+add_loop:
+	VMOVUPD   (DI)(AX*8), Y0
+	VCVTPS2PD (SI)(AX*4), Y1
+	VADDPD    Y1, Y0, Y0
+	VCVTPS2PD (R8)(AX*4), Y2
+	VADDPD    Y2, Y0, Y0
+	VCVTPS2PD (R9)(AX*4), Y3
+	VADDPD    Y3, Y0, Y0
+	VCVTPS2PD (R10)(AX*4), Y1
+	VADDPD    Y1, Y0, Y0
+	VMOVUPD   Y0, (DI)(AX*8)
+	ADDQ      $4, AX
+	CMPQ      AX, DX
+	JLT       add_loop
+
+add_tail:
+	CMPQ      AX, CX
+	JGE       add_next
+	VMOVSD    (DI)(AX*8), X0
+	VCVTSS2SD (SI)(AX*4), X1, X1
+	VADDSD    X1, X0, X0
+	VCVTSS2SD (R8)(AX*4), X1, X1
+	VADDSD    X1, X0, X0
+	VCVTSS2SD (R9)(AX*4), X1, X1
+	VADDSD    X1, X0, X0
+	VCVTSS2SD (R10)(AX*4), X1, X1
+	VADDSD    X1, X0, X0
+	VMOVSD    X0, (DI)(AX*8)
+	INCQ      AX
+	JMP       add_tail
+
+add_next:
+	LEAQ (R10)(CX*4), SI
+	DECQ R11
+	JMP  add_group
+
+add_ret:
+	VZEROUPPER
 	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

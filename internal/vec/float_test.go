@@ -10,10 +10,10 @@ import (
 
 // This file is the one differential harness for the float kernels: whatever
 // implementation the build and the CPU select (Dot, DotBlock, DotBlockMulti,
-// SqDistBlock, MaxDistBlock) against the Go references (dotGo,
-// dotBlockGo, SqDist), bit for bit. On an AVX2 host it compares assembly with
-// Go in one process; under the purego tag, and with useAVX2 switched off, it
-// holds the references to each other.
+// SqDistBlock, MaxDistBlock, CentroidBlock) against the Go references
+// (dotGo, dotBlockGo, SqDist, AddInto), bit for bit. On an AVX2 host it
+// compares assembly with Go in one process; under the purego tag, and with
+// useAVX2 switched off, it holds the references to each other.
 
 // sameFloat is the harness's equality: equal bits, or NaN where the reference
 // is NaN (payloads may differ between an FMA and a multiply-add).
@@ -135,6 +135,68 @@ func checkFloatKernels(t *testing.T, q, rows []float32, m int, wide func(n int) 
 	if pos, dist := MaxDistBlock(q, rows); pos != bestPos || !sameFloat(dist, math.Sqrt(best)) {
 		t.Fatalf("d=%d m=%d MaxDistBlock = (%d, %v), reference (%d, %v)", d, m, pos, dist, bestPos, math.Sqrt(best))
 	}
+
+	// The builder's centroid: one chain per coordinate in row order, as
+	// AddInto row by row forms it.
+	acc, want := make([]float64, d), make([]float64, d)
+	for i := 0; i < m; i++ {
+		AddInto(want, row(i))
+	}
+	got := make([]float32, d)
+	CentroidBlock(rows, acc, got)
+	for j, v := range want {
+		if w := float32(v * (1 / float64(m))); !sameFloat(float64(got[j]), float64(w)) {
+			t.Fatalf("d=%d m=%d CentroidBlock[%d] = %v, reference %v", d, m, j, got[j], w)
+		}
+	}
+}
+
+// runMaxDistChunkTable runs MaxDistBlock across its 128-row chunk: blocks of
+// 127 to 257 rows, against the reference, with equal maxima planted on both
+// sides of a chunk boundary (the first row wins), and blocks in which every
+// distance is NaN (no row beats the starting -1: row 0, distance NaN) or all
+// but one is.
+func runMaxDistChunkTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	nan := float32(math.NaN())
+	for _, d := range []int{1, 6, 129} {
+		for _, m := range []int{127, 128, 129, 256, 257} {
+			q, rows := make([]float32, d), make([]float32, m*d)
+			fillFloats(rng, q, 0)
+			fillFloats(rng, rows, 0)
+			checkFloatKernels(t, q, rows, m, heapFloat64s)
+
+			for _, pair := range [][2]int{{127, 128}, {0, 128}, {128, 255}, {126, 256}, {0, m - 1}} {
+				a, b := pair[0], pair[1]
+				if b >= m {
+					continue
+				}
+				far := rows[a*d : (a+1)*d]
+				for j := range far {
+					far[j] = q[j] + 100
+				}
+				copy(rows[b*d:(b+1)*d], far)
+				pos, dist := MaxDistBlock(q, rows)
+				if want := math.Sqrt(SqDist(q, far)); pos != a || !sameFloat(dist, want) {
+					t.Fatalf("d=%d m=%d maxima at rows %d and %d: MaxDistBlock = (%d, %v), want (%d, %v)", d, m, a, b, pos, dist, a, want)
+				}
+				fillFloats(rng, rows[a*d:(a+1)*d], 0)
+				fillFloats(rng, rows[b*d:(b+1)*d], 0)
+			}
+
+			for i := range rows {
+				rows[i] = nan
+			}
+			if pos, dist := MaxDistBlock(q, rows); pos != 0 || !math.IsNaN(dist) {
+				t.Fatalf("d=%d m=%d all-NaN block: MaxDistBlock = (%d, %v), want (0, NaN)", d, m, pos, dist)
+			}
+			one := m - 1 - m/3
+			fillFloats(rng, rows[one*d:(one+1)*d], 0)
+			if pos, dist := MaxDistBlock(q, rows); pos != one || !sameFloat(dist, math.Sqrt(SqDist(q, rows[one*d:(one+1)*d]))) {
+				t.Fatalf("d=%d m=%d one finite row %d among NaN rows: MaxDistBlock = (%d, %v)", d, m, one, pos, dist)
+			}
+		}
+	}
 }
 
 // queries returns a Queries over n zero floats of dimension d.
@@ -173,7 +235,8 @@ func fillFloats(rng *rand.Rand, s []float32, regime int) {
 }
 
 // runFloatKernelTable covers every tail length (d = 0..140), every row-group
-// remainder (0..9 rows) and three alignments, in each value regime.
+// remainder (0..9 rows) and three alignments, in each value regime, and then
+// MaxDistBlock's chunk boundaries.
 func runFloatKernelTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for d := 0; d <= 140; d++ {
@@ -186,6 +249,7 @@ func runFloatKernelTable(t *testing.T) {
 			}
 		}
 	}
+	runMaxDistChunkTable(t)
 }
 
 // runSignedZeroTable pins what the tile's tail step rests on. A tail element

@@ -77,14 +77,16 @@ func (m *Matrix) SubsetRows(idx []int32) *Matrix {
 // CentroidBlock writes the mean of the packed row-major block rows, whose
 // rows have dimension len(dst), into dst, accumulating row after row in acc
 // (length len(dst)). A builder that forms a centroid per node passes the same
-// acc each time. It panics if the block is empty.
+// acc each time. It panics if the block is empty. Each coordinate's sum is
+// AddInto's row by row, bit for bit; where the assembly runs, four rows pass
+// per load and store of acc and four coordinates per instruction.
 func CentroidBlock(rows []float32, acc []float64, dst []float32) {
 	d := len(dst)
 	if len(rows) == 0 || len(acc) != d || len(rows)%d != 0 {
 		panic("vec: CentroidBlock of an empty or misshapen block")
 	}
 	clear(acc)
-	for at := 0; at < len(rows); at += d {
+	for at := addRowsArch(acc, rows); at < len(rows); at += d {
 		AddInto(acc, rows[at:at+d])
 	}
 	inv := 1 / float64(len(rows)/d)

@@ -13,7 +13,9 @@
 # tile and the per-query path beside it, the build's farthest-row pass over a
 # node's block, the point-level ball cut on a 64-point leaf), the linear scan
 # (one query over n=10k; the benchmark fixture's 256-query ground truth over
-# n=50k as one batch and split over GOMAXPROCS), the two tree builds and the sharded one (n=10k, 4
+# n=50k as one batch and split over GOMAXPROCS, and
+# BenchmarkLinearScanFilteredBatch, its filtered twin: the same 256 queries
+# as one batch under a Filter keeping every tenth row), the two tree builds and the sharded one (n=10k, 4
 # shards; allocs/op gates the builder's scratch: a build allocates per tree,
 # not per node, and B/op that it makes one matrix, not two), the tree searches
 # (per-query and batched; exact BC-Tree searches, single and in 64-query
@@ -43,7 +45,7 @@ run() {
   : > "$out"
   go test -run '^$' -bench 'BenchmarkDot|BenchmarkDotBlock4x128|BenchmarkSqDistBlock|BenchmarkMaxDistFrom|BenchmarkBallCutoff|BenchmarkConeSelect|BenchmarkCodeDot|BenchmarkCodeSelect' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" ./internal/vec | tee -a "$out"
-  go test -run '^$' -bench 'BenchmarkLinearScan' \
+  go test -run '^$' -bench 'BenchmarkLinearScan$|BenchmarkLinearScanBatch|BenchmarkLinearScanFilteredBatch' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" ./internal/linearscan | tee -a "$out"
   go test -run '^$' -bench 'BenchmarkBuildBCTree|BenchmarkBuildBallTree|BenchmarkBuildSharded|BenchmarkQueryExactBallTree|BenchmarkQueryExactBCTree|BenchmarkQueryPredBCTree|BenchmarkQueryFilterBCTree|BenchmarkQueryDynamicChurned|BenchmarkQueryBudgetBCTree$|BenchmarkSearchBatchExact|BenchmarkServer|BenchmarkSaveBCTree|BenchmarkOpenBCTree|BenchmarkOpenDynamic|BenchmarkDynamicCompact' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" . | tee -a "$out"
