@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
-	"p2h/internal/attr"
 	"p2h/internal/core"
 	"p2h/internal/dataset"
 	"p2h/internal/vec"
@@ -20,6 +20,8 @@ func forKinds(t *testing.T, f func(t *testing.T, kind Kind)) {
 	}
 }
 
+// batchSetup builds a tree over n deduplicated clustered points, d = 24, with
+// nq unit-normal queries, for the tests of counters and allocations.
 func batchSetup(t *testing.T, kind Kind, n, nq int, seed int64) (*Tree, *vec.Matrix) {
 	t.Helper()
 	raw := dataset.Dedup(dataset.Generate(dataset.Spec{
@@ -28,6 +30,20 @@ func batchSetup(t *testing.T, kind Kind, n, nq int, seed int64) (*Tree, *vec.Mat
 	queries := dataset.GenerateQueries(raw, nq, seed+1)
 	normalizeRows(queries)
 	return Build(raw.AppendOnes(), kind, Config{LeafSize: 32, Seed: seed}), queries
+}
+
+// quantPair is batchSetup's tree without and with the 8-bit leaf mirror.
+func quantPair(t *testing.T, kind Kind, n, nq int, seed int64) (plain, quantized *Tree, queries *vec.Matrix) {
+	t.Helper()
+	raw := dataset.Dedup(dataset.Generate(dataset.Spec{
+		Name: "t", Family: dataset.FamilyClustered, RawDim: 24, Clusters: 8,
+	}, n, seed))
+	queries = dataset.GenerateQueries(raw, nq, seed+1)
+	normalizeRows(queries)
+	data := raw.AppendOnes()
+	plain = Build(data, kind, Config{LeafSize: 32, Seed: seed})
+	quantized = Build(data, kind, Config{LeafSize: 32, Seed: seed, Quantize: true})
+	return plain, quantized, queries
 }
 
 // normalizeRows rescales every query to a unit normal, the contract of the
@@ -43,117 +59,9 @@ func normalizeRows(queries *vec.Matrix) {
 // requireSameResults asserts bitwise-equal results, including order.
 func requireSameResults(t *testing.T, label string, got, want []core.Result) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s:\n got %v\nwant %v", label, got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s rank %d: %+v != %+v", label, i, got[i], want[i])
-		}
-	}
-}
-
-func TestSearchBatchMatchesSequential(t *testing.T) {
-	forKinds(t, testSearchBatchMatchesSequential)
-}
-
-func testSearchBatchMatchesSequential(t *testing.T, kind Kind) {
-	tree, queries := batchSetup(t, kind, 1500, 40, 1)
-	// A spatially correlated attribute, so the summaries have subtrees to
-	// skip: the first coordinate, thresholded at its mean.
-	data, _ := tree.Rows()
-	points := make([]attr.Point, data.N)
-	var mean float64
-	for i := range points {
-		x0 := float64(data.Row(i)[0])
-		points[i].Floats = map[string]float64{"x0": x0}
-		mean += x0 / float64(data.N)
-	}
-	store, err := attr.Build(points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.AttachAttrs(store); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		opts core.SearchOptions
-	}{
-		{"exact-k1", core.SearchOptions{K: 1}},
-		{"exact-k10", core.SearchOptions{K: 10}},
-		{"exact-kBig", core.SearchOptions{K: tree.N() + 5}}, // k > n
-		{"budget", core.SearchOptions{K: 10, Budget: 100}},
-		{"filtered", core.SearchOptions{K: 10, Filter: func(id int32) bool { return id%3 != 0 }}},
-		{"pred", core.SearchOptions{K: 10, Pred: attr.FieldAtLeast("x0", mean)}},
-		{"profiled", core.SearchOptions{K: 10, Profile: &core.Profile{}}},
-		{"cancel-never", core.SearchOptions{K: 10, Cancel: func() bool { return false }}},
-		{"lowerbound-pref", core.SearchOptions{K: 10, Preference: core.PrefLowerBound}},
-		{"wo-ball", core.SearchOptions{K: 10, DisablePointBall: true}},
-		{"wo-cone", core.SearchOptions{K: 10, DisablePointCone: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			batch, stats := tree.SearchBatch(queries, tc.opts)
-			var skipped int64
-			for qi := 0; qi < queries.N; qi++ {
-				want, _ := tree.Search(queries.Row(qi), tc.opts)
-				requireSameResults(t, tc.name, batch[qi], want)
-				skipped += stats[qi].FilterSkippedNodes
-			}
-			if tc.opts.Pred != nil && skipped == 0 {
-				t.Fatal("the batch's walk skipped no subtree by its summaries")
-			}
-			if p := tc.opts.Profile; p != nil && p.Total() == 0 {
-				t.Fatal("the profiled batch recorded no phase time")
-			}
-		})
-	}
-}
-
-func TestSearchBatchEmptyAndSingle(t *testing.T) {
-	forKinds(t, func(t *testing.T, kind Kind) {
-		tree, queries := batchSetup(t, kind, 400, 3, 2)
-		empty := &vec.Matrix{Data: nil, N: 0, D: queries.D}
-		out, stats := tree.SearchBatch(empty, core.SearchOptions{K: 5})
-		if len(out) != 0 || len(stats) != 0 {
-			t.Fatalf("empty batch: %d results, %d stats", len(out), len(stats))
-		}
-		// A batch of one is the walk Search runs: the same answer and the
-		// same work counters.
-		one := &vec.Matrix{Data: queries.Row(0), N: 1, D: queries.D}
-		out, stats = tree.SearchBatch(one, core.SearchOptions{K: 5})
-		want, wantSt := tree.Search(queries.Row(0), core.SearchOptions{K: 5})
-		requireSameResults(t, "single", out[0], want)
-		if stats[0] != wantSt {
-			t.Fatalf("single: batch stats %+v, Search stats %+v", stats[0], wantSt)
-		}
-	})
-}
-
-// TestSearchBatchTrailingRows: a Matrix is N rows of D at the front of Data,
-// which may run longer (a reused buffer filled to N rows). The batch reads
-// row i at Data[i*D:(i+1)*D], whatever follows the N-th row, exact (tiled and
-// leftover queries) and budgeted.
-func TestSearchBatchTrailingRows(t *testing.T) {
-	forKinds(t, func(t *testing.T, kind Kind) {
-		tree, queries := batchSetup(t, kind, 600, 9, 5)
-		const n = 6
-		head := &vec.Matrix{Data: queries.Data, N: n, D: queries.D}
-		for _, opts := range []core.SearchOptions{{K: 5}, {K: 5, Budget: 40}} {
-			out, stats := tree.SearchBatch(head, opts)
-			_, wantSt := tree.SearchBatch(&vec.Matrix{Data: queries.Data[:n*queries.D], N: n, D: queries.D}, opts)
-			if len(out) != n {
-				t.Fatalf("%+v: %d results for %d rows", opts, len(out), n)
-			}
-			for i := range out {
-				want, _ := tree.Search(queries.Row(i), opts)
-				requireSameResults(t, "trailing", out[i], want)
-				if stats[i] != wantSt[i] {
-					t.Fatalf("%+v row %d: stats %+v, want %+v", opts, i, stats[i], wantSt[i])
-				}
-			}
-		}
-	})
 }
 
 func TestSearchBatchPanicsOnDimMismatch(t *testing.T) {
@@ -164,41 +72,6 @@ func TestSearchBatchPanicsOnDimMismatch(t *testing.T) {
 		}
 	}()
 	tree.SearchBatch(vec.NewMatrix(2, tree.Dim()+1), core.SearchOptions{K: 1})
-}
-
-// TestSearchBatchStatsAccounted checks the per-query counters of the shared
-// traversal stay plausible: every query visits the root, and work counters
-// are positive.
-func TestSearchBatchStatsAccounted(t *testing.T) {
-	forKinds(t, func(t *testing.T, kind Kind) {
-		tree, queries := batchSetup(t, kind, 800, 8, 4)
-		_, stats := tree.SearchBatch(queries, core.SearchOptions{K: 5})
-		for qi, st := range stats {
-			if st.NodesVisited < 1 {
-				t.Fatalf("query %d: no nodes visited", qi)
-			}
-			if st.Candidates <= 0 || st.IPCount <= 0 {
-				t.Fatalf("query %d: empty work counters %+v", qi, st)
-			}
-		}
-	})
-}
-
-// TestSearchBatchBallPruningActive checks the shared traversal still applies
-// the point-level ball bound on a BC tree: across a clustered workload some
-// points must be pruned, and disabling the bound must not change results.
-func TestSearchBatchBallPruningActive(t *testing.T) {
-	tree, queries := batchSetup(t, BC, 1200, 10, 5)
-	resOn, statsOn := tree.SearchBatch(queries, core.SearchOptions{K: 5})
-	resOff, _ := tree.SearchBatch(queries, core.SearchOptions{K: 5, DisablePointBall: true})
-	var pruned int64
-	for qi := range resOn {
-		requireSameResults(t, "ball ablation", resOn[qi], resOff[qi])
-		pruned += statsOn[qi].PrunedPoints
-	}
-	if pruned == 0 {
-		t.Fatal("expected the batched ball bound to prune at least one point")
-	}
 }
 
 // TestScanLeafTileMatchesQueryByQuery drives scanLeaf on one leaf of a

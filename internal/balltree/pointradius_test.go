@@ -55,6 +55,7 @@ func checkDerivedRadii(t *testing.T, tree *Tree) {
 // within two xcos steps and one xsin step of the distance, some 2^-14 of the
 // leaf's radius.
 func TestDerivedRadiusSoundOnSurrogates(t *testing.T) {
+	t.Parallel()
 	for _, spec := range dataset.Catalog() {
 		n := 1500
 		if spec.RawDim > 1000 {

@@ -5,50 +5,34 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"p2h/internal/binio"
+	"p2h/internal/core"
 	"p2h/internal/dataset"
 )
 
-func TestSaveLoadRoundTrip(t *testing.T) { forKinds(t, testSaveLoadRoundTrip) }
-
-func testSaveLoadRoundTrip(t *testing.T, kind Kind) {
-	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 14, Clusters: 6}, 700, 1)
-	data := raw.AppendOnes()
-	queries := dataset.GenerateQueries(raw, 10, 2)
-	orig := Build(data, kind, Config{LeafSize: 30, Seed: 3})
-
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
+// TestSaveLoadRoundTrip: a tree decoded off a stream has the saved one's
+// shape and invariants, and answers every Figure 8 variant as it does,
+// counters and all.
+func TestSaveLoadRoundTrip(t *testing.T) {
+	shapes := variants("", 7)
+	for i := range shapes {
+		shapes[i].paths = []string{viaLoaded}
 	}
-	restored, err := Load(&buf, kind, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.N() != orig.N() || restored.Dim() != orig.Dim() || restored.kind != kind ||
-		restored.Nodes() != orig.Nodes() || restored.Leaves() != orig.Leaves() ||
-		restored.LeafSize() != orig.LeafSize() {
-		t.Fatalf("metadata mismatch: %s vs %s", restored, orig)
-	}
-	checkTreeInvariants(t, restored)
-	// Restored trees must search identically, including pruning stats, and
-	// across ablation variants (the leaf arrays must survive the trip).
-	for i := 0; i < queries.N; i++ {
-		q := queries.Row(i)
-		for _, variant := range allVariants() {
-			variant.K = 7
-			a, sa := orig.Search(q, variant)
-			b, sb := restored.Search(q, variant)
-			requireSameResults(t, "restored", b, a)
-			if sa != sb {
-				t.Fatalf("query %d: stats differ: %+v != %+v", i, sa, sb)
-			}
+	shapes[0].check = func(t *testing.T, c *cell) {
+		restored, orig := c.r.twin(t, viaLoaded), c.r.tree
+		if restored.N() != orig.N() || restored.Dim() != orig.Dim() || restored.kind != orig.kind ||
+			restored.Nodes() != orig.Nodes() || restored.Leaves() != orig.Leaves() || restored.LeafSize() != orig.LeafSize() {
+			t.Fatalf("metadata mismatch: %s vs %s", restored, orig)
 		}
+		checkTreeInvariants(t, restored)
 	}
+	matrixView{rows: plainRows, sets: setsNamed("clustered"), queries: 10, shapes: fixed(shapes...)}.run(t)
 }
 
 // payloadOffsets locates sections of a saved unquantized payload so
@@ -220,6 +204,123 @@ func TestPayloadBytesIsExact(t *testing.T) {
 			}
 			if got := tree.PayloadBytes(); got != int64(buf.Len()) {
 				t.Fatalf("quantize=%v: PayloadBytes() = %d, Save wrote %d", quantize, got, buf.Len())
+			}
+		}
+	})
+}
+
+// TestLoadChecksIDsAgainstTheHoldersBound: a labelled tree round-trips only
+// under a bound that covers its labels; standalone (bound 0, the tree's own
+// n) the same payload is corrupt.
+func TestLoadChecksIDsAgainstTheHoldersBound(t *testing.T) {
+	data, _ := buildTestData(t, dataset.FamilyUniform, 200, 6, 41)
+	labels := make([]int32, data.N)
+	for i := range labels {
+		labels[i] = int32(1000 - i)
+	}
+	var buf bytes.Buffer
+	if err := BuildOwned(data, labels, BC, Config{LeafSize: 16, Seed: 1}).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for bound, ok := range map[int]bool{0: false, 1000: false, 1001: true} {
+		_, err := Load(bytes.NewReader(buf.Bytes()), BC, bound)
+		if (err == nil) != ok || (!ok && !errors.Is(err, binio.ErrCorrupt)) {
+			t.Fatalf("bound %d: err = %v, want success = %v and ErrCorrupt otherwise", bound, err, ok)
+		}
+	}
+}
+
+// mappedTwin saves tree and loads it back in place from the saved bytes, which
+// stand in for a mapped container: every section of the twin is a view of
+// them, and they are its backing.
+func mappedTwin(t *testing.T, tree *Tree) *Tree {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tree.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	twin, err := Load(binio.NewBytesReader(b, &b), tree.kind, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if twin.sec().backing == nil {
+		t.Fatal("the in-place load viewed no section")
+	}
+	return twin
+}
+
+// flipByte flips one bit in the middle of a section's bytes.
+func flipByte[T float32 | int32 | uint16](s []T) {
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0])))
+	b[len(b)/2] ^= 0x10
+}
+
+// TestAdoptRefusesWhatDiffers: a tree refuses a twin that is not mapped, is of
+// the other kind, or differs from it in one node record or in one byte of any
+// section — and keeps its own sections, answering bit for bit as before: the
+// matrix's cells, and the budgeted answers and counters it gave before.
+func TestAdoptRefusesWhatDiffers(t *testing.T) {
+	set := &setsNamed("clustered")[0]
+	shapes := []matrixShape{{opts: core.SearchOptions{K: 5}}, {opts: core.SearchOptions{K: 5, Budget: 60}}}
+	forKinds(t, func(t *testing.T, kind Kind) {
+		r := buildRow(t, matrixRow{kind.String(), kind, false}, set)
+		tree := r.tree
+		answers := func() []any {
+			res, stats := searchEach(tree, set.queries, shapes[1].opts)
+			return []any{res, stats}
+		}
+		want := answers()
+		other := Ball
+		if kind == Ball {
+			other = BC
+		}
+		cases := map[string]func() *Tree{
+			"not mapped": func() *Tree {
+				var buf bytes.Buffer
+				if err := tree.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				m, err := Load(bytes.NewReader(buf.Bytes()), kind, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			},
+			"kind": func() *Tree {
+				return mappedTwin(t, Build(set.data, other, Config{LeafSize: set.leafSize, Seed: set.seed}))
+			},
+			"node record": func() *Tree {
+				m := mappedTwin(t, tree)
+				r := &m.nodes[len(m.nodes)/2].radius
+				*r = math.Nextafter(*r, math.Inf(1))
+				return m
+			},
+			"points": func() *Tree { m := mappedTwin(t, tree); flipByte(m.sec().points.Data); return m },
+			"ids":    func() *Tree { m := mappedTwin(t, tree); flipByte(m.sec().ids); return m },
+			"centers": func() *Tree {
+				m := mappedTwin(t, tree)
+				flipByte(m.sec().centers.Data)
+				return m
+			},
+		}
+		if kind == BC {
+			cases["xcos"] = func() *Tree { m := mappedTwin(t, tree); flipByte(m.sec().xcos); return m }
+			cases["xsin"] = func() *Tree { m := mappedTwin(t, tree); flipByte(m.sec().xsin); return m }
+		}
+		own := tree.sec()
+		for name, twin := range cases {
+			if tree.Adopt(twin()) {
+				t.Fatalf("%s: adopted a twin that differs", name)
+			}
+			if tree.sec() != own {
+				t.Fatalf("%s: refused, yet swapped its sections", name)
+			}
+			for _, sh := range shapes {
+				checkCell(t, r, sh)
+			}
+			if got := answers(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: the tree answers differently after refusing", name)
 			}
 		}
 	})

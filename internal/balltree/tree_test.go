@@ -1,8 +1,10 @@
 package balltree
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -443,8 +445,10 @@ func TestIndexBytesAccounting(t *testing.T) {
 // larger. At the parent format, 8 bytes a point for the cone pair, Deep100M
 // and GloVe failed here (20.47 vs 19.43 and 19.25 vs 17.25 B/point).
 func TestBCLighterThanBallOnSurrogates(t *testing.T) {
+	t.Parallel()
 	for _, spec := range dataset.Catalog() {
 		t.Run(spec.Name, func(t *testing.T) {
+			t.Parallel()
 			n := min(20000, (1<<22)/spec.RawDim)
 			data := dataset.Generate(spec, n, 1).AppendOnes()
 			ball := Build(data, Ball, Config{Seed: 1}).IndexBytes()
@@ -540,4 +544,36 @@ func TestRadiusMonotoneDown(t *testing.T) {
 		}
 		walk(0, math.Inf(1))
 	})
+}
+
+// TestBuildOwnedIsBuild: handing the builder a private matrix and no labels
+// gives the tree Build gives — the same bytes on every surrogate of Table II,
+// both kinds — and Build leaves its argument alone.
+func TestBuildOwnedIsBuild(t *testing.T) {
+	t.Parallel()
+	for _, spec := range dataset.Catalog() {
+		data := dataset.Dedup(dataset.Generate(spec, 300, 5)).AppendOnes()
+		shared := data.Clone()
+		forKinds(t, func(t *testing.T, kind Kind) {
+			cfg := Config{LeafSize: 16, Seed: 6}
+			var built, owned bytes.Buffer
+			if err := Build(data, kind, cfg).Save(&built); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(data.Data, shared.Data) {
+				t.Fatalf("%s: Build reordered the matrix it was lent", spec.Name)
+			}
+			rows := data.Clone()
+			tree := BuildOwned(rows, nil, kind, cfg)
+			if err := tree.Save(&owned); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(built.Bytes(), owned.Bytes()) {
+				t.Fatalf("%s: BuildOwned over a clone saves other bytes than Build", spec.Name)
+			}
+			if points, _ := tree.Rows(); &points.Data[0] != &rows.Data[0] || len(points.Data) != len(rows.Data) {
+				t.Fatalf("%s: BuildOwned made a second matrix", spec.Name)
+			}
+		})
+	}
 }

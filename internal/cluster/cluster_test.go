@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -510,6 +511,30 @@ func TestFilteredMergeOracle(t *testing.T) {
 
 // TestMergeMatchesSortResults pins the merge order to core.SortResults on
 // tie-heavy input.
+// TestShardOptionsSplitsTheBudget: the router splits a budget as the
+// in-process sharded index does — in proportion, rounded up, at least one, a
+// shard's own size once the budget reaches the total — however large it is.
+func TestShardOptionsSplitsTheBudget(t *testing.T) {
+	for _, tc := range []struct {
+		budget        int
+		shardN, total int64
+		want          int
+	}{
+		{0, 750, 3000, 0},
+		{1, 750, 3000, 1},
+		{100, 750, 3000, 25},
+		{101, 750, 3000, 26},
+		{3000, 750, 3000, 750},
+		{math.MaxInt, 750, 3000, 750},
+		{math.MaxInt, 1, 3000, 1},
+		{40, 0, 0, 40}, // sizes unknown: the budget passes through
+	} {
+		if got := shardOptions(httpapi.SearchOptionsJSON{K: 10, Budget: tc.budget}, tc.shardN, tc.total).Budget; got != tc.want {
+			t.Errorf("budget %d, shard %d of %d: share %d, want %d", tc.budget, tc.shardN, tc.total, got, tc.want)
+		}
+	}
+}
+
 func TestMergeMatchesSortResults(t *testing.T) {
 	lists := [][]httpapi.ResultJSON{
 		{{ID: 5, Dist: 1.0}, {ID: 2, Dist: 2.0}},

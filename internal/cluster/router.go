@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"p2h/internal/core"
 	"p2h/internal/httpapi"
 )
 
@@ -295,17 +296,12 @@ func (rt *Router) indexSize(ctx context.Context, ri *routedIndex) (int64, error)
 	return total, nil
 }
 
-// shardOptions derives shard si's view of the request options, mirroring the
-// in-process Sharded index's shardOpts: a positive candidate budget divides
-// across shards in proportion to their sizes, ceiling division, floor one.
+// shardOptions derives one shard's view of the request options by the rule
+// the in-process Sharded index's shardOpts follows (core.ShareBudget): a
+// positive candidate budget divides across shards in proportion to their
+// sizes.
 func shardOptions(opts httpapi.SearchOptionsJSON, shardN, total int64) httpapi.SearchOptionsJSON {
-	if opts.Budget > 0 && total > 0 {
-		share := (int64(opts.Budget)*shardN + total - 1) / total
-		if share < 1 {
-			share = 1
-		}
-		opts.Budget = int(share)
-	}
+	opts.Budget = core.ShareBudget(opts.Budget, shardN, total)
 	return opts
 }
 

@@ -115,6 +115,19 @@ func (o SearchOptions) BudgetLeft(verified int64) bool {
 	return o.Budget <= 0 || verified < int64(o.Budget)
 }
 
+// ShareBudget is the share of a candidate budget that falls to one part of an
+// index — a shard, a member — holding part of its total points: in
+// proportion, rounded up, at least one. The budget is clamped to total first,
+// as a budget of n or more is exact: every part then gets its own size, and
+// the product behind the share cannot overflow. A budget of zero or less
+// (exact), or a total not known to be positive, passes through.
+func ShareBudget(budget int, part, total int64) int {
+	if budget <= 0 || total <= 0 {
+		return budget
+	}
+	return int(max(1, (min(int64(budget), total)*part+total-1)/total))
+}
+
 // Canceled polls the cooperative cancellation signal; false when none is
 // attached.
 func (o SearchOptions) Canceled() bool {

@@ -214,12 +214,11 @@ func (ix *Index) String() string {
 }
 
 // shardOpts derives shard si's view of the caller's options: the candidate
-// budget is divided across shards in proportion to their sizes. Filter and
-// Pred pass through, the shard trees speak global ids.
+// budget is divided across shards in proportion to their sizes
+// (core.ShareBudget). Filter and Pred pass through, the shard trees speak
+// global ids.
 func (ix *Index) shardOpts(opts core.SearchOptions, si int) core.SearchOptions {
-	if opts.Budget > 0 {
-		opts.Budget = max(1, (opts.Budget*ix.trees[si].N()+ix.n-1)/ix.n)
-	}
+	opts.Budget = core.ShareBudget(opts.Budget, int64(ix.trees[si].N()), int64(ix.n))
 	return opts
 }
 
@@ -227,45 +226,20 @@ func (ix *Index) shardOpts(opts core.SearchOptions, si int) core.SearchOptions {
 // goroutines.
 func (ix *Index) forEachShard(fn func(si int)) { exec.ForEach(len(ix.trees), ix.workers, fn) }
 
-// Search fans the query out across the shards (over at most cfg.Workers
-// goroutines), asks each shard tree for its local top-k, and merges exactly.
-// The candidate budget is divided across shards in proportion to their
-// sizes. Per-phase profiling is not supported concurrently; the Profile
-// option is ignored.
+// Search answers one query as SearchBatch answers a batch of one row: every
+// shard tree searches it (over at most cfg.Workers goroutines) under its share
+// of the candidate budget, and the shard answers merge exactly.
 func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, core.Stats) {
-	opts = opts.Normalized()
-	opts.Profile = nil
-
-	type shardOut struct {
-		res []core.Result
-		st  core.Stats
-	}
-	outs := make([]shardOut, len(ix.trees))
-
-	ix.forEachShard(func(si int) {
-		res, st := ix.trees[si].Search(q, ix.shardOpts(opts, si))
-		outs[si] = shardOut{res: res, st: st}
-	})
-
-	var st core.Stats
-	var merged []core.Result
-	for _, o := range outs {
-		st.Add(o.st)
-		merged = append(merged, o.res...)
-	}
-	core.SortResults(merged)
-	if len(merged) > opts.K {
-		merged = merged[:opts.K]
-	}
-	return merged, st
+	out, stats := ix.SearchBatch(&vec.Matrix{Data: q, N: 1, D: ix.d}, opts)
+	return out[0], stats[0]
 }
 
 // SearchBatch answers one top-k query per row of queries: every shard tree
 // serves the whole batch through its SearchBatch (one shared walk when exact,
 // best-first query by query under a budget), and the per-shard
 // answers merge exactly per query. Shards are processed over at most
-// cfg.Workers goroutines. Results are bitwise identical to per-query Search
-// calls. The Profile option is ignored, as in Search.
+// cfg.Workers goroutines. The Profile option is ignored: the shards' phases
+// overlap.
 func (ix *Index) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
 	opts = opts.Normalized()
 	opts.Profile = nil

@@ -149,6 +149,25 @@ func TestSearchBudgetSharedAcrossShards(t *testing.T) {
 	}
 }
 
+// TestBudgetOfNOrMoreIsExact: a budget of n or more is exact, however large:
+// each shard's share is taken of the budget clamped to n, so the product
+// behind it cannot wrap.
+func TestBudgetOfNOrMoreIsExact(t *testing.T) {
+	data, queries := setup(t, 3000, 9)
+	ix := Build(data, Config{Shards: 4, Seed: 10})
+	want, _ := ix.SearchBatch(queries, core.SearchOptions{K: 10})
+	for _, budget := range []int{ix.N(), math.MaxInt} {
+		opts := core.SearchOptions{K: 10, Budget: budget}
+		batch, _ := ix.SearchBatch(queries, opts)
+		for qi := 0; qi < queries.N; qi++ {
+			got, _ := ix.Search(queries.Row(qi), opts)
+			if !slices.Equal(got, want[qi]) || !slices.Equal(batch[qi], want[qi]) {
+				t.Fatalf("budget %d query %d: Search %v, SearchBatch %v, exact %v", budget, qi, got, batch[qi], want[qi])
+			}
+		}
+	}
+}
+
 func TestMoreShardsThanPoints(t *testing.T) {
 	rows := [][]float32{{1, 0}, {0, 1}, {1, 1}}
 	data := vec.FromRows(rows).AppendOnes()
