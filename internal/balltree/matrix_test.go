@@ -17,7 +17,9 @@ package balltree
 //     least Candidates and a node visited;
 //   - every path answers as Search does, and where it runs Search's walk — a
 //     batch of one, a Save→Load copy, a tree serving its mapped twin's
-//     sections, BuildOwned — counts as Search does.
+//     sections, BuildOwned — counts as Search does; a twin's batch counts as
+//     the tree's, a batch of several rows as the same rows copied out; a
+//     profiled path records phase time of its own.
 //
 // TestTreeOracleMatrix runs all of it. The tests after it are named slices of
 // the same matrix, some with a check beside the contract: of counters, or of
@@ -282,6 +284,7 @@ type builtRow struct {
 	tree      *Tree
 	plain     *Tree            // a mirrored row's unmirrored twin
 	twins     map[string]*Tree // by path, built when first asked for
+	rowOf     []int32          // the row of each of the owned twin's labels
 	live, all core.Bitmap      // liveRows(tree), and every row
 }
 
@@ -313,9 +316,9 @@ func (r *builtRow) attach(t *testing.T, tree *Tree, store *attr.Store) *Tree {
 
 // twin is the tree a twin path searches: a Save→Load copy off a stream; a
 // second Build that has adopted its mapped twin's sections and sizes itself
-// as before; or BuildOwned over a copy of the data under labels 3·row plus 0,
-// 1 or 2 — increasing, so (Dist, ID) order is the same over labels as over
-// rows — its attributes indexed by label.
+// as before; or BuildOwned over a copy of the data under labels drawn at
+// random from [0, 3n) — so ties order otherwise over labels than over rows —
+// its attributes indexed by label.
 func (r *builtRow) twin(t *testing.T, path string) *Tree {
 	if tw := r.twins[path]; tw != nil {
 		return tw
@@ -339,17 +342,18 @@ func (r *builtRow) twin(t *testing.T, path string) *Tree {
 			t.Fatal("the tree did not adopt its mapped twin's sections, or sized itself anew")
 		}
 	case viaOwned:
-		n, rng := r.set.data.N, rand.New(rand.NewSource(r.set.seed))
+		n := r.set.data.N
 		labels, byLabel := make([]int32, n), make([]attr.Point, 3*n)
-		for row := range labels {
-			labels[row] = int32(3*row + rng.Intn(3))
-			byLabel[labels[row]] = r.set.points[row]
+		r.rowOf = make([]int32, 3*n)
+		for row, label := range rand.New(rand.NewSource(r.set.seed)).Perm(3 * n)[:n] {
+			labels[row], r.rowOf[label], byLabel[label] = int32(label), int32(row), r.set.points[row]
 		}
 		tw = BuildOwned(r.set.data.Clone(), labels, r.row.kind, r.config())
 		points, ids := tw.Rows()
+		_, rows := r.tree.Rows()
 		for p, label := range ids {
-			if labels[label/3] != label || !slices.Equal(points.Row(p), r.set.data.Row(int(label/3))) {
-				t.Fatalf("position %d holds label %d and not its row's vector", p, label)
+			if label != labels[rows[p]] || !slices.Equal(points.Row(p), r.set.data.Row(int(rows[p]))) {
+				t.Fatalf("position %d holds label %d, not the label of row %d and its vector", p, label, rows[p])
 			}
 		}
 		if store, err = attr.Build(byLabel); err != nil {
@@ -387,23 +391,25 @@ func asFilter(opts core.SearchOptions, points []attr.Point) core.SearchOptions {
 }
 
 // cell is one row's answers to one shape: the options Search ran with (a
-// live shape's bitmap folded into its Filter), Search's answers and
-// counters, and the scan's answer to the same options without a budget.
+// live shape's bitmap folded into its Filter), the shape's own options and
+// the bitmap SearchLive takes beside them, Search's answers and counters,
+// and the scan's answer to the same options without a budget.
 type cell struct {
-	r     *builtRow
-	opts  core.SearchOptions
-	got   [][]core.Result
-	stats []core.Stats
-	exact [][]core.Result
+	r          *builtRow
+	opts, user core.SearchOptions
+	bitmap     core.Bitmap
+	got        [][]core.Result
+	stats      []core.Stats
+	exact      [][]core.Result
 }
 
 func checkCell(t *testing.T, r *builtRow, sh matrixShape) {
 	t.Helper()
 	queries, n := r.set.queries, r.set.data.N
-	c, bitmap := &cell{r: r, opts: sh.opts}, r.all
+	c := &cell{r: r, opts: sh.opts, user: sh.opts, bitmap: r.all}
 	if sh.live {
 		live, user := r.live, sh.opts.Filter
-		bitmap, c.opts.Filter = live, func(id int32) bool { return live.Has(id) && (user == nil || user(id)) }
+		c.bitmap, c.opts.Filter = live, func(id int32) bool { return live.Has(id) && (user == nil || user(id)) }
 	}
 	key := scanKey{c.opts.K, queries.N, c.opts.Pred}
 	if exact, ok := r.set.scans.Load(key); ok && c.opts.Filter == nil {
@@ -440,22 +446,33 @@ func checkCell(t *testing.T, r *builtRow, sh matrixShape) {
 		t.Fatal("the profiled search recorded no phase time")
 	}
 	for _, path := range sh.paths {
-		got, stats := c.along(t, path, sh.opts, bitmap)
+		// Each path profiles into a profile of its own.
+		pc := *c
+		if c.opts.Profile != nil {
+			pc.opts.Profile = &core.Profile{}
+			pc.user.Profile = pc.opts.Profile
+		}
+		got, stats, counts := pc.along(t, path)
+		if p := pc.opts.Profile; p != nil && p.Total() == 0 {
+			t.Fatalf("%s recorded no phase time", path)
+		}
 		c.requireValid(t, path, got, stats)
 		for i, res := range got {
 			want, st := c.got[i%queries.N], c.stats[i%queries.N]
-			if !slices.Equal(res, want) {
+			if counts != nil {
+				st = counts[i]
+			}
+			if !slices.Equal(res, want) && !(path == viaOwned && tiedAtLast(res, want)) {
 				t.Fatalf("%s, row %d:\n got %v\nwant %v", path, i, res, want)
 			}
 			switch {
-			case path == viaBatch(3) || path == viaBatch(64): // a shared walk counts its own way
 			case path == viaLive && sh.live && r.row.quantize: // a Filter sends a mirrored tree down the float scan, a bitmap does not
 			case path == viaLive:
 				if stats[i].Candidates != st.Candidates || stats[i].IPCount != st.IPCount {
 					t.Fatalf("%s, query %d: %+v, the Filter closure's %+v", path, i, stats[i], st)
 				}
 			case stats[i] != st:
-				t.Fatalf("%s, query %d: counters %+v, Search's %+v", path, i, stats[i], st)
+				t.Fatalf("%s, row %d: counters %+v, want %+v", path, i, stats[i], st)
 			}
 		}
 	}
@@ -465,29 +482,44 @@ func checkCell(t *testing.T, r *builtRow, sh matrixShape) {
 }
 
 // along answers the cell's queries through path: per query, or per batch row
-// with row i asking query i mod N, an answer (over rows) and its counters.
-func (c *cell) along(t *testing.T, path string, opts core.SearchOptions, bitmap core.Bitmap) ([][]core.Result, []core.Stats) {
-	r, queries := c.r, c.r.set.queries
+// with row i asking query i mod N, an answer (over rows), its counters and
+// the counters it must have (nil: Search's). A twin answers each query by
+// Search and then all of them as one batch, which counts as the tree's own
+// batch does; a batch of several rows counts as the same rows copied out.
+func (c *cell) along(t *testing.T, path string) (got [][]core.Result, stats, counts []core.Stats) {
+	r, queries, ref := c.r, c.r.set.queries, c.opts
+	if ref.Profile != nil {
+		ref.Profile = &core.Profile{} // a profiled walk, kept out of the path's profile
+	}
 	switch path {
 	case viaLive:
-		return each(queries, func(q []float32) ([]core.Result, core.Stats) { return r.tree.SearchLive(q, opts, bitmap) })
+		got, stats = each(queries, func(q []float32) ([]core.Result, core.Stats) { return r.tree.SearchLive(q, c.user, c.bitmap) })
+		return got, stats, nil
 	case viaSearcher:
 		s := r.tree.NewSearcher()
-		return each(queries, func(q []float32) ([]core.Result, core.Stats) { return s.Search(q, c.opts, nil) })
-	case viaLoaded, viaAdopted:
-		return searchEach(r.twin(t, path), queries, c.opts)
-	case viaOwned:
-		opts := c.opts
-		if filter := opts.Filter; filter != nil {
-			opts.Filter = func(label int32) bool { return filter(label / 3) }
+		got, stats = each(queries, func(q []float32) ([]core.Result, core.Stats) { return s.Search(q, c.opts, nil) })
+		return got, stats, nil
+	case viaLoaded, viaAdopted, viaOwned:
+		tw, opts := r.twin(t, path), c.opts
+		if filter := opts.Filter; filter != nil && path == viaOwned {
+			opts.Filter = func(label int32) bool { return filter(r.rowOf[label]) }
 		}
-		got, stats := searchEach(r.twin(t, path), queries, opts)
-		for _, res := range got {
-			for i := range res {
-				res[i].ID /= 3
+		got, stats = searchEach(tw, queries, opts)
+		batch, batchStats := tw.SearchBatch(queries, opts)
+		_, counts = r.tree.SearchBatch(queries, ref)
+		got, stats, counts = append(got, batch...), append(stats, batchStats...), slices.Concat(c.stats, counts)
+		if path == viaOwned {
+			for i, res := range got {
+				if !ordered(res) {
+					t.Fatalf("%s, row %d: %v out of (Dist, label) order", path, i, res)
+				}
+				for j := range res {
+					res[j].ID = r.rowOf[res[j].ID]
+				}
+				core.SortResults(res)
 			}
 		}
-		return got, stats
+		return got, stats, counts
 	}
 	size, err := strconv.Atoi(strings.TrimPrefix(path, "SearchBatch/"))
 	if err != nil {
@@ -499,13 +531,41 @@ func (c *cell) along(t *testing.T, path string, opts core.SearchOptions, bitmap 
 	for i := 0; i < all.N; i++ {
 		copy(all.Row(i), queries.Row(i%queries.N))
 	}
-	var got [][]core.Result
-	var stats []core.Stats
 	for lo := 0; lo < rows; lo += size {
 		res, st := r.tree.SearchBatch(&vec.Matrix{Data: all.Data[lo*d:], N: size, D: d}, c.opts)
 		got, stats = append(got, res...), append(stats, st...)
+		if size > 1 {
+			_, st = r.tree.SearchBatch(&vec.Matrix{Data: all.Data[lo*d : (lo+size)*d], N: size, D: d}, ref)
+			counts = append(counts, st...)
+		}
 	}
-	return got, stats
+	return got, stats, counts
+}
+
+// tiedAtLast: got and want hold the same distances and ids but at the last
+// distance, where a tree under labels keeps the least labels of the points
+// tied there and one over rows the least rows.
+func tiedAtLast(got, want []core.Result) bool {
+	if len(got) != len(want) || len(got) == 0 {
+		return false
+	}
+	last := got[len(got)-1].Dist
+	for i := range got {
+		if got[i].Dist != want[i].Dist || got[i].Dist != last && got[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// ordered: res is in strict (Dist, ID) order.
+func ordered(res []core.Result) bool {
+	for j := 1; j < len(res); j++ {
+		if res[j].Dist < res[j-1].Dist || res[j].Dist == res[j-1].Dist && res[j].ID <= res[j-1].ID {
+			return false
+		}
+	}
+	return true
 }
 
 // requireValid holds every answer of a path to what the contract asks of any
@@ -528,11 +588,11 @@ func (c *cell) requireValid(t *testing.T, path string, got [][]core.Result, stat
 		if st.NodesVisited < 1 || st.Candidates > budget || st.IPCount < st.Candidates || len(res) != min(c.opts.K, int(st.Candidates)) {
 			t.Fatalf("%s, row %d: %d results from %+v (n %d, budget %d)", path, i, len(res), st, n, c.opts.Budget)
 		}
+		if !ordered(res) {
+			t.Fatalf("%s, row %d: out of (Dist, ID) order: %v", path, i, res)
+		}
 		q := queries.Row(i % queries.N)
-		for j, x := range res {
-			if j > 0 && (x.Dist < res[j-1].Dist || x.Dist == res[j-1].Dist && x.ID <= res[j-1].ID) {
-				t.Fatalf("%s, row %d: rank %d out of (Dist, ID) order: %v", path, i, j, res)
-			}
+		for _, x := range res {
 			if d := vec.AbsDot(q, c.r.set.data.Row(int(x.ID))); x.Dist != d {
 				t.Fatalf("%s, row %d: id %d reported at %v, is at %v", path, i, x.ID, x.Dist, d)
 			}
@@ -887,7 +947,10 @@ func TestLabelsAreTheTreesIDs(t *testing.T) {
 }
 
 // The low-dimensional gate: lowDimCases at lowDimN points, lowDimQueries
-// hyperplanes through data points each.
+// hyperplanes through data points each. Its answers flip under a kappa
+// without centerStep on few queries of one set; the bounds themselves are
+// pinned point by point in TestBoundsSoundOnLowDimensionalData, which such a
+// kappa fails by thousands on every BC set.
 const lowDimN, lowDimQueries = 50000, 300
 
 // TestExactOnLowDimensionalData: exact search, sequential and batched, is the

@@ -509,8 +509,6 @@ func TestFilteredMergeOracle(t *testing.T) {
 	}
 }
 
-// TestMergeMatchesSortResults pins the merge order to core.SortResults on
-// tie-heavy input.
 // TestShardOptionsSplitsTheBudget: the router splits a budget as the
 // in-process sharded index does — in proportion, rounded up, at least one, a
 // shard's own size once the budget reaches the total — however large it is.
@@ -535,6 +533,8 @@ func TestShardOptionsSplitsTheBudget(t *testing.T) {
 	}
 }
 
+// TestMergeMatchesSortResults pins the merge order to core.SortResults on
+// tie-heavy input.
 func TestMergeMatchesSortResults(t *testing.T) {
 	lists := [][]httpapi.ResultJSON{
 		{{ID: 5, Dist: 1.0}, {ID: 2, Dist: 2.0}},
