@@ -62,7 +62,7 @@ func BuildOwned(rows *vec.Matrix, labels []int32, kind Kind, cfg Config) *Tree {
 	b := &builder{
 		rng: rand.New(rand.NewSource(cfg.Seed)), tree: t, sec: sec,
 		acc:  make([]float64, rows.D),
-		dist: make([]float64, 2*rows.N),
+		dist: make([]float32, 2*rows.N),
 	}
 	if kind == BC {
 		sec.xcos = make([]uint16, rows.N)
@@ -144,10 +144,10 @@ type builder struct {
 
 	// Scratch, sized once by BuildOwned so that what a build allocates does
 	// not grow with the number of nodes: the centroid accumulator (d), the
-	// seed-grow split's two distances per point (2n) and one leaf's points and
-	// rows (LeafSize, LeafSize x d).
+	// seed-grow split's two screened distances per point (2n) and one leaf's
+	// points and rows (LeafSize, LeafSize x d).
 	acc      []float64
-	dist     []float64
+	dist     []float32
 	leaf     []leafPoint
 	leafRows []float32
 }
@@ -220,15 +220,16 @@ func (b *builder) build(start, end int32) int32 {
 // and keeps each ancestor's largest squared distance, starting from -1 as
 // vec.MaxDistBlock does. A maximum does not depend on the order it is taken
 // in, so the radius is the float64 MaxDistBlock over the node's block would
-// give, at one read of the matrix instead of one per level. The split's
-// distance scratch, free by now and longer than the arena (a tree has fewer
-// than twice as many nodes as rows), holds the running maxima.
+// give, at one read of the matrix instead of one per level. The rows are
+// screened in float32 against each ancestor's running maximum
+// (vec.FarthestBlock), so only a row that may raise it is computed in
+// float64.
 func (b *builder) sweepRadii() {
 	t, sec := b.tree, b.sec
 	d := sec.points.D
-	maxSq := b.dist[:len(t.nodes)]
+	maxSq := make([]float64, len(t.nodes))
 	path := make([]int32, 0, 64) // the internal nodes above the current one
-	var sq [128]float64
+	var sq [128]float32
 	for i := range t.nodes {
 		n := &t.nodes[i]
 		for len(path) > 0 && t.nodes[path[len(path)-1]].end <= n.start {
@@ -243,14 +244,7 @@ func (b *builder) sweepRadii() {
 			hi := min(lo+len(sq), int(n.end))
 			rows, out := sec.points.Data[lo*d:hi*d], sq[:hi-lo]
 			for _, a := range path {
-				vec.SqDistBlock(b.centers[int(a)*d:(int(a)+1)*d], rows, out)
-				best := maxSq[a]
-				for _, v := range out {
-					if v > best {
-						best = v
-					}
-				}
-				maxSq[a] = best
+				_, maxSq[a] = vec.FarthestBlock(b.centers[int(a)*d:(int(a)+1)*d], rows, maxSq[a], out)
 			}
 		}
 	}

@@ -5,10 +5,11 @@ package balltree
 // set of matrixSets × shape through Search and the paths the shape names,
 // each answer held to its cell's contract:
 //
-//   - exact (no budget, or one of n or more): bitwise the linear scan's
-//     answer — ids, distances, the order of ties — with a Pred, a liveness
-//     bitmap and a Filter folded into one Filter closure, the Pred evaluated
-//     by attr.Pred.Matches;
+//   - exact (no budget, or one of n or more): bitwise the brute-force
+//     reference's answer (bruteForce: the float64 vec.Dot on every admitted
+//     row, then core.SortResults) — ids, distances, the order of ties — with
+//     a Pred, a liveness bitmap and a Filter folded into one Filter closure,
+//     the Pred evaluated by attr.Pred.Matches;
 //   - budgeted: bitwise the tree's own Search, a Pred its Filter closure with
 //     as many candidates, a mirrored row its unmirrored twin;
 //   - cancelled at once: no answer and no work;
@@ -40,7 +41,6 @@ import (
 	"p2h/internal/attr"
 	"p2h/internal/core"
 	"p2h/internal/dataset"
-	"p2h/internal/linearscan"
 	"p2h/internal/vec"
 )
 
@@ -390,6 +390,28 @@ func asFilter(opts core.SearchOptions, points []attr.Point) core.SearchOptions {
 	return opts
 }
 
+// bruteForce is the matrix's exact reference: for every query, |<q, x>|
+// through the float64 vec.Dot for every row opts.Filter admits, ordered by
+// core.SortResults and cut at k. It shares no code with what the tree and the
+// linear scan run — no blocked kernel, no float32 screen, no collector — so a
+// fault in any of those fails a cell instead of agreeing with itself.
+func bruteForce(data, queries *vec.Matrix, opts core.SearchOptions) [][]core.Result {
+	k := opts.Normalized().K
+	out := make([][]core.Result, queries.N)
+	for qi := range out {
+		q := queries.Row(qi)
+		var all []core.Result
+		for i := 0; i < data.N; i++ {
+			if opts.Filter == nil || opts.Filter(int32(i)) {
+				all = append(all, core.Result{ID: int32(i), Dist: math.Abs(vec.Dot(q, data.Row(i)))})
+			}
+		}
+		core.SortResults(all)
+		out[qi] = all[:min(k, len(all))]
+	}
+	return out
+}
+
 // cell is one row's answers to one shape: the options Search ran with (a
 // live shape's bitmap folded into its Filter), the shape's own options and
 // the bitmap SearchLive takes beside them, Search's answers and counters,
@@ -416,7 +438,7 @@ func checkCell(t *testing.T, r *builtRow, sh matrixShape) {
 		c.exact = exact.([][]core.Result)
 	} else {
 		scan := core.SearchOptions{K: c.opts.K, Filter: c.opts.Filter, Pred: c.opts.Pred}
-		c.exact, _ = linearscan.New(r.set.data).SearchBatch(queries, asFilter(scan, r.set.points))
+		c.exact = bruteForce(r.set.data, queries, asFilter(scan, r.set.points))
 		if c.opts.Filter == nil {
 			r.set.scans.Store(key, c.exact)
 		}

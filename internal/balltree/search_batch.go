@@ -68,9 +68,10 @@ func (s *Searcher) scanLeaf(n *nodeRec, act []int32, ips []float64, kappa float6
 // verified: a cut reads only its own query's collector, which no other
 // query's pushes reach, so cutting first is cutting in turn. Then each tile
 // goes through the multi-query kernel over the rows all of it verifies — the
-// shortest of their prefixes — so each converted row element serves the whole
-// tile, and every query finishes what is left of its own prefix with
-// vec.DotBlock. The point-level cone bound is skipped here: it selects
+// shortest of their prefixes — so each row element serves the whole tile,
+// screened in float32 against each query's k-th best distance on entry
+// (vec.Queries.DotBlockWithin), and every query finishes what is left of its
+// own prefix in verify. The point-level cone bound is skipped here: it selects
 // per-query survivor subsets that would be verified row by row, and the dense
 // blocked scan of the whole prefix is the cheaper trade. A query whose prefix
 // is empty costs nothing beyond its pruning bookkeeping. Results are those of
@@ -91,13 +92,15 @@ func (s *Searcher) scanTiles(n *nodeRec, act []int32, ips []float64, kappa float
 	for j := 0; j < len(act); j += g {
 		shared := slices.Min(cuts[j : j+g])
 		if shared > 0 {
-			dists := s.scr.Dists(shared * g)
-			s.scr.Wide.DotBlock(act[j:j+g], sec.points.Data[start*d:(start+shared)*d], dists)
+			var lambdas [g]float64
 			for k, qi := range act[j : j+g] {
-				tk := &s.qs[qi].tk
-				for row := 0; row < shared; row++ {
-					tk.Push(sec.ids[start+row], math.Abs(dists[row*g+k]))
-				}
+				lambdas[k] = s.qs[qi].tk.Lambda()
+			}
+			dists := s.scr.Dists(shared * g)
+			s.sel = s.scr.Wide.DotBlockWithin(act[j:j+g], lambdas[:], sec.points.Data[start*d:(start+shared)*d], dists, s.sel[:0])
+			for _, i := range s.sel {
+				row, k := int(i)/g, int(i)%g
+				s.qs[act[j+k]].tk.Push(sec.ids[start+row], math.Abs(dists[i]))
 			}
 		}
 		for k, qi := range act[j : j+g] {
@@ -107,7 +110,10 @@ func (s *Searcher) scanTiles(n *nodeRec, act []int32, ips []float64, kappa float
 }
 
 // verify offers query r the points at positions [lo, hi) of the arena: one
-// blocked kernel call and a push per row.
+// blocked kernel call and a push per row it lists. The kernel screens the
+// block in float32 against the query's k-th best distance on entry
+// (vec.DotBlockWithin); a row it rules out would not be kept by the push. The
+// list lives in s.sel, free once a leaf's survivors are settled.
 func (s *Searcher) verify(r *query, lo, hi int) {
 	if lo >= hi {
 		return
@@ -115,8 +121,8 @@ func (s *Searcher) verify(r *query, lo, hi int) {
 	sec := s.sec
 	d := sec.points.D
 	dists := s.scr.Dists(hi - lo)
-	vec.DotBlock(r.q, sec.points.Data[lo*d:hi*d], dists)
-	for i, v := range dists {
-		r.tk.Push(sec.ids[lo+i], math.Abs(v))
+	s.sel = vec.DotBlockWithin(r.q, r.qnorm, r.tk.Lambda(), sec.points.Data[lo*d:hi*d], dists, s.sel[:0])
+	for _, i := range s.sel {
+		r.tk.Push(sec.ids[lo+int(i)], math.Abs(dists[i]))
 	}
 }

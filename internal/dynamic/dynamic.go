@@ -310,12 +310,17 @@ const deltaBlock = 64
 
 // scanDelta verifies the delta's accepted rows into tk, in handle order and
 // fixed blocks: a block's rows are filtered by the bitmap and opts.Filter and
-// cut at the remaining budget, then verified by one vec.DotBlock call when
-// the accepted rows are a whole prefix of the block, else one Dot each.
+// cut at the remaining budget, then verified by one vec.DotBlockWithin call
+// (screened in float32 against the k-th best distance on entry) when the
+// accepted rows are a whole prefix of the block, else one Dot each.
 func (ix *Index) scanDelta(q []float32, opts core.SearchOptions, tk *core.TopK, st *core.Stats) {
+	if ix.delta.N == 0 {
+		return
+	}
 	var dists [deltaBlock]float64
 	var sel [deltaBlock]int32
 	d := ix.dim
+	qnorm := vec.Norm(q)
 	left := math.MaxInt // candidates the budget still allows
 	if opts.Budget > 0 {
 		left = int(int64(opts.Budget) - st.Candidates)
@@ -334,9 +339,9 @@ func (ix *Index) scanDelta(q []float32, opts core.SearchOptions, tk *core.TopK, 
 			continue
 		}
 		if int(sel[m-1]) == m-1 {
-			vec.DotBlock(q, ix.delta.Data[lo*d:(lo+m)*d], dists[:m])
-			for j := range m {
-				tk.Push(int32(ix.base+lo+j), math.Abs(dists[j]))
+			// The accepted rows are the prefix, so sel is free for the list.
+			for _, j := range vec.DotBlockWithin(q, qnorm, tk.Lambda(), ix.delta.Data[lo*d:(lo+m)*d], dists[:m], sel[:0]) {
+				tk.Push(int32(ix.base+lo+int(j)), math.Abs(dists[j]))
 			}
 		} else {
 			for _, j := range sel[:m] {

@@ -98,11 +98,13 @@ func (s *Scanner) scan(opts core.SearchOptions, visit func(lo, hi int, sel []int
 // (in storage order), matching how candidate budgets apply to the indexes.
 // A Filter decides which points cost an inner product and count against the
 // budget. The scan runs a chunk at a time (see scan): the accepted prefix of
-// a chunk, every row of it without a Filter, through one vec.DotBlock call,
-// any other accepted row through vec.Dot, in place — one query reads a row
-// once, so gathering rows would only copy them. opts.Cancel is polled once
-// per chunk; a canceled scan returns the best of the rows it covered, its
-// Stats counting only those.
+// a chunk, every row of it without a Filter, through one vec.DotBlockWithin
+// call against the k-th best distance at the chunk's start — the float32
+// screen, which computes in float64 only the rows that may reach the
+// collector — any other accepted row through vec.Dot, in place: one query
+// reads a row once, so gathering rows would only copy them. opts.Cancel is
+// polled once per chunk; a canceled scan returns the best of the rows it
+// covered, its Stats counting only those.
 func (s *Scanner) Search(q []float32, opts core.SearchOptions) ([]core.Result, core.Stats) {
 	opts = opts.Normalized()
 	tk := core.NewTopK(opts.K)
@@ -111,7 +113,9 @@ func (s *Scanner) Search(q []float32, opts core.SearchOptions) ([]core.Result, c
 		start = time.Now()
 	}
 	d := s.data.D
+	qnorm := vec.Norm(q)
 	var dists [scanChunk]float64
+	var kept [scanChunk]int32
 	n := s.scan(opts, func(lo, hi int, sel []int32) {
 		if sel != nil {
 			for _, id := range sel {
@@ -120,9 +124,8 @@ func (s *Scanner) Search(q []float32, opts core.SearchOptions) ([]core.Result, c
 			return
 		}
 		out := dists[:hi-lo]
-		vec.DotBlock(q, s.data.Data[lo*d:hi*d], out)
-		for i, v := range out {
-			tk.Push(int32(lo+i), math.Abs(v))
+		for _, i := range vec.DotBlockWithin(q, qnorm, tk.Lambda(), s.data.Data[lo*d:hi*d], out, kept[:0]) {
+			tk.Push(int32(lo)+i, math.Abs(out[i]))
 		}
 	})
 	if opts.Profile != nil {
@@ -179,11 +182,14 @@ func (g *gather) flush(verify func(block)) {
 // asked once per row for the whole batch. A chunk's accepted prefix is
 // verified in place, other accepted rows once gathered into a packed block
 // (see gather); each block is verified for every query while it sits in
-// cache, vec.TileQueries queries per pass of the multi-query kernel, and only
-// products at or under a query's current k-th distance reach its collector —
-// the rest Push would turn away. opts.Cancel is polled once per chunk, as in
-// Search, so a canceled batch returns every query's best over the chunks it
-// covered. A budgeted or profiled batch takes the per-query path.
+// cache, vec.TileQueries queries per pass of the multi-query kernel
+// (Queries.DotBlockWithin: the float32 tile screens the block against each
+// query's k-th distance at the block's start, and only the products it cannot
+// rule out are computed in float64), and only products at or under a query's
+// current k-th distance reach its collector — the rest Push would turn away.
+// opts.Cancel is polled once per chunk, as in Search, so a canceled batch
+// returns every query's best over the chunks it covered. A budgeted or
+// profiled batch takes the per-query path.
 func (s *Scanner) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
 	d := s.data.D
 	if queries.D != d {
@@ -209,28 +215,25 @@ func (s *Scanner) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][
 		all[i] = int32(i)
 	}
 	var dists [scanChunk * vec.TileQueries]float64
+	var kept [scanChunk * vec.TileQueries]int32
+	var lambdas [vec.TileQueries]float64
 	verify := func(b block) {
 		m := len(b.rows) / d
 		for g := 0; g < nq; g += vec.TileQueries {
 			group := all[g:min(g+vec.TileQueries, nq)]
 			w := len(group)
-			wide.DotBlock(group, b.rows, dists[:m*w])
 			for k, qi := range group {
-				tk := &heaps[qi]
-				lambda := tk.Lambda()
-				for r := 0; r < m; r++ {
-					// Not "v <= lambda": a NaN must reach Push as it does in Search.
-					v := math.Abs(dists[r*w+k])
-					if v > lambda {
-						continue
-					}
+				lambdas[k] = heaps[qi].Lambda()
+			}
+			for _, i := range wide.DotBlockWithin(group, lambdas[:w], b.rows, dists[:m*w], kept[:0]) {
+				r, tk := int(i)/w, &heaps[group[int(i)%w]]
+				// Not "v <= lambda": a NaN must reach Push as it does in Search.
+				if v := math.Abs(dists[i]); !(v > tk.Lambda()) {
 					id := b.lo + int32(r)
 					if b.ids != nil {
 						id = b.ids[r]
 					}
-					if tk.Push(id, v) {
-						lambda = tk.Lambda()
-					}
+					tk.Push(id, v)
 				}
 			}
 		}

@@ -22,9 +22,13 @@ import (
 // construction terminating. The paper's algorithm implicitly assumes distinct
 // points after dedup; real corpora can still contain near-duplicates.
 //
-// dist is scratch for two distances per point, at least 2*len(ids) long; a
-// caller that splits again and again sizes it once, for its largest split.
-func SeedGrow(rows []float32, ids []int32, rng *rand.Rand, dist []float64) int {
+// dist is scratch for two screened distances per point, at least 2*len(ids)
+// long; a caller that splits again and again sizes it once, for its largest
+// split. The three passes over the rows screen in float32 (vec.MaxDistBlock,
+// vec.FarthestBlock, vec.SqDistBlock32), and every pivot and every side is
+// still the one the float64 SqDist decides: the screen settles what its
+// rounding bound can, and the rest is computed in float64 (vec.SqDistLE).
+func SeedGrow(rows []float32, ids []int32, rng *rand.Rand, dist []float32) int {
 	n := len(ids)
 	if n < 2 {
 		return n
@@ -32,29 +36,34 @@ func SeedGrow(rows []float32, ids []int32, rng *rand.Rand, dist []float64) int {
 	d := len(rows) / n
 	row := func(i int) []float32 { return rows[i*d : (i+1)*d] }
 	posL, _ := vec.MaxDistBlock(row(rng.Intn(n)), rows)
-	// The pass that finds xr leaves every point's distance to xl behind; the
-	// assignment below needs only one more pass, from xr.
+	// The pass that finds xr leaves every point's screened distance to xl
+	// behind; the assignment below needs only one more pass, from xr.
 	dl, dr := dist[:n], dist[n:2*n]
-	vec.SqDistBlock(row(posL), rows, dl)
-	posR, far := 0, -1.0
-	for i, v := range dl {
-		if v > far {
-			posR, far = i, v
+	posR, _ := vec.FarthestBlock(row(posL), rows, -1, dl)
+	posR = max(posR, 0) // every distance NaN: the first point, as a scan from -1 leaves it
+	vec.SqDistBlock32(row(posR), rows, dr)
+	// Every point's side, decided before any row moves (the pivots move
+	// too): dl[i] becomes 0 for the left, 1 for the right.
+	xl, xr := row(posL), row(posR)
+	for i := range dl {
+		side := float32(1)
+		if vec.SqDistLE(xl, xr, row(i), dl[i], dr[i]) {
+			side = 0
 		}
+		dl[i] = side
 	}
-	vec.SqDistBlock(row(posR), rows, dr)
 
 	var buf [256]float32 // swapRows' chunk, on the stack, zeroed once a split
 	lo, hi := 0, n-1
 	for lo <= hi {
-		if dl[lo] <= dr[lo] {
+		if dl[lo] == 0 {
 			lo++
 		} else {
-			// The point swapped in from hi is examined next; carry its
-			// distances with it. The one moved to hi is settled.
+			// The point swapped in from hi is examined next; carry its side
+			// with it. The one moved to hi is settled.
 			ids[lo], ids[hi] = ids[hi], ids[lo]
 			swapRows(row(lo), row(hi), buf[:])
-			dl[lo], dr[lo] = dl[hi], dr[hi]
+			dl[lo] = dl[hi]
 			hi--
 		}
 	}

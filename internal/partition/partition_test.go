@@ -28,7 +28,7 @@ func TestSeedGrowPartitionsAroundPivots(t *testing.T) {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	nl := SeedGrow(m.Data, ids, rng, make([]float64, 2*len(ids)))
+	nl := SeedGrow(m.Data, ids, rng, make([]float32, 2*len(ids)))
 	if nl != 20 {
 		t.Fatalf("expected a 20/20 split of two far blobs, got left size %d", nl)
 	}
@@ -56,7 +56,7 @@ func TestSeedGrowPreservesIDMultiset(t *testing.T) {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	nl := SeedGrow(m.Data, ids, rng, make([]float64, 2*len(ids)))
+	nl := SeedGrow(m.Data, ids, rng, make([]float32, 2*len(ids)))
 	if nl <= 0 || nl >= len(ids) {
 		t.Fatalf("split must be proper for generic data, got %d of %d", nl, len(ids))
 	}
@@ -84,7 +84,7 @@ func TestSeedGrowDegenerateAllIdentical(t *testing.T) {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	nl := SeedGrow(m.Data, ids, rand.New(rand.NewSource(3)), make([]float64, 2*len(ids)))
+	nl := SeedGrow(m.Data, ids, rand.New(rand.NewSource(3)), make([]float32, 2*len(ids)))
 	if nl != m.N/2 {
 		t.Fatalf("degenerate split should halve: got %d, want %d", nl, m.N/2)
 	}
@@ -95,12 +95,12 @@ func TestSeedGrowTinyInputs(t *testing.T) {
 	m.Row(0)[0] = 1
 	m.Row(1)[0] = 2
 	ids := []int32{0, 1}
-	nl := SeedGrow(m.Data, ids, rand.New(rand.NewSource(5)), make([]float64, 2*len(ids)))
+	nl := SeedGrow(m.Data, ids, rand.New(rand.NewSource(5)), make([]float32, 2*len(ids)))
 	if nl != 1 {
 		t.Fatalf("two distinct points must split 1/1, got %d", nl)
 	}
 	one := []int32{0}
-	if got := SeedGrow(m.Data[:2], one, rand.New(rand.NewSource(5)), make([]float64, 2*len(one))); got != 1 {
+	if got := SeedGrow(m.Data[:2], one, rand.New(rand.NewSource(5)), make([]float32, 2*len(one))); got != 1 {
 		t.Fatalf("single id returns len(ids): got %d", got)
 	}
 }
@@ -136,14 +136,19 @@ func seedGrowRecompute(data *vec.Matrix, ids []int32, rng *rand.Rand) int {
 	return lo
 }
 
-// TestSeedGrowKeepsStoredDistances checks that reusing the xl pass and
-// carrying rows, ids and distances through the swaps leaves ids in exactly the
-// order the recomputing version produces over an untouched matrix — the order
-// the built trees' bytes depend on — and every row beside its id.
+// TestSeedGrowKeepsStoredDistances checks that reusing the xl pass, screening
+// the passes in float32 and carrying rows, ids and sides through the swaps
+// leaves ids in exactly the order the float64 recomputing version produces
+// over an untouched matrix — the order the built trees' bytes depend on — and
+// every row beside its id. The coarse grid makes exact ties of distances and
+// of the two sides' comparisons, at small dimensions and at wide ones.
 func TestSeedGrowKeepsStoredDistances(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
+	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n, d := 2+rng.Intn(300), 1+rng.Intn(9)
+		if seed > 20 {
+			d = []int{16, 64, 129}[seed%3]
+		}
 		m := vec.NewMatrix(n, d)
 		for i := range m.Data {
 			m.Data[i] = float32(rng.Intn(5)) // coarse grid: many exact ties
@@ -154,7 +159,7 @@ func TestSeedGrowKeepsStoredDistances(t *testing.T) {
 		}
 		want := append([]int32(nil), got...)
 		moved := m.Clone()
-		nlGot := SeedGrow(moved.Data, got, rand.New(rand.NewSource(seed)), make([]float64, 2*len(got)))
+		nlGot := SeedGrow(moved.Data, got, rand.New(rand.NewSource(seed)), make([]float32, 2*len(got)))
 		nlWant := seedGrowRecompute(m, want, rand.New(rand.NewSource(seed)))
 		if nlGot != nlWant {
 			t.Fatalf("seed %d: left size %d, recomputing version %d", seed, nlGot, nlWant)

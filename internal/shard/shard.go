@@ -133,7 +133,7 @@ func split(data *vec.Matrix, cfg Config) (ids []int32, spans []span) {
 		ids[i] = int32(i)
 	}
 	spans = []span{{0, data.N}}
-	dist := make([]float64, 2*data.N) // SeedGrow's scratch; no part is larger
+	dist := make([]float32, 2*data.N) // SeedGrow's scratch; no part is larger
 	for len(spans) < want {
 		// Take the largest part. Linear scan: part counts are tiny.
 		largest := 0

@@ -6,7 +6,7 @@
 // geometric bounds built on top of these kernels are stable enough to prune
 // safely (see internal/balltree).
 //
-// Four kernel families live here:
+// The kernel families that live here:
 //
 //   - Reference float kernels in Go (Dot, SqDist, Norm) and their blocked
 //     forms (DotBlock, SqDistBlock), which process a packed row block — a
@@ -36,6 +36,15 @@
 //     order. A centroid's sum is one chain per coordinate in row order; its
 //     kernel keeps four coordinates' chains in a YMM register and adds four
 //     rows per load and store of them.
+//
+//   - The float32 screen (screen.go): SqDistBlock32 and the inner-product
+//     screens, four rows per pass or a 2 x 4 tile, sum in float32 at eight
+//     lanes a register, with AVX2 assembly and a Go reference that need not
+//     agree bit for bit. FarthestBlock (under MaxDistBlock), SqDistLE,
+//     DotBlockWithin and Queries.DotBlockWithin use them in front of the
+//     float64 kernels: a rounding bound that holds for any summation order
+//     settles most rows, and only the rest are computed in float64, so every
+//     value and every decision a caller keeps is still the float64 kernel's.
 //
 //   - The multi-query kernel (multi.go): Queries holds a batch's packed
 //     queries and Queries.DotBlock multiplies any list of them into a row

@@ -74,6 +74,55 @@ func sqDistBlockArch(q, rows []float32, out []float64) {
 	}
 }
 
+// sqDistBlock32Arch runs the four-row float32 kernel over the block, the last
+// pass starting early as in sqDistBlockArch; blocks of fewer than four rows
+// take the reference.
+func sqDistBlock32Arch(q, rows []float32, out []float32) {
+	d, m := len(q), len(out)
+	if !useAVX2 || d == 0 || m < 4 {
+		sqDistBlock32Go(q, rows, out)
+		return
+	}
+	for i := 0; i < m; i += 4 {
+		i = min(i, m-4)
+		sqDist4F32AVX2(&q[0], &rows[i*d], d, &out[i])
+	}
+}
+
+// dotBlock32Arch is sqDistBlock32Arch for the inner-product screen.
+func dotBlock32Arch(q, rows []float32, ip, sqn []float32) {
+	d, m := len(q), len(ip)
+	if !useAVX2 || d == 0 || m < 4 {
+		dotBlock32Go(q, rows, ip, sqn)
+		return
+	}
+	for i := 0; i < m; i += 4 {
+		i = min(i, m-4)
+		dot4F32AVX2(&q[0], &rows[i*d], d, &ip[i], &sqn[i])
+	}
+}
+
+// dotTile32 computes the screened products of the rows with the TileQueries
+// listed queries through the float32 2 x 4 tile: ip[r*TileQueries + k] for
+// row r and query qi[k], sqn[r] for row r. An odd row count ends with one pass over the last two
+// rows, as dotBlockTiled does; a single row takes the reference.
+func (b *Queries) dotTile32(qi []int32, rows []float32, ip, sqn []float32) {
+	d := b.d
+	m := len(rows) / d
+	if !useAVX2 || m < 2 {
+		b.dotTile32Go(qi, rows, ip, sqn)
+		return
+	}
+	var q [TileQueries]*float32
+	for c := range q {
+		q[c] = &b.qs[int(qi[c])*d]
+	}
+	dotTile2x4F32AVX2(&rows[0], m/2, d, q[0], q[1], q[2], q[3], &ip[0], &sqn[0])
+	if m%2 != 0 {
+		dotTile2x4F32AVX2(&rows[(m-2)*d], 1, d, q[0], q[1], q[2], q[3], &ip[(m-2)*TileQueries], &sqn[m-2])
+	}
+}
+
 // addRowsArch adds the leading whole groups of four rows of the packed block
 // into acc (one float64 per coordinate) and returns how many of rows' floats
 // it covered; the caller adds the rest, in order.
@@ -140,6 +189,15 @@ func addRows4AVX2(acc *float64, rows *float32, d, groups int)
 
 //go:noescape
 func sqDist4AVX2(q, r0, r1, r2, r3 *float32, d int, out *float64)
+
+//go:noescape
+func sqDist4F32AVX2(q, rows *float32, d int, out *float32)
+
+//go:noescape
+func dot4F32AVX2(q, rows *float32, d int, ip, sqn *float32)
+
+//go:noescape
+func dotTile2x4F32AVX2(rows *float32, pairs, d int, q0, q1, q2, q3 *float32, ip, sqn *float32)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// AVX2+FMA float kernels. Each is bitwise identical to its Go reference
-// (dotGo, dotBlockGo, SqDist, AddInto); doc.go and DESIGN.md give the
-// argument. In
+// AVX2+FMA float kernels. Each float64 kernel is bitwise identical to its Go
+// reference (dotGo, dotBlockGo, SqDist, AddInto); doc.go and DESIGN.md give
+// the argument; the float32 screen kernels at the end are not, and need not
+// be. In
 // short: a float32 x float32 product is exact in float64, so a fused
 // multiply-add rounds exactly as the reference's multiply-then-add; lane k
 // of a YMM accumulator is the reference's chain s_k; tail elements fold into
@@ -394,6 +395,305 @@ add_next:
 	JMP  add_group
 
 add_ret:
+	VZEROUPPER
+	RET
+
+// The float32 screen kernels (screen.go). They sum in float32, eight lanes
+// a register, with fused multiply-adds, and reproduce no reference bit for
+// bit: the screen's bounds hold for any order and any fusion. The last d%8
+// elements of a row are one masked step (VMASKMOVPS reads nothing past the
+// mask and fills the rest with zeros, which add nothing), and the
+// accumulators of four rows reduce together into one register of four sums.
+
+// tailmask<>+32-4t is the mask of a masked step over the last t elements:
+// t all-ones lanes, then zeros.
+DATA tailmask<>+0(SB)/4, $0xffffffff
+DATA tailmask<>+4(SB)/4, $0xffffffff
+DATA tailmask<>+8(SB)/4, $0xffffffff
+DATA tailmask<>+12(SB)/4, $0xffffffff
+DATA tailmask<>+16(SB)/4, $0xffffffff
+DATA tailmask<>+20(SB)/4, $0xffffffff
+DATA tailmask<>+24(SB)/4, $0xffffffff
+DATA tailmask<>+28(SB)/4, $0xffffffff
+DATA tailmask<>+32(SB)/4, $0
+DATA tailmask<>+36(SB)/4, $0
+DATA tailmask<>+40(SB)/4, $0
+DATA tailmask<>+44(SB)/4, $0
+DATA tailmask<>+48(SB)/4, $0
+DATA tailmask<>+52(SB)/4, $0
+DATA tailmask<>+56(SB)/4, $0
+DATA tailmask<>+60(SB)/4, $0
+GLOBL tailmask<>(SB), RODATA|NOPTR, $64
+
+// TAILMASK loads the mask for the last d%8 elements into Y15, d being in CX.
+// Clobbers tmp and idx.
+#define TAILMASK(tmp, idx) \
+	MOVQ    CX, idx; \
+	ANDQ    $7, idx; \
+	NEGQ    idx; \
+	LEAQ    tailmask<>+32(SB), tmp; \
+	VMOVUPS (tmp)(idx*4), Y15
+
+// HSUM4 reduces the four accumulators a, b, c, e to one register whose low
+// half, ax, holds their four sums in that order. Clobbers b, c and X14.
+#define HSUM4(a, b, c, e, ax) \
+	VHADDPS      b, a, a; \
+	VHADDPS      e, c, c; \
+	VHADDPS      c, a, a; \
+	VEXTRACTF128 $1, a, X14; \
+	VADDPS       X14, ax, ax
+
+// SQ32 adds the squared differences of eight elements of the row at off(base)
+// from q's, which are in Y0, into acc.
+#define SQ32(off, base, tmp, acc) \
+	VSUBPS      off(base)(AX*4), Y0, tmp; \
+	VFMADD231PS tmp, tmp, acc
+
+// SQ32MASK is SQ32 for the masked last step.
+#define SQ32MASK(base, tmp, acc) \
+	VMASKMOVPS  (base)(AX*4), Y15, tmp; \
+	VSUBPS      tmp, Y0, tmp; \
+	VFMADD231PS tmp, tmp, acc
+
+// func sqDist4F32AVX2(q, rows *float32, d int, out *float32)
+//
+// Squared distances from q to four packed rows of d floats, two accumulators
+// a row over sixteen elements at a time.
+TEXT ·sqDist4F32AVX2(SB), NOSPLIT, $0-32
+	MOVQ   q+0(FP), SI
+	MOVQ   rows+8(FP), R8
+	MOVQ   d+16(FP), CX
+	MOVQ   out+24(FP), DI
+	TAILMASK(R9, R10)
+	LEAQ   (R8)(CX*4), R9
+	LEAQ   (R9)(CX*4), R10
+	LEAQ   (R10)(CX*4), R11
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	XORQ   AX, AX
+	MOVQ   CX, DX
+	SUBQ   $16, DX
+
+sq32_loop16:
+	CMPQ    AX, DX
+	JGT     sq32_step8
+	VMOVUPS (SI)(AX*4), Y0
+	SQ32(0, R8, Y1, Y4)
+	SQ32(0, R9, Y2, Y5)
+	SQ32(0, R10, Y3, Y6)
+	SQ32(0, R11, Y1, Y7)
+	VMOVUPS 32(SI)(AX*4), Y0
+	SQ32(32, R8, Y2, Y8)
+	SQ32(32, R9, Y3, Y9)
+	SQ32(32, R10, Y1, Y10)
+	SQ32(32, R11, Y2, Y11)
+	ADDQ    $16, AX
+	JMP     sq32_loop16
+
+sq32_step8:
+	ADDQ    $8, DX
+	CMPQ    AX, DX
+	JGT     sq32_mask
+	VMOVUPS (SI)(AX*4), Y0
+	SQ32(0, R8, Y1, Y4)
+	SQ32(0, R9, Y2, Y5)
+	SQ32(0, R10, Y3, Y6)
+	SQ32(0, R11, Y1, Y7)
+	ADDQ    $8, AX
+
+sq32_mask:
+	CMPQ       AX, CX
+	JGE        sq32_done
+	VMASKMOVPS (SI)(AX*4), Y15, Y0
+	SQ32MASK(R8, Y1, Y4)
+	SQ32MASK(R9, Y2, Y5)
+	SQ32MASK(R10, Y3, Y6)
+	SQ32MASK(R11, Y1, Y7)
+
+sq32_done:
+	VADDPS  Y8, Y4, Y4
+	VADDPS  Y9, Y5, Y5
+	VADDPS  Y10, Y6, Y6
+	VADDPS  Y11, Y7, Y7
+	HSUM4(Y4, Y5, Y6, Y7, X4)
+	VMOVUPS X4, (DI)
+	VZEROUPPER
+	RET
+
+// IP32 adds the products of eight elements of the row at base with q's,
+// which are in Y0, into acc and their squares into sq.
+#define IP32(base, tmp, acc, sq) \
+	VMOVUPS     (base)(AX*4), tmp; \
+	VFMADD231PS Y0, tmp, acc; \
+	VFMADD231PS tmp, tmp, sq
+
+// IP32MASK is IP32 for the masked last step.
+#define IP32MASK(base, tmp, acc, sq) \
+	VMASKMOVPS  (base)(AX*4), Y15, tmp; \
+	VFMADD231PS Y0, tmp, acc; \
+	VFMADD231PS tmp, tmp, sq
+
+// func dot4F32AVX2(q, rows *float32, d int, ip, sqn *float32)
+//
+// Inner products of q with four packed rows of d floats, and the rows'
+// squared norms: eight accumulators, one FMA each per eight elements.
+TEXT ·dot4F32AVX2(SB), NOSPLIT, $0-40
+	MOVQ   q+0(FP), SI
+	MOVQ   rows+8(FP), R8
+	MOVQ   d+16(FP), CX
+	MOVQ   ip+24(FP), DI
+	MOVQ   sqn+32(FP), BX
+	TAILMASK(R9, R10)
+	LEAQ   (R8)(CX*4), R9
+	LEAQ   (R9)(CX*4), R10
+	LEAQ   (R10)(CX*4), R11
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	MOVQ   CX, DX
+	ANDQ   $-8, DX
+	XORQ   AX, AX
+
+ip32_loop:
+	CMPQ    AX, DX
+	JGE     ip32_mask
+	VMOVUPS (SI)(AX*4), Y0
+	IP32(R8, Y1, Y4, Y8)
+	IP32(R9, Y2, Y5, Y9)
+	IP32(R10, Y1, Y6, Y10)
+	IP32(R11, Y2, Y7, Y11)
+	ADDQ    $8, AX
+	JMP     ip32_loop
+
+ip32_mask:
+	CMPQ       AX, CX
+	JGE        ip32_done
+	VMASKMOVPS (SI)(AX*4), Y15, Y0
+	IP32MASK(R8, Y1, Y4, Y8)
+	IP32MASK(R9, Y2, Y5, Y9)
+	IP32MASK(R10, Y1, Y6, Y10)
+	IP32MASK(R11, Y2, Y7, Y11)
+
+ip32_done:
+	HSUM4(Y4, Y5, Y6, Y7, X4)
+	VMOVUPS X4, (DI)
+	HSUM4(Y8, Y9, Y10, Y11, X8)
+	VMOVUPS X8, (BX)
+	VZEROUPPER
+	RET
+
+// TILE32Q adds one query's eight elements, in q, into its two
+// accumulators, the rows' elements being in Y10 and Y11.
+#define TILE32Q(q, a0, a1) \
+	VFMADD231PS q, Y10, a0; \
+	VFMADD231PS q, Y11, a1
+
+// func dotTile2x4F32AVX2(rows *float32, pairs, d int, q0, q1, q2, q3 *float32, ip, sqn *float32)
+//
+// The float32 tile: pairs*2 packed rows of d floats against four queries, two
+// rows by four queries in flight, plus each row's squared norm. ip[r*4 + k]
+// receives <row r, q_k> and sqn[r] ||row r||^2. Every register is in use in
+// the loop (ten accumulators, two rows, four queries), so the masked step
+// takes its mask from the frame.
+TEXT ·dotTile2x4F32AVX2(SB), NOSPLIT, $8-72
+	MOVQ rows+0(FP), SI
+	MOVQ pairs+8(FP), R13
+	MOVQ d+16(FP), CX
+	MOVQ q0+24(FP), R9
+	MOVQ q1+32(FP), R10
+	MOVQ q2+40(FP), R11
+	MOVQ q3+48(FP), R12
+	MOVQ ip+56(FP), DI
+	MOVQ sqn+64(FP), BX
+	MOVQ CX, R8
+	ANDQ $7, R8
+	NEGQ R8
+	LEAQ tailmask<>+32(SB), AX
+	LEAQ (AX)(R8*4), AX
+	MOVQ AX, mask-8(SP) // the masked step's mask
+
+tile32_pair:
+	TESTQ  R13, R13
+	JZ     tile32_ret
+	MOVQ   CX, DX
+	ANDQ   $-8, DX
+	LEAQ   (SI)(CX*4), R8 // second row of the pair
+	VXORPS Y0, Y0, Y0     // row 0 x q0..q3
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4     // row 1 x q0..q3
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8     // the two rows' squared norms
+	VXORPS Y9, Y9, Y9
+	XORQ   AX, AX
+
+tile32_loop:
+	CMPQ        AX, DX
+	JGE         tile32_mask
+	VMOVUPS     (SI)(AX*4), Y10
+	VMOVUPS     (R8)(AX*4), Y11
+	VMOVUPS     (R9)(AX*4), Y12
+	VMOVUPS     (R10)(AX*4), Y13
+	VMOVUPS     (R11)(AX*4), Y14
+	VMOVUPS     (R12)(AX*4), Y15
+	TILE32Q(Y12, Y0, Y4)
+	TILE32Q(Y13, Y1, Y5)
+	TILE32Q(Y14, Y2, Y6)
+	TILE32Q(Y15, Y3, Y7)
+	VFMADD231PS Y10, Y10, Y8
+	VFMADD231PS Y11, Y11, Y9
+	ADDQ        $8, AX
+	JMP         tile32_loop
+
+tile32_mask:
+	CMPQ        AX, CX
+	JGE         tile32_store
+	MOVQ        mask-8(SP), DX
+	VMOVUPS     (DX), Y15
+	VMASKMOVPS  (SI)(AX*4), Y15, Y10
+	VMASKMOVPS  (R8)(AX*4), Y15, Y11
+	VMASKMOVPS  (R9)(AX*4), Y15, Y12
+	VMASKMOVPS  (R10)(AX*4), Y15, Y13
+	VMASKMOVPS  (R11)(AX*4), Y15, Y14
+	VMASKMOVPS  (R12)(AX*4), Y15, Y15
+	TILE32Q(Y12, Y0, Y4)
+	TILE32Q(Y13, Y1, Y5)
+	TILE32Q(Y14, Y2, Y6)
+	TILE32Q(Y15, Y3, Y7)
+	VFMADD231PS Y10, Y10, Y8
+	VFMADD231PS Y11, Y11, Y9
+
+tile32_store:
+	HSUM4(Y0, Y1, Y2, Y3, X0)
+	VMOVUPS      X0, (DI)
+	HSUM4(Y4, Y5, Y6, Y7, X4)
+	VMOVUPS      X4, 16(DI)
+	VHADDPS      Y9, Y8, Y8
+	VHADDPS      Y8, Y8, Y8
+	VEXTRACTF128 $1, Y8, X14
+	VADDPS       X14, X8, X8
+	VMOVSD       X8, (BX)
+	LEAQ         (R8)(CX*4), SI
+	ADDQ         $32, DI
+	ADDQ         $8, BX
+	DECQ         R13
+	JMP          tile32_pair
+
+tile32_ret:
 	VZEROUPPER
 	RET
 

@@ -14,5 +14,6 @@ func TestFloatKernelsReferenceDispatch(t *testing.T) {
 	}
 	runFloatKernelTable(t)
 	runSignedZeroTable(t)
+	runScreenTable(t)
 	TestFloatKernelsKeepPanics(t)
 }

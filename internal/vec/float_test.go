@@ -76,6 +76,7 @@ func checkFloatKernels(t *testing.T, q, rows []float32, m int, wide func(n int) 
 	for i := 0; i < m; i++ {
 		check("SqDistBlock", i, out[i], SqDist(q, row(i)))
 	}
+	checkScreens(t, q, rows, m)
 	if d == 0 {
 		return // no matrix and no packed queries of dimension zero
 	}

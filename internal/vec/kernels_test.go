@@ -303,10 +303,11 @@ func BenchmarkDotBlock4x128(b *testing.B) {
 }
 
 // BenchmarkDotBlockMulti is the benchmark probe's shape, 32 queries over 4096
-// rows: "tile" as it runs, every query in a group of four; "rest" with three
-// queries, which no tile takes, so the per-query path under it.
+// rows of a lifted Sift dimension (d = 129, so the d%4 tail runs): "tile" as
+// it runs, every query in a group of four; "rest" with three queries, which
+// no tile takes, so the per-query path under it.
 func BenchmarkDotBlockMulti(b *testing.B) {
-	const m, d = 4096, 128
+	const m, d = 4096, 129
 	rng := rand.New(rand.NewSource(7))
 	_, rows := randBlock(rng, m, d)
 	for _, c := range []struct {
@@ -326,9 +327,9 @@ func BenchmarkDotBlockMulti(b *testing.B) {
 }
 
 func BenchmarkMaxDistFrom(b *testing.B) {
-	// The build's pass: one node's block of 1000 rows.
-	q, rows := randBlock(rand.New(rand.NewSource(9)), 1000, 128)
-	b.SetBytes(1000 * 128 * 4)
+	// The build's pass: one node's block of 1000 lifted Sift rows, screened.
+	q, rows := randBlock(rand.New(rand.NewSource(9)), 1000, 129)
+	b.SetBytes(1000 * 129 * 4)
 	for i := 0; i < b.N; i++ {
 		sinkInt, sinkF64 = MaxDistBlock(q, rows)
 	}
@@ -345,11 +346,58 @@ func BenchmarkDotLoop100x128(b *testing.B) {
 	}
 }
 
-func BenchmarkSqDistBlock100x128(b *testing.B) {
-	q, rows, out := benchVectors(100, 128)
-	b.SetBytes(100 * 128 * 4)
+func BenchmarkSqDistBlock100x129(b *testing.B) {
+	q, rows, out := benchVectors(100, 129)
+	b.SetBytes(100 * 129 * 4)
 	for i := 0; i < b.N; i++ {
 		SqDistBlock(q, rows, out)
+	}
+}
+
+// screenSweepRows is how many lifted Sift rows make the 26 MB sweep: the
+// benchmark fixture's 50 000 points, which a build reads once per level.
+const screenSweepRows = 50000
+
+// BenchmarkScreen times the float32 screen kernels beside the float64
+// kernels they stand in front of, on d = 129 rows: "cache" over a block of
+// 100 rows that stays in L1, "sweep" over the 26 MB of the benchmark corpus.
+// The tile reports ns per (row, query), the others ns per row.
+func BenchmarkScreen(b *testing.B) {
+	const d = 129
+	rng := rand.New(rand.NewSource(7))
+	q, all := randBlock(rng, screenSweepRows, d)
+	_, qs := randBlock(rng, TileQueries, d)
+	var wide Queries
+	wide.Reset(qs, d)
+	tileIdx := []int32{0, 1, 2, 3}
+	for _, size := range []struct {
+		name string
+		m    int
+	}{{"cache", 100}, {"sweep", screenSweepRows}} {
+		rows := all[:size.m*d]
+		out64 := make([]float64, size.m*TileQueries)
+		out32 := make([]float32, size.m*TileQueries)
+		sqn := make([]float32, size.m)
+		for _, k := range []struct {
+			name    string
+			perCall int
+			run     func()
+		}{
+			{"SqDistBlock", size.m, func() { SqDistBlock(q, rows, out64[:size.m]) }},
+			{"SqDistBlock32", size.m, func() { SqDistBlock32(q, rows, out32[:size.m]) }},
+			{"DotBlock", size.m, func() { DotBlock(q, rows, out64[:size.m]) }},
+			{"DotBlock32", size.m, func() { dotBlock32Arch(q, rows, out32[:size.m], sqn) }},
+			{"Tile", size.m * TileQueries, func() { wide.DotBlock(tileIdx, rows, out64) }},
+			{"Tile32", size.m * TileQueries, func() { wide.dotTile32(tileIdx, rows, out32, sqn) }},
+		} {
+			b.Run(size.name+"/"+k.name, func(b *testing.B) {
+				b.SetBytes(int64(size.m * d * 4))
+				for i := 0; i < b.N; i++ {
+					k.run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k.perCall), "ns/op-unit")
+			})
+		}
 	}
 }
 

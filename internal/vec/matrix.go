@@ -97,21 +97,21 @@ func CentroidBlock(rows []float32, acc []float64, dst []float32) {
 
 // MaxDistBlock returns the index and distance of the row of the packed
 // row-major block rows (dimension len(from)) farthest from the vector from,
-// the first such row on a tie. It panics if the block is empty.
+// the first such row on a tie. It panics if the block is empty. The distance
+// is SqDist's, rooted; the rows are screened a chunk at a time by
+// FarthestBlock, so only the rows that may be the farthest are computed in
+// float64.
 func MaxDistBlock(from, rows []float32) (pos int, dist float64) {
 	d := len(from)
 	if len(rows) == 0 || len(rows)%d != 0 {
 		panic("vec: MaxDistBlock over an empty or misshapen block")
 	}
-	var buf [128]float64 // a chunk of squared distances, on the stack
+	var buf [screenChunk]float32 // a chunk of screened distances, on the stack
 	best, bestPos := -1.0, 0
 	for lo, n := 0, len(rows)/d; lo < n; lo += len(buf) {
-		sq := buf[:min(len(buf), n-lo)]
-		SqDistBlock(from, rows[lo*d:(lo+len(sq))*d], sq)
-		for i, v := range sq {
-			if v > best {
-				best, bestPos = v, lo+i
-			}
+		s := buf[:min(len(buf), n-lo)]
+		if i, v := FarthestBlock(from, rows[lo*d:(lo+len(s))*d], best, s); i >= 0 {
+			best, bestPos = v, lo+i
 		}
 	}
 	return bestPos, math.Sqrt(best)

@@ -1,5 +1,7 @@
 package vec
 
+import "math"
+
 // TileQueries is how many queries the multi-query tile keeps in flight.
 // Callers that group queries (the trees' batched leaf scan, the batched
 // linear scan) group them by it; any other count is served, the remainder one
@@ -18,9 +20,10 @@ const multiBlockRows = 256
 // retained across Resets, so a pooled Queries reaches a steady state without
 // allocation.
 type Queries struct {
-	qs   []float32 // the caller's packed rows, not copied
-	wide []float64 // qs as float64, filled only for the assembly tile
-	d    int
+	qs    []float32 // the caller's packed rows, not copied
+	wide  []float64 // qs as float64, filled only for the assembly tile
+	norms []float64 // each query's Norm, for the float32 screen
+	d     int
 }
 
 // Reset points b at the packed queries qs of d floats each. Reset(nil, d)
@@ -31,6 +34,10 @@ func (b *Queries) Reset(qs []float32, d int) {
 	}
 	b.qs, b.d = qs, d
 	b.widen()
+	b.norms = b.norms[:0]
+	for i := 0; i < len(qs); i += d {
+		b.norms = append(b.norms, Norm(qs[i:i+d]))
+	}
 }
 
 // DotBlock computes, for the queries whose indices qi lists and the m packed
@@ -48,6 +55,73 @@ func (b *Queries) DotBlock(qi []int32, rows []float32, out []float64) {
 		panic("vec: Queries.DotBlock shape mismatch")
 	}
 	b.dotBlockRest(qi, b.dotBlockTiled(qi, rows, out), rows, out)
+}
+
+// DotBlockWithin is DotBlock for a caller that keeps, for the k-th listed
+// query, only products of magnitude at most lambda[k], as the single-query
+// DotBlockWithin is for one query. It appends to kept the positions
+// r*len(qi) + k of the products that may be at most lambda[k] and returns
+// it; out holds DotBlock's value, bit for bit, at every position it lists,
+// and every other product is proven beyond its lambda (strictly). A group of
+// exactly TileQueries queries, every lambda finite, is screened through the
+// float32 tile a chunk of rows at a time; any other call, and any chunk the
+// bound does not cover or in which more than a quarter of the products
+// survive, runs DotBlock whole and lists every position.
+func (b *Queries) DotBlockWithin(qi []int32, lambda []float64, rows []float32, out []float64, kept []int32) []int32 {
+	if len(lambda) != len(qi) || len(rows)%b.d != 0 || len(out)*b.d != len(rows)*len(qi) {
+		panic("vec: Queries.DotBlockWithin shape mismatch")
+	}
+	d, g := b.d, len(qi)
+	screen := g == TileQueries && screenable(d)
+	for _, l := range lambda {
+		screen = screen && l < math.Inf(1)
+	}
+	if !screen {
+		b.DotBlock(qi, rows, out)
+		return appendRange(kept, 0, len(out))
+	}
+	var ip [screenChunk * TileQueries]float32
+	var sqn [screenChunk]float32
+	var thr [TileQueries]float64
+	m := len(rows) / d
+	for lo := 0; lo < m; lo += screenChunk {
+		hi := min(lo+screenChunk, m)
+		block := rows[lo*d : hi*d]
+		p, n := ip[:(hi-lo)*g], sqn[:hi-lo]
+		b.dotTile32(qi, block, p, n)
+		ok, maxN := true, maxSqNorm(n)
+		for k, q := range qi {
+			if thr[k], ok = dotThreshold(d, b.norms[q], lambda[k], maxN); !ok {
+				break
+			}
+		}
+		at := len(kept)
+		if ok {
+			kept = screenOut(p, thr[:], lo*g, kept)
+		}
+		if !ok || 4*(len(kept)-at) > len(p) {
+			b.DotBlock(qi, block, out[lo*g:hi*g])
+			kept = appendRange(kept[:at], lo*g, hi*g)
+			continue
+		}
+		for _, i := range kept[at:] {
+			r, q := int(i)/g, int(qi[int(i)%g])
+			out[i] = dotArch(b.qs[q*d:(q+1)*d], rows[r*d:(r+1)*d])
+		}
+	}
+	return kept
+}
+
+// dotTile32Go is dotTile32's reference: the single-query screen, a row and a
+// query at a time.
+func (b *Queries) dotTile32Go(qi []int32, rows []float32, ip, sqn []float32) {
+	d, g := b.d, len(qi)
+	for r := range len(rows) / d {
+		row := rows[r*d : (r+1)*d]
+		for k, q := range qi {
+			dotBlock32Go(b.qs[int(q)*d:(int(q)+1)*d], row, ip[r*g+k:r*g+k+1], sqn[r:r+1])
+		}
+	}
 }
 
 // dotBlockRest fills the columns from k on, one query at a time: four rows

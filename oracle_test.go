@@ -4,11 +4,12 @@ package p2h_test
 // oracleKinds answers every data set × shape through every path, and each
 // answer is held to its cell's contract:
 //
-//   - an exact shape (no budget) is bitwise the linear scan's answer — ids,
-//     distances and the order of ties — on every path. The oracle evaluates a
-//     Pred as a Filter closure over Pred.Matches, the row oracle, so a bug in
-//     the compiled predicate or the per-node summaries cannot hide behind
-//     itself;
+//   - an exact shape (no budget) is bitwise the brute-force reference's answer
+//     (bruteForce: vec.Dot on every admitted row, then core.SortResults) —
+//     ids, distances and the order of ties — on every path. The oracle
+//     evaluates a Pred as a Filter closure over Pred.Matches, the row oracle,
+//     so a bug in the compiled predicate or the per-node summaries cannot
+//     hide behind itself;
 //   - a budgeted shape is bitwise the index's own Search on every path, its
 //     Pred equals the equivalent Filter closure on the same index, and a
 //     quantized tree equals its plain twin;
@@ -38,6 +39,8 @@ import (
 	"testing"
 
 	p2h "p2h"
+	"p2h/internal/core"
+	"p2h/internal/vec"
 )
 
 // oracleKinds is the one table of specs the root tests build from: every kind
@@ -288,11 +291,11 @@ func (v oracleView) run(t *testing.T) {
 func (v oracleView) runSet(t *testing.T, set oracleSet) {
 	points := attrsFor(set.data.N)
 	shapes := v.shapes(set.data.N)
-	scan := p2h.NewLinearScan(set.data)
+	lifted := set.data.AppendOnes()
 	want := make([][][]p2h.Result, len(shapes))
 	for s, sh := range shapes {
 		if sh.opts.Budget == 0 {
-			want[s] = searchEach(scan, set.queries, asFilter(sh.opts, points))
+			want[s] = bruteForce(lifted, set.queries, asFilter(sh.opts, points))
 		}
 	}
 	rows := v.rows
@@ -572,6 +575,29 @@ func checkServer(t *testing.T, srv *p2h.Server, queries *p2h.Matrix, opts p2h.Se
 }
 
 // searchEach answers every query through ix.Search.
+// bruteForce is the matrix's exact reference over the lifted rows: for every
+// query, made the unit-normal hyperplane every index answers for it,
+// |<q, x>| through the float64 vec.Dot for every row opts.Filter admits,
+// ordered by core.SortResults and cut at k. It shares no code with what the
+// indexes run — no blocked kernel, no float32 screen, no collector — so a
+// fault in any of those fails a cell instead of agreeing with itself.
+func bruteForce(lifted, queries *p2h.Matrix, opts p2h.SearchOptions) [][]p2h.Result {
+	k := opts.Normalized().K
+	out := make([][]p2h.Result, queries.N)
+	for qi := range out {
+		q := p2h.CanonicalQuery(queries.Row(qi), lifted.D-1)
+		var all []p2h.Result
+		for i := 0; i < lifted.N; i++ {
+			if opts.Filter == nil || opts.Filter(int32(i)) {
+				all = append(all, p2h.Result{ID: int32(i), Dist: math.Abs(vec.Dot(q, lifted.Row(i)))})
+			}
+		}
+		core.SortResults(all)
+		out[qi] = all[:min(k, len(all))]
+	}
+	return out
+}
+
 func searchEach(ix p2h.Index, queries *p2h.Matrix, opts p2h.SearchOptions) [][]p2h.Result {
 	out := make([][]p2h.Result, queries.N)
 	for qi := range out {
@@ -762,7 +788,7 @@ func TestRecallGateBatchedPath(t *testing.T) {
 }
 
 // TestExactIndexesBreakTiesByID: every row on the tie sets — ids and their
-// order, not only distances, must be the linear scan's.
+// order, not only distances, must be the brute-force reference's.
 func TestExactIndexesBreakTiesByID(t *testing.T) {
 	oracleView{sets: []string{"ties-1", "ties-2", "ties-3"}, shapes: tieShapes}.run(t)
 }
