@@ -5,56 +5,59 @@ import (
 	"testing"
 )
 
-// TestSearchBatchProfileParallelIsRaceFree is the regression test for the
-// shared-Profile data race in SearchBatch's per-query fallback: all workers
-// used to write the same Profile pointer concurrently. Under `go test
-// -race` this test fails on a reintroduction; it also pins the documented
-// semantics — on parallel paths the Profile is ignored, matching
-// Sharded.Search.
+// TestSearchBatchProfileParallelIsRaceFree shares one Profile among the
+// workers of a parallel SearchBatch — the per-query worker split (KDTree has
+// no native batch) and the sub-batch split (BC-Tree) — and with the shards of
+// a Sharded.Search. Under `go test -race` it fails if any of them writes the
+// profile without synchronisation. Each profiled call returns the unprofiled
+// call's answers (and, for Search, its Stats) and fills the profile: a
+// profile records the path a call takes and never chooses it.
 func TestSearchBatchProfileParallelIsRaceFree(t *testing.T) {
 	data := specTestData(400, 6, 1)
 	queries := GenerateQueries(data, 32, 2)
 
-	// KDTree has no native batch surface, so this exercises the per-query
-	// worker fallback that raced.
-	ix := MustBuild(t, data, Spec{Kind: KindKDTree, LeafSize: 25})
-	var prof Profile
-	opts := SearchOptions{K: 5, Profile: &prof}
-	got := SearchBatch(ix, queries, opts, 4)
-
-	want := SearchBatch(ix, queries, SearchOptions{K: 5}, 1)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("profiled parallel batch diverges from unprofiled batch")
-	}
-	if prof != (Profile{}) {
-		t.Fatalf("parallel SearchBatch wrote the Profile, want it ignored: %+v", prof)
+	for _, spec := range []Spec{{Kind: KindKDTree, LeafSize: 25}, {Kind: KindBCTree, LeafSize: 25, Seed: 3}} {
+		ix := MustBuild(t, data, spec)
+		var prof Profile
+		got := SearchBatch(ix, queries, SearchOptions{K: 5, Profile: &prof}, 4)
+		want := SearchBatch(ix, queries, SearchOptions{K: 5}, 4)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: profiled parallel batch diverges from the unprofiled batch", spec.Kind)
+		}
+		if prof.Total() <= 0 {
+			t.Fatalf("%s: parallel SearchBatch left the Profile empty", spec.Kind)
+		}
 	}
 
-	// The batched-index parallel path must be race-free too.
-	bc := MustBuild(t, data, Spec{Kind: KindBCTree, LeafSize: 25, Seed: 3})
-	var prof2 Profile
-	gotBC := SearchBatch(bc, queries, SearchOptions{K: 5, Profile: &prof2}, 4)
-	wantBC := SearchBatch(bc, queries, SearchOptions{K: 5}, 1)
-	if !reflect.DeepEqual(gotBC, wantBC) {
-		t.Fatal("profiled parallel batch diverges on the batched path")
+	sh := MustBuild(t, data, Spec{Kind: KindSharded, Shards: 3, Workers: 3, Seed: 7})
+	for i := 0; i < queries.N; i++ {
+		var prof Profile
+		got, gotSt := sh.Search(queries.Row(i), SearchOptions{K: 5, Profile: &prof})
+		want, wantSt := sh.Search(queries.Row(i), SearchOptions{K: 5})
+		if !reflect.DeepEqual(got, want) || gotSt != wantSt {
+			t.Fatalf("query %d: profiled Sharded.Search %v %+v, unprofiled %v %+v", i, got, gotSt, want, wantSt)
+		}
+		if prof.Total() <= 0 {
+			t.Fatalf("query %d: Sharded.Search left the Profile empty", i)
+		}
 	}
 }
 
-// TestSearchBatchProfileByKind pins which kinds fill SearchBatch's Profile:
-// on one worker every kind does except sharded (its SearchBatch drops the
-// Profile) and quantizedscan (its Search records no phases); on two workers
-// none does.
+// TestSearchBatchProfileByKind: every kind fills SearchBatch's Profile on one
+// worker and on four, with the answers of the unprofiled batch.
 func TestSearchBatchProfileByKind(t *testing.T) {
 	data := specTestData(400, 6, 1)
 	queries := GenerateQueries(data, 8, 2)
-	unprofiled := map[string]bool{KindSharded: true, KindQuantizedScan: true}
 	for _, kind := range Kinds() {
 		ix := MustBuild(t, data, Spec{Kind: kind, Seed: 7, Shards: 3})
-		for _, workers := range []int{1, 2} {
+		for _, workers := range []int{1, 4} {
 			var prof Profile
-			SearchBatch(ix, queries, SearchOptions{K: 5, Profile: &prof}, workers)
-			if want := workers == 1 && !unprofiled[kind]; (prof.Total() > 0) != want {
-				t.Errorf("%s, %d workers: Profile total %v, want it filled: %v", kind, workers, prof.Total(), want)
+			got := SearchBatch(ix, queries, SearchOptions{K: 5, Profile: &prof}, workers)
+			if want := SearchBatch(ix, queries, SearchOptions{K: 5}, workers); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %d workers: the profiled batch diverges from the unprofiled one", kind, workers)
+			}
+			if prof.Total() <= 0 {
+				t.Errorf("%s, %d workers: Profile total %v, want it filled", kind, workers, prof.Total())
 			}
 		}
 	}

@@ -12,8 +12,8 @@ import (
 // Sharded is a parallel BC-Tree index, what New returns for KindSharded: the
 // data is partitioned into compact shards (the paper's Section III-A(4)
 // scalability observation), one BC-Tree per shard, and queries fan out over
-// goroutines with an exact merge. SearchOptions.Profile is ignored (the
-// per-phase timers are not meaningful across concurrent shards).
+// goroutines with an exact merge. SearchOptions.Profile sums the phases of
+// every shard's search, so on more than one worker it can exceed wall time.
 type Sharded struct {
 	batchHandle
 	index *shard.Index
@@ -127,13 +127,10 @@ func (t *Dynamic) Compact() bool { return t.index.Compact() }
 // concurrent readers. A panic in any worker (a zero-normal row, say) is
 // re-raised in the caller.
 //
-// SearchOptions.Profile is filled only when the batch runs on one goroutine
-// (workers == 1, or a single query). Then a tree's native batch records it
-// in its one walk, the scan's runs the profiled batch query by query, and
-// any other index runs Search query by query. Two kinds still leave it zero:
-// sharded, whose SearchBatch drops it as its Search does, and quantizedscan,
-// whose Search records no phases. On every parallel path it is ignored, since
-// concurrent workers cannot share one per-phase timer.
+// SearchOptions.Profile is filled by every kind on any number of workers and
+// never changes what the batch does: each phase sums the time of every
+// goroutine that served the batch, so on several workers it can exceed wall
+// time.
 func SearchBatch(ix Index, queries *Matrix, opts SearchOptions, workers int) [][]Result {
 	if queries.D != ix.Dim()+1 {
 		panic(fmt.Sprintf("p2h: %v: batch queries have dimension %d, want %d",
@@ -144,12 +141,6 @@ func SearchBatch(ix Index, queries *Matrix, opts SearchOptions, workers int) [][
 	}
 	if workers > queries.N {
 		workers = queries.N
-	}
-	if workers > 1 {
-		// All workers would share this one Profile pointer; dropping it here
-		// keeps concurrent Search calls race-free (and the timings a single
-		// traversal would record are not meaningful split across goroutines).
-		opts.Profile = nil
 	}
 	out := make([][]Result, queries.N)
 	if queries.N == 0 {

@@ -19,8 +19,8 @@ package balltree
 //   - every path answers as Search does, and where it runs Search's walk — a
 //     batch of one, a Save→Load copy, a tree serving its mapped twin's
 //     sections, BuildOwned — counts as Search does; a twin's batch counts as
-//     the tree's, a batch of several rows as the same rows copied out; a
-//     profiled path records phase time of its own.
+//     the tree's, a batch of several rows as the same rows copied out
+//     without a profile; a profiled path records phase time of its own.
 //
 // TestTreeOracleMatrix runs all of it. The tests after it are named slices of
 // the same matrix, some with a check beside the contract: of counters, or of
@@ -173,8 +173,8 @@ var (
 // bitmap; a profile; a Cancel that never fires and one that fires at once;
 // budgets of 1, n/20 and n, the middle one beside a preference, a Filter, a
 // Pred and a bitmap. Batches of 64 rows, 16 tiles, go through the walks a
-// batch can take — tiled, filtered, predicated; a budgeted batch runs its
-// queries one by one.
+// batch can take — tiled, filtered, predicated — and profiled; a budgeted
+// batch runs its queries one by one.
 func matrixShapes(s *matrixSet) []matrixShape {
 	n, b := s.data.N, max(s.data.N/20, 1)
 	shapes := []matrixShape{
@@ -202,7 +202,7 @@ func matrixShapes(s *matrixSet) []matrixShape {
 	}
 	for i, sh := range shapes {
 		shapes[i].paths = allPaths
-		if sh.name == "k10" || sh.name == "filter" || sh.name == "pred" {
+		if sh.name == "k10" || sh.name == "filter" || sh.name == "pred" || sh.name == "profiled" {
 			shapes[i].paths = slices.Concat(allPaths, []string{viaBatch(64)})
 		}
 	}
@@ -507,12 +507,11 @@ func checkCell(t *testing.T, r *builtRow, sh matrixShape) {
 // with row i asking query i mod N, an answer (over rows), its counters and
 // the counters it must have (nil: Search's). A twin answers each query by
 // Search and then all of them as one batch, which counts as the tree's own
-// batch does; a batch of several rows counts as the same rows copied out.
+// unprofiled batch does; a batch of several rows counts as the same rows
+// copied out, unprofiled.
 func (c *cell) along(t *testing.T, path string) (got [][]core.Result, stats, counts []core.Stats) {
 	r, queries, ref := c.r, c.r.set.queries, c.opts
-	if ref.Profile != nil {
-		ref.Profile = &core.Profile{} // a profiled walk, kept out of the path's profile
-	}
+	ref.Profile = nil // a profile records the walk and never chooses it
 	switch path {
 	case viaLive:
 		got, stats = each(queries, func(q []float32) ([]core.Result, core.Stats) { return r.tree.SearchLive(q, c.user, c.bitmap) })

@@ -195,7 +195,7 @@ func (s *Searcher) begin(rows []float32, nq int, opts core.SearchOptions, live c
 		}
 	}
 	s.tiled = nq >= vec.TileQueries && live == nil && s.pred == nil &&
-		s.opts.Filter == nil && !s.useQuant && s.opts.Profile == nil
+		s.opts.Filter == nil && !s.useQuant
 	// Grow the records without dropping the storage earlier calls gave them.
 	if nq > cap(s.qs) {
 		grown := make([]query, nq)

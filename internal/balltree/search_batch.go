@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"time"
 
 	"p2h/internal/core"
 	"p2h/internal/vec"
@@ -47,7 +48,8 @@ func (t *Tree) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]co
 // other query runs the single-query pipeline, scanWithPruning, against its
 // own collector: a query left over past the last tile, each of a group
 // smaller than a tile — a single Search among them — and each of a call with
-// liveness, a predicate, a Filter, the code filter or a Profile.
+// liveness, a predicate, a Filter or the code filter. A Profile takes no part
+// in the choice; both scans charge it.
 func (s *Searcher) scanLeaf(n *nodeRec, act []int32, ips []float64, kappa float64) {
 	tiled := 0
 	if s.tiled {
@@ -75,8 +77,15 @@ func (s *Searcher) scanLeaf(n *nodeRec, act []int32, ips []float64, kappa float6
 // per-query survivor subsets that would be verified row by row, and the dense
 // blocked scan of the whole prefix is the cheaper trade. A query whose prefix
 // is empty costs nothing beyond its pruning bookkeeping. Results are those of
-// verifying query by query (canonical exact results; see internal/exec).
+// verifying query by query (canonical exact results; see internal/exec). A
+// profile is charged the cuts as bound time and the tiles and what each
+// query finishes alone as verification.
 func (s *Searcher) scanTiles(n *nodeRec, act []int32, ips []float64, kappa float64) {
+	var t0 time.Time
+	profiling := s.opts.Profile != nil
+	if profiling {
+		t0 = time.Now()
+	}
 	sec := s.sec
 	start, d := int(n.start), sec.points.D
 	grid := sec.grid(n)
@@ -87,6 +96,11 @@ func (s *Searcher) scanTiles(n *nodeRec, act []int32, ips []float64, kappa float
 		cuts[j] = s.ballCutoff(r, n, &grid, math.Max(math.Abs(ips[j])-r.qnorm*kappa, 0), r.tk.Lambda())
 		r.st.IPCount += int64(cuts[j])
 		r.st.Candidates += int64(cuts[j])
+	}
+	if profiling {
+		cut := time.Now()
+		s.opts.Profile.Add(core.PhaseBound, cut.Sub(t0))
+		t0 = cut
 	}
 	const g = vec.TileQueries
 	for j := 0; j < len(act); j += g {
@@ -106,6 +120,9 @@ func (s *Searcher) scanTiles(n *nodeRec, act []int32, ips []float64, kappa float
 		for k, qi := range act[j : j+g] {
 			s.verify(&s.qs[qi], start+shared, start+cuts[j+k])
 		}
+	}
+	if profiling {
+		s.opts.Profile.Add(core.PhaseVerify, time.Since(t0))
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // Stats counts the work one query performed. The counters map onto the cost
 // model of the paper's Section III-C: candidate verifications (exhaustive
@@ -70,26 +73,33 @@ func (p Phase) String() string {
 
 // Profile accumulates wall-clock time per phase. A nil *Profile disables
 // instrumentation; index search loops only call time.Now when one is set.
+// A profile records the path a call takes and never chooses it: a profiled
+// call runs the unprofiled call's code and returns its answers and Stats.
+// It is safe for concurrent use, so one profile serves a call on any number
+// of goroutines: each phase sums the time of every goroutine that served the
+// call, as Stats counters do, and on a parallel call can exceed wall time.
+// Read it once the call has returned. Durations stays a plain array, not
+// atomic.Int64s, so that a profile can be copied as a value once read; hence
+// on 32-bit platforms a profile must be 64-bit aligned, as one allocated on
+// its own is.
 type Profile struct {
 	Durations [numPhases]time.Duration
 }
 
-// Add accrues d into phase p. Add on a nil profile is a no-op.
+// Add accrues d into phase p, one atomic add. Add on a nil profile is a
+// no-op.
 func (pr *Profile) Add(p Phase, d time.Duration) {
 	if pr == nil {
 		return
 	}
-	pr.Durations[p] += d
+	atomic.AddInt64((*int64)(&pr.Durations[p]), int64(d))
 }
 
 // Total returns the sum over all phases.
 func (pr *Profile) Total() time.Duration {
-	if pr == nil {
-		return 0
-	}
 	var t time.Duration
-	for _, d := range pr.Durations {
-		t += d
+	for p := range numPhases {
+		t += pr.Get(p)
 	}
 	return t
 }
@@ -99,7 +109,7 @@ func (pr *Profile) Get(p Phase) time.Duration {
 	if pr == nil {
 		return 0
 	}
-	return pr.Durations[p]
+	return time.Duration(atomic.LoadInt64((*int64)(&pr.Durations[p])))
 }
 
 // Phases lists all phases in display order.

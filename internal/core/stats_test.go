@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -36,6 +37,22 @@ func TestProfileAccumulates(t *testing.T) {
 	}
 	if p.Total() != 6*time.Millisecond {
 		t.Fatalf("total = %v", p.Total())
+	}
+
+	// Goroutines serving one call add into one profile; no add is lost.
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 1000 {
+				p.Add(PhaseOther, time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+	if p.Get(PhaseOther) != 8*time.Millisecond || p.Total() != 14*time.Millisecond {
+		t.Fatalf("after concurrent adds: other %v, total %v", p.Get(PhaseOther), p.Total())
 	}
 }
 

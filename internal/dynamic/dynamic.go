@@ -21,6 +21,7 @@ package dynamic
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"p2h/internal/attr"
 	"p2h/internal/balltree"
@@ -312,10 +313,15 @@ const deltaBlock = 64
 // fixed blocks: a block's rows are filtered by the bitmap and opts.Filter and
 // cut at the remaining budget, then verified by one vec.DotBlockWithin call
 // (screened in float32 against the k-th best distance on entry) when the
-// accepted rows are a whole prefix of the block, else one Dot each.
+// accepted rows are a whole prefix of the block, else one Dot each. A
+// profile is charged the scan as verification.
 func (ix *Index) scanDelta(q []float32, opts core.SearchOptions, tk *core.TopK, st *core.Stats) {
 	if ix.delta.N == 0 {
 		return
+	}
+	var start time.Time
+	if opts.Profile != nil {
+		start = time.Now()
 	}
 	var dists [deltaBlock]float64
 	var sel [deltaBlock]int32
@@ -352,6 +358,9 @@ func (ix *Index) scanDelta(q []float32, opts core.SearchOptions, tk *core.TopK, 
 		st.IPCount += int64(m)
 		st.Candidates += int64(m)
 		left -= m
+	}
+	if opts.Profile != nil {
+		opts.Profile.Add(core.PhaseVerify, time.Since(start))
 	}
 }
 

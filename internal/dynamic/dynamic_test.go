@@ -210,6 +210,11 @@ func TestEmptyAndDrainedIndex(t *testing.T) {
 	if got, ok := ix.vector(h); !ok || got[0] != 1 {
 		t.Fatal("vector lookup failed")
 	}
+	// With no tree, all a search verifies is the delta: a profile charges it.
+	var prof core.Profile
+	if res, _ := ix.Search(q, core.SearchOptions{K: 3, Profile: &prof}); len(res) != 1 || prof.Get(core.PhaseVerify) <= 0 {
+		t.Fatalf("profiled search of the delta alone: %v, verification %v", res, prof.Get(core.PhaseVerify))
+	}
 	ix.Delete(h)
 	if _, ok := ix.vector(h); ok {
 		t.Fatal("vector of deleted handle must not resolve")

@@ -4,9 +4,10 @@
 //
 // Every scan is one loop (Scanner.scan): the data a chunk of rows at a time,
 // each chunk's accepted rows handed on as a range of rows or a list of ids.
-// One query verifies a range with vec.DotBlock and listed rows with vec.Dot;
-// an exact batch, filtered or not, verifies a range in place and packs listed
-// rows into blocks, and runs every block through the multi-query tile.
+// One query verifies a range with vec.DotBlockWithin and listed rows with
+// vec.Dot; a batch, filtered, budgeted or not, verifies a range in place and
+// packs listed rows into blocks, and runs every block through the
+// multi-query tile.
 package linearscan
 
 import (
@@ -177,19 +178,20 @@ func (g *gather) flush(verify func(block)) {
 }
 
 // SearchBatch answers one top-k query per row of queries with results and
-// Stats identical to per-query Search calls. An exact batch without a Profile
-// walks the matrix once, through the loop Search runs (scan), so a Filter is
-// asked once per row for the whole batch. A chunk's accepted prefix is
-// verified in place, other accepted rows once gathered into a packed block
-// (see gather); each block is verified for every query while it sits in
-// cache, vec.TileQueries queries per pass of the multi-query kernel
-// (Queries.DotBlockWithin: the float32 tile screens the block against each
-// query's k-th distance at the block's start, and only the products it cannot
-// rule out are computed in float64), and only products at or under a query's
-// current k-th distance reach its collector — the rest Push would turn away.
+// Stats identical to per-query Search calls. A batch walks the matrix once,
+// through the loop Search runs (scan), so a Filter is asked once per row for
+// the whole batch and a budget accepts the same rows for every query. A
+// chunk's accepted prefix is verified in place, other accepted rows once
+// gathered into a packed block (see gather); each block is verified for
+// every query while it sits in cache, vec.TileQueries queries per pass of
+// the multi-query kernel (Queries.DotBlockWithin: the float32 tile screens
+// the block against each query's k-th distance at the block's start, and
+// only the products it cannot rule out are computed in float64), and only
+// products at or under a query's current k-th distance reach its collector —
+// the rest Push would turn away.
 // opts.Cancel is polled once per chunk, as in Search, so a canceled batch
-// returns every query's best over the chunks it covered. A budgeted or
-// profiled batch takes the per-query path.
+// returns every query's best over the chunks it covered. A profile is
+// charged the pass as verification, as Search charges its scan.
 func (s *Scanner) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
 	d := s.data.D
 	if queries.D != d {
@@ -199,13 +201,10 @@ func (s *Scanner) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][
 	nq := queries.N
 	out := make([][]core.Result, nq)
 	stats := make([]core.Stats, nq)
-	if opts.Budget > 0 || opts.Profile != nil {
-		for i := range out {
-			out[i], stats[i] = s.Search(queries.Row(i), opts)
-		}
-		return out, stats
+	var start time.Time
+	if opts.Profile != nil {
+		start = time.Now()
 	}
-
 	var wide vec.Queries
 	wide.Reset(queries.Data, d)
 	heaps := make([]core.TopK, nq)
@@ -248,6 +247,9 @@ func (s *Scanner) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][
 		verify(block{rows: s.data.Data[lo*d : hi*d], lo: int32(lo)})
 	})
 	g.flush(verify)
+	if opts.Profile != nil {
+		opts.Profile.Add(core.PhaseVerify, time.Since(start))
+	}
 	for i := range out {
 		out[i] = heaps[i].DrainInto(make([]core.Result, 0, heaps[i].Len()))
 		stats[i].IPCount, stats[i].Candidates = n, n

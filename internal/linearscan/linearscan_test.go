@@ -191,7 +191,7 @@ func TestSearchPollsCancel(t *testing.T) {
 // tile's group of four, k beyond n, filtered batches (accepting nothing,
 // everything — every chunk in place —, chunks that alternate between
 // gathered and in place, under a cancel and with k above what the filter
-// accepts) and every kind of batch that takes the per-query path. Each call
+// accepts), budgeted, profiled and cancelled batches. Each call
 // gets fresh options, so a cancel that fires on its second poll fires on the
 // second poll of each.
 func TestSearchBatchMatchesSearch(t *testing.T) {

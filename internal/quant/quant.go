@@ -3,6 +3,7 @@ package quant
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"p2h/internal/core"
 	"p2h/internal/vec"
@@ -151,9 +152,14 @@ func (s *Scan) IndexBytes() int64 {
 
 // Search returns the exact top-k: the quantized filter only skips points
 // whose approximate score provably cannot beat the current threshold.
-// A candidate budget caps exact verifications, as for the other indexes.
+// A candidate budget caps exact verifications, as for the other indexes. A
+// profile is charged the loop as verification, as the linear scan's is.
 func (s *Scan) Search(q []float32, opts core.SearchOptions) ([]core.Result, core.Stats) {
 	opts = opts.Normalized()
+	var start time.Time
+	if opts.Profile != nil {
+		start = time.Now()
+	}
 	var st core.Stats
 	tk := core.NewTopK(opts.K)
 	var f CodeFilter
@@ -179,6 +185,9 @@ func (s *Scan) Search(q []float32, opts core.SearchOptions) ([]core.Result, core
 		st.IPCount++
 		st.Candidates++
 		tk.Push(int32(i), exact)
+	}
+	if opts.Profile != nil {
+		opts.Profile.Add(core.PhaseVerify, time.Since(start))
 	}
 	return tk.Results(), st
 }

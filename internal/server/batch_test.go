@@ -124,8 +124,9 @@ var entries = []struct {
 // without, and a mutable one. Answers are bitwise the direct Index.Search answers, cold and from the
 // cache; budgeted and filtered rows also return exactly the stats of the
 // index calls the engine makes for them — the sequential stats, or for the
-// tree's filtered batches, which share one walk per chunk, those of a direct
-// SearchBatch over each chunk; the cache counters add up; and a panic from
+// tree's filtered and profiled batches, which share one walk per chunk,
+// those of a direct unprofiled SearchBatch over each chunk, a profiled batch
+// filling its profile; the cache counters add up; and a panic from
 // a Filter or from the index itself reaches its caller with the worker slot
 // and the read lock released.
 func TestEntriesMatchDirectSearch(t *testing.T) {
@@ -218,6 +219,18 @@ func TestEntriesMatchDirectSearch(t *testing.T) {
 				if st.Queries != 4*nq || st.Batches != 4*en.calls(len(qs)) ||
 					st.CacheHits != nq || st.CacheMisses != 2*nq {
 					t.Fatalf("counters after four passes: %+v", st)
+				}
+				if fx.name == "tree" && en.name == "SearchBatchCtx" {
+					// A profile changes no chunk: the batch counts as the
+					// unprofiled chunks do, and every chunk fills it.
+					var prof core.Profile
+					check("profiled", core.SearchOptions{K: 5, Profile: &prof}, func(opts core.SearchOptions) []core.Stats {
+						if prof.Total() <= 0 {
+							t.Fatal("the profiled batch left its profile empty")
+						}
+						opts.Profile = nil
+						return perChunk(opts)
+					})
 				}
 
 				// More panics than slots: a leaked slot would hang the next call.

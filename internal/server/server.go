@@ -343,7 +343,8 @@ func (e *Engine) search(ctx context.Context, q []float32, opts core.SearchOption
 // Search; either way the deadline's cancellation hook is installed. The error
 // is all-or-nothing: a shed, drained or expired batch returns no results.
 // Malformed rows panic before anything runs, exactly like Search. A Profile
-// is honored by running the misses as one chunk.
+// changes no chunk: every chunk charges it, so its phases sum the workers'
+// time and can exceed the call's wall time.
 func (e *Engine) SearchBatchCtx(ctx context.Context, queries [][]float32, opts core.SearchOptions) ([][]core.Result, []core.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -370,11 +371,7 @@ func (e *Engine) SearchBatchCtx(ctx context.Context, queries [][]float32, opts c
 			m.hash = append(m.hash, h)
 		}
 	}
-	parts := e.cfg.Workers
-	if c.opts.Profile != nil {
-		parts = 1 // concurrent chunks cannot share one per-phase timer
-	}
-	if err := exec.ForChunks(len(m.row), parts, func(lo, hi int) error { return e.serve(&c, m, lo, hi) }); err != nil {
+	if err := exec.ForChunks(len(m.row), e.cfg.Workers, func(lo, hi int) error { return e.serve(&c, m, lo, hi) }); err != nil {
 		return nil, nil, err
 	}
 	return m.res, m.sts, nil

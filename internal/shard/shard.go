@@ -238,11 +238,10 @@ func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, co
 // serves the whole batch through its SearchBatch (one shared walk when exact,
 // best-first query by query under a budget), and the per-shard
 // answers merge exactly per query. Shards are processed over at most
-// cfg.Workers goroutines. The Profile option is ignored: the shards' phases
-// overlap.
+// cfg.Workers goroutines. Every shard tree charges opts.Profile, so its
+// phases sum the shards' time and can exceed the call's wall time.
 func (ix *Index) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
 	opts = opts.Normalized()
-	opts.Profile = nil
 	nq := queries.N
 	out := make([][]core.Result, nq)
 	stats := make([]core.Stats, nq)

@@ -8,34 +8,28 @@
 //
 // The kernel families that live here:
 //
-//   - Reference float kernels in Go (Dot, SqDist, Norm) and their blocked
-//     forms (DotBlock, SqDistBlock), which process a packed row block — a
-//     leaf's at search time, a node's while the builder partitions its rows
-//     in place — in one call. A blocked result is bitwise identical to the per-row call it
-//     replaces, which is what lets different traversal strategies compare
-//     distances with plain ==.
+//   - Reference float kernels in Go (Dot, SqDist, Norm) and DotBlock, Dot's
+//     blocked form, which processes a packed row block — a leaf's at search
+//     time — in one call. A blocked result is bitwise identical to the
+//     per-row call it replaces, which is what lets different traversal
+//     strategies compare distances with plain ==.
 //
 //   - AVX2+FMA assembly for those float kernels (float_amd64.s): Dot, a
 //     four-row DotBlock pass that shares each converted group of query
 //     elements, a two-row by four-query tile for groups of queries (below),
-//     a four-row squared distance, and CentroidBlock's row sums. It is
-//     selected once at
-//     init when CPUID and XGETBV report AVX2, FMA and OS-saved YMM state;
-//     every other host, every other architecture, and the purego build tag
-//     run the Go reference. Kernel reports which. The assembly is bitwise
-//     identical to the reference, not approximately equal: a product of two
-//     float32 values is exact in float64, so a fused multiply-add rounds
-//     exactly as multiply-then-add; lane k of a 4 x float64 accumulator is
-//     Dot's chain s_k, tail elements fold into lane 0, and the lanes are
-//     summed ((s0+s1)+s2)+s3 as the reference does. SqDist squares a
-//     rounded difference, which is not exact, so its kernel keeps the
-//     multiply and the add apart. Its two chains (even and odd elements)
-//     are an XMM register per row; it converts, subtracts and squares four
-//     elements of each of four rows in a YMM register and adds the low pair,
-//     then the high pair, into the row's chains, so each chain adds in index
-//     order. A centroid's sum is one chain per coordinate in row order; its
-//     kernel keeps four coordinates' chains in a YMM register and adds four
-//     rows per load and store of them.
+//     and CentroidBlock's row sums. It is selected once at init when CPUID
+//     and XGETBV report AVX2, FMA and OS-saved YMM state; every other host,
+//     every other architecture, and the purego build tag run the Go
+//     reference. Kernel reports which. The assembly is bitwise identical to
+//     the reference, not approximately equal: a product of two float32
+//     values is exact in float64, so a fused multiply-add rounds exactly as
+//     multiply-then-add; lane k of a 4 x float64 accumulator is Dot's chain
+//     s_k, tail elements fold into lane 0, and the lanes are summed
+//     ((s0+s1)+s2)+s3 as the reference does. A centroid's sum is one chain
+//     per coordinate in row order; its kernel keeps four coordinates' chains
+//     in a YMM register and adds four rows per load and store of them.
+//     Squared distances have no float64 kernel: the float32 screen below
+//     settles most rows, and the scalar SqDist recomputes the rest.
 //
 //   - The float32 screen (screen.go): SqDistBlock32 and the inner-product
 //     screens, four rows per pass or a 2 x 4 tile, sum in float32 at eight

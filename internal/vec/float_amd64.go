@@ -62,20 +62,8 @@ func dotBlockArch(q, rows []float32, out []float64) {
 	}
 }
 
-func sqDistBlockArch(q, rows []float32, out []float64) {
-	d, m := len(q), len(out)
-	if !useAVX2 || d == 0 || m < 4 {
-		sqDistBlockGo(q, rows, out)
-		return
-	}
-	for i := 0; i < m; i += 4 {
-		i = min(i, m-4)
-		sqDist4AVX2(&q[0], &rows[i*d], &rows[(i+1)*d], &rows[(i+2)*d], &rows[(i+3)*d], d, &out[i])
-	}
-}
-
 // sqDistBlock32Arch runs the four-row float32 kernel over the block, the last
-// pass starting early as in sqDistBlockArch; blocks of fewer than four rows
+// pass starting early as in dotBlockArch; blocks of fewer than four rows
 // take the reference.
 func sqDistBlock32Arch(q, rows []float32, out []float32) {
 	d, m := len(q), len(out)
@@ -186,9 +174,6 @@ func dotBlock4AVX2(q, rows *float32, d int, out *float64)
 
 //go:noescape
 func addRows4AVX2(acc *float64, rows *float32, d, groups int)
-
-//go:noescape
-func sqDist4AVX2(q, r0, r1, r2, r3 *float32, d int, out *float64)
 
 //go:noescape
 func sqDist4F32AVX2(q, rows *float32, d int, out *float32)

@@ -236,104 +236,6 @@ tile_ret:
 	VZEROUPPER
 	RET
 
-// SQSTEP accumulates two elements of the row at base into acc: lane 0 is
-// SqDist's chain s0 (even elements), lane 1 its chain s1 (odd elements).
-#define SQSTEP(base, tmp, acc) \
-	VCVTPS2PD (base)(AX*4), tmp; \
-	VSUBPD    X0, tmp, tmp; \
-	VMULPD    tmp, tmp, tmp; \
-	VADDPD    tmp, acc, acc
-
-// SQSTEP4 accumulates four elements of the row at base into acc. The four
-// squares are formed in one YMM register, and the low pair (elements 0 and
-// 1) enters the chains before the high pair (elements 2 and 3), so each
-// chain still adds its elements in index order.
-#define SQSTEP4(base, tmp, tmpx, hi, acc) \
-	VCVTPS2PD    (base)(AX*4), tmp; \
-	VSUBPD       Y0, tmp, tmp; \
-	VMULPD       tmp, tmp, tmp; \
-	VEXTRACTF128 $1, tmp, hi; \
-	VADDPD       tmpx, acc, acc; \
-	VADDPD       hi, acc, acc
-
-// SQTAIL accumulates the last element of an odd-length row into chain s0.
-#define SQTAIL(base, tmp, acc) \
-	VCVTSS2SD (base)(AX*4), tmp, tmp; \
-	VSUBSD    X0, tmp, tmp; \
-	VMULSD    tmp, tmp, tmp; \
-	VADDSD    tmp, acc, acc
-
-// SQSUM stores s0+s1 at off(DI).
-#define SQSUM(acc, off) \
-	VPERMILPD $1, acc, X15; \
-	VADDSD    X15, acc, acc; \
-	VMOVSD    acc, off(DI)
-
-// func sqDist4AVX2(q, r0, r1, r2, r3 *float32, d int, out *float64)
-//
-// Squared distances from q to four rows given by pointer. Two chains per
-// row as in SqDist, so each row owns one XMM accumulator; groups of four
-// elements are converted, subtracted and squared a YMM register at a time,
-// four rows in flight behind one converted group of query elements, and a
-// remaining pair and element take the two-element step and the tail.
-TEXT ·sqDist4AVX2(SB), NOSPLIT, $0-56
-	MOVQ   q+0(FP), SI
-	MOVQ   r0+8(FP), R8
-	MOVQ   r1+16(FP), R9
-	MOVQ   r2+24(FP), R10
-	MOVQ   r3+32(FP), R11
-	MOVQ   d+40(FP), CX
-	MOVQ   out+48(FP), DI
-	VXORPD X4, X4, X4
-	VXORPD X5, X5, X5
-	VXORPD X6, X6, X6
-	VXORPD X7, X7, X7
-	MOVQ   CX, DX
-	ANDQ   $-4, DX
-	XORQ   AX, AX
-
-	TESTQ  DX, DX
-	JZ     sq_pair
-
-sq_loop:
-	VCVTPS2PD (SI)(AX*4), Y0
-	SQSTEP4(R8, Y1, X1, X9, X4)
-	SQSTEP4(R9, Y2, X2, X10, X5)
-	SQSTEP4(R10, Y3, X3, X11, X6)
-	SQSTEP4(R11, Y8, X8, X12, X7)
-	ADDQ      $4, AX
-	CMPQ      AX, DX
-	JLT       sq_loop
-
-sq_pair:
-	MOVQ      CX, DX
-	SUBQ      AX, DX
-	CMPQ      DX, $2
-	JLT       sq_tail
-	VCVTPS2PD (SI)(AX*4), X0
-	SQSTEP(R8, X1, X4)
-	SQSTEP(R9, X2, X5)
-	SQSTEP(R10, X3, X6)
-	SQSTEP(R11, X8, X7)
-	ADDQ      $2, AX
-
-sq_tail:
-	CMPQ      AX, CX
-	JGE       sq_done
-	VCVTSS2SD (SI)(AX*4), X0, X0
-	SQTAIL(R8, X1, X4)
-	SQTAIL(R9, X2, X5)
-	SQTAIL(R10, X3, X6)
-	SQTAIL(R11, X8, X7)
-
-sq_done:
-	SQSUM(X4, 0)
-	SQSUM(X5, 8)
-	SQSUM(X6, 16)
-	SQSUM(X7, 24)
-	VZEROUPPER
-	RET
-
 // func addRows4AVX2(acc *float64, rows *float32, d, groups int)
 //
 // Adds groups*4 packed rows of d floats into acc, the rows in order: four

@@ -10,8 +10,8 @@ import (
 
 // This file is the one differential harness for the float kernels: whatever
 // implementation the build and the CPU select (Dot, DotBlock, DotBlockMulti,
-// SqDistBlock, MaxDistBlock, CentroidBlock) against the Go references
-// (dotGo, dotBlockGo, SqDist, AddInto), bit for bit. On an AVX2 host it
+// MaxDistBlock, CentroidBlock) against the Go references (dotGo, dotBlockGo,
+// SqDist, AddInto), bit for bit. On an AVX2 host it
 // compares assembly with Go in one process; under the purego tag, and with
 // useAVX2 switched off, it holds the references to each other.
 
@@ -71,10 +71,6 @@ func checkFloatKernels(t *testing.T, q, rows []float32, m int, wide func(n int) 
 	dotBlockGo(q, rows, reset())
 	for i, want := range dots {
 		check("dotBlockGo", i, out[i], want)
-	}
-	SqDistBlock(q, rows, reset())
-	for i := 0; i < m; i++ {
-		check("SqDistBlock", i, out[i], SqDist(q, row(i)))
 	}
 	checkScreens(t, q, rows, m)
 	if d == 0 {
@@ -314,7 +310,6 @@ func FuzzFloatKernels(f *testing.F) {
 func TestFloatKernelsKeepPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"Dot":          func() { Dot([]float32{1}, []float32{1, 2}) },
-		"SqDistBlock":  func() { SqDistBlock(make([]float32, 2), make([]float32, 4), make([]float64, 3)) },
 		"MaxDistBlock": func() { MaxDistBlock(make([]float32, 3), make([]float32, 4)) },
 		"multi-nq":     func() { DotBlockMulti(make([]float32, 7), 2, make([]float32, 4), make([]float64, 2)) },
 		"multi-rows":   func() { DotBlockMulti(make([]float32, 8), 2, make([]float32, 7), make([]float64, 2)) },

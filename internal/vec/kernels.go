@@ -57,52 +57,6 @@ func dotBlockGo(q []float32, rows []float32, out []float64) {
 	}
 }
 
-// SqDistBlock computes out[i] = ||q - rows[i*d:(i+1)*d]||^2 for every row of
-// the packed row-major block, each bitwise equal to SqDist(q, row).
-// len(rows) must be len(out)*len(q).
-func SqDistBlock(q []float32, rows []float32, out []float64) {
-	if len(rows) != len(out)*len(q) {
-		panic("vec: SqDistBlock shape mismatch")
-	}
-	sqDistBlockArch(q, rows, out)
-}
-
-// sqDistBlockGo is SqDistBlock's reference. The float64 conversions pin the
-// rounding of each square, as in SqDist.
-func sqDistBlockGo(q []float32, rows []float32, out []float64) {
-	d := len(q)
-	i := 0
-	for ; i+2 <= len(out); i += 2 {
-		a := rows[i*d : i*d+d : i*d+d]
-		b := rows[i*d+d : i*d+2*d : i*d+2*d]
-		var a0, a1, b0, b1 float64
-		j := 0
-		for ; j+2 <= d; j += 2 {
-			q0, q1 := float64(q[j]), float64(q[j+1])
-			da0 := q0 - float64(a[j])
-			da1 := q1 - float64(a[j+1])
-			db0 := q0 - float64(b[j])
-			db1 := q1 - float64(b[j+1])
-			a0 += float64(da0 * da0)
-			a1 += float64(da1 * da1)
-			b0 += float64(db0 * db0)
-			b1 += float64(db1 * db1)
-		}
-		if j < d {
-			qj := float64(q[j])
-			da := qj - float64(a[j])
-			db := qj - float64(b[j])
-			a0 += float64(da * da)
-			b0 += float64(db * db)
-		}
-		out[i] = a0 + a1
-		out[i+1] = b0 + b1
-	}
-	if i < len(out) {
-		out[i] = SqDist(q, rows[i*d:i*d+d])
-	}
-}
-
 // BallCutoff returns the number of leading points of a leaf whose point-level
 // ball bound (Corollary 1)
 //

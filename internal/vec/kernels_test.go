@@ -25,7 +25,6 @@ func TestBlockKernelsPanicOnShapeMismatch(t *testing.T) {
 	g := NewConeGrid(1, 1, 4)
 	for name, f := range map[string]func(){
 		"dot":     func() { DotBlock(make([]float32, 3), make([]float32, 7), make([]float64, 2)) },
-		"sqdist":  func() { SqDistBlock(make([]float32, 3), make([]float32, 7), make([]float64, 2)) },
 		"cone":    func() { ConeSelect(0, 0, 1, &g, make([]uint16, 2), make([]uint16, 3), nil) },
 		"coneidx": func() { ConeSelectIdx(0, 0, 1, &g, make([]uint16, 2), make([]uint16, 3), nil) },
 		"ball":    func() { BallCutoff(1, 1, 0, &g, make([]uint16, 2), make([]uint16, 3)) },
@@ -346,20 +345,13 @@ func BenchmarkDotLoop100x128(b *testing.B) {
 	}
 }
 
-func BenchmarkSqDistBlock100x129(b *testing.B) {
-	q, rows, out := benchVectors(100, 129)
-	b.SetBytes(100 * 129 * 4)
-	for i := 0; i < b.N; i++ {
-		SqDistBlock(q, rows, out)
-	}
-}
-
 // screenSweepRows is how many lifted Sift rows make the 26 MB sweep: the
 // benchmark fixture's 50 000 points, which a build reads once per level.
 const screenSweepRows = 50000
 
-// BenchmarkScreen times the float32 screen kernels beside the float64
-// kernels they stand in front of, on d = 129 rows: "cache" over a block of
+// BenchmarkScreen times the float32 screen kernels beside the float64 code
+// they stand in front of — the scalar SqDist a distance screen recomputes
+// with, DotBlock and the tile — on d = 129 rows: "cache" over a block of
 // 100 rows that stays in L1, "sweep" over the 26 MB of the benchmark corpus.
 // The tile reports ns per (row, query), the others ns per row.
 func BenchmarkScreen(b *testing.B) {
@@ -383,7 +375,11 @@ func BenchmarkScreen(b *testing.B) {
 			perCall int
 			run     func()
 		}{
-			{"SqDistBlock", size.m, func() { SqDistBlock(q, rows, out64[:size.m]) }},
+			{"SqDist", size.m, func() {
+				for r := range size.m {
+					out64[r] = SqDist(q, rows[r*d:(r+1)*d])
+				}
+			}},
 			{"SqDistBlock32", size.m, func() { SqDistBlock32(q, rows, out32[:size.m]) }},
 			{"DotBlock", size.m, func() { DotBlock(q, rows, out64[:size.m]) }},
 			{"DotBlock32", size.m, func() { dotBlock32Arch(q, rows, out32[:size.m], sqn) }},

@@ -48,8 +48,9 @@ func SqNorm(a []float32) float64 {
 // Norm returns the l2 norm of a.
 func Norm(a []float32) float64 { return math.Sqrt(SqNorm(a)) }
 
-// SqDist returns the squared Euclidean distance between a and b. It is the
-// reference the multi-row kernel SqDistBlock reproduces bit for bit. It panics if the slices have different lengths.
+// SqDist returns the squared Euclidean distance between a and b: the float64
+// value every distance the float32 screen cannot settle is recomputed to
+// (FarthestBlock, SqDistLE). It panics if the slices have different lengths.
 func SqDist(a, b []float32) float64 {
 	if len(a) != len(b) {
 		panic("vec: SqDist length mismatch")

@@ -10,8 +10,10 @@
 #
 # The suite covers the layers the execution engine optimizes: the vec
 # kernels (single row, one four-row pass, leaf-sized blocks, the multi-query
-# tile and the per-query path beside it, the build's farthest-row pass over a
-# node's block, the point-level ball cut on a 64-point leaf), the linear scan
+# tile and the per-query path beside it, the float32 screen kernels beside the
+# float64 code they stand in front of, in cache and over a 26 MB sweep, the
+# build's farthest-row pass over a node's block, the point-level ball cut on a
+# 64-point leaf), the linear scan
 # (one query over n=10k; the benchmark fixture's 256-query ground truth over
 # n=50k as one batch and split over GOMAXPROCS, and
 # BenchmarkLinearScanFilteredBatch, its filtered twin: the same 256 queries
@@ -43,7 +45,7 @@ MAX_ALLOC_REGRESSION_PCT="${MAX_ALLOC_REGRESSION_PCT:-10}"
 run() {
   local out="$1"
   : > "$out"
-  go test -run '^$' -bench 'BenchmarkDot|BenchmarkDotBlock4x128|BenchmarkSqDistBlock|BenchmarkMaxDistFrom|BenchmarkBallCutoff|BenchmarkConeSelect|BenchmarkCodeDot|BenchmarkCodeSelect' \
+  go test -run '^$' -bench 'BenchmarkDot|BenchmarkDotBlock4x128|BenchmarkScreen|BenchmarkMaxDistFrom|BenchmarkBallCutoff|BenchmarkConeSelect|BenchmarkCodeDot|BenchmarkCodeSelect' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" ./internal/vec | tee -a "$out"
   go test -run '^$' -bench 'BenchmarkLinearScan$|BenchmarkLinearScanBatch|BenchmarkLinearScanFilteredBatch' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" ./internal/linearscan | tee -a "$out"
