@@ -7,23 +7,6 @@ import (
 	"p2h/internal/vec"
 )
 
-// BatchIndex is the optional batched execution surface of an index: a native
-// SearchBatch answers a whole group of queries in one shared traversal
-// (internal/exec) instead of a per-query loop, amortizing node visits and
-// leaf verification across the group. The balltree, bctree, sharded and
-// linearscan kinds (the last streams the data once for the whole group)
-// implement it; p2h.SearchBatch and the Server find it by type assertion and
-// route through it automatically.
-type BatchIndex interface {
-	Index
-	// SearchBatch answers one top-k query per row of queries (each row a
-	// hyperplane (w; b), exactly as Search takes). Results and their
-	// ordering are identical to per-query Search calls; the per-query Stats
-	// reflect the work actually performed, which the shared traversal
-	// distributes differently than a per-query loop would.
-	SearchBatch(queries *Matrix, opts SearchOptions) ([][]Result, []Stats)
-}
-
 // checkQueryBatch validates a batch of hyperplane queries over d-dimensional
 // points and rescales any row without a unit normal, copying the matrix at
 // most once. Validation and the normalization band go through the same
@@ -51,34 +34,24 @@ func checkQueryBatch(queries *Matrix, d int) *Matrix {
 	return out
 }
 
-// batchInner is an inner index with a batched path of its own.
-type batchInner interface {
-	inner
-	SearchBatch(queries *Matrix, opts SearchOptions) ([][]Result, []Stats)
-}
-
-// batchHandle is the handle of a kind whose inner index is a batchInner. It is
-// a type of its own because BatchIndex is found by type assertion: a kind
-// without a native batch must not have the method.
-type batchHandle struct{ handle }
-
-// SearchBatch implements BatchIndex over the inner index's shared traversal
-// (for Sharded: every shard serves the whole batch and the per-shard answers
-// merge exactly per query, on at most Spec.Workers goroutines).
-func (t *batchHandle) SearchBatch(queries *Matrix, opts SearchOptions) ([][]Result, []Stats) {
+// SearchBatch implements Index. A kind with a batched path of its own runs
+// it: for the trees one shared walk, for Sharded every shard serving the whole
+// batch with an exact merge per query on at most Spec.Workers goroutines, for
+// the scan one pass over the data. Every other kind answers the rows one by
+// one through its Search, polling opts.Cancel between rows so that rows
+// behind a deadline never start, and so returns exactly the per-row Stats.
+func (t *handle) SearchBatch(queries *Matrix, opts SearchOptions) ([][]Result, []Stats) {
 	queries = checkQueryBatch(queries, t.raw)
 	opts, empty := t.applyPred(opts)
-	if empty {
-		return make([][]Result, queries.N), make([]Stats, queries.N)
+	native, ok := t.in.(interface {
+		SearchBatch(queries *Matrix, opts SearchOptions) ([][]Result, []Stats)
+	})
+	if ok && !empty {
+		return native.SearchBatch(queries, opts)
 	}
-	return t.in.(batchInner).SearchBatch(queries, opts)
+	res, sts := make([][]Result, queries.N), make([]Stats, queries.N)
+	for i := 0; i < queries.N && !empty && !opts.Canceled(); i++ {
+		res[i], sts[i] = t.in.Search(queries.Row(i), opts)
+	}
+	return res, sts
 }
-
-// Interface conformance checks.
-var (
-	_ Index      = (*handle)(nil)
-	_ Index      = (*Dynamic)(nil)
-	_ BatchIndex = (*batchHandle)(nil)
-	_ BatchIndex = (*Sharded)(nil)
-	_ BatchIndex = (*LinearScan)(nil)
-)

@@ -24,7 +24,7 @@ func TestSearchBatchNormalizesLikeSearch(t *testing.T) {
 	}
 	before := append([]float32(nil), queries.Data...)
 
-	ix := p2h.MustBuild(t, data, p2h.Spec{Kind: p2h.KindBCTree, Seed: 11}).(p2h.BatchIndex)
+	ix := p2h.MustBuild(t, data, p2h.Spec{Kind: p2h.KindBCTree, Seed: 11})
 	got, _ := ix.SearchBatch(queries, p2h.SearchOptions{K: 5})
 	for qi := 0; qi < queries.N; qi++ {
 		want, _ := ix.Search(queries.Row(qi), p2h.SearchOptions{K: 5})

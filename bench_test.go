@@ -346,7 +346,7 @@ func BenchmarkExactDrivers(b *testing.B) {
 func BenchmarkSearchBatchExact(b *testing.B) {
 	data, _ := benchData(b)
 	queries := GenerateQueries(data, 64, 2)
-	ix := MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1}).(BatchIndex)
+	ix := MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1})
 	points := make([]PointAttrs, data.N)
 	for i := 0; i < data.N; i += 10 {
 		points[i].Tags = []string{"sel10"}

@@ -15,7 +15,7 @@ import (
 // goroutines with an exact merge. SearchOptions.Profile sums the phases of
 // every shard's search, so on more than one worker it can exceed wall time.
 type Sharded struct {
-	batchHandle
+	handle
 	index *shard.Index
 }
 
@@ -118,14 +118,12 @@ func (t *Dynamic) Compact() bool { return t.index.Compact() }
 // workers goroutines (zero selects GOMAXPROCS). Results are returned in
 // query order and are identical to per-query Search calls.
 //
-// Indexes with a native batched path (BatchIndex: the balltree, bctree,
-// sharded and linearscan kinds) serve contiguous sub-batches through it — for
-// the trees one arena walk and one pass over each visited leaf block per
-// sub-batch instead of per query, for the scan one pass over the data — with
-// the sub-batches spread across the workers. For other indexes the workers
-// pull queries one at a time. Every index in this library is safe for
-// concurrent readers. A panic in any worker (a zero-normal row, say) is
-// re-raised in the caller.
+// The queries are split into at most workers contiguous sub-batches, each one
+// Index.SearchBatch call: for the trees one arena walk and one pass over each
+// visited leaf block per sub-batch instead of per query, for the scan one pass
+// over the data, for the kinds without a batched path of their own a loop of
+// Search. Every index in this library is safe for concurrent readers. A panic
+// in any worker (a zero-normal row, say) is re-raised in the caller.
 //
 // SearchOptions.Profile is filled by every kind on any number of workers and
 // never changes what the batch does: each phase sums the time of every
@@ -146,40 +144,27 @@ func SearchBatch(ix Index, queries *Matrix, opts SearchOptions, workers int) [][
 	if queries.N == 0 {
 		return out
 	}
-
-	if bi, ok := ix.(BatchIndex); ok {
-		// Sharded parallelizes internally (bounded by its own Workers);
-		// splitting its batch here would both oversubscribe the CPU
-		// (workers × shard workers goroutines) and walk every shard tree
-		// once per sub-batch instead of once per batch. But that routing
-		// only wins when the shard trees' shared walk engages (an exact
-		// batch, whatever its Filter or Pred) and the shard fan-out offers
-		// comparable parallelism; otherwise — budgeted batches, or fewer
-		// shards than workers — the worker split below keeps the caller's
-		// parallelism.
-		if sh, sharded := ix.(*Sharded); sharded && opts.Budget <= 0 && sh.Shards() >= workers {
-			res, _ := bi.SearchBatch(queries, opts)
-			return res
-		}
-		if workers <= 1 {
-			res, _ := bi.SearchBatch(queries, opts)
-			return res
-		}
-		_ = exec.ForChunks(queries.N, workers, func(lo, hi int) error {
-			sub := &Matrix{
-				Data: queries.Data[lo*queries.D : hi*queries.D],
-				N:    hi - lo,
-				D:    queries.D,
-			}
-			res, _ := bi.SearchBatch(sub, opts)
-			copy(out[lo:hi], res)
-			return nil // the chunks never fail
-		})
-		return out
+	// Sharded parallelizes internally (bounded by its own Workers); splitting
+	// its batch here would both oversubscribe the CPU (workers × shard
+	// workers goroutines) and walk every shard tree once per sub-batch
+	// instead of once per batch. But that routing only wins when the shard
+	// trees' shared walk engages (an exact batch, whatever its Filter or
+	// Pred) and the shard fan-out offers comparable parallelism; otherwise —
+	// budgeted batches, or fewer shards than workers — the worker split below
+	// keeps the caller's parallelism.
+	if sh, sharded := ix.(*Sharded); workers <= 1 || (sharded && opts.Budget <= 0 && sh.Shards() >= workers) {
+		res, _ := ix.SearchBatch(queries, opts)
+		return res
 	}
-
-	exec.ForEach(queries.N, workers, func(i int) {
-		out[i], _ = ix.Search(queries.Row(i), opts)
+	_ = exec.ForChunks(queries.N, workers, func(lo, hi int) error {
+		sub := &Matrix{
+			Data: queries.Data[lo*queries.D : hi*queries.D],
+			N:    hi - lo,
+			D:    queries.D,
+		}
+		res, _ := ix.SearchBatch(sub, opts)
+		copy(out[lo:hi], res)
+		return nil // the chunks never fail
 	})
 	return out
 }

@@ -7,7 +7,8 @@ package balltree
 //
 //   - exact (no budget, or one of n or more): bitwise the brute-force
 //     reference's answer (bruteForce: the float64 vec.Dot on every admitted
-//     row, then core.SortResults) — ids, distances, the order of ties — with
+//     row, the k least (Dist, ID) kept by insertion) — ids, distances, the
+//     order of ties — with
 //     a Pred, a liveness bitmap and a Filter folded into one Filter closure,
 //     the Pred evaluated by attr.Pred.Matches;
 //   - budgeted: bitwise the tree's own Search, a Pred its Filter closure with
@@ -63,7 +64,7 @@ type matrixSet struct {
 	points        []attr.Point
 	store         *attr.Store
 	pred          *attr.Pred
-	scans         *sync.Map // scanKey → the scan's answers, shared by every row
+	scans         *sync.Map // scanKey → the scan's answers, computed once and shared by every row
 }
 
 // scanKey names a scan's answer to options without a Filter.
@@ -391,23 +392,37 @@ func asFilter(opts core.SearchOptions, points []attr.Point) core.SearchOptions {
 }
 
 // bruteForce is the matrix's exact reference: for every query, |<q, x>|
-// through the float64 vec.Dot for every row opts.Filter admits, ordered by
-// core.SortResults and cut at k. It shares no code with what the tree and the
-// linear scan run — no blocked kernel, no float32 screen, no collector — so a
-// fault in any of those fails a cell instead of agreeing with itself.
+// through the float64 vec.Dot for every row opts.Filter admits, the k least
+// in (Dist, ID) order kept by insertion into a sorted slice. It shares no code
+// with what the tree and the linear scan run — no blocked kernel, no float32
+// screen, no collector, not even core.SortResults — so a fault in any of those
+// fails a cell instead of agreeing with itself.
 func bruteForce(data, queries *vec.Matrix, opts core.SearchOptions) [][]core.Result {
 	k := opts.Normalized().K
 	out := make([][]core.Result, queries.N)
 	for qi := range out {
 		q := queries.Row(qi)
-		var all []core.Result
+		best := make([]core.Result, 0, min(k, data.N))
 		for i := 0; i < data.N; i++ {
-			if opts.Filter == nil || opts.Filter(int32(i)) {
-				all = append(all, core.Result{ID: int32(i), Dist: math.Abs(vec.Dot(q, data.Row(i)))})
+			if opts.Filter != nil && !opts.Filter(int32(i)) {
+				continue
 			}
+			r := core.Result{ID: int32(i), Dist: math.Abs(vec.Dot(q, data.Row(i)))}
+			// Rows come in ascending id, so r goes after every equal Dist.
+			at := len(best)
+			for at > 0 && r.Dist < best[at-1].Dist {
+				at--
+			}
+			if at == k {
+				continue
+			}
+			if len(best) < k {
+				best = append(best, r)
+			}
+			copy(best[at+1:], best[at:len(best)-1])
+			best[at] = r
 		}
-		core.SortResults(all)
-		out[qi] = all[:min(k, len(all))]
+		out[qi] = best
 	}
 	return out
 }
@@ -433,16 +448,14 @@ func checkCell(t *testing.T, r *builtRow, sh matrixShape) {
 		live, user := r.live, sh.opts.Filter
 		c.bitmap, c.opts.Filter = live, func(id int32) bool { return live.Has(id) && (user == nil || user(id)) }
 	}
-	key := scanKey{c.opts.K, queries.N, c.opts.Pred}
-	if exact, ok := r.set.scans.Load(key); ok && c.opts.Filter == nil {
-		c.exact = exact.([][]core.Result)
-	} else {
-		scan := core.SearchOptions{K: c.opts.K, Filter: c.opts.Filter, Pred: c.opts.Pred}
-		c.exact = bruteForce(r.set.data, queries, asFilter(scan, r.set.points))
-		if c.opts.Filter == nil {
-			r.set.scans.Store(key, c.exact)
-		}
+	scan := core.SearchOptions{K: c.opts.K, Filter: c.opts.Filter, Pred: c.opts.Pred}
+	exact := func() [][]core.Result { return bruteForce(r.set.data, queries, asFilter(scan, r.set.points)) }
+	if c.opts.Filter == nil {
+		// One computation per key, however many rows ask for it at once.
+		once, _ := r.set.scans.LoadOrStore(scanKey{c.opts.K, queries.N, c.opts.Pred}, sync.OnceValue(exact))
+		exact = once.(func() [][]core.Result)
 	}
+	c.exact = exact()
 	c.got, c.stats = searchEach(r.tree, queries, c.opts)
 	c.requireValid(t, "Search", c.got, c.stats)
 	switch {

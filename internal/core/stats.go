@@ -41,7 +41,9 @@ func (s *Stats) Add(o Stats) {
 	s.FilterSkippedPoints += o.FilterSkippedPoints
 }
 
-// Phase identifies one bucket of the Figure 10 time-profile breakdown.
+// Phase identifies one bucket of the Figure 10 time-profile breakdown. The
+// figure's fourth column, "Others", is no phase: it is what the wall time
+// leaves after these three.
 type Phase int
 
 const (
@@ -51,8 +53,6 @@ const (
 	PhaseBound
 	// PhaseLookup is hash computation and bucket probing (NH/FH).
 	PhaseLookup
-	// PhaseOther is everything else (traversal bookkeeping, heap updates).
-	PhaseOther
 	numPhases
 )
 
@@ -65,8 +65,6 @@ func (p Phase) String() string {
 		return "Lower Bounds"
 	case PhaseLookup:
 		return "Table Lookup"
-	case PhaseOther:
-		return "Others"
 	}
 	return "Unknown"
 }
@@ -110,9 +108,4 @@ func (pr *Profile) Get(p Phase) time.Duration {
 		return 0
 	}
 	return time.Duration(atomic.LoadInt64((*int64)(&pr.Durations[p])))
-}
-
-// Phases lists all phases in display order.
-func Phases() []Phase {
-	return []Phase{PhaseVerify, PhaseLookup, PhaseBound, PhaseOther}
 }

@@ -221,7 +221,7 @@ var indexCounters = []struct {
 		func(i IndexInfoResponse) int64 { return i.IndexBytes }},
 	{"p2hd_index_shed_total", "Searches rejected by admission control (HTTP 429), by index.", "counter",
 		func(i IndexInfoResponse) int64 { return i.Stats.Shed }},
-	{"p2hd_index_expired_total", "Searches whose deadline fired before index work ran, by index.", "counter",
+	{"p2hd_index_expired_total", "Searches the deadline left without an answer known to be complete, by index.", "counter",
 		func(i IndexInfoResponse) int64 { return i.Stats.Expired }},
 	{"p2hd_index_worker_panics_total", "Panics raised while serving and returned to their caller, by index.", "counter",
 		func(i IndexInfoResponse) int64 { return i.Stats.Panics }},

@@ -221,9 +221,9 @@ type ServerStatsJSON struct {
 	// searches currently pay for; rebuilds and compactions reset it.
 	PendingDelta int `json:"pending_delta"`
 	// Shed counts deadline-carrying searches rejected by admission control
-	// (HTTP 429); Expired counts searches whose deadline fired before any
-	// index work ran; Panics counts panics raised while serving, returned to
-	// their caller.
+	// (HTTP 429); Expired counts searches the deadline left without an
+	// answer known to be complete; Panics counts panics raised while
+	// serving, returned to their caller.
 	Shed    int64 `json:"shed"`
 	Expired int64 `json:"expired"`
 	Panics  int64 `json:"panics"`

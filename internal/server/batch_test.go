@@ -18,7 +18,7 @@ import (
 )
 
 // treeIndex adapts a BC-Tree (which stores lifted vectors) to the engine's
-// Searcher + BatchSearcher surfaces.
+// Searcher surface.
 type treeIndex struct {
 	tree *balltree.Tree
 }
@@ -59,7 +59,7 @@ func rowsOf(m *vec.Matrix) [][]float32 {
 }
 
 // hooked runs hook before every index call, with the number of rows the call
-// answers; hookedBatch keeps the batch surface of an index that has one.
+// answers.
 type hooked struct {
 	Searcher
 	hook func(rows int)
@@ -70,21 +70,9 @@ func (h hooked) Search(q []float32, opts core.SearchOptions) ([]core.Result, cor
 	return h.Searcher.Search(q, opts)
 }
 
-type hookedBatch struct {
-	hooked
-	batch BatchSearcher
-}
-
-func (h hookedBatch) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
+func (h hooked) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
 	h.hook(queries.N)
-	return h.batch.SearchBatch(queries, opts)
-}
-
-func hook(ix Searcher, fn func(rows int)) Searcher {
-	if b, ok := ix.(BatchSearcher); ok {
-		return hookedBatch{hooked{ix, fn}, b}
-	}
-	return hooked{ix, fn}
+	return h.Searcher.SearchBatch(queries, opts)
 }
 
 // entries are the engine's three doors, each answering the same rows.
@@ -120,15 +108,17 @@ var entries = []struct {
 }
 
 // TestEntriesMatchDirectSearch is the serving matrix: every door of the
-// engine over a tree and a linear scan with the batch surface, a scan
-// without, and a mutable one. Answers are bitwise the direct Index.Search answers, cold and from the
-// cache; budgeted and filtered rows also return exactly the stats of the
-// index calls the engine makes for them — the sequential stats, or for the
-// tree's filtered and profiled batches, which share one walk per chunk,
+// engine over a tree, a linear scan with the scanner's own batch, and a
+// linear scan and a mutable index whose batches are per-row loops. Answers
+// are bitwise the direct Index.Search answers, cold and from the cache; a
+// batch reaches the index as one SearchBatch call per chunk
+// at any budget; budgeted and filtered rows also return exactly the stats of
+// the index calls the engine makes for them — the sequential stats, or for
+// the tree's filtered and profiled batches, which share one walk per chunk,
 // those of a direct unprofiled SearchBatch over each chunk, a profiled batch
-// filling its profile; the cache counters add up; and a panic from
-// a Filter or from the index itself reaches its caller with the worker slot
-// and the read lock released.
+// filling its profile; the cache counters add up; and a panic from a Filter
+// or from the index itself reaches its caller with the worker slot and the
+// read lock released.
 func TestEntriesMatchDirectSearch(t *testing.T) {
 	tree, lifted, queries := treeSetup(t, 900, 12, 1)
 	mut := newMutScan(tree.Dim())
@@ -141,8 +131,8 @@ func TestEntriesMatchDirectSearch(t *testing.T) {
 		mut  Mutator
 	}{
 		{"tree", tree, nil},
-		{"scan", scanIndex{linearscan.New(lifted)}, nil},
-		{"scan-batch", batchScanIndex{scanIndex{linearscan.New(lifted)}}, nil},
+		{"scan", rowScanIndex{scanIndex{linearscan.New(lifted)}}, nil},
+		{"scan-batch", scanIndex{linearscan.New(lifted)}, nil},
 		{"mutable", mut, mut},
 	}
 	qs := rowsOf(queries)
@@ -153,11 +143,13 @@ func TestEntriesMatchDirectSearch(t *testing.T) {
 			t.Run(fx.name+"/"+en.name, func(t *testing.T) {
 				const workers = 2
 				var boom atomic.Bool
-				ix := hook(fx.ix, func(int) {
+				var calls atomic.Int64 // index calls the engine made
+				ix := hooked{fx.ix, func(int) {
 					if boom.Load() {
 						panic("index boom")
 					}
-				})
+					calls.Add(1)
+				}}
 				e := New(ix, fx.mut, Config{Workers: workers})
 				defer e.Close()
 				// check compares every row's answer with the direct Search and,
@@ -209,7 +201,17 @@ func TestEntriesMatchDirectSearch(t *testing.T) {
 				if st := e.Stats(); st.CacheMisses != nq || st.CacheHits != nq {
 					t.Fatalf("cached pass: %+v", st)
 				}
+				// A budgeted batch takes the road an exact one does: one
+				// SearchBatch call per chunk.
+				before := calls.Load()
 				check("budgeted", core.SearchOptions{K: 5, Budget: 60}, sequential)
+				wantCalls := nq
+				if en.name == "SearchBatchCtx" {
+					wantCalls = workers
+				}
+				if got := calls.Load() - before; got != wantCalls {
+					t.Fatalf("budgeted pass: %d index calls, want %d", got, wantCalls)
+				}
 				filtered := sequential
 				if fx.name == "tree" && en.name == "SearchBatchCtx" {
 					filtered = perChunk
@@ -278,7 +280,7 @@ func TestSearchBatchCtxChunksByWorkers(t *testing.T) {
 		want    string
 	}{{1, "[10]"}, {3, "[3 3 4]"}, {16, "[1 1 1 1 1 1 1 1 1 1]"}} {
 		sizes := make(chan int, len(qs))
-		e := New(hook(tree, func(rows int) { sizes <- rows }), nil, Config{Workers: tc.workers})
+		e := New(hooked{tree, func(rows int) { sizes <- rows }}, nil, Config{Workers: tc.workers})
 		for pass := 0; pass < 2; pass++ { // the second pass is all cache hits
 			if _, _, err := e.SearchBatchCtx(context.Background(), qs, core.SearchOptions{K: 4}); err != nil {
 				t.Fatal(err)
@@ -302,9 +304,9 @@ func TestSearchBatchCtxChunksByWorkers(t *testing.T) {
 	}
 }
 
-// slowTree has the batch surface, but its per-row Search takes delay while
-// polling the cancellation hook, and counts the rows it started. A budgeted
-// batch runs row by row, so its SearchBatch must never be what answers one.
+// slowTree's per-row Search takes delay while polling the cancellation hook,
+// and counts the rows it started; its SearchBatch is a per-row loop of that
+// Search, as the indexes without a batched path of their own run one.
 type slowTree struct {
 	treeIndex
 	delay   time.Duration
@@ -321,14 +323,14 @@ func (s *slowTree) Search(q []float32, opts core.SearchOptions) ([]core.Result, 
 	return s.treeIndex.Search(q, opts)
 }
 
-func (s *slowTree) SearchBatch(*vec.Matrix, core.SearchOptions) ([][]core.Result, []core.Stats) {
-	panic("SearchBatch ran a budgeted batch")
+func (s *slowTree) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
+	return eachRow(s.Search, queries, opts)
 }
 
-// TestSearchBatchCtxDeadline: every per-row execution of a batch carries the
-// deadline. A budgeted batch on a slow index is cut off mid-row, the rows
-// behind it never start, the call fails as a whole with ctx.Err(), and the
-// truncated row is not in the cache afterwards.
+// TestSearchBatchCtxDeadline: a budgeted batch reaches a slow per-row index
+// as one SearchBatch carrying the deadline. It is cut off mid-row, the rows
+// behind it never start, the call fails as a whole with ctx.Err(), every row
+// of the chunk counts as expired, and none is in the cache afterwards.
 func TestSearchBatchCtxDeadline(t *testing.T) {
 	tree, _, queries := treeSetup(t, 400, 8, 3)
 	ix := &slowTree{treeIndex: tree, delay: 40 * time.Millisecond}
@@ -347,12 +349,12 @@ func TestSearchBatchCtxDeadline(t *testing.T) {
 	if started == 0 || started >= int64(len(qs)) {
 		t.Fatalf("%d of %d rows started under a deadline worth one and a half", started, len(qs))
 	}
-	if ex := e.Stats().Expired; ex != int64(len(qs))-started {
-		t.Fatalf("Stats.Expired = %d, want the %d rows never started", ex, int64(len(qs))-started)
+	if ex := e.Stats().Expired; ex != int64(len(qs)) {
+		t.Fatalf("Stats.Expired = %d, want all %d rows of the cut chunk", ex, len(qs))
 	}
 
-	// Without a deadline every row comes back whole: whatever the first call
-	// cached was a complete answer, and the row it truncated runs again.
+	// Without a deadline every row comes back whole: the first call cached
+	// nothing, so the row it truncated runs again.
 	ix.delay = 0
 	res, _, err = e.SearchBatchCtx(context.Background(), qs, opts)
 	if err != nil {
@@ -364,8 +366,8 @@ func TestSearchBatchCtxDeadline(t *testing.T) {
 			t.Fatalf("row %d after the deadline: %v, want %v", i, res[i], want)
 		}
 	}
-	if hits := e.Stats().CacheHits; hits >= started {
-		t.Fatalf("%d cache hits from %d started rows: the truncated row was cached", hits, started)
+	if hits := e.Stats().CacheHits; hits != 0 {
+		t.Fatalf("%d cache hits: the cut chunk was cached", hits)
 	}
 
 	t.Run("exact", func(t *testing.T) { testExactBatchDeadline(t, tree, qs) })

@@ -9,6 +9,7 @@ import (
 
 	"p2h/internal/attr"
 	"p2h/internal/core"
+	"p2h/internal/vec"
 )
 
 func key(v float32) ([]float32, optsKey, uint64) {
@@ -191,6 +192,10 @@ type versionIndex struct {
 
 func (v *versionIndex) Search(q []float32, opts core.SearchOptions) ([]core.Result, core.Stats) {
 	return []core.Result{{ID: 0, Dist: v.val}}, core.Stats{Candidates: 1}
+}
+
+func (v *versionIndex) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
+	return eachRow(v.Search, queries, opts)
 }
 
 func (v *versionIndex) Dim() int { return 2 }

@@ -11,6 +11,7 @@ import (
 
 	"p2h/internal/core"
 	"p2h/internal/linearscan"
+	"p2h/internal/vec"
 )
 
 // slowIndex wraps an index with a fixed per-search delay that polls the
@@ -30,6 +31,10 @@ func (s slowIndex) Search(q []float32, opts core.SearchOptions) ([]core.Result, 
 		time.Sleep(s.step)
 	}
 	return s.Searcher.Search(q, opts)
+}
+
+func (s slowIndex) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
+	return eachRow(s.Search, queries, opts)
 }
 
 func TestSearchCtxNilContext(t *testing.T) {

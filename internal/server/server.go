@@ -1,4 +1,4 @@
-// Package server turns a single-query P2HNNS index into a concurrent
+// Package server turns a P2HNNS index into a concurrent
 // query-serving engine: callers from any number of goroutines search through
 // a bounded set of worker slots, are answered through a bounded result
 // cache, and — when the underlying index is mutable — stay
@@ -12,9 +12,9 @@
 //     compaction loop), so a panic raised by the index or a user Filter
 //     unwinds into its caller by construction. A batch that arrives as a
 //     batch (SearchBatchCtx) is split into min(Workers, misses) contiguous
-//     chunks, each one slot and — when the index has a native batch surface
-//     and the batch is exact — one SearchBatch call. Every search, batched
-//     or not, carries the caller's deadline as its Cancel hook.
+//     chunks, each one slot and one SearchBatch call (a chunk of one row is
+//     one Search). Every search, batched or not, carries the caller's
+//     deadline as its Cancel hook.
 //
 //   - Result caching. A query is canonicalized to its unit-normal form, so
 //     scaled duplicates of the same hyperplane share one cache slot. The
@@ -57,20 +57,13 @@ type Searcher interface {
 	// Search answers one top-k hyperplane query; q has length Dim()+1 and
 	// the engine guarantees a unit normal.
 	Search(q []float32, opts core.SearchOptions) ([]core.Result, core.Stats)
+	// SearchBatch answers one query per row of queries, each as Search
+	// takes it, with the per-row Search answers. The engine's options carry
+	// the deadline's Cancel hook, which the index polls as its Search does.
+	SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats)
 	// Dim is the raw point dimensionality; queries carry one extra offset
 	// coordinate.
 	Dim() int
-}
-
-// BatchSearcher is the optional native batch surface of an index
-// (p2h.BatchIndex). When the served index exposes it, each chunk of an exact
-// SearchBatchCtx call (Budget <= 0) is one SearchBatch call instead of a
-// per-query loop, so the index's shared batched traversal — one arena walk
-// and one leaf-block pass for the whole chunk — replaces per-query work. The
-// call's options carry the deadline's Cancel hook, which the index polls as
-// its Search does.
-type BatchSearcher interface {
-	SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats)
 }
 
 // Mutator is the optional write surface of a mutable index (p2h.Dynamic).
@@ -193,7 +186,7 @@ type Stats struct {
 	// Overload counters (see SearchCtx and SetBudgetCeiling).
 
 	Shed            int64 // queries rejected by admission control
-	Expired         int64 // queries whose deadline fired before index work ran
+	Expired         int64 // queries the deadline left without an answer known to be complete: every row of a call or chunk it outlasted
 	Panics          int64 // panics raised while serving, returned to their caller
 	DegradedQueries int64 // searches whose budget the degradation ceiling clamped
 	Backlog         int64 // admitted-but-unfinished queries right now
@@ -210,11 +203,10 @@ type Stats struct {
 // Engine is the concurrent serving layer. All methods are safe for
 // concurrent use.
 type Engine struct {
-	ix      Searcher
-	batchIx BatchSearcher // non-nil when ix has a native batched path
-	mut     Mutator       // nil for immutable indexes
-	cfg     Config
-	dim     int // query length, ix.Dim()+1
+	ix  Searcher
+	mut Mutator // nil for immutable indexes
+	cfg Config
+	dim int // query length, ix.Dim()+1
 
 	mu    sync.RWMutex  // searches read-lock, mutations write-lock (mut != nil only)
 	epoch atomic.Uint64 // bumped by every applied mutation
@@ -270,7 +262,6 @@ func New(ix Searcher, mut Mutator, cfg Config) *Engine {
 		slots: make(chan struct{}, cfg.Workers),
 		idle:  make(chan struct{}),
 	}
-	e.batchIx, _ = ix.(BatchSearcher)
 	if cfg.CacheEntries > 0 {
 		e.cache = newLRU(cfg.CacheEntries)
 	}
@@ -338,9 +329,9 @@ func (e *Engine) search(ctx context.Context, q []float32, opts core.SearchOption
 // of any size), every row is canonicalized and looked up in the cache, and
 // the misses are split into min(Workers, misses) contiguous chunks — a
 // function of the request, Workers and the cache contents, never of arrival
-// timing. Each chunk takes one worker slot; it is one SearchBatch call when
-// the index has the batch surface and the batch is exact, else a per-row
-// Search; either way the deadline's cancellation hook is installed. The error
+// timing. Each chunk takes one worker slot and is one SearchBatch call (a
+// chunk of one row is one Search), at any budget, with the deadline's
+// cancellation hook installed. The error
 // is all-or-nothing: a shed, drained or expired batch returns no results.
 // Malformed rows panic before anything runs, exactly like Search. A Profile
 // changes no chunk: every chunk charges it, so its phases sum the workers'
@@ -703,7 +694,7 @@ func (e *Engine) Shared(fn func()) {
 // answered: the options and the misses' canonical queries, packed row-major.
 type call struct {
 	ctx    context.Context
-	opts   core.SearchOptions // normalized, ceiling applied; Cancel is installed per row, never here
+	opts   core.SearchOptions // normalized, ceiling applied; Cancel is installed per index call, never here
 	key    optsKey            // cache projection of opts
 	cached bool               // the engine has a cache and opts may use it
 	canon  []float32          // miss j is canon[j*dim:(j+1)*dim]
@@ -774,17 +765,14 @@ func (e *Engine) serve(c *call, m *misses, lo, hi int) error {
 }
 
 // run is the one place the engine calls the index: misses [lo, hi) of a call
-// in one read-locked section (mutable indexes only), as a single SearchBatch
-// call when the index has the batch surface and the batch is exact, else row
-// by row, with the deadline's cancellation hook installed either way. Rows
-// whose turn comes after the deadline are never run, a row the deadline
-// truncated is never cached (nor is any row of a SearchBatch call the
-// deadline outlived), and a deadline that has passed by the end is the
-// call's error even when every answer is exact.
+// in one read-locked section (mutable indexes only), as one Search for a
+// single row and one SearchBatch call for more, with the deadline's
+// cancellation hook installed. A deadline that has passed by the end is the
+// call's error even when every answer is exact, and no row of the call is then
+// known to be exact: none is cached, and every one counts as expired.
 func (e *Engine) run(c *call, m *misses, lo, hi int) error {
 	dim := e.dim
 	var epoch uint64
-	done := lo // misses [lo, done) hold complete answers
 	func() {
 		if e.mut != nil {
 			e.mu.RLock()
@@ -795,46 +783,34 @@ func (e *Engine) run(c *call, m *misses, lo, hi int) error {
 		// race-free.
 		epoch = e.epoch.Load()
 		if c.ctx.Err() != nil {
-			e.expired.Add(int64(hi - lo))
 			return
 		}
 		// The cancellation hook lives only in this call-time copy of the
 		// options: cache keys must not see transport state.
 		opts := c.opts
 		opts.Cancel = cancelFor(c.ctx)
-		if e.batchIx != nil && hi-lo > 1 && opts.Budget <= 0 {
-			res, sts := e.batchIx.SearchBatch(&vec.Matrix{Data: c.canon[lo*dim : hi*dim], N: hi - lo, D: dim}, opts)
-			if c.ctx.Err() != nil {
-				// The walk may have stopped at the deadline: no row of it
-				// is known to be exact, so none is cached or returned.
-				e.expired.Add(int64(hi - lo))
-				return
-			}
-			for j := range res {
-				m.res[m.row[lo+j]], m.sts[m.row[lo+j]] = res[j], sts[j]
-			}
-			done = hi
+		if hi-lo == 1 {
+			i := m.row[lo]
+			m.res[i], m.sts[i] = e.ix.Search(c.canon[lo*dim:hi*dim], opts)
 			return
 		}
-		for ; done < hi; done++ {
-			i := m.row[done]
-			m.res[i], m.sts[i] = e.ix.Search(c.canon[done*dim:(done+1)*dim], opts)
-			if c.ctx.Err() != nil {
-				// Truncated, not exact: it must never be served to a future
-				// caller as the real answer.
-				e.expired.Add(int64(hi - done - 1))
-				return
-			}
+		res, sts := e.ix.SearchBatch(&vec.Matrix{Data: c.canon[lo*dim : hi*dim], N: hi - lo, D: dim}, opts)
+		for j := range res {
+			m.res[m.row[lo+j]], m.sts[m.row[lo+j]] = res[j], sts[j]
 		}
 	}()
-	for j := lo; j < done; j++ {
+	if err := c.ctx.Err(); err != nil {
+		e.expired.Add(int64(hi - lo))
+		return err
+	}
+	for j := lo; j < hi; j++ {
 		i := m.row[j]
 		e.noteFilterStats(m.sts[i])
 		if c.cached {
 			e.cache.put(m.hash[j], c.canon[j*dim:(j+1)*dim], c.key, epoch, m.res[i], m.sts[i])
 		}
 	}
-	return c.ctx.Err()
+	return nil
 }
 
 // canonicalize copies q into dst rescaled to a unit normal (n is ||normal||,

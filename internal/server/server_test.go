@@ -23,13 +23,27 @@ func (s scanIndex) Search(q []float32, opts core.SearchOptions) ([]core.Result, 
 	return s.scan.Search(q, opts)
 }
 
+func (s scanIndex) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
+	return s.scan.SearchBatch(queries, opts)
+}
+
 func (s scanIndex) Dim() int { return s.scan.Dim() - 1 }
 
-// batchScanIndex is scanIndex with the scanner's batch surface.
-type batchScanIndex struct{ scanIndex }
+// rowScanIndex is scanIndex with a per-row batch in place of the scanner's.
+type rowScanIndex struct{ scanIndex }
 
-func (s batchScanIndex) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
-	return s.scan.SearchBatch(queries, opts)
+func (s rowScanIndex) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
+	return eachRow(s.Search, queries, opts)
+}
+
+// eachRow is the batch of a fake index with no batched path of its own: search
+// on every row, polling the Cancel hook between rows as p2h's indexes do.
+func eachRow(search func([]float32, core.SearchOptions) ([]core.Result, core.Stats), queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
+	res, sts := make([][]core.Result, queries.N), make([]core.Stats, queries.N)
+	for i := 0; i < queries.N && !opts.Canceled(); i++ {
+		res[i], sts[i] = search(queries.Row(i), opts)
+	}
+	return res, sts
 }
 
 // mutScan is a Mutator over a guarded point set with a rebuilt scanner; it
@@ -94,6 +108,10 @@ func (m *mutScan) Search(q []float32, opts core.SearchOptions) ([]core.Result, c
 		res[i].ID = ids[res[i].ID]
 	}
 	return res, st
+}
+
+func (m *mutScan) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
+	return eachRow(m.Search, queries, opts)
 }
 
 func (m *mutScan) Dim() int { return m.dim }

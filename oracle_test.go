@@ -195,13 +195,14 @@ var equivPreds = []struct {
 }
 
 // The paths an answer takes besides Search, which every cell checks.
-// viaSearchBatch(w) is p2h.SearchBatch on w workers; viaServer is two passes
+// viaSearchBatch(w) is p2h.SearchBatch on w workers; viaIndexBatch is the
+// index's own SearchBatch over the whole set; viaServer is two passes
 // through a Server, the second from its cache; the twins are a second New
 // from the same Spec, a Save→Load copy decoded off a stream, a SaveFile→Open
 // copy decoded in place from the mapped file and, viaSaved, a second New that
 // SaveFile has made serve from the file it wrote (persistable kinds only).
 const (
-	viaBatchIndex = "BatchIndex.SearchBatch"
+	viaIndexBatch = "Index.SearchBatch"
 	viaServer     = "Server"
 	viaRebuilt    = "rebuilt"
 	viaLoaded     = "loaded"
@@ -211,7 +212,7 @@ const (
 
 func viaSearchBatch(workers int) string { return "SearchBatch/" + strconv.Itoa(workers) }
 
-var allPaths = []string{viaSearchBatch(1), viaSearchBatch(3), viaBatchIndex, viaServer, viaRebuilt, viaLoaded, viaOpened, viaSaved}
+var allPaths = []string{viaSearchBatch(1), viaSearchBatch(3), viaIndexBatch, viaServer, viaRebuilt, viaLoaded, viaOpened, viaSaved}
 
 // oracleShape is one option shape and the paths it runs besides Search;
 // a quantOnly shape runs on the quantized rows only.
@@ -513,14 +514,12 @@ func checkCell(t *testing.T, r *builtRow, sh oracleShape, want [][]p2h.Result) {
 	}
 	for _, path := range sh.paths {
 		switch path {
-		case viaBatchIndex:
-			if bi, ok := r.ix.(p2h.BatchIndex); ok {
-				got, stats := bi.SearchBatch(queries, opts)
-				if len(stats) != queries.N {
-					t.Fatalf("%s: %d stats for %d queries", path, len(stats), queries.N)
-				}
-				requireSame(t, path, got, ref)
+		case viaIndexBatch:
+			got, stats := r.ix.SearchBatch(queries, opts)
+			if len(stats) != queries.N {
+				t.Fatalf("%s: %d stats for %d queries", path, len(stats), queries.N)
 			}
+			requireSame(t, path, got, ref)
 		case viaServer:
 			checkServer(t, r.srv, queries, opts, ref)
 		case viaRebuilt, viaLoaded, viaOpened:
@@ -574,7 +573,6 @@ func checkServer(t *testing.T, srv *p2h.Server, queries *p2h.Matrix, opts p2h.Se
 	}
 }
 
-// searchEach answers every query through ix.Search.
 // bruteForce is the matrix's exact reference over the lifted rows: for every
 // query, made the unit-normal hyperplane every index answers for it,
 // |<q, x>| through the float64 vec.Dot for every row opts.Filter admits,
@@ -598,6 +596,7 @@ func bruteForce(lifted, queries *p2h.Matrix, opts p2h.SearchOptions) [][]p2h.Res
 	return out
 }
 
+// searchEach answers every query through ix.Search.
 func searchEach(ix p2h.Index, queries *p2h.Matrix, opts p2h.SearchOptions) [][]p2h.Result {
 	out := make([][]p2h.Result, queries.N)
 	for qi := range out {
@@ -733,11 +732,11 @@ func TestQuantizedEquivalenceBatched(t *testing.T) {
 }
 
 // TestSearchBatchMatchesSequential: the batch surfaces — p2h.SearchBatch on
-// one and three workers, and a native BatchIndex — exact (filtered too, which
-// the trees' walk shares and the scan runs per query), budgeted (per query)
-// and at k > n.
+// one and three workers, and the index's own SearchBatch — exact (filtered
+// too, which the trees' walk and the scan's one pass share), budgeted and at
+// k > n.
 func TestSearchBatchMatchesSequential(t *testing.T) {
-	batched := []string{viaSearchBatch(1), viaSearchBatch(3), viaBatchIndex}
+	batched := []string{viaSearchBatch(1), viaSearchBatch(3), viaIndexBatch}
 	oracleView{sets: []string{"Cifar-10"}, rows: []string{"balltree", "bctree", "dynamic", "linearscan", "sharded"},
 		shapes: func(n int) []oracleShape {
 			return []oracleShape{

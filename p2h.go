@@ -43,12 +43,19 @@ func FromRows(rows [][]float32) *Matrix { return vec.FromRows(rows) }
 
 // Index is the common interface of every P2HNNS index in this library.
 //
-// Search panics if the query dimensionality is not Dim()+1 (normal plus
-// offset); mismatched dimensions are a programming error, not a runtime
-// condition.
+// Search and SearchBatch panic if the query dimensionality is not Dim()+1
+// (normal plus offset); mismatched dimensions are a programming error, not a
+// runtime condition.
 type Index interface {
 	// Search returns the top-k points nearest the hyperplane q = (w; b).
 	Search(q []float32, opts SearchOptions) ([]Result, Stats)
+	// SearchBatch answers one top-k query per row of queries, each row a
+	// hyperplane as Search takes it. The results are bitwise the per-row
+	// Search answers. A kind with a batched path of its own (balltree,
+	// bctree, sharded, linearscan) shares the work across the rows, so an
+	// exact batch's per-row Stats reflect the shared work; a budgeted batch,
+	// and every batch of the other kinds, returns the per-row Stats too.
+	SearchBatch(queries *Matrix, opts SearchOptions) ([][]Result, []Stats)
 	// IndexBytes reports the memory footprint of the index structure.
 	IndexBytes() int64
 	// N returns the number of indexed points.
@@ -123,9 +130,9 @@ type inner interface {
 
 // handle is the one wrapper between the Index contract — raw points, any
 // non-zero normal, a panic on a malformed query — and an inner index. Every
-// index this package hands out is a *handle, a *batchHandle (batch.go) or one
-// of the exported types that embed those to add methods of their own, and
-// carries the row of the kind table it was built or loaded through.
+// index this package hands out is a *handle or one of the exported types that
+// embed it to add methods of their own, and carries the row of the kind table
+// it was built or loaded through.
 type handle struct {
 	kind *kind
 	in   inner
@@ -174,7 +181,7 @@ func liftPoint(p []float32, d int) []float32 {
 // LinearScan is the exhaustive baseline — exact, with no index structure —
 // and the oracle every other kind is measured against: what New returns for
 // KindLinearScan. Its batches stream the data once for the whole group.
-type LinearScan struct{ batchHandle }
+type LinearScan struct{ handle }
 
 // NewLinearScan wraps the rows of data for exhaustive search: New with
 // Spec{Kind: KindLinearScan}, panicking where New returns an error. Ground

@@ -38,7 +38,7 @@ type kind struct {
 	// predicate into a Filter over the store attached to it.
 	nativePred bool
 	// wrap puts the exported type users assert to around the handle; nil for
-	// a kind that adds no method to Index and BatchIndex.
+	// a kind that adds no method to Index.
 	wrap func(h handle) Index
 
 	// The codec of a persistable kind, all five set or all nil: save writes
@@ -71,9 +71,6 @@ func (k *kind) index(in inner, d int) Index {
 	h := handle{kind: k, in: in, raw: d}
 	if k.wrap != nil {
 		return k.wrap(h)
-	}
-	if _, ok := in.(batchInner); ok {
-		return &batchHandle{h}
 	}
 	return &h
 }
@@ -143,7 +140,7 @@ var kinds = []*kind{
 		name: KindLinearScan, aliases: []string{"scan", "linear"},
 		buildOnly: "holds nothing beyond the data matrix; persist the data with SaveFvecs instead",
 		build:     func(x *Matrix, _ int, _ Spec) inner { return linearscan.New(x) },
-		wrap:      func(h handle) Index { return &LinearScan{batchHandle{h}} },
+		wrap:      func(h handle) Index { return &LinearScan{h} },
 	},
 	{
 		name: KindNH, buildOnly: hashBuildOnly,
@@ -163,7 +160,7 @@ var kinds = []*kind{
 				Shards: s.Shards, LeafSize: s.LeafSize, Seed: s.Seed, Workers: s.Workers, Quantize: s.Quantize,
 			})
 		},
-		wrap: func(h handle) Index { return &Sharded{batchHandle{h}, h.in.(*shard.Index)} },
+		wrap: func(h handle) Index { return &Sharded{h, h.in.(*shard.Index)} },
 		save: func(w io.Writer, in inner) error { return in.(*shard.Index).Save(w) },
 		load: func(r io.Reader) (loadedIndex, error) { return shard.Load(r) },
 		specOf: func(in inner) Spec {

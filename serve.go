@@ -137,10 +137,10 @@ func (s *Server) SearchCtx(ctx context.Context, q []float32, opts SearchOptions)
 // deadline, returning results and stats in row order — the batch form of
 // SearchCtx. The batch is admitted or shed as a unit; rows the cache cannot
 // answer are split into min(Workers, misses) contiguous chunks, each one
-// shared SearchBatch traversal when the index is a BatchIndex and the batch
-// is exact, else a per-row Search. Either way the deadline is honored
-// mid-traversal, and a chunk it cut short is never cached. Results are
-// bitwise the per-row Search answers; the error is all-or-nothing.
+// Index.SearchBatch call at any budget (a chunk of one row is one Search).
+// The deadline is honored mid-traversal, and once it has passed nothing the
+// call computed is cached. Results are bitwise the per-row Search answers;
+// the error is all-or-nothing.
 // Malformed rows panic, exactly like Search.
 func (s *Server) SearchBatchCtx(ctx context.Context, queries [][]float32, opts SearchOptions) ([][]Result, []Stats, error) {
 	return s.engine.SearchBatchCtx(ctx, queries, opts)

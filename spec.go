@@ -122,9 +122,8 @@ type plainSpec Spec
 // New builds an index declared by spec over the rows of data — with Open and
 // Load, the only way to obtain one. The kind is resolved through the kind
 // table (ErrUnknownKind if it names none) and malformed input returns an error
-// instead of panicking. What comes back implements Index, BatchIndex when the
-// kind has a batched path of its own, and for three kinds asserts to a type
-// with more methods: *Dynamic, *Sharded, *LinearScan.
+// instead of panicking. What comes back implements Index and for three kinds
+// asserts to a type with more methods: *Dynamic, *Sharded, *LinearScan.
 //
 // data may be nil or empty only for the dynamic kind, which then starts empty
 // and needs Spec.Dim.

@@ -22,15 +22,16 @@ func specTestData(n, d int, seed int64) *Matrix {
 // TestNewBuildsEveryKind: every kind is constructible via New(data,
 // Spec{Kind: ...}), and what comes back is one wrapper's worth of contract
 // whatever the kind: it reports its kind, asserts to the typed handle the kind
-// documents (and to no other), is a BatchIndex exactly when its inner index
-// has a batched path of its own, and answers a Pred as it answers the
-// equivalent Filter — before attributes are attached (every payload is then
-// the empty one) and after — through Search and, where there is one, the
-// native SearchBatch. The two arena kinds, balltree and bctree, differ only in
-// the tree inside: both come back as the same batched handle.
+// documents (and to no other), answers a SearchBatch of 1, 3 and 64 rows,
+// exact and budgeted, with its per-row Search answers — and with the per-row
+// Stats too when the batch is budgeted or the inner index has no batched path
+// of its own — and answers a Pred as it answers the equivalent Filter — before
+// attributes are attached (every payload is then the empty one) and after —
+// through Search and SearchBatch. The two arena kinds, balltree and bctree,
+// differ only in the tree inside: both come back as the same handle.
 func TestNewBuildsEveryKind(t *testing.T) {
 	data := specTestData(300, 12, 1)
-	queries := GenerateQueries(data, 3, 2)
+	queries, many := GenerateQueries(data, 3, 2), GenerateQueries(data, 64, 3)
 	typed := map[string]func(Index) bool{
 		KindDynamic:    func(ix Index) bool { _, ok := ix.(*Dynamic); return ok },
 		KindLinearScan: func(ix Index) bool { _, ok := ix.(*LinearScan); return ok },
@@ -46,11 +47,6 @@ func TestNewBuildsEveryKind(t *testing.T) {
 	if reflect.TypeOf(ball) != reflect.TypeOf(bc) {
 		t.Fatalf("balltree comes back as %T, bctree as %T", ball, bc)
 	}
-	for _, ix := range []Index{ball, bc} {
-		if _, ok := ix.(BatchIndex); !ok {
-			t.Fatalf("%s: %T is not a BatchIndex", KindOf(ix), ix)
-		}
-	}
 	for _, kind := range Kinds() {
 		ix := MustBuild(t, data, Spec{Kind: kind, Seed: 7, Shards: 3})
 		if ix.N() != data.N || ix.Dim() != data.D {
@@ -64,12 +60,26 @@ func TestNewBuildsEveryKind(t *testing.T) {
 				t.Fatalf("%s: New returned %T, which asserts to the %s handle: %v", kind, ix, name, is(ix))
 			}
 		}
-		bi, isBatch := ix.(BatchIndex)
-		if _, native := ix.(wrapped).base().in.(batchInner); isBatch != native {
-			t.Fatalf("%s: BatchIndex = %v, inner index has a native batch = %v", kind, isBatch, native)
-		}
 		if res, _ := ix.Search(queries.Row(0), SearchOptions{K: 5}); len(res) != 5 {
 			t.Fatalf("%s: %d results, want 5", kind, len(res))
+		}
+		_, native := ix.(wrapped).base().in.(interface {
+			SearchBatch(*Matrix, SearchOptions) ([][]Result, []Stats)
+		})
+		for _, rows := range []int{1, 3, 64} {
+			batch := &Matrix{Data: many.Data[:rows*many.D], N: rows, D: many.D}
+			for _, opts := range []SearchOptions{{K: 5}, {K: 5, Budget: 30}} {
+				got, sts := ix.SearchBatch(batch, opts)
+				for qi := 0; qi < rows; qi++ {
+					want, st := ix.Search(batch.Row(qi), opts)
+					if !reflect.DeepEqual(got[qi], want) {
+						t.Fatalf("%s: %d-row batch, budget %d, row %d: %v, Search gives %v", kind, rows, opts.Budget, qi, got[qi], want)
+					}
+					if (opts.Budget > 0 || !native) && sts[qi] != st {
+						t.Fatalf("%s: %d-row batch, budget %d, row %d: stats %+v, Search gives %+v", kind, rows, opts.Budget, qi, sts[qi], st)
+					}
+				}
+			}
 		}
 
 		payload := func(int32) PointAttrs { return PointAttrs{} }
@@ -91,14 +101,12 @@ func TestNewBuildsEveryKind(t *testing.T) {
 							kind, attached, pi, qi, got, want)
 					}
 				}
-				if isBatch {
-					got, _ := bi.SearchBatch(queries, byPred)
-					want, _ := bi.SearchBatch(queries, byFilter)
-					for qi := range want {
-						if len(got[qi]) != len(want[qi]) || (len(want[qi]) > 0 && !reflect.DeepEqual(got[qi], want[qi])) {
-							t.Fatalf("%s attached=%v pred %d: batched Pred diverges from the equivalent Filter at query %d",
-								kind, attached, pi, qi)
-						}
+				got, _ := ix.SearchBatch(queries, byPred)
+				want, _ := ix.SearchBatch(queries, byFilter)
+				for qi := range want {
+					if len(got[qi]) != len(want[qi]) || (len(want[qi]) > 0 && !reflect.DeepEqual(got[qi], want[qi])) {
+						t.Fatalf("%s attached=%v pred %d: batched Pred diverges from the equivalent Filter at query %d",
+							kind, attached, pi, qi)
 					}
 				}
 			}
