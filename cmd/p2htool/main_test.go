@@ -297,15 +297,14 @@ func TestInspectSubcommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := ix.(*p2h.Dynamic)
-	p := make([]float32, 128)
-	if err := wal.AppendInsert(d.Insert(p), p); err != nil {
+	srv := p2h.NewServer(ix, p2h.ServerOptions{WAL: wal})
+	if _, err := srv.Insert(make([]float32, 128)); err != nil {
 		t.Fatal(err)
 	}
-	d.Delete(0)
-	if err := wal.AppendDelete(0); err != nil {
-		t.Fatal(err)
+	if ok, err := srv.Delete(0); err != nil || !ok {
+		t.Fatalf("delete: %v, %v", ok, err)
 	}
+	srv.Close()
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}

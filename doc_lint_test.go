@@ -199,7 +199,8 @@ func rootPackageDoc(t *testing.T) *doc.Package {
 
 // TestDocsNameExistingSymbols: every p2h.<Identifier> the current documents
 // mention must be exported by the root package — a deleted constructor leaves
-// no instructions behind.
+// no instructions behind — and every <Type>.<Member> of a root type must be a
+// method or field of it.
 func TestDocsNameExistingSymbols(t *testing.T) {
 	d := rootPackageDoc(t)
 	exported := map[string]bool{}
@@ -229,6 +230,42 @@ func TestDocsNameExistingSymbols(t *testing.T) {
 	eachMention(t, currentDocs, mention, func(doc, name string) {
 		if !exported[name] {
 			t.Errorf("%s mentions p2h.%s, which the root package does not export", doc, name)
+		}
+	})
+
+	// Type.Member, for the root package's own (non-alias) types: the member
+	// must be one of the type's exported methods, interface methods or
+	// struct fields. A removed method leaves no instructions behind either.
+	members := map[string]bool{}
+	var types []string
+	for _, typ := range d.Types {
+		spec := typ.Decl.Specs[0].(*ast.TypeSpec)
+		if spec.Assign.IsValid() {
+			continue // an alias: its members live in another package
+		}
+		types = append(types, typ.Name)
+		for _, m := range typ.Methods {
+			members[typ.Name+"."+m.Name] = true
+		}
+		var fields *ast.FieldList
+		switch tt := spec.Type.(type) {
+		case *ast.StructType:
+			fields = tt.Fields
+		case *ast.InterfaceType:
+			fields = tt.Methods
+		}
+		if fields != nil {
+			for _, f := range fields.List {
+				for _, n := range f.Names {
+					members[typ.Name+"."+n.Name] = true
+				}
+			}
+		}
+	}
+	member := regexp.MustCompile(`(?:^|[^.\w])(?:p2h\.)?((?:` + strings.Join(types, "|") + `)\.[A-Z][A-Za-z0-9_]*)`)
+	eachMention(t, currentDocs, member, func(doc, name string) {
+		if !members[name] {
+			t.Errorf("%s mentions %s, which the root package does not define", doc, name)
 		}
 	})
 }

@@ -49,23 +49,36 @@ func (t *Sharded) Shards() int { return t.index.Shards() }
 // that a delete clears, folded into a fresh snapshot once the delta outgrows
 // Spec.CompactFraction of the live set. Built over data it is bulk-loaded and the
 // handles are the row indices; built over nil with Spec.Dim set it starts
-// empty. Results carry stable handles assigned by Insert; N counts the live
-// points. Not safe for concurrent mutation.
+// empty. Results carry stable handles assigned by Insert and
+// InsertWithAttrs, which take one insert path with the payload rule in it;
+// N counts the live points. Not safe for concurrent mutation: serve it
+// through a Server for that, and for a write-ahead log.
 type Dynamic struct {
 	handle
 	index *dynamic.Index
 }
 
-// Insert adds a point and returns its stable handle.
-func (t *Dynamic) Insert(p []float32) int32 {
-	return t.index.Insert(liftPoint(p, t.raw))
+// Insert adds a point without attributes and returns its stable handle.
+func (t *Dynamic) Insert(p []float32) int32 { return t.InsertWithAttrs(p, PointAttrs{}) }
+
+// InsertWithAttrs adds a point with an attribute payload (the zero value:
+// none) and returns its stable handle. The index keeps the payload (callers
+// must not mutate it); searches with SearchOptions.Pred evaluate it per
+// handle. Like a point of the wrong dimension, a payload no container or log
+// could carry panics, before the index changes; Server.InsertWithAttrs
+// returns that refusal as an error instead.
+func (t *Dynamic) InsertWithAttrs(p []float32, at PointAttrs) int32 {
+	h, err := t.insert(p, at)
+	if err != nil {
+		panic("p2h: " + err.Error())
+	}
+	return h
 }
 
-// InsertWithAttrs adds a point with an attribute payload and returns its
-// stable handle. The index keeps the payload (callers must not mutate it);
-// searches with SearchOptions.Pred evaluate it per handle.
-func (t *Dynamic) InsertWithAttrs(p []float32, at PointAttrs) int32 {
-	return t.index.InsertWithAttrs(liftPoint(p, t.raw), at)
+// insert is the one insert path — Insert, InsertWithAttrs, the server's
+// mutator and the log replay all take it.
+func (t *Dynamic) insert(p []float32, at PointAttrs) (int32, error) {
+	return t.index.Insert(liftPoint(p, t.raw), at)
 }
 
 // Delete removes a handle; it reports whether the handle was live.
@@ -84,9 +97,8 @@ func (t *Dynamic) Handles() int { return t.index.Handles() }
 func (t *Dynamic) Pending() int { return t.index.Pending() }
 
 // SetBackgroundCompaction hands delta folding to a serving engine (true) or
-// back to inline rebuilds inside Insert/Delete (false, the default). Part
-// of the server.Compactor surface; NewServer flips it when
-// ServerOptions.BackgroundCompaction is set.
+// back to inline rebuilds inside Insert/Delete (false, the default).
+// NewServer flips it when ServerOptions.BackgroundCompaction is set.
 func (t *Dynamic) SetBackgroundCompaction(on bool) { t.index.SetBackgroundCompaction(on) }
 
 // CompactionNeeded reports whether the delta (rows inserted since the last

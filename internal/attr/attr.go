@@ -12,7 +12,9 @@
 package attr
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -29,6 +31,60 @@ type Point struct {
 // Empty reports whether the point carries no attributes at all.
 func (p *Point) Empty() bool {
 	return p == nil || (len(p.Tags) == 0 && len(p.Ints) == 0 && len(p.Floats) == 0)
+}
+
+// ErrPayload is wrapped by every error Validate returns.
+var ErrPayload = errors.New("attr: payload out of bounds")
+
+// Validate is the payload rule: it accepts exactly the points every reader in
+// this module takes back. Such a point's wire encoding (AppendPoint) fits
+// the bounds DecodePoint enforces — tag and field names up to maxNameLen
+// bytes, at most 65 535 tags (a uint16 count), at most MaxPointEncoded bytes
+// in all — and a store built over it fits a section ReadSection accepts: at
+// most maxSectionFields fields, none of them both an int and a float. A
+// mutable index runs it before an insert changes anything, and Build runs it
+// on every point, so no payload is accepted that a log replay or a container
+// load would later refuse.
+func (p *Point) Validate() error {
+	if p.Empty() {
+		return nil
+	}
+	if len(p.Tags) > math.MaxUint16 {
+		return fmt.Errorf("%w: %d tags, limit %d", ErrPayload, len(p.Tags), math.MaxUint16)
+	}
+	if n := len(p.Ints) + len(p.Floats); n > maxSectionFields {
+		return fmt.Errorf("%w: %d fields, limit %d", ErrPayload, n, maxSectionFields)
+	}
+	size := 6 // the three counts
+	name := func(what, s string) error {
+		if len(s) > maxNameLen {
+			return fmt.Errorf("%w: %s of %d bytes, limit %d", ErrPayload, what, len(s), maxNameLen)
+		}
+		size += 2 + len(s)
+		return nil
+	}
+	for _, t := range p.Tags {
+		if err := name("tag", t); err != nil {
+			return err
+		}
+	}
+	for f := range p.Ints {
+		if _, both := p.Floats[f]; both {
+			return fmt.Errorf("%w: field %q is both an int and a float", ErrPayload, f)
+		}
+		if err := name("field name", f); err != nil {
+			return err
+		}
+	}
+	for f := range p.Floats {
+		if err := name("field name", f); err != nil {
+			return err
+		}
+	}
+	if size += 8 * (len(p.Ints) + len(p.Floats)); size > MaxPointEncoded {
+		return fmt.Errorf("%w: payload encodes to %d bytes, limit %d", ErrPayload, size, MaxPointEncoded)
+	}
+	return nil
 }
 
 // Field kinds recorded per column. A field name is typed consistently across
@@ -73,9 +129,14 @@ type Store struct {
 
 // Build assembles a columnar store from one payload per point. Points with a
 // zero-value payload are fine; the store still covers them (empty tag list,
-// all fields absent). A field name used with both integer and float values
-// is rejected.
+// all fields absent). A point Validate refuses, or a field name used with
+// both integer and float values, is rejected.
 func Build(points []Point) (*Store, error) {
+	for i := range points {
+		if err := points[i].Validate(); err != nil {
+			return nil, fmt.Errorf("point %d: %w", i, err)
+		}
+	}
 	n := len(points)
 	st := &Store{
 		n:        n,

@@ -3,7 +3,11 @@ package attr
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"p2h/internal/binio"
@@ -141,7 +145,9 @@ func TestSectionRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	bw := binio.NewWriter(&buf)
-	WriteSection(bw, st)
+	if err := WriteSection(bw, st); err != nil {
+		t.Fatal(err)
+	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +160,9 @@ func TestSectionRoundTrip(t *testing.T) {
 	}
 	var buf2 bytes.Buffer
 	bw2 := binio.NewWriter(&buf2)
-	WriteSection(bw2, got)
+	if err := WriteSection(bw2, got); err != nil {
+		t.Fatal(err)
+	}
 	if err := bw2.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +185,9 @@ func TestSectionRejectsCorrupt(t *testing.T) {
 	st, _ := Build(pts)
 	var buf bytes.Buffer
 	bw := binio.NewWriter(&buf)
-	WriteSection(bw, st)
+	if err := WriteSection(bw, st); err != nil {
+		t.Fatal(err)
+	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -321,6 +331,75 @@ func TestStorePointsInverse(t *testing.T) {
 	for i := range pts {
 		if pts[i].Empty() != back[i].Empty() {
 			t.Fatalf("row %d emptiness changed", i)
+		}
+	}
+}
+
+// TestValidatePayloadRule: each bound of the payload rule refuses the first
+// point over it and accepts the one at it, and Build refuses what Validate
+// refuses.
+func TestValidatePayloadRule(t *testing.T) {
+	long := func(n int) string { return strings.Repeat("n", n) }
+	fields := func(n int) map[string]int64 {
+		m := make(map[string]int64, n)
+		for i := range n {
+			m[strconv.Itoa(i)] = int64(i)
+		}
+		return m
+	}
+	manyTags := func(n, size int) []string {
+		tags := make([]string, n)
+		for i := range tags {
+			tags[i] = long(size)
+		}
+		return tags
+	}
+	for _, c := range []struct {
+		name string
+		p    Point
+		ok   bool
+	}{
+		{"empty", Point{}, true},
+		{"tag at the name limit", Point{Tags: []string{long(maxNameLen)}}, true},
+		{"tag over the name limit", Point{Tags: []string{long(maxNameLen + 1)}}, false},
+		{"field name over the name limit", Point{Floats: map[string]float64{long(maxNameLen + 1): 1}}, false},
+		{"tag count at the uint16 limit", Point{Tags: manyTags(math.MaxUint16, 0)}, true},
+		{"tag count over the uint16 limit", Point{Tags: manyTags(math.MaxUint16+1, 0)}, false},
+		{"fields at the section limit", Point{Ints: fields(maxSectionFields)}, true},
+		{"fields over the section limit", Point{Ints: fields(maxSectionFields + 1)}, false},
+		{"int and float under one name", Point{Ints: map[string]int64{"x": 1}, Floats: map[string]float64{"x": 1}}, false},
+		{"encoding over 1 MiB", Point{Tags: manyTags(300, 4000)}, false},
+	} {
+		err := c.p.Validate()
+		if (err == nil) != c.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", c.name, err, c.ok)
+		}
+		if err != nil && !errors.Is(err, ErrPayload) {
+			t.Errorf("%s: %v does not wrap ErrPayload", c.name, err)
+		}
+		if _, berr := Build([]Point{c.p}); (berr == nil) != c.ok {
+			t.Errorf("%s: Build = %v, want ok=%v", c.name, berr, c.ok)
+		}
+	}
+}
+
+// TestWriteSectionRefusesOversizedStore: a store past a section bound is
+// refused before a byte is written, so no container carries a section
+// ReadSection would refuse.
+func TestWriteSectionRefusesOversizedStore(t *testing.T) {
+	for _, st := range []*Store{
+		{n: maxSectionRows + 1},
+		{tags: make([]string, maxSectionTags+1)},
+		{tagIDs: make([]int32, maxSectionRows+1)},
+		{fields: make([]fieldCol, maxSectionFields+1)},
+	} {
+		var buf bytes.Buffer
+		bw := binio.NewWriter(&buf)
+		if err := WriteSection(bw, st); err == nil {
+			t.Fatal("WriteSection accepted a store past the section bounds")
+		}
+		if err := bw.Flush(); err != nil || buf.Len() != 0 {
+			t.Fatalf("refused store wrote %d bytes (flush %v)", buf.Len(), err)
 		}
 	}
 }

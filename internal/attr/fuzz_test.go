@@ -2,7 +2,11 @@ package attr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"p2h/internal/binio"
@@ -53,7 +57,9 @@ func FuzzSection(f *testing.F) {
 		}
 		var buf bytes.Buffer
 		bw := binio.NewWriter(&buf)
-		WriteSection(bw, st)
+		if err := WriteSection(bw, st); err != nil {
+			f.Fatal(err)
+		}
 		if err := bw.Flush(); err != nil {
 			f.Fatal(err)
 		}
@@ -67,7 +73,9 @@ func FuzzSection(f *testing.F) {
 		}
 		var out bytes.Buffer
 		bw := binio.NewWriter(&out)
-		WriteSection(bw, st)
+		if err := WriteSection(bw, st); err != nil {
+			t.Fatal(err)
+		}
 		if err := bw.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -100,6 +108,121 @@ func FuzzPointPayload(f *testing.F) {
 		b := AppendPoint(nil, p)
 		if !bytes.Equal(a, b) {
 			t.Fatal("re-encoding not deterministic")
+		}
+	})
+}
+
+// fuzzPoint builds a payload from fuzz input: tags tags and fields fields,
+// every name nameLen bytes long (tags tagLen), drawn from salt and made
+// distinct by their index where the length leaves room. Every third field is
+// an int, every third a float and every third both when clash is set. The
+// total name bytes stay under a few MiB, so every bound of the payload rule
+// is reachable without a huge allocation.
+func fuzzPoint(tagLen, tags, nameLen, fields uint32, clash bool, salt []byte) Point {
+	const budget = 3 << 20
+	tagLen, nameLen = tagLen%(1<<17), nameLen%(1<<17)
+	tags, fields = min(tags%(1<<17), budget/(tagLen+1)), min(fields%(1<<13), budget/(nameLen+1))
+	if len(salt) == 0 {
+		salt = []byte("a")
+	}
+	name := func(n, i uint32) string {
+		b := make([]byte, n)
+		for j := range b {
+			b[j] = salt[j%len(salt)]
+		}
+		var idx [4]byte
+		binary.LittleEndian.PutUint32(idx[:], i)
+		copy(b[max(0, len(b)-4):], idx[:])
+		return string(b)
+	}
+	var p Point
+	for i := range tags {
+		p.Tags = append(p.Tags, name(tagLen, i))
+	}
+	for i := range fields {
+		f := name(nameLen, i)
+		bits := uint64(i) * 0x9e3779b97f4a7c15
+		if i%3 != 1 || clash {
+			if p.Ints == nil {
+				p.Ints = map[string]int64{}
+			}
+			p.Ints[f] = int64(bits)
+		}
+		if i%3 == 1 || (i%3 == 2 && clash) {
+			if p.Floats == nil {
+				p.Floats = map[string]float64{}
+			}
+			p.Floats[f] = math.Float64frombits(bits)
+		}
+	}
+	return p
+}
+
+// FuzzPointRoundTrip checks the write side against the read side: a point
+// the payload rule accepts must survive its wire encoding (DecodePoint of
+// AppendPoint is the same point) and a one-row store over it must survive
+// WriteSection → ReadSection byte for byte; a point the rule refuses must be
+// refused by Build too. The seeds are the payloads that once got through: an
+// encoding over 1 MiB, a tag too long for its uint16 length prefix, and a tag
+// longer than a section name.
+func FuzzPointRoundTrip(f *testing.F) {
+	f.Add(uint32(4000), uint32(300), uint32(0), uint32(0), false, []byte("x")) // 1.2 MB encoding
+	f.Add(uint32(70000), uint32(1), uint32(0), uint32(0), false, []byte("t"))  // 70 000-byte tag
+	f.Add(uint32(5000), uint32(1), uint32(0), uint32(0), false, []byte("t"))   // 5 000-byte tag
+	f.Add(uint32(3), uint32(5), uint32(4), uint32(7), false, []byte("ok"))
+	f.Add(uint32(3), uint32(5), uint32(4), uint32(7), true, []byte("ok"))    // int and float under one name
+	f.Add(uint32(0), uint32(70000), uint32(0), uint32(0), false, []byte{})   // more tags than a uint16 counts
+	f.Add(uint32(0), uint32(0), uint32(2), uint32(5000), false, []byte("f")) // more fields than a section holds
+	f.Add(uint32(4096), uint32(2), uint32(4096), uint32(3), false, []byte("edge"))
+	f.Fuzz(func(t *testing.T, tagLen, tags, nameLen, fields uint32, clash bool, salt []byte) {
+		p := fuzzPoint(tagLen, tags, nameLen, fields, clash, salt)
+		if err := p.Validate(); err != nil {
+			if !errors.Is(err, ErrPayload) {
+				t.Fatalf("Validate error %v does not wrap ErrPayload", err)
+			}
+			if _, err := Build([]Point{p}); err == nil {
+				t.Fatal("Build accepted a point Validate refuses")
+			}
+			return
+		}
+		enc := AppendPoint(nil, &p)
+		if len(enc) > MaxPointEncoded {
+			t.Fatalf("accepted point encodes to %d bytes, decoder cap %d", len(enc), MaxPointEncoded)
+		}
+		back, err := DecodePoint(enc)
+		if err != nil {
+			t.Fatalf("accepted point does not decode: %v", err)
+		}
+		if !slices.Equal(back.Tags, p.Tags) || !bytes.Equal(AppendPoint(nil, back), enc) {
+			t.Fatal("decoded point differs from the one encoded")
+		}
+		st, err := Build([]Point{p})
+		if err != nil {
+			t.Fatalf("Build refused an accepted point: %v", err)
+		}
+		var buf bytes.Buffer
+		bw := binio.NewWriter(&buf)
+		if err := WriteSection(bw, st); err != nil {
+			t.Fatalf("WriteSection refused a one-row store: %v", err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		br := binio.NewReader(bytes.NewReader(buf.Bytes()))
+		got := ReadSection(br)
+		if err := br.Err(); err != nil {
+			t.Fatalf("ReadSection refused what WriteSection wrote: %v", err)
+		}
+		var again bytes.Buffer
+		bw = binio.NewWriter(&again)
+		if err := WriteSection(bw, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+			t.Fatal("section round trip is not byte-identical")
 		}
 	})
 }

@@ -23,8 +23,16 @@ const (
 
 // WriteSection serializes the store with a binio writer: the magic, the row
 // count, the sorted tag vocabulary, the CSR tag lists, and each field column
-// (name, kind, presence bitmap, dense values).
-func WriteSection(bw *binio.Writer, st *Store) {
+// (name, kind, presence bitmap, dense values). A store over more rows, tags,
+// tag memberships or fields than ReadSection accepts is refused before
+// anything is written. (Its names already fit: Build validated every point.)
+func WriteSection(bw *binio.Writer, st *Store) error {
+	if st.n > maxSectionRows || len(st.tags) > maxSectionTags ||
+		len(st.tagIDs) > maxSectionRows || len(st.fields) > maxSectionFields {
+		return fmt.Errorf("attr: store of %d rows, %d tags, %d tag memberships and %d fields exceeds the section limits (%d, %d, %d, %d)",
+			st.n, len(st.tags), len(st.tagIDs), len(st.fields),
+			maxSectionRows, maxSectionTags, maxSectionRows, maxSectionFields)
+	}
 	bw.Bytes(SectionMagic)
 	bw.I32(int32(st.n))
 	bw.I32(int32(len(st.tags)))
@@ -43,6 +51,7 @@ func WriteSection(bw *binio.Writer, st *Store) {
 		}
 		bw.F64s(c.vals)
 	}
+	return nil
 }
 
 // ReadSection restores a store written by WriteSection, validating every
@@ -184,9 +193,9 @@ func readString(br *binio.Reader) string {
 // same payload twice yields identical bytes (the crash-equality harness
 // compares WAL cuts byte for byte).
 
-// maxPointEncoded bounds a decoded payload length; a torn or corrupt length
-// prefix must not drive a huge allocation.
-const maxPointEncoded = 1 << 20
+// MaxPointEncoded bounds an encoded point — what a log record may carry —
+// so a torn or corrupt length prefix cannot drive a huge allocation.
+const MaxPointEncoded = 1 << 20
 
 // AppendPoint appends p's wire encoding to dst and returns the extended
 // slice.
@@ -298,9 +307,6 @@ func DecodePoint(b []byte) (*Point, error) {
 	}
 	return p, nil
 }
-
-// MaxPointEncoded is the decode-side cap on an encoded point's length.
-func MaxPointEncoded() int { return maxPointEncoded }
 
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))

@@ -72,7 +72,9 @@ func (p Phase) String() string {
 // Profile accumulates wall-clock time per phase. A nil *Profile disables
 // instrumentation; index search loops only call time.Now when one is set.
 // A profile records the path a call takes and never chooses it: a profiled
-// call runs the unprofiled call's code and returns its answers and Stats.
+// call runs the unprofiled call's code and returns its answers and Stats —
+// the serving engine's result cache included, so a profiled call it answers
+// from the cache runs no index code and charges no phase.
 // It is safe for concurrent use, so one profile serves a call on any number
 // of goroutines: each phase sums the time of every goroutine that served the
 // call, as Stats counters do, and on a parallel call can exceed wall time.

@@ -62,29 +62,24 @@ func Script(rng *rand.Rand, dim, base, n int, delFrac float64) []Op {
 	return ops
 }
 
-// Apply runs one op against the index and journals it in the same order
-// the serving engine uses: mutate in memory first, then append to the log,
-// then wait for the commit group's fsync — so the log never holds a record
-// for a mutation that did not happen, and no op is acknowledged before it is
-// durable.
-func Apply(d *p2h.Dynamic, w *p2h.WAL, op Op) error {
+// Apply runs one op through srv, a Server over a dynamic index with a WAL
+// attached — the path the daemon runs, which mutates in memory, appends to
+// the log and waits for the commit group's fsync, in that order — and checks
+// it landed as scripted: the insert got the scripted handle, the delete
+// found its handle live.
+func Apply(srv *p2h.Server, op Op) error {
 	if op.Delete {
-		if !d.Delete(op.Handle) {
-			return fmt.Errorf("crashtest: scripted delete of handle %d found it dead", op.Handle)
+		ok, err := srv.Delete(op.Handle)
+		if err == nil && !ok {
+			err = fmt.Errorf("crashtest: scripted delete of handle %d found it dead", op.Handle)
 		}
-		if err := w.AppendDelete(op.Handle); err != nil {
-			return err
-		}
-		return w.WaitDurable()
-	}
-	h := d.Insert(op.Vec)
-	if h != op.Handle {
-		return fmt.Errorf("crashtest: insert got handle %d, script expected %d", h, op.Handle)
-	}
-	if err := w.AppendInsert(h, op.Vec); err != nil {
 		return err
 	}
-	return w.WaitDurable()
+	h, err := srv.Insert(op.Vec)
+	if err == nil && h != op.Handle {
+		err = fmt.Errorf("crashtest: insert got handle %d, script expected %d", h, op.Handle)
+	}
+	return err
 }
 
 // Ledger maps WAL byte offsets to durable-op prefixes. Offsets[i] is the

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,7 +69,7 @@ func copyFile(t *testing.T, dst, src string) {
 }
 
 // runScript opens the base container, attaches a WAL next to it, applies
-// every op, and returns the per-op reference Save bytes (refBytes[k] is the
+// every op through a Server over the two, and returns the per-op reference Save bytes (refBytes[k] is the
 // state after ops[:k]), the per-op handle counts, and the byte-offset
 // ledger. The WAL is closed before returning so its bytes are final.
 func runScript(t *testing.T, base string, ops []Op, mode p2h.WALSyncMode) (refBytes [][]byte, refHandles []int, ledger Ledger) {
@@ -82,12 +83,16 @@ func runScript(t *testing.T, base string, ops []Op, mode p2h.WALSyncMode) (refBy
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
+	srv := p2h.NewServer(d, p2h.ServerOptions{Workers: 1, WAL: w})
+	defer func() {
+		srv.Close()
+		w.Close()
+	}()
 
 	refBytes = append(refBytes, saveBytes(t, d))
 	refHandles = append(refHandles, d.Handles())
 	for _, op := range ops {
-		if err := Apply(d, w, op); err != nil {
+		if err := Apply(srv, op); err != nil {
 			t.Fatal(err)
 		}
 		st, err := os.Stat(w.Path())
@@ -177,8 +182,11 @@ func TestWALCrashPoints(t *testing.T) {
 		}
 		d2 := ix2.(*p2h.Dynamic)
 		h := d2.Handles()
-		if err := w2.AppendInsert(d2.Insert(make([]float32, rawDim)), make([]float32, rawDim)); err != nil {
-			t.Fatalf("kill point %d: append after recovery: %v", i, err)
+		srv2 := p2h.NewServer(d2, p2h.ServerOptions{Workers: 1, WAL: w2})
+		err = Apply(srv2, Op{Vec: make([]float32, rawDim), Handle: int32(h)})
+		srv2.Close()
+		if err != nil {
+			t.Fatalf("kill point %d: insert after recovery: %v", i, err)
 		}
 		if err := w2.Close(); err != nil {
 			t.Fatal(err)
@@ -388,90 +396,64 @@ func TestServerSearchDuringCompactionRecovers(t *testing.T) {
 }
 
 // TestWALGroupCommitCrashPoints is the crash harness for the group-commit
-// path: concurrent writers share fsyncs under WALSyncAlways (a slow-fsync
-// fault guarantees real commit groups form), and the log they produce must
-// recover byte-identically at any truncation point — exactly like the
-// sequential log, because group commit changes when records become durable,
-// never what is written. Mutation+append runs under one lock in script
-// order (the serving engine's discipline), so per-op reference states and
-// byte offsets stay well-defined even with eight writers in flight.
+// path: eight writers drive one Server under WALSyncAlways (a slow-fsync
+// fault guarantees real commit groups form). Each op enters the server once
+// the op before it is in the log, so the ops apply in script order while
+// their fsync waits overlap. Group commit changes when records become
+// durable, never what is written: the log must be byte for byte the one a
+// lone writer leaves (runScript), and so recover at any truncation point to
+// exactly that writer's state.
 func TestWALGroupCommitCrashPoints(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(61))
 	base := buildBase(t, dir, 17)
 	ops := Script(rng, rawDim, baseRows, 120, 0.3)
 
+	refBase := filepath.Join(dir, "ref.idx")
+	copyFile(t, refBase, base)
+	refBytes, refHandles, ledger := runScript(t, refBase, ops, p2h.WALSyncAlways)
+	refLog, err := os.ReadFile(p2h.WALPath(refBase))
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	t.Cleanup(faultinject.Reset)
 	if err := faultinject.Configure("wal.fsync=delay:2ms"); err != nil {
 		t.Fatal(err)
 	}
-
 	ix, err := p2h.Open(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := ix.(*p2h.Dynamic)
-	w, err := p2h.AttachWAL(d, p2h.WALPath(base), p2h.WALSyncAlways)
+	w, err := p2h.AttachWAL(ix, p2h.WALPath(base), p2h.WALSyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := p2h.NewServer(ix, p2h.ServerOptions{Workers: 2, WAL: w})
 
-	refBytes := make([][]byte, len(ops)+1)
-	refHandles := make([]int, len(ops)+1)
-	refBytes[0] = saveBytes(t, d)
-	refHandles[0] = d.Handles()
-	ledger := Ledger{Offsets: make([]int64, len(ops))}
-
-	var mu sync.Mutex
-	next := 0
+	var next atomic.Int64
+	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				mu.Lock()
-				if next >= len(ops) {
-					mu.Unlock()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(ops) {
 					return
 				}
-				i := next
-				next++
-				op := ops[i]
-				if op.Delete {
-					if !d.Delete(op.Handle) {
-						t.Errorf("op %d: scripted delete of %d found it dead", i, op.Handle)
-						mu.Unlock()
+				// The server appends op i-1 before it waits for the fsync,
+				// so op i starts while that wait is still in flight.
+				for w.Records() < int64(i) {
+					if failed.Load() {
 						return
 					}
-					err = w.AppendDelete(op.Handle)
-				} else {
-					if h := d.Insert(op.Vec); h != op.Handle {
-						t.Errorf("op %d: insert got handle %d, want %d", i, h, op.Handle)
-						mu.Unlock()
-						return
-					}
-					err = w.AppendInsert(op.Handle, op.Vec)
+					time.Sleep(20 * time.Microsecond)
 				}
-				if err != nil {
-					t.Errorf("op %d: append: %v", i, err)
-					mu.Unlock()
-					return
-				}
-				st, serr := os.Stat(w.Path())
-				if serr != nil {
-					t.Error(serr)
-					mu.Unlock()
-					return
-				}
-				ledger.Offsets[i] = st.Size()
-				refBytes[i+1] = saveBytes(t, d)
-				refHandles[i+1] = d.Handles()
-				mu.Unlock()
-				// The durability wait runs outside the lock — this is where
-				// concurrent waiters pile onto one fsync.
-				if err := w.WaitDurable(); err != nil {
-					t.Errorf("op %d: WaitDurable: %v", i, err)
+				if err := Apply(srv, ops[i]); err != nil {
+					t.Errorf("op %d: %v", i, err)
+					failed.Store(true)
 					return
 				}
 			}
@@ -482,6 +464,7 @@ func TestWALGroupCommitCrashPoints(t *testing.T) {
 		t.FailNow()
 	}
 	syncs := w.Syncs()
+	srv.Close()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -496,8 +479,8 @@ func TestWALGroupCommitCrashPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := ledger.Durable(int64(len(walBytes))); n != len(ops) {
-		t.Fatalf("full log holds %d durable ops, want %d", n, len(ops))
+	if !bytes.Equal(walBytes, refLog) {
+		t.Fatalf("group commit wrote a %d-byte log, the lone writer %d bytes of other content", len(walBytes), len(refLog))
 	}
 	killDir := filepath.Join(dir, "kill")
 	if err := os.MkdirAll(killDir, 0o755); err != nil {

@@ -45,8 +45,8 @@ func TestCompactEquivalence(t *testing.T) {
 	for i := 0; i < nops; i++ {
 		if len(handles) == 0 || rng.Intn(4) > 0 {
 			v := randLifted(rng, dim)
-			h1 := sync.Insert(v)
-			h2 := bg.Insert(v)
+			h1 := mustInsert(sync, v)
+			h2 := mustInsert(bg, v)
 			if h1 != h2 {
 				t.Fatalf("op %d: handles diverged %d vs %d", i, h1, h2)
 			}
@@ -110,7 +110,7 @@ func TestCompactReconciliation(t *testing.T) {
 	var inserted [][]float32 // by handle
 	insert := func() int32 {
 		inserted = append(inserted, randLifted(rng, dim))
-		return ix.Insert(inserted[len(inserted)-1])
+		return mustInsert(ix, inserted[len(inserted)-1])
 	}
 	for i := 0; i < 500; i++ {
 		insert()
@@ -157,7 +157,7 @@ func TestCompactReconciliation(t *testing.T) {
 	got := searchHandles(t, ix, q, 20)
 	ref := New(dim, Config{Seed: 2})
 	for h, row := range inserted {
-		if rh := ref.Insert(row); rh != int32(h) {
+		if rh := mustInsert(ref, row); rh != int32(h) {
 			t.Fatalf("reference handle %d != %d", rh, h)
 		}
 		if v, ok := ix.vector(int32(h)); !ok {
@@ -188,12 +188,12 @@ func TestCompactionNeededThresholds(t *testing.T) {
 
 	// No tree yet: triggers at 2*DefaultLeafSize buffered points.
 	for i := 0; i < 199; i++ {
-		ix.Insert(randLifted(rng, dim))
+		mustInsert(ix, randLifted(rng, dim))
 	}
 	if ix.CompactionNeeded() {
 		t.Fatal("needed at 199 buffered points before first tree")
 	}
-	ix.Insert(randLifted(rng, dim))
+	mustInsert(ix, randLifted(rng, dim))
 	if !ix.CompactionNeeded() {
 		t.Fatal("not needed at 200 buffered points")
 	}
@@ -204,7 +204,7 @@ func TestCompactionNeededThresholds(t *testing.T) {
 
 	// With a tree: CompactFraction (0.5).
 	for !ix.CompactionNeeded() {
-		ix.Insert(randLifted(rng, dim))
+		mustInsert(ix, randLifted(rng, dim))
 	}
 	// delta must just exceed 0.5*live: live=200+k, delta=k → k > 100+k/2.
 	if delta := ix.BufferLen(); delta != 201 {
@@ -218,15 +218,15 @@ func TestCompactionNeededThresholds(t *testing.T) {
 	bg.SetBackgroundCompaction(true)
 	for i := 0; i < 300; i++ {
 		x := randLifted(rng, dim)
-		bg.Insert(x)
-		inline.Insert(x)
+		mustInsert(bg, x)
+		mustInsert(inline, x)
 	}
 	bg.Compact()
 	inline.Compact()
 	for !bg.CompactionNeeded() {
 		x := randLifted(rng, dim)
-		bg.Insert(x)
-		inline.Insert(x)
+		mustInsert(bg, x)
+		mustInsert(inline, x)
 		if inline.BufferLen() == 0 && !bg.CompactionNeeded() {
 			t.Fatalf("inline index folded at delta %d, before the background trigger", bg.BufferLen())
 		}
@@ -257,7 +257,7 @@ func TestCompactionRaceKeepsCaptureIntact(t *testing.T) {
 	insert := func() int32 {
 		x := randLifted(rng, dim)
 		ref.insert(x)
-		return ix.Insert(x)
+		return mustInsert(ix, x)
 	}
 	remove := func(h int32) {
 		if !ix.Delete(h) || !ref.delete(h) {
@@ -331,7 +331,7 @@ func TestCompactIsAFunctionOfTheLiveSet(t *testing.T) {
 		if op == 0 || rng.Intn(3) > 0 {
 			x := randLifted(rng, dim)
 			ref.insert(x)
-			ix.Insert(x)
+			mustInsert(ix, x)
 		} else {
 			h := int32(rng.Intn(ref.rows.N))
 			if ix.Delete(h) != ref.delete(h) {
@@ -345,7 +345,7 @@ func TestCompactIsAFunctionOfTheLiveSet(t *testing.T) {
 	}
 	x := randLifted(rng, dim)
 	ref.insert(x)
-	ix.Insert(x)
+	mustInsert(ix, x)
 	if !ix.Compact() {
 		t.Fatal("Compact found nothing to fold after an insert")
 	}
@@ -414,10 +414,10 @@ func TestChurnKeepsMemoryBounded(t *testing.T) {
 		}
 	}
 	for i := 0; i < live; i++ {
-		mutate(func() { ix.Insert(next()) })
+		mutate(func() { mustInsert(ix, next()) })
 	}
 	for i := 0; i < live*turnover; i++ {
-		mutate(func() { ix.Insert(next()) })
+		mutate(func() { mustInsert(ix, next()) })
 		mutate(func() { ix.Delete(int32(i)) }) // the oldest live handle
 	}
 	held := heap() - before

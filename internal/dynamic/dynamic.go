@@ -78,6 +78,10 @@ type Index struct {
 	// the mutable delta has no per-node summaries to push down into, which
 	// keeps inserts O(1); the static kinds own the pushdown path.
 	attrs []attr.Point
+	// kinds is the field schema of attrs, each field name's attr.FieldInt or
+	// attr.FieldFloat: no store, hence no saved container, holds one name
+	// as both.
+	kinds map[string]byte
 
 	// background suppresses inline rebuilds; a serving engine folds the
 	// delta off-thread instead (see compact.go).
@@ -85,7 +89,7 @@ type Index struct {
 }
 
 // New creates a dynamic index for lifted vectors of dimension dim
-// (raw dimension + 1). Seed an initial bulk load with Insert or InsertAll.
+// (raw dimension + 1). Bulk-load one with NewFromMatrix instead.
 func New(dim int, cfg Config) *Index {
 	if dim <= 0 {
 		panic(fmt.Sprintf("dynamic: invalid dimension %d", dim))
@@ -148,25 +152,29 @@ func (ix *Index) BufferLen() int { return ix.delta.N }
 // dead vectors still resident.
 func (ix *Index) Pending() int { return ix.delta.N + ix.treeDel }
 
-// Insert adds a lifted vector and returns its stable handle.
-func (ix *Index) Insert(x []float32) int32 {
+// Insert adds a lifted vector with its attribute payload — the zero Point
+// for none — and returns its stable handle. The index keeps the payload
+// (callers must not mutate it); predicate searches evaluate it per handle. A
+// payload the rule of attr.Point.Validate refuses, or one giving a field the
+// other numeric kind than an earlier payload did (no container could hold
+// both), is refused here, before anything changes, with an error wrapping
+// attr.ErrPayload. An empty payload creates no attribute column.
+func (ix *Index) Insert(x []float32, at attr.Point) (int32, error) {
+	if err := at.Validate(); err != nil {
+		return 0, fmt.Errorf("dynamic: %w", err)
+	}
+	if err := ix.addKinds(&at); err != nil {
+		return 0, err
+	}
 	handle := ix.insertRow(x)
-	if ix.attrs != nil {
-		ix.attrs = append(ix.attrs, attr.Point{})
+	if ix.attrs != nil || !at.Empty() {
+		// Pad the rows before this one that carry no payload: the column
+		// stays handle-indexed.
+		ix.attrs = append(ix.attrs, make([]attr.Point, int(handle)-len(ix.attrs))...)
+		ix.attrs = append(ix.attrs, at)
 	}
 	ix.maybeRebuild()
-	return handle
-}
-
-// InsertWithAttrs adds a lifted vector with an attribute payload and returns
-// its stable handle. The index keeps the payload (callers must not mutate
-// it); predicate searches evaluate it per handle.
-func (ix *Index) InsertWithAttrs(x []float32, at attr.Point) int32 {
-	ix.ensureAttrs() // pad earlier unattributed rows before this one lands
-	handle := ix.insertRow(x)
-	ix.attrs = append(ix.attrs, at)
-	ix.maybeRebuild()
-	return handle
+	return handle, nil
 }
 
 func (ix *Index) insertRow(x []float32) int32 {
@@ -184,12 +192,36 @@ func (ix *Index) insertRow(x []float32) int32 {
 	return handle
 }
 
-// ensureAttrs pads the attribute column with empty payloads up to the current
-// handle count, so it stays handle-indexed.
-func (ix *Index) ensureAttrs() {
-	for len(ix.attrs) < ix.Handles() {
-		ix.attrs = append(ix.attrs, attr.Point{})
+// addKinds adds at's fields to the schema, or refuses — wrapping
+// attr.ErrPayload, and adding nothing — a field the schema holds as the
+// other kind.
+func (ix *Index) addKinds(at *attr.Point) error {
+	clash := func(name string, kind byte) error {
+		if k, ok := ix.kinds[name]; ok && k != kind {
+			return fmt.Errorf("dynamic: %w: field %q is an int in one payload and a float in another", attr.ErrPayload, name)
+		}
+		return nil
 	}
+	for name := range at.Ints {
+		if err := clash(name, attr.FieldInt); err != nil {
+			return err
+		}
+	}
+	for name := range at.Floats {
+		if err := clash(name, attr.FieldFloat); err != nil {
+			return err
+		}
+	}
+	if ix.kinds == nil && len(at.Ints)+len(at.Floats) > 0 {
+		ix.kinds = make(map[string]byte)
+	}
+	for name := range at.Ints {
+		ix.kinds[name] = attr.FieldInt
+	}
+	for name := range at.Floats {
+		ix.kinds[name] = attr.FieldFloat
+	}
+	return nil
 }
 
 // HasAttrs reports whether any handle ever carried an attribute payload.
@@ -205,16 +237,21 @@ func (ix *Index) AttrAt(handle int32) attr.Point {
 }
 
 // SetAttrs replaces the whole attribute column: points[i] becomes handle i's
-// payload. len(points) must equal Handles(); pass nil to detach. Used by
-// bulk loads and container restores.
+// payload. len(points) must equal Handles(), and no field may be an int in
+// one payload and a float in another; pass nil to detach. Used by bulk loads
+// and container restores.
 func (ix *Index) SetAttrs(points []attr.Point) error {
-	if points == nil {
-		ix.attrs = nil
-		return nil
-	}
-	if len(points) != ix.Handles() {
+	if points != nil && len(points) != ix.Handles() {
 		return fmt.Errorf("dynamic: attribute column covers %d handles, index has issued %d",
 			len(points), ix.Handles())
+	}
+	prev := ix.kinds
+	ix.kinds = nil
+	for i := range points {
+		if err := ix.addKinds(&points[i]); err != nil {
+			ix.kinds = prev
+			return err
+		}
 	}
 	ix.attrs = points
 	return nil

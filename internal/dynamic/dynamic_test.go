@@ -1,12 +1,15 @@
 package dynamic
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"p2h/internal/attr"
 	"p2h/internal/core"
 	"p2h/internal/dataset"
 	"p2h/internal/linearscan"
@@ -17,6 +20,15 @@ func liftedData(n, d int, seed int64) (*vec.Matrix, *vec.Matrix) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: d, Clusters: 6}, n, seed)
 	raw = dataset.Dedup(raw)
 	return raw.AppendOnes(), dataset.GenerateQueries(raw, 6, seed+1)
+}
+
+// mustInsert inserts x without attributes, which the index never refuses.
+func mustInsert(ix *Index, x []float32) int32 {
+	h, err := ix.Insert(x, attr.Point{})
+	if err != nil {
+		panic(err)
+	}
+	return h
 }
 
 // reference is the naive mutable index the dynamic one must agree with.
@@ -116,7 +128,7 @@ func TestInsertedPointIsFound(t *testing.T) {
 	x := make([]float32, data.D)
 	x[0] = 5
 	x[data.D-1] = 1
-	h := ix.Insert(x)
+	h := mustInsert(ix, x)
 	q := make([]float32, data.D)
 	q[0] = 1
 	q[data.D-1] = -5
@@ -134,7 +146,7 @@ func TestBudgetedSearchSeesBuffer(t *testing.T) {
 	x := make([]float32, data.D)
 	x[0] = 5
 	x[data.D-1] = 1
-	h := ix.Insert(x)
+	h := mustInsert(ix, x)
 	if ix.BufferLen() != 1 {
 		t.Fatalf("insert did not land in the buffer: %s", ix)
 	}
@@ -153,7 +165,7 @@ func TestBudgetedSearchSeesBuffer(t *testing.T) {
 	// every tree point filtered out, a budget of 3 verifies 3 buffered points
 	// though the buffer's own share is 1.
 	for i := 0; i < 3; i++ {
-		ix.Insert(x)
+		mustInsert(ix, x)
 	}
 	_, st = ix.Search(q, core.SearchOptions{K: 5, Budget: 3, Filter: func(id int32) bool { return id >= h }})
 	if st.Candidates != 3 {
@@ -189,7 +201,7 @@ func TestRebuildTriggersAndFoldsBuffer(t *testing.T) {
 	// Push well past the 10% delta threshold; the buffer must fold.
 	for i := 0; i < 200; i++ {
 		x[0] = float32(i)
-		ix.Insert(x)
+		mustInsert(ix, x)
 	}
 	if ix.BufferLen() > 100 {
 		t.Fatalf("buffer never folded: %d pending", ix.BufferLen())
@@ -206,7 +218,7 @@ func TestEmptyAndDrainedIndex(t *testing.T) {
 	if len(res) != 0 {
 		t.Fatalf("empty index returned %v", res)
 	}
-	h := ix.Insert([]float32{1, 2, 3, 1})
+	h := mustInsert(ix, []float32{1, 2, 3, 1})
 	if got, ok := ix.vector(h); !ok || got[0] != 1 {
 		t.Fatal("vector lookup failed")
 	}
@@ -272,7 +284,7 @@ func TestQuickRandomOpsMatchReference(t *testing.T) {
 			switch op := rng.Intn(10); {
 			case op < 5 || len(handles) == 0: // insert
 				x := randVec()
-				h1 := ix.Insert(x)
+				h1 := mustInsert(ix, x)
 				h2 := ref.insert(x)
 				if h1 != h2 {
 					return false
@@ -330,7 +342,7 @@ func TestDeleteAfterBitmapGrowth(t *testing.T) {
 	first := &ix.live[0]
 	rng := rand.New(rand.NewSource(4))
 	for &ix.live[0] == first {
-		ix.Insert(randLifted(rng, data.D))
+		mustInsert(ix, randLifted(rng, data.D))
 	}
 	for _, h := range victims {
 		ix.Delete(h)
@@ -344,5 +356,55 @@ func TestDeleteAfterBitmapGrowth(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestInsertPayloadRule: an insert refuses a payload the rule refuses
+// before anything changes, an empty payload creates no attribute column, and
+// an attributed insert pads the column for the rows before it.
+func TestInsertPayloadRule(t *testing.T) {
+	ix := New(3, Config{})
+	mustInsert(ix, []float32{1, 0, 1})
+	if ix.HasAttrs() {
+		t.Fatal("an insert without attributes created a column")
+	}
+	bad := attr.Point{Tags: []string{strings.Repeat("t", 5000)}}
+	if h, err := ix.Insert([]float32{0, 1, 1}, bad); !errors.Is(err, attr.ErrPayload) || h != 0 {
+		t.Fatalf("Insert of a 5000-byte tag = %d, %v; want 0 and ErrPayload", h, err)
+	}
+	if ix.Handles() != 1 || ix.N() != 1 || ix.BufferLen() != 1 || ix.HasAttrs() {
+		t.Fatalf("refused insert changed the index: %v", ix)
+	}
+	at := attr.Point{Tags: []string{"x"}}
+	if h, err := ix.Insert([]float32{0, 1, 1}, at); err != nil || h != 1 {
+		t.Fatalf("attributed insert = %d, %v", h, err)
+	}
+	mustInsert(ix, []float32{1, 1, 1})
+	if len(ix.attrs) != 3 || !ix.attrs[0].Empty() || ix.attrs[1].Tags[0] != "x" || !ix.attrs[2].Empty() {
+		t.Fatalf("attribute column %+v", ix.attrs)
+	}
+}
+
+// TestInsertRefusesFieldKindClash: a field that is an int in one payload
+// and a float in another cannot be saved, so the later insert is refused
+// before anything changes, and a column that mixes them cannot be set.
+func TestInsertRefusesFieldKindClash(t *testing.T) {
+	ix := New(3, Config{})
+	if _, err := ix.Insert([]float32{1, 0, 1}, attr.Point{Ints: map[string]int64{"x": 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.Insert([]float32{0, 1, 1}, attr.Point{Floats: map[string]float64{"x": 1.5, "y": 2}}); !errors.Is(err, attr.ErrPayload) {
+		t.Fatalf("clashing insert: %v, want ErrPayload", err)
+	}
+	if ix.Handles() != 1 || len(ix.attrs) != 1 || len(ix.kinds) != 1 {
+		t.Fatalf("refused insert changed the index: %d handles, %d payloads, schema %v", ix.Handles(), len(ix.attrs), ix.kinds)
+	}
+	mustInsert(ix, []float32{0, 1, 1})
+	mixed := []attr.Point{{Ints: map[string]int64{"y": 1}}, {Floats: map[string]float64{"y": 1}}}
+	if err := ix.SetAttrs(mixed); !errors.Is(err, attr.ErrPayload) {
+		t.Fatalf("SetAttrs of a mixed column: %v, want ErrPayload", err)
+	}
+	if err := ix.SetAttrs(nil); err != nil || ix.kinds != nil || ix.HasAttrs() {
+		t.Fatalf("detach: %v, schema %v", err, ix.kinds)
 	}
 }

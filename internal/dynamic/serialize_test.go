@@ -37,7 +37,7 @@ func buildMutated(t *testing.T) *Index {
 		for j := range row {
 			row[j] = float32(rng.NormFloat64())
 		}
-		ix.Insert(row)
+		mustInsert(ix, row)
 	}
 	if ix.tree == nil || ix.treeDel == 0 || ix.delta.N == 0 {
 		t.Fatalf("fixture not in snapshot+delta state: tree=%v del=%d delta=%d",
@@ -88,7 +88,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	// The restored index keeps mutating where the saved one left off:
 	// parallel mutations stay equivalent.
 	row := randQuery(rng, 6)
-	if h1, h2 := orig.Insert(row), loaded.Insert(row); h1 != h2 {
+	if h1, h2 := mustInsert(orig, row), mustInsert(loaded, row); h1 != h2 {
 		t.Fatalf("post-load Insert handles diverge: %d vs %d", h1, h2)
 	}
 	if d1, d2 := orig.Delete(30), loaded.Delete(30); d1 != d2 {
@@ -129,14 +129,14 @@ func TestSaveLoadEmptyAndBufferOnly(t *testing.T) {
 	if loaded.N() != 0 || loaded.Dim() != 4 || loaded.tree != nil {
 		t.Fatalf("empty round-trip: %v", loaded)
 	}
-	if h := loaded.Insert([]float32{1, 2, 3, 4}); h != 0 {
+	if h := mustInsert(loaded, []float32{1, 2, 3, 4}); h != 0 {
 		t.Fatalf("first handle after empty round-trip = %d", h)
 	}
 
 	// Buffer-only index (too small for a first tree).
 	small := New(3, Config{})
 	for i := 0; i < 5; i++ {
-		small.Insert([]float32{float32(i), 1, 2})
+		mustInsert(small, []float32{float32(i), 1, 2})
 	}
 	buf.Reset()
 	if err := small.Save(&buf); err != nil {
@@ -292,7 +292,9 @@ func TestIndexBytesMatchesStorage(t *testing.T) {
 		t.Errorf("%d vectors in the tree and %d in the delta for %d handles issued, none deleted before the bulk load",
 			ix.tree.N(), ix.delta.N, ix.Handles())
 	}
-	holders := map[string]bool{"live": true, "tree": true, "delta": true, "attrs": true}
+	// attrs and its field schema, kinds (one entry per field name, not per
+	// handle), are payload, not index.
+	holders := map[string]bool{"live": true, "tree": true, "delta": true, "attrs": true, "kinds": true}
 	typ := reflect.TypeOf(*ix)
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)

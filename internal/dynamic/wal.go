@@ -12,9 +12,10 @@ package dynamic
 //	delete:  op=2 | handle u32 |               crc32c(op..handle)
 //	insert+: op=3 | handle u32 | dim float32s | alen u32 | alen attr bytes | crc32c(op..attrs)
 //
-// op=3 is an insert carrying an attribute payload (internal/attr's point wire
-// encoding, opaque to this layer); alen is bounded by maxWALAttrLen so a
-// corrupt length fails instead of sizing a huge read.
+// op=3 is an insert carrying a non-empty attribute payload (internal/attr's
+// point wire encoding); alen is bounded by attr.MaxPointEncoded so a corrupt
+// length fails instead of sizing a huge read. An insert without attributes
+// is op=1, so a log without attributes reads as it did before op=3 existed.
 //
 // dim is the raw point width every insert record carries; base is the
 // index's handle count (rows ever inserted) when the log was created or last
@@ -38,9 +39,11 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"p2h/internal/attr"
 	"p2h/internal/binio"
 	"p2h/internal/faultinject"
 )
@@ -63,10 +66,6 @@ const walHeaderLen = 8 + 4 + 8 + 4
 // maxWALDim bounds the header-declared vector width, mirroring the snapshot
 // serializer's guard, so a corrupt header fails instead of sizing huge reads.
 const maxWALDim = 1 << 20
-
-// maxWALAttrLen bounds the attribute payload of one op=3 record; it matches
-// internal/attr's own encoded-point cap.
-const maxWALAttrLen = 1 << 20
 
 // WALSync is the log's fsync policy.
 type WALSync int
@@ -147,22 +146,6 @@ func walRecordLen(op byte, dim int) int64 {
 	return n
 }
 
-// WALInsertRecordLen and WALDeleteRecordLen report encoded record sizes, so
-// tests and crash harnesses can map byte offsets to record boundaries.
-func WALInsertRecordLen(dim int) int64 { return walRecordLen(WALOpInsert, dim) }
-
-// WALDeleteRecordLen reports the encoded size of a delete record.
-func WALDeleteRecordLen() int64 { return walRecordLen(WALOpDelete, 0) }
-
-// WALInsertAttrsRecordLen reports the encoded size of an op=3 record carrying
-// an attribute payload of attrLen bytes.
-func WALInsertAttrsRecordLen(dim, attrLen int) int64 {
-	return walRecordLen(WALOpInsert, dim) + 4 + int64(attrLen)
-}
-
-// WALHeaderLen reports the encoded header size.
-func WALHeaderLen() int64 { return walHeaderLen }
-
 func encodeWALHeader(dim int, base uint64) []byte {
 	b := make([]byte, walHeaderLen)
 	copy(b, walMagic)
@@ -197,9 +180,12 @@ func decodeWALHeader(b []byte) (WALHeader, error) {
 // binio.ErrCorrupt; an incomplete final record (a torn append from a crash)
 // is not an error and is reported via WALReplay.TornBytes. emit may be nil to
 // count records only; a non-nil error from emit stops the decode and is
-// returned as-is. attrs is the raw attribute payload of an op=3 record (nil
-// otherwise), valid only for the duration of the call.
-func DecodeWAL(r io.Reader, emit func(op byte, handle int32, vec []float32, attrs []byte) error) (WALReplay, error) {
+// returned as-is. at is the decoded attribute payload of an op=3 record (the
+// zero Point otherwise); a payload that does not decode, or that the payload
+// rule (attr.Point.Validate) refuses, is corruption like a bad checksum, so
+// a replay that decodes the whole log first applies none of a log with one.
+// vec is valid only for the duration of the call.
+func DecodeWAL(r io.Reader, emit func(op byte, handle int32, vec []float32, at attr.Point) error) (WALReplay, error) {
 	var rep WALReplay
 	head := make([]byte, walHeaderLen)
 	if n, err := io.ReadFull(r, head); err != nil {
@@ -214,89 +200,84 @@ func DecodeWAL(r io.Reader, emit func(op byte, handle int32, vec []float32, attr
 	}
 	rep.Header = h
 
-	// One reusable buffer, sized for the fixed record kinds up front and
-	// grown on demand for attribute payloads.
-	rec := make([]byte, walRecordLen(WALOpInsert, h.Dim))
+	// rec is one reusable record buffer; read appends the record's next n
+	// bytes to it. A record the stream ends inside is a torn tail — a prefix
+	// of an append that was never acknowledged — and ends the decode
+	// cleanly, as does an end between records (zero torn bytes). Only a
+	// record whose bytes are all present can fail its checksum.
+	rec := make([]byte, 0, walRecordLen(WALOpInsert, h.Dim))
+	read := func(n int) (done bool, err error) {
+		start := len(rec)
+		rec = slices.Grow(rec, n)[:start+n]
+		got, err := io.ReadFull(r, rec[start:])
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			rep.TornBytes = int64(start + got)
+			return true, nil
+		}
+		return err != nil, err
+	}
 	vec := make([]float32, h.Dim)
 	for {
-		if _, err := io.ReadFull(r, rec[:1]); err != nil {
-			if err == io.EOF {
-				return rep, nil // clean end
-			}
+		rec = rec[:0]
+		if done, err := read(1); done {
 			return rep, err
 		}
 		op := rec[0]
-		if op != WALOpInsert && op != WALOpDelete && op != WALOpInsertAttrs {
+		n := 4 // handle
+		switch op {
+		case WALOpInsert:
+			n += 4 * h.Dim
+		case WALOpInsertAttrs:
+			n += 4*h.Dim + 4 // and the payload length
+		case WALOpDelete:
+		default:
 			return rep, fmt.Errorf("%w: wal record %d: unknown opcode %d", binio.ErrCorrupt, rep.Records, op)
 		}
-		var body []byte
+		if done, err := read(n); done {
+			return rep, err
+		}
 		if op == WALOpInsertAttrs {
-			// Variable-length record: read up to and including the attribute
-			// length, then the payload and checksum. A cut anywhere is a torn
-			// tail; only a record whose bytes are all present can fail the
-			// checksum.
-			pre := int(walRecordLen(WALOpInsert, h.Dim)) // op+handle+vec+alen, alen in the crc slot
-			if n, err := io.ReadFull(r, rec[1:pre]); err != nil {
-				if err == io.EOF || err == io.ErrUnexpectedEOF {
-					rep.TornBytes = int64(1 + n)
-					return rep, nil
-				}
-				return rep, err
-			}
-			alen := int(binary.LittleEndian.Uint32(rec[pre-4:]))
-			if alen <= 0 || alen > maxWALAttrLen {
+			alen := int(binary.LittleEndian.Uint32(rec[len(rec)-4:]))
+			if alen <= 0 || alen > attr.MaxPointEncoded {
 				return rep, fmt.Errorf("%w: wal record %d: attribute payload length %d out of range",
 					binio.ErrCorrupt, rep.Records, alen)
 			}
-			total := pre + alen + 4
-			if cap(rec) < total {
-				grown := make([]byte, total)
-				copy(grown, rec[:pre])
-				rec = grown
-			}
-			rec = rec[:cap(rec)]
-			if n, err := io.ReadFull(r, rec[pre:total]); err != nil {
-				if err == io.EOF || err == io.ErrUnexpectedEOF {
-					rep.TornBytes = int64(pre + n)
-					return rep, nil
-				}
-				return rep, err
-			}
-			body = rec[:total]
-		} else {
-			body = rec[:walRecordLen(op, h.Dim)]
-			if n, err := io.ReadFull(r, body[1:]); err != nil {
-				if err == io.EOF || err == io.ErrUnexpectedEOF {
-					// A prefix of the final record: a torn append, never
-					// acknowledged, safe to drop.
-					rep.TornBytes = int64(1 + n)
-					return rep, nil
-				}
+			if done, err := read(alen); done {
 				return rep, err
 			}
 		}
-		crcOff := len(body) - 4
-		if got, want := binary.LittleEndian.Uint32(body[crcOff:]), binio.Checksum(body[:crcOff]); got != want {
+		if done, err := read(4); done {
+			return rep, err
+		}
+		crcOff := len(rec) - 4
+		if got, want := binary.LittleEndian.Uint32(rec[crcOff:]), binio.Checksum(rec[:crcOff]); got != want {
 			return rep, fmt.Errorf("%w: wal record %d: checksum %08x, want %08x",
 				binio.ErrCorrupt, rep.Records, got, want)
 		}
-		handle := int32(binary.LittleEndian.Uint32(body[1:]))
+		handle := int32(binary.LittleEndian.Uint32(rec[1:]))
 		if handle < 0 {
 			return rep, fmt.Errorf("%w: wal record %d: negative handle %d", binio.ErrCorrupt, rep.Records, handle)
 		}
 		var v []float32
-		var attrs []byte
-		if op == WALOpInsert || op == WALOpInsertAttrs {
+		var at attr.Point
+		if op != WALOpDelete {
 			for i := range vec {
-				vec[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[5+i*4:]))
+				vec[i] = math.Float32frombits(binary.LittleEndian.Uint32(rec[5+i*4:]))
 			}
 			v = vec
 		}
 		if op == WALOpInsertAttrs {
-			attrs = body[5+h.Dim*4+4 : crcOff]
+			pt, err := attr.DecodePoint(rec[5+h.Dim*4+4 : crcOff])
+			if err == nil {
+				err = pt.Validate()
+			}
+			if err != nil {
+				return rep, fmt.Errorf("%w: wal record %d: %v", binio.ErrCorrupt, rep.Records, err)
+			}
+			at = *pt
 		}
 		if emit != nil {
-			if err := emit(op, handle, v, attrs); err != nil {
+			if err := emit(op, handle, v, at); err != nil {
 				return rep, err
 			}
 		}
@@ -308,7 +289,7 @@ func DecodeWAL(r io.Reader, emit func(op byte, handle int32, vec []float32, attr
 // returns os.ErrNotExist; an empty file decodes as zero records under a
 // zero-value header (the state a crash can leave mid-truncation, after the
 // snapshot already absorbed every logged record).
-func DecodeWALFile(path string, emit func(op byte, handle int32, vec []float32, attrs []byte) error) (WALReplay, error) {
+func DecodeWALFile(path string, emit func(op byte, handle int32, vec []float32, at attr.Point) error) (WALReplay, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return WALReplay{}, err
@@ -417,13 +398,15 @@ func (w *WAL) Mode() WALSync { return w.mode }
 // amortization factor metrics report.
 func (w *WAL) Syncs() int64 { return w.syncs.Load() }
 
-// append writes one framed record and assigns it the next durability sequence
-// number. Under WALSyncAlways the record is NOT yet on disk when append
+// append checksums one record body, writes the framed record and assigns it
+// the next durability sequence number. Under WALSyncAlways the record is NOT yet on disk when append
 // returns — the caller must not acknowledge the mutation until a following
 // WaitDurable succeeds. A failed append leaves the log sticky-failed — the
 // file tail may hold a partial record, so later appends must not interleave
 // with it — until the next TruncateTo resets the file.
 func (w *WAL) append(body []byte) error {
+	body = binary.LittleEndian.AppendUint32(body, binio.Checksum(body))
+	w.buf = body // the next record reuses the grown buffer
 	if w.err != nil {
 		return fmt.Errorf("dynamic: wal %s failed earlier: %w", w.path, w.err)
 	}
@@ -499,66 +482,37 @@ func (w *WAL) syncOnce() error {
 	return w.f.Sync()
 }
 
-// AppendInsert logs an applied insert: the handle the index assigned and the
-// raw point. The mutation must not be acknowledged unless this returns nil —
-// and, under WALSyncAlways, a following WaitDurable returns nil too.
-func (w *WAL) AppendInsert(handle int32, p []float32) error {
+// AppendInsert logs an applied insert: the handle the index assigned, the
+// raw point and its attribute payload — an op=1 record when the payload is
+// empty, an op=3 record carrying its internal/attr wire encoding otherwise.
+// The mutation must not be acknowledged unless this returns nil — and, under
+// WALSyncAlways, a following WaitDurable returns nil too.
+func (w *WAL) AppendInsert(handle int32, p []float32, at attr.Point) error {
 	if len(p) != w.dim {
 		return fmt.Errorf("dynamic: wal %s: insert of width %d, log holds %d", w.path, len(p), w.dim)
 	}
-	n := walRecordLen(WALOpInsert, w.dim)
-	if int64(cap(w.buf)) < n {
-		w.buf = make([]byte, n)
+	b := append(w.buf[:0], WALOpInsert)
+	b = binary.LittleEndian.AppendUint32(b, uint32(handle))
+	for _, v := range p {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
 	}
-	b := w.buf[:n]
-	b[0] = WALOpInsert
-	binary.LittleEndian.PutUint32(b[1:], uint32(handle))
-	for i, v := range p {
-		binary.LittleEndian.PutUint32(b[5+i*4:], math.Float32bits(v))
+	if !at.Empty() {
+		b[0] = WALOpInsertAttrs
+		alenOff := len(b)
+		b = attr.AppendPoint(append(b, 0, 0, 0, 0), &at)
+		alen := len(b) - alenOff - 4
+		if alen > attr.MaxPointEncoded {
+			return fmt.Errorf("dynamic: wal %s: attribute payload of %d bytes, limit %d", w.path, alen, attr.MaxPointEncoded)
+		}
+		binary.LittleEndian.PutUint32(b[alenOff:], uint32(alen))
 	}
-	binary.LittleEndian.PutUint32(b[n-4:], binio.Checksum(b[:n-4]))
-	return w.append(b)
-}
-
-// AppendInsertAttrs logs an applied insert that carries an attribute payload
-// (the point wire encoding of internal/attr, opaque here). Same durability
-// contract as AppendInsert.
-func (w *WAL) AppendInsertAttrs(handle int32, p []float32, attrs []byte) error {
-	if len(p) != w.dim {
-		return fmt.Errorf("dynamic: wal %s: insert of width %d, log holds %d", w.path, len(p), w.dim)
-	}
-	if len(attrs) == 0 || len(attrs) > maxWALAttrLen {
-		return fmt.Errorf("dynamic: wal %s: attribute payload of %d bytes out of range (1..%d)",
-			w.path, len(attrs), maxWALAttrLen)
-	}
-	n := WALInsertAttrsRecordLen(w.dim, len(attrs))
-	if int64(cap(w.buf)) < n {
-		w.buf = make([]byte, n)
-	}
-	b := w.buf[:n]
-	b[0] = WALOpInsertAttrs
-	binary.LittleEndian.PutUint32(b[1:], uint32(handle))
-	for i, v := range p {
-		binary.LittleEndian.PutUint32(b[5+i*4:], math.Float32bits(v))
-	}
-	alenOff := 5 + w.dim*4
-	binary.LittleEndian.PutUint32(b[alenOff:], uint32(len(attrs)))
-	copy(b[alenOff+4:], attrs)
-	binary.LittleEndian.PutUint32(b[n-4:], binio.Checksum(b[:n-4]))
 	return w.append(b)
 }
 
 // AppendDelete logs an applied delete of a live handle.
 func (w *WAL) AppendDelete(handle int32) error {
-	n := walRecordLen(WALOpDelete, 0)
-	if int64(cap(w.buf)) < n {
-		w.buf = make([]byte, n)
-	}
-	b := w.buf[:n]
-	b[0] = WALOpDelete
-	binary.LittleEndian.PutUint32(b[1:], uint32(handle))
-	binary.LittleEndian.PutUint32(b[n-4:], binio.Checksum(b[:n-4]))
-	return w.append(b)
+	b := append(w.buf[:0], WALOpDelete)
+	return w.append(binary.LittleEndian.AppendUint32(b, uint32(handle)))
 }
 
 // TruncateTo empties the log and records base as the new snapshot boundary:

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"p2h/internal/attr"
 	"p2h/internal/faultinject"
 )
 
@@ -20,7 +21,7 @@ func TestGroupCommitSingleWriter(t *testing.T) {
 	}
 	defer w.Close()
 	for i := 0; i < 5; i++ {
-		if err := w.AppendInsert(int32(i), make([]float32, 4)); err != nil {
+		if err := w.AppendInsert(int32(i), make([]float32, 4), attr.Point{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.WaitDurable(); err != nil {
@@ -56,7 +57,7 @@ func TestGroupCommitAmortizes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				appendMu.Lock()
-				err := w.AppendInsert(int32(g*perWriter+i), make([]float32, 4))
+				err := w.AppendInsert(int32(g*perWriter+i), make([]float32, 4), attr.Point{})
 				appendMu.Unlock()
 				if err == nil {
 					err = w.WaitDurable()
@@ -94,7 +95,7 @@ func TestGroupCommitFsyncFailureSticky(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	faultinject.Enable("wal.fsync", faultinject.Fault{Fail: true, Count: 1})
 
-	if err := w.AppendInsert(0, make([]float32, 4)); err != nil {
+	if err := w.AppendInsert(0, make([]float32, 4), attr.Point{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WaitDurable(); !errors.Is(err, faultinject.ErrInjected) {
@@ -108,7 +109,7 @@ func TestGroupCommitFsyncFailureSticky(t *testing.T) {
 	if err := w.TruncateTo(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendInsert(1, make([]float32, 4)); err != nil {
+	if err := w.AppendInsert(1, make([]float32, 4), attr.Point{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WaitDurable(); err != nil {
@@ -123,7 +124,7 @@ func TestWaitDurableNoneIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if err := w.AppendInsert(0, make([]float32, 4)); err != nil {
+	if err := w.AppendInsert(0, make([]float32, 4), attr.Point{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WaitDurable(); err != nil {

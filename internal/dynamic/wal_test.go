@@ -10,8 +10,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
+	"p2h/internal/attr"
 	"p2h/internal/binio"
 )
 
@@ -45,7 +48,7 @@ func appendOps(t *testing.T, w *WAL, ops []walOp) {
 	for _, op := range ops {
 		var err error
 		if op.op == WALOpInsert {
-			err = w.AppendInsert(op.handle, op.vec)
+			err = w.AppendInsert(op.handle, op.vec, attr.Point{})
 		} else {
 			err = w.AppendDelete(op.handle)
 		}
@@ -58,7 +61,7 @@ func appendOps(t *testing.T, w *WAL, ops []walOp) {
 func decodeAll(t *testing.T, path string) ([]walOp, WALReplay) {
 	t.Helper()
 	var got []walOp
-	rep, err := DecodeWALFile(path, func(op byte, handle int32, vec []float32, attrs []byte) error {
+	rep, err := DecodeWALFile(path, func(op byte, handle int32, vec []float32, at attr.Point) error {
 		got = append(got, walOp{op: op, handle: handle, vec: append([]float32(nil), vec...)})
 		return nil
 	})
@@ -131,7 +134,7 @@ func TestWALRoundTrip(t *testing.T) {
 	if w2.Records() != 0 || w2.Base() != 42 {
 		t.Fatalf("after truncate: records %d base %d", w2.Records(), w2.Base())
 	}
-	if err := w2.AppendInsert(42, make([]float32, dim)); err != nil {
+	if err := w2.AppendInsert(42, make([]float32, dim), attr.Point{}); err != nil {
 		t.Fatalf("append after truncate: %v", err)
 	}
 	w2.Close()
@@ -166,7 +169,7 @@ func TestWALTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		var n int
-		rep, err := DecodeWALFile(torn, func(byte, int32, []float32, []byte) error { n++; return nil })
+		rep, err := DecodeWALFile(torn, func(byte, int32, []float32, attr.Point) error { n++; return nil })
 		if err != nil {
 			t.Fatalf("cut %d: decode: %v", cut, err)
 		}
@@ -188,7 +191,7 @@ func TestWALTornTail(t *testing.T) {
 		}
 		w2.Close()
 		n = 0
-		rep, err = DecodeWALFile(torn, func(byte, int32, []float32, []byte) error { n++; return nil })
+		rep, err = DecodeWALFile(torn, func(byte, int32, []float32, attr.Point) error { n++; return nil })
 		if err != nil || rep.TornBytes != 0 || n != len(ops) {
 			t.Fatalf("cut %d: after repair decode: n=%d torn=%d err=%v", cut, n, rep.TornBytes, err)
 		}
@@ -244,7 +247,7 @@ func TestWALShortFileIsEmpty(t *testing.T) {
 		if err := os.WriteFile(path, make([]byte, size), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := DecodeWALFile(path, func(byte, int32, []float32, []byte) error {
+		rep, err := DecodeWALFile(path, func(byte, int32, []float32, attr.Point) error {
 			t.Fatalf("size %d: emit called", size)
 			return nil
 		})
@@ -282,7 +285,7 @@ func TestWALAppendRejectsWrongWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if err := w.AppendInsert(0, make([]float32, 3)); err == nil {
+	if err := w.AppendInsert(0, make([]float32, 3), attr.Point{}); err == nil {
 		t.Fatal("wrong-width insert accepted")
 	}
 }
@@ -343,13 +346,21 @@ func walFuzzSeeds() map[string][]byte {
 	flipped := append([]byte(nil), clean...)
 	flipped[len(flipped)-1] ^= 0x40
 	badOp := buildWALBytes(dim, 5, ops, []byte{9, 0, 0, 0, 0, 1, 2, 3, 4})
+	at := attr.Point{Tags: []string{"torn"}}
+	payload := attr.AppendPoint(nil, &at)
+	rec := append([]byte{WALOpInsertAttrs, 2, 0, 0, 0}, make([]byte, 4*dim)...)
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
+	rec = append(rec, payload...)
+	withAttrs := buildWALBytes(dim, 5, ops, binary.LittleEndian.AppendUint32(rec, binio.Checksum(rec)))
 	return map[string][]byte{
-		"seed-clean":  clean,
-		"seed-torn":   torn,
-		"seed-flip":   flipped,
-		"seed-bad-op": badOp,
-		"seed-header": encodeWALHeader(dim, 0),
-		"seed-short":  clean[:walHeaderLen-2],
+		"seed-attrs":      withAttrs,
+		"seed-torn-attrs": withAttrs[:len(withAttrs)-3],
+		"seed-clean":      clean,
+		"seed-torn":       torn,
+		"seed-flip":       flipped,
+		"seed-bad-op":     badOp,
+		"seed-header":     encodeWALHeader(dim, 0),
+		"seed-short":      clean[:walHeaderLen-2],
 	}
 }
 
@@ -363,7 +374,7 @@ func FuzzWALDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var n int
 		var vecWidths []int
-		rep, err := DecodeWAL(bytes.NewReader(data), func(op byte, handle int32, vec []float32, attrs []byte) error {
+		rep, err := DecodeWAL(bytes.NewReader(data), func(op byte, handle int32, vec []float32, at attr.Point) error {
 			n++
 			if op == WALOpInsert {
 				vecWidths = append(vecWidths, len(vec))
@@ -387,10 +398,71 @@ func FuzzWALDecode(f *testing.F) {
 				t.Fatalf("emit vec width %d, header dim %d", w, rep.Header.Dim)
 			}
 		}
-		// A clean decode accounts for every input byte: header, intact
-		// records, and the reported torn tail.
-		if rep.TornBytes < 0 || rep.TornBytes >= walRecordLen(WALOpInsert, rep.Header.Dim) {
+		// A torn tail is a proper prefix of one record — at most the
+		// largest, an insert carrying the largest attribute payload — and
+		// lies inside the input.
+		longest := walRecordLen(WALOpInsert, rep.Header.Dim) + 4 + attr.MaxPointEncoded
+		if rep.TornBytes < 0 || rep.TornBytes >= longest || rep.TornBytes > int64(len(data)-walHeaderLen) {
 			t.Fatalf("torn bytes %d out of range for dim %d", rep.TornBytes, rep.Header.Dim)
 		}
 	})
+}
+
+// TestWALAttributedInsert: one AppendInsert writes op=1 for an empty payload
+// and op=3 otherwise, DecodeWAL hands the payload back as it went in, and a
+// framed payload the payload rule refuses decodes as corruption.
+func TestWALAttributedInsert(t *testing.T) {
+	const dim = 3
+	path := filepath.Join(t.TempDir(), "ix.wal")
+	w, err := CreateWAL(path, dim, 0, WALSyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := attr.Point{Tags: []string{"a", ""}, Ints: map[string]int64{"n": -3}, Floats: map[string]float64{"f": 0.5}}
+	v := []float32{1, 2, 3}
+	for h, p := range []attr.Point{{}, at, {Tags: []string{}}} {
+		if err := w.AppendInsert(int32(h), v, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var ops []byte
+	var got []attr.Point
+	if _, err := DecodeWALFile(path, func(op byte, _ int32, _ []float32, p attr.Point) error {
+		ops, got = append(ops, op), append(got, p)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ops, []byte{WALOpInsert, WALOpInsertAttrs, WALOpInsert}) {
+		t.Fatalf("opcodes %v", ops)
+	}
+	enc := attr.AppendPoint(nil, &at)
+	if !got[0].Empty() || !got[2].Empty() || !bytes.Equal(attr.AppendPoint(nil, &got[1]), enc) {
+		t.Fatalf("decoded payloads %+v", got)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := walHeaderLen + 3*walRecordLen(WALOpInsert, dim) + 4 + int64(len(enc)); st.Size() != want {
+		t.Fatalf("log is %d bytes, want %d", st.Size(), want)
+	}
+
+	// The log frames whatever it is handed; the decoder holds it to the rule.
+	w, err = CreateWAL(path, dim, 0, WALSyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendInsert(0, v, attr.Point{Tags: []string{strings.Repeat("t", 5000)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeWALFile(path, nil); !errors.Is(err, binio.ErrCorrupt) {
+		t.Fatalf("decoding a refused payload: %v, want ErrCorrupt", err)
+	}
 }

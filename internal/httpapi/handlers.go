@@ -16,6 +16,7 @@ import (
 	"time"
 
 	p2h "p2h"
+	"p2h/internal/attr"
 	"p2h/internal/core"
 	"p2h/internal/faultinject"
 )
@@ -386,11 +387,13 @@ func (a *API) handleInsert(w http.ResponseWriter, r *http.Request) {
 			core.ErrDimMismatch, len(req.Point), e.dim))
 		return
 	}
-	var h int32
-	if req.Attrs != nil && !req.Attrs.Empty() {
-		h, err = e.srv.InsertWithAttrs(req.Point, *req.Attrs)
-	} else {
-		h, err = e.srv.Insert(req.Point)
+	var at attr.Point
+	if req.Attrs != nil {
+		at = *req.Attrs
+	}
+	h, err := e.srv.InsertWithAttrs(req.Point, at)
+	if errors.Is(err, attr.ErrPayload) {
+		err = fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if err != nil {
 		a.fail(w, err)

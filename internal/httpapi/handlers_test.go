@@ -405,6 +405,22 @@ func TestMutationErrorMapping(t *testing.T) {
 	// Wrong dimensionality is rejected before it can reach the index.
 	status, body = f.do(t, "POST", "/v1/indexes/dyn/insert", InsertRequest{Point: p[:3]})
 	wantError(t, status, body, 400, "dim_mismatch")
+	// So is a payload no container or log could carry, and nothing lands.
+	info := func() int {
+		status, body := f.do(t, "GET", "/v1/indexes/dyn", nil)
+		if status != 200 {
+			t.Fatalf("info: %d (%s)", status, body)
+		}
+		return unmarshal[IndexInfoResponse](t, body).N
+	}
+	n := info()
+	status, body = f.do(t, "POST", "/v1/indexes/dyn/insert", InsertRequest{
+		Point: p, Attrs: &p2h.PointAttrs{Tags: []string{strings.Repeat("t", 5000)}},
+	})
+	wantError(t, status, body, 400, "bad_request")
+	if got := info(); got != n {
+		t.Fatalf("refused insert moved n from %d to %d", n, got)
+	}
 	// A non-numeric handle is a request error.
 	status, body = f.do(t, "DELETE", "/v1/indexes/dyn/points/xyz", nil)
 	wantError(t, status, body, 400, "bad_request")

@@ -56,12 +56,6 @@ func checkName(name string) error {
 	return nil
 }
 
-// mutator matches the Insert/Delete surface of p2h.Dynamic.
-type mutator interface {
-	Insert(p []float32) int32
-	Delete(handle int32) bool
-}
-
 // managed is one served index: the engine, its declaration, and a reference
 // count that keeps the engine alive while handlers use it.
 type managed struct {
@@ -266,7 +260,7 @@ func (m *Manager) Load(name string, cfg IndexConfig, replace bool) (info IndexIn
 	}
 	opts := m.opts
 	opts.WAL = wal
-	_, mutable := ix.(mutator)
+	_, mutable := ix.(*p2h.Dynamic)
 	e := &managed{
 		name:     name,
 		srv:      p2h.NewServer(ix, opts),

@@ -165,7 +165,9 @@ type BatchSearchResponse struct {
 type InsertRequest struct {
 	Point Vector `json:"point"`
 	// Attrs carries the point's tags and numeric fields; with a WAL
-	// attached the payload is journaled alongside the vector.
+	// attached the payload is journaled alongside the vector. A payload no
+	// container or log could carry (see p2h.Server.InsertWithAttrs) is
+	// answered 400 bad_request, and nothing is inserted.
 	Attrs *p2h.PointAttrs `json:"attrs,omitempty"`
 }
 

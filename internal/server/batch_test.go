@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"p2h/internal/attr"
 	"p2h/internal/balltree"
 	"p2h/internal/core"
 	"p2h/internal/dataset"
@@ -123,7 +124,7 @@ func TestEntriesMatchDirectSearch(t *testing.T) {
 	tree, lifted, queries := treeSetup(t, 900, 12, 1)
 	mut := newMutScan(tree.Dim())
 	for i := 0; i < 200; i++ {
-		mut.Insert(lifted.Row(i)[:tree.Dim()])
+		mut.Insert(lifted.Row(i)[:tree.Dim()], attr.Point{})
 	}
 	fixtures := []struct {
 		name string
@@ -224,9 +225,11 @@ func TestEntriesMatchDirectSearch(t *testing.T) {
 				}
 				if fx.name == "tree" && en.name == "SearchBatchCtx" {
 					// A profile changes no chunk: the batch counts as the
-					// unprofiled chunks do, and every chunk fills it.
+					// unprofiled chunks do, and every chunk fills it. (At
+					// K 4, a key the cache has not seen: a profiled call
+					// takes the cache like any other.)
 					var prof core.Profile
-					check("profiled", core.SearchOptions{K: 5, Profile: &prof}, func(opts core.SearchOptions) []core.Stats {
+					check("profiled", core.SearchOptions{K: 4, Profile: &prof}, func(opts core.SearchOptions) []core.Stats {
 						if prof.Total() <= 0 {
 							t.Fatal("the profiled batch left its profile empty")
 						}
@@ -255,7 +258,7 @@ func TestEntriesMatchDirectSearch(t *testing.T) {
 					t.Fatalf("Stats.Panics = %d, want %d", got, 2*(workers+1))
 				}
 				if fx.mut != nil { // a leaked read lock would hang the write
-					if _, err := e.Insert(lifted.Row(300)[:tree.Dim()]); err != nil {
+					if _, err := e.Insert(lifted.Row(300)[:tree.Dim()], attr.Point{}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -439,14 +442,6 @@ func testExactBatchDeadline(t *testing.T, tree treeIndex, qs [][]float32) {
 	}
 }
 
-// idleCompactor gives the mutable fixture a compaction surface that never
-// finds work, so the engine starts its loop and nothing else.
-type idleCompactor struct{ *mutScan }
-
-func (idleCompactor) SetBackgroundCompaction(bool)             {}
-func (idleCompactor) CompactionNeeded() bool                   { return false }
-func (idleCompactor) BeginCompaction() (build, install func()) { return nil, nil }
-
 // TestEngineOwnsNoGoroutines: searches run on their callers, so an engine at
 // rest owns no goroutine but the optional compaction loop, and gives that
 // one back on Close.
@@ -460,7 +455,7 @@ func TestEngineOwnsNoGoroutines(t *testing.T) {
 	}
 	e.Close()
 
-	m := idleCompactor{newMutScan(4)}
+	m := newMutScan(4) // its compaction never finds work: the loop starts and idles
 	e = New(m, m, Config{Workers: 8, BackgroundCompaction: true})
 	if n := runtime.NumGoroutine(); n != before+1 {
 		t.Fatalf("compacting engine: %d goroutines, want %d (the loop)", n, before+1)

@@ -9,8 +9,9 @@ import (
 )
 
 // optsKey is the cache-relevant projection of SearchOptions: every field
-// that changes what Search returns, none that doesn't (Filter and Profile
-// make a query uncacheable and never reach the cache). A declarative Pred
+// that changes what Search returns, none that doesn't (a Filter makes a
+// query uncacheable and never reaches the cache; a Profile only observes the
+// call and keys nothing). A declarative Pred
 // stays cacheable — its canonical encoding keys the entry, so two
 // structurally equal predicates share one slot while an opaque Filter
 // closure never could.

@@ -186,6 +186,7 @@ func TestCachePredicateHit(t *testing.T) {
 // bumps it by 0.5. The engine's RWMutex is the only synchronization — that
 // is exactly the contract under test.
 type versionIndex struct {
+	noCompaction
 	val     float64
 	handles int32
 }
@@ -200,10 +201,10 @@ func (v *versionIndex) SearchBatch(queries *vec.Matrix, opts core.SearchOptions)
 
 func (v *versionIndex) Dim() int { return 2 }
 
-func (v *versionIndex) Insert(p []float32) int32 {
+func (v *versionIndex) Insert(p []float32, _ attr.Point) (int32, error) {
 	v.val = float64(p[0])
 	v.handles++
-	return v.handles
+	return v.handles, nil
 }
 
 func (v *versionIndex) Delete(h int32) bool {
@@ -226,7 +227,7 @@ func TestCacheEpochNoStaleHitsUnderConcurrentMutation(t *testing.T) {
 	var highWater atomic.Uint64 // float64 bits of the last applied state
 
 	seed := func(val float64) {
-		if _, err := e.Insert([]float32{float32(val), 0}); err != nil {
+		if _, err := e.Insert([]float32{float32(val), 0}, attr.Point{}); err != nil {
 			t.Fatal(err)
 		}
 		highWater.Store(math.Float64bits(val))
@@ -239,7 +240,7 @@ func TestCacheEpochNoStaleHitsUnderConcurrentMutation(t *testing.T) {
 		defer wg.Done()
 		for i := 2; i <= 200; i++ {
 			val := float64(i)
-			if _, err := e.Insert([]float32{float32(i), 0}); err != nil {
+			if _, err := e.Insert([]float32{float32(i), 0}, attr.Point{}); err != nil {
 				t.Error(err)
 				return
 			}

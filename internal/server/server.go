@@ -22,11 +22,12 @@
 //     SearchOptions fields; entries live in a bounded LRU and are stamped
 //     with the mutation epoch at which they were computed, so any insert or
 //     delete invalidates every older entry without an eager sweep. Queries
-//     with a Filter or Profile attached bypass the cache (a filter is an
-//     arbitrary function; a profile wants fresh timings). Cache hits are
-//     answered before a slot is taken.
+//     with a Filter attached bypass the cache (a filter is an arbitrary
+//     function, with no key). A Profile changes nothing here: a profiled
+//     query is looked up like any other, and a hit charges it no phase.
+//     Cache hits are answered before a slot is taken.
 //
-//   - Snapshot-consistent mutation. When the index exposes Insert/Delete,
+//   - Snapshot-consistent mutation. When the engine is given a Mutator,
 //     searches run under a read lock and mutations under the write lock of
 //     one RWMutex, and every mutation bumps an epoch counter. A search
 //     therefore always observes a fully applied state — never a
@@ -38,7 +39,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -66,58 +66,48 @@ type Searcher interface {
 	Dim() int
 }
 
-// Mutator is the optional write surface of a mutable index (p2h.Dynamic).
+// Mutator is the write surface of a mutable index (p2h.Dynamic): one insert
+// carrying the point's attribute payload, one delete, the delta size, and
+// the background-compaction hooks the engine drives when
+// Config.BackgroundCompaction is set. Every method is called under the
+// engine's mutation lock.
 type Mutator interface {
-	Insert(p []float32) int32
+	// Insert adds a raw point with its attribute payload (the zero Point:
+	// none) and returns its stable handle. An error means the index refused
+	// the point and nothing changed.
+	Insert(p []float32, at attr.Point) (int32, error)
+	// Delete removes a handle and reports whether it was live.
 	Delete(handle int32) bool
-}
-
-// AttrMutator is the optional attributed write surface of a mutable index:
-// an insert that also binds a per-point attribute payload (p2h.Dynamic
-// exposes it). Engines probe for it with a type assertion on the Mutator.
-type AttrMutator interface {
-	InsertWithAttrs(p []float32, at attr.Point) int32
-}
-
-// Journal is a durability sink for applied mutations. The engine appends
-// every applied Insert/Delete — under the same lock that serialized the
-// mutation, so the log order is the apply order — and reports the append
-// error to the mutating caller instead of acknowledging: an acknowledged
-// mutation is always in the journal. p2h's write-ahead log implements it.
-type Journal interface {
-	// AppendInsert logs an applied insert: the handle the index assigned
-	// and the raw point as submitted.
-	AppendInsert(handle int32, p []float32) error
-	// AppendDelete logs an applied delete of a previously live handle.
-	AppendDelete(handle int32) error
-}
-
-// AttrJournal is the optional attributed append surface of a Journal: an
-// insert record that carries the point's attribute payload, so a replay
-// restores both. A Journal without it rejects attributed inserts rather
-// than silently logging them payload-less.
-type AttrJournal interface {
-	AppendInsertAttrs(handle int32, p []float32, at attr.Point) error
-}
-
-// Compactor is the optional background-compaction surface of a mutable
-// index (p2h.Dynamic). When Config.BackgroundCompaction is set and the
-// Mutator exposes it, mutations stop folding the index's delta inline;
-// instead the engine watches CompactionNeeded after every mutation and runs
-// capture/build/install cycles on its own goroutine, holding the mutation
-// lock only for the capture and install steps — searches proceed against
-// the old tree for the whole build.
-type Compactor interface {
+	// Pending is the un-folded delta searches pay for (Stats.PendingDelta).
+	Pending() int
 	// SetBackgroundCompaction hands delta folding to the engine (true) or
 	// back to inline rebuilds (false).
 	SetBackgroundCompaction(on bool)
 	// CompactionNeeded reports whether the delta has outgrown the index's
-	// compaction threshold. Called under the mutation lock.
+	// compaction threshold.
 	CompactionNeeded() bool
-	// BeginCompaction captures the rebuild under the mutation lock and
-	// returns a build closure to run unlocked plus an install closure to
-	// run under the lock again; both nil when there is nothing to fold.
+	// BeginCompaction captures the rebuild and returns a build closure to run
+	// unlocked plus an install closure to run under the lock again; both nil
+	// when there is nothing to fold. Searches proceed against the old tree for
+	// the whole build, and the index reconciles mutations that land during it.
 	BeginCompaction() (build, install func())
+}
+
+// Journal is a durability sink for applied mutations (p2h's write-ahead
+// log). The engine appends every applied Insert/Delete under the lock that
+// serialized the mutation, so the log order is the apply order, then waits
+// for durability outside it, so concurrent mutations share one fsync. An
+// append or wait error goes to the mutating caller instead of an
+// acknowledgement: an acknowledged mutation is always in the journal.
+type Journal interface {
+	// AppendInsert logs an applied insert: the handle the index assigned,
+	// the raw point as submitted and its attribute payload.
+	AppendInsert(handle int32, p []float32, at attr.Point) error
+	// AppendDelete logs an applied delete of a previously live handle.
+	AppendDelete(handle int32) error
+	// WaitDurable returns once every record appended before the call is
+	// durable.
+	WaitDurable() error
 }
 
 // ErrImmutable is returned by Insert/Delete when the wrapped index has no
@@ -147,8 +137,8 @@ type Config struct {
 	// Journal, when non-nil, receives every applied mutation before it is
 	// acknowledged; see Journal.
 	Journal Journal
-	// BackgroundCompaction moves delta folding off the mutation path when
-	// the index exposes the Compactor surface; ignored otherwise.
+	// BackgroundCompaction moves delta folding off the mutation path onto a
+	// goroutine the engine owns; ignored for immutable indexes.
 	BackgroundCompaction bool
 }
 
@@ -212,10 +202,6 @@ type Engine struct {
 	epoch atomic.Uint64 // bumped by every applied mutation
 	cache *lru          // nil when disabled
 
-	journal Journal        // nil when mutations need no durability log
-	durable durableJournal // journal's group-commit surface, when offered
-	comp    Compactor      // nil unless background compaction is on
-
 	slots     chan struct{} // one token per executing search or batch chunk (cap Workers)
 	closed    atomic.Bool   // set by the first Drain: intake stopped
 	active    atomic.Int64  // serving calls in flight, plus the compaction loop
@@ -241,13 +227,6 @@ type Engine struct {
 	latency         Histogram
 }
 
-// durableJournal is the optional group-commit surface of a Journal: after a
-// mutation's append succeeded under the lock, the engine waits for
-// durability outside it, so concurrent mutations share one fsync.
-type durableJournal interface {
-	WaitDurable() error
-}
-
 // New builds an engine over ix. Pass the index's mutation surface as mut (or
 // nil for read-only serving); when non-nil, the engine serializes
 // Insert/Delete against searches and invalidates the cache on every applied
@@ -265,17 +244,12 @@ func New(ix Searcher, mut Mutator, cfg Config) *Engine {
 	if cfg.CacheEntries > 0 {
 		e.cache = newLRU(cfg.CacheEntries)
 	}
-	if mut != nil {
-		e.journal = cfg.Journal
-		e.durable, _ = cfg.Journal.(durableJournal)
-		if c, ok := mut.(Compactor); ok && cfg.BackgroundCompaction {
-			e.comp = c
-			c.SetBackgroundCompaction(true)
-			e.compactCh = make(chan struct{}, 1)
-			e.stopComp = make(chan struct{})
-			e.active.Add(1)
-			go e.compactLoop()
-		}
+	if mut != nil && cfg.BackgroundCompaction {
+		mut.SetBackgroundCompaction(true)
+		e.compactCh = make(chan struct{}, 1)
+		e.stopComp = make(chan struct{})
+		e.active.Add(1)
+		go e.compactLoop()
 	}
 	return e
 }
@@ -429,77 +403,21 @@ func (e *Engine) exit() {
 	}
 }
 
-// Insert adds a point through the mutation surface, serialized against
-// searches. It returns the stable handle assigned by the index. With a
-// Journal configured, a non-nil error means the point is in memory but its
-// log append failed — the caller must not acknowledge it as durable (and
-// the journal refuses further appends until reset, so no later mutation can
-// be logged over the gap).
-func (e *Engine) Insert(p []float32) (int32, error) {
-	if e.mut == nil {
-		return 0, ErrImmutable
-	}
-	h, err := func() (int32, error) {
-		e.mu.Lock()
-		defer e.mu.Unlock() // deferred so a panicking mutator cannot wedge the lock
-		h := e.mut.Insert(p)
-		e.epoch.Add(1)
-		if e.journal != nil {
-			if err := e.journal.AppendInsert(h, p); err != nil {
-				return h, err
-			}
-		}
-		e.inserts.Add(1)
-		e.wakeCompactor()
-		return h, nil
-	}()
-	if err == nil && e.durable != nil {
-		// Wait for the journal's group commit outside the mutation lock:
-		// concurrent mutations (and searches) proceed while this record's
-		// fsync is in flight, and every mutation that appended before the
-		// flush lands rides the same one.
-		err = e.durable.WaitDurable()
-	}
-	return h, err
-}
-
-// InsertWithAttrs adds a point with an attribute payload through the
-// mutation surface, serialized against searches. It requires the index's
-// mutator to expose AttrMutator and, when a Journal is configured, the
-// journal to expose AttrJournal — otherwise ErrImmutable respectively an
-// error, never a silently dropped payload. Durability semantics match
-// Insert.
-func (e *Engine) InsertWithAttrs(p []float32, at attr.Point) (int32, error) {
-	if e.mut == nil {
-		return 0, ErrImmutable
-	}
-	am, ok := e.mut.(AttrMutator)
-	if !ok {
-		return 0, ErrImmutable
-	}
-	var aj AttrJournal
-	if e.journal != nil {
-		if aj, ok = e.journal.(AttrJournal); !ok {
-			return 0, fmt.Errorf("server: journal %T cannot log attributed inserts", e.journal)
-		}
-	}
-	h, err := func() (int32, error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		h := am.InsertWithAttrs(p, at)
-		e.epoch.Add(1)
-		if aj != nil {
-			if err := aj.AppendInsertAttrs(h, p, at); err != nil {
-				return h, err
-			}
-		}
-		e.inserts.Add(1)
-		e.wakeCompactor()
-		return h, nil
-	}()
-	if err == nil && e.durable != nil {
-		err = e.durable.WaitDurable()
-	}
+// Insert adds a point with its attribute payload (the zero Point: none)
+// through the mutation surface, serialized against searches, and returns the
+// stable handle the index assigned. A point the index refuses changes
+// nothing and returns its error. With a Journal configured, a non-nil error
+// after the point was applied means its log append or durability wait failed
+// — the caller must not acknowledge it as durable (and the journal refuses
+// further appends until reset, so no later mutation can be logged over the
+// gap).
+func (e *Engine) Insert(p []float32, at attr.Point) (int32, error) {
+	var h int32
+	_, err := e.mutate(&e.inserts, func() (bool, error) {
+		var err error
+		h, err = e.mut.Insert(p, at)
+		return err == nil, err
+	}, func() error { return e.cfg.Journal.AppendInsert(h, p, at) })
 	return h, err
 }
 
@@ -507,36 +425,48 @@ func (e *Engine) InsertWithAttrs(p []float32, at attr.Point) (int32, error) {
 // searches. It reports whether the handle was live. Journal errors behave
 // as in Insert.
 func (e *Engine) Delete(handle int32) (bool, error) {
+	return e.mutate(&e.deletes, func() (bool, error) { return e.mut.Delete(handle), nil },
+		func() error { return e.cfg.Journal.AppendDelete(handle) })
+}
+
+// mutate is the one write path. Under the write lock it runs apply; when
+// apply changed the index it bumps the epoch (invalidating every cached
+// answer), appends the change to the journal with log, counts it and wakes
+// the compactor. Outside the lock it waits for the journal's group commit:
+// concurrent mutations (and searches) proceed while this record's fsync is
+// in flight, and every mutation that appended before the flush lands rides
+// the same one. It reports whether apply changed the index.
+func (e *Engine) mutate(count *atomic.Int64, apply func() (bool, error), log func() error) (bool, error) {
 	if e.mut == nil {
 		return false, ErrImmutable
 	}
-	ok, err := func() (bool, error) {
+	changed, err := func() (bool, error) {
 		e.mu.Lock()
-		defer e.mu.Unlock()
-		ok := e.mut.Delete(handle)
-		if ok {
-			e.epoch.Add(1)
-			if e.journal != nil {
-				if err := e.journal.AppendDelete(handle); err != nil {
-					return true, err
-				}
-			}
-			e.deletes.Add(1)
-			e.wakeCompactor()
+		defer e.mu.Unlock() // deferred so a panicking mutator cannot wedge the lock
+		if changed, err := apply(); !changed {
+			return false, err
 		}
-		return ok, nil
+		e.epoch.Add(1)
+		if e.cfg.Journal != nil {
+			if err := log(); err != nil {
+				return true, err
+			}
+		}
+		count.Add(1)
+		e.wakeCompactor()
+		return true, nil
 	}()
-	if err == nil && ok && e.durable != nil {
-		err = e.durable.WaitDurable()
+	if err == nil && changed && e.cfg.Journal != nil {
+		err = e.cfg.Journal.WaitDurable()
 	}
-	return ok, err
+	return changed, err
 }
 
 // wakeCompactor nudges the compaction loop when a mutation pushed the delta
 // over the threshold. Called with the write lock held; the send never
 // blocks (the channel holds one pending wake).
 func (e *Engine) wakeCompactor() {
-	if e.comp == nil || !e.comp.CompactionNeeded() {
+	if e.compactCh == nil || !e.mut.CompactionNeeded() {
 		return
 	}
 	select {
@@ -549,7 +479,7 @@ func (e *Engine) wakeCompactor() {
 // it runs capture/build/install cycles until the delta is back under the
 // threshold, holding the mutation lock only for capture and install.
 // Mutations landing during a build are reconciled at install by the index
-// (see Compactor); a cycle therefore never blocks the very mutations that
+// (see Mutator.BeginCompaction); a cycle therefore never blocks the very mutations that
 // outgrow the threshold again, which is why the loop re-checks and chains.
 func (e *Engine) compactLoop() {
 	defer e.exit()
@@ -567,8 +497,8 @@ func (e *Engine) compactLoop() {
 			}
 			var build, install func()
 			e.mu.Lock()
-			if e.comp.CompactionNeeded() {
-				build, install = e.comp.BeginCompaction()
+			if e.mut.CompactionNeeded() {
+				build, install = e.mut.BeginCompaction()
 			}
 			e.mu.Unlock()
 			if build == nil {
@@ -588,11 +518,11 @@ func (e *Engine) compactLoop() {
 // Stats snapshots the engine's counters.
 func (e *Engine) Stats() Stats {
 	pending := 0
-	if p, ok := e.mut.(interface{ Pending() int }); ok {
+	if e.mut != nil {
 		// The delta shrinks under the mutation lock (compaction install,
 		// inline rebuild); read it like a search would.
 		e.mu.RLock()
-		pending = p.Pending()
+		pending = e.mut.Pending()
 		e.mu.RUnlock()
 	}
 	return Stats{
@@ -714,7 +644,7 @@ type misses struct {
 // degradation ceiling, the cache projection; canon receives the misses.
 func (e *Engine) newCall(ctx context.Context, opts core.SearchOptions, n int, canon []float32) call {
 	c := call{ctx: ctx, opts: e.applyCeiling(opts.Normalized(), n), canon: canon}
-	if c.cached = e.cache != nil && c.opts.Filter == nil && c.opts.Profile == nil; c.cached {
+	if c.cached = e.cache != nil && c.opts.Filter == nil; c.cached {
 		c.key = makeOptsKey(c.opts)
 	}
 	return c

@@ -3,11 +3,13 @@ package server
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"p2h/internal/attr"
 	"p2h/internal/core"
 	"p2h/internal/linearscan"
 	"p2h/internal/vec"
@@ -46,9 +48,19 @@ func eachRow(search func([]float32, core.SearchOptions) ([]core.Result, core.Sta
 	return res, sts
 }
 
+// noCompaction is the delta and compaction surface of the test mutators:
+// no delta, nothing ever to fold.
+type noCompaction struct{}
+
+func (noCompaction) Pending() int                             { return 0 }
+func (noCompaction) SetBackgroundCompaction(bool)             {}
+func (noCompaction) CompactionNeeded() bool                   { return false }
+func (noCompaction) BeginCompaction() (build, install func()) { return nil, nil }
+
 // mutScan is a Mutator over a guarded point set with a rebuilt scanner; it
 // exists to exercise the engine's locking, not to be fast.
 type mutScan struct {
+	noCompaction
 	rows  *vec.Matrix
 	alive []bool
 	scan  atomic.Pointer[linearscan.Scanner]
@@ -78,14 +90,14 @@ func (m *mutScan) rebuild() {
 	m.ids.Store(&ids)
 }
 
-func (m *mutScan) Insert(p []float32) int32 {
+func (m *mutScan) Insert(p []float32, _ attr.Point) (int32, error) {
 	lifted := append(append(make([]float32, 0, m.dim+1), p...), 1)
 	h := int32(m.rows.N)
 	m.rows.Data = append(m.rows.Data, lifted...)
 	m.rows.N++
 	m.alive = append(m.alive, true)
 	m.rebuild()
-	return h
+	return h, nil
 }
 
 func (m *mutScan) Delete(handle int32) bool {
@@ -175,11 +187,68 @@ func TestEngineCacheDisabled(t *testing.T) {
 	}
 }
 
+// TestEngineProfiledRepeatIsCacheHit: a Profile keys nothing and changes
+// nothing. A profiled repeat of a cached query is a hit whose answers and
+// Stats are bitwise the unprofiled call's and which charges no phase, through
+// either door; a profiled first call misses, runs and fills its profile, and
+// an unprofiled repeat of it hits.
+func TestEngineProfiledRepeatIsCacheHit(t *testing.T) {
+	tree, _, queries := treeSetup(t, 600, 2, 4)
+	e := New(tree, nil, Config{Workers: 1})
+	defer e.Close()
+	q0, q1 := queries.Row(0), queries.Row(1)
+	plain := core.SearchOptions{K: 5, Budget: 90}
+	profiled := func(prof *core.Profile) core.SearchOptions {
+		opts := plain
+		opts.Profile = prof
+		return opts
+	}
+	counters := func(what string, hits, misses int64) {
+		t.Helper()
+		if st := e.Stats(); st.CacheHits != hits || st.CacheMisses != misses {
+			t.Fatalf("%s: %d hits, %d misses; want %d, %d", what, st.CacheHits, st.CacheMisses, hits, misses)
+		}
+	}
+
+	want0, wantSt0 := e.Search(q0, plain)
+	var prof core.Profile
+	got, gotSt := e.Search(q0, profiled(&prof))
+	if !slices.Equal(got, want0) || gotSt != wantSt0 {
+		t.Fatalf("profiled repeat: %v %+v, want %v %+v", got, gotSt, want0, wantSt0)
+	}
+	if prof.Total() != 0 {
+		t.Fatalf("a cache hit charged the profile %v", prof.Total())
+	}
+	counters("profiled repeat", 1, 1)
+
+	want1, wantSt1 := e.Search(q1, profiled(&prof))
+	if prof.Total() <= 0 {
+		t.Fatal("a profiled miss left its profile empty")
+	}
+	if got, gotSt = e.Search(q1, plain); !slices.Equal(got, want1) || gotSt != wantSt1 {
+		t.Fatalf("unprofiled repeat: %v %+v, want %v %+v", got, gotSt, want1, wantSt1)
+	}
+	counters("unprofiled repeat", 2, 2)
+
+	var batchProf core.Profile
+	res, sts, err := e.SearchBatchCtx(context.Background(), [][]float32{q0, q1}, profiled(&batchProf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res[0], want0) || !slices.Equal(res[1], want1) || sts[0] != wantSt0 || sts[1] != wantSt1 {
+		t.Fatalf("profiled batch repeat: %v %+v", res, sts)
+	}
+	if batchProf.Total() != 0 {
+		t.Fatalf("a batch of cache hits charged the profile %v", batchProf.Total())
+	}
+	counters("profiled batch repeat", 4, 2)
+}
+
 func TestEngineImmutableRejectsMutation(t *testing.T) {
 	data, _ := testData(10, 3, 1, 5)
 	e := New(scanIndex{linearscan.New(data)}, nil, Config{Workers: 1})
 	defer e.Close()
-	if _, err := e.Insert([]float32{1, 2, 3}); err != ErrImmutable {
+	if _, err := e.Insert([]float32{1, 2, 3}, attr.Point{}); err != ErrImmutable {
 		t.Fatalf("Insert err %v", err)
 	}
 	if _, err := e.Delete(0); err != ErrImmutable {
@@ -192,7 +261,7 @@ func TestEngineMutationInvalidatesCache(t *testing.T) {
 	m := newMutScan(d)
 	e := New(m, m, Config{Workers: 2})
 	defer e.Close()
-	if _, err := e.Insert([]float32{10, 0, 0}); err != nil {
+	if _, err := e.Insert([]float32{10, 0, 0}, attr.Point{}); err != nil {
 		t.Fatal(err)
 	}
 	// Hyperplane x0 = 0; the only point is 10 away.
@@ -202,7 +271,7 @@ func TestEngineMutationInvalidatesCache(t *testing.T) {
 		t.Fatalf("first search %v", res)
 	}
 	// A closer point must surface immediately, despite the cached answer.
-	h, err := e.Insert([]float32{1, 0, 0})
+	h, err := e.Insert([]float32{1, 0, 0}, attr.Point{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +304,7 @@ func TestEngineConcurrentSearchersAndMutators(t *testing.T) {
 		for j := range p {
 			p[j] = float32(rng.NormFloat64())
 		}
-		if _, err := e.Insert(p); err != nil {
+		if _, err := e.Insert(p, attr.Point{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,7 +321,7 @@ func TestEngineConcurrentSearchersAndMutators(t *testing.T) {
 				for j := range p {
 					p[j] = float32(rng.NormFloat64())
 				}
-				h, err := e.Insert(p)
+				h, err := e.Insert(p, attr.Point{})
 				if err != nil {
 					t.Error(err)
 					return
@@ -318,10 +387,10 @@ func TestEngineCloseDrainsInFlight(t *testing.T) {
 
 // panicMut always panics, standing in for a mutator fed garbage (e.g. a
 // wrong-dimension point into Dynamic.Insert).
-type panicMut struct{}
+type panicMut struct{ noCompaction }
 
-func (panicMut) Insert(p []float32) int32 { panic("bad point") }
-func (panicMut) Delete(h int32) bool      { panic("bad handle") }
+func (panicMut) Insert([]float32, attr.Point) (int32, error) { panic("bad point") }
+func (panicMut) Delete(int32) bool                           { panic("bad handle") }
 
 func TestEngineMutatorPanicDoesNotWedgeLock(t *testing.T) {
 	data, queries := testData(50, 3, 2, 11)
@@ -335,7 +404,7 @@ func TestEngineMutatorPanicDoesNotWedgeLock(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic(func() { e.Insert([]float32{1, 2, 3}) })
+	mustPanic(func() { e.Insert([]float32{1, 2, 3}, attr.Point{}) })
 	mustPanic(func() { e.Delete(0) })
 	// The write lock must have been released: a search can still complete.
 	done := make(chan struct{})
@@ -418,7 +487,7 @@ func TestEngineExclusiveSerializesMutation(t *testing.T) {
 	m := newMutScan(d)
 	e := New(m, m, Config{Workers: 1})
 	defer e.Close()
-	if _, err := e.Insert([]float32{1, 2, 3}); err != nil {
+	if _, err := e.Insert([]float32{1, 2, 3}, attr.Point{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -426,7 +495,7 @@ func TestEngineExclusiveSerializesMutation(t *testing.T) {
 	e.Exclusive(func() {
 		go func() {
 			defer close(inserted)
-			if _, err := e.Insert([]float32{4, 5, 6}); err != nil {
+			if _, err := e.Insert([]float32{4, 5, 6}, attr.Point{}); err != nil {
 				t.Error(err)
 			}
 		}()

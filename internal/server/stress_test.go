@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"p2h/internal/attr"
 	"p2h/internal/core"
 )
 
@@ -27,7 +28,7 @@ func TestStressSearchMutateDrain(t *testing.T) {
 	data, queries := testData(64, d, 16, 9)
 	m := newMutScan(d)
 	for i := 0; i < data.N; i++ {
-		m.Insert(data.Row(i)[:d])
+		m.Insert(data.Row(i)[:d], attr.Point{})
 	}
 	// An injected per-search delay that polls the cancellation hook stands in
 	// for a long traversal, so deadlines actually expire mid-search and the
@@ -152,7 +153,7 @@ func TestStressSearchMutateDrain(t *testing.T) {
 				default:
 				}
 				if len(handles) == 0 || rng.Intn(2) == 0 {
-					h, err := e.Insert(data.Row(rng.Intn(data.N))[:d])
+					h, err := e.Insert(data.Row(rng.Intn(data.N))[:d], attr.Point{})
 					if err != nil {
 						t.Errorf("mutator %d: insert: %v", g, err)
 						return

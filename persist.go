@@ -102,7 +102,9 @@ func Save(w io.Writer, ix Index) error {
 func encodeAttrSection(st *attr.Store) ([]byte, error) {
 	var buf bytes.Buffer
 	bw := binio.NewWriter(&buf)
-	attr.WriteSection(bw, st)
+	if err := attr.WriteSection(bw, st); err != nil {
+		return nil, err
+	}
 	if err := bw.Flush(); err != nil {
 		return nil, err
 	}

@@ -35,8 +35,7 @@ type ServerOptions struct {
 	// Insert/Delete that crosses the threshold — stalling every search for
 	// the whole build — the server rebuilds on a background goroutine and
 	// hot-swaps the tree, holding the mutation lock only for the capture
-	// and install steps. Ignored for indexes without the compaction
-	// surface.
+	// and install steps. Ignored unless the index is a Dynamic.
 	BackgroundCompaction bool
 }
 
@@ -69,8 +68,10 @@ var ErrDraining = server.ErrDraining
 // any number of goroutines search on their own goroutine under a bounded
 // set of worker slots, are answered through a bounded LRU cache of
 // normalized queries, and — when the index is a Dynamic — stay
-// snapshot-consistent against concurrent Insert and Delete calls, which
-// invalidate the cache through a mutation epoch.
+// snapshot-consistent against concurrent Insert, InsertWithAttrs and Delete
+// calls, which invalidate the cache through a mutation epoch. Every
+// mutation takes one path: applied to the index under the mutation lock,
+// appended to the WAL when one is attached, and acknowledged once durable.
 //
 // All methods are safe for concurrent use. Close drains in-flight queries;
 // searching after Close panics.
@@ -80,20 +81,19 @@ type Server struct {
 	wal    *WAL // nil unless ServerOptions.WAL attached one
 }
 
-// mutator matches the Insert/Delete surface of Dynamic (and of any
-// user-provided Index exposing the same mutation methods).
-type mutator interface {
-	Insert(p []float32) int32
-	Delete(handle int32) bool
-}
+// mutator is the engine's write surface over a Dynamic (server.Mutator):
+// its Insert takes the payload and returns a refused one as an error.
+type mutator struct{ *Dynamic }
 
-// NewServer starts a serving layer over ix. If ix exposes the Dynamic
-// mutation surface, Server.Insert and Server.Delete route through it with
-// snapshot consistency; otherwise they return ErrImmutable.
+func (m mutator) Insert(p []float32, at PointAttrs) (int32, error) { return m.insert(p, at) }
+
+// NewServer starts a serving layer over ix. If ix is a Dynamic,
+// Server.Insert, InsertWithAttrs and Delete route through it with snapshot
+// consistency; otherwise they return ErrImmutable.
 func NewServer(ix Index, opts ServerOptions) *Server {
 	var mut server.Mutator
-	if m, ok := ix.(mutator); ok {
-		mut = m
+	if d, ok := ix.(*Dynamic); ok {
+		mut = mutator{d}
 	}
 	cfg := server.Config{
 		Workers:              opts.Workers,
@@ -103,7 +103,7 @@ func NewServer(ix Index, opts ServerOptions) *Server {
 		BackgroundCompaction: opts.BackgroundCompaction,
 	}
 	if opts.WAL != nil {
-		cfg.Journal = opts.WAL
+		cfg.Journal = opts.WAL.wal
 	}
 	return &Server{
 		engine: server.New(ix, mut, cfg),
@@ -160,18 +160,21 @@ func (s *Server) BudgetCeiling() int { return s.engine.BudgetCeiling() }
 // plus service, per serving call).
 func (s *Server) Latency() LatencySnapshot { return s.engine.Latency() }
 
-// Insert adds a point through the underlying Dynamic index, serialized
-// against in-flight searches, and returns its stable handle.
+// Insert adds a point without attributes; see InsertWithAttrs.
 func (s *Server) Insert(p []float32) (int32, error) {
-	return s.engine.Insert(p)
+	return s.engine.Insert(p, PointAttrs{})
 }
 
-// InsertWithAttrs adds a point with an attribute payload through the
-// underlying Dynamic index, serialized against in-flight searches, and
-// returns its stable handle. With a WAL attached the payload is logged with
-// the vector, so a replay restores both.
+// InsertWithAttrs adds a point with an attribute payload (the zero value:
+// none) through the underlying Dynamic index, serialized against in-flight
+// searches, and returns its stable handle. With a WAL attached the payload
+// is logged with the vector before the call returns, so a replay restores
+// both. A payload no container or log could carry — a tag or field name over
+// 4 096 bytes, more than 65 535 tags or 4 096 fields, an encoding over 1 MiB,
+// a field that is an int here and a float here or in an earlier payload — is
+// refused with an error before the index or the log changes.
 func (s *Server) InsertWithAttrs(p []float32, at PointAttrs) (int32, error) {
-	return s.engine.InsertWithAttrs(p, at)
+	return s.engine.Insert(p, at)
 }
 
 // Delete removes a handle through the underlying Dynamic index, serialized
@@ -221,7 +224,7 @@ func (s *Server) Describe() (n int, indexBytes int64) {
 // copy nothing reopens (cmd/p2hd streams one from a spool file it then
 // deletes), so the index keeps its trees on the heap.
 func (s *Server) Snapshot(path string) (int64, error) {
-	_, mutable := s.ix.(mutator)
+	_, mutable := s.ix.(*Dynamic)
 	var size int64
 	var err error
 	s.engine.Exclusive(func() {

@@ -54,14 +54,15 @@ func (m WALSyncMode) internal() dynamic.WALSync {
 func WALPath(path string) string { return path + ".wal" }
 
 // WAL is a write-ahead log attached to a Dynamic index. Pass it to
-// NewServer through ServerOptions.WAL: every Insert/Delete the server
-// applies is appended (and, under WALSyncAlways, fsynced) before the call
-// returns, Server.Snapshot truncates the log atomically with the snapshot,
-// and Open replays a pending log on top of its container — so a crash
-// between snapshots loses no acknowledged mutation.
+// NewServer through ServerOptions.WAL: every insert (with its attribute
+// payload) and delete the server applies is appended — and, under
+// WALSyncAlways, fsynced, concurrent mutations sharing one fsync — before
+// the call returns, Server.Snapshot truncates the log atomically with the
+// snapshot, and Open replays a pending log on top of its container — so a
+// crash between snapshots loses no acknowledged mutation. The server is the
+// only writer: the log has no append method of its own.
 //
-// Appends are serialized by the engine's mutation lock; the counters are
-// safe to read concurrently.
+// The counters are safe to read concurrently.
 type WAL struct {
 	d        *Dynamic
 	wal      *dynamic.WAL
@@ -119,7 +120,7 @@ func replayWAL(d *Dynamic, path string) (int, error) {
 	}
 
 	applied := 0
-	_, err = dynamic.DecodeWALFile(path, func(op byte, handle int32, v []float32, attrs []byte) error {
+	_, err = dynamic.DecodeWALFile(path, func(op byte, handle int32, v []float32, at attr.Point) error {
 		h := d.Handles()
 		switch op {
 		case dynamic.WALOpInsert, dynamic.WALOpInsertAttrs:
@@ -128,20 +129,11 @@ func replayWAL(d *Dynamic, path string) (int, error) {
 				// Already inside the snapshot: the crash hit between the
 				// snapshot rename and the log truncation. Skip.
 			case int(handle) == h:
-				var got int32
-				if op == dynamic.WALOpInsertAttrs {
-					pt, perr := attr.DecodePoint(attrs)
-					if perr != nil {
-						return fmt.Errorf("%w: wal %s: record for handle %d: %v",
-							ErrFormat, path, handle, perr)
-					}
-					got = d.InsertWithAttrs(v, *pt)
-				} else {
-					got = d.Insert(v)
-				}
-				if got != handle {
-					return fmt.Errorf("%w: wal %s: replayed insert got handle %d, want %d",
-						ErrFormat, path, got, handle)
+				// The first pass decoded every payload and held it to the
+				// payload rule, so the index cannot refuse this one.
+				if got, err := d.insert(v, at); err != nil || got != handle {
+					return fmt.Errorf("%w: wal %s: replayed insert got handle %d (%v), want %d",
+						ErrFormat, path, got, err, handle)
 				}
 				applied++
 			default:
@@ -170,26 +162,6 @@ func wrapWALErr(path string, err error) error {
 	}
 	return err
 }
-
-// AppendInsert logs an applied insert; the serving engine calls it under
-// the mutation lock (it implements server.Journal).
-func (w *WAL) AppendInsert(handle int32, p []float32) error {
-	return w.wal.AppendInsert(handle, p)
-}
-
-// AppendInsertAttrs logs an applied attributed insert (the payload travels
-// with the vector so a replay restores both).
-func (w *WAL) AppendInsertAttrs(handle int32, p []float32, at PointAttrs) error {
-	return w.wal.AppendInsertAttrs(handle, p, attr.AppendPoint(nil, &at))
-}
-
-// AppendDelete logs an applied delete.
-func (w *WAL) AppendDelete(handle int32) error { return w.wal.AppendDelete(handle) }
-
-// WaitDurable blocks until every record appended before the call is on disk
-// (a no-op under WALSyncNone). The serving engine calls it after releasing
-// the mutation lock, so concurrent mutations share one fsync — group commit.
-func (w *WAL) WaitDurable() error { return w.wal.WaitDurable() }
 
 // Records returns the number of pending records — acknowledged mutations
 // not yet absorbed by a snapshot. Safe to call concurrently with appends.
