@@ -36,12 +36,17 @@ func (p *Point) Empty() bool {
 // ErrPayload is wrapped by every error Validate returns.
 var ErrPayload = errors.New("attr: payload out of bounds")
 
+// maxIntField bounds an int field's magnitude: a store holds every field as a
+// float64, which represents each integer up to 2^53 exactly.
+const maxIntField = 1 << 53
+
 // Validate is the payload rule: it accepts exactly the points every reader in
 // this module takes back. Such a point's wire encoding (AppendPoint) fits
 // the bounds DecodePoint enforces — tag and field names up to maxNameLen
 // bytes, at most 65 535 tags (a uint16 count), at most MaxPointEncoded bytes
 // in all — and a store built over it fits a section ReadSection accepts: at
-// most maxSectionFields fields, none of them both an int and a float. A
+// most maxSectionFields fields, none of them both an int and a float, and
+// every int within ±2^53, so that it reads back as it went in. A
 // mutable index runs it before an insert changes anything, and Build runs it
 // on every point, so no payload is accepted that a log replay or a container
 // load would later refuse.
@@ -68,9 +73,12 @@ func (p *Point) Validate() error {
 			return err
 		}
 	}
-	for f := range p.Ints {
+	for f, v := range p.Ints {
 		if _, both := p.Floats[f]; both {
 			return fmt.Errorf("%w: field %q is both an int and a float", ErrPayload, f)
+		}
+		if v > maxIntField || v < -maxIntField {
+			return fmt.Errorf("%w: int field %q is %d, beyond ±2^53", ErrPayload, f, v)
 		}
 		if err := name("field name", f); err != nil {
 			return err

@@ -369,6 +369,12 @@ func TestValidatePayloadRule(t *testing.T) {
 		{"fields over the section limit", Point{Ints: fields(maxSectionFields + 1)}, false},
 		{"int and float under one name", Point{Ints: map[string]int64{"x": 1}, Floats: map[string]float64{"x": 1}}, false},
 		{"encoding over 1 MiB", Point{Tags: manyTags(300, 4000)}, false},
+		{"int at 2^53", Point{Ints: map[string]int64{"x": 1 << 53}}, true},
+		{"int at -2^53", Point{Ints: map[string]int64{"x": -(1 << 53)}}, true},
+		{"int at 2^53+1", Point{Ints: map[string]int64{"x": 1<<53 + 1}}, false},
+		{"int at -2^53-1", Point{Ints: map[string]int64{"x": -(1 << 53) - 1}}, false},
+		{"int at MaxInt64", Point{Ints: map[string]int64{"x": math.MaxInt64}}, false},
+		{"int at MinInt64", Point{Ints: map[string]int64{"x": math.MinInt64}}, false},
 	} {
 		err := c.p.Validate()
 		if (err == nil) != c.ok {

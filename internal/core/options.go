@@ -75,16 +75,19 @@ type SearchOptions struct {
 	// Profile, if non-nil, receives the per-phase time breakdown
 	// (Figure 10). Leaving it nil removes all timing overhead.
 	Profile *Profile
-	// Cancel, if non-nil, is polled between traversal steps (the tree
-	// methods check it at every node visit, so at least once per leaf
-	// block); when it reports true the search abandons the remaining
-	// traversal and returns the best results found so far. This is the
-	// cooperative half of deadline propagation: a serving layer derives
-	// Cancel from a request context so an expired query stops burning the
-	// worker instead of finishing a scan nobody is waiting for. Results of
-	// a canceled search are valid but possibly incomplete; callers that
-	// need to distinguish must check their own cancellation signal after
-	// the call.
+	// Cancel, if non-nil, is polled while a search runs: by the trees
+	// (balltree, bctree, and the sharded and dynamic kinds' trees) at every
+	// node visit, so at least once per leaf block; by the scan (linearscan
+	// under any of its names, and a dynamic index's delta) once per 256-row
+	// chunk; and by the batch fallback of the kinds without a batched path,
+	// between rows. kdtree, nh and fh do not poll it inside a search. When it
+	// reports true the search abandons the rest of its traversal or scan and
+	// returns the best results found so far. This is the cooperative half
+	// of deadline propagation: a serving layer derives Cancel from a request
+	// context so an expired query stops burning the worker instead of
+	// finishing a scan nobody is waiting for. Results of a canceled search
+	// are valid but possibly incomplete; callers that need to distinguish
+	// must check their own cancellation signal after the call.
 	Cancel func() bool
 
 	// The two switches below ablate BC-Tree's point-level bounds (paper

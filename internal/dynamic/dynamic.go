@@ -20,12 +20,11 @@ package dynamic
 
 import (
 	"fmt"
-	"math"
-	"time"
 
 	"p2h/internal/attr"
 	"p2h/internal/balltree"
 	"p2h/internal/core"
+	"p2h/internal/linearscan"
 	"p2h/internal/vec"
 )
 
@@ -301,7 +300,8 @@ func (ix *Index) maybeRebuild() {
 // plus a pass over the delta — exhaustive, or up to what the tree leaves of
 // opts.Budget, which caps the two together. Results carry stable handles.
 // Liveness is the bitmap, which the tree's leaf scan applies before its
-// bounds and the delta scan before its inner products, so a search with no
+// bounds and the delta scan (linearscan.Scanner.ScanInto, row r as handle
+// base+r) before its inner products, so a search with no
 // opts.Filter and no opts.Pred calls no closure. Otherwise the two run as one
 // Filter on live handles: opts.Pred evaluated per handle against the stored
 // attribute payloads — the payloads live here, keyed by handle, and the
@@ -338,67 +338,17 @@ func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, co
 		}
 	}
 	// The delta gets what the tree left of the budget: its own share plus
-	// whatever the tree did not spend.
-	ix.scanDelta(q, opts, tk, &st)
+	// whatever the tree did not spend. Its scan pushes into the collector the
+	// tree filled, so its float32 screen starts at the tree's k-th distance.
+	if ix.delta.N > 0 && opts.BudgetLeft(st.Candidates) {
+		if opts.Budget > 0 {
+			opts.Budget -= int(st.Candidates)
+		}
+		n := linearscan.New(ix.delta).ScanInto(q, opts, int32(ix.base), ix.live, tk)
+		st.IPCount += n
+		st.Candidates += n
+	}
 	return tk.Results(), st
-}
-
-// deltaBlock is how many delta rows the scan filters and verifies at a time.
-const deltaBlock = 64
-
-// scanDelta verifies the delta's accepted rows into tk, in handle order and
-// fixed blocks: a block's rows are filtered by the bitmap and opts.Filter and
-// cut at the remaining budget, then verified by one vec.DotBlockWithin call
-// (screened in float32 against the k-th best distance on entry) when the
-// accepted rows are a whole prefix of the block, else one Dot each. A
-// profile is charged the scan as verification.
-func (ix *Index) scanDelta(q []float32, opts core.SearchOptions, tk *core.TopK, st *core.Stats) {
-	if ix.delta.N == 0 {
-		return
-	}
-	var start time.Time
-	if opts.Profile != nil {
-		start = time.Now()
-	}
-	var dists [deltaBlock]float64
-	var sel [deltaBlock]int32
-	d := ix.dim
-	qnorm := vec.Norm(q)
-	left := math.MaxInt // candidates the budget still allows
-	if opts.Budget > 0 {
-		left = int(int64(opts.Budget) - st.Candidates)
-	}
-	for lo := 0; lo < ix.delta.N && left > 0; lo += deltaBlock {
-		hi := min(lo+deltaBlock, ix.delta.N)
-		m := 0
-		for i := lo; i < hi && m < left; i++ {
-			h := int32(ix.base + i)
-			if ix.live.Has(h) && (opts.Filter == nil || opts.Filter(h)) {
-				sel[m] = int32(i - lo)
-				m++
-			}
-		}
-		if m == 0 {
-			continue
-		}
-		if int(sel[m-1]) == m-1 {
-			// The accepted rows are the prefix, so sel is free for the list.
-			for _, j := range vec.DotBlockWithin(q, qnorm, tk.Lambda(), ix.delta.Data[lo*d:(lo+m)*d], dists[:m], sel[:0]) {
-				tk.Push(int32(ix.base+lo+int(j)), math.Abs(dists[j]))
-			}
-		} else {
-			for _, j := range sel[:m] {
-				i := lo + int(j)
-				tk.Push(int32(ix.base+i), vec.AbsDot(q, ix.delta.Row(i)))
-			}
-		}
-		st.IPCount += int64(m)
-		st.Candidates += int64(m)
-		left -= m
-	}
-	if opts.Profile != nil {
-		opts.Profile.Add(core.PhaseVerify, time.Since(start))
-	}
 }
 
 // IndexBytes reports the tree footprint (its id map is the snapshot's handle

@@ -359,6 +359,31 @@ func TestDeleteAfterBitmapGrowth(t *testing.T) {
 	}
 }
 
+// TestCancelStopsTheDeltaScan: a Cancel that fires once the tree is done
+// stops the delta's scan at its next chunk (256 rows), so a deadline bounds
+// the delta's thousands of rows as it bounds the tree.
+func TestCancelStopsTheDeltaScan(t *testing.T) {
+	data, queries := liftedData(2000, 8, 5)
+	ix := NewFromMatrix(data, Config{Seed: 6})
+	ix.SetBackgroundCompaction(true) // keep the delta unfolded
+	rng := rand.New(rand.NewSource(7))
+	for range 5000 {
+		mustInsert(ix, randLifted(rng, data.D))
+	}
+	base := int32(ix.base)
+	q := queries.Row(0)
+	_, tree := ix.Search(q, core.SearchOptions{K: 10, Filter: func(h int32) bool { return h < base }})
+	var inDelta bool
+	_, st := ix.Search(q, core.SearchOptions{
+		K:      10,
+		Filter: func(h int32) bool { inDelta = inDelta || h >= base; return true },
+		Cancel: func() bool { return inDelta },
+	})
+	if delta := st.Candidates - tree.Candidates; delta <= 0 || delta > 256 {
+		t.Fatalf("the canceled search verified %d delta rows of %d, want one chunk of at most 256", delta, ix.BufferLen())
+	}
+}
+
 // TestInsertPayloadRule: an insert refuses a payload the rule refuses
 // before anything changes, an empty payload creates no attribute column, and
 // an attributed insert pads the column for the rows before it.

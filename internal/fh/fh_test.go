@@ -107,7 +107,7 @@ func TestBudgetSharedAcrossPartitions(t *testing.T) {
 func TestRecallImprovesWithBudget(t *testing.T) {
 	data, queries := testData(t, dataset.FamilyClustered, 2000, 16, 8)
 	ix := Build(data, Config{Lambda: 32, M: 16, L: 2, Seed: 9})
-	gt := linearscan.GroundTruth(data, queries, 10)
+	gt, _ := linearscan.New(data).SearchBatch(queries, core.SearchOptions{K: 10})
 	recallAt := func(budget int) float64 {
 		hit, total := 0, 0
 		for i := 0; i < queries.N; i++ {

@@ -4,6 +4,7 @@
 //
 // Every scan is one loop (Scanner.scan): the data a chunk of rows at a time,
 // each chunk's accepted rows handed on as a range of rows or a list of ids.
+// It is also a dynamic index's pass over its delta (ScanInto).
 // One query verifies a range with vec.DotBlockWithin and listed rows with
 // vec.Dot; a batch, filtered, budgeted or not, verifies a range in place and
 // packs listed rows into blocks, and runs every block through the
@@ -13,11 +14,9 @@ package linearscan
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"p2h/internal/core"
-	"p2h/internal/exec"
 	"p2h/internal/vec"
 )
 
@@ -53,11 +52,13 @@ const scanChunk = 256
 // scan is the scanner's one loop. It walks the data a scanChunk of rows at a
 // time, in storage order, polls opts.Cancel before each chunk, and hands
 // visit each chunk's accepted rows: as the range [lo, hi) when they are a
-// prefix of the chunk (without a Filter, every row up to the budget), and
-// otherwise as their ids, sel. A Filter is asked once per row until
-// opts.Budget rows are accepted. It returns how many rows were accepted:
-// every row handed to visit, which is every accepted row the scan covered.
-func (s *Scanner) scan(opts core.SearchOptions, visit func(lo, hi int, sel []int32)) int64 {
+// prefix of the chunk (without a Filter or live, every row up to the budget),
+// and otherwise as their row numbers, sel. Row r is admitted when live, if
+// not nil, holds base+r and opts.Filter, if set, accepts base+r; the two are
+// asked once per row until opts.Budget rows are accepted. It returns how many
+// rows were accepted: every row handed to visit, which is every accepted row
+// the scan covered.
+func (s *Scanner) scan(opts core.SearchOptions, base int32, live core.Bitmap, visit func(lo, hi int, sel []int32)) int64 {
 	n := s.data.N
 	var accepted int64
 	var ids [scanChunk]int32
@@ -69,7 +70,7 @@ func (s *Scanner) scan(opts core.SearchOptions, visit func(lo, hi int, sel []int
 		if opts.Budget > 0 {
 			want = opts.Budget - int(accepted)
 		}
-		if opts.Filter == nil {
+		if opts.Filter == nil && live == nil {
 			hi = min(hi, lo+want)
 			accepted += int64(hi - lo)
 			visit(lo, hi, nil)
@@ -77,7 +78,7 @@ func (s *Scanner) scan(opts core.SearchOptions, visit func(lo, hi int, sel []int
 		}
 		m := 0
 		for r, filter := lo, opts.Filter; r < hi && m < want; r++ {
-			if filter(int32(r)) {
+			if id := base + int32(r); (live == nil || live.Has(id)) && (filter == nil || filter(id)) {
 				ids[m] = int32(r)
 				m++
 			}
@@ -98,17 +99,27 @@ func (s *Scanner) scan(opts core.SearchOptions, visit func(lo, hi int, sel []int
 // budget the answer is exact; a budget caps the number of points scanned
 // (in storage order), matching how candidate budgets apply to the indexes.
 // A Filter decides which points cost an inner product and count against the
-// budget. The scan runs a chunk at a time (see scan): the accepted prefix of
-// a chunk, every row of it without a Filter, through one vec.DotBlockWithin
-// call against the k-th best distance at the chunk's start — the float32
-// screen, which computes in float64 only the rows that may reach the
-// collector — any other accepted row through vec.Dot, in place: one query
-// reads a row once, so gathering rows would only copy them. opts.Cancel is
-// polled once per chunk; a canceled scan returns the best of the rows it
-// covered, its Stats counting only those.
+// budget. It is ScanInto over every row into a collector of its own.
 func (s *Scanner) Search(q []float32, opts core.SearchOptions) ([]core.Result, core.Stats) {
 	opts = opts.Normalized()
 	tk := core.NewTopK(opts.K)
+	n := s.ScanInto(q, opts, 0, nil, tk)
+	return tk.Results(), core.Stats{IPCount: n, Candidates: n}
+}
+
+// ScanInto pushes the rows opts admits into tk, which may already hold
+// results, and returns how many it verified. Row r is the point base+r, and
+// admitted only when live, if not nil, holds base+r (a dynamic index's delta
+// is scanned this way, over the index's liveness bitmap). The scan runs a
+// chunk at a time (see scan): the accepted prefix of a chunk, every row of it
+// without a Filter or live, through one vec.DotBlockWithin call against tk's
+// k-th best distance at the chunk's start — the float32 screen, which
+// computes in float64 only the rows that may reach the collector — any other
+// accepted row through vec.Dot, in place: one query reads a row once, so
+// gathering rows would only copy them. opts.Cancel is polled once per chunk;
+// a canceled scan stops with the best of the rows it covered in tk. A
+// profile is charged the scan as verification.
+func (s *Scanner) ScanInto(q []float32, opts core.SearchOptions, base int32, live core.Bitmap, tk *core.TopK) int64 {
 	var start time.Time
 	if opts.Profile != nil {
 		start = time.Now()
@@ -117,22 +128,22 @@ func (s *Scanner) Search(q []float32, opts core.SearchOptions) ([]core.Result, c
 	qnorm := vec.Norm(q)
 	var dists [scanChunk]float64
 	var kept [scanChunk]int32
-	n := s.scan(opts, func(lo, hi int, sel []int32) {
+	n := s.scan(opts, base, live, func(lo, hi int, sel []int32) {
 		if sel != nil {
-			for _, id := range sel {
-				tk.Push(id, math.Abs(vec.Dot(q, s.data.Row(int(id)))))
+			for _, r := range sel {
+				tk.Push(base+r, vec.AbsDot(q, s.data.Row(int(r))))
 			}
 			return
 		}
 		out := dists[:hi-lo]
 		for _, i := range vec.DotBlockWithin(q, qnorm, tk.Lambda(), s.data.Data[lo*d:hi*d], out, kept[:0]) {
-			tk.Push(int32(lo)+i, math.Abs(out[i]))
+			tk.Push(base+int32(lo)+i, math.Abs(out[i]))
 		}
 	})
 	if opts.Profile != nil {
 		opts.Profile.Add(core.PhaseVerify, time.Since(start))
 	}
-	return tk.Results(), core.Stats{IPCount: n, Candidates: n}
+	return n
 }
 
 // block is rows verified together by a batch: row r of the packed rows is
@@ -238,7 +249,7 @@ func (s *Scanner) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][
 		}
 	}
 	g := gather{data: s.data}
-	n := s.scan(opts, func(lo, hi int, sel []int32) {
+	n := s.scan(opts, 0, nil, func(lo, hi int, sel []int32) {
 		if sel != nil {
 			g.add(sel, verify)
 			return
@@ -255,18 +266,4 @@ func (s *Scanner) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][
 		stats[i].IPCount, stats[i].Candidates = n, n
 	}
 	return out, stats
-}
-
-// GroundTruth computes the exact top-k answers for every query row: the
-// batched scan, the queries split over GOMAXPROCS goroutines.
-func GroundTruth(data, queries *vec.Matrix, k int) [][]core.Result {
-	s := New(data)
-	out := make([][]core.Result, queries.N)
-	_ = exec.ForChunks(queries.N, runtime.GOMAXPROCS(0), func(lo, hi int) error {
-		sub := &vec.Matrix{Data: queries.Data[lo*queries.D : hi*queries.D], N: hi - lo, D: queries.D}
-		res, _ := s.SearchBatch(sub, core.SearchOptions{K: k})
-		copy(out[lo:hi], res)
-		return nil // the chunks never fail
-	})
-	return out
 }

@@ -3,10 +3,12 @@ package linearscan
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"p2h/internal/core"
 	"p2h/internal/dataset"
+	"p2h/internal/exec"
 	"p2h/internal/vec"
 )
 
@@ -54,11 +56,13 @@ func TestNewPanicsOnEmpty(t *testing.T) {
 	New(vec.NewMatrix(0, 3))
 }
 
+// TestGroundTruthShapes: the batched scan, the repository's ground truth,
+// answers every query row with k results in distance order.
 func TestGroundTruthShapes(t *testing.T) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 12, Clusters: 4}, 200, 1)
 	data := raw.AppendOnes()
 	queries := dataset.GenerateQueries(raw, 7, 2)
-	gt := GroundTruth(data, queries, 5)
+	gt, _ := New(data).SearchBatch(queries, core.SearchOptions{K: 5})
 	if len(gt) != 7 {
 		t.Fatalf("gt rows = %d", len(gt))
 	}
@@ -293,8 +297,8 @@ func BenchmarkLinearScan(b *testing.B) {
 }
 
 // BenchmarkLinearScanBatch is the benchmark fixture's ground truth: 256
-// queries over the 50 000-point Sift surrogate, as one SearchBatch and as
-// GroundTruth splits them over GOMAXPROCS goroutines.
+// queries over the 50 000-point Sift surrogate, as one SearchBatch and split
+// over GOMAXPROCS goroutines, as p2h.GroundTruth runs it.
 func BenchmarkLinearScanBatch(b *testing.B) {
 	raw := dataset.Generate(dataset.ByName("Sift"), 50000, 1)
 	data := raw.AppendOnes()
@@ -305,7 +309,12 @@ func BenchmarkLinearScanBatch(b *testing.B) {
 		run  func()
 	}{
 		{"workers=1", func() { s.SearchBatch(queries, core.SearchOptions{K: 10}) }},
-		{"workers=max", func() { GroundTruth(data, queries, 10) }},
+		{"workers=max", func() {
+			_ = exec.ForChunks(queries.N, runtime.GOMAXPROCS(0), func(lo, hi int) error {
+				s.SearchBatch(&vec.Matrix{Data: queries.Data[lo*queries.D : hi*queries.D], N: hi - lo, D: queries.D}, core.SearchOptions{K: 10})
+				return nil
+			})
+		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

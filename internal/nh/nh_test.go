@@ -81,7 +81,7 @@ func TestBudgetRespected(t *testing.T) {
 func TestRecallImprovesWithBudget(t *testing.T) {
 	data, queries := testData(t, 2000, 16, 6)
 	ix := Build(data, Config{Lambda: 32, M: 16, L: 2, Seed: 7})
-	gt := linearscan.GroundTruth(data, queries, 10)
+	gt, _ := linearscan.New(data).SearchBatch(queries, core.SearchOptions{K: 10})
 	recallAt := func(budget int) float64 {
 		hit, total := 0, 0
 		for i := 0; i < queries.N; i++ {

@@ -3,9 +3,7 @@ package quant
 import (
 	"fmt"
 	"math"
-	"time"
 
-	"p2h/internal/core"
 	"p2h/internal/vec"
 )
 
@@ -121,73 +119,4 @@ func approxIP(base float64, w []float64, code []uint8) float64 {
 		s += w[j] * float64(c)
 	}
 	return s
-}
-
-// Scan is an exhaustive P2HNNS baseline over quantized codes: the
-// approximate |<x, q>| filters candidates, and only points whose
-// approximate score minus the error bound beats the current k-th best are
-// verified against the float vectors. Results are exact.
-type Scan struct {
-	data  *vec.Matrix // original lifted vectors, for verification
-	quant *Quantizer
-	codes []uint8 // n * d, row-major
-}
-
-// NewScan quantizes the lifted data matrix.
-func NewScan(data *vec.Matrix) *Scan {
-	q := NewQuantizer(data)
-	return &Scan{data: data, quant: q, codes: q.EncodeMatrix(data)}
-}
-
-// N returns the number of indexed points.
-func (s *Scan) N() int { return s.data.N }
-
-// Dim returns the lifted dimensionality.
-func (s *Scan) Dim() int { return s.data.D }
-
-// IndexBytes reports the code storage plus the per-dimension grids.
-func (s *Scan) IndexBytes() int64 {
-	return int64(len(s.codes)) + int64(s.data.D)*(4+4+8)
-}
-
-// Search returns the exact top-k: the quantized filter only skips points
-// whose approximate score provably cannot beat the current threshold.
-// A candidate budget caps exact verifications, as for the other indexes. A
-// profile is charged the loop as verification, as the linear scan's is.
-func (s *Scan) Search(q []float32, opts core.SearchOptions) ([]core.Result, core.Stats) {
-	opts = opts.Normalized()
-	var start time.Time
-	if opts.Profile != nil {
-		start = time.Now()
-	}
-	var st core.Stats
-	tk := core.NewTopK(opts.K)
-	var f CodeFilter
-	s.quant.Fit(&f, q)
-	d := s.data.D
-	for i := 0; i < s.data.N; i++ {
-		if !opts.BudgetLeft(st.Candidates) {
-			break
-		}
-		if opts.Filter != nil && !opts.Filter(int32(i)) {
-			continue
-		}
-		ip := vec.CodeDot(s.codes[i*d:(i+1)*d], f.W)
-		approx := math.Abs(f.Base + float64(ip)*f.InvS)
-		// |<x,q>| >= approx - eps: skip only when that floor strictly
-		// exceeds the current k-th best distance (ties must reach the
-		// collector's canonical (Dist, ID) order, as in the trees).
-		if approx-f.Eps > tk.Lambda() {
-			st.PrunedPoints++
-			continue
-		}
-		exact := math.Abs(vec.Dot(q, s.data.Row(i)))
-		st.IPCount++
-		st.Candidates++
-		tk.Push(int32(i), exact)
-	}
-	if opts.Profile != nil {
-		opts.Profile.Add(core.PhaseVerify, time.Since(start))
-	}
-	return tk.Results(), st
 }

@@ -6,9 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"p2h/internal/core"
 	"p2h/internal/dataset"
-	"p2h/internal/linearscan"
 	"p2h/internal/vec"
 )
 
@@ -107,64 +105,5 @@ func TestEncodeClampsOutOfRange(t *testing.T) {
 	highCode := q.Encode([]float32{100})
 	if lowCode[0] != 0 || highCode[0] != 255 {
 		t.Fatalf("clamping failed: %d %d", lowCode[0], highCode[0])
-	}
-}
-
-func TestScanExactMatchesLinearScan(t *testing.T) {
-	for _, family := range []dataset.Family{dataset.FamilyClustered, dataset.FamilyUniform, dataset.FamilyHeavyTail} {
-		data, queries := setup(t, family, 600, 16, 3)
-		qs := NewScan(data)
-		ref := linearscan.New(data)
-		for i := 0; i < queries.N; i++ {
-			q := queries.Row(i)
-			got, _ := qs.Search(q, core.SearchOptions{K: 5})
-			want, _ := ref.Search(q, core.SearchOptions{K: 5})
-			for j := range want {
-				if math.Abs(got[j].Dist-want[j].Dist) > 1e-9*(1+want[j].Dist) {
-					t.Fatalf("%v query %d rank %d: %v != %v", family, i, j, got[j], want[j])
-				}
-			}
-		}
-	}
-}
-
-func TestScanPrunesOnClusteredData(t *testing.T) {
-	data, queries := setup(t, dataset.FamilyClustered, 4000, 24, 5)
-	qs := NewScan(data)
-	var st core.Stats
-	for i := 0; i < queries.N; i++ {
-		_, s := qs.Search(queries.Row(i), core.SearchOptions{K: 1})
-		st.Add(s)
-	}
-	if st.PrunedPoints == 0 {
-		t.Fatal("quantized filter never pruned")
-	}
-	if st.Candidates >= int64(queries.N)*int64(data.N) {
-		t.Fatal("no verification saved")
-	}
-}
-
-func TestScanCompressionRatio(t *testing.T) {
-	data, _ := setup(t, dataset.FamilyClustered, 1000, 64, 7)
-	qs := NewScan(data)
-	// Codes are 1 byte/dim vs 4 bytes/dim floats; allow grid overhead.
-	if qs.IndexBytes() >= data.Bytes()/2 {
-		t.Fatalf("codes too large: %d vs data %d", qs.IndexBytes(), data.Bytes())
-	}
-}
-
-func TestScanBudgetRespected(t *testing.T) {
-	data, queries := setup(t, dataset.FamilyUniform, 800, 8, 9)
-	qs := NewScan(data)
-	for _, budget := range []int{1, 50, 500} {
-		for i := 0; i < queries.N; i++ {
-			res, st := qs.Search(queries.Row(i), core.SearchOptions{K: 5, Budget: budget})
-			if st.Candidates > int64(budget) {
-				t.Fatalf("budget %d exceeded: %d", budget, st.Candidates)
-			}
-			if len(res) == 0 {
-				t.Fatal("budgeted search must return something")
-			}
-		}
 	}
 }

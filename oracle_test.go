@@ -44,9 +44,10 @@ import (
 )
 
 // oracleKinds is the one table of specs the root tests build from: every kind
-// of p2h.Kinds(), the quantized trees, sharded at 1, 4 and 8 shards, and a
-// churned dynamic index (see churnedRow). NH and FH use M = 8: an exact hash
-// search drains all m·n cursors.
+// of p2h.Kinds(), the quantized trees, the scan under its 8-bit alias
+// (quantizedscan), sharded at 1, 4 and 8 shards, and a churned dynamic index
+// (see churnedRow). NH and FH use M = 8: an exact hash search drains all m·n
+// cursors.
 var oracleKinds = []oracleKind{
 	{"balltree", p2h.Spec{Kind: p2h.KindBallTree, LeafSize: 40, Seed: 11}},
 	{"balltree-quant", p2h.Spec{Kind: p2h.KindBallTree, LeafSize: 40, Seed: 11, Quantize: true}},
@@ -633,9 +634,10 @@ func TestOracleMatrix(t *testing.T) {
 	oracleView{shapes: oracleShapes}.run(t)
 }
 
-// The named slices. Rows named after their kind are one plain row per kind
-// (p2h.Kinds()); the quantized rows run under their kind's name.
+// The named slices. kindRows is one plain row per kind (p2h.Kinds()) and the
+// alias row; the quantized rows run under their kind's name.
 var (
+	kindRows    = append(p2h.Kinds(), "quantizedscan")
 	quantRows   = []string{"balltree=balltree-quant", "bctree=bctree-quant", "sharded=sharded-quant"}
 	familySets  = []string{"Sift", "GloVe", "Music", "Enron"}
 	gateSets    = []string{"Sift", "Cifar-10"}
@@ -680,7 +682,7 @@ func tieShapes(int) (out []oracleShape) {
 // at k > n and under a budget, through Search — the soundness gate for the
 // per-node summaries' subtree pushdown.
 func TestPredEquivalence(t *testing.T) {
-	oracleView{sets: []string{"Cifar-10"}, rows: p2h.Kinds(), shapes: predShapes(func(n int, opts p2h.SearchOptions) []oracleShape {
+	oracleView{sets: []string{"Cifar-10"}, rows: kindRows, shapes: predShapes(func(n int, opts p2h.SearchOptions) []oracleShape {
 		big, budgeted := opts, opts
 		big.K, budgeted.Budget = n+3, max(n/20, 1)
 		return []oracleShape{{name: "exact", opts: opts}, {name: "kBig", opts: big}, {name: "budget", opts: budgeted}}
@@ -698,7 +700,7 @@ func TestPredEquivalenceQuantized(t *testing.T) {
 // TestPredEquivalenceBatched: the predicate sweep through SearchBatch on one
 // and four workers.
 func TestPredEquivalenceBatched(t *testing.T) {
-	oracleView{sets: []string{"Cifar-10"}, rows: p2h.Kinds(), shapes: predShapes(func(_ int, opts p2h.SearchOptions) []oracleShape {
+	oracleView{sets: []string{"Cifar-10"}, rows: kindRows, shapes: predShapes(func(_ int, opts p2h.SearchOptions) []oracleShape {
 		return []oracleShape{{name: "w1", opts: opts, paths: []string{viaSearchBatch(1)}}, {name: "w4", opts: opts, paths: []string{viaSearchBatch(4)}}}
 	})}.run(t)
 }
@@ -706,7 +708,7 @@ func TestPredEquivalenceBatched(t *testing.T) {
 // TestPredWithUserFilter: a Pred with a caller's Filter is the one closure
 // testing both.
 func TestPredWithUserFilter(t *testing.T) {
-	oracleView{sets: []string{"Cifar-10"}, rows: p2h.Kinds(), shapes: fixedShapes(oracleShape{opts: p2h.SearchOptions{
+	oracleView{sets: []string{"Cifar-10"}, rows: kindRows, shapes: fixedShapes(oracleShape{opts: p2h.SearchOptions{
 		K: 10, Pred: p2h.TagIs("warm"), Filter: func(id int32) bool { return id%3 == 0 }}})}.run(t)
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"p2h/internal/attr"
 	"p2h/internal/balltree"
 )
 
@@ -523,9 +525,9 @@ func TestRetiredKDTreeContainerRefused(t *testing.T) {
 	}
 }
 
-// TestSaveBuildOnlyKindsRefuse: the five baselines (KD-Tree, NH, FH and the
-// scans) are registered build-only; Save must say so instead of writing an
-// unloadable file.
+// TestSaveBuildOnlyKindsRefuse: the four baselines (KD-Tree, NH, FH and the
+// scan, also under its 8-bit alias) are registered build-only; Save must say
+// so instead of writing an unloadable file.
 func TestSaveBuildOnlyKindsRefuse(t *testing.T) {
 	data := specTestData(80, 6, 5)
 	for _, kind := range []string{KindKDTree, KindNH, KindFH, KindLinearScan, KindQuantizedScan} {
@@ -536,6 +538,46 @@ func TestSaveBuildOnlyKindsRefuse(t *testing.T) {
 		var buf bytes.Buffer
 		if err := Save(&buf, ix); err == nil {
 			t.Fatalf("%s: Save succeeded on a build-only kind", kind)
+		}
+	}
+}
+
+// TestIntAttrsWithinExactFloats: a store holds int fields as float64, so the
+// payload rule refuses an int beyond ±2^53 — a dynamic insert of MaxInt64
+// and AttachAttributes of 2^53+1, on a dynamic index and on a tree — before
+// the index changes, and ±2^53 come back from Save→Load as they went in.
+func TestIntAttrsWithinExactFloats(t *testing.T) {
+	data := specTestData(60, 4, 8)
+	dyn := MustBuild(t, data, Spec{Kind: KindDynamic, Seed: 1}).(*Dynamic)
+	if _, err := dyn.insert(data.Row(0), PointAttrs{Ints: map[string]int64{"x": math.MaxInt64}}); !errors.Is(err, attr.ErrPayload) {
+		t.Fatalf("insert of MaxInt64: %v, want ErrPayload", err)
+	}
+	if dyn.Handles() != data.N || dyn.index.HasAttrs() {
+		t.Fatalf("the refused insert changed the index: %d handles", dyn.Handles())
+	}
+	points := make([]PointAttrs, data.N)
+	points[1] = PointAttrs{Ints: map[string]int64{"x": 1<<53 + 1}}
+	for _, ix := range []Index{dyn, MustBuild(t, data, Spec{Kind: KindBCTree, Seed: 1})} {
+		if err := AttachAttributes(ix, points); !errors.Is(err, attr.ErrPayload) {
+			t.Fatalf("%s: AttachAttributes of 2^53+1: %v, want ErrPayload", KindOf(ix), err)
+		}
+	}
+	points[1] = PointAttrs{Ints: map[string]int64{"x": 1 << 53}}
+	points[2] = PointAttrs{Ints: map[string]int64{"x": -(1 << 53)}}
+	if err := AttachAttributes(dyn, points); err != nil {
+		t.Fatalf("AttachAttributes of ±2^53: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, dyn); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := int32(1); h <= 2; h++ {
+		if got, want := back.(*Dynamic).index.AttrAt(h).Ints["x"], points[h].Ints["x"]; got != want {
+			t.Fatalf("handle %d: %d after Save→Load, want %d", h, got, want)
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"p2h/internal/kdtree"
 	"p2h/internal/linearscan"
 	"p2h/internal/nh"
-	"p2h/internal/quant"
 	"p2h/internal/shard"
 )
 
@@ -137,7 +136,10 @@ var kinds = []*kind{
 		},
 	},
 	{
-		name: KindLinearScan, aliases: []string{"scan", "linear"},
+		// The 8-bit scan's names resolve here, so callers' specs keep working:
+		// the float32 screen made that scan slower than this one, and it held
+		// a code copy of the data besides.
+		name: KindLinearScan, aliases: []string{"scan", "linear", KindQuantizedScan, "quant", "qscan"},
 		buildOnly: "holds nothing beyond the data matrix; persist the data with SaveFvecs instead",
 		build:     func(x *Matrix, _ int, _ Spec) inner { return linearscan.New(x) },
 		wrap:      func(h handle) Index { return &LinearScan{h} },
@@ -147,11 +149,6 @@ var kinds = []*kind{
 		build: func(x *Matrix, _ int, s Spec) inner {
 			return nh.Build(x, nh.Config{Lambda: s.Lambda, M: s.M, L: s.L, Seed: s.Seed})
 		},
-	},
-	{
-		name: KindQuantizedScan, aliases: []string{"quant", "qscan"},
-		buildOnly: "codes are derived from the data deterministically; persist the data with SaveFvecs instead",
-		build:     func(x *Matrix, _ int, _ Spec) inner { return quant.NewScan(x) },
 	},
 	{
 		name: KindSharded, aliases: []string{"shard"}, nativePred: true,

@@ -12,7 +12,7 @@ import (
 // or carries a documented build-only marker (never silently neither).
 func TestEveryKindLoadsOrDocumentsBuildOnly(t *testing.T) {
 	kinds := Kinds()
-	if len(kinds) < 9 {
+	if len(kinds) < 8 {
 		t.Fatalf("only %d kinds: %v", len(kinds), kinds)
 	}
 	persistable := map[string]bool{

@@ -24,7 +24,10 @@ var (
 
 // Canonical kind names of the index backends, as accepted by Spec.Kind and
 // written into saved index containers. Kinds() lists them; short aliases
-// ("bc", "ball", "kd", "scan", "quant", "shard", "dyn") resolve to these.
+// ("bc", "ball", "kd", "scan", "shard", "dyn") resolve to these.
+// KindQuantizedScan is not a kind of its own but a name of KindLinearScan
+// (so are "quant" and "qscan"), kept so that specs and daemon configs
+// naming the retired 8-bit scan still build the exact scan.
 const (
 	KindBallTree      = "balltree"
 	KindBCTree        = "bctree"

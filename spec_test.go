@@ -164,7 +164,8 @@ func TestKindAliases(t *testing.T) {
 	for alias, want := range map[string]string{
 		"bc": KindBCTree, "ball": KindBallTree, "kd": KindKDTree,
 		"scan": KindLinearScan, "linear": KindLinearScan,
-		"quant": KindQuantizedScan, "shard": KindSharded, "dyn": KindDynamic,
+		"quant": KindLinearScan, "qscan": KindLinearScan, KindQuantizedScan: KindLinearScan,
+		"shard": KindSharded, "dyn": KindDynamic,
 		"BCTree": KindBCTree, " bctree ": KindBCTree, // case- and space-insensitive
 	} {
 		ix, err := New(data, Spec{Kind: alias, Shards: 2})
@@ -173,6 +174,41 @@ func TestKindAliases(t *testing.T) {
 		}
 		if got := KindOf(ix); got != want {
 			t.Fatalf("alias %q built %q, want %q", alias, got, want)
+		}
+	}
+}
+
+// TestQuantizedScanIsLinearScan: the retired 8-bit scan's name builds the
+// exact scan itself — a *LinearScan whose answers and Stats are bitwise
+// NewLinearScan's, exact, budgeted and filtered, one query at a time and as
+// a batch.
+func TestQuantizedScanIsLinearScan(t *testing.T) {
+	data := specTestData(600, 7, 3)
+	queries := GenerateQueries(data, 6, 4)
+	ix, err := New(data, Spec{Kind: KindQuantizedScan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alias, ok := ix.(*LinearScan)
+	if !ok {
+		t.Fatalf("New(%s) returned %T, want *LinearScan", KindQuantizedScan, ix)
+	}
+	if got := KindOf(alias); got != KindLinearScan {
+		t.Fatalf("KindOf(%s index) = %q, want %q", KindQuantizedScan, got, KindLinearScan)
+	}
+	ref := NewLinearScan(data)
+	for _, opts := range []SearchOptions{{K: 10}, {K: 10, Budget: 250}, {K: 5, Filter: func(id int32) bool { return id%3 != 0 }}} {
+		for i := 0; i < queries.N; i++ {
+			got, gotSt := alias.Search(queries.Row(i), opts)
+			want, wantSt := ref.Search(queries.Row(i), opts)
+			if !reflect.DeepEqual(got, want) || gotSt != wantSt {
+				t.Fatalf("query %d, budget %d: alias %v %+v, scan %v %+v", i, opts.Budget, got, gotSt, want, wantSt)
+			}
+		}
+		got, gotSt := alias.SearchBatch(queries, opts)
+		want, wantSt := ref.SearchBatch(queries, opts)
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotSt, wantSt) {
+			t.Fatalf("budget %d: the alias's batch diverges from the scan's", opts.Budget)
 		}
 	}
 }
