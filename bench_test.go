@@ -202,16 +202,6 @@ func BenchmarkQueryExactBCTree(b *testing.B) {
 	queryBench(b, MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1}), queries, SearchOptions{K: 10})
 }
 
-func BenchmarkQueryExactBallTreeQuant(b *testing.B) {
-	data, queries := benchData(b)
-	queryBench(b, MustBuild(b, data, Spec{Kind: KindBallTree, Seed: 1, Quantize: true}), queries, SearchOptions{K: 10})
-}
-
-func BenchmarkQueryExactBCTreeQuant(b *testing.B) {
-	data, queries := benchData(b)
-	queryBench(b, MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1, Quantize: true}), queries, SearchOptions{K: 10})
-}
-
 // BenchmarkQueryPredBCTree and BenchmarkQueryFilterBCTree time the same
 // exact top-10 search restricted to every tenth row, once as a declarative
 // tag predicate (pushed down to the node summaries, matched per row in the

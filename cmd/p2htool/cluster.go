@@ -127,7 +127,7 @@ func runClusterSplit(args []string, stdout, stderr io.Writer) error {
 	membersFlag := fs.String("members", "", "member count, or comma-separated name=url pairs (required)")
 	shards := fs.Int("shards", 0, "number of shards (0: one per member)")
 	replicas := fs.Int("replicas", 1, "replicas per shard beyond the primary")
-	specJSON := fs.String("spec", "", "p2h.Spec as JSON for tuning (leaf_size, seed, quantize)")
+	specJSON := fs.String("spec", "", "p2h.Spec as JSON for tuning (leaf_size, seed)")
 	leafSize := fs.Int("leafsize", 0, "override the spec's tree leaf size N0")
 	seed := fs.Int64("seed", 0, "override the spec's construction seed")
 	outDir := fs.String("out", "", "output directory (required; created if missing)")
@@ -207,7 +207,6 @@ func runClusterSplit(args []string, stdout, stderr io.Writer) error {
 			Kind:     p2h.KindBCTree,
 			LeafSize: spec.LeafSize,
 			Seed:     spec.Seed + int64(si) + 1,
-			Quantize: spec.Quantize,
 		})
 		if err != nil {
 			return fmt.Errorf("cluster split: shard %d: %w", si, err)

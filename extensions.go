@@ -37,7 +37,6 @@ func ShardPlan(data *Matrix, spec Spec) [][]int32 {
 		LeafSize: spec.LeafSize,
 		Seed:     spec.Seed,
 		Workers:  spec.Workers,
-		Quantize: spec.Quantize,
 	})
 }
 

@@ -72,29 +72,6 @@ func testSearcherZeroAllocs(t *testing.T, kind Kind) {
 	}
 }
 
-// TestQuantSearcherZeroAllocs pins the quantized leaf scan at zero
-// steady-state allocations: the fitted filter's weight slice and the
-// survivor scratch grow once during warmup and are reused ever after.
-func TestQuantSearcherZeroAllocs(t *testing.T) {
-	forKinds(t, func(t *testing.T, kind Kind) {
-		_, quantized, queries := quantPair(t, kind, 2000, 8, 23)
-		s := quantized.NewSearcher()
-		opts := core.SearchOptions{K: 10}
-		var dst []core.Result
-		for qi := 0; qi < queries.N; qi++ {
-			dst, _ = s.Search(queries.Row(qi), opts, dst[:0])
-		}
-		qi := 0
-		allocs := testing.AllocsPerRun(100, func() {
-			dst, _ = s.Search(queries.Row(qi%queries.N), opts, dst[:0])
-			qi++
-		})
-		if allocs != 0 {
-			t.Fatalf("steady-state quantized Search allocated %.1f times per op, want 0", allocs)
-		}
-	})
-}
-
 // TestTreeSearchSteadyStateAllocs pins Tree.Search (which must allocate the
 // returned results slice, but nothing else) at exactly one allocation per
 // call in steady state.

@@ -32,20 +32,6 @@ func batchSetup(t *testing.T, kind Kind, n, nq int, seed int64) (*Tree, *vec.Mat
 	return Build(raw.AppendOnes(), kind, Config{LeafSize: 32, Seed: seed}), queries
 }
 
-// quantPair is batchSetup's tree without and with the 8-bit leaf mirror.
-func quantPair(t *testing.T, kind Kind, n, nq int, seed int64) (plain, quantized *Tree, queries *vec.Matrix) {
-	t.Helper()
-	raw := dataset.Dedup(dataset.Generate(dataset.Spec{
-		Name: "t", Family: dataset.FamilyClustered, RawDim: 24, Clusters: 8,
-	}, n, seed))
-	queries = dataset.GenerateQueries(raw, nq, seed+1)
-	normalizeRows(queries)
-	data := raw.AppendOnes()
-	plain = Build(data, kind, Config{LeafSize: 32, Seed: seed})
-	quantized = Build(data, kind, Config{LeafSize: 32, Seed: seed, Quantize: true})
-	return plain, quantized, queries
-}
-
 // normalizeRows rescales every query to a unit normal, the contract of the
 // tree-level Search/SearchBatch (p2h.checkQuery does this at the API
 // boundary).

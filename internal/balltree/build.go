@@ -8,7 +8,6 @@ import (
 	"slices"
 
 	"p2h/internal/partition"
-	"p2h/internal/quant"
 	"p2h/internal/vec"
 )
 
@@ -81,10 +80,6 @@ func BuildOwned(rows *vec.Matrix, labels []int32, kind Kind, cfg Config) *Tree {
 		sec.centers = t.compactCenters(&sec.centers)
 	} else {
 		sec.centers.Data = trimmed(b.centers)
-	}
-	if cfg.Quantize {
-		t.qz = quant.NewQuantizer(&sec.points)
-		t.codes = t.qz.EncodeMatrix(&sec.points)
 	}
 	t.cur.Store(sec)
 	return t

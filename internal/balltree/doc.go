@@ -73,5 +73,5 @@
 // bound's rejections carry the error of the subtraction under their root
 // (vec.Rejection). Leaf verification runs as fused bound kernels plus one
 // blocked inner-product call over sequential memory (vec.BallCutoff /
-// vec.ConeSelect / vec.DotBlock).
+// vec.ConeSelect / vec.DotBlockWithin).
 package balltree

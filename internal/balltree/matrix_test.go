@@ -1,9 +1,9 @@
 package balltree
 
 // The oracle matrix, this package's one equivalence harness: every row of
-// matrixRows (a kind, with or without the 8-bit leaf mirror) answers every
-// set of matrixSets × shape through Search and the paths the shape names,
-// each answer held to its cell's contract:
+// matrixRows (a kind, over the set's pivot seed or the next one) answers
+// every set of matrixSets × shape through Search and the paths the shape
+// names, each answer held to its cell's contract:
 //
 //   - exact (no budget, or one of n or more): bitwise the brute-force
 //     reference's answer (bruteForce: the float64 vec.Dot on every admitted
@@ -12,7 +12,7 @@ package balltree
 //     a Pred, a liveness bitmap and a Filter folded into one Filter closure,
 //     the Pred evaluated by attr.Pred.Matches;
 //   - budgeted: bitwise the tree's own Search, a Pred its Filter closure with
-//     as many candidates, a mirrored row its unmirrored twin;
+//     as many candidates;
 //   - cancelled at once: no answer and no work;
 //   - always: (Dist, ID) order, each Dist |<q, x>| of its id, min(k,
 //     Candidates) of them, Candidates within n and the budget, IPCount at
@@ -46,11 +46,13 @@ import (
 )
 
 type matrixRow struct {
-	name     string
-	kind     Kind
-	quantize bool // the 8-bit leaf mirror, this one column
+	name   string
+	kind   Kind
+	reseed bool // build over the set's seed + 1, a second tree shape: this one column
 }
 
+// The reseeded rows keep the names the 8-bit leaf mirror's column had, so
+// their test ids stay stable now that the mirror is gone.
 var matrixRows = []matrixRow{{"balltree", Ball, false}, {"balltree-quant", Ball, true}, {"bctree", BC, false}, {"bctree-quant", BC, true}}
 
 // matrixSet is a value of the data axis: lifted data, unit-normal queries,
@@ -170,7 +172,7 @@ var (
 )
 
 // matrixShapes: k of 1, 10 and n+3; the Figure 8 variants; both preferences;
-// a Filter, one accepting all (a mirrored tree's float scan), a Pred, a
+// a Filter, one accepting all (the prefix verified whole), a Pred, a
 // bitmap; a profile; a Cancel that never fires and one that fires at once;
 // budgets of 1, n/20 and n, the middle one beside a preference, a Filter, a
 // Pred and a bitmap. Batches of 64 rows, 16 tiles, go through the walks a
@@ -283,7 +285,6 @@ type builtRow struct {
 	row       matrixRow
 	set       *matrixSet
 	tree      *Tree
-	plain     *Tree            // a mirrored row's unmirrored twin
 	twins     map[string]*Tree // by path, built when first asked for
 	rowOf     []int32          // the row of each of the owned twin's labels
 	live, all core.Bitmap      // liveRows(tree), and every row
@@ -296,16 +297,15 @@ func buildRow(t *testing.T, row matrixRow, set *matrixSet) *builtRow {
 		r.all[i] = math.MaxUint64
 	}
 	r.live = liveRows(r.tree)
-	if row.quantize {
-		cfg := r.config()
-		cfg.Quantize = false
-		r.plain = r.attach(t, Build(set.data, row.kind, cfg), set.store)
-	}
 	return r
 }
 
 func (r *builtRow) config() Config {
-	return Config{LeafSize: r.set.leafSize, Seed: r.set.seed, Quantize: r.row.quantize}
+	cfg := Config{LeafSize: r.set.leafSize, Seed: r.set.seed}
+	if r.row.reseed {
+		cfg.Seed++
+	}
+	return cfg
 }
 
 func (r *builtRow) attach(t *testing.T, tree *Tree, store *attr.Store) *Tree {
@@ -333,7 +333,7 @@ func (r *builtRow) twin(t *testing.T, path string) *Tree {
 		if err = r.tree.Save(&buf); err == nil {
 			tw, err = Load(&buf, r.row.kind, 0)
 		}
-		if err != nil || tw.Quantized() != r.row.quantize {
+		if err != nil {
 			t.Fatalf("Save→Load: %v", err)
 		}
 	case viaAdopted:
@@ -472,10 +472,6 @@ func checkCell(t *testing.T, r *builtRow, sh matrixShape) {
 				}
 			}
 		}
-		if r.plain != nil {
-			got, _ := searchEach(r.plain, queries, c.opts)
-			requireSame(t, "unmirrored twin", got, c.got)
-		}
 	}
 	if p := c.opts.Profile; p != nil && p.Total() == 0 {
 		t.Fatal("the profiled search recorded no phase time")
@@ -501,7 +497,6 @@ func checkCell(t *testing.T, r *builtRow, sh matrixShape) {
 				t.Fatalf("%s, row %d:\n got %v\nwant %v", path, i, res, want)
 			}
 			switch {
-			case path == viaLive && sh.live && r.row.quantize: // a Filter sends a mirrored tree down the float scan, a bitmap does not
 			case path == viaLive:
 				if stats[i].Candidates != st.Candidates || stats[i].IPCount != st.IPCount {
 					t.Fatalf("%s, query %d: %+v, the Filter closure's %+v", path, i, stats[i], st)
@@ -677,8 +672,8 @@ func TestTreeOracleMatrix(t *testing.T) {
 	matrixView{shapes: matrixShapes, queries: 4}.run(t)
 }
 
-// The named slices. Rows named after a kind are the plain rows; the mirrored
-// ones run under their kind's name.
+// The named slices. Rows named after a kind are built over the set's seed; the
+// reseeded ones run under their kind's name.
 var (
 	plainRows = []string{"balltree", "bctree"}
 	quantRows = []string{"balltree=balltree-quant", "bctree=bctree-quant"}
@@ -802,7 +797,7 @@ func TestCollabIPHalvesInnerProducts(t *testing.T) {
 
 // TestBallIsAblatedBC pins the paper's Figure 8 reading: over the same data,
 // seed and leaf size, a BC tree with both point-level switches off answers as
-// a Ball tree does, mirrored or not, and does the same work but for Lemma 2 —
+// a Ball tree does, at either seed, and does the same work but for Lemma 2 —
 // every counter agrees once each collaborative product is counted as the
 // O(d) product the Ball tree made in its place. Direct and Lemma 1 centres
 // can differ in the last ulp and a derived product carries its kappa, either
@@ -853,17 +848,6 @@ func TestSearchCancelMidway(t *testing.T) {
 					t.Fatalf("query %d budget %d: %d polls, %d of %d nodes, answer %v", qi, budget, polls, st.NodesVisited, full.NodesVisited, res)
 				}
 			}
-		}
-	}}))
-}
-
-// TestQuantFilterActuallyPrunes: beside the ball and cone bounds the code
-// filter still saves verification.
-func TestQuantFilterActuallyPrunes(t *testing.T) {
-	clustered(t, quantRows, 0, fixed(matrixShape{opts: core.SearchOptions{K: 10}, check: func(t *testing.T, c *cell) {
-		_, plain := searchEach(c.r.plain, c.r.set.queries, c.opts)
-		if q, f := sum(c.stats).Candidates, sum(plain).Candidates; q >= f {
-			t.Fatalf("mirrored %d candidates, float %d: no savings", q, f)
 		}
 	}}))
 }
@@ -934,8 +918,9 @@ func TestLiveMaskEqualsFilter(t *testing.T) {
 	})
 }
 
-// TestQuantSearchMatchesFloat: the code filter only removes work — a
-// mirrored tree answers as the scan, and under a budget as its plain twin.
+// TestQuantSearchMatchesFloat: the reseeded rows on the shapes the 8-bit
+// mirror's equality test ran. A second tree shape answers an exact search as
+// the scan does: the answer is the data's, not the pivots'.
 func TestQuantSearchMatchesFloat(t *testing.T) {
 	clustered(t, quantRows, 0, pick(nil, "exact-k1=k1", "exact-k10=k10", "exact-kBig=kBig", "budget", "filtered=filter",
 		"lowerbound-pref=lowerbound", "no-point-ball=wo-ball", "no-point-cone=wo-cone", "no-point-bounds=wo-bc", "ablated=accept-all"))
@@ -945,21 +930,17 @@ func TestQuantBatchMatchesSequential(t *testing.T) {
 	clustered(t, quantRows, 0, pick(batchPaths, "exact-k1=k1", "exact-k10=k10", "exact-kBig=kBig", "no-point-ball=wo-ball", "ablated=accept-all"))
 }
 
-// TestQuantSaveLoadRoundTrip: the mirror round-trips, and a tampered or cut
-// code section — the payload's last — fails the load.
+// TestQuantSaveLoadRoundTrip: a tree round-trips through Save→Load, and its
+// payload cut short fails the load. (A payload that carried the 8-bit leaf
+// mirror is refused by name: TestLoadNamesRetiredVersions.)
 func TestQuantSaveLoadRoundTrip(t *testing.T) {
 	clustered(t, quantRows, 10, fixed(matrixShape{opts: core.SearchOptions{K: 7}, paths: []string{viaLoaded}, check: func(t *testing.T, c *cell) {
 		var buf bytes.Buffer
 		if err := c.r.tree.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		raw := buf.Bytes()
-		tampered := slices.Clone(raw)
-		tampered[len(tampered)-10] ^= 0x80
-		for _, payload := range [][]byte{tampered, raw[:len(raw)-5]} {
-			if _, err := Load(bytes.NewReader(payload), c.r.row.kind, 0); err == nil {
-				t.Fatal("a tampered or cut quantization section loaded")
-			}
+		if _, err := Load(bytes.NewReader(buf.Bytes()[:buf.Len()-5]), c.r.row.kind, 0); err == nil {
+			t.Fatal("a cut payload loaded")
 		}
 	}}))
 }

@@ -7,7 +7,6 @@ import (
 	"p2h/internal/attr"
 	"p2h/internal/core"
 	"p2h/internal/exec"
-	"p2h/internal/quant"
 	"p2h/internal/vec"
 )
 
@@ -34,14 +33,15 @@ import (
 //     cone pairs imply, vec.ConeGrid.Radius), and the
 //     point-level cone bound (Theorem 3) prunes single points it misses via
 //     the fused vec.ConeSelect kernel; survivors are verified by one blocked
-//     vec.DotBlock call when the whole prefix survives. Predicate and Filter
-//     searches take the same scan, their row filters among its stages.
+//     vec.DotBlockWithin call (a float32 screen, decided in float64) when
+//     the whole prefix survives. Predicate and Filter searches take the
+//     same scan, their row filters among its stages.
 //
 // The two ablation switches in opts reproduce the paper's Figure 8 variants. A
 // Ball kind tree runs with both forced on (see normalize) and computes both
 // children's inner products from their centres, which is Algorithm 3: two
-// O(d) inner products per visited internal node and one vec.DotBlock call
-// over each visited leaf's contiguous rows.
+// O(d) inner products per visited internal node and one vec.DotBlockWithin
+// call over each visited leaf's contiguous rows.
 //
 // Search runs on a pooled Searcher, so a steady-state call's only allocation
 // is the returned results slice; use a Searcher directly to eliminate that
@@ -86,11 +86,9 @@ type Searcher struct {
 	pred    *attr.Prog
 	usePush bool
 
-	// useQuant: the leaf scan runs the 8-bit code filter (see begin). tiled:
-	// full tiles of vec.TileQueries queries share the multi-query kernel at a
-	// leaf (see scanLeaf).
-	useQuant bool
-	tiled    bool
+	// tiled: full tiles of vec.TileQueries queries share the multi-query
+	// kernel at a leaf (see scanLeaf).
+	tiled bool
 
 	qs []query // the call's queries, in row order
 
@@ -100,15 +98,13 @@ type Searcher struct {
 }
 
 // query is one query's state in a call: the vector and its norm, its top-k
-// collector and work counters, and, while useQuant is set, its fitted integer
-// filter (see quant.CodeFilter).
+// collector and work counters.
 type query struct {
 	q       []float32
 	qnorm   float64
 	sqQnorm float64
 	tk      core.TopK
 	st      core.Stats
-	qf      quant.CodeFilter
 }
 
 // NewSearcher returns a reusable executor bound to the tree.
@@ -170,19 +166,10 @@ func (s *Searcher) search(rows []float32, nq int, opts core.SearchOptions, live 
 // predicate on a tree without attributes constant-folds against the empty
 // payload — it either accepts every point (and is dropped) or rejects every
 // point (empty results, no traversal).
-//
-// The quantized filter applies to exact scans only: budgeted searches keep
-// the float path so "candidates verified" keeps meaning the same work, and so
-// do Filter-closure searches, so that the closure is asked about the rows the
-// float scan verifies whether or not the tree carries the mirror. A
-// declarative predicate composes with it (the leaf scan filters rows by the
-// predicate before the code kernel). Results are identical either way (the
-// filter is exact), which the quantized-vs-float equality tests pin down.
 func (s *Searcher) begin(rows []float32, nq int, opts core.SearchOptions, live core.Bitmap) bool {
 	s.opts = s.tree.normalize(opts)
 	s.sec = s.tree.sec()
 	s.live = live
-	s.useQuant = s.tree.qz != nil && s.opts.Filter == nil && s.opts.Budget <= 0
 	run := true
 	s.pred, s.usePush = nil, false
 	if p := s.opts.Pred; p != nil {
@@ -194,8 +181,7 @@ func (s *Searcher) begin(rows []float32, nq int, opts core.SearchOptions, live c
 			s.usePush = s.tree.attrSums != nil
 		}
 	}
-	s.tiled = nq >= vec.TileQueries && live == nil && s.pred == nil &&
-		s.opts.Filter == nil && !s.useQuant
+	s.tiled = nq >= vec.TileQueries && live == nil && s.pred == nil && s.opts.Filter == nil
 	// Grow the records without dropping the storage earlier calls gave them.
 	if nq > cap(s.qs) {
 		grown := make([]query, nq)
@@ -211,9 +197,6 @@ func (s *Searcher) begin(rows []float32, nq int, opts core.SearchOptions, live c
 		r.sqQnorm = r.qnorm * r.qnorm
 		r.tk.Init(s.opts.K)
 		r.st = core.Stats{}
-		if s.useQuant {
-			s.tree.qz.Fit(&r.qf, r.q)
-		}
 	}
 	return run
 }
@@ -529,9 +512,9 @@ func (s *Searcher) popFrontier() frontierNode {
 //     until the remaining budget has been accepted: a rejected id costs no
 //     inner product and no budget, and an accept-all Filter sees exactly the
 //     verified candidates;
-//  5. the 8-bit code filter (see useQuant);
-//  6. verification: one DotBlock call when no row of the prefix was removed
-//     (the common case on hard leaves), else one Dot per survivor.
+//  5. verification: one vec.DotBlockWithin call (see verify) when no row
+//     of the prefix was removed (the common case on hard leaves), else one
+//     Dot per survivor.
 //
 // Every bound is evaluated against the λ at leaf entry; λ only shrinks during
 // the scan, so the snapshot prunes conservatively and results stay exact.
@@ -544,7 +527,7 @@ func (s *Searcher) scanWithPruning(r *query, n *nodeRec, absIP float64) {
 	if profiling {
 		leafStart = time.Now()
 	}
-	t, sec := s.tree, s.sec
+	sec := s.sec
 	start := int(n.start)
 	lambda := r.tk.Lambda()
 	grid := sec.grid(n)
@@ -599,20 +582,6 @@ func (s *Searcher) scanWithPruning(r *query, n *nodeRec, absIP float64) {
 		if dense {
 			m = len(sel)
 		}
-	}
-	// Like the bounds, the code filter needs a finite λ to act.
-	if s.useQuant && r.tk.Full() && m > 0 {
-		d := sec.points.D
-		codes := t.codes[start*d : (start+m)*d]
-		before := len(sel)
-		if dense {
-			before = m
-			sel = vec.CodeSelect(codes, d, r.qf.W, r.qf.Base, r.qf.InvS, r.qf.Eps, lambda, sel[:0])
-		} else {
-			sel = vec.CodeSelectIdx(codes, d, r.qf.W, r.qf.Base, r.qf.InvS, r.qf.Eps, lambda, sel)
-		}
-		r.st.PrunedPoints += int64(before - len(sel))
-		dense = len(sel) == m
 	}
 	s.sel = sel // keep the grown capacity for the next leaf
 

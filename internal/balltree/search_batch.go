@@ -48,8 +48,8 @@ func (t *Tree) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]co
 // other query runs the single-query pipeline, scanWithPruning, against its
 // own collector: a query left over past the last tile, each of a group
 // smaller than a tile — a single Search among them — and each of a call with
-// liveness, a predicate, a Filter or the code filter. A Profile takes no part
-// in the choice; both scans charge it.
+// liveness, a predicate or a Filter. A Profile takes no part in the choice;
+// both scans charge it.
 func (s *Searcher) scanLeaf(n *nodeRec, act []int32, ips []float64, kappa float64) {
 	tiled := 0
 	if s.tiled {

@@ -9,7 +9,6 @@ import (
 	"unsafe"
 
 	"p2h/internal/binio"
-	"p2h/internal/quant"
 	"p2h/internal/vec"
 )
 
@@ -17,28 +16,21 @@ import (
 // header, position->id map (in the holder's id space when the tree was built
 // with labels), reordered points, packed centers, columnar node
 // arrays. Every array is one contiguous little-endian section that binio moves
-// as a block. The magic records the kind and whether a quantization section
-// follows:
+// as a block. The magic records the kind:
 //
 //	P2HBT002  Ball kind: a centre per node; nodes carry radius, range and
 //	          both child links; no trailing arrays
-//	P2HBT003  P2HBT002 plus the quantization section
 //	P2HBC010  BC kind: (nodes+1)/2 centres (the root's, then the left
 //	          children's in arena order); nodes carry radius, centerNorm,
 //	          range and the right link — the left child is the next node and
 //	          its centre's row follows from the links; then xcos/xsin as
 //	          uint16 codes on each leaf's grids, which its radius and
 //	          centerNorm fix (vec.ConeGrid; r_x is derived from them)
-//	P2HBC011  P2HBC010 plus the quantization section
 //
-// The quantization section (grid tables and the 8-bit code mirror) is the
-// same for both kinds. There is one current version per kind: the BC payloads
-// earlier releases wrote are named in the error that rejects them and are not
-// converted.
-var magics = [2][2]string{
-	Ball: {"P2HBT002", "P2HBT003"},
-	BC:   {"P2HBC010", "P2HBC011"},
-}
+// There is one current version per kind: the payloads earlier releases wrote
+// — older BC layouts, and either kind with the 8-bit leaf mirror — are named
+// in the error that rejects them and are not converted.
+var magics = [2]string{Ball: "P2HBT002", BC: "P2HBC010"}
 
 // retiredMagics maps the payload magics earlier releases wrote to what to
 // tell someone who still has such a file.
@@ -51,12 +43,14 @@ var retiredMagics = map[string]string{
 	"P2HBC007": "quantized bctree payload version 7 (a stored r_x array)",
 	"P2HBC008": "bctree payload version 8 (float32 cone pair)",
 	"P2HBC009": "quantized bctree payload version 9 (float32 cone pair)",
+	"P2HBC011": "quantized bctree payload version 11 (the 8-bit leaf mirror)",
+	"P2HBT003": "quantized balltree payload version 3 (the 8-bit leaf mirror)",
 }
 
 // PayloadMagics lists the magic of every payload Load accepts; the root
 // package's container tests walk it, so a format bump cannot slip past them.
 func PayloadMagics() []string {
-	return []string{magics[Ball][0], magics[Ball][1], magics[BC][0], magics[BC][1]}
+	return []string{magics[Ball], magics[BC]}
 }
 
 // RetiredPayload returns the error Load refuses a retired payload magic with
@@ -68,7 +62,7 @@ func RetiredPayload(magic string) error {
 		return nil
 	}
 	return fmt.Errorf("%w: %s is a %s, which this build no longer reads (current: %s/%s); rebuild the index and save it again",
-		binio.ErrCorrupt, magic, what, magics[BC][0], magics[BC][1])
+		binio.ErrCorrupt, magic, what, magics[Ball], magics[BC])
 }
 
 // maxSerialDim guards against corrupt headers allocating absurd buffers.
@@ -88,9 +82,6 @@ func (t *Tree) PayloadBytes() int64 {
 		b += 4*((nodes+1)/2)*d /*centers*/ + nodes*(2*8 /*radius, centerNorm*/ +3*4 /*range, right*/) +
 			2*2*n /*xcos, xsin*/
 	}
-	if t.qz != nil {
-		b += quant.SectionBytes(sec.points.N, sec.points.D)
-	}
 	return b
 }
 
@@ -101,11 +92,7 @@ func (t *Tree) Save(w io.Writer) error {
 	sec := t.sec()
 	bw := binio.NewWriter(w)
 	start := bw.Written()
-	m := magics[t.kind][0]
-	if t.qz != nil {
-		m = magics[t.kind][1]
-	}
-	bw.Bytes([]byte(m))
+	bw.Bytes([]byte(magics[t.kind]))
 	bw.I32(int32(t.leafSize))
 	bw.I32(int32(sec.points.N))
 	bw.I32(int32(sec.points.D))
@@ -133,9 +120,6 @@ func (t *Tree) Save(w io.Writer) error {
 		bw.U16s(sec.xcos)
 		bw.U16s(sec.xsin)
 	}
-	if t.qz != nil {
-		quant.WriteSection(bw, t.qz, t.codes)
-	}
 	if err := bw.Flush(); err != nil {
 		return err
 	}
@@ -146,35 +130,33 @@ func (t *Tree) Save(w io.Writer) error {
 }
 
 // readShape decodes the shape prefix every payload of the given kind starts
-// with: the magic, which also says whether a quantization section follows, and
-// the leaf size, point count and (lifted) dimensionality. A payload of the
-// other kind, a retired version and a nonsensical count are refused here, for
-// Load and ReadShape alike.
-func readShape(br *binio.Reader, kind Kind) (quantized bool, leafSize, n, d int, err error) {
-	magic := string(br.Raw(len(magics[kind][0])))
+// with: the magic, and the leaf size, point count and (lifted)
+// dimensionality. A payload of the other kind, a retired version and a
+// nonsensical count are refused here, for Load and ReadShape alike.
+func readShape(br *binio.Reader, kind Kind) (leafSize, n, d int, err error) {
+	magic := string(br.Raw(len(magics[kind])))
 	if err := br.Err(); err != nil {
-		return false, 0, 0, 0, err
+		return 0, 0, 0, err
 	}
-	quantized = magic == magics[kind][1]
-	if !quantized && magic != magics[kind][0] {
+	if magic != magics[kind] {
 		if err := RetiredPayload(magic); err != nil {
-			return false, 0, 0, 0, err
+			return 0, 0, 0, err
 		}
 		br.Fail("bad %s magic %q", kind, magic)
-		return false, 0, 0, 0, br.Err()
+		return 0, 0, 0, br.Err()
 	}
 	leafSize, n, d = int(br.I32()), int(br.I32()), int(br.I32())
 	if br.Err() == nil && (leafSize <= 0 || n <= 0 || d <= 0 || d > maxSerialDim) {
 		br.Fail("bad header: leafSize=%d n=%d d=%d", leafSize, n, d)
 	}
-	return quantized, leafSize, n, d, br.Err()
+	return leafSize, n, d, br.Err()
 }
 
 // ReadShape reads only the shape prefix of a payload of the given kind and
 // returns its point count and stored (lifted) dimensionality; the rest of the
 // stream stays unread. It refuses what Load refuses by those bytes alone.
 func ReadShape(r io.Reader, kind Kind) (n, d int, err error) {
-	_, _, n, d, err = readShape(binio.NewReader(r), kind)
+	_, n, d, err = readShape(binio.NewReader(r), kind)
 	return n, d, err
 }
 
@@ -186,7 +168,7 @@ func ReadShape(r io.Reader, kind Kind) (n, d int, err error) {
 // first included — is Load's to judge.
 func EmbeddedRetired(br *binio.Reader) error {
 	br.I64()
-	magic := br.Raw(len(magics[BC][0]))
+	magic := br.Raw(len(magics[BC]))
 	if br.Err() != nil {
 		return nil
 	}
@@ -207,7 +189,7 @@ func EmbeddedRetired(br *binio.Reader) error {
 // the arena either way, and every section is validated the same way.
 func Load(r io.Reader, kind Kind, idBound int) (*Tree, error) {
 	br := binio.NewReader(r)
-	quantized, leafSize, n, d, err := readShape(br, kind)
+	leafSize, n, d, err := readShape(br, kind)
 	if err != nil {
 		return nil, err
 	}
@@ -268,9 +250,6 @@ func Load(r io.Reader, kind Kind, idBound int) (*Tree, error) {
 		sec.xcos = br.U16sView(n)
 		sec.xsin = br.U16sView(n)
 	}
-	if quantized && br.Err() == nil {
-		t.qz, t.codes = quant.ReadSection(br, &sec.points)
-	}
 	if err := br.Err(); err != nil {
 		return nil, err
 	}
@@ -289,7 +268,7 @@ func Load(r io.Reader, kind Kind, idBound int) (*Tree, error) {
 // every section byte for byte the same. It reports whether it did; otherwise t
 // keeps its own. A search in flight finishes on the sections it started
 // with, and the ones t gives up are freed once none is reading them. t keeps
-// its node records, code mirror and attributes.
+// its node records and attributes.
 func (t *Tree) Adopt(m *Tree) bool {
 	own, in := t.sec(), m.sec()
 	if in.backing == nil || m.kind != t.kind || m.leafSize != t.leafSize || m.leaves != t.leaves ||

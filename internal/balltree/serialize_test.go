@@ -35,7 +35,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	matrixView{rows: plainRows, sets: setsNamed("clustered"), queries: 10, shapes: fixed(shapes...)}.run(t)
 }
 
-// payloadOffsets locates sections of a saved unquantized payload so
+// payloadOffsets locates sections of a saved payload so
 // corruption tests can patch single values: the float64 node radius column
 // (stride 8 for Ball, 16 with centerNorm for BC), the int32 link rows (start,
 // end, left, right for Ball; start, end, right for BC) and, BC only, the
@@ -104,9 +104,9 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 		"empty":              {},
 		"short magic":        good[:4],
 		"bad magic":          append([]byte("XXXXXXXX"), good[8:]...),
-		"other kind's magic": append([]byte(magics[1-kind][0]), good[8:]...),
+		"other kind's magic": append([]byte(magics[1-kind]), good[8:]...),
 		// The pointer-tree era's version 1 payloads are no longer read.
-		"v1 magic":           append([]byte(magics[kind][0][:7]+"1"), good[8:]...),
+		"v1 magic":           append([]byte(magics[kind][:7]+"1"), good[8:]...),
 		"truncated half":     good[:len(good)/2],
 		"truncated tail":     good[:len(good)-9],
 		"corrupt node count": badNodes,
@@ -160,51 +160,51 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 	}
 }
 
-// TestLoadNamesRetiredVersions: the BC payloads earlier releases wrote (float64
-// point-level arrays; then a centre for every node; then a stored r_x array;
-// then a float32 cone pair) are refused by name, not mistaken for garbage and
-// not converted.
+// TestLoadNamesRetiredVersions: the payloads earlier releases wrote (BC:
+// float64 point-level arrays; then a centre for every node; then a stored r_x
+// array; then a float32 cone pair; and either kind with the 8-bit leaf
+// mirror) are refused by name, not mistaken for garbage and not converted.
 func TestLoadNamesRetiredVersions(t *testing.T) {
 	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyUniform, RawDim: 5}, 80, 6)
-	var buf bytes.Buffer
-	if err := Build(raw.AppendOnes(), BC, Config{LeafSize: 10, Seed: 7}).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for old, version := range map[string]string{
-		"P2HBC002": "version 2", "P2HBC003": "version 3", "P2HBC004": "version 4", "P2HBC005": "version 5",
-		"P2HBC006": "version 6", "P2HBC007": "version 7", "P2HBC008": "version 8", "P2HBC009": "version 9",
-	} {
-		payload := append([]byte(old), buf.Bytes()[8:]...)
-		_, err := Load(bytes.NewReader(payload), BC, 0)
-		if !errors.Is(err, binio.ErrCorrupt) {
-			t.Fatalf("%s: want ErrCorrupt, got %v", old, err)
+	forKinds(t, func(t *testing.T, kind Kind) {
+		var buf bytes.Buffer
+		if err := Build(raw.AppendOnes(), kind, Config{LeafSize: 10, Seed: 7}).Save(&buf); err != nil {
+			t.Fatal(err)
 		}
-		for _, want := range []string{old, version, "P2HBC010/P2HBC011"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("%s: error %q does not mention %q", old, err, want)
+		for old, version := range map[string]string{
+			"P2HBC002": "version 2", "P2HBC003": "version 3", "P2HBC004": "version 4", "P2HBC005": "version 5",
+			"P2HBC006": "version 6", "P2HBC007": "version 7", "P2HBC008": "version 8", "P2HBC009": "version 9",
+			"P2HBC011": "version 11", "P2HBT003": "version 3",
+		} {
+			payload := append([]byte(old), buf.Bytes()[8:]...)
+			_, err := Load(bytes.NewReader(payload), kind, 0)
+			if !errors.Is(err, binio.ErrCorrupt) {
+				t.Fatalf("%s: want ErrCorrupt, got %v", old, err)
+			}
+			for _, want := range []string{old, version, "P2HBT002/P2HBC010"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: error %q does not mention %q", old, err, want)
+				}
 			}
 		}
-	}
-	if slices.Contains(PayloadMagics(), "P2HBC008") || len(PayloadMagics()) != 4 {
+	})
+	if !slices.Equal(PayloadMagics(), []string{"P2HBT002", "P2HBC010"}) {
 		t.Fatalf("PayloadMagics() = %v", PayloadMagics())
 	}
 }
 
 // TestPayloadBytesIsExact: the closed form embedding formats write as the
-// length prefix is the size Save produces, for every kind and with the
-// quantization section.
+// length prefix is the size Save produces, for every kind.
 func TestPayloadBytesIsExact(t *testing.T) {
 	forKinds(t, func(t *testing.T, kind Kind) {
-		for _, quantize := range []bool{false, true} {
-			data, _ := buildTestData(t, dataset.FamilyHeavyTail, 333, 9, 2)
-			tree := Build(data, kind, Config{LeafSize: 7, Seed: 1, Quantize: quantize})
-			var buf bytes.Buffer
-			if err := tree.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if got := tree.PayloadBytes(); got != int64(buf.Len()) {
-				t.Fatalf("quantize=%v: PayloadBytes() = %d, Save wrote %d", quantize, got, buf.Len())
-			}
+		data, _ := buildTestData(t, dataset.FamilyHeavyTail, 333, 9, 2)
+		tree := Build(data, kind, Config{LeafSize: 7, Seed: 1})
+		var buf bytes.Buffer
+		if err := tree.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := tree.PayloadBytes(); got != int64(buf.Len()) {
+			t.Fatalf("PayloadBytes() = %d, Save wrote %d", got, buf.Len())
 		}
 	})
 }

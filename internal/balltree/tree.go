@@ -6,7 +6,6 @@ import (
 
 	"p2h/internal/attr"
 	"p2h/internal/exec"
-	"p2h/internal/quant"
 	"p2h/internal/vec"
 )
 
@@ -69,13 +68,6 @@ type Config struct {
 	// Seed drives the random pivot choice of the seed-grow split
 	// (Algorithm 2); builds are deterministic given a seed.
 	Seed int64
-	// Quantize stores an 8-bit quantized mirror of the reordered points and
-	// filters leaf rows through its exact error bound after the ball and
-	// cone bounds (BC kind), before float verification. Results are unchanged (the
-	// filter is conservative); exact unfiltered searches get cheaper leaf
-	// scans for one more byte per coordinate: +25% on the reordered float32
-	// data copy.
-	Quantize bool
 }
 
 func (c Config) normalized() Config {
@@ -118,13 +110,6 @@ type Tree struct {
 
 	leafSize int
 	leaves   int
-
-	// Quantized mirror (Config.Quantize): codes is the 8-bit encoding of the
-	// reordered points, position-aligned so a leaf's code block sits at
-	// [start*d, end*d) like its float block. Both are nil when quantization
-	// is off.
-	qz    *quant.Quantizer
-	codes []uint8
 
 	// Attribute store and its per-node summaries (AttachAttrs): attrs rows
 	// are the ids the tree reports (a shard tree attaches the global store
@@ -209,9 +194,6 @@ func (t *Tree) height(ni int32) int {
 	return hr + 1
 }
 
-// Quantized reports whether the tree carries the 8-bit leaf mirror.
-func (t *Tree) Quantized() bool { return t.qz != nil }
-
 // AttachAttrs binds a per-point attribute store (row i describes the point
 // the tree reports as id i; the store may cover more ids than the tree holds,
 // as the global store of a sharded index does for each shard tree) and builds
@@ -247,23 +229,19 @@ func (t *Tree) Attrs() *attr.Store { return t.attrs }
 
 // IndexBytes estimates the memory footprint of the index structure: the
 // packed centers matrix, the node records (radius, range, child links),
-// the position->id map, the quantized mirror when present, and — BC kind
-// only — the per-node centerNorm plus the two Θ(n)-size point-level code
-// arrays that BC-Tree adds over Ball-Tree (Theorem 6's three, less the radius
-// the other two imply). A BC tree keeps half a Ball tree's centres, so it is
-// the smaller index of the two once 4 bytes a point cost less than 4d bytes
-// per internal node. The reordered data is reported separately by
-// DataBytes, mirroring how the paper's Table III separates index size from
-// data size.
+// the position->id map, and — BC kind only — the per-node centerNorm plus
+// the two Θ(n)-size point-level code arrays that BC-Tree adds over Ball-Tree
+// (Theorem 6's three, less the radius the other two imply). A BC tree keeps
+// half a Ball tree's centres, so it is the smaller index of the two once 4
+// bytes a point cost less than 4d bytes per internal node. The reordered
+// data is reported separately by DataBytes, mirroring how the paper's Table
+// III separates index size from data size.
 func (t *Tree) IndexBytes() int64 {
 	const perNode = 8 /*radius*/ + 2*4 /*range*/ + 2*4 /*leftRow, right*/
 	sec := t.sec()
 	b := sec.centers.Bytes() + int64(len(t.nodes))*perNode + int64(len(sec.ids))*4
 	if t.kind == BC {
 		b += int64(len(t.nodes))*8 /*centerNorm*/ + int64(sec.points.N)*2*2
-	}
-	if t.qz != nil {
-		b += int64(len(t.codes)) + int64(sec.points.D)*(4+4+8)
 	}
 	if t.attrs != nil {
 		b += t.attrs.MemBytes() + t.attrSums.MemBytes()

@@ -487,23 +487,18 @@ func TestIndexBytesMatchesStorage(t *testing.T) {
 	forKinds(t, func(t *testing.T, kind Kind) {
 		for _, tc := range []struct {
 			name       string
-			quantize   bool
 			attributed bool
-		}{{"plain", false, false}, {"quantized", true, false}, {"attributed", false, true}} {
-			tree := Build(data, kind, Config{LeafSize: 40, Seed: 3, Quantize: tc.quantize})
+		}{{"plain", false}, {"attributed", true}} {
+			tree := Build(data, kind, Config{LeafSize: 40, Seed: 3})
 			if tc.attributed {
 				if err := tree.AttachAttrs(store); err != nil {
 					t.Fatal(err)
 				}
 			}
 			want := sliceBytes(tree.sec().centers.Data) + sliceBytes(tree.nodes) + sliceBytes(tree.sec().ids) +
-				sliceBytes(tree.sec().xcos) + sliceBytes(tree.sec().xsin) + sliceBytes(tree.codes)
+				sliceBytes(tree.sec().xcos) + sliceBytes(tree.sec().xsin)
 			if kind == Ball {
 				want -= int64(len(tree.nodes)) * int64(unsafe.Sizeof(tree.nodes[0].centerNorm))
-			}
-			if tree.qz != nil {
-				lo, step, halfE := tree.qz.Tables()
-				want += sliceBytes(lo) + sliceBytes(step) + sliceBytes(halfE)
 			}
 			if tree.attrs != nil {
 				want += tree.attrs.MemBytes() + tree.attrSums.MemBytes()

@@ -11,7 +11,7 @@
 // bitwise-identical results. That is what lets the tree walk share node
 // visits and leaf verification across queries without replicating each
 // query's individual branch order, makes a single query that walk over a
-// group of one, and lets a quantized leaf filter drop provably-losing rows
+// group of one, and lets the float32 leaf screen drop provably-losing rows
 // without changing a single returned byte.
 //
 // BatchScratch is deliberately a bag of flat, growable arrays: one walk

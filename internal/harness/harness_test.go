@@ -43,7 +43,7 @@ func TestHarnessBuildsThroughNew(t *testing.T) {
 	if !slices.Contains(imports, "p2h") {
 		t.Errorf("harness does not import p2h (imports %v)", imports)
 	}
-	for _, pkg := range []string{"balltree", "nh", "fh", "kdtree", "linearscan", "quant", "shard", "dynamic"} {
+	for _, pkg := range []string{"balltree", "nh", "fh", "kdtree", "linearscan", "shard", "dynamic"} {
 		if slices.Contains(imports, "p2h/internal/"+pkg) {
 			t.Errorf("harness imports p2h/internal/%s: build indexes through p2h.New", pkg)
 		}

@@ -41,9 +41,6 @@ type Config struct {
 	// Workers bounds the goroutines used per query. Zero selects
 	// min(Shards, GOMAXPROCS); 1 makes queries sequential.
 	Workers int
-	// Quantize enables the 8-bit quantized leaf mirror on every shard tree;
-	// see balltree.Config.Quantize.
-	Quantize bool
 }
 
 func (c Config) normalized() Config {
@@ -108,7 +105,6 @@ func Build(data *vec.Matrix, cfg Config) *Index {
 		ix.trees[si] = balltree.BuildOwned(block, ids[sp.lo:sp.hi], balltree.BC, balltree.Config{
 			LeafSize: cfg.LeafSize,
 			Seed:     cfg.Seed + int64(si) + 1,
-			Quantize: cfg.Quantize,
 		})
 	})
 	return ix
@@ -170,9 +166,6 @@ func (ix *Index) Workers() int { return ix.workers }
 
 // LeafSize returns the shard trees' maximum leaf size N0.
 func (ix *Index) LeafSize() int { return ix.trees[0].LeafSize() }
-
-// Quantized reports whether the shard trees carry the 8-bit leaf mirror.
-func (ix *Index) Quantized() bool { return ix.trees[0].Quantized() }
 
 // AttachAttrs binds a per-point attribute store (row i = global data id i).
 // Every shard tree attaches the same store — its ids are global, so its

@@ -2,14 +2,13 @@ package vec
 
 import "math"
 
-// This file holds the integer kernels behind the quantized leaf scan: a leaf
-// block's uint8 codes are multiplied against a query's rounded int16 weights
-// entirely in integer arithmetic, and the affine form base + dot/S with its
-// precomputed error bound eps decides which rows still need float
-// verification (see internal/quant for how the coefficients are fitted).
-// Conservative filtering never changes results: exact top-k under the
-// canonical (Dist, ID) order is unique, so any subset of provably-losing rows
-// may be skipped.
+// This file holds the integer code kernels: a block of uint8 codes is
+// multiplied against a query's rounded int16 weights entirely in integer
+// arithmetic, and the affine form base + dot*invS with its error bound eps
+// decides which rows a filter would keep. No index runs them: the trees
+// verify their leaves through the float32 screen (DotBlockWithin). They stay
+// because the benchmark's vec.codeselect_ns_row probe times CodeSelect, and
+// they go with that probe.
 
 // codeChunk bounds the element count of one dispatch to the architecture
 // kernel. The amd64 kernel accumulates in 32-bit lanes; with |w| <= 32768 and
@@ -33,8 +32,8 @@ func CodeDot(codes []uint8, w []int16) int64 {
 	return s + codeDotArch(codes, w)
 }
 
-// codeKeep reports whether a row with integer code dot s survives the
-// quantized filter: the provable floor |approx|-eps on the exact distance
+// codeKeep reports whether a row with integer code dot s survives the code
+// filter: the provable floor |approx|-eps on the exact distance
 // must not strictly exceed lambda. Pruning is strict so rows tied with the
 // current k-th best reach the collector's canonical (Dist, ID) ordering, the
 // same contract as BallCutoff and ConeSelect.
@@ -43,10 +42,10 @@ func codeKeep(s int64, base, invS, eps, lambda float64) bool {
 	return math.Abs(approx)-eps <= lambda
 }
 
-// CodeSelect runs the quantized filter over a packed row-major code block of
-// row length d and appends the indices of the rows it cannot prune to sel,
-// returning the extended slice. base, invS and eps are the query's fitted
-// affine form (quant.CodeFilter); lambda is the current k-th best distance.
+// CodeSelect runs the code filter over a packed row-major code block of row
+// length d and appends the indices of the rows it cannot prune to sel,
+// returning the extended slice. base, invS and eps are a query's affine form
+// and its error bound; lambda is the current k-th best distance.
 func CodeSelect(codes []uint8, d int, w []int16, base, invS, eps, lambda float64, sel []int32) []int32 {
 	if d <= 0 || len(codes)%d != 0 {
 		panic("vec: CodeSelect shape mismatch")
@@ -62,26 +61,4 @@ func CodeSelect(codes []uint8, d int, w []int16, base, invS, eps, lambda float64
 		}
 	}
 	return sel
-}
-
-// CodeSelectIdx applies the quantized filter to the rows named by idx
-// (indices into the code block, as produced by ConeSelect) and compacts the
-// survivors into the front of idx, returning the shortened slice. It lets
-// BC-Tree compose its cone bound with the quantized filter without a second
-// index buffer.
-func CodeSelectIdx(codes []uint8, d int, w []int16, base, invS, eps, lambda float64, idx []int32) []int32 {
-	if d <= 0 {
-		panic("vec: CodeSelectIdx shape mismatch")
-	}
-	if len(w) != d {
-		panic("vec: CodeSelectIdx weight length mismatch")
-	}
-	kept := idx[:0]
-	for _, i := range idx {
-		row := codes[int(i)*d : int(i)*d+d : int(i)*d+d]
-		if codeKeep(CodeDot(row, w), base, invS, eps, lambda) {
-			kept = append(kept, i)
-		}
-	}
-	return kept
 }

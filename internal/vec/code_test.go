@@ -97,33 +97,6 @@ func TestCodeSelectMatchesBruteForce(t *testing.T) {
 				t.Fatalf("CodeSelect[%d] = %d, want %d", i, got[i], want[i])
 			}
 		}
-
-		// CodeSelectIdx over the full index list must agree with CodeSelect,
-		// and over a subset must return exactly the surviving subset.
-		idx := make([]int32, m)
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		if kept := CodeSelectIdx(codes, d, w, base, invS, eps, lambda, idx); len(kept) != len(want) {
-			t.Fatalf("CodeSelectIdx kept %d rows, want %d", len(kept), len(want))
-		}
-		var sub, wantSub []int32
-		for i := 0; i < m; i += 2 {
-			sub = append(sub, int32(i))
-			s := codeDotRef(codes[i*d:(i+1)*d], w)
-			if math.Abs(base+float64(s)*invS)-eps <= lambda {
-				wantSub = append(wantSub, int32(i))
-			}
-		}
-		keptSub := CodeSelectIdx(codes, d, w, base, invS, eps, lambda, sub)
-		if len(keptSub) != len(wantSub) {
-			t.Fatalf("CodeSelectIdx subset kept %d rows, want %d", len(keptSub), len(wantSub))
-		}
-		for i := range keptSub {
-			if keptSub[i] != wantSub[i] {
-				t.Fatalf("CodeSelectIdx subset[%d] = %d, want %d", i, keptSub[i], wantSub[i])
-			}
-		}
 	}
 }
 

@@ -62,12 +62,12 @@
 //     exact), and the derivation of the point-level ball radius from a coded
 //     pair (ConeGrid.Radius, ConeGrid.SqRadius).
 //
-//   - Integer code kernels (CodeDot, CodeSelect, CodeSelectIdx) behind the
-//     quantized leaf scan: uint8 codes times int16 weights accumulated
-//     exactly in int64. On amd64 an SSE2 assembly kernel (code_amd64.s)
-//     processes 16 codes per iteration via PMADDWD; everywhere else — and
-//     under the purego build tag — a portable 4-wide Go loop produces the
-//     same exact integer results.
+//   - Integer code kernels (CodeDot, CodeSelect): uint8 codes times int16
+//     weights accumulated exactly in int64. On amd64 an SSE2 assembly kernel
+//     (code_amd64.s) processes 16 codes per iteration via PMADDWD; everywhere
+//     else — and under the purego build tag — a portable 4-wide Go loop
+//     produces the same exact integer results. No index runs them; they stay
+//     for the benchmark's vec.codeselect_ns_row probe, and go with it.
 //
 // The reference's rounding is pinned in the source. The Go spec lets a
 // compiler fuse x*y + z into one rounding, and on arm64, ppc64le, s390x and

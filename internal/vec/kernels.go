@@ -175,7 +175,8 @@ func ConeSelect(qcos, qsin, lambda float64, g *ConeGrid, cos, sin []uint16, sel 
 // ConeSelectIdx applies the cone bound of ConeSelect to the points named by
 // idx (indices into cos and sin, as left by an earlier filter of the leaf) and
 // compacts the survivors into the front of idx, returning the shortened
-// slice, as CodeSelectIdx does.
+// slice, so a leaf scan composes it with its row filters without a second
+// index buffer.
 func ConeSelectIdx(qcos, qsin, lambda float64, g *ConeGrid, cos, sin []uint16, idx []int32) []int32 {
 	if len(cos) != len(sin) {
 		panic("vec: ConeSelectIdx shape mismatch")

@@ -11,8 +11,8 @@ package p2h_test
 //     so a bug in the compiled predicate or the per-node summaries cannot
 //     hide behind itself;
 //   - a budgeted shape is bitwise the index's own Search on every path, its
-//     Pred equals the equivalent Filter closure on the same index, and a
-//     quantized tree equals its plain twin;
+//     Pred equals the equivalent Filter closure on the same index, and a row
+//     that sets the ignored Spec.Quantize equals its twin without it;
 //   - every Search verifies at most n candidates, with at least as many inner
 //     products, and under a budget at most budget + shards; the server's
 //     second pass over a shape without a Filter is all cache hits.
@@ -44,10 +44,11 @@ import (
 )
 
 // oracleKinds is the one table of specs the root tests build from: every kind
-// of p2h.Kinds(), the quantized trees, the scan under its 8-bit alias
-// (quantizedscan), sharded at 1, 4 and 8 shards, and a churned dynamic index
-// (see churnedRow). NH and FH use M = 8: an exact hash search drains all m·n
-// cursors.
+// of p2h.Kinds(), the tree kinds with the ignored Spec.Quantize set (the
+// -quant rows, named for the 8-bit mirror it once built), the scan under its
+// retired 8-bit alias (quantizedscan), sharded at 1, 4 and 8 shards, and a
+// churned dynamic index (see churnedRow). NH and FH use M = 8: an exact hash
+// search drains all m·n cursors.
 var oracleKinds = []oracleKind{
 	{"balltree", p2h.Spec{Kind: p2h.KindBallTree, LeafSize: 40, Seed: 11}},
 	{"balltree-quant", p2h.Spec{Kind: p2h.KindBallTree, LeafSize: 40, Seed: 11, Quantize: true}},
@@ -216,7 +217,7 @@ func viaSearchBatch(workers int) string { return "SearchBatch/" + strconv.Itoa(w
 var allPaths = []string{viaSearchBatch(1), viaSearchBatch(3), viaIndexBatch, viaServer, viaRebuilt, viaLoaded, viaOpened, viaSaved}
 
 // oracleShape is one option shape and the paths it runs besides Search;
-// a quantOnly shape runs on the quantized rows only.
+// a quantOnly shape runs only on the rows that set Spec.Quantize.
 type oracleShape struct {
 	name      string
 	opts      p2h.SearchOptions
@@ -236,8 +237,9 @@ func oracleShapes(n int) []oracleShape {
 		{name: "budget+pred", opts: p2h.SearchOptions{K: 10, Budget: budget, Pred: p2h.TagIs("even")}},
 		// A Filter that rejects nothing leaves the prefix the bounds kept
 		// whole, which is then verified in one block; the filter shape's
-		// closure leaves it sparse. It runs on the trees that carry the code
-		// mirror, which a Filter sends down the float scan.
+		// closure leaves it sparse. It runs on the rows that set the ignored
+		// Spec.Quantize, whose trees once took a Filter down a scan of its
+		// own.
 		{name: "noquant", opts: p2h.SearchOptions{K: 10, Filter: acceptAll}, quantOnly: true},
 	}
 	for _, p := range equivPreds {
@@ -343,7 +345,7 @@ type builtRow struct {
 	spec   p2h.Spec
 	points []p2h.PointAttrs
 	ix     p2h.Index
-	plain  p2h.Index            // a quantized row's unquantized twin, for budgeted shapes
+	plain  p2h.Index            // a Quantize row's twin without the field, for budgeted shapes
 	twins  map[string]p2h.Index // viaRebuilt, viaLoaded, viaOpened, viaSaved; nil where the kind cannot be saved
 	srv    *p2h.Server
 
@@ -635,7 +637,8 @@ func TestOracleMatrix(t *testing.T) {
 }
 
 // The named slices. kindRows is one plain row per kind (p2h.Kinds()) and the
-// alias row; the quantized rows run under their kind's name.
+// alias row; the rows that set the ignored Spec.Quantize run under their
+// kind's name.
 var (
 	kindRows    = append(p2h.Kinds(), "quantizedscan")
 	quantRows   = []string{"balltree=balltree-quant", "bctree=bctree-quant", "sharded=sharded-quant"}
@@ -689,8 +692,8 @@ func TestPredEquivalence(t *testing.T) {
 	})}.run(t)
 }
 
-// TestPredEquivalenceQuantized: the predicate sweep on the quantized trees,
-// whose code-select path must stay exact.
+// TestPredEquivalenceQuantized: the predicate sweep on the trees whose spec
+// sets the ignored Quantize field.
 func TestPredEquivalenceQuantized(t *testing.T) {
 	oracleView{sets: []string{"Cifar-10"}, rows: quantRows, shapes: predShapes(func(_ int, opts p2h.SearchOptions) []oracleShape {
 		return []oracleShape{{opts: opts}}
@@ -712,8 +715,9 @@ func TestPredWithUserFilter(t *testing.T) {
 		K: 10, Pred: p2h.TagIs("warm"), Filter: func(id int32) bool { return id%3 == 0 }}})}.run(t)
 }
 
-// TestQuantizedEquivalence: the quantized trees on every option shape,
-// against the scan when exact and against the plain twin under a budget.
+// TestQuantizedEquivalence: the trees whose spec sets the ignored Quantize
+// field on every option shape, against the scan when exact and against the
+// twin without the field under a budget.
 func TestQuantizedEquivalence(t *testing.T) {
 	oracleView{sets: []string{"Cifar-10"}, rows: quantRows, shapes: func(n int) []oracleShape {
 		return []oracleShape{
@@ -722,12 +726,13 @@ func TestQuantizedEquivalence(t *testing.T) {
 			{name: "kBig", opts: p2h.SearchOptions{K: n + 3}},
 			{name: "budget", opts: p2h.SearchOptions{K: 10, Budget: max(n/20, 1)}},
 			{name: "filtered", opts: p2h.SearchOptions{K: 10, Filter: func(id int32) bool { return id%2 == 0 }}},
-			{name: "ablated", opts: p2h.SearchOptions{K: 10, Filter: acceptAll}}, // the float leaf scan
+			{name: "ablated", opts: p2h.SearchOptions{K: 10, Filter: acceptAll}}, // the prefix verified whole
 		}
 	}}.run(t)
 }
 
-// TestQuantizedEquivalenceBatched: the quantized trees through SearchBatch.
+// TestQuantizedEquivalenceBatched: the trees whose spec sets the ignored
+// Quantize field, through SearchBatch.
 func TestQuantizedEquivalenceBatched(t *testing.T) {
 	oracleView{sets: []string{"Cifar-10"}, rows: quantRows,
 		shapes: fixedShapes(oracleShape{opts: p2h.SearchOptions{K: 10}, paths: []string{viaSearchBatch(2)}})}.run(t)

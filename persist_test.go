@@ -17,6 +17,7 @@ import (
 
 	"p2h/internal/attr"
 	"p2h/internal/balltree"
+	"p2h/internal/binio"
 )
 
 var updateGolden = flag.Bool("update", false, "regenerate the golden index fixtures under testdata/golden")
@@ -143,21 +144,13 @@ func TestGoldenFixtures(t *testing.T) {
 }
 
 // codecVariants is the codec's whole matrix: every persistable kind, plain (the
-// golden recipes), with the quantized mirror where the kind has one, and with
-// an attribute column (which switches the container to its v2 envelope).
+// golden recipes) and with an attribute column (which switches the container
+// to its v2 envelope).
 func codecVariants(t *testing.T) map[string]Index {
 	t.Helper()
 	out := map[string]Index{}
 	for kind, ix := range goldenRecipes(t) {
 		out[kind+"/plain"] = ix
-	}
-	data := specTestData(150, 8, 11)
-	for _, kind := range []string{KindBallTree, KindBCTree, KindSharded} {
-		ix, err := New(data, Spec{Kind: kind, Shards: 3, Workers: 2, LeafSize: 24, Seed: 3, Quantize: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[kind+"/quantized"] = ix
 	}
 	for kind, ix := range goldenRecipes(t) {
 		rows := ix.N()
@@ -177,7 +170,7 @@ func codecVariants(t *testing.T) map[string]Index {
 }
 
 // TestSaveLoadRoundTripEveryPersistableKind: in-memory Save->Load for every
-// persistable kind x {plain, quantized, attributed} with byte-identical search
+// persistable kind x {plain, attributed} with byte-identical search
 // results (exact, budgeted, filtered and by predicate), and Save->Load->Save
 // byte equality.
 func TestSaveLoadRoundTripEveryPersistableKind(t *testing.T) {
@@ -256,8 +249,8 @@ func totalAllocDuring(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestTruncatedSectionsFailBeforeAllocating cuts a BC-Tree container — plain,
-// quantized and attributed — at every section boundary of the arena payload
+// TestTruncatedSectionsFailBeforeAllocating cuts a BC-Tree container — plain
+// and attributed — at every section boundary of the arena payload
 // (the next section is missing) and one element short of it (the section
 // declares one element more than fits). Every cut is ErrFormat, and because a
 // sized stream refuses a section it cannot deliver before the make(), loading
@@ -280,8 +273,8 @@ func TestTruncatedSectionsFailBeforeAllocating(t *testing.T) {
 			t.Fatalf("%s: err = %v, want ErrFormat", name, err)
 		}
 	}
-	for _, variant := range []string{"plain", "quantized", "attributed"} {
-		ix, err := New(data, Spec{Kind: KindBCTree, LeafSize: 50, Seed: 2, Quantize: variant == "quantized"})
+	for _, variant := range []string{"plain", "attributed"} {
+		ix, err := New(data, Spec{Kind: KindBCTree, LeafSize: 50, Seed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,12 +303,6 @@ func TestTruncatedSectionsFailBeforeAllocating(t *testing.T) {
 			{"header", 8 + 5*4, 4}, {"ids", 4 * n, 4}, {"points", 4 * n * d, 4}, {"centers", 4 * ((nodes + 1) / 2) * d, 4},
 			{"node bounds", 16 * nodes, 8}, {"node links", 12 * nodes, 4},
 			{"xcos", 2 * n, 2}, {"xsin", 2 * n, 2},
-		}
-		if variant == "quantized" {
-			sections = append(sections, []struct {
-				name        string
-				bytes, elem int
-			}{{"quant flag", 1, 1}, {"quant lo", 4 * d, 4}, {"quant step", 4 * d, 4}, {"quant halfE", 8 * d, 8}, {"codes", n * d, 1}}...)
 		}
 		end := pay
 		for _, sec := range sections {
@@ -451,7 +438,7 @@ func TestRetiredBCPayloadsAreNamed(t *testing.T) {
 			"P2HBC006": "version 6", "P2HBC007": "version 7", "P2HBC008": "version 8", "P2HBC009": "version 9",
 		} {
 			old := bytes.ReplaceAll(buf.Bytes(), []byte(current), []byte(retired))
-			checkRetiredNamed(t, kind+" holding "+retired, old, retired, version, "P2HBC010/P2HBC011")
+			checkRetiredNamed(t, kind+" holding "+retired, old, retired, version, "P2HBT002/P2HBC010")
 		}
 		switch kind {
 		case KindSharded:
@@ -463,6 +450,33 @@ func TestRetiredBCPayloadsAreNamed(t *testing.T) {
 				checkRetiredNamed(t, retired, old, retired, version, "P2HDY005")
 			}
 		}
+	}
+}
+
+// TestRetiredMirroredPayloadsAreNamed: a payload that carried the 8-bit leaf
+// mirror (P2HBT003, P2HBC011) — a tree of either kind, or a Sharded or
+// Dynamic container embedding one — is refused with an error naming the magic
+// found and the current ones, by balltree.Load on the payload itself and by
+// Load, Open and Inspect on the container.
+func TestRetiredMirroredPayloadsAreNamed(t *testing.T) {
+	mirrored := map[string]string{"P2HBT002": "P2HBT003", "P2HBC010": "P2HBC011"}
+	for kind, ix := range goldenRecipes(t) {
+		var buf bytes.Buffer
+		if err := Save(&buf, ix); err != nil {
+			t.Fatal(err)
+		}
+		off, current := arenaPayload(t, buf.Bytes())
+		retired := mirrored[current]
+		old := bytes.ReplaceAll(buf.Bytes(), []byte(current), []byte(retired))
+		treeKind := balltree.BC
+		if current == "P2HBT002" {
+			treeKind = balltree.Ball
+		}
+		_, err := balltree.Load(bytes.NewReader(old[off:]), treeKind, 1<<30)
+		if !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), retired) {
+			t.Fatalf("%s: balltree.Load: err = %v, want ErrCorrupt naming %s", kind, err, retired)
+		}
+		checkRetiredNamed(t, kind+" holding "+retired, old, retired, "8-bit leaf mirror", "P2HBT002/P2HBC010")
 	}
 }
 
@@ -589,7 +603,7 @@ func TestBareTreeStreamRejected(t *testing.T) {
 	data := specTestData(120, 7, 9)
 	for _, ix := range []Index{
 		MustBuild(t, data, Spec{Kind: KindBallTree, LeafSize: 20, Seed: 1}),
-		MustBuild(t, data, Spec{Kind: KindBCTree, LeafSize: 20, Seed: 1, Quantize: true}),
+		MustBuild(t, data, Spec{Kind: KindBCTree, LeafSize: 20, Seed: 1}),
 	} {
 		var bare bytes.Buffer
 		h := ix.(wrapped).base()

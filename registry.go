@@ -80,13 +80,13 @@ func arenaKind(name, alias string, tk balltree.Kind) *kind {
 	return &kind{
 		name: name, aliases: []string{alias}, nativePred: true,
 		build: func(x *Matrix, _ int, s Spec) inner {
-			return balltree.BuildOwned(x, nil, tk, balltree.Config{LeafSize: s.LeafSize, Seed: s.Seed, Quantize: s.Quantize})
+			return balltree.BuildOwned(x, nil, tk, balltree.Config{LeafSize: s.LeafSize, Seed: s.Seed})
 		},
 		save: func(w io.Writer, in inner) error { return in.(*balltree.Tree).Save(w) },
 		load: func(r io.Reader) (loadedIndex, error) { return balltree.Load(r, tk, 0) },
 		specOf: func(in inner) Spec {
 			t := in.(*balltree.Tree)
-			return Spec{LeafSize: t.LeafSize(), Quantize: t.Quantized()}
+			return Spec{LeafSize: t.LeafSize()}
 		},
 		shape: func(r io.Reader) (int, int, error) { return balltree.ReadShape(r, tk) },
 		trees: func(in inner) []*balltree.Tree { return []*balltree.Tree{in.(*balltree.Tree)} },
@@ -154,7 +154,7 @@ var kinds = []*kind{
 		name: KindSharded, aliases: []string{"shard"}, nativePred: true,
 		build: func(x *Matrix, _ int, s Spec) inner {
 			return shard.Build(x, shard.Config{
-				Shards: s.Shards, LeafSize: s.LeafSize, Seed: s.Seed, Workers: s.Workers, Quantize: s.Quantize,
+				Shards: s.Shards, LeafSize: s.LeafSize, Seed: s.Seed, Workers: s.Workers,
 			})
 		},
 		wrap: func(h handle) Index { return &Sharded{h, h.in.(*shard.Index)} },
@@ -162,7 +162,7 @@ var kinds = []*kind{
 		load: func(r io.Reader) (loadedIndex, error) { return shard.Load(r) },
 		specOf: func(in inner) Spec {
 			ix := in.(*shard.Index)
-			return Spec{LeafSize: ix.LeafSize(), Shards: ix.Shards(), Workers: ix.Workers(), Quantize: ix.Quantized()}
+			return Spec{LeafSize: ix.LeafSize(), Shards: ix.Shards(), Workers: ix.Workers()}
 		},
 		shape: shard.ReadShape,
 		trees: func(in inner) []*balltree.Tree { return in.(*shard.Index).Trees() },

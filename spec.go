@@ -58,14 +58,11 @@ type Spec struct {
 	LeafSize int `json:"leaf_size,omitempty"`
 	// Seed makes randomized construction deterministic.
 	Seed int64 `json:"seed,omitempty"`
-	// Quantize makes the balltree, bctree and sharded kinds store an 8-bit
-	// quantized mirror of their leaf blocks and filter leaf rows through its
-	// exact error bound before float verification. Results are unchanged (the
-	// filter is conservative); exact unfiltered searches get cheaper leaf
-	// scans for one more byte per stored coordinate: +25% on the float32
-	// point copy, which is the bulk of a tree's footprint. The dynamic kind
-	// ignores it: its snapshot is rebuilt incrementally and would invalidate
-	// the mirror on every insert batch. See docs/TUNING.md.
+	// Deprecated: Quantize is ignored by every kind. It once made the tree
+	// kinds keep an 8-bit mirror of their leaf blocks, which added 7.3 times
+	// a BC tree's index bytes and did not pay for them (docs/TUNING.md). The
+	// name stays so that specs and daemon configs that set it still decode
+	// and build the same index; a saved container does not record it.
 	Quantize bool `json:"quantize,omitempty"`
 
 	// Lambda is NH/FH's sampled transform dimension (zero: 2*(Dim+1)).
