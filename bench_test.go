@@ -7,6 +7,7 @@ package p2h
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -318,6 +319,109 @@ func BenchmarkExactDrivers(b *testing.B) {
 			b.ReportMetric(perQuery(spent[0]), "depth-first-ms/query")
 			b.ReportMetric(perQuery(spent[1]), "best-first-ms/query")
 		})
+	}
+}
+
+// BenchmarkPredPushdown is the evidence the per-node attribute summaries
+// have to earn their place with: on the benchmark fixture's BC-Tree (the
+// 50 000-point Sift surrogate, seed 1) the same 256 queries run restricted
+// by a tag predicate (Pred, pushed down to the summaries) and by the
+// equivalent Filter closure, exact and at budget 500. Three tag sets: every
+// tenth row (id % 10, spread over every node, so the summaries can skip
+// nothing), and two that follow the corpus's geometry — the rows whose
+// offsets from the mean project positively onto two (quadrant, about 25 %)
+// and three (octant, about 12.5 %) fixed random directions. One iteration is
+// a Pred pass and a Filter pass in alternating order, as in
+// BenchmarkExactDrivers; read the ms/query metrics, not ns/op. skipped/query
+// is the points per query the summaries ruled out, sel the selected share.
+func BenchmarkPredPushdown(b *testing.B) {
+	data := Dedup(GenerateDataset("Sift", 50000, 1))
+	queries := GenerateQueries(data, 256, 2)
+	ix := MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1})
+
+	// Three fixed Gaussian directions and the data mean.
+	rng := rand.New(rand.NewSource(7))
+	dirs := make([][]float64, 3)
+	for j := range dirs {
+		dirs[j] = make([]float64, data.D)
+		for k := range dirs[j] {
+			dirs[j][k] = rng.NormFloat64()
+		}
+	}
+	mean := make([]float64, data.D)
+	for i := 0; i < data.N; i++ {
+		for k, v := range data.Row(i) {
+			mean[k] += float64(v) / float64(data.N)
+		}
+	}
+	tags := []string{"mod10", "quadrant", "octant"}
+	sel := make([][]bool, len(tags))
+	for t := range sel {
+		sel[t] = make([]bool, data.N)
+	}
+	points := make([]PointAttrs, data.N)
+	for i := 0; i < data.N; i++ {
+		positive := 0 // leading directions the row's offset projects positively onto
+		for _, dir := range dirs {
+			var p float64
+			for k, v := range data.Row(i) {
+				p += (float64(v) - mean[k]) * dir[k]
+			}
+			if p <= 0 {
+				break
+			}
+			positive++
+		}
+		sel[0][i], sel[1][i], sel[2][i] = i%10 == 0, positive >= 2, positive == 3
+		for t, tag := range tags {
+			if sel[t][i] {
+				points[i].Tags = append(points[i].Tags, tag)
+			}
+		}
+	}
+	if err := AttachAttributes(ix, points); err != nil {
+		b.Fatal(err)
+	}
+
+	for t, tag := range tags {
+		selected := 0
+		for _, ok := range sel[t] {
+			if ok {
+				selected++
+			}
+		}
+		for _, budget := range []int{0, 500} {
+			name := tag + "/exact"
+			if budget > 0 {
+				name = tag + "/budget500"
+			}
+			b.Run(name, func(b *testing.B) {
+				in := sel[t]
+				opts := [2]SearchOptions{
+					{K: 10, Budget: budget, Pred: TagIs(tag)},
+					{K: 10, Budget: budget, Filter: func(id int32) bool { return in[id] }},
+				}
+				var spent [2]time.Duration
+				var skipped int64
+				passes := 0
+				for ; b.Loop(); passes++ {
+					for j := range opts {
+						o := (passes + j) % 2
+						t0 := time.Now()
+						for i := 0; i < queries.N; i++ {
+							_, st := ix.Search(queries.Row(i), opts[o])
+							skipped += st.FilterSkippedPoints
+						}
+						spent[o] += time.Since(t0)
+					}
+				}
+				n := float64(passes * queries.N)
+				b.ReportMetric(spent[0].Seconds()*1e3/n, "pred-ms/query")
+				b.ReportMetric(spent[1].Seconds()*1e3/n, "filter-ms/query")
+				b.ReportMetric(float64(skipped)/n, "skipped/query")
+				b.ReportMetric(float64(selected)/float64(data.N), "sel")
+			})
+		}
 	}
 }
 

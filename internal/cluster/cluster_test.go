@@ -920,3 +920,23 @@ func TestTranslateIDs(t *testing.T) {
 		t.Fatal("out-of-range id accepted")
 	}
 }
+
+// TestLatencyRingP99AllocatesNothing: the hedge delay, Health and /metrics
+// ask for a member's p99 on every call, so reading it must not allocate; it
+// is the sample at rank ⌊n·0.99⌋ of the sorted window.
+func TestLatencyRingP99AllocatesNothing(t *testing.T) {
+	var r latencyRing
+	if got := r.p99(); got != 0 {
+		t.Fatalf("empty window p99 = %v, want 0", got)
+	}
+	for i := latencyRingSize + 40; i > 0; i-- {
+		r.record(time.Duration(i) * time.Millisecond)
+	}
+	// The window holds the last 128 samples recorded: 128 ms down to 1 ms.
+	if got, want := r.p99(), time.Duration(latencyRingSize*99/100+1)*time.Millisecond; got != want {
+		t.Fatalf("p99 = %v, want %v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.p99() }); allocs != 0 {
+		t.Fatalf("p99 allocates %v times per call, want 0", allocs)
+	}
+}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -196,7 +197,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 		fail(w, fmt.Errorf("%w: negative timeout_ms %d", errBadRequest, req.TimeoutMS))
 		return
 	}
-	ctx, cancel := rt.searchDeadline(r.Context(), req.TimeoutMS)
+	ctx, cancel := context.WithTimeout(r.Context(), rt.deadlines.Timeout(req.TimeoutMS))
 	defer cancel()
 	resp, err := rt.Search(ctx, r.PathValue("name"), req)
 	if err != nil {
@@ -220,7 +221,7 @@ func (rt *Router) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		fail(w, fmt.Errorf("%w: negative timeout_ms %d", errBadRequest, req.TimeoutMS))
 		return
 	}
-	ctx, cancel := rt.searchDeadline(r.Context(), req.TimeoutMS)
+	ctx, cancel := context.WithTimeout(r.Context(), rt.deadlines.Timeout(req.TimeoutMS))
 	defer cancel()
 	resp, err := rt.SearchBatch(ctx, r.PathValue("name"), req)
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -128,22 +128,18 @@ func (r *latencyRing) record(d time.Duration) {
 }
 
 // p99 returns the 99th-percentile latency of the window, or zero before any
-// sample exists.
+// sample exists. It sorts a copy of the window on the stack, so a call
+// allocates nothing.
 func (r *latencyRing) p99() time.Duration {
+	var buf [latencyRingSize]time.Duration
 	r.mu.Lock()
-	n := r.n
-	buf := make([]time.Duration, n)
-	copy(buf, r.samples[:n])
+	n := copy(buf[:], r.samples[:r.n])
 	r.mu.Unlock()
 	if n == 0 {
 		return 0
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	idx := (n * 99) / 100
-	if idx >= n {
-		idx = n - 1
-	}
-	return buf[idx]
+	slices.Sort(buf[:n])
+	return buf[(n*99)/100]
 }
 
 // member is the router's view of one daemon: its location, its health as

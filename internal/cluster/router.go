@@ -49,7 +49,7 @@ type Router struct {
 
 	hedgeOff                       bool
 	hedgeDelay, hedgeMin, hedgeMax time.Duration
-	maxTimeout, defaultTimeout     time.Duration
+	deadlines                      httpapi.HandlerOptions // normalized
 
 	proberStop chan struct{}
 	proberDone chan struct{}
@@ -75,15 +75,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	rt.hedgeOff = cfg.Hedge.Disable
 	rt.hedgeDelay, rt.hedgeMin, rt.hedgeMax = cfg.hedgeDefaults()
-	opts := cfg.handlerOptions()
-	rt.maxTimeout = opts.MaxTimeout
-	if rt.maxTimeout <= 0 {
-		rt.maxTimeout = httpapi.DefaultMaxTimeout
-	}
-	rt.defaultTimeout = opts.DefaultTimeout
-	if rt.defaultTimeout <= 0 || rt.defaultTimeout > rt.maxTimeout {
-		rt.defaultTimeout = rt.maxTimeout
-	}
+	rt.deadlines = cfg.handlerOptions().Normalized()
 	for name, mc := range cfg.Members {
 		rt.members[name] = newMember(name, mc, hc)
 	}
@@ -319,19 +311,6 @@ func remainingMS(ctx context.Context) int {
 		ms = 1
 	}
 	return ms
-}
-
-// searchDeadline derives the request deadline from the client's timeout_ms
-// under the router's caps, exactly as a member daemon would.
-func (rt *Router) searchDeadline(ctx context.Context, timeoutMS int) (context.Context, context.CancelFunc) {
-	d := time.Duration(timeoutMS) * time.Millisecond
-	if d <= 0 {
-		d = rt.defaultTimeout
-	}
-	if d > rt.maxTimeout {
-		d = rt.maxTimeout
-	}
-	return context.WithDeadline(ctx, time.Now().Add(d))
 }
 
 // fanOut is what Search and SearchBatch share: it resolves the index, splits

@@ -133,3 +133,29 @@ func TestLoadConfigRejectsUnknownKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestHandlerOptionsTimeout pins the one request-deadline rule the daemon
+// and the router share: the client's timeout_ms, else the default, capped by
+// the max; zero options resolve to DefaultMaxTimeout for both.
+func TestHandlerOptionsTimeout(t *testing.T) {
+	zero := HandlerOptions{}.Normalized()
+	if zero.MaxTimeout != DefaultMaxTimeout || zero.DefaultTimeout != DefaultMaxTimeout {
+		t.Fatalf("zero options normalized to %+v", zero)
+	}
+	// A default above the cap is clamped to it.
+	if o := (HandlerOptions{MaxTimeout: time.Second, DefaultTimeout: time.Minute}).Normalized(); o.DefaultTimeout != time.Second {
+		t.Fatalf("default over the cap normalized to %+v", o)
+	}
+	o := HandlerOptions{MaxTimeout: 2 * time.Second, DefaultTimeout: 500 * time.Millisecond}.Normalized()
+	for ms, want := range map[int]time.Duration{
+		0:      500 * time.Millisecond,
+		-5:     500 * time.Millisecond,
+		40:     40 * time.Millisecond,
+		2000:   2 * time.Second,
+		999999: 2 * time.Second,
+	} {
+		if got := o.Timeout(ms); got != want {
+			t.Errorf("Timeout(%d) = %v, want %v", ms, got, want)
+		}
+	}
+}

@@ -159,13 +159,7 @@ func (m *Manager) runSLO(cfg SLOConfig, stop <-chan struct{}, done chan<- struct
 			return
 		case <-ticker.C:
 		}
-		m.mu.RLock()
-		entries := make([]*managed, 0, len(m.indexes))
-		for _, e := range m.indexes {
-			e.refs.Add(1)
-			entries = append(entries, e)
-		}
-		m.mu.RUnlock()
+		entries := m.entries()
 		seen := make(map[string]bool, len(entries))
 		for _, e := range entries {
 			seen[e.name] = true
@@ -175,7 +169,6 @@ func (m *Manager) runSLO(cfg SLOConfig, stop <-chan struct{}, done chan<- struct
 				states[e.name] = st
 			}
 			m.sloStep(cfg, e, st)
-			e.release()
 		}
 		// Forget unloaded (or swapped-away) indexes: a replacement engine
 		// starts exact with fresh counters, so inherited state would judge

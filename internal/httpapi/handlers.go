@@ -31,7 +31,8 @@ const maxBodyBytes = 64 << 20
 // a stuck traversal can hold a connection, never a worker slot forever.
 const DefaultMaxTimeout = 30 * time.Second
 
-// HandlerOptions tunes the HTTP layer's request-deadline policy.
+// HandlerOptions tunes the HTTP layer's request-deadline policy, the one
+// rule a daemon and a cluster router both apply.
 type HandlerOptions struct {
 	// MaxTimeout caps any client timeout_ms and bounds requests without one
 	// (non-positive: DefaultMaxTimeout).
@@ -41,13 +42,35 @@ type HandlerOptions struct {
 	DefaultTimeout time.Duration
 }
 
+// Normalized resolves the documented defaults; Timeout expects options
+// normalized once, where a handler is built.
+func (o HandlerOptions) Normalized() HandlerOptions {
+	if o.MaxTimeout <= 0 {
+		o.MaxTimeout = DefaultMaxTimeout
+	}
+	if o.DefaultTimeout <= 0 || o.DefaultTimeout > o.MaxTimeout {
+		o.DefaultTimeout = o.MaxTimeout
+	}
+	return o
+}
+
+// Timeout is how long a request naming timeoutMS may run: the client's
+// value, else DefaultTimeout, capped by MaxTimeout — so every search
+// dispatched carries a deadline.
+func (o HandlerOptions) Timeout(timeoutMS int) time.Duration {
+	d := time.Duration(timeoutMS) * time.Millisecond
+	if d <= 0 {
+		d = o.DefaultTimeout
+	}
+	return min(d, o.MaxTimeout)
+}
+
 // API serves the p2hd HTTP surface over a Manager.
 type API struct {
-	m              *Manager
-	metrics        *Metrics
-	started        time.Time
-	maxTimeout     time.Duration
-	defaultTimeout time.Duration
+	m       *Manager
+	metrics *Metrics
+	started time.Time
+	opts    HandlerOptions // normalized
 }
 
 // NewHandler builds the daemon's HTTP handler over m:
@@ -71,16 +94,7 @@ func NewHandler(m *Manager) http.Handler { return NewHandlerWithOptions(m, Handl
 // NewHandlerWithOptions is NewHandler with an explicit request-deadline
 // policy (see HandlerOptions).
 func NewHandlerWithOptions(m *Manager, opts HandlerOptions) http.Handler {
-	if opts.MaxTimeout <= 0 {
-		opts.MaxTimeout = DefaultMaxTimeout
-	}
-	if opts.DefaultTimeout <= 0 || opts.DefaultTimeout > opts.MaxTimeout {
-		opts.DefaultTimeout = opts.MaxTimeout
-	}
-	a := &API{
-		m: m, metrics: newDaemonMetrics(), started: time.Now(),
-		maxTimeout: opts.MaxTimeout, defaultTimeout: opts.DefaultTimeout,
-	}
+	a := &API{m: m, metrics: newDaemonMetrics(), started: time.Now(), opts: opts.Normalized()}
 	mux := http.NewServeMux()
 	route := func(pattern, endpoint string, h http.HandlerFunc) {
 		a.metrics.Route(mux, pattern, endpoint, h)
@@ -110,20 +124,14 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// searchContext derives one request's deadline: the client's timeout_ms,
-// else the daemon default, both capped by the daemon max — so every search
-// dispatched into an engine is deadline-bounded. The context also inherits
-// the connection's (a client that hangs up cancels its in-flight work). The
-// clock.skew failpoint, when armed, shifts the computed deadline — the chaos
-// hook for "the daemon's clock is wrong" without touching the real clock.
+// searchContext derives one request's deadline by HandlerOptions.Timeout,
+// so every search dispatched into an engine is deadline-bounded. The context
+// also inherits the connection's (a client that hangs up cancels its
+// in-flight work). The clock.skew failpoint, when armed, shifts the computed
+// deadline — the chaos hook for "the daemon's clock is wrong" without
+// touching the real clock; the router applies the same rule without it.
 func (a *API) searchContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
-	d := time.Duration(timeoutMS) * time.Millisecond
-	if d <= 0 {
-		d = a.defaultTimeout
-	}
-	if d > a.maxTimeout {
-		d = a.maxTimeout
-	}
+	d := a.opts.Timeout(timeoutMS)
 	if faultinject.Armed() {
 		d += faultinject.Delay("clock.skew")
 	}
@@ -287,7 +295,6 @@ func (a *API) handleSearch(w http.ResponseWriter, r *http.Request) {
 		a.fail(w, err)
 		return
 	}
-	defer e.release()
 	var req SearchRequest
 	if err := DecodeBody(w, r, &req); err != nil {
 		a.fail(w, err)
@@ -322,7 +329,6 @@ func (a *API) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		a.fail(w, err)
 		return
 	}
-	defer e.release()
 	var req BatchSearchRequest
 	if err := DecodeBody(w, r, &req); err != nil {
 		a.fail(w, err)
@@ -376,7 +382,6 @@ func (a *API) handleInsert(w http.ResponseWriter, r *http.Request) {
 		a.fail(w, err)
 		return
 	}
-	defer e.release()
 	var req InsertRequest
 	if err := DecodeBody(w, r, &req); err != nil {
 		a.fail(w, err)
@@ -408,7 +413,6 @@ func (a *API) handleDeletePoint(w http.ResponseWriter, r *http.Request) {
 		a.fail(w, err)
 		return
 	}
-	defer e.release()
 	h64, err := strconv.ParseInt(r.PathValue("handle"), 10, 32)
 	if err != nil {
 		a.fail(w, fmt.Errorf("%w: bad handle %q", ErrBadRequest, r.PathValue("handle")))
@@ -447,7 +451,6 @@ func (a *API) handleContainer(w http.ResponseWriter, r *http.Request) {
 		a.fail(w, err)
 		return
 	}
-	defer e.release()
 	if persistable, buildOnly, err := p2h.KindIsPersistable(e.kind); err == nil && !persistable {
 		WriteJSON(w, http.StatusBadRequest, ErrorResponse{
 			Error: fmt.Sprintf("index kind %q is build-only: %s", e.kind, buildOnly),
@@ -580,7 +583,6 @@ func (a *API) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		a.fail(w, err)
 		return
 	}
-	defer e.release()
 	var req SnapshotRequest
 	if err := DecodeBody(w, r, &req); err != nil {
 		a.fail(w, err)

@@ -56,8 +56,10 @@ func checkName(name string) error {
 	return nil
 }
 
-// managed is one served index: the engine, its declaration, and a reference
-// count that keeps the engine alive while handlers use it.
+// managed is one served index: the engine and its declaration. A handler
+// that looked the entry up just before it was retired still holds a valid
+// engine: the engine refuses what arrives after its drain with ErrDraining
+// (503 draining) and waits for what arrived before.
 type managed struct {
 	name    string
 	srv     *p2h.Server
@@ -66,19 +68,12 @@ type managed struct {
 	dim     int
 	mutable bool
 	// wal is the index's write-ahead log, nil unless cfg.WAL attached one.
-	// Owned by the entry: retirement closes it after the engine drains, so
-	// no journaling append can race the close. replayed is the pending
-	// record count the load-time replay consumed.
+	// Owned by the entry: retirement closes it once the engine has drained,
+	// when no mutation or snapshot can reach it any more. replayed is the
+	// pending record count the load-time replay consumed.
 	wal      *p2h.WAL
 	replayed int
-	// refs counts handlers currently holding the entry. Retirement (unload,
-	// hot swap, shutdown) first removes the entry from the table — so no new
-	// reference can start — then waits for refs before draining the engine,
-	// which makes "Search on closed engine" unreachable from the HTTP layer.
-	refs sync.WaitGroup
 }
-
-func (e *managed) release() { e.refs.Done() }
 
 // info snapshots the entry for the wire. N and IndexBytes are read live
 // through Server.Describe — under the mutation lock — so the probe is safe
@@ -325,36 +320,24 @@ func (m *Manager) Unload(name string) (drained bool, err error) {
 	return m.retire(e), nil
 }
 
-// retire waits for the entry's in-flight handlers, then drains its engine,
-// both bounded by the drain timeout. A false return means the engine was
-// abandoned still running (a stuck worker); it holds no table slot and
-// cannot receive new work.
+// retire drains an entry already removed from the table, bounded by the drain
+// timeout, and then closes its log: once the engine has drained, no mutation
+// or snapshot can reach the log. A false return means the engine was
+// abandoned still running (a stuck search or journal wait); one goroutine
+// then waits it out and closes the log after it. Either way the engine holds
+// no table slot, and a call that still reaches it answers ErrDraining.
 func (m *Manager) retire(e *managed) (drained bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), m.drainTimeout)
 	defer cancel()
-	refsDone := make(chan struct{})
-	go func() {
-		e.refs.Wait()
-		close(refsDone)
-	}()
-	select {
-	case <-refsDone:
-	case <-ctx.Done():
-		// Handlers still hold the engine; draining now could panic them.
-		// Leave the drain to whoever releases last — here we just abandon.
+	if e.srv.Drain(ctx) != nil {
 		go func() {
-			e.refs.Wait()
 			e.srv.Close()
 			e.closeWAL()
 		}()
 		return false
 	}
-	drained = e.srv.Drain(ctx) == nil
-	// The engine is stopped (or abandoned past the bound): no mutation can
-	// reach the journal anymore, so the log can be closed. A mutation that
-	// raced the drain either journaled before it or failed loudly.
 	e.closeWAL()
-	return drained
+	return true
 }
 
 func (e *managed) closeWAL() {
@@ -363,9 +346,8 @@ func (e *managed) closeWAL() {
 	}
 }
 
-// acquire returns the named entry with its reference count raised; the
-// caller must release() it when done. The engine cannot be closed while the
-// reference is held.
+// acquire looks the named entry up. Its engine may be retired while the
+// caller uses it; calls that reach it after that answer ErrDraining.
 func (m *Manager) acquire(name string) (*managed, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -376,7 +358,6 @@ func (m *Manager) acquire(name string) (*managed, error) {
 	if e == nil {
 		return nil, fmt.Errorf("%w: %q", ErrIndexNotFound, name)
 	}
-	e.refs.Add(1)
 	return e, nil
 }
 
@@ -386,26 +367,29 @@ func (m *Manager) Get(name string) (IndexInfoResponse, error) {
 	if err != nil {
 		return IndexInfoResponse{}, err
 	}
-	defer e.release()
 	return e.info(), nil
 }
 
 // List describes every loaded index, sorted by name.
 func (m *Manager) List() []IndexInfoResponse {
-	m.mu.RLock()
-	entries := make([]*managed, 0, len(m.indexes))
-	for _, e := range m.indexes {
-		e.refs.Add(1)
-		entries = append(entries, e)
-	}
-	m.mu.RUnlock()
+	entries := m.entries()
 	infos := make([]IndexInfoResponse, 0, len(entries))
 	for _, e := range entries {
 		infos = append(infos, e.info())
-		e.release()
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
+}
+
+// entries snapshots the table's entries, in no order.
+func (m *Manager) entries() []*managed {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	entries := make([]*managed, 0, len(m.indexes))
+	for _, e := range m.indexes {
+		entries = append(entries, e)
+	}
+	return entries
 }
 
 // Len reports the number of loaded indexes.
@@ -417,8 +401,9 @@ func (m *Manager) Len() int {
 
 // Close retires every index and rejects further use. It waits — bounded by
 // ctx on top of the per-index drain timeout — for the retirements to finish
-// and reports the first context error, if any. Intended to run after the
-// HTTP server has shut down, so no handler still holds a reference.
+// and reports the first context error, if any. It may run while handlers are
+// still in flight: each engine waits for the calls inside it and refuses
+// later ones with ErrDraining.
 func (m *Manager) Close(ctx context.Context) error {
 	m.draining.Store(true)
 	m.stopSLO()

@@ -3,7 +3,9 @@ package httpapi
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -80,9 +82,34 @@ func TestManagerBadNames(t *testing.T) {
 	}
 }
 
+// stuckSearch starts a search on e's engine whose Filter blocks until the
+// returned release is called: a call held inside the engine. It returns once
+// the search is inside the index, and done receives the search's outcome.
+func stuckSearch(t *testing.T, e *managed) (release func(), done <-chan error) {
+	t.Helper()
+	entered, unblock := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	opts := p2h.SearchOptions{K: 1, Filter: func(int32) bool {
+		once.Do(func() { close(entered); <-unblock })
+		return true
+	}}
+	q := make([]float32, e.dim+1)
+	q[0] = 1
+	out := make(chan error, 1)
+	go func() {
+		res, _, err := e.srv.SearchCtx(context.Background(), q, opts)
+		if err == nil && len(res) != 1 {
+			err = fmt.Errorf("%d results, want 1", len(res))
+		}
+		out <- err
+	}()
+	<-entered
+	return sync.OnceFunc(func() { close(unblock) }), out
+}
+
 // TestManagerUnloadWaitsForHolders: an unload cannot close an engine out
-// from under a handler still holding the entry; the drain completes once the
-// reference is released.
+// from under a call already inside it; the drain completes once that call
+// finishes, and it finishes with its answer.
 func TestManagerUnloadWaitsForHolders(t *testing.T) {
 	m, dataPath := managerFixture(t)
 	defer m.Close(context.Background())
@@ -93,6 +120,8 @@ func TestManagerUnloadWaitsForHolders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	release, searched := stuckSearch(t, e)
+	defer release()
 	unloaded := make(chan bool, 1)
 	go func() {
 		drained, err := m.Unload("a")
@@ -101,7 +130,7 @@ func TestManagerUnloadWaitsForHolders(t *testing.T) {
 		}
 		unloaded <- drained
 	}()
-	// While the reference is held, the entry is already invisible...
+	// While the call is in flight, the entry is already invisible...
 	deadline := time.After(2 * time.Second)
 	for m.Len() != 0 {
 		select {
@@ -111,20 +140,30 @@ func TestManagerUnloadWaitsForHolders(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	// ...and the engine still serves the holder.
-	q := make([]float32, 7)
-	q[0] = 1
-	if res, _ := e.srv.Search(q, p2h.SearchOptions{K: 1}); len(res) != 1 {
-		t.Fatalf("held engine refused to serve: %v", res)
+	// ...and the unload waits for it.
+	select {
+	case <-unloaded:
+		t.Fatal("unload returned while a search was still inside the engine")
+	case <-time.After(20 * time.Millisecond):
 	}
-	e.release()
+	release()
+	if err := <-searched; err != nil {
+		t.Fatalf("in-flight search during unload: %v", err)
+	}
 	if drained := <-unloaded; !drained {
-		t.Fatal("unload reported an abandoned engine despite a prompt release")
+		t.Fatal("unload reported an abandoned engine despite a prompt finish")
+	}
+	// The retired engine refuses what still reaches it.
+	q := make([]float32, e.dim+1)
+	q[0] = 1
+	if _, _, err := e.srv.SearchCtx(context.Background(), q, p2h.SearchOptions{K: 1}); !errors.Is(err, p2h.ErrDraining) {
+		t.Fatalf("search on a retired engine: %v, want ErrDraining", err)
 	}
 }
 
-// TestManagerUnloadTimesOutOnStuckHolder: a holder that never releases
-// within the drain timeout yields drained=false instead of a hang.
+// TestManagerUnloadTimesOutOnStuckHolder: a call that stays inside the engine
+// past the drain timeout yields drained=false instead of a hang, and the
+// abandoned engine still lets that call finish.
 func TestManagerUnloadTimesOutOnStuckHolder(t *testing.T) {
 	dir := t.TempDir()
 	data := testMatrix(100, 5, 2)
@@ -140,6 +179,7 @@ func TestManagerUnloadTimesOutOnStuckHolder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	release, searched := stuckSearch(t, e)
 	start := time.Now()
 	drained, err := m.Unload("a")
 	if err != nil || drained {
@@ -148,7 +188,10 @@ func TestManagerUnloadTimesOutOnStuckHolder(t *testing.T) {
 	if time.Since(start) > 2*time.Second {
 		t.Fatal("Unload blocked far past the drain timeout")
 	}
-	e.release() // the abandoned engine closes in the background
+	release() // the abandoned engine closes in the background
+	if err := <-searched; err != nil {
+		t.Fatalf("stuck search after release: %v", err)
+	}
 }
 
 func TestManagerClosedRejectsUse(t *testing.T) {
@@ -191,7 +234,6 @@ func TestManagerInfoRacesMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.release()
 
 	done := make(chan struct{})
 	go func() {
@@ -261,7 +303,6 @@ func TestManagerWALLifecycle(t *testing.T) {
 	if ok, err := e.srv.Delete(0); err != nil || !ok {
 		t.Fatalf("delete: %v %v", ok, err)
 	}
-	e.release()
 	info, err = m.Get("d")
 	if err != nil || info.WAL.Records != 3 {
 		t.Fatalf("after mutations: records=%d err=%v", info.WAL.Records, err)
@@ -284,9 +325,7 @@ func TestManagerWALLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.srv.Snapshot(path)
-	e.release()
-	if err != nil {
+	if _, err := e.srv.Snapshot(path); err != nil {
 		t.Fatal(err)
 	}
 	info, err = m.Get("d")

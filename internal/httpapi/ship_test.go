@@ -147,7 +147,6 @@ func TestContainerLengthIsTheStreamedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.release()
 
 	stop := make(chan struct{})
 	var writers sync.WaitGroup

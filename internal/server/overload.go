@@ -26,8 +26,9 @@ import (
 // concrete error is an *OverloadError carrying the suggested retry delay.
 var ErrOverloaded = errors.New("server: overloaded")
 
-// ErrDraining is returned by SearchCtx and SearchBatchCtx once Drain or
-// Close has stopped intake (where the blocking Search would panic).
+// ErrDraining is returned by SearchCtx, SearchBatchCtx, Insert, Delete and
+// Exclusive once Drain or Close has stopped intake (where the blocking Search
+// would panic).
 var ErrDraining = errors.New("server: engine draining")
 
 // OverloadError reports a shed request: the engine's backlog exceeded what

@@ -34,6 +34,12 @@
 //     half-rebuilt tree — and cached results can never leak across a
 //     mutation. Immutable indexes skip the lock entirely: every index in
 //     this repository is safe for concurrent readers.
+//
+// One lifecycle: searches, Insert/Delete (through their journal wait) and
+// Exclusive sections all pass one intake gate, and Drain waits for what is
+// inside it. After Drain or Close, Search panics and every other entry
+// returns ErrDraining before touching the index or the journal, so Close may
+// race any call and the journal may be closed once Drain returns.
 package server
 
 import (
@@ -354,17 +360,27 @@ func (e *Engine) checkQuery(q []float32) float64 {
 	return norm
 }
 
+// enter is the intake gate of begin, mutate and Exclusive; every nil return
+// is closed by exit. The active count goes up before closed is read and Drain
+// sets closed before it reads the count, so a call sees the drain or is seen.
+func (e *Engine) enter() error {
+	e.active.Add(1)
+	if e.closed.Load() {
+		e.exit()
+		return ErrDraining
+	}
+	return nil
+}
+
 // begin opens a serving call of n queries: the intake gate, the
 // expired-at-the-door check, admission (shed calls only) and the backlog.
-// Every begin that returns nil is closed by end. The active count goes up
-// before closed is read and Drain sets closed before it reads the count, so
-// a call either sees the drain or is seen by it.
+// Every begin that returns nil is closed by end.
 func (e *Engine) begin(ctx context.Context, n int, shed bool) (time.Time, error) {
-	e.active.Add(1)
+	if err := e.enter(); err != nil {
+		return time.Time{}, err
+	}
 	var err error
 	switch {
-	case e.closed.Load():
-		err = ErrDraining
 	case ctx.Err() != nil:
 		e.expired.Add(int64(n))
 		err = ctx.Err()
@@ -395,8 +411,8 @@ func (e *Engine) end(n int, start time.Time) {
 	}
 }
 
-// exit retires one serving call (or the compaction loop); the last one out
-// after Drain reports the engine idle.
+// exit retires one call (or the compaction loop); the last one out after
+// Drain reports the engine idle.
 func (e *Engine) exit() {
 	if e.active.Add(-1) == 0 && e.closed.Load() {
 		e.idleOnce.Do(func() { close(e.idle) })
@@ -410,7 +426,8 @@ func (e *Engine) exit() {
 // after the point was applied means its log append or durability wait failed
 // — the caller must not acknowledge it as durable (and the journal refuses
 // further appends until reset, so no later mutation can be logged over the
-// gap).
+// gap). After Drain or Close it returns ErrDraining and touches neither the
+// index nor the journal.
 func (e *Engine) Insert(p []float32, at attr.Point) (int32, error) {
 	var h int32
 	_, err := e.mutate(&e.inserts, func() (bool, error) {
@@ -422,14 +439,15 @@ func (e *Engine) Insert(p []float32, at attr.Point) (int32, error) {
 }
 
 // Delete removes a handle through the mutation surface, serialized against
-// searches. It reports whether the handle was live. Journal errors behave
-// as in Insert.
+// searches. It reports whether the handle was live. Journal errors and a
+// drained engine behave as in Insert.
 func (e *Engine) Delete(handle int32) (bool, error) {
 	return e.mutate(&e.deletes, func() (bool, error) { return e.mut.Delete(handle), nil },
 		func() error { return e.cfg.Journal.AppendDelete(handle) })
 }
 
-// mutate is the one write path. Under the write lock it runs apply; when
+// mutate is the one write path, inside the intake gate until its journal
+// wait is over. Under the write lock it runs apply; when
 // apply changed the index it bumps the epoch (invalidating every cached
 // answer), appends the change to the journal with log, counts it and wakes
 // the compactor. Outside the lock it waits for the journal's group commit:
@@ -437,6 +455,10 @@ func (e *Engine) Delete(handle int32) (bool, error) {
 // in flight, and every mutation that appended before the flush lands rides
 // the same one. It reports whether apply changed the index.
 func (e *Engine) mutate(count *atomic.Int64, apply func() (bool, error), log func() error) (bool, error) {
+	if err := e.enter(); err != nil {
+		return false, err
+	}
+	defer e.exit()
 	if e.mut == nil {
 		return false, ErrImmutable
 	}
@@ -559,13 +581,14 @@ func (e *Engine) noteFilterStats(st core.Stats) {
 }
 
 // Drain stops intake and waits — bounded by ctx — for every call already
-// inside the engine to finish and the compaction loop to exit. It returns
+// inside the engine to finish (mutations through their journal wait) and the
+// compaction loop to exit. It returns
 // nil once the engine is idle, or ctx.Err() if the deadline expires first (a
 // search stuck inside the index or a user Filter cannot hold shutdown
 // hostage: the engine is abandoned, not waited on). Drain is idempotent and
-// safe to call concurrently; every call observes the same terminal state,
-// and after any Drain or Close, Search panics and SearchCtx returns
-// ErrDraining.
+// safe to call concurrently with any call; every call observes the same
+// terminal state. After any Drain or Close, Search panics, and SearchCtx,
+// SearchBatchCtx, Insert, Delete and Exclusive return ErrDraining.
 func (e *Engine) Drain(ctx context.Context) error {
 	if !e.closed.Swap(true) {
 		if e.stopComp != nil {
@@ -585,8 +608,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 }
 
 // Close drains every call already inside the engine, waiting without bound
-// (Drain with a background context). It is idempotent; searching after
-// Close panics.
+// (Drain with a background context). It is idempotent and may race any call.
 func (e *Engine) Close() { _ = e.Drain(context.Background()) }
 
 // Exclusive runs fn while the engine guarantees no search or mutation is
@@ -595,21 +617,24 @@ func (e *Engine) Close() { _ = e.Drain(context.Background()) }
 // settled state — the hook the snapshot path uses to serialize a Save
 // against concurrent Insert/Delete. On an immutable index fn runs directly;
 // a read-only fn is safe against concurrent readers, and that is the only
-// kind an immutable index admits.
-func (e *Engine) Exclusive(fn func()) {
-	if e.mut == nil {
-		fn()
-		return
+// kind an immutable index admits. It returns fn's error, or ErrDraining
+// without running fn after Drain or Close; Drain waits for a running fn.
+func (e *Engine) Exclusive(fn func() error) error {
+	if err := e.enter(); err != nil {
+		return err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	fn()
+	defer e.exit()
+	if e.mut != nil {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+	}
+	return fn()
 }
 
 // Shared runs fn under the read half of the mutation lock, so a read-only
 // fn (an N()/IndexBytes() stats probe, say) observes a fully applied index
 // state even while Insert/Delete traffic flows. On an immutable index fn
-// runs directly.
+// runs directly. Like Stats it is ungated, so it works on a drained engine.
 func (e *Engine) Shared(fn func()) {
 	if e.mut == nil {
 		fn()

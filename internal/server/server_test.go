@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"slices"
 	"sync"
@@ -492,7 +493,7 @@ func TestEngineExclusiveSerializesMutation(t *testing.T) {
 	}
 
 	inserted := make(chan struct{})
-	e.Exclusive(func() {
+	if err := e.Exclusive(func() error {
 		go func() {
 			defer close(inserted)
 			if _, err := e.Insert([]float32{4, 5, 6}, attr.Point{}); err != nil {
@@ -504,21 +505,24 @@ func TestEngineExclusiveSerializesMutation(t *testing.T) {
 			t.Fatal("Insert completed inside Exclusive")
 		case <-time.After(20 * time.Millisecond):
 		}
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case <-inserted:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Insert never completed after Exclusive returned")
 	}
 
-	// On an immutable engine, Exclusive still runs fn (no lock to take).
+	// On an immutable engine, Exclusive still runs fn (no lock to take),
+	// and returns fn's error.
 	data, _ := testData(10, 3, 1, 15)
 	imm := New(scanIndex{linearscan.New(data)}, nil, Config{Workers: 1})
 	defer imm.Close()
-	ran := false
-	imm.Exclusive(func() { ran = true })
-	if !ran {
-		t.Fatal("Exclusive skipped fn on an immutable engine")
+	ran, failed := false, errors.New("save failed")
+	if err := imm.Exclusive(func() error { ran = true; return failed }); err != failed || !ran {
+		t.Fatalf("Exclusive on an immutable engine: %v (fn ran: %v), want fn's error", err, ran)
 	}
 }
 

@@ -137,9 +137,9 @@ func TestStressSearchMutateDrain(t *testing.T) {
 		}
 	}()
 
-	// Mutators: Insert/Delete intentionally have no closed-check, so they
-	// must stay panic-free even when Drain lands between their lock
-	// acquisitions.
+	// Mutators: Insert/Delete pass the same intake gate as searches, so one
+	// that races Drain is either waited for or refused with ErrDraining —
+	// never applied after the drain returned.
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -154,6 +154,9 @@ func TestStressSearchMutateDrain(t *testing.T) {
 				}
 				if len(handles) == 0 || rng.Intn(2) == 0 {
 					h, err := e.Insert(data.Row(rng.Intn(data.N))[:d], attr.Point{})
+					if errors.Is(err, ErrDraining) {
+						return
+					}
 					if err != nil {
 						t.Errorf("mutator %d: insert: %v", g, err)
 						return
@@ -162,7 +165,9 @@ func TestStressSearchMutateDrain(t *testing.T) {
 				} else {
 					h := handles[len(handles)-1]
 					handles = handles[:len(handles)-1]
-					if _, err := e.Delete(h); err != nil {
+					if _, err := e.Delete(h); errors.Is(err, ErrDraining) {
+						return
+					} else if err != nil {
 						t.Errorf("mutator %d: delete: %v", g, err)
 						return
 					}
@@ -184,7 +189,11 @@ func TestStressSearchMutateDrain(t *testing.T) {
 	if err := e.Drain(drainCtx); err != nil {
 		t.Fatalf("drain under load: %v", err)
 	}
+	drained := e.Stats()
 	wg.Wait()
+	if st := e.Stats(); st.Inserts != drained.Inserts || st.Deletes != drained.Deletes || st.Epoch != drained.Epoch {
+		t.Fatalf("mutations applied after Drain returned: %+v, then %+v", drained, st)
+	}
 
 	if served.Load() == 0 {
 		t.Fatal("nothing was served; the storm never exercised the engine")

@@ -60,8 +60,9 @@ var ErrImmutable = server.ErrImmutable
 // Server.SearchCtx and Server.SearchBatchCtx.
 var ErrOverloaded = server.ErrOverloaded
 
-// ErrDraining is returned by Server.SearchCtx and Server.SearchBatchCtx once
-// Drain or Close has stopped intake (where the blocking Search would panic).
+// ErrDraining is returned by Server.SearchCtx, SearchBatchCtx, Insert,
+// InsertWithAttrs, Delete and Snapshot once Drain or Close has stopped intake
+// (where the blocking Search would panic).
 var ErrDraining = server.ErrDraining
 
 // Server is a concurrent query-serving layer over any Index: callers from
@@ -73,8 +74,8 @@ var ErrDraining = server.ErrDraining
 // mutation takes one path: applied to the index under the mutation lock,
 // appended to the WAL when one is attached, and acknowledged once durable.
 //
-// All methods are safe for concurrent use. Close drains in-flight queries;
-// searching after Close panics.
+// All methods are safe for concurrent use, Drain and Close included: Drain
+// waits for the calls inside, and a call after it returns ErrDraining.
 type Server struct {
 	engine *server.Engine
 	ix     Index
@@ -217,7 +218,7 @@ func (s *Server) Describe() (n int, indexBytes int64) {
 // before it leaves the log, so a crash at any instant leaves either the old
 // container plus the full log, or the new container plus a log whose
 // leftover records replay as no-ops. It returns the size of the file it
-// wrote.
+// wrote. After Drain or Close it returns ErrDraining and writes nothing.
 //
 // Like SaveFile, Snapshot leaves the index serving from the file it wrote —
 // unless the index is mutable and served without a log. Such a snapshot is a
@@ -226,12 +227,12 @@ func (s *Server) Describe() (n int, indexBytes int64) {
 func (s *Server) Snapshot(path string) (int64, error) {
 	_, mutable := s.ix.(*Dynamic)
 	var size int64
-	var err error
-	s.engine.Exclusive(func() {
+	err := s.engine.Exclusive(func() (err error) {
 		size, err = saveFile(path, s.ix, s.wal != nil || !mutable)
 		if err == nil && s.wal != nil {
 			err = s.wal.truncate()
 		}
+		return err
 	})
 	if err != nil {
 		return 0, err
@@ -243,15 +244,15 @@ func (s *Server) Snapshot(path string) (int64, error) {
 // without one.
 func (s *Server) WAL() *WAL { return s.wal }
 
-// Drain stops intake and waits — bounded by ctx — for every search already
-// inside the server to finish. It returns nil once the server is idle, or
-// ctx.Err() if the deadline expires first; a search stuck inside the index
-// or a user Filter cannot hold shutdown hostage. Drain is idempotent and
-// safe to call concurrently; searching after any Drain or Close panics
-// (SearchCtx and SearchBatchCtx return ErrDraining).
+// Drain stops intake and waits — bounded by ctx — for every search, mutation
+// (through its WAL durability wait) and snapshot already inside the server.
+// It returns nil once the server is idle, or ctx.Err() if the deadline
+// expires first; a search stuck inside the index or a user Filter cannot hold
+// shutdown hostage. Drain is idempotent and may race any call. After any
+// Drain or Close, Search panics and every other call that would touch the
+// index or the WAL returns ErrDraining, so once Drain has returned nil an
+// attached WAL can be closed. Stats, Describe and Latency keep answering.
 func (s *Server) Drain(ctx context.Context) error { return s.engine.Drain(ctx) }
 
-// Close drains every search already inside the server, waiting
-// without bound (Drain with a background context). It is idempotent; it must
-// not race new Search/Insert/Delete calls.
+// Close is Drain without a bound. It is idempotent and may race any call.
 func (s *Server) Close() { s.engine.Close() }

@@ -3,6 +3,7 @@ package p2h
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -305,6 +306,54 @@ func TestServerSnapshotBuildOnlyKindFails(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Fatalf("failed snapshot left debris: %v", entries)
+	}
+}
+
+// TestServerClosedRefusesWrites: after Close, Insert, InsertWithAttrs,
+// Delete and Snapshot return ErrDraining and change neither the index, the
+// WAL nor the file system; the WAL can be closed the moment Close returns.
+func TestServerClosedRefusesWrites(t *testing.T) {
+	dir := t.TempDir()
+	ixPath := filepath.Join(dir, "ix.p2h")
+	ix := MustBuild(t, nil, Spec{Kind: KindDynamic, Dim: 4, Seed: 1}).(*Dynamic)
+	w, err := AttachWAL(ix, WALPath(ixPath), WALSyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ix, ServerOptions{Workers: 1, WAL: w})
+	h, err := srv.Insert([]float32{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p := []float32{5, 6, 7, 8}
+	if _, err := srv.Insert(p); !errors.Is(err, ErrDraining) {
+		t.Fatalf("Insert after Close: %v, want ErrDraining", err)
+	}
+	if _, err := srv.InsertWithAttrs(p, PointAttrs{Tags: []string{"a"}}); !errors.Is(err, ErrDraining) {
+		t.Fatalf("InsertWithAttrs after Close: %v, want ErrDraining", err)
+	}
+	if ok, err := srv.Delete(h); ok || !errors.Is(err, ErrDraining) {
+		t.Fatalf("Delete after Close: %v %v, want false, ErrDraining", ok, err)
+	}
+	if _, err := srv.Snapshot(ixPath); !errors.Is(err, ErrDraining) {
+		t.Fatalf("Snapshot after Close: %v, want ErrDraining", err)
+	}
+	if n, _ := srv.Describe(); n != 1 || ix.Handles() != 1 {
+		t.Fatalf("index changed after Close: N %d, handles %d", n, ix.Handles())
+	}
+	if st := srv.Stats(); st.Inserts != 1 || st.Deletes != 0 || st.Epoch != 1 {
+		t.Fatalf("counters after Close: %+v", st)
+	}
+	if got := w.Records(); got != 1 {
+		t.Fatalf("WAL holds %d records after Close, want 1", got)
+	}
+	if _, err := os.Stat(ixPath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Snapshot after Close wrote %s: %v", ixPath, err)
 	}
 }
 
