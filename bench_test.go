@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"p2h/internal/dataset"
 )
 
 // benchData prepares a 10k x 128 clustered data set and queries outside the
@@ -319,6 +321,56 @@ func BenchmarkExactDrivers(b *testing.B) {
 			b.ReportMetric(perQuery(spent[0]), "depth-first-ms/query")
 			b.ReportMetric(perQuery(spent[1]), "best-first-ms/query")
 		})
+	}
+}
+
+// BenchmarkPointCone is the evidence behind the point-level cone bound
+// (Theorem 3) being an opt-in (SearchOptions.PointCone) rather than part of
+// every BC-Tree search: on the Sift, Tiny, GloVe and Music surrogates at
+// their reproduction sizes (dataset ScaledN, seed 1) the same 128 queries
+// run without and with the cone, exact and at a budget of 5 % of n. One
+// iteration is a pass of each in alternating order, as in
+// BenchmarkExactDrivers; read the per-variant metrics, not ns/op: ms/query,
+// cand/op (candidates verified per query) and, at the budget, recall@10.
+func BenchmarkPointCone(b *testing.B) {
+	for _, name := range []string{"Sift", "Tiny", "GloVe", "Music"} {
+		data := Dedup(GenerateDataset(name, dataset.ByName(name).ScaledN, 1))
+		queries := GenerateQueries(data, 128, 2)
+		gt := GroundTruth(data, queries, 10)
+		ix := MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1})
+		for _, budget := range []int{0, data.N / 20} {
+			mode := "exact"
+			if budget > 0 {
+				mode = "budget5pct"
+			}
+			b.Run(name+"/"+mode, func(b *testing.B) {
+				opts := [2]SearchOptions{{K: 10, Budget: budget}, {K: 10, Budget: budget, PointCone: true}}
+				var spent [2]time.Duration
+				var cands [2]int64
+				var recall [2]float64
+				passes := 0
+				for ; b.Loop(); passes++ {
+					for j := range opts {
+						o := (passes + j) % 2
+						t0 := time.Now()
+						for i := 0; i < queries.N; i++ {
+							res, st := ix.Search(queries.Row(i), opts[o])
+							cands[o] += st.Candidates
+							recall[o] += Recall(res, gt[i])
+						}
+						spent[o] += time.Since(t0)
+					}
+				}
+				n := float64(passes * queries.N)
+				for o, v := range []string{"off", "cone"} {
+					b.ReportMetric(spent[o].Seconds()*1e3/n, v+"-ms/query")
+					b.ReportMetric(float64(cands[o])/n, v+"-cand/op")
+					if budget > 0 {
+						b.ReportMetric(recall[o]/n, v+"-recall")
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -67,10 +67,10 @@ func TestSearchBatchPanicsOnDimMismatch(t *testing.T) {
 // lengths in the first, so the kernel takes the shortest and each query
 // finishes its own; an empty one (the centre far beyond lambda) in the second,
 // which leaves the kernel nothing. k exceeds the leaf, so every verified row
-// is in its collector at the end. The tiled queries' collectors and counters
-// must come out as they do when each query cuts, verifies and pushes in turn,
-// which is the reference written out below; the leftover ninth must come out
-// as the single-query pipeline (scanWithPruning) leaves it.
+// is in its collector at the end. Every query's collector and counters — the
+// leftover ninth's as the tiled eight's — must come out as they do when each
+// query cuts, verifies and pushes in turn, which is the reference written out
+// below.
 func TestScanLeafTileMatchesQueryByQuery(t *testing.T) {
 	const k, nq = 256, 9
 	const whole, partial, none = 0, 1, 2
@@ -134,7 +134,7 @@ func TestScanLeafTileMatchesQueryByQuery(t *testing.T) {
 	s.scanLeaf(leaf, act, ips, kappa)
 
 	var cuts [nq]int
-	for qi := 0; qi < nq-1; qi++ {
+	for qi := 0; qi < nq; qi++ {
 		tk := core.NewTopK(k)
 		for _, r := range seed[qi] {
 			tk.Push(r.ID, r.Dist)
@@ -158,17 +158,6 @@ func TestScanLeafTileMatchesQueryByQuery(t *testing.T) {
 			t.Fatalf("query %d: prefix %d of %d is not the case this test set up", qi, cut, m)
 		}
 	}
-	last := nq - 1
-	one := tree.NewSearcher()
-	one.begin(queries.Row(last), 1, opts, nil)
-	for _, r := range seed[last] {
-		one.qs[0].tk.Push(r.ID, r.Dist)
-	}
-	one.scanWithPruning(&one.qs[0], leaf, math.Abs(ips[last])-one.qs[0].qnorm*kappa)
-	if s.qs[last].st != one.qs[0].st || one.qs[0].st.Candidates == 0 {
-		t.Fatalf("leftover query: counters %+v, single-query pipeline %+v", s.qs[last].st, one.qs[0].st)
-	}
-	requireSameResults(t, "leftover query", s.qs[last].tk.DrainInto(nil), one.qs[0].tk.DrainInto(nil))
 	if cuts[1] == cuts[3] {
 		t.Fatalf("prefixes %v: the first group's cuts should differ", cuts)
 	}

@@ -17,13 +17,13 @@
 //
 // The two differ in what Build leaves in the arena (Kind): a Ball kind tree
 // carries no per-point arrays and zero centerNorms, so its searches run with
-// the two Figure 8 ablation switches (DisablePointBall, DisablePointCone)
-// forced on, and it keeps a centre for every node, so both children's inner
-// products are computed — which is exactly Algorithm 3. A BC kind tree keeps
-// centres for the root and for left children only: Lemma 2 makes a right
-// child's dead weight, and with them gone a BC search has no other way to a
-// right child's inner product. Traversal, leaf scans, the batched engine, the
-// codec and attribute pushdown exist once.
+// neither point-level bound (of the Figure 8 switches, DisablePointBall is
+// forced on and PointCone off), and it keeps a centre for every node, so both
+// children's inner products are computed — which is exactly Algorithm 3. A BC
+// kind tree keeps centres for the root and for left children only: Lemma 2
+// makes a right child's dead weight, and with them gone a BC search has no
+// other way to a right child's inner product. Traversal, leaf scans, the
+// batched engine, the codec and attribute pushdown exist once.
 //
 // There is one exact walk and one best-first driver, over one node step
 // (Searcher.step: attribute skip, strict pruning, leaf scan, the children's
@@ -32,8 +32,9 @@
 // group of queries: Search is the walk over a group of one, SearchBatch over
 // all its rows, and the children are opened in the order the group's
 // preference vote picks — for one query, its own preferred child first. At a
-// leaf, whole tiles of queries share the multi-query kernel and every other
-// query runs the single-query leaf pipeline (scanWithPruning). A budgeted
+// leaf, one scan serves every active query (Searcher.scanLeaf): ball cuts,
+// then row lists where a call needs them, else whole tiles of queries share
+// the multi-query kernel and every other query verifies alone. A budgeted
 // search opens nodes best-first, query by query, from a min-heap frontier
 // keyed by the centre's offset over the radius, |<q,c>| / r, so the budget
 // is spent on the leaves nearest the hyperplane wherever they sit in the
@@ -71,7 +72,8 @@
 // computes: a product derived by Lemma 2 carries a bound on the float32
 // rounding of the centres behind it (kappa, see Searcher.step), and the cone
 // bound's rejections carry the error of the subtraction under their root
-// (vec.Rejection). Leaf verification runs as fused bound kernels plus one
+// (vec.Rejection). Leaf verification runs as a fused bound kernel plus one
 // blocked inner-product call over sequential memory (vec.BallCutoff /
-// vec.ConeSelect / vec.DotBlockWithin).
+// vec.DotBlockWithin), with the cone bound's vec.ConeSelect between them
+// when a search opts into it (SearchOptions.PointCone).
 package balltree

@@ -171,7 +171,9 @@ var (
 	cancelNow   = func() bool { return true }
 )
 
-// matrixShapes: k of 1, 10 and n+3; the Figure 8 variants; both preferences;
+// matrixShapes: k of 1, 10 and n+3; the Figure 8 variants (the full one,
+// "cone", opting into the cone bound a default search skips, so "wo-cone" is
+// the default); both preferences;
 // a Filter, one accepting all (the prefix verified whole), a Pred, a
 // bitmap; a profile; a Cancel that never fires and one that fires at once;
 // budgets of 1, n/20 and n, the middle one beside a preference, a Filter, a
@@ -184,9 +186,10 @@ func matrixShapes(s *matrixSet) []matrixShape {
 		{name: "k1", opts: core.SearchOptions{K: 1}},
 		{name: "k10", opts: core.SearchOptions{K: 10}},
 		{name: "kBig", opts: core.SearchOptions{K: n + 3}},
-		{name: "wo-ball", opts: core.SearchOptions{K: 10, DisablePointBall: true}},
-		{name: "wo-cone", opts: core.SearchOptions{K: 10, DisablePointCone: true}},
-		{name: "wo-bc", opts: core.SearchOptions{K: 10, DisablePointBall: true, DisablePointCone: true}},
+		{name: "cone", opts: core.SearchOptions{K: 10, PointCone: true}},
+		{name: "wo-ball", opts: core.SearchOptions{K: 10, DisablePointBall: true, PointCone: true}},
+		{name: "wo-cone", opts: core.SearchOptions{K: 10}},
+		{name: "wo-bc", opts: core.SearchOptions{K: 10, DisablePointBall: true}},
 		{name: "lowerbound", opts: core.SearchOptions{K: 10, Preference: core.PrefLowerBound}},
 		{name: "filter", opts: core.SearchOptions{K: 10, Filter: keepNotMod3}},
 		{name: "accept-all", opts: core.SearchOptions{K: 10, Filter: acceptAll}},
@@ -205,7 +208,7 @@ func matrixShapes(s *matrixSet) []matrixShape {
 	}
 	for i, sh := range shapes {
 		shapes[i].paths = allPaths
-		if sh.name == "k10" || sh.name == "filter" || sh.name == "pred" || sh.name == "profiled" {
+		if sh.name == "k10" || sh.name == "cone" || sh.name == "filter" || sh.name == "pred" || sh.name == "profiled" {
 			shapes[i].paths = slices.Concat(allPaths, []string{viaBatch(64)})
 		}
 	}
@@ -707,13 +710,14 @@ func clustered(t *testing.T, rows []string, q int, shapes func(*matrixSet) []mat
 	matrixView{rows: rows, sets: setsNamed("clustered"), shapes: shapes, queries: q}.run(t)
 }
 
-// variants is the Figure 8 ablations at k, named after name.
+// variants is the Figure 8 ablations at k, named after name: the full
+// variant opts into the cone bound, and the one without it is the default.
 func variants(name string, k int) []matrixShape {
 	return []matrixShape{
-		{name: name, opts: core.SearchOptions{K: k}},
-		{name: name + "-wo-ball", opts: core.SearchOptions{K: k, DisablePointBall: true}},
-		{name: name + "-wo-cone", opts: core.SearchOptions{K: k, DisablePointCone: true}},
-		{name: name + "-wo-bc", opts: core.SearchOptions{K: k, DisablePointBall: true, DisablePointCone: true}},
+		{name: name, opts: core.SearchOptions{K: k, PointCone: true}},
+		{name: name + "-wo-ball", opts: core.SearchOptions{K: k, DisablePointBall: true, PointCone: true}},
+		{name: name + "-wo-cone", opts: core.SearchOptions{K: k}},
+		{name: name + "-wo-bc", opts: core.SearchOptions{K: k, DisablePointBall: true}},
 	}
 }
 
@@ -769,13 +773,27 @@ func TestSearchPrunesNodes(t *testing.T) {
 	}}))
 }
 
-// TestPointPruningReducesCandidates is Section IV-B: the point-level bounds
-// prune points, and fewer are verified with them than without.
+// TestPointPruningReducesCandidates is Section IV-B, each point-level bound
+// alone and both together: the ball bound alone (the default) verifies fewer
+// points than neither, and the opted-in cone bound beside it verifies no
+// more than the ball bound alone and prunes at least one point of its own.
 func TestPointPruningReducesCandidates(t *testing.T) {
 	clustered(t, bcRows, 0, fixed(matrixShape{opts: core.SearchOptions{K: 10}, check: func(t *testing.T, c *cell) {
-		_, without := searchEach(c.r.tree, c.r.set.queries, core.SearchOptions{K: 10, DisablePointBall: true, DisablePointCone: true})
-		if with, without := sum(c.stats), sum(without); with.PrunedPoints == 0 || with.Candidates >= without.Candidates {
-			t.Fatalf("%d points pruned; %d candidates with the point-level bounds, %d without", with.PrunedPoints, with.Candidates, without.Candidates)
+		run := func(opts core.SearchOptions) core.Stats {
+			_, stats := searchEach(c.r.tree, c.r.set.queries, opts)
+			return sum(stats)
+		}
+		ball, neither := sum(c.stats), run(core.SearchOptions{K: 10, DisablePointBall: true})
+		cone, both := run(core.SearchOptions{K: 10, DisablePointBall: true, PointCone: true}), run(core.SearchOptions{K: 10, PointCone: true})
+		t.Logf("candidates: neither %d, cone %d, ball %d, both %d", neither.Candidates, cone.Candidates, ball.Candidates, both.Candidates)
+		if ball.PrunedPoints == 0 || ball.Candidates >= neither.Candidates {
+			t.Fatalf("ball bound: %d points pruned, %d candidates; %d without a point-level bound", ball.PrunedPoints, ball.Candidates, neither.Candidates)
+		}
+		if cone.PrunedPoints == 0 || cone.Candidates >= neither.Candidates {
+			t.Fatalf("cone bound: %d points pruned, %d candidates; %d without a point-level bound", cone.PrunedPoints, cone.Candidates, neither.Candidates)
+		}
+		if both.Candidates > ball.Candidates || both.PrunedPoints <= ball.PrunedPoints {
+			t.Fatalf("both bounds: %d points pruned, %d candidates; the ball bound alone %d and %d", both.PrunedPoints, both.Candidates, ball.PrunedPoints, ball.Candidates)
 		}
 	}}))
 }
@@ -796,7 +814,7 @@ func TestCollabIPHalvesInnerProducts(t *testing.T) {
 }
 
 // TestBallIsAblatedBC pins the paper's Figure 8 reading: over the same data,
-// seed and leaf size, a BC tree with both point-level switches off answers as
+// seed and leaf size, a BC tree with neither point-level bound answers as
 // a Ball tree does, at either seed, and does the same work but for Lemma 2 —
 // every counter agrees once each collaborative product is counted as the
 // O(d) product the Ball tree made in its place. Direct and Lemma 1 centres
@@ -805,7 +823,7 @@ func TestCollabIPHalvesInnerProducts(t *testing.T) {
 // not claimed for all data.
 func TestBallIsAblatedBC(t *testing.T) {
 	matrixView{rows: []string{"bctree", "bctree-quant"}, sets: setsNamed("clustered", "heavy-tail", "uniform"), shapes: fixed(matrixShape{
-		opts: core.SearchOptions{K: 10, DisablePointBall: true, DisablePointCone: true}, paths: batchPaths, check: func(t *testing.T, c *cell) {
+		opts: core.SearchOptions{K: 10, DisablePointBall: true}, paths: batchPaths, check: func(t *testing.T, c *cell) {
 			_, ball := searchEach(Build(c.r.set.data, Ball, c.r.config()), c.r.set.queries, core.SearchOptions{K: 10})
 			for qi, st := range c.stats {
 				if st.CollabIPs, st.IPCount = 0, st.IPCount+st.CollabIPs; c.stats[qi].CollabIPs == 0 || st != ball[qi] {

@@ -27,21 +27,21 @@ import (
 //     stored too, since a right child's is never read. The derived product
 //     inherits the float32 rounding of the centres it is derived from; every
 //     bound it enters is loosened by that much (kappa, see step);
-//   - point-level pruning in the leaves (ScanWithPruning): the point-level
-//     ball bound (Corollary 1) prunes the tail of the radius-sorted leaf in a
+//   - point-level pruning in the leaves (see scanLeaf): the point-level ball
+//     bound (Corollary 1) prunes the tail of the radius-sorted leaf in a
 //     batch (vec.BallCutoff finds the cut by binary search over the radii the
-//     cone pairs imply, vec.ConeGrid.Radius), and the
-//     point-level cone bound (Theorem 3) prunes single points it misses via
-//     the fused vec.ConeSelect kernel; survivors are verified by one blocked
-//     vec.DotBlockWithin call (a float32 screen, decided in float64) when
-//     the whole prefix survives. Predicate and Filter searches take the
-//     same scan, their row filters among its stages.
+//     cone pairs imply, vec.ConeGrid.Radius), and what it keeps is verified
+//     by one blocked vec.DotBlockWithin call (a float32 screen, decided in
+//     float64). Predicate and Filter searches take the same scan, their row
+//     filters among its stages.
 //
-// The two ablation switches in opts reproduce the paper's Figure 8 variants. A
-// Ball kind tree runs with both forced on (see normalize) and computes both
-// children's inner products from their centres, which is Algorithm 3: two
-// O(d) inner products per visited internal node and one vec.DotBlockWithin
-// call over each visited leaf's contiguous rows.
+// The two switches in opts reproduce the paper's Figure 8 variants: the
+// point-level cone bound (Theorem 3) runs only when opts.PointCone opts in,
+// and DisablePointBall drops the ball bound. A Ball kind tree runs with
+// neither (see normalize) and computes both children's inner products from
+// their centres, which is Algorithm 3: two O(d) inner products per visited
+// internal node and one vec.DotBlockWithin call over each visited leaf's
+// contiguous rows.
 //
 // Search runs on a pooled Searcher, so a steady-state call's only allocation
 // is the returned results slice; use a Searcher directly to eliminate that
@@ -86,9 +86,11 @@ type Searcher struct {
 	pred    *attr.Prog
 	usePush bool
 
-	// tiled: full tiles of vec.TileQueries queries share the multi-query
-	// kernel at a leaf (see scanLeaf).
-	tiled bool
+	// lists: the call's leaf scans list each query's rows (liveness, a
+	// predicate, a Filter or the cone bound); tiled: they do not, and full
+	// tiles of vec.TileQueries queries share the multi-query kernel (see
+	// scanLeaf).
+	lists, tiled bool
 
 	qs []query // the call's queries, in row order
 
@@ -100,11 +102,10 @@ type Searcher struct {
 // query is one query's state in a call: the vector and its norm, its top-k
 // collector and work counters.
 type query struct {
-	q       []float32
-	qnorm   float64
-	sqQnorm float64
-	tk      core.TopK
-	st      core.Stats
+	q     []float32
+	qnorm float64
+	tk    core.TopK
+	st    core.Stats
 }
 
 // NewSearcher returns a reusable executor bound to the tree.
@@ -123,7 +124,7 @@ func (t *Tree) acquireSearcher(pool *exec.Pool[Searcher]) *Searcher {
 func (t *Tree) normalize(opts core.SearchOptions) core.SearchOptions {
 	opts = opts.Normalized()
 	if t.kind == Ball {
-		opts.DisablePointBall, opts.DisablePointCone = true, true
+		opts.DisablePointBall, opts.PointCone = true, false
 	}
 	return opts
 }
@@ -181,7 +182,8 @@ func (s *Searcher) begin(rows []float32, nq int, opts core.SearchOptions, live c
 			s.usePush = s.tree.attrSums != nil
 		}
 	}
-	s.tiled = nq >= vec.TileQueries && live == nil && s.pred == nil && s.opts.Filter == nil
+	s.lists = live != nil || s.pred != nil || s.opts.Filter != nil || s.opts.PointCone
+	s.tiled = nq >= vec.TileQueries && !s.lists
 	// Grow the records without dropping the storage earlier calls gave them.
 	if nq > cap(s.qs) {
 		grown := make([]query, nq)
@@ -194,7 +196,6 @@ func (s *Searcher) begin(rows []float32, nq int, opts core.SearchOptions, live c
 		r := &s.qs[i]
 		r.q = rows[i*d : (i+1)*d]
 		r.qnorm = vec.Norm(r.q)
-		r.sqQnorm = r.qnorm * r.qnorm
 		r.tk.Init(s.opts.K)
 		r.st = core.Stats{}
 	}
@@ -340,9 +341,9 @@ func (s *Searcher) step(ni int32, n *nodeRec, act []int32, ips, ipsL, ipsR []flo
 		return 0, 0, false
 	}
 
-	var start time.Time
+	var t0 time.Time
 	if s.opts.Profile != nil {
-		start = time.Now()
+		t0 = time.Now()
 	}
 	centerL := s.sec.centers.Row(int(n.leftRow))
 	cn := float64(n.count())
@@ -378,9 +379,7 @@ func (s *Searcher) step(ni int32, n *nodeRec, act []int32, ips, ipsL, ipsR []flo
 		sumL += keyL
 		sumR += keyR
 	}
-	if s.opts.Profile != nil {
-		s.opts.Profile.Add(core.PhaseBound, time.Since(start))
-	}
+	s.lap(&t0, core.PhaseBound)
 	return live, kappaR, sumR < sumL
 }
 
@@ -497,146 +496,148 @@ func (s *Searcher) popFrontier() frontierNode {
 	return top
 }
 
-// scanWithPruning implements Algorithm 5 lines 18-26 over the contiguous,
-// radius-sorted storage of the leaf as one pipeline of set filters, cheapest
-// first:
-//
-//  1. the ball bound (Corollary 1) cuts the tail of the leaf in one binary
-//     search;
-//  2. the liveness bitmap (see SearchLive) and the compiled predicate drop
-//     the rows they do not admit — they are data, so they run before any
-//     bound arithmetic;
-//  3. the fused cone kernel (Theorem 3) drops single rows, over the prefix or
-//     over the data filters' survivor list;
-//  4. the Filter closure is asked about what the bounds left, in leaf order,
-//     until the remaining budget has been accepted: a rejected id costs no
-//     inner product and no budget, and an accept-all Filter sees exactly the
-//     verified candidates;
-//  5. verification: one vec.DotBlockWithin call (see verify) when no row
-//     of the prefix was removed (the common case on hard leaves), else one
-//     Dot per survivor.
+// scanLeaf implements Algorithm 5 lines 18-26 at leaf n for the active
+// queries act (ips and kappa as in step), over the leaf's contiguous,
+// radius-sorted storage, each query against its own collector. First the
+// point-level ball bound (Corollary 1, strict; vec.BallCutoff) cuts each
+// query's prefix of the leaf in one binary search. A call that lists rows
+// (see Searcher.begin) then verifies each query's list of its prefix (see
+// list). Every other call verifies each query's prefix, capped by the budget
+// left: whole tiles of vec.TileQueries queries of a tiled call through the
+// multi-query kernel (see verifyTile), every other query — one left over
+// past the last tile, each of a group smaller than a tile, a single Search —
+// in one verify call.
 //
 // Every bound is evaluated against the λ at leaf entry; λ only shrinks during
-// the scan, so the snapshot prunes conservatively and results stay exact.
-// absIP is the least |<q, N.c>| can be given what step knows of it. The scan
-// serves query r alone, against its own collector.
-func (s *Searcher) scanWithPruning(r *query, n *nodeRec, absIP float64) {
-	r.st.LeavesVisited++
-	var leafStart time.Time
-	profiling := s.opts.Profile != nil
-	if profiling {
-		leafStart = time.Now()
-	}
-	sec := s.sec
-	start := int(n.start)
-	lambda := r.tk.Lambda()
-	grid := sec.grid(n)
-	left := math.MaxInt // candidates the budget still allows
-	if s.opts.Budget > 0 {
-		left = int(int64(s.opts.Budget) - r.st.Candidates)
-	}
-
-	// The survivors are the prefix [0, m) while dense, else the list in sel.
-	m := s.ballCutoff(r, n, &grid, absIP, lambda)
-	sel, dense := s.sel[:0], true
-	if live, pred := s.live, s.pred; live != nil || pred != nil {
-		for i, id := range sec.ids[start : start+m] {
-			if (live == nil || live.Has(id)) && (pred == nil || pred.Match(id)) {
-				sel = append(sel, int32(i))
-			}
-		}
-		dense = len(sel) == m
-	}
-	if !s.opts.DisablePointCone && n.centerNorm > 0 && m > 0 {
-		qcos, qsin := r.coneOf(n, absIP)
-		cos, sin := sec.xcos[start:start+m], sec.xsin[start:start+m]
-		before := len(sel)
-		if dense {
-			before = m
-			sel = vec.ConeSelect(qcos, qsin, lambda, &grid, cos, sin, sel[:0])
-		} else {
-			sel = vec.ConeSelectIdx(qcos, qsin, lambda, &grid, cos, sin, sel)
-		}
-		r.st.PrunedPoints += int64(before - len(sel))
-		dense = len(sel) == m
-	}
-	if s.opts.Filter != nil {
-		if dense {
-			sel = sel[:0]
-			for i := 0; i < m; i++ {
-				sel = append(sel, int32(i))
-			}
-		}
-		kept := sel[:0]
-		for _, i := range sel {
-			if len(kept) == left {
-				break
-			}
-			if s.opts.Filter(sec.ids[start+int(i)]) {
-				kept = append(kept, i)
-			}
-		}
-		sel = kept
-		// A prefix the closure left whole is still verified in one block.
-		dense = len(sel) > 0 && int(sel[len(sel)-1]) == len(sel)-1
-		if dense {
-			m = len(sel)
-		}
-	}
-	s.sel = sel // keep the grown capacity for the next leaf
-
-	verify := len(sel)
-	if dense {
-		verify = m
-	}
-	verify = min(verify, left)
-	if verify <= 0 {
-		if profiling {
-			s.opts.Profile.Add(core.PhaseBound, time.Since(leafStart))
-		}
-		return
-	}
-
+// the scan, so the snapshot prunes conservatively and results stay exact. A
+// cut reads only its own query's collector, which no other query's pushes
+// reach, so cutting every prefix before verifying any is cutting in turn:
+// results and counters are those of scanning query by query. A profile is
+// charged the cuts and lists as bound time and the rest as verification.
+func (s *Searcher) scanLeaf(n *nodeRec, act []int32, ips []float64, kappa float64) {
 	var t0 time.Time
-	if profiling {
+	if s.opts.Profile != nil {
 		t0 = time.Now()
 	}
-	if dense {
-		s.verify(r, start, start+verify)
+	sec, start, count := s.sec, int(n.start), int(n.count())
+	grid := sec.grid(n)
+	cuts := s.scr.Cuts(len(act))
+	for j, qi := range act {
+		r := &s.qs[qi]
+		r.st.LeavesVisited++
+		absIP := math.Max(math.Abs(ips[j])-r.qnorm*kappa, 0) // the least |<q, N.c>| can be
+		m := count
+		if !s.opts.DisablePointBall {
+			m = vec.BallCutoff(absIP, r.qnorm, r.tk.Lambda(), &grid, sec.xcos[start:start+count], sec.xsin[start:start+count])
+			r.st.PrunedPoints += int64(count - m)
+		}
+		if s.lists {
+			s.list(r, n, &grid, absIP, m, &t0)
+			continue
+		}
+		cuts[j] = min(m, s.left(r))
+		r.st.IPCount += int64(cuts[j])
+		r.st.Candidates += int64(cuts[j])
+	}
+	if s.lists {
+		return
+	}
+	s.lap(&t0, core.PhaseBound)
+	j := 0
+	for ; s.tiled && j+vec.TileQueries <= len(act); j += vec.TileQueries {
+		s.verifyTile(start, act[j:j+vec.TileQueries], cuts[j:j+vec.TileQueries])
+	}
+	for ; j < len(act); j++ {
+		s.verify(&s.qs[act[j]], start, start+cuts[j])
+	}
+	s.lap(&t0, core.PhaseVerify)
+}
+
+// list verifies for query r the rows of leaf n's prefix [0, m) that its list
+// stages keep, in this order: the opted-in cone bound (Theorem 3, the fused
+// vec.ConeSelect kernel) drops single rows of the prefix; the liveness bitmap
+// (see SearchLive) and the compiled predicate drop the rows they do not
+// admit; and the Filter closure is asked about what is left, in leaf order,
+// until the budget left has been accepted — a rejected id costs no inner
+// product and no budget, and an accept-all Filter sees exactly the verified
+// candidates. A list that is still a whole prefix is verified in one block
+// (see verify), any other one Dot per row. t0 is the profile's clock (lap).
+//
+// The cone bound takes the query's projection onto the leaf centre's
+// direction, ||q|| cos theta = <q, N.c> / ||N.c||, at the least magnitude
+// absIP allows (only the magnitude enters the bound), and the rejection that
+// goes with it: the smaller the projection the larger the rejection, so both
+// err toward a lower bound.
+func (s *Searcher) list(r *query, n *nodeRec, g *vec.ConeGrid, absIP float64, m int, t0 *time.Time) {
+	sec, start := s.sec, int(n.start)
+	sel := s.sel[:0]
+	if s.opts.PointCone && n.centerNorm > 0 {
+		qcos := absIP / n.centerNorm
+		qsin := vec.Rejection(r.qnorm*r.qnorm, qcos, len(r.q))
+		sel = vec.ConeSelect(qcos, qsin, r.tk.Lambda(), g, sec.xcos[start:start+m], sec.xsin[start:start+m], sel)
+		r.st.PrunedPoints += int64(m - len(sel))
 	} else {
-		for _, i := range sel[:verify] {
+		for i := range m {
+			sel = append(sel, int32(i))
+		}
+	}
+	live, pred, filter, left := s.live, s.pred, s.opts.Filter, s.left(r)
+	kept := sel[:0]
+	for _, i := range sel {
+		if len(kept) == left {
+			break
+		}
+		if id := sec.ids[start+int(i)]; (live == nil || live.Has(id)) && (pred == nil || pred.Match(id)) && (filter == nil || filter(id)) {
+			kept = append(kept, i)
+		}
+	}
+	s.sel = kept // keep the grown capacity for the next leaf
+	s.lap(t0, core.PhaseBound)
+	if v := len(kept); v > 0 && int(kept[v-1]) == v-1 {
+		s.verify(r, start, start+v)
+	} else {
+		for _, i := range kept {
 			pos := start + int(i)
 			r.tk.Push(sec.ids[pos], math.Abs(vec.Dot(r.q, sec.points.Row(pos))))
 		}
 	}
-	r.st.IPCount += int64(verify)
-	r.st.Candidates += int64(verify)
-	if profiling {
-		verifyDur := time.Since(t0)
-		s.opts.Profile.Add(core.PhaseVerify, verifyDur)
-		s.opts.Profile.Add(core.PhaseBound, time.Since(leafStart)-verifyDur)
-	}
+	r.st.IPCount += int64(len(kept))
+	r.st.Candidates += int64(len(kept))
+	s.lap(t0, core.PhaseVerify)
 }
 
-// ballCutoff returns how many leading points of leaf n, whose grids are g,
-// the point-level ball bound keeps for query r against lambda, and counts the
-// rest as pruned.
-func (s *Searcher) ballCutoff(r *query, n *nodeRec, g *vec.ConeGrid, absIP, lambda float64) int {
-	if s.opts.DisablePointBall {
-		return int(n.count())
+// verify offers query r the points at positions [lo, hi) of the arena: one
+// blocked kernel call and a push per row it lists. The kernel screens the
+// block in float32 against the query's k-th best distance on entry
+// (vec.DotBlockWithin); a row it rules out would not be kept by the push. The
+// list lives in s.sel, free once a leaf's survivors are settled.
+func (s *Searcher) verify(r *query, lo, hi int) {
+	if lo >= hi {
+		return
 	}
 	sec := s.sec
-	m := vec.BallCutoff(absIP, r.qnorm, lambda, g, sec.xcos[n.start:n.end], sec.xsin[n.start:n.end])
-	r.st.PrunedPoints += int64(int(n.count()) - m)
-	return m
+	d := sec.points.D
+	dists := s.scr.Dists(hi - lo)
+	s.sel = vec.DotBlockWithin(r.q, r.qnorm, r.tk.Lambda(), sec.points.Data[lo*d:hi*d], dists, s.sel[:0])
+	for _, i := range s.sel {
+		r.tk.Push(sec.ids[lo+int(i)], math.Abs(dists[i]))
+	}
 }
 
-// coneOf returns the query's side of the cone bound for leaf n: its
-// projection onto the leaf centre's direction, ||q|| cos theta = <q, N.c> /
-// ||N.c||, taken at the least magnitude absIP allows (only the magnitude
-// enters the bound), and the rejection that goes with it — the smaller the
-// projection the larger the rejection, so both err toward a lower bound.
-func (r *query) coneOf(n *nodeRec, absIP float64) (qcos, qsin float64) {
-	qcos = absIP / n.centerNorm
-	return qcos, vec.Rejection(r.sqQnorm, qcos, len(r.q))
+// left is how many candidates the budget still allows query r.
+func (s *Searcher) left(r *query) int {
+	if s.opts.Budget > 0 {
+		return int(int64(s.opts.Budget) - r.st.Candidates)
+	}
+	return math.MaxInt
+}
+
+// lap charges a profiled call's time since *t0 to phase and restarts the
+// clock there.
+func (s *Searcher) lap(t0 *time.Time, phase core.Phase) {
+	if s.opts.Profile != nil {
+		now := time.Now()
+		s.opts.Profile.Add(phase, now.Sub(*t0))
+		*t0 = now
+	}
 }

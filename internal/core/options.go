@@ -90,18 +90,22 @@ type SearchOptions struct {
 	// must check their own cancellation signal after the call.
 	Cancel func() bool
 
-	// The two switches below ablate BC-Tree's point-level bounds (paper
-	// Figure 8). They are ignored by the other indexes. Collaborative inner
-	// product computing (Lemma 2, Theorem 5) has no switch: a BC-Tree does
-	// not store the centres a search would need without it.
+	// The two switches below select BC-Tree's point-level bounds for the
+	// paper's Figure 8 ablation. They are ignored by the other indexes.
+	// Collaborative inner product computing (Lemma 2, Theorem 5) has no
+	// switch: a BC-Tree does not store the centres a search would need
+	// without it.
 
-	// DisablePointBall turns off the point-level ball bound (Corollary 1),
-	// producing the paper's BC-Tree-wo-B variant.
+	// DisablePointBall turns off the point-level ball bound (Corollary 1).
+	// With PointCone it is the paper's BC-Tree-wo-B variant; alone it is
+	// BC-Tree-wo-BC (exhaustive leaf scans, as Ball-Tree does).
 	DisablePointBall bool
-	// DisablePointCone turns off the point-level cone bound (Theorem 3),
-	// producing the paper's BC-Tree-wo-C variant. Setting both switches
-	// yields BC-Tree-wo-BC (exhaustive leaf scans, as Ball-Tree does).
-	DisablePointCone bool
+	// PointCone turns on the point-level cone bound (Theorem 3), which the
+	// paper's BC-Tree runs and a default search skips: on the surrogate
+	// sets it removes well under 1 % of the candidates the ball bound
+	// leaves, and costs more time than it saves (EXPERIMENTS.md). A default
+	// search is the paper's BC-Tree-wo-C variant.
+	PointCone bool
 }
 
 // Normalized returns a copy with defaults applied.

@@ -245,7 +245,7 @@ func TestSearchErrorMapping(t *testing.T) {
 		"zero normal":   {"/v1/indexes/trees/search", SearchRequest{Query: make([]float32, 9)}, 400, "zero_normal"},
 		// The paper's ablation switches are in-process options, not wire fields.
 		"bad preference":  {"/v1/indexes/trees/search", map[string]any{"query": q, "preference": "lower-bound"}, 400, "bad_request"},
-		"ablation switch": {"/v1/indexes/trees/search", map[string]any{"query": q, "disable_point_cone": true}, 400, "bad_request"},
+		"ablation switch": {"/v1/indexes/trees/search", map[string]any{"query": q, "point_cone": true}, 400, "bad_request"},
 		"negative k":      {"/v1/indexes/trees/search", SearchRequest{Query: q, SearchOptionsJSON: SearchOptionsJSON{K: -2}}, 400, "bad_request"},
 		"unknown field":   {"/v1/indexes/trees/search", map[string]any{"query": q, "nope": 1}, 400, "bad_request"},
 		// The Lemma 2 switch is gone from the wire, not ignored on it.

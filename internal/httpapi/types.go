@@ -18,7 +18,7 @@ import (
 // search_batch requests: the fields of p2h.SearchOptions that survive a
 // network boundary (Filter is an arbitrary function and Profile a live
 // pointer; neither has a wire form, and the paper's ablation switches —
-// Preference, DisablePointBall, DisablePointCone — are for in-process
+// Preference, DisablePointBall, PointCone — are for in-process
 // experiments only).
 type SearchOptionsJSON struct {
 	// K is the number of neighbors to return (zero: 1).

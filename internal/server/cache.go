@@ -16,10 +16,10 @@ import (
 // structurally equal predicates share one slot while an opaque Filter
 // closure never could.
 type optsKey struct {
-	k, budget      int
-	preference     core.Preference
-	noBall, noCone bool
-	pred           string // Pred.Canon(); "" when unfiltered
+	k, budget    int
+	preference   core.Preference
+	noBall, cone bool
+	pred         string // Pred.Canon(); "" when unfiltered
 }
 
 func makeOptsKey(o core.SearchOptions) optsKey {
@@ -36,7 +36,7 @@ func makeOptsKey(o core.SearchOptions) optsKey {
 		budget:     budget,
 		preference: o.Preference,
 		noBall:     o.DisablePointBall,
-		noCone:     o.DisablePointCone,
+		cone:       o.PointCone,
 		pred:       pred,
 	}
 }
@@ -64,7 +64,7 @@ func hashKey(q []float32, ok optsKey) uint64 {
 	if ok.noBall {
 		flags |= 1
 	}
-	if ok.noCone {
+	if ok.cone {
 		flags |= 2
 	}
 	mix(flags, 1)

@@ -124,7 +124,7 @@ func TestHashKeySensitivity(t *testing.T) {
 		t.Fatal("budget not reflected in hash")
 	}
 	ok3 := ok
-	ok3.noCone = true
+	ok3.cone = true
 	if hashKey(q, ok3) == h {
 		t.Fatal("ablation flag not reflected in hash")
 	}

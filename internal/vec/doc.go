@@ -55,8 +55,8 @@
 //     left of the list, and everything on the Go path, is a loop over
 //     DotBlock: there is one assembly body and one portable body.
 //
-//   - Bound kernels (BallCutoff, ConeSelect, ConeSelectIdx) that evaluate the
-//     paper's point-level pruning bounds over position-ordered leaf arrays, the
+//   - Bound kernels (BallCutoff, ConeSelect) that evaluate the paper's
+//     point-level pruning bounds over position-ordered leaf arrays, the
 //     16-bit codec of the cone pair those arrays hold (ConeGrid: a leaf's
 //     grids, fixed by its radius, centre norm and dimension; every grid value
 //     exact), and the derivation of the point-level ball radius from a coded
