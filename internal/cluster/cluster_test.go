@@ -394,6 +394,45 @@ func TestRouterBatchOracleByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRouterWireGolden pins the bytes the router itself encodes for /search
+// and /search_batch, one answer with results and one with none (a tag no
+// point carries; it must encode as [] per query, never null). The oracle
+// tests compare two servers that share one encoder, so only literal text
+// catches a renamed or reordered field. Members run without a result cache
+// and a two-row batch splits into one row per worker, so the summed stats
+// are a function of the request.
+func TestRouterWireGolden(t *testing.T) {
+	f := newFixture(t, nil)
+	none := p2h.TagIs("nobody")
+	two := []httpapi.Vector{f.queries.Row(1), f.queries.Row(2)}
+	for _, tc := range []struct {
+		name, path string
+		body       any
+		want       string
+	}{
+		{"search", "/v1/indexes/trees/search",
+			httpapi.SearchRequest{Query: f.queries.Row(0), SearchOptionsJSON: httpapi.SearchOptionsJSON{K: 2}},
+			`{"results":[{"id":501,"dist":0.00006288993409153676},{"id":559,"dist":0.0001594283228560922}],"stats":{"ip_count":781,"candidates":705,"nodes_visited":149,"leaves_visited":44,"pruned_nodes":32,"pruned_points":41,"bucket_probes":0,"collab_ips":73}}`},
+		{"search-empty", "/v1/indexes/trees/search",
+			httpapi.SearchRequest{Query: f.queries.Row(0), SearchOptionsJSON: httpapi.SearchOptionsJSON{K: 2, Filter: none}},
+			`{"results":[],"stats":{"ip_count":3,"candidates":0,"nodes_visited":0,"leaves_visited":0,"pruned_nodes":0,"pruned_points":0,"bucket_probes":0,"collab_ips":0,"filter_skipped_nodes":3,"filter_skipped_points":1200}}`},
+		{"batch", "/v1/indexes/trees/search_batch",
+			httpapi.BatchSearchRequest{Queries: two, SearchOptionsJSON: httpapi.SearchOptionsJSON{K: 2}},
+			`{"results":[[{"id":80,"dist":0.0031203661737537747},{"id":15,"dist":0.017700043370692198}],[{"id":192,"dist":0.0013419932532567902},{"id":306,"dist":0.00244278235525619}]],"stats":{"ip_count":1424,"candidates":1274,"nodes_visited":294,"leaves_visited":85,"pruned_nodes":65,"pruned_points":126,"bucket_probes":0,"collab_ips":144}}`},
+		{"batch-empty", "/v1/indexes/trees/search_batch",
+			httpapi.BatchSearchRequest{Queries: two, SearchOptionsJSON: httpapi.SearchOptionsJSON{K: 2, Filter: none}},
+			`{"results":[[],[]],"stats":{"ip_count":6,"candidates":0,"nodes_visited":0,"leaves_visited":0,"pruned_nodes":0,"pruned_points":0,"bucket_probes":0,"collab_ips":0,"filter_skipped_nodes":6,"filter_skipped_points":2400}}`},
+	} {
+		status, got := post(t, f.router, tc.path, marshal(t, tc.body))
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, status, got)
+		}
+		if string(got) != tc.want+"\n" {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 // The decimal forms of the search requests: []float32 fields, which
 // encoding/json writes as arrays of numbers, as curl users and clients
 // predating httpapi.Vector send them.
@@ -490,7 +529,7 @@ func TestFilteredMergeOracle(t *testing.T) {
 				}
 				lists[si] = list
 			}
-			got := mergeTopK(lists, opts.K)
+			got := core.MergeResults(lists, opts.K)
 			if len(got) != len(want) {
 				t.Fatalf("budget %d query %d: got %d results, want %d", budget, qi, len(got), len(want))
 			}
@@ -529,33 +568,6 @@ func TestShardOptionsSplitsTheBudget(t *testing.T) {
 	} {
 		if got := shardOptions(httpapi.SearchOptionsJSON{K: 10, Budget: tc.budget}, tc.shardN, tc.total).Budget; got != tc.want {
 			t.Errorf("budget %d, shard %d of %d: share %d, want %d", tc.budget, tc.shardN, tc.total, got, tc.want)
-		}
-	}
-}
-
-// TestMergeMatchesSortResults pins the merge order to core.SortResults on
-// tie-heavy input.
-func TestMergeMatchesSortResults(t *testing.T) {
-	lists := [][]httpapi.ResultJSON{
-		{{ID: 5, Dist: 1.0}, {ID: 2, Dist: 2.0}},
-		{{ID: 1, Dist: 1.0}, {ID: 9, Dist: 1.0}, {ID: 3, Dist: 2.0}},
-		{},
-		{{ID: 0, Dist: 0.5}},
-	}
-	var flat []core.Result
-	for _, l := range lists {
-		for _, r := range l {
-			flat = append(flat, core.Result{ID: r.ID, Dist: r.Dist})
-		}
-	}
-	core.SortResults(flat)
-	got := mergeTopK(lists, 4)
-	if len(got) != 4 {
-		t.Fatalf("got %d results, want 4", len(got))
-	}
-	for i := range got {
-		if got[i].ID != flat[i].ID || got[i].Dist != flat[i].Dist {
-			t.Fatalf("result %d: got (%d,%v), want (%d,%v)", i, got[i].ID, got[i].Dist, flat[i].ID, flat[i].Dist)
 		}
 	}
 }

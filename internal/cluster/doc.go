@@ -7,8 +7,8 @@
 // served as, which member is its primary, and which members hold replicas.
 // The router fans every /search and /search_batch out to one member per
 // shard, translates shard-local result ids back to global ids through the
-// map, and merges the per-shard top-k lists in the canonical (Dist, ID)
-// order internal/shard defines — so a cluster built from a shard.Plan
+// map, and merges the per-shard top-k lists through core.MergeResults, the
+// merge internal/shard runs — so a cluster built from a shard.Plan
 // partition answers byte-identically to a single-process Sharded index over
 // the same data, up to the order of exact ties: a member tree numbers its
 // points from zero and cuts a tie at the k-th distance by member-local id

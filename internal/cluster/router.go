@@ -297,6 +297,28 @@ func shardOptions(opts httpapi.SearchOptionsJSON, shardN, total int64) httpapi.S
 	return opts
 }
 
+// translateIDs rewrites a shard's local result ids to global ids in place,
+// per the shard's declared mapping: an explicit ids table, a constant base
+// offset, or the identity when neither is declared.
+func translateIDs(sc ShardConfig, res []core.Result) error {
+	switch {
+	case len(sc.IDs) > 0:
+		for i, r := range res {
+			if r.ID < 0 || int(r.ID) >= len(sc.IDs) {
+				return fmt.Errorf("cluster: shard %q returned id %d outside its %d-row id map (partition map out of date?)",
+					sc.Index, r.ID, len(sc.IDs))
+			}
+			res[i].ID = sc.IDs[r.ID]
+		}
+	case sc.IDBase != nil:
+		base := *sc.IDBase
+		for i := range res {
+			res[i].ID += base
+		}
+	}
+	return nil
+}
+
 // remainingMS converts a context's remaining deadline budget into the wire
 // timeout_ms forwarded to a member, so the deadline the router promised its
 // client propagates through the fan-out (a floor of one keeps an
@@ -323,9 +345,9 @@ func remainingMS(ctx context.Context) int {
 // lists translated to global ids and merged into the top k, and the counters
 // summed over the shards.
 func (rt *Router) fanOut(ctx context.Context, name string, opts httpapi.SearchOptionsJSON, nq int,
-	send func(ctx context.Context, m *member, index string, opts httpapi.SearchOptionsJSON) ([][]httpapi.ResultJSON, httpapi.StatsJSON, error),
-) ([][]httpapi.ResultJSON, httpapi.StatsJSON, error) {
-	var stats httpapi.StatsJSON
+	send func(ctx context.Context, m *member, index string, opts httpapi.SearchOptionsJSON) ([][]core.Result, core.Stats, error),
+) ([][]core.Result, core.Stats, error) {
+	var stats core.Stats
 	ri, ok := rt.indexes[name]
 	if !ok {
 		return nil, stats, fmt.Errorf("%w: %q", ErrUnknownIndex, name)
@@ -338,8 +360,8 @@ func (rt *Router) fanOut(ctx context.Context, name string, opts httpapi.SearchOp
 		}
 	}
 	type answer struct {
-		lists [][]httpapi.ResultJSON
-		stats httpapi.StatsJSON
+		lists [][]core.Result
+		stats core.Stats
 	}
 	answers := make([]answer, len(ri.shards))
 	errs := make([]error, len(ri.shards))
@@ -384,16 +406,16 @@ func (rt *Router) fanOut(ctx context.Context, name string, opts httpapi.SearchOp
 	if k <= 0 {
 		k = 1
 	}
-	merged := make([][]httpapi.ResultJSON, nq)
-	lists := make([][]httpapi.ResultJSON, len(ri.shards))
+	merged := make([][]core.Result, nq)
+	lists := make([][]core.Result, len(ri.shards))
 	for qi := range merged {
 		for si, a := range answers {
 			lists[si] = a.lists[qi]
 		}
-		merged[qi] = mergeTopK(lists, k)
+		merged[qi] = core.MergeResults(lists, k)
 	}
 	for _, a := range answers {
-		addStats(&stats, a.stats)
+		stats.Add(a.stats)
 	}
 	return merged, stats, nil
 }
@@ -404,14 +426,14 @@ func (rt *Router) fanOut(ctx context.Context, name string, opts httpapi.SearchOp
 // same truncation.
 func (rt *Router) Search(ctx context.Context, name string, req httpapi.SearchRequest) (*httpapi.SearchResponse, error) {
 	merged, stats, err := rt.fanOut(ctx, name, req.SearchOptionsJSON, 1,
-		func(c context.Context, m *member, index string, opts httpapi.SearchOptionsJSON) ([][]httpapi.ResultJSON, httpapi.StatsJSON, error) {
+		func(c context.Context, m *member, index string, opts httpapi.SearchOptionsJSON) ([][]core.Result, core.Stats, error) {
 			r := req
 			r.SearchOptionsJSON = opts
 			resp, err := m.search(c, index, r)
 			if err != nil {
-				return nil, httpapi.StatsJSON{}, err
+				return nil, core.Stats{}, err
 			}
-			return [][]httpapi.ResultJSON{resp.Results}, resp.Stats, nil
+			return [][]core.Result{resp.Results}, resp.Stats, nil
 		})
 	if err != nil {
 		return nil, err
@@ -425,12 +447,12 @@ func (rt *Router) Search(ctx context.Context, name string, req httpapi.SearchReq
 // Sharded index's SearchBatch.
 func (rt *Router) SearchBatch(ctx context.Context, name string, req httpapi.BatchSearchRequest) (*httpapi.BatchSearchResponse, error) {
 	merged, stats, err := rt.fanOut(ctx, name, req.SearchOptionsJSON, len(req.Queries),
-		func(c context.Context, m *member, index string, opts httpapi.SearchOptionsJSON) ([][]httpapi.ResultJSON, httpapi.StatsJSON, error) {
+		func(c context.Context, m *member, index string, opts httpapi.SearchOptionsJSON) ([][]core.Result, core.Stats, error) {
 			r := req
 			r.SearchOptionsJSON = opts
 			resp, err := m.searchBatch(c, index, r)
 			if err != nil {
-				return nil, httpapi.StatsJSON{}, err
+				return nil, core.Stats{}, err
 			}
 			return resp.Results, resp.Stats, nil
 		})

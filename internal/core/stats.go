@@ -7,24 +7,26 @@ import (
 
 // Stats counts the work one query performed. The counters map onto the cost
 // model of the paper's Section III-C: candidate verifications (exhaustive
-// leaf scans), lower-bound computations, and node traversal.
+// leaf scans), lower-bound computations, and node traversal. The JSON names
+// are the wire's: a search response carries the counters as they are, and the
+// router sums its members' with Add.
 type Stats struct {
-	IPCount       int64 // full O(d) inner products (bound centers + verification)
-	Candidates    int64 // data points verified against the query
-	NodesVisited  int64 // internal + leaf nodes whose bound was evaluated
-	LeavesVisited int64 // leaf nodes scanned
-	PrunedNodes   int64 // subtrees cut by the node-level ball bound
-	PrunedPoints  int64 // leaf points skipped by point-level bounds
-	BucketProbes  int64 // hash-table probes (NH/FH only)
-	CollabIPs     int64 // O(1) center inner products obtained via Lemma 2
+	IPCount       int64 `json:"ip_count"`       // full O(d) inner products (bound centers + verification)
+	Candidates    int64 `json:"candidates"`     // data points verified against the query
+	NodesVisited  int64 `json:"nodes_visited"`  // internal + leaf nodes whose bound was evaluated
+	LeavesVisited int64 `json:"leaves_visited"` // leaf nodes scanned
+	PrunedNodes   int64 `json:"pruned_nodes"`   // subtrees cut by the node-level ball bound
+	PrunedPoints  int64 `json:"pruned_points"`  // leaf points skipped by point-level bounds
+	BucketProbes  int64 `json:"bucket_probes"`  // hash-table probes (NH/FH only)
+	CollabIPs     int64 `json:"collab_ips"`     // O(1) center inner products obtained via Lemma 2
 
 	// Predicate-pushdown counters (Pred searches on attribute-carrying
 	// trees). FilterSkippedNodes counts subtrees skipped because the
 	// per-node attribute summaries proved the predicate cannot match;
 	// FilterSkippedPoints totals the points under them — work a post-filter
-	// scan would have paid per row.
-	FilterSkippedNodes  int64
-	FilterSkippedPoints int64
+	// scan would have paid per row. The wire omits them when zero.
+	FilterSkippedNodes  int64 `json:"filter_skipped_nodes,omitempty"`
+	FilterSkippedPoints int64 `json:"filter_skipped_points,omitempty"`
 }
 
 // Add accumulates o into s.

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -89,6 +91,42 @@ func TestSortResultsTieBreak(t *testing.T) {
 	SortResults(rs)
 	if rs[0].ID != 9 || rs[1].ID != 2 || rs[2].ID != 5 {
 		t.Fatalf("SortResults = %v", rs)
+	}
+}
+
+// TestMergeResults: the merge is SortResults over the concatenated lists, cut
+// to k — ties at the k-th distance go to the smaller id, empty lists
+// contribute nothing, a k above the total keeps everything, and an empty
+// merge is an empty list, never nil (it encodes as [] on the wire).
+func TestMergeResults(t *testing.T) {
+	lists := [][]Result{
+		{{ID: 5, Dist: 1}, {ID: 2, Dist: 2}},
+		{{ID: 1, Dist: 1}, {ID: 9, Dist: 1}, {ID: 3, Dist: 2}},
+		{},
+		nil,
+		{{ID: 0, Dist: 0.5}},
+	}
+	all := []Result{{0, 0.5}, {1, 1}, {5, 1}, {9, 1}, {2, 2}, {3, 2}}
+	for _, tc := range []struct {
+		name  string
+		lists [][]Result
+		k     int
+		want  []Result
+	}{
+		{"tie at the k-th distance", lists, 3, all[:3]},
+		{"tie past the k-th distance", lists, 5, all[:5]},
+		{"k above the total", lists, 100, all},
+		{"all lists empty", [][]Result{{}, nil, {}}, 4, []Result{}},
+		{"no lists", nil, 4, []Result{}},
+	} {
+		before := fmt.Sprint(tc.lists)
+		got := MergeResults(tc.lists, tc.k)
+		if got == nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: MergeResults = %#v, want %#v", tc.name, got, tc.want)
+		}
+		if after := fmt.Sprint(tc.lists); after != before {
+			t.Errorf("%s: the input lists changed: %s, were %s", tc.name, after, before)
+		}
 	}
 }
 

@@ -320,7 +320,16 @@ func (a *API) handleSearch(w http.ResponseWriter, r *http.Request) {
 		a.fail(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, SearchResponse{Results: toResultsJSON(res), Stats: toStatsJSON(stats)})
+	WriteJSON(w, http.StatusOK, SearchResponse{Results: orEmpty(res), Stats: stats})
+}
+
+// orEmpty returns res, or an empty list in place of nil — what a search that
+// matched nothing may return — so an answer encodes as [] and never null.
+func orEmpty(res []core.Result) []core.Result {
+	if res == nil {
+		return []core.Result{}
+	}
+	return res
 }
 
 func (a *API) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
@@ -366,13 +375,11 @@ func (a *API) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := BatchSearchResponse{Results: make([][]ResultJSON, len(results))}
-	var agg core.Stats
+	resp := BatchSearchResponse{Results: results}
 	for i, res := range results {
-		resp.Results[i] = toResultsJSON(res)
-		agg.Add(stats[i])
+		results[i] = orEmpty(res)
+		resp.Stats.Add(stats[i])
 	}
-	resp.Stats = toStatsJSON(agg)
 	WriteJSON(w, http.StatusOK, resp)
 }
 

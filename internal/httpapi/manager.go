@@ -87,7 +87,7 @@ func (e *managed) info() IndexInfoResponse {
 		N:          n,
 		IndexBytes: bytes,
 		Mutable:    e.mutable,
-		Stats:      toServerStatsJSON(e.srv.Stats()),
+		Stats:      e.srv.Stats(),
 		Source:     e.cfg,
 	}
 	if e.wal != nil {

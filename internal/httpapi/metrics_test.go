@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	p2h "p2h"
 	"p2h/internal/vec"
 )
 
@@ -19,7 +20,7 @@ func TestMetricsRenderShape(t *testing.T) {
 	var b strings.Builder
 	renderDaemon(&b, m, []IndexInfoResponse{{
 		Name: "a", Kind: "bctree", N: 42, IndexBytes: 1000,
-		Stats: ServerStatsJSON{Queries: 7, CacheHits: 3},
+		Stats: p2h.ServerStats{Queries: 7, CacheHits: 3},
 	}}, false, true)
 	text := b.String()
 	for _, want := range []string{

@@ -95,55 +95,15 @@ func assembleQuery(query, normal []float32, offset float64, dim int) ([]float32,
 	return q, nil
 }
 
-// ResultJSON is one search answer.
-type ResultJSON struct {
-	ID   int32   `json:"id"`
-	Dist float64 `json:"dist"`
-}
+// ResultJSON names the wire's result record, p2h.Result itself.
+type ResultJSON = p2h.Result
 
-// StatsJSON is the wire form of core.Stats.
-type StatsJSON struct {
-	IPCount       int64 `json:"ip_count"`
-	Candidates    int64 `json:"candidates"`
-	NodesVisited  int64 `json:"nodes_visited"`
-	LeavesVisited int64 `json:"leaves_visited"`
-	PrunedNodes   int64 `json:"pruned_nodes"`
-	PrunedPoints  int64 `json:"pruned_points"`
-	BucketProbes  int64 `json:"bucket_probes"`
-	CollabIPs     int64 `json:"collab_ips"`
-	// FilterSkipped* count whole subtrees (and the points under them) a
-	// pushed-down predicate proved unmatchable without visiting.
-	FilterSkippedNodes  int64 `json:"filter_skipped_nodes,omitempty"`
-	FilterSkippedPoints int64 `json:"filter_skipped_points,omitempty"`
-}
-
-func toStatsJSON(s core.Stats) StatsJSON {
-	return StatsJSON{
-		IPCount:             s.IPCount,
-		Candidates:          s.Candidates,
-		NodesVisited:        s.NodesVisited,
-		LeavesVisited:       s.LeavesVisited,
-		PrunedNodes:         s.PrunedNodes,
-		PrunedPoints:        s.PrunedPoints,
-		BucketProbes:        s.BucketProbes,
-		CollabIPs:           s.CollabIPs,
-		FilterSkippedNodes:  s.FilterSkippedNodes,
-		FilterSkippedPoints: s.FilterSkippedPoints,
-	}
-}
-
-func toResultsJSON(res []core.Result) []ResultJSON {
-	out := make([]ResultJSON, len(res))
-	for i, r := range res {
-		out[i] = ResultJSON{ID: r.ID, Dist: r.Dist}
-	}
-	return out
-}
-
-// SearchResponse answers SearchRequest.
+// SearchResponse answers SearchRequest with the library's own records: the
+// results (never null; [] when nothing matched) and the query's work
+// counters.
 type SearchResponse struct {
-	Results []ResultJSON `json:"results"`
-	Stats   StatsJSON    `json:"stats"`
+	Results []p2h.Result `json:"results"`
+	Stats   p2h.Stats    `json:"stats"`
 }
 
 // BatchSearchRequest asks many queries with shared options; each row is a
@@ -156,8 +116,8 @@ type BatchSearchRequest struct {
 // BatchSearchResponse answers BatchSearchRequest: per-query results in
 // request order plus work counters aggregated over the whole batch.
 type BatchSearchResponse struct {
-	Results [][]ResultJSON `json:"results"`
-	Stats   StatsJSON      `json:"stats"`
+	Results [][]p2h.Result `json:"results"`
+	Stats   p2h.Stats      `json:"stats"`
 }
 
 // InsertRequest adds one raw point (dim values) to a mutable index,
@@ -209,62 +169,6 @@ type UnloadResponse struct {
 	Drained bool `json:"drained"`
 }
 
-// ServerStatsJSON is the wire form of p2h.ServerStats.
-type ServerStatsJSON struct {
-	Queries     int64  `json:"queries"`
-	Batches     int64  `json:"batches"`
-	CacheHits   int64  `json:"cache_hits"`
-	CacheMisses int64  `json:"cache_misses"`
-	Inserts     int64  `json:"inserts"`
-	Deletes     int64  `json:"deletes"`
-	Epoch       uint64 `json:"epoch"`
-	Compactions int64  `json:"compactions"`
-	// PendingDelta is the un-folded delta (insert buffer + tombstones)
-	// searches currently pay for; rebuilds and compactions reset it.
-	PendingDelta int `json:"pending_delta"`
-	// Shed counts deadline-carrying searches rejected by admission control
-	// (HTTP 429); Expired counts searches the deadline left without an
-	// answer known to be complete; Panics counts panics raised while
-	// serving, returned to their caller.
-	Shed    int64 `json:"shed"`
-	Expired int64 `json:"expired"`
-	Panics  int64 `json:"panics"`
-	// DegradedQueries counts searches whose budget the degradation ceiling
-	// clamped; BudgetCeiling is the current cap (zero: serving exact);
-	// Backlog is the admitted-but-unfinished query count right now.
-	DegradedQueries int64 `json:"degraded_queries"`
-	BudgetCeiling   int   `json:"budget_ceiling"`
-	Backlog         int64 `json:"backlog"`
-	// FilterSkipped* accumulate predicate-pushdown pruning across every
-	// search the index actually ran: whole subtrees the per-node attribute
-	// summaries proved could not match, and the points under them.
-	FilterSkippedNodes  int64 `json:"filter_skipped_nodes"`
-	FilterSkippedPoints int64 `json:"filter_skipped_points"`
-}
-
-func toServerStatsJSON(s p2h.ServerStats) ServerStatsJSON {
-	return ServerStatsJSON{
-		Queries:         s.Queries,
-		Batches:         s.Batches,
-		CacheHits:       s.CacheHits,
-		CacheMisses:     s.CacheMisses,
-		Inserts:         s.Inserts,
-		Deletes:         s.Deletes,
-		Epoch:           s.Epoch,
-		Compactions:     s.Compactions,
-		PendingDelta:    s.PendingDelta,
-		Shed:            s.Shed,
-		Expired:         s.Expired,
-		Panics:          s.Panics,
-		DegradedQueries: s.DegradedQueries,
-		BudgetCeiling:   s.BudgetCeiling,
-		Backlog:         s.Backlog,
-
-		FilterSkippedNodes:  s.FilterSkippedNodes,
-		FilterSkippedPoints: s.FilterSkippedPoints,
-	}
-}
-
 // WALInfoJSON describes an index's attached write-ahead log.
 type WALInfoJSON struct {
 	// Path is the log file's location.
@@ -291,7 +195,7 @@ type IndexInfoResponse struct {
 	N          int             `json:"n"`
 	IndexBytes int64           `json:"index_bytes"`
 	Mutable    bool            `json:"mutable"`
-	Stats      ServerStatsJSON `json:"stats"`
+	Stats      p2h.ServerStats `json:"stats"`
 	// WAL describes the attached write-ahead log, when the index has one.
 	WAL *WALInfoJSON `json:"wal,omitempty"`
 	// Source is the declaration the index was stood up from (the container

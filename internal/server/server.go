@@ -164,36 +164,37 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// Stats is a point-in-time snapshot of the engine's counters.
+// Stats is a point-in-time snapshot of the engine's counters. The JSON names
+// are the wire's: a daemon's index description carries the snapshot as it is.
 type Stats struct {
-	Queries     int64  // searches served
-	Batches     int64  // serving calls, one per Search/SearchCtx/SearchBatchCtx: Queries/Batches is the mean request size
-	CacheHits   int64  // searches answered from the cache
-	CacheMisses int64  // cacheable searches that ran the index
-	Inserts     int64  // successful Insert calls
-	Deletes     int64  // Delete calls that removed a live handle
-	Epoch       uint64 // mutation epoch (0 until the first mutation)
-	Compactions int64  // background compaction cycles installed
+	Queries     int64  `json:"queries"`      // searches served
+	Batches     int64  `json:"batches"`      // serving calls, one per Search/SearchCtx/SearchBatchCtx: Queries/Batches is the mean request size
+	CacheHits   int64  `json:"cache_hits"`   // searches answered from the cache
+	CacheMisses int64  `json:"cache_misses"` // cacheable searches that ran the index
+	Inserts     int64  `json:"inserts"`      // successful Insert calls
+	Deletes     int64  `json:"deletes"`      // Delete calls that removed a live handle
+	Epoch       uint64 `json:"epoch"`        // mutation epoch (0 until the first mutation)
+	Compactions int64  `json:"compactions"`  // background compaction cycles installed
 	// PendingDelta is the mutable index's un-folded delta (insert buffer +
 	// tombstones) at snapshot time — what searches pay for linearly until
 	// the next rebuild or compaction. Zero for immutable indexes.
-	PendingDelta int
+	PendingDelta int `json:"pending_delta"`
 
 	// Overload counters (see SearchCtx and SetBudgetCeiling).
 
-	Shed            int64 // queries rejected by admission control
-	Expired         int64 // queries the deadline left without an answer known to be complete: every row of a call or chunk it outlasted
-	Panics          int64 // panics raised while serving, returned to their caller
-	DegradedQueries int64 // searches whose budget the degradation ceiling clamped
-	Backlog         int64 // admitted-but-unfinished queries right now
-	BudgetCeiling   int   // current degradation cap (zero: serving exact)
+	Shed            int64 `json:"shed"`             // queries rejected by admission control
+	Expired         int64 `json:"expired"`          // queries the deadline left without an answer known to be complete: every row of a call or chunk it outlasted
+	Panics          int64 `json:"panics"`           // panics raised while serving, returned to their caller
+	DegradedQueries int64 `json:"degraded_queries"` // searches whose budget the degradation ceiling clamped
+	BudgetCeiling   int   `json:"budget_ceiling"`   // current degradation cap (zero: serving exact)
+	Backlog         int64 `json:"backlog"`          // admitted-but-unfinished queries right now
 
 	// Predicate-pushdown totals, accumulated over every search the index
 	// actually ran (cache hits replay an answer without re-pruning): whole
 	// subtrees the per-node attribute summaries proved could not match, and
 	// the points under them.
-	FilterSkippedNodes  int64
-	FilterSkippedPoints int64
+	FilterSkippedNodes  int64 `json:"filter_skipped_nodes"`
+	FilterSkippedPoints int64 `json:"filter_skipped_points"`
 }
 
 // Engine is the concurrent serving layer. All methods are safe for

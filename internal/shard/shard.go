@@ -38,8 +38,10 @@ type Config struct {
 	LeafSize int
 	// Seed drives the shard partitioning and tree construction.
 	Seed int64
-	// Workers bounds the goroutines used per query. Zero selects
-	// min(Shards, GOMAXPROCS); 1 makes queries sequential.
+	// Workers bounds the goroutines used per query. Zero selects Shards;
+	// 1 makes queries sequential. A search runs at most GOMAXPROCS of them,
+	// so the bound an index records, and the bytes Save writes, do not
+	// depend on the host that built it.
 	Workers int
 }
 
@@ -49,9 +51,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = c.Shards
-		if p := runtime.GOMAXPROCS(0); c.Workers > p {
-			c.Workers = p
-		}
 	}
 	return c
 }
@@ -215,13 +214,15 @@ func (ix *Index) shardOpts(opts core.SearchOptions, si int) core.SearchOptions {
 	return opts
 }
 
-// forEachShard runs fn(si) for every shard index over at most ix.workers
-// goroutines.
-func (ix *Index) forEachShard(fn func(si int)) { exec.ForEach(len(ix.trees), ix.workers, fn) }
+// forEachShard runs fn(si) for every shard index over at most
+// min(ix.workers, GOMAXPROCS) goroutines.
+func (ix *Index) forEachShard(fn func(si int)) {
+	exec.ForEach(len(ix.trees), min(ix.workers, runtime.GOMAXPROCS(0)), fn)
+}
 
 // Search answers one query as SearchBatch answers a batch of one row: every
-// shard tree searches it (over at most cfg.Workers goroutines) under its share
-// of the candidate budget, and the shard answers merge exactly.
+// shard tree searches it under its share of the candidate budget, and the
+// shard answers merge exactly.
 func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, core.Stats) {
 	out, stats := ix.SearchBatch(&vec.Matrix{Data: q, N: 1, D: ix.d}, opts)
 	return out[0], stats[0]
@@ -230,9 +231,10 @@ func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, co
 // SearchBatch answers one top-k query per row of queries: every shard tree
 // serves the whole batch through its SearchBatch (one shared walk when exact,
 // best-first query by query under a budget), and the per-shard
-// answers merge exactly per query. Shards are processed over at most
-// cfg.Workers goroutines. Every shard tree charges opts.Profile, so its
-// phases sum the shards' time and can exceed the call's wall time.
+// answers merge exactly per query (core.MergeResults). Shards are processed
+// over at most min(cfg.Workers, GOMAXPROCS) goroutines. Every shard tree
+// charges opts.Profile, so its phases sum the shards' time and can exceed the
+// call's wall time.
 func (ix *Index) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]core.Result, []core.Stats) {
 	opts = opts.Normalized()
 	nq := queries.N
@@ -248,17 +250,13 @@ func (ix *Index) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]
 		shardRes[si], shardStats[si] = ix.trees[si].SearchBatch(queries, ix.shardOpts(opts, si))
 	})
 
+	lists := make([][]core.Result, len(ix.trees))
 	for qi := 0; qi < nq; qi++ {
-		var merged []core.Result
 		for si := range ix.trees {
 			stats[qi].Add(shardStats[si][qi])
-			merged = append(merged, shardRes[si][qi]...)
+			lists[si] = shardRes[si][qi]
 		}
-		core.SortResults(merged)
-		if len(merged) > opts.K {
-			merged = merged[:opts.K]
-		}
-		out[qi] = merged
+		out[qi] = core.MergeResults(lists, opts.K)
 	}
 	return out, stats
 }

@@ -751,6 +751,33 @@ func TestContainerSpecRecorded(t *testing.T) {
 	}
 }
 
+// TestShardedBytesIgnoreGOMAXPROCS: a Sharded index whose spec leaves
+// Workers unset saves the same bytes on any host. The bound it records is
+// the shard count, in the spec and in the payload header alike; a search
+// caps it by GOMAXPROCS when it fans out.
+func TestShardedBytesIgnoreGOMAXPROCS(t *testing.T) {
+	data := GenerateDataset("Sift", 2000, 1)
+	save := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		ix, err := New(data, Spec{Kind: KindSharded, Shards: 3, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Save(&buf, ix); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	one, four := save(1), save(4)
+	if !bytes.Equal(one, four) {
+		t.Fatalf("saved at GOMAXPROCS 1 and 4 the containers differ; headers %q and %q", one[:80], four[:80])
+	}
+	if !bytes.Contains(one, []byte(`"workers":3`)) {
+		t.Fatalf("container header does not record the shard count as the worker bound: %q", one[:80])
+	}
+}
+
 // TestInspectEveryPersistableKind: Inspect reports kind, Spec, raw dim and
 // point count from the header region alone, for every kind Save can write and
 // every payload version the arena codec emits — it follows the codec's own

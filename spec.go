@@ -76,8 +76,8 @@ type Spec struct {
 
 	// Shards is the sharded kind's partition count (zero: GOMAXPROCS).
 	Shards int `json:"shards,omitempty"`
-	// Workers bounds the sharded kind's per-query goroutines (zero:
-	// min(Shards, GOMAXPROCS)).
+	// Workers bounds the sharded kind's per-query goroutines (zero: Shards);
+	// a search runs at most GOMAXPROCS of them.
 	Workers int `json:"workers,omitempty"`
 
 	// Dim is the data dimensionality, required by the dynamic kind when
