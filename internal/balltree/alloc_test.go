@@ -113,15 +113,16 @@ func TestBuildAllocsDoNotFollowNodes(t *testing.T) {
 }
 
 // TestDerivedRadiusPrunesLikeAStoredOne pins what deriving r_x from coded cone
-// pairs costs where it costs the most. With a stored float32 r_x array 500
-// exact searches of the offset-1000 set verified 47 835 338 candidates, and
-// with a float32 cone pair 47 835 359. The 16-bit codes let through 47 835 888,
-// 1.15e-5 more than the stored radius: on this set the cone bound decides
-// (a tighter derived radius moves nothing), and its xsin is now resolved to
-// a 65535th of the leaf's radius instead of to a float32 step of itself. So
-// the searches opt into the cone bound; without it they verify 49 323 410
-// candidates, 3.1 % more. The count is exact on every platform; the pin
-// allows 1.5e-5.
+// pairs costs where it costs the most. When the ball bounds charged a radius
+// ||q||, 500 exact searches of the offset-1000 set verified 47 835 338
+// candidates with a stored float32 r_x array, 47 835 359 with a float32 cone
+// pair and 47 835 888 with the 16-bit codes, 1.15e-5 more than the stored
+// radius, with the cone bound opted in because it decided there. Charged
+// ballScale instead (||w|| + radiusSlack·||q||, and ||q|| is some 1 400 ||w||
+// on this set), the ball bound decides: the default search verifies
+// 3 704 569 candidates and the cone takes 0.03 % off that. So the pin is on
+// the ball bound alone, the one the derived radius enters, at the count the
+// codes give. The count is exact on every platform; the pin allows 1.5e-5.
 func TestDerivedRadiusPrunesLikeAStoredOne(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the pinned count is of the n = 100 000 tree")
@@ -131,12 +132,12 @@ func TestDerivedRadiusPrunesLikeAStoredOne(t *testing.T) {
 	tree := Build(data, BC, Config{LeafSize: c.leafSize, Seed: c.seed})
 	var candidates int64
 	for qi := 0; qi < queries.N; qi++ {
-		_, st := tree.Search(queries.Row(qi), core.SearchOptions{K: 10, PointCone: true})
+		_, st := tree.Search(queries.Row(qi), core.SearchOptions{K: 10})
 		candidates += st.Candidates
 	}
-	const stored = 47835338
-	if float64(candidates) > stored*(1+1.5e-5) {
-		t.Errorf("%s: %d candidates, %d with a stored r_x", c.name, candidates, stored)
+	const coded = 3704569
+	if float64(candidates) > coded*(1+1.5e-5) {
+		t.Errorf("%s: %d candidates, %d with the coded radii", c.name, candidates, coded)
 	}
-	t.Logf("%s: %d candidates, %+d against a stored r_x", c.name, candidates, candidates-stored)
+	t.Logf("%s: %d candidates, %+d against the coded radii", c.name, candidates, candidates-coded)
 }

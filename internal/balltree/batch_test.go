@@ -104,8 +104,8 @@ func TestScanLeafTileMatchesQueryByQuery(t *testing.T) {
 		vec.Normalize(q[:2])
 		q[2] = -float32(vec.Dot(q[:2], centre[:2]))
 		act[qi], ips[qi] = int32(qi), vec.Dot(q, centre)
-		qnorm := vec.Norm(q)    // bounds are |<q,c>| - ||q|| r, in the lifted space
-		if kinds[qi] == whole { // not full: lambda is +Inf
+		scale := ballScale(q, vec.Norm(q)) // bounds are |<q,c>| - scale·r, as the search charges them
+		if kinds[qi] == whole {            // not full: lambda is +Inf
 			seed[qi] = []core.Result{{ID: -1, Dist: 0.5}}
 			continue
 		}
@@ -115,9 +115,9 @@ func TestScanLeafTileMatchesQueryByQuery(t *testing.T) {
 		for i := 0; i < k; i++ {
 			seed[qi] = append(seed[qi], core.Result{ID: int32(-1 - i), Dist: lambda})
 		}
-		ips[qi] = lambda + qnorm*leaf.radius*(0.2+0.07*float64(qi))
+		ips[qi] = lambda + scale*leaf.radius*(0.2+0.07*float64(qi))
 		if kinds[qi] == none {
-			ips[qi] = lambda + 10*qnorm*leaf.radius
+			ips[qi] = lambda + 10*scale*leaf.radius
 		}
 	}
 
@@ -139,12 +139,13 @@ func TestScanLeafTileMatchesQueryByQuery(t *testing.T) {
 		for _, r := range seed[qi] {
 			tk.Push(r.ID, r.Dist)
 		}
-		qnorm := s.qs[qi].qnorm
+		q := queries.Row(qi)
+		qnorm := vec.Norm(q)
 		grid := tree.sec().grid(leaf)
-		cut := vec.BallCutoff(math.Abs(ips[qi])-qnorm*kappa, qnorm, tk.Lambda(),
+		cut := vec.BallCutoff(math.Abs(ips[qi])-qnorm*kappa, ballScale(q, qnorm), tk.Lambda(),
 			&grid, tree.sec().xcos[start:start+m], tree.sec().xsin[start:start+m])
 		dists := make([]float64, cut)
-		vec.DotBlock(queries.Row(qi), tree.sec().points.Data[start*d:(start+cut)*d], dists)
+		vec.DotBlock(q, tree.sec().points.Data[start*d:(start+cut)*d], dists)
 		for r, v := range dists {
 			tk.Push(tree.sec().ids[start+r], math.Abs(v))
 		}

@@ -12,11 +12,12 @@ import (
 )
 
 // BuildOwned constructs a tree of the given kind over the lifted points
-// (rows x = (p; 1)) and takes ownership of the matrix: it reorders the rows in
-// place, so that every node — and in the end every leaf — occupies a
-// contiguous block, and keeps the matrix's rows as the tree's storage. There
-// is no second copy. A caller that still needs its matrix, or whose matrix other
-// goroutines read, hands over a clone (Build does).
+// (rows x = (p; 1); it panics on a row whose last coordinate is not exactly 1)
+// and takes ownership of the matrix: it reorders the rows in place, so that
+// every node — and in the end every leaf — occupies a contiguous block, and
+// keeps the matrix's rows as the tree's storage. There is no second copy. A
+// caller that still needs its matrix, or whose matrix other goroutines read,
+// hands over a clone (Build does).
 //
 // labels names the points in the id space of whoever holds the tree:
 // labels[i] is the id every search reports for the point handed in as row i
@@ -47,6 +48,14 @@ func BuildOwned(rows *vec.Matrix, labels []int32, kind Kind, cfg Config) *Tree {
 	}
 	if labels != nil && len(labels) != rows.N {
 		panic(fmt.Sprintf("balltree: %d labels for %d rows", len(labels), rows.N))
+	}
+	for i := 0; i < rows.N; i++ {
+		// Every ball bound charges a radius ||w|| rather than ||q|| on the
+		// strength of this (see Searcher.Search): a point and a centre never
+		// differ in the last coordinate.
+		if v := rows.Data[(i+1)*rows.D-1]; v != 1 {
+			panic(fmt.Sprintf("balltree: row %d has last coordinate %v, not 1: rows must be lifted (p; 1)", i, v))
+		}
 	}
 	cfg = cfg.normalized()
 	t := &Tree{kind: kind, leafSize: cfg.LeafSize}

@@ -7,6 +7,17 @@
 // of the data, which the builder reorders in place, so leaf verification — and
 // every pass of the build — is a sequential scan.
 //
+// The lift is an invariant, not an assumption: BuildOwned panics on a row
+// whose last coordinate is not exactly 1 and Load refuses a centre whose last
+// coordinate is not, so every point and every centre a search reads or
+// derives has it. For a query q = (w; b), x - c = (p - c_p; 0) and
+// |<q, x - c>| <= ||w|| ||x - c||: the ball bounds (Theorem 2, Corollary 1)
+// charge a radius ||w|| plus a rounding allowance of radiusSlack·||q||
+// (ballScale), where the paper charges ||q||. The offset b moves a whole ball
+// and widens none; the bound gains most for hyperplanes far from the data.
+// What is charged ||q|| stays so: the rounding of a derived product (kappa),
+// the cone bound (an angle in the lifted space) and the float32 screen.
+//
 // Section IV — BC-Tree: a Ball-Tree whose leaf nodes additionally maintain
 // Ball and Cone structures per data point. They enable two O(1) point-level
 // lower bounds — the point-level ball bound (Corollary 1) and the tighter

@@ -56,12 +56,13 @@ func (c lowDimCase) generate(n, nq int) (data, queries *vec.Matrix) {
 }
 
 // TestBoundsSoundOnLowDimensionalData is TestExactOnLowDimensionalData one
-// layer down: on that data every bound a search could evaluate — node-level with kappa,
-// point-level ball and cone — lies below the |<q,x>| it bounds, point by
-// point (boundViolations), and every product Lemma 2 derives lies within its
-// kappa of the product with the centre its node was measured from
-// (collabMisses) — while missing it by more than radiusSlack covers, which is
-// why kappa exists.
+// layer down: on that data, for its hyperplanes and for four more far from
+// the data and through the origin (offsetQueries), every bound a search could
+// evaluate — node-level with kappa, point-level ball and cone — lies below
+// the |<q,x>| it bounds, point by point (boundViolations), and every product
+// Lemma 2 derives lies within its kappa of the product with the centre its
+// node was measured from (collabMisses) — while missing it by more than
+// radiusSlack covers, which is why kappa exists.
 func TestBoundsSoundOnLowDimensionalData(t *testing.T) {
 	t.Parallel()
 	n, nq := lowDimN, 10
@@ -69,6 +70,7 @@ func TestBoundsSoundOnLowDimensionalData(t *testing.T) {
 		for _, c := range lowDimCases {
 			t.Run(c.name, func(t *testing.T) {
 				data, queries := c.generate(n, nq)
+				queries = withOffsetQueries(data, queries, 4, c.seed+1)
 				tree := Build(data, kind, Config{LeafSize: c.leafSize, Seed: c.seed})
 				requireBoundsSound(t, c.name, tree, queries)
 				if kind != BC {

@@ -30,17 +30,17 @@ func checkDerivedRadii(t *testing.T, tree *Tree) {
 		for i := range xcos {
 			r := grid.Radius(xcos[i], xsin[i])
 			for _, t1 := range []float64{math.Nextafter(r, 0), r, math.Nextafter(r, math.Inf(1))} {
-				for _, qnorm := range []float64{1, 0.3} {
+				for _, scale := range []float64{1, 0.3} {
 					lambda := 0.25 * t1
-					absIP := lambda + qnorm*t1
+					absIP := lambda + scale*t1
 					want := len(xcos)
 					for j := range xcos {
-						if th := (absIP - lambda) / qnorm; th > 0 && grid.SqRadius(xcos[j], xsin[j]) < th*th {
+						if th := (absIP - lambda) / scale; th > 0 && grid.SqRadius(xcos[j], xsin[j]) < th*th {
 							want = j
 							break
 						}
 					}
-					if got := vec.BallCutoff(absIP, qnorm, lambda, &grid, xcos, xsin); got != want {
+					if got := vec.BallCutoff(absIP, scale, lambda, &grid, xcos, xsin); got != want {
 						t.Fatalf("leaf %d: BallCutoff = %d, a scan cuts at %d (threshold at point %d)", ni, got, want, i)
 					}
 				}
@@ -68,12 +68,13 @@ func TestDerivedRadiusSoundOnSurrogates(t *testing.T) {
 
 // TestDerivedRadiusSoundOnHandBuiltLeaves runs checkDerivedRadii over
 // single-leaf trees built to sit where the derivation has the least to work
-// with.
+// with. The rows are given raw and lifted as every tree's are, so no centre
+// is the origin and no point is exactly collinear with its centre.
 func TestDerivedRadiusSoundOnHandBuiltLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	leaf := func(name string, rows [][]float32) *Tree {
 		t.Helper()
-		tree := Build(vec.FromRows(rows), BC, Config{LeafSize: len(rows), Seed: 1})
+		tree := Build(vec.FromRows(rows).AppendOnes(), BC, Config{LeafSize: len(rows), Seed: 1})
 		if tree.Nodes() != 1 {
 			t.Fatalf("%s: %d nodes, want one leaf", name, tree.Nodes())
 		}
@@ -83,13 +84,15 @@ func TestDerivedRadiusSoundOnHandBuiltLeaves(t *testing.T) {
 
 	dup := make([][]float32, 20)
 	for i := range dup {
-		dup[i] = []float32{3, -1, 2.5, 1}
+		dup[i] = []float32{3, -1, 2.5}
 	}
 	if tree := leaf("duplicates", dup); tree.nodes[0].radius != 0 {
 		t.Errorf("a leaf of duplicates has radius %v, want 0", tree.nodes[0].radius)
 	}
 
-	// Collinear with the centre: the rejection is nothing but its guard.
+	// Collinear in the raw coordinates: the lift keeps the points only
+	// slightly off their centre's line, so the rejection is a sliver of
+	// ||x||.
 	collinear := make([][]float32, 40)
 	for i := range collinear {
 		s := float32(1 + rng.Float64())
@@ -106,13 +109,14 @@ func TestDerivedRadiusSoundOnHandBuiltLeaves(t *testing.T) {
 		for i := range rows {
 			rows[i] = []float32{
 				float32(off + rng.NormFloat64()), float32(off + rng.NormFloat64()),
-				float32(rng.NormFloat64()), 1,
+				float32(rng.NormFloat64()),
 			}
 		}
 		leaf(fmt.Sprintf("offset 2^%d", k), rows)
 	}
 
-	// Denormal coordinates: a float32 step is absolute down there.
+	// Denormal raw coordinates beside the lifted 1: a float32 step is
+	// absolute down there.
 	denormal := make([][]float32, 24)
 	for i := range denormal {
 		denormal[i] = []float32{
@@ -122,14 +126,14 @@ func TestDerivedRadiusSoundOnHandBuiltLeaves(t *testing.T) {
 	}
 	leaf("denormal", denormal)
 
-	// Points in opposite pairs: the centre is the origin exactly, there is no
-	// direction to project on and the whole of ||x|| is rejection.
+	// Points in opposite pairs: the centre is (0; 1) exactly, the lifted
+	// axis, and the whole raw part of x is rejection.
 	var pairs [][]float32
 	for i := 0; i < 16; i++ {
 		x := []float32{float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64())}
 		pairs = append(pairs, x, []float32{-x[0], -x[1], -x[2]})
 	}
-	if tree := leaf("origin-centred", pairs); tree.nodes[0].centerNorm != 0 {
-		t.Errorf("opposite pairs have a centre of norm %v, want 0", tree.nodes[0].centerNorm)
+	if tree := leaf("axis-centred", pairs); tree.nodes[0].centerNorm != 1 {
+		t.Errorf("opposite pairs have a centre of norm %v, want 1", tree.nodes[0].centerNorm)
 	}
 }

@@ -16,9 +16,14 @@ import (
 // frontier when opts.Budget caps the candidates (see bestFirst) — pruning
 // any node whose node-level ball bound (Theorem 2)
 //
-//	lb = max(|<q, N.c>| - ||q|| * N.r, 0)
+//	lb = max(|<q, N.c>| - (||w|| + radiusSlack*||q||) * N.r, 0)
 //
-// is strictly above the current k-th best distance q.λ, augmented with
+// is strictly above the current k-th best distance q.λ. For the lifted query
+// q = (w; b) the paper charges the radius ||q||; but every point x = (p; 1)
+// and every centre has last coordinate exactly 1 (BuildOwned and Load hold
+// them to it), so x - c = (p - c_p; 0) and |<q, x - c>| <= ||w|| * ||x - c||:
+// the offset b moves every point of a ball alike and widens nothing (see
+// ballScale). The bound is augmented with
 //
 //   - collaborative inner product computing (Lemma 2): a visited internal
 //     node computes the O(d) inner product for its left child only; the right
@@ -99,13 +104,26 @@ type Searcher struct {
 	scr      exec.BatchScratch // the walk's active-set arena and the leaf kernels' buffers
 }
 
-// query is one query's state in a call: the vector and its norm, its top-k
-// collector and work counters.
+// query is one query's state in a call: the vector, its norm and what its
+// ball bounds charge per unit of radius (ballScale), its top-k collector and
+// work counters.
 type query struct {
-	q     []float32
-	qnorm float64
-	tk    core.TopK
-	st    core.Stats
+	q      []float32
+	qnorm  float64
+	rscale float64
+	tk     core.TopK
+	st     core.Stats
+}
+
+// ballScale is what a ball bound charges per unit of radius for the lifted
+// query q = (w; b) of norm qnorm: ||w||, since a point and the centre of its
+// ball differ only in the coordinates w weighs (see Search), plus the rounding
+// allowance radiusSlack*||q||. Every ball term — the node-level bound, the
+// PrefLowerBound keys and the point-level cut — scales a radius by it; the
+// terms that bound the rounding of a product with a centre (kappa), the cone
+// bound and the float32 screen are in the lifted space and keep ||q||.
+func ballScale(q []float32, qnorm float64) float64 {
+	return vec.Norm(q[:len(q)-1]) + radiusSlack*qnorm
 }
 
 // NewSearcher returns a reusable executor bound to the tree.
@@ -196,6 +214,7 @@ func (s *Searcher) begin(rows []float32, nq int, opts core.SearchOptions, live c
 		r := &s.qs[i]
 		r.q = rows[i*d : (i+1)*d]
 		r.qnorm = vec.Norm(r.q)
+		r.rscale = ballScale(r.q, r.qnorm)
 		r.tk.Init(s.opts.K)
 		r.st = core.Stats{}
 	}
@@ -286,7 +305,9 @@ func (s *Searcher) walk(ni int32, act []int32, ips []float64, kappa float64) {
 // N's own uncertainty plus the rounding of N's stored centre, both amplified
 // by the division. It depends on the tree alone, not on the query, so one
 // number serves the group. A bound takes ip at its least favourable: the
-// centre is only known to lie |ip| - kappa*||q|| from the hyperplane.
+// centre is only known to lie |ip| - kappa*||q|| from the hyperplane. The
+// rounding behind kappa is of whole lifted vectors, so it is charged ||q||;
+// the radius is charged the query's ballScale.
 //
 // The attribute summaries are asked once for the whole group; the node-level
 // ball bound prunes query by query. A leaf is scanned here for its survivors.
@@ -297,9 +318,10 @@ func (s *Searcher) walk(ni int32, act []int32, ips []float64, kappa float64) {
 // centre on a Ball tree). It also returns the right child's kappa (the left
 // child's is zero) and whether the group opens the right child first. That
 // is a vote of Algorithm 5 lines 12-17: each query's key for either child —
-// |<q, c>| under PrefCenter, the ball bound max(|<q, c>| - ||q||·r, 0) under
-// PrefLowerBound — is summed over the group and the smaller sum goes first,
-// the left child on a tie; for one query it is that query's own preference.
+// |<q, c>| under PrefCenter, the ball bound max(|<q, c>| - s·r, 0) under
+// PrefLowerBound, s the query's ballScale — is summed over the group and the
+// smaller sum goes first, the left child on a tie; for one query it is that
+// query's own preference.
 // A finished node — skipped, pruned for every query, or a leaf — returns zero
 // survivors.
 //
@@ -326,7 +348,7 @@ func (s *Searcher) step(ni int32, n *nodeRec, act []int32, ips, ipsL, ipsR []flo
 		r := &s.qs[qi]
 		r.st.NodesVisited++
 		offset := math.Abs(ips[j]) - r.qnorm*kappa
-		if offset-r.qnorm*n.radius > r.tk.Lambda() { // a negative bound never prunes, no max needed
+		if offset-r.rscale*n.radius > r.tk.Lambda() { // a negative bound never prunes, no max needed
 			r.st.PrunedNodes++
 			continue
 		}
@@ -374,7 +396,7 @@ func (s *Searcher) step(ni int32, n *nodeRec, act []int32, ips, ipsL, ipsR []flo
 		ipsL[j], ipsR[j] = ipl, ipr
 		keyL, keyR := math.Abs(ipl), math.Abs(ipr)
 		if lowerBound {
-			keyL, keyR = max(keyL-r.qnorm*rl, 0), max(keyR-r.qnorm*rr, 0)
+			keyL, keyR = max(keyL-r.rscale*rl, 0), max(keyR-r.rscale*rr, 0)
 		}
 		sumL += keyL
 		sumR += keyR
@@ -437,14 +459,15 @@ func (s *Searcher) bestFirst(qi int32) {
 // |<q,c>| / r: how deep into the ball the hyperplane cuts, which — unlike the
 // bare offset the depth-first order compares between two siblings — ranks
 // balls of different sizes against each other. PrefLowerBound keys by the
-// unclamped ball bound |<q,c>| - ||q||·r. A zero-radius ball (a single point,
-// or a leaf of duplicates) has no size of its own to be relative to and is
-// ranked on its parent's, so that it still competes by how near it lies.
+// unclamped ball bound |<q,c>| - s·r, s the query's ballScale. A zero-radius
+// ball (a single point, or a leaf of duplicates) has no size of its own to be
+// relative to and is ranked on its parent's, so that it still competes by how
+// near it lies.
 func (s *Searcher) pushFrontier(r *query, ni int32, ip, kappa, parentRadius float64) {
 	rad := s.tree.nodes[ni].radius
 	key := math.Abs(ip)
 	if s.opts.Preference == core.PrefLowerBound {
-		key -= r.qnorm * rad
+		key -= r.rscale * rad
 	} else {
 		if rad == 0 {
 			rad = parentRadius
@@ -528,7 +551,7 @@ func (s *Searcher) scanLeaf(n *nodeRec, act []int32, ips []float64, kappa float6
 		absIP := math.Max(math.Abs(ips[j])-r.qnorm*kappa, 0) // the least |<q, N.c>| can be
 		m := count
 		if !s.opts.DisablePointBall {
-			m = vec.BallCutoff(absIP, r.qnorm, r.tk.Lambda(), &grid, sec.xcos[start:start+count], sec.xsin[start:start+count])
+			m = vec.BallCutoff(absIP, r.rscale, r.tk.Lambda(), &grid, sec.xcos[start:start+count], sec.xsin[start:start+count])
 			r.st.PrunedPoints += int64(count - m)
 		}
 		if s.lists {

@@ -182,6 +182,12 @@ func EmbeddedRetired(br *binio.Reader) error {
 // id space (and checks for itself that no id repeats); zero is a standalone
 // tree's bound, its own point count.
 //
+// Every stored centre must have last coordinate exactly 1, as Build leaves
+// it: the ball bounds charge a radius only the query's normal part on the
+// strength of it (see Searcher.Search), and there are at most nodes such rows
+// to check. The points' last column is trusted geometry like the radii are:
+// checking it would be a pass over every page of a mapped file.
+//
 // Handed an in-place binio.Reader (a mapped container), Load aliases the
 // float32, int32 and uint16 sections — ids, points, centres, xcos and xsin —
 // where they are aligned (binio.Reader.F32sView) instead of copying them, and the
@@ -233,6 +239,12 @@ func Load(r io.Reader, kind Kind, idBound int) (*Tree, error) {
 	}
 	sec.points = vec.Matrix{Data: data, N: n, D: d}
 	sec.centers = vec.Matrix{Data: centers, N: rows, D: d}
+	for i := range rows {
+		if v := sec.centers.Row(i)[d-1]; v != 1 {
+			br.Fail("centre %d has last coordinate %v, not 1", i, v)
+			return nil, br.Err()
+		}
+	}
 	t.nodes = make([]nodeRec, nodes)
 	for i := range t.nodes {
 		nd := &t.nodes[i]

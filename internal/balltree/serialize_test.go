@@ -64,6 +64,12 @@ func patchI32(good []byte, off int, v int32) []byte {
 	return bad
 }
 
+func patchF32(good []byte, off int, v float32) []byte {
+	bad := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(bad[off:], math.Float32bits(v))
+	return bad
+}
+
 func patchU16(good []byte, off int, v uint16) []byte {
 	bad := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint16(bad[off:], v)
@@ -84,6 +90,8 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 		t.Fatalf("pristine payload: %v", err)
 	}
 	radius, links, xcos, xsin := payloadOffsets(orig)
+	d := orig.Dim()
+	centres := 8 + 5*4 + 4*orig.N() + 4*orig.N()*d
 
 	// Flip the node-count header field (offset: 8 magic + 4 leafSize + 4 n + 4 d).
 	badNodes := append([]byte(nil), good...)
@@ -126,6 +134,10 @@ func testLoadRejectsCorruptInput(t *testing.T, kind Kind) {
 		// Finite, but past any float32 data's norms: its cone grids would
 		// overflow.
 		"radius out of range": patchF64(good, radius, 0x1p300),
+		// A centre one float32 step off the lifted last coordinate: the ball
+		// bounds charge a radius ||w||, not ||q||, only because a point and
+		// its centre agree there.
+		"centre off the lift": patchF32(good, centres+4*((orig.sec().centers.N-1)*d+d-1), math.Nextafter32(1, 2)),
 	}
 	if kind == Ball {
 		// The left link a Ball payload still carries must say "next node".

@@ -17,6 +17,15 @@ const DefaultLeafSize = 100
 // centre the radius was measured from. It does not cover a product derived by
 // Lemma 2, whose error is relative to the centre's norm, not to the radius:
 // see centerStep.
+//
+// A search charges a radius ballScale = ||w|| + radiusSlack*||q|| per unit
+// for the lifted query q = (w; b), not ||q||: points and centres agree in the
+// last coordinate, so the geometry needs only ||w||. The rounding does not
+// shrink with it. The float64 error of <q, c> scales with ||q||·||c||, and b
+// is as much a term of that sum as w, so the allowance stays on ||q||: the
+// bound charges r(1+radiusSlack)(||w|| + radiusSlack*||q||) for a ball of
+// true radius r, which exceeds the geometric ||w||·r by at least
+// radiusSlack·||q||·r, the whole allowance the ||q|| bound had.
 const radiusSlack = 1e-9
 
 // centerStep bounds how far a stored centre is from the combination Lemma 1

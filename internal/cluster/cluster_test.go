@@ -412,13 +412,13 @@ func TestRouterWireGolden(t *testing.T) {
 	}{
 		{"search", "/v1/indexes/trees/search",
 			httpapi.SearchRequest{Query: f.queries.Row(0), SearchOptionsJSON: httpapi.SearchOptionsJSON{K: 2}},
-			`{"results":[{"id":501,"dist":0.00006288993409153676},{"id":559,"dist":0.0001594283228560922}],"stats":{"ip_count":781,"candidates":705,"nodes_visited":149,"leaves_visited":44,"pruned_nodes":32,"pruned_points":41,"bucket_probes":0,"collab_ips":73}}`},
+			`{"results":[{"id":501,"dist":0.00006288993409153676},{"id":559,"dist":0.0001594283228560922}],"stats":{"ip_count":745,"candidates":669,"nodes_visited":149,"leaves_visited":42,"pruned_nodes":34,"pruned_points":36,"bucket_probes":0,"collab_ips":73}}`},
 		{"search-empty", "/v1/indexes/trees/search",
 			httpapi.SearchRequest{Query: f.queries.Row(0), SearchOptionsJSON: httpapi.SearchOptionsJSON{K: 2, Filter: none}},
 			`{"results":[],"stats":{"ip_count":3,"candidates":0,"nodes_visited":0,"leaves_visited":0,"pruned_nodes":0,"pruned_points":0,"bucket_probes":0,"collab_ips":0,"filter_skipped_nodes":3,"filter_skipped_points":1200}}`},
 		{"batch", "/v1/indexes/trees/search_batch",
 			httpapi.BatchSearchRequest{Queries: two, SearchOptionsJSON: httpapi.SearchOptionsJSON{K: 2}},
-			`{"results":[[{"id":80,"dist":0.0031203661737537747},{"id":15,"dist":0.017700043370692198}],[{"id":192,"dist":0.0013419932532567902},{"id":306,"dist":0.00244278235525619}]],"stats":{"ip_count":1424,"candidates":1274,"nodes_visited":294,"leaves_visited":85,"pruned_nodes":65,"pruned_points":126,"bucket_probes":0,"collab_ips":144}}`},
+			`{"results":[[{"id":80,"dist":0.0031203661737537747},{"id":15,"dist":0.017700043370692198}],[{"id":192,"dist":0.0013419932532567902},{"id":306,"dist":0.00244278235525619}]],"stats":{"ip_count":1373,"candidates":1223,"nodes_visited":294,"leaves_visited":83,"pruned_nodes":67,"pruned_points":131,"bucket_probes":0,"collab_ips":144}}`},
 		{"batch-empty", "/v1/indexes/trees/search_batch",
 			httpapi.BatchSearchRequest{Queries: two, SearchOptionsJSON: httpapi.SearchOptionsJSON{K: 2, Filter: none}},
 			`{"results":[[],[]],"stats":{"ip_count":6,"candidates":0,"nodes_visited":0,"leaves_visited":0,"pruned_nodes":0,"pruned_points":0,"bucket_probes":0,"collab_ips":0,"filter_skipped_nodes":6,"filter_skipped_points":2400}}`},

@@ -19,9 +19,10 @@ const (
 	// compares balls of different sizes. The paper's default and the
 	// uniformly better choice (Figure 7), on both drivers.
 	PrefCenter Preference = iota
-	// PrefLowerBound prefers the smaller node-level ball bound
-	// |<q,c>| - ||q||·r (clamped at zero depth-first, unclamped as a frontier
-	// key). Kept for the Figure 7 comparison.
+	// PrefLowerBound prefers the smaller node-level ball bound the search
+	// prunes by, |<q,c>| less the radius charged the norm of the query's
+	// normal plus a rounding allowance (clamped at zero depth-first,
+	// unclamped as a frontier key). Kept for the Figure 7 comparison.
 	PrefLowerBound
 )
 

@@ -17,7 +17,8 @@ import (
 // motivating applications produce (SVM decision boundaries in active
 // learning, maximum-margin clustering splits), and they keep the offset
 // coordinate — and hence ||q||, which multiplies every radius in the
-// paper's bounds — of the same order as the normal vector.
+// paper's bounds (the trees charge only the normal's norm) — of the same
+// order as the normal vector.
 //
 // The returned matrix has dimension d+1: row = (w_1..w_d, b). Its inner
 // product with a lifted data point x = (p; 1) is the signed point-to-

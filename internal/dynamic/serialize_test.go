@@ -24,6 +24,9 @@ func buildMutated(t *testing.T) *Index {
 	for i := range data.Data {
 		data.Data[i] = float32(rng.NormFloat64())
 	}
+	for i := 0; i < data.N; i++ {
+		data.Row(i)[5] = 1 // lifted coordinate
+	}
 	ix := NewFromMatrix(data, Config{LeafSize: 25, Seed: 3})
 	// Tombstones inside the snapshot (too few to trigger a rebuild).
 	for _, h := range []int32{5, 17, 123} {
@@ -37,6 +40,7 @@ func buildMutated(t *testing.T) *Index {
 		for j := range row {
 			row[j] = float32(rng.NormFloat64())
 		}
+		row[5] = 1
 		mustInsert(ix, row)
 	}
 	if ix.tree == nil || ix.treeDel == 0 || ix.delta.N == 0 {
@@ -88,6 +92,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	// The restored index keeps mutating where the saved one left off:
 	// parallel mutations stay equivalent.
 	row := randQuery(rng, 6)
+	row[5] = 1
 	if h1, h2 := mustInsert(orig, row), mustInsert(loaded, row); h1 != h2 {
 		t.Fatalf("post-load Insert handles diverge: %d vs %d", h1, h2)
 	}

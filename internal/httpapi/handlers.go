@@ -10,7 +10,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -531,8 +530,10 @@ const maxContainerBytes = 8 << 30
 // fresh name loads rather than swaps). This is the receiving half of
 // snapshot shipping: the sender is any p2h.Save container — typically the
 // /container stream of the shard's primary. A container that fails to load
-// leaves the currently-served index untouched and the spool file removed;
-// a successful swap removes the spool file of the index it replaced.
+// leaves the currently-served index untouched and the spool file removed.
+// A loaded one owns its spool file: retiring the index — a later restore
+// over it, an unload or the manager's Close — removes the file once the
+// engine has drained.
 func (a *API) handleRestore(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := checkName(name); err != nil {
@@ -560,22 +561,11 @@ func (a *API) handleRestore(w http.ResponseWriter, r *http.Request) {
 		a.fail(w, err)
 		return
 	}
-	// Remember what the swap replaces so its spool file can be reclaimed;
-	// only files this handler created (inside the spool dir) are touched.
-	oldPath := ""
-	if old, err := a.m.Get(name); err == nil {
-		oldPath = old.Source.Path
-	}
-	info, replaced, err := a.m.Load(name, IndexConfig{Path: path}, true)
+	info, replaced, err := a.m.load(name, IndexConfig{Path: path}, true, true)
 	if err != nil {
 		os.Remove(path)
 		a.fail(w, err)
 		return
-	}
-	if replaced && oldPath != "" && oldPath != path && filepath.Dir(oldPath) == filepath.Dir(path) {
-		if base := filepath.Base(oldPath); strings.HasPrefix(base, "p2hd-restore-") {
-			os.Remove(oldPath)
-		}
 	}
 	status := http.StatusCreated
 	if replaced {

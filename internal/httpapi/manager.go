@@ -73,6 +73,10 @@ type managed struct {
 	// pending record count the load-time replay consumed.
 	wal      *p2h.WAL
 	replayed int
+	// spool is the restore upload the index was opened from (see
+	// handleRestore), empty for any other index. Owned by the entry like
+	// the log: retirement removes it once the engine can no longer read it.
+	spool string
 }
 
 // info snapshots the entry for the wire. N and IndexBytes are read live
@@ -233,6 +237,13 @@ func typedBuildError(err error) bool {
 // the same name cannot make a successful load report someone else's index —
 // and whether an index was replaced.
 func (m *Manager) Load(name string, cfg IndexConfig, replace bool) (info IndexInfoResponse, replaced bool, err error) {
+	return m.load(name, cfg, replace, false)
+}
+
+// load is Load; with spooled set the entry owns the container at cfg.Path,
+// a restore upload, and removes it when it retires. A failed load leaves the
+// file to the caller.
+func (m *Manager) load(name string, cfg IndexConfig, replace, spooled bool) (info IndexInfoResponse, replaced bool, err error) {
 	if err := checkName(name); err != nil {
 		return IndexInfoResponse{}, false, err
 	}
@@ -265,6 +276,9 @@ func (m *Manager) Load(name string, cfg IndexConfig, replace bool) (info IndexIn
 		mutable:  mutable,
 		wal:      wal,
 		replayed: replayed,
+	}
+	if spooled {
+		e.spool = cfg.Path
 	}
 
 	m.mu.Lock()
@@ -321,28 +335,33 @@ func (m *Manager) Unload(name string) (drained bool, err error) {
 }
 
 // retire drains an entry already removed from the table, bounded by the drain
-// timeout, and then closes its log: once the engine has drained, no mutation
-// or snapshot can reach the log. A false return means the engine was
-// abandoned still running (a stuck search or journal wait); one goroutine
-// then waits it out and closes the log after it. Either way the engine holds
-// no table slot, and a call that still reaches it answers ErrDraining.
+// timeout, and then releases what it owns: once the engine has drained, no
+// mutation or snapshot can reach the log and no search the spool file. A
+// false return means the engine was abandoned still running (a stuck search
+// or journal wait); one goroutine then waits it out and releases them after
+// it. Either way the engine holds no table slot, and a call that still
+// reaches it answers ErrDraining.
 func (m *Manager) retire(e *managed) (drained bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), m.drainTimeout)
 	defer cancel()
 	if e.srv.Drain(ctx) != nil {
 		go func() {
 			e.srv.Close()
-			e.closeWAL()
+			e.release()
 		}()
 		return false
 	}
-	e.closeWAL()
+	e.release()
 	return true
 }
 
-func (e *managed) closeWAL() {
+// release closes the entry's log and removes its spool file.
+func (e *managed) release() {
 	if e.wal != nil {
 		_ = e.wal.Close()
+	}
+	if e.spool != "" {
+		_ = os.Remove(e.spool)
 	}
 }
 

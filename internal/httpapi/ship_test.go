@@ -213,3 +213,56 @@ func getWholeContainer(ts *httptest.Server) error {
 	}
 	return nil
 }
+
+// TestRestoreSpoolFileLivesWithItsIndex: a restored index owns the spool file
+// it serves from, and retiring the index removes it — whether a later
+// restore replaces the index, it is unloaded or the manager closes — so the
+// spool directory holds one file per restored index and no more.
+func TestRestoreSpoolFileLivesWithItsIndex(t *testing.T) {
+	ix, err := p2h.New(testMatrix(300, 8, 1), p2h.Spec{Kind: p2h.KindBCTree, LeafSize: 32, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var container bytes.Buffer
+	if err := p2h.Save(&container, ix); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		restores int
+		retire   func(m *Manager) error
+		left     int
+	}{
+		{"restore-restore", 2, func(*Manager) error { return nil }, 1},
+		{"restore-unload", 1, func(m *Manager) error { _, err := m.Unload("copy"); return err }, 0},
+		{"restore-close", 1, func(m *Manager) error { return m.Close(context.Background()) }, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spool := t.TempDir()
+			m := NewManager(p2h.ServerOptions{Workers: 2}, 0)
+			defer m.Close(context.Background())
+			m.SetSpoolDir(spool)
+			ts := httptest.NewServer(NewHandler(m))
+			defer ts.Close()
+			f := &fixture{ts: ts}
+			for i := 0; i < tc.restores; i++ {
+				if status, body := f.rawPost(t, "/v1/indexes/copy/restore", container.Bytes()); status != http.StatusCreated && status != http.StatusOK {
+					t.Fatalf("restore %d answered %d: %s", i, status, body)
+				}
+			}
+			if err := tc.retire(m); err != nil {
+				t.Fatal(err)
+			}
+			for m.Swapping() { // a replaced index retires in the background
+				time.Sleep(time.Millisecond)
+			}
+			files, err := filepath.Glob(filepath.Join(spool, "*"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(files) != tc.left {
+				t.Fatalf("%d files left in the spool directory, want %d: %v", len(files), tc.left, files)
+			}
+		})
+	}
+}

@@ -14,11 +14,16 @@ import (
 	"p2h/internal/vec"
 )
 
+// serialTestMatrix returns n lifted rows of dimension d: d-1 normal
+// coordinates and a last coordinate of 1.
 func serialTestMatrix(n, d int, seed int64) *vec.Matrix {
 	rng := rand.New(rand.NewSource(seed))
 	m := vec.NewMatrix(n, d)
 	for i := range m.Data {
 		m.Data[i] = float32(rng.NormFloat64())
+	}
+	for i := 0; i < n; i++ {
+		m.Row(i)[d-1] = 1
 	}
 	return m
 }

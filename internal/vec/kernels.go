@@ -60,20 +60,23 @@ func dotBlockGo(q []float32, rows []float32, out []float64) {
 // BallCutoff returns the number of leading points of a leaf whose point-level
 // ball bound (Corollary 1)
 //
-//	lb_ball(i) = absIP - qnorm*g.Radius(cos[i], sin[i])
+//	lb_ball(i) = absIP - scale*g.Radius(cos[i], sin[i])
 //
-// does not exceed lambda. The leaf is ordered by descending g.SqRadius, so
+// does not exceed lambda. scale is what the bound charges per unit of radius:
+// the paper's ||q||, or — where every point and the leaf's centre share the
+// query's last coordinate, as the lifted trees' do — the norm of the rest of
+// the query plus a rounding allowance (balltree's ballScale). The leaf is ordered by descending g.SqRadius, so
 // the bound ascends along it and everything from the returned index on is
 // prunable in one batch — the flat-layout form of the paper's batch pruning,
 // found by binary search instead of a scan. No bound exceeds absIP, so a leaf
 // whose centre is within lambda of the hyperplane — most leaves a search
 // opens — is answered without looking at a point; otherwise the search
-// compares squares, r^2 < ((absIP-lambda)/qnorm)^2, and takes no root per
+// compares squares, r^2 < ((absIP-lambda)/scale)^2, and takes no root per
 // probe. The cut is strict (a point is pruned only when its bound is strictly
 // above lambda): candidates tied with the current k-th best distance must
 // reach the collector, whose (Dist, ID) order decides ties canonically — the
 // invariant behind batched/sequential result equivalence.
-func BallCutoff(absIP, qnorm, lambda float64, g *ConeGrid, cos, sin []uint16) int {
+func BallCutoff(absIP, scale, lambda float64, g *ConeGrid, cos, sin []uint16) int {
 	if len(cos) != len(sin) {
 		panic("vec: BallCutoff shape mismatch")
 	}
@@ -81,11 +84,11 @@ func BallCutoff(absIP, qnorm, lambda float64, g *ConeGrid, cos, sin []uint16) in
 	if !(gap > 0) {
 		return len(cos)
 	}
-	if qnorm <= 0 {
+	if scale <= 0 {
 		return 0 // every bound is absIP itself
 	}
-	// lb_ball(i) > lambda  <=>  r_i < gap/qnorm.
-	t := gap / qnorm
+	// lb_ball(i) > lambda  <=>  r_i < gap/scale.
+	t := gap / scale
 	t2 := t * t
 	lo, hi := 0, len(cos)
 	for lo < hi {

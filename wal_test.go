@@ -375,6 +375,12 @@ func containerFuzzSeeds(t testing.TB) map[string][]byte {
 	n, d, nodes := hdr(1), hdr(2), hdr(3)
 	radius := pay + 28 + 4*n + 4*n*d + 4*((nodes+1)/2)*d + 16*(nodes-1)
 	binary.LittleEndian.PutUint64(nanRadius[radius:], math.Float64bits(math.NaN()))
+	// The root's centre a float32 step off the lifted last coordinate: the
+	// ball bounds charge a radius the query's normal part only because no
+	// centre differs from its points there, so the loader refuses it.
+	centreLift := append([]byte(nil), bc...)
+	root := pay + 28 + 4*n + 4*n*d
+	binary.LittleEndian.PutUint32(centreLift[root+4*(d-1):], math.Float32bits(math.Nextafter32(1, 2)))
 	// Two NaN coordinates in an unaligned container: points are not checked
 	// finite, so it loads — through the copy path when decoded in place — and
 	// both decoders must answer with the same NaN distances.
@@ -395,16 +401,17 @@ func containerFuzzSeeds(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 	return map[string][]byte{
-		"seed-bctree":    bc,
-		"seed-dynamic":   dynBuf.Bytes(),
-		"seed-sharded":   save(New(data, Spec{Kind: KindSharded, Shards: 2, LeafSize: 16, Seed: 2})),
-		"seed-attrs":     save(attributed, nil),
-		"seed-truncated": truncated,
-		"seed-flipped":   flipped,
-		"seed-nanradius": nanRadius,
-		"nan-point":      nanPoint,
-		"seed-badmagic":  []byte("NOTANIDX container bytes"),
-		"seed-empty":     {},
+		"seed-bctree":     bc,
+		"seed-dynamic":    dynBuf.Bytes(),
+		"seed-sharded":    save(New(data, Spec{Kind: KindSharded, Shards: 2, LeafSize: 16, Seed: 2})),
+		"seed-attrs":      save(attributed, nil),
+		"seed-truncated":  truncated,
+		"seed-flipped":    flipped,
+		"seed-nanradius":  nanRadius,
+		"seed-centrelift": centreLift,
+		"nan-point":       nanPoint,
+		"seed-badmagic":   []byte("NOTANIDX container bytes"),
+		"seed-empty":      {},
 	}
 }
 
