@@ -305,9 +305,11 @@ func (s *Searcher) walk(ni int32, act []int32, ips []float64, kappa float64) {
 // N's own uncertainty plus the rounding of N's stored centre, both amplified
 // by the division. It depends on the tree alone, not on the query, so one
 // number serves the group. A bound takes ip at its least favourable: the
-// centre is only known to lie |ip| - kappa*||q|| from the hyperplane. The
-// rounding behind kappa is of whole lifted vectors, so it is charged ||q||;
-// the radius is charged the query's ballScale.
+// centre is only known to lie |ip| - kappa*||q|| from the hyperplane. Kappa
+// is charged ||q||: the float64 rounding of the derivation scales with the
+// whole query, offset included (the centre-rounding bit misses in the first
+// D-1 coordinates only and would take ||w||). The radius is charged the
+// query's ballScale.
 //
 // The attribute summaries are asked once for the whole group; the node-level
 // ball bound prunes query by query. A leaf is scanned here for its survivors.

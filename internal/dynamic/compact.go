@@ -111,12 +111,17 @@ func (c *Compaction) gather() *vec.Matrix {
 	out := vec.NewMatrix(len(c.ids), c.delta.D)
 	if c.fromTree > 0 {
 		// The copy walks the old tree's storage in its own order; a handle the
-		// capture no longer lists is a tombstone.
+		// capture no longer lists is a tombstone. A loaded tree's points are
+		// trusted, not checked, so the copy writes the lift's 1 itself: a
+		// stored point off it cannot reach BuildOwned, which refuses one.
 		points, handles := c.tree.Rows()
 		live := c.ids[:c.fromTree]
+		d := out.D - 1
 		for p, h := range handles {
 			if j, ok := slices.BinarySearch(live, h); ok {
-				copy(out.Row(j), points.Row(p))
+				row := out.Row(j)
+				copy(row[:d], points.Row(p)[:d])
+				row[d] = 1
 			}
 		}
 	}

@@ -189,7 +189,9 @@ func ReadShape(r io.Reader) (n, d int, err error) {
 }
 
 // Load restores an index written by Save. Corrupt input yields an error
-// wrapping binio.ErrCorrupt.
+// wrapping binio.ErrCorrupt; that includes a delta row whose last coordinate
+// is not the lift's 1. The snapshot tree's points are trusted as
+// balltree.Load trusts them, and a compaction rewrites their last coordinate.
 func Load(r io.Reader) (*Index, error) {
 	br := binio.NewReader(r)
 	ix, handles, err := readShape(br)
@@ -277,6 +279,14 @@ func Load(r io.Reader) (*Index, error) {
 	data := br.F32s((handles - ix.base) * dim)
 	if br.Err() != nil {
 		return nil, br.Err()
+	}
+	// Delta rows are lifted (p; 1) like every tree row: a compaction builds
+	// a tree over them, and the tree's ball bounds rest on that last 1.
+	for r := dim - 1; r < len(data); r += dim {
+		if data[r] != 1 {
+			br.Fail("delta row %d has last coordinate %v, not 1", r/dim, data[r])
+			return nil, br.Err()
+		}
 	}
 	ix.delta = &vec.Matrix{Data: data, N: handles - ix.base, D: dim}
 	return ix, nil

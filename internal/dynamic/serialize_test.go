@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -141,7 +143,7 @@ func TestSaveLoadEmptyAndBufferOnly(t *testing.T) {
 	// Buffer-only index (too small for a first tree).
 	small := New(3, Config{})
 	for i := 0; i < 5; i++ {
-		mustInsert(small, []float32{float32(i), 1, 2})
+		mustInsert(small, []float32{float32(i), 2, 1})
 	}
 	buf.Reset()
 	if err := small.Save(&buf); err != nil {
@@ -226,6 +228,62 @@ func TestLoadRejectsCorruption(t *testing.T) {
 // payload starts on a 4-byte boundary of the dynamic payload, behind zero
 // padding that Load insists on. (Dedup may drop a generated row, so the
 // counts are the matrices', whatever they come to.)
+// TestLoadedRowsOffTheLift: every row a compaction builds a tree over must
+// end in the lift's 1 (balltree.BuildOwned panics otherwise, and a compaction
+// may run on a server's background goroutine). Load refuses a delta row off
+// it. A snapshot point off it loads, because a tree's points are trusted
+// geometry, and the compaction that rebuilds over it writes the 1 back: the
+// compacted index answers as the unpatched one does.
+func TestLoadedRowsOffTheLift(t *testing.T) {
+	orig := buildMutated(t)
+	var buf bytes.Buffer
+	if err := orig.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	good := buf.Bytes()
+	// offLift patches the last coordinate of row, found by its bytes (the
+	// fixture's rows are random, so each is stored once), to 2.
+	offLift := func(row []float32) []byte {
+		want := make([]byte, 4*len(row))
+		for j, v := range row {
+			binary.LittleEndian.PutUint32(want[4*j:], math.Float32bits(v))
+		}
+		off := bytes.Index(good, want)
+		if off < 0 || bytes.Contains(good[off+1:], want) {
+			t.Fatalf("row %v is not stored exactly once", row)
+		}
+		bad := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(bad[off+len(want)-4:], math.Float32bits(2))
+		return bad
+	}
+
+	if _, err := Load(bytes.NewReader(offLift(orig.delta.Row(orig.delta.N - 1)))); !errors.Is(err, binio.ErrCorrupt) {
+		t.Fatalf("delta row off the lift: err = %v, want ErrCorrupt", err)
+	}
+
+	points, handles := orig.tree.Rows()
+	p := slices.IndexFunc(handles, func(h int32) bool { return orig.live.Has(h) })
+	loaded, err := Load(bytes.NewReader(offLift(points.Row(p))))
+	if err != nil {
+		t.Fatalf("snapshot point off the lift: %v", err)
+	}
+	if !loaded.Compact() || !orig.Compact() {
+		t.Fatal("fixture has nothing to compact")
+	}
+	rows, _ := loaded.tree.Rows()
+	for i := 0; i < rows.N; i++ {
+		if v := rows.Row(i)[rows.D-1]; v != 1 {
+			t.Fatalf("compacted row %d ends in %v", i, v)
+		}
+	}
+	q := []float32{0.3, -1, 0.5, 0.2, 0.7, -0.1}
+	want, _ := orig.Search(q, core.SearchOptions{K: 10})
+	got, _ := loaded.Search(q, core.SearchOptions{K: 10})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("compacted results diverge:\n got %v\nwant %v", got, want)
+	}
+}
+
 func TestSnapshotTreeIsAligned(t *testing.T) {
 	for seed := int64(40); seed < 44; seed++ {
 		data, _ := liftedData(int(seed)+30*int(seed-40), 5, seed)
