@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"p2h/internal/attr"
-	"p2h/internal/dynamic"
+	"p2h/internal/balltree"
 )
 
 // PointAttrs is one point's attribute payload: free-form string tags plus
@@ -55,118 +55,83 @@ func NotOf(p *Pred) *Pred { return attr.NotOf(p) }
 // AttachAttributes binds one attribute payload per indexed point to a built
 // index: points[i] belongs to data row i (for a Dynamic index, handle i; the
 // index must have issued exactly len(points) handles). Passing nil detaches.
-// The index keeps the payloads — callers must not mutate them afterwards.
 //
 // After attaching, searches with SearchOptions.Pred filter over the payloads.
-// The tree kinds (balltree, bctree, sharded) additionally build per-node
-// summaries and skip subtrees the predicate cannot match; the remaining kinds
-// evaluate the predicate per row. Either way results are bitwise identical to
-// an equivalent Filter callback. Mixed field kinds (one payload holding field
-// f as an int, another as a float) are rejected.
+// The tree kinds (balltree, bctree, sharded, and a Dynamic's snapshot tree)
+// additionally build per-node summaries and skip subtrees the predicate
+// cannot match; the remaining kinds evaluate the predicate per row. Either
+// way results are bitwise identical to an equivalent Filter callback. Mixed
+// field kinds (one payload holding field f as an int, another as a float)
+// are rejected.
 func AttachAttributes(ix Index, points []PointAttrs) error {
-	if d, ok := ix.(*Dynamic); ok {
-		// Validate the payloads build a consistent schema before installing.
-		if points != nil {
-			if _, err := attr.Build(points); err != nil {
-				return fmt.Errorf("p2h: AttachAttributes: %w", err)
-			}
-		}
-		return d.index.SetAttrs(points)
+	if points == nil {
+		return attachStore(ix, nil)
 	}
-	var st *attr.Store
-	if points != nil {
-		if len(points) != ix.N() {
-			return fmt.Errorf("p2h: AttachAttributes: %d payloads for an index of %d points",
-				len(points), ix.N())
-		}
-		var err error
-		st, err = attr.Build(points)
-		if err != nil {
-			return fmt.Errorf("p2h: AttachAttributes: %w", err)
-		}
+	st, err := attr.Build(points)
+	if err != nil {
+		return fmt.Errorf("p2h: AttachAttributes: %w", err)
 	}
 	return attachStore(ix, st)
 }
 
 // attrHolder is an inner index that keeps the attribute store itself and
-// pushes predicates down its traversal: *balltree.Tree and *shard.Index.
+// evaluates SearchOptions.Pred over it, pushing it down its traversal:
+// *balltree.Tree, *shard.Index and *dynamic.Index. Each refuses a store that
+// misses an id it reports.
 type attrHolder interface {
 	AttachAttrs(st *attr.Store) error
 	Attrs() *attr.Store
 }
 
 // attachStore installs a built column store on an index (nil detaches): into
-// the inner index where that has a predicate path of its own — row-form
-// payloads for a dynamic one — and on the handle otherwise.
+// the inner index where that keeps it, on the handle otherwise. Outside a
+// holder's own check the store covers the index row for row (a shard tree
+// attaches a store wider than itself, a dynamic index covers its handles).
 func attachStore(ix Index, st *attr.Store) error {
 	w, ok := ix.(wrapped)
 	if !ok {
 		return fmt.Errorf("p2h: %T is not an index of this package and takes no attributes", ix)
 	}
-	switch in := w.base().in.(type) {
-	case *dynamic.Index:
-		if st == nil {
-			return in.SetAttrs(nil)
-		}
-		return in.SetAttrs(st.Points())
-	case attrHolder:
-		// A tree itself only asks that every id it holds is covered (a shard
-		// tree attaches a store wider than itself); standalone, row for row.
-		if st != nil && st.N() != ix.N() {
-			return fmt.Errorf("p2h: attribute store covers %d rows, index holds %d", st.N(), ix.N())
-		}
+	in, holder := w.base().in.(attrHolder)
+	if _, tree := in.(*balltree.Tree); (tree || !holder) && st != nil && st.N() != ix.N() {
+		return fmt.Errorf("p2h: attribute store covers %d rows, index holds %d", st.N(), ix.N())
+	}
+	if holder {
 		return in.AttachAttrs(st)
-	default:
-		w.base().attrs = st
-		return nil
 	}
+	w.base().attrs = st
+	return nil
 }
 
-// storeOf extracts an index's attribute payloads as a column store for
-// persistence; nil when the index carries none. For a Dynamic index the
-// store covers every handle ever issued (dead handles hold what they held),
-// so a restore round-trips the column exactly.
-func storeOf(h *handle) (*attr.Store, error) {
-	switch in := h.in.(type) {
-	case *dynamic.Index:
-		if !in.HasAttrs() {
-			return nil, nil
-		}
-		pts := make([]attr.Point, in.Handles())
-		for i := range pts {
-			pts[i] = in.AttrAt(int32(i))
-		}
-		return attr.Build(pts)
-	case attrHolder:
-		return in.Attrs(), nil
-	default:
-		return h.attrs, nil
+// storeOf returns an index's attribute store for persistence; nil when the
+// index carries none.
+func storeOf(h *handle) *attr.Store {
+	if in, ok := h.in.(attrHolder); ok {
+		return in.Attrs()
 	}
+	return h.attrs
 }
 
-// applyPred folds opts.Pred into opts.Filter for the kinds without a native
-// predicate path, evaluating it through the store attached to the handle
-// (predicate first, then the caller's filter — the same acceptance order the
-// tree kinds use, so results stay bitwise identical across kinds). The second
-// result reports that the predicate can match nothing at all (no store
-// attached and the predicate rejects the empty payload): the caller returns
-// empty results without searching.
+// applyPred folds opts.Pred into opts.Filter for the kinds whose inner index
+// keeps no store (no attrHolder), evaluating it through the store attached to
+// the handle (predicate first, then the caller's filter — the same acceptance
+// order the tree kinds use, so results stay bitwise identical across kinds).
+// The second result reports that the predicate can match nothing at all (no
+// store attached and the predicate rejects the empty payload): the caller
+// returns empty results without searching.
 func (t *handle) applyPred(opts SearchOptions) (SearchOptions, bool) {
 	p := opts.Pred
-	if p == nil || t.kind.nativePred {
+	if p == nil {
+		return opts, false
+	}
+	if _, holder := t.in.(attrHolder); holder {
 		return opts, false
 	}
 	opts.Pred = nil
 	if t.attrs == nil {
 		return opts, !p.MatchesEmpty()
 	}
-	prog := t.attrs.Compile(p)
-	user := opts.Filter
-	opts.Filter = func(id int32) bool {
-		if !prog.Match(id) {
-			return false
-		}
-		return user == nil || user(id)
-	}
+	prog, user := t.attrs.Compile(p), opts.Filter
+	opts.Filter = func(id int32) bool { return prog.Match(id) && (user == nil || user(id)) }
 	return opts, false
 }

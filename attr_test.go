@@ -36,15 +36,15 @@ func TestPredWithoutAttrs(t *testing.T) {
 	}
 }
 
-// TestPredPushdownSkips proves the tentpole is actually engaged: a selective
-// predicate on a tree kind must skip whole subtrees, visible in the Stats
-// counters.
+// TestPredPushdownSkips proves the pushdown is actually engaged: a selective
+// predicate on a tree kind — a dynamic index's snapshot tree included — must
+// skip whole subtrees, visible in the Stats counters.
 func TestPredPushdownSkips(t *testing.T) {
 	data := p2h.Dedup(p2h.GenerateDataset("Cifar-10", 4000, 61))
 	q := p2h.GenerateQueries(data, 1, 62).Row(0)
 	points := attrsFor(data.N)
 
-	for _, kind := range []string{p2h.KindBallTree, p2h.KindBCTree, p2h.KindSharded} {
+	for _, kind := range []string{p2h.KindBallTree, p2h.KindBCTree, p2h.KindSharded, p2h.KindDynamic} {
 		spec := p2h.Spec{Kind: kind, Seed: 7, LeafSize: 32}
 		if kind == p2h.KindSharded {
 			spec.Shards = 4
@@ -189,4 +189,80 @@ func TestDynamicInsertWithAttrs(t *testing.T) {
 	}
 	got2, _ := back.Search(q, p2h.SearchOptions{K: 10, Pred: pred})
 	requireIdentical(t, "dynamic-roundtrip", got2, want)
+}
+
+// TestDynamicPredOnNamesAfterCompaction: inserts after the last compaction
+// bring a tag and an int field the store never held when the snapshot tree's
+// summaries were built. Predicates on those names, plain and negated, answer
+// exactly what the payloads say, and one the tree cannot match skips it whole.
+func TestDynamicPredOnNamesAfterCompaction(t *testing.T) {
+	data := p2h.Dedup(p2h.GenerateDataset("Cifar-10", 1000, 93))
+	q := p2h.GenerateQueries(data, 1, 94).Row(0)
+	bulk := 900
+	head := &p2h.Matrix{Data: data.Data[:bulk*data.D], N: bulk, D: data.D}
+	ix := p2h.MustBuild(t, head, p2h.Spec{Kind: p2h.KindDynamic, Seed: 7, LeafSize: 32}).(*p2h.Dynamic)
+	points := attrsFor(data.N)
+	if err := p2h.AttachAttributes(ix, points[:bulk]); err != nil {
+		t.Fatal(err)
+	}
+	for i := bulk; i < data.N; i++ {
+		if i%3 == 0 {
+			points[i].Tags = append(points[i].Tags, "fresh")
+		}
+		if i%4 != 0 {
+			points[i].Ints = map[string]int64{"cat": int64(i % 7), "year": int64(1900 + i%150)}
+		}
+		ix.InsertWithAttrs(data.Row(i), points[i])
+	}
+	if ix.Pending() != data.N-bulk {
+		t.Fatalf("a compaction ran: %d pending, want the %d inserts", ix.Pending(), data.N-bulk)
+	}
+	for _, pred := range []*p2h.Pred{
+		p2h.TagIs("fresh"),
+		p2h.NotOf(p2h.TagIs("fresh")),
+		p2h.FieldAtLeast("year", 2000),
+		p2h.NotOf(p2h.FieldBetween("year", 1950, 2020)),
+		p2h.OneOf(p2h.TagIs("hot"), p2h.TagIs("fresh")),
+		p2h.AllOf(p2h.TagIs("even"), p2h.NotOf(p2h.FieldAtMost("year", 1990))),
+	} {
+		want, _ := ix.Search(q, p2h.SearchOptions{K: 10, Filter: func(id int32) bool {
+			return pred.Matches(points[id])
+		}})
+		got, st := ix.Search(q, p2h.SearchOptions{K: 10, Pred: pred})
+		requireIdentical(t, pred.Canon(), got, want)
+		if pred.Tag == "fresh" && st.FilterSkippedPoints < int64(bulk) {
+			t.Errorf("%s skipped %d points, want the whole tree of %d", pred.Canon(), st.FilterSkippedPoints, bulk)
+		}
+	}
+}
+
+// TestDynamicAppendedPayloadsSaveAsAttached: a dynamic index that got its
+// payloads insert by insert saves the bytes of its twin that got the same
+// payloads at once from AttachAttributes — the store's first-seen names
+// (here out of sorted order) are written in the canonical form.
+func TestDynamicAppendedPayloadsSaveAsAttached(t *testing.T) {
+	data := p2h.Dedup(p2h.GenerateDataset("Cifar-10", 400, 95))
+	points := attrsFor(data.N)
+	points[0] = p2h.PointAttrs{}
+	points[1] = p2h.PointAttrs{Tags: []string{"zeta", "alpha"}, Floats: map[string]float64{"z": 1}}
+	spec := p2h.Spec{Kind: p2h.KindDynamic, Dim: data.D, Seed: 7, LeafSize: 32}
+	inserted := p2h.MustBuild(t, nil, spec).(*p2h.Dynamic)
+	attached := p2h.MustBuild(t, nil, spec).(*p2h.Dynamic)
+	for i := 0; i < data.N; i++ {
+		inserted.InsertWithAttrs(data.Row(i), points[i])
+		attached.Insert(data.Row(i))
+	}
+	if err := p2h.AttachAttributes(attached, points); err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := p2h.Save(&a, inserted); err != nil {
+		t.Fatal(err)
+	}
+	if err := p2h.Save(&b, attached); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("payloads inserted one by one save other bytes than the same payloads attached")
+	}
 }

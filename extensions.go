@@ -61,9 +61,9 @@ type Dynamic struct {
 func (t *Dynamic) Insert(p []float32) int32 { return t.InsertWithAttrs(p, PointAttrs{}) }
 
 // InsertWithAttrs adds a point with an attribute payload (the zero value:
-// none) and returns its stable handle. The index keeps the payload (callers
-// must not mutate it); searches with SearchOptions.Pred evaluate it per
-// handle. Like a point of the wrong dimension, a payload no container or log
+// none) and returns its stable handle. The index appends the payload to its
+// attribute store, which searches with SearchOptions.Pred filter over. Like
+// a point of the wrong dimension, a payload no container or log
 // could carry panics, before the index changes; Server.InsertWithAttrs
 // returns that refusal as an error instead.
 func (t *Dynamic) InsertWithAttrs(p []float32, at PointAttrs) int32 {

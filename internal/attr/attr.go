@@ -15,7 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Point is one point's attribute payload: a set of string tags plus named
@@ -46,10 +47,10 @@ const maxIntField = 1 << 53
 // bytes, at most 65 535 tags (a uint16 count), at most MaxPointEncoded bytes
 // in all — and a store built over it fits a section ReadSection accepts: at
 // most maxSectionFields fields, none of them both an int and a float, and
-// every int within ±2^53, so that it reads back as it went in. A
-// mutable index runs it before an insert changes anything, and Build runs it
-// on every point, so no payload is accepted that a log replay or a container
-// load would later refuse.
+// every int within ±2^53, so that it reads back as it went in. Store.Append
+// runs it — before a mutable index's insert changes anything, and on every
+// point Build is given — so no payload is accepted that a log replay or a
+// container load would later refuse.
 func (p *Point) Validate() error {
 	if p.Empty() {
 		return nil
@@ -96,10 +97,11 @@ func (p *Point) Validate() error {
 }
 
 // Field kinds recorded per column. A field name is typed consistently across
-// the whole store: mixing int64 and float64 under one name is a build error.
+// the whole store: an Append mixing int64 and float64 under one name is
+// refused.
 const (
-	FieldInt   = byte(0)
-	FieldFloat = byte(1)
+	fieldInt   = byte(0)
+	fieldFloat = byte(1)
 )
 
 // fieldCol is one typed field column: a presence bitmap plus a dense value
@@ -119,124 +121,151 @@ func (c *fieldCol) has(row int32) bool {
 	return c.present[uint32(row)>>6]&(1<<(uint32(row)&63)) != 0
 }
 
-// Store holds the attributes of n points in columnar form: a sorted tag
-// vocabulary with per-row tag-id lists in CSR layout, plus typed field
-// columns sorted by name. Row i carries the attributes of the id the owning
-// index reports as i in search results (the data row for static kinds, the
-// handle for a dynamic index, the shard-local row for a shard tree).
-// A Store is immutable after Build; concurrent readers need no locking.
+// Store holds the attributes of n points in columnar form: a tag vocabulary
+// with per-row tag-id lists in CSR layout, plus typed field columns. Row i
+// carries the attributes of the id the owning index reports as i in search
+// results (the data row for static kinds, the handle for a dynamic index,
+// the shard-local row for a shard tree).
+//
+// A Store is append-only: Append adds one row and never changes an earlier
+// one, and tag ids and column indices are assigned in first-seen order, so a
+// predicate compiled or a summary built before an append still speaks the
+// grown store's ids. WriteSection writes the canonical form (sorted
+// vocabulary, name-sorted columns) whatever order the names arrived in. The
+// owner appends under its own mutation exclusion; readers need no locking
+// between appends.
 type Store struct {
 	n        int
-	tags     []string // sorted vocabulary
+	tags     []string // vocabulary in tag-id order: first seen (sorted as read)
 	tagIndex map[string]int32
 	tagStart []int32 // CSR offsets, n+1 entries
-	tagIDs   []int32 // sorted within each row's range
+	tagIDs   []int32 // ascending within each row's range
 	fields   []fieldCol
 	fieldIdx map[string]int
 }
 
-// Build assembles a columnar store from one payload per point. Points with a
+// Build assembles a columnar store from one payload per point: Append over
+// the points, then every array trimmed to its length. Points with a
 // zero-value payload are fine; the store still covers them (empty tag list,
-// all fields absent). A point Validate refuses, or a field name used with
-// both integer and float values, is rejected.
+// all fields absent).
 func Build(points []Point) (*Store, error) {
+	st := &Store{tagIndex: make(map[string]int32), tagStart: []int32{0}, fieldIdx: make(map[string]int)}
 	for i := range points {
-		if err := points[i].Validate(); err != nil {
+		if err := st.Append(points[i]); err != nil {
 			return nil, fmt.Errorf("point %d: %w", i, err)
 		}
 	}
-	n := len(points)
-	st := &Store{
-		n:        n,
-		tagIndex: make(map[string]int32),
-		fieldIdx: make(map[string]int),
-		tagStart: make([]int32, n+1),
-	}
-
-	// Pass 1: vocabulary and field schema.
-	kinds := make(map[string]byte)
-	for i := range points {
-		for _, t := range points[i].Tags {
-			if _, ok := st.tagIndex[t]; !ok {
-				st.tagIndex[t] = 0 // id assigned after sorting
-				st.tags = append(st.tags, t)
-			}
-		}
-		for name := range points[i].Ints {
-			if k, ok := kinds[name]; ok && k != FieldInt {
-				return nil, fmt.Errorf("attr: field %q used as both int and float", name)
-			}
-			kinds[name] = FieldInt
-		}
-		for name := range points[i].Floats {
-			if k, ok := kinds[name]; ok && k != FieldFloat {
-				return nil, fmt.Errorf("attr: field %q used as both int and float", name)
-			}
-			kinds[name] = FieldFloat
-		}
-	}
-	sort.Strings(st.tags)
-	for id, t := range st.tags {
-		st.tagIndex[t] = int32(id)
-	}
-	names := make([]string, 0, len(kinds))
-	for name := range kinds {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	words := (n + 63) / 64
-	for _, name := range names {
-		st.fieldIdx[name] = len(st.fields)
-		st.fields = append(st.fields, fieldCol{
-			name:    name,
-			kind:    kinds[name],
-			present: make([]uint64, words),
-			vals:    make([]float64, n),
-		})
-	}
-
-	// Pass 2: fill the CSR tag lists and the field columns.
-	var row []int32
-	for i := range points {
-		row = row[:0]
-		for _, t := range points[i].Tags {
-			row = append(row, st.tagIndex[t])
-		}
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
-		// Deduplicate: a tag listed twice is one membership.
-		for j, id := range row {
-			if j == 0 || row[j-1] != id {
-				st.tagIDs = append(st.tagIDs, id)
-			}
-		}
-		st.tagStart[i+1] = int32(len(st.tagIDs))
-		for name, v := range points[i].Ints {
-			c := &st.fields[st.fieldIdx[name]]
-			c.present[i>>6] |= 1 << (uint(i) & 63)
-			c.vals[i] = float64(v)
-		}
-		for name, v := range points[i].Floats {
-			c := &st.fields[st.fieldIdx[name]]
-			c.present[i>>6] |= 1 << (uint(i) & 63)
-			c.vals[i] = v
-		}
+	st.tagStart = slices.Clone(st.tagStart)
+	for i := range st.fields {
+		c := &st.fields[i]
+		c.present, c.vals = slices.Clone(c.present), slices.Clone(c.vals)
 	}
 	return st, nil
+}
+
+// Append adds p as the store's next row. A point Validate refuses, or one
+// giving a field the other numeric kind than the store holds it as (no
+// section could hold both), is refused with an error wrapping ErrPayload,
+// before the store changes.
+func (st *Store) Append(p Point) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	clash := func(name string, kind byte) error {
+		if ci, ok := st.fieldIdx[name]; ok && st.fields[ci].kind != kind {
+			return fmt.Errorf("%w: field %q is an int in one payload and a float in another", ErrPayload, name)
+		}
+		return nil
+	}
+	for name := range p.Ints {
+		if err := clash(name, fieldInt); err != nil {
+			return err
+		}
+	}
+	for name := range p.Floats {
+		if err := clash(name, fieldFloat); err != nil {
+			return err
+		}
+	}
+
+	row := int32(st.n)
+	start := len(st.tagIDs)
+	for _, t := range p.Tags {
+		id, ok := st.tagIndex[t]
+		if !ok {
+			id = int32(len(st.tags))
+			st.tags = append(st.tags, t)
+			st.tagIndex[t] = id
+		}
+		st.tagIDs = append(st.tagIDs, id)
+	}
+	// Sorted, and a tag listed twice is one membership.
+	ids := st.tagIDs[start:]
+	slices.Sort(ids)
+	st.tagIDs = st.tagIDs[:start+len(slices.Compact(ids))]
+	st.tagStart = append(st.tagStart, int32(len(st.tagIDs)))
+
+	st.n++
+	words := (st.n + 63) / 64
+	for i := range st.fields {
+		c := &st.fields[i]
+		c.vals = append(c.vals, 0)
+		if len(c.present) < words {
+			c.present = append(c.present, 0)
+		}
+	}
+	for name, v := range p.Ints {
+		st.set(name, fieldInt, row, float64(v))
+	}
+	for name, v := range p.Floats {
+		st.set(name, fieldFloat, row, v)
+	}
+	return nil
+}
+
+// set records row's value of the named field, adding the column — absent on
+// every earlier row — the first time the name appears.
+func (st *Store) set(name string, kind byte, row int32, v float64) {
+	ci, ok := st.fieldIdx[name]
+	if !ok {
+		ci = len(st.fields)
+		st.fieldIdx[name] = ci
+		st.fields = append(st.fields, fieldCol{
+			name:    name,
+			kind:    kind,
+			present: make([]uint64, (st.n+63)/64),
+			vals:    make([]float64, st.n),
+		})
+	}
+	c := &st.fields[ci]
+	c.present[row>>6] |= 1 << (uint32(row) & 63)
+	c.vals[row] = v
 }
 
 // N returns the number of rows the store covers.
 func (st *Store) N() int { return st.n }
 
-// Tags returns the sorted tag vocabulary. Callers must not modify it.
-func (st *Store) Tags() []string { return st.tags }
+// Tags returns the tag vocabulary, sorted.
+func (st *Store) Tags() []string { return slices.Sorted(slices.Values(st.tags)) }
 
-// Fields returns the field schema as (name, kind) pairs in name order.
-func (st *Store) Fields() (names []string, kinds []byte) {
-	for i := range st.fields {
-		names = append(names, st.fields[i].name)
-		kinds = append(kinds, st.fields[i].kind)
+// Fields returns the field schema as "name:int" / "name:float" entries in
+// name order.
+func (st *Store) Fields() (schema []string) {
+	for _, c := range st.sortedFields() {
+		schema = append(schema, c.name+[...]string{fieldInt: ":int", fieldFloat: ":float"}[c.kind])
 	}
-	return names, kinds
+	return schema
+}
+
+// sortedFields returns the field columns in name order, the order a section
+// holds them in.
+func (st *Store) sortedFields() []*fieldCol {
+	cols := make([]*fieldCol, len(st.fields))
+	for i := range st.fields {
+		cols[i] = &st.fields[i]
+	}
+	slices.SortFunc(cols, func(a, b *fieldCol) int { return strings.Compare(a.name, b.name) })
+	return cols
 }
 
 // MemBytes estimates the store's heap footprint.
@@ -266,41 +295,4 @@ func (st *Store) rowHasTag(row, tagID int32) bool {
 		}
 	}
 	return false
-}
-
-// Point reconstructs row i's payload — the inverse of Build, used when a
-// loaded container re-attaches attributes to a mutable index that keeps
-// per-handle payloads rather than a columnar store.
-func (st *Store) Point(i int32) Point {
-	var p Point
-	for _, id := range st.tagIDs[st.tagStart[i]:st.tagStart[i+1]] {
-		p.Tags = append(p.Tags, st.tags[id])
-	}
-	for ci := range st.fields {
-		c := &st.fields[ci]
-		if !c.has(i) {
-			continue
-		}
-		if c.kind == FieldInt {
-			if p.Ints == nil {
-				p.Ints = make(map[string]int64)
-			}
-			p.Ints[c.name] = int64(c.vals[i])
-		} else {
-			if p.Floats == nil {
-				p.Floats = make(map[string]float64)
-			}
-			p.Floats[c.name] = c.vals[i]
-		}
-	}
-	return p
-}
-
-// Points reconstructs every row's payload in row order.
-func (st *Store) Points() []Point {
-	out := make([]Point, st.n)
-	for i := range out {
-		out[i] = st.Point(int32(i))
-	}
-	return out
 }

@@ -55,25 +55,97 @@ func testPreds() []*Pred {
 	}
 }
 
-// TestCompiledMatchesPoint pins the core equivalence: the compiled
-// store-row evaluation and the direct Point evaluation agree on every row
-// for every predicate shape.
-func TestCompiledMatchesPoint(t *testing.T) {
-	pts := testPoints(500, 1)
-	st, err := Build(pts)
+// latePoints is a second batch of payloads that also bring names the first
+// never holds: the tag "late" and the int field "late_n".
+func latePoints(n int, seed int64) []Point {
+	pts := testPoints(n, seed)
+	for i := range pts {
+		if i%2 == 1 {
+			pts[i].Tags = append(pts[i].Tags, "late")
+		}
+		if i%3 == 0 {
+			if pts[i].Ints == nil {
+				pts[i].Ints = map[string]int64{}
+			}
+			pts[i].Ints["late_n"] = int64(i)
+		}
+	}
+	return pts
+}
+
+// latePreds ask for the names latePoints bring, plainly and negated.
+func latePreds() []*Pred {
+	return []*Pred{
+		TagIs("late"),
+		NotOf(TagIs("late")),
+		TagAny("late", "red"),
+		FieldAtLeast("late_n", 30),
+		NotOf(FieldAtMost("late_n", 60)),
+		AllOf(TagIs("blue"), NotOf(TagIs("late"))),
+	}
+}
+
+// grow appends pts to an empty store one row at a time and calls half, if
+// set, once half of them are in.
+func grow(t testing.TB, pts []Point, half func(*Store)) *Store {
+	st, err := Build(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range testPreds() {
-		if err := p.Validate(); err != nil {
-			t.Fatalf("%s: %v", p.Canon(), err)
+	for i := range pts {
+		if i == len(pts)/2 && half != nil {
+			half(st)
 		}
-		prog := st.Compile(p)
-		for i := range pts {
-			got := prog.Match(int32(i))
-			want := p.Matches(pts[i])
-			if got != want {
-				t.Fatalf("%s row %d: compiled=%v direct=%v (%+v)", p.Canon(), i, got, want, pts[i])
+		if err := st.Append(pts[i]); err != nil {
+			t.Fatalf("append of row %d: %v", i, err)
+		}
+	}
+	return st
+}
+
+// section returns st's section bytes.
+func section(t testing.TB, st *Store) []byte {
+	var buf bytes.Buffer
+	bw := binio.NewWriter(&buf)
+	if err := WriteSection(bw, st); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCompiledMatchesPoint pins the core equivalence: the compiled
+// store-row evaluation and the direct Point evaluation agree on every row
+// for every predicate shape, on a built store and on one grown an Append at
+// a time, whose second half brings names the first never held.
+func TestCompiledMatchesPoint(t *testing.T) {
+	pts := testPoints(500, 1)
+	built, err := Build(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grownPts := append(testPoints(250, 1), latePoints(250, 4)...)
+	for _, c := range []struct {
+		name string
+		st   *Store
+		pts  []Point
+	}{
+		{"built", built, pts},
+		{"appended", grow(t, grownPts, nil), grownPts},
+	} {
+		for _, p := range append(testPreds(), latePreds()...) {
+			if err := p.Validate(); err != nil {
+				t.Fatalf("%s: %v", p.Canon(), err)
+			}
+			prog := c.st.Compile(p)
+			for i := range c.pts {
+				got := prog.Match(int32(i))
+				want := p.Matches(c.pts[i])
+				if got != want {
+					t.Fatalf("%s: %s row %d: compiled=%v direct=%v (%+v)", c.name, p.Canon(), i, got, want, c.pts[i])
+				}
 			}
 		}
 	}
@@ -81,58 +153,84 @@ func TestCompiledMatchesPoint(t *testing.T) {
 
 // TestSummariesSound checks the tri-state node evaluation against brute
 // force on a synthetic arena: TriNo must imply zero matching rows and TriYes
-// all rows matching.
+// all rows matching. The second input is a store grown an Append at a time
+// whose summaries were built half-way, over the rows it held then, and are
+// asked about a store that has since met new tags and fields.
 func TestSummariesSound(t *testing.T) {
-	pts := testPoints(512, 2)
-	st, err := Build(pts)
+	// A synthetic balanced arena over a shuffled permutation of n ids,
+	// preorder with children at larger indices, leaves of ~16.
+	arena := func(n int) ([]int32, []NodeInfo) {
+		ids := make([]int32, n)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		rng := rand.New(rand.NewSource(3))
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		var nodes []NodeInfo
+		var split func(start, end int32) int32
+		split = func(start, end int32) int32 {
+			ni := int32(len(nodes))
+			nodes = append(nodes, NodeInfo{Start: start, End: end, Left: -1, Right: -1})
+			if end-start > 16 {
+				mid := (start + end) / 2
+				l := split(start, mid)
+				r := split(mid, end)
+				nodes[ni].Left, nodes[ni].Right = l, r
+			}
+			return ni
+		}
+		split(0, int32(len(ids)))
+		return ids, nodes
+	}
+
+	built, err := Build(testPoints(512, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A synthetic balanced arena over a shuffled id permutation, preorder
-	// with children at larger indices, leaves of ~16.
-	ids := make([]int32, len(pts))
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	rng := rand.New(rand.NewSource(3))
-	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	var nodes []NodeInfo
-	var split func(start, end int32) int32
-	split = func(start, end int32) int32 {
-		ni := int32(len(nodes))
-		nodes = append(nodes, NodeInfo{Start: start, End: end, Left: -1, Right: -1})
-		if end-start > 16 {
-			mid := (start + end) / 2
-			l := split(start, mid)
-			r := split(mid, end)
-			nodes[ni].Left, nodes[ni].Right = l, r
+	ids, nodes := arena(512)
+	halfIDs, halfNodes := arena(256)
+	var halfSums *Summaries
+	grown := grow(t, append(testPoints(256, 2), latePoints(256, 5)...), func(st *Store) {
+		halfSums = BuildSummaries(st, halfIDs, halfNodes)
+	})
+	for _, c := range []struct {
+		name  string
+		st    *Store
+		sm    *Summaries
+		ids   []int32
+		nodes []NodeInfo
+	}{
+		{"built", built, BuildSummaries(built, ids, nodes), ids, nodes},
+		{"appended", grown, halfSums, halfIDs, halfNodes},
+	} {
+		for _, p := range append(testPreds(), latePreds()...) {
+			prog := c.st.Compile(p)
+			for ni := range c.nodes {
+				verdict := c.sm.Node(int32(ni), prog)
+				matches := 0
+				for pos := c.nodes[ni].Start; pos < c.nodes[ni].End; pos++ {
+					if prog.Match(c.ids[pos]) {
+						matches++
+					}
+				}
+				total := int(c.nodes[ni].End - c.nodes[ni].Start)
+				switch verdict {
+				case TriNo:
+					if matches != 0 {
+						t.Fatalf("%s: %s node %d: TriNo but %d/%d rows match", c.name, p.Canon(), ni, matches, total)
+					}
+				case TriYes:
+					if matches != total {
+						t.Fatalf("%s: %s node %d: TriYes but %d/%d rows match", c.name, p.Canon(), ni, matches, total)
+					}
+				}
+			}
 		}
-		return ni
 	}
-	split(0, int32(len(ids)))
-
-	sm := BuildSummaries(st, ids, nodes)
-	for _, p := range testPreds() {
-		prog := st.Compile(p)
-		for ni := range nodes {
-			verdict := sm.Node(int32(ni), prog)
-			matches := 0
-			for pos := nodes[ni].Start; pos < nodes[ni].End; pos++ {
-				if prog.Match(ids[pos]) {
-					matches++
-				}
-			}
-			total := int(nodes[ni].End - nodes[ni].Start)
-			switch verdict {
-			case TriNo:
-				if matches != 0 {
-					t.Fatalf("%s node %d: TriNo but %d/%d rows match", p.Canon(), ni, matches, total)
-				}
-			case TriYes:
-				if matches != total {
-					t.Fatalf("%s node %d: TriYes but %d/%d rows match", p.Canon(), ni, matches, total)
-				}
-			}
+	// The late names are absent under every node the half-way summaries cover.
+	for _, p := range []*Pred{TagIs("late"), FieldAtLeast("late_n", 0)} {
+		if v := halfSums.Node(0, grown.Compile(p)); v != TriNo {
+			t.Errorf("%s: a name first seen after the summaries reads %v at the root, want TriNo", p.Canon(), v)
 		}
 	}
 }
@@ -298,6 +396,9 @@ func TestCanonAndJSON(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsMixedKinds: a field given both numeric kinds is refused by
+// Build, and by Append before the store changes: the refused row adds no row,
+// name or byte of section.
 func TestBuildRejectsMixedKinds(t *testing.T) {
 	_, err := Build([]Point{
 		{Ints: map[string]int64{"x": 1}},
@@ -306,32 +407,14 @@ func TestBuildRejectsMixedKinds(t *testing.T) {
 	if err == nil {
 		t.Fatal("mixed-kind field accepted")
 	}
-}
-
-func TestStorePointsInverse(t *testing.T) {
-	pts := testPoints(150, 8)
-	st, err := Build(pts)
-	if err != nil {
-		t.Fatal(err)
+	st := grow(t, []Point{{Ints: map[string]int64{"x": 1}}}, nil)
+	before := section(t, st)
+	clash := Point{Tags: []string{"new"}, Floats: map[string]float64{"y": 1, "x": 2}}
+	if err := st.Append(clash); !errors.Is(err, ErrPayload) {
+		t.Fatalf("Append of a clashing field: %v, want ErrPayload", err)
 	}
-	back := st.Points()
-	st2, err := Build(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range testPreds() {
-		a, b := st.Compile(p), st2.Compile(p)
-		for i := 0; i < st.N(); i++ {
-			if a.Match(int32(i)) != b.Match(int32(i)) {
-				t.Fatalf("%s: Points() inverse disagrees at %d", p.Canon(), i)
-			}
-		}
-	}
-	// Empty rows survive the inverse as empty.
-	for i := range pts {
-		if pts[i].Empty() != back[i].Empty() {
-			t.Fatalf("row %d emptiness changed", i)
-		}
+	if st.N() != 1 || !bytes.Equal(section(t, st), before) {
+		t.Fatalf("the refused Append changed the store: %d rows", st.N())
 	}
 }
 

@@ -48,38 +48,25 @@ func FuzzPredJSON(f *testing.F) {
 
 // FuzzSection hardens the attribute-section decoder: arbitrary bytes must
 // never panic, and anything the decoder accepts must round-trip to identical
-// bytes and evaluate predicates without crashing.
+// bytes and evaluate predicates without crashing. Where its rows are payloads
+// the rule admits, a store restored from Build's section over them and grown
+// by more Appends writes the bytes Build writes over all the rows at once.
 func FuzzSection(f *testing.F) {
 	for _, seed := range []int64{21, 22} {
 		st, err := Build(testPoints(32, seed))
 		if err != nil {
 			f.Fatal(err)
 		}
-		var buf bytes.Buffer
-		bw := binio.NewWriter(&buf)
-		if err := WriteSection(bw, st); err != nil {
-			f.Fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		f.Add(section(f, st))
 	}
+	more := latePoints(40, 23)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := binio.NewReader(bytes.NewReader(data))
 		st := ReadSection(br)
 		if br.Err() != nil || st == nil {
 			return
 		}
-		var out bytes.Buffer
-		bw := binio.NewWriter(&out)
-		if err := WriteSection(bw, st); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.HasPrefix(data, out.Bytes()) {
+		if !bytes.HasPrefix(data, section(t, st)) {
 			t.Fatal("accepted section does not re-encode to its own prefix")
 		}
 		for _, p := range testPreds() {
@@ -88,7 +75,59 @@ func FuzzSection(f *testing.F) {
 				_ = prog.Match(int32(i))
 			}
 		}
+
+		pts := rows(st)
+		built, err := Build(pts)
+		if err != nil {
+			return // the section holds a row the payload rule refuses
+		}
+		br = binio.NewReader(bytes.NewReader(section(t, built)))
+		grown := ReadSection(br)
+		if err := br.Err(); err != nil {
+			t.Fatal(err)
+		}
+		var refused error
+		for i := range more {
+			if refused = grown.Append(more[i]); refused != nil {
+				break
+			}
+		}
+		all, err := Build(append(pts, more...))
+		if (err == nil) != (refused == nil) {
+			t.Fatalf("Build over all the rows: %v; Append after the restore: %v", err, refused)
+		}
+		if err == nil && !bytes.Equal(section(t, grown), section(t, all)) {
+			t.Fatal("a restored store grown by Append writes other bytes than Build over the same rows")
+		}
 	})
+}
+
+// rows reads every row of st back as a payload.
+func rows(st *Store) []Point {
+	out := make([]Point, st.n)
+	for i := range out {
+		p := &out[i]
+		for _, id := range st.tagIDs[st.tagStart[i]:st.tagStart[i+1]] {
+			p.Tags = append(p.Tags, st.tags[id])
+		}
+		for ci := range st.fields {
+			c := &st.fields[ci]
+			switch {
+			case !c.has(int32(i)):
+			case c.kind == fieldInt:
+				if p.Ints == nil {
+					p.Ints = map[string]int64{}
+				}
+				p.Ints[c.name] = int64(c.vals[i])
+			default:
+				if p.Floats == nil {
+					p.Floats = map[string]float64{}
+				}
+				p.Floats[c.name] = c.vals[i]
+			}
+		}
+	}
+	return out
 }
 
 // FuzzPointPayload hardens the WAL point-payload decoder.

@@ -196,9 +196,9 @@ func (p *Pred) Equal(o *Pred) bool {
 	return p.Canon() == o.Canon()
 }
 
-// Matches evaluates the predicate directly against one payload — the
-// row-at-a-time path mutable indexes use, and the constant-folding oracle
-// for indexes with no attributes at all (Matches on the zero Point).
+// Matches evaluates the predicate directly against one payload: the
+// reference a compiled Prog is tested against, and through MatchesEmpty the
+// constant fold of an index with no attributes at all.
 func (p *Pred) Matches(pt Point) bool {
 	switch {
 	case p.Tag != "":
@@ -379,9 +379,6 @@ func (st *Store) compileList(list []*Pred) []prog {
 
 // Match evaluates the compiled predicate against one store row.
 func (pr *Prog) Match(row int32) bool { return pr.store.match(&pr.root, row) }
-
-// Store returns the store the program was compiled against.
-func (pr *Prog) Store() *Store { return pr.store }
 
 func (st *Store) match(p *prog, row int32) bool {
 	switch p.op {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"p2h/internal/binio"
@@ -21,11 +22,13 @@ const (
 	maxNameLen       = 1 << 12
 )
 
-// WriteSection serializes the store with a binio writer: the magic, the row
-// count, the sorted tag vocabulary, the CSR tag lists, and each field column
-// (name, kind, presence bitmap, dense values). A store over more rows, tags,
-// tag memberships or fields than ReadSection accepts is refused before
-// anything is written. (Its names already fit: Build validated every point.)
+// WriteSection serializes the store with a binio writer in its canonical
+// form: the magic, the row count, the sorted tag vocabulary, the CSR tag
+// lists in those ids, and each field column (name, kind, presence bitmap,
+// dense values) in name order. The bytes are a function of the rows alone,
+// whatever order an appended store met its names in. A store over more rows,
+// tags, tag memberships or fields than ReadSection accepts is refused before
+// anything is written. (Its names already fit: Append validated every point.)
 func WriteSection(bw *binio.Writer, st *Store) error {
 	if st.n > maxSectionRows || len(st.tags) > maxSectionTags ||
 		len(st.tagIDs) > maxSectionRows || len(st.fields) > maxSectionFields {
@@ -33,17 +36,29 @@ func WriteSection(bw *binio.Writer, st *Store) error {
 			st.n, len(st.tags), len(st.tagIDs), len(st.fields),
 			maxSectionRows, maxSectionTags, maxSectionRows, maxSectionFields)
 	}
+	tags := st.Tags()
+	sortedID := make([]int32, len(st.tags))
+	for id, t := range st.tags {
+		i, _ := slices.BinarySearch(tags, t)
+		sortedID[id] = int32(i)
+	}
+	tagIDs := make([]int32, len(st.tagIDs))
+	for i, id := range st.tagIDs {
+		tagIDs[i] = sortedID[id]
+	}
+	for r := 0; r < st.n; r++ {
+		slices.Sort(tagIDs[st.tagStart[r]:st.tagStart[r+1]])
+	}
 	bw.Bytes(SectionMagic)
 	bw.I32(int32(st.n))
-	bw.I32(int32(len(st.tags)))
-	for _, t := range st.tags {
+	bw.I32(int32(len(tags)))
+	for _, t := range tags {
 		writeString(bw, t)
 	}
 	bw.I32s(st.tagStart)
-	bw.I32s(st.tagIDs)
+	bw.I32s(tagIDs)
 	bw.I32(int32(len(st.fields)))
-	for i := range st.fields {
-		c := &st.fields[i]
+	for _, c := range st.sortedFields() {
 		writeString(bw, c.name)
 		bw.U8(c.kind)
 		for _, w := range c.present {
@@ -137,7 +152,7 @@ func ReadSection(br *binio.Reader) *Store {
 		if br.Err() != nil {
 			return nil
 		}
-		if kind != FieldInt && kind != FieldFloat {
+		if kind != fieldInt && kind != fieldFloat {
 			br.Fail("attr field %q kind %d", name, kind)
 			return nil
 		}
@@ -153,7 +168,7 @@ func ReadSection(br *binio.Reader) *Store {
 		if br.Err() != nil {
 			return nil
 		}
-		if kind == FieldInt {
+		if kind == fieldInt {
 			for i, v := range vals {
 				if present[i>>6]&(1<<(uint(i)&63)) != 0 && v != math.Trunc(v) {
 					br.Fail("attr int field %q row %d holds non-integer %v", name, i, v)

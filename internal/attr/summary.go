@@ -71,8 +71,13 @@ type fieldSummary struct {
 // width) and per-field min/max/count, all in flat arrays parallel to the
 // node arena. Summaries are derived state — rebuilt on attach, never
 // serialized — so the container format carries only the store.
+//
+// The store may grow after the summaries were built (a dynamic index appends
+// rows its snapshot tree does not hold). A tag id or field column that is new
+// since then is absent from every row the summaries cover, and Node treats it
+// so.
 type Summaries struct {
-	store *Store
+	ntags int // vocabulary size at build: ids at or past it are absent
 	words int // tag bitmap words per node
 	bits  []uint64
 	flds  []fieldSummary
@@ -94,7 +99,7 @@ func BuildSummaries(st *Store, ids []int32, nodes []NodeInfo) *Summaries {
 		words = (bits + 63) / 64
 	}
 	sm := &Summaries{
-		store: st,
+		ntags: len(st.tags),
 		words: words,
 		bits:  make([]uint64, nn*words),
 		flds:  make([]fieldSummary, len(st.fields)),
@@ -169,7 +174,7 @@ func (sm *Summaries) setTag(ni int, tagID int32) {
 }
 
 func (sm *Summaries) hasTagBit(ni int32, tagID int32) bool {
-	if sm.words == 0 {
+	if int(tagID) >= sm.ntags {
 		return false
 	}
 	bit := uint32(tagID) % uint32(sm.words*64)
@@ -213,6 +218,9 @@ func (sm *Summaries) node(ni int32, p *prog) Tri {
 		}
 		return TriNo
 	case opRange:
+		if p.field >= len(sm.flds) {
+			return TriNo // a column added since: absent everywhere here
+		}
 		fs := &sm.flds[p.field]
 		cnt := fs.count[ni]
 		if cnt == 0 {

@@ -18,7 +18,8 @@ package dynamic
 //	         live rows into one matrix and builds the replacement tree inside
 //	         it; searches and mutations proceed concurrently against the old
 //	         one.
-//	install  (under the mutation lock)  Install swaps the tree in and
+//	install  (under the mutation lock)  Install swaps the tree in, attaches
+//	         the attribute store to it (building its summaries) and
 //	         reconciles the mutations that raced the build: captured handles
 //	         deleted meanwhile become tombstones in the new tree, rows
 //	         appended meanwhile are carried over as the new delta. The old
@@ -166,6 +167,12 @@ func (ix *Index) Install(c *Compaction) {
 	}
 	raced := vec.NewMatrix(ix.delta.N-c.delta.N, ix.dim)
 	copy(raced.Data, ix.delta.Data[c.delta.N*ix.dim:ix.delta.N*ix.dim])
+	if c.built != nil && ix.attrs != nil {
+		// The store covers every handle issued, the tree's among them.
+		if err := c.built.AttachAttrs(ix.attrs); err != nil {
+			panic("dynamic: " + err.Error())
+		}
+	}
 	ix.tree = c.built
 	ix.treeDel = dead
 	ix.base += c.delta.N

@@ -137,8 +137,8 @@ func TestCompactReconciliation(t *testing.T) {
 	c.Build(ix.cfg)
 	ix.Install(c)
 
-	if ix.treeN() != 500 {
-		t.Fatalf("tree over %d ids, want the 500 captured", ix.treeN())
+	if ix.tree.N() != 500 {
+		t.Fatalf("tree over %d ids, want the 500 captured", ix.tree.N())
 	}
 	if ix.treeDel != 1 {
 		t.Fatalf("treeDel = %d, want 1 (handle 10)", ix.treeDel)
@@ -207,7 +207,7 @@ func TestCompactionNeededThresholds(t *testing.T) {
 		mustInsert(ix, randLifted(rng, dim))
 	}
 	// delta must just exceed 0.5*live: live=200+k, delta=k → k > 100+k/2.
-	if delta := ix.BufferLen(); delta != 201 {
+	if delta := ix.delta.N; delta != 201 {
 		t.Fatalf("triggered at delta %d, want 201", delta)
 	}
 
@@ -227,15 +227,15 @@ func TestCompactionNeededThresholds(t *testing.T) {
 		x := randLifted(rng, dim)
 		mustInsert(bg, x)
 		mustInsert(inline, x)
-		if inline.BufferLen() == 0 && !bg.CompactionNeeded() {
-			t.Fatalf("inline index folded at delta %d, before the background trigger", bg.BufferLen())
+		if inline.delta.N == 0 && !bg.CompactionNeeded() {
+			t.Fatalf("inline index folded at delta %d, before the background trigger", bg.delta.N)
 		}
 	}
-	if delta := bg.BufferLen(); delta != 101 {
+	if delta := bg.delta.N; delta != 101 {
 		t.Fatalf("default triggered at delta %d, want 101", delta)
 	}
-	if inline.BufferLen() != 0 {
-		t.Fatalf("inline index holds a delta of %d where the background one asks to fold", inline.BufferLen())
+	if inline.delta.N != 0 {
+		t.Fatalf("inline index holds a delta of %d where the background one asks to fold", inline.delta.N)
 	}
 }
 
@@ -299,8 +299,8 @@ func TestCompactionRaceKeepsCaptureIntact(t *testing.T) {
 	}
 	ix.Install(c)
 
-	if ix.base != 700 || ix.delta.N != 300 || ix.treeN() != 695 || ix.treeDel != 10 {
-		t.Fatalf("after install: base %d, delta %d, tree %d with %d tombstones", ix.base, ix.delta.N, ix.treeN(), ix.treeDel)
+	if ix.base != 700 || ix.delta.N != 300 || ix.tree.N() != 695 || ix.treeDel != 10 {
+		t.Fatalf("after install: base %d, delta %d, tree %d with %d tombstones", ix.base, ix.delta.N, ix.tree.N(), ix.treeDel)
 	}
 	if cap(ix.delta.Data) != len(ix.delta.Data) || &ix.delta.Data[0] == &c.delta.Data[0] {
 		t.Fatal("the new delta still sits in the folded delta's array")

@@ -71,16 +71,10 @@ type Index struct {
 	base    int
 	delta   *vec.Matrix
 
-	// attrs holds one attribute payload per handle, handle-indexed; nil
-	// until the first attributed insert, then padded with empty payloads so
-	// indexing stays direct. Predicates evaluate per handle at query time —
-	// the mutable delta has no per-node summaries to push down into, which
-	// keeps inserts O(1); the static kinds own the pushdown path.
-	attrs []attr.Point
-	// kinds is the field schema of attrs, each field name's attr.FieldInt or
-	// attr.FieldFloat: no store, hence no saved container, holds one name
-	// as both.
-	kinds map[string]byte
+	// attrs is the attribute store, row h for handle h, dead or alive; nil
+	// until the first attributed payload, which pads it with empty rows for
+	// the handles before. Install attaches it to the snapshot tree.
+	attrs *attr.Store
 
 	// background suppresses inline rebuilds; a serving engine folds the
 	// delta off-thread instead (see compact.go).
@@ -118,14 +112,6 @@ func NewFromMatrix(data *vec.Matrix, cfg Config) *Index {
 // N returns the number of live points.
 func (ix *Index) N() int { return ix.nlive }
 
-// treeN returns the number of handles in the snapshot tree, dead ones included.
-func (ix *Index) treeN() int {
-	if ix.tree == nil {
-		return 0
-	}
-	return ix.tree.N()
-}
-
 // Trees returns the snapshot tree, the one tree Save writes, or nothing
 // while there is none. Like Save, it must run with mutations excluded.
 func (ix *Index) Trees() []*balltree.Tree {
@@ -141,10 +127,6 @@ func (ix *Index) Configuration() Config { return ix.cfg }
 // Dim returns the lifted dimensionality.
 func (ix *Index) Dim() int { return ix.dim }
 
-// BufferLen returns the number of rows pending outside the tree, deleted
-// ones included: they stay in the delta until the next rebuild.
-func (ix *Index) BufferLen() int { return ix.delta.N }
-
 // Pending returns the delta queries pay for beyond the tree: delta rows
 // (scanned exhaustively) plus tree tombstones (filtered during traversal).
 // It is what the rebuild and compaction triggers measure, and it bounds the
@@ -152,33 +134,25 @@ func (ix *Index) BufferLen() int { return ix.delta.N }
 func (ix *Index) Pending() int { return ix.delta.N + ix.treeDel }
 
 // Insert adds a lifted vector with its attribute payload — the zero Point
-// for none — and returns its stable handle. The index keeps the payload
-// (callers must not mutate it); predicate searches evaluate it per handle. A
-// payload the rule of attr.Point.Validate refuses, or one giving a field the
-// other numeric kind than an earlier payload did (no container could hold
-// both), is refused here, before anything changes, with an error wrapping
-// attr.ErrPayload. An empty payload creates no attribute column.
+// for none — and returns its stable handle. The index keeps the payload in
+// its attribute store. A payload attr.Store.Append refuses (one
+// attr.Point.Validate refuses, or one giving a field the other numeric kind
+// than an earlier payload did: no container could hold both) is refused
+// here, before anything changes, with an error wrapping attr.ErrPayload. An
+// empty payload creates no store.
 func (ix *Index) Insert(x []float32, at attr.Point) (int32, error) {
-	if err := at.Validate(); err != nil {
-		return 0, fmt.Errorf("dynamic: %w", err)
-	}
-	if err := ix.addKinds(&at); err != nil {
-		return 0, err
-	}
-	handle := ix.insertRow(x)
-	if ix.attrs != nil || !at.Empty() {
-		// Pad the rows before this one that carry no payload: the column
-		// stays handle-indexed.
-		ix.attrs = append(ix.attrs, make([]attr.Point, int(handle)-len(ix.attrs))...)
-		ix.attrs = append(ix.attrs, at)
-	}
-	ix.maybeRebuild()
-	return handle, nil
-}
-
-func (ix *Index) insertRow(x []float32) int32 {
 	if len(x) != ix.dim {
 		panic(fmt.Sprintf("dynamic: vector dimension %d != %d", len(x), ix.dim))
+	}
+	st := ix.attrs
+	if st == nil && !at.Empty() {
+		st, _ = attr.Build(make([]attr.Point, ix.Handles())) // empty rows: nothing to refuse
+	}
+	if st != nil {
+		if err := st.Append(at); err != nil {
+			return 0, fmt.Errorf("dynamic: %w", err)
+		}
+		ix.attrs = st
 	}
 	handle := int32(ix.Handles())
 	ix.delta.Data = append(ix.delta.Data, x...)
@@ -188,73 +162,30 @@ func (ix *Index) insertRow(x []float32) int32 {
 	}
 	ix.live.Set(handle)
 	ix.nlive++
-	return handle
+	ix.maybeRebuild()
+	return handle, nil
 }
 
-// addKinds adds at's fields to the schema, or refuses — wrapping
-// attr.ErrPayload, and adding nothing — a field the schema holds as the
-// other kind.
-func (ix *Index) addKinds(at *attr.Point) error {
-	clash := func(name string, kind byte) error {
-		if k, ok := ix.kinds[name]; ok && k != kind {
-			return fmt.Errorf("dynamic: %w: field %q is an int in one payload and a float in another", attr.ErrPayload, name)
-		}
-		return nil
+// AttachAttrs replaces the attribute store, row h for handle h: it must
+// cover exactly the handles issued. Pass nil to detach. The snapshot tree
+// attaches it too; the index appends to it from then on.
+func (ix *Index) AttachAttrs(st *attr.Store) error {
+	if st != nil && st.N() != ix.Handles() {
+		return fmt.Errorf("dynamic: attribute store covers %d rows, index has issued %d handles",
+			st.N(), ix.Handles())
 	}
-	for name := range at.Ints {
-		if err := clash(name, attr.FieldInt); err != nil {
+	if ix.tree != nil {
+		if err := ix.tree.AttachAttrs(st); err != nil {
 			return err
 		}
 	}
-	for name := range at.Floats {
-		if err := clash(name, attr.FieldFloat); err != nil {
-			return err
-		}
-	}
-	if ix.kinds == nil && len(at.Ints)+len(at.Floats) > 0 {
-		ix.kinds = make(map[string]byte)
-	}
-	for name := range at.Ints {
-		ix.kinds[name] = attr.FieldInt
-	}
-	for name := range at.Floats {
-		ix.kinds[name] = attr.FieldFloat
-	}
+	ix.attrs = st
 	return nil
 }
 
-// HasAttrs reports whether any handle ever carried an attribute payload.
-func (ix *Index) HasAttrs() bool { return ix.attrs != nil }
-
-// AttrAt returns handle's attribute payload (the zero Point when none was
-// recorded). The handle need not be live; dead handles report what they held.
-func (ix *Index) AttrAt(handle int32) attr.Point {
-	if int(handle) < len(ix.attrs) {
-		return ix.attrs[handle]
-	}
-	return attr.Point{}
-}
-
-// SetAttrs replaces the whole attribute column: points[i] becomes handle i's
-// payload. len(points) must equal Handles(), and no field may be an int in
-// one payload and a float in another; pass nil to detach. Used by bulk loads
-// and container restores.
-func (ix *Index) SetAttrs(points []attr.Point) error {
-	if points != nil && len(points) != ix.Handles() {
-		return fmt.Errorf("dynamic: attribute column covers %d handles, index has issued %d",
-			len(points), ix.Handles())
-	}
-	prev := ix.kinds
-	ix.kinds = nil
-	for i := range points {
-		if err := ix.addKinds(&points[i]); err != nil {
-			ix.kinds = prev
-			return err
-		}
-	}
-	ix.attrs = points
-	return nil
-}
+// Attrs returns the attribute store, nil when no handle ever carried a
+// payload.
+func (ix *Index) Attrs() *attr.Store { return ix.attrs }
 
 // Delete removes a handle. It reports whether the handle was live.
 func (ix *Index) Delete(handle int32) bool {
@@ -282,7 +213,7 @@ func (ix *Index) outgrown(frac float64) bool {
 	if pending == 0 {
 		return false
 	}
-	if ix.treeN() == ix.treeDel {
+	if ix.tree == nil || ix.tree.N() == ix.treeDel {
 		return ix.delta.N >= 2*balltree.DefaultLeafSize
 	}
 	return float64(pending) > frac*float64(ix.nlive)
@@ -301,22 +232,22 @@ func (ix *Index) maybeRebuild() {
 // opts.Budget, which caps the two together. Results carry stable handles.
 // Liveness is the bitmap, which the tree's leaf scan applies before its
 // bounds and the delta scan (linearscan.Scanner.ScanInto, row r as handle
-// base+r) before its inner products, so a search with no
-// opts.Filter and no opts.Pred calls no closure. Otherwise the two run as one
-// Filter on live handles: opts.Pred evaluated per handle against the stored
-// attribute payloads — the payloads live here, keyed by handle, and the
-// snapshot tree has no attribute store to compile it against — before the
-// user's filter, matching the static kinds' acceptance order.
+// base+r) before its inner products, so a search with no opts.Filter and no
+// opts.Pred calls no closure. opts.Pred pushes down on the tree, which holds
+// the attribute store (or, holding none, only handles older than the store,
+// whose payloads are empty), and filters the delta through the store, before
+// the user's filter: the static kinds' acceptance order.
 func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, core.Stats) {
 	opts = opts.Normalized()
 	var st core.Stats
-	tk := core.NewTopK(opts.K)
-
-	if pred, user := opts.Pred, opts.Filter; pred != nil {
-		opts.Pred, opts.Filter = nil, func(handle int32) bool {
-			return pred.Matches(ix.AttrAt(handle)) && (user == nil || user(handle))
+	if pred := opts.Pred; pred != nil && ix.attrs == nil {
+		// No handle ever carried a payload: each reads as the empty one.
+		if !pred.MatchesEmpty() {
+			return nil, st
 		}
+		opts.Pred = nil
 	}
+	tk := core.NewTopK(opts.K)
 
 	if ix.tree != nil {
 		treeOpts := opts
@@ -344,6 +275,12 @@ func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, co
 		if opts.Budget > 0 {
 			opts.Budget -= int(st.Candidates)
 		}
+		if opts.Pred != nil {
+			prog, user := ix.attrs.Compile(opts.Pred), opts.Filter
+			opts.Pred, opts.Filter = nil, func(handle int32) bool {
+				return prog.Match(handle) && (user == nil || user(handle))
+			}
+		}
 		n := linearscan.New(ix.delta).ScanInto(q, opts, int32(ix.base), ix.live, tk)
 		st.IPCount += n
 		st.Candidates += n
@@ -352,12 +289,17 @@ func (ix *Index) Search(q []float32, opts core.SearchOptions) ([]core.Result, co
 }
 
 // IndexBytes reports the tree footprint (its id map is the snapshot's handle
-// list) plus the liveness bitmap, 8 bytes per 64 handles. The vectors
-// themselves — the tree's storage and the delta rows — are data, not index.
+// list) plus the liveness bitmap, 8 bytes per 64 handles, and the attribute
+// store with the snapshot's summaries, counted once: the tree counts the two
+// when it holds the store. The vectors themselves — the tree's storage and
+// the delta rows — are data, not index.
 func (ix *Index) IndexBytes() int64 {
 	total := 8 * int64(len(ix.live))
 	if ix.tree != nil {
 		total += ix.tree.IndexBytes()
+	}
+	if ix.attrs != nil && (ix.tree == nil || ix.tree.Attrs() == nil) {
+		total += ix.attrs.MemBytes()
 	}
 	return total
 }

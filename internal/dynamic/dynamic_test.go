@@ -107,7 +107,7 @@ func TestNewValidations(t *testing.T) {
 func TestBulkLoadMatchesScan(t *testing.T) {
 	data, queries := liftedData(700, 12, 1)
 	ix := NewFromMatrix(data.Clone(), Config{LeafSize: 30, Seed: 2}) // the index takes its matrix over
-	if ix.N() != data.N || ix.BufferLen() != 0 {
+	if ix.N() != data.N || ix.delta.N != 0 {
 		t.Fatalf("bulk load state: %s", ix)
 	}
 	scan := linearscan.New(data)
@@ -147,7 +147,7 @@ func TestBudgetedSearchSeesBuffer(t *testing.T) {
 	x[0] = 5
 	x[data.D-1] = 1
 	h := mustInsert(ix, x)
-	if ix.BufferLen() != 1 {
+	if ix.delta.N != 1 {
 		t.Fatalf("insert did not land in the buffer: %s", ix)
 	}
 	q := make([]float32, data.D)
@@ -203,8 +203,8 @@ func TestRebuildTriggersAndFoldsBuffer(t *testing.T) {
 		x[0] = float32(i)
 		mustInsert(ix, x)
 	}
-	if ix.BufferLen() > 100 {
-		t.Fatalf("buffer never folded: %d pending", ix.BufferLen())
+	if ix.delta.N > 100 {
+		t.Fatalf("buffer never folded: %d pending", ix.delta.N)
 	}
 	if ix.N() != data.N+200 {
 		t.Fatalf("live count %d", ix.N())
@@ -380,24 +380,25 @@ func TestCancelStopsTheDeltaScan(t *testing.T) {
 		Cancel: func() bool { return inDelta },
 	})
 	if delta := st.Candidates - tree.Candidates; delta <= 0 || delta > 256 {
-		t.Fatalf("the canceled search verified %d delta rows of %d, want one chunk of at most 256", delta, ix.BufferLen())
+		t.Fatalf("the canceled search verified %d delta rows of %d, want one chunk of at most 256", delta, ix.delta.N)
 	}
 }
 
 // TestInsertPayloadRule: an insert refuses a payload the rule refuses
-// before anything changes, an empty payload creates no attribute column, and
-// an attributed insert pads the column for the rows before it.
+// before anything changes, an empty payload creates no attribute store, and
+// an attributed insert pads the store with empty rows for the handles before
+// it; every later insert adds its row.
 func TestInsertPayloadRule(t *testing.T) {
 	ix := New(3, Config{})
 	mustInsert(ix, []float32{1, 0, 1})
-	if ix.HasAttrs() {
-		t.Fatal("an insert without attributes created a column")
+	if ix.Attrs() != nil {
+		t.Fatal("an insert without attributes created a store")
 	}
 	bad := attr.Point{Tags: []string{strings.Repeat("t", 5000)}}
 	if h, err := ix.Insert([]float32{0, 1, 1}, bad); !errors.Is(err, attr.ErrPayload) || h != 0 {
 		t.Fatalf("Insert of a 5000-byte tag = %d, %v; want 0 and ErrPayload", h, err)
 	}
-	if ix.Handles() != 1 || ix.N() != 1 || ix.BufferLen() != 1 || ix.HasAttrs() {
+	if ix.Handles() != 1 || ix.N() != 1 || ix.delta.N != 1 || ix.Attrs() != nil {
 		t.Fatalf("refused insert changed the index: %v", ix)
 	}
 	at := attr.Point{Tags: []string{"x"}}
@@ -405,14 +406,17 @@ func TestInsertPayloadRule(t *testing.T) {
 		t.Fatalf("attributed insert = %d, %v", h, err)
 	}
 	mustInsert(ix, []float32{1, 1, 1})
-	if len(ix.attrs) != 3 || !ix.attrs[0].Empty() || ix.attrs[1].Tags[0] != "x" || !ix.attrs[2].Empty() {
-		t.Fatalf("attribute column %+v", ix.attrs)
+	x := ix.Attrs().Compile(attr.TagIs("x"))
+	if ix.Attrs().N() != 3 || x.Match(0) || !x.Match(1) || x.Match(2) {
+		t.Fatalf("attribute store of %d rows, tag x on rows 0..2: %v %v %v",
+			ix.Attrs().N(), x.Match(0), x.Match(1), x.Match(2))
 	}
 }
 
 // TestInsertRefusesFieldKindClash: a field that is an int in one payload
 // and a float in another cannot be saved, so the later insert is refused
-// before anything changes, and a column that mixes them cannot be set.
+// before anything changes — no handle, no store row — and a store that mixes
+// them cannot be built to attach.
 func TestInsertRefusesFieldKindClash(t *testing.T) {
 	ix := New(3, Config{})
 	if _, err := ix.Insert([]float32{1, 0, 1}, attr.Point{Ints: map[string]int64{"x": 1}}); err != nil {
@@ -421,15 +425,25 @@ func TestInsertRefusesFieldKindClash(t *testing.T) {
 	if _, err := ix.Insert([]float32{0, 1, 1}, attr.Point{Floats: map[string]float64{"x": 1.5, "y": 2}}); !errors.Is(err, attr.ErrPayload) {
 		t.Fatalf("clashing insert: %v, want ErrPayload", err)
 	}
-	if ix.Handles() != 1 || len(ix.attrs) != 1 || len(ix.kinds) != 1 {
-		t.Fatalf("refused insert changed the index: %d handles, %d payloads, schema %v", ix.Handles(), len(ix.attrs), ix.kinds)
+	if ix.Handles() != 1 || ix.Attrs().N() != 1 {
+		t.Fatalf("refused insert changed the index: %d handles, %d store rows", ix.Handles(), ix.Attrs().N())
+	}
+	if schema := ix.Attrs().Fields(); !slices.Equal(schema, []string{"x:int"}) {
+		t.Fatalf("refused insert changed the schema: %v", schema)
 	}
 	mustInsert(ix, []float32{0, 1, 1})
 	mixed := []attr.Point{{Ints: map[string]int64{"y": 1}}, {Floats: map[string]float64{"y": 1}}}
-	if err := ix.SetAttrs(mixed); !errors.Is(err, attr.ErrPayload) {
-		t.Fatalf("SetAttrs of a mixed column: %v, want ErrPayload", err)
+	if _, err := attr.Build(mixed); !errors.Is(err, attr.ErrPayload) {
+		t.Fatalf("Build of a mixed column: %v, want ErrPayload", err)
 	}
-	if err := ix.SetAttrs(nil); err != nil || ix.kinds != nil || ix.HasAttrs() {
-		t.Fatalf("detach: %v, schema %v", err, ix.kinds)
+	short, err := attr.Build(mixed[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.AttachAttrs(short); err == nil {
+		t.Fatal("AttachAttrs took a store of 1 row for 2 handles")
+	}
+	if err := ix.AttachAttrs(nil); err != nil || ix.Attrs() != nil {
+		t.Fatalf("detach: %v", err)
 	}
 }

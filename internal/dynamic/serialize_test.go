@@ -12,6 +12,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"p2h/internal/attr"
 	"p2h/internal/binio"
 	"p2h/internal/core"
 	"p2h/internal/vec"
@@ -71,7 +72,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("Load: %v", err)
 	}
 	if loaded.N() != orig.N() || loaded.Dim() != orig.Dim() ||
-		loaded.BufferLen() != orig.BufferLen() || loaded.treeDel != orig.treeDel ||
+		loaded.delta.N != orig.delta.N || loaded.treeDel != orig.treeDel ||
 		loaded.Configuration() != orig.Configuration() {
 		t.Fatalf("state mismatch: %v vs %v", loaded, orig)
 	}
@@ -341,7 +342,7 @@ func TestLoadNamesRetiredVersions(t *testing.T) {
 // keeps — the liveness bitmap, one 8-byte word per 64 handles — and the
 // vectors it keeps are the tree's copy and the delta rows, nothing else. The
 // field list is checked against the struct, so a new slice has to be either
-// counted or named here.
+// counted or named here; the attribute store is counted once.
 func TestIndexBytesMatchesStorage(t *testing.T) {
 	ix := buildMutated(t)
 	if len(ix.live) != (ix.Handles()+63)/64 {
@@ -355,14 +356,40 @@ func TestIndexBytesMatchesStorage(t *testing.T) {
 		t.Errorf("%d vectors in the tree and %d in the delta for %d handles issued, none deleted before the bulk load",
 			ix.tree.N(), ix.delta.N, ix.Handles())
 	}
-	// attrs and its field schema, kinds (one entry per field name, not per
-	// handle), are payload, not index.
-	holders := map[string]bool{"live": true, "tree": true, "delta": true, "attrs": true, "kinds": true}
+	holders := map[string]bool{"live": true, "tree": true, "delta": true, "attrs": true}
 	typ := reflect.TypeOf(*ix)
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
 		if k := f.Type.Kind(); (k == reflect.Slice || k == reflect.Pointer || k == reflect.Map) && !holders[f.Name] {
 			t.Errorf("field %s can hold per-handle storage this test does not account for", f.Name)
 		}
+	}
+
+	// attrs, the attribute store, is counted once: on its own while the
+	// snapshot tree holds none, through the tree (store plus the tree's
+	// summaries) once Install attached it. The index above never saw a
+	// payload and holds none, so its count is its twin's.
+	plain := buildMutated(t)
+	if ix.IndexBytes() != plain.IndexBytes() || ix.Attrs() != nil {
+		t.Fatalf("an index without payloads counts %d bytes, its twin %d", ix.IndexBytes(), plain.IndexBytes())
+	}
+	row := func(i int) []float32 { return []float32{float32(i), 1, 0, 0, 0, 1} }
+	if _, err := ix.Insert(row(0), attr.Point{Tags: []string{"a"}, Ints: map[string]int64{"n": 1}}); err != nil {
+		t.Fatal(err)
+	}
+	mustInsert(plain, row(0))
+	st := ix.Attrs()
+	if st == nil || ix.tree.Attrs() != nil {
+		t.Fatal("the first attributed insert should create the store and leave the tree without one")
+	}
+	if got, want := ix.IndexBytes(), plain.IndexBytes()+st.MemBytes(); got != want {
+		t.Errorf("before the fold: IndexBytes() = %d, want %d (the twin's plus the store)", got, want)
+	}
+	ix.Compact()
+	if ix.tree.Attrs() != st {
+		t.Fatal("Install did not attach the store to the new tree")
+	}
+	if got, want := ix.IndexBytes(), ix.tree.IndexBytes()+int64(len(ix.live))*8; got != want {
+		t.Errorf("after the fold: IndexBytes() = %d, want the tree's (store and summaries in it) plus liveness, %d", got, want)
 	}
 }

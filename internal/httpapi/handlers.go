@@ -289,11 +289,12 @@ func (a *API) handleUnload(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleSearch(w http.ResponseWriter, r *http.Request) {
-	e, err := a.m.acquire(r.PathValue("name"))
+	e, release, err := a.m.acquire(r.PathValue("name"))
 	if err != nil {
 		a.fail(w, err)
 		return
 	}
+	defer release()
 	var req SearchRequest
 	if err := DecodeBody(w, r, &req); err != nil {
 		a.fail(w, err)
@@ -332,11 +333,12 @@ func orEmpty(res []core.Result) []core.Result {
 }
 
 func (a *API) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
-	e, err := a.m.acquire(r.PathValue("name"))
+	e, release, err := a.m.acquire(r.PathValue("name"))
 	if err != nil {
 		a.fail(w, err)
 		return
 	}
+	defer release()
 	var req BatchSearchRequest
 	if err := DecodeBody(w, r, &req); err != nil {
 		a.fail(w, err)
@@ -383,11 +385,12 @@ func (a *API) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleInsert(w http.ResponseWriter, r *http.Request) {
-	e, err := a.m.acquire(r.PathValue("name"))
+	e, release, err := a.m.acquire(r.PathValue("name"))
 	if err != nil {
 		a.fail(w, err)
 		return
 	}
+	defer release()
 	var req InsertRequest
 	if err := DecodeBody(w, r, &req); err != nil {
 		a.fail(w, err)
@@ -414,11 +417,12 @@ func (a *API) handleInsert(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleDeletePoint(w http.ResponseWriter, r *http.Request) {
-	e, err := a.m.acquire(r.PathValue("name"))
+	e, release, err := a.m.acquire(r.PathValue("name"))
 	if err != nil {
 		a.fail(w, err)
 		return
 	}
+	defer release()
 	h64, err := strconv.ParseInt(r.PathValue("handle"), 10, 32)
 	if err != nil {
 		a.fail(w, fmt.Errorf("%w: bad handle %q", ErrBadRequest, r.PathValue("handle")))
@@ -452,11 +456,12 @@ func (a *API) handleDeletePoint(w http.ResponseWriter, r *http.Request) {
 // stream. The index never adopts that copy (p2h.SaveFile): it would serve
 // from a file about to be deleted.
 func (a *API) handleContainer(w http.ResponseWriter, r *http.Request) {
-	e, err := a.m.acquire(r.PathValue("name"))
+	e, release, err := a.m.acquire(r.PathValue("name"))
 	if err != nil {
 		a.fail(w, err)
 		return
 	}
+	defer release()
 	if persistable, buildOnly, err := p2h.KindIsPersistable(e.kind); err == nil && !persistable {
 		WriteJSON(w, http.StatusBadRequest, ErrorResponse{
 			Error: fmt.Sprintf("index kind %q is build-only: %s", e.kind, buildOnly),
@@ -575,11 +580,12 @@ func (a *API) handleRestore(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	e, err := a.m.acquire(r.PathValue("name"))
+	e, release, err := a.m.acquire(r.PathValue("name"))
 	if err != nil {
 		a.fail(w, err)
 		return
 	}
+	defer release()
 	var req SnapshotRequest
 	if err := DecodeBody(w, r, &req); err != nil {
 		a.fail(w, err)

@@ -365,27 +365,34 @@ func (e *managed) release() {
 	}
 }
 
-// acquire looks the named entry up. Its engine may be retired while the
-// caller uses it; calls that reach it after that answer ErrDraining.
-func (m *Manager) acquire(name string) (*managed, error) {
+// acquire looks the named entry up and takes a place in its engine's intake
+// gate (Server.Hold) while the table still lists it, so no replace or unload
+// can have begun to retire the engine: one that does waits for the caller,
+// up to the drain timeout, and serves its calls meanwhile. The caller runs
+// release when it is done with the entry.
+func (m *Manager) acquire(name string) (e *managed, release func(), err error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if m.closed {
-		return nil, ErrManagerClosed
+		return nil, nil, ErrManagerClosed
 	}
-	e := m.indexes[name]
+	e = m.indexes[name]
 	if e == nil {
-		return nil, fmt.Errorf("%w: %q", ErrIndexNotFound, name)
+		return nil, nil, fmt.Errorf("%w: %q", ErrIndexNotFound, name)
 	}
-	return e, nil
+	if release, err = e.srv.Hold(); err != nil {
+		return nil, nil, err
+	}
+	return e, release, nil
 }
 
 // Get returns a live snapshot of the named index's description.
 func (m *Manager) Get(name string) (IndexInfoResponse, error) {
-	e, err := m.acquire(name)
+	e, release, err := m.acquire(name)
 	if err != nil {
 		return IndexInfoResponse{}, err
 	}
+	defer release()
 	return e.info(), nil
 }
 

@@ -116,7 +116,7 @@ func TestManagerUnloadWaitsForHolders(t *testing.T) {
 	if _, _, err := m.Load("a", IndexConfig{Spec: &p2h.Spec{Kind: p2h.KindBCTree}, Data: dataPath}, false); err != nil {
 		t.Fatal(err)
 	}
-	e, err := m.acquire("a")
+	e, done, err := m.acquire("a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +150,7 @@ func TestManagerUnloadWaitsForHolders(t *testing.T) {
 	if err := <-searched; err != nil {
 		t.Fatalf("in-flight search during unload: %v", err)
 	}
+	done() // the caller is done with the entry, as a handler returning
 	if drained := <-unloaded; !drained {
 		t.Fatal("unload reported an abandoned engine despite a prompt finish")
 	}
@@ -175,10 +176,11 @@ func TestManagerUnloadTimesOutOnStuckHolder(t *testing.T) {
 	if _, _, err := m.Load("a", IndexConfig{Spec: &p2h.Spec{Kind: p2h.KindBCTree}, Data: dataPath}, false); err != nil {
 		t.Fatal(err)
 	}
-	e, err := m.acquire("a")
+	e, done, err := m.acquire("a")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer done()
 	release, searched := stuckSearch(t, e)
 	start := time.Now()
 	drained, err := m.Unload("a")
@@ -194,6 +196,61 @@ func TestManagerUnloadTimesOutOnStuckHolder(t *testing.T) {
 	}
 }
 
+// TestManagerReplaceServesAHeldCall: a call that acquired the entry before a
+// hot reload replaced it is answered by the engine it found, not refused.
+// The replace's drain waits for the held place — here past its timeout, so
+// the old engine is certainly draining when the call searches — and the
+// call's search is served; once the place is released, the retired engine
+// refuses what still reaches it.
+func TestManagerReplaceServesAHeldCall(t *testing.T) {
+	dir := t.TempDir()
+	dataPath := filepath.Join(dir, "data.fvecs")
+	if err := p2h.SaveFvecs(dataPath, testMatrix(100, 5, 2)); err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(p2h.ServerOptions{Workers: 1}, 20*time.Millisecond)
+	defer m.Close(context.Background())
+	cfg := IndexConfig{Spec: &p2h.Spec{Kind: p2h.KindBCTree}, Data: dataPath}
+	if _, _, err := m.Load("a", cfg, false); err != nil {
+		t.Fatal(err)
+	}
+	e, release, err := m.acquire("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, replaced, err := m.Load("a", cfg, true); err != nil || !replaced {
+		t.Fatalf("replace: replaced=%v err=%v", replaced, err)
+	}
+	// A call that acquires after the replace gets the new engine.
+	if fresh, done, err := m.acquire("a"); err != nil || fresh == e {
+		t.Fatalf("acquire after the replace: %v, the replaced entry %v", err, fresh == e)
+	} else {
+		done()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for m.Swapping() {
+		if time.Now().After(deadline) {
+			t.Fatal("the replaced engine's retirement never gave up on the held place")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	q := make([]float32, e.dim+1)
+	q[0] = 1
+	if res, _, err := e.srv.SearchCtx(context.Background(), q, p2h.SearchOptions{K: 1}); err != nil || len(res) != 1 {
+		t.Fatalf("held call on the replaced engine: %d results, %v", len(res), err)
+	}
+	release()
+	if _, _, err := e.srv.SearchCtx(context.Background(), q, p2h.SearchOptions{K: 1}); !errors.Is(err, p2h.ErrDraining) {
+		t.Fatalf("search on the retired engine after the release: %v, want ErrDraining", err)
+	}
+	if _, err := m.Unload("a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.acquire("a"); !errors.Is(err, ErrIndexNotFound) {
+		t.Fatalf("acquire after the unload: %v, want ErrIndexNotFound", err)
+	}
+}
+
 func TestManagerClosedRejectsUse(t *testing.T) {
 	m, dataPath := managerFixture(t)
 	if err := m.Close(context.Background()); err != nil {
@@ -205,7 +262,7 @@ func TestManagerClosedRejectsUse(t *testing.T) {
 	if _, _, err := m.Load("a", IndexConfig{Spec: &p2h.Spec{Kind: p2h.KindBCTree}, Data: dataPath}, false); !errors.Is(err, ErrManagerClosed) {
 		t.Fatalf("Load after Close: %v", err)
 	}
-	if _, err := m.acquire("a"); !errors.Is(err, ErrManagerClosed) {
+	if _, _, err := m.acquire("a"); !errors.Is(err, ErrManagerClosed) {
 		t.Fatalf("acquire after Close: %v", err)
 	}
 }
@@ -230,10 +287,11 @@ func TestManagerInfoRacesMutation(t *testing.T) {
 	}, false); err != nil {
 		t.Fatal(err)
 	}
-	e, err := m.acquire("dyn")
+	e, release, err := m.acquire("dyn")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer release()
 
 	done := make(chan struct{})
 	go func() {
@@ -291,7 +349,7 @@ func TestManagerWALLifecycle(t *testing.T) {
 		t.Fatalf("fresh WAL info: %+v", info.WAL)
 	}
 
-	e, err := m.acquire("d")
+	e, release, err := m.acquire("d")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,6 +366,7 @@ func TestManagerWALLifecycle(t *testing.T) {
 		t.Fatalf("after mutations: records=%d err=%v", info.WAL.Records, err)
 	}
 
+	release()
 	// Unload without snapshotting: the mutations exist only in the log.
 	if _, err := m.Unload("d"); err != nil {
 		t.Fatal(err)
@@ -321,13 +380,14 @@ func TestManagerWALLifecycle(t *testing.T) {
 	}
 
 	// Snapshot truncates the log; a further reload replays nothing.
-	e, err = m.acquire("d")
+	e, release, err = m.acquire("d")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.srv.Snapshot(path); err != nil {
 		t.Fatal(err)
 	}
+	release()
 	info, err = m.Get("d")
 	if err != nil || info.WAL.Records != 0 {
 		t.Fatalf("after snapshot: records=%d err=%v", info.WAL.Records, err)

@@ -143,10 +143,11 @@ func TestContainerLengthIsTheStreamedFile(t *testing.T) {
 	}
 	ts := httptest.NewServer(NewHandler(m))
 	defer ts.Close()
-	e, err := m.acquire("d")
+	e, release, err := m.acquire("d")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer release()
 
 	stop := make(chan struct{})
 	var writers sync.WaitGroup

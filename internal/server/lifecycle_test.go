@@ -172,3 +172,41 @@ func TestEngineClosedRefusesMutationAndSnapshot(t *testing.T) {
 		t.Fatalf("Exclusive on a closed immutable engine: %v (fn ran: %v)", err, ran)
 	}
 }
+
+// TestEngineHoldKeepsTheGateOpen: a held place holds Drain off — a bounded
+// Drain times out — and the holder's calls are served although the drain
+// has begun; once the place is released the drain completes, and every call
+// and a new Hold are refused.
+func TestEngineHoldKeepsTheGateOpen(t *testing.T) {
+	m := newMutScan(3)
+	e := New(m, m, Config{Workers: 1})
+	if _, err := e.Insert([]float32{1, 2, 3}, attr.Point{}); err != nil {
+		t.Fatal(err)
+	}
+	release, err := e.Hold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if err := e.Drain(ctx); err == nil {
+		t.Fatal("Drain returned while a place was held")
+	}
+	q := []float32{1, 0, 0, 0}
+	if res, _, err := e.SearchCtx(context.Background(), q, core.SearchOptions{K: 1}); err != nil || len(res) != 1 {
+		t.Fatalf("held search during the drain: %d results, %v", len(res), err)
+	}
+	if _, err := e.Insert([]float32{4, 5, 6}, attr.Point{}); err != nil {
+		t.Fatalf("held insert during the drain: %v", err)
+	}
+	release()
+	if err := e.Drain(context.Background()); err != nil {
+		t.Fatalf("Drain after the release: %v", err)
+	}
+	if _, _, err := e.SearchCtx(context.Background(), q, core.SearchOptions{K: 1}); !errors.Is(err, ErrDraining) {
+		t.Fatalf("SearchCtx after the drain: %v, want ErrDraining", err)
+	}
+	if _, err := e.Hold(); !errors.Is(err, ErrDraining) {
+		t.Fatalf("Hold after the drain: %v, want ErrDraining", err)
+	}
+}

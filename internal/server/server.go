@@ -39,7 +39,8 @@
 // Exclusive sections all pass one intake gate, and Drain waits for what is
 // inside it. After Drain or Close, Search panics and every other entry
 // returns ErrDraining before touching the index or the journal, so Close may
-// race any call and the journal may be closed once Drain returns.
+// race any call and the journal may be closed once Drain returns — unless a
+// caller still holds a place it took with Hold before the drain.
 package server
 
 import (
@@ -211,7 +212,9 @@ type Engine struct {
 
 	slots     chan struct{} // one token per executing search or batch chunk (cap Workers)
 	closed    atomic.Bool   // set by the first Drain: intake stopped
-	active    atomic.Int64  // serving calls in flight, plus the compaction loop
+	active    atomic.Int64  // serving calls in flight and held places, plus the compaction loop
+	held      atomic.Int64  // places taken by Hold and not yet released
+	unhold    func()        // the release Hold returns, made once
 	idle      chan struct{} // closed once closed is set and active reached zero
 	idleOnce  sync.Once
 	compactCh chan struct{} // wake signal for the compaction loop (cap 1)
@@ -247,6 +250,10 @@ func New(ix Searcher, mut Mutator, cfg Config) *Engine {
 		dim:   ix.Dim() + 1,
 		slots: make(chan struct{}, cfg.Workers),
 		idle:  make(chan struct{}),
+	}
+	e.unhold = func() {
+		e.held.Add(-1)
+		e.exit()
 	}
 	if cfg.CacheEntries > 0 {
 		e.cache = newLRU(cfg.CacheEntries)
@@ -361,16 +368,31 @@ func (e *Engine) checkQuery(q []float32) float64 {
 	return norm
 }
 
-// enter is the intake gate of begin, mutate and Exclusive; every nil return
-// is closed by exit. The active count goes up before closed is read and Drain
-// sets closed before it reads the count, so a call sees the drain or is seen.
+// enter is the intake gate of begin, mutate, Exclusive and Hold; every nil
+// return is closed by exit. The active count goes up before closed is read and
+// Drain sets closed before it reads the count, so a call sees the drain or is
+// seen. A held place keeps the gate open: it counts as active, so the engine
+// cannot have gone idle under it.
 func (e *Engine) enter() error {
 	e.active.Add(1)
-	if e.closed.Load() {
+	if e.closed.Load() && e.held.Load() == 0 {
 		e.exit()
 		return ErrDraining
 	}
 	return nil
+}
+
+// Hold takes a place in the intake gate and returns its release, to run
+// exactly once. Drain waits for a held place as for a call in flight, and
+// calls are admitted while one is held, so a caller that found the engine
+// before it was retired is answered, not refused. After the drain it is
+// refused.
+func (e *Engine) Hold() (release func(), err error) {
+	if err := e.enter(); err != nil {
+		return nil, err
+	}
+	e.held.Add(1)
+	return e.unhold, nil
 }
 
 // begin opens a serving call of n queries: the intake gate, the

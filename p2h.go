@@ -138,7 +138,7 @@ type handle struct {
 	in   inner
 	raw  int // raw point dimensionality d
 	// attrs is the attached attribute store of a kind whose inner index has
-	// no predicate path of its own (kind.nativePred is false).
+	// no predicate path of its own (not an attrHolder).
 	attrs *attr.Store
 }
 

@@ -150,8 +150,8 @@ func TestPayloadRefusesTagOverSectionName(t *testing.T) {
 	if _, err := f.srv.Snapshot(f.path); err != nil {
 		t.Fatal(err)
 	}
-	if d := f.reopen(t); d.N() != 501 || !d.index.HasAttrs() {
-		t.Fatalf("reopened N = %d (attributes %v), want 501 with attributes", d.N(), d.index.HasAttrs())
+	if d := f.reopen(t); d.N() != 501 || d.index.Attrs() == nil {
+		t.Fatalf("reopened N = %d (attributes %v), want 501 with attributes", d.N(), d.index.Attrs() != nil)
 	}
 
 	data := NewMatrix(50, 5)

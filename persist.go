@@ -66,10 +66,7 @@ func Save(w io.Writer, ix Index) error {
 	if err != nil {
 		return fmt.Errorf("p2h: Save: encoding spec: %w", err)
 	}
-	st, err := storeOf(h)
-	if err != nil {
-		return fmt.Errorf("p2h: Save: collecting attributes: %w", err)
-	}
+	st := storeOf(h)
 	var section []byte
 	headLen := len(containerMagic) + 4 + len(k.name) + 4 + len(specJSON)
 	if st != nil {
@@ -397,16 +394,7 @@ func Inspect(r io.Reader) (IndexInfo, error) {
 	}
 	info := IndexInfo{Kind: h.kind.name, Spec: h.spec}
 	if st := h.attrs; st != nil {
-		info.HasAttrs = true
-		info.AttrTags = st.Tags()
-		names, kinds := st.Fields()
-		for i, name := range names {
-			k := "float"
-			if kinds[i] == attr.FieldInt {
-				k = "int"
-			}
-			info.AttrFields = append(info.AttrFields, name+":"+k)
-		}
+		info.HasAttrs, info.AttrTags, info.AttrFields = true, st.Tags(), st.Fields()
 	}
 	n, lifted, err := h.kind.shape(br)
 	if err != nil {

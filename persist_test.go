@@ -566,7 +566,7 @@ func TestIntAttrsWithinExactFloats(t *testing.T) {
 	if _, err := dyn.insert(data.Row(0), PointAttrs{Ints: map[string]int64{"x": math.MaxInt64}}); !errors.Is(err, attr.ErrPayload) {
 		t.Fatalf("insert of MaxInt64: %v, want ErrPayload", err)
 	}
-	if dyn.Handles() != data.N || dyn.index.HasAttrs() {
+	if dyn.Handles() != data.N || dyn.index.Attrs() != nil {
 		t.Fatalf("the refused insert changed the index: %d handles", dyn.Handles())
 	}
 	points := make([]PointAttrs, data.N)
@@ -589,9 +589,11 @@ func TestIntAttrsWithinExactFloats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := back.(*Dynamic).index.Attrs()
 	for h := int32(1); h <= 2; h++ {
-		if got, want := back.(*Dynamic).index.AttrAt(h).Ints["x"], points[h].Ints["x"]; got != want {
-			t.Fatalf("handle %d: %d after Save→Load, want %d", h, got, want)
+		x := float64(points[h].Ints["x"])
+		if !st.Compile(FieldBetween("x", x, x)).Match(h) {
+			t.Fatalf("handle %d: x is not %v after Save→Load", h, x)
 		}
 	}
 }

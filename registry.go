@@ -32,10 +32,6 @@ type kind struct {
 	build func(lifted *Matrix, dim int, spec Spec) inner
 	// emptyStart marks a kind that builds from no data, given Spec.Dim.
 	emptyStart bool
-	// nativePred marks a kind whose inner index evaluates SearchOptions.Pred
-	// itself, over attributes it keeps; for the rest the handle folds the
-	// predicate into a Filter over the store attached to it.
-	nativePred bool
 	// wrap puts the exported type users assert to around the handle; nil for
 	// a kind that adds no method to Index.
 	wrap func(h handle) Index
@@ -78,7 +74,7 @@ func (k *kind) index(in inner, d int) Index {
 // in the balltree.Kind handed to the builder and the codec, nothing else.
 func arenaKind(name, alias string, tk balltree.Kind) *kind {
 	return &kind{
-		name: name, aliases: []string{alias}, nativePred: true,
+		name: name, aliases: []string{alias},
 		build: func(x *Matrix, _ int, s Spec) inner {
 			return balltree.BuildOwned(x, nil, tk, balltree.Config{LeafSize: s.LeafSize, Seed: s.Seed})
 		},
@@ -103,7 +99,7 @@ var kinds = []*kind{
 	arenaKind(KindBallTree, "ball", balltree.Ball),
 	arenaKind(KindBCTree, "bc", balltree.BC),
 	{
-		name: KindDynamic, aliases: []string{"dyn"}, emptyStart: true, nativePred: true,
+		name: KindDynamic, aliases: []string{"dyn"}, emptyStart: true,
 		build: func(x *Matrix, d int, s Spec) inner {
 			cfg := dynamic.Config{LeafSize: s.LeafSize, Seed: s.Seed, CompactFraction: s.CompactFraction}
 			if x == nil {
@@ -151,7 +147,7 @@ var kinds = []*kind{
 		},
 	},
 	{
-		name: KindSharded, aliases: []string{"shard"}, nativePred: true,
+		name: KindSharded, aliases: []string{"shard"},
 		build: func(x *Matrix, _ int, s Spec) inner {
 			return shard.Build(x, shard.Config{
 				Shards: s.Shards, LeafSize: s.LeafSize, Seed: s.Seed, Workers: s.Workers,

@@ -244,14 +244,21 @@ func (s *Server) Snapshot(path string) (int64, error) {
 // without one.
 func (s *Server) WAL() *WAL { return s.wal }
 
+// Hold takes a place in the server's intake gate and returns its release, to
+// run exactly once: Drain and Close wait for it as for a call in flight, and calls made while it
+// is held are served although a drain has begun — what a daemon's handler
+// needs that found the server just before a hot reload retired it. After the
+// server has drained, Hold returns ErrDraining.
+func (s *Server) Hold() (release func(), err error) { return s.engine.Hold() }
+
 // Drain stops intake and waits — bounded by ctx — for every search, mutation
 // (through its WAL durability wait) and snapshot already inside the server.
 // It returns nil once the server is idle, or ctx.Err() if the deadline
 // expires first; a search stuck inside the index or a user Filter cannot hold
 // shutdown hostage. Drain is idempotent and may race any call. After any
-// Drain or Close, Search panics and every other call that would touch the
-// index or the WAL returns ErrDraining, so once Drain has returned nil an
-// attached WAL can be closed. Stats, Describe and Latency keep answering.
+// Drain or Close, once no place Hold took is held, Search panics and every
+// other call that would touch the index or the WAL returns ErrDraining, so
+// once Drain has returned nil an attached WAL can be closed. Stats, Describe and Latency keep answering.
 func (s *Server) Drain(ctx context.Context) error { return s.engine.Drain(ctx) }
 
 // Close is Drain without a bound. It is idempotent and may race any call.
