@@ -472,6 +472,38 @@ func TestValidatePayloadRule(t *testing.T) {
 	}
 }
 
+// TestSectionRefusesNonCanonical: ReadSection accepts only the bytes Build
+// writes, so two containers with the same payloads cannot differ in their
+// attribute section. Each case takes a built store, breaks one rule of the
+// canonical form in memory, and writes it.
+func TestSectionRefusesNonCanonical(t *testing.T) {
+	pts := []Point{
+		{Tags: []string{"a"}, Ints: map[string]int64{"x": 1}},
+		{},
+		{Tags: []string{"a"}},
+	}
+	for _, c := range []struct {
+		name   string
+		mangle func(st *Store)
+	}{
+		{"absent row holds 7", func(st *Store) { st.fields[0].vals[1] = 7 }},
+		{"absent row holds -0", func(st *Store) { st.fields[0].vals[1] = math.Copysign(0, -1) }},
+		{"presence bit at row n", func(st *Store) { st.fields[0].present[0] |= 1 << uint(st.n) }},
+		{"column present on no row", func(st *Store) { st.fields[0].present[0], st.fields[0].vals[0] = 0, 0 }},
+		{"tag on no row", func(st *Store) { st.tags = append(st.tags, "b") }},
+	} {
+		st, err := Build(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.mangle(st)
+		br := binio.NewReader(bytes.NewReader(section(t, st)))
+		if ReadSection(br); !errors.Is(br.Err(), binio.ErrCorrupt) {
+			t.Errorf("%s: ReadSection error %v, want binio.ErrCorrupt", c.name, br.Err())
+		}
+	}
+}
+
 // TestWriteSectionRefusesOversizedStore: a store past a section bound is
 // refused before a byte is written, so no container carries a section
 // ReadSection would refuse.

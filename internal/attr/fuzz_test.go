@@ -49,8 +49,9 @@ func FuzzPredJSON(f *testing.F) {
 // FuzzSection hardens the attribute-section decoder: arbitrary bytes must
 // never panic, and anything the decoder accepts must round-trip to identical
 // bytes and evaluate predicates without crashing. Where its rows are payloads
-// the rule admits, a store restored from Build's section over them and grown
-// by more Appends writes the bytes Build writes over all the rows at once.
+// the rule admits, it writes the bytes Build writes over them, and a store
+// restored from Build's section over them and grown by more Appends writes
+// the bytes Build writes over all the rows at once.
 func FuzzSection(f *testing.F) {
 	for _, seed := range []int64{21, 22} {
 		st, err := Build(testPoints(32, seed))
@@ -80,6 +81,9 @@ func FuzzSection(f *testing.F) {
 		built, err := Build(pts)
 		if err != nil {
 			return // the section holds a row the payload rule refuses
+		}
+		if !bytes.Equal(section(t, st), section(t, built)) {
+			t.Fatal("an accepted section writes other bytes than Build over its rows")
 		}
 		br = binio.NewReader(bytes.NewReader(section(t, built)))
 		grown := ReadSection(br)

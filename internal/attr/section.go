@@ -72,7 +72,10 @@ func WriteSection(bw *binio.Writer, st *Store) error {
 // ReadSection restores a store written by WriteSection, validating every
 // structural invariant (sorted vocabulary, in-range CSR offsets and tag ids,
 // name-sorted typed columns) so corrupt input fails with binio.ErrCorrupt
-// instead of producing a store that evaluates predicates wrongly.
+// instead of producing a store that evaluates predicates wrongly. It accepts
+// the canonical form only — every tag on some row, every column present on
+// some row, no presence bit at or past n, and zero in every absent row — so
+// a section it accepts is the one Build writes over the rows it holds.
 func ReadSection(br *binio.Reader) *Store {
 	br.Expect(SectionMagic)
 	n := int(br.I32())
@@ -124,6 +127,7 @@ func ReadSection(br *binio.Reader) *Store {
 	if br.Err() != nil {
 		return nil
 	}
+	used := make([]bool, ntags)
 	for i := 0; i < n; i++ {
 		row := st.tagIDs[st.tagStart[i]:st.tagStart[i+1]]
 		for j, id := range row {
@@ -135,7 +139,12 @@ func ReadSection(br *binio.Reader) *Store {
 				br.Fail("attr row %d tag list not strictly sorted", i)
 				return nil
 			}
+			used[id] = true
 		}
+	}
+	if i := slices.Index(used, false); i >= 0 {
+		br.Fail("attr tag %q is on no row", st.tags[i])
+		return nil
 	}
 	nf := int(br.I32())
 	if br.Err() != nil {
@@ -168,13 +177,26 @@ func ReadSection(br *binio.Reader) *Store {
 		if br.Err() != nil {
 			return nil
 		}
-		if kind == fieldInt {
-			for i, v := range vals {
-				if present[i>>6]&(1<<(uint(i)&63)) != 0 && v != math.Trunc(v) {
-					br.Fail("attr int field %q row %d holds non-integer %v", name, i, v)
-					return nil
-				}
+		if n&63 != 0 && present[words-1]>>(uint(n)&63) != 0 {
+			br.Fail("attr field %q marks a row at or past %d present", name, n)
+			return nil
+		}
+		some := false
+		for i, v := range vals {
+			has := present[i>>6]&(1<<(uint(i)&63)) != 0
+			switch {
+			case !has && math.Float64bits(v) != 0:
+				br.Fail("attr field %q row %d is absent but holds %v", name, i, v)
+				return nil
+			case has && kind == fieldInt && v != math.Trunc(v):
+				br.Fail("attr int field %q row %d holds non-integer %v", name, i, v)
+				return nil
 			}
+			some = some || has
+		}
+		if !some {
+			br.Fail("attr field %q is present on no row", name)
+			return nil
 		}
 		st.fieldIdx[name] = len(st.fields)
 		st.fields = append(st.fields, fieldCol{name: name, kind: kind, present: present, vals: vals})

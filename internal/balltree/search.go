@@ -13,8 +13,9 @@ import (
 // Search answers a top-k P2HNNS query with Algorithm 5: branch-and-bound
 // over the ball hierarchy — depth-first when exact (the walk every exact
 // search shares; Search is a call of one query), best-first from one
-// frontier when opts.Budget caps the candidates (see bestFirst) — pruning
-// any node whose node-level ball bound (Theorem 2)
+// frontier when opts.Budget caps the candidates (see bestFirst; a BC leaf is
+// ranked there by its median point radius, see pushFrontier) — pruning any
+// node whose node-level ball bound (Theorem 2)
 //
 //	lb = max(|<q, N.c>| - (||w|| + radiusSlack*||q||) * N.r, 0)
 //
@@ -460,19 +461,24 @@ func (s *Searcher) bestFirst(qi int32) {
 // centre's offset from the hyperplane relative to the ball's radius,
 // |<q,c>| / r: how deep into the ball the hyperplane cuts, which — unlike the
 // bare offset the depth-first order compares between two siblings — ranks
-// balls of different sizes against each other. PrefLowerBound keys by the
-// unclamped ball bound |<q,c>| - s·r, s the query's ballScale. A zero-radius
-// ball (a single point, or a leaf of duplicates) has no size of its own to be
-// relative to and is ranked on its parent's, so that it still competes by how
-// near it lies.
+// balls of different sizes against each other. A BC leaf is measured by its
+// median point rather than its farthest one (see leafRadius), so one outlier
+// does not make a leaf look nearer than its points lie. PrefLowerBound keys
+// by the unclamped ball bound |<q,c>| - s·r, s the query's ballScale. A
+// zero-radius ball (a single point, or a leaf of duplicates) has no size of
+// its own to be relative to and is ranked on its parent's, so that it still
+// competes by how near it lies.
 func (s *Searcher) pushFrontier(r *query, ni int32, ip, kappa, parentRadius float64) {
-	rad := s.tree.nodes[ni].radius
+	n := &s.tree.nodes[ni]
+	rad := n.radius
 	key := math.Abs(ip)
 	if s.opts.Preference == core.PrefLowerBound {
 		key -= r.rscale * rad
 	} else {
 		if rad == 0 {
 			rad = parentRadius
+		} else if s.tree.kind == BC && n.isLeaf() {
+			rad = s.leafRadius(n)
 		}
 		if rad > 0 {
 			key /= rad
@@ -491,6 +497,20 @@ func (s *Searcher) pushFrontier(r *query, ni int32, ip, kappa, parentRadius floa
 	}
 	h[i] = e
 	s.frontier = h
+}
+
+// leafRadius is the radius the frontier ranks BC leaf n by: the derived
+// radius of its median point, r_x at position (count-1)/2 of the leaf's
+// descending order, when that lies strictly between zero and the leaf's
+// radius, and the leaf's radius otherwise. It is read off the stored codes,
+// so a loaded or mapped tree ranks its leaves as the built one does.
+func (s *Searcher) leafRadius(n *nodeRec) float64 {
+	g := s.sec.grid(n)
+	m := int(n.start) + int(n.count()-1)/2
+	if mid := g.Radius(s.sec.xcos[m], s.sec.xsin[m]); mid > 0 && mid < n.radius {
+		return mid
+	}
+	return n.radius
 }
 
 // popFrontier removes and returns the frontier's first node.

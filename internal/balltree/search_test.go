@@ -1,6 +1,7 @@
 package balltree
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -326,6 +327,82 @@ func TestExactCandidatesCeiling(t *testing.T) {
 		t.Logf("%s: candidates %.4f of n·queries", c.kind, ratio)
 		if ratio > c.ceiling {
 			t.Errorf("%s: exact searches verify %.4f of n·queries, above the ceiling %.2f", c.kind, ratio, c.ceiling)
+		}
+	}
+}
+
+// TestFrontierRanksBCLeafByMedianRadius pins the budgeted frontier's key for
+// a leaf. Two clusters of 20 points, of spread 0.05, lie either side of the
+// hyperplane x = 9 in the plane: A around the origin, with one outlier 5 away
+// along y that stretches its radius some twenty-fold, and B around (10, 0),
+// which holds the true nearest neighbour. By the leaf radius, |<q,c>|/r ranks
+// A first (about 9/4.8 against 1/0.14); by the radius of its median point a
+// BC leaf ranks B first (about 9/0.24 against 1/0.06). A search whose budget
+// is one leaf opens the leaf its key ranks first, and only that one: B on a
+// BC tree, A on a Ball tree, which stores no point radii and keeps the leaf
+// radius. A Save→Load twin and a mapped one answer alike, counters and all.
+func TestFrontierRanksBCLeafByMedianRadius(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var rows [][]float32
+	cluster := func(x float32) {
+		for range 20 {
+			rows = append(rows, []float32{x + float32(0.05*rng.NormFloat64()), float32(0.05 * rng.NormFloat64())})
+		}
+	}
+	cluster(0)
+	cluster(10)
+	const outlier = 40
+	rows = append(rows, []float32{0, -5})
+	data := vec.FromRows(rows).AppendOnes()
+	q := []float32{1, 0, -9}
+	want := bruteForce(data, vec.FromRows([][]float32{q}), core.SearchOptions{K: 1})[0]
+
+	for _, c := range []struct {
+		kind     Kind
+		outlierA bool // whether the leaf opened holds the outlier
+	}{{BC, false}, {Ball, true}} {
+		tree := Build(data, c.kind, Config{LeafSize: 25, Seed: 1})
+		if tree.Leaves() != 2 {
+			t.Fatalf("%s: %d leaves, want 2", c.kind, tree.Leaves())
+		}
+		var a, b *nodeRec // the leaf with the outlier, the other one
+		for _, ni := range []int32{1, tree.nodes[0].right} {
+			n := &tree.nodes[ni]
+			if slices.Contains(tree.sec().ids[n.start:n.end], outlier) {
+				a = n
+			} else {
+				b = n
+			}
+		}
+		if a == nil || b == nil || a.count() != 21 || b.count() != 20 {
+			t.Fatalf("%s: the split did not part the clusters", c.kind)
+		}
+		opts := core.SearchOptions{K: 1, Budget: int(b.count())}
+		if c.outlierA {
+			opts.Budget = int(a.count())
+		}
+		res, st := tree.Search(q, opts)
+		if st.LeavesVisited != 1 || st.Candidates != int64(opts.Budget) || len(res) != 1 {
+			t.Fatalf("%s: %d leaves, %d candidates and %d results, want one leaf spent whole", c.kind, st.LeavesVisited, st.Candidates, len(res))
+		}
+		if got := res[0].ID == outlier || res[0].ID < 20; got != c.outlierA {
+			t.Errorf("%s: a budget of one leaf verified the leaf with the outlier: %v, want %v", c.kind, got, c.outlierA)
+		}
+		if !c.outlierA && res[0] != want[0] {
+			t.Errorf("%s: a budget of one leaf answers %v, want the true nearest %v", c.kind, res[0], want[0])
+		}
+		var buf bytes.Buffer
+		if err := tree.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(&buf, c.kind, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, twin := range map[string]*Tree{"loaded": loaded, "mapped": mappedTwin(t, tree)} {
+			if tres, tst := twin.Search(q, opts); !slices.Equal(tres, res) || tst != st {
+				t.Errorf("%s %s: %v %+v, want %v %+v", c.kind, path, tres, tst, res, st)
+			}
 		}
 	}
 }
