@@ -134,7 +134,7 @@ func TestDaemonCrashRecovery(t *testing.T) {
 	if err := p2h.SaveFile(container, ix); err != nil {
 		t.Fatal(err)
 	}
-	args := []string{"-name", "live", "-load", container, "-wal", "-walsync", "always", "-compact", "-workers", "2"}
+	args := []string{"-name", "live", "-load", container, "-wal", "-walsync", "always", "-workers", "2"}
 
 	acked := []int32{}         // handles whose inserts were acknowledged
 	ackedLo, ackedHi := 80, 80 // bracket on the recovered live count

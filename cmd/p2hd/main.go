@@ -9,7 +9,7 @@
 //	p2hd -config p2hd.json
 //	p2hd -listen 127.0.0.1:8080 -name trees -load index.p2h
 //	p2hd -name fresh -index bctree -spec '{"leaf_size":50}' -data data.fvecs
-//	p2hd -name live -load dyn.p2h -wal -compact   # durable dynamic serving
+//	p2hd -name live -load dyn.p2h -wal      # durable dynamic serving
 //	p2hd -listen :8080                      # empty: hot-load indexes via the API
 //
 // The config file declares the listen address, engine tuning and the indexes
@@ -75,7 +75,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		dataPath   = fs.String("data", "", "fvecs data file the -spec index is built over")
 		wal        = fs.Bool("wal", false, "journal the -load index's mutations to a write-ahead log at <path>.wal, replaying any pending records at startup")
 		walSync    = fs.String("walsync", "", "write-ahead log fsync policy: always (default) or none")
-		compact    = fs.Bool("compact", false, "absorb dynamic indexes' deltas via background compaction instead of inline rebuilds")
 		workers    = fs.Int("workers", 0, "worker slots per index: searches executing at once (0: the config file's, else GOMAXPROCS)")
 		cacheSize  = fs.Int("cache", 0, "result cache entries per index (0: the config file's, else 1024; negative: disabled)")
 		drain      = fs.Duration("drain", 0, "shutdown/unload drain bound (0: the config file's, else 10s)")
@@ -110,9 +109,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *cacheSize != 0 {
 		opts.CacheEntries = *cacheSize
-	}
-	if *compact {
-		opts.BackgroundCompaction = true
 	}
 	if *maxQueue != 0 {
 		opts.MaxQueue = *maxQueue

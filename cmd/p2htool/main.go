@@ -362,9 +362,9 @@ func runEval(args []string, stdout, stderr io.Writer) error {
 	w := &harness.Workload{Raw: data, Queries: queries}
 	nq := float64(queries.N)
 	for i, ev := range harness.Sweep(ix, w, *k, fractions, p2h.SearchOptions{}) {
-		fmt.Fprintf(stdout, "%9.1f%%  %7.1f%%  %12.4f  %14.1f  %12.1f  %13.1f  %12.1f\n",
+		fmt.Fprintf(stdout, "%9.1f%%  %8.4f  %12.4f  %14.1f  %12.1f  %13.1f  %12.1f\n",
 			fractions[i]*100,
-			100*ev.Recall,
+			ev.Recall,
 			ev.QueryMS,
 			float64(ev.Stats.Candidates)/nq,
 			float64(ev.Stats.NodesVisited)/nq,

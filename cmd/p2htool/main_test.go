@@ -191,14 +191,13 @@ func TestEvalSubcommand(t *testing.T) {
 
 	out := runOK(t, "eval", "-load", index,
 		"-data", data, "-queries", queries, "-k", "5", "-budgets", "0.05,1.0")
-	if !strings.Contains(out, "recall") || !strings.Contains(out, "100.0%") {
+	if !strings.Contains(out, "recall") {
 		t.Fatalf("eval output:\n%s", out)
 	}
-	// Full budget line must report exact recall.
+	// Full budget line must report exact recall, as a four-digit fraction.
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	last := lines[len(lines)-1]
-	if !strings.Contains(last, "100.0%") {
-		t.Fatalf("full budget not exact: %s", last)
+	if f := strings.Fields(lines[len(lines)-1]); len(f) < 2 || f[0] != "100.0%" || f[1] != "1.0000" {
+		t.Fatalf("full budget not exact: %s", lines[len(lines)-1])
 	}
 
 	// Bad budget fractions are rejected.
@@ -234,9 +233,8 @@ func TestEvalBuildsOrLoads(t *testing.T) {
 		t.Fatalf("eval output:\n%s", out)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if last := lines[len(lines)-1]; !strings.HasPrefix(strings.TrimSpace(last), "100.0%  ") ||
-		!strings.Contains(last, "  100.0%  ") {
-		t.Fatalf("full budget not exact: %s", last)
+	if f := strings.Fields(lines[len(lines)-1]); len(f) < 2 || f[0] != "100.0%" || f[1] != "1.0000" {
+		t.Fatalf("full budget not exact: %s", lines[len(lines)-1])
 	}
 
 	runOK(t, "build", "-index", "bctree", "-data", data, "-out", index)

@@ -96,8 +96,9 @@ func (t *Dynamic) Handles() int { return t.index.Handles() }
 func (t *Dynamic) Pending() int { return t.index.Pending() }
 
 // SetBackgroundCompaction hands delta folding to a serving engine (true) or
-// back to inline rebuilds inside Insert/Delete (false, the default).
-// NewServer flips it when ServerOptions.BackgroundCompaction is set.
+// back to inline rebuilds inside Insert/Delete (false, the default of a
+// standalone Dynamic). NewServer turns it on, and the server's Drain or
+// Close turns it off again.
 func (t *Dynamic) SetBackgroundCompaction(on bool) { t.index.SetBackgroundCompaction(on) }
 
 // CompactionNeeded reports whether the delta (rows inserted since the last

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -114,7 +115,6 @@ func newFixture(t *testing.T, tweak func(*Config)) *fixture {
 	f.cfg = Config{
 		Members: map[string]MemberConfig{},
 		Indexes: map[string]IndexMap{"trees": {}},
-		Hedge:   HedgeConfig{Delay: httpapi.Duration(15 * time.Millisecond)},
 	}
 	im := f.cfg.Indexes["trees"]
 	for mi := 0; mi < testMembers; mi++ {
@@ -897,11 +897,6 @@ func TestConfigValidation(t *testing.T) {
 		"unknown replica":  func(c *Config) { c.Indexes["i"].Shards[0].Replicas = []string{"zz"} },
 		"duplicate holder": func(c *Config) { c.Indexes["i"].Shards[0].Replicas = []string{"a"} },
 		"no member index":  func(c *Config) { c.Indexes["i"].Shards[0].Index = "" },
-		"ids plus id_base": func(c *Config) {
-			b := int32(5)
-			c.Indexes["i"].Shards[0].IDBase = &b
-			c.Indexes["i"].Shards[0].IDs = []int32{1}
-		},
 	}
 	for name, tweak := range cases {
 		c := base()
@@ -909,6 +904,40 @@ func TestConfigValidation(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
+	}
+}
+
+// TestLoadConfigRejectsUnknownKeys: the router's timing is fixed, so a
+// partition map that still sets a hedge, probe or default-timeout key, or a
+// shard's id_base, fails to load instead of running with a value it ignores.
+func TestLoadConfigRejectsUnknownKeys(t *testing.T) {
+	dir := t.TempDir()
+	load := func(name, extra, shardExtra string) error {
+		doc := `{"members": {"a": {"url": "http://x"}}` + extra +
+			`, "indexes": {"i": {"shards": [{"index": "i-s0", "primary": "a"` + shardExtra + `}]}}}`
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadConfig(path)
+		return err
+	}
+	if err := load("good", `, "max_timeout": "5s"`, ""); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	for name, c := range map[string]struct{ extra, shard string }{
+		"hedge":           {`, "hedge": {"delay": "15ms"}`, ""},
+		"hedge disable":   {`, "hedge": {"disable": true}`, ""},
+		"probe_interval":  {`, "probe_interval": "1s"`, ""},
+		"probe_timeout":   {`, "probe_timeout": "2s"`, ""},
+		"default_timeout": {`, "default_timeout": "1s"`, ""},
+		"id_base":         {"", `, "id_base": 100`},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := load(strings.ReplaceAll(name, " ", "-"), c.extra, c.shard); err == nil {
+				t.Fatalf("config setting %s accepted", name)
+			}
+		})
 	}
 }
 
@@ -920,13 +949,9 @@ func TestTranslateIDs(t *testing.T) {
 	if res[0].ID != 7 || res[1].ID != 9 {
 		t.Fatalf("ids = %d,%d, want 7,9", res[0].ID, res[1].ID)
 	}
-	base := int32(100)
 	res = []httpapi.ResultJSON{{ID: 3}}
-	if err := translateIDs(ShardConfig{IDBase: &base}, res); err != nil {
-		t.Fatal(err)
-	}
-	if res[0].ID != 103 {
-		t.Fatalf("id = %d, want 103", res[0].ID)
+	if err := translateIDs(ShardConfig{}, res); err != nil || res[0].ID != 3 {
+		t.Fatalf("no id map: id %d, err %v; want 3 unchanged", res[0].ID, err)
 	}
 	if err := translateIDs(ShardConfig{IDs: []int32{7}}, []httpapi.ResultJSON{{ID: 9}}); err == nil {
 		t.Fatal("out-of-range id accepted")

@@ -8,13 +8,13 @@ import (
 	"time"
 )
 
-// proberLoop probes every member at the configured interval until stopped.
+// proberLoop probes every member every probeInterval until stopped.
 // The first round runs immediately so routing has real states as soon as the
 // router accepts traffic.
 func (rt *Router) proberLoop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	rt.probeRound()
-	t := time.NewTicker(rt.cfg.probeInterval())
+	t := time.NewTicker(probeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -48,7 +48,7 @@ func (rt *Router) probeRound() {
 //     budget ceiling — usable, but a healthy replica is the better pick)
 //   - 200 otherwise: Healthy
 func (rt *Router) probe(m *member) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.probeTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	h, status, err := m.healthz(ctx)
 	switch {

@@ -41,15 +41,12 @@ type routedIndex struct {
 // Router fans queries out over the partition map, hedges against slow
 // members, and merges shard answers into the exact global top-k.
 type Router struct {
-	cfg     Config
 	members map[string]*member
 	indexes map[string]*routedIndex
 	metrics *routerMetrics
 	started time.Time
 
-	hedgeOff                       bool
-	hedgeDelay, hedgeMin, hedgeMax time.Duration
-	deadlines                      httpapi.HandlerOptions // normalized
+	deadlines httpapi.HandlerOptions // normalized
 
 	proberStop chan struct{}
 	proberDone chan struct{}
@@ -67,15 +64,12 @@ func NewRouter(cfg Config) (*Router, error) {
 		IdleConnTimeout:     90 * time.Second,
 	}}
 	rt := &Router{
-		cfg:     cfg,
-		members: make(map[string]*member, len(cfg.Members)),
-		indexes: make(map[string]*routedIndex, len(cfg.Indexes)),
-		metrics: newRouterMetrics(),
-		started: time.Now(),
+		members:   make(map[string]*member, len(cfg.Members)),
+		indexes:   make(map[string]*routedIndex, len(cfg.Indexes)),
+		metrics:   newRouterMetrics(),
+		started:   time.Now(),
+		deadlines: httpapi.HandlerOptions{MaxTimeout: time.Duration(cfg.MaxTimeout)}.Normalized(),
 	}
-	rt.hedgeOff = cfg.Hedge.Disable
-	rt.hedgeDelay, rt.hedgeMin, rt.hedgeMax = cfg.hedgeDefaults()
-	rt.deadlines = cfg.handlerOptions().Normalized()
 	for name, mc := range cfg.Members {
 		rt.members[name] = newMember(name, mc, hc)
 	}
@@ -163,20 +157,14 @@ func (rt *Router) shardTargets(sc ShardConfig) []*member {
 
 // hedgeDelayFor derives the hedge trigger for an attempt against m: the
 // member's observed p99 (a hedge should fire only when this request is
-// already in the member's latency tail), clamped to the configured window,
-// or the configured fixed delay before any latency has been observed.
-func (rt *Router) hedgeDelayFor(m *member) time.Duration {
+// already in the member's latency tail), clamped to [hedgeMinDelay,
+// hedgeMaxDelay], or hedgeDelay before any latency has been observed.
+func hedgeDelayFor(m *member) time.Duration {
 	d := m.lat.p99()
 	if d <= 0 {
-		return rt.hedgeDelay
+		return hedgeDelay
 	}
-	if d < rt.hedgeMin {
-		d = rt.hedgeMin
-	}
-	if d > rt.hedgeMax {
-		d = rt.hedgeMax
-	}
-	return d
+	return min(max(d, hedgeMinDelay), hedgeMaxDelay)
 }
 
 // hedgedCall runs call against the ordered targets until one answers: the
@@ -208,8 +196,8 @@ func (rt *Router) hedgedCall(ctx context.Context, targets []*member, call func(c
 	inflight, next := 1, 1
 
 	var hedgeC <-chan time.Time
-	if !rt.hedgeOff && next < len(targets) {
-		t := time.NewTimer(rt.hedgeDelayFor(targets[0]))
+	if next < len(targets) {
+		t := time.NewTimer(hedgeDelayFor(targets[0]))
 		defer t.Stop()
 		hedgeC = t.C
 	}
@@ -297,24 +285,18 @@ func shardOptions(opts httpapi.SearchOptionsJSON, shardN, total int64) httpapi.S
 	return opts
 }
 
-// translateIDs rewrites a shard's local result ids to global ids in place,
-// per the shard's declared mapping: an explicit ids table, a constant base
-// offset, or the identity when neither is declared.
+// translateIDs rewrites a shard's local result ids to global ids in place
+// through the shard's ids table; a shard without one keeps its ids.
 func translateIDs(sc ShardConfig, res []core.Result) error {
-	switch {
-	case len(sc.IDs) > 0:
-		for i, r := range res {
-			if r.ID < 0 || int(r.ID) >= len(sc.IDs) {
-				return fmt.Errorf("cluster: shard %q returned id %d outside its %d-row id map (partition map out of date?)",
-					sc.Index, r.ID, len(sc.IDs))
-			}
-			res[i].ID = sc.IDs[r.ID]
+	if len(sc.IDs) == 0 {
+		return nil
+	}
+	for i, r := range res {
+		if r.ID < 0 || int(r.ID) >= len(sc.IDs) {
+			return fmt.Errorf("cluster: shard %q returned id %d outside its %d-row id map (partition map out of date?)",
+				sc.Index, r.ID, len(sc.IDs))
 		}
-	case sc.IDBase != nil:
-		base := *sc.IDBase
-		for i := range res {
-			res[i].ID += base
-		}
+		res[i].ID = sc.IDs[r.ID]
 	}
 	return nil
 }

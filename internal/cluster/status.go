@@ -70,7 +70,7 @@ func Status(ctx context.Context, cfg Config) ([]StatusRow, map[string]MemberStat
 				State:  rt.members[c.member].getState().String(),
 				Points: -1, Epoch: -1, Lag: -1,
 			}
-			cctx, cancel := context.WithTimeout(ctx, cfg.probeTimeout())
+			cctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
 			info, err := rt.members[c.member].indexInfo(cctx, c.memberIndex)
 			if err != nil {

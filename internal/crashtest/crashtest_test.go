@@ -68,40 +68,54 @@ func copyFile(t *testing.T, dst, src string) {
 	}
 }
 
-// runScript opens the base container, attaches a WAL next to it, applies
-// every op through a Server over the two, and returns the per-op reference Save bytes (refBytes[k] is the
-// state after ops[:k]), the per-op handle counts, and the byte-offset
-// ledger. The WAL is closed before returning so its bytes are final.
+// runScript opens the base container twice. It attaches a WAL next to the
+// base to one copy and applies every op through a Server over the two; the
+// server folds the delta on its own goroutine, whenever it gets to it. The
+// other copy is never served: it applies the same ops directly and folds
+// inline, as a replay of the log does, so it gives the reference Save bytes
+// (refBytes[k] is the state after ops[:k]) and handle counts. The ledger
+// holds the log's size after each op. The WAL is closed before returning so
+// its bytes are final.
 func runScript(t *testing.T, base string, ops []Op, mode p2h.WALSyncMode) (refBytes [][]byte, refHandles []int, ledger Ledger) {
 	t.Helper()
-	ix, err := p2h.Open(base)
+	var twins [2]*p2h.Dynamic
+	for i := range twins {
+		ix, err := p2h.Open(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twins[i] = ix.(*p2h.Dynamic)
+	}
+	ref := twins[1]
+	w, err := p2h.AttachWAL(twins[0], p2h.WALPath(base), mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := ix.(*p2h.Dynamic)
-	w, err := p2h.AttachWAL(d, p2h.WALPath(base), mode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := p2h.NewServer(d, p2h.ServerOptions{Workers: 1, WAL: w})
+	srv := p2h.NewServer(twins[0], p2h.ServerOptions{Workers: 1, WAL: w})
 	defer func() {
 		srv.Close()
 		w.Close()
 	}()
 
-	refBytes = append(refBytes, saveBytes(t, d))
-	refHandles = append(refHandles, d.Handles())
+	refBytes = append(refBytes, saveBytes(t, ref))
+	refHandles = append(refHandles, ref.Handles())
 	for _, op := range ops {
 		if err := Apply(srv, op); err != nil {
 			t.Fatal(err)
+		}
+		if op.Delete && !ref.Delete(op.Handle) {
+			t.Fatalf("reference delete of handle %d found it dead", op.Handle)
+		}
+		if !op.Delete && ref.Insert(op.Vec) != op.Handle {
+			t.Fatalf("reference insert did not get handle %d", op.Handle)
 		}
 		st, err := os.Stat(w.Path())
 		if err != nil {
 			t.Fatal(err)
 		}
 		ledger.Offsets = append(ledger.Offsets, st.Size())
-		refBytes = append(refBytes, saveBytes(t, d))
-		refHandles = append(refHandles, d.Handles())
+		refBytes = append(refBytes, saveBytes(t, ref))
+		refHandles = append(refHandles, ref.Handles())
 	}
 	return refBytes, refHandles, ledger
 }
@@ -267,8 +281,8 @@ func resultHandles(ix interface {
 	return hs
 }
 
-// TestServerSearchDuringCompactionRecovers drives a journaling server with
-// background compaction under concurrent searches (the -race proof that
+// TestServerSearchDuringCompactionRecovers drives a journaling server, which
+// compacts in the background, under concurrent searches (the -race proof that
 // hot swaps are safe), then crash-recovers from its WAL and checks the
 // recovered index answers exactly like an always-inline reference that
 // applied the same script.
@@ -298,7 +312,7 @@ func TestServerSearchDuringCompactionRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := p2h.NewServer(opened, p2h.ServerOptions{WAL: wal, BackgroundCompaction: true})
+	srv := p2h.NewServer(opened, p2h.ServerOptions{WAL: wal})
 
 	// Reference: same script applied inline (default rebuild policy).
 	refIx, err := p2h.New(data, p2h.Spec{Kind: p2h.KindDynamic, LeafSize: 16, Seed: 3})

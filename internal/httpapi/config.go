@@ -88,10 +88,6 @@ func (c IndexConfig) validate() error {
 type ServerConfig struct {
 	Workers      int `json:"workers,omitempty"`
 	CacheEntries int `json:"cache_entries,omitempty"`
-	// BackgroundCompaction moves dynamic indexes' delta absorption off the
-	// mutation path: the tree is rebuilt by a background goroutine and
-	// hot-swapped in, instead of rebuilding inline inside an Insert/Delete.
-	BackgroundCompaction bool `json:"background_compaction,omitempty"`
 	// MaxQueue statically caps each index's admitted-but-unfinished queries
 	// (zero: 64*workers; negative: admission control off).
 	MaxQueue int `json:"max_queue,omitempty"`
@@ -104,11 +100,10 @@ type ServerConfig struct {
 // Options converts to the p2h serving options.
 func (c ServerConfig) Options() p2h.ServerOptions {
 	return p2h.ServerOptions{
-		Workers:              c.Workers,
-		CacheEntries:         c.CacheEntries,
-		BackgroundCompaction: c.BackgroundCompaction,
-		MaxQueue:             c.MaxQueue,
-		MaxQueueDelay:        time.Duration(c.MaxQueueDelay),
+		Workers:       c.Workers,
+		CacheEntries:  c.CacheEntries,
+		MaxQueue:      c.MaxQueue,
+		MaxQueueDelay: time.Duration(c.MaxQueueDelay),
 	}
 }
 
@@ -124,16 +119,14 @@ type Config struct {
 	Listen string `json:"listen,omitempty"`
 	// DrainTimeout bounds shutdown and unload waits (zero: 10s).
 	DrainTimeout Duration `json:"drain_timeout,omitempty"`
-	// MaxTimeout caps any client timeout_ms and backstops requests that name
-	// none (zero: 30s) — every search the daemon runs carries a deadline.
+	// MaxTimeout caps any client timeout_ms and is the deadline of requests
+	// that name none (zero: 30s) — every search the daemon runs carries a
+	// deadline.
 	MaxTimeout Duration `json:"max_timeout,omitempty"`
-	// DefaultTimeout is the deadline applied to requests without timeout_ms
-	// (zero: MaxTimeout).
-	DefaultTimeout Duration `json:"default_timeout,omitempty"`
 	// Server tunes every index's serving engine.
 	Server ServerConfig `json:"server,omitempty"`
 	// SLO, when present, runs the latency feedback controller: per-index p99
-	// is sampled every interval and the budget ceiling stepped down (bounded,
+	// is sampled every 500ms and the budget ceiling stepped down (bounded,
 	// with hysteresis) while the objective is breached — approximate-but-fast
 	// under spike, exact again as load recedes.
 	SLO *SLOConfig `json:"slo,omitempty"`
@@ -183,8 +176,5 @@ func (c Config) DrainTimeoutOrDefault() time.Duration {
 // HandlerOptions resolves the config's request-deadline policy for
 // NewHandlerWithOptions.
 func (c Config) HandlerOptions() HandlerOptions {
-	return HandlerOptions{
-		MaxTimeout:     time.Duration(c.MaxTimeout),
-		DefaultTimeout: time.Duration(c.DefaultTimeout),
-	}
+	return HandlerOptions{MaxTimeout: time.Duration(c.MaxTimeout)}
 }

@@ -43,6 +43,7 @@ func TestLoadConfig(t *testing.T) {
 		"listen": "127.0.0.1:9999",
 		"drain_timeout": "2s",
 		"server": {"workers": 3, "cache_entries": 512, "max_queue": 96, "max_queue_delay": "20ms"},
+		"slo": {"target_p99": "10ms", "min_budget": 32},
 		"indexes": {
 			"trees": {"path": "trees.p2h"},
 			"fresh": {"spec": {"kind": "bctree", "leaf_size": 50}, "data": "data.fvecs"}
@@ -55,7 +56,8 @@ func TestLoadConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Listen != "127.0.0.1:9999" || cfg.DrainTimeoutOrDefault() != 2*time.Second {
+	if cfg.Listen != "127.0.0.1:9999" || cfg.DrainTimeoutOrDefault() != 2*time.Second ||
+		cfg.SLO == nil || *cfg.SLO != (SLOConfig{TargetP99: Duration(10 * time.Millisecond), MinBudget: 32}) {
 		t.Fatalf("config %+v", cfg)
 	}
 	opts := cfg.Server.Options()
@@ -117,12 +119,21 @@ func TestLoadConfigRejectsBadDeclarations(t *testing.T) {
 	}
 }
 
+// TestLoadConfigRejectsUnknownKeys: a typo'd key, or one naming a value the
+// daemon fixed (background compaction, the default timeout, the SLO
+// controller's cadence), fails startup instead of running without it.
 func TestLoadConfigRejectsUnknownKeys(t *testing.T) {
 	dir := t.TempDir()
 	for name, doc := range map[string]string{
-		"typo'd top-level": `{"drain_timout": "30s"}`,
-		"typo'd server":    `{"server": {"worker": 8}}`,
-		"typo'd index":     `{"indexes": {"a": {"pathh": "x.p2h"}}}`,
+		"typo'd top-level":             `{"drain_timout": "30s"}`,
+		"typo'd server":                `{"server": {"worker": 8}}`,
+		"typo'd index":                 `{"indexes": {"a": {"pathh": "x.p2h"}}}`,
+		"server.background_compaction": `{"server": {"background_compaction": true}}`,
+		"default_timeout":              `{"default_timeout": "1s"}`,
+		"slo.interval":                 `{"slo": {"target_p99": "10ms", "interval": "100ms"}}`,
+		"slo.min_window":               `{"slo": {"target_p99": "10ms", "min_window": 5}}`,
+		"slo.breach_windows":           `{"slo": {"target_p99": "10ms", "breach_windows": 1}}`,
+		"slo.recover_windows":          `{"slo": {"target_p99": "10ms", "recover_windows": 8}}`,
 	} {
 		path := filepath.Join(dir, "cfg.json")
 		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
@@ -135,21 +146,16 @@ func TestLoadConfigRejectsUnknownKeys(t *testing.T) {
 }
 
 // TestHandlerOptionsTimeout pins the one request-deadline rule the daemon
-// and the router share: the client's timeout_ms, else the default, capped by
-// the max; zero options resolve to DefaultMaxTimeout for both.
+// and the router share: the client's timeout_ms capped by the max, or the
+// max when it names none; zero options resolve to DefaultMaxTimeout.
 func TestHandlerOptionsTimeout(t *testing.T) {
-	zero := HandlerOptions{}.Normalized()
-	if zero.MaxTimeout != DefaultMaxTimeout || zero.DefaultTimeout != DefaultMaxTimeout {
+	if zero := (HandlerOptions{}).Normalized(); zero.MaxTimeout != DefaultMaxTimeout || zero.Timeout(0) != DefaultMaxTimeout {
 		t.Fatalf("zero options normalized to %+v", zero)
 	}
-	// A default above the cap is clamped to it.
-	if o := (HandlerOptions{MaxTimeout: time.Second, DefaultTimeout: time.Minute}).Normalized(); o.DefaultTimeout != time.Second {
-		t.Fatalf("default over the cap normalized to %+v", o)
-	}
-	o := HandlerOptions{MaxTimeout: 2 * time.Second, DefaultTimeout: 500 * time.Millisecond}.Normalized()
+	o := HandlerOptions{MaxTimeout: 2 * time.Second}.Normalized()
 	for ms, want := range map[int]time.Duration{
-		0:      500 * time.Millisecond,
-		-5:     500 * time.Millisecond,
+		0:      2 * time.Second,
+		-5:     2 * time.Second,
 		40:     40 * time.Millisecond,
 		2000:   2 * time.Second,
 		999999: 2 * time.Second,

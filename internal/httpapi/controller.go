@@ -8,13 +8,13 @@ import (
 )
 
 // The SLO feedback controller: a daemon-side loop that samples each index's
-// completion-latency histogram on a fixed interval and steps the engine's
-// budget ceiling (p2h.Server.SetBudgetCeiling) down while the p99 objective
-// is breached, restoring it as load recedes. Degradation is bounded (the
-// ceiling never drops below MinBudget) and hysteretic (a breach must persist
-// for BreachWindows consecutive windows to tighten, and RecoverWindows clean
-// windows to relax one step), so a single slow scrape cannot flap the serving
-// mode. The state machine per index:
+// completion-latency histogram every 500ms and steps the engine's budget
+// ceiling (p2h.Server.SetBudgetCeiling) down while the p99 objective is
+// breached, restoring it as load recedes. A window of fewer than 20
+// completions counts as idle. Degradation is bounded (the ceiling never drops
+// below MinBudget) and hysteretic (a breach must persist for two consecutive
+// windows to tighten, and four clean windows to relax one step), so a single
+// slow scrape cannot flap the serving mode. The state machine per index:
 //
 //	level 0            exact: no ceiling, Budget flows through untouched
 //	level L > 0        degraded: ceiling = max(MinBudget, N >> L)
@@ -24,32 +24,22 @@ import (
 // idle      -> counts as recovery; an unloaded daemon walks back to exact
 //
 // A step-up is a probe: under genuinely receded load it sticks and the next
-// one follows after RecoverWindows clean windows, but a probe that breaches
+// one follows after four clean windows, but a probe that breaches
 // right back doubles the clean-window requirement for the next attempt
 // (capped at 32x). Under sustained overload the probes therefore become
 // exponentially rarer — without that backoff the controller would lift the
-// ceiling every RecoverWindows, and the periodic overshoot alone would blow
+// ceiling every four windows, and the periodic overshoot alone would blow
 // the p99 it is defending.
 
-// SLOConfig declares the latency objective and the controller's cadence.
-// Zero-valued tuning fields select the documented defaults; TargetP99 is
-// required.
+// SLOConfig declares the latency objective and the degradation floor;
+// TargetP99 is required.
 type SLOConfig struct {
 	// TargetP99 is the objective: the per-index p99 completion latency the
 	// controller defends.
 	TargetP99 Duration `json:"target_p99"`
-	// Interval is the sampling period (zero: 500ms).
-	Interval Duration `json:"interval,omitempty"`
 	// MinBudget bounds degradation: the ceiling never drops below this many
 	// candidate verifications (zero: 64).
 	MinBudget int `json:"min_budget,omitempty"`
-	// MinWindow is the fewest completions a window needs to be judged; a
-	// thinner window is treated as idle (zero: 20).
-	MinWindow int `json:"min_window,omitempty"`
-	// BreachWindows is how many consecutive breached windows tighten one
-	// step (zero: 2); RecoverWindows how many clean ones relax one (zero: 4).
-	BreachWindows  int `json:"breach_windows,omitempty"`
-	RecoverWindows int `json:"recover_windows,omitempty"`
 }
 
 func (c SLOConfig) validate() error {
@@ -59,24 +49,20 @@ func (c SLOConfig) validate() error {
 	return nil
 }
 
-// withDefaults resolves the zero-valued tuning fields.
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.Interval <= 0 {
-		c.Interval = Duration(500 * time.Millisecond)
-	}
-	if c.MinBudget <= 0 {
-		c.MinBudget = 64
-	}
-	if c.MinWindow <= 0 {
-		c.MinWindow = 20
-	}
-	if c.BreachWindows <= 0 {
-		c.BreachWindows = 2
-	}
-	if c.RecoverWindows <= 0 {
-		c.RecoverWindows = 4
-	}
-	return c
+// sloCadence is the controller's timing: the sampling period, the fewest
+// completions a window needs to be judged (a thinner window counts as
+// idle), and how many consecutive breached windows tighten one step and
+// clean ones relax one. A daemon always runs sloDefaultCadence.
+type sloCadence struct {
+	interval                                 time.Duration
+	minWindow, breachWindows, recoverWindows int
+}
+
+var sloDefaultCadence = sloCadence{
+	interval:       500 * time.Millisecond,
+	minWindow:      20,
+	breachWindows:  2,
+	recoverWindows: 4,
 }
 
 // maxDegradeLevel bounds the halving walk; past 30 the shift result is 0 for
@@ -91,7 +77,7 @@ type sloState struct {
 	prev     p2h.LatencySnapshot
 	primed   bool // prev holds a real snapshot
 	// Probe backoff: patience is the clean-window streak the next step-up
-	// requires (starts at RecoverWindows); probing marks a step-up that has
+	// requires (starts at recoverWindows); probing marks a step-up that has
 	// not yet proven itself, sinceUp counts its clean windows so far.
 	patience int
 	probing  bool
@@ -99,17 +85,22 @@ type sloState struct {
 }
 
 // maxPatienceFactor caps the probe backoff at this multiple of
-// RecoverWindows, so a long overload cannot push recovery arbitrarily far
+// recoverWindows, so a long overload cannot push recovery arbitrarily far
 // out once load finally recedes.
 const maxPatienceFactor = 32
 
 // StartSLO launches the feedback controller; it runs until Close. Starting
 // twice or after Close is an error.
-func (m *Manager) StartSLO(cfg SLOConfig) error {
+func (m *Manager) StartSLO(cfg SLOConfig) error { return m.startSLO(cfg, sloDefaultCadence) }
+
+// startSLO is StartSLO on any cadence; tests run a fast one.
+func (m *Manager) startSLO(cfg SLOConfig, cad sloCadence) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	cfg = cfg.withDefaults()
+	if cfg.MinBudget <= 0 {
+		cfg.MinBudget = 64
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -118,18 +109,10 @@ func (m *Manager) StartSLO(cfg SLOConfig) error {
 	if m.sloStop != nil {
 		return fmt.Errorf("%w: SLO controller already running", ErrBadConfig)
 	}
-	m.sloCfg = cfg
 	m.sloStop = make(chan struct{})
 	m.sloDone = make(chan struct{})
-	go m.runSLO(cfg, m.sloStop, m.sloDone)
+	go m.runSLO(cfg, cad, m.sloStop, m.sloDone)
 	return nil
-}
-
-// SLO returns the running controller's configuration and whether one runs.
-func (m *Manager) SLO() (SLOConfig, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.sloCfg, m.sloStop != nil
 }
 
 // stopSLO halts the controller and waits for its loop to exit; idempotent.
@@ -148,10 +131,10 @@ func (m *Manager) stopSLO() {
 // runSLO is the controller loop. All per-index state lives in the local map,
 // so the loop is single-threaded by construction; the only cross-goroutine
 // effects are SetBudgetCeiling calls on the engines.
-func (m *Manager) runSLO(cfg SLOConfig, stop <-chan struct{}, done chan<- struct{}) {
+func (m *Manager) runSLO(cfg SLOConfig, cad sloCadence, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	states := map[string]*sloState{}
-	ticker := time.NewTicker(time.Duration(cfg.Interval))
+	ticker := time.NewTicker(cad.interval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -168,7 +151,7 @@ func (m *Manager) runSLO(cfg SLOConfig, stop <-chan struct{}, done chan<- struct
 				st = &sloState{}
 				states[e.name] = st
 			}
-			m.sloStep(cfg, e, st)
+			m.sloStep(cfg, cad, e, st)
 		}
 		// Forget unloaded (or swapped-away) indexes: a replacement engine
 		// starts exact with fresh counters, so inherited state would judge
@@ -182,7 +165,7 @@ func (m *Manager) runSLO(cfg SLOConfig, stop <-chan struct{}, done chan<- struct
 }
 
 // sloStep judges one index's latest window and steps its ceiling.
-func (m *Manager) sloStep(cfg SLOConfig, e *managed, st *sloState) {
+func (m *Manager) sloStep(cfg SLOConfig, cad sloCadence, e *managed, st *sloState) {
 	snap := e.srv.Latency()
 	if !st.primed {
 		st.prev, st.primed = snap, true
@@ -191,11 +174,11 @@ func (m *Manager) sloStep(cfg SLOConfig, e *managed, st *sloState) {
 	win := snap.Sub(st.prev)
 	st.prev = snap
 	breached := false
-	if win.Total >= int64(cfg.MinWindow) {
+	if win.Total >= int64(cad.minWindow) {
 		breached = win.Quantile(0.99) > time.Duration(cfg.TargetP99).Seconds()
 	}
 	if st.patience == 0 {
-		st.patience = cfg.RecoverWindows
+		st.patience = cad.recoverWindows
 	}
 	// An idle window cannot breach — and counts toward recovery, so a spike
 	// that ends abruptly still walks back to exact.
@@ -204,13 +187,13 @@ func (m *Manager) sloStep(cfg SLOConfig, e *managed, st *sloState) {
 			// The last step-up breached before proving itself: the overload
 			// is still on, so back the probe cadence off exponentially.
 			st.probing = false
-			if st.patience < maxPatienceFactor*cfg.RecoverWindows {
+			if st.patience < maxPatienceFactor*cad.recoverWindows {
 				st.patience *= 2
 			}
 		}
 		st.breaches++
 		st.clears = 0
-		if st.breaches >= cfg.BreachWindows && st.level < maxDegradeLevel {
+		if st.breaches >= cad.breachWindows && st.level < maxDegradeLevel {
 			st.breaches = 0
 			st.level++
 			e.srv.SetBudgetCeiling(m.ceilingFor(cfg, e, st.level))
@@ -221,11 +204,11 @@ func (m *Manager) sloStep(cfg SLOConfig, e *managed, st *sloState) {
 	st.breaches = 0
 	if st.probing {
 		st.sinceUp++
-		if st.sinceUp >= cfg.RecoverWindows {
+		if st.sinceUp >= cad.recoverWindows {
 			// The probe stuck: load genuinely receded, so further step-ups
 			// go back to the normal cadence.
 			st.probing = false
-			st.patience = cfg.RecoverWindows
+			st.patience = cad.recoverWindows
 		}
 	}
 	if st.clears >= st.patience && st.level > 0 {
@@ -234,7 +217,7 @@ func (m *Manager) sloStep(cfg SLOConfig, e *managed, st *sloState) {
 		st.probing, st.sinceUp = true, 0
 		if st.level == 0 {
 			st.probing = false
-			st.patience = cfg.RecoverWindows
+			st.patience = cad.recoverWindows
 			e.srv.SetBudgetCeiling(0)
 		} else {
 			e.srv.SetBudgetCeiling(m.ceilingFor(cfg, e, st.level))

@@ -33,33 +33,27 @@ const DefaultMaxTimeout = 30 * time.Second
 // HandlerOptions tunes the HTTP layer's request-deadline policy, the one
 // rule a daemon and a cluster router both apply.
 type HandlerOptions struct {
-	// MaxTimeout caps any client timeout_ms and bounds requests without one
-	// (non-positive: DefaultMaxTimeout).
+	// MaxTimeout caps any client timeout_ms and is the deadline of requests
+	// without one (non-positive: DefaultMaxTimeout).
 	MaxTimeout time.Duration
-	// DefaultTimeout is the deadline applied when the request names no
-	// timeout_ms (non-positive: MaxTimeout).
-	DefaultTimeout time.Duration
 }
 
-// Normalized resolves the documented defaults; Timeout expects options
+// Normalized resolves the documented default; Timeout expects options
 // normalized once, where a handler is built.
 func (o HandlerOptions) Normalized() HandlerOptions {
 	if o.MaxTimeout <= 0 {
 		o.MaxTimeout = DefaultMaxTimeout
 	}
-	if o.DefaultTimeout <= 0 || o.DefaultTimeout > o.MaxTimeout {
-		o.DefaultTimeout = o.MaxTimeout
-	}
 	return o
 }
 
 // Timeout is how long a request naming timeoutMS may run: the client's
-// value, else DefaultTimeout, capped by MaxTimeout — so every search
-// dispatched carries a deadline.
+// value capped by MaxTimeout, or MaxTimeout when it names none — so every
+// search dispatched carries a deadline.
 func (o HandlerOptions) Timeout(timeoutMS int) time.Duration {
 	d := time.Duration(timeoutMS) * time.Millisecond
 	if d <= 0 {
-		d = o.DefaultTimeout
+		return o.MaxTimeout
 	}
 	return min(d, o.MaxTimeout)
 }

@@ -126,7 +126,6 @@ type Manager struct {
 	indexes map[string]*managed
 	closed  bool
 	// SLO controller lifecycle (see controller.go); nil when not running.
-	sloCfg  SLOConfig
 	sloStop chan struct{}
 	sloDone chan struct{}
 }

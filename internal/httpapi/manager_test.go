@@ -337,7 +337,7 @@ func TestManagerWALLifecycle(t *testing.T) {
 	if err := p2h.SaveFile(path, ix); err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(p2h.ServerOptions{Workers: 2, BackgroundCompaction: true}, time.Second)
+	m := NewManager(p2h.ServerOptions{Workers: 2}, time.Second)
 	defer m.Close(context.Background())
 	cfg := IndexConfig{Path: path, WAL: true, WALSync: "none"}
 

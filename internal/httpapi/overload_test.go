@@ -291,14 +291,8 @@ func TestHealthzOverloadStates(t *testing.T) {
 // the index back to exact serving.
 func TestSLOControllerDegradesAndRecovers(t *testing.T) {
 	f := newChaosFixture(t, p2h.ServerOptions{Workers: 2, CacheEntries: -1}, HandlerOptions{})
-	if err := f.m.StartSLO(SLOConfig{
-		TargetP99:      Duration(time.Millisecond),
-		Interval:       Duration(20 * time.Millisecond),
-		MinWindow:      3,
-		MinBudget:      16,
-		BreachWindows:  1,
-		RecoverWindows: 2,
-	}); err != nil {
+	fast := sloCadence{interval: 20 * time.Millisecond, minWindow: 3, breachWindows: 1, recoverWindows: 2}
+	if err := f.m.startSLO(SLOConfig{TargetP99: Duration(time.Millisecond), MinBudget: 16}, fast); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.m.StartSLO(SLOConfig{TargetP99: Duration(time.Second)}); err == nil {

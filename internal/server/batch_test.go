@@ -443,8 +443,8 @@ func testExactBatchDeadline(t *testing.T, tree treeIndex, qs [][]float32) {
 }
 
 // TestEngineOwnsNoGoroutines: searches run on their callers, so an engine at
-// rest owns no goroutine but the optional compaction loop, and gives that
-// one back on Close.
+// rest owns no goroutine but a mutable index's compaction loop, and gives
+// that one back on Close.
 func TestEngineOwnsNoGoroutines(t *testing.T) {
 	data, queries := testData(100, 4, 2, 16)
 	before := runtime.NumGoroutine()
@@ -456,7 +456,7 @@ func TestEngineOwnsNoGoroutines(t *testing.T) {
 	e.Close()
 
 	m := newMutScan(4) // its compaction never finds work: the loop starts and idles
-	e = New(m, m, Config{Workers: 8, BackgroundCompaction: true})
+	e = New(m, m, Config{Workers: 8})
 	if n := runtime.NumGoroutine(); n != before+1 {
 		t.Fatalf("compacting engine: %d goroutines, want %d (the loop)", n, before+1)
 	}

@@ -8,8 +8,8 @@
 //
 //   - Caller-runs under slots. A search executes on the goroutine that
 //     submitted it, holding one of Workers slots for the index work; the
-//     engine owns no queue and no goroutine of its own (bar the optional
-//     compaction loop), so a panic raised by the index or a user Filter
+//     engine owns no queue and no goroutine of its own (bar a mutable
+//     index's compaction loop), so a panic raised by the index or a user Filter
 //     unwinds into its caller by construction. A batch that arrives as a
 //     batch (SearchBatchCtx) is split into min(Workers, misses) contiguous
 //     chunks, each one slot and one SearchBatch call (a chunk of one row is
@@ -33,7 +33,9 @@
 //     therefore always observes a fully applied state — never a
 //     half-rebuilt tree — and cached results can never leak across a
 //     mutation. Immutable indexes skip the lock entirely: every index in
-//     this repository is safe for concurrent readers.
+//     this repository is safe for concurrent readers. A mutable index's
+//     delta is folded by a goroutine the engine owns, never inside the
+//     mutation that outgrew the threshold.
 //
 // One lifecycle: searches, Insert/Delete (through their journal wait) and
 // Exclusive sections all pass one intake gate, and Drain waits for what is
@@ -75,9 +77,8 @@ type Searcher interface {
 
 // Mutator is the write surface of a mutable index (p2h.Dynamic): one insert
 // carrying the point's attribute payload, one delete, the delta size, and
-// the background-compaction hooks the engine drives when
-// Config.BackgroundCompaction is set. Every method is called under the
-// engine's mutation lock.
+// the compaction hooks the engine's compaction loop drives. Every method is
+// called under the engine's mutation lock.
 type Mutator interface {
 	// Insert adds a raw point with its attribute payload (the zero Point:
 	// none) and returns its stable handle. An error means the index refused
@@ -88,7 +89,7 @@ type Mutator interface {
 	// Pending is the un-folded delta searches pay for (Stats.PendingDelta).
 	Pending() int
 	// SetBackgroundCompaction hands delta folding to the engine (true) or
-	// back to inline rebuilds (false).
+	// back to inline rebuilds (false, once the engine has drained).
 	SetBackgroundCompaction(on bool)
 	// CompactionNeeded reports whether the delta has outgrown the index's
 	// compaction threshold.
@@ -144,9 +145,6 @@ type Config struct {
 	// Journal, when non-nil, receives every applied mutation before it is
 	// acknowledged; see Journal.
 	Journal Journal
-	// BackgroundCompaction moves delta folding off the mutation path onto a
-	// goroutine the engine owns; ignored for immutable indexes.
-	BackgroundCompaction bool
 }
 
 func (c Config) normalized() Config {
@@ -239,8 +237,8 @@ type Engine struct {
 
 // New builds an engine over ix. Pass the index's mutation surface as mut (or
 // nil for read-only serving); when non-nil, the engine serializes
-// Insert/Delete against searches and invalidates the cache on every applied
-// mutation.
+// Insert/Delete against searches, invalidates the cache on every applied
+// mutation, and folds the delta on its compaction loop until Drain.
 func New(ix Searcher, mut Mutator, cfg Config) *Engine {
 	cfg = cfg.normalized()
 	e := &Engine{
@@ -258,7 +256,7 @@ func New(ix Searcher, mut Mutator, cfg Config) *Engine {
 	if cfg.CacheEntries > 0 {
 		e.cache = newLRU(cfg.CacheEntries)
 	}
-	if mut != nil && cfg.BackgroundCompaction {
+	if mut != nil {
 		mut.SetBackgroundCompaction(true)
 		e.compactCh = make(chan struct{}, 1)
 		e.stopComp = make(chan struct{})
@@ -526,8 +524,15 @@ func (e *Engine) wakeCompactor() {
 // Mutations landing during a build are reconciled at install by the index
 // (see Mutator.BeginCompaction); a cycle therefore never blocks the very mutations that
 // outgrow the threshold again, which is why the loop re-checks and chains.
+// Once Drain stops the loop the index folds inline again, as a standalone
+// one does.
 func (e *Engine) compactLoop() {
 	defer e.exit()
+	defer func() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.mut.SetBackgroundCompaction(false)
+	}()
 	for {
 		select {
 		case <-e.stopComp:
@@ -550,12 +555,13 @@ func (e *Engine) compactLoop() {
 				break
 			}
 			build()
+			// No epoch bump: a compaction changes the tree, not the answer
+			// set, so cached results stay exact. The count moves under the
+			// lock, so a Stats that reads the folded delta counts the fold.
 			e.mu.Lock()
 			install()
-			e.mu.Unlock()
-			// No epoch bump: a compaction changes the tree, not the answer
-			// set, so cached results stay exact.
 			e.compactions.Add(1)
+			e.mu.Unlock()
 		}
 	}
 }

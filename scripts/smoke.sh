@@ -207,7 +207,7 @@ grep "p2hd: drained" "$tmp/p2hd.log" >/dev/null || { echo "p2hd did not drain"; 
 
 echo "== p2hd: durable dynamic — mutate, kill -9, restart, recover"
 "$bin/p2htool" build -index dynamic -spec '{"leaf_size":50}' -seed 1 -data "$data" -out "$tmp/durable.p2h"
-"$bin/p2hd" -listen 127.0.0.1:0 -name live -load "$tmp/durable.p2h" -wal -walsync always -compact \
+"$bin/p2hd" -listen 127.0.0.1:0 -name live -load "$tmp/durable.p2h" -wal -walsync always \
   >"$tmp/p2hd-wal.log" 2>&1 &
 daemon_pid=$!
 url=""
@@ -231,7 +231,7 @@ kill -9 "$daemon_pid"
 wait "$daemon_pid" 2>/dev/null || true
 daemon_pid=""
 
-"$bin/p2hd" -listen 127.0.0.1:0 -name live -load "$tmp/durable.p2h" -wal -walsync always -compact \
+"$bin/p2hd" -listen 127.0.0.1:0 -name live -load "$tmp/durable.p2h" -wal -walsync always \
   >"$tmp/p2hd-wal2.log" 2>&1 &
 daemon_pid=$!
 url=""

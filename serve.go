@@ -30,12 +30,8 @@ type ServerOptions struct {
 	// saved container. Attach it to the same Dynamic index with AttachWAL
 	// (which also replays any pending records) before starting the server.
 	WAL *WAL
-	// BackgroundCompaction moves the Dynamic index's delta folding off the
-	// mutation path: instead of rebuilding inline inside the unlucky
-	// Insert/Delete that crosses the threshold — stalling every search for
-	// the whole build — the server rebuilds on a background goroutine and
-	// hot-swaps the tree, holding the mutation lock only for the capture
-	// and install steps. Ignored unless the index is a Dynamic.
+	// Deprecated: ignored. A server always folds a Dynamic index's delta
+	// on a background goroutine of its own.
 	BackgroundCompaction bool
 }
 
@@ -90,18 +86,20 @@ func (m mutator) Insert(p []float32, at PointAttrs) (int32, error) { return m.in
 
 // NewServer starts a serving layer over ix. If ix is a Dynamic,
 // Server.Insert, InsertWithAttrs and Delete route through it with snapshot
-// consistency; otherwise they return ErrImmutable.
+// consistency, and the server folds its delta on a background goroutine:
+// no Insert or Delete rebuilds the tree inline, and the mutation lock is held
+// only to capture the rebuild and to install it. Otherwise they return
+// ErrImmutable.
 func NewServer(ix Index, opts ServerOptions) *Server {
 	var mut server.Mutator
 	if d, ok := ix.(*Dynamic); ok {
 		mut = mutator{d}
 	}
 	cfg := server.Config{
-		Workers:              opts.Workers,
-		CacheEntries:         opts.CacheEntries,
-		MaxQueue:             opts.MaxQueue,
-		MaxQueueDelay:        opts.MaxQueueDelay,
-		BackgroundCompaction: opts.BackgroundCompaction,
+		Workers:       opts.Workers,
+		CacheEntries:  opts.CacheEntries,
+		MaxQueue:      opts.MaxQueue,
+		MaxQueueDelay: opts.MaxQueueDelay,
 	}
 	if opts.WAL != nil {
 		cfg.Journal = opts.WAL.wal

@@ -52,6 +52,73 @@ func TestServerDynamicMutationVisible(t *testing.T) {
 	}
 }
 
+// TestServedDynamicCompactsInTheBackground: a Dynamic served with zero
+// ServerOptions folds its delta on the server's own goroutine, never inside
+// the Insert that outgrew CompactFraction, and once folded answers bitwise
+// as an unserved twin that took the same inserts and folded inline. Once
+// the server closes, the Dynamic folds inline again, in step with the twin.
+func TestServedDynamicCompactsInTheBackground(t *testing.T) {
+	all := Dedup(GenerateDataset("Sift", 3000, 1))
+	queries := GenerateQueries(all, 20, 2)
+	const seedN = 2000
+	seed := NewMatrix(seedN, all.D)
+	copy(seed.Data, all.Data[:seedN*all.D])
+	spec := Spec{Kind: KindDynamic, Seed: 1}
+	served := MustBuild(t, seed, spec).(*Dynamic)
+	srv := NewServer(served, ServerOptions{})
+	defer srv.Close()
+	twin := MustBuild(t, seed, spec).(*Dynamic)
+
+	for row := seedN; ; row++ {
+		if row == all.N {
+			t.Fatal("the inserts never outgrew CompactFraction")
+		}
+		if _, err := srv.Insert(all.Row(row)); err != nil {
+			t.Fatal(err)
+		}
+		twin.Insert(all.Row(row))
+		if twin.Pending() == 0 {
+			break // the twin folded inline: this insert crossed the threshold
+		}
+	}
+	// The fold is counted under the lock that installs it, so a Stats that
+	// reads the delta folded also counts the fold, however fast it ran.
+	if st := srv.Stats(); st.PendingDelta == 0 && st.Compactions == 0 {
+		t.Fatalf("the Insert that outgrew CompactFraction folded the delta inline: %+v", st)
+	}
+	for deadline := time.Now().Add(30 * time.Second); srv.Stats().Compactions == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no background compaction within 30s: %+v", srv.Stats())
+		}
+	}
+	if st := srv.Stats(); st.Compactions != 1 || st.PendingDelta != 0 {
+		t.Fatalf("after the fold: %+v, want one compaction and no delta", st)
+	}
+	for qi := 0; qi < queries.N; qi++ {
+		q := queries.Row(qi)
+		got, _ := srv.Search(q, SearchOptions{K: 10})
+		want, _ := twin.Search(q, SearchOptions{K: 10})
+		if len(got) != len(want) {
+			t.Fatalf("query %d: %d results, twin %d", qi, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("query %d rank %d: served %+v, twin %+v", qi, i, got[i], want[i])
+			}
+		}
+	}
+
+	srv.Close()
+	for i := 0; i < 2*seedN; i++ {
+		p := all.Row(i % all.N)
+		served.Insert(p)
+		twin.Insert(p)
+		if served.Pending() != twin.Pending() {
+			t.Fatalf("insert %d after Close: pending %d, twin %d", i, served.Pending(), twin.Pending())
+		}
+	}
+}
+
 // TestServerConcurrentSearchAndMutate interleaves concurrent Search callers
 // with Dynamic Insert/Delete through one Server; run with -race it is the
 // data-race acceptance test for the serving layer.

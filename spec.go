@@ -88,7 +88,7 @@ type Spec struct {
 	// the rows inserted since the last fold plus the tombstones exceed this
 	// fraction of the live set, the delta is folded into a fresh tree —
 	// inline, by the Insert or Delete that crossed it, or off-thread when a
-	// server runs with ServerOptions.BackgroundCompaction. A JSON spec that
+	// Server serves the index. A JSON spec that
 	// sets the retired "rebuild_fraction" key is refused with a message
 	// naming this one.
 	CompactFraction float64 `json:"compact_fraction,omitempty"`
