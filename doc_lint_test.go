@@ -31,7 +31,7 @@ import (
 // (CHANGES.md, EXPERIMENTS.md, ROADMAP.md, benchmark/README.md) are not among
 // them: they name what was removed, and when.
 var currentDocs = []string{
-	"README.md", "DESIGN.md", "docs/TUNING.md", "doc.go", "deploy/Dockerfile",
+	"README.md", "DESIGN.md", "docs/TUNING.md", "docs/FORMAT.md", "doc.go", "deploy/Dockerfile",
 	".claude/skills/verify/SKILL.md",
 }
 

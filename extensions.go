@@ -97,8 +97,8 @@ func (t *Dynamic) Pending() int { return t.index.Pending() }
 
 // SetBackgroundCompaction hands delta folding to a serving engine (true) or
 // back to inline rebuilds inside Insert/Delete (false, the default of a
-// standalone Dynamic). NewServer turns it on, and the server's Drain or
-// Close turns it off again.
+// standalone Dynamic). NewServer turns it on; a Drain or Close that sees the
+// server idle turns it off again (a Drain that times out leaves it on).
 func (t *Dynamic) SetBackgroundCompaction(on bool) { t.index.SetBackgroundCompaction(on) }
 
 // CompactionNeeded reports whether the delta (rows inserted since the last

@@ -68,54 +68,67 @@ func copyFile(t *testing.T, dst, src string) {
 	}
 }
 
-// runScript opens the base container twice. It attaches a WAL next to the
-// base to one copy and applies every op through a Server over the two; the
-// server folds the delta on its own goroutine, whenever it gets to it. The
-// other copy is never served: it applies the same ops directly and folds
-// inline, as a replay of the log does, so it gives the reference Save bytes
-// (refBytes[k] is the state after ops[:k]) and handle counts. The ledger
-// holds the log's size after each op. The WAL is closed before returning so
-// its bytes are final.
+// runScript opens the base container, attaches a WAL next to it, applies
+// every op through a Server over the two, and returns the served index's
+// Save bytes after each op (refBytes[k] is the state after ops[:k]), its
+// handle counts, and the byte-offset ledger. The server folds the delta on
+// its own goroutine; an unserved twin that applies the same ops and folds
+// inline, as a replay of the log does, tells when a fold is owed, and the
+// served state is read only once the server has made it. The WAL is closed
+// before returning so its bytes are final.
 func runScript(t *testing.T, base string, ops []Op, mode p2h.WALSyncMode) (refBytes [][]byte, refHandles []int, ledger Ledger) {
 	t.Helper()
-	var twins [2]*p2h.Dynamic
-	for i := range twins {
-		ix, err := p2h.Open(base)
+	var ix [2]*p2h.Dynamic
+	for i := range ix {
+		opened, err := p2h.Open(base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		twins[i] = ix.(*p2h.Dynamic)
+		ix[i] = opened.(*p2h.Dynamic)
 	}
-	ref := twins[1]
-	w, err := p2h.AttachWAL(twins[0], p2h.WALPath(base), mode)
+	d, twin := ix[0], ix[1]
+	w, err := p2h.AttachWAL(d, p2h.WALPath(base), mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := p2h.NewServer(twins[0], p2h.ServerOptions{Workers: 1, WAL: w})
+	srv := p2h.NewServer(d, p2h.ServerOptions{Workers: 1, WAL: w})
 	defer func() {
 		srv.Close()
 		w.Close()
 	}()
 
-	refBytes = append(refBytes, saveBytes(t, ref))
-	refHandles = append(refHandles, ref.Handles())
-	for _, op := range ops {
+	refBytes = append(refBytes, saveBytes(t, d))
+	refHandles = append(refHandles, d.Handles())
+	var folds int64
+	for i, op := range ops {
 		if err := Apply(srv, op); err != nil {
 			t.Fatal(err)
 		}
-		if op.Delete && !ref.Delete(op.Handle) {
-			t.Fatalf("reference delete of handle %d found it dead", op.Handle)
+		if op.Delete {
+			twin.Delete(op.Handle)
+		} else {
+			twin.Insert(op.Vec)
 		}
-		if !op.Delete && ref.Insert(op.Vec) != op.Handle {
-			t.Fatalf("reference insert did not get handle %d", op.Handle)
+		if twin.Pending() == 0 {
+			folds++ // the twin folded inline: this op crossed the threshold
+		}
+		// The loop counts a fold under the lock it installs under, so once
+		// the count is read the served index is settled and Save reads it.
+		for deadline := time.Now().Add(30 * time.Second); srv.Stats().Compactions < folds; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("op %d: no background compaction within 30s: %+v", i, srv.Stats())
+			}
+		}
+		if c := srv.Stats().Compactions; c != folds {
+			t.Fatalf("op %d: the server folded %d times, an inline replay %d", i, c, folds)
 		}
 		st, err := os.Stat(w.Path())
 		if err != nil {
 			t.Fatal(err)
 		}
 		ledger.Offsets = append(ledger.Offsets, st.Size())
-		refBytes = append(refBytes, saveBytes(t, ref))
-		refHandles = append(refHandles, ref.Handles())
+		refBytes = append(refBytes, saveBytes(t, d))
+		refHandles = append(refHandles, d.Handles())
 	}
 	return refBytes, refHandles, ledger
 }

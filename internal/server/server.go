@@ -217,6 +217,7 @@ type Engine struct {
 	idleOnce  sync.Once
 	compactCh chan struct{} // wake signal for the compaction loop (cap 1)
 	stopComp  chan struct{} // closed by the first Drain
+	handBack  sync.Once     // returns delta folding to the index once idle
 
 	queries, batchCount, hits, misses, inserts, deletes, compactions atomic.Int64
 	fltSkipNodes, fltSkipPoints                                      atomic.Int64
@@ -524,15 +525,10 @@ func (e *Engine) wakeCompactor() {
 // Mutations landing during a build are reconciled at install by the index
 // (see Mutator.BeginCompaction); a cycle therefore never blocks the very mutations that
 // outgrow the threshold again, which is why the loop re-checks and chains.
-// Once Drain stops the loop the index folds inline again, as a standalone
-// one does.
+// Drain stops the loop; the index folds inline again once a Drain has seen
+// the engine idle.
 func (e *Engine) compactLoop() {
 	defer e.exit()
-	defer func() {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		e.mut.SetBackgroundCompaction(false)
-	}()
 	for {
 		select {
 		case <-e.stopComp:
@@ -611,9 +607,9 @@ func (e *Engine) noteFilterStats(st core.Stats) {
 
 // Drain stops intake and waits — bounded by ctx — for every call already
 // inside the engine to finish (mutations through their journal wait) and the
-// compaction loop to exit. It returns
-// nil once the engine is idle, or ctx.Err() if the deadline expires first (a
-// search stuck inside the index or a user Filter cannot hold shutdown
+// compaction loop to exit. It returns nil once the engine is idle (a mutable
+// index then folds inline again), or ctx.Err() if the deadline expires first
+// (a search stuck inside the index or a user Filter cannot hold shutdown
 // hostage: the engine is abandoned, not waited on). Drain is idempotent and
 // safe to call concurrently with any call; every call observes the same
 // terminal state. After any Drain or Close, Search panics, and SearchCtx,
@@ -630,6 +626,16 @@ func (e *Engine) Drain(ctx context.Context) error {
 	}
 	select {
 	case <-e.idle:
+		if e.mut != nil {
+			// Every call and the loop have left, so the lock is free: the
+			// index folds inline again, as a standalone one does. An engine
+			// whose Drain timed out queues no writer behind a stuck search.
+			e.handBack.Do(func() {
+				e.mu.Lock()
+				defer e.mu.Unlock()
+				e.mut.SetBackgroundCompaction(false)
+			})
+		}
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

@@ -423,40 +423,72 @@ func TestEngineMutatorPanicDoesNotWedgeLock(t *testing.T) {
 }
 
 func TestEngineDrainBoundedOnStuckWorker(t *testing.T) {
-	data, queries := testData(100, 4, 2, 13)
-	e := New(scanIndex{linearscan.New(data)}, nil, Config{Workers: 1})
-
-	// Wedge the only worker inside a user Filter that blocks until released.
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	stuck := core.SearchOptions{K: 1, Filter: func(id int32) bool {
-		once.Do(func() { close(entered); <-release })
-		return true
-	}}
-	searchDone := make(chan struct{})
-	go func() {
-		defer close(searchDone)
-		e.Search(queries.Row(0), stuck)
-	}()
-	<-entered
-
-	// A bounded Drain must come back with the context's error instead of
-	// hanging on the stuck worker — the p2hd shutdown guarantee.
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := e.Drain(ctx); err != context.DeadlineExceeded {
-		t.Fatalf("Drain on stuck worker: %v, want DeadlineExceeded", err)
+	const d = 4
+	data, queries := testData(100, d, 2, 13)
+	m := newMutScan(d)
+	for i := 0; i < data.N; i++ {
+		if _, err := m.Insert(data.Row(i)[:d], attr.Point{}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	for _, tc := range []struct {
+		name string
+		e    *Engine
+	}{
+		{"immutable", New(scanIndex{linearscan.New(data)}, nil, Config{Workers: 1})},
+		// A stuck search on a mutable engine holds the read lock. Nothing the
+		// Drain stops may queue a writer on it: Go's RWMutex would hold every
+		// later reader, Stats among them, behind the stuck search.
+		{"mutable", New(m, m, Config{Workers: 1})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.e
+			// Wedge the only worker inside a user Filter that blocks until released.
+			entered := make(chan struct{})
+			release := make(chan struct{})
+			var once sync.Once
+			stuck := core.SearchOptions{K: 1, Filter: func(id int32) bool {
+				once.Do(func() { close(entered); <-release })
+				return true
+			}}
+			searchDone := make(chan struct{})
+			go func() {
+				defer close(searchDone)
+				e.Search(queries.Row(0), stuck)
+			}()
+			<-entered
 
-	// Once the worker unblocks, the already-submitted query completes and a
-	// second Drain observes the fully stopped engine.
-	close(release)
-	<-searchDone
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel2()
-	if err := e.Drain(ctx2); err != nil {
-		t.Fatalf("Drain after release: %v", err)
+			// A bounded Drain must come back with the context's error instead of
+			// hanging on the stuck worker — the p2hd shutdown guarantee.
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			if err := e.Drain(ctx); err != context.DeadlineExceeded {
+				t.Fatalf("Drain on stuck worker: %v, want DeadlineExceeded", err)
+			}
+
+			// The abandoned engine still reports its counters.
+			time.Sleep(20 * time.Millisecond) // room for a stopped goroutine to reach the lock, were it to take it
+			stats := make(chan Stats, 1)
+			go func() { stats <- e.Stats() }()
+			select {
+			case st := <-stats:
+				if st.Queries != 1 {
+					t.Errorf("Stats after the timed-out Drain: %d queries, want 1", st.Queries)
+				}
+			case <-time.After(5 * time.Second):
+				t.Error("Stats blocked behind the stuck search")
+			}
+
+			// Once the worker unblocks, the already-submitted query completes and a
+			// second Drain observes the fully stopped engine.
+			close(release)
+			<-searchDone
+			ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel2()
+			if err := e.Drain(ctx2); err != nil {
+				t.Fatalf("Drain after release: %v", err)
+			}
+		})
 	}
 }
 
