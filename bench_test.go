@@ -272,6 +272,11 @@ func BenchmarkQueryBudgetBCTree(b *testing.B) {
 	budgetQueryBench(b, MustBuild(b, data, Spec{Kind: KindBCTree, Seed: 1}), data, queries)
 }
 
+func BenchmarkQueryBudgetBallTree(b *testing.B) {
+	data, queries := benchData(b)
+	budgetQueryBench(b, MustBuild(b, data, Spec{Kind: KindBallTree, Seed: 1}), data, queries)
+}
+
 func BenchmarkQueryBudgetNH(b *testing.B) {
 	data, queries := benchData(b)
 	budgetQueryBench(b, MustBuild(b, data, Spec{Kind: KindNH, M: 16, Seed: 1}), data, queries)

@@ -47,9 +47,10 @@
 // then row lists where a call needs them, else whole tiles of queries share
 // the multi-query kernel and every other query verifies alone. A budgeted
 // search opens nodes best-first, query by query, from a min-heap frontier
-// keyed by the centre's offset over the radius, |<q,c>| / r, so the budget
-// is spent on the leaves nearest the hyperplane wherever they sit in the
-// tree, instead of on the first subtree a depth-first walk dives into. The
+// keyed by the centre's offset over the ball's size — |<q,c>| / r for a leaf,
+// |<q,c>| / 2r for an internal node, which costs no budget to open — so the
+// budget is spent on the leaves nearest the hyperplane wherever they sit in
+// the tree, instead of on the first subtree a depth-first walk dives into. The
 // code selects the driver from Budget; there is no option for it.
 //
 // The builder owns its rows and speaks its holder's ids. BuildOwned takes the

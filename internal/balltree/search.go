@@ -13,8 +13,9 @@ import (
 // Search answers a top-k P2HNNS query with Algorithm 5: branch-and-bound
 // over the ball hierarchy — depth-first when exact (the walk every exact
 // search shares; Search is a call of one query), best-first from one
-// frontier when opts.Budget caps the candidates (see bestFirst; a BC leaf is
-// ranked there by its median point radius, see pushFrontier) — pruning any
+// frontier when opts.Budget caps the candidates (see bestFirst; a leaf is
+// ranked there against its radius, a BC leaf's that of its median point, and
+// an internal node against its diameter, see frontierEntry) — pruning any
 // node whose node-level ball bound (Theorem 2)
 //
 //	lb = max(|<q, N.c>| - (||w|| + radiusSlack*||q||) * N.r, 0)
@@ -433,7 +434,9 @@ func (a frontierNode) before(b frontierNode) bool {
 // spent, the frontier is empty or opts.Cancel fires — with Budget >= n that
 // is the exact answer, since exact results do not depend on the order nodes
 // are opened. It runs for query qi of the call alone, and opens each node
-// through the walk's step.
+// through the walk's step. Keys are set by frontierEntry; the order is the
+// heap's alone, whether a child goes through it or, coming first, is opened
+// straight away.
 func (s *Searcher) bestFirst(qi int32) {
 	t := s.tree
 	r := &s.qs[qi]
@@ -445,30 +448,51 @@ func (s *Searcher) bestFirst(qi int32) {
 	ip := vec.Dot(r.q, s.sec.centers.Row(0))
 	r.st.IPCount++
 	s.frontier = s.frontier[:0]
-	s.pushFrontier(r, 0, ip, 0, 0)
-	for len(s.frontier) > 0 && s.opts.BudgetLeft(r.st.Candidates) && !s.opts.Canceled() {
-		e := s.popFrontier()
+	e, next := frontierNode{ip: ip}, true // the root is opened first
+	for (next || len(s.frontier) > 0) && s.opts.BudgetLeft(r.st.Candidates) && !s.opts.Canceled() {
+		if !next {
+			e = s.popFrontier()
+		}
 		n := &t.nodes[e.ni]
 		act[0], ips[0] = qi, e.ip
-		if live, kappaR, _ := s.step(e.ni, n, act, ips, ipc[:1], ipc[1:], e.kappa); live > 0 {
-			s.pushFrontier(r, e.ni+1, ipc[0], 0, n.radius)
-			s.pushFrontier(r, n.right, ipc[1], kappaR, n.radius)
+		live, kappaR, _ := s.step(e.ni, n, act, ips, ipc[:1], ipc[1:], e.kappa)
+		next = false
+		if live == 0 {
+			continue
+		}
+		a := s.frontierEntry(r, e.ni+1, ipc[0], 0, n.radius)
+		b := s.frontierEntry(r, n.right, ipc[1], kappaR, n.radius)
+		if b.before(a) {
+			a, b = b, a
+		}
+		s.pushFrontier(b)
+		// The first child is opened next, skipping the round trip through
+		// the heap, when it comes before everything the frontier holds: it
+		// is what the pop would return.
+		if next = a.before(s.frontier[0]); next {
+			e = a
+		} else {
+			s.pushFrontier(a)
 		}
 	}
 }
 
-// pushFrontier keys node ni and sifts it up the heap. PrefCenter keys by the
-// centre's offset from the hyperplane relative to the ball's radius,
-// |<q,c>| / r: how deep into the ball the hyperplane cuts, which — unlike the
-// bare offset the depth-first order compares between two siblings — ranks
-// balls of different sizes against each other. A BC leaf is measured by its
-// median point rather than its farthest one (see leafRadius), so one outlier
-// does not make a leaf look nearer than its points lie. PrefLowerBound keys
-// by the unclamped ball bound |<q,c>| - s·r, s the query's ballScale. A
-// zero-radius ball (a single point, or a leaf of duplicates) has no size of
-// its own to be relative to and is ranked on its parent's, so that it still
-// competes by how near it lies.
-func (s *Searcher) pushFrontier(r *query, ni int32, ip, kappa, parentRadius float64) {
+// frontierEntry keys node ni for the frontier. PrefCenter keys by the
+// centre's offset from the hyperplane relative to the ball's size: how deep
+// into the ball the hyperplane cuts, which — unlike the bare offset the
+// depth-first order compares between two siblings — ranks balls of different
+// sizes against each other. A leaf is keyed |<q,c>| / r, a BC leaf measured
+// by its median point rather than its farthest one (see leafRadius), so one
+// outlier does not make a leaf look nearer than its points lie. An internal
+// node is keyed against its diameter, |<q,c>| / 2r: opening it costs inner
+// products but no budget, so it is opened early and the leaves beneath it
+// then compete on their own keys before the budget goes to a leaf ranked
+// against a coarser ball. PrefLowerBound keys every node by the unclamped
+// ball bound |<q,c>| - s·r, s the query's ballScale. A zero-radius ball (a
+// single point, or a node of duplicates) has no size of its own to be
+// relative to and takes its parent's radius, so that it still competes by
+// how near it lies.
+func (s *Searcher) frontierEntry(r *query, ni int32, ip, kappa, parentRadius float64) frontierNode {
 	n := &s.tree.nodes[ni]
 	rad := n.radius
 	key := math.Abs(ip)
@@ -480,11 +504,18 @@ func (s *Searcher) pushFrontier(r *query, ni int32, ip, kappa, parentRadius floa
 		} else if s.tree.kind == BC && n.isLeaf() {
 			rad = s.leafRadius(n)
 		}
+		if !n.isLeaf() {
+			rad *= 2
+		}
 		if rad > 0 {
 			key /= rad
 		}
 	}
-	e := frontierNode{key: key, ip: ip, kappa: kappa, ni: ni}
+	return frontierNode{key: key, ip: ip, kappa: kappa, ni: ni}
+}
+
+// pushFrontier adds e to the frontier and sifts it up the heap.
+func (s *Searcher) pushFrontier(e frontierNode) {
 	h := append(s.frontier, e)
 	i := len(h) - 1
 	for i > 0 {

@@ -406,3 +406,67 @@ func TestFrontierRanksBCLeafByMedianRadius(t *testing.T) {
 		}
 	}
 }
+
+// TestFrontierRanksInternalNodeByDiameter pins the budgeted frontier's key
+// for an internal node. Four leaves of ten points each lie in two subtrees,
+// A around z = 50 and B around z = -50; a leaf is two clumps at y = ±1, so
+// its radius, and its median point's, is about 1. The hyperplane is x = 0,
+// and the leaves sit at x = 0.8 (A1) and -5 (A2), 0.5 (B1) and 6.5 (B2).
+// The keys are about 0.68 for A (centre -2.1, radius 3.07), 1.11 for B
+// (3.5, 3.16), and 0.8, 5, 0.5 and 6.5 for the leaves. Both orders open A
+// first. Keyed against its radius, B then waits behind A1, which a budget of
+// one leaf opens. Keyed against its diameter (0.55), B opens before A1, and B1
+// (0.5) goes ahead of it. Both kinds open B1, and a Save→Load twin and a
+// mapped one answer alike, counters and all.
+func TestFrontierRanksInternalNodeByDiameter(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var rows [][]float32
+	leaf := func(x, z float32) {
+		for i := range 10 {
+			y := float32(1 - 2*(i%2))
+			rows = append(rows, []float32{x, y + float32(0.01*rng.NormFloat64()), z + float32(0.01*rng.NormFloat64())})
+		}
+	}
+	leaf(0.8, 50)  // A1: ids 0-9
+	leaf(-5, 50)   // A2
+	leaf(0.5, -50) // B1: ids 20-29
+	leaf(6.5, -50) // B2
+	data := vec.FromRows(rows).AppendOnes()
+	q := []float32{1, 0, 0, 0}
+
+	for _, kind := range []Kind{BC, Ball} {
+		tree := Build(data, kind, Config{LeafSize: 10, Seed: 1})
+		if tree.Leaves() != 4 {
+			t.Fatalf("%s: %d leaves, want 4", kind, tree.Leaves())
+		}
+		for ni := range tree.nodes {
+			if n := &tree.nodes[ni]; n.isLeaf() {
+				ids := tree.sec().ids[n.start:n.end]
+				if len(ids) != 10 || slices.ContainsFunc(ids, func(id int32) bool { return id/10 != ids[0]/10 }) {
+					t.Fatalf("%s: the split did not part the leaves", kind)
+				}
+			}
+		}
+		opts := core.SearchOptions{K: 1, Budget: 10}
+		res, st := tree.Search(q, opts)
+		if st.LeavesVisited != 1 || st.Candidates != 10 || len(res) != 1 {
+			t.Fatalf("%s: %d leaves, %d candidates and %d results, want one leaf spent whole", kind, st.LeavesVisited, st.Candidates, len(res))
+		}
+		if got := res[0].ID / 10; got != 2 {
+			t.Errorf("%s: a budget of one leaf verified leaf %d, want B1 (2): internal nodes not keyed against their diameter", kind, got)
+		}
+		var buf bytes.Buffer
+		if err := tree.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(&buf, kind, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, twin := range map[string]*Tree{"loaded": loaded, "mapped": mappedTwin(t, tree)} {
+			if tres, tst := twin.Search(q, opts); !slices.Equal(tres, res) || tst != st {
+				t.Errorf("%s %s: %v %+v, want %v %+v", kind, path, tres, tst, res, st)
+			}
+		}
+	}
+}

@@ -15,11 +15,12 @@ type Preference int
 const (
 	// PrefCenter prefers the center nearer the hyperplane: depth-first, the
 	// child with the smaller |<q,c>|; best-first, the node with the smaller
-	// |<q,c>| / r, the center's offset relative to the ball's radius, which
-	// compares balls of different sizes. A BC-Tree leaf takes for r the
-	// derived radius of its median point, which one outlier does not
-	// inflate. The paper's default and the uniformly better choice
-	// (Figure 7), on both drivers.
+	// center offset relative to the ball's size, which compares balls of
+	// different sizes: |<q,c>| / r for a leaf, |<q,c>| / 2r (its diameter)
+	// for an internal node, which costs inner products but no budget to
+	// open. A BC-Tree leaf takes for r the derived radius of its median
+	// point, which one outlier does not inflate. The paper's default and the
+	// uniformly better choice (Figure 7), on both drivers.
 	PrefCenter Preference = iota
 	// PrefLowerBound prefers the smaller node-level ball bound the search
 	// prunes by, |<q,c>| less the radius charged the norm of the query's

@@ -67,7 +67,7 @@ func TestWireGolden(t *testing.T) {
 			`{"results":[{"id":227,"dist":0.0060715791047945},{"id":126,"dist":0.008036525110209247},{"id":29,"dist":0.008444303274667664}],"stats":{"ip_count":323,"candidates":298,"nodes_visited":49,"leaves_visited":25,"pruned_nodes":0,"pruned_points":2,"bucket_probes":0,"collab_ips":24}}`},
 		{"budgeted", http.MethodPost, "/v1/indexes/trees/search",
 			SearchRequest{Query: queries.Row(1), SearchOptionsJSON: SearchOptionsJSON{K: 3, Budget: 40}},
-			`{"results":[{"id":140,"dist":0.006291387768197598},{"id":152,"dist":0.02435320931840379},{"id":239,"dist":0.05003952022390468}],"stats":{"ip_count":52,"candidates":40,"nodes_visited":15,"leaves_visited":4,"pruned_nodes":0,"pruned_points":0,"bucket_probes":0,"collab_ips":11}}`},
+			`{"results":[{"id":140,"dist":0.006291387768197598},{"id":152,"dist":0.02435320931840379},{"id":229,"dist":0.03419944795792629}],"stats":{"ip_count":63,"candidates":40,"nodes_visited":26,"leaves_visited":4,"pruned_nodes":0,"pruned_points":0,"bucket_probes":0,"collab_ips":22}}`},
 		{"pred", http.MethodPost, "/v1/indexes/tagged/search",
 			SearchRequest{Query: queries.Row(2), SearchOptionsJSON: SearchOptionsJSON{K: 3, Filter: &p2h.Pred{Tag: "rare"}}},
 			`{"results":[{"id":0,"dist":0.01802275045209578},{"id":150,"dist":0.09761654794138597},{"id":125,"dist":0.15719348144141287}],"stats":{"ip_count":35,"candidates":12,"nodes_visited":33,"leaves_visited":11,"pruned_nodes":0,"pruned_points":0,"bucket_probes":0,"collab_ips":22,"filter_skipped_nodes":12,"filter_skipped_points":169}}`},

@@ -22,7 +22,8 @@
 # not per node, and B/op that it makes one matrix, not two), the tree searches
 # (per-query and batched; exact BC-Tree searches, single and in 64-query
 # batches, also under a tag predicate and under a Filter closure, each
-# keeping every tenth row), the serving path, the container codec (save and open of the
+# keeping every tenth row; budgeted BC- and Ball-Tree searches at the budget
+# each needs for recall@10 0.8), the serving path, the container codec (save and open of the
 # n=50k BC-Tree) and the dynamic index (recovery and one compaction of
 # dyn-rw's 20k-point index under a 5 % delta, and exact searches of it once
 # 0.5 % of its handles are deleted). -count=6 gives benchstat enough
@@ -49,7 +50,7 @@ run() {
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" ./internal/vec | tee -a "$out"
   go test -run '^$' -bench 'BenchmarkLinearScan$|BenchmarkLinearScanBatch|BenchmarkLinearScanFilteredBatch' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" ./internal/linearscan | tee -a "$out"
-  go test -run '^$' -bench 'BenchmarkBuildBCTree|BenchmarkBuildBallTree|BenchmarkBuildSharded|BenchmarkQueryExactBallTree|BenchmarkQueryExactBCTree|BenchmarkQueryPredBCTree|BenchmarkQueryFilterBCTree|BenchmarkQueryDynamicChurned|BenchmarkQueryBudgetBCTree$|BenchmarkSearchBatchExact|BenchmarkServer|BenchmarkSaveBCTree|BenchmarkOpenBCTree|BenchmarkOpenDynamic|BenchmarkDynamicCompact' \
+  go test -run '^$' -bench 'BenchmarkBuildBCTree|BenchmarkBuildBallTree|BenchmarkBuildSharded|BenchmarkQueryExactBallTree|BenchmarkQueryExactBCTree|BenchmarkQueryPredBCTree|BenchmarkQueryFilterBCTree|BenchmarkQueryDynamicChurned|BenchmarkQueryBudgetBCTree$|BenchmarkQueryBudgetBallTree$|BenchmarkSearchBatchExact|BenchmarkServer|BenchmarkSaveBCTree|BenchmarkOpenBCTree|BenchmarkOpenDynamic|BenchmarkDynamicCompact' \
     -benchmem -benchtime="$BENCHTIME" -count="$COUNT" . | tee -a "$out"
 }
 
